@@ -81,8 +81,9 @@ def encode_symbols(symbols: np.ndarray, kernel=None) -> bytes:
         (symbol:i64, length:u8) * alphabet_size | n_bits:u64 | packed bits
 
     The bit scatter and packing run on a :mod:`repro.core.kernels` kernel
-    (``kernel`` is a registry name or instance; default ``"vectorized"``).
-    The vectorized kernel scatters one bit position of every code per NumPy
+    (``kernel`` is a registry name or instance; default ``"auto"``).  The
+    vectorized scatter — inherited by the fused and compiled kernels the
+    default resolves to — writes one bit position of every code per NumPy
     pass, so the cost is ``O(max_code_length)`` vector operations instead of
     a Python loop over all symbols; the ``"reference"`` kernel writes code
     bits one by one and produces the identical stream.

@@ -13,8 +13,8 @@ prediction error is stored.  Two prefix bits minimise the entropy on the
 paper's datasets (Table 2), so 2 is the default here.
 
 The actual bit twiddling lives in :mod:`repro.core.kernels`; the functions
-below are thin wrappers that dispatch to a registered kernel (the bulk-NumPy
-``"vectorized"`` kernel unless a ``kernel=`` argument selects another), kept
+below are thin wrappers that dispatch to a registered kernel (the default
+``"auto"`` kernel unless a ``kernel=`` argument selects another), kept
 so existing call sites and the paper-facing naming survive the kernel
 refactor unchanged.
 """
@@ -44,7 +44,8 @@ def extract_bitplanes(
     nbits:
         Number of planes to produce; must cover the largest code.
     kernel:
-        Optional kernel name or instance (default ``"vectorized"``).
+        Optional kernel name or instance (default ``"auto"``: the fastest
+        registered backend, see :func:`repro.core.kernels.resolve_auto_kernel`).
 
     Returns
     -------

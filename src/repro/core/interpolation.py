@@ -29,7 +29,8 @@ output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -43,16 +44,25 @@ STENCIL_NORMS = {"linear": 1.0, "cubic": 1.25}
 
 @dataclass(frozen=True)
 class _DimPass:
-    """One (level, dimension) sweep: the open-mesh target indices."""
+    """One (level, dimension) sweep: a regular lattice, held as basic slices.
+
+    ``target`` selects the sweep's points in the field; ``known`` is the same
+    lattice with axis ``dim`` moved onto the already reconstructed
+    stride-``2^level`` points, so target ``i`` along ``dim`` lies half-way
+    between known points ``i`` and ``i + 1``.  Indexing with either yields a
+    *view*: predictions read and results land in the field with no index
+    arrays and no gather/scatter copies.
+    """
 
     level: int
     dim: int
-    axis_indices: Tuple[np.ndarray, ...]
+    target: Tuple[slice, ...]
+    known: Tuple[slice, ...]
     target_shape: Tuple[int, ...]
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.target_shape)) if self.target_shape else 0
+        return math.prod(self.target_shape)
 
 
 class InterpolationPredictor:
@@ -81,9 +91,7 @@ class InterpolationPredictor:
         max_dim = max(shape)
         #: Number of interpolation levels (coarsest = ``num_levels``).
         self.num_levels = max(1, int(np.ceil(np.log2(max_dim))) if max_dim > 1 else 1)
-        self._anchor_indices = tuple(
-            np.arange(0, s, 2 ** self.num_levels, dtype=np.intp) for s in shape
-        )
+        self._anchor = (slice(0, None, 2**self.num_levels),) * self.ndim
         self._passes: Dict[int, List[_DimPass]] = {}
         for level in range(self.num_levels, 0, -1):
             self._passes[level] = self._build_level_passes(level)
@@ -122,25 +130,18 @@ class InterpolationPredictor:
         half = stride // 2
         passes: List[_DimPass] = []
         for dim in range(self.ndim):
-            axis_indices: List[np.ndarray] = []
-            for axis, size in enumerate(self.shape):
-                if axis < dim:
-                    idx = np.arange(0, size, half, dtype=np.intp)
-                elif axis == dim:
-                    idx = np.arange(half, size, stride, dtype=np.intp)
-                else:
-                    idx = np.arange(0, size, stride, dtype=np.intp)
-                axis_indices.append(idx)
-            if axis_indices[dim].size == 0:
-                continue
-            passes.append(
-                _DimPass(
-                    level=level,
-                    dim=dim,
-                    axis_indices=tuple(axis_indices),
-                    target_shape=tuple(idx.size for idx in axis_indices),
-                )
+            # Axes before ``dim`` were already refined to ``half`` this level.
+            known = tuple(
+                slice(0, None, half if axis < dim else stride)
+                for axis in range(self.ndim)
             )
+            target = known[:dim] + (slice(half, None, stride),) + known[dim + 1 :]
+            target_shape = tuple(
+                len(range(*s.indices(size))) for s, size in zip(target, self.shape)
+            )
+            if target_shape[dim] == 0:
+                continue
+            passes.append(_DimPass(level, dim, target, known, target_shape))
         return passes
 
     # --------------------------------------------------------------- geometry
@@ -148,7 +149,7 @@ class InterpolationPredictor:
     @property
     def anchor_shape(self) -> Tuple[int, ...]:
         """Shape of the anchor-point grid (points spaced ``2^L`` apart)."""
-        return tuple(idx.size for idx in self._anchor_indices)
+        return tuple(len(range(0, s, 2**self.num_levels)) for s in self.shape)
 
     @property
     def anchor_count(self) -> int:
@@ -173,50 +174,33 @@ class InterpolationPredictor:
 
     # ------------------------------------------------------------- prediction
 
-    def _gather(self, buffer: np.ndarray, axis_indices: Sequence[np.ndarray]) -> np.ndarray:
-        return buffer[np.ix_(*axis_indices)]
-
     def _predict_pass(self, buffer: np.ndarray, p: _DimPass) -> np.ndarray:
-        """Predict the target points of one (level, dim) sweep from ``buffer``."""
-        half = 2 ** (p.level - 1)
-        dim = p.dim
-        size_d = self.shape[dim]
-        targets = p.axis_indices[dim]
+        """Predict the target points of one (level, dim) sweep from ``buffer``.
 
-        def values_at(offset_indices: np.ndarray) -> np.ndarray:
-            axes = list(p.axis_indices)
-            axes[dim] = offset_indices
-            return self._gather(buffer, axes)
-
-        left1 = targets - half
-        right1 = targets + half
-        right1_valid = right1 < size_d
-        v_left1 = values_at(left1)
-        v_right1 = values_at(np.where(right1_valid, right1, left1))
-
-        # Broadcast per-target validity masks along axis ``dim``.
-        mask_shape = [1] * self.ndim
-        mask_shape[dim] = targets.size
-        right1_mask = right1_valid.reshape(mask_shape)
-
-        linear = 0.5 * (v_left1 + v_right1)
-        prediction = np.where(right1_mask, linear, v_left1)
-
-        if self.method == "cubic":
-            left3 = targets - 3 * half
-            right3 = targets + 3 * half
-            cubic_valid = (left3 >= 0) & (right3 < size_d) & right1_valid
-            if cubic_valid.any():
-                v_left3 = values_at(np.clip(left3, 0, size_d - 1))
-                v_right3 = values_at(np.clip(right3, 0, size_d - 1))
-                cubic = (
-                    -v_left3 / 16.0
-                    + 9.0 * v_left1 / 16.0
-                    + 9.0 * v_right1 / 16.0
-                    - v_right3 / 16.0
-                )
-                cubic_mask = cubic_valid.reshape(mask_shape)
-                prediction = np.where(cubic_mask, cubic, prediction)
+        With axis ``dim`` in front there are ``k`` known points and ``k − 1``
+        or ``k`` targets: target ``i < k − 1`` averages its two neighbours
+        (cubic: the 4-point stencil where ``1 ≤ i < k − 2``), and a trailing
+        target ``k − 1`` with no right neighbour copies the left one.  Each
+        formula runs on its own sub-slice only.
+        """
+        known = buffer[p.known].swapaxes(0, p.dim)
+        prediction = np.empty(p.target_shape, dtype=np.float64)
+        out = prediction.swapaxes(0, p.dim)
+        k = known.shape[0]
+        lo, hi = (1, k - 2) if self.method == "cubic" and k > 3 else (k - 1, k - 1)
+        for a, b in ((0, lo), (hi, k - 1)):
+            if b > a:
+                np.add(known[a:b], known[a + 1 : b + 1], out=out[a:b])
+                out[a:b] *= 0.5
+        if hi > lo:
+            out[lo:hi] = (
+                -known[lo - 1 : hi - 1] / 16.0
+                + 9.0 * known[lo:hi] / 16.0
+                + 9.0 * known[lo + 1 : hi + 1] / 16.0
+                - known[lo + 2 : hi + 2] / 16.0
+            )
+        if out.shape[0] == k:
+            out[k - 1] = known[k - 1]
         return prediction
 
     # ------------------------------------------------------------ compression
@@ -247,18 +231,16 @@ class InterpolationPredictor:
             )
         xhat = np.zeros(self.shape, dtype=np.float64)
 
-        anchor_mesh = np.ix_(*self._anchor_indices)
-        anchor_codes, anchor_dequant = quantizer.roundtrip(data[anchor_mesh])
-        xhat[anchor_mesh] = anchor_dequant
+        anchor_codes, anchor_dequant = quantizer.roundtrip(data[self._anchor])
+        xhat[self._anchor] = anchor_dequant
 
         level_codes: Dict[int, np.ndarray] = {}
         for key, passes in self._groups(granularity):
             per_pass: List[np.ndarray] = []
             for p in passes:
-                mesh = np.ix_(*p.axis_indices)
                 prediction = self._predict_pass(xhat, p)
-                codes, dequant = quantizer.roundtrip(data[mesh] - prediction)
-                xhat[mesh] = prediction + dequant
+                codes, dequant = quantizer.roundtrip(data[p.target] - prediction)
+                np.add(prediction, dequant, out=xhat[p.target])
                 per_pass.append(codes.ravel())
             level_codes[key] = (
                 np.concatenate(per_pass) if per_pass else np.zeros(0, dtype=np.int64)
@@ -286,15 +268,13 @@ class InterpolationPredictor:
             raise ConfigurationError(
                 f"data shape {data.shape} does not match predictor shape {self.shape}"
             )
-        anchor_mesh = np.ix_(*self._anchor_indices)
-        anchor_values = data[anchor_mesh].ravel().copy()
+        anchor_values = data[self._anchor].flatten()
         level_coeffs: Dict[int, np.ndarray] = {}
         for key, passes in self._groups(granularity):
             per_pass: List[np.ndarray] = []
             for p in passes:
-                mesh = np.ix_(*p.axis_indices)
                 prediction = self._predict_pass(data, p)
-                per_pass.append((data[mesh] - prediction).ravel())
+                per_pass.append((data[p.target] - prediction).ravel())
             level_coeffs[key] = (
                 np.concatenate(per_pass) if per_pass else np.zeros(0, dtype=np.float64)
             )
@@ -319,27 +299,29 @@ class InterpolationPredictor:
         yields the delta of the reconstruction (Algorithm 2).
         """
         xhat = np.zeros(self.shape, dtype=np.float64)
-        anchor_mesh = np.ix_(*self._anchor_indices)
-        xhat[anchor_mesh] = np.asarray(anchor_values, dtype=np.float64).reshape(
+        xhat[self._anchor] = np.asarray(anchor_values, dtype=np.float64).reshape(
             self.anchor_shape
         )
-        sizes = self.level_sizes(granularity)
         for key, passes in self._groups(granularity):
             diffs = level_diffs.get(key)
-            if diffs is None:
-                diffs = np.zeros(sizes[key], dtype=np.float64)
-            else:
+            if diffs is not None:
                 diffs = np.asarray(diffs, dtype=np.float64).ravel()
-                if diffs.size != sizes[key]:
+                expected = sum(p.size for p in passes)
+                if diffs.size != expected:
                     raise ConfigurationError(
-                        f"group {key} expects {sizes[key]} diffs, got {diffs.size}"
+                        f"group {key} expects {expected} diffs, got {diffs.size}"
                     )
             offset = 0
             for p in passes:
-                mesh = np.ix_(*p.axis_indices)
                 prediction = self._predict_pass(xhat, p)
-                block = diffs[offset : offset + p.size].reshape(p.target_shape)
-                xhat[mesh] = prediction + block
+                # A missing level still adds +0.0 — what all-zero diffs would
+                # do to a −0.0 prediction — without building the zeros.
+                block = (
+                    0.0
+                    if diffs is None
+                    else diffs[offset : offset + p.size].reshape(p.target_shape)
+                )
+                np.add(prediction, block, out=xhat[p.target])
                 offset += p.size
         return xhat
 

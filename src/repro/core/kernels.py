@@ -7,11 +7,12 @@ error-bounded quantization, bit packing, and the Huffman code-bit scatter
 registry, mirroring the pluggable lossless-backend registry of
 :mod:`repro.coders.backend`:
 
-* ``"vectorized"`` (the default) implements every operation as a constant
-  number of NumPy bulk passes: one ``np.unpackbits`` per bitplane
-  transpose instead of one shift/mask pass per plane, one ``np.packbits``
-  per reassembly, and at most ``prefix_bits`` whole-matrix XORs for the
-  predictive coder.
+* ``"vectorized"`` implements every operation as a constant number of
+  NumPy bulk passes: one ``np.unpackbits`` per bitplane transpose instead
+  of one shift/mask pass per plane, one ``np.packbits`` per reassembly,
+  and at most ``prefix_bits`` whole-matrix XORs for the predictive coder.
+  It is the always-constructible fallback of ``"auto"`` and the base the
+  arena kernels inherit their primitive operations from.
 * ``"reference"`` spells the same operations out as straightforward
   Python loops that follow the paper's pseudocode bit by bit.  It exists
   as a correctness oracle: the differential tests assert that both
@@ -33,10 +34,10 @@ registry, mirroring the pluggable lossless-backend registry of
   parallelised across cores.  It is registered behind a lazy import — on
   a machine without numba, requesting it raises a
   :class:`~repro.errors.ConfigurationError` naming the extra.
-* ``"auto"`` resolves, at first use, to the fastest backend available on
-  the machine — ``compiled`` > ``fused`` > ``vectorized`` (see
-  :func:`resolve_auto_kernel`) — so profiles and CLI invocations can opt
-  into the best kernel without knowing what is installed.
+* ``"auto"`` (the default) resolves, at first use, to the fastest backend
+  available on the machine — ``compiled`` > ``fused`` > ``vectorized``
+  (see :func:`resolve_auto_kernel`) — so every default-argument caller
+  gets the packed-domain sweep without knowing what is installed.
 
 The simple kernels are stateless and the arena-backed kernels (fused,
 compiled) keep their grow-only scratch *per thread*
@@ -63,8 +64,9 @@ from repro.core.negabinary import required_bits_from_codes as _nb_required_bits
 from repro.core.negabinary import to_negabinary as _nb_encode
 from repro.errors import ConfigurationError
 
-#: Name of the kernel used when none is requested explicitly.
-DEFAULT_KERNEL = "vectorized"
+#: Name of the kernel used when none is requested explicitly: the
+#: self-resolving ``"auto"`` (see :func:`resolve_auto_kernel`).
+DEFAULT_KERNEL = "auto"
 
 _U64_MASK = (1 << 64) - 1
 

@@ -63,9 +63,13 @@ COMPILED_INSTALL_HINT = (
 try:  # pragma: no cover - the numba branch only runs with numba installed
     from numba import njit, prange
 
-    _NUMBA_IMPORT_ERROR: Optional[ImportError] = None
+    _NUMBA_IMPORT_ERROR: Optional[str] = None
 except ImportError as exc:
-    _NUMBA_IMPORT_ERROR = exc
+    # Keep the message only: the exception's traceback reaches, frame by
+    # frame, the whole stack of whoever first resolved "auto"/"compiled"
+    # (this import is lazy) and would keep that caller's arrays alive for
+    # the life of the process.
+    _NUMBA_IMPORT_ERROR = str(exc)
     prange = range
 
     def njit(*args, **kwargs):
@@ -205,9 +209,10 @@ class CompiledKernel(ArenaKernel):
     def __init__(self) -> None:
         if not numba_available():
             raise ConfigurationError(
-                "kernel='compiled' requires numba, which is not installed; "
+                "kernel='compiled' requires numba, which is not installed "
+                f"({_NUMBA_IMPORT_ERROR}); "
                 f"install the [compiled] extra: {COMPILED_INSTALL_HINT}"
-            ) from _NUMBA_IMPORT_ERROR
+            )
         super().__init__()
 
     # ----------------------------------------------------------- pipelines

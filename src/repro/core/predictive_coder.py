@@ -26,9 +26,10 @@ sequence of *independently decodable blocks*, one per bitplane:
 
 Steps 1–4 run on a pluggable bit-level kernel (:mod:`repro.core.kernels`)
 through its :meth:`~repro.core.kernels.Kernel.encode_planes` /
-:meth:`~repro.core.kernels.Kernel.decode_planes` pipeline hooks: the default
-``"vectorized"`` kernel performs the stages as separate NumPy bulk passes,
-the ``"fused"`` kernel as one sweep over a reusable buffer arena, and the
+:meth:`~repro.core.kernels.Kernel.decode_planes` pipeline hooks: the
+``"fused"`` kernel (what the default ``"auto"`` resolves to without numba)
+runs the stages as one sweep over a reusable buffer arena, the
+``"vectorized"`` kernel as separate NumPy bulk passes, and the
 ``"reference"`` kernel as auditable Python loops; all yield byte-identical
 blocks (coder negotiation only sees the packed bytes, which are identical).
 
@@ -321,10 +322,21 @@ class PredictiveCoder:
             )
         return self.quantizer.dequantize(codes)
 
-    def decode_plane_bits(self, encoding_meta: "LevelEncoding", plane: int, block: bytes) -> np.ndarray:
-        """Decode one plane block to its (still XOR-predicted) bit row."""
+    def decode_plane_packed(self, encoding_meta: "LevelEncoding", plane: int, block: bytes) -> np.ndarray:
+        """Decode one plane block to its (still XOR-predicted) packed bit row.
+
+        Returns a writable ``uint8`` row of ``ceil(count / 8)`` bytes,
+        little-endian bit order — the form Algorithm 2's merge consumes.
+        """
         backend = self._coder(encoding_meta.coder_for_plane(plane))
-        return self.kernel.unpack_bits(backend.decode(block), encoding_meta.count)
+        row = np.frombuffer(backend.decode(block), dtype=np.uint8)
+        row_bytes = (encoding_meta.count + 7) // 8
+        if row.size < row_bytes:
+            raise StreamFormatError(
+                f"level {encoding_meta.level} plane {plane} holds {row.size} "
+                f"bytes, expected {row_bytes}"
+            )
+        return row[:row_bytes].copy()
 
     def decode_level(
         self,

@@ -22,7 +22,8 @@ which is the quantity Figures 6 and 7 of the paper plot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -358,12 +359,14 @@ class ProgressiveRetriever:
     # ------------------------------------------------------------------ helpers
 
     def _merge_codes(self, enc, old_keep: int, new_keep: int, new_blocks) -> np.ndarray:
-        """Rebuild integer codes when planes ``old_keep … new_keep-1`` arrive.
+        """Integer codes of a level once planes ``old_keep … new_keep-1`` arrive.
 
-        The XOR-predictive decoding of plane ``k`` requires the decoded planes
-        ``k−1`` and ``k−2``.  Rather than caching raw planes we recompute them
-        from the stored integer codes (a cheap vectorised bit extraction),
-        decode the new planes on top, and assemble the result.
+        The merge runs on the resident negabinary word and in the packed
+        byte domain.  XOR-predictive decoding of plane ``k`` needs the true
+        planes ``k−1 … k−prefix_bits``, so only those are re-derived from
+        the word (as packed rows); every newly loaded packed row is
+        un-predicted against them and its bits are OR-ed into the word.  The
+        cost follows the number of planes *added*, not the level width.
         """
         kernel = self.coder.kernel
         count = enc.count
@@ -372,25 +375,29 @@ class ProgressiveRetriever:
         old_codes = self._current_codes.get(enc.level)
         if old_codes is None or old_codes.size == 0:
             old_codes = np.zeros(count, dtype=np.int64)
-        # Reconstruct the decoded (true) planes 0..old_keep-1 from old codes.
-        old_negabinary = kernel.to_negabinary(old_codes)
-        decoded = np.zeros((new_keep, count), dtype=np.uint8)
-        if old_keep:
-            decoded[:old_keep] = kernel.extract_bitplanes(old_negabinary, enc.nbits)[
-                :old_keep
-            ]
-        # Decode the newly loaded planes using the already-known prefix planes
-        # (each plane block dispatches to the coder its header entry names).
-        for offset, block in enumerate(new_blocks):
-            k = old_keep + offset
-            plane = self.coder.decode_plane_bits(enc, k, block).copy()
-            for j in range(1, self.coder.prefix_bits + 1):
-                if k - j >= 0:
-                    plane ^= decoded[k - j]
-            decoded[k] = plane
-        return kernel.from_negabinary(
-            kernel.assemble_bitplanes(decoded[:new_keep], enc.nbits)
+        word = kernel.to_negabinary(old_codes)  # a fresh array: OR-ed in place
+        prefix_bits = self.coder.prefix_bits
+
+        def shift(k: int) -> np.uint64:
+            return np.uint64(enc.nbits - 1 - k)
+
+        def resident_plane(k: int) -> np.ndarray:
+            bits = ((word >> shift(k)) & np.uint64(1)).astype(np.uint8)
+            return np.packbits(bits, bitorder="little")
+
+        recent = deque(
+            map(resident_plane, range(max(0, old_keep - prefix_bits), old_keep)),
+            maxlen=prefix_bits,
         )
+        for k, block in zip(range(old_keep, new_keep), new_blocks):
+            plane = self.coder.decode_plane_packed(enc, k, block)
+            for earlier in recent:
+                plane ^= earlier
+            recent.append(plane)
+            lifted = np.unpackbits(plane, count=count, bitorder="little").astype(np.uint64)
+            lifted <<= shift(k)
+            word |= lifted
+        return kernel.from_negabinary(word)
 
     def _cast(self, output: np.ndarray) -> np.ndarray:
         return output.astype(self.header.dtype, copy=True).reshape(self.header.shape)

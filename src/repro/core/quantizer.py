@@ -32,7 +32,7 @@ class LinearQuantizer:
     """Uniform mid-tread quantizer with half-bin error bound ``error_bound``.
 
     ``kernel`` selects the arithmetic kernel (see :mod:`repro.core.kernels`)
-    by registry name; ``None`` uses the default vectorized kernel.
+    by registry name; ``None`` uses the default (``"auto"``) kernel.
     """
 
     error_bound: float

@@ -71,6 +71,7 @@ from repro.parallel.partition import (
 )
 from repro.retrieval.engine import RetrievalEngine
 from repro.retrieval.plan import RetrievalPlan
+from repro.retrieval.prefetch import DEFAULT_PREFETCH_DEPTH
 
 MANIFEST_BLOCK = "manifest"
 FORMAT_NAME = "repro-chunked-dataset"
@@ -117,7 +118,10 @@ class ChunkedDataset:
     to match the profile used at write time (shards are self-describing v2
     streams).  The explicit ``prefetch`` / ``workers`` / ``io_backend``
     keywords override the profile's fields; all of these knobs are
-    runtime-only and change no reported byte or decoded bit.
+    runtime-only and change no reported byte or decoded bit.  With neither
+    ``prefetch`` nor a profile, a remote dataset prefetches at
+    :data:`~repro.retrieval.prefetch.DEFAULT_PREFETCH_DEPTH` (as the CLI
+    does) and a local one reads synchronously.
 
     ``io_backend`` picks how remote range reads travel: ``"auto"``
     (default) resolves to the asyncio event-loop backend for http(s)
@@ -203,7 +207,12 @@ class ChunkedDataset:
             self._reader.close()
             raise StreamFormatError(f"malformed dataset manifest: {exc!r}") from None
         if prefetch is None:
-            prefetch = profile.prefetch if profile is not None else 0
+            if profile is not None:
+                prefetch = profile.prefetch
+            else:
+                # Nothing specified: a remote dataset read synchronously pays
+                # one round trip per plane block, so it gets the CLI's depth.
+                prefetch = DEFAULT_PREFETCH_DEPTH if self.is_remote else 0
         if workers is None:
             workers = profile.workers if profile is not None else 0
         if self.io_backend == "sync":

@@ -47,7 +47,7 @@ from repro.io.aio import (
 from repro.io.faults import FaultInjector, FaultPlan
 from repro.io.rangeserver import RangeServer
 from repro.retrieval.engine import open_stream_source
-from repro.retrieval.prefetch import PrefetchSource
+from repro.retrieval.prefetch import DEFAULT_PREFETCH_DEPTH, PrefetchSource
 
 DATA = Path(__file__).parent / "data"
 
@@ -218,6 +218,25 @@ def test_identity_matrix_clean(served_dir, server, version, io_backend):
     )
     assert container.data.tobytes() == container_oracle.data.tobytes()
     assert container.bytes_loaded == container_oracle.bytes_loaded
+
+
+def test_default_argument_url_dataset_prefetches(served_dir):
+    """``ChunkedDataset(url)`` with no knobs must not fall back to one round
+    trip per plane block: same requests and bytes as the explicit depth."""
+
+    def fetch(**knobs):
+        with RangeServer(served_dir) as srv:
+            with ChunkedDataset(srv.url_for("v2.rprc"), **knobs) as dataset:
+                result = dataset.read(error_bound=dataset.absolute_bound * 16)
+            return result, srv.range_requests
+
+    default, default_requests = fetch()
+    explicit, explicit_requests = fetch(prefetch=DEFAULT_PREFETCH_DEPTH)
+    serial, serial_requests = fetch(io_backend="sync")  # still forces 0
+    assert default.data.tobytes() == explicit.data.tobytes() == serial.data.tobytes()
+    assert default.ranges == explicit.ranges == serial.ranges
+    assert default.bytes_loaded == explicit.bytes_loaded == serial.bytes_loaded
+    assert default_requests == explicit_requests < serial_requests
 
 
 @pytest.mark.parametrize("version", ["v1", "v2"])

@@ -20,6 +20,7 @@ from repro.core.kernels import (
     available_kernels,
     get_kernel,
     register_kernel,
+    resolve_auto_kernel,
 )
 from repro.core.kernels_compiled import numba_available
 from repro.core.progressive import ProgressiveRetriever
@@ -50,11 +51,12 @@ def test_registry_lists_builtin_kernels():
     names = available_kernels()
     assert "reference" in names and "vectorized" in names
     assert "fused" in names and "compiled" in names and "auto" in names
-    assert DEFAULT_KERNEL == "vectorized"
+    assert DEFAULT_KERNEL == "auto" == CodecProfile().kernel
 
 
 def test_get_kernel_default_and_passthrough():
-    assert get_kernel() is VEC
+    # The default resolves to the fastest backend this machine constructs.
+    assert get_kernel() is get_kernel(resolve_auto_kernel())
     assert get_kernel(REF) is REF
     assert get_kernel("reference") is REF  # instances are cached
 

@@ -19,6 +19,9 @@ fixtures' draws.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -111,6 +114,37 @@ def test_missing_numba_raises_configuration_error_with_install_hint():
     # still resolves (to fused) instead of propagating the error.
     assert "compiled" not in kernels_module._INSTANCES
     assert get_kernel(AUTO_KERNEL).name == "fused"
+
+
+_FIRST_RESOLUTION_PROBE = """
+import gc, weakref
+import numpy as np
+from repro.core.kernels import get_kernel
+
+def first_resolver():
+    field = np.zeros(1 << 18)  # stands for the array ChunkedDataset.write holds
+    alive = weakref.ref(field)
+    get_kernel("auto")  # first resolution: lazily imports kernels_compiled
+    return alive
+
+alive = first_resolver()
+gc.collect()
+raise SystemExit(0 if alive() is None else 3)
+"""
+
+
+def test_first_auto_resolution_does_not_pin_the_resolvers_frames():
+    """Without numba the lazy import fails inside whoever first resolves
+    ``auto``; keeping that ``ImportError`` (and its traceback) alive would
+    keep every frame of that caller — and its field-sized locals — alive
+    for the life of the process.  Needs a fresh interpreter: the import
+    only ever happens once."""
+    src = Path(compiled_module.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    probe = subprocess.run(
+        [sys.executable, "-c", _FIRST_RESOLUTION_PROBE], env=env, timeout=120
+    )
+    assert probe.returncode == 0, "the first resolver's array outlived its frame"
 
 
 # ------------------------------------------------- sweep identity (always on)
