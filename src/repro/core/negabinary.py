@@ -62,8 +62,9 @@ def truncate_low_planes(values: np.ndarray, dropped: int) -> np.ndarray:
     """Zero the ``dropped`` least significant negabinary planes of ``values``.
 
     This models exactly what a partial retrieval reconstructs for a level when
-    only the high planes were loaded, and is used to precompute the per-level
-    information-loss table ``δy_l(b)`` during compression.
+    only the high planes were loaded.  The encoder's per-level information-loss
+    table ``δy_l(b)`` is defined by it but computed for all ``b`` at once by
+    :func:`truncation_errors`.
     """
     if dropped <= 0:
         return np.asarray(values, dtype=np.int64).copy()
@@ -72,6 +73,38 @@ def truncate_low_planes(values: np.ndarray, dropped: int) -> np.ndarray:
         return np.zeros_like(np.asarray(values, dtype=np.int64))
     mask = ~np.uint64((np.uint64(1) << np.uint64(dropped)) - np.uint64(1))
     return from_negabinary(codes & mask)
+
+
+def truncation_errors(values: np.ndarray, nbits: int) -> np.ndarray:
+    """Exact ``max |v − truncate_low_planes(v, d)|`` for every ``d = 0 … nbits``.
+
+    Dropping the ``d`` low digits loses exactly their value,
+    ``from_negabinary(nb & low)`` with ``low = 2^d − 1``.  On the key
+    ``x = nb ^ MASK`` — simply ``v + MASK`` (mod 2^64), so nothing is
+    converted — that value is ``(x & low) − (MASK & low)``, *increasing* in
+    the masked key: the largest loss of either sign sits at the maximum or
+    minimum of ``x & low``.  One ``and`` + ``max`` + ``min`` per plane, widest
+    mask first and in place (masks nest), on a private copy of the key in the
+    narrowest unsigned dtype holding ``nbits``; signs are resolved on Python
+    ints.  Returns ``int64[nbits + 1]``, all zeros for an empty level.
+    """
+    if not 0 <= nbits <= 64:
+        raise ValueError(f"nbits must be in 0..64, got {nbits}")
+    errors = np.zeros(nbits + 1, dtype=np.int64)
+    v = np.asarray(values, dtype=np.int64).ravel()
+    if v.size == 0:
+        return errors
+    with np.errstate(over="ignore"):
+        key = v.view(np.uint64) + NEGABINARY_MASK
+    if nbits <= 32:
+        key = key.astype(np.uint16 if nbits <= 16 else np.uint32)
+    mask = int(NEGABINARY_MASK)
+    for dropped in range(nbits, 0, -1):
+        low = (1 << dropped) - 1
+        np.bitwise_and(key, key.dtype.type(low), out=key)
+        offset = mask & low
+        errors[dropped] = max(int(key.max()) - offset, offset - int(key.min()))
+    return errors
 
 
 def truncation_uncertainty(dropped: int, scheme: str = "negabinary") -> float:

@@ -36,9 +36,11 @@ blocks (coder negotiation only sees the packed bytes, which are identical).
 Alongside the blocks the encoder records the *exact* information-loss table
 ``δy_l(b)`` — the largest value-domain error introduced at this level when the
 ``b`` least significant planes are not loaded — which is what the optimized
-data loader of §5 consumes.  Using exact per-level tables (instead of the
-worst-case negabinary uncertainty formula) tightens the retrieval plans
-noticeably on smooth fields where low planes are mostly zero.
+data loader of §5 consumes (one order-preserving sweep,
+:func:`repro.core.negabinary.truncation_errors`).  Using exact per-level
+tables (instead of the worst-case negabinary uncertainty formula) tightens
+the retrieval plans noticeably on smooth fields where low planes are mostly
+zero.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import numpy as np
 
 from repro.coders.backend import Backend, get_backend
 from repro.core.kernels import DEFAULT_KERNEL, get_kernel
-from repro.core.negabinary import truncate_low_planes
+from repro.core.negabinary import truncation_errors
 from repro.core.profile import DEFAULT_NEGOTIATION_SAMPLE, CodecProfile
 from repro.core.quantizer import LinearQuantizer
 from repro.errors import ConfigurationError, StreamFormatError
@@ -76,7 +78,10 @@ class LevelEncoding:
     delta_table:
         ``delta_table[b]`` is the exact maximum value-domain error introduced
         at this level when the ``b`` lowest planes are dropped
-        (``b = 0 … nbits``); monotonically non-decreasing.
+        (``b = 0 … nbits``).  Not monotone in ``b``: negabinary digits
+        alternate in sign, so dropping one more plane can *cancel* loss
+        (the lone code 22 = 64 − 42 loses 42 at ``b = 6`` but 22 at
+        ``b = 7``); the optimizer treats every ``b`` as its own choice.
     """
 
     level: int
@@ -167,29 +172,33 @@ def negotiate_encode(
     if not candidates:
         raise StreamFormatError("no candidate coders to negotiate between")
 
-    def _resolve(name: str) -> Backend:
-        return coders[name] if coders is not None else get_backend(name)
-
-    sample = effective_negotiation_sample(len(data), sample)
-    if policy == "sampled" and len(candidates) > 1 and len(data) > sample:
-        half = max(1, sample // 2)
+    resolve = coders.__getitem__ if coders is not None else get_backend
+    # The probe only exists under ``sampled`` with a real choice to make;
+    # otherwise it is the payload itself and the branch below is skipped.
+    probe = (
+        effective_negotiation_sample(len(data), sample)
+        if policy == "sampled" and len(candidates) > 1
+        else len(data)
+    )
+    if len(data) > probe:
+        half = max(1, probe // 2)
         best_name: Optional[str] = None
         best_predicted = 0.0
         for name in candidates:
-            coder = _resolve(name)
+            coder = resolve(name)
             size_half = len(coder.encode(data[:half]))
-            size_sample = len(coder.encode(data[:sample]))
-            slope = (size_sample - size_half) / max(1, sample - half)
-            predicted = size_sample + slope * (len(data) - sample)
+            size_probe = len(coder.encode(data[:probe]))
+            slope = (size_probe - size_half) / max(1, probe - half)
+            predicted = size_probe + slope * (len(data) - probe)
             if best_name is None or predicted < best_predicted:
                 best_name, best_predicted = name, predicted
         assert best_name is not None
-        return best_name, _resolve(best_name).encode(data)
+        return best_name, resolve(best_name).encode(data)
 
     best_name = None
     best_blob: Optional[bytes] = None
     for name in candidates:
-        blob = _resolve(name).encode(data)
+        blob = resolve(name).encode(data)
         if best_blob is None or len(blob) < len(best_blob):
             best_name, best_blob = name, blob
     assert best_name is not None and best_blob is not None
@@ -276,26 +285,17 @@ class PredictiveCoder:
         # kernel pipeline call, so the fused kernel can run it as a single
         # sweep over its buffer arena.
         nbits, packed_planes = self.kernel.encode_planes(codes, self.prefix_bits)
+        policy, sample = self.profile.negotiation, self.profile.negotiation_sample
         blocks: List[bytes] = []
         chosen: List[str] = []
         for packed in packed_planes:
             name, block = negotiate_encode(
-                packed,
-                self.candidates,
-                self._coders,
-                policy=self.profile.negotiation,
-                sample=self.profile.negotiation_sample,
+                packed, self.candidates, self._coders, policy=policy, sample=sample
             )
             blocks.append(block)
             chosen.append(name)
-
-        delta = np.zeros(nbits + 1, dtype=np.float64)
-        for dropped in range(1, nbits + 1):
-            truncated = truncate_low_planes(codes, dropped)
-            if codes.size:
-                delta[dropped] = float(
-                    np.abs(codes - truncated).max() * self.quantizer.bin_width
-                )
+        # Integer losses for every b at once; the bin width is the only float.
+        delta = truncation_errors(codes, nbits) * self.quantizer.bin_width
         return LevelEncoding(
             level=level,
             count=codes.size,

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core.negabinary import (
     from_negabinary,
     required_bits,
     to_negabinary,
     truncate_low_planes,
+    truncation_errors,
     truncation_uncertainty,
 )
 
@@ -87,3 +89,61 @@ def test_negabinary_uncertainty_beats_sign_magnitude():
 def test_unknown_scheme_rejected():
     with pytest.raises(ValueError):
         truncation_uncertainty(3, "gray")
+
+
+# ------------------------------------------------- truncation_errors (δ table)
+
+
+def _delta_table_oracle(codes: np.ndarray, nbits: int, bin_width: float) -> np.ndarray:
+    """The encoder's δ loop as it stood before ``truncation_errors``: truncate
+    and re-decode the level once per ``b``.  Kept verbatim as the reference."""
+    delta = np.zeros(nbits + 1, dtype=np.float64)
+    for dropped in range(1, nbits + 1):
+        truncated = truncate_low_planes(codes, dropped)
+        if codes.size:
+            delta[dropped] = float(np.abs(codes - truncated).max() * bin_width)
+    return delta
+
+
+@st.composite
+def _levels(draw):
+    """int64 levels: magnitudes 0 … 2^62, the sizes around one packed byte."""
+    size = draw(st.sampled_from([0, 1, 7, 8, 9]))
+    bound = 2 ** draw(st.integers(min_value=0, max_value=62))
+    element = st.integers(min_value=-bound, max_value=bound)
+    if draw(st.booleans()):  # a single-value level (all zero when it draws 0)
+        return np.full(size, draw(st.one_of(st.just(0), element)), dtype=np.int64)
+    return np.array(draw(st.lists(element, min_size=size, max_size=size)), dtype=np.int64)
+
+
+@given(
+    codes=_levels(),
+    # None = the level's own width (what the encoder passes); the fixed
+    # widths straddle the uint16 / uint32 / uint64 working dtypes.
+    nbits=st.sampled_from([None, 1, 15, 16, 17, 31, 32, 33, 63, 64]),
+    bin_width=st.sampled_from([2e-5, 0.02, 1.0, 3.7e4]),
+)
+# 22 = 64 − 42: the non-monotone table tests/test_predictive_coder.py pins.
+@example(codes=np.array([22], dtype=np.int64), nbits=None, bin_width=1.0)
+@example(codes=np.zeros(9, dtype=np.int64), nbits=17, bin_width=0.02)
+@example(codes=np.array([2**62, -(2**62)], dtype=np.int64), nbits=None, bin_width=2e-5)
+@settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+def test_truncation_errors_equal_the_per_plane_loop(codes, nbits, bin_width):
+    if nbits is None:
+        nbits = required_bits(codes)
+    table = truncation_errors(codes, nbits) * bin_width
+    assert table.dtype == np.float64
+    assert table.tobytes() == _delta_table_oracle(codes, nbits, bin_width).tobytes()
+
+
+def test_truncation_errors_leaves_its_input_alone():
+    codes = np.arange(-40, 40, dtype=np.int64)
+    codes.setflags(write=False)
+    truncation_errors(codes.reshape(8, 10), 8)
+    assert np.array_equal(codes, np.arange(-40, 40))
+
+
+@pytest.mark.parametrize("nbits", [-1, 65])
+def test_truncation_errors_rejects_impossible_widths(nbits):
+    with pytest.raises(ValueError):
+        truncation_errors(np.array([1]), nbits)

@@ -7,7 +7,10 @@ import pytest
 
 from repro import IPComp
 from repro.core.optimizer import OptimizedLoader
-from repro.core.stream import CompressedStore
+from repro.core.predictive_coder import PredictiveCoder
+from repro.core.profile import CodecProfile
+from repro.core.quantizer import LinearQuantizer
+from repro.core.stream import CompressedStore, StreamHeader
 from repro.errors import ConfigurationError, RetrievalError
 
 
@@ -117,3 +120,30 @@ def test_loading_plan_bitrate_requires_positive_elements(compressed):
     plan = loader.plan_for_error_bound(eb * 100)
     with pytest.raises(ConfigurationError):
         plan.bitrate(0)
+
+
+def test_non_monotone_delta_table_is_planned_per_choice():
+    """The exact δ table can *fall* as planes are dropped (the lone code
+    22 = 64 − 42: keeping only the top plane is worse than keeping none), so
+    every keep count must be weighed on its own error, not assumed ordered."""
+    eb = 0.5  # bin width 1: errors below read in code units
+    coder = PredictiveCoder(LinearQuantizer(eb), CodecProfile.fixed("zlib", error_bound=eb))
+    enc = coder.encode_level(1, np.array([22], dtype=np.int64))
+    assert enc.delta_table[::-1].tolist() == [22, 42, 10, 10, 2, 2, 0, 0]  # by keep
+    header = StreamHeader(
+        shape=(1,), dtype="float64", error_bound=eb, method="linear", prefix_bits=2,
+        anchor_coder="zlib", anchor_count=0, anchor_size=0, levels=[enc],
+    )
+    loader = OptimizedLoader(header)
+    one_plane = enc.plane_sizes[0]
+
+    # keep = 0 (free, loses 22) beats keep = 1 (costs a block, loses 42).
+    loose = loader.plan_for_error_bound(eb + 30)
+    assert loose.keep == {1: 0} and loose.payload_bytes == 0
+    assert loose.predicted_error == eb + 22
+    # A target between the two skips the lossier keep = 1 for keep = 2.
+    tight = loader.plan_for_error_bound(eb + 15)
+    assert tight.keep == {1: 2} and tight.predicted_error == eb + 10
+    # A budget that affords exactly the top plane leaves it unloaded.
+    cheap = loader.plan_for_size(one_plane)
+    assert cheap.keep == {1: 0} and cheap.predicted_error == eb + 22

@@ -48,9 +48,26 @@ def test_partial_decode_error_matches_delta_table(coder, codes):
     )
 
 
-def test_delta_table_monotone_nondecreasing(coder, codes):
+def test_delta_table_is_exact(coder, local_rng):
+    """delta_table[b] *equals* the worst error of decoding without the b low
+    planes — for every b, on a draw that belongs to this test alone."""
+    codes = np.rint(local_rng.normal(scale=6.0, size=4000)).astype(np.int64)
     encoding = coder.encode_level(1, codes)
-    assert np.all(np.diff(encoding.delta_table) >= -1e-15)
+    for dropped in range(encoding.nbits + 1):
+        kept = encoding.plane_blocks[: encoding.nbits - dropped]
+        partial = coder.decode_level_codes(encoding, kept)
+        worst = np.abs(partial - codes).max() * coder.quantizer.bin_width
+        assert encoding.delta_table[dropped] == worst
+
+
+def test_delta_table_is_not_monotone(coder):
+    """Negabinary digits alternate in sign, so one more dropped plane can
+    cancel loss: 22 = 64 − 42 loses 42 without six planes, 22 without seven."""
+    encoding = coder.encode_level(1, np.array([22], dtype=np.int64))
+    assert encoding.nbits == 7
+    expected = np.array([0, 0, 2, 2, 10, 10, 42, 22]) * coder.quantizer.bin_width
+    assert encoding.delta_table.tobytes() == expected.tobytes()
+    assert encoding.delta_table[6] > encoding.delta_table[7]
 
 
 def test_zero_planes_decode_to_zero(coder, codes):

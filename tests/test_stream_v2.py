@@ -23,6 +23,7 @@ from repro.core.stream import (
     StreamHeader,
     header_plane_sizes,
 )
+from repro.datasets import load_dataset
 from repro.errors import StreamFormatError
 from repro.io import ChunkedDataset
 
@@ -315,3 +316,53 @@ def test_unsupported_manifest_version_rejected(tmp_path):
                 writer.add_block(name, data, reader.metadata(name))
     with pytest.raises(StreamFormatError, match="version"):
         ChunkedDataset(rewritten)
+
+
+# --------------------------------------------------- pinned default-profile bytes
+
+#: CRC32 of what the default profile wrote for :func:`_pinned_field` at commit
+#: ae866cc (PR 14), i.e. before the encoder's δ table moved to
+#: ``truncation_errors``.  The δ tables travel in the header, so these pin them
+#: too.  A deliberate format change re-records the table; nothing else may.
+PINNED_V2_CRC32 = {
+    "linear/0": 0x61D10D28,
+    "linear/1": 0xE9DBE3B4,
+    "linear/2": 0x265697DA,
+    "linear/3": 0x0652E5A6,
+    "cubic/0": 0xEB459E10,
+    "cubic/1": 0x9A1FA61D,
+    "cubic/2": 0x970FF871,
+    "cubic/3": 0xDCD6D394,
+    "dataset": 0x62CDE18F,
+}
+
+# The blocks are deflate output: byte-stable across stock zlib releases, not
+# across a drop-in such as zlib-ng.
+_needs_stock_zlib = pytest.mark.skipif(
+    "zlib-ng" in getattr(zlib, "ZLIB_RUNTIME_VERSION", ""),
+    reason="pinned bytes were deflated by stock zlib",
+)
+
+
+def _pinned_field() -> np.ndarray:
+    return load_dataset("density", shape=(18, 20, 22), seed=7)
+
+
+@_needs_stock_zlib
+@pytest.mark.parametrize("prefix_bits", [0, 1, 2, 3])
+@pytest.mark.parametrize("method", ["linear", "cubic"])
+def test_default_profile_stream_bytes_are_pinned(method, prefix_bits):
+    blob = IPComp(
+        error_bound=1e-4, relative=True, method=method, prefix_bits=prefix_bits
+    ).compress(_pinned_field())
+    assert IPCompStream.parse_header(blob)[0].version == VERSION == 2
+    assert zlib.crc32(blob) == PINNED_V2_CRC32[f"{method}/{prefix_bits}"]
+
+
+@_needs_stock_zlib
+def test_default_profile_dataset_bytes_are_pinned(tmp_path):
+    path = tmp_path / "field.rprc"
+    ChunkedDataset.write(
+        path, _pinned_field(), error_bound=1e-4, relative=True, n_blocks=4, workers=0
+    )
+    assert zlib.crc32(path.read_bytes()) == PINNED_V2_CRC32["dataset"]
