@@ -17,13 +17,13 @@ and emits **`BENCH_retrieval.json`** at the repo root:
    ``open_stream_source`` with and without prefetch.
 5. **Loopback HTTP** — the same container served by
    :class:`repro.io.rangeserver.RangeServer` and read through the
-   resilient remote stack, one leg per I/O backend (``threads`` vs the
-   multiplexed ``async`` event loop) × server condition (clean vs a
-   20 ms/read latency plan): MB/s per leg is recorded with its
-   ``io_backend`` and ``latency_plan``; byte identity on every leg, a
-   retry-free clean run, and **async ≥ 2× the single-connection thread
-   path under latency** are hard-gated (the latency legs are
-   network-bound, so the speedup gate is valid even on one core).
+   resilient remote stack, one leg per prefetch depth (``serial`` = 0,
+   one range on the wire at a time, vs the ``multiplexed`` default) ×
+   server condition (clean vs a 20 ms/read latency plan): MB/s per leg
+   is recorded with its ``prefetch`` and ``latency_plan``; byte identity
+   on every leg, a retry-free clean run, and **multiplexed ≥ 2× serial
+   under latency** are hard-gated (the latency legs are network-bound,
+   so the speedup gate is valid even on one core).
 
 Correctness is hard-gated (bitwise identity across every path); speed is
 recorded and gated only where the hardware can honour it: the checked-in
@@ -44,10 +44,9 @@ import pytest
 from benchmarks.conftest import BENCH_SCALE, REPO_ROOT, print_table, write_csv
 from repro import ChunkedDataset, CodecProfile, IPComp, ProgressiveRetriever
 from repro.core.kernels_compiled import numba_available
-from repro.io.aio import open_async_source
+from repro.io.aio import open_remote_source
 from repro.io.faults import FaultPlan
 from repro.io.rangeserver import RangeServer
-from repro.io.remote import open_remote_source
 from repro.retrieval.engine import open_stream_source
 
 BENCH_JSON = REPO_ROOT / "BENCH_retrieval.json"
@@ -59,9 +58,9 @@ _POOL_WORKERS = (0, 2, 4)
 _PREFETCH_DEPTH = 4
 #: Server-side injected latency per ranged read for the latency legs.
 _REMOTE_LATENCY_S = 0.02
-#: Hard gate: async multiplexing must beat the single-connection thread
-#: path by at least this factor when reads cost _REMOTE_LATENCY_S each.
-_ASYNC_LATENCY_SPEEDUP_MIN = 2.0
+#: Hard gate: the multiplexed read must beat the serial one by at least
+#: this factor when reads cost _REMOTE_LATENCY_S each.
+_MULTIPLEXED_LATENCY_SPEEDUP_MIN = 2.0
 
 _SHAPES = {
     "tiny": (24, 28, 32),
@@ -234,40 +233,38 @@ def _run_stream(tmp_path, field):
 
 
 def _run_remote(path, field, sync_seconds):
-    """Loopback-HTTP legs: backend × server condition through the stack.
+    """Loopback-HTTP legs: prefetch depth × server condition through the stack.
 
     Clean legs are the stack's fixed-overhead measurement: bytes identical
     to the local read (hard gate elsewhere), zero retries (ditto), and the
     remote/local latency ratio is the per-request cost of HTTP framing —
     recorded, never gated, since it is pure hardware/loopback noise.  The
-    20 ms/read latency legs isolate request concurrency: the thread path
-    serialises on its single connection while the async backend multiplexes
-    a connection pool, so its speedup there is network-bound and gated
-    even on a 1-core box.
+    20 ms/read latency legs isolate request concurrency: at depth 0 every
+    plane block is its own round trip, one at a time, while the default
+    depth coalesces and multiplexes them over the connection pool, so its
+    speedup there is network-bound and gated even on a 1-core box.
     """
     mb = field.nbytes / 1e6
     local = _read_once(path)
 
-    def leg(backend, plan):
+    def leg(prefetch, plan):
         with RangeServer(path.parent, plan=plan) as server:
             url = server.url_for(path.name)
 
             def read():
-                stack = (
-                    open_async_source(url)
-                    if backend == "async"
-                    else open_remote_source(url)
-                )
-                with ChunkedDataset(
-                    url, source=stack, io_backend=backend,
-                    prefetch=_PREFETCH_DEPTH,
-                ) as dataset:
+                stack = open_remote_source(url)
+                with ChunkedDataset(url, source=stack, prefetch=prefetch) as dataset:
                     return dataset.read(), stack.stats()
 
-            result, stats = read()  # identity + accounting pass (untimed)
-            seconds = _best_seconds(lambda: read(), 2 if plan else 3)
+            # The serial latency leg is one 20 ms round trip per plane
+            # block (~1,400 at tiny): once is enough, for timing and identity.
+            seconds = float("inf")
+            for _ in range(1 if plan and not prefetch else 3):
+                start = time.perf_counter()
+                result, stats = read()
+                seconds = min(seconds, time.perf_counter() - start)
         return {
-            "io_backend": backend,
+            "prefetch": prefetch,
             "latency_plan": (
                 {"kind": "latency", "seconds": _REMOTE_LATENCY_S}
                 if plan is not None
@@ -286,18 +283,18 @@ def _run_remote(path, field, sync_seconds):
 
     latency_plan = FaultPlan.always("latency", seconds=_REMOTE_LATENCY_S)
     legs = {}
-    for backend in ("threads", "async"):
-        legs[f"{backend}/clean"] = leg(backend, None)
-        legs[f"{backend}/latency"] = leg(backend, latency_plan)
+    for label, prefetch in (("serial", 0), ("multiplexed", _PREFETCH_DEPTH)):
+        legs[f"{label}/clean"] = leg(prefetch, None)
+        legs[f"{label}/latency"] = leg(prefetch, latency_plan)
     return {
         "latency_seconds_per_read": _REMOTE_LATENCY_S,
         "legs": legs,
         "latency_ratio_vs_sync": round(
-            legs["threads/clean"]["seconds"] / sync_seconds, 3
+            legs["serial/clean"]["seconds"] / sync_seconds, 3
         ),
-        "async_latency_speedup": round(
-            legs["threads/latency"]["seconds"]
-            / legs["async/latency"]["seconds"],
+        "multiplexed_latency_speedup": round(
+            legs["serial/latency"]["seconds"]
+            / legs["multiplexed/latency"]["seconds"],
             3,
         ),
     }
@@ -317,8 +314,8 @@ def _check_floor(payload) -> list:
             failures.append(
                 f"retrieval {mode}: {measured} MB/s < 70% of floor {minimum} MB/s"
             )
-    # Remote floors arm per leg (io_backend × condition): a regression in
-    # one backend cannot hide behind the other's healthy number.
+    # Remote floors arm per leg (prefetch depth × condition): a regression
+    # in one cannot hide behind the other's healthy number.
     for leg_label, minimum in floor.get("remote_mbps", {}).items():
         measured = (
             payload["remote_http"]["legs"].get(leg_label, {}).get("mbps")
@@ -353,7 +350,7 @@ def test_retrieval_e2e(benchmark, results_dir, tmp_path):
     def _run():
         full_read = _run_full_reads(path, field)
         return {
-            "schema": "bench-retrieval-e2e/v2",
+            "schema": "bench-retrieval-e2e/v3",
             "scale": BENCH_SCALE,
             "shape": list(shape),
             "field_mb": round(field.nbytes / 1e6, 3),
@@ -385,13 +382,13 @@ def test_retrieval_e2e(benchmark, results_dir, tmp_path):
     print_table("Retrieval e2e: full-field read", header, rows)
     write_csv(results_dir / "retrieval_e2e.csv", header, rows)
     remote = payload["remote_http"]
-    clean = remote["legs"]["threads/clean"]
+    clean = remote["legs"]["serial/clean"]
     print(
-        f"loopback http (threads/clean): {clean['mbps']} MB/s over "
+        f"loopback http (serial/clean): {clean['mbps']} MB/s over "
         f"{clean['requests']} ranged GETs "
         f"({remote['latency_ratio_vs_sync']}x local sync latency); "
-        f"async beats the thread path "
-        f"{remote['async_latency_speedup']}x under "
+        f"multiplexing beats the serial read "
+        f"{remote['multiplexed_latency_speedup']}x under "
         f"{int(remote['latency_seconds_per_read'] * 1000)} ms/read latency"
     )
     print(
@@ -415,19 +412,18 @@ def test_retrieval_e2e(benchmark, results_dir, tmp_path):
     # A ≤ 1/4-volume ROI must touch well under half the full-read bytes.
     assert payload["roi"]["roi_volume_fraction"] <= 0.25
     assert payload["roi"]["bytes_fraction"] < 0.5, payload["roi"]
-    # Loopback HTTP: identical bytes on every backend × condition leg,
-    # clean runs never retry, and the async backend genuinely multiplexes
-    # (window > 1 on the wire) and beats the single-connection thread path
-    # by ≥ 2x when each read costs 20 ms — network-bound, so valid on any
-    # core count.
+    # Loopback HTTP: identical bytes on every depth × condition leg, clean
+    # runs never retry, and the default depth genuinely multiplexes
+    # (window > 1 on the wire) and beats the serial read by ≥ 2x when each
+    # read costs 20 ms — network-bound, so valid on any core count.
     for label, leg in payload["remote_http"]["legs"].items():
         assert leg["identical"], (label, leg)
         if leg["latency_plan"] is None:
             assert leg["retries"] == 0, (label, leg)
-    assert payload["remote_http"]["legs"]["async/latency"]["inflight_max"] > 1
+    assert payload["remote_http"]["legs"]["multiplexed/latency"]["inflight_max"] > 1
     assert (
-        payload["remote_http"]["async_latency_speedup"]
-        >= _ASYNC_LATENCY_SPEEDUP_MIN
+        payload["remote_http"]["multiplexed_latency_speedup"]
+        >= _MULTIPLEXED_LATENCY_SPEEDUP_MIN
     ), payload["remote_http"]
 
     # Perf gates: floor-file driven; pool floors only on multi-core boxes.

@@ -17,7 +17,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="ipcomp-repro",
-    version="2.1.0",
+    version="3.0.0",
     description="IPComp progressive lossy compressor (paper reproduction)",
     package_dir={"": "src"},
     packages=find_packages("src"),

@@ -44,7 +44,7 @@ from repro.core.optimizer import LoadingPlan, OptimizedLoader
 from repro.io.dataset import ChunkedDataset, DatasetReadResult
 from repro.service import RetrievalService, RetrievalTrace
 
-__version__ = "2.1.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "CodecProfile",

@@ -50,7 +50,7 @@ written outputs are always the final refined answers.
 ``retrieve``, ``info``, ``serve`` and ``stats`` also accept ``http(s)://``
 URLs served with byte-range support (``python -m repro.io.rangeserver PATH``
 publishes a directory): reads go through the resilient remote stack of
-:mod:`repro.io.remote` — retries with jittered backoff, per-endpoint
+:mod:`repro.io.aio` — retries with jittered backoff, per-endpoint
 circuit breakers, CRC verification, and with ``--mirror`` replica failover
 — and stay bitwise-identical to a local read.  ``--inject-faults PLAN.json``
 (a :mod:`repro.io.faults` plan) deterministically injects failures:
@@ -82,8 +82,8 @@ from repro.errors import ConfigurationError, ReproError
 from repro.io import is_container
 from repro.io.container import sniff_container
 from repro.io.faults import FaultInjector, FaultPlan
-from repro.io.aio import IO_BACKENDS, open_async_source, resolve_io_backend
-from repro.io.remote import is_url, open_remote_source
+from repro.io.aio import open_remote_source
+from repro.io.remote import is_url
 from repro.retrieval.engine import open_stream_source
 from repro.retrieval.prefetch import DEFAULT_PREFETCH_DEPTH
 from repro.service import RetrievalService
@@ -321,16 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="read every planned range synchronously",
     )
-    retrieve.add_argument(
-        "--io",
-        choices=IO_BACKENDS,
-        default=None,
-        metavar="BACKEND",
-        help="range-I/O backend: auto (default; async event loop for "
-        "http(s) URLs, threads otherwise), async (multiplexed connection "
-        "pool), threads (thread-pool prefetcher), or sync (serial reads, "
-        "prefetch off) — every backend is bitwise-identical",
-    )
     _add_profile_arguments(retrieve, full=False)
 
     info = sub.add_parser(
@@ -441,14 +431,6 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="FILE",
             help="also write the aggregate service stats to FILE",
         )
-        subparser.add_argument(
-            "--io",
-            choices=IO_BACKENDS,
-            default=None,
-            metavar="BACKEND",
-            help="remote range-I/O backend for URL inputs: auto (default), "
-            "async, threads, or sync",
-        )
         _add_profile_arguments(subparser, full=False)
 
     serve = sub.add_parser(
@@ -529,7 +511,7 @@ def _runtime_knobs_from_profile_file(args) -> dict:
         raise ConfigurationError("codec profile JSON must be an object")
     return {
         k: obj[k]
-        for k in ("prefetch", "workers", "cache_bytes", "cache_verify", "io_backend")
+        for k in ("prefetch", "workers", "cache_bytes", "cache_verify")
         if k in obj
     }
 
@@ -545,20 +527,13 @@ def _retrieve_prefetch_depth(args, file_knobs: dict) -> int:
     return int(file_knobs.get("prefetch", DEFAULT_PREFETCH_DEPTH))
 
 
-def _retrieve_io_choice(args, file_knobs: dict) -> str:
-    """Effective ``--io`` choice: flag > profile file > auto."""
-    if getattr(args, "io", None) is not None:
-        return args.io
-    return str(file_knobs.get("io_backend", "auto"))
-
-
 def _fault_injector_from_args(args) -> "FaultInjector | None":
     if getattr(args, "inject_faults", None) is None:
         return None
     return FaultInjector(FaultPlan.from_file(args.inject_faults))
 
 
-def _write_retrieve_trace(args, result, remote_stats, io_backend=None) -> None:
+def _write_retrieve_trace(args, result, remote_stats) -> None:
     """``retrieve --trace-json``: one receipt object, remote stats included."""
     if args.trace_json is None:
         return
@@ -567,30 +542,22 @@ def _write_retrieve_trace(args, result, remote_stats, io_backend=None) -> None:
         "error_bound": result.error_bound,
         "bytes_loaded": result.bytes_loaded,
         "bitrate": result.bitrate(),
-        "io_backend": io_backend,
         "remote": remote_stats,
     }
     args.trace_json.write_text(json.dumps(receipt, indent=2), encoding="utf-8")
 
 
-def _cmd_retrieve_remote(args, profile, prefetch, workers, io_choice) -> int:
+def _cmd_retrieve_remote(args, profile, prefetch, workers) -> int:
     """``retrieve`` over an ``http(s)://`` URL: the resilient remote stack
     (retries, CRC, optional mirrors / injected faults) feeds the same
     plan → prefetch → decode pipeline; output is bitwise-identical to a
     local read of the same file."""
     injector = _fault_injector_from_args(args)
-    backend = resolve_io_backend(io_choice, args.input)
-    if backend == "sync":
-        prefetch = 0
-    tamper = injector.tamper if injector is not None else None
-    if backend == "async":
-        stack = open_async_source(
-            args.input, tuple(args.mirror or ()), tamper=tamper
-        )
-    else:
-        stack = open_remote_source(
-            args.input, tuple(args.mirror or ()), tamper=tamper
-        )
+    stack = open_remote_source(
+        args.input,
+        tuple(args.mirror or ()),
+        tamper=injector.tamper if injector is not None else None,
+    )
     if sniff_container(stack):
         if args.bitrate is not None:
             stack.close()
@@ -600,7 +567,7 @@ def _cmd_retrieve_remote(args, profile, prefetch, workers, io_choice) -> int:
         # The dataset's reader owns (and closes) the stack.
         with ChunkedDataset(
             args.input, profile=profile, prefetch=prefetch,
-            workers=workers, source=stack, io_backend=backend,
+            workers=workers, source=stack,
         ) as dataset:
             result = dataset.read(error_bound=args.error_bound, roi=args.roi)
             save_raw(args.output, result.data)
@@ -619,9 +586,7 @@ def _cmd_retrieve_remote(args, profile, prefetch, workers, io_choice) -> int:
             raise ConfigurationError(
                 "--roi requires a chunked container (compress with --blocks)"
             )
-        source = open_stream_source(
-            args.input, prefetch=prefetch, source=stack, io_backend=backend
-        )
+        source = open_stream_source(args.input, prefetch=prefetch, source=stack)
         try:
             retriever = ProgressiveRetriever(source, profile=profile)
             result = retriever.retrieve(
@@ -641,7 +606,7 @@ def _cmd_retrieve_remote(args, profile, prefetch, workers, io_choice) -> int:
         )
     if injector is not None:
         stats = {**stats, "faults": injector.stats()}
-    _write_retrieve_trace(args, result, stats, io_backend=backend)
+    _write_retrieve_trace(args, result, stats)
     return 0
 
 
@@ -650,16 +615,8 @@ def _cmd_retrieve(args) -> int:
     file_knobs = _runtime_knobs_from_profile_file(args)
     prefetch = _retrieve_prefetch_depth(args, file_knobs)
     workers = args.workers if args.workers is not None else file_knobs.get("workers")
-    io_choice = _retrieve_io_choice(args, file_knobs)
     if is_url(args.input):
-        return _cmd_retrieve_remote(args, profile, prefetch, workers, io_choice)
-    if io_choice == "async":
-        raise ConfigurationError(
-            "--io async requires an http(s):// input (local files use "
-            "threads or sync)"
-        )
-    if io_choice == "sync":
-        prefetch = 0
+        return _cmd_retrieve_remote(args, profile, prefetch, workers)
     if args.mirror or args.inject_faults is not None:
         raise ConfigurationError(
             "--mirror and --inject-faults apply to http(s):// inputs "
@@ -681,10 +638,7 @@ def _cmd_retrieve(args) -> int:
                 f"{result.bitrate():.3f} bits/value), "
                 f"guaranteed error <= {result.error_bound:.3e}"
             )
-        _write_retrieve_trace(
-            args, result, None,
-            io_backend="sync" if prefetch == 0 else "threads",
-        )
+        _write_retrieve_trace(args, result, None)
         return 0
     if args.roi is not None:
         raise ConfigurationError(
@@ -707,9 +661,7 @@ def _cmd_retrieve(args) -> int:
         f"retrieved {result.bytes_loaded} B "
         f"({result.bitrate():.3f} bits/value), guaranteed error <= {result.error_bound:.3e}"
     )
-    _write_retrieve_trace(
-        args, result, None, io_backend="sync" if prefetch == 0 else "threads"
-    )
+    _write_retrieve_trace(args, result, None)
     return 0
 
 
@@ -892,7 +844,6 @@ def _serve_batch(args) -> tuple:
         workers=workers,
         source_filter=injector.source_filter if injector is not None else None,
         remote_options=remote_options,
-        io_backend=_retrieve_io_choice(args, file_knobs),
     ) as service:
         if scheduled:
             default_bps, per_client = _parse_client_budgets(args.client_budget_bps)

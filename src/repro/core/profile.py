@@ -133,12 +133,6 @@ class CodecProfile:
         Serving-side knob: verify the checksum of a cached decoded slab on
         every hit, so a poisoned cache entry is invalidated and recomputed
         instead of served.  Runtime-only.
-    io_backend:
-        Retrieval-side knob: how range reads reach storage — ``"auto"``
-        (async event-loop multiplexing for http(s) sources when available,
-        threads otherwise), ``"async"``, ``"threads"``, or ``"sync"``
-        (prefetching disabled).  Runtime-only: every backend reads and
-        reports identical bytes; only concurrency differs.
     """
 
     error_bound: float = 1e-6
@@ -154,7 +148,6 @@ class CodecProfile:
     workers: int = 0
     cache_bytes: int = 0
     cache_verify: bool = True
-    io_backend: str = "auto"
 
     def __post_init__(self) -> None:
         from repro.coders.backend import available_backends
@@ -191,11 +184,6 @@ class CodecProfile:
                 raise ConfigurationError(f"{name} must be non-negative")
         if not isinstance(self.cache_verify, bool):
             raise ConfigurationError("cache_verify must be a boolean")
-        if self.io_backend not in ("auto", "async", "threads", "sync"):
-            raise ConfigurationError(
-                "io_backend must be one of ('auto', 'async', 'threads', "
-                f"'sync'), got {self.io_backend!r}"
-            )
         # Coerce list/single-string plane coders to a tuple so profiles built
         # from JSON (or sloppy callers) stay hashable and picklable.
         coders = self.plane_coders
@@ -306,10 +294,10 @@ class CodecProfile:
         """JSON form of the profile.
 
         ``runtime=False`` omits the runtime-only fields — ``kernel``,
-        ``prefetch``, ``workers``, ``cache_bytes``, ``cache_verify``,
-        ``io_backend`` — which never change the bytes, so on-disk
-        artefacts (dataset manifests) exclude them to stay byte-identical
-        across runtime configurations; ``--profile`` files keep them.
+        ``prefetch``, ``workers``, ``cache_bytes``, ``cache_verify`` —
+        which never change the bytes, so on-disk artefacts (dataset
+        manifests) exclude them to stay byte-identical across runtime
+        configurations; ``--profile`` files keep them.
         """
         obj = {
             "error_bound": float(self.error_bound),
@@ -325,7 +313,6 @@ class CodecProfile:
             "workers": int(self.workers),
             "cache_bytes": int(self.cache_bytes),
             "cache_verify": bool(self.cache_verify),
-            "io_backend": self.io_backend,
         }
         if not runtime:
             for name in (
@@ -334,7 +321,6 @@ class CodecProfile:
                 "workers",
                 "cache_bytes",
                 "cache_verify",
-                "io_backend",
             ):
                 del obj[name]
         return obj
@@ -343,6 +329,7 @@ class CodecProfile:
     def from_json(cls, obj: dict) -> "CodecProfile":
         if not isinstance(obj, dict):
             raise ConfigurationError("codec profile JSON must be an object")
+        obj = {k: v for k, v in obj.items() if k != "io_backend"}  # pre-3.0 key
         return cls.from_options(None, **obj)
 
     @classmethod

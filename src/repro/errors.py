@@ -36,7 +36,7 @@ class RemoteSourceError(ReproError, OSError):
     Covers connection failures, unexpected HTTP statuses, ``Content-Range``
     mismatches, open circuit breakers, and exceeded retry deadlines.
     Subclasses :class:`OSError` so every existing retry ladder (the
-    service's, :class:`~repro.io.remote.RetryingSource`'s) already treats
+    service's, the remote stack's) already treats
     it as transient, while staying distinct from
     :class:`StreamFormatError` — the *stream* may be fine, the *network*
     was not.

@@ -1,36 +1,50 @@
-"""Async multiplexed byte-range retrieval (event-loop I/O backend).
+"""The remote transport: multiplexed HTTP range reads under one resilience ladder.
 
-The sync remote stack (:mod:`repro.io.remote`) maps every FetchOp onto a
-ranged GET over **one** persistent connection, lock-serialised — so on a
-high-latency link the pipeline is round-trip-bound no matter how many
-prefetch threads queue behind the lock.  This module replaces the
-transport with an asyncio event loop running in a single daemon thread:
+An ``http(s)://`` stream or container is read by an asyncio event loop
+running in a single daemon thread; everything above it keeps the plain
+``size`` / ``read_range`` byte-range interface.  Bottom to top:
 
-* :class:`AsyncHTTPRangeSource` — the async transport: a pool of up to
+* :class:`AsyncHTTPTransport` — the transport: a pool of up to
   ``connections`` persistent HTTP/1.1 connections per endpoint, a bounded
-  in-flight ``window`` (semaphore), and the same strict 206/200 +
-  ``Content-Range`` validation as the sync transport.  Each request
-  returns ``(payload, declared_crc)`` — under multiplexing a ``last_crc``
+  in-flight ``window`` (semaphore), every coalesced
+  :class:`~repro.retrieval.plan.FetchOp` mapping onto a ranged GET with
+  strict 206/200 + ``Content-Range`` validation, gated by a per-endpoint
+  :class:`~repro.io.remote.CircuitBreaker`.  Each request returns
+  ``(payload, declared_crc)`` — under multiplexing a ``last_crc``
   attribute handoff would race, so the CRC travels with the payload.
-* async resilience layers mirroring the sync stack semantics exactly:
-  :class:`_AsyncVerify` (CRC gate), :class:`_AsyncRetry` (jittered-backoff
-  ladder + retry budget + deadline), :class:`_AsyncMirror` (health-ranked
-  failover; hedged reads become cheap ``asyncio`` races — the loser is a
-  cancelled task, not a thread holding the wire).
-* :class:`AsyncRangeSource` — the synchronous facade: exposes the plain
-  ``size``/``read_range`` duck type by submitting coroutines to the loop
-  thread, so the container reader, prefetch source, engine, service and
-  scheduler all work unchanged.
-* :class:`AsyncPrefetcher` — drop-in for
-  :class:`~repro.retrieval.prefetch.Prefetcher`: ``submit()`` returns a
-  ``concurrent.futures.Future``, but instead of queueing thread work it
-  batches the ops submitted by one ``prime()`` call, coalesces adjacent
-  ranges into single contiguous GETs (split back per-op client-side), and
-  dispatches them as concurrent tasks on the shared loop.
+* :class:`_AsyncVerify` — the CRC gate: compares each payload against the
+  server-declared CRC and classifies corruption as
+  :class:`~repro.errors.RemoteIntegrityError` — retryable, and distinct
+  from :class:`~repro.errors.StreamFormatError` (the stream is presumed
+  intact; the wire was not).  Fault injection wraps the transport *below*
+  it, so injected corruption is caught exactly like wire corruption.
+* :class:`_AsyncRetry` — per-read retry ladder with
+  :func:`~repro.io.remote.jittered_backoff` sleeps, a whole-source retry
+  *budget* so a dying backend cannot multiply load, and a whole-request
+  ``deadline`` the scheduler propagates (expiry mid-retry stops the
+  ladder).
+* :class:`_AsyncMirror` — failover across replica endpoints ranked by
+  health (consecutive failures + latency EWMA) and optional *hedged
+  reads* as ``asyncio`` races: a primary read slower than the hedge
+  threshold fires the same range at the next-healthiest mirror, first
+  payload wins, the loser is a cancelled task.
+* :class:`AsyncRangeSource` — the synchronous facade
+  :func:`open_remote_source` returns: ``read_range`` / ``read_tail`` /
+  ``set_deadline`` / ``stats`` / ``close`` by submitting coroutines to the
+  loop thread, so the container reader, prefetch source, engine, service
+  and scheduler know nothing about networking.
+* :class:`AsyncPrefetcher` — the
+  :class:`~repro.retrieval.prefetch.Prefetcher` of async-capable sources:
+  ``submit()`` returns a ``concurrent.futures.Future``, but instead of
+  queueing thread work it batches the ops submitted by one ``prime()``
+  call, coalesces adjacent ranges into single contiguous GETs (split back
+  per-op client-side), and dispatches them as concurrent tasks on the
+  shared loop.
 
-Everything above the facade is bitwise-identical to the sync path:
+Output and accounting are bitwise what a local read reports:
 consumed-range accounting lives in ``PrefetchSource`` and never changes,
-and coalescing only merges *physical* fetches.  One process-wide loop
+and coalescing only merges *physical* fetches.  A prefetch depth of 0 is
+the serial read — one range on the wire at a time.  One process-wide loop
 thread (:meth:`EventLoopThread.shared`) is reused by every source and
 prefetcher; closing a prefetcher never stops a shared loop.
 """
@@ -55,23 +69,19 @@ from repro.io.remote import (
     CRC_HEADER,
     RETRYABLE_ERRORS,
     CircuitBreaker,
-    _FINGERPRINT_TAIL,
     _merge_stats,
     _Mirror,
     _parse_content_range,
-    is_url,
     jittered_backoff,
 )
 
 __all__ = [
-    "AsyncHTTPRangeSource",
+    "AsyncHTTPTransport",
     "AsyncPrefetcher",
     "AsyncRangeSource",
     "EventLoopThread",
-    "async_available",
     "coalesce_ops",
-    "open_async_source",
-    "resolve_io_backend",
+    "open_remote_source",
 ]
 
 #: Persistent connections per endpoint (pool ceiling, opened lazily).
@@ -90,32 +100,6 @@ DEFAULT_COALESCE_GAP = 0
 #: Ceiling on one coalesced GET, so a huge merged run still pipelines
 #: across connections instead of serialising into one monster request.
 DEFAULT_MAX_BATCH = 8 << 20
-
-#: Valid ``--io`` / profile ``io_backend`` choices.
-IO_BACKENDS = ("auto", "async", "threads", "sync")
-
-
-def async_available() -> bool:
-    """True when the asyncio backend can run (stdlib-only; always true on
-    CPython ≥ 3.10 — kept as a function so exotic platforms can stub it)."""
-    return True
-
-
-def resolve_io_backend(choice: Optional[str], path_or_url) -> str:
-    """Resolve an ``--io`` choice to a concrete backend.
-
-    ``auto`` (or ``None``) picks ``async`` for http(s) URLs when the
-    asyncio backend is available and ``threads`` otherwise; explicit
-    choices pass through after validation.
-    """
-    if choice in (None, "auto"):
-        return "async" if is_url(path_or_url) and async_available() else "threads"
-    if choice not in IO_BACKENDS:
-        raise ConfigurationError(
-            f"io backend must be one of {IO_BACKENDS}, got {choice!r}"
-        )
-    return choice
-
 
 # --------------------------------------------------------------- loop thread
 
@@ -201,8 +185,7 @@ class _AioConn:
 
 
 #: Failures that mark a *reused* keep-alive connection as stale (server
-#: closed it between requests) — retried once on a fresh connection, the
-#: async analogue of the sync transport's RemoteDisconnected handling.
+#: closed it between requests) — retried once on a fresh connection.
 _STALE_ERRORS = (
     asyncio.IncompleteReadError,
     ConnectionResetError,
@@ -210,22 +193,26 @@ _STALE_ERRORS = (
 )
 
 
-class AsyncHTTPRangeSource:
+class AsyncHTTPTransport:
     """Async byte-range transport over one HTTP(S) endpoint.
 
     A pool of up to ``connections`` persistent HTTP/1.1 connections
     (opened lazily, reused LIFO) and a ``window`` semaphore bounding
     in-flight requests.  :meth:`aget` returns ``(payload, declared_crc)``
     — the CRC travels with the payload because a ``last_crc`` attribute
-    would race under multiplexing.  Validation matches the sync transport:
-    206 must carry an exact ``Content-Range`` and full-length payload, a
-    200 (server ignored ``Range``) is sliced with the over-fetch counted
-    as egress, anything else raises.  Every request is gated and fed by a
-    per-endpoint :class:`~repro.io.remote.CircuitBreaker`.
+    would race under multiplexing.  A **206** must carry a
+    ``Content-Range`` matching the request exactly and a full-length
+    payload; a **200** (server ignored ``Range``) is honoured by slicing
+    the full body — correct, but the whole object counts as egress;
+    anything else raises :class:`~repro.errors.RemoteSourceError`.  Every
+    request is gated and fed by a per-endpoint
+    :class:`~repro.io.remote.CircuitBreaker`.  This class never verifies
+    payloads, so fault-injection layers can sit between it and the CRC
+    gate.
 
     All state mutation happens on the loop thread, so no locks; counters
     are plain ints readable from any thread.  Construct via
-    :meth:`open` (async) or let :func:`open_async_source` do it.
+    :meth:`open` (async) or let :func:`open_remote_source` do it.
     """
 
     is_remote_source = True
@@ -271,7 +258,7 @@ class AsyncHTTPRangeSource:
         self._inflight = 0
         self.inflight_max = 0
 
-    async def open(self) -> "AsyncHTTPRangeSource":
+    async def open(self) -> "AsyncHTTPTransport":
         """Create loop-bound primitives and probe the object size."""
         self._idle = asyncio.LifoQueue()
         self._sem = asyncio.Semaphore(self.window)
@@ -383,9 +370,8 @@ class AsyncHTTPRangeSource:
 
         A reused keep-alive connection the server already closed surfaces
         as an immediate EOF/reset; that single case is retried once on a
-        fresh connection (idempotent GET/HEAD), mirroring the sync
-        transport.  A cancelled request discards its connection — its wire
-        state is unknown.
+        fresh connection (idempotent GET/HEAD).  A cancelled request
+        discards its connection — its wire state is unknown.
         """
         for attempt in (0, 1):
             conn = await self._acquire()
@@ -577,12 +563,15 @@ class AsyncHTTPRangeSource:
 
 
 class _AsyncVerify:
-    """Async CRC gate: the :class:`~repro.io.remote.VerifyingSource` twin.
+    """Per-fetch CRC gate between the transport and the retry ladder.
 
-    Consumes the transport's ``aget`` (payload + CRC travel together) and
-    exposes ``aread_range``; a mismatch raises
-    :class:`~repro.errors.RemoteIntegrityError` (retryable), ranges with
-    no declared CRC pass through unverified (counted separately).
+    Consumes the wrapped source's ``aget`` (payload + server-declared CRC
+    travel together) and exposes ``aread_range``.  A mismatch raises
+    :class:`~repro.errors.RemoteIntegrityError`: retryable — re-fetching
+    usually heals in-flight corruption — and deliberately **not** a
+    :class:`StreamFormatError`, because the stored stream is presumed
+    intact.  Ranges without a declared CRC pass through unverified
+    (counted separately).
     """
 
     is_remote_source = True
@@ -624,36 +613,25 @@ class _AsyncVerify:
         await _aclose(self._inner)
 
 
-class _CrcDropper:
-    """Adapter for ``verify=False`` stacks: ``aget`` → plain ``aread_range``."""
-
-    is_remote_source = True
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
-        self.size = inner.size
-
-    async def aread_range(self, offset: int, length: int) -> bytes:
-        return (await self._inner.aget(offset, length))[0]
-
-    async def aread_tail(self, span: int):
-        return await self._inner.aread_tail(span)
-
-    def stats(self) -> dict:
-        return _async_inner_stats(self._inner)
-
-    async def aclose(self) -> None:
-        await _aclose(self._inner)
-
-
 class _AsyncRetry:
-    """Async retry ladder: the :class:`~repro.io.remote.RetryingSource` twin.
+    """Retry ladder around one endpoint's reads.
 
-    Same semantics — per-read attempts against :data:`RETRYABLE_ERRORS`
-    with :func:`jittered_backoff` sleeps, a whole-source retry budget, and
-    a monotonic deadline that fails fast and refuses backoffs that would
-    cross it.  Backoffs are ``await asyncio.sleep`` — a retrying range
-    never blocks the other in-flight ranges.
+    Each read is attempted up to ``1 + retries`` times against
+    :data:`RETRYABLE_ERRORS`, sleeping :func:`jittered_backoff` between
+    attempts (``await asyncio.sleep`` — a retrying range never blocks the
+    other in-flight ranges).  Two guards bound the ladder:
+
+    * a whole-source **retry budget** — once ``retry_budget`` retries have
+      been spent (across all reads), further failures propagate
+      immediately, so a dying backend degrades to fail-fast instead of
+      multiplying its own load ``retries``-fold;
+    * a whole-request **deadline** (monotonic timestamp via
+      :meth:`set_deadline`, propagated by the scheduler/service) — a read
+      arriving after expiry fails fast, and a retry whose backoff would
+      cross the deadline re-raises the underlying error instead of
+      sleeping.
+
+    ``clock`` is injectable; tests drive the sleeps on a virtual-time loop.
     """
 
     is_remote_source = True
@@ -729,16 +707,23 @@ class _AsyncRetry:
 
 
 class _AsyncMirror:
-    """Failover + hedged reads across async endpoint stacks.
+    """Failover + hedged reads across replica endpoint stacks.
 
-    Same health model as :class:`~repro.io.remote.MirrorSource` (reuses
-    its :class:`~repro.io.remote._Mirror` records), but hedges are
-    ``asyncio`` races: the primary read runs as a task, and once it has
-    outlived the hedge threshold the same range fires at the backup.
-    First payload wins; the loser is **cancelled** — which actually aborts
-    the request and recycles its connection, so a hedge costs nothing
-    unless the loser finishes in the same tick (those bytes land in
-    ``hedge_wasted_bytes`` like the sync path's on-the-wire losers).
+    Mirrors are ranked by health — consecutive failures first, then
+    latency EWMA (:class:`~repro.io.remote._Mirror`) — and a read walks the
+    ranking: the healthiest mirror serves, a retryable failure *fails
+    over* to the next (counted), only total failure propagates (the last
+    error).  All mirrors must agree on ``size``.
+
+    **Hedged reads** bound tail latency: the primary read runs as a task,
+    and once it has outlived the hedge threshold — ``hedge_delay`` if
+    given, else the observed slowest-decile (p90) latency once
+    ``min_samples`` reads have been timed — the same range fires at the
+    next-healthiest mirror.  First payload wins; the loser is
+    **cancelled** — which aborts the request and recycles its connection,
+    so a hedge costs nothing unless the loser finishes in the same tick
+    (those bytes land in ``hedge_wasted_bytes``, never in the consumed
+    trace).  Hedging engages only while the backup is healthy.
     """
 
     is_remote_source = True
@@ -956,7 +941,6 @@ class AsyncRangeSource:
 
     is_remote_source = True
     supports_async = True
-    io_backend = "async"
 
     def __init__(
         self,
@@ -964,11 +948,9 @@ class AsyncRangeSource:
         loop: EventLoopThread,
         *,
         label: str = "",
-        owns_loop: bool = False,
     ) -> None:
         self._top = top
         self._loop = loop
-        self._owns_loop = owns_loop
         self.size = int(top.size)
         self.label = label
         self.url = label
@@ -993,9 +975,7 @@ class AsyncRangeSource:
             setter(deadline)
 
     def stats(self) -> dict:
-        merged = _async_inner_stats(self._top)
-        merged["io_backend"] = "async"
-        return merged
+        return _async_inner_stats(self._top)
 
     def close(self) -> None:
         if self._loop.alive:
@@ -1003,8 +983,6 @@ class AsyncRangeSource:
                 self._loop.call(_aclose(self._top), timeout=5.0)
             except Exception:  # pragma: no cover - close is best-effort
                 pass
-        if self._owns_loop:
-            self._loop.close()
 
     def __enter__(self) -> "AsyncRangeSource":
         return self
@@ -1013,12 +991,11 @@ class AsyncRangeSource:
         self.close()
 
 
-def open_async_source(
+def open_remote_source(
     url: str,
     mirrors: Sequence[str] = (),
     *,
     timeout: float = 10.0,
-    verify: bool = True,
     retries: int = 3,
     retry_budget: int = 32,
     backoff: float = 0.05,
@@ -1032,22 +1009,25 @@ def open_async_source(
     clock: Callable[[], float] = time.monotonic,
     loop: Optional[EventLoopThread] = None,
 ) -> AsyncRangeSource:
-    """Build the canonical async stack over one URL (plus replicas).
+    """Build the resilient stack over one URL (plus replicas).
 
-    Per endpoint: :class:`AsyncHTTPRangeSource` (private breaker) →
-    ``tamper`` hook (an async fault wrapper such as
-    :meth:`~repro.io.faults.FaultInjector.tamper_async`, sitting *below*
-    verification) → :class:`_AsyncVerify` → :class:`_AsyncRetry`; replica
-    ``mirrors`` join the stacks under :class:`_AsyncMirror`.  Endpoint
-    sizes are probed concurrently; an endpoint dead at open time is
-    failover-at-construction (dropped) when replicas exist.  Returns the
-    synchronous :class:`AsyncRangeSource` facade bound to ``loop`` (the
-    process-shared loop thread by default).
+    Per endpoint: :class:`AsyncHTTPTransport` (private breaker) →
+    ``tamper`` hook (:meth:`~repro.io.faults.FaultInjector.tamper`; fault
+    injection wraps *below* verification, so injected corruption is caught
+    exactly like wire corruption) → :class:`_AsyncVerify` →
+    :class:`_AsyncRetry`; replica ``mirrors`` join the stacks under
+    :class:`_AsyncMirror`, a single URL returns the bare retrying stack.
+    Endpoint sizes are probed concurrently; an endpoint dead at open time
+    is failover-at-construction (dropped) when replicas exist — only every
+    endpoint failing propagates.  Returns the synchronous
+    :class:`AsyncRangeSource` facade bound to ``loop`` (the process-shared
+    loop thread by default), which speaks plain ``size``/``read_range`` —
+    everything upstream is oblivious to the networking underneath.
     """
     loop = loop or EventLoopThread.shared()
 
     async def endpoint_stack(endpoint_url: str):
-        transport = AsyncHTTPRangeSource(
+        transport = AsyncHTTPTransport(
             endpoint_url,
             connections=connections,
             window=window,
@@ -1058,9 +1038,8 @@ def open_async_source(
         )
         await transport.open()
         wrapped = tamper(endpoint_url, transport) if tamper is not None else transport
-        wrapped = _AsyncVerify(wrapped) if verify else _CrcDropper(wrapped)
         return _AsyncRetry(
-            wrapped,
+            _AsyncVerify(wrapped),
             retries=retries,
             retry_budget=retry_budget,
             backoff=backoff,
@@ -1127,31 +1106,26 @@ def coalesce_ops(
     return [(start, end - start, members) for start, end, members in batches]
 
 
-async def _call_blocking(fn, args):
-    return await asyncio.get_running_loop().run_in_executor(None, lambda: fn(*args))
-
-
 class AsyncPrefetcher:
     """Event-loop prefetcher speaking the ``Prefetcher`` duck type.
 
-    ``submit(bound_read_range, offset, length)`` returns a
-    ``concurrent.futures.Future`` exactly like the thread prefetcher, so
+    ``submit(source.read_range, offset, length)`` — ``source`` being
+    async-capable (``supports_async``, i.e. it has the coroutine
+    ``aread_range``) — returns a ``concurrent.futures.Future`` exactly
+    like the thread prefetcher, so
     :class:`~repro.retrieval.prefetch.PrefetchSource` is oblivious.  Ops
     submitted in one burst (a ``prime()`` call lands all its submits
     before the loop thread wakes) are grouped per source, coalesced with
     :func:`coalesce_ops`, and fetched as concurrent tasks — many ranges
-    in flight, adjacent ranges as one GET.
+    in flight, adjacent ranges as one GET.  Local files keep the thread
+    :class:`~repro.retrieval.prefetch.Prefetcher`; the engine picks by
+    the opened source's ``supports_async``.
 
-    Only bound ``read_range`` methods of async-capable owners
-    (``supports_async``) take the fast path; anything else — local
-    ``FileSource``, plain sync stacks — runs in the loop's default thread
-    pool, preserving semantics.  :meth:`close` cancels queued and
-    in-flight work (cancelled/raised futures are exactly what
-    ``PrefetchSource`` already handles by refund + direct read) but never
-    stops a *shared* loop — other sources and prefetchers keep running.
+    :meth:`close` cancels queued and in-flight work (cancelled/raised
+    futures are exactly what ``PrefetchSource`` already handles by refund
+    + direct read) but never stops a *shared* loop — other sources and
+    prefetchers keep running.
     """
-
-    io_backend = "async"
 
     def __init__(
         self,
@@ -1172,7 +1146,6 @@ class AsyncPrefetcher:
         self._closed = False
         self.batches = 0
         self.batched_ops = 0
-        self.fallback_ops = 0
 
     @property
     def loop_thread(self) -> EventLoopThread:
@@ -1182,28 +1155,19 @@ class AsyncPrefetcher:
     def closed(self) -> bool:
         return self._closed
 
-    def submit(self, fn, *args) -> Future:
+    def submit(self, fn, offset: int, length: int) -> Future:
         if self._closed or not self._loop.alive:
             # Same contract as a shut-down ThreadPoolExecutor, which
             # PrefetchSource already catches and degrades around.
             raise RuntimeError("cannot schedule new futures after shutdown")
-        owner = getattr(fn, "__self__", None)
-        if (
-            owner is not None
-            and getattr(owner, "supports_async", False)
-            and getattr(fn, "__name__", "") == "read_range"
-            and len(args) == 2
-        ):
-            future: Future = Future()
-            with self._lock:
-                self._pending.append((owner, int(args[0]), int(args[1]), future))
-                queue_flush = not self._flush_queued
-                self._flush_queued = True
-            if queue_flush:
-                self._loop.call_soon(self._flush)
-            return future
-        self.fallback_ops += 1
-        return self._loop.run(_call_blocking(fn, args))
+        future: Future = Future()
+        with self._lock:
+            self._pending.append((fn.__self__, int(offset), int(length), future))
+            queue_flush = not self._flush_queued
+            self._flush_queued = True
+        if queue_flush:
+            self._loop.call_soon(self._flush)
+        return future
 
     def _flush(self) -> None:
         # Runs on the loop thread: drain the burst, batch per owner.
@@ -1270,18 +1234,3 @@ class AsyncPrefetcher:
     def _cancel_tasks(self) -> None:
         for task in list(self._tasks):
             task.cancel()
-
-
-# --------------------------------------------------------------- fingerprint
-
-
-async def aremote_fingerprint(source) -> Tuple[int, int, int]:
-    """Async twin of :func:`repro.io.remote.remote_fingerprint`."""
-    probe = getattr(source, "aread_tail", None)
-    if probe is not None:
-        size, tail = await probe(_FINGERPRINT_TAIL)
-        return (int(size), 0, zlib.crc32(tail))
-    size = int(source.size)
-    span = min(size, _FINGERPRINT_TAIL)
-    tail = await source.aread_range(size - span, span)
-    return (size, 0, zlib.crc32(tail))

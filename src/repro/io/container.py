@@ -116,10 +116,10 @@ class BlockContainerReader:
 
     Opens either a local path or any **byte-range source** (``size`` +
     ``read_range(offset, length)``) — in particular the resilient remote
-    stacks built by :func:`repro.io.remote.open_remote_source`, which is
+    stacks built by :func:`repro.io.aio.open_remote_source`, which is
     how a container served over HTTP is read without any layer above this
     one knowing about networking.  A reader built from a source owns it:
-    :meth:`close` closes the source too.
+    :meth:`close` — and a constructor that fails — closes the source too.
     """
 
     def __init__(self, source: Union[str, Path, object]) -> None:
@@ -137,17 +137,16 @@ class BlockContainerReader:
         # Range reads may arrive from prefetch threads concurrently with the
         # decoding thread's cache misses; seek+read must stay atomic.
         self._lock = threading.Lock()
-        try:
-            self._parse_footer()
-        except BaseException:
-            if self._handle is not None:
-                self._handle.close()
-            raise
         self.bytes_read = 0
         #: Number of physical ``read_range`` calls served (the serving-layer
         #: tests assert a warm cache repeat performs zero of them).
         self.n_reads = 0
         self._closed = False
+        try:
+            self._parse_footer()
+        except BaseException:
+            self.close()
+            raise
 
     def _read_at(self, offset: int, length: int, context: str) -> bytes:
         """Read ``length`` bytes at absolute ``offset``, or fail loud.

@@ -59,8 +59,8 @@ from repro.io.container import (
     BlockSource,
     is_container,
 )
-from repro.io.aio import async_available, open_async_source
-from repro.io.remote import is_url, open_remote_source
+from repro.io.aio import open_remote_source
+from repro.io.remote import is_url
 from repro.parallel.executor import BlockParallelCompressor, shard_name
 from repro.parallel.partition import (
     SliceTuple,
@@ -116,19 +116,13 @@ class ChunkedDataset:
     supplies the runtime decode knobs — the kernel, plus default
     ``prefetch`` / ``workers`` for the retrieval engine; it does not need
     to match the profile used at write time (shards are self-describing v2
-    streams).  The explicit ``prefetch`` / ``workers`` / ``io_backend``
-    keywords override the profile's fields; all of these knobs are
-    runtime-only and change no reported byte or decoded bit.  With neither
-    ``prefetch`` nor a profile, a remote dataset prefetches at
+    streams).  The explicit ``prefetch`` / ``workers`` keywords override
+    the profile's fields; all of these knobs are runtime-only and change
+    no reported byte or decoded bit.  With neither ``prefetch`` nor a
+    profile, a remote dataset prefetches at
     :data:`~repro.retrieval.prefetch.DEFAULT_PREFETCH_DEPTH` (as the CLI
-    does) and a local one reads synchronously.
-
-    ``io_backend`` picks how remote range reads travel: ``"auto"``
-    (default) resolves to the asyncio event-loop backend for http(s)
-    datasets — many ranges in flight over a connection pool — and the
-    thread prefetcher otherwise; ``"async"`` / ``"threads"`` force a
-    backend; ``"sync"`` disables prefetching.  Output and accounting are
-    bitwise-identical across all of them.
+    does) and a local one reads synchronously; ``prefetch=0`` is the
+    serial read everywhere.
     """
 
     def __init__(
@@ -140,34 +134,13 @@ class ChunkedDataset:
         workers: Optional[int] = None,
         executor=None,
         source=None,
-        io_backend: Optional[str] = None,
     ) -> None:
         # ``path`` may be an ``http(s)://`` URL: the container is then read
         # through a resilient remote stack (default one, or the caller's
         # pre-built ``source`` — e.g. with mirrors / fault injection).
         self.is_remote = source is not None or is_url(path)
-        if io_backend is None and profile is not None:
-            io_backend = profile.io_backend
-        if io_backend in (None, "auto"):
-            # Auto: event-loop multiplexing when the bytes travel async —
-            # a URL we open ourselves, or a caller-built async stack.
-            if self.is_remote and (
-                source is None or getattr(source, "supports_async", False)
-            ) and async_available():
-                io_backend = "async"
-            else:
-                io_backend = "threads"
-        elif io_backend not in ("async", "threads", "sync"):
-            raise ConfigurationError(
-                "io_backend must be one of ('auto', 'async', 'threads', "
-                f"'sync'), got {io_backend!r}"
-            )
-        self.io_backend = io_backend
         if source is None and self.is_remote:
-            if io_backend == "async":
-                source = open_async_source(str(path))
-            else:
-                source = open_remote_source(str(path))
+            source = open_remote_source(str(path))
         self.path: Union[str, Path] = str(path) if self.is_remote else Path(path)
         self.profile = profile
         self._reader = BlockContainerReader(
@@ -215,8 +188,6 @@ class ChunkedDataset:
                 prefetch = DEFAULT_PREFETCH_DEPTH if self.is_remote else 0
         if workers is None:
             workers = profile.workers if profile is not None else 0
-        if self.io_backend == "sync":
-            prefetch = 0
         # The plan → prefetch → pool-decode pipeline serving every request
         # (it owns the stateful per-shard retrievers of the refine() path).
         self._engine = RetrievalEngine(
@@ -233,7 +204,6 @@ class ChunkedDataset:
             # identical by construction).
             path=None if self.is_remote else self.path,
             executor=executor,
-            io_backend="async" if self.io_backend == "async" else "threads",
         )
         self._write_profile: Optional[CodecProfile] = None
 

@@ -22,11 +22,10 @@ PLAN.json``) and the CI remote-retrieval smoke all consume:
   :class:`~repro.service.RetrievalService` ``source_filter`` hook
   (:meth:`~FaultInjector.source_filter`);
 * a :class:`FaultInjectingSource` applies the drawn fault to one
-  ``read_range`` while delegating everything else (``last_crc``,
-  ``close``…) to the wrapped source, so it can sit anywhere in a remote
-  stack — in particular *between* the HTTP transport and
-  :class:`~repro.io.remote.VerifyingSource`, where injected corruption is
-  caught exactly like wire corruption.
+  ``read_range`` while delegating everything else (``close``…) to the
+  wrapped source; :class:`AsyncFaultInjectingSource` does the same to the
+  remote transport's ``aget``, *between* the HTTP transport and the CRC
+  gate, where injected corruption is caught exactly like wire corruption.
 """
 
 from __future__ import annotations
@@ -285,28 +284,14 @@ class FaultInjector:
         hook: ``RetrievalService(source_filter=injector.source_filter)``."""
         return self.wrap(source, name=name)
 
-    def tamper(self, url: str, source):
-        """The ``tamper`` hook for both stack builders: wraps the raw
-        transport *below* CRC verification, dispatching on the transport's
-        duck type — an async transport (coroutine ``aget``) gets the async
-        wrapper, so one ``tamper=injector.tamper`` works under either
-        ``io_backend``."""
-        if asyncio.iscoroutinefunction(getattr(source, "aget", None)):
-            return self.wrap_async(source, name=url)
-        return self.wrap(source, name=url)
-
-    def wrap_async(self, source, name: str = "") -> "AsyncFaultInjectingSource":
-        """Wrap an async transport (``aget`` duck type) with this plan."""
-        wrapped = AsyncFaultInjectingSource(source, self, name=name)
+    def tamper(self, url: str, source) -> "AsyncFaultInjectingSource":
+        """The :func:`~repro.io.aio.open_remote_source` ``tamper`` hook:
+        wraps the transport (``aget`` duck type) *below* CRC verification,
+        under the same plan and global read counter as :meth:`wrap`."""
+        wrapped = AsyncFaultInjectingSource(source, self, name=url)
         with self._lock:
             self.sources.append(wrapped)
         return wrapped
-
-    def tamper_async(self, url: str, source):
-        """The :func:`~repro.io.aio.open_async_source` ``tamper`` hook:
-        same plan and global read counter as :meth:`tamper`, applied to
-        the async transport below CRC verification."""
-        return self.wrap_async(source, name=url)
 
     def stats(self) -> dict:
         with self._lock:
@@ -326,10 +311,7 @@ class FaultInjectingSource:
       timeout;
     * ``short`` truncates the real payload by one byte (stricter layers
       convert that into a ``StreamFormatError``);
-    * ``corrupt`` flips every bit of the payload's first byte — the
-      server-declared CRC (``last_crc``, forwarded from the wrapped
-      source) no longer matches, which is exactly what
-      :class:`~repro.io.remote.VerifyingSource` exists to catch;
+    * ``corrupt`` flips every bit of the payload's first byte;
     * ``latency`` sleeps, then serves correctly.
 
     Unknown attributes delegate to the wrapped source so the wrapper is
@@ -376,16 +358,15 @@ class FaultInjectingSource:
 
 
 class AsyncFaultInjectingSource:
-    """Async twin of :class:`FaultInjectingSource` for event-loop stacks.
+    """:class:`FaultInjectingSource` for the remote transport.
 
-    Wraps an async transport's ``aget(offset, length) -> (bytes, crc)``
-    with the same fault vocabulary and the same injector-global 1-based
-    read counter, so a fault plan means the same thing on either backend.
+    Wraps ``aget(offset, length) -> (bytes, crc)`` with the same fault
+    vocabulary and the same injector-global 1-based read counter, so a
+    fault plan means the same thing around a block source and on the wire.
     ``latency``/``stall`` delays are ``await asyncio.sleep`` — an injected
     slow read never blocks the other in-flight ranges.  ``corrupt`` flips
     the payload's first byte while forwarding the server-declared CRC
-    untouched, which is exactly what the async verification layer exists
-    to catch.
+    untouched, which is exactly what the CRC gate exists to catch.
     """
 
     is_remote_source = True

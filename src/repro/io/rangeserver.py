@@ -8,8 +8,8 @@ robustness suite needs:
 * every ranged reply carries :data:`~repro.io.remote.CRC_HEADER`, the
   CRC32 of the payload the server *intended* to send, computed **before**
   any server-side corruption is applied — so an injected ``corrupt``
-  fault looks exactly like in-flight corruption and
-  :class:`~repro.io.remote.VerifyingSource` can catch it;
+  fault looks exactly like in-flight corruption and the client's CRC
+  gate can catch it;
 * a server-side :class:`~repro.io.faults.FaultPlan` (``plan=``) applied
   per ranged read: ``raise``/``stall`` → HTTP 500 (after the stall's
   delay), ``short`` → a body shorter than the declared ``Content-Length``
@@ -20,10 +20,11 @@ robustness suite needs:
   body, exercising the client's slice-the-200 fallback;
 * connection hygiene knobs: ``handler_timeout`` reaps idle keep-alive
   sockets (a dead or stalled client cannot pin a handler thread
-  forever), ``max_connections`` bounds concurrently *handled*
-  connections behind a semaphore, and ``backlog`` sets the TCP listen
-  queue — so a ``stall`` fault on one connection never wedges other
-  in-flight connections.
+  forever), ``max_connections`` bounds the connections whose request is
+  being *handled* at once behind a semaphore (an idle keep-alive socket
+  holds no slot, so a client pool larger than the cap only queues), and
+  ``backlog`` sets the TCP listen queue — so a ``stall`` fault on one
+  connection never wedges other in-flight connections.
 
 Intended for loopback use only (tests, CI smokes, the README's
 "serve a container over HTTP" quickstart via ``python -m
@@ -37,6 +38,7 @@ import argparse
 import threading
 import time
 import zlib
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional, Tuple
@@ -97,6 +99,14 @@ class _Handler(BaseHTTPRequestHandler):
         return candidate if candidate.is_file() else None
 
     def do_HEAD(self) -> None:  # noqa: N802 - http.server API
+        with self.server.handling():
+            self._head()
+
+    def do_GET(self) -> None:  # noqa: N802 - http.server API
+        with self.server.handling():
+            self._get()
+
+    def _head(self) -> None:
         target = self._resolve()
         if target is None:
             self.send_error(404)
@@ -106,7 +116,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Accept-Ranges", "bytes")
         self.end_headers()
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
+    def _get(self) -> None:
         target = self._resolve()
         if target is None:
             self.send_error(404)
@@ -209,25 +219,42 @@ class _Server(ThreadingHTTPServer):
         self.range_requests = 0
         self.faults_served = 0
         self.bytes_sent = 0
+        #: Accepted sockets whose handler thread is alive (idle ones too).
         self.open_connections = 0
+        self._handling = 0
+        #: Most connections with a request in service at once.
         self.peak_connections = 0
 
     def process_request_thread(self, request, client_address):
         # Each accepted connection gets its own thread (ThreadingMixIn), so
-        # a stalled handler only ever blocks its own connection; the
-        # optional semaphore bounds how many are *handled* at once, with
-        # the TCP backlog absorbing the overflow.
-        if self._slots is not None:
-            self._slots.acquire()
+        # a stalled handler only ever blocks its own connection.
         with self.lock:
             self.open_connections += 1
-            if self.open_connections > self.peak_connections:
-                self.peak_connections = self.open_connections
         try:
             super().process_request_thread(request, client_address)
         finally:
             with self.lock:
                 self.open_connections -= 1
+
+    @contextmanager
+    def handling(self):
+        """Hold one ``max_connections`` slot for the length of a request.
+
+        The slot gates requests being handled, not sockets: a keep-alive
+        connection waiting for its next request holds none, so a client
+        whose pool is larger than the cap queues here instead of waiting
+        out its own socket timeout behind idle peers.
+        """
+        if self._slots is not None:
+            self._slots.acquire()
+        with self.lock:
+            self._handling += 1
+            self.peak_connections = max(self.peak_connections, self._handling)
+        try:
+            yield
+        finally:
+            with self.lock:
+                self._handling -= 1
             if self._slots is not None:
                 self._slots.release()
 

@@ -1,80 +1,45 @@
-"""Resilient remote byte-range sources (HTTP range retrieval).
+"""Remote byte-range reads: the parts that do no I/O.
 
 The whole retrieval stack — planner, prefetcher, pool decode, service,
 scheduler — talks to storage through the two-method byte-range interface
 (``size`` + ``read_range``), so serving a stream or container over a
 network needs exactly one thing: a byte-range source whose backend is a
-URL.  This module provides it, plus the robustness layers real networks
-demand that local files never exercise:
+URL.  :func:`repro.io.aio.open_remote_source` builds it — one event-loop
+transport under one resilience ladder.  This module holds what that
+ladder, the serving layer and the range server share without touching a
+socket:
 
-* :class:`HTTPRangeSource` — the raw transport: one persistent
-  ``http.client`` connection per endpoint, every coalesced
-  :class:`~repro.retrieval.plan.FetchOp` mapping 1:1 onto a ranged GET,
-  strict 200-vs-206 / ``Content-Range`` validation, and (when the server
-  declares one) the per-response payload CRC recorded for the verifying
-  layer;
-* :class:`VerifyingSource` — opt-in per-fetch integrity: compares each
-  payload against the server-declared CRC and classifies corruption as
-  :class:`~repro.errors.RemoteIntegrityError` — retryable, and distinct
-  from :class:`~repro.errors.StreamFormatError` (the stream is presumed
-  intact; the wire was not);
+* :func:`is_url` — the CLI/service switch between a path and a URL;
+* :func:`jittered_backoff` — the capped exponential, deterministically
+  jittered schedule used by the ladder's retries and by the service's;
 * :class:`CircuitBreaker` — per-endpoint failure gate: after ``threshold``
   consecutive failures the endpoint is *open* (reads fail fast without
   touching the network) until a cooldown elapses and a half-open probe is
   allowed through;
-* :class:`RetryingSource` — per-read retry ladder with the capped
-  exponential + deterministic-jitter backoff scheme the service uses
-  (:func:`jittered_backoff`), a whole-source retry *budget* so a dying
-  backend cannot multiply load, and a whole-request ``deadline`` the
-  scheduler propagates (expiry mid-retry stops the ladder);
-* :class:`MirrorSource` — failover across replica endpoints with health
-  scoring (consecutive failures + latency EWMA) and optional *hedged
-  reads*: a primary read slower than the slowest-decile latency fires the
-  same range at the next-healthiest mirror, first payload wins, and the
-  loser's bytes are accounted separately (``hedge_wasted_bytes``).
-
-The canonical stack (:func:`open_remote_source`) is::
-
-    HTTPRangeSource -> [fault injection] -> Verifying -> Retrying -> Mirror
-
-with :class:`~repro.retrieval.prefetch.PrefetchSource` layered above by
-the engine exactly as for local files.  Every layer exposes ``stats()``;
-:func:`find_remote_source` walks a wrapper chain (prefetch sources,
-container readers, block sources) down to the remote stack so the serving
-layer can report retries, hedges, failovers, breaker states and egress
-bytes in each request's trace.  All layers are thread-safe: prefetch
-threads share the stack, and the HTTP connection is lock-serialised like
-:class:`~repro.io.container.FileSource`'s file handle.
+* :class:`_Mirror` — one replica's health record (consecutive failures +
+  latency EWMA), the ranking key of failover;
+* :func:`find_remote_source` — walks a wrapper chain (prefetch sources,
+  container readers, block sources) down to the remote stack so the
+  serving layer can report retries, hedges, failovers, breaker states and
+  egress bytes in each request's trace;
+* :func:`remote_fingerprint` — session identity of a remote object.
 """
 
 from __future__ import annotations
 
-import http.client
 import threading
 import time
 import zlib
-from concurrent.futures import FIRST_COMPLETED, Future, wait
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-from urllib.parse import urlsplit
+from typing import Callable, Optional, Tuple
 
-from repro.errors import (
-    ConfigurationError,
-    RemoteIntegrityError,
-    RemoteSourceError,
-    StreamFormatError,
-)
+from repro.errors import RemoteSourceError, StreamFormatError
 
 __all__ = [
     "CRC_HEADER",
     "CircuitBreaker",
-    "HTTPRangeSource",
-    "MirrorSource",
-    "RetryingSource",
-    "VerifyingSource",
     "find_remote_source",
     "is_url",
     "jittered_backoff",
-    "open_remote_source",
     "remote_fingerprint",
 ]
 
@@ -106,7 +71,7 @@ def jittered_backoff(key: str, attempt: int, base: float, cap: float) -> float:
     by a CRC of ``key:attempt`` — reproducible traces and assertable tests,
     yet spread across keys so a burst of failures does not retry in
     lockstep.  The single backoff scheme shared by the service's retry
-    ladder and :class:`RetryingSource`.
+    ladder and the remote stack's.
     """
     if base <= 0.0:
         return 0.0
@@ -176,265 +141,6 @@ class CircuitBreaker:
                 self._opened_at = self._clock()
 
 
-class HTTPRangeSource:
-    """Byte-range source over one HTTP(S) endpoint (stdlib ``http.client``).
-
-    One persistent connection, lock-serialised (prefetch threads share it;
-    a stale keep-alive connection is transparently reopened once).  Each
-    ``read_range`` is a ranged GET:
-
-    * a **206** response must carry a ``Content-Range`` matching the
-      request exactly and a full-length payload;
-    * a **200** response (server ignored ``Range``) is honoured by slicing
-      the full body — correct, but the whole object counts as egress;
-    * anything else raises :class:`~repro.errors.RemoteSourceError`.
-
-    ``size`` is probed once at construction (HEAD, falling back to a
-    1-byte ranged GET parsed from ``Content-Range``).  When the server
-    declares a payload CRC (:data:`CRC_HEADER`) it is recorded in
-    ``last_crc`` for :class:`VerifyingSource`; this class itself never
-    verifies, so fault-injection layers can sit between the two.  A
-    ``breaker`` (shared or private :class:`CircuitBreaker`) gates every
-    request and is fed each outcome.
-    """
-
-    is_remote_source = True
-
-    def __init__(
-        self,
-        url: str,
-        *,
-        timeout: float = 10.0,
-        breaker: Optional[CircuitBreaker] = None,
-    ) -> None:
-        parts = urlsplit(url)
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ConfigurationError(f"not a usable http(s) URL: {url!r}")
-        self.url = url
-        self.timeout = float(timeout)
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self._host = parts.hostname
-        self._port = parts.port
-        self._path = parts.path or "/"
-        if parts.query:
-            self._path += "?" + parts.query
-        self._conn_cls = (
-            http.client.HTTPSConnection
-            if parts.scheme == "https"
-            else http.client.HTTPConnection
-        )
-        self._conn: Optional[http.client.HTTPConnection] = None
-        self._lock = threading.Lock()
-        self.endpoint = f"{self._host}:{self._port or (443 if parts.scheme == 'https' else 80)}"
-        #: Ranged GETs issued (success or failure), the 1:1 FetchOp image.
-        self.n_requests = 0
-        #: Body bytes actually received — the egress figure (over-fetch
-        #: from a Range-ignoring 200 included).
-        self.egress_bytes = 0
-        #: Server-declared CRC32 of the last payload (None if undeclared).
-        self.last_crc: Optional[int] = None
-        self.size = self._probe_size()
-
-    # ------------------------------------------------------------- transport
-
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            self._conn = self._conn_cls(
-                self._host, self._port, timeout=self.timeout
-            )
-        return self._conn
-
-    def _drop_connection(self) -> None:
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
-            self._conn = None
-
-    def _roundtrip(self, method: str, headers: Dict[str, str]):
-        """One request/response on the persistent connection.
-
-        A reused keep-alive connection the server already closed surfaces
-        as ``RemoteDisconnected``/``ConnectionError`` before any response
-        bytes; that single case is transparently retried on a fresh
-        connection (idempotent GET/HEAD).  Returns ``(status, headers,
-        body)`` with the response fully drained so the connection stays
-        reusable.
-        """
-        for fresh in (False, True):
-            conn = self._connection()
-            reused = self._conn is not None and not fresh
-            try:
-                conn.request(method, self._path, headers=headers)
-                response = conn.getresponse()
-                body = response.read()
-                return response.status, response.headers, body
-            except (http.client.HTTPException, ConnectionError, OSError) as exc:
-                self._drop_connection()
-                stale = isinstance(
-                    exc,
-                    (
-                        http.client.RemoteDisconnected,
-                        http.client.BadStatusLine,
-                        ConnectionResetError,
-                        BrokenPipeError,
-                    ),
-                )
-                if fresh or not (reused and stale):
-                    raise RemoteSourceError(
-                        f"{method} {self.url} failed: {exc}"
-                    ) from exc
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _probe_size(self) -> int:
-        try:
-            status, headers, _body = self._roundtrip("HEAD", {})
-            if status == 200 and headers.get("Content-Length") is not None:
-                return int(headers["Content-Length"])
-        except RemoteSourceError:
-            pass  # fall through to the ranged probe
-        status, headers, body = self._roundtrip("GET", {"Range": "bytes=0-0"})
-        self.egress_bytes += len(body)
-        if status == 206:
-            total = _parse_content_range(headers.get("Content-Range"), self.url)[2]
-            return total
-        if status == 200:
-            return len(body)
-        raise RemoteSourceError(f"cannot size {self.url}: HTTP {status}")
-
-    # ----------------------------------------------------------------- reads
-
-    def read_range(self, offset: int, length: int) -> bytes:
-        if offset < 0 or length < 0 or offset + length > self.size:
-            raise StreamFormatError(
-                f"read of [{offset}, {offset + length}) past remote object "
-                f"end {self.size} ({self.url})"
-            )
-        if length == 0:
-            return b""
-        if not self.breaker.allow():
-            raise RemoteSourceError(
-                f"circuit open for {self.endpoint}: failing fast ({self.url})"
-            )
-        try:
-            data = self._ranged_get(offset, length)
-        except RETRYABLE_ERRORS:
-            self.breaker.record_failure()
-            raise
-        self.breaker.record_success()
-        return data
-
-    def _ranged_get(self, offset: int, length: int) -> bytes:
-        with self._lock:
-            self.n_requests += 1
-            self.last_crc = None
-            status, headers, body = self._roundtrip(
-                "GET", {"Range": f"bytes={offset}-{offset + length - 1}"}
-            )
-            self.egress_bytes += len(body)
-            crc_text = headers.get(CRC_HEADER)
-            if status == 206:
-                start, end, _total = _parse_content_range(
-                    headers.get("Content-Range"), self.url
-                )
-                if start != offset or end != offset + length - 1:
-                    raise RemoteSourceError(
-                        f"Content-Range bytes {start}-{end} does not match "
-                        f"requested [{offset}, {offset + length}) ({self.url})"
-                    )
-                if len(body) != length:
-                    raise RemoteSourceError(
-                        f"short payload: wanted {length} B at offset {offset}, "
-                        f"got {len(body)} ({self.url})"
-                    )
-                data = body
-            elif status == 200:
-                # Server ignored Range: the full object arrived.  Slice the
-                # requested window; the over-fetch is already in egress.
-                if len(body) < offset + length:
-                    raise RemoteSourceError(
-                        f"full-body response of {len(body)} B cannot cover "
-                        f"[{offset}, {offset + length}) ({self.url})"
-                    )
-                data = body[offset : offset + length]
-                crc_text = None  # a declared CRC covers the full body, not the slice
-            else:
-                raise RemoteSourceError(
-                    f"HTTP {status} for range [{offset}, {offset + length}) "
-                    f"({self.url})"
-                )
-            if crc_text is not None:
-                try:
-                    self.last_crc = int(crc_text) & 0xFFFFFFFF
-                except ValueError:
-                    self.last_crc = None
-            return data
-
-    def read_tail(self, span: int) -> Tuple[int, bytes]:
-        """Current ``(total_size, tail_bytes)`` via one suffix-range GET.
-
-        The freshness probe's view: a suffix range (``bytes=-N``) is
-        answered against whatever the server holds *now*, so a replaced
-        object reports its new size and tail even though ``self.size`` is
-        pinned at construction.
-        """
-        span = max(1, int(span))
-        if not self.breaker.allow():
-            raise RemoteSourceError(
-                f"circuit open for {self.endpoint}: failing fast ({self.url})"
-            )
-        try:
-            result = self._suffix_get(span)
-        except RETRYABLE_ERRORS:
-            self.breaker.record_failure()
-            raise
-        self.breaker.record_success()
-        return result
-
-    def _suffix_get(self, span: int) -> Tuple[int, bytes]:
-        with self._lock:
-            self.n_requests += 1
-            status, headers, body = self._roundtrip(
-                "GET", {"Range": f"bytes=-{span}"}
-            )
-            self.egress_bytes += len(body)
-            if status == 206:
-                start, end, total = _parse_content_range(
-                    headers.get("Content-Range"), self.url
-                )
-                if len(body) != end - start + 1:
-                    raise RemoteSourceError(
-                        f"short tail payload: declared {end - start + 1} B, "
-                        f"got {len(body)} ({self.url})"
-                    )
-                return total, body
-            if status == 200:
-                return len(body), body[-span:]
-            raise RemoteSourceError(
-                f"HTTP {status} for tail probe of {span} B ({self.url})"
-            )
-
-    # ------------------------------------------------------------ accounting
-
-    def stats(self) -> dict:
-        return {
-            "requests": self.n_requests,
-            "egress_bytes": self.egress_bytes,
-            "breaker": {self.endpoint: self.breaker.state},
-        }
-
-    def close(self) -> None:
-        with self._lock:
-            self._drop_connection()
-
-    def __enter__(self) -> "HTTPRangeSource":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 def _parse_content_range(value: Optional[str], url: str) -> Tuple[int, int, int]:
     """``bytes start-end/total`` → ``(start, end, total)`` or raise."""
     if value is None:
@@ -450,163 +156,6 @@ def _parse_content_range(value: Optional[str], url: str) -> Tuple[int, int, int]
         raise RemoteSourceError(
             f"unparseable Content-Range {value!r} ({url})"
         ) from None
-
-
-class VerifyingSource:
-    """Opt-in per-fetch CRC gate between the transport and the retry ladder.
-
-    After every read it compares ``crc32(payload)`` against the CRC the
-    transport recorded from the server's :data:`CRC_HEADER` (duck-typed
-    ``last_crc`` on the wrapped source — fault-injection wrappers forward
-    it).  A mismatch raises :class:`~repro.errors.RemoteIntegrityError`:
-    retryable — re-fetching usually heals in-flight corruption — and
-    deliberately **not** a :class:`StreamFormatError`, because the stored
-    stream is presumed intact.  Ranges without a declared CRC pass through
-    unverified (counted separately).
-    """
-
-    is_remote_source = True
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
-        self.size = inner.size
-        self.verified = 0
-        self.unverified = 0
-        self.mismatches = 0
-
-    def read_range(self, offset: int, length: int) -> bytes:
-        data = self._inner.read_range(offset, length)
-        expected = getattr(self._inner, "last_crc", None)
-        if expected is None:
-            self.unverified += 1
-            return data
-        actual = zlib.crc32(data)
-        if actual != expected:
-            self.mismatches += 1
-            raise RemoteIntegrityError(
-                f"payload CRC mismatch for [{offset}, {offset + length}): "
-                f"got {actual:#010x}, server declared {expected:#010x}"
-            )
-        self.verified += 1
-        return data
-
-    def read_tail(self, span: int):
-        # Freshness probes bypass CRC verification: the caller compares
-        # fingerprints, which already hash the payload.
-        return self._inner.read_tail(span)
-
-    def stats(self) -> dict:
-        merged = _inner_stats(self._inner)
-        merged.update(
-            crc_verified=merged.get("crc_verified", 0) + self.verified,
-            crc_mismatches=merged.get("crc_mismatches", 0) + self.mismatches,
-        )
-        return merged
-
-    def close(self) -> None:
-        _close(self._inner)
-
-
-class RetryingSource:
-    """Retry ladder around one byte-range source.
-
-    Each read is attempted up to ``1 + retries`` times against
-    :data:`RETRYABLE_ERRORS`, sleeping :func:`jittered_backoff` between
-    attempts.  Two guards bound the ladder:
-
-    * a whole-source **retry budget** — once ``retry_budget`` retries have
-      been spent (across all reads), further failures propagate
-      immediately, so a dying backend degrades to fail-fast instead of
-      multiplying its own load ``retries``-fold;
-    * a whole-request **deadline** (monotonic timestamp via
-      :meth:`set_deadline`, propagated by the scheduler/service) — a read
-      arriving after expiry fails fast, and a retry whose backoff would
-      cross the deadline re-raises the underlying error instead of
-      sleeping.
-
-    ``sleep`` / ``clock`` are injectable for deterministic tests.
-    """
-
-    is_remote_source = True
-
-    def __init__(
-        self,
-        inner,
-        *,
-        retries: int = 3,
-        retry_budget: int = 32,
-        backoff: float = 0.05,
-        backoff_cap: float = 1.0,
-        label: str = "",
-        sleep: Callable[[float], None] = time.sleep,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self._inner = inner
-        self.size = inner.size
-        self.retries = max(0, int(retries))
-        self.backoff = max(0.0, float(backoff))
-        self.backoff_cap = max(0.0, float(backoff_cap))
-        self.label = label or getattr(inner, "url", "") or "remote"
-        self._sleep = sleep
-        self._clock = clock
-        self._lock = threading.Lock()
-        self.budget_left = max(0, int(retry_budget))
-        self.retries_used = 0
-        self.retry_delays: List[float] = []
-        self.deadline: Optional[float] = None
-
-    def set_deadline(self, deadline: Optional[float]) -> None:
-        """Install (or clear) the whole-request monotonic deadline."""
-        self.deadline = deadline
-
-    def _expired(self, margin: float = 0.0) -> bool:
-        return self.deadline is not None and self._clock() + margin >= self.deadline
-
-    def read_range(self, offset: int, length: int) -> bytes:
-        if self._expired():
-            raise RemoteSourceError(
-                f"request deadline exceeded before reading "
-                f"[{offset}, {offset + length}) from {self.label}"
-            )
-        attempt = 0
-        while True:
-            try:
-                return self._inner.read_range(offset, length)
-            except RETRYABLE_ERRORS as exc:
-                attempt += 1
-                with self._lock:
-                    if attempt > self.retries or self.budget_left <= 0:
-                        raise
-                    self.budget_left -= 1
-                    self.retries_used += 1
-                delay = jittered_backoff(
-                    f"{self.label}@{offset}", attempt, self.backoff, self.backoff_cap
-                )
-                if self._expired(margin=delay):
-                    # Backing off would cross the deadline: surface the
-                    # real failure now instead of sleeping past it.
-                    raise exc
-                with self._lock:
-                    self.retry_delays.append(delay)
-                if delay > 0.0:
-                    self._sleep(delay)
-
-    def read_tail(self, span: int):
-        # No ladder: a failed freshness probe means "freshness unknown",
-        # which the caller handles more cheaply than retries would.
-        return self._inner.read_tail(span)
-
-    def stats(self) -> dict:
-        merged = _inner_stats(self._inner)
-        with self._lock:
-            merged.update(
-                retries=merged.get("retries", 0) + self.retries_used,
-                retry_budget_left=self.budget_left,
-            )
-        return merged
-
-    def close(self) -> None:
-        _close(self._inner)
 
 
 class _Mirror:
@@ -637,310 +186,7 @@ class _Mirror:
         return (self.failures, self.latency if self.latency is not None else 0.0)
 
 
-class MirrorSource:
-    """Failover + hedged reads across replica byte-range sources.
-
-    Mirrors are ranked by health — consecutive failures first, then
-    latency EWMA — and a read walks the ranking: the healthiest mirror
-    serves, a retryable failure *fails over* to the next (counted), only
-    total failure propagates (the last error).  All mirrors must agree on
-    ``size``.
-
-    **Hedged reads** bound tail latency: when the primary read has run
-    longer than the hedge threshold — ``hedge_delay`` if given, else the
-    observed slowest-decile (p90) latency once ``min_samples`` reads have
-    been timed — the same range is fired at the next-healthiest mirror and
-    the first payload wins.  The loser is cancelled if still queued;
-    a loser that already holds the wire finishes in the background and its
-    payload is accounted to ``hedge_wasted_bytes`` (never to the consumed
-    trace).  Hedging engages only while at least two mirrors are healthy.
-
-    Hedge worker threads are tracked individually and joined on
-    :meth:`close` with a bounded ``shutdown_timeout`` — a loser wedged on
-    a stalled connection cannot hang shutdown; it is counted in
-    ``hedge_threads_leaked`` (and left to die with its daemon thread)
-    instead.  After ``close()`` no new hedges fire: reads degrade to the
-    plain timed walk.
-    """
-
-    is_remote_source = True
-
-    def __init__(
-        self,
-        sources: Sequence,
-        *,
-        hedge_delay: Optional[float] = None,
-        hedge_quantile: float = 0.9,
-        min_samples: int = 8,
-        clock: Callable[[], float] = time.monotonic,
-        shutdown_timeout: float = 5.0,
-    ) -> None:
-        if not sources:
-            raise ConfigurationError("MirrorSource needs at least one source")
-        sizes = {int(source.size) for source in sources}
-        if len(sizes) != 1:
-            raise RemoteSourceError(
-                f"mirrors disagree on object size: {sorted(sizes)}"
-            )
-        self._mirrors = [_Mirror(source) for source in sources]
-        self.size = sizes.pop()
-        self.hedge_delay = hedge_delay
-        self.hedge_quantile = float(hedge_quantile)
-        self.min_samples = max(2, int(min_samples))
-        self.shutdown_timeout = max(0.0, float(shutdown_timeout))
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._latencies: List[float] = []
-        self._threads: List[threading.Thread] = []
-        self._closed = False
-        self.failovers = 0
-        self.hedges = 0
-        self.hedge_wins = 0
-        self.hedge_wasted_bytes = 0
-        self.hedge_threads_leaked = 0
-
-    # ---------------------------------------------------------------- policy
-
-    def _ranked(self) -> List[_Mirror]:
-        with self._lock:
-            return sorted(self._mirrors, key=_Mirror.health_key)
-
-    def _hedge_threshold(self) -> Optional[float]:
-        if self.hedge_delay is not None:
-            return self.hedge_delay
-        with self._lock:
-            if len(self._latencies) < self.min_samples:
-                return None
-            ordered = sorted(self._latencies)
-            index = min(
-                len(ordered) - 1, int(self.hedge_quantile * len(ordered))
-            )
-            return ordered[index]
-
-    def _record(self, mirror: _Mirror, ok: bool, seconds: Optional[float]) -> None:
-        with self._lock:
-            mirror.record(ok, seconds)
-            if ok and seconds is not None:
-                self._latencies.append(seconds)
-                if len(self._latencies) > 64:
-                    del self._latencies[0]
-
-    def _spawn(self, fn, *args) -> Future:
-        """Run ``fn`` on a tracked hedge thread; returns its Future.
-
-        One thread per in-flight hedge leg (they are rare and short by
-        construction) keeps every worker individually joinable — the
-        property the lazy shared executor lacked: its ``shutdown(wait=
-        True)`` hung forever on a wedged loser and missed threads spawned
-        concurrently with close.
-        """
-        future: Future = Future()
-
-        def runner() -> None:
-            if not future.set_running_or_notify_cancel():
-                return  # pragma: no cover - cancelled before start
-            try:
-                future.set_result(fn(*args))
-            except BaseException as exc:
-                future.set_exception(exc)
-
-        thread = threading.Thread(
-            target=runner, name="repro-hedge", daemon=True
-        )
-        with self._lock:
-            self._threads = [t for t in self._threads if t.is_alive()]
-            self._threads.append(thread)
-        thread.start()
-        return future
-
-    def alive_hedge_threads(self) -> int:
-        """Hedge worker threads still running (regression-test probe)."""
-        with self._lock:
-            self._threads = [t for t in self._threads if t.is_alive()]
-            return len(self._threads)
-
-    # ----------------------------------------------------------------- reads
-
-    def read_range(self, offset: int, length: int) -> bytes:
-        ranked = self._ranked()
-        last_error: Optional[BaseException] = None
-        for rank, mirror in enumerate(ranked):
-            backup = ranked[rank + 1] if rank + 1 < len(ranked) else None
-            threshold = self._hedge_threshold()
-            try:
-                if (
-                    threshold is not None
-                    and backup is not None
-                    and backup.failures == 0
-                    and not self._closed
-                ):
-                    return self._hedged_read(
-                        mirror, backup, offset, length, threshold
-                    )
-                return self._timed_read(mirror, offset, length)
-            except RETRYABLE_ERRORS as exc:
-                last_error = exc
-                if backup is not None:
-                    with self._lock:
-                        self.failovers += 1
-        assert last_error is not None
-        raise last_error
-
-    def _timed_read(self, mirror: _Mirror, offset: int, length: int) -> bytes:
-        start = self._clock()
-        try:
-            data = mirror.source.read_range(offset, length)
-        except RETRYABLE_ERRORS:
-            self._record(mirror, False, None)
-            raise
-        self._record(mirror, True, self._clock() - start)
-        return data
-
-    def _hedged_read(
-        self,
-        primary: _Mirror,
-        backup: _Mirror,
-        offset: int,
-        length: int,
-        threshold: float,
-    ) -> bytes:
-        futures: Dict[Future, _Mirror] = {
-            self._spawn(self._timed_read, primary, offset, length): primary
-        }
-        done, pending = wait(futures, timeout=threshold)
-        if not done:
-            # Slowest-decile territory: fire the hedge at the backup.
-            with self._lock:
-                self.hedges += 1
-            futures[self._spawn(self._timed_read, backup, offset, length)] = backup
-        first_error: Optional[BaseException] = None
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                mirror = futures[future]
-                error = future.exception()
-                if error is None:
-                    if mirror is backup:
-                        with self._lock:
-                            self.hedge_wins += 1
-                    self._settle_losers(
-                        [f for f in pending], futures, length
-                    )
-                    return future.result()
-                if first_error is None:
-                    first_error = error
-        assert first_error is not None
-        if isinstance(first_error, RETRYABLE_ERRORS):
-            raise first_error
-        raise RemoteSourceError(f"hedged read failed: {first_error}")  # pragma: no cover
-
-    def _settle_losers(
-        self, losers: List[Future], futures: Dict[Future, _Mirror], length: int
-    ) -> None:
-        """Cancel queued losers; account bytes of ones already on the wire."""
-        for loser in losers:
-            if loser.cancel():
-                continue
-
-            def _account(done: Future, nbytes: int = length) -> None:
-                if not done.cancelled() and done.exception() is None:
-                    with self._lock:
-                        self.hedge_wasted_bytes += nbytes
-
-            loser.add_done_callback(_account)
-
-    def read_tail(self, span: int):
-        """Tail probe from the healthiest mirror that can answer it."""
-        last_error: Optional[BaseException] = None
-        for mirror in self._ranked():
-            probe = getattr(mirror.source, "read_tail", None)
-            if probe is None:
-                continue
-            try:
-                return probe(span)
-            except RETRYABLE_ERRORS as exc:
-                last_error = exc
-        if last_error is not None:
-            raise last_error
-        raise RemoteSourceError("no mirror supports tail probes")
-
-    # ------------------------------------------------------------- lifecycle
-
-    def set_deadline(self, deadline: Optional[float]) -> None:
-        for mirror in self._mirrors:
-            setter = getattr(mirror.source, "set_deadline", None)
-            if setter is not None:
-                setter(deadline)
-
-    def drain(self, timeout: Optional[float] = None) -> int:
-        """Join in-flight hedge threads (tests settle accounting here).
-
-        With a ``timeout`` the join budget is shared across all live
-        threads (deadline-based); returns the number still alive when it
-        ran out — 0 means a fully settled, deterministic shutdown.
-        """
-        with self._lock:
-            threads = list(self._threads)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        for thread in threads:
-            if deadline is None:
-                thread.join()
-            else:
-                remaining = deadline - time.monotonic()
-                if remaining > 0:
-                    thread.join(timeout=remaining)
-        with self._lock:
-            self._threads = [t for t in self._threads if t.is_alive()]
-            return len(self._threads)
-
-    def stats(self) -> dict:
-        merged: dict = {}
-        for mirror in self._mirrors:
-            _merge_stats(merged, _inner_stats(mirror.source))
-        with self._lock:
-            merged.update(
-                failovers=merged.get("failovers", 0) + self.failovers,
-                hedges=self.hedges,
-                hedge_wins=self.hedge_wins,
-                hedge_wasted_bytes=self.hedge_wasted_bytes,
-                hedge_threads_leaked=self.hedge_threads_leaked,
-                mirrors=[
-                    {
-                        "label": getattr(
-                            mirror.source, "label", getattr(mirror.source, "url", "")
-                        ),
-                        "failures": mirror.failures,
-                        "latency_ewma_s": mirror.latency,
-                        "reads": mirror.reads,
-                    }
-                    for mirror in self._mirrors
-                ],
-            )
-        return merged
-
-    def close(self) -> None:
-        """Deterministic shutdown: stop hedging, join workers, close mirrors.
-
-        The join is bounded by ``shutdown_timeout`` so a loser wedged on a
-        stalled connection cannot hang the caller; survivors are counted
-        in ``hedge_threads_leaked`` and abandoned to their daemon threads
-        (closing the mirror sources below unblocks most of them anyway).
-        """
-        self._closed = True
-        leaked = self.drain(timeout=self.shutdown_timeout)
-        with self._lock:
-            self.hedge_threads_leaked += leaked
-        for mirror in self._mirrors:
-            _close(mirror.source)
-
-
 # ---------------------------------------------------------------- utilities
-
-
-def _inner_stats(source) -> dict:
-    stats = getattr(source, "stats", None)
-    return dict(stats()) if callable(stats) else {}
 
 
 def _merge_stats(into: dict, child: dict) -> dict:
@@ -955,12 +201,6 @@ def _merge_stats(into: dict, child: dict) -> dict:
         else:
             into.setdefault(key, value)
     return into
-
-
-def _close(source) -> None:
-    close = getattr(source, "close", None)
-    if close is not None:
-        close()
 
 
 def find_remote_source(obj):
@@ -992,7 +232,7 @@ def remote_fingerprint(source) -> Tuple[int, int, int]:
     exists over HTTP, so the witness is the CRC of the footer/manifest
     tail window alone (one bounded ranged GET).
 
-    Stacks exposing :meth:`HTTPRangeSource.read_tail` are probed with a
+    Stacks exposing ``read_tail`` are probed with a
     suffix range, which the server answers against the object it holds
     *now* — so a replaced object with a **different size** still yields a
     cleanly different fingerprint instead of an out-of-bounds read error
@@ -1006,74 +246,3 @@ def remote_fingerprint(source) -> Tuple[int, int, int]:
     span = min(size, _FINGERPRINT_TAIL)
     tail = source.read_range(size - span, span)
     return (size, 0, zlib.crc32(tail))
-
-
-def open_remote_source(
-    url: str,
-    mirrors: Sequence[str] = (),
-    *,
-    timeout: float = 10.0,
-    verify: bool = True,
-    retries: int = 3,
-    retry_budget: int = 32,
-    backoff: float = 0.05,
-    backoff_cap: float = 1.0,
-    breaker_threshold: int = 5,
-    breaker_cooldown: float = 1.0,
-    hedge_delay: Optional[float] = None,
-    tamper: Optional[Callable[[str, object], object]] = None,
-    sleep: Callable[[float], None] = time.sleep,
-    clock: Callable[[], float] = time.monotonic,
-):
-    """Build the canonical resilient stack over one URL (plus replicas).
-
-    Per endpoint: ``HTTPRangeSource`` (private circuit breaker) →
-    ``tamper`` hook (fault injection wraps *below* verification, so
-    injected corruption is caught exactly like wire corruption) →
-    :class:`VerifyingSource` (``verify=True``) → :class:`RetryingSource`.
-    With replica ``mirrors``, the per-endpoint stacks are joined under one
-    :class:`MirrorSource` (failover + hedging); a single URL returns the
-    bare retrying stack.  The result speaks plain ``size``/``read_range``
-    — everything upstream (prefetcher, container reader, service) is
-    oblivious to the networking underneath.
-    """
-
-    def endpoint_stack(endpoint_url: str):
-        source = HTTPRangeSource(
-            endpoint_url,
-            timeout=timeout,
-            breaker=CircuitBreaker(
-                threshold=breaker_threshold, cooldown=breaker_cooldown, clock=clock
-            ),
-        )
-        wrapped = tamper(endpoint_url, source) if tamper is not None else source
-        if verify:
-            wrapped = VerifyingSource(wrapped)
-        return RetryingSource(
-            wrapped,
-            retries=retries,
-            retry_budget=retry_budget,
-            backoff=backoff,
-            backoff_cap=backoff_cap,
-            label=endpoint_url,
-            sleep=sleep,
-            clock=clock,
-        )
-
-    endpoints = (url, *tuple(mirrors))
-    if len(endpoints) == 1:
-        return endpoint_stack(url)
-    # With replicas, an endpoint that is already dead at open time (size
-    # probe fails) is failover-at-construction: drop it and carry on with
-    # the survivors.  Only every endpoint failing propagates.
-    stacks, first_error = [], None
-    for endpoint_url in endpoints:
-        try:
-            stacks.append(endpoint_stack(endpoint_url))
-        except (RemoteSourceError, OSError) as exc:
-            first_error = first_error or exc
-    if not stacks:
-        raise first_error
-    if len(stacks) == 1:
-        return stacks[0]
-    return MirrorSource(stacks, hedge_delay=hedge_delay, clock=clock)

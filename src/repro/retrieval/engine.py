@@ -53,9 +53,9 @@ __all__ = ["EngineResult", "RetrievalEngine", "assemble", "open_stream_source"]
 DEFAULT_RUNG_FACTOR = 8.0
 
 #: Bytes speculatively primed at the head of each shard before its
-#: retriever is constructed (async backend only): the stream header lives
-#: there, so header parsing — otherwise a serial round-trip per shard —
-#: rides one multiplexed batch.  Consumed-trace accounting is untouched;
+#: retriever is constructed (async-capable sources only): the stream header
+#: lives there, so header parsing — otherwise a serial round-trip per shard
+#: — rides one multiplexed batch.  Consumed-trace accounting is untouched;
 #: the over-fetch is ordinary speculation.
 DEFAULT_HEADER_PRIME = 8192
 
@@ -126,8 +126,6 @@ class RetrievalEngine:
         speculate: bool = True,
         rung_factor: float = DEFAULT_RUNG_FACTOR,
         executor=None,
-        io_backend: str = "threads",
-        header_prime: Optional[int] = None,
     ) -> None:
         self._open_source = open_source
         self.shape = tuple(int(s) for s in shape)
@@ -139,17 +137,14 @@ class RetrievalEngine:
         self.path = path
         self.speculate = bool(speculate)
         self.rung_factor = float(rung_factor)
-        #: "async" prefetches through the event-loop backend
-        #: (:class:`~repro.io.aio.AsyncPrefetcher`); anything else keeps
-        #: the thread prefetcher.  Identical bytes either way.
-        self.io_backend = str(io_backend or "threads")
-        if header_prime is None:
-            header_prime = DEFAULT_HEADER_PRIME if self.io_backend == "async" else 0
-        self.header_prime = max(0, int(header_prime))
         # A caller-owned persistent pool for the decode stage (the serving
         # layer keeps one warm across requests); never shut down here.
         self.executor = executor
-        self._prefetcher = None  # thread or event-loop prefetcher, lazy
+        # Lazy, chosen by the first opened source: the event-loop
+        # prefetcher when it ``supports_async`` (a remote stack), the
+        # thread prefetcher for local files.  Identical bytes either way.
+        self._prefetcher = None
+        self._async = False
         # Stateful per-shard retrievers + traced sources (refine() path).
         self._retrievers: Dict[str, ProgressiveRetriever] = {}
         self._sources: Dict[str, PrefetchSource] = {}
@@ -157,20 +152,11 @@ class RetrievalEngine:
 
     # ------------------------------------------------------------------ wiring
 
-    def _prefetcher_or_none(self):
-        if self.prefetch <= 0:
-            return None
-        if self._prefetcher is None:
-            if self.io_backend == "async":
-                from repro.io.aio import AsyncPrefetcher
-
-                self._prefetcher = AsyncPrefetcher(depth=self.prefetch)
-            else:
-                self._prefetcher = Prefetcher(depth=self.prefetch)
-        return self._prefetcher
-
     def _make_source(self, name: str) -> PrefetchSource:
-        return PrefetchSource(self._open_source(name), self._prefetcher_or_none())
+        inner = self._open_source(name)
+        if self.prefetch > 0 and self._prefetcher is None:
+            self._prefetcher, self._async = _prefetcher_for(inner, self.prefetch)
+        return PrefetchSource(inner, self._prefetcher)
 
     def _source_for(
         self, name: str, sources: Dict[str, PrefetchSource]
@@ -263,15 +249,19 @@ class RetrievalEngine:
         speculate_next: bool,
     ) -> EngineResult:
         trace_start = {name: len(src.trace) for name, src in sources.items()}
-        # Header speculation (async backend): prime the head of every new
-        # shard *before* any retriever parses a header, so the per-shard
-        # header round-trips ride one multiplexed batch instead of
-        # serialising — the parses below then hit the prime cache.
-        if self.prefetch > 0 and self.header_prime > 0:
-            for shard in shards:
-                if shard.name not in retrievers:
-                    source = self._source_for(shard.name, sources)
-                    source.prime([(0, min(self.header_prime, source.size))])
+        # Header speculation (async-capable sources): prime the head of
+        # every new shard *before* any retriever parses a header, so the
+        # per-shard header round-trips ride one multiplexed batch instead
+        # of serialising — the parses below then hit the prime cache.
+        if self.prefetch > 0:
+            fresh = [
+                self._source_for(shard.name, sources)
+                for shard in shards
+                if shard.name not in retrievers
+            ]
+            if self._async:  # known once the first source is open
+                for source in fresh:
+                    source.prime([(0, min(DEFAULT_HEADER_PRIME, source.size))])
         # Stage 1+2 up front, across *all* shards: once every plan is
         # primed, the background reads for later shards proceed while the
         # first shard decodes.  (ProgressiveRetriever.retrieve re-primes
@@ -399,45 +389,46 @@ class RetrievalEngine:
             self._prefetcher = None
 
 
-def open_stream_source(path, prefetch: int = 0, *, source=None, io_backend=None):
+def _prefetcher_for(inner, depth: int):
+    """``(prefetcher, is_async)`` for an opened source: the event-loop
+    prefetcher when it can serve coroutine range reads, else threads."""
+    if getattr(inner, "supports_async", False):
+        from repro.io.aio import AsyncPrefetcher
+
+        return AsyncPrefetcher(depth=depth), True
+    return Prefetcher(depth=depth), False
+
+
+def open_stream_source(path, prefetch: int = 0, *, source=None):
     """A byte-range source over a bare ``.ipc`` stream file or URL.
 
     ``path`` may be a local file or an ``http(s)://`` URL — the latter is
     read through a resilient remote stack
-    (:func:`repro.io.remote.open_remote_source` /
-    :func:`repro.io.aio.open_async_source`, or a pre-built ``source`` with
-    mirrors / fault injection).  ``io_backend`` follows the CLI's ``--io``
-    vocabulary: ``auto`` (default) picks ``async`` for URLs, ``threads``
-    otherwise; ``sync`` disables prefetching outright.  With
-    ``prefetch > 0`` the source owns a private prefetcher — event-loop or
-    thread-pool per the backend — and a
+    (:func:`repro.io.aio.open_remote_source`, or a pre-built ``source``
+    with mirrors / fault injection).  With ``prefetch > 0`` the source
+    owns a private prefetcher — event-loop for a remote stack, thread-pool
+    for a file — and a
     :class:`~repro.core.progressive.ProgressiveRetriever` reading through
     it will overlap its planned range reads with decoding (the retriever
-    primes its own pending ops).  ``source.close()`` releases the backing
-    handle/connection and the prefetcher.
+    primes its own pending ops); ``prefetch=0`` reads serially.
+    ``source.close()`` releases the backing handle/connection and the
+    prefetcher.
     """
-    from repro.io.aio import AsyncPrefetcher, open_async_source, resolve_io_backend
+    from repro.io.aio import open_remote_source
     from repro.io.container import FileSource
-    from repro.io.remote import is_url, open_remote_source
+    from repro.io.remote import is_url
 
-    backend = resolve_io_backend(io_backend, path)
     if source is not None:
         inner = source
     elif is_url(path):
-        if backend == "async":
-            inner = open_async_source(str(path))
-        else:
-            inner = open_remote_source(str(path))
+        inner = open_remote_source(str(path))
     else:
         inner = FileSource(path)
-    if prefetch <= 0 or backend == "sync":
+    if prefetch <= 0:
         return inner
-    if backend == "async":
-        prefetcher = AsyncPrefetcher(depth=prefetch)
-    else:
-        prefetcher = Prefetcher(depth=prefetch)
+    prefetcher, is_async = _prefetcher_for(inner, prefetch)
     source = PrefetchSource(inner, prefetcher)
-    if backend == "async" and getattr(inner, "supports_async", False):
+    if is_async:
         # Header speculation: the retriever's construction-time header
         # reads ride one multiplexed prime instead of serial round-trips.
         source.prime([(0, min(DEFAULT_HEADER_PRIME, inner.size))])

@@ -134,7 +134,7 @@ class RetrievalPlan:
         """Total bytes the request will touch, headers included.
 
         For remote datasets this doubles as the egress estimate: fetch ops
-        map 1:1 onto ranged GETs (:mod:`repro.io.remote`), so a clean run's
+        map 1:1 onto ranged GETs (:mod:`repro.io.aio`), so a clean run's
         network bytes equal the plan's — over-fetch only appears as
         retries, hedges or failed attempts, visible in the trace's
         ``egress_bytes`` delta.

@@ -51,9 +51,9 @@ restores strict propagation).
 
 Sessions also open over ``http(s)://`` URLs: the container (or bare
 stream) is read through the resilient remote stack of
-:mod:`repro.io.remote` — retries, circuit breakers, optional mirrors and
+:mod:`repro.io.aio` — retries, circuit breakers, optional mirrors and
 hedged reads (``remote_options`` passes knobs to
-:func:`~repro.io.remote.open_remote_source`).  Remote sessions are keyed
+:func:`~repro.io.aio.open_remote_source`).  Remote sessions are keyed
 by a ``(size, 0, tail_crc)`` fingerprint probed over the stack, traces
 carry per-request remote deltas (egress bytes, absorbed retries, hedges,
 failovers, breaker states), and every answer stays bitwise-identical to
@@ -77,15 +77,10 @@ from repro.core.profile import CodecProfile
 from repro.core.progressive import ProgressiveRetriever
 from repro.core.stream import CompressedStore, StreamHeader
 from repro.errors import ConfigurationError, RetrievalError, StreamFormatError
-from repro.io.aio import open_async_source, resolve_io_backend
+from repro.io.aio import open_remote_source
 from repro.io.container import FileSource, is_container, sniff_container
 from repro.io.dataset import ChunkedDataset, DatasetShard
-from repro.io.remote import (
-    is_url,
-    jittered_backoff,
-    open_remote_source,
-    remote_fingerprint,
-)
+from repro.io.remote import is_url, jittered_backoff, remote_fingerprint
 from repro.parallel.partition import (
     SliceTuple,
     normalize_roi,
@@ -438,7 +433,6 @@ class RetrievalService:
         source_filter: Optional[Callable[[str, object], object]] = None,
         degrade_on_failure: bool = True,
         remote_options: Optional[dict] = None,
-        io_backend: str = "auto",
     ) -> None:
         self.profile = profile
         if cache_bytes is None:
@@ -462,12 +456,8 @@ class RetrievalService:
         #: Keyword arguments for the remote stack builder when a session
         #: opens over an ``http(s)://`` URL (mirrors, retry/breaker knobs,
         #: a fault-injecting ``tamper`` hook...) — forwarded to
-        #: :func:`~repro.io.aio.open_async_source` or
-        #: :func:`~repro.io.remote.open_remote_source` per ``io_backend``.
+        #: :func:`~repro.io.aio.open_remote_source`.
         self.remote_options = dict(remote_options or {})
-        #: Remote I/O backend: ``auto`` (async event loop for URLs when
-        #: available), ``async``, ``threads``, or ``sync``.
-        self.io_backend = str(io_backend)
         #: Per-request deadline (monotonic timestamp), thread-local so
         #: concurrent requests don't share one.
         self._deadlines = threading.local()
@@ -1095,32 +1085,13 @@ class RetrievalService:
                 dead = session.sid
                 self.cache.purge(lambda tier, k: k[0] == dead)
                 session.close()
-            stack = self._open_remote_stack(url)
+            stack = open_remote_source(url, **self.remote_options)
             session = _Session(
                 self._next_sid, url, self.profile, remote_source=stack
             )
             self._next_sid += 1
             self._sessions[url] = session
             return session
-
-    def _open_remote_stack(self, url: str):
-        """Build the resilient stack for one URL on the resolved backend.
-
-        ``auto`` resolves to the multiplexed asyncio stack for ``http(s)``
-        URLs; the sync facade it returns speaks the same ``read_range`` /
-        ``read_tail`` / ``stats`` / ``set_deadline`` duck type, so
-        fingerprinting, tracing, and deadlines are backend-oblivious.
-        Backend-specific knobs in ``remote_options`` are dropped for the
-        other backend rather than erroring under ``auto``.
-        """
-        backend = resolve_io_backend(self.io_backend, url)
-        options = dict(self.remote_options)
-        if backend == "async":
-            options.pop("sleep", None)
-            return open_async_source(url, **options)
-        for key in ("connections", "window", "loop"):
-            options.pop(key, None)
-        return open_remote_source(url, **options)
 
     def close(self) -> None:
         with self._lock:

@@ -24,7 +24,7 @@ requested fidelity refined in the background) and ``budget_debited``
 ladder records its per-attempt backoff in ``retry_delays``.
 
 Remote datasets add a fourth group, harvested as per-request deltas from
-the resilient source stack (:mod:`repro.io.remote`): ``remote`` (the
+the resilient source stack (:mod:`repro.io.aio`): ``remote`` (the
 request was served over HTTP), ``egress_bytes`` (body bytes received off
 the network, over-fetch and failed attempts included), ``hedges`` /
 ``hedge_wasted_bytes`` (duplicate tail-latency reads fired at a second

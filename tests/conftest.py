@@ -7,6 +7,9 @@ runs in seconds; the benchmarks under ``benchmarks/`` use the realistic
 
 from __future__ import annotations
 
+import asyncio
+import threading
+import time
 import zlib
 
 import numpy as np
@@ -71,3 +74,77 @@ def smooth_2d() -> np.ndarray:
 def signal_1d() -> np.ndarray:
     t = np.linspace(0, 8 * np.pi, 301)
     return (np.sin(t) + 0.1 * np.sin(13 * t) + 0.01 * t**2).astype(np.float64)
+
+
+# ------------------------------------------------------- remote leak ledger
+
+#: Test modules that open sockets; the ledger below audits each of their tests.
+_REMOTE_MODULES = ("test_remote", "test_aio")
+
+
+def _settles(predicate, timeout: float = 3.0) -> bool:
+    """Poll ``predicate`` until true (peer-side socket closes, cancelled
+    tasks and exiting threads are asynchronous by nature)."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+@pytest.fixture
+def settles():
+    """The ledger's bounded poll, for tests that assert a close landed."""
+    return _settles
+
+
+async def _pending_tasks() -> int:
+    return len(asyncio.all_tasks()) - 1  # minus this probe
+
+
+@pytest.fixture(autouse=True)
+def leak_ledger(request, monkeypatch):
+    """After each remote test nothing it started is still running.
+
+    No ``repro-hedge*`` thread, no new non-daemon thread, no task on the
+    shared event loop beyond the baseline, and every :class:`RangeServer`
+    the test used (its own, plus the module's ``server`` / ``replica``)
+    back at ``open_connections == 0`` — i.e. every stack got closed.
+    """
+    if request.module.__name__ not in _REMOTE_MODULES:
+        yield
+        return
+    from repro.io.aio import EventLoopThread
+    from repro.io.rangeserver import RangeServer
+
+    servers = [
+        request.getfixturevalue(name)
+        for name in ("server", "replica")
+        if name in request.fixturenames
+    ]
+    init = RangeServer.__init__
+
+    def tracked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        servers.append(self)
+
+    monkeypatch.setattr(RangeServer, "__init__", tracked_init)
+    threads = set(threading.enumerate())
+    tasks = EventLoopThread.shared().call(_pending_tasks())
+    yield
+    assert _settles(lambda: all(s.open_connections == 0 for s in servers)), [
+        s.open_connections for s in servers
+    ]
+    assert _settles(
+        lambda: EventLoopThread.shared().call(_pending_tasks()) <= tasks
+    ), "tasks left pending on the shared event loop"
+
+    def strays():
+        return [
+            t.name
+            for t in threading.enumerate()
+            if t.name.startswith("repro-hedge") or not (t.daemon or t in threads)
+        ]
+
+    assert _settles(lambda: not strays()), strays()

@@ -1,22 +1,24 @@
-"""Async multiplexed range I/O: event-loop transport, prefetch bridge, CLI.
+"""Multiplexed range I/O: event-loop transport, prefetch bridge, CLI.
 
-Covers the asyncio backend end to end:
+Covers the remote transport end to end (the ladder's units and the fault
+matrix live in ``test_remote.py``):
 
-* unit pieces — ``coalesce_ops``, backend resolution, the pooled
-  transport's window bound and request accounting;
-* the byte-identity matrix {v1, v2} × {stream, container} ×
-  {sync, threads, async} over loopback HTTP, clean and under client
-  faults, server latency/stall faults, and mirror failover — every
-  combination must match the local serial oracle bitwise;
+* unit pieces — ``coalesce_ops``, the pooled transport's window bound,
+  request accounting and stale-connection retry;
+* byte identity {v1, v2} × {stream, container} × prefetch {0, 4} over
+  loopback HTTP (depth 0 is the serial read), and the multiplexed path
+  under client faults, server latency/stall faults, and a primary dying
+  mid-session — every combination must match the local serial oracle
+  bitwise;
 * the :class:`~repro.io.aio.AsyncPrefetcher` bridge — adjacent primes
   coalesce into one wire request, a past deadline refunds the prefetch
   charge, and closing a prefetcher mid-request never kills the shared
   loop thread;
-* the CLI ``--io`` knob — identical outputs across backends and an
-  ``inflight_max > 1`` receipt for the async path;
+* the CLI — identical outputs at ``--prefetch 0`` and the default depth,
+  with an ``inflight_max > 1`` receipt for the latter;
 * rangeserver connection hygiene — a stalled connection cannot wedge
   other in-flight connections, and ``max_connections`` bounds (and
-  counts) concurrently handled sockets.
+  counts) the requests handled at once without stalling a larger pool.
 
 Randomness: this module is deterministic (fixed seeds); never touch the
 shared session ``rng`` fixture.
@@ -35,14 +37,13 @@ import pytest
 
 from repro import ChunkedDataset, IPComp, ProgressiveRetriever
 from repro.cli import main
-from repro.errors import ConfigurationError, RemoteSourceError, StreamFormatError
+from repro.errors import RemoteSourceError, StreamFormatError
 from repro.io import BlockContainerWriter
 from repro.io.aio import (
     AsyncPrefetcher,
     EventLoopThread,
     coalesce_ops,
-    open_async_source,
-    resolve_io_backend,
+    open_remote_source,
 )
 from repro.io.faults import FaultInjector, FaultPlan
 from repro.io.rangeserver import RangeServer
@@ -104,10 +105,8 @@ def server(served_dir) -> RangeServer:
         yield srv
 
 
-def _read_stream(path_or_url, *, io_backend=None, prefetch=4, source=None):
-    src = open_stream_source(
-        path_or_url, prefetch=prefetch, source=source, io_backend=io_backend
-    )
+def _read_stream(path_or_url, *, prefetch=4, source=None):
+    src = open_stream_source(path_or_url, prefetch=prefetch, source=source)
     try:
         retriever = ProgressiveRetriever(src)
         return retriever.retrieve(error_bound=retriever.header.error_bound)
@@ -141,31 +140,20 @@ def test_coalesce_ops_merges_and_splits():
     assert [(b[0], b[1]) for b in batches] == [(0, 100), (100, 100)]
 
 
-def test_resolve_io_backend():
-    assert resolve_io_backend(None, "http://h/x") == "async"
-    assert resolve_io_backend("auto", "https://h/x") == "async"
-    assert resolve_io_backend("auto", "/tmp/x.rprc") == "threads"
-    assert resolve_io_backend("threads", "http://h/x") == "threads"
-    assert resolve_io_backend("sync", "http://h/x") == "sync"
-    with pytest.raises(ConfigurationError, match="io backend"):
-        resolve_io_backend("uring", "http://h/x")
-
-
 def test_async_source_basic_reads(served_dir, server):
     blob = (served_dir / "v2.rprc").read_bytes()
-    with open_async_source(server.url_for("v2.rprc")) as source:
+    with open_remote_source(server.url_for("v2.rprc")) as source:
         assert source.size == len(blob)
         assert source.read_range(10, 33) == blob[10:43]
         assert source.read_range(5, 0) == b""
         total, tail = source.read_tail(64)
         assert total == len(blob) and tail == blob[-64:]
         stats = source.stats()
-        assert stats["io_backend"] == "async"
         assert stats["retries"] == 0
         assert stats["egress_bytes"] >= 33 + 64
         assert stats["connections_opened"] >= 1
-        # Out-of-bounds reads raise (after the ladder, like the sync stack:
-        # StreamFormatError is in RETRYABLE_ERRORS).
+        # Out-of-bounds reads raise (after the ladder: StreamFormatError
+        # is in RETRYABLE_ERRORS).
         with pytest.raises(StreamFormatError, match="past remote object end"):
             source.read_range(len(blob) - 2, 5)
 
@@ -177,7 +165,7 @@ def test_async_window_bounds_inflight(served_dir):
     plan = FaultPlan.always("latency", seconds=0.05)
     blob = (served_dir / "v2.rprc").read_bytes()
     with RangeServer(served_dir, plan=plan) as srv:
-        source = open_async_source(
+        source = open_remote_source(
             srv.url_for("v2.rprc"), connections=2, window=2
         )
         try:
@@ -199,23 +187,16 @@ def test_async_window_bounds_inflight(served_dir):
 # ------------------------------------------------------- byte-identity matrix
 
 
-@pytest.mark.parametrize("io_backend", ["sync", "threads", "async"])
+@pytest.mark.parametrize("prefetch", [0, 4])
 @pytest.mark.parametrize("version", ["v1", "v2"])
-def test_identity_matrix_clean(served_dir, server, version, io_backend):
-    prefetch = 0 if io_backend == "sync" else 4
+def test_identity_matrix_clean(served_dir, server, version, prefetch):
     stream_oracle = _read_stream(served_dir / f"{version}.ipc", prefetch=0)
-    stream = _read_stream(
-        server.url_for(f"{version}.ipc"),
-        io_backend=io_backend, prefetch=prefetch,
-    )
+    stream = _read_stream(server.url_for(f"{version}.ipc"), prefetch=prefetch)
     assert stream.data.tobytes() == stream_oracle.data.tobytes()
     assert stream.bytes_loaded == stream_oracle.bytes_loaded
 
     container_oracle = _read_container(served_dir / f"{version}.rprc")
-    container = _read_container(
-        server.url_for(f"{version}.rprc"),
-        io_backend=io_backend, prefetch=prefetch,
-    )
+    container = _read_container(server.url_for(f"{version}.rprc"), prefetch=prefetch)
     assert container.data.tobytes() == container_oracle.data.tobytes()
     assert container.bytes_loaded == container_oracle.bytes_loaded
 
@@ -232,7 +213,7 @@ def test_default_argument_url_dataset_prefetches(served_dir):
 
     default, default_requests = fetch()
     explicit, explicit_requests = fetch(prefetch=DEFAULT_PREFETCH_DEPTH)
-    serial, serial_requests = fetch(io_backend="sync")  # still forces 0
+    serial, serial_requests = fetch(prefetch=0)
     assert default.data.tobytes() == explicit.data.tobytes() == serial.data.tobytes()
     assert default.ranges == explicit.ranges == serial.ranges
     assert default.bytes_loaded == explicit.bytes_loaded == serial.bytes_loaded
@@ -253,12 +234,12 @@ def test_identity_async_under_client_faults(served_dir, server, version):
         + FaultPlan.at({8}, kind="latency", seconds=0.01)
     )
     injector = FaultInjector(plan)
-    stack = open_async_source(
+    stack = open_remote_source(
         server.url_for(f"{version}.rprc"), tamper=injector.tamper, **_PATIENT
     )
     result = _read_container(
         server.url_for(f"{version}.rprc"),
-        source=stack, io_backend="async", prefetch=4,
+        source=stack, prefetch=4,
     )
     assert result.data.tobytes() == oracle.data.tobytes()
     assert result.bytes_loaded == oracle.bytes_loaded
@@ -276,10 +257,9 @@ def test_identity_async_under_server_faults(served_dir, version):
         "latency", seconds=0.005
     )
     with RangeServer(served_dir, plan=plan) as srv:
-        stack = open_async_source(srv.url_for(f"{version}.rprc"), **_PATIENT)
+        stack = open_remote_source(srv.url_for(f"{version}.rprc"), **_PATIENT)
         result = _read_container(
-            srv.url_for(f"{version}.rprc"),
-            source=stack, io_backend="async", prefetch=4,
+            srv.url_for(f"{version}.rprc"), source=stack, prefetch=4,
         )
         stats = stack.stats()
         assert srv.faults_served >= 2
@@ -289,28 +269,31 @@ def test_identity_async_under_server_faults(served_dir, version):
 
 
 def test_identity_async_mirror_failover(served_dir, server):
-    # Kill the primary mid-session: in-flight pool connections go stale,
-    # reconnects are refused, and reads fail over to the replica — the
-    # stream of answers never changes.
+    # The primary dies mid-session (every read after the first fails, on
+    # every retry): the next read fails over, the replica serves from then
+    # on, and the stream of answers never changes.  The frozen clock removes
+    # the latency signal, so health ranking is failures-then-listing-order
+    # and the read that meets the dead primary is the same one every run.
     oracle = _read_container(served_dir / "v2.rprc")
+    injector = FaultInjector(FaultPlan.never())
     with RangeServer(served_dir) as primary:
-        stack = open_async_source(
-            primary.url_for("v2.rprc"),
+        url = primary.url_for("v2.rprc")
+        stack = open_remote_source(
+            url,
             mirrors=[server.url_for("v2.rprc")],
-            retries=1, backoff=0.0, breaker_threshold=1000,
+            tamper=lambda endpoint, t: injector.tamper(endpoint, t) if endpoint == url else t,
+            retries=1, backoff=0.0, clock=lambda: 0.0,
         )
         first = stack.read_range(0, 64)
-        primary.close()
-        result = _read_container(
-            primary.url_for("v2.rprc"),
-            source=stack, io_backend="async", prefetch=4,
-        )
+        injector.plan.rules.extend(FaultPlan.always(kind="raise").rules)
+        result = _read_container(url, source=stack, prefetch=4)
         stats = stack.stats()
     blob = (served_dir / "v2.rprc").read_bytes()
     assert first == blob[:64]
     assert result.data.tobytes() == oracle.data.tobytes()
     assert result.bytes_loaded == oracle.bytes_loaded
-    assert stats["failovers"] >= 1
+    assert stats["failovers"] == 1
+    assert injector.faults_injected == 2  # the attempt and its one retry
 
 
 def test_async_hedged_read_wins_race(served_dir):
@@ -322,7 +305,7 @@ def test_async_hedged_read_wins_race(served_dir):
     with RangeServer(served_dir, plan=slow_plan) as slow, RangeServer(
         served_dir
     ) as fast:
-        stack = open_async_source(
+        stack = open_remote_source(
             slow.url_for("v2.rprc"),
             mirrors=[fast.url_for("v2.rprc")],
             hedge_delay=0.005, backoff=0.0,
@@ -342,7 +325,7 @@ def test_async_hedged_read_wins_race(served_dir):
 
 def test_adjacent_primes_coalesce_to_one_request(served_dir, server):
     blob = (served_dir / "v2.rprc").read_bytes()
-    stack = open_async_source(server.url_for("v2.rprc"))
+    stack = open_remote_source(server.url_for("v2.rprc"))
     prefetcher = AsyncPrefetcher(4, loop=stack.loop_thread)
     source = PrefetchSource(stack, prefetcher)
     try:
@@ -362,7 +345,7 @@ def test_adjacent_primes_coalesce_to_one_request(served_dir, server):
 
 
 def test_deadline_cancel_refunds_prefetch_charge(served_dir, server):
-    stack = open_async_source(server.url_for("v2.rprc"))
+    stack = open_remote_source(server.url_for("v2.rprc"))
     prefetcher = AsyncPrefetcher(4, loop=stack.loop_thread)
     source = PrefetchSource(stack, prefetcher)
     try:
@@ -386,7 +369,7 @@ def test_deadline_cancel_refunds_prefetch_charge(served_dir, server):
 def test_prefetcher_close_mid_request_spares_loop(served_dir):
     plan = FaultPlan.always("latency", seconds=0.1)
     with RangeServer(served_dir, plan=plan) as srv:
-        stack = open_async_source(srv.url_for("v2.rprc"))
+        stack = open_remote_source(srv.url_for("v2.rprc"))
         loop = stack.loop_thread
         prefetcher = AsyncPrefetcher(4, loop=loop)
         source = PrefetchSource(stack, prefetcher)
@@ -407,24 +390,6 @@ def test_prefetcher_close_mid_request_spares_loop(served_dir):
         source.close()
 
 
-def test_async_prefetcher_falls_back_for_sync_sources(tmp_path):
-    # A source without the async duck type runs through the loop's default
-    # executor — same Future contract, no event-loop requirement on fn.
-    path = tmp_path / "plain.bin"
-    path.write_bytes(bytes(range(256)) * 4)
-    from repro.io.container import FileSource
-
-    prefetcher = AsyncPrefetcher(2)
-    source = FileSource(path)
-    try:
-        future = prefetcher.submit(source.read_range, 3, 5)
-        assert future.result(timeout=5.0) == path.read_bytes()[3:8]
-        assert prefetcher.fallback_ops == 1
-    finally:
-        prefetcher.close()
-        source.close()
-
-
 def test_event_loop_thread_close_and_shared_revival():
     loop = EventLoopThread()
     import asyncio
@@ -442,34 +407,24 @@ def test_event_loop_thread_close_and_shared_revival():
 # --------------------------------------------------------------- CLI backend
 
 
-def test_cli_retrieve_io_backends_identical(served_dir, server, tmp_path):
-    outputs = {}
-    for backend in ("sync", "threads", "async"):
-        out = tmp_path / f"{backend}.raw"
-        trace = tmp_path / f"{backend}.json"
-        code = main([
-            "retrieve", server.url_for("v2.rprc"), "-o", str(out),
-            "--error-bound", "1e-3", "--io", backend,
-            "--trace-json", str(trace),
-        ])
-        assert code == 0
-        outputs[backend] = out.read_bytes()
-        receipt = json.loads(trace.read_text())
-        assert receipt["io_backend"] == backend
-        if backend == "async":
-            assert receipt["remote"]["inflight_max"] > 1
-            assert receipt["remote"]["retries"] == 0
-    assert outputs["sync"] == outputs["threads"] == outputs["async"]
-
-
-def test_cli_io_async_rejected_for_local_files(served_dir, tmp_path, capsys):
-    code = main([
-        "retrieve", str(served_dir / "v2.rprc"),
-        "-o", str(tmp_path / "x.raw"), "--error-bound", "1e-3",
-        "--io", "async",
-    ])
-    assert code != 0
-    assert "--io async requires an http(s)" in capsys.readouterr().err
+@pytest.mark.parametrize("prefetch", [0, 4])
+def test_cli_retrieve_io_backends_identical(served_dir, server, tmp_path, prefetch):
+    local = tmp_path / "local.raw"
+    assert main([
+        "retrieve", str(served_dir / "v2.rprc"), "-o", str(local),
+        "--error-bound", "1e-3", "--prefetch", "0",
+    ]) == 0
+    out, trace = tmp_path / "remote.raw", tmp_path / "remote.json"
+    assert main([
+        "retrieve", server.url_for("v2.rprc"), "-o", str(out),
+        "--error-bound", "1e-3", "--prefetch", str(prefetch),
+        "--trace-json", str(trace),
+    ]) == 0
+    assert out.read_bytes() == local.read_bytes()
+    remote = json.loads(trace.read_text())["remote"]
+    assert remote["retries"] == 0
+    # Depth 0 is the serial read; any other depth multiplexes.
+    assert (remote["inflight_max"] > 1) == (prefetch > 0)
 
 
 # ------------------------------------------------------- rangeserver hygiene
@@ -485,7 +440,7 @@ def test_rangeserver_stall_does_not_wedge_other_connections(served_dir):
         stalled_done = threading.Event()
 
         def stalled():
-            with open_async_source(url, retries=0) as src:
+            with open_remote_source(url, retries=0) as src:
                 try:
                     src.read_range(0, 64)  # draws the stall → 500
                 except RemoteSourceError:
@@ -496,7 +451,7 @@ def test_rangeserver_stall_does_not_wedge_other_connections(served_dir):
         worker.start()
         time.sleep(0.05)  # let the stalled read hit the server first
         start = time.perf_counter()
-        with open_async_source(url, retries=0) as src:
+        with open_remote_source(url, retries=0) as src:
             assert src.read_range(64, 64) == blob[64:128]
         elapsed = time.perf_counter() - start
         assert elapsed < 0.35, "read waited out another connection's stall"
@@ -504,12 +459,15 @@ def test_rangeserver_stall_does_not_wedge_other_connections(served_dir):
 
 
 def test_rangeserver_max_connections_and_counters(served_dir):
+    # A client pool (4) larger than the server's cap (2): the cap gates
+    # requests being handled, so the extra connections queue for a slot
+    # instead of waiting out a socket timeout behind idle keep-alives.
     plan = FaultPlan.always("latency", seconds=0.05)
     with RangeServer(
         served_dir, plan=plan, max_connections=2, backlog=8
     ) as srv:
         url = srv.url_for("v2.rprc")
-        with open_async_source(url, connections=4, window=4) as src:
+        with open_remote_source(url, connections=4, window=4) as src:
             import asyncio
 
             async def burst():
@@ -517,12 +475,32 @@ def test_rangeserver_max_connections_and_counters(served_dir):
                     *(src.aread_range(i * 64, 64) for i in range(8))
                 )
 
+            before = src.stats()["requests"]
+            start = time.perf_counter()
             src.loop_thread.call(burst())
-        # The semaphore held concurrently *handled* sockets at two even
-        # though the client opened four connections.
-        assert srv.peak_connections <= 2
-        assert srv.range_requests >= 8
+            elapsed = time.perf_counter() - start
+            stats = src.stats()
+        assert elapsed < 1.0
+        assert stats["retries"] == 0
+        assert stats["requests"] - before == 8
+        assert stats["connections_opened"] == 4
+        assert srv.peak_connections == 2
+        assert srv.range_requests == 8
     assert srv.open_connections == 0
+
+
+def test_stale_keepalive_is_retried_once_on_a_fresh_connection(served_dir, settles):
+    # The server reaps the pooled connection while it idles; the next read
+    # hits EOF on it and is transparently re-sent on a new connection —
+    # below the ladder, so no retry is spent.
+    blob = (served_dir / "v2.rprc").read_bytes()
+    with RangeServer(served_dir, handler_timeout=0.1) as srv:
+        with open_remote_source(srv.url_for("v2.rprc")) as src:
+            assert src.read_range(0, 64) == blob[:64]
+            assert settles(lambda: srv.open_connections == 0)
+            assert src.read_range(64, 64) == blob[64:128]
+            stats = src.stats()
+            assert stats["connections_opened"] == 2 and stats["retries"] == 0
 
 
 def test_rangeserver_reaps_idle_connections(served_dir):

@@ -154,6 +154,16 @@ def test_from_file_and_dump(tmp_path):
     assert CodecProfile.from_file(path) == profile
 
 
+def test_profile_file_written_before_3_0_still_loads(tmp_path):
+    # ``io_backend`` was a runtime field until 3.0; a file carrying it loads
+    # with the key ignored (any other unknown key still fails loudly).
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({**CodecProfile().to_json(), "io_backend": "threads"}))
+    assert CodecProfile.from_file(path) == CodecProfile()
+    with pytest.raises(ConfigurationError, match="io_backend"):
+        CodecProfile.from_options(None, io_backend="threads")
+
+
 def test_from_file_errors(tmp_path):
     with pytest.raises(ConfigurationError):
         CodecProfile.from_file(tmp_path / "missing.json")

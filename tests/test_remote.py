@@ -1,21 +1,24 @@
-"""Resilient remote byte-range sources: transport, retries, mirrors, faults.
+"""The remote stack: transport, the one resilience ladder, mirrors, faults.
 
-Four invariant families pin the remote layer (`repro.io.remote` +
-`repro.io.faults` + `repro.io.rangeserver`):
+Four invariant families pin the remote layer (`repro.io.aio` +
+`repro.io.remote` + `repro.io.faults` + `repro.io.rangeserver`):
 
 * **transport** — ranged GETs over a loopback Range server return exactly
   the requested window (206 validated, Range-ignoring 200 sliced), size
   probing works, and CRC mismatches surface as
   :class:`~repro.errors.RemoteIntegrityError`, never as stream corruption;
-* **resilience units** — circuit-breaker transitions, retry budgets,
-  deadline expiry mid-retry, mirror health ranking and hedged-read
-  accounting, each driven by fake clocks/sleeps (no real waiting);
+* **resilience units** — circuit-breaker transitions, and the ladder's
+  layer classes (CRC gate, retry budget + deadline, mirror health ranking
+  and hedged-read accounting) driven through their duck-typed ``inner``
+  by scripted coroutine fakes on a virtual-time event loop: backoffs and
+  hedge thresholds advance the injected clock, nothing waits for real;
 * **fault plans** — deterministic, JSON-round-trippable schedules that
   reproduce the old hand-rolled flaky-source idioms exactly;
 * **byte identity** — {v1, v2} × {stream, container} retrieved over
-  {clean HTTP, HTTP with ≥20% faulted reads, mirror failover} is
-  bitwise-identical to the local serial read, with the healing visible in
-  the stack's stats.
+  {clean HTTP, client faults on ≥20% of reads, server faults, a dead
+  primary with a replica} equals the local serial read in data,
+  ``bytes_loaded`` and consumed ranges, with the healing visible in the
+  stack's stats.
 
 NB: module-local data only — the conftest ``rng`` fixture is session-scoped
 and shared (use ``local_rng`` in new tests that need randomness).
@@ -23,8 +26,8 @@ and shared (use ``local_rng`` in new tests that need randomness).
 
 from __future__ import annotations
 
+import asyncio
 import json
-import struct
 import threading
 import time
 import zlib
@@ -41,21 +44,25 @@ from repro.errors import (
     StreamFormatError,
 )
 from repro.io import BlockContainerWriter
+from repro.io.aio import (
+    AsyncHTTPTransport,
+    EventLoopThread,
+    _AsyncMirror,
+    _AsyncRetry,
+    _AsyncVerify,
+    open_remote_source,
+)
 from repro.io.container import BlockContainerReader, FileSource
-from repro.io.faults import FaultInjectingSource, FaultInjector, FaultPlan
+from repro.io.faults import FaultInjector, FaultPlan
 from repro.io.rangeserver import RangeServer
 from repro.io.remote import (
     CircuitBreaker,
-    HTTPRangeSource,
-    MirrorSource,
-    RetryingSource,
-    VerifyingSource,
     find_remote_source,
     is_url,
     jittered_backoff,
-    open_remote_source,
     remote_fingerprint,
 )
+from repro.retrieval.engine import open_stream_source
 from repro.retrieval.prefetch import Prefetcher, PrefetchSource
 from repro.service import RetrievalService
 
@@ -129,66 +136,126 @@ def test_is_url():
     assert not is_url("/tmp/x.rprc") and not is_url(Path("http://host/x"))
 
 
-def test_http_range_source_reads_exact_windows(served_dir, server):
+def _open_transport(url) -> AsyncHTTPTransport:
+    return EventLoopThread.shared().call(AsyncHTTPTransport(url).open())
+
+
+def test_transport_reads_exact_windows(served_dir, server):
     blob = (served_dir / "v2.rprc").read_bytes()
-    with HTTPRangeSource(server.url_for("v2.rprc")) as source:
-        assert source.size == len(blob)
-        data = source.read_range(10, 33)
+    call = EventLoopThread.shared().call
+    transport = _open_transport(server.url_for("v2.rprc"))
+    try:
+        assert transport.size == len(blob)
+        data, crc = call(transport.aget(10, 33))
         assert data == blob[10:43]
-        assert source.last_crc == zlib.crc32(data)
+        assert crc == zlib.crc32(data)  # the declared CRC rides the payload
         # Zero-length reads never touch the network.
-        before = source.n_requests
-        assert source.read_range(5, 0) == b""
-        assert source.n_requests == before
+        before = transport.n_requests
+        assert call(transport.aget(5, 0)) == (b"", None)
+        assert transport.n_requests == before
         with pytest.raises(StreamFormatError, match="past remote object end"):
-            source.read_range(len(blob) - 2, 5)
-        stats = source.stats()
+            call(transport.aget(len(blob) - 2, 5))
+        stats = transport.stats()
         assert stats["egress_bytes"] >= 33
-        assert stats["breaker"] == {source.endpoint: "closed"}
+        assert stats["breaker"] == {transport.endpoint: "closed"}
+    finally:
+        call(transport.aclose())
 
 
-def test_http_range_source_handles_range_ignoring_server(served_dir):
+def test_transport_handles_range_ignoring_server(served_dir):
     """A 200 full-body response is honoured by slicing (counted as egress)."""
     blob = (served_dir / "v2.ipc").read_bytes()
+    call = EventLoopThread.shared().call
     with RangeServer(served_dir, ignore_range=True) as plain:
-        with HTTPRangeSource(plain.url_for("v2.ipc")) as source:
-            assert source.size == len(blob)
-            assert source.read_range(7, 21) == blob[7:28]
-            assert source.last_crc is None  # full-body CRC covers the body
-            assert source.egress_bytes >= len(blob)
+        transport = _open_transport(plain.url_for("v2.ipc"))
+        try:
+            assert transport.size == len(blob)
+            data, crc = call(transport.aget(7, 21))
+            assert data == blob[7:28]
+            assert crc is None  # a full-body CRC would cover the body, not the slice
+            assert transport.egress_bytes >= len(blob)
+        finally:
+            call(transport.aclose())
 
 
-def test_http_range_source_missing_object_errors(server):
+def test_missing_object_errors(server):
     with pytest.raises(RemoteSourceError):
-        HTTPRangeSource(server.url_for("no-such-file"))
+        open_remote_source(server.url_for("no-such-file"))
 
 
-def test_verifying_source_classifies_corruption():
-    class _Inner:
-        size = 5
-        last_crc = None
-
-        def read_range(self, offset, length):
-            return b"hello"[offset : offset + length]
-
-    inner = _Inner()
-    verifying = VerifyingSource(inner)
-    inner.last_crc = zlib.crc32(b"hello")
-    assert verifying.read_range(0, 5) == b"hello"
-    assert verifying.verified == 1
-    inner.last_crc = zlib.crc32(b"other")
-    with pytest.raises(RemoteIntegrityError) as excinfo:
-        verifying.read_range(0, 5)
-    # Retryable (an OSError), and NOT stream corruption.
-    assert isinstance(excinfo.value, OSError)
-    assert not isinstance(excinfo.value, StreamFormatError)
-    inner.last_crc = None
-    assert verifying.read_range(0, 5) == b"hello"
-    assert verifying.unverified == 1
-    assert verifying.stats()["crc_mismatches"] == 1
+def test_failed_container_open_closes_the_stack_it_opened(served_dir, settles):
+    """``ChunkedDataset(url)`` on a non-container raises — and must not leave
+    the stack it opened itself (unreachable by the caller) connected."""
+    with RangeServer(served_dir) as srv:
+        with pytest.raises(StreamFormatError):
+            ChunkedDataset(srv.url_for("v2.ipc"))
+        assert settles(lambda: srv.open_connections == 0)
 
 
 # ----------------------------------------------------------- resilience units
+
+
+class _VirtualTimeLoop(asyncio.SelectorEventLoop):
+    """An event loop whose clock jumps instead of waiting.
+
+    ``asyncio.sleep`` and ``wait(timeout=)`` cost no wall time and advance
+    ``loop.time()`` by exactly the requested delay — the injected ``clock``
+    of the ladder layers.  Waiting with nothing scheduled (a deadlocked
+    test) raises instead of hanging.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._now = 0.0
+        select = self._selector.select
+
+        def jump(timeout=None):
+            if timeout is None:
+                raise RuntimeError("virtual-time loop would block forever")
+            self._now += timeout
+            return select(0)
+
+        self._selector.select = jump
+
+    def time(self) -> float:
+        return self._now
+
+
+def _run(body):
+    """Run ``body(loop)`` to completion on a fresh virtual-time loop."""
+    loop = _VirtualTimeLoop()
+    try:
+        return loop.run_until_complete(body(loop))
+    finally:
+        loop.close()
+
+
+def test_crc_gate_classifies_corruption():
+    class _Inner:
+        size = 5
+        crc = None
+
+        async def aget(self, offset, length):
+            return b"hello"[offset : offset + length], self.crc
+
+    async def body(_loop):
+        inner = _Inner()
+        verifying = _AsyncVerify(inner)
+        inner.crc = zlib.crc32(b"hello")
+        assert await verifying.aread_range(0, 5) == b"hello"
+        assert verifying.verified == 1
+        inner.crc = zlib.crc32(b"other")
+        with pytest.raises(RemoteIntegrityError) as excinfo:
+            await verifying.aread_range(0, 5)
+        # Retryable (an OSError), and NOT stream corruption.
+        assert isinstance(excinfo.value, OSError)
+        assert not isinstance(excinfo.value, StreamFormatError)
+        inner.crc = None
+        assert await verifying.aread_range(0, 5) == b"hello"
+        assert verifying.unverified == 1
+        assert verifying.stats()["crc_mismatches"] == 1
+
+    _run(body)
 
 
 def test_circuit_breaker_transitions():
@@ -232,80 +299,91 @@ class _FailingSource:
         self.failures = failures
         self.calls = 0
 
-    def read_range(self, offset, length):
+    async def aread_range(self, offset, length):
         self.calls += 1
         if self.calls <= self.failures:
             raise RemoteSourceError(f"injected failure #{self.calls}")
         return self.payload[offset : offset + length]
 
 
-def test_retrying_source_heals_and_records_delays():
-    inner = _FailingSource(failures=2)
-    slept = []
-    source = RetryingSource(
-        inner, retries=3, backoff=0.05, backoff_cap=1.0, label="L",
-        sleep=slept.append,
-    )
-    assert source.read_range(0, 8) == inner.payload
-    assert inner.calls == 3 and source.retries_used == 2
-    assert slept == source.retry_delays
-    for attempt, delay in enumerate(source.retry_delays, start=1):
-        assert delay == jittered_backoff("L@0", attempt, 0.05, 1.0)
-    assert source.stats()["retries"] == 2
+def test_retry_ladder_heals_and_records_delays():
+    async def body(loop):
+        inner = _FailingSource(failures=2)
+        source = _AsyncRetry(
+            inner, retries=3, backoff=0.05, backoff_cap=1.0, label="L",
+            clock=loop.time,
+        )
+        assert await source.aread_range(0, 8) == inner.payload
+        assert inner.calls == 3 and source.retries_used == 2
+        # The ladder slept exactly its recorded delays, nothing else.
+        assert loop.time() == pytest.approx(sum(source.retry_delays))
+        for attempt, delay in enumerate(source.retry_delays, start=1):
+            assert delay == jittered_backoff("L@0", attempt, 0.05, 1.0)
+        assert source.stats()["retries"] == 2
+
+    _run(body)
 
 
 def test_retry_budget_exhaustion_fails_fast():
-    inner = _FailingSource()
-    source = RetryingSource(inner, retries=5, retry_budget=2, backoff=0.0)
-    with pytest.raises(RemoteSourceError):
-        source.read_range(0, 4)
-    assert inner.calls == 3  # initial + the 2 budgeted retries
-    with pytest.raises(RemoteSourceError):
-        source.read_range(0, 4)
-    assert inner.calls == 4  # budget empty: a single fail-fast attempt
-    assert source.stats()["retry_budget_left"] == 0
+    async def body(loop):
+        inner = _FailingSource()
+        source = _AsyncRetry(
+            inner, retries=5, retry_budget=2, backoff=0.0, clock=loop.time
+        )
+        with pytest.raises(RemoteSourceError):
+            await source.aread_range(0, 4)
+        assert inner.calls == 3  # initial + the 2 budgeted retries
+        with pytest.raises(RemoteSourceError):
+            await source.aread_range(0, 4)
+        assert inner.calls == 4  # budget empty: a single fail-fast attempt
+        assert source.stats()["retry_budget_left"] == 0
+
+    _run(body)
 
 
 def test_deadline_expiry_mid_retry():
-    clock = {"t": 0.0}
+    async def body(loop):
+        inner = _FailingSource()
+        source = _AsyncRetry(
+            inner, retries=5, backoff=0.05, label="x", clock=loop.time
+        )
+        # Expired before the read starts: fail fast, the backend is never hit.
+        source.set_deadline(0.0)
+        with pytest.raises(RemoteSourceError, match="deadline exceeded"):
+            await source.aread_range(0, 4)
+        assert inner.calls == 0
+        # Mid-ladder: a backoff that would cross the deadline re-raises the
+        # *underlying* error instead of sleeping past the deadline.
+        source.set_deadline(0.06)
+        with pytest.raises(RemoteSourceError, match="injected failure"):
+            await source.aread_range(0, 4)
+        # Attempt 1 backs off (< 0.06); attempt 2's delay >= 0.05 would cross.
+        assert inner.calls == 2
+        assert 0.0 < loop.time() < 0.06
 
-    def fake_sleep(seconds):
-        clock["t"] += seconds
-
-    inner = _FailingSource()
-    source = RetryingSource(
-        inner, retries=5, backoff=0.05, label="x",
-        sleep=fake_sleep, clock=lambda: clock["t"],
-    )
-    # Expired before the read starts: fail fast, the backend is never hit.
-    source.set_deadline(0.0)
-    with pytest.raises(RemoteSourceError, match="deadline exceeded"):
-        source.read_range(0, 4)
-    assert inner.calls == 0
-    # Mid-ladder: a backoff that would cross the deadline re-raises the
-    # *underlying* error instead of sleeping past the deadline.
-    source.set_deadline(0.06)
-    with pytest.raises(RemoteSourceError, match="injected failure"):
-        source.read_range(0, 4)
-    # Attempt 1 backs off (< 0.06); attempt 2's delay >= 0.05 would cross.
-    assert inner.calls == 2
-    assert clock["t"] < 0.06
+    _run(body)
 
 
 class _ScriptedMirror:
-    """Serves ``payload``; raises while ``failing`` is set; optional gate."""
+    """Serves ``payload`` after ``delay`` (virtual) seconds; raises while
+    ``failing`` is set; counts the reads cancelled under it."""
 
-    def __init__(self, payload, failing=False, gate=None):
+    def __init__(self, payload, failing=False, delay=0.0):
         self.size = len(payload)
         self.payload = payload
         self.failing = failing
-        self.gate = gate
+        self.delay = delay
         self.calls = 0
+        self.cancelled = 0
 
-    def read_range(self, offset, length):
+    async def aread_range(self, offset, length):
         self.calls += 1
-        if self.gate is not None:
-            assert self.gate.wait(5.0)
+        try:
+            if self.delay:
+                await asyncio.sleep(self.delay)
+        except asyncio.CancelledError:
+            self.cancelled += 1
+            raise
         if self.failing:
             raise RemoteSourceError("mirror down")
         return self.payload[offset : offset + length]
@@ -313,83 +391,74 @@ class _ScriptedMirror:
 
 def test_mirror_failover_and_health_ranking():
     payload = bytes(range(64))
-    primary = _ScriptedMirror(payload, failing=True)
-    backup = _ScriptedMirror(payload)
-    mirror = MirrorSource([primary, backup])
-    assert mirror.read_range(3, 9) == payload[3:12]
-    assert mirror.failovers == 1
-    # The failure re-ranks: the next read goes straight to the backup.
-    assert mirror.read_range(0, 4) == payload[0:4]
-    assert primary.calls == 1 and backup.calls == 2
-    # Recovery: once the backup fails too, the (healed) primary serves.
-    primary.failing = False
-    backup.failing = True
-    assert mirror.read_range(0, 4) == payload[0:4]
-    assert mirror.stats()["failovers"] >= 1
+
+    async def body(loop):
+        primary = _ScriptedMirror(payload, failing=True)
+        backup = _ScriptedMirror(payload)
+        mirror = _AsyncMirror([primary, backup], clock=loop.time)
+        assert await mirror.aread_range(3, 9) == payload[3:12]
+        assert mirror.failovers == 1
+        # The failure re-ranks: the next read goes straight to the backup.
+        assert await mirror.aread_range(0, 4) == payload[0:4]
+        assert primary.calls == 1 and backup.calls == 2
+        # Recovery: once the backup fails too, the (healed) primary serves.
+        primary.failing = False
+        backup.failing = True
+        assert await mirror.aread_range(0, 4) == payload[0:4]
+        assert mirror.stats()["failovers"] >= 1
+        # Every mirror down: the last error propagates.
+        primary.failing = True
+        with pytest.raises(RemoteSourceError, match="mirror down"):
+            await mirror.aread_range(0, 4)
+
+    _run(body)
     with pytest.raises(RemoteSourceError, match="disagree on object size"):
-        MirrorSource([_ScriptedMirror(b"abc"), _ScriptedMirror(b"abcd")])
+        _AsyncMirror([_ScriptedMirror(b"abc"), _ScriptedMirror(b"abcd")])
     with pytest.raises(ConfigurationError):
-        MirrorSource([])
+        _AsyncMirror([])
 
 
-def test_hedged_read_fires_and_accounts_the_loser():
+def test_hedged_read_fires_and_cancels_the_loser():
     payload = bytes(range(32))
-    gate = threading.Event()
-    slow_primary = _ScriptedMirror(payload, gate=gate)
-    backup = _ScriptedMirror(payload)
-    mirror = MirrorSource([slow_primary, backup], hedge_delay=0.01)
-    try:
-        data = mirror.read_range(4, 16)
-        assert data == payload[4:20]
+
+    async def body(loop):
+        slow_primary = _ScriptedMirror(payload, delay=10.0)
+        backup = _ScriptedMirror(payload)
+        mirror = _AsyncMirror(
+            [slow_primary, backup], hedge_delay=0.01, clock=loop.time
+        )
+        assert await mirror.aread_range(4, 16) == payload[4:20]
+        # Answered at the hedge threshold, not after the primary's 10 s.
+        assert loop.time() == pytest.approx(0.01)
         assert mirror.hedges == 1 and mirror.hedge_wins == 1
-        gate.set()  # let the losing primary finish on the wire
-        mirror.drain()
-        assert mirror.hedge_wasted_bytes == 16
+        # The loser was aborted on the wire: nothing wasted, nothing running.
+        assert mirror.hedge_cancelled == 1 and slow_primary.cancelled == 1
         stats = mirror.stats()
-        assert stats["hedges"] == 1 and stats["hedge_wasted_bytes"] == 16
-    finally:
-        gate.set()
-        mirror.drain()
+        assert stats["hedges"] == 1 and stats["hedge_wasted_bytes"] == 0
+        assert len(asyncio.all_tasks()) == 1  # only this test body
+        # A fast primary never hedges.
+        slow_primary.delay = 0.0
+        assert await mirror.aread_range(0, 4) == payload[0:4]
+        assert mirror.hedges == 1
+
+    _run(body)
 
 
-def test_mirror_close_joins_hedge_threads_deterministically():
-    # Regression: hedge worker threads used to outlive close().  A prompt
-    # close() joins them; one stuck on a wedged source is *counted* as
-    # leaked rather than waited on forever, and a later drain() reaps it.
+def test_hedge_loser_finishing_in_the_same_tick_is_accounted():
     payload = bytes(range(32))
-    gate = threading.Event()
-    slow_primary = _ScriptedMirror(payload, gate=gate)
-    backup = _ScriptedMirror(payload)
-    mirror = MirrorSource(
-        [slow_primary, backup], hedge_delay=0.01, shutdown_timeout=0.2
-    )
-    assert mirror.read_range(4, 16) == payload[4:20]
-    assert mirror.hedges == 1
-    assert mirror.alive_hedge_threads() == 1  # loser still on the wire
-    start = time.perf_counter()
-    mirror.close()  # must return within ~shutdown_timeout, not block
-    assert time.perf_counter() - start < 2.0
-    assert mirror.hedge_threads_leaked == 1
-    assert mirror.stats()["hedge_threads_leaked"] == 1
-    # A closed mirror never hedges again.
-    assert mirror._closed
-    # Release the wedge: the surviving thread exits and drain() sees none.
-    gate.set()
-    assert mirror.drain(timeout=5.0) == 0
-    assert mirror.alive_hedge_threads() == 0
 
+    async def body(loop):
+        # Hedge fires at 0.01; backup (0.01) and primary (0.02) both land at
+        # 0.02 — the loser's bytes hit the wire for nothing and are counted,
+        # never consumed.
+        primary = _ScriptedMirror(payload, delay=0.02)
+        backup = _ScriptedMirror(payload, delay=0.01)
+        mirror = _AsyncMirror([primary, backup], hedge_delay=0.01, clock=loop.time)
+        assert await mirror.aread_range(4, 16) == payload[4:20]
+        assert mirror.hedges == 1 and mirror.hedge_cancelled == 0
+        assert mirror.stats()["hedge_wasted_bytes"] == 16
 
-def test_mirror_close_clean_leaves_no_threads():
-    payload = bytes(range(32))
-    gate = threading.Event()
-    slow_primary = _ScriptedMirror(payload, gate=gate)
-    backup = _ScriptedMirror(payload)
-    mirror = MirrorSource([slow_primary, backup], hedge_delay=0.01)
-    assert mirror.read_range(0, 8) == payload[0:8]
-    gate.set()  # losing leg finishes before close
-    mirror.close()
-    assert mirror.hedge_threads_leaked == 0
-    assert mirror.alive_hedge_threads() == 0
+    _run(body)
 
 
 def test_remote_fingerprint_is_size_and_tail_crc():
@@ -507,7 +576,7 @@ def test_fault_injector_counts_globally_across_sources():
 def test_fault_injecting_source_applies_each_kind():
     class _Bytes:
         size = 4
-        last_crc = 7
+        tag = 7
 
         def read_range(self, offset, length):
             return b"abcd"[offset : offset + length]
@@ -530,83 +599,123 @@ def test_fault_injecting_source_applies_each_kind():
     slept = []
     assert one("latency", seconds=0.2, sleep=slept.append).read_range(0, 4) == b"abcd"
     assert slept == [0.2]
-    # Transparent delegation (the VerifyingSource contract).
-    assert one("short").last_crc == 7
+    # Unknown attributes delegate to the wrapped source.
+    assert one("short").tag == 7
+
+
+def test_tamper_applies_each_kind_on_the_wire_duck_type():
+    class _Transport:
+        size = 4
+
+        async def aget(self, offset, length):
+            return b"abcd"[offset : offset + length], 99
+
+    async def body(loop):
+        def one(kind, seconds=0.0):
+            plan = FaultPlan.always(kind=kind, seconds=seconds)
+            return FaultInjector(plan).tamper("http://h/x", _Transport())
+
+        with pytest.raises(RemoteSourceError, match=r"injected failure .*http://h/x"):
+            await one("raise").aget(0, 4)
+        with pytest.raises(RemoteSourceError, match="stall timed out"):
+            await one("stall", seconds=0.3).aget(0, 4)
+        assert loop.time() == pytest.approx(0.3)
+        # The declared CRC is forwarded untouched: the gate above catches both.
+        assert await one("short").aget(0, 4) == (b"abc", 99)
+        assert await one("corrupt").aget(0, 4) == (bytes([ord("a") ^ 0xFF]) + b"bcd", 99)
+        assert await one("latency", seconds=0.2).aget(0, 4) == (b"abcd", 99)
+        assert loop.time() == pytest.approx(0.5)
+
+    _run(body)
 
 
 # ------------------------------------------------- the byte-identity matrix
 
 
-def _retrieve_stream(source_or_blob):
-    retriever = ProgressiveRetriever(source_or_blob)
-    return retriever.retrieve(error_bound=retriever.header.error_bound)
+def _read(kind, target, *, source=None, prefetch=None):
+    """Full-fidelity read → ``(data bytes, bytes_loaded, consumed ranges)``.
+
+    Remote cells leave ``prefetch`` alone: a container then reads at the
+    default depth (multiplexed), a bare stream serially — one wire read
+    per plane block, which is what sweeps the fault plans.
+    """
+    if kind == "container":
+        with ChunkedDataset(target, source=source, prefetch=prefetch) as dataset:
+            result = dataset.read()
+        return result.data.tobytes(), result.bytes_loaded, result.ranges
+    opened = open_stream_source(target, prefetch=prefetch or 0, source=source)
+    traced = opened if isinstance(opened, PrefetchSource) else PrefetchSource(opened)
+    try:
+        retriever = ProgressiveRetriever(traced)
+        result = retriever.retrieve(error_bound=retriever.header.error_bound)
+    finally:
+        opened.close()
+    return result.data.tobytes(), result.bytes_loaded, traced.trace
 
 
-def _oracle(served_dir, version, kind):
-    if kind == "stream":
-        return _retrieve_stream((served_dir / f"{version}.ipc").read_bytes())
-    with ChunkedDataset(served_dir / f"{version}.rprc") as dataset:
-        return dataset.read()
+_SERVER_FAULTS = (
+    FaultPlan.every(4, kind="raise")
+    + FaultPlan.every(5, kind="short")
+    + FaultPlan.every(7, kind="corrupt")
+)
 
 
-def _remote_read(url, stack, kind):
-    if kind == "stream":
-        try:
-            return _retrieve_stream(stack)
-        finally:
-            stack.close()
-    with ChunkedDataset(url, source=stack) as dataset:
-        return dataset.read()
-
-
+@pytest.mark.parametrize(
+    "condition", ["clean", "client-faults", "server-faults", "dead-primary"]
+)
 @pytest.mark.parametrize("version", ["v1", "v2"])
 @pytest.mark.parametrize("kind", ["stream", "container"])
-def test_identity_matrix_over_http(served_dir, server, replica, version, kind):
-    """{v1, v2} × {stream, container} × {clean, ≥20% faulted, failover}
-    retrieved over loopback HTTP is bitwise-identical to the local read."""
+def test_identity_matrix_over_http(served_dir, server, replica, version, kind, condition):
+    """{v1, v2} × {stream, container} × {clean, client faults, server faults,
+    dead primary + replica}: data, ``bytes_loaded`` and consumed ranges over
+    loopback HTTP equal the local serial read."""
     name = f"{version}.ipc" if kind == "stream" else f"{version}.rprc"
-    url, mirror_url = server.url_for(name), replica.url_for(name)
-    expected = _oracle(served_dir, version, kind)
+    url = server.url_for(name)
+    expected = _read(kind, served_dir / name, prefetch=0)
 
-    # Clean: zero retries, byte and consumed-range identical.
-    stack = open_remote_source(url)
-    result = _remote_read(url, stack, kind)
-    assert result.data.tobytes() == expected.data.tobytes()
-    assert result.bytes_loaded == expected.bytes_loaded
-    assert stack.stats()["retries"] == 0
+    if condition == "clean":
+        stack = open_remote_source(url)
+        assert _read(kind, url, source=stack) == expected
+        assert stack.stats()["retries"] == 0
+    elif condition == "client-faults":
+        # raise + short + corrupt on >= 20% of reads, injected below CRC
+        # verification; the retry ladder heals every one.
+        injector = FaultInjector(
+            FaultPlan.every(3, kind="raise")
+            + FaultPlan.every(5, kind="short")
+            + FaultPlan.every(7, kind="corrupt")
+        )
+        stack = open_remote_source(url, tamper=injector.tamper, **_PATIENT)
+        assert _read(kind, url, source=stack) == expected
+        stats = stack.stats()
+        assert stats["retries"] >= 1
+        assert injector.faults_injected / injector.total_reads >= 0.2
+        assert stats["crc_mismatches"] >= 1  # short/corrupt caught by the CRC gate
+    elif condition == "server-faults":
+        # 500s, short bodies, corruption after the CRC is stamped: faults
+        # the *server* injects heal exactly like client-side ones.
+        with RangeServer(served_dir, plan=_SERVER_FAULTS) as faulty:
+            stack = open_remote_source(faulty.url_for(name), **_PATIENT)
+            assert _read(kind, faulty.url_for(name), source=stack) == expected
+            assert stack.stats()["retries"] >= 1
+            assert faulty.faults_served >= 1
+    else:
+        # The primary endpoint fails every read; the replica serves them all.
+        injector = FaultInjector(FaultPlan.always(kind="raise"))
 
-    # Faulted: raise + short + corrupt on >= 20% of reads, injected below
-    # CRC verification; the retry ladder heals every one.
-    injector = FaultInjector(
-        FaultPlan.every(3, kind="raise")
-        + FaultPlan.every(5, kind="short")
-        + FaultPlan.every(7, kind="corrupt")
-    )
-    stack = open_remote_source(url, tamper=injector.tamper, **_PATIENT)
-    result = _remote_read(url, stack, kind)
-    assert result.data.tobytes() == expected.data.tobytes()
-    assert result.bytes_loaded == expected.bytes_loaded
-    stats = stack.stats()
-    assert stats["retries"] >= 1
-    assert injector.faults_injected >= 1
-    assert injector.faults_injected / injector.total_reads >= 0.2
-    assert stats["crc_mismatches"] >= 1  # short/corrupt caught by the CRC gate
+        def tamper_primary(endpoint_url, transport):
+            if endpoint_url == url:
+                return injector.tamper(endpoint_url, transport)
+            return transport
 
-    # Failover: the primary endpoint always fails; the replica serves all.
-    injector = FaultInjector(FaultPlan.always(kind="raise"))
-
-    def tamper_primary(endpoint_url, source):
-        return injector.wrap(source) if endpoint_url == url else source
-
-    stack = open_remote_source(
-        url, [mirror_url], tamper=tamper_primary, retries=0, backoff=0.0
-    )
-    result = _remote_read(url, stack, kind)
-    assert result.data.tobytes() == expected.data.tobytes()
-    assert result.bytes_loaded == expected.bytes_loaded
-    stats = stack.stats()
-    assert stats["failovers"] >= 1
-    assert len(stats["breaker"]) == 2
+        stack = open_remote_source(
+            url, [replica.url_for(name)], tamper=tamper_primary,
+            retries=0, backoff=0.0,
+        )
+        assert _read(kind, url, source=stack) == expected
+        stats = stack.stats()
+        assert stats["failovers"] >= 1
+        assert len(stats["breaker"]) == 2
 
 
 def test_dead_primary_at_open_fails_over_to_mirror(served_dir, server):
@@ -624,20 +733,12 @@ def test_dead_primary_at_open_fails_over_to_mirror(served_dir, server):
 
 
 def test_server_side_fault_plan_is_healed_by_the_client(served_dir):
-    """Faults injected by the *server* (500s, short bodies, corruption after
-    the CRC is stamped) heal exactly like client-side ones."""
+    """Chunked reads sweep the server's per-range fault counter past every
+    rule of the plan (a short object's full read could dodge some)."""
     blob = (served_dir / "v2.rprc").read_bytes()
-    plan = (
-        FaultPlan.every(4, kind="raise")
-        + FaultPlan.every(5, kind="short")
-        + FaultPlan.every(7, kind="corrupt")
-    )
-    with RangeServer(served_dir, plan=plan) as faulty:
+    with RangeServer(served_dir, plan=_SERVER_FAULTS) as faulty:
         stack = open_remote_source(faulty.url_for("v2.rprc"), **_PATIENT)
         try:
-            # Chunked reads so the server's per-range fault counter sweeps
-            # past the every-4/5/7 marks (one whole-object read would be a
-            # single range request and could dodge every rule).
             step = max(1, stack.size // 16)
             got = b"".join(
                 stack.read_range(offset, min(step, stack.size - offset))
@@ -645,7 +746,7 @@ def test_server_side_fault_plan_is_healed_by_the_client(served_dir):
             )
             assert got == blob
             assert stack.stats()["retries"] >= 1
-            assert faulty.faults_served >= 1
+            assert faulty.faults_served >= 3
         finally:
             stack.close()
 
@@ -763,7 +864,17 @@ def test_failed_prime_is_refunded_and_never_fatal():
 
 
 def test_failed_prime_refunds_via_done_callback_too():
-    inner = _FailingSource(failures=1, payload=bytes(64))
+    class _FirstReadFails:
+        size = 64
+        calls = 0
+
+        def read_range(self, offset, length):
+            self.calls += 1
+            if self.calls == 1:
+                raise RemoteSourceError("speculative prime dies")
+            return bytes(length)
+
+    inner = _FirstReadFails()
     with Prefetcher(depth=1) as prefetcher:
         source = PrefetchSource(inner, prefetcher)
         source.prime([(0, 32)])
