@@ -15,7 +15,7 @@ and emits **`BENCH_retrieval.json`** at the repo root:
    synchronous ladder (hard-gated; this is the accounting contract).
 4. **Single-stream decode** — the bare ``.ipc`` file path through
    ``open_stream_source`` with and without prefetch.
-5. **Loopback HTTP** — the same container served by
+5. **Loopback HTTP** — a container served by
    :class:`repro.io.rangeserver.RangeServer` and read through the
    resilient remote stack, one leg per prefetch depth (``serial`` = 0,
    one range on the wire at a time, vs the ``multiplexed`` default) ×
@@ -23,7 +23,11 @@ and emits **`BENCH_retrieval.json`** at the repo root:
    is recorded with its ``prefetch`` and ``latency_plan``; byte identity
    on every leg, a retry-free clean run, and **multiplexed ≥ 2× serial
    under latency** are hard-gated (the latency legs are network-bound,
-   so the speedup gate is valid even on one core).
+   so the speedup gate is valid even on one core).  The served archive
+   is never smaller than ``_REMOTE_MIN_SHAPE``: a remote stack keeps the
+   last 64 KiB of the object from its opening read, and an archive that
+   fits inside it (``tiny`` does) would be read from memory — no request
+   to multiplex.
 
 Correctness is hard-gated (bitwise identity across every path); speed is
 recorded and gated only where the hardware can honour it: the checked-in
@@ -44,7 +48,7 @@ import pytest
 from benchmarks.conftest import BENCH_SCALE, REPO_ROOT, print_table, write_csv
 from repro import ChunkedDataset, CodecProfile, IPComp, ProgressiveRetriever
 from repro.core.kernels_compiled import numba_available
-from repro.io.aio import open_remote_source
+from repro.io.aio import OPENING_WINDOW, open_remote_source
 from repro.io.faults import FaultPlan
 from repro.io.rangeserver import RangeServer
 from repro.retrieval.engine import open_stream_source
@@ -68,6 +72,10 @@ _SHAPES = {
     "full": (64, 80, 96),
     "paper": (64, 80, 96),
 }
+#: Smallest field the loopback-HTTP legs serve, whatever the scale: its
+#: archive is several opening windows long, so nearly all of the payload
+#: is real wire traffic (asserted).
+_REMOTE_MIN_SHAPE = _SHAPES["default"]
 
 
 def _synthetic_field(shape) -> np.ndarray:
@@ -232,7 +240,7 @@ def _run_stream(tmp_path, field):
     }
 
 
-def _run_remote(path, field, sync_seconds):
+def _run_remote(tmp_path, path, field):
     """Loopback-HTTP legs: prefetch depth × server condition through the stack.
 
     Clean legs are the stack's fixed-overhead measurement: bytes identical
@@ -241,11 +249,22 @@ def _run_remote(path, field, sync_seconds):
     recorded, never gated, since it is pure hardware/loopback noise.  The
     20 ms/read latency legs isolate request concurrency: at depth 0 every
     plane block is its own round trip, one at a time, while the default
-    depth coalesces and multiplexes them over the connection pool, so its
-    speedup there is network-bound and gated even on a 1-core box.
+    depth reads the plan in three waves (open, shard headers, payload)
+    over the connection pool, so its speedup there is network-bound and
+    gated even on a 1-core box.
     """
+    if field.size < int(np.prod(_REMOTE_MIN_SHAPE)):
+        field = _synthetic_field(_REMOTE_MIN_SHAPE)
+        path = tmp_path / "remote.rprc"
+        ChunkedDataset.write(
+            path, field, error_bound=BOUND, relative=True, n_blocks=N_BLOCKS,
+            workers=0,
+        )
+    windows = path.stat().st_size / OPENING_WINDOW
+    assert windows >= 3, f"remote archive is only {windows:.1f} opening windows"
     mb = field.nbytes / 1e6
     local = _read_once(path)
+    sync_seconds = _best_seconds(lambda: _read_once(path), 3)
 
     def leg(prefetch, plan):
         with RangeServer(path.parent, plan=plan) as server:
@@ -257,7 +276,8 @@ def _run_remote(path, field, sync_seconds):
                     return dataset.read(), stack.stats()
 
             # The serial latency leg is one 20 ms round trip per plane
-            # block (~1,400 at tiny): once is enough, for timing and identity.
+            # block (well over a thousand): once is enough, for timing and
+            # identity.
             seconds = float("inf")
             for _ in range(1 if plan and not prefetch else 3):
                 start = time.perf_counter()
@@ -287,6 +307,10 @@ def _run_remote(path, field, sync_seconds):
         legs[f"{label}/clean"] = leg(prefetch, None)
         legs[f"{label}/latency"] = leg(prefetch, latency_plan)
     return {
+        "shape": list(field.shape),
+        "field_mb": round(mb, 3),
+        "file_bytes": path.stat().st_size,
+        "opening_window_bytes": OPENING_WINDOW,
         "latency_seconds_per_read": _REMOTE_LATENCY_S,
         "legs": legs,
         "latency_ratio_vs_sync": round(
@@ -350,7 +374,7 @@ def test_retrieval_e2e(benchmark, results_dir, tmp_path):
     def _run():
         full_read = _run_full_reads(path, field)
         return {
-            "schema": "bench-retrieval-e2e/v3",
+            "schema": "bench-retrieval-e2e/v4",
             "scale": BENCH_SCALE,
             "shape": list(shape),
             "field_mb": round(field.nbytes / 1e6, 3),
@@ -361,9 +385,7 @@ def test_retrieval_e2e(benchmark, results_dir, tmp_path):
             "roi": _run_roi(path, field),
             "refine_ladder": _run_refine_ladder(path),
             "single_stream": _run_stream(tmp_path, field),
-            "remote_http": _run_remote(
-                path, field, full_read["modes"]["sync"]["seconds"]
-            ),
+            "remote_http": _run_remote(tmp_path, path, field),
         }
 
     payload = benchmark.pedantic(_run, rounds=1, iterations=1)

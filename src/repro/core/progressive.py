@@ -179,15 +179,20 @@ class ProgressiveRetriever:
         error_bound: Optional[float] = None,
         bitrate: Optional[float] = None,
         byte_budget: Optional[int] = None,
+        *,
+        plan: Optional[LoadingPlan] = None,
     ) -> RetrievalResult:
         """Serve one retrieval request, reusing previously loaded data.
 
         The first call runs Algorithm 1; later calls run Algorithm 2 and only
         ever *add* precision: if the new request is coarser than what is
         already reconstructed, the existing (finer) output is returned and no
-        data is loaded at all.
+        data is loaded at all.  A caller that already holds this request's
+        :meth:`plan_request` result (the engine plans every shard before it
+        fetches any) passes it as ``plan`` instead of the target.
         """
-        plan = self._plan(error_bound, bitrate, byte_budget)
+        if plan is None:
+            plan = self._plan(error_bound, bitrate, byte_budget)
         # Stage 2: overlap the planned range reads with decoding whenever
         # the source supports priming (a no-op on plain in-memory blobs).
         self._prime(plan)

@@ -12,6 +12,9 @@ running in a single daemon thread; everything above it keeps the plain
   :class:`~repro.io.remote.CircuitBreaker`.  Each request returns
   ``(payload, declared_crc)`` — under multiplexing a ``last_crc``
   attribute handoff would race, so the CRC travels with the payload.
+  There is no sizing request: the object is sized by the *opening read*,
+  one suffix-range GET of :data:`OPENING_WINDOW` bytes whose
+  ``Content-Range`` carries the total.
 * :class:`_AsyncVerify` — the CRC gate: compares each payload against the
   server-declared CRC and classifies corruption as
   :class:`~repro.errors.RemoteIntegrityError` — retryable, and distinct
@@ -32,14 +35,18 @@ running in a single daemon thread; everything above it keeps the plain
   :func:`open_remote_source` returns: ``read_range`` / ``read_tail`` /
   ``set_deadline`` / ``stats`` / ``close`` by submitting coroutines to the
   loop thread, so the container reader, prefetch source, engine, service
-  and scheduler know nothing about networking.
+  and scheduler know nothing about networking.  It keeps the opening
+  read's bytes — the object's tail, where a container's footer and
+  manifest live — and answers any read inside them from memory, so
+  opening a remote container costs that one round trip.
 * :class:`AsyncPrefetcher` — the
   :class:`~repro.retrieval.prefetch.Prefetcher` of async-capable sources:
   ``submit()`` returns a ``concurrent.futures.Future``, but instead of
-  queueing thread work it batches the ops submitted by one ``prime()``
-  call, coalesces adjacent ranges into single contiguous GETs (split back
-  per-op client-side), and dispatches them as concurrent tasks on the
-  shared loop.
+  queueing thread work it collects the ops of one *burst* (a ``prime()``
+  call, or every shard's plan under one ``burst()``), merges them into at
+  most as many contiguous GETs as the source has pooled connections
+  (:func:`coalesce_burst`; payloads split back per-op client-side), and
+  dispatches them as concurrent tasks on the shared loop — one wave.
 
 Output and accounting are bitwise what a local read reports:
 consumed-range accounting lives in ``PrefetchSource`` and never changes,
@@ -56,7 +63,8 @@ import threading
 import time
 import zlib
 from concurrent.futures import Future
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
 from repro.errors import (
@@ -72,6 +80,7 @@ from repro.io.remote import (
     _merge_stats,
     _Mirror,
     _parse_content_range,
+    find_remote_source,
     jittered_backoff,
 )
 
@@ -80,6 +89,7 @@ __all__ = [
     "AsyncPrefetcher",
     "AsyncRangeSource",
     "EventLoopThread",
+    "coalesce_burst",
     "coalesce_ops",
     "open_remote_source",
 ]
@@ -91,15 +101,20 @@ DEFAULT_CONNECTIONS = 6
 #: pool size so a request is already queued when a connection frees up.
 DEFAULT_WINDOW = 8
 
-#: Gap (bytes) two prefetch ops may be apart and still coalesce into one
-#: contiguous GET.  0 = only touching/overlapping ops merge, which is the
-#: conservative default: plans already coalesce, so prime-time neighbours
-#: are genuinely adjacent and merging never over-fetches.
-DEFAULT_COALESCE_GAP = 0
+#: Bytes of the one suffix-range GET that opens a remote object.  Its reply
+#: sizes the object (``Content-Range`` total) and is kept as the *opening
+#: window*: a container's tail word, footer and manifest — read back to
+#: front by three dependent reads — normally sit inside it, so they cost no
+#: further request.  An object whose footer outgrows it just reads on.
+OPENING_WINDOW = 65536
 
 #: Ceiling on one coalesced GET, so a huge merged run still pipelines
 #: across connections instead of serialising into one monster request.
 DEFAULT_MAX_BATCH = 8 << 20
+
+#: Widest gap (bytes) :func:`coalesce_burst` will fetch and throw away to
+#: save a round trip — the over-fetch ceiling of one closed gap.
+MAX_MERGE_GAP = 65536
 
 # --------------------------------------------------------------- loop thread
 
@@ -193,6 +208,14 @@ _STALE_ERRORS = (
 )
 
 
+def _declared_crc(headers: Dict[str, str]) -> Optional[int]:
+    """The server-declared payload CRC32 of a response, if it sent one."""
+    try:
+        return int(headers[CRC_HEADER.lower()]) & 0xFFFFFFFF
+    except (KeyError, ValueError):
+        return None
+
+
 class AsyncHTTPTransport:
     """Async byte-range transport over one HTTP(S) endpoint.
 
@@ -209,6 +232,10 @@ class AsyncHTTPTransport:
     :class:`~repro.io.remote.CircuitBreaker`.  This class never verifies
     payloads, so fault-injection layers can sit between it and the CRC
     gate.
+
+    ``size`` is ``None`` until the first suffix read — ``aget`` with a
+    negative offset, the *opening read* :func:`open_remote_source` issues
+    through the whole ladder — whose reply carries the object's total.
 
     All state mutation happens on the loop thread, so no locks; counters
     are plain ints readable from any thread.  Construct via
@@ -259,10 +286,9 @@ class AsyncHTTPTransport:
         self.inflight_max = 0
 
     async def open(self) -> "AsyncHTTPTransport":
-        """Create loop-bound primitives and probe the object size."""
+        """Create the loop-bound primitives (no request is made)."""
         self._idle = asyncio.LifoQueue()
         self._sem = asyncio.Semaphore(self.window)
-        self.size = await self._probe_size()
         return self
 
     # ------------------------------------------------------------------- pool
@@ -403,6 +429,8 @@ class AsyncHTTPTransport:
         raise AssertionError("unreachable")  # pragma: no cover
 
     async def _probe_size(self) -> int:
+        """Size the object without a suffix range (``HEAD``, else a 1-byte
+        GET): only for an endpoint that refuses the opening read."""
         try:
             status, headers, _body = await self._windowed("HEAD", {})
             if status == 200 and headers.get("content-length") is not None:
@@ -434,13 +462,22 @@ class AsyncHTTPTransport:
     # ------------------------------------------------------------------ reads
 
     async def aget(self, offset: int, length: int) -> Tuple[bytes, Optional[int]]:
-        """Fetch one range; returns ``(payload, server_declared_crc)``."""
-        assert self.size is not None
-        if offset < 0 or length < 0 or offset + length > self.size:
-            raise StreamFormatError(
-                f"read of [{offset}, {offset + length}) past remote object "
-                f"end {self.size} ({self.url})"
-            )
+        """Fetch one range; returns ``(payload, server_declared_crc)``.
+
+        A negative ``offset`` asks for the object's last ``length`` bytes
+        as one suffix-range GET — ``aget(-n, n)`` is the opening read.  It
+        needs no size (it is what learns it) and returns what the object
+        has: fewer bytes when it is shorter than ``n``, the whole body
+        from a server that ignores ``Range``, nothing from an endpoint
+        that refuses suffix ranges (sized by :meth:`_probe_size` instead).
+        """
+        if offset >= 0:
+            assert self.size is not None, "read before the opening read"
+            if length < 0 or offset + length > self.size:
+                raise StreamFormatError(
+                    f"read of [{offset}, {offset + length}) past remote object "
+                    f"end {self.size} ({self.url})"
+                )
         if length == 0:
             return b"", None
         if not self.breaker.allow():
@@ -448,7 +485,13 @@ class AsyncHTTPTransport:
                 f"circuit open for {self.endpoint}: failing fast ({self.url})"
             )
         try:
-            result = await self._ranged_get(offset, length)
+            if offset >= 0:
+                result = await self._ranged_get(offset, length)
+            else:
+                total, data, crc = await self._suffix_get(length)
+                if self.size is None:
+                    self.size = total
+                result = data, crc
         except RETRYABLE_ERRORS:
             self.breaker.record_failure()
             raise
@@ -465,7 +508,7 @@ class AsyncHTTPTransport:
             "GET", {"Range": f"bytes={offset}-{offset + length - 1}"}
         )
         self.egress_bytes += len(body)
-        crc_text = headers.get(CRC_HEADER.lower())
+        crc = _declared_crc(headers)
         if status == 206:
             start, end, _total = _parse_content_range(
                 headers.get("content-range"), self.url
@@ -480,61 +523,69 @@ class AsyncHTTPTransport:
                     f"short payload: wanted {length} B at offset {offset}, "
                     f"got {len(body)} ({self.url})"
                 )
-            data = body
-        elif status == 200:
+            return body, crc
+        if status == 200:
             if len(body) < offset + length:
                 raise RemoteSourceError(
                     f"full-body response of {len(body)} B cannot cover "
                     f"[{offset}, {offset + length}) ({self.url})"
                 )
-            data = body[offset : offset + length]
-            crc_text = None  # a declared CRC covers the full body, not the slice
-        else:
-            raise RemoteSourceError(
-                f"HTTP {status} for range [{offset}, {offset + length}) "
-                f"({self.url})"
+            # A declared CRC covers the full body, not the slice.
+            return body[offset : offset + length], None
+        raise RemoteSourceError(
+            f"HTTP {status} for range [{offset}, {offset + length}) "
+            f"({self.url})"
+        )
+
+    async def _suffix_get(self, span: int) -> Tuple[int, bytes, Optional[int]]:
+        """One ``bytes=-span`` GET → ``(object total, payload, declared crc)``.
+
+        The payload is the server's answer about the object it holds *now*:
+        the last ``min(span, total)`` bytes on a 206, the whole body on a
+        200.  A 4xx while the object is still unsized means the endpoint
+        refuses suffix ranges; it is sized the slow way and yields no bytes.
+        """
+        status, headers, body = await self._windowed(
+            "GET", {"Range": f"bytes=-{span}"}
+        )
+        self.egress_bytes += len(body)
+        if status == 206:
+            start, end, total = _parse_content_range(
+                headers.get("content-range"), self.url
             )
-        crc: Optional[int] = None
-        if crc_text is not None:
-            try:
-                crc = int(crc_text) & 0xFFFFFFFF
-            except ValueError:
-                crc = None
-        return data, crc
+            if end != total - 1 or len(body) != end - start + 1:
+                raise RemoteSourceError(
+                    f"short tail payload: declared bytes {start}-{end}/{total}, "
+                    f"got {len(body)} B ({self.url})"
+                )
+            return total, body, _declared_crc(headers)
+        if status == 200:
+            return len(body), body, _declared_crc(headers)
+        if 400 <= status < 500 and self.size is None:
+            return await self._probe_size(), b"", None
+        raise RemoteSourceError(
+            f"HTTP {status} for suffix range of {span} B ({self.url})"
+        )
 
     async def aread_range(self, offset: int, length: int) -> bytes:
         return (await self.aget(offset, length))[0]
 
     async def aread_tail(self, span: int) -> Tuple[int, bytes]:
+        """Freshness probe: ``(total, last span bytes)`` of the object the
+        server holds now.  Always a request; no CRC gate and no ladder above
+        it — a failed probe just means "freshness unknown"."""
         span = max(1, int(span))
         if not self.breaker.allow():
             raise RemoteSourceError(
                 f"circuit open for {self.endpoint}: failing fast ({self.url})"
             )
         try:
-            status, headers, body = await self._windowed(
-                "GET", {"Range": f"bytes=-{span}"}
-            )
+            total, body, _crc = await self._suffix_get(span)
         except RETRYABLE_ERRORS:
             self.breaker.record_failure()
             raise
-        self.egress_bytes += len(body)
         self.breaker.record_success()
-        if status == 206:
-            start, end, total = _parse_content_range(
-                headers.get("content-range"), self.url
-            )
-            if len(body) != end - start + 1:
-                raise RemoteSourceError(
-                    f"short tail payload: declared {end - start + 1} B, "
-                    f"got {len(body)} ({self.url})"
-                )
-            return total, body
-        if status == 200:
-            return len(body), body[-span:]
-        raise RemoteSourceError(
-            f"HTTP {status} for tail probe of {span} B ({self.url})"
-        )
+        return total, body[-span:]
 
     # ------------------------------------------------------------ accounting
 
@@ -562,7 +613,34 @@ class AsyncHTTPTransport:
 # ---------------------------------------------------------- resilience layers
 
 
-class _AsyncVerify:
+class _Layer:
+    """What a ladder layer forwards untouched to the layer below it.
+
+    ``size`` is read through, never copied: the stack is assembled before
+    the opening read that sizes the transport.
+    """
+
+    is_remote_source = True
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+
+    @property
+    def size(self) -> Optional[int]:
+        return self._inner.size
+
+    @property
+    def connections(self) -> int:
+        return self._inner.connections
+
+    async def aread_tail(self, span: int):
+        return await self._inner.aread_tail(span)
+
+    async def aclose(self) -> None:
+        await _aclose(self._inner)
+
+
+class _AsyncVerify(_Layer):
     """Per-fetch CRC gate between the transport and the retry ladder.
 
     Consumes the wrapped source's ``aget`` (payload + server-declared CRC
@@ -574,11 +652,8 @@ class _AsyncVerify:
     (counted separately).
     """
 
-    is_remote_source = True
-
     def __init__(self, inner) -> None:
-        self._inner = inner
-        self.size = inner.size
+        super().__init__(inner)
         self.verified = 0
         self.unverified = 0
         self.mismatches = 0
@@ -598,9 +673,6 @@ class _AsyncVerify:
         self.verified += 1
         return data
 
-    async def aread_tail(self, span: int):
-        return await self._inner.aread_tail(span)
-
     def stats(self) -> dict:
         merged = _async_inner_stats(self._inner)
         merged.update(
@@ -609,11 +681,8 @@ class _AsyncVerify:
         )
         return merged
 
-    async def aclose(self) -> None:
-        await _aclose(self._inner)
 
-
-class _AsyncRetry:
+class _AsyncRetry(_Layer):
     """Retry ladder around one endpoint's reads.
 
     Each read is attempted up to ``1 + retries`` times against
@@ -631,10 +700,11 @@ class _AsyncRetry:
       cross the deadline re-raises the underlying error instead of
       sleeping.
 
+    The freshness probe (``aread_tail``) is forwarded without a ladder: a
+    failed probe means "freshness unknown", not a reason to spend budget.
+
     ``clock`` is injectable; tests drive the sleeps on a virtual-time loop.
     """
-
-    is_remote_source = True
 
     def __init__(
         self,
@@ -647,8 +717,7 @@ class _AsyncRetry:
         label: str = "",
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self._inner = inner
-        self.size = inner.size
+        super().__init__(inner)
         self.retries = max(0, int(retries))
         self.backoff = max(0.0, float(backoff))
         self.backoff_cap = max(0.0, float(backoff_cap))
@@ -690,10 +759,6 @@ class _AsyncRetry:
                 if delay > 0.0:
                     await asyncio.sleep(delay)
 
-    async def aread_tail(self, span: int):
-        # No ladder: a failed freshness probe means "freshness unknown".
-        return await self._inner.aread_tail(span)
-
     def stats(self) -> dict:
         merged = _async_inner_stats(self._inner)
         merged.update(
@@ -701,9 +766,6 @@ class _AsyncRetry:
             retry_budget_left=self.budget_left,
         )
         return merged
-
-    async def aclose(self) -> None:
-        await _aclose(self._inner)
 
 
 class _AsyncMirror:
@@ -756,6 +818,10 @@ class _AsyncMirror:
         self.hedge_wins = 0
         self.hedge_cancelled = 0
         self.hedge_wasted_bytes = 0
+
+    @property
+    def connections(self) -> int:
+        return min(mirror.source.connections for mirror in self._mirrors)
 
     def _ranked(self) -> List[_Mirror]:
         return sorted(self._mirrors, key=_Mirror.health_key)
@@ -937,6 +1003,13 @@ class AsyncRangeSource:
     scheduler — works unchanged.  Also exposes the async side
     (``aread_range`` + ``supports_async``) so :class:`AsyncPrefetcher`
     can dispatch *without* a thread hop per range.
+
+    ``opening`` is the payload of the opening read — the object's last
+    bytes, already CRC-checked by the ladder.  A read that falls wholly
+    inside it is answered from memory (the container sniff, tail word,
+    footer and manifest of a normal archive); anything else goes to the
+    wire as before.  ``read_tail`` never looks at it: revalidation must
+    see the object the server holds *now*.
     """
 
     is_remote_source = True
@@ -948,23 +1021,40 @@ class AsyncRangeSource:
         loop: EventLoopThread,
         *,
         label: str = "",
+        opening: bytes = b"",
     ) -> None:
         self._top = top
         self._loop = loop
         self.size = int(top.size)
+        #: Pooled connections per endpoint: how many GETs fit in one wave.
+        self.connections = int(top.connections)
         self.label = label
         self.url = label
+        self._opening = opening
+        self._opening_start = self.size - len(opening)
 
     @property
     def loop_thread(self) -> EventLoopThread:
         return self._loop
 
-    def read_range(self, offset: int, length: int) -> bytes:
-        return self._loop.call(self._top.aread_range(offset, length))
+    def _from_opening(self, offset: int, length: int) -> Optional[bytes]:
+        start = offset - self._opening_start
+        if start < 0 or length < 0 or offset + length > self.size:
+            return None
+        return self._opening[start : start + length]
 
-    def aread_range(self, offset: int, length: int):
+    def read_range(self, offset: int, length: int) -> bytes:
+        data = self._from_opening(offset, length)
+        if data is None:
+            data = self._loop.call(self._top.aread_range(offset, length))
+        return data
+
+    async def aread_range(self, offset: int, length: int) -> bytes:
         """Coroutine view for async-aware callers (no thread hop)."""
-        return self._top.aread_range(offset, length)
+        data = self._from_opening(offset, length)
+        if data is None:
+            data = await self._top.aread_range(offset, length)
+        return data
 
     def read_tail(self, span: int):
         return self._loop.call(self._top.aread_tail(span))
@@ -1017,12 +1107,18 @@ def open_remote_source(
     exactly like wire corruption) → :class:`_AsyncVerify` →
     :class:`_AsyncRetry`; replica ``mirrors`` join the stacks under
     :class:`_AsyncMirror`, a single URL returns the bare retrying stack.
-    Endpoint sizes are probed concurrently; an endpoint dead at open time
-    is failover-at-construction (dropped) when replicas exist — only every
-    endpoint failing propagates.  Returns the synchronous
-    :class:`AsyncRangeSource` facade bound to ``loop`` (the process-shared
-    loop thread by default), which speaks plain ``size``/``read_range`` —
-    everything upstream is oblivious to the networking underneath.
+
+    Opening costs **one round trip**: each endpoint's finished stack reads
+    the object's last :data:`OPENING_WINDOW` bytes — a range like any
+    other, so it is CRC-checked, retried against the budget, feeds the
+    breaker and meets injected faults — and that reply both sizes the
+    object and becomes the facade's opening window.  Endpoints open
+    concurrently; one dead at open time is failover-at-construction
+    (dropped) when replicas exist — only every endpoint failing
+    propagates.  Returns the synchronous :class:`AsyncRangeSource` facade
+    bound to ``loop`` (the process-shared loop thread by default), which
+    speaks plain ``size``/``read_range`` — everything upstream is
+    oblivious to the networking underneath.
     """
     loop = loop or EventLoopThread.shared()
 
@@ -1038,7 +1134,7 @@ def open_remote_source(
         )
         await transport.open()
         wrapped = tamper(endpoint_url, transport) if tamper is not None else transport
-        return _AsyncRetry(
+        stack = _AsyncRetry(
             _AsyncVerify(wrapped),
             retries=retries,
             retry_budget=retry_budget,
@@ -1047,6 +1143,12 @@ def open_remote_source(
             label=endpoint_url,
             clock=clock,
         )
+        try:
+            opening = await stack.aread_range(-OPENING_WINDOW, OPENING_WINDOW)
+        except BaseException:
+            await stack.aclose()
+            raise
+        return stack, opening
 
     async def build():
         endpoints = (url, *tuple(mirrors))
@@ -1056,22 +1158,26 @@ def open_remote_source(
             *(endpoint_stack(endpoint) for endpoint in endpoints),
             return_exceptions=True,
         )
-        stacks, first_error = [], None
+        opened, first_error = [], None
         for outcome in outcomes:
             if isinstance(outcome, (RemoteSourceError, OSError)):
                 first_error = first_error or outcome
             elif isinstance(outcome, BaseException):
                 raise outcome
             else:
-                stacks.append(outcome)
-        if not stacks:
+                opened.append(outcome)
+        if not opened:
             raise first_error
+        stacks = [stack for stack, _opening in opened]
+        # Every replica read its own tail; they hold the same object (sizes
+        # are checked), so the first survivor's window serves.
+        opening = opened[0][1]
         if len(stacks) == 1:
-            return stacks[0]
-        return _AsyncMirror(stacks, hedge_delay=hedge_delay, clock=clock)
+            return stacks[0], opening
+        return _AsyncMirror(stacks, hedge_delay=hedge_delay, clock=clock), opening
 
-    top = loop.call(build())
-    return AsyncRangeSource(top, loop, label=url)
+    top, opening = loop.call(build())
+    return AsyncRangeSource(top, loop, label=url, opening=opening)
 
 
 # ---------------------------------------------------------------- prefetcher
@@ -1079,18 +1185,19 @@ def open_remote_source(
 
 def coalesce_ops(
     ops: Sequence[Tuple],
-    gap: int = DEFAULT_COALESCE_GAP,
+    gap: int = 0,
     max_batch: int = DEFAULT_MAX_BATCH,
 ) -> List[Tuple[int, int, List[Tuple]]]:
     """Merge ``(offset, length, ...)`` ops into contiguous fetch batches.
 
     Ops are sorted by offset and merged while the next op starts within
-    ``gap`` bytes of the running end and the merged extent stays within
-    ``max_batch``.  Returns ``[(start, total_length, [op, ...]), ...]`` —
-    each member op's payload is a slice of its batch, so one GET serves
-    the whole run and is split back per-op client-side (the loopback
-    server answers true multi-range requests with a full 200 body, so
-    batches are always a single contiguous range).
+    ``gap`` bytes of the running end (0: only touching or overlapping ops)
+    and the merged extent stays within ``max_batch``.  Returns
+    ``[(start, total_length, [op, ...]), ...]`` — each member op's payload
+    is a slice of its batch, so one GET serves the whole run and is split
+    back per-op client-side; bytes of a bridged gap ride along and are
+    dropped (the loopback server answers true multi-range requests with a
+    full 200 body, so batches are always a single contiguous range).
     """
     batches: List[Tuple[int, int, List[Tuple]]] = []
     for op in sorted(ops, key=lambda item: (item[0], item[1])):
@@ -1106,6 +1213,49 @@ def coalesce_ops(
     return [(start, end - start, members) for start, end, members in batches]
 
 
+def coalesce_burst(
+    op_groups: Sequence[Sequence[Tuple]],
+    max_requests: int,
+    max_batch: int = DEFAULT_MAX_BATCH,
+) -> List[List[Tuple[int, int, List[Tuple]]]]:
+    """Price one burst in round trips: :func:`coalesce_ops` per group,
+    bridging just enough gaps that the burst fits in ``max_requests`` GETs.
+
+    Each group is the ops of one address space (one shard block, one
+    stream); gaps exist only inside a group.  Touching ops always merge.
+    While the burst would still need more GETs than ``max_requests`` — the
+    source's pooled connections, i.e. more than one wave of round trips —
+    the smallest remaining gap is closed first, never one wider than
+    :data:`MAX_MERGE_GAP`: a skipped plane or two of over-fetch costs far
+    less than the round trip it saves.  A burst that already fits, and
+    every local-file read, is left exactly as planned.
+    """
+    batches = [coalesce_ops(ops, 0, max_batch) for ops in op_groups]
+    excess = sum(len(group) for group in batches) - max_requests
+    if excess <= 0:
+        return batches
+    # Gaps are independent, so "smallest first until it fits" is simply the
+    # ``excess`` smallest; ``(group, index)`` names the gap after a batch.
+    gaps = sorted(
+        (gap, group, index)
+        for group, run in enumerate(batches)
+        for index, gap in enumerate(b[0] - a[0] - a[1] for a, b in zip(run, run[1:]))
+        if 0 < gap <= MAX_MERGE_GAP
+    )
+    close = {(group, index) for _gap, group, index in gaps[:excess]}
+    merged: List[List[Tuple[int, int, List[Tuple]]]] = []
+    for group, run in enumerate(batches):
+        out: List[Tuple[int, int, List[Tuple]]] = []
+        for index, (start, total, members) in enumerate(run):
+            if (group, index - 1) in close and start + total - out[-1][0] <= max_batch:
+                first, _total, held = out[-1]
+                out[-1] = (first, start + total - first, held + members)
+            else:
+                out.append((start, total, members))
+        merged.append(out)
+    return merged
+
+
 class AsyncPrefetcher:
     """Event-loop prefetcher speaking the ``Prefetcher`` duck type.
 
@@ -1113,11 +1263,15 @@ class AsyncPrefetcher:
     async-capable (``supports_async``, i.e. it has the coroutine
     ``aread_range``) — returns a ``concurrent.futures.Future`` exactly
     like the thread prefetcher, so
-    :class:`~repro.retrieval.prefetch.PrefetchSource` is oblivious.  Ops
-    submitted in one burst (a ``prime()`` call lands all its submits
-    before the loop thread wakes) are grouped per source, coalesced with
-    :func:`coalesce_ops`, and fetched as concurrent tasks — many ranges
-    in flight, adjacent ranges as one GET.  Local files keep the thread
+    :class:`~repro.retrieval.prefetch.PrefetchSource` is oblivious.
+    Submits are collected into *bursts*: everything submitted inside one
+    :meth:`burst` block (``PrefetchSource.prime`` opens one per call; the
+    engine opens one around all shards' plans) reaches the loop thread as
+    a single batch, where :func:`coalesce_burst` merges it — per source,
+    touching ranges always, the smallest gaps too while the batch would
+    need more GETs than the remote stack has pooled connections — and
+    every merged range is fetched as a concurrent task: one wave of round
+    trips.  Local files keep the thread
     :class:`~repro.retrieval.prefetch.Prefetcher`; the engine picks by
     the opened source's ``supports_async``.
 
@@ -1132,15 +1286,14 @@ class AsyncPrefetcher:
         depth: int = 4,
         *,
         loop: Optional[EventLoopThread] = None,
-        coalesce_gap: int = DEFAULT_COALESCE_GAP,
         max_batch_bytes: int = DEFAULT_MAX_BATCH,
     ) -> None:
         self.depth = max(1, int(depth))
-        self.coalesce_gap = max(0, int(coalesce_gap))
         self.max_batch_bytes = max(1, int(max_batch_bytes))
         self._loop = loop or EventLoopThread.shared()
         self._lock = threading.Lock()
         self._pending: List[Tuple[object, int, int, Future]] = []
+        self._bursts = 0  # open burst() blocks: submits wait for the last to exit
         self._flush_queued = False
         self._tasks: set = set()  # touched only on the loop thread
         self._closed = False
@@ -1163,18 +1316,44 @@ class AsyncPrefetcher:
         future: Future = Future()
         with self._lock:
             self._pending.append((fn.__self__, int(offset), int(length), future))
-            queue_flush = not self._flush_queued
-            self._flush_queued = True
-        if queue_flush:
-            self._loop.call_soon(self._flush)
+        self._queue_flush()
         return future
+
+    @contextmanager
+    def burst(self) -> Iterator[None]:
+        """Hold every submit made inside the block for one joint flush.
+
+        Without it a flush is queued by the first submit and the loop
+        thread drains whatever has arrived when it wakes — a multi-shard
+        plan then trickles out as several partial batches, each merged and
+        priced on its own.  Blocks nest; nothing may *wait* on a submitted
+        future inside one.
+        """
+        with self._lock:
+            self._bursts += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._bursts -= 1
+            self._queue_flush()
+
+    def _queue_flush(self) -> None:
+        with self._lock:
+            if self._bursts or self._flush_queued or not self._pending:
+                return
+            self._flush_queued = True
+        try:
+            self._loop.call_soon(self._flush)
+        except RuntimeError:  # the loop stopped under us: nothing will run
+            self._flush()
 
     def _flush(self) -> None:
         # Runs on the loop thread: drain the burst, batch per owner.
         with self._lock:
             pending, self._pending = self._pending, []
             self._flush_queued = False
-        if self._closed:
+        if self._closed or not self._loop.alive:
             for _owner, _offset, _length, future in pending:
                 future.cancel()
             return
@@ -1183,11 +1362,17 @@ class AsyncPrefetcher:
             groups.setdefault(id(owner), (owner, []))[1].append(
                 (offset, length, future)
             )
+        # One wave is as many GETs as the remote stack pools connections.
+        wave = min(
+            getattr(find_remote_source(owner), "connections", DEFAULT_CONNECTIONS)
+            for owner, _ops in groups.values()
+        )
+        batches = coalesce_burst(
+            [ops for _owner, ops in groups.values()], wave, self.max_batch_bytes
+        )
         loop = asyncio.get_running_loop()
-        for owner, ops in groups.values():
-            for start, total, members in coalesce_ops(
-                ops, self.coalesce_gap, self.max_batch_bytes
-            ):
+        for (owner, _ops), owner_batches in zip(groups.values(), batches):
+            for start, total, members in owner_batches:
                 task = loop.create_task(self._fetch(owner, start, total, members))
                 self._tasks.add(task)
                 task.add_done_callback(self._tasks.discard)

@@ -363,6 +363,7 @@ class AsyncFaultInjectingSource:
     Wraps ``aget(offset, length) -> (bytes, crc)`` with the same fault
     vocabulary and the same injector-global 1-based read counter, so a
     fault plan means the same thing around a block source and on the wire.
+    The opening read is an ``aget`` like any other, so it is global read #1.
     ``latency``/``stall`` delays are ``await asyncio.sleep`` — an injected
     slow read never blocks the other in-flight ranges.  ``corrupt`` flips
     the payload's first byte while forwarding the server-declared CRC
@@ -375,9 +376,18 @@ class AsyncFaultInjectingSource:
         self._inner = inner
         self._injector = injector
         self.name = name
-        self.size = inner.size
         #: Reads served by *this* source (the injector counts globally).
         self.reads = 0
+
+    # Read through, not copied: the hook wraps the transport before the
+    # opening read (global read #1 of a fresh injector) has sized it.
+    @property
+    def size(self) -> Optional[int]:
+        return self._inner.size
+
+    @property
+    def connections(self) -> int:
+        return self._inner.connections
 
     async def aget(self, offset: int, length: int):
         self.reads += 1
@@ -401,7 +411,7 @@ class AsyncFaultInjectingSource:
             await asyncio.sleep(fault.seconds)
         data, crc = await self._inner.aget(offset, length)
         if kind == "short":
-            return data[: max(0, length - 1)], crc
+            return data[:-1], crc
         if kind == "corrupt" and data:
             return bytes([data[0] ^ 0xFF]) + data[1:], crc
         return data, crc

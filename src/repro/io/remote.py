@@ -182,8 +182,10 @@ class _Mirror:
         else:
             self.failures += 1
 
-    def health_key(self) -> Tuple[int, float]:
-        return (self.failures, self.latency if self.latency is not None else 0.0)
+    def health_key(self) -> Tuple[int, bool, float]:
+        """Failures first, then timed replicas by latency; one never timed
+        ranks after them (its latency is unknown, not zero)."""
+        return (self.failures, self.latency is None, self.latency or 0.0)
 
 
 # ---------------------------------------------------------------- utilities
@@ -225,24 +227,28 @@ def find_remote_source(obj):
     return None
 
 
-def remote_fingerprint(source) -> Tuple[int, int, int]:
+def remote_fingerprint(source, *, revalidate: bool = False) -> Tuple[int, int, int]:
     """Session identity of a remote object: ``(size, 0, tail_crc)``.
 
     The remote analogue of the service's ``file_fingerprint``: no mtime
     exists over HTTP, so the witness is the CRC of the footer/manifest
-    tail window alone (one bounded ranged GET).
+    tail window alone.
 
-    Stacks exposing ``read_tail`` are probed with a
-    suffix range, which the server answers against the object it holds
-    *now* — so a replaced object with a **different size** still yields a
-    cleanly different fingerprint instead of an out-of-bounds read error
-    against the stack's construction-time size.
+    A session's *first* fingerprint reads that window through
+    ``read_range`` — a freshly opened stack answers it from its opening
+    read, at no request.  ``revalidate=True`` is the freshness probe of an
+    existing session: stacks exposing ``read_tail`` are asked with a
+    suffix range, which always goes to the wire and which the server
+    answers against the object it holds *now* — so a replaced object with
+    a **different size** still yields a cleanly different fingerprint
+    instead of an out-of-bounds read error against the stack's
+    construction-time size.
     """
-    probe = getattr(source, "read_tail", None)
+    probe = getattr(source, "read_tail", None) if revalidate else None
     if probe is not None:
         size, tail = probe(_FINGERPRINT_TAIL)
-        return (int(size), 0, zlib.crc32(tail))
-    size = int(source.size)
-    span = min(size, _FINGERPRINT_TAIL)
-    tail = source.read_range(size - span, span)
-    return (size, 0, zlib.crc32(tail))
+    else:
+        size = int(source.size)
+        span = min(size, _FINGERPRINT_TAIL)
+        tail = source.read_range(size - span, span)
+    return (int(size), 0, zlib.crc32(tail))

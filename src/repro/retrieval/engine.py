@@ -251,7 +251,7 @@ class RetrievalEngine:
         trace_start = {name: len(src.trace) for name, src in sources.items()}
         # Header speculation (async-capable sources): prime the head of
         # every new shard *before* any retriever parses a header, so the
-        # per-shard header round-trips ride one multiplexed batch instead
+        # per-shard header round-trips ride one multiplexed wave instead
         # of serialising — the parses below then hit the prime cache.
         if self.prefetch > 0:
             fresh = [
@@ -260,19 +260,23 @@ class RetrievalEngine:
                 if shard.name not in retrievers
             ]
             if self._async:  # known once the first source is open
-                for source in fresh:
-                    source.prime([(0, min(DEFAULT_HEADER_PRIME, source.size))])
-        # Stage 1+2 up front, across *all* shards: once every plan is
-        # primed, the background reads for later shards proceed while the
-        # first shard decodes.  (ProgressiveRetriever.retrieve re-primes
-        # its own ops, which the source dedupes to a no-op.)
+                with self._prefetcher.burst():
+                    for source in fresh:
+                        source.prime([(0, min(DEFAULT_HEADER_PRIME, source.size))])
+        # Stage 1 for *all* shards, then stage 2 as one burst: the
+        # prefetcher sees every shard's ops together (and, over a remote
+        # stack, merges them into one wave of round trips), and the
+        # background reads for later shards proceed while the first shard
+        # decodes.  Each plan is handed on to its retrieve() call below.
         selected = [self._retriever_for(s.name, retrievers, sources) for s in shards]
-        if self.prefetch > 0:
-            for retriever in selected:
-                retriever._prime(retriever.plan_request(error_bound=target))
+        plans = [retriever.plan_request(error_bound=target) for retriever in selected]
+        if self._prefetcher is not None:
+            with self._prefetcher.burst():
+                for retriever, plan in zip(selected, plans):
+                    retriever._prime(plan)
         pieces: List[Tuple[SliceTuple, np.ndarray]] = []
         achieved = 0.0
-        remaining = list(zip(shards, selected))
+        remaining = list(zip(shards, selected, plans))
         while remaining:
             index = 0
             if self.prefetch > 0 and len(remaining) > 1:
@@ -283,13 +287,13 @@ class RetrievalEngine:
                 index = next(
                     (
                         i
-                        for i, (shard, _retriever) in enumerate(remaining)
+                        for i, (shard, _retriever, _plan) in enumerate(remaining)
                         if sources[shard.name].inflight == 0
                     ),
                     0,
                 )
-            shard, retriever = remaining.pop(index)
-            result = retriever.retrieve(error_bound=target)
+            shard, retriever, plan = remaining.pop(index)
+            result = retriever.retrieve(plan=plan)
             achieved = max(achieved, result.error_bound)
             pieces.append((shard.slices, result.data))
         ranges: List[Tuple[str, int, int]] = []
@@ -299,7 +303,7 @@ class RetrievalEngine:
                 ranges.append((shard.name, offset, length))
         bytes_loaded = sum(length for _, _, length in ranges)
         self.cumulative_bytes += bytes_loaded
-        if speculate_next and self.speculate and self.prefetch > 0:
+        if speculate_next and self.speculate and self._prefetcher is not None:
             self._speculate(shards, retrievers, sources, target)
         return EngineResult(
             data=assemble(pieces, roi_slices, self.dtype),
@@ -326,11 +330,12 @@ class RetrievalEngine:
         next_target = max(self.stored_bound, target / self.rung_factor)
         if next_target >= target:
             return
-        for shard in shards:
-            retriever = retrievers[shard.name]
-            ops = retriever.pending_ops(error_bound=next_target)
-            if ops:
-                sources[shard.name].prime([(op.offset, op.length) for op in ops])
+        with self._prefetcher.burst():
+            for shard in shards:
+                retriever = retrievers[shard.name]
+                ops = retriever.pending_ops(error_bound=next_target)
+                if ops:
+                    sources[shard.name].prime([(op.offset, op.length) for op in ops])
 
     def _pooled_read(
         self, shards: Sequence, roi_slices: SliceTuple, target: float
@@ -394,8 +399,12 @@ def _prefetcher_for(inner, depth: int):
     prefetcher when it can serve coroutine range reads, else threads."""
     if getattr(inner, "supports_async", False):
         from repro.io.aio import AsyncPrefetcher
+        from repro.io.remote import find_remote_source
 
-        return AsyncPrefetcher(depth=depth), True
+        # On the loop thread the remote stack was opened on: its pool and
+        # window primitives are bound to that loop.
+        loop = getattr(find_remote_source(inner), "loop_thread", None)
+        return AsyncPrefetcher(depth=depth, loop=loop), True
     return Prefetcher(depth=depth), False
 
 

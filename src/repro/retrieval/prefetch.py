@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from typing import List, Optional, Sequence, Tuple
 
 __all__ = ["Prefetcher", "PrefetchSource"]
@@ -52,6 +53,11 @@ class Prefetcher:
 
     def submit(self, fn, *args) -> Future:
         return self._executor.submit(fn, *args)
+
+    def burst(self):
+        """Group the submits of one block (the prefetcher duck type).  Pool
+        threads start each read as it is submitted; nothing to hold."""
+        return nullcontext()
 
     @property
     def closed(self) -> bool:
@@ -123,7 +129,9 @@ class PrefetchSource:
         scheduled = 0
         submitted: List[_Primed] = []
         shut_down = False
-        with self._lock:
+        # One burst per call: an event-loop prefetcher then sees (and
+        # merges) all of these ranges together, not as they trickle in.
+        with self._lock, self._prefetcher.burst():
             for offset, length in ranges:
                 if shut_down:
                     break

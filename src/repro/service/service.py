@@ -1066,14 +1066,16 @@ class RetrievalService:
         The freshness probe is one bounded ranged GET (size + tail CRC)
         over the *existing* session's stack; a changed remote object purges
         the dead session's cache entries exactly like a rewritten local
-        file.  Only a missing or stale session pays a new stack build.
+        file.  Only a missing or stale session pays a new stack build —
+        one request: its first fingerprint, the container sniff, footer
+        and manifest all come out of the stack's opening read.
         """
         with self._lock:
             session = self._sessions.get(url)
             if session is not None:
                 try:
                     fresh = session.fingerprint == remote_fingerprint(
-                        session.remote_source
+                        session.remote_source, revalidate=True
                     )
                 except _RETRYABLE:
                     # The probe itself failed: freshness is unknowable right

@@ -26,10 +26,12 @@ shared session ``rng`` fixture.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
 import threading
 import time
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +42,12 @@ from repro.cli import main
 from repro.errors import RemoteSourceError, StreamFormatError
 from repro.io import BlockContainerWriter
 from repro.io.aio import (
+    DEFAULT_CONNECTIONS,
+    MAX_MERGE_GAP,
+    OPENING_WINDOW,
     AsyncPrefetcher,
     EventLoopThread,
+    coalesce_burst,
     coalesce_ops,
     open_remote_source,
 )
@@ -64,38 +70,51 @@ def _field(shape, seed=0) -> np.ndarray:
     return (base + 0.1 * rng.normal(size=shape)).astype(np.float64)
 
 
+#: Copies of the legacy v1 blob in the v1 container / zero bytes after the
+#: bare v1 stream.  Every fixture is well over one opening window long, so the
+#: streams' headers and most payload sit *outside* the window and reading
+#: them is real wire traffic (a fixture inside it would be read from memory
+#: and every fault leg would go vacuous).
+_V1_SHARDS = 48
+_V1_PADDING = 3 * OPENING_WINDOW
+
+
 @pytest.fixture(scope="module")
 def served_dir(tmp_path_factory) -> Path:
     """One directory holding the {v1, v2} × {stream, container} fixtures."""
     root = tmp_path_factory.mktemp("aio-served")
     v1_blob = (DATA / "v1_stream.ipc").read_bytes()
-    (root / "v1.ipc").write_bytes(v1_blob)
-    v2_blob = IPComp(error_bound=1e-5, relative=True).compress(_field((20, 18), 3))
+    # A stream is read from its head by its own directory; bytes after its
+    # last block are never touched, locally or remotely.
+    (root / "v1.ipc").write_bytes(v1_blob + bytes(_V1_PADDING))
+    v2_blob = IPComp(error_bound=1e-5, relative=True).compress(_field((400, 360), 3))
     (root / "v2.ipc").write_bytes(v2_blob)
     ChunkedDataset.write(
-        root / "v2.rprc", _field((24, 14, 10), 4), error_bound=1e-5,
+        root / "v2.rprc", _field((64, 48, 40), 4), error_bound=1e-5,
         relative=True, n_blocks=4, workers=0,
     )
-    header_shape = np.load(DATA / "v1_expected.npy").shape
-    n0 = header_shape[0]
+    n0, n1 = np.load(DATA / "v1_expected.npy").shape
+    names = [f"shard-{index:04d}" for index in range(_V1_SHARDS)]
     manifest = {
         "format": "repro-chunked-dataset",
         "version": 1,
-        "shape": [2 * n0, header_shape[1]],
+        "shape": [_V1_SHARDS * n0, n1],
         "dtype": "float64",
         "error_bound": 3.292730916654546e-05,
         "method": "cubic",
         "prefix_bits": 2,
         "backend": "zlib",
         "shards": [
-            {"name": "shard-0000", "slices": [[0, n0], [0, header_shape[1]]]},
-            {"name": "shard-0001", "slices": [[n0, 2 * n0], [0, header_shape[1]]]},
+            {"name": name, "slices": [[index * n0, (index + 1) * n0], [0, n1]]}
+            for index, name in enumerate(names)
         ],
     }
     with BlockContainerWriter(root / "v1.rprc") as writer:
-        writer.add_block("shard-0000", v1_blob)
-        writer.add_block("shard-0001", v1_blob)
+        for name in names:
+            writer.add_block(name, v1_blob)
         writer.add_block("manifest", json.dumps(manifest).encode())
+    for served in root.iterdir():
+        assert served.stat().st_size > 3 * OPENING_WINDOW // 2, served
     return root
 
 
@@ -140,17 +159,63 @@ def test_coalesce_ops_merges_and_splits():
     assert [(b[0], b[1]) for b in batches] == [(0, 100), (100, 100)]
 
 
+def _extents(batches):
+    return [[(start, total) for start, total, _members in group] for group in batches]
+
+
+def test_coalesce_burst_closes_the_smallest_gaps_until_one_wave():
+    # Two address spaces (shards), four ops each: 8 GETs for 6 connections.
+    shard_a = [(0, 100), (150, 100), (300, 100), (1400, 100)]  # gaps 50, 50, 1000
+    shard_b = [(0, 100), (120, 100), (900, 100), (1300, 100)]  # gaps 20, 680, 300
+    # It already fits: nothing but touching ops merges, whatever the gaps.
+    assert _extents(coalesce_burst([shard_a, shard_b], 8)) == [
+        [(off, 100) for off, _ in shard_a], [(off, 100) for off, _ in shard_b],
+    ]
+    # Two too many: exactly the two smallest gaps (20, then one 50) close.
+    assert _extents(coalesce_burst([shard_a, shard_b], 6)) == [
+        [(0, 250), (300, 100), (1400, 100)],
+        [(0, 220), (900, 100), (1300, 100)],
+    ]
+    # Down to one GET per shard when it must.
+    assert _extents(coalesce_burst([shard_a, shard_b], 2)) == [[(0, 1500)], [(0, 1400)]]
+    # Never across address spaces, and never a gap past the ceiling —
+    # even if the burst then needs a second wave.
+    wide = MAX_MERGE_GAP
+    far = [(0, 10), (wide + 11, 10), (2 * wide + 21, 10)]  # gaps wide + 1, wide
+    assert _extents(coalesce_burst([far, [(0, 10)]], 1)) == [
+        [(0, 10), (wide + 11, wide + 20)], [(0, 10)],
+    ]
+    # Members keep their identity inside a bridged batch (payloads are cut
+    # back out of it per op).
+    (batch,), = coalesce_burst([[(40, 5, "late"), (0, 5, "early")]], 1)
+    assert batch == (0, 45, [(0, 5, "early"), (40, 5, "late")])
+    # max_batch still bounds a bridged extent.
+    assert _extents(coalesce_burst([[(0, 100), (150, 100)]], 1, max_batch=200)) == [
+        [(0, 100), (150, 100)]
+    ]
+
+
 def test_async_source_basic_reads(served_dir, server):
     blob = (served_dir / "v2.rprc").read_bytes()
     with open_remote_source(server.url_for("v2.rprc")) as source:
         assert source.size == len(blob)
+        assert source.stats()["requests"] == 1  # opened in one round trip
         assert source.read_range(10, 33) == blob[10:43]
         assert source.read_range(5, 0) == b""
+        assert source.stats()["requests"] == 2
+        # Reads wholly inside the opening window are served from memory,
+        # one straddling its start is not; the freshness probe never is.
+        edge = len(blob) - OPENING_WINDOW
+        assert source.read_range(edge, 100) == blob[edge:edge + 100]
+        assert source.read_range(len(blob) - 4, 4) == blob[-4:]
+        assert source.stats()["requests"] == 2
+        assert source.read_range(edge - 1, 100) == blob[edge - 1:edge + 99]
         total, tail = source.read_tail(64)
         assert total == len(blob) and tail == blob[-64:]
         stats = source.stats()
+        assert stats["requests"] == 4
         assert stats["retries"] == 0
-        assert stats["egress_bytes"] >= 33 + 64
+        assert stats["egress_bytes"] == OPENING_WINDOW + 33 + 100 + 64
         assert stats["connections_opened"] >= 1
         # Out-of-bounds reads raise (after the ladder: StreamFormatError
         # is in RETRYABLE_ERRORS).
@@ -180,6 +245,7 @@ def test_async_window_bounds_inflight(served_dir):
             chunks = loop.call(burst())
             assert chunks == [blob[i * 100:(i + 1) * 100] for i in range(6)]
             assert source.stats()["inflight_max"] == 2
+            assert srv.range_requests == 1 + 6
         finally:
             source.close()
 
@@ -191,14 +257,20 @@ def test_async_window_bounds_inflight(served_dir):
 @pytest.mark.parametrize("version", ["v1", "v2"])
 def test_identity_matrix_clean(served_dir, server, version, prefetch):
     stream_oracle = _read_stream(served_dir / f"{version}.ipc", prefetch=0)
+    on_wire = server.range_requests
     stream = _read_stream(server.url_for(f"{version}.ipc"), prefetch=prefetch)
     assert stream.data.tobytes() == stream_oracle.data.tobytes()
     assert stream.bytes_loaded == stream_oracle.bytes_loaded
+    # Not answered out of the opening window: the stream went by wire (the
+    # whole v1 stream fits one header prime).
+    assert server.range_requests - on_wire >= 2
 
     container_oracle = _read_container(served_dir / f"{version}.rprc")
+    on_wire = server.range_requests
     container = _read_container(server.url_for(f"{version}.rprc"), prefetch=prefetch)
     assert container.data.tobytes() == container_oracle.data.tobytes()
     assert container.bytes_loaded == container_oracle.bytes_loaded
+    assert server.range_requests - on_wire >= 6
 
 
 def test_default_argument_url_dataset_prefetches(served_dir):
@@ -244,6 +316,7 @@ def test_identity_async_under_client_faults(served_dir, server, version):
     assert result.data.tobytes() == oracle.data.tobytes()
     assert result.bytes_loaded == oracle.bytes_loaded
     assert injector.stats()["faults_injected"] >= 4
+    assert injector.total_reads >= 9  # the schedule's last entry was reached
 
 
 @pytest.mark.parametrize("version", ["v1", "v2"])
@@ -262,7 +335,7 @@ def test_identity_async_under_server_faults(served_dir, version):
             srv.url_for(f"{version}.rprc"), source=stack, prefetch=4,
         )
         stats = stack.stats()
-        assert srv.faults_served >= 2
+        assert srv.faults_served >= 2 and srv.range_requests >= 8
     assert result.data.tobytes() == oracle.data.tobytes()
     assert result.bytes_loaded == oracle.bytes_loaded
     assert stats["retries"] >= 1
@@ -286,8 +359,11 @@ def test_identity_async_mirror_failover(served_dir, server):
         )
         first = stack.read_range(0, 64)
         injector.plan.rules.extend(FaultPlan.always(kind="raise").rules)
+        on_wire = server.range_requests
         result = _read_container(url, source=stack, prefetch=4)
         stats = stack.stats()
+        # Everything after the dead primary's two attempts hit the replica.
+        assert server.range_requests - on_wire >= 6
     blob = (served_dir / "v2.rprc").read_bytes()
     assert first == blob[:64]
     assert result.data.tobytes() == oracle.data.tobytes()
@@ -320,6 +396,182 @@ def test_async_hedged_read_wins_race(served_dir):
             stack.close()
 
 
+# ------------------------------------------------------- the round-trip shape
+
+
+class _VirtualTimeLoop(asyncio.SelectorEventLoop):
+    """A loop for a loop *thread* whose timed waits cost no wall time.
+
+    ``asyncio.sleep`` advances ``loop.time()`` by exactly the delay, so a
+    scripted round trip of 50 ms is 50 virtual ms and concurrent ones
+    overlap: elapsed virtual time / rtt counts the *dependent* waves of a
+    read.  With nothing scheduled the thread blocks for real, waiting for
+    the next coroutine the test thread submits.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._now = 0.0
+        select = self._selector.select
+
+        def jump(timeout=None):
+            if timeout is None or timeout <= 0:
+                return select(timeout)
+            self._now += timeout
+            return select(0)
+
+        self._selector.select = jump
+
+    def time(self) -> float:
+        return self._now
+
+
+@pytest.fixture
+def virtual_loop(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(asyncio, "new_event_loop", _VirtualTimeLoop)
+        thread = EventLoopThread(name="repro-aio-virtual")
+    yield thread
+    thread.close()
+
+
+class _ScriptedTransport:
+    """The transport duck type over a byte string, one round trip per request.
+
+    Each request holds one of ``connections`` pooled connections for ``rtt``
+    (virtual) seconds and is logged as ``(start time, offset, length)`` —
+    requests that start at the same instant are one wave.  Installed through
+    the ``tamper`` hook, which replaces the (never connected) HTTP transport
+    *below* the CRC gate and the retry ladder.
+    """
+
+    def __init__(self, blob: bytes, connections: int = DEFAULT_CONNECTIONS, rtt=0.05):
+        self.blob = blob
+        self.size = None  # learned from the opening read, like the real one
+        self.connections = connections
+        self.rtt = rtt
+        self.log = []
+        self._pool = None
+
+    async def aget(self, offset, length):
+        if self._pool is None:
+            self._pool = asyncio.Semaphore(self.connections)
+        async with self._pool:
+            self.log.append((asyncio.get_running_loop().time(), offset, length))
+            await asyncio.sleep(self.rtt)
+        if offset < 0:
+            self.size = len(self.blob)
+            data = self.blob[-length:]
+        else:
+            data = self.blob[offset : offset + length]
+        return data, zlib.crc32(data)
+
+    @property
+    def waves(self):
+        """Requests per dependent wave, in order."""
+        starts = sorted({start for start, _offset, _length in self.log})
+        return [sum(1 for entry in self.log if entry[0] == start) for start in starts]
+
+    def stats(self) -> dict:
+        return {"requests": len(self.log)}
+
+    async def aclose(self) -> None:
+        pass
+
+
+def _scripted_source(blob, loop, **script):
+    transport = _ScriptedTransport(blob, **script)
+    source = open_remote_source(
+        "http://scripted.invalid/archive.rprc",
+        tamper=lambda _url, _unconnected: transport, loop=loop,
+    )
+    return source, transport
+
+
+@pytest.fixture(scope="module")
+def roi_archive(tmp_path_factory) -> Path:
+    """Eight shards, the first four (the ROI below) well before the window."""
+    path = tmp_path_factory.mktemp("aio-roi") / "roi.rprc"
+    ChunkedDataset.write(
+        path, _field((64, 48, 40), 4), error_bound=1e-6, relative=True,
+        n_blocks=8, workers=0,
+    )
+    return path
+
+
+_ROI = (slice(0, 32), slice(None), slice(None))  # shards 0-3 of 8
+
+
+def test_cold_roi_read_is_three_dependent_waves(roi_archive, virtual_loop):
+    """Open, headers, payload: a cold remote ROI read is three round trips
+    deep at *every* fidelity — the coarse target, whose plan is many small
+    ops with skipped planes between them, must not need more than the fine
+    one, whose plan is one op per shard."""
+    blob = roi_archive.read_bytes()
+    with ChunkedDataset(roi_archive) as local:
+        stored = local.absolute_bound
+        oracles = {rung: local.read(error_bound=rung * stored, roi=_ROI) for rung in (1024, 1)}
+        planned = {
+            rung: local.plan(error_bound=rung * stored, roi=_ROI).n_ops for rung in (1024, 1)
+        }
+    assert planned[1024] > 4 * DEFAULT_CONNECTIONS and planned[1] == 4
+    shapes = {}
+    for rung, oracle in oracles.items():
+        began = virtual_loop.loop.time()
+        source, transport = _scripted_source(blob, virtual_loop)
+        with ChunkedDataset("http://scripted.invalid/archive.rprc", source=source) as dataset:
+            assert transport.log == [(began, -OPENING_WINDOW, OPENING_WINDOW)]
+            result = dataset.read(error_bound=rung * stored, roi=_ROI)
+        assert result.data.tobytes() == oracle.data.tobytes()
+        assert result.bytes_loaded == oracle.bytes_loaded
+        assert sorted(result.ranges) == sorted(oracle.ranges)
+        waves = transport.waves
+        # One opening request, one header prime per ROI shard, then at most
+        # a pool's worth of payload GETs — and nothing after that.
+        assert waves[:2] == [1, 4] and len(waves) == 3, (rung, transport.log)
+        assert 4 <= waves[2] <= DEFAULT_CONNECTIONS
+        assert virtual_loop.loop.time() - began == pytest.approx(3 * transport.rtt)
+        shapes[rung] = waves
+    assert sum(shapes[1024]) <= 1 + 4 + DEFAULT_CONNECTIONS
+    assert shapes[1] == [1, 4, 4]
+
+
+def test_burst_larger_than_the_pool_is_merged_into_one_wave(virtual_loop):
+    """More primed ranges than pooled connections: the smallest gaps are
+    bridged until the burst is one wave, and every range still reads back
+    exactly its own bytes (bridged bytes are fetched, never served)."""
+    blob = bytes(np.random.default_rng(7).integers(0, 256, 4 * OPENING_WINDOW, dtype=np.uint8))
+    source, transport = _scripted_source(blob, virtual_loop, connections=3)
+    prefetcher = AsyncPrefetcher(4, loop=virtual_loop)
+    primed = PrefetchSource(source, prefetcher)
+    try:
+        # Gaps: 10, 500, 40, 3000, 20, MAX_MERGE_GAP + 1, 60.
+        ranges, cursor = [], 1000
+        for gap in (0, 10, 500, 40, 3000, 20, MAX_MERGE_GAP + 1, 60):
+            cursor += gap
+            ranges.append((cursor, 700))
+            cursor += 700
+        began = virtual_loop.loop.time()
+        assert primed.prime(ranges) == 8 * 700
+        for offset, length in reversed(ranges):
+            assert primed.read_range(offset, length) == blob[offset : offset + length]
+        # 8 GETs for 3 connections: the five smallest gaps close, the 3000
+        # and the over-ceiling one stay open.
+        fetched = sorted((offset, length) for _start, offset, length in transport.log[1:])
+        assert fetched == [
+            (ranges[0][0], ranges[3][0] + 700 - ranges[0][0]),
+            (ranges[4][0], ranges[5][0] + 700 - ranges[4][0]),
+            (ranges[6][0], ranges[7][0] + 700 - ranges[6][0]),
+        ]
+        assert transport.waves == [1, 3]
+        assert virtual_loop.loop.time() - began == pytest.approx(transport.rtt)
+        assert primed.bytes_fetched == 8 * 700 and primed.trace == list(reversed(ranges))
+        assert (prefetcher.batches, prefetcher.batched_ops) == (3, 8)
+    finally:
+        prefetcher.close()
+        primed.close()
+
+
 # ------------------------------------------------------------ prefetch bridge
 
 
@@ -330,8 +582,8 @@ def test_adjacent_primes_coalesce_to_one_request(served_dir, server):
     source = PrefetchSource(stack, prefetcher)
     try:
         before = stack.stats()["requests"]
-        # Hold the loop thread busy so both primes land in one flush.
-        stack.loop_thread.call_soon(time.sleep, 0.2)
+        # One prime() is one burst: both ranges reach the loop thread
+        # together however fast it wakes.
         source.prime([(0, 512), (512, 512)])
         assert source.read_range(0, 512) == blob[:512]
         assert source.read_range(512, 512) == blob[512:1024]
@@ -425,15 +677,20 @@ def test_cli_retrieve_io_backends_identical(served_dir, server, tmp_path, prefet
     assert remote["retries"] == 0
     # Depth 0 is the serial read; any other depth multiplexes.
     assert (remote["inflight_max"] > 1) == (prefetch > 0)
+    if prefetch:
+        # One request to open (container sniff, footer and manifest ride the
+        # opening read), a header per shard, a pool's worth of payload GETs.
+        assert 3 <= remote["requests"] <= 1 + 4 + DEFAULT_CONNECTIONS
 
 
 # ------------------------------------------------------- rangeserver hygiene
 
 
 def test_rangeserver_stall_does_not_wedge_other_connections(served_dir):
-    # Read #1 stalls for 0.4 s on connection A; connection B's read must
+    # Range reply #2 — client A's first read, after its opening read —
+    # stalls for 0.4 s on connection A; client B's open and read must
     # complete while A is still stuck (thread-per-connection isolation).
-    plan = FaultPlan.at({1}, kind="stall", seconds=0.4)
+    plan = FaultPlan.at({2}, kind="stall", seconds=0.4)
     blob = (served_dir / "v2.rprc").read_bytes()
     with RangeServer(served_dir, plan=plan) as srv:
         url = srv.url_for("v2.rprc")
@@ -485,7 +742,7 @@ def test_rangeserver_max_connections_and_counters(served_dir):
         assert stats["requests"] - before == 8
         assert stats["connections_opened"] == 4
         assert srv.peak_connections == 2
-        assert srv.range_requests == 8
+        assert srv.range_requests == 1 + 8  # the opening read, then the burst
     assert srv.open_connections == 0
 
 

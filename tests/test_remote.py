@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import struct
 import threading
 import time
 import zlib
@@ -45,6 +46,7 @@ from repro.errors import (
 )
 from repro.io import BlockContainerWriter
 from repro.io.aio import (
+    OPENING_WINDOW,
     AsyncHTTPTransport,
     EventLoopThread,
     _AsyncMirror,
@@ -80,38 +82,51 @@ def _field(shape, seed=0) -> np.ndarray:
     return (base + 0.1 * rng.normal(size=shape)).astype(np.float64)
 
 
+#: Copies of the legacy v1 blob in the v1 container / zero bytes after the
+#: bare v1 stream.  Every fixture is well over one opening window long, so the
+#: streams' headers and most payload sit *outside* the window and reading
+#: them is real wire traffic (a fixture inside it would be read from memory
+#: and every fault leg would go vacuous).
+_V1_SHARDS = 48
+_V1_PADDING = 3 * OPENING_WINDOW
+
+
 @pytest.fixture(scope="module")
 def served_dir(tmp_path_factory) -> Path:
     """One directory holding the {v1, v2} × {stream, container} fixtures."""
     root = tmp_path_factory.mktemp("served")
     v1_blob = (DATA / "v1_stream.ipc").read_bytes()
-    (root / "v1.ipc").write_bytes(v1_blob)
-    v2_blob = IPComp(error_bound=1e-5, relative=True).compress(_field((20, 18), 3))
+    # A stream is read from its head by its own directory; bytes after its
+    # last block are never touched, locally or remotely.
+    (root / "v1.ipc").write_bytes(v1_blob + bytes(_V1_PADDING))
+    v2_blob = IPComp(error_bound=1e-5, relative=True).compress(_field((400, 360), 3))
     (root / "v2.ipc").write_bytes(v2_blob)
     ChunkedDataset.write(
-        root / "v2.rprc", _field((24, 14, 10), 4), error_bound=1e-5,
+        root / "v2.rprc", _field((64, 48, 40), 4), error_bound=1e-5,
         relative=True, n_blocks=4, workers=0,
     )
-    header_shape = np.load(DATA / "v1_expected.npy").shape
-    n0 = header_shape[0]
+    n0, n1 = np.load(DATA / "v1_expected.npy").shape
+    names = [f"shard-{index:04d}" for index in range(_V1_SHARDS)]
     manifest = {
         "format": "repro-chunked-dataset",
         "version": 1,
-        "shape": [2 * n0, header_shape[1]],
+        "shape": [_V1_SHARDS * n0, n1],
         "dtype": "float64",
         "error_bound": 3.292730916654546e-05,
         "method": "cubic",
         "prefix_bits": 2,
         "backend": "zlib",
         "shards": [
-            {"name": "shard-0000", "slices": [[0, n0], [0, header_shape[1]]]},
-            {"name": "shard-0001", "slices": [[n0, 2 * n0], [0, header_shape[1]]]},
+            {"name": name, "slices": [[index * n0, (index + 1) * n0], [0, n1]]}
+            for index, name in enumerate(names)
         ],
     }
     with BlockContainerWriter(root / "v1.rprc") as writer:
-        writer.add_block("shard-0000", v1_blob)
-        writer.add_block("shard-0001", v1_blob)
+        for name in names:
+            writer.add_block(name, v1_blob)
         writer.add_block("manifest", json.dumps(manifest).encode())
+    for served in root.iterdir():
+        assert served.stat().st_size > 3 * OPENING_WINDOW // 2, served
     return root
 
 
@@ -137,7 +152,15 @@ def test_is_url():
 
 
 def _open_transport(url) -> AsyncHTTPTransport:
-    return EventLoopThread.shared().call(AsyncHTTPTransport(url).open())
+    """A bare transport after its opening read (what sizes it)."""
+
+    async def opened():
+        transport = await AsyncHTTPTransport(url).open()
+        assert transport.size is None  # no sizing request: nothing sent yet
+        await transport.aget(-OPENING_WINDOW, OPENING_WINDOW)
+        return transport
+
+    return EventLoopThread.shared().call(opened())
 
 
 def test_transport_reads_exact_windows(served_dir, server):
@@ -146,9 +169,13 @@ def test_transport_reads_exact_windows(served_dir, server):
     transport = _open_transport(server.url_for("v2.rprc"))
     try:
         assert transport.size == len(blob)
+        assert transport.n_requests == 1  # sized by the opening read alone
         data, crc = call(transport.aget(10, 33))
         assert data == blob[10:43]
         assert crc == zlib.crc32(data)  # the declared CRC rides the payload
+        # A suffix read returns the object's last bytes, CRC declared too.
+        data, crc = call(transport.aget(-100, 100))
+        assert data == blob[-100:] and crc == zlib.crc32(data)
         # Zero-length reads never touch the network.
         before = transport.n_requests
         assert call(transport.aget(5, 0)) == (b"", None)
@@ -176,6 +203,46 @@ def test_transport_handles_range_ignoring_server(served_dir):
             assert transport.egress_bytes >= len(blob)
         finally:
             call(transport.aclose())
+
+
+def test_range_ignoring_server_is_read_with_one_request(served_dir):
+    """The 200 that answers the opening read *is* the object: the whole body
+    becomes the window and every later read is served from it."""
+    blob = (served_dir / "v2.rprc").read_bytes()
+    with ChunkedDataset(served_dir / "v2.rprc") as dataset:
+        oracle = dataset.read()
+    with RangeServer(served_dir, ignore_range=True) as plain:
+        stack = open_remote_source(plain.url_for("v2.rprc"))
+        with ChunkedDataset(plain.url_for("v2.rprc"), source=stack) as dataset:
+            result = dataset.read()
+        stats = stack.stats()
+    assert result.data.tobytes() == oracle.data.tobytes()
+    assert result.ranges == oracle.ranges
+    assert stats["requests"] == 1 and stats["egress_bytes"] == len(blob)
+
+
+def test_endpoint_refusing_suffix_ranges_is_sized_the_slow_way(served_dir, monkeypatch):
+    """A 4xx to the opening read falls back to HEAD sizing and an empty
+    window; every read then goes to the wire as it always did."""
+    from repro.io import rangeserver
+
+    get = rangeserver._Handler._get
+
+    def refusing_get(self):
+        if (self.headers.get("Range") or "").startswith("bytes=-"):
+            self.send_error(416)
+        else:
+            get(self)
+
+    monkeypatch.setattr(rangeserver._Handler, "_get", refusing_get)
+    blob = (served_dir / "v2.rprc").read_bytes()
+    with RangeServer(served_dir) as srv:
+        with open_remote_source(srv.url_for("v2.rprc")) as stack:
+            assert stack.size == len(blob)
+            assert stack.stats()["retries"] == 0
+            before = srv.range_requests
+            assert stack.read_range(len(blob) - 12, 12) == blob[-12:]
+            assert srv.range_requests == before + 1  # no window to serve it
 
 
 def test_missing_object_errors(server):
@@ -416,6 +483,30 @@ def test_mirror_failover_and_health_ranking():
         _AsyncMirror([_ScriptedMirror(b"abc"), _ScriptedMirror(b"abcd")])
     with pytest.raises(ConfigurationError):
         _AsyncMirror([])
+
+
+def test_unsampled_mirror_ranks_after_a_timed_healthy_one():
+    """An unknown latency is not latency 0: the replica that has never been
+    timed must not displace a healthy primary after its first read."""
+    payload = bytes(range(64))
+
+    async def body(loop):
+        primary = _ScriptedMirror(payload, delay=0.03)
+        backup = _ScriptedMirror(payload)  # instant, but nobody knows that yet
+        mirror = _AsyncMirror([primary, backup], clock=loop.time)
+        for _ in range(3):
+            assert await mirror.aread_range(0, 4) == payload[:4]
+        assert (primary.calls, backup.calls) == (3, 0)
+        assert mirror.stats()["mirrors"][0]["latency_ewma_s"] == pytest.approx(0.03)
+        # Failures still outrank any latency: one failed read demotes the
+        # primary below the unsampled (but unfailed) replica.
+        primary.failing = True
+        assert await mirror.aread_range(0, 4) == payload[:4]
+        primary.failing = False
+        assert await mirror.aread_range(0, 4) == payload[:4]
+        assert (primary.calls, backup.calls) == (4, 2)
+
+    _run(body)
 
 
 def test_hedged_read_fires_and_cancels_the_loser():
@@ -672,6 +763,9 @@ def test_identity_matrix_over_http(served_dir, server, replica, version, kind, c
     name = f"{version}.ipc" if kind == "stream" else f"{version}.rprc"
     url = server.url_for(name)
     expected = _read(kind, served_dir / name, prefetch=0)
+    # Wire traffic of the leg (server-side count; the opening read is #1):
+    # a fixture that fitted the opening window would make every leg vacuous.
+    served, on_wire = server, server.range_requests
 
     if condition == "clean":
         stack = open_remote_source(url)
@@ -695,13 +789,16 @@ def test_identity_matrix_over_http(served_dir, server, replica, version, kind, c
         # 500s, short bodies, corruption after the CRC is stamped: faults
         # the *server* injects heal exactly like client-side ones.
         with RangeServer(served_dir, plan=_SERVER_FAULTS) as faulty:
+            served, on_wire = faulty, 0
             stack = open_remote_source(faulty.url_for(name), **_PATIENT)
             assert _read(kind, faulty.url_for(name), source=stack) == expected
             assert stack.stats()["retries"] >= 1
             assert faulty.faults_served >= 1
     else:
-        # The primary endpoint fails every read; the replica serves them all.
-        injector = FaultInjector(FaultPlan.always(kind="raise"))
+        # The primary endpoint opens, then fails every read; the replica
+        # serves them all.  (A primary already dead *at* open is dropped at
+        # construction — test_dead_primary_at_open_fails_over_to_mirror.)
+        injector = FaultInjector(FaultPlan.never())
 
         def tamper_primary(endpoint_url, transport):
             if endpoint_url == url:
@@ -712,10 +809,13 @@ def test_identity_matrix_over_http(served_dir, server, replica, version, kind, c
             url, [replica.url_for(name)], tamper=tamper_primary,
             retries=0, backoff=0.0,
         )
+        injector.plan.rules.extend(FaultPlan.always(kind="raise").rules)
+        served, on_wire = replica, replica.range_requests
         assert _read(kind, url, source=stack) == expected
         stats = stack.stats()
         assert stats["failovers"] >= 1
         assert len(stats["breaker"]) == 2
+    assert served.range_requests - on_wire >= 4
 
 
 def test_dead_primary_at_open_fails_over_to_mirror(served_dir, server):
@@ -730,6 +830,163 @@ def test_dead_primary_at_open_fails_over_to_mirror(served_dir, server):
         stack.close()
     with pytest.raises((RemoteSourceError, OSError)):
         open_remote_source(dead, ["http://127.0.0.1:1/other"])
+    # Reachable but failing its opening read on every retry: dropped too,
+    # its connections closed, and the replica's window serves the tail.
+    url = server.url_for("v2.rprc")
+    injector = FaultInjector(FaultPlan.always(kind="raise"))
+    with RangeServer(served_dir) as mirror:
+        with open_remote_source(
+            url, [mirror.url_for("v2.rprc")], retries=2, backoff=0.0,
+            tamper=lambda endpoint, t: injector.tamper(endpoint, t) if endpoint == url else t,
+        ) as stack:
+            assert injector.total_reads == 3  # the opening read and its retries
+            assert list(stack.stats()["breaker"]) == [f"{mirror.host}:{mirror.port}"]
+            assert stack.read_range(len(blob) - 64, 64) == blob[-64:]
+            assert mirror.range_requests == 1  # ... from memory
+
+
+# ---------------------------------------------- faults on the opening read
+
+
+@pytest.mark.parametrize("kind", ["corrupt", "short", "raise"])
+@pytest.mark.parametrize("side", ["client", "server"])
+def test_faulted_opening_read_is_caught_and_healed(served_dir, side, kind):
+    """Request #1 of a stack is its opening read, and it climbs the ladder:
+    a corrupted or truncated window is stopped by the CRC gate, a failed
+    one retried — within the budget — before anything is parsed from it."""
+    blob = (served_dir / "v2.rprc").read_bytes()
+    plan = FaultPlan.at({1}, kind=kind)
+    injector = FaultInjector(plan if side == "client" else FaultPlan.never())
+    with RangeServer(served_dir, plan=plan if side == "server" else None) as srv:
+        with open_remote_source(
+            srv.url_for("v2.rprc"), tamper=injector.tamper, backoff=0.0, retry_budget=4,
+        ) as stack:
+            stats = stack.stats()
+            assert stack.size == len(blob)
+            assert stats["retries"] == 1 and stats["retry_budget_left"] == 3
+            # A server-side short body under-runs Content-Length (transport
+            # error); a client-side one is only visible to the CRC gate.
+            assert stats["crc_mismatches"] == (
+                kind == "corrupt" or (side, kind) == ("client", "short")
+            )
+            # The faulted opening read and its retry (an injected client-side
+            # failure never reaches the server).
+            on_wire = 1 if (side, kind) == ("client", "raise") else 2
+            assert srv.range_requests == on_wire
+            # The healed window is the true tail, and parses.
+            assert stack.read_range(len(blob) - 12, 12) == blob[-12:]
+            with BlockContainerReader(_Unowned(stack)) as reader:
+                assert "manifest" in reader.directory
+            assert srv.range_requests == on_wire
+
+
+def test_opening_read_out_of_retries_fails_the_open(served_dir, settles):
+    injector = FaultInjector(FaultPlan.always(kind="corrupt"))
+    with RangeServer(served_dir) as srv:
+        with pytest.raises(RemoteIntegrityError):
+            open_remote_source(
+                srv.url_for("v2.rprc"), tamper=injector.tamper, retries=2, backoff=0.0
+            )
+        assert injector.total_reads == 3 and srv.range_requests == 3
+        assert settles(lambda: srv.open_connections == 0)  # nothing left open
+
+
+# ------------------------------------------------- what the window is trusted for
+
+
+def _retail(blob: bytes, footer_len=None, magic=b"RPRC") -> bytes:
+    """``blob`` with a rewritten 12-byte container tail word."""
+    if footer_len is None:
+        footer_len = struct.unpack("<Q", blob[-12:-4])[0]
+    return blob[:-12] + struct.pack("<Q", footer_len) + magic
+
+
+@pytest.mark.parametrize(
+    "case, match, requests",
+    [
+        ("bad-magic", "not a repro block container", 1),
+        ("footer-past-file", "truncated container footer", 1),
+        # Inside the file but before the window: the footer read falls
+        # through to the wire and finds payload bytes, not JSON.
+        ("footer-past-window", "corrupted container footer", 2),
+        ("truncated-manifest", "malformed dataset manifest", 1),
+    ],
+)
+def test_hostile_opening_window_raises_format_error(
+    served_dir, tmp_path, settles, case, match, requests
+):
+    """The window is untrusted input like any other read: a lying tail word
+    or a cut manifest raises ``StreamFormatError`` — no hang, no retry storm,
+    no byte requested beyond the object's real size."""
+    blob = (served_dir / "v2.rprc").read_bytes()
+    if case == "bad-magic":
+        hostile = _retail(blob, magic=b"XXXX")
+    elif case == "footer-past-file":
+        hostile = _retail(blob, footer_len=1 << 40)
+    elif case == "footer-past-window":
+        hostile = _retail(blob, footer_len=OPENING_WINDOW + 4096)
+    else:
+        with BlockContainerReader(served_dir / "v2.rprc") as reader:
+            blocks = {name: reader.read_block(name) for name in reader.block_names()}
+        with BlockContainerWriter(tmp_path / "hostile.rprc") as writer:
+            for name, data in blocks.items():
+                writer.add_block(name, data[: len(data) // 2] if name == "manifest" else data)
+        hostile = (tmp_path / "hostile.rprc").read_bytes()
+    (tmp_path / "hostile.rprc").write_bytes(hostile)
+    assert len(hostile) > 2 * OPENING_WINDOW
+    with RangeServer(tmp_path) as srv:
+        with pytest.raises(StreamFormatError, match=match):
+            ChunkedDataset(srv.url_for("hostile.rprc"))
+        assert srv.range_requests == requests
+        assert srv.bytes_sent <= len(hostile)
+        assert settles(lambda: srv.open_connections == 0)
+
+
+def test_footer_larger_than_the_window_falls_through(tmp_path):
+    """Nothing special-cases a big archive: reads that start before the
+    window simply go to the wire, as every read did before there was one."""
+    path = tmp_path / "wide.rprc"
+    with BlockContainerWriter(path) as writer:
+        for index in range(1500):
+            writer.add_block(f"a-block-with-quite-a-long-name-{index:05d}", bytes([index % 251]) * 7)
+    blob = path.read_bytes()
+    with BlockContainerReader(path) as local:
+        directory = local.directory
+    assert struct.unpack("<Q", blob[-12:-4])[0] > OPENING_WINDOW
+    with RangeServer(tmp_path) as srv:
+        with BlockContainerReader(open_remote_source(srv.url_for("wide.rprc"))) as reader:
+            assert reader.directory == directory
+            assert srv.range_requests == 2  # the opening read, then the footer
+            name = "a-block-with-quite-a-long-name-00700"
+            assert reader.read_block(name) == bytes([700 % 251]) * 7
+
+
+@pytest.mark.parametrize("same_size", [True, False])
+def test_revalidation_hits_the_wire_and_sees_a_replaced_object(tmp_path, same_size):
+    """A session's first fingerprint comes out of the opening window; every
+    later one is a request, answered about the object the server holds now."""
+    path = tmp_path / "obj.bin"
+    old = bytes(range(256)) * 40
+    path.write_bytes(old)
+    with RangeServer(tmp_path) as srv, open_remote_source(srv.url_for("obj.bin")) as stack:
+        first = remote_fingerprint(stack)
+        assert srv.range_requests == 1  # the opening read only
+        assert remote_fingerprint(stack, revalidate=True) == first
+        assert srv.range_requests == 2
+        path.write_bytes(old[:-1] + b"\x00" if same_size else old + b"tail")
+        assert remote_fingerprint(stack) == first  # the stale window: never for freshness
+        changed = remote_fingerprint(stack, revalidate=True)
+        assert srv.range_requests == 3
+        assert changed != first and (changed[0] == first[0]) == same_size
+
+
+class _Unowned:
+    """Lends a source to a reader that would otherwise close it."""
+
+    def __init__(self, source):
+        self._source = source
+        self.size = source.size
+        self.read_range = source.read_range
 
 
 def test_server_side_fault_plan_is_healed_by_the_client(served_dir):
@@ -764,12 +1021,30 @@ def test_service_over_url_warm_repeat_and_remote_trace(served_dir, server):
         assert response.trace.bytes_loaded == oracle.bytes_loaded
         assert response.trace.remote and response.trace.egress_bytes > 0
         assert response.trace.breaker_states  # endpoint state snapshot
+        on_wire = server.range_requests
         warm = service.get(url)
         assert np.array_equal(warm.data, oracle.data)
         assert warm.trace.physical_reads == 0
+        assert server.range_requests == on_wire + 1  # the revalidation probe
         stats = service.stats()
         assert stats["remote_requests"] == 2
         assert stats["egress_bytes"] >= response.trace.egress_bytes
+
+
+@pytest.mark.parametrize("name, kind", [("v2.rprc", "container"), ("v2.ipc", "stream")])
+def test_service_session_opens_in_one_request(served_dir, name, kind):
+    """Fingerprint, container sniff, tail word, footer and manifest all come
+    out of the opening read; a stream session then reads its header."""
+    with RangeServer(served_dir) as srv, RetrievalService() as service:
+        session = service._session(srv.url_for(name))
+        assert session.kind == kind
+        assert srv.range_requests == (1 if kind == "container" else 3)
+        blob = (served_dir / name).read_bytes()
+        assert session.fingerprint == (len(blob), 0, zlib.crc32(blob[-4096:]))
+        # The same session again: one revalidation probe, on the wire.
+        before = srv.range_requests
+        assert service._session(srv.url_for(name)) is session
+        assert srv.range_requests == before + 1
 
 
 def test_service_remote_failure_degrades_to_resident(served_dir, server):
