@@ -101,9 +101,7 @@ class IPComp:
             data, quantizer, granularity="sweep"
         )
         anchor_block = coder.encode_anchor(anchor_codes)
-        encodings = [
-            coder.encode_level(unit, codes) for unit, codes in unit_codes.items()
-        ]
+        encodings = coder.encode_levels(unit_codes.items())
         header = StreamHeader(
             shape=tuple(data.shape),
             dtype=str(data.dtype),

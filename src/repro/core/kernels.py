@@ -18,22 +18,25 @@ registry, mirroring the pluggable lossless-backend registry of
   as a correctness oracle: the differential tests assert that both
   kernels produce **byte-identical** streams, and the Figure 8 benchmark
   reports the throughput gap between them.
-* ``"fused"`` runs the whole per-level encode chain — negabinary →
-  bitplane transpose → XOR prediction → per-plane packing — as **one
-  sweep in the packed byte domain** (:meth:`Kernel.encode_planes` /
-  :meth:`Kernel.decode_planes`), reusing a per-instance buffer arena
-  across levels and planes instead of materialising fresh intermediates.
-  The trick is that XOR prediction commutes with bit packing (pad bits
-  are zero on both sides), so prediction runs on the 8×-smaller packed
-  rows and the whole level needs a single ``np.packbits`` call.  Output
-  bytes are asserted identical to both other kernels.
+* ``"fused"`` runs the whole encode chain — negabinary → bitplane
+  transpose → XOR prediction → per-plane packing — of **every level of a
+  shard** as **one sweep in the packed byte domain**
+  (:meth:`Kernel.encode_planes` / :meth:`Kernel.decode_planes`, which take
+  a shard's list of levels), over a per-thread buffer arena.  The levels
+  lie side by side in one position-major matrix (row ``p`` = bit ``p`` of
+  every value, so levels of different width align at the LSB), and a sweep
+  costs a fixed number of NumPy calls per shard instead of per level — a
+  shard is mostly small levels that would each pay more for dispatch than
+  for data.  XOR prediction commutes with bit packing (pad bits are zero
+  on both sides), so it runs on the 8×-smaller packed rows.  Output bytes
+  are asserted identical to both other kernels.
 * ``"compiled"`` (optional, the ``[compiled]`` pip extra) is the numba
-  ``@njit(parallel=True)`` port of the fused sweep
-  (:mod:`repro.core.kernels_compiled`): the same carry-free 8×8 bit-block
-  transpose, compiled to machine code with the independent byte columns
-  parallelised across cores.  It is registered behind a lazy import — on
-  a machine without numba, requesting it raises a
-  :class:`~repro.errors.ConfigurationError` naming the extra.
+  ``@njit(parallel=True)`` port of the sweep, one level at a time
+  (:mod:`repro.core.kernels_compiled`): the same bit-block transpose,
+  compiled to machine code with the independent byte columns parallelised
+  across cores, under the base class's loop over a shard's levels.  It is
+  registered behind a lazy import — on a machine without numba, requesting
+  it raises a :class:`~repro.errors.ConfigurationError` naming the extra.
 * ``"auto"`` (the default) resolves, at first use, to the fastest backend
   available on the machine — ``compiled`` > ``fused`` > ``vectorized``
   (see :func:`resolve_auto_kernel`) — so every default-argument caller
@@ -54,11 +57,13 @@ coder, the Huffman coder, and the ``ipcomp`` CLI.
 from __future__ import annotations
 
 import threading
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.coders.bitio import BitReader, BitWriter  # reference kernel substrate
+from repro.core.negabinary import NEGABINARY_MASK as _NEGABINARY_MASK
 from repro.core.negabinary import from_negabinary as _nb_decode
 from repro.core.negabinary import required_bits_from_codes as _nb_required_bits
 from repro.core.negabinary import to_negabinary as _nb_encode
@@ -69,6 +74,10 @@ from repro.errors import ConfigurationError
 DEFAULT_KERNEL = "auto"
 
 _U64_MASK = (1 << 64) - 1
+
+#: One level as :meth:`Kernel.decode_planes` takes it: the loaded packed
+#: plane rows (most significant first), the value count, the level width.
+LevelPlanes = Tuple[Sequence[bytes], int, int]
 
 
 def _check_nbits(nbits: int) -> None:
@@ -157,21 +166,50 @@ class Kernel:
         """Bin index → bin-centre value (float64)."""
         raise NotImplementedError
 
-    # ------------------------------------------------------- fused pipelines
+    # ------------------------------------------------------- shard-wide hooks
 
     def encode_planes(
-        self, codes: np.ndarray, prefix_bits: int
-    ) -> Tuple[int, List[bytes]]:
-        """One level's full plane-encode chain: codes → packed plane blocks.
+        self, levels: Sequence[np.ndarray], prefix_bits: int
+    ) -> List[Tuple[int, List[bytes]]]:
+        """A shard's full plane-encode chain: per-level codes → plane blocks.
 
-        Runs negabinary conversion, bitplane transposition, XOR prediction
-        and per-plane bit packing; returns ``(nbits, blocks)`` with one
-        packed byte string per plane, most significant first.  The default
-        implementation composes the four primitive kernel methods, so every
-        kernel gets the hook for free; :class:`FusedKernel` overrides it
-        with a single-sweep implementation.  All implementations must emit
+        ``levels`` holds the quantization codes of every level of one shard
+        (a single level is the batch of one).  Each level runs negabinary
+        conversion, bitplane transposition, XOR prediction and per-plane
+        bit packing; the result is one ``(nbits, blocks)`` pair per level,
+        in order, with one packed byte string per plane, most significant
+        first.  The default implementation loops over the levels composing
+        the four primitive kernel methods, so every kernel gets the hook
+        for free and stays an oracle; :class:`FusedKernel` overrides it with
+        one sweep over the whole shard.  All implementations must emit
         byte-identical blocks.
         """
+        _check_prefix_bits(prefix_bits)
+        return [self._encode_level(codes, prefix_bits) for codes in levels]
+
+    def decode_planes(
+        self, levels: Sequence[LevelPlanes], prefix_bits: int
+    ) -> List[np.ndarray]:
+        """Invert :meth:`encode_planes` for each level's loaded plane prefix.
+
+        Every entry of ``levels`` is ``(raw_planes, count, nbits)``: the
+        losslessly *decoded* packed plane rows that were loaded (most
+        significant first, each ``ceil(count / 8)`` bytes — the predictive
+        coder validates and trims them), the number of values and the level
+        width.  Unloaded low planes are treated as zero.  Returns the
+        ``int64`` quantization codes of every level, in order; the arrays
+        may be views of one shared buffer.
+        """
+        _check_prefix_bits(prefix_bits)
+        return [
+            self._decode_level(raw_planes, count, nbits, prefix_bits)
+            for raw_planes, count, nbits in levels
+        ]
+
+    def _encode_level(
+        self, codes: np.ndarray, prefix_bits: int
+    ) -> Tuple[int, List[bytes]]:
+        """One level of :meth:`encode_planes`, from the primitive methods."""
         codes = np.asarray(codes, dtype=np.int64).ravel()
         negabinary = self.to_negabinary(codes)
         nbits = _nb_required_bits(negabinary)
@@ -179,19 +217,14 @@ class Kernel:
         predicted = self.predictive_encode(planes, prefix_bits)
         return nbits, [self.pack_bits(plane) for plane in predicted]
 
-    def decode_planes(
+    def _decode_level(
         self,
         raw_planes: Sequence[bytes],
         count: int,
         nbits: int,
         prefix_bits: int,
     ) -> np.ndarray:
-        """Invert :meth:`encode_planes` for the loaded plane prefix.
-
-        ``raw_planes`` are the losslessly *decoded* packed plane byte
-        strings (most significant first); unloaded low planes are treated
-        as zero.  Returns the ``int64`` quantization codes.
-        """
+        """One level of :meth:`decode_planes`, from the primitive methods."""
         keep = len(raw_planes)
         if count == 0 or keep == 0:
             return np.zeros(count, dtype=np.int64)
@@ -528,38 +561,56 @@ class ArenaKernel(VectorizedKernel):
         return arena
 
 
-#: Per-byte LSB mask / bit-gather multiplier of the 8×8 bit-block
-#: transpose (Hacker's Delight ``transpose8``): with ``t`` holding one
-#: 0/1 bit in every byte's LSB, ``(t * _TRANSPOSE_MAGIC) >> 56`` packs
-#: byte ``i``'s bit into output bit ``i`` — carry-free, because each
-#: output bit position receives exactly one contribution.
-_TRANSPOSE_MASK = np.uint64(0x0101010101010101)
-_TRANSPOSE_MAGIC = np.uint64(0x0102040810204080)
-_U64_SHIFTS = [np.uint64(s) for s in range(64)]
+#: The three masked swaps of the 8×8 bit-block transpose (Hacker's Delight
+#: ``transpose8``): exchange the off-diagonal 1×1, 2×2 and 4×4 sub-blocks
+#: of the bit matrix a ``uint64`` holds (byte ``r``, bit ``c`` = entry
+#: ``(r, c)``) — carry-free, and its own inverse.
+_TRANSPOSE_SWAPS = (
+    (np.uint64(7), np.uint64(0x00AA00AA00AA00AA)),
+    (np.uint64(14), np.uint64(0x0000CCCC0000CCCC)),
+    (np.uint64(28), np.uint64(0x00000000F0F0F0F0)),
+)
+
+
+def _transpose_bit_blocks(blocks: np.ndarray, scratch: np.ndarray) -> None:
+    """Transpose, in place, the 8×8 bit matrix in every ``uint64`` of ``blocks``."""
+    for shift, mask in _TRANSPOSE_SWAPS:
+        np.right_shift(blocks, shift, out=scratch)
+        scratch ^= blocks
+        scratch &= mask
+        blocks ^= scratch
+        np.left_shift(scratch, shift, out=scratch)
+        blocks ^= scratch
 
 
 class FusedKernel(ArenaKernel):
-    """Single-sweep plane pipeline over a reusable buffer arena.
+    """One packed-domain sweep per shard over a reusable buffer arena.
 
     The primitive operations are inherited from :class:`VectorizedKernel`
-    (they already are single bulk passes), but the per-level pipelines are
-    overridden to run entirely in the *packed* byte domain.  The insight is
-    that ``extract_bitplanes`` + ``pack_bits`` (and their inverses) compose
-    to a **bit-matrix transpose** — ``n × nbits`` value-major bits to
-    ``nbits × n`` plane-major bits — and an 8×8 bit-block transpose has a
-    carry-free multiply implementation that never materialises the
-    ``n × nbits`` bit matrix at all:
+    (they already are single bulk passes), but the shard-wide hooks run
+    entirely in the *packed* byte domain.  ``extract_bitplanes`` +
+    ``pack_bits`` (and their inverses) compose to a **bit-matrix
+    transpose** — ``n × nbits`` value-major bits to ``nbits × n``
+    plane-major bits — and :func:`_transpose_bit_blocks` does it 8×8 bits
+    at a time without ever materialising the ``n × nbits`` bit matrix.
 
-    * **encode** — for every code byte, the 8 values of a block collapse
-      into one ``uint64``; eight shift/mask/multiply passes emit the eight
-      packed plane rows directly.  The XOR prediction then runs on the
-      packed rows — 8× less data than the bit-domain XOR — and every
-      intermediate lives in the arena, reused across levels.
-    * **decode** — the losslessly-decoded plane bytes are laid into one
-      arena matrix, un-predicted in the packed domain, and pushed through
-      the same (involutive) block transpose straight back into value
-      bytes; the reconstructed codes never pass through a bit matrix
-      either.
+    Every level of the shard is padded to whole 8-value blocks and laid
+    side by side in one **position-major** arena matrix: row ``p`` holds
+    bit ``p`` of every value as packed bytes, so levels of different
+    ``nbits`` align at the least significant bit and the rows above a
+    level's width are zero.  A fixed number of NumPy passes then serves
+    all levels at once — a shard's many small levels cost no more dispatch
+    than its largest one:
+
+    * **encode** — code byte ``j`` of a block's 8 values is one ``uint64``
+      whose transpose *is* the packed plane rows ``8j … 8j + 7``.  The XOR
+      prediction runs on the packed rows (8× less data than bits); zero
+      rows above a level's width predict nothing, exactly as the per-level
+      recurrence stops at the top plane.
+    * **decode** — the loaded rows are laid into the matrix, un-predicted
+      top-down (zero rows pass through the recurrence unchanged; rows
+      *below* a level's loaded planes pick up the planes above them and are
+      re-zeroed) and pushed through the same transpose into value bytes.
 
     Byte identity with the other kernels holds because the block transpose
     reproduces ``np.packbits``'s little-endian bit placement exactly and
@@ -570,103 +621,91 @@ class FusedKernel(ArenaKernel):
 
     name = "fused"
 
-    # ------------------------------------------------------- fused pipelines
-
     def encode_planes(
-        self, codes: np.ndarray, prefix_bits: int
-    ) -> Tuple[int, List[bytes]]:
+        self, levels: Sequence[np.ndarray], prefix_bits: int
+    ) -> List[Tuple[int, List[bytes]]]:
         _check_prefix_bits(prefix_bits)
-        codes = np.asarray(codes, dtype=np.int64).ravel()
-        negabinary = _nb_encode(codes)
-        nbits = _nb_required_bits(negabinary)
-        n = codes.size
-        if n == 0:
-            return nbits, [b""] * nbits
+        levels = [np.asarray(codes, dtype=np.int64).ravel() for codes in levels]
+        # Level i owns packed columns starts[i] … starts[i+1] of every row.
+        starts = list(accumulate(((codes.size + 7) // 8 for codes in levels), initial=0))
+        width = starts[-1]
         arena = self._arena
-        row_bytes = (n + 7) // 8  # packed plane row length
-        npad = 8 * row_bytes
-        padded = arena.take("encode.codes", (npad,), np.uint64)
-        padded[:n] = negabinary
-        padded[n:] = 0
-        packed = arena.take("encode.packed", (nbits, row_bytes))
-        shifted = arena.take("encode.shifted", (npad,), np.uint64)
-        block_bytes = arena.take("encode.block", (npad,), np.uint8)
-        gathered = arena.take("encode.gather", (row_bytes,), np.uint64)
-        for j in range((nbits + 7) // 8):
-            # One uint64 per block of 8 values, holding code byte j of each.
-            np.right_shift(padded, _U64_SHIFTS[8 * j], out=shifted)
-            np.copyto(block_bytes, shifted, casting="unsafe")  # low bytes
-            blocks = block_bytes.view("<u8")
-            for k in range(8):
-                position = 8 * j + k
-                if position >= nbits:
-                    break
-                np.right_shift(blocks, _U64_SHIFTS[k], out=gathered)
-                gathered &= _TRANSPOSE_MASK
-                gathered *= _TRANSPOSE_MAGIC
-                np.right_shift(gathered, _U64_SHIFTS[56], out=gathered)
-                np.copyto(packed[nbits - 1 - position], gathered, casting="unsafe")
-        predicted = arena.take("encode.predicted", (nbits, row_bytes))
+        words = arena.take("encode.words", (8 * width,), np.uint64)
+        for codes, start, stop in zip(levels, starts, starts[1:]):
+            words[8 * start : 8 * start + codes.size] = codes.view(np.uint64)
+            words[8 * start + codes.size : 8 * stop] = 0
+        # The alternating-mask negabinary map, in place; pads stay zero.
+        words += _NEGABINARY_MASK
+        words ^= _NEGABINARY_MASK
+        widths = [_nb_required_bits(words[8 * a : 8 * b]) for a, b in zip(starts, starts[1:])]
+        groups = (max(widths, default=1) + 7) // 8
+        packed = arena.take("encode.packed", (8 * groups, width))
+        blocks = arena.take("encode.blocks", (width,), np.uint64)
+        scratch = arena.take("encode.scratch", (width,), np.uint64)
+        word_bytes = words.view(np.uint8).reshape(8 * width, 8)
+        for j in range(groups):
+            np.copyto(blocks.view(np.uint8), word_bytes[:, j])
+            _transpose_bit_blocks(blocks, scratch)
+            packed[8 * j : 8 * j + 8] = blocks.view(np.uint8).reshape(width, 8).T
+        predicted = arena.take("encode.predicted", packed.shape)
         np.copyto(predicted, packed)
         for j in range(1, prefix_bits + 1):
-            if nbits > j:
-                np.bitwise_xor(packed[:-j], predicted[j:], out=predicted[j:])
-        return nbits, [predicted[row].tobytes() for row in range(nbits)]
+            predicted[:-j] ^= packed[j:]
+        return [
+            (nbits, [predicted[p, start:stop].tobytes() for p in range(nbits - 1, -1, -1)])
+            for nbits, start, stop in zip(widths, starts, starts[1:])
+        ]
 
     def decode_planes(
-        self,
-        raw_planes: Sequence[bytes],
-        count: int,
-        nbits: int,
-        prefix_bits: int,
-    ) -> np.ndarray:
+        self, levels: Sequence[LevelPlanes], prefix_bits: int
+    ) -> List[np.ndarray]:
         _check_prefix_bits(prefix_bits)
-        keep = len(raw_planes)
-        if count == 0 or keep == 0:
-            return np.zeros(count, dtype=np.int64)
+        # A level with no plane loaded takes no columns and decodes to zeros.
+        row_bytes = [(count + 7) // 8 if rows else 0 for rows, count, _ in levels]
+        starts = list(accumulate(row_bytes, initial=0))
+        width = starts[-1]
+        top = max((level[2] for level, nbytes in zip(levels, row_bytes) if nbytes), default=0)
+        groups = (top + 7) // 8
         arena = self._arena
-        row_bytes = (count + 7) // 8
-        packed = arena.take("decode.packed", (keep, row_bytes))
-        for row, raw in enumerate(raw_planes):
-            buf = np.frombuffer(raw, dtype=np.uint8)
-            if buf.size < row_bytes:
-                # Short block: surface the same error the per-plane
-                # unpack path raises (np.unpackbits count > available).
-                self.unpack_bits(raw, count)
-            packed[row] = buf[:row_bytes]
+        packed = arena.take("decode.packed", (8 * groups, width))
+        packed.fill(0)
+        bottom = top  # lowest bit position any level loaded
+        for (rows, _, nbits), start, nbytes in zip(levels, starts, row_bytes):
+            keep = len(rows)
+            if not nbytes:
+                continue
+            if keep > nbits or set(map(len, rows)) != {nbytes}:
+                raise ValueError(
+                    f"{keep} plane rows of {sorted(set(map(len, rows)))} bytes "
+                    f"for a level of {nbits} planes × {nbytes} bytes"
+                )
+            joined = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(keep, nbytes)
+            packed[nbits - keep : nbits, start : start + nbytes] = joined[::-1]
+            bottom = min(bottom, nbits - keep)
         if prefix_bits == 1:
-            np.bitwise_xor.accumulate(packed, axis=0, out=packed)
-        elif prefix_bits:
-            for k in range(1, keep):
-                for j in range(1, prefix_bits + 1):
-                    if k - j >= 0:
-                        packed[k] ^= packed[k - j]
-        # Inverse block transpose: plane rows → per-value code bytes.
-        npad = 8 * row_bytes
-        value_bytes = arena.take("decode.values", (npad, 8))
-        value_bytes[:] = 0
-        value_blocks = value_bytes.reshape(row_bytes, 8, 8)
-        blocks = arena.take("decode.blocks", (row_bytes,), np.uint64)
-        gathered = arena.take("decode.gather", (row_bytes,), np.uint64)
-        lifted = arena.take("decode.lift", (row_bytes,), np.uint64)
-        for j in range((nbits + 7) // 8):
-            blocks[:] = 0
-            for k in range(8):
-                position = 8 * j + k
-                row = nbits - 1 - position
-                if position >= nbits or row >= keep:
-                    continue  # beyond the level width / not loaded → zero
-                np.copyto(lifted, packed[row], casting="unsafe")
-                lifted <<= _U64_SHIFTS[8 * k]
-                blocks |= lifted
-            for i in range(8):
-                np.right_shift(blocks, _U64_SHIFTS[i], out=gathered)
-                gathered &= _TRANSPOSE_MASK
-                gathered *= _TRANSPOSE_MAGIC
-                np.right_shift(gathered, _U64_SHIFTS[56], out=gathered)
-                np.copyto(value_blocks[:, i, j], gathered, casting="unsafe")
-        codes = value_bytes.reshape(-1).view("<u8")[:count]
-        return self.from_negabinary(codes.astype(np.uint64))
+            descending = packed[bottom:top][::-1]
+            np.bitwise_xor.accumulate(descending, axis=0, out=descending)
+        else:
+            for p in range(top - 2, bottom - 1, -1):
+                for j in range(1, min(prefix_bits, top - 1 - p) + 1):
+                    packed[p] ^= packed[p + j]
+        for (rows, _, nbits), start, nbytes in zip(levels, starts, row_bytes):
+            packed[bottom : nbits - len(rows), start : start + nbytes] = 0
+        # Byte groups wholly below every loaded plane stay zero untouched.
+        word_bytes = arena.take("decode.words", (width, 8, 8))
+        word_bytes.fill(0)
+        blocks = arena.take("decode.blocks", (width,), np.uint64)
+        scratch = arena.take("decode.scratch", (width,), np.uint64)
+        block_bytes = blocks.view(np.uint8).reshape(width, 8)
+        for j in range(bottom // 8, groups):
+            np.copyto(block_bytes, packed[8 * j : 8 * j + 8].T)
+            _transpose_bit_blocks(blocks, scratch)
+            word_bytes[:, :, j] = block_bytes
+        codes = self.from_negabinary(word_bytes.reshape(-1).view("<u8"))
+        return [
+            codes[8 * start : 8 * start + count] if nbytes else np.zeros(count, dtype=np.int64)
+            for (_, count, _), start, nbytes in zip(levels, starts, row_bytes)
+        ]
 
 
 # --------------------------------------------------------------------- registry

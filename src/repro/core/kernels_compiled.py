@@ -49,7 +49,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.kernels import ArenaKernel, _check_prefix_bits
+from repro.core.kernels import ArenaKernel
 from repro.core.negabinary import from_negabinary as _nb_decode
 from repro.core.negabinary import required_bits_from_codes as _nb_required_bits
 from repro.core.negabinary import to_negabinary as _nb_encode
@@ -217,10 +217,9 @@ class CompiledKernel(ArenaKernel):
 
     # ----------------------------------------------------------- pipelines
 
-    def encode_planes(
+    def _encode_level(
         self, codes: np.ndarray, prefix_bits: int
     ) -> Tuple[int, List[bytes]]:
-        _check_prefix_bits(prefix_bits)
         codes = np.asarray(codes, dtype=np.int64).ravel()
         negabinary = _nb_encode(codes)
         nbits = _nb_required_bits(negabinary)
@@ -232,14 +231,13 @@ class CompiledKernel(ArenaKernel):
         _encode_planes_sweep(negabinary, nbits, prefix_bits, packed)
         return nbits, [packed[row].tobytes() for row in range(nbits)]
 
-    def decode_planes(
+    def _decode_level(
         self,
         raw_planes: Sequence[bytes],
         count: int,
         nbits: int,
         prefix_bits: int,
     ) -> np.ndarray:
-        _check_prefix_bits(prefix_bits)
         keep = len(raw_planes)
         if count == 0 or keep == 0:
             return np.zeros(count, dtype=np.int64)
@@ -270,6 +268,6 @@ class CompiledKernel(ArenaKernel):
         """
         sample = np.arange(-32, 33, dtype=np.int64)
         start = time.perf_counter()
-        nbits, blocks = self.encode_planes(sample, 2)
-        self.decode_planes(blocks, sample.size, nbits, 2)
+        [(nbits, blocks)] = self.encode_planes([sample], 2)
+        self.decode_planes([(blocks, sample.size, nbits)], 2)
         return time.perf_counter() - start

@@ -38,7 +38,9 @@ def from_negabinary(codes: np.ndarray) -> np.ndarray:
     """Invert :func:`to_negabinary`, returning ``int64`` values."""
     u = np.asarray(codes, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        return ((u ^ NEGABINARY_MASK) - NEGABINARY_MASK).astype(np.int64)
+        out = u ^ NEGABINARY_MASK  # the one fresh array; the rest is in place
+        out -= NEGABINARY_MASK
+    return out.view(np.int64)
 
 
 def required_bits_from_codes(codes: np.ndarray) -> int:

@@ -1,7 +1,8 @@
-"""Per-level predictive bitplane encoder (§4.3 + §4.4).
+"""Predictive bitplane encoder (§4.3 + §4.4), one shard at a time.
 
-This module turns the quantization integers of one interpolation level into a
-sequence of *independently decodable blocks*, one per bitplane:
+This module turns the quantization integers of every interpolation level of
+a shard into sequences of *independently decodable blocks*, one per level
+and bitplane:
 
 1. signed integers → negabinary codes (:mod:`repro.core.negabinary`);
 2. codes → bitplanes, most significant first (:mod:`repro.core.bitplane`);
@@ -24,14 +25,19 @@ sequence of *independently decodable blocks*, one per bitplane:
    different — still valid — coder for a plane whose prefix is not
    representative).
 
-Steps 1–4 run on a pluggable bit-level kernel (:mod:`repro.core.kernels`)
-through its :meth:`~repro.core.kernels.Kernel.encode_planes` /
-:meth:`~repro.core.kernels.Kernel.decode_planes` pipeline hooks: the
-``"fused"`` kernel (what the default ``"auto"`` resolves to without numba)
-runs the stages as one sweep over a reusable buffer arena, the
-``"vectorized"`` kernel as separate NumPy bulk passes, and the
-``"reference"`` kernel as auditable Python loops; all yield byte-identical
-blocks (coder negotiation only sees the packed bytes, which are identical).
+Steps 1–3 (and the packing of step 4) run on a pluggable bit-level kernel
+(:mod:`repro.core.kernels`) through its *shard-wide* hooks
+:meth:`~repro.core.kernels.Kernel.encode_planes` /
+:meth:`~repro.core.kernels.Kernel.decode_planes`, which take all levels of
+the shard in one call (:meth:`PredictiveCoder.encode_levels` /
+:meth:`~PredictiveCoder.decode_levels_codes`; the per-level methods are the
+shard of one): the ``"fused"`` kernel (what the default ``"auto"`` resolves
+to without numba) sweeps every level together in one position-major matrix
+over a reusable buffer arena, the ``"vectorized"`` kernel runs separate
+NumPy bulk passes per level, and the ``"reference"`` kernel auditable
+Python loops; all yield byte-identical blocks (coder negotiation only sees
+the packed bytes, which are identical).  Lossless decoding stays per plane,
+and every decoded row is validated where the batch is assembled.
 
 Alongside the blocks the encoder records the *exact* information-loss table
 ``δy_l(b)`` — the largest value-domain error introduced at this level when the
@@ -46,7 +52,7 @@ zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -278,32 +284,47 @@ class PredictiveCoder:
 
     # ------------------------------------------------------------------ encode
 
-    def encode_level(self, level: int, codes: np.ndarray) -> LevelEncoding:
-        """Encode the quantization integers of one level into plane blocks."""
-        codes = np.asarray(codes, dtype=np.int64).ravel()
-        # The whole negabinary → bitplane → XOR-predict → pack chain is one
-        # kernel pipeline call, so the fused kernel can run it as a single
-        # sweep over its buffer arena.
-        nbits, packed_planes = self.kernel.encode_planes(codes, self.prefix_bits)
-        policy, sample = self.profile.negotiation, self.profile.negotiation_sample
-        blocks: List[bytes] = []
-        chosen: List[str] = []
-        for packed in packed_planes:
-            name, block = negotiate_encode(
-                packed, self.candidates, self._coders, policy=policy, sample=sample
-            )
-            blocks.append(block)
-            chosen.append(name)
-        # Integer losses for every b at once; the bin width is the only float.
-        delta = truncation_errors(codes, nbits) * self.quantizer.bin_width
-        return LevelEncoding(
-            level=level,
-            count=codes.size,
-            nbits=nbits,
-            plane_blocks=blocks,
-            plane_coders=chosen,
-            delta_table=delta,
+    def encode_levels(
+        self, levels: Iterable[Tuple[int, np.ndarray]]
+    ) -> List[LevelEncoding]:
+        """Encode a shard's ``(level, quantization integers)`` pairs into plane blocks."""
+        levels = [
+            (level, np.asarray(codes, dtype=np.int64).ravel()) for level, codes in levels
+        ]
+        # The negabinary → bitplane → XOR-predict → pack chain of every
+        # level is one kernel hook call, so the fused kernel can run the
+        # whole shard as a single sweep over its buffer arena.
+        planes = self.kernel.encode_planes(
+            [codes for _, codes in levels], self.prefix_bits
         )
+        policy, sample = self.profile.negotiation, self.profile.negotiation_sample
+        encodings: List[LevelEncoding] = []
+        for (level, codes), (nbits, packed_planes) in zip(levels, planes):
+            blocks: List[bytes] = []
+            chosen: List[str] = []
+            for packed in packed_planes:
+                name, block = negotiate_encode(
+                    packed, self.candidates, self._coders, policy=policy, sample=sample
+                )
+                blocks.append(block)
+                chosen.append(name)
+            # Integer losses for every b at once; the bin width is the only float.
+            delta = truncation_errors(codes, nbits) * self.quantizer.bin_width
+            encodings.append(
+                LevelEncoding(
+                    level=level,
+                    count=codes.size,
+                    nbits=nbits,
+                    plane_blocks=blocks,
+                    plane_coders=chosen,
+                    delta_table=delta,
+                )
+            )
+        return encodings
+
+    def encode_level(self, level: int, codes: np.ndarray) -> LevelEncoding:
+        """Encode one level: the shard of one (see :meth:`encode_levels`)."""
+        return self.encode_levels([(level, codes)])[0]
 
     def encode_anchor(self, codes: np.ndarray) -> bytes:
         """Encode the (small, always fully loaded) anchor integers."""
@@ -322,63 +343,66 @@ class PredictiveCoder:
             )
         return self.quantizer.dequantize(codes)
 
+    def _decode_row(self, encoding_meta: "LevelEncoding", plane: int, block: bytes) -> bytes:
+        """Losslessly decode one plane block to its packed ``ceil(count / 8)``-byte row."""
+        row = self._coder(encoding_meta.coder_for_plane(plane)).decode(block)
+        row_bytes = (encoding_meta.count + 7) // 8
+        if len(row) < row_bytes:
+            raise StreamFormatError(
+                f"level {encoding_meta.level} plane {plane} holds {len(row)} "
+                f"bytes, expected {row_bytes}"
+            )
+        return row[:row_bytes]
+
     def decode_plane_packed(self, encoding_meta: "LevelEncoding", plane: int, block: bytes) -> np.ndarray:
         """Decode one plane block to its (still XOR-predicted) packed bit row.
 
         Returns a writable ``uint8`` row of ``ceil(count / 8)`` bytes,
         little-endian bit order — the form Algorithm 2's merge consumes.
         """
-        backend = self._coder(encoding_meta.coder_for_plane(plane))
-        row = np.frombuffer(backend.decode(block), dtype=np.uint8)
-        row_bytes = (encoding_meta.count + 7) // 8
-        if row.size < row_bytes:
-            raise StreamFormatError(
-                f"level {encoding_meta.level} plane {plane} holds {row.size} "
-                f"bytes, expected {row_bytes}"
-            )
-        return row[:row_bytes].copy()
+        return np.frombuffer(
+            self._decode_row(encoding_meta, plane, block), dtype=np.uint8
+        ).copy()
 
-    def decode_level(
-        self,
-        encoding_meta: "LevelEncoding",
-        loaded_blocks: Sequence[bytes],
-    ) -> np.ndarray:
-        """Decode the first ``len(loaded_blocks)`` planes of a level.
+    def decode_levels_codes(
+        self, levels: Iterable[Tuple["LevelEncoding", Sequence[bytes]]]
+    ) -> List[np.ndarray]:
+        """Integer codes of a shard's levels from their loaded plane blocks.
 
-        Returns the dequantized prediction differences with all unloaded
-        planes treated as zero — exactly what Algorithm 1 feeds into the
-        interpolation reconstruction.
+        Each pair is a level's metadata and its first ``len(blocks)`` plane
+        blocks; unloaded planes count as zero — exactly what Algorithm 1
+        feeds into the interpolation reconstruction.  Lossless decoding
+        dispatches per plane (the header names a coder for each) and every
+        row is validated here, once; the bit-level inverse chain of all
+        levels is one kernel hook call.
         """
-        count = encoding_meta.count
-        keep = len(loaded_blocks)
-        if keep > encoding_meta.nbits:
-            raise StreamFormatError("more plane blocks supplied than the level width")
-        if count == 0 or keep == 0:
-            return np.zeros(count, dtype=np.float64)
-        return self.quantizer.dequantize(
-            self.decode_level_codes(encoding_meta, loaded_blocks)
-        )
+        batch = []
+        for meta, blocks in levels:
+            if len(blocks) > meta.nbits:
+                raise StreamFormatError("more plane blocks supplied than the level width")
+            rows = [self._decode_row(meta, plane, block) for plane, block in enumerate(blocks)]
+            batch.append((rows, meta.count, meta.nbits))
+        return self.kernel.decode_planes(batch, self.prefix_bits)
 
     def decode_level_codes(
         self,
         encoding_meta: "LevelEncoding",
         loaded_blocks: Sequence[bytes],
     ) -> np.ndarray:
-        """Like :meth:`decode_level` but returning integer codes.
+        """Integer codes of one level: the shard of one (see :meth:`decode_levels_codes`).
 
         The progressive retriever keeps the integer codes of the current
         fidelity so that incremental refinement (Algorithm 2) can compute the
         exact integer delta contributed by newly loaded planes.
         """
-        count = encoding_meta.count
-        nbits = encoding_meta.nbits
-        keep = len(loaded_blocks)
-        if count == 0 or keep == 0:
-            return np.zeros(count, dtype=np.int64)
-        # Lossless decoding dispatches per plane (the header names a coder
-        # for each); the bit-level inverse chain is one kernel pipeline call.
-        raw_planes = [
-            self._coder(encoding_meta.coder_for_plane(row)).decode(block)
-            for row, block in enumerate(loaded_blocks)
-        ]
-        return self.kernel.decode_planes(raw_planes, count, nbits, self.prefix_bits)
+        return self.decode_levels_codes([(encoding_meta, loaded_blocks)])[0]
+
+    def decode_level(
+        self,
+        encoding_meta: "LevelEncoding",
+        loaded_blocks: Sequence[bytes],
+    ) -> np.ndarray:
+        """Like :meth:`decode_level_codes` but dequantized to prediction differences."""
+        return self.quantizer.dequantize(
+            self.decode_level_codes(encoding_meta, loaded_blocks)
+        )

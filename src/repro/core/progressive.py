@@ -271,14 +271,19 @@ class ProgressiveRetriever:
         self._anchor_values = self.coder.decode_anchor(
             anchor_block, self.header.anchor_count
         )
-        level_diffs: Dict[int, np.ndarray] = {}
-        for enc in self.header.levels:
-            keep = plan.keep.get(enc.level, 0)
-            blocks = self.store.read_planes(enc.level, keep)
-            codes = self.coder.decode_level_codes(enc, blocks)
-            self._current_codes[enc.level] = codes
-            self._current_keep[enc.level] = keep
-            level_diffs[enc.level] = self.quantizer.dequantize(codes)
+        levels = self.header.levels
+        keep = {enc.level: plan.keep.get(enc.level, 0) for enc in levels}
+        # One decode call for the whole shard: the kernel sweeps every level
+        # together instead of paying its fixed dispatch cost per level.
+        codes = self.coder.decode_levels_codes(
+            (enc, self.store.read_planes(enc.level, keep[enc.level])) for enc in levels
+        )
+        self._current_keep = keep
+        self._current_codes = {enc.level: c for enc, c in zip(levels, codes)}
+        level_diffs = {
+            level: self.quantizer.dequantize(c)
+            for level, c in self._current_codes.items()
+        }
         output = self.predictor.reconstruct(
             self._anchor_values, level_diffs, granularity="sweep"
         )

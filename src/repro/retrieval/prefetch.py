@@ -200,11 +200,13 @@ class PrefetchSource:
     def read_range(self, offset: int, length: int) -> bytes:
         """Serve one consumed range: cache hit, in-flight wait, or direct read."""
         self.trace.append((offset, length))
-        with self._lock:
-            hit = next(
-                (p for p in self._primed if p.covers(offset, length)), None
-            )
-            parts = None if hit is not None else self._tiling(offset, length)
+        hit = parts = None
+        if self._primed:  # else (every local-file read) a plain miss: no lock, no scans
+            with self._lock:
+                hit = next(
+                    (p for p in self._primed if p.covers(offset, length)), None
+                )
+                parts = None if hit is not None else self._tiling(offset, length)
         if hit is None and parts is not None:
             # The range straddles adjacent primed intervals (e.g. a header
             # prime split the first plan op in two): stitch it from the

@@ -111,13 +111,13 @@ def test_encode_planes_hook_parity_across_kernels():
         for spread in (1, 900, 2**40):
             codes = rng.integers(-spread, spread + 1, size=n, dtype=np.int64)
             for prefix_bits in range(4):
-                outs = [k.encode_planes(codes, prefix_bits) for k in kernels]
+                outs = [k.encode_planes([codes], prefix_bits) for k in kernels]
                 for other in outs[1:]:
                     assert other == outs[0], (n, spread, prefix_bits)
-                nbits, blocks = outs[0]
+                [(nbits, blocks)] = outs[0]
                 for keep in {0, 1, nbits // 2, nbits}:
                     decoded = [
-                        k.decode_planes(blocks[:keep], n, nbits, prefix_bits)
+                        k.decode_planes([(blocks[:keep], n, nbits)], prefix_bits)[0]
                         for k in kernels
                     ]
                     for other in decoded[1:]:
@@ -134,12 +134,12 @@ def test_fused_arena_reuse_does_not_leak_between_levels():
     previous = None
     for n in (4096, 17, 900, 4096, 1):
         codes = rng.integers(-(2**20), 2**20, size=n, dtype=np.int64)
-        assert fused.encode_planes(codes, 2) == vectorized.encode_planes(codes, 2)
+        assert fused.encode_planes([codes], 2) == vectorized.encode_planes([codes], 2)
         if previous is not None:
             # Re-encoding the previous level still matches (scratch reuse
             # cannot have retained stale content in the observable output).
-            assert fused.encode_planes(previous, 2) == vectorized.encode_planes(
-                previous, 2
+            assert fused.encode_planes([previous], 2) == vectorized.encode_planes(
+                [previous], 2
             )
         previous = codes
 

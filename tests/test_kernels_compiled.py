@@ -160,7 +160,7 @@ def test_sweep_functions_match_fused_blocks():
             negabinary = to_negabinary(codes)
             row_bytes = (n + 7) // 8
             for prefix_bits in range(4):
-                nbits, blocks = fused.encode_planes(codes, prefix_bits)
+                [(nbits, blocks)] = fused.encode_planes([codes], prefix_bits)
                 packed = np.empty((nbits, row_bytes), dtype=np.uint8)
                 compiled_module._encode_planes_sweep(
                     negabinary, nbits, prefix_bits, packed
@@ -176,7 +176,7 @@ def test_sweep_functions_match_fused_blocks():
                     )
                     assert np.array_equal(
                         from_negabinary(out),
-                        fused.decode_planes(blocks[:keep], n, nbits, prefix_bits),
+                        fused.decode_planes([(blocks[:keep], n, nbits)], prefix_bits)[0],
                     ), (n, spread, prefix_bits, keep)
 
 
@@ -187,22 +187,25 @@ def test_compiled_kernel_hook_parity(compiled_kernel):
     for n in (0, 1, 65, 1000):
         codes = rng.integers(-(2**40), 2**40, size=n, dtype=np.int64)
         for prefix_bits in (0, 1, 2, 3):
-            out = compiled_kernel.encode_planes(codes, prefix_bits)
-            assert out == fused.encode_planes(codes, prefix_bits)
-            nbits, blocks = out
+            out = compiled_kernel.encode_planes([codes], prefix_bits)
+            assert out == fused.encode_planes([codes], prefix_bits)
+            [(nbits, blocks)] = out
             for keep in {0, 1, nbits // 2, nbits}:
+                level = [(blocks[:keep], n, nbits)]
                 assert np.array_equal(
-                    compiled_kernel.decode_planes(blocks[:keep], n, nbits, prefix_bits),
-                    fused.decode_planes(blocks[:keep], n, nbits, prefix_bits),
+                    compiled_kernel.decode_planes(level, prefix_bits)[0],
+                    fused.decode_planes(level, prefix_bits)[0],
                 )
     with pytest.raises(ConfigurationError):
-        compiled_kernel.encode_planes(np.zeros(4, dtype=np.int64), 4)
-    # Short plane blocks surface the canonical unpack error, like fused.
-    nbits, blocks = compiled_kernel.encode_planes(
-        rng.integers(-900, 900, size=64, dtype=np.int64), 2
+        compiled_kernel.encode_planes([np.zeros(4, dtype=np.int64)], 4)
+    # Short plane rows (a kernel-contract violation: the predictive coder
+    # rejects them first) surface the canonical unpack error, like fused.
+    [(nbits, blocks)] = compiled_kernel.encode_planes(
+        [rng.integers(-900, 900, size=64, dtype=np.int64)], 2
     )
-    with pytest.raises(ValueError):
-        compiled_kernel.decode_planes([blocks[0][:-1]], 64, nbits, 2)
+    for kernel in (compiled_kernel, fused):
+        with pytest.raises(ValueError):
+            kernel.decode_planes([([blocks[0][:-1]], 64, nbits)], 2)
 
 
 def test_compiled_streams_byte_identical_and_cross_decode(compiled_kernel):
@@ -277,7 +280,7 @@ def test_arena_kernels_threaded_byte_identity(name, compiled_kernel):
         n = int(rng.integers(1, 1200))
         codes = rng.integers(-(2**30), 2**30, size=n, dtype=np.int64)
         jobs.append((codes, 2))
-    serial = [kernel.encode_planes(codes, pb) for codes, pb in jobs]
+    serial = [kernel.encode_planes([codes], pb)[0] for codes, pb in jobs]
     barrier = threading.Barrier(8)
 
     def worker(index: int):
@@ -285,8 +288,8 @@ def test_arena_kernels_threaded_byte_identity(name, compiled_kernel):
         out = []
         for j in range(index, len(jobs), 8):
             codes, pb = jobs[j]
-            nbits, blocks = kernel.encode_planes(codes, pb)
-            decoded = kernel.decode_planes(blocks, codes.size, nbits, pb)
+            [(nbits, blocks)] = kernel.encode_planes([codes], pb)
+            [decoded] = kernel.decode_planes([(blocks, codes.size, nbits)], pb)
             out.append((j, (nbits, blocks), decoded))
         return out
 
@@ -328,11 +331,11 @@ def test_warm_jit_determinism_fresh_instance():
     fresh = CompiledKernel()
     rng = _local_rng(6)
     codes = rng.integers(-(2**33), 2**33, size=4096, dtype=np.int64)
-    first = fresh.encode_planes(codes, 2)
-    warm = fresh.encode_planes(codes, 2)
-    assert first == warm == get_kernel("fused").encode_planes(codes, 2)
-    nbits, blocks = first
-    cold_decode = fresh.decode_planes(blocks, codes.size, nbits, 2)
+    first = fresh.encode_planes([codes], 2)
+    warm = fresh.encode_planes([codes], 2)
+    assert first == warm == get_kernel("fused").encode_planes([codes], 2)
+    [(nbits, blocks)] = first
+    [cold_decode] = fresh.decode_planes([(blocks, codes.size, nbits)], 2)
     assert np.array_equal(cold_decode, codes)
     assert fresh.warmup() >= 0.0
 

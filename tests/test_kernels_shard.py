@@ -1,0 +1,207 @@
+"""Shard-wide kernel hooks: one batched sweep ≡ the per-level reference.
+
+``Kernel.encode_planes`` / ``decode_planes`` take every level of a shard at
+once.  The ``reference`` kernel keeps the base-class behaviour — a loop over
+the bit-by-bit primitives, one level at a time — and is the oracle here;
+the ``fused`` kernel lays all levels side by side in one position-major
+matrix and sweeps them together, so the differential tests below feed it
+*ragged* shards: empty levels, ``nbits == 0``, counts that are not a
+multiple of 8, a different plane prefix loaded per level, every
+``prefix_bits``.  The ``compiled`` kernel inherits the per-level loop
+around its JIT sweeps; it runs here as plain Python without numba and under
+the real JIT in CI's ``tests-numba`` job.
+
+Every draw comes from hypothesis or a module-local generator (the conftest
+``rng`` fixture is session-scoped and shared).
+"""
+
+from __future__ import annotations
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.core import kernels_compiled as compiled_module
+from repro.core.kernels import ArenaKernel, get_kernel
+from repro.core.predictive_coder import PredictiveCoder
+from repro.core.profile import CodecProfile
+from repro.core.quantizer import LinearQuantizer
+from repro.errors import StreamFormatError
+
+REFERENCE = get_kernel("reference")
+
+
+def _compiled_kernel():
+    """The registry's JIT instance, or the same sweeps as plain Python."""
+    if compiled_module.numba_available():
+        return get_kernel("compiled")
+    kernel = compiled_module.CompiledKernel.__new__(compiled_module.CompiledKernel)
+    ArenaKernel.__init__(kernel)  # skips only the numba construction guard
+    return kernel
+
+
+BATCHED = [get_kernel("fused"), get_kernel("vectorized"), _compiled_kernel()]
+
+
+@st.composite
+def ragged_shards(draw):
+    """Levels of a shard as ``(codes, keep fraction)``, sizes and widths mixed."""
+    levels = []
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        count = draw(st.sampled_from([0, 0, 1, 3, 7, 8, 9, 16, 37, 64, 65]))
+        spread = draw(st.sampled_from([0, 1, 5, 900, 2**20, 2**40]))
+        codes = draw(
+            st.lists(
+                st.integers(min_value=-spread, max_value=spread),
+                min_size=count,
+                max_size=count,
+            )
+        )
+        levels.append((np.array(codes, dtype=np.int64), draw(st.floats(0.0, 1.0))))
+    return levels
+
+
+@given(shard=ragged_shards(), prefix_bits=st.integers(0, 3), with_empty_width=st.booleans())
+@settings(
+    deadline=None,
+    max_examples=60,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_batched_hooks_match_per_level_reference(shard, prefix_bits, with_empty_width):
+    codes = [level for level, _ in shard]
+    # The oracle never sees more than one level at a time.
+    expected = [REFERENCE.encode_planes([level], prefix_bits)[0] for level in codes]
+    loaded = []
+    for (level, fraction), (nbits, blocks) in zip(shard, expected):
+        keep = min(nbits, int(round(fraction * (nbits + 1))))  # 0 … nbits, per level
+        loaded.append((blocks[:keep], level.size, nbits))
+    if with_empty_width:
+        # A level the header gives no planes at all decodes to zeros.
+        loaded.insert(len(loaded) // 2, ([], 5, 0))
+    want = [REFERENCE.decode_planes([level], prefix_bits)[0] for level in loaded]
+    for kernel in BATCHED:
+        assert kernel.encode_planes(codes, prefix_bits) == expected, kernel.name
+        got = kernel.decode_planes(loaded, prefix_bits)
+        assert len(got) == len(want)
+        for have, need, (rows, count, nbits) in zip(got, want, loaded):
+            assert have.dtype == np.int64 and have.shape == (count,)
+            assert np.array_equal(have, need), (kernel.name, count, nbits, len(rows))
+    # Fully loaded levels are lossless.
+    full = [(blocks, level.size, nbits) for level, (nbits, blocks) in zip(codes, expected)]
+    for have, level in zip(BATCHED[0].decode_planes(full, prefix_bits), codes):
+        assert np.array_equal(have, level)
+
+
+def test_a_single_level_is_the_batch_of_one():
+    rng = np.random.default_rng(20261001)
+    fused = get_kernel("fused")
+    levels = [rng.integers(-900, 900, size=n, dtype=np.int64) for n in (1, 13, 200, 0, 64)]
+    together = fused.encode_planes(levels, 2)
+    assert together == [fused.encode_planes([level], 2)[0] for level in levels]
+    batch = [(blocks, level.size, nbits) for level, (nbits, blocks) in zip(levels, together)]
+    for level, decoded in zip(levels, fused.decode_planes(batch, 2)):
+        assert np.array_equal(decoded, level)
+    assert fused.encode_planes([], 2) == [] and fused.decode_planes([], 2) == []
+
+
+def _shard(rng: np.random.Generator, sizes):
+    """An encoded shard: ``(levels for decode_planes, expected codes)``."""
+    fused = get_kernel("fused")
+    codes = [rng.integers(-(2**30), 2**30, size=n, dtype=np.int64) for n in sizes]
+    encoded = fused.encode_planes(codes, 2)
+    levels = [(blocks, level.size, nbits) for level, (nbits, blocks) in zip(codes, encoded)]
+    return levels, codes
+
+
+def test_threads_decode_different_shards_on_the_shared_instance():
+    """The position-major arena is per thread: no cross-talk between shards.
+
+    ``get_kernel`` hands every thread the same ``fused`` instance; shards of
+    different geometry decoded (and re-encoded) at the same time must come
+    out exactly as they do alone.
+    """
+    rng = np.random.default_rng(20261002)
+    fused = get_kernel("fused")
+    shards = [
+        _shard(rng, sizes)
+        for sizes in ((1, 9, 300, 4000), (5000, 2, 65), (7, 7, 7, 1200, 31), (2048,))
+    ]
+    failures = []
+    barrier = threading.Barrier(len(shards))
+
+    def worker(levels, codes):
+        barrier.wait(timeout=30)
+        for _ in range(40):
+            decoded = fused.decode_planes(levels, 2)
+            if not all(np.array_equal(a, b) for a, b in zip(decoded, codes)):
+                failures.append("decode diverged")
+            again = fused.encode_planes(codes, 2)
+            if [blocks for _, blocks in again] != [rows for rows, _, _ in levels]:
+                failures.append("encode diverged")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=shard) for shard in shards]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+
+
+# ------------------------------------------------------------- hostile rows
+
+
+@pytest.fixture
+def encoded_level():
+    coder = PredictiveCoder(LinearQuantizer(0.5), CodecProfile(plane_coders=("zlib",)))
+    rng = np.random.default_rng(20261003)
+    encoding = coder.encode_level(1, rng.integers(-900, 900, size=100, dtype=np.int64))
+    return coder, encoding
+
+
+@pytest.mark.parametrize("kernel", ["fused", "vectorized", "reference"])
+def test_short_plane_row_is_a_stream_format_error(encoded_level, kernel):
+    """A block that decodes to fewer than ceil(count/8) bytes never reaches
+    the kernel (it used to surface NumPy's broadcast ``ValueError``)."""
+    coder, encoding = encoded_level
+    decoder = PredictiveCoder(coder.quantizer, CodecProfile(kernel=kernel))
+    backend = decoder._coder(encoding.plane_coders[1])
+    blocks = list(encoding.plane_blocks)
+    blocks[1] = backend.encode(backend.decode(blocks[1])[:-1])
+    for decode in (decoder.decode_level_codes, decoder.decode_level):
+        with pytest.raises(StreamFormatError, match="plane 1 holds 12 bytes, expected 13"):
+            decode(encoding, blocks)
+    with pytest.raises(StreamFormatError):
+        decoder.decode_levels_codes([(encoding, encoding.plane_blocks), (encoding, blocks)])
+    # A row with trailing bytes is trimmed, as on the Algorithm-2 path.
+    blocks[1] = backend.encode(backend.decode(encoding.plane_blocks[1]) + b"\xff")
+    assert np.array_equal(
+        decoder.decode_level_codes(encoding, blocks),
+        decoder.decode_level_codes(encoding, encoding.plane_blocks),
+    )
+
+
+def test_more_blocks_than_the_level_width_is_a_stream_format_error(encoded_level):
+    coder, encoding = encoded_level
+    blocks = encoding.plane_blocks + [encoding.plane_blocks[0]]
+    for decode in (coder.decode_level_codes, coder.decode_level):
+        with pytest.raises(StreamFormatError, match="level width"):
+            decode(encoding, blocks)
+
+
+def test_fused_kernel_rejects_rows_it_cannot_lay_out():
+    """Called directly (no coder in front), bad rows fail loudly, not silently."""
+    fused = get_kernel("fused")
+    [(nbits, blocks)] = fused.encode_planes([np.arange(-32, 32, dtype=np.int64)], 2)
+    swapped = [blocks[0][:-1], blocks[1] + b"\x00"] + blocks[2:]  # same total size
+    for rows in ([blocks[0][:-1]], swapped, blocks + blocks[:1]):
+        with pytest.raises(ValueError):
+            fused.decode_planes([(rows, 64, nbits)], 2)

@@ -162,7 +162,9 @@ def test_prefetch_source_without_prefetcher_is_passthrough():
     assert source.prime([(0, 100)]) == 0
     assert source.read_range(10, 5) == payload[10:15]
     assert inner.reads == [(10, 5)]
+    # The nothing-primed fast path keeps both ledgers of a miss.
     assert source.trace == [(10, 5)]
+    assert source.bytes_fetched == 5
 
 
 def test_prime_on_closed_prefetcher_degrades_to_sync_reads():
