@@ -9,41 +9,22 @@ Absolute MB/s numbers of this pure-Python reproduction are of course far below
 the paper's C++ implementation — the comparison of interest is the relative
 ordering, in particular IPComp vs. the residual ladders which must run many
 compression/decompression passes.
-
-``test_fig8_kernel_speed`` additionally isolates the bit-level kernel stage
-(negabinary → bitplane transpose → XOR prediction → bit packing, and its
-inverse) and reports the throughput of the ``"reference"`` loop kernel
-against the ``"vectorized"`` NumPy kernel on the Figure 8 workload, asserting
-that both produce byte-identical plane blocks and that the vectorized path is
-at least 5× faster in each direction.
 """
 
 from __future__ import annotations
 
-import json
 import time
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import print_table, skip_scale_tuned_asserts, write_csv
 from repro.baselines import make_compressor
-from repro.core.bitplane import DEFAULT_PREFIX_BITS
-from repro.core.compressor import IPComp
-from repro.core.kernels import get_kernel
-from repro.core.negabinary import required_bits
-from repro.core.quantizer import LinearQuantizer, relative_to_absolute
 
 COMPRESSORS = ("ipcomp", "sz3-m", "sz3-r", "zfp-r", "pmgard", "sperr-r")
 #: The paper uses eb = 1e−9·range for the speed study.
 BOUND = 1e-9
 #: The speed study uses a subset of fields to keep the harness short.
 SPEED_FIELDS = ("density", "wave", "ch4")
-#: Values fed to the kernel microbenchmark (capped so the per-bit Python
-#: loops of the reference kernel finish in seconds, not minutes).
-KERNEL_BENCH_VALUES = 1 << 15
-#: Acceptance floor for the vectorized kernel (encode and decode).
-KERNEL_SPEEDUP_FLOOR = 5.0
 
 
 def _run(bench_datasets):
@@ -94,101 +75,3 @@ def test_fig8_compression_decompression_speed(benchmark, bench_datasets, results
         ip = float(by_key[(name, "ipcomp")][3])
         for ladder in ("sz3-r", "sperr-r"):
             assert ip >= float(by_key[(name, ladder)][3]) * 0.8
-
-
-def _run_kernels(bench_datasets):
-    """Time one plane-coding round trip per kernel on a Fig. 8 field.
-
-    The timed region contains *only* kernel calls — negabinary conversion,
-    bitplane transpose, XOR prediction, and per-plane bit (un)packing — so
-    the comparison is free of the lossless backend and of ``encode_level``'s
-    kernel-independent δ-table bookkeeping.  Byte identity is asserted
-    untimed, both on the packed planes and on whole IPComp streams.
-    """
-    field = bench_datasets["density"].ravel()[:KERNEL_BENCH_VALUES]
-    eb = relative_to_absolute(BOUND, field)
-    codes = LinearQuantizer(eb).quantize(field)
-    nbits = required_bits(codes)
-    rows = []
-    timings = {}
-    planes_by_kernel = {}
-    for kernel_name in ("reference", "vectorized"):
-        kernel = get_kernel(kernel_name)
-
-        start = time.perf_counter()
-        negabinary = kernel.to_negabinary(codes)
-        planes = kernel.extract_bitplanes(negabinary, nbits)
-        predicted = kernel.predictive_encode(planes, DEFAULT_PREFIX_BITS)
-        packed = [kernel.pack_bits(plane) for plane in predicted]
-        encode_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
-        unpacked = np.empty((nbits, codes.size), dtype=np.uint8)
-        for row, block in enumerate(packed):
-            unpacked[row] = kernel.unpack_bits(block, codes.size)
-        decoded_planes = kernel.predictive_decode(unpacked, DEFAULT_PREFIX_BITS)
-        decoded = kernel.from_negabinary(
-            kernel.assemble_bitplanes(decoded_planes, nbits)
-        )
-        decode_seconds = time.perf_counter() - start
-
-        assert np.array_equal(decoded, codes)
-        planes_by_kernel[kernel_name] = packed
-        timings[kernel_name] = (encode_seconds, decode_seconds)
-        mb = field.nbytes / 1e6
-        rows.append(
-            [
-                kernel_name,
-                field.size,
-                nbits,
-                f"{mb / encode_seconds:.3f}",
-                f"{mb / decode_seconds:.3f}",
-                f"{encode_seconds:.4f}",
-                f"{decode_seconds:.4f}",
-            ]
-        )
-    encode_speedup = timings["reference"][0] / timings["vectorized"][0]
-    decode_speedup = timings["reference"][1] / timings["vectorized"][1]
-    identical = planes_by_kernel["reference"] == planes_by_kernel["vectorized"]
-
-    # End-to-end stream identity on a small slab (untimed; the full field
-    # would make the reference kernel's Python loops dominate the harness).
-    slab = bench_datasets["density"][:16, :16, :16]
-    streams = {
-        name: IPComp(error_bound=BOUND, relative=True, kernel=name).compress(slab)
-        for name in ("reference", "vectorized")
-    }
-    identical = identical and streams["reference"] == streams["vectorized"]
-    return rows, encode_speedup, decode_speedup, identical
-
-
-@pytest.mark.benchmark(group="fig8")
-def test_fig8_kernel_speed(benchmark, bench_datasets, results_dir):
-    rows, encode_speedup, decode_speedup, identical = benchmark.pedantic(
-        _run_kernels, args=(bench_datasets,), rounds=1, iterations=1
-    )
-    header = [
-        "kernel", "values", "planes",
-        "encode MB/s", "decode MB/s", "encode s", "decode s",
-    ]
-    print_table("Figure 8 (kernels): reference vs. vectorized", header, rows)
-    print(
-        f"vectorized speedup: encode {encode_speedup:.1f}x, "
-        f"decode {decode_speedup:.1f}x, byte-identical blocks: {identical}"
-    )
-    write_csv(results_dir / "fig8_kernel_speed.csv", header, rows)
-    with open(results_dir / "fig8_kernel_speed.json", "w") as handle:
-        json.dump(
-            {
-                "rows": [dict(zip(header, row)) for row in rows],
-                "encode_speedup": encode_speedup,
-                "decode_speedup": decode_speedup,
-                "byte_identical_blocks": identical,
-            },
-            handle,
-            indent=2,
-        )
-
-    assert identical, "reference and vectorized kernels must emit identical blocks"
-    assert encode_speedup >= KERNEL_SPEEDUP_FLOOR
-    assert decode_speedup >= KERNEL_SPEEDUP_FLOOR

@@ -1,21 +1,18 @@
-"""End-to-end pipeline throughput: kernels × negotiation × pool workers.
+"""End-to-end pipeline throughput: negotiation × pool workers, plus the sweep.
 
 This is the harness behind ``BENCH_pipeline.json`` (repo root): the one
 artefact tracking whether the compression pipeline keeps the paper's
 headline property — throughput that keeps pace with I/O — as the codebase
 grows.  It measures four things:
 
-1. **Kernel × negotiation matrix** — encode/decode MB/s of the full IPComp
-   pipeline for every registered bit-level kernel (``reference``,
-   ``vectorized``, ``fused``, plus ``compiled`` when numba is installed)
+1. **Negotiation matrix** — encode/decode MB/s of the full IPComp pipeline
    under full and sampled backend negotiation on the wide candidate set,
-   with stream byte-identity across kernels asserted on the side.
+   with stream byte-identity to the loop oracle (``tests/oracle_kernel.py``,
+   substituted for the one plane kernel — identity only, never timed)
+   asserted on the side.
 2. **Kernel stage in isolation** — ``encode_planes``/``decode_planes``
-   throughput of the vectorized vs. the fused kernel (the fused kernel's
-   whole reason to exist); asserts fused ≥ vectorized in both directions.
-   On numba-equipped boxes the compiled kernel joins the stage with its
-   one-off JIT warmup timed separately (``numba.jit_warmup_s``) so the
-   ``compiled_vs_fused_min`` floor gates steady-state throughput only.
+   throughput of the shard sweep on one 400 k-value level and on a ragged
+   shard (recorded; the e2e floors are what gate).
 3. **Negotiation policies head-to-head** — fixed vs. full vs. sampled
    encode time on a field large enough that planes dwarf the probe, the
    regime sampled negotiation targets; asserts sampled ≥ 2× faster than
@@ -36,14 +33,14 @@ from __future__ import annotations
 import json
 import os
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from benchmarks.conftest import BENCH_SCALE, REPO_ROOT, print_table, write_csv
+from repro.core import kernels
 from repro.core.compressor import IPComp
-from repro.core.kernels import get_kernel
-from repro.core.kernels_compiled import numba_available, numba_version, threading_layer
 from repro.core.profile import CodecProfile
 from repro.core.progressive import ProgressiveRetriever
 from repro.parallel.executor import BlockParallelCompressor
@@ -51,16 +48,12 @@ from repro.parallel.executor import BlockParallelCompressor
 BENCH_JSON = REPO_ROOT / "BENCH_pipeline.json"
 FLOOR_FILE = REPO_ROOT / "benchmarks" / "perf_floor.json"
 
-_HAVE_COMPILED = numba_available()
-KERNELS = ("reference", "vectorized", "fused") + (
-    ("compiled",) if _HAVE_COMPILED else ()
-)
 #: Wide candidate set: the cheap C-backed coders plus every from-scratch
 #: Python coder, i.e. the configuration where negotiation cost hurts most.
 WIDE_CODERS = ("zlib", "huffman", "rle", "lz77", "raw")
 BOUND = 1e-5
 
-#: Matrix field shapes per scale (the reference kernel runs Python loops
+#: Matrix field shapes per scale (the identity oracle runs Python loops
 #: per bit, so the matrix field stays modest even at full scale).
 _MATRIX_SHAPES = {
     "tiny": (20, 24, 28),
@@ -96,65 +89,54 @@ def _best_seconds(fn, reps: int) -> float:
     return best
 
 
-def _profile(kernel: str, negotiation: str) -> CodecProfile:
+def _profile(negotiation: str) -> CodecProfile:
     return CodecProfile(
         error_bound=BOUND,
         relative=True,
-        kernel=kernel,
         plane_coders=WIDE_CODERS,
         negotiation=negotiation,
         negotiation_sample=_NEGOTIATION_SAMPLE,
     )
 
 
-def _run_numba_info():
-    """JIT backend provenance + one-off warmup cost, measured while cold.
+@contextmanager
+def _oracle_kernel():
+    """Run the block with the loop oracle in place of the plane kernel."""
+    from tests.oracle_kernel import OracleKernel
 
-    Must run before anything touches the compiled kernel: ``warmup()`` on a
-    cold process captures the real compile (or on-disk cache load) cost,
-    which is exactly the number the steady-state floors must *not* absorb.
-    With ``NUMBA_CACHE_DIR`` persisted across CI runs this drops from
-    seconds to milliseconds — recording it is how that stays visible.
-    """
-    info = {
-        "available": _HAVE_COMPILED,
-        "numba_version": numba_version(),
-        "threading_layer": None,
-        "jit_warmup_s": None,
-    }
-    if _HAVE_COMPILED:
-        from repro.core.kernels_compiled import CompiledKernel
-
-        info["jit_warmup_s"] = round(CompiledKernel().warmup(), 4)
-        info["threading_layer"] = threading_layer()
-    return info
+    production = kernels._KERNEL
+    kernels._KERNEL = OracleKernel()
+    try:
+        yield
+    finally:
+        kernels._KERNEL = production
 
 
 def _run_matrix(field):
     mb = field.nbytes / 1e6
     cells = {}
     streams = {}
-    for negotiation_label, negotiation in (("full", "smallest"), ("sampled", "sampled")):
-        for kernel in KERNELS:
-            comp = IPComp(profile=_profile(kernel, negotiation))
-            reps = 1 if kernel == "reference" else 3
-            blob = comp.compress(field)
-            encode_s = _best_seconds(lambda: comp.compress(field), reps)
-            decode_s = _best_seconds(lambda: comp.decompress(blob), reps)
-            cells[f"{kernel}/{negotiation_label}"] = {
-                "encode_mbps": round(mb / encode_s, 3),
-                "decode_mbps": round(mb / decode_s, 3),
-                "encode_s": round(encode_s, 4),
-                "decode_s": round(decode_s, 4),
-                "stream_bytes": len(blob),
-            }
-            streams.setdefault(negotiation_label, {})[kernel] = blob
-    return cells, streams
+    identical = True
+    for label, negotiation in (("full", "smallest"), ("sampled", "sampled")):
+        comp = IPComp(profile=_profile(negotiation))
+        blob = comp.compress(field)
+        encode_s = _best_seconds(lambda: comp.compress(field), 3)
+        decode_s = _best_seconds(lambda: comp.decompress(blob), 3)
+        cells[label] = {
+            "encode_mbps": round(mb / encode_s, 3),
+            "decode_mbps": round(mb / decode_s, 3),
+            "encode_s": round(encode_s, 4),
+            "decode_s": round(decode_s, 4),
+            "stream_bytes": len(blob),
+        }
+        streams[label] = blob
+        with _oracle_kernel():
+            identical = identical and comp.compress(field) == blob
+    return cells, streams, identical
 
 
 #: Values fed to the kernel-stage microbenchmark.  Fixed regardless of the
-#: scale preset: the fused kernel's buffer-arena advantage is a function of
-#: level size, and the regime that matters is the paper's (≳10⁵ values per
+#: scale preset: the regime that matters is the paper's (≳10⁵ values per
 #: level) — tiny fields would only measure dispatch overhead.
 _KERNEL_STAGE_VALUES = 400_000
 
@@ -169,39 +151,35 @@ _RAGGED_SHARD_LEVELS = (
 )  # fmt: skip
 
 
-def _time_kernel_hooks(kernels, levels):
-    """Best-of-7 ``{kernel: {"encode": s, "decode": s}}`` on one shard."""
-    encoded = kernels["vectorized"].encode_planes(levels, 2)
+def _time_kernel_hooks(levels):
+    """Best-of-7 ``{"encode": s, "decode": s}`` of the sweep on one shard."""
+    kernel = kernels.get_kernel()
+    encoded = kernel.encode_planes(levels, 2)  # also warms the arena
     loaded = [
         (blocks, codes.size, nbits) for codes, (nbits, blocks) in zip(levels, encoded)
     ]
-    for kernel in kernels.values():  # warm arenas / caches before timing
-        kernel.encode_planes(levels, 2)
-        kernel.decode_planes(loaded, 2)
-    # Interleave the per-kernel measurements so slow drift on a shared box
-    # (the usual CI noise mode) hits both kernels alike.
-    best = {name: {"encode": float("inf"), "decode": float("inf")} for name in kernels}
+    kernel.decode_planes(loaded, 2)
+    best = {"encode": float("inf"), "decode": float("inf")}
     for _ in range(7):
-        for name, kernel in kernels.items():
-            for op, hook, shard in (
-                ("encode", kernel.encode_planes, levels),
-                ("decode", kernel.decode_planes, loaded),
-            ):
-                start = time.perf_counter()
-                hook(shard, 2)
-                best[name][op] = min(best[name][op], time.perf_counter() - start)
+        for op, hook, shard in (
+            ("encode", kernel.encode_planes, levels),
+            ("decode", kernel.decode_planes, loaded),
+        ):
+            start = time.perf_counter()
+            hook(shard, 2)
+            best[op] = min(best[op], time.perf_counter() - start)
     return best
 
 
 def _run_kernel_stage(field):
-    """encode_planes/decode_planes throughput, vectorized vs. fused.
+    """encode_planes/decode_planes throughput of the shard sweep.
 
     Quantized at the paper's speed-study bound (eb = 1e−9 · range, the
-    Figure 8 setting) so levels are ~30 planes deep — the regime where the
-    per-plane overheads the fused kernel removes actually accumulate.  Two
-    legs: one 400 k-value level (bulk throughput) and one *ragged shard*
+    Figure 8 setting) so levels are ~30 planes deep.  Two legs: one
+    400 k-value level (bulk throughput) and one *ragged shard*
     (:data:`_RAGGED_SHARD_LEVELS`, the same codes cut into a real shard's
-    level sizes), where the fixed per-level dispatch cost dominates.
+    level sizes), where fixed per-level dispatch would dominate a per-level
+    kernel.
     """
     from repro.core.quantizer import LinearQuantizer, relative_to_absolute
 
@@ -212,42 +190,21 @@ def _run_kernel_stage(field):
     )
     quantizer = LinearQuantizer(relative_to_absolute(1e-9, values))
     codes = quantizer.quantize(values)
-    stage_names = ("vectorized", "fused") + (
-        ("compiled",) if _HAVE_COMPILED else ()
-    )
-    kernels = {name: get_kernel(name) for name in stage_names}
 
     def leg(levels):
         values = sum(level.size for level in levels)
-        best = _time_kernel_hooks(kernels, levels)
-        result = {
-            name: {
-                "values": values,
-                "encode_mbps": round(values * 8 / 1e6 / best[name]["encode"], 3),
-                "decode_mbps": round(values * 8 / 1e6 / best[name]["decode"], 3),
-            }
-            for name in kernels
+        best = _time_kernel_hooks(levels)
+        return {
+            "values": values,
+            "encode_mbps": round(values * 8 / 1e6 / best["encode"], 3),
+            "decode_mbps": round(values * 8 / 1e6 / best["decode"], 3),
         }
-        for op in ("encode", "decode"):
-            result[f"speedup_{op}"] = round(
-                result["fused"][f"{op}_mbps"] / result["vectorized"][f"{op}_mbps"], 3
-            )
-        return result
 
     stage = leg([codes])
     stage["ragged_shard"] = {
         "levels": len(_RAGGED_SHARD_LEVELS),
         **leg(np.split(codes, np.cumsum(_RAGGED_SHARD_LEVELS))[:-1]),
     }
-    if "compiled" in stage:
-        # Steady-state only: the warmup loop above already absorbed the JIT
-        # compile, and _run_numba_info() reports that cost separately.
-        stage["compiled_vs_fused_encode"] = round(
-            stage["compiled"]["encode_mbps"] / stage["fused"]["encode_mbps"], 3
-        )
-        stage["compiled_vs_fused_decode"] = round(
-            stage["compiled"]["decode_mbps"] / stage["fused"]["decode_mbps"], 3
-        )
     return stage
 
 
@@ -260,7 +217,7 @@ def _run_negotiation(field):
         ("full", "smallest"),
         ("sampled", "sampled"),
     ):
-        comp = IPComp(profile=_profile("fused", negotiation))
+        comp = IPComp(profile=_profile(negotiation))
         reps = 2 if label != "full" else 1
 
         def run(label=label, comp=comp):
@@ -327,47 +284,32 @@ def _check_floor(payload) -> list:
             failures.append(
                 f"{cell}: encode {measured} MB/s < 70% of floor {minimum} MB/s"
             )
-    # The compiled-vs-fused ratio floor arms itself only on numba-equipped
-    # runs: without numba the kernel stage has no compiled rows and the
-    # lookup below finds nothing to gate.
-    ratio_floor = floor.get("compiled_vs_fused_min")
-    if ratio_floor is not None:
-        for key in ("compiled_vs_fused_encode", "compiled_vs_fused_decode"):
-            measured = payload["kernel_stage"].get(key)
-            if measured is not None and measured < ratio_floor:
-                failures.append(f"{key}: {measured} < floor {ratio_floor}")
     return failures
 
 
 def _run(_bench_datasets_unused=None):
-    numba_info = _run_numba_info()  # first: warmup must see a cold JIT
     matrix_field = _synthetic_field(_MATRIX_SHAPES.get(BENCH_SCALE, (32, 36, 40)))
-    matrix, streams = _run_matrix(matrix_field)
+    matrix, streams, identical = _run_matrix(matrix_field)
     kernel_stage = _run_kernel_stage(matrix_field)
     negotiation = _run_negotiation(_synthetic_field(_NEGOTIATION_SHAPE))
     pool = _run_pool(_synthetic_field(_POOL_SHAPE))
-    identical = all(
-        len({streams[mode][k] for k in KERNELS}) == 1 for mode in streams
-    )
-    sampled_decodes = True
-    retriever = ProgressiveRetriever(streams["sampled"]["fused"])
+    retriever = ProgressiveRetriever(streams["sampled"])
     out = retriever.retrieve(error_bound=retriever.header.error_bound).data
     sampled_decodes = bool(
         np.abs(out - matrix_field).max()
-        <= _profile("fused", "sampled").absolute_bound(matrix_field) * (1 + 1e-9)
+        <= _profile("sampled").absolute_bound(matrix_field) * (1 + 1e-9)
     )
     payload = {
-        "schema": "bench-pipeline-e2e/v1",
+        "schema": "bench-pipeline-e2e/v2",
         "scale": BENCH_SCALE,
         "matrix_shape": list(matrix_field.shape),
         "matrix_field_mb": round(matrix_field.nbytes / 1e6, 3),
         "candidates": list(WIDE_CODERS),
         "matrix": matrix,
         "kernel_stage": kernel_stage,
-        "numba": numba_info,
         "negotiation": negotiation,
         "pool": pool,
-        "streams_byte_identical_across_kernels": identical,
+        "streams_byte_identical_to_oracle": identical,
         "sampled_stream_decodes_within_bound": sampled_decodes,
     }
     return payload
@@ -382,57 +324,26 @@ def test_pipeline_e2e(benchmark, results_dir):
         [cell, c["encode_mbps"], c["decode_mbps"], c["stream_bytes"]]
         for cell, c in payload["matrix"].items()
     ]
-    print_table("Pipeline e2e: kernel × negotiation", header, rows)
+    print_table("Pipeline e2e: negotiation modes", header, rows)
     write_csv(results_dir / "pipeline_e2e.csv", header, rows)
     negotiation = payload["negotiation"]
+    stage = payload["kernel_stage"]
     print(
-        f"kernel stage: fused {payload['kernel_stage']['speedup_encode']}x encode, "
-        f"{payload['kernel_stage']['speedup_decode']}x decode vs vectorized "
-        f"({payload['kernel_stage']['ragged_shard']['speedup_encode']}x / "
-        f"{payload['kernel_stage']['ragged_shard']['speedup_decode']}x on a ragged shard)\n"
+        f"kernel stage: {stage['encode_mbps']} / {stage['decode_mbps']} MB/s "
+        f"encode / decode on one level "
+        f"({stage['ragged_shard']['encode_mbps']} / "
+        f"{stage['ragged_shard']['decode_mbps']} on a ragged shard)\n"
         f"negotiation: sampled {negotiation['speedup_sampled_over_full']}x faster "
         f"than full (overhead {negotiation['negotiation_overhead_full']} → "
         f"{negotiation['negotiation_overhead_sampled']})"
     )
-    numba_info = payload["numba"]
-    if numba_info["available"]:
-        print(
-            f"compiled kernel (numba {numba_info['numba_version']}, "
-            f"{numba_info['threading_layer']} threading): "
-            f"{payload['kernel_stage']['compiled_vs_fused_encode']}x encode, "
-            f"{payload['kernel_stage']['compiled_vs_fused_decode']}x decode "
-            f"vs fused; JIT warmup {numba_info['jit_warmup_s']}s (not gated)"
-        )
-    else:
-        print("compiled kernel: numba not installed; compiled column skipped")
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
 
-    # Correctness gates: identity across kernels, decodable sampled streams.
-    assert payload["streams_byte_identical_across_kernels"]
+    # Correctness gates: identity to the oracle, decodable sampled streams.
+    assert payload["streams_byte_identical_to_oracle"]
     assert payload["sampled_stream_decodes_within_bound"]
 
-    # Perf gates.  The kernel-stage comparison is the stable signal for
-    # "fused ≥ vectorized" (the e2e matrix shares the cells' negotiation
-    # cost, so it gets a noise allowance instead of a hard bound).  The
-    # decode gate carries a small allowance too: on single-core shared
-    # boxes the *vectorized* baseline's timing jitters by ~10 %, and a
-    # lucky baseline run must not read as a fused regression.
-    stage = payload["kernel_stage"]
-    assert stage["speedup_encode"] >= 1.0, stage
-    assert stage["speedup_decode"] >= 0.9, stage
-    for mode in ("full", "sampled"):
-        # The matrix cells are dominated by the (kernel-independent)
-        # negotiation trials — at tiny scale ~85 % of encode time — so the
-        # fused/vectorized ratio here hovers at 1.0 ± timer noise.  The
-        # hard inequality lives in the kernel-stage gate above; this one
-        # only catches a fused-path *pessimisation* large enough to show
-        # through the shared negotiation cost.
-        fused = payload["matrix"][f"fused/{mode}"]["encode_mbps"]
-        vectorized = payload["matrix"][f"vectorized/{mode}"]["encode_mbps"]
-        assert fused >= vectorized * 0.85, (mode, fused, vectorized)
-        if _HAVE_COMPILED:
-            compiled = payload["matrix"][f"compiled/{mode}"]["encode_mbps"]
-            assert compiled >= vectorized * 0.85, (mode, compiled, vectorized)
+    # Perf gates.
     assert negotiation["speedup_sampled_over_full"] >= 2.0, negotiation
     # Sampled negotiation (with the per-plane autotuned probe) must agree
     # with the full trials on ≥ 90 % of planes and cost ≤ 5 % stream size.

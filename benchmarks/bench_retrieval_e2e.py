@@ -46,8 +46,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import BENCH_SCALE, REPO_ROOT, print_table, write_csv
-from repro import ChunkedDataset, CodecProfile, IPComp, ProgressiveRetriever
-from repro.core.kernels_compiled import numba_available
+from repro import ChunkedDataset, IPComp, ProgressiveRetriever
 from repro.io.aio import OPENING_WINDOW, open_remote_source
 from repro.io.faults import FaultPlan
 from repro.io.rangeserver import RangeServer
@@ -136,27 +135,6 @@ def _run_full_reads(path, field):
             best_pipeline / modes["sync"]["mbps"], 3
         ),
         "paths_byte_identical": bool(identical),
-    }
-
-
-def _run_compiled_kernel(path, field):
-    """Compiled-kernel decode leg (numba boxes only): same file, same bytes.
-
-    Kernels are a runtime choice, never a stream property, so the JIT
-    backend must read the identical chunked file to the identical output —
-    including its MB/s, recorded alongside the sync path's for comparison.
-    """
-    if not numba_available():
-        return {"available": False}
-    mb = field.nbytes / 1e6
-    baseline = _read_once(path)
-    profile = CodecProfile(kernel="compiled")
-    compiled = _read_once(path, profile=profile)  # warm the JIT before timing
-    seconds = _best_seconds(lambda: _read_once(path, profile=profile), 3)
-    return {
-        "available": True,
-        "mbps": round(mb / seconds, 3),
-        "identical": compiled.data.tobytes() == baseline.data.tobytes(),
     }
 
 
@@ -381,7 +359,6 @@ def test_retrieval_e2e(benchmark, results_dir, tmp_path):
             "n_blocks": N_BLOCKS,
             "prefetch_depth": _PREFETCH_DEPTH,
             "full_read": full_read,
-            "compiled_kernel": _run_compiled_kernel(path, field),
             "roi": _run_roi(path, field),
             "refine_ladder": _run_refine_ladder(path),
             "single_stream": _run_stream(tmp_path, field),
@@ -423,8 +400,6 @@ def test_retrieval_e2e(benchmark, results_dir, tmp_path):
 
     # Correctness gates (hardware-independent, always asserted).
     assert payload["full_read"]["paths_byte_identical"]
-    if payload["compiled_kernel"]["available"]:
-        assert payload["compiled_kernel"]["identical"], payload["compiled_kernel"]
     assert payload["roi"]["paths_byte_identical"]
     assert payload["single_stream"]["identical"]
     ladder = payload["refine_ladder"]

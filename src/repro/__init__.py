@@ -32,19 +32,13 @@ Quickstart::
 from __future__ import annotations
 
 from repro.core.compressor import IPComp, IPCompConfig
-from repro.core.kernels import (
-    available_kernels,
-    get_kernel,
-    register_kernel,
-    resolve_auto_kernel,
-)
 from repro.core.profile import CodecProfile
 from repro.core.progressive import ProgressiveRetriever, RetrievalResult
 from repro.core.optimizer import LoadingPlan, OptimizedLoader
 from repro.io.dataset import ChunkedDataset, DatasetReadResult
 from repro.service import RetrievalService, RetrievalTrace
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "CodecProfile",
@@ -58,9 +52,5 @@ __all__ = [
     "DatasetReadResult",
     "RetrievalService",
     "RetrievalTrace",
-    "available_kernels",
-    "get_kernel",
-    "register_kernel",
-    "resolve_auto_kernel",
     "__version__",
 ]

@@ -61,7 +61,7 @@ remote stack's request/egress/retry/breaker statistics.
 
 Configuration is one :class:`~repro.core.profile.CodecProfile`:
 ``--profile FILE.json`` loads a profile, and the individual flags (``--eb``,
-``--abs``, ``--method``, ``--kernel``, ``--coders``, ``--negotiation``)
+``--abs``, ``--method``, ``--coders``, ``--negotiation``)
 override single fields of it — flags always win over the file.
 """
 
@@ -74,7 +74,6 @@ from pathlib import Path
 
 from repro import ChunkedDataset, CodecProfile, IPComp, ProgressiveRetriever
 from repro.analysis import summarize
-from repro.core.kernels import DEFAULT_KERNEL, available_kernels
 from repro.core.profile import NEGOTIATION_ALIASES, NEGOTIATION_POLICIES
 from repro.core.stream import IPCompStream
 from repro.datasets import dataset_table, load_dataset, load_raw, save_raw
@@ -127,8 +126,9 @@ def _parse_coders(text: str) -> tuple:
 def _add_profile_arguments(subparser: argparse.ArgumentParser, full: bool = True) -> None:
     """Codec-profile options: a JSON file plus per-field override flags.
 
-    ``full=False`` adds only the decode-relevant subset (the kernel): prefix
-    bits, coders, and the bound are stream properties on the read side.
+    ``full=False`` adds only ``--profile`` (read for its runtime knobs —
+    ``prefetch`` / ``workers`` / cache fields): prefix bits, coders, and the
+    bound are stream properties on the read side.
     """
     subparser.add_argument(
         "--profile",
@@ -136,14 +136,6 @@ def _add_profile_arguments(subparser: argparse.ArgumentParser, full: bool = True
         default=None,
         metavar="FILE.json",
         help="codec profile JSON file; individual flags override its fields",
-    )
-    subparser.add_argument(
-        "--kernel",
-        choices=available_kernels(),
-        default=None,
-        help=f"bit-level kernel implementation (default: {DEFAULT_KERNEL}; "
-        "'auto' picks the fastest available backend, 'compiled' needs the "
-        "[compiled] extra)",
     )
     if not full:
         return
@@ -183,8 +175,6 @@ def _profile_from_args(args) -> CodecProfile:
     """Resolve the effective profile: file (or defaults) + flag overrides."""
     base = CodecProfile.from_file(args.profile) if getattr(args, "profile", None) else None
     overrides = {}
-    if getattr(args, "kernel", None) is not None:
-        overrides["kernel"] = args.kernel
     if getattr(args, "eb", None) is not None:
         overrides["error_bound"] = args.eb
     if getattr(args, "abs", None) is not None:
@@ -198,29 +188,6 @@ def _profile_from_args(args) -> CodecProfile:
     if getattr(args, "negotiation_sample", None) is not None:
         overrides["negotiation_sample"] = args.negotiation_sample
     return CodecProfile.from_options(base, **overrides)
-
-
-def _decode_profile_from_args(args) -> CodecProfile:
-    """The decode-side profile: only the kernel field is consumed.
-
-    Streams are self-describing, so a profile file written on a machine with
-    extra coders registered must not fail validation here — only its kernel
-    (flag wins over file) is read.
-    """
-    kernel = args.kernel
-    if kernel is None and args.profile is not None:
-        try:
-            obj = json.loads(Path(args.profile).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise ConfigurationError(
-                f"cannot read codec profile {args.profile}: {exc}"
-            ) from None
-        if not isinstance(obj, dict):
-            raise ConfigurationError("codec profile JSON must be an object")
-        kernel = obj.get("kernel")
-    if kernel is None:
-        return CodecProfile()
-    return CodecProfile(kernel=kernel)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -482,15 +449,19 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_decompress(args) -> int:
-    profile = _decode_profile_from_args(args)
+    file_knobs = _runtime_knobs_from_profile_file(args)
     if is_container(args.input):
-        with ChunkedDataset(args.input, profile=profile) as dataset:
+        with ChunkedDataset(
+            args.input,
+            prefetch=file_knobs.get("prefetch"),
+            workers=file_knobs.get("workers"),
+        ) as dataset:
             result = dataset.read()
         save_raw(args.output, result.data)
         print(f"decompressed to {args.output} shape={result.data.shape}")
         return 0
     blob = args.input.read_bytes()
-    retriever = ProgressiveRetriever(blob, profile=profile)
+    retriever = ProgressiveRetriever(blob)
     result = retriever.retrieve(error_bound=retriever.header.error_bound)
     save_raw(args.output, result.data)
     print(f"decompressed to {args.output} shape={result.data.shape}")
@@ -547,7 +518,7 @@ def _write_retrieve_trace(args, result, remote_stats) -> None:
     args.trace_json.write_text(json.dumps(receipt, indent=2), encoding="utf-8")
 
 
-def _cmd_retrieve_remote(args, profile, prefetch, workers) -> int:
+def _cmd_retrieve_remote(args, prefetch, workers) -> int:
     """``retrieve`` over an ``http(s)://`` URL: the resilient remote stack
     (retries, CRC, optional mirrors / injected faults) feeds the same
     plan → prefetch → decode pipeline; output is bitwise-identical to a
@@ -566,8 +537,7 @@ def _cmd_retrieve_remote(args, profile, prefetch, workers) -> int:
             )
         # The dataset's reader owns (and closes) the stack.
         with ChunkedDataset(
-            args.input, profile=profile, prefetch=prefetch,
-            workers=workers, source=stack,
+            args.input, prefetch=prefetch, workers=workers, source=stack,
         ) as dataset:
             result = dataset.read(error_bound=args.error_bound, roi=args.roi)
             save_raw(args.output, result.data)
@@ -588,7 +558,7 @@ def _cmd_retrieve_remote(args, profile, prefetch, workers) -> int:
             )
         source = open_stream_source(args.input, prefetch=prefetch, source=stack)
         try:
-            retriever = ProgressiveRetriever(source, profile=profile)
+            retriever = ProgressiveRetriever(source)
             result = retriever.retrieve(
                 error_bound=args.error_bound, bitrate=args.bitrate
             )
@@ -611,12 +581,11 @@ def _cmd_retrieve_remote(args, profile, prefetch, workers) -> int:
 
 
 def _cmd_retrieve(args) -> int:
-    profile = _decode_profile_from_args(args)
     file_knobs = _runtime_knobs_from_profile_file(args)
     prefetch = _retrieve_prefetch_depth(args, file_knobs)
     workers = args.workers if args.workers is not None else file_knobs.get("workers")
     if is_url(args.input):
-        return _cmd_retrieve_remote(args, profile, prefetch, workers)
+        return _cmd_retrieve_remote(args, prefetch, workers)
     if args.mirror or args.inject_faults is not None:
         raise ConfigurationError(
             "--mirror and --inject-faults apply to http(s):// inputs "
@@ -627,9 +596,7 @@ def _cmd_retrieve(args) -> int:
             raise ConfigurationError(
                 "container retrieval targets an error bound, not a bitrate"
             )
-        with ChunkedDataset(
-            args.input, profile=profile, prefetch=prefetch, workers=workers
-        ) as dataset:
+        with ChunkedDataset(args.input, prefetch=prefetch, workers=workers) as dataset:
             result = dataset.read(error_bound=args.error_bound, roi=args.roi)
             save_raw(args.output, result.data)
             print(
@@ -650,7 +617,7 @@ def _cmd_retrieve(args) -> int:
     # is on.
     source = open_stream_source(args.input, prefetch=prefetch)
     try:
-        retriever = ProgressiveRetriever(source, profile=profile)
+        retriever = ProgressiveRetriever(source)
         result = retriever.retrieve(error_bound=args.error_bound, bitrate=args.bitrate)
     finally:
         close = getattr(source, "close", None)
@@ -825,7 +792,6 @@ def _serve_batch(args) -> tuple:
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    profile = _decode_profile_from_args(args)
     file_knobs = _runtime_knobs_from_profile_file(args)
     workers = args.workers if args.workers is not None else file_knobs.get("workers")
     cache_bytes = (
@@ -838,7 +804,6 @@ def _serve_batch(args) -> tuple:
     injector = _fault_injector_from_args(args)
     remote_options = {"mirrors": tuple(args.mirror)} if args.mirror else {}
     with RetrievalService(
-        profile=profile,
         cache_bytes=cache_bytes,
         cache_verify=file_knobs.get("cache_verify"),
         workers=workers,

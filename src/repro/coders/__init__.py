@@ -4,8 +4,6 @@ The paper's IPComp pipeline ends with a lossless back-end (zstd in the
 authors' implementation) applied to every independently retrievable block.
 This subpackage provides that substrate from scratch:
 
-* :mod:`repro.coders.bitio` — bit-granular reader/writer; the packing
-  substrate both kernels of :mod:`repro.core.kernels` build on.
 * :mod:`repro.coders.huffman` — canonical Huffman coder (used by the SZ3
   baseline, matching the paper's description of SZ3 = Huffman + zstd).
 * :mod:`repro.coders.rle` — byte run-length coder (cheap pre-pass for very

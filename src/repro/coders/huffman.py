@@ -72,7 +72,7 @@ def _canonical_codes(lengths: Dict[int, int]) -> Dict[int, Tuple[int, int]]:
     return codes
 
 
-def encode_symbols(symbols: np.ndarray, kernel=None) -> bytes:
+def encode_symbols(symbols: np.ndarray) -> bytes:
     """Huffman-encode an integer array into a self-describing byte stream.
 
     The stream layout is::
@@ -80,17 +80,13 @@ def encode_symbols(symbols: np.ndarray, kernel=None) -> bytes:
         MAGIC | n_symbols:u64 | alphabet_size:u32 |
         (symbol:i64, length:u8) * alphabet_size | n_bits:u64 | packed bits
 
-    The bit scatter and packing run on a :mod:`repro.core.kernels` kernel
-    (``kernel`` is a registry name or instance; default ``"auto"``).  The
-    vectorized scatter — inherited by the fused and compiled kernels the
-    default resolves to — writes one bit position of every code per NumPy
-    pass, so the cost is ``O(max_code_length)`` vector operations instead of
-    a Python loop over all symbols; the ``"reference"`` kernel writes code
-    bits one by one and produces the identical stream.
+    The bit scatter (:func:`repro.core.bitplane.scatter_code_bits`) writes
+    one bit position of every code per NumPy pass, so the cost is
+    ``O(max_code_length)`` vector operations instead of a Python loop over
+    all symbols.
     """
-    from repro.core.kernels import get_kernel
+    from repro.core.bitplane import pack_plane, scatter_code_bits
 
-    kern = get_kernel(kernel)
     flat = np.asarray(symbols).ravel()
     values, counts = np.unique(flat, return_counts=True)
     frequencies = {int(v): int(c) for v, c in zip(values, counts)}
@@ -119,21 +115,32 @@ def encode_symbols(symbols: np.ndarray, kernel=None) -> bytes:
     np.cumsum(sym_lengths[:-1], out=offsets[1:])
     total_bits = int(offsets[-1] + sym_lengths[-1]) if flat.size else 0
 
-    bits = kern.scatter_code_bits(sym_codes, sym_lengths, offsets, total_bits)
-    payload = bytes(header) + struct.pack("<Q", total_bits) + kern.pack_bits(bits)
+    bits = scatter_code_bits(sym_codes, sym_lengths, offsets, total_bits)
+    payload = bytes(header) + struct.pack("<Q", total_bits) + pack_plane(bits)
     return payload
 
 
-def decode_symbols(data: bytes, kernel=None) -> np.ndarray:
-    """Invert :func:`encode_symbols`, returning an ``int64`` array."""
-    from repro.core.kernels import get_kernel
+def decode_symbols(data: bytes) -> np.ndarray:
+    """Invert :func:`encode_symbols`, returning an ``int64`` array.
 
-    kern = get_kernel(kernel)
+    ``data`` is untrusted: the three header words that size the symbol
+    table, the bit payload and the output are checked against ``len(data)``
+    before anything is allocated from them.
+    """
+    from repro.core.bitplane import unpack_plane
+
     if data[:4] != _MAGIC:
         raise StreamFormatError("not a Huffman symbol stream")
     pos = 4
+    if len(data) < pos + 12:
+        raise StreamFormatError("Huffman stream header truncated")
     n_symbols, alphabet_size = struct.unpack_from("<QI", data, pos)
     pos += 12
+    if len(data) < pos + 9 * alphabet_size + 8:
+        raise StreamFormatError(
+            f"Huffman stream of {len(data)} bytes cannot hold a "
+            f"{alphabet_size}-symbol code table"
+        )
     lengths: Dict[int, int] = {}
     for _ in range(alphabet_size):
         sym, length = struct.unpack_from("<qB", data, pos)
@@ -141,6 +148,16 @@ def decode_symbols(data: bytes, kernel=None) -> np.ndarray:
         lengths[sym] = length
     (total_bits,) = struct.unpack_from("<Q", data, pos)
     pos += 8
+    payload_bytes = (total_bits + 7) // 8
+    if payload_bytes > len(data) - pos:
+        raise StreamFormatError(
+            f"Huffman stream declares {total_bits} code bits but carries "
+            f"{len(data) - pos} payload bytes"
+        )
+    if n_symbols > total_bits:  # every symbol costs at least one bit
+        raise StreamFormatError(
+            f"Huffman stream declares {n_symbols} symbols in {total_bits} bits"
+        )
 
     if n_symbols == 0:
         return np.zeros(0, dtype=np.int64)
@@ -151,8 +168,8 @@ def decode_symbols(data: bytes, kernel=None) -> np.ndarray:
         (length, value): sym for sym, (value, length) in codes.items()
     }
 
-    packed = memoryview(data)[pos : pos + (total_bits + 7) // 8]  # zero-copy
-    bits = kern.unpack_bits(packed, total_bits)
+    packed = memoryview(data)[pos : pos + payload_bytes]  # zero-copy
+    bits = unpack_plane(packed, total_bits)
 
     out = np.empty(n_symbols, dtype=np.int64)
     value = 0
@@ -180,15 +197,12 @@ class HuffmanCoder:
 
     name = "huffman"
 
-    def __init__(self, kernel=None) -> None:
-        self.kernel = kernel
-
     def encode(self, data: bytes) -> bytes:
         symbols = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
-        return encode_symbols(symbols, kernel=self.kernel)
+        return encode_symbols(symbols)
 
     def decode(self, data: bytes) -> bytes:
-        symbols = decode_symbols(data, kernel=self.kernel)
+        symbols = decode_symbols(data)
         return symbols.astype(np.uint8).tobytes()
 
 

@@ -16,13 +16,6 @@ from __future__ import annotations
 
 from repro.core.compressor import IPComp, IPCompConfig
 from repro.core.interpolation import InterpolationPredictor
-from repro.core.kernels import (
-    Kernel,
-    available_kernels,
-    get_kernel,
-    register_kernel,
-    resolve_auto_kernel,
-)
 from repro.core.optimizer import LoadingPlan, OptimizedLoader
 from repro.core.profile import CodecProfile
 from repro.core.progressive import ProgressiveRetriever
@@ -34,15 +27,10 @@ __all__ = [
     "IPComp",
     "IPCompConfig",
     "InterpolationPredictor",
-    "Kernel",
     "LinearQuantizer",
     "OptimizedLoader",
     "LoadingPlan",
     "ProgressiveRetriever",
     "IPCompStream",
     "CompressedStore",
-    "available_kernels",
-    "get_kernel",
-    "register_kernel",
-    "resolve_auto_kernel",
 ]

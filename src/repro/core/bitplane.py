@@ -12,29 +12,31 @@ its ``prefix_bits`` previously-loaded (more significant) bits and only the
 prediction error is stored.  Two prefix bits minimise the entropy on the
 paper's datasets (Table 2), so 2 is the default here.
 
-The actual bit twiddling lives in :mod:`repro.core.kernels`; the functions
-below are thin wrappers that dispatch to a registered kernel (the default
-``"auto"`` kernel unless a ``kernel=`` argument selects another), kept
-so existing call sites and the paper-facing naming survive the kernel
-refactor unchanged.
+These are the *unpacked-bit* primitives — planes as ``uint8`` 0/1 matrices —
+each a constant number of NumPy bulk passes.  The codec's own hot path never
+materialises a bit matrix (it runs the same chain as one packed-domain sweep,
+:mod:`repro.core.kernels`); the callers here are the ZFP baseline, the
+Huffman coder and the Table 2 entropy analysis.  Planes are ``(nplanes, n)``
+with row 0 the most significant plane; packed bits use little-endian bit
+order within each byte.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
 import numpy as np
 
-from repro.core.kernels import Kernel, get_kernel
+from repro.errors import ConfigurationError
 
 DEFAULT_PREFIX_BITS = 2
 
-_KernelArg = Optional[Union[str, Kernel]]
+
+def check_prefix_bits(prefix_bits: int) -> None:
+    """Reject a prefix-bit count outside the coder's ``[0, 3]`` range."""
+    if not 0 <= prefix_bits <= 3:
+        raise ConfigurationError("prefix_bits must be in [0, 3]")
 
 
-def extract_bitplanes(
-    codes: np.ndarray, nbits: int, kernel: _KernelArg = None
-) -> np.ndarray:
+def extract_bitplanes(codes: np.ndarray, nbits: int) -> np.ndarray:
     """Split unsigned codes into ``nbits`` bitplanes.
 
     Parameters
@@ -43,9 +45,6 @@ def extract_bitplanes(
         1-D ``uint64`` array of negabinary codes.
     nbits:
         Number of planes to produce; must cover the largest code.
-    kernel:
-        Optional kernel name or instance (default ``"auto"``: the fastest
-        registered backend, see :func:`repro.core.kernels.resolve_auto_kernel`).
 
     Returns
     -------
@@ -54,37 +53,61 @@ def extract_bitplanes(
         significant plane (bit position ``nbits − 1``), row ``nbits − 1`` the
         least significant — i.e. rows are in *load order*.
     """
-    return get_kernel(kernel).extract_bitplanes(codes, nbits)
+    if nbits < 1 or nbits > 64:
+        raise ConfigurationError("nbits must be in [1, 64]")
+    codes = np.ascontiguousarray(np.asarray(codes).ravel(), dtype="<u8")
+    n = codes.size
+    if n == 0:
+        return np.empty((nbits, 0), dtype=np.uint8)
+    nbytes = (nbits + 7) // 8
+    # One C pass: low `nbytes` bytes of each code → per-value bit rows.
+    byte_view = codes.view(np.uint8).reshape(n, 8)[:, :nbytes]
+    bits = np.unpackbits(byte_view, axis=1, bitorder="little")
+    return np.ascontiguousarray(bits[:, nbits - 1 :: -1].T)
 
 
-def assemble_bitplanes(
-    planes: np.ndarray, nbits: int, kernel: _KernelArg = None
-) -> np.ndarray:
+def assemble_bitplanes(planes: np.ndarray, nbits: int) -> np.ndarray:
     """Rebuild codes from the first ``planes.shape[0]`` (most significant) planes.
 
     Missing (unloaded) low planes are treated as zero, matching the partial
     retrieval semantics of §4.3.
     """
-    return get_kernel(kernel).assemble_bitplanes(planes, nbits)
+    planes = np.asarray(planes, dtype=np.uint8)
+    loaded = planes.shape[0]
+    if loaded > nbits:
+        raise ConfigurationError("more planes supplied than the level width")
+    n = planes.shape[1] if planes.ndim == 2 else 0
+    if n == 0:
+        return np.zeros(0, dtype=np.uint64)
+    nbytes = (nbits + 7) // 8
+    bits = np.zeros((n, 8 * nbytes), dtype=np.uint8)
+    if loaded:
+        bits[:, nbits - 1 - np.arange(loaded)] = planes.T
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    out = np.zeros((n, 8), dtype=np.uint8)
+    out[:, :nbytes] = packed
+    return out.reshape(-1).view("<u8").astype(np.uint64, copy=False)
 
 
 def predictive_encode(
-    planes: np.ndarray,
-    prefix_bits: int = DEFAULT_PREFIX_BITS,
-    kernel: _KernelArg = None,
+    planes: np.ndarray, prefix_bits: int = DEFAULT_PREFIX_BITS
 ) -> np.ndarray:
     """XOR-predict every plane from its ``prefix_bits`` predecessors.
 
     ``encoded[k] = planes[k] ^ planes[k-1] ^ ... ^ planes[k-prefix_bits]``
     (with fewer terms near the top).  ``prefix_bits = 0`` is the identity.
     """
-    return get_kernel(kernel).predictive_encode(planes, prefix_bits)
+    check_prefix_bits(prefix_bits)
+    planes = np.asarray(planes, dtype=np.uint8)
+    encoded = planes.copy()
+    for j in range(1, prefix_bits + 1):
+        if planes.shape[0] > j:
+            encoded[j:] ^= planes[:-j]
+    return encoded
 
 
 def predictive_decode(
-    encoded: np.ndarray,
-    prefix_bits: int = DEFAULT_PREFIX_BITS,
-    kernel: _KernelArg = None,
+    encoded: np.ndarray, prefix_bits: int = DEFAULT_PREFIX_BITS
 ) -> np.ndarray:
     """Invert :func:`predictive_encode` plane by plane (top to bottom).
 
@@ -92,14 +115,57 @@ def predictive_decode(
     precisely why the scheme is compatible with progressive loading: the
     planes available at retrieval time are always a prefix of the sequence.
     """
-    return get_kernel(kernel).predictive_decode(encoded, prefix_bits)
+    check_prefix_bits(prefix_bits)
+    encoded = np.asarray(encoded, dtype=np.uint8)
+    if prefix_bits == 0 or encoded.shape[0] <= 1:
+        return encoded.copy()
+    if prefix_bits == 1:
+        # The recurrence collapses to a cumulative XOR down the planes.
+        return np.bitwise_xor.accumulate(encoded, axis=0)
+    planes = encoded.copy()
+    for k in range(1, planes.shape[0]):
+        for j in range(1, prefix_bits + 1):
+            if k - j >= 0:
+                planes[k] ^= planes[k - j]
+    return planes
 
 
-def pack_plane(plane: np.ndarray, kernel: _KernelArg = None) -> bytes:
+def pack_plane(plane: np.ndarray) -> bytes:
     """Pack one bitplane (uint8 0/1 values) into bytes, little-endian bit order."""
-    return get_kernel(kernel).pack_bits(plane)
+    return np.packbits(np.asarray(plane, dtype=np.uint8), bitorder="little").tobytes()
 
 
-def unpack_plane(data: bytes, count: int, kernel: _KernelArg = None) -> np.ndarray:
+def unpack_plane(data: bytes, count: int) -> np.ndarray:
     """Invert :func:`pack_plane`, recovering exactly ``count`` bits."""
-    return get_kernel(kernel).unpack_bits(data, count)
+    packed = np.frombuffer(data, dtype=np.uint8)
+    return np.unpackbits(packed, count=count, bitorder="little")
+
+
+def scatter_code_bits(
+    sym_codes: np.ndarray,
+    sym_lengths: np.ndarray,
+    offsets: np.ndarray,
+    total_bits: int,
+) -> np.ndarray:
+    """Write variable-length codes (MSB first) into a flat bit array.
+
+    Symbol ``i`` occupies bit positions ``offsets[i] … offsets[i] +
+    sym_lengths[i] − 1``; this is the hot scatter of the canonical
+    Huffman encoder (:mod:`repro.coders.huffman`).
+    """
+    sym_codes = np.asarray(sym_codes, dtype=np.uint64)
+    sym_lengths = np.asarray(sym_lengths, dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    bits = np.zeros(int(total_bits), dtype=np.uint8)
+    if sym_codes.size == 0:
+        return bits
+    # One vector pass per code-bit position instead of one per symbol:
+    # the i-th emitted bit of a code is bit (length-1-i) of its value.
+    for bit in range(int(sym_lengths.max())):
+        active = sym_lengths > bit
+        if not active.any():
+            continue
+        shift = (sym_lengths[active] - 1 - bit).astype(np.uint64)
+        bit_vals = ((sym_codes[active] >> shift) & np.uint64(1)).astype(np.uint8)
+        bits[offsets[active] + bit] = bit_vals
+    return bits

@@ -48,8 +48,7 @@ from repro.errors import ConfigurationError
 #: The v1-era per-compressor configuration class is the unified codec
 #: profile now; the old name still resolves, but the field set is the
 #: profile's (``backend=`` survives only as a keyword shim in
-#: :meth:`CodecProfile.from_options` / ``IPComp(**...)``, and ``kernel=``
-#: moved from retriever/dataset signatures into the profile) — a breaking
+#: :meth:`CodecProfile.from_options` / ``IPComp(**...)``) — a breaking
 #: release, reflected in the package version.
 IPCompConfig = CodecProfile
 
@@ -90,7 +89,7 @@ class IPComp:
             raise ConfigurationError("IPComp requires finite input values")
         eb = self.absolute_bound(data)
         predictor = InterpolationPredictor(data.shape, self.profile.method)
-        quantizer = LinearQuantizer(eb, kernel=self.profile.kernel)
+        quantizer = LinearQuantizer(eb)
         coder = PredictiveCoder(quantizer, self.profile)
 
         # Progressive blocks are grouped per interpolation *sweep* (one unit
@@ -125,7 +124,7 @@ class IPComp:
 
     def retriever(self, blob: bytes) -> ProgressiveRetriever:
         """Create a stateful progressive retriever over a compressed stream."""
-        return ProgressiveRetriever(blob, profile=self.profile)
+        return ProgressiveRetriever(blob)
 
     def retrieve(
         self,

@@ -25,19 +25,15 @@ and bitplane:
    different — still valid — coder for a plane whose prefix is not
    representative).
 
-Steps 1–3 (and the packing of step 4) run on a pluggable bit-level kernel
+Steps 1–3 (and the packing of step 4) run on the plane kernel
 (:mod:`repro.core.kernels`) through its *shard-wide* hooks
-:meth:`~repro.core.kernels.Kernel.encode_planes` /
-:meth:`~repro.core.kernels.Kernel.decode_planes`, which take all levels of
-the shard in one call (:meth:`PredictiveCoder.encode_levels` /
+:meth:`~repro.core.kernels.PlaneKernel.encode_planes` /
+:meth:`~repro.core.kernels.PlaneKernel.decode_planes`, which take all levels
+of the shard in one call (:meth:`PredictiveCoder.encode_levels` /
 :meth:`~PredictiveCoder.decode_levels_codes`; the per-level methods are the
-shard of one): the ``"fused"`` kernel (what the default ``"auto"`` resolves
-to without numba) sweeps every level together in one position-major matrix
-over a reusable buffer arena, the ``"vectorized"`` kernel runs separate
-NumPy bulk passes per level, and the ``"reference"`` kernel auditable
-Python loops; all yield byte-identical blocks (coder negotiation only sees
-the packed bytes, which are identical).  Lossless decoding stays per plane,
-and every decoded row is validated where the batch is assembled.
+shard of one) and sweep them together in one position-major matrix over a
+reusable buffer arena.  Lossless decoding stays per plane, and every decoded
+row is validated where the batch is assembled.
 
 Alongside the blocks the encoder records the *exact* information-loss table
 ``δy_l(b)`` — the largest value-domain error introduced at this level when the
@@ -57,7 +53,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.coders.backend import Backend, get_backend
-from repro.core.kernels import DEFAULT_KERNEL, get_kernel
+from repro.core.kernels import get_kernel
 from repro.core.negabinary import truncation_errors
 from repro.core.profile import DEFAULT_NEGOTIATION_SAMPLE, CodecProfile
 from repro.core.quantizer import LinearQuantizer
@@ -215,7 +211,7 @@ class PredictiveCoder:
     """Stateless encoder/decoder shared by compression and retrieval.
 
     The encode path is configured by a :class:`~repro.core.profile.CodecProfile`
-    (candidate coders + negotiation policy + prefix bits + kernel); the decode
+    (candidate coders + negotiation policy + prefix bits); the decode
     path needs no profile — per-plane coder names arrive with the stream
     metadata — so retrieval constructs the coder via :meth:`for_header`.
     """
@@ -228,7 +224,6 @@ class PredictiveCoder:
         self.prefix_bits = profile.prefix_bits
         self.anchor_coder = profile.anchor_coder
         self.candidates = profile.candidates
-        self.kernel = get_kernel(profile.kernel)
         # One shared instance cache for every stage; the encode candidates
         # (and anchor coder) are resolved once, not per plane.
         self._coders: Dict[str, Backend] = {
@@ -236,24 +231,22 @@ class PredictiveCoder:
         }
 
     @classmethod
-    def for_header(cls, header, quantizer: LinearQuantizer, kernel: Optional[str] = None) -> "PredictiveCoder":
+    def for_header(cls, header, quantizer: LinearQuantizer) -> "PredictiveCoder":
         """A decode-side coder for a parsed stream header.
 
-        ``kernel`` is the runtime kernel choice; everything that shapes the
-        bytes (prefix bits, anchor coder, per-plane coders) comes from the
-        header itself — streams are self-describing.  The synthesized profile
+        Everything that shapes the bytes (prefix bits, anchor coder,
+        per-plane coders) comes from the header itself — streams are
+        self-describing.  The synthesized profile
         pins the header's anchor coder as the only (fixed) candidate, so the
         coder is fully initialised: re-encoding through it stays coherent
         and ``coder.profile`` is always a real profile.
         """
-        get_kernel(kernel)  # a bad kernel is the *caller's* mistake: config error
         try:
             profile = CodecProfile(
                 error_bound=header.error_bound,
                 relative=False,
                 method=header.method,
                 prefix_bits=header.prefix_bits,
-                kernel=kernel if kernel is not None else DEFAULT_KERNEL,
                 anchor_coder=header.anchor_coder,
                 plane_coders=(header.anchor_coder,),
                 negotiation="fixed",
@@ -292,9 +285,9 @@ class PredictiveCoder:
             (level, np.asarray(codes, dtype=np.int64).ravel()) for level, codes in levels
         ]
         # The negabinary → bitplane → XOR-predict → pack chain of every
-        # level is one kernel hook call, so the fused kernel can run the
-        # whole shard as a single sweep over its buffer arena.
-        planes = self.kernel.encode_planes(
+        # level is one kernel hook call: the whole shard is a single sweep
+        # over the kernel's buffer arena.
+        planes = get_kernel().encode_planes(
             [codes for _, codes in levels], self.prefix_bits
         )
         policy, sample = self.profile.negotiation, self.profile.negotiation_sample
@@ -382,7 +375,7 @@ class PredictiveCoder:
                 raise StreamFormatError("more plane blocks supplied than the level width")
             rows = [self._decode_row(meta, plane, block) for plane, block in enumerate(blocks)]
             batch.append((rows, meta.count, meta.nbits))
-        return self.kernel.decode_planes(batch, self.prefix_bits)
+        return get_kernel().decode_planes(batch, self.prefix_bits)
 
     def decode_level_codes(
         self,

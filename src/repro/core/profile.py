@@ -3,13 +3,11 @@
 Every layer — :class:`repro.IPComp`, the progressive retriever, the
 block-parallel compressor, the file-backed :class:`repro.io.ChunkedDataset`,
 the baselines adapter, and the CLI — is configured by one frozen dataclass
-instead of ad-hoc ``kernel=`` / ``error_bound=`` keyword plumbing.  A profile
+instead of ad-hoc ``error_bound=`` / ``backend=`` keyword plumbing.  A profile
 bundles:
 
 * the **lossy stage** — error bound (+ relative flag), interpolation method,
   prefix bits of the predictive bitplane coder;
-* the **runtime kernel** — which bit-level implementation moves the bits
-  (never changes the stream bytes);
 * the **per-stage lossless coders** — the anchor-block coder and the
   candidate set for the plane blocks;
 * the **backend-negotiation policy** — how a plane block's coder is chosen
@@ -45,8 +43,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from repro.core.bitplane import DEFAULT_PREFIX_BITS
-from repro.core.kernels import DEFAULT_KERNEL, get_kernel
+from repro.core.bitplane import DEFAULT_PREFIX_BITS, check_prefix_bits
 from repro.errors import ConfigurationError
 
 #: Negotiation policies understood by :class:`CodecProfile`.
@@ -67,6 +64,10 @@ DEFAULT_NEGOTIATION_SAMPLE = 65536
 #: planes and are opt-in via the profile.
 DEFAULT_PLANE_CODERS = ("zlib", "raw")
 
+#: Keys old ``CodecProfile.dump()`` files carry for options that no longer
+#: exist (``io_backend`` until 3.0, ``kernel`` until 4.0): dropped on load.
+LEGACY_JSON_KEYS = ("io_backend", "kernel")
+
 
 @dataclass(frozen=True)
 class CodecProfile:
@@ -86,14 +87,6 @@ class CodecProfile:
     prefix_bits:
         Number of prefix bits of the predictive bitplane coder (0–3; 2 is
         the paper's choice, Table 2).
-    kernel:
-        Registered bit-level kernel name (:mod:`repro.core.kernels`).  A pure
-        runtime choice — every kernel reads and writes identical bytes.
-        ``"auto"`` resolves at first use to the fastest backend available
-        on the machine (``compiled`` > ``fused`` > ``vectorized``);
-        ``"compiled"`` requires the optional ``[compiled]`` extra (numba)
-        and raises :class:`~repro.errors.ConfigurationError` with the
-        install hint when it is missing.
     anchor_coder:
         Registered lossless coder used for the (small, always fully loaded)
         anchor block.
@@ -116,8 +109,8 @@ class CodecProfile:
     prefetch:
         Retrieval-side knob: number of planned byte ranges kept in flight
         by the retrieval engine's background prefetcher (0 = synchronous
-        reads).  A pure runtime choice — like ``kernel``, it never changes
-        any byte, reported byte count, or range trace.
+        reads).  A pure runtime choice — it never changes any byte,
+        reported byte count, or range trace.
     workers:
         Retrieval-side knob: pool-decode worker processes for stateless
         container reads (0/1 = in-process decode).  Runtime-only, output
@@ -126,7 +119,7 @@ class CodecProfile:
         Serving-side knob: byte budget of the
         :class:`~repro.service.RetrievalService` tiered cache (decoded slabs
         + resident plane rungs).  ``0`` means the service default.  Like
-        ``kernel`` / ``prefetch`` / ``workers`` it is runtime-only: it never
+        ``prefetch`` / ``workers`` it is runtime-only: it never
         changes any served byte, reported byte count, or range trace — only
         how much physical I/O a warm request can skip.
     cache_verify:
@@ -139,7 +132,6 @@ class CodecProfile:
     relative: bool = True
     method: str = "cubic"
     prefix_bits: int = DEFAULT_PREFIX_BITS
-    kernel: str = DEFAULT_KERNEL
     anchor_coder: str = "zlib"
     plane_coders: Tuple[str, ...] = DEFAULT_PLANE_CODERS
     negotiation: str = "smallest"
@@ -156,9 +148,7 @@ class CodecProfile:
             raise ConfigurationError("error_bound must be a positive finite number")
         if self.method not in ("cubic", "linear"):
             raise ConfigurationError("method must be 'cubic' or 'linear'")
-        if not 0 <= self.prefix_bits <= 3:
-            raise ConfigurationError("prefix_bits must be in [0, 3]")
-        get_kernel(self.kernel)  # fail fast on unknown kernel names
+        check_prefix_bits(self.prefix_bits)
         object.__setattr__(
             self,
             "negotiation",
@@ -253,7 +243,7 @@ class CodecProfile:
         façade (``IPComp``, ``BlockParallelCompressor``,
         ``ChunkedDataset.write``, the baselines adapter) funnels its kwargs
         through here.  Unknown names raise :class:`ConfigurationError` (a
-        ``ValueError``) listing the valid fields, so a typo like ``kernal=``
+        ``ValueError``) listing the valid fields, so a typo like ``metod=``
         fails loudly instead of being silently swallowed.
 
         ``error_bound`` and ``relative`` are named so the façades' optional
@@ -293,18 +283,17 @@ class CodecProfile:
     def to_json(self, *, runtime: bool = True) -> dict:
         """JSON form of the profile.
 
-        ``runtime=False`` omits the runtime-only fields — ``kernel``,
-        ``prefetch``, ``workers``, ``cache_bytes``, ``cache_verify`` —
-        which never change the bytes, so on-disk artefacts (dataset
-        manifests) exclude them to stay byte-identical across runtime
-        configurations; ``--profile`` files keep them.
+        ``runtime=False`` omits the runtime-only fields — ``prefetch``,
+        ``workers``, ``cache_bytes``, ``cache_verify`` — which never change
+        the bytes, so on-disk artefacts (dataset manifests) exclude them to
+        stay byte-identical across runtime configurations; ``--profile``
+        files keep them.
         """
         obj = {
             "error_bound": float(self.error_bound),
             "relative": bool(self.relative),
             "method": self.method,
             "prefix_bits": int(self.prefix_bits),
-            "kernel": self.kernel,
             "anchor_coder": self.anchor_coder,
             "plane_coders": list(self.plane_coders),
             "negotiation": self.negotiation,
@@ -316,7 +305,6 @@ class CodecProfile:
         }
         if not runtime:
             for name in (
-                "kernel",
                 "prefetch",
                 "workers",
                 "cache_bytes",
@@ -329,7 +317,7 @@ class CodecProfile:
     def from_json(cls, obj: dict) -> "CodecProfile":
         if not isinstance(obj, dict):
             raise ConfigurationError("codec profile JSON must be an object")
-        obj = {k: v for k, v in obj.items() if k != "io_backend"}  # pre-3.0 key
+        obj = {k: v for k, v in obj.items() if k not in LEGACY_JSON_KEYS}
         return cls.from_options(None, **obj)
 
     @classmethod

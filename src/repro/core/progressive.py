@@ -29,9 +29,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.interpolation import InterpolationPredictor
+from repro.core.negabinary import from_negabinary, to_negabinary
 from repro.core.optimizer import LoadingPlan, OptimizedLoader
 from repro.core.predictive_coder import PredictiveCoder
-from repro.core.profile import CodecProfile
 from repro.core.quantizer import LinearQuantizer
 from repro.core.stream import CompressedStore
 from repro.errors import ConfigurationError, RetrievalError, StreamFormatError
@@ -69,15 +69,12 @@ class ProgressiveRetriever:
     every retrieval, including Algorithm-2 refinement, touches exactly the
     byte ranges of the blocks it needs and nothing else.
 
-    ``profile`` supplies the only decode-time knob — the bit-level kernel
-    (:mod:`repro.core.kernels`) used for plane decoding.  Everything that
-    shaped the bytes (prefix bits, per-plane lossless coders) comes from the
-    stream's own header: streams are self-describing, so any profile reads
-    any stream.
+    There is no decode-time configuration: everything that shaped the bytes
+    (prefix bits, per-plane lossless coders) comes from the stream's own
+    header — streams are self-describing.
     """
 
-    def __init__(self, blob, profile: Optional[CodecProfile] = None) -> None:
-        kernel = profile.kernel if profile is not None else None
+    def __init__(self, blob) -> None:
         # ``blob`` may also be a ready CompressedStore (possibly built from a
         # pre-parsed header) — the serving layer pins parsed headers across
         # requests and hands the store in directly.
@@ -87,12 +84,10 @@ class ProgressiveRetriever:
         try:
             # These constructors validate their inputs, but here every input
             # comes from the stream's own header — an out-of-range value is
-            # stream corruption, not a caller configuration mistake (the
-            # kernel is the one caller-supplied piece, pre-validated by the
-            # profile).
+            # stream corruption, not a caller configuration mistake.
             self.predictor = InterpolationPredictor(header.shape, header.method)
-            self.quantizer = LinearQuantizer(header.error_bound, kernel=kernel)
-            self.coder = PredictiveCoder.for_header(header, self.quantizer, kernel=kernel)
+            self.quantizer = LinearQuantizer(header.error_bound)
+            self.coder = PredictiveCoder.for_header(header, self.quantizer)
         except ConfigurationError as exc:
             raise StreamFormatError(f"stream header invalid: {exc}") from None
         self.loader = OptimizedLoader(header, overhead_bytes=self.store.overhead_bytes)
@@ -378,14 +373,13 @@ class ProgressiveRetriever:
         un-predicted against them and its bits are OR-ed into the word.  The
         cost follows the number of planes *added*, not the level width.
         """
-        kernel = self.coder.kernel
         count = enc.count
         if count == 0:
             return np.zeros(0, dtype=np.int64)
         old_codes = self._current_codes.get(enc.level)
         if old_codes is None or old_codes.size == 0:
             old_codes = np.zeros(count, dtype=np.int64)
-        word = kernel.to_negabinary(old_codes)  # a fresh array: OR-ed in place
+        word = to_negabinary(old_codes)  # a fresh array: OR-ed in place
         prefix_bits = self.coder.prefix_bits
 
         def shift(k: int) -> np.uint64:
@@ -407,7 +401,7 @@ class ProgressiveRetriever:
             lifted = np.unpackbits(plane, count=count, bitorder="little").astype(np.uint64)
             lifted <<= shift(k)
             word |= lifted
-        return kernel.from_negabinary(word)
+        return from_negabinary(word)
 
     def _cast(self, output: np.ndarray) -> np.ndarray:
         return output.astype(self.header.dtype, copy=True).reshape(self.header.shape)

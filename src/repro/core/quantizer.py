@@ -9,41 +9,33 @@ A reproduction note on bin width: SZ-family compressors quantize with bins of
 width ``2·eb`` so that rounding to the bin centre keeps the error within
 ``eb``; the same convention is used here.
 
-A floating-point note: the kernels verify the chosen code against the
-decoder's own ``float64`` arithmetic and nudge it when the rounded division
-landed a bin off (possible when ``|y| / (2·eb)`` approaches ``2^52``), so the
-bound holds up to the unavoidable half-ulp of representing the bin centre
-``q · 2·eb`` as a ``float64``.
+A floating-point note: :meth:`LinearQuantizer.quantize` verifies the chosen
+code against the decoder's own ``float64`` arithmetic and nudges it when the
+rounded division landed a bin off (possible when ``|y| / (2·eb)`` approaches
+``2^52``), so the bound holds up to the unavoidable half-ulp of representing
+the bin centre ``q · 2·eb`` as a ``float64``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from repro.core.kernels import get_kernel
 from repro.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
 class LinearQuantizer:
-    """Uniform mid-tread quantizer with half-bin error bound ``error_bound``.
-
-    ``kernel`` selects the arithmetic kernel (see :mod:`repro.core.kernels`)
-    by registry name; ``None`` uses the default (``"auto"``) kernel.
-    """
+    """Uniform mid-tread quantizer with half-bin error bound ``error_bound``."""
 
     error_bound: float
-    kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.error_bound) or self.error_bound <= 0:
             raise ConfigurationError(
                 f"error_bound must be a positive finite number, got {self.error_bound!r}"
             )
-        get_kernel(self.kernel)  # fail fast on unknown kernel names
 
     @property
     def bin_width(self) -> float:
@@ -52,11 +44,26 @@ class LinearQuantizer:
 
     def quantize(self, values: np.ndarray) -> np.ndarray:
         """Quantize floating-point differences to ``int64`` bin indices."""
-        return get_kernel(self.kernel).quantize(values, self.bin_width)
+        bin_width = self.bin_width
+        values = np.asarray(values, dtype=np.float64)
+        codes = np.rint(values / bin_width).astype(np.int64)
+        # Rounding in the divide can land on the wrong side of a half-bin
+        # boundary when |value| / bin_width approaches 2^52, so the decoder's
+        # reconstruction (codes · bin_width, computed in float64) could
+        # overshoot the half-bin error bound by a few ulps.  Nudge offending
+        # codes until the bound holds in the decoder's own arithmetic.
+        half = 0.5 * bin_width
+        for _ in range(2):
+            err = values - codes.astype(np.float64) * bin_width
+            mask = np.abs(err) > half
+            if not mask.any():
+                break
+            codes = codes + np.where(mask, np.sign(err).astype(np.int64), 0)
+        return codes
 
     def dequantize(self, codes: np.ndarray) -> np.ndarray:
         """Map bin indices back to the bin-centre floating point values."""
-        return get_kernel(self.kernel).dequantize(codes, self.bin_width)
+        return np.asarray(codes, dtype=np.float64) * self.bin_width
 
     def roundtrip(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Quantize then dequantize; convenience used by the compressors.

@@ -37,9 +37,7 @@ The manifest (version 2) records shape, dtype, slab slices, the global
 absolute error bound, and the full resolved
 :class:`~repro.core.profile.CodecProfile` the shards were written with;
 version-1 manifests (method / prefix bits / backend as loose fields) are
-still read.  The profile's bit-level *kernel* is resolved at write time but
-never changes the bytes, so datasets written with different kernels are
-byte-identical (enforced by ``tests/test_kernels.py``).
+still read.
 """
 
 from __future__ import annotations
@@ -113,11 +111,10 @@ class ChunkedDataset:
 
     Open an existing file with ``ChunkedDataset(path)`` (context-manager
     friendly) or create one with :meth:`ChunkedDataset.write`.  ``profile``
-    supplies the runtime decode knobs — the kernel, plus default
-    ``prefetch`` / ``workers`` for the retrieval engine; it does not need
-    to match the profile used at write time (shards are self-describing v2
-    streams).  The explicit ``prefetch`` / ``workers`` keywords override
-    the profile's fields; all of these knobs are runtime-only and change
+    supplies the runtime decode knobs — default ``prefetch`` / ``workers``
+    for the retrieval engine; it does not need to match the profile used at
+    write time (shards are self-describing v2 streams).  The explicit
+    ``prefetch`` / ``workers`` keywords override the profile's fields; all of these knobs are runtime-only and change
     no reported byte or decoded bit.  With neither ``prefetch`` nor a
     profile, a remote dataset prefetches at
     :data:`~repro.retrieval.prefetch.DEFAULT_PREFETCH_DEPTH` (as the CLI
@@ -195,7 +192,6 @@ class ChunkedDataset:
             shape=self.shape,
             dtype=self.dtype,
             stored_bound=self.absolute_bound,
-            profile=profile,
             prefetch=prefetch,
             workers=workers,
             # Pool workers re-open the container by path in their own
@@ -252,7 +248,7 @@ class ChunkedDataset:
 
         Configuration is one :class:`~repro.core.profile.CodecProfile`
         (``profile`` plus field overrides such as ``error_bound=`` /
-        ``relative=`` / ``kernel=``).  One IPComp stream per slab is produced
+        ``relative=`` / ``method=``).  One IPComp stream per slab is produced
         (process-parallel via
         :class:`~repro.parallel.executor.BlockParallelCompressor`) and the
         slab's absolute bound is derived from the *global* value range, so
@@ -277,8 +273,8 @@ class ChunkedDataset:
                 "shape": [int(s) for s in data.shape],
                 "dtype": str(data.dtype),
                 "error_bound": float(resolved.error_bound),
-                # runtime=False: the kernel never changes bytes, and the
-                # manifest must stay byte-identical across write kernels.
+                # runtime=False: prefetch / workers / cache knobs never change
+                # bytes, and the manifest must not depend on them.
                 "profile": resolved.to_json(runtime=False),
                 "shards": [
                     {

@@ -34,7 +34,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.profile import CodecProfile
 from repro.core.progressive import ProgressiveRetriever
 from repro.errors import StreamFormatError
 from repro.parallel.partition import (
@@ -119,7 +118,6 @@ class RetrievalEngine:
         shape: Sequence[int],
         dtype,
         stored_bound: float,
-        profile: Optional[CodecProfile] = None,
         prefetch: int = 0,
         workers: int = 0,
         path=None,
@@ -131,7 +129,6 @@ class RetrievalEngine:
         self.shape = tuple(int(s) for s in shape)
         self.dtype = np.dtype(dtype)
         self.stored_bound = float(stored_bound)
-        self.profile = profile
         self.prefetch = max(0, int(prefetch or 0))
         self.workers = max(0, int(workers or 0))
         self.path = path
@@ -176,7 +173,7 @@ class RetrievalEngine:
         retriever = retrievers.get(name)
         if retriever is None:
             source = self._source_for(name, sources)
-            retriever = ProgressiveRetriever(source, profile=self.profile)
+            retriever = ProgressiveRetriever(source)
             retrievers[name] = retriever
         return retriever
 
@@ -196,7 +193,7 @@ class RetrievalEngine:
         plans: List[ShardPlan] = []
         for shard in shards:
             source = PrefetchSource(self._open_source(shard.name), None)
-            retriever = ProgressiveRetriever(source, profile=self.profile)
+            retriever = ProgressiveRetriever(source)
             ops = retriever.pending_ops(error_bound=target)
             plans.append(
                 ShardPlan(
@@ -355,7 +352,6 @@ class RetrievalEngine:
             self.dtype,
             target,
             self.workers,
-            kernel=self.profile.kernel if self.profile is not None else None,
             executor=self.executor,
         )
         achieved = max((bound for _, _, bound in accounting), default=0.0)

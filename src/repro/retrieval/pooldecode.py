@@ -202,14 +202,9 @@ def _retrieve_container_shards(payload) -> List[Tuple[str, list, float, Optional
     matches the synchronous path entry for entry.
     """
     from repro.io.container import BlockContainerReader, BlockSource
-    from repro.core.profile import CodecProfile
     from repro.core.progressive import ProgressiveRetriever
 
-    (path, segment_name, out_shape, dtype, roi_ranges, tasks, error_bound,
-     kernel) = payload
-    # The caller's runtime decode kernel travels by name so the pool path
-    # honours the same knob as the serial path (bytes identical either way).
-    profile = CodecProfile(kernel=kernel) if kernel is not None else None
+    path, segment_name, out_shape, dtype, roi_ranges, tasks, error_bound = payload
     roi = ranges_to_slices(roi_ranges)
     segment = None
     out = None
@@ -221,7 +216,7 @@ def _retrieve_container_shards(payload) -> List[Tuple[str, list, float, Optional
         with BlockContainerReader(path) as reader:
             for name, slab_ranges in tasks:
                 source = BlockSource(reader, name)
-                retriever = ProgressiveRetriever(source, profile=profile)
+                retriever = ProgressiveRetriever(source)
                 result = retriever.retrieve(error_bound=error_bound)
                 slab = ranges_to_slices(slab_ranges)
                 sel_out, sel_in = intersect_slab_roi(slab, roi)
@@ -248,7 +243,6 @@ def pooled_container_read(
     dtype,
     error_bound: float,
     workers: int,
-    kernel: Optional[str] = None,
     executor=None,
 ) -> Tuple[np.ndarray, List[Tuple[str, List[Tuple[int, int]], float]]]:
     """Pool-decode selected shards of a container file into an ROI output.
@@ -278,8 +272,7 @@ def pooled_container_read(
         cursor += len(batch)
         payloads.append(
             (str(path), segment_name, out_shape, str(dtype), list(roi_ranges),
-             [(name, list(ranges)) for name, ranges in tasks], float(error_bound),
-             kernel)
+             [(name, list(ranges)) for name, ranges in tasks], float(error_bound))
         )
     accounting: List[Tuple[str, List[Tuple[int, int]], float]] = []
     pieces: List[Tuple[str, np.ndarray]] = []

@@ -251,11 +251,10 @@ def _cold_shard_worker(payload):
     """
     from repro.io.container import BlockContainerReader, BlockSource
 
-    path, name, target, kernel = payload
-    profile = CodecProfile(kernel=kernel) if kernel is not None else None
+    path, name, target = payload
     with BlockContainerReader(path) as reader:
         source = BlockSource(reader, name)
-        retriever = ProgressiveRetriever(source, profile=profile)
+        retriever = ProgressiveRetriever(source)
         result = retriever.retrieve(error_bound=target)
         return (name, list(source.trace), float(result.error_bound), result.data)
 
@@ -273,12 +272,10 @@ class _Session:
         self,
         sid: int,
         path: Union[str, Path],
-        profile: Optional[CodecProfile],
         remote_source=None,
     ) -> None:
         self.sid = sid
         self.path = path
-        self.profile = profile
         self.remote_source = remote_source
         self.is_remote = remote_source is not None
         self.fingerprint = (
@@ -295,7 +292,7 @@ class _Session:
         if container:
             self.kind = "container"
             self.dataset: Optional[ChunkedDataset] = ChunkedDataset(
-                path, profile=profile, prefetch=0, workers=0, source=remote_source
+                path, prefetch=0, workers=0, source=remote_source
             )
             self.shape = self.dataset.shape
             self.dtype = self.dataset.dtype
@@ -905,7 +902,7 @@ class RetrievalService:
                     source, parsed=(meta.header, meta.header_bytes)
                 )
                 source.replay(meta.header_trace)
-                retriever = ProgressiveRetriever(store, profile=self.profile)
+                retriever = ProgressiveRetriever(store)
                 result = retriever.retrieve(error_bound=target)
             except _RETRYABLE:
                 retries += 1
@@ -994,11 +991,7 @@ class RetrievalService:
             missing.append((shard.name, keep_sig))
         if len(missing) <= 1:
             return {}
-        kernel = self.profile.kernel if self.profile is not None else None
-        payloads = [
-            (str(session.path), name, float(target), kernel)
-            for name, _ in missing
-        ]
+        payloads = [(str(session.path), name, float(target)) for name, _ in missing]
         served: Dict[str, _ShardServe] = {}
         keep_sigs = dict(missing)
         for name, trace, bound, data in imap_fallback(
@@ -1055,7 +1048,7 @@ class RetrievalService:
                 dead = session.sid
                 self.cache.purge(lambda tier, k: k[0] == dead)
                 session.close()
-            session = _Session(self._next_sid, resolved, self.profile)
+            session = _Session(self._next_sid, resolved)
             self._next_sid += 1
             self._sessions[key] = session
             return session
@@ -1088,9 +1081,7 @@ class RetrievalService:
                 self.cache.purge(lambda tier, k: k[0] == dead)
                 session.close()
             stack = open_remote_source(url, **self.remote_options)
-            session = _Session(
-                self._next_sid, url, self.profile, remote_source=stack
-            )
+            session = _Session(self._next_sid, url, remote_source=stack)
             self._next_sid += 1
             self._sessions[url] = session
             return session

@@ -76,6 +76,24 @@ def signal_1d() -> np.ndarray:
     return (np.sin(t) + 0.1 * np.sin(13 * t) + 0.01 * t**2).astype(np.float64)
 
 
+@pytest.fixture
+def oracle(monkeypatch):
+    """``oracle()`` swaps the loop oracle in for the one plane kernel.
+
+    A test seam, not a production parameter: it patches the module's single
+    instance (``repro.core.kernels._KERNEL``), which every ``get_kernel()``
+    caller reads, for the rest of the test.  Calling it mid-test lets one
+    test run the same code before (the sweep) and after (the oracle).
+    """
+    from oracle_kernel import OracleKernel
+    from repro.core import kernels
+
+    def install() -> None:
+        monkeypatch.setattr(kernels, "_KERNEL", OracleKernel())
+
+    return install
+
+
 # ------------------------------------------------------- remote leak ledger
 
 #: Test modules that open sockets; the ledger below audits each of their tests.

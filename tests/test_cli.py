@@ -18,13 +18,13 @@ def raw_field(tmp_path):
     return field, path
 
 
-def test_sampled_negotiation_and_fused_kernel_flags(tmp_path, raw_field):
-    """`--negotiation sampled|full` + `--negotiation-sample` + `--kernel fused`."""
+def test_sampled_negotiation_flags(tmp_path, raw_field):
+    """`--negotiation sampled|full` + `--negotiation-sample`."""
     field, raw_path = raw_field
     sampled = tmp_path / "sampled.ipc"
     full = tmp_path / "full.ipc"
     common = ["compress", str(raw_path), "--shape", "16x18x20", "--eb", "1e-5",
-              "--coders", "zlib,huffman,rle,raw", "--kernel", "fused"]
+              "--coders", "zlib,huffman,rle,raw"]
     assert main(common + ["-o", str(sampled), "--negotiation", "sampled",
                           "--negotiation-sample", "256"]) == 0
     assert main(common + ["-o", str(full), "--negotiation", "full"]) == 0
@@ -179,24 +179,45 @@ def test_demo_command(capsys):
     assert "psnr" in out and "compression_ratio" in out
 
 
-def test_kernel_flag_produces_identical_streams(tmp_path, raw_field):
-    _, raw_path = raw_field
-    blobs = {}
-    for kernel in ("reference", "vectorized"):
-        compressed = tmp_path / f"density.{kernel}.ipc"
-        assert main(
-            ["compress", str(raw_path), "-o", str(compressed),
-             "--shape", "16x18x20", "--eb", "1e-4", "--kernel", kernel]
-        ) == 0
-        blobs[kernel] = compressed.read_bytes()
-    assert blobs["reference"] == blobs["vectorized"]
+#: What ``CodecProfile(error_bound=1e-4).dump()`` wrote at 3.0 (plus the
+#: pre-3.0 ``io_backend`` key): both removed options must keep loading.
+LEGACY_PROFILE_JSON = {
+    "error_bound": 1e-4,
+    "relative": True,
+    "method": "cubic",
+    "prefix_bits": 2,
+    "kernel": "fused",
+    "io_backend": "async",
+    "anchor_coder": "zlib",
+    "plane_coders": ["zlib", "raw"],
+    "negotiation": "smallest",
+    "negotiation_sample": 65536,
+    "prefetch": 0,
+    "workers": 0,
+    "cache_bytes": 0,
+    "cache_verify": True,
+}
 
-    restored_path = tmp_path / "restored.d64"
-    assert main(
-        ["decompress", str(tmp_path / "density.reference.ipc"),
-         "-o", str(restored_path), "--kernel", "reference"]
-    ) == 0
-    assert restored_path.exists()
+
+def test_legacy_profile_file_with_kernel_key_drives_the_cli(tmp_path, raw_field):
+    field, raw_path = raw_field
+    profile_path = tmp_path / "v3_profile.json"
+    profile_path.write_text(json.dumps(LEGACY_PROFILE_JSON, indent=2))
+    for suffix, extra in ((".ipc", []), (".rprc", ["--blocks", "3", "--workers", "0"])):
+        compressed = tmp_path / f"density{suffix}"
+        plain = tmp_path / f"plain{suffix}"
+        common = ["compress", str(raw_path), "--shape", "16x18x20", *extra]
+        assert main(common + ["-o", str(compressed), "--profile", str(profile_path)]) == 0
+        assert main(common + ["-o", str(plain), "--eb", "1e-4"]) == 0
+        assert compressed.read_bytes() == plain.read_bytes()
+        restored = tmp_path / "restored.d64"
+        assert main(["decompress", str(compressed), "-o", str(restored),
+                     "--profile", str(profile_path)]) == 0
+        eb = 1e-4 * (field.max() - field.min())
+        assert np.abs(load_raw(restored, field.shape) - field).max() <= eb * (1 + 1e-9)
+    # The flag itself is gone: argparse rejects it like any unknown option.
+    with pytest.raises(SystemExit):
+        main(["decompress", str(compressed), "-o", str(restored), "--kernel", "fused"])
 
 
 def test_compress_blocks_writes_container_and_roi_retrieve(tmp_path, raw_field, capsys):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import struct
+import time
+
 import numpy as np
 import pytest
 
@@ -68,3 +71,43 @@ def test_byte_backend_roundtrip():
 def test_bad_magic_rejected():
     with pytest.raises(StreamFormatError):
         decode_symbols(b"NOPE" + b"\x00" * 32)
+
+
+# ------------------------------------------------------------ hostile bytes
+
+
+def _header(n_symbols: int, table, total_bits: int) -> bytes:
+    """A ``HUF1`` stream header claiming whatever the test wants."""
+    out = b"HUF1" + struct.pack("<QI", n_symbols, len(table))
+    for sym, length in table:
+        out += struct.pack("<qB", sym, length)
+    return out + struct.pack("<Q", total_bits)
+
+
+_GOOD = encode_symbols(np.array([3, 3, 3, -1, 7, 3, -1, 3, 3, 7, 3], dtype=np.int64))
+
+HOSTILE = {
+    "truncated-header": _GOOD[:9],
+    "truncated-code-table": _GOOD[:20],
+    "n-symbols-2^40": _header(2**40, [(0, 1)], 8) + b"\x00",
+    "total-bits-2^33": _header(4, [(0, 1)], 2**33) + b"\x00" * 16,
+    "alphabet-2^32-1": b"HUF1" + struct.pack("<QI", 4, 2**32 - 1) + b"\x00" * 64,
+    "payload-one-byte-short": _GOOD[:-1],
+}
+
+
+@pytest.mark.parametrize("blob", HOSTILE.values(), ids=HOSTILE.keys())
+def test_hostile_header_words_raise_before_any_allocation(blob):
+    """The three stream-supplied sizes are checked against ``len(data)``:
+    no ``struct.error``, no ``MemoryError``, no silent zero-padded decode —
+    and no time spent allocating what the header merely claims."""
+    start = time.perf_counter()
+    with pytest.raises(StreamFormatError):
+        decode_symbols(blob)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(StreamFormatError):
+        HuffmanCoder().decode(blob)
+
+
+def test_trailing_bytes_after_the_payload_are_ignored():
+    assert np.array_equal(decode_symbols(_GOOD + b"\xff\xff"), decode_symbols(_GOOD))

@@ -1,17 +1,17 @@
-"""Fused-kernel byte identity and sampled-negotiation behaviour.
+"""Sweep byte identity and sampled-negotiation behaviour.
 
-The fused pipeline and the sampled negotiation policy are both pure
-performance features: neither may change a single stream byte (fused) or may
-produce anything but a valid, self-describing stream (sampled).  These tests
-pin that contract:
+The packed-domain shard sweep and the sampled negotiation policy are both
+pure performance features: neither may change a single stream byte (sweep)
+or may produce anything but a valid, self-describing stream (sampled).
+These tests pin that contract:
 
-* a full kernel × negotiation **byte-identity matrix** over synthetic fields
-  (``fused`` ≡ ``vectorized`` ≡ ``reference`` under each policy);
+* a negotiation-policy **byte-identity matrix** over synthetic fields (the
+  sweep ≡ the loop oracle of ``tests/oracle_kernel.py`` under each policy);
 * sampled streams decode correctly, are deterministic, and their
   header-recorded per-plane coders agree with a full re-negotiation on at
   least 90 % of synthetic planes;
-* the kernel pipeline hooks (`encode_planes` / `decode_planes`) agree across
-  kernels at the API level, including the edge shapes the stream layer never
+* the kernel hooks (`encode_planes` / `decode_planes`) agree with the oracle
+  at the API level, including the edge shapes the stream layer never
   exercises.
 
 Every test uses a module-local rng: the conftest ``rng`` fixture is
@@ -24,9 +24,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracle_kernel import OracleKernel
 from repro.core.compressor import IPComp
-from repro.core.kernels import available_kernels, get_kernel
-from repro.core.kernels_compiled import numba_available
+from repro.core.kernels import get_kernel
 from repro.core.predictive_coder import negotiate_encode
 from repro.core.profile import (
     DEFAULT_NEGOTIATION_SAMPLE,
@@ -36,17 +36,6 @@ from repro.core.profile import (
 from repro.core.progressive import ProgressiveRetriever
 from repro.errors import ConfigurationError
 
-KERNELS = ("reference", "vectorized", "fused")
-#: The optional JIT backend joins every identity matrix when its dependency
-#: is importable; without numba it is absent here and covered instead by the
-#: always-on pure-Python sweep tests in ``test_kernels_compiled.py``.
-ALL_KERNELS = KERNELS + (("compiled",) if numba_available() else ())
-COMPILED_PARAM = pytest.param(
-    "compiled",
-    marks=pytest.mark.skipif(
-        not numba_available(), reason="numba not installed (the [compiled] extra)"
-    ),
-)
 WIDE_CODERS = ("zlib", "huffman", "rle", "raw")
 
 
@@ -63,50 +52,45 @@ def _field(rng: np.random.Generator, shape) -> np.ndarray:
 # ------------------------------------------------------------ identity matrix
 
 
-def test_fused_kernel_is_registered():
-    assert "fused" in available_kernels()
-    assert get_kernel("fused").name == "fused"
-
-
 @pytest.mark.parametrize("shape", [(257,), (31, 37), (14, 18, 22)])
 @pytest.mark.parametrize("negotiation", ["smallest", "sampled", "fixed"])
-def test_kernel_negotiation_stream_identity_matrix(shape, negotiation):
-    """Every kernel must emit byte-identical streams under every policy."""
+def test_kernel_negotiation_stream_identity_matrix(oracle, shape, negotiation):
+    """The sweep and the oracle emit byte-identical streams under every policy."""
     # Stable per-cell seed (str hashing is PYTHONHASHSEED-salted, so
     # hash() here would make any failure unreproducible across runs).
     rng = _local_rng(
         100 * len(shape) + NEGOTIATION_POLICIES.index(negotiation)
     )
     field = _field(rng, shape)
-    streams = {}
-    for kernel in ALL_KERNELS:
-        profile = CodecProfile(
-            error_bound=1e-4,
-            relative=True,
-            kernel=kernel,
-            plane_coders=WIDE_CODERS,
-            negotiation=negotiation,
-            negotiation_sample=512,
-        )
-        streams[kernel] = IPComp(profile=profile).compress(field)
-    assert len(set(streams.values())) == 1, sorted(streams)
+    profile = CodecProfile(
+        error_bound=1e-4,
+        relative=True,
+        plane_coders=WIDE_CODERS,
+        negotiation=negotiation,
+        negotiation_sample=512,
+    )
+    stream = IPComp(profile=profile).compress(field)
+    oracle()
+    assert IPComp(profile=profile).compress(field) == stream
 
 
-@pytest.mark.parametrize("kernel", [*KERNELS, COMPILED_PARAM, "auto"])
-def test_any_kernel_decodes_any_stream(kernel):
-    """Kernels are a runtime choice on the decode side too."""
+def test_the_oracle_decodes_the_sweeps_stream(oracle):
     rng = _local_rng(3)
     field = _field(rng, (12, 16, 20))
     blob = IPComp(error_bound=1e-5, relative=True).compress(field)
     eb = CodecProfile(error_bound=1e-5, relative=True).absolute_bound(field)
-    retriever = ProgressiveRetriever(blob, profile=CodecProfile(kernel=kernel))
+    retriever = ProgressiveRetriever(blob)
     out = retriever.retrieve(error_bound=retriever.header.error_bound).data
     assert np.abs(out - field).max() <= eb * (1 + 1e-9)
+    oracle()
+    retriever = ProgressiveRetriever(blob)
+    again = retriever.retrieve(error_bound=retriever.header.error_bound).data
+    assert again.tobytes() == out.tobytes()
 
 
 def test_encode_planes_hook_parity_across_kernels():
     rng = _local_rng(5)
-    kernels = [get_kernel(name) for name in ALL_KERNELS]
+    kernels = [get_kernel(), OracleKernel()]
     for n in (0, 1, 7, 64, 65, 1000):
         for spread in (1, 900, 2**40):
             codes = rng.integers(-spread, spread + 1, size=n, dtype=np.int64)
@@ -128,17 +112,17 @@ def test_encode_planes_hook_parity_across_kernels():
 
 def test_fused_arena_reuse_does_not_leak_between_levels():
     """Back-to-back levels of different sizes must not corrupt each other."""
-    fused = get_kernel("fused")
-    vectorized = get_kernel("vectorized")
+    sweep = get_kernel()
+    reference = OracleKernel()
     rng = _local_rng(8)
     previous = None
     for n in (4096, 17, 900, 4096, 1):
         codes = rng.integers(-(2**20), 2**20, size=n, dtype=np.int64)
-        assert fused.encode_planes([codes], 2) == vectorized.encode_planes([codes], 2)
+        assert sweep.encode_planes([codes], 2) == reference.encode_planes([codes], 2)
         if previous is not None:
             # Re-encoding the previous level still matches (scratch reuse
             # cannot have retained stale content in the observable output).
-            assert fused.encode_planes([previous], 2) == vectorized.encode_planes(
+            assert sweep.encode_planes([previous], 2) == reference.encode_planes(
                 [previous], 2
             )
         previous = codes

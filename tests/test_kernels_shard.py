@@ -1,15 +1,12 @@
-"""Shard-wide kernel hooks: one batched sweep ≡ the per-level reference.
+"""Shard-wide kernel hooks: one batched sweep ≡ the per-level loop oracle.
 
-``Kernel.encode_planes`` / ``decode_planes`` take every level of a shard at
-once.  The ``reference`` kernel keeps the base-class behaviour — a loop over
-the bit-by-bit primitives, one level at a time — and is the oracle here;
-the ``fused`` kernel lays all levels side by side in one position-major
-matrix and sweeps them together, so the differential tests below feed it
-*ragged* shards: empty levels, ``nbits == 0``, counts that are not a
+``PlaneKernel.encode_planes`` / ``decode_planes`` take every level of a shard
+at once, lay them side by side in one position-major matrix and sweep them
+together.  The oracle (``tests/oracle_kernel.py``) loops over the bit-by-bit
+primitives one level at a time, so the differential tests below feed the
+sweep *ragged* shards: empty levels, ``nbits == 0``, counts that are not a
 multiple of 8, a different plane prefix loaded per level, every
-``prefix_bits``.  The ``compiled`` kernel inherits the per-level loop
-around its JIT sweeps; it runs here as plain Python without numba and under
-the real JIT in CI's ``tests-numba`` job.
+``prefix_bits``.
 
 Every draw comes from hypothesis or a module-local generator (the conftest
 ``rng`` fixture is session-scoped and shared).
@@ -24,26 +21,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import kernels_compiled as compiled_module
-from repro.core.kernels import ArenaKernel, get_kernel
+from oracle_kernel import OracleKernel
+from repro.core.kernels import get_kernel
 from repro.core.predictive_coder import PredictiveCoder
 from repro.core.profile import CodecProfile
 from repro.core.quantizer import LinearQuantizer
 from repro.errors import StreamFormatError
 
-REFERENCE = get_kernel("reference")
-
-
-def _compiled_kernel():
-    """The registry's JIT instance, or the same sweeps as plain Python."""
-    if compiled_module.numba_available():
-        return get_kernel("compiled")
-    kernel = compiled_module.CompiledKernel.__new__(compiled_module.CompiledKernel)
-    ArenaKernel.__init__(kernel)  # skips only the numba construction guard
-    return kernel
-
-
-BATCHED = [get_kernel("fused"), get_kernel("vectorized"), _compiled_kernel()]
+REFERENCE = OracleKernel()
 
 
 @st.composite
@@ -82,36 +67,36 @@ def test_batched_hooks_match_per_level_reference(shard, prefix_bits, with_empty_
         # A level the header gives no planes at all decodes to zeros.
         loaded.insert(len(loaded) // 2, ([], 5, 0))
     want = [REFERENCE.decode_planes([level], prefix_bits)[0] for level in loaded]
-    for kernel in BATCHED:
-        assert kernel.encode_planes(codes, prefix_bits) == expected, kernel.name
-        got = kernel.decode_planes(loaded, prefix_bits)
-        assert len(got) == len(want)
-        for have, need, (rows, count, nbits) in zip(got, want, loaded):
-            assert have.dtype == np.int64 and have.shape == (count,)
-            assert np.array_equal(have, need), (kernel.name, count, nbits, len(rows))
+    sweep = get_kernel()
+    assert sweep.encode_planes(codes, prefix_bits) == expected
+    got = sweep.decode_planes(loaded, prefix_bits)
+    assert len(got) == len(want)
+    for have, need, (rows, count, nbits) in zip(got, want, loaded):
+        assert have.dtype == np.int64 and have.shape == (count,)
+        assert np.array_equal(have, need), (count, nbits, len(rows))
     # Fully loaded levels are lossless.
     full = [(blocks, level.size, nbits) for level, (nbits, blocks) in zip(codes, expected)]
-    for have, level in zip(BATCHED[0].decode_planes(full, prefix_bits), codes):
+    for have, level in zip(sweep.decode_planes(full, prefix_bits), codes):
         assert np.array_equal(have, level)
 
 
 def test_a_single_level_is_the_batch_of_one():
     rng = np.random.default_rng(20261001)
-    fused = get_kernel("fused")
+    sweep = get_kernel()
     levels = [rng.integers(-900, 900, size=n, dtype=np.int64) for n in (1, 13, 200, 0, 64)]
-    together = fused.encode_planes(levels, 2)
-    assert together == [fused.encode_planes([level], 2)[0] for level in levels]
+    together = sweep.encode_planes(levels, 2)
+    assert together == [sweep.encode_planes([level], 2)[0] for level in levels]
     batch = [(blocks, level.size, nbits) for level, (nbits, blocks) in zip(levels, together)]
-    for level, decoded in zip(levels, fused.decode_planes(batch, 2)):
+    for level, decoded in zip(levels, sweep.decode_planes(batch, 2)):
         assert np.array_equal(decoded, level)
-    assert fused.encode_planes([], 2) == [] and fused.decode_planes([], 2) == []
+    assert sweep.encode_planes([], 2) == [] and sweep.decode_planes([], 2) == []
 
 
 def _shard(rng: np.random.Generator, sizes):
     """An encoded shard: ``(levels for decode_planes, expected codes)``."""
-    fused = get_kernel("fused")
+    sweep = get_kernel()
     codes = [rng.integers(-(2**30), 2**30, size=n, dtype=np.int64) for n in sizes]
-    encoded = fused.encode_planes(codes, 2)
+    encoded = sweep.encode_planes(codes, 2)
     levels = [(blocks, level.size, nbits) for level, (nbits, blocks) in zip(codes, encoded)]
     return levels, codes
 
@@ -119,12 +104,12 @@ def _shard(rng: np.random.Generator, sizes):
 def test_threads_decode_different_shards_on_the_shared_instance():
     """The position-major arena is per thread: no cross-talk between shards.
 
-    ``get_kernel`` hands every thread the same ``fused`` instance; shards of
+    ``get_kernel`` hands every thread the same instance; shards of
     different geometry decoded (and re-encoded) at the same time must come
     out exactly as they do alone.
     """
     rng = np.random.default_rng(20261002)
-    fused = get_kernel("fused")
+    sweep = get_kernel()
     shards = [
         _shard(rng, sizes)
         for sizes in ((1, 9, 300, 4000), (5000, 2, 65), (7, 7, 7, 1200, 31), (2048,))
@@ -135,10 +120,10 @@ def test_threads_decode_different_shards_on_the_shared_instance():
     def worker(levels, codes):
         barrier.wait(timeout=30)
         for _ in range(40):
-            decoded = fused.decode_planes(levels, 2)
+            decoded = sweep.decode_planes(levels, 2)
             if not all(np.array_equal(a, b) for a, b in zip(decoded, codes)):
                 failures.append("decode diverged")
-            again = fused.encode_planes(codes, 2)
+            again = sweep.encode_planes(codes, 2)
             if [blocks for _, blocks in again] != [rows for rows, _, _ in levels]:
                 failures.append("encode diverged")
 
@@ -156,6 +141,22 @@ def test_threads_decode_different_shards_on_the_shared_instance():
     assert failures == []
 
 
+def test_arena_is_not_shared_across_threads():
+    kernel = get_kernel()
+    arenas = {}
+
+    def grab(key):
+        arenas[key] = kernel._arena
+
+    threads = [threading.Thread(target=grab, args=(i,)) for i in range(3)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    grab("main")
+    assert len({id(a) for a in arenas.values()}) == len(arenas)
+
+
 # ------------------------------------------------------------- hostile rows
 
 
@@ -167,12 +168,11 @@ def encoded_level():
     return coder, encoding
 
 
-@pytest.mark.parametrize("kernel", ["fused", "vectorized", "reference"])
-def test_short_plane_row_is_a_stream_format_error(encoded_level, kernel):
+def test_short_plane_row_is_a_stream_format_error(encoded_level):
     """A block that decodes to fewer than ceil(count/8) bytes never reaches
     the kernel (it used to surface NumPy's broadcast ``ValueError``)."""
     coder, encoding = encoded_level
-    decoder = PredictiveCoder(coder.quantizer, CodecProfile(kernel=kernel))
+    decoder = PredictiveCoder(coder.quantizer, CodecProfile())
     backend = decoder._coder(encoding.plane_coders[1])
     blocks = list(encoding.plane_blocks)
     blocks[1] = backend.encode(backend.decode(blocks[1])[:-1])
@@ -199,9 +199,9 @@ def test_more_blocks_than_the_level_width_is_a_stream_format_error(encoded_level
 
 def test_fused_kernel_rejects_rows_it_cannot_lay_out():
     """Called directly (no coder in front), bad rows fail loudly, not silently."""
-    fused = get_kernel("fused")
-    [(nbits, blocks)] = fused.encode_planes([np.arange(-32, 32, dtype=np.int64)], 2)
+    sweep = get_kernel()
+    [(nbits, blocks)] = sweep.encode_planes([np.arange(-32, 32, dtype=np.int64)], 2)
     swapped = [blocks[0][:-1], blocks[1] + b"\x00"] + blocks[2:]  # same total size
     for rows in ([blocks[0][:-1]], swapped, blocks + blocks[:1]):
         with pytest.raises(ValueError):
-            fused.decode_planes([(rows, 64, nbits)], 2)
+            sweep.decode_planes([(rows, 64, nbits)], 2)

@@ -41,7 +41,7 @@ def test_defaults_are_valid():
         {"error_bound": float("nan")},
         {"method": "quartic"},
         {"prefix_bits": 7},
-        {"kernel": "no-such-kernel"},
+        {"workers": -1},
         {"anchor_coder": "no-such-coder"},
         {"plane_coders": ("zlib", "no-such-coder")},
         {"plane_coders": ()},
@@ -132,19 +132,11 @@ def test_json_roundtrip():
         relative=False,
         method="linear",
         prefix_bits=1,
-        kernel="reference",
         anchor_coder="rle",
         plane_coders=("zlib", "raw"),
         negotiation="fixed",
     )
     assert CodecProfile.from_json(profile.to_json()) == profile
-
-
-def test_json_runtime_false_drops_kernel():
-    obj = CodecProfile(kernel="reference").to_json(runtime=False)
-    assert "kernel" not in obj
-    # ...and loading it falls back to the default kernel.
-    assert CodecProfile.from_json(obj).kernel == CodecProfile().kernel
 
 
 def test_from_file_and_dump(tmp_path):
@@ -155,13 +147,18 @@ def test_from_file_and_dump(tmp_path):
 
 
 def test_profile_file_written_before_3_0_still_loads(tmp_path):
-    # ``io_backend`` was a runtime field until 3.0; a file carrying it loads
-    # with the key ignored (any other unknown key still fails loudly).
+    # ``io_backend`` was a runtime field until 3.0 and ``kernel`` until 4.0; a
+    # file carrying them loads with the keys ignored (any other unknown key —
+    # and either name as a keyword in code — still fails loudly).
     path = tmp_path / "old.json"
-    path.write_text(json.dumps({**CodecProfile().to_json(), "io_backend": "threads"}))
+    legacy = {"io_backend": "threads", "kernel": "reference"}
+    path.write_text(json.dumps({**CodecProfile().to_json(), **legacy}))
     assert CodecProfile.from_file(path) == CodecProfile()
-    with pytest.raises(ConfigurationError, match="io_backend"):
-        CodecProfile.from_options(None, io_backend="threads")
+    for name, value in legacy.items():
+        with pytest.raises(ConfigurationError, match=name):
+            CodecProfile.from_options(None, **{name: value})
+    with pytest.raises(ConfigurationError, match="kernal"):
+        CodecProfile.from_json({**CodecProfile().to_json(), "kernal": "fused"})
 
 
 def test_from_file_errors(tmp_path):

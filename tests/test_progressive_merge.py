@@ -1,11 +1,11 @@
-"""Algorithm 2's packed-plane merge and the default kernel path.
+"""Algorithm 2's packed-plane merge and the default path.
 
 ``ProgressiveRetriever._merge_codes`` adds newly loaded planes to the resident
 negabinary word in the packed byte domain.  Its contract is exact: for any
 ``old_keep < new_keep`` the merged integer codes equal
 ``PredictiveCoder.decode_level_codes`` of the first ``new_keep`` blocks —
-under every registered kernel, every ``prefix_bits`` and level sizes that are
-not a multiple of eight (the pad bits of the last packed byte).
+under every ``prefix_bits`` and level sizes that are not a multiple of eight
+(the pad bits of the last packed byte).
 
 NB: module-local rngs only — the session-scoped ``rng`` fixture is shared.
 """
@@ -15,21 +15,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import ChunkedDataset, CodecProfile, IPComp, ProgressiveRetriever
-from repro.core.kernels import available_kernels
-from repro.core.kernels_compiled import numba_available
+from repro import ChunkedDataset, IPComp, ProgressiveRetriever
 from repro.service import RetrievalService
-
-KERNELS = [
-    pytest.param(
-        name,
-        marks=pytest.mark.skipif(
-            name == "compiled" and not numba_available(),
-            reason="numba not installed (the [compiled] extra)",
-        ),
-    )
-    for name in available_kernels()
-]
 
 
 def _field(shape, seed: int) -> np.ndarray:
@@ -51,15 +38,12 @@ def _keep_pairs(nbits: int, rng: np.random.Generator):
     return sorted(pairs)
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("prefix_bits", [0, 1, 2, 3])
-def test_merge_equals_decoding_the_first_new_keep_blocks(kernel, prefix_bits):
-    # The reference kernel converts per element in Python: keep its field small.
-    shape = (7, 5, 3) if kernel == "reference" else (13, 9, 7)
-    blob = IPComp(
-        error_bound=1e-5, relative=True, prefix_bits=prefix_bits, kernel="fused"
-    ).compress(_field(shape, seed=prefix_bits))
-    retriever = ProgressiveRetriever(blob, profile=CodecProfile(kernel=kernel))
+def test_merge_equals_decoding_the_first_new_keep_blocks(prefix_bits):
+    blob = IPComp(error_bound=1e-5, relative=True, prefix_bits=prefix_bits).compress(
+        _field((13, 9, 7), seed=prefix_bits)
+    )
+    retriever = ProgressiveRetriever(blob)
     assert retriever.coder.prefix_bits == prefix_bits
     rng = np.random.default_rng(100 + prefix_bits)
     levels = [enc for enc in retriever.header.levels if enc.count]
@@ -133,19 +117,19 @@ def test_stream_level_rebuilt_and_delta_ladders():
 # ------------------------------------------------------------- default path
 
 
-def test_default_argument_streams_equal_the_reference_kernel(tmp_path):
-    """No ``kernel=`` anywhere: the bytes are the reference oracle's."""
+def test_default_argument_streams_equal_the_reference_kernel(oracle, tmp_path):
+    """Default arguments everywhere: the bytes are the loop oracle's."""
     field = _field((9, 10, 11), seed=7)
-    assert IPComp(error_bound=1e-4, relative=True).compress(field) == IPComp(
-        error_bound=1e-4, relative=True, kernel="reference"
-    ).compress(field)
     paths = {name: tmp_path / f"{name}.rprc" for name in ("default", "reference")}
+    blob = IPComp(error_bound=1e-4, relative=True).compress(field)
     ChunkedDataset.write(paths["default"], field, error_bound=1e-4, relative=True,
                          n_blocks=2, workers=0)
+    with ChunkedDataset(paths["default"]) as default:
+        restored = default.read().data.tobytes()
+    oracle()
+    assert IPComp(error_bound=1e-4, relative=True).compress(field) == blob
     ChunkedDataset.write(paths["reference"], field, error_bound=1e-4, relative=True,
-                         n_blocks=2, workers=0, kernel="reference")
+                         n_blocks=2, workers=0)
     assert paths["default"].read_bytes() == paths["reference"].read_bytes()
-    with ChunkedDataset(paths["default"]) as default, ChunkedDataset(
-        paths["default"], profile=CodecProfile(kernel="reference")
-    ) as reference:
-        assert default.read().data.tobytes() == reference.read().data.tobytes()
+    with ChunkedDataset(paths["default"]) as reference:
+        assert reference.read().data.tobytes() == restored

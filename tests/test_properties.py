@@ -95,7 +95,7 @@ def test_huffman_symbols_roundtrip(values):
 @settings(**_SETTINGS)
 # Discovered failures: at |value|/bin_width near 2^52 the rounded division
 # could land one bin off, overshooting the bound by ~4e-4·eb before the
-# kernels' half-bin correction pass existed.
+# quantizer's half-bin correction pass existed.
 @example(data=np.array([43980.51950343]), error_bound=1e-08)
 @example(data=np.array([-860001.1242585359]), error_bound=1.727503885201102e-08)
 @example(data=np.array([604444.3245963152]), error_bound=5.715301935765919e-08)

@@ -1,6 +1,6 @@
 """Property-based round-trip tests of the ChunkedDataset subsystem.
 
-A parameterized sweep over dtype × shape × shard count × bound mode × kernel
+A parameterized sweep over dtype × shape × shard count × bound mode
 checks the invariants the storage layer must never lose:
 
 * the reassembled full field honours the **global** absolute L∞ bound;
@@ -20,42 +20,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import CodecProfile
 from repro.errors import ConfigurationError, StreamFormatError
 from repro.io import BlockContainerWriter, ChunkedDataset
 
-# (case id, dtype, shape, n_blocks, relative, error_bound, kernel)
+# (case id, dtype, shape, n_blocks, relative, error_bound).  The ids are
+# opaque labels the tier-1 floor list names; their last part selects nothing.
 CASES = [
-    ("1d-f64-rel-vec", np.float64, (60,), 3, True, 1e-4, "vectorized"),
-    ("1d-f32-abs-vec", np.float32, (41,), 2, False, 1e-2, "vectorized"),
-    ("2d-f64-rel-ref", np.float64, (18, 14), 4, True, 1e-3, "reference"),
-    ("2d-f32-rel-vec", np.float32, (16, 13), 1, True, 1e-3, "vectorized"),
-    ("3d-f64-abs-vec", np.float64, (12, 10, 8), 3, False, 1e-3, "vectorized"),
-    ("3d-f64-rel-vec", np.float64, (14, 9, 11), 5, True, 1e-5, "vectorized"),
-    ("3d-f32-rel-ref", np.float32, (10, 8, 6), 2, True, 1e-3, "reference"),
-    ("3d-overdecomposed", np.float64, (5, 6, 7), 16, True, 1e-4, "vectorized"),
-    ("2d-f64-rel-fused", np.float64, (17, 15), 3, True, 1e-4, "fused"),
+    ("1d-f64-rel-vec", np.float64, (60,), 3, True, 1e-4),
+    ("1d-f32-abs-vec", np.float32, (41,), 2, False, 1e-2),
+    ("2d-f64-rel-ref", np.float64, (18, 14), 4, True, 1e-3),
+    ("2d-f32-rel-vec", np.float32, (16, 13), 1, True, 1e-3),
+    ("3d-f64-abs-vec", np.float64, (12, 10, 8), 3, False, 1e-3),
+    ("3d-f64-rel-vec", np.float64, (14, 9, 11), 5, True, 1e-5),
+    ("3d-f32-rel-ref", np.float32, (10, 8, 6), 2, True, 1e-3),
+    ("3d-overdecomposed", np.float64, (5, 6, 7), 16, True, 1e-4),
+    ("2d-f64-rel-fused", np.float64, (17, 15), 3, True, 1e-4),
 ]
 IDS = [case[0] for case in CASES]
-
-# The optional JIT backend joins the sweep only with numba installed (the
-# [compiled] extra); the skip carries the reason so the gap is visible.
-from repro.core.kernels_compiled import numba_available  # noqa: E402
-
-_SWEEP_CASES = [case[1:] for case in CASES] + [
-    pytest.param(
-        np.float64,
-        (13, 9, 11),
-        3,
-        True,
-        1e-4,
-        "compiled",
-        marks=pytest.mark.skipif(
-            not numba_available(), reason="numba not installed (the [compiled] extra)"
-        ),
-    ),
-]
-_SWEEP_IDS = IDS + ["3d-f64-rel-compiled"]
 
 
 def _field(shape, dtype, seed):
@@ -79,19 +60,19 @@ def _random_roi(shape, seed):
 
 
 @pytest.mark.parametrize(
-    "dtype,shape,n_blocks,relative,error_bound,kernel",
-    _SWEEP_CASES,
-    ids=_SWEEP_IDS,
+    "dtype,shape,n_blocks,relative,error_bound",
+    [case[1:] for case in CASES],
+    ids=IDS,
 )
 def test_roundtrip_bound_and_roi_slab(
-    tmp_path, dtype, shape, n_blocks, relative, error_bound, kernel
+    tmp_path, dtype, shape, n_blocks, relative, error_bound
 ):
     seed = hash((shape, n_blocks, relative)) % (2**31)
     field = _field(shape, dtype, seed)
     path = tmp_path / "field.rprc"
     manifest = ChunkedDataset.write(
         path, field, error_bound=error_bound, relative=relative,
-        n_blocks=n_blocks, workers=0, kernel=kernel,
+        n_blocks=n_blocks, workers=0,
     )
     eb = manifest["error_bound"]
     if relative:
@@ -100,7 +81,7 @@ def test_roundtrip_bound_and_roi_slab(
     else:
         assert eb == error_bound
 
-    with ChunkedDataset(path, profile=CodecProfile(kernel=kernel)) as dataset:
+    with ChunkedDataset(path) as dataset:
         assert dataset.shape == shape
         assert dataset.dtype == np.dtype(dtype)
         assert dataset.n_shards == len(manifest["shards"])
@@ -124,28 +105,14 @@ def test_roundtrip_bound_and_roi_slab(
         assert set(part.shards) <= set(reference.shards)
 
 
-@pytest.mark.parametrize(
-    "kernel",
-    [
-        "reference",
-        "vectorized",
-        pytest.param(
-            "compiled",
-            marks=pytest.mark.skipif(
-                not numba_available(),
-                reason="numba not installed (the [compiled] extra)",
-            ),
-        ),
-    ],
-)
-def test_refine_is_monotone_additive_and_never_rereads(tmp_path, kernel):
+def test_refine_is_monotone_additive_and_never_rereads(tmp_path):
     field = _field((20, 12, 10), np.float64, seed=90125)
     path = tmp_path / "field.rprc"
     manifest = ChunkedDataset.write(
         path, field, error_bound=1e-6, relative=True, n_blocks=4, workers=0
     )
     eb = manifest["error_bound"]
-    with ChunkedDataset(path, profile=CodecProfile(kernel=kernel)) as dataset:
+    with ChunkedDataset(path) as dataset:
         seen = set()
         previous_error = np.inf
         total = 0

@@ -543,7 +543,6 @@ def test_profile_prefetch_workers_are_runtime_only():
     assert CodecProfile.from_json(profile.to_json()) == profile
     manifest_form = profile.to_json(runtime=False)
     assert "prefetch" not in manifest_form and "workers" not in manifest_form
-    assert "kernel" not in manifest_form
     from repro.errors import ConfigurationError
 
     with pytest.raises(ConfigurationError):

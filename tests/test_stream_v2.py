@@ -187,7 +187,6 @@ def test_dataset_manifest_v2_embeds_profile(tmp_path):
     path = tmp_path / "field.rprc"
     manifest = ChunkedDataset.write(path, field, error_bound=1e-4, n_blocks=2, workers=0)
     assert manifest["version"] == 2
-    assert "kernel" not in manifest["profile"]  # runtime knob, not a byte-shaper
     with ChunkedDataset(path) as dataset:
         assert dataset.version == 2
         assert dataset.write_profile.error_bound == pytest.approx(manifest["error_bound"])
