@@ -1,24 +1,21 @@
-"""End-to-end pipeline throughput: negotiation × pool workers, plus the sweep.
+"""End-to-end pipeline throughput: the write path, the sweep, the pool.
 
 This is the harness behind ``BENCH_pipeline.json`` (repo root): the one
 artefact tracking whether the compression pipeline keeps the paper's
 headline property — throughput that keeps pace with I/O — as the codebase
-grows.  It measures four things:
+grows.  It measures three things:
 
-1. **Negotiation matrix** — encode/decode MB/s of the full IPComp pipeline
-   under full and sampled backend negotiation on the wide candidate set,
-   with stream byte-identity to the loop oracle (``tests/oracle_kernel.py``,
+1. **The write path** — encode/decode MB/s of the full IPComp pipeline under
+   the default profile (the ``matrix`` has that one row), with stream
+   byte-identity to the loop oracle (``tests/oracle_kernel.py``,
    substituted for the one plane kernel — identity only, never timed)
    asserted on the side.
 2. **Kernel stage in isolation** — ``encode_planes``/``decode_planes``
    throughput of the shard sweep on one 400 k-value level and on a ragged
    shard (recorded; the e2e floors are what gate).
-3. **Negotiation policies head-to-head** — fixed vs. full vs. sampled
-   encode time on a field large enough that planes dwarf the probe, the
-   regime sampled negotiation targets; asserts sampled ≥ 2× faster than
-   full on the wide candidate set.
-4. **Pool scaling** — ``BlockParallelCompressor`` throughput over worker
-   counts (recorded, not asserted: single-core CI boxes cannot scale).
+3. **Pool scaling** — ``BlockParallelCompressor`` throughput over worker
+   counts on the field and shard count of ``benchmarks/e2e``
+   (recorded, not asserted: single-core CI boxes cannot scale).
 
 A checked-in floor (``benchmarks/perf_floor.json``) turns the bench into a
 regression gate: when the floor file's scale matches the active
@@ -41,16 +38,11 @@ import pytest
 from benchmarks.conftest import BENCH_SCALE, REPO_ROOT, print_table, write_csv
 from repro.core import kernels
 from repro.core.compressor import IPComp
-from repro.core.profile import CodecProfile
-from repro.core.progressive import ProgressiveRetriever
 from repro.parallel.executor import BlockParallelCompressor
 
 BENCH_JSON = REPO_ROOT / "BENCH_pipeline.json"
 FLOOR_FILE = REPO_ROOT / "benchmarks" / "perf_floor.json"
 
-#: Wide candidate set: the cheap C-backed coders plus every from-scratch
-#: Python coder, i.e. the configuration where negotiation cost hurts most.
-WIDE_CODERS = ("zlib", "huffman", "rle", "lz77", "raw")
 BOUND = 1e-5
 
 #: Matrix field shapes per scale (the identity oracle runs Python loops
@@ -62,14 +54,13 @@ _MATRIX_SHAPES = {
     "paper": (44, 48, 56),
 }
 
-#: The negotiation head-to-head runs on a fixed large field regardless of
-#: scale: sampled negotiation's ≥ 2× claim is about the plane ≫ probe
-#: regime, which small fields simply do not contain.
-_NEGOTIATION_SHAPE = (96, 104, 112)
-_NEGOTIATION_SAMPLE = 2048
-
-_POOL_SHAPE = (96, 96, 96)
-_POOL_WORKERS = (0, 2, 4)
+#: The pool leg compresses what ``benchmarks/e2e`` archives — a 16.7 MB
+#: field in 16 shards — at every scale: the pool's start-up cost against a
+#: smaller one-shot field says nothing about the archive the decision to
+#: keep the pool rests on.
+_POOL_SHAPE = (128, 136, 120)
+_POOL_BLOCKS = 16
+_POOL_WORKERS = (0, 2)
 
 
 def _synthetic_field(shape) -> np.ndarray:
@@ -89,16 +80,6 @@ def _best_seconds(fn, reps: int) -> float:
     return best
 
 
-def _profile(negotiation: str) -> CodecProfile:
-    return CodecProfile(
-        error_bound=BOUND,
-        relative=True,
-        plane_coders=WIDE_CODERS,
-        negotiation=negotiation,
-        negotiation_sample=_NEGOTIATION_SAMPLE,
-    )
-
-
 @contextmanager
 def _oracle_kernel():
     """Run the block with the loop oracle in place of the plane kernel."""
@@ -114,25 +95,22 @@ def _oracle_kernel():
 
 def _run_matrix(field):
     mb = field.nbytes / 1e6
-    cells = {}
-    streams = {}
-    identical = True
-    for label, negotiation in (("full", "smallest"), ("sampled", "sampled")):
-        comp = IPComp(profile=_profile(negotiation))
-        blob = comp.compress(field)
-        encode_s = _best_seconds(lambda: comp.compress(field), 3)
-        decode_s = _best_seconds(lambda: comp.decompress(blob), 3)
-        cells[label] = {
+    comp = IPComp(error_bound=BOUND, relative=True)
+    blob = comp.compress(field)
+    encode_s = _best_seconds(lambda: comp.compress(field), 3)
+    decode_s = _best_seconds(lambda: comp.decompress(blob), 3)
+    cells = {
+        "default": {
             "encode_mbps": round(mb / encode_s, 3),
             "decode_mbps": round(mb / decode_s, 3),
             "encode_s": round(encode_s, 4),
             "decode_s": round(decode_s, 4),
             "stream_bytes": len(blob),
         }
-        streams[label] = blob
-        with _oracle_kernel():
-            identical = identical and comp.compress(field) == blob
-    return cells, streams, identical
+    }
+    with _oracle_kernel():
+        identical = comp.compress(field) == blob
+    return cells, identical
 
 
 #: Values fed to the kernel-stage microbenchmark.  Fixed regardless of the
@@ -208,66 +186,25 @@ def _run_kernel_stage(field):
     return stage
 
 
-def _run_negotiation(field):
-    mb = field.nbytes / 1e6
-    timings = {}
-    captured = {}
-    for label, negotiation in (
-        ("fixed", "fixed"),
-        ("full", "smallest"),
-        ("sampled", "sampled"),
-    ):
-        comp = IPComp(profile=_profile(negotiation))
-        reps = 2 if label != "full" else 1
-
-        def run(label=label, comp=comp):
-            captured[label] = comp.compress(field)
-
-        timings[label] = _best_seconds(run, reps)
-    overhead_full = (timings["full"] - timings["fixed"]) / timings["full"]
-    overhead_sampled = (timings["sampled"] - timings["fixed"]) / timings["sampled"]
-    # Per-plane coder agreement between the sampled (autotuned-probe) and
-    # full policies, straight from the two headers — the ≥90 % pin of the
-    # sampled-negotiation contract lives in this gate.
-    header_full = ProgressiveRetriever(captured["full"]).header
-    header_sampled = ProgressiveRetriever(captured["sampled"]).header
-    total = agree = 0
-    for enc_full, enc_sampled in zip(header_full.levels, header_sampled.levels):
-        for a, b in zip(enc_full.plane_coders, enc_sampled.plane_coders):
-            total += 1
-            agree += a == b
-    return {
-        "shape": list(field.shape),
-        "candidates": list(WIDE_CODERS),
-        "sample_bytes": _NEGOTIATION_SAMPLE,
-        "fixed_s": round(timings["fixed"], 3),
-        "full_s": round(timings["full"], 3),
-        "sampled_s": round(timings["sampled"], 3),
-        "fixed_mbps": round(mb / timings["fixed"], 3),
-        "full_mbps": round(mb / timings["full"], 3),
-        "sampled_mbps": round(mb / timings["sampled"], 3),
-        "speedup_sampled_over_full": round(timings["full"] / timings["sampled"], 3),
-        "negotiation_overhead_full": round(overhead_full, 3),
-        "negotiation_overhead_sampled": round(overhead_sampled, 3),
-        "sampled_coder_agreement": round(agree / max(total, 1), 4),
-        "sampled_stream_bytes": len(captured["sampled"]),
-        "full_stream_bytes": len(captured["full"]),
-    }
-
-
 def _run_pool(field):
     mb = field.nbytes / 1e6
     scaling = {}
     for workers in _POOL_WORKERS:
         comp = BlockParallelCompressor(
-            error_bound=BOUND, relative=True, n_blocks=8, workers=workers
+            error_bound=BOUND, relative=True, n_blocks=_POOL_BLOCKS, workers=workers
         )
-        seconds = _best_seconds(lambda: comp.compress(field), 2)
+        # Best of five: a pool's first passes pay for starting its workers.
+        seconds = _best_seconds(lambda: comp.compress(field), 5)
         scaling[str(workers)] = {
             "encode_mbps": round(mb / seconds, 3),
             "encode_s": round(seconds, 3),
         }
-    return {"shape": list(field.shape), "cpu_count": os.cpu_count(), **scaling}
+    return {
+        "shape": list(field.shape),
+        "n_blocks": _POOL_BLOCKS,
+        "cpu_count": os.cpu_count(),
+        **scaling,
+    }
 
 
 def _check_floor(payload) -> list:
@@ -289,28 +226,18 @@ def _check_floor(payload) -> list:
 
 def _run(_bench_datasets_unused=None):
     matrix_field = _synthetic_field(_MATRIX_SHAPES.get(BENCH_SCALE, (32, 36, 40)))
-    matrix, streams, identical = _run_matrix(matrix_field)
+    matrix, identical = _run_matrix(matrix_field)
     kernel_stage = _run_kernel_stage(matrix_field)
-    negotiation = _run_negotiation(_synthetic_field(_NEGOTIATION_SHAPE))
     pool = _run_pool(_synthetic_field(_POOL_SHAPE))
-    retriever = ProgressiveRetriever(streams["sampled"])
-    out = retriever.retrieve(error_bound=retriever.header.error_bound).data
-    sampled_decodes = bool(
-        np.abs(out - matrix_field).max()
-        <= _profile("sampled").absolute_bound(matrix_field) * (1 + 1e-9)
-    )
     payload = {
-        "schema": "bench-pipeline-e2e/v2",
+        "schema": "bench-pipeline-e2e/v3",
         "scale": BENCH_SCALE,
         "matrix_shape": list(matrix_field.shape),
         "matrix_field_mb": round(matrix_field.nbytes / 1e6, 3),
-        "candidates": list(WIDE_CODERS),
         "matrix": matrix,
         "kernel_stage": kernel_stage,
-        "negotiation": negotiation,
         "pool": pool,
         "streams_byte_identical_to_oracle": identical,
-        "sampled_stream_decodes_within_bound": sampled_decodes,
     }
     return payload
 
@@ -324,33 +251,22 @@ def test_pipeline_e2e(benchmark, results_dir):
         [cell, c["encode_mbps"], c["decode_mbps"], c["stream_bytes"]]
         for cell, c in payload["matrix"].items()
     ]
-    print_table("Pipeline e2e: negotiation modes", header, rows)
+    print_table("Pipeline e2e: default profile", header, rows)
     write_csv(results_dir / "pipeline_e2e.csv", header, rows)
-    negotiation = payload["negotiation"]
     stage = payload["kernel_stage"]
+    pool = payload["pool"]
     print(
         f"kernel stage: {stage['encode_mbps']} / {stage['decode_mbps']} MB/s "
         f"encode / decode on one level "
         f"({stage['ragged_shard']['encode_mbps']} / "
         f"{stage['ragged_shard']['decode_mbps']} on a ragged shard)\n"
-        f"negotiation: sampled {negotiation['speedup_sampled_over_full']}x faster "
-        f"than full (overhead {negotiation['negotiation_overhead_full']} → "
-        f"{negotiation['negotiation_overhead_sampled']})"
+        "pool encode: "
+        + ", ".join(f"{w} workers {pool[str(w)]['encode_mbps']} MB/s" for w in _POOL_WORKERS)
     )
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
 
-    # Correctness gates: identity to the oracle, decodable sampled streams.
+    # Correctness gate: identity to the oracle.
     assert payload["streams_byte_identical_to_oracle"]
-    assert payload["sampled_stream_decodes_within_bound"]
-
-    # Perf gates.
-    assert negotiation["speedup_sampled_over_full"] >= 2.0, negotiation
-    # Sampled negotiation (with the per-plane autotuned probe) must agree
-    # with the full trials on ≥ 90 % of planes and cost ≤ 5 % stream size.
-    assert negotiation["sampled_coder_agreement"] >= 0.9, negotiation
-    assert negotiation["sampled_stream_bytes"] <= (
-        negotiation["full_stream_bytes"] * 1.05
-    ), negotiation
 
     floor_failures = _check_floor(payload)
     assert not floor_failures, "\n".join(floor_failures)

@@ -4,7 +4,7 @@ The package is organised as:
 
 * :mod:`repro.core` — IPComp itself (interpolation predictor, predictive
   bitplane coder, optimized data loader, progressive retriever).
-* :mod:`repro.coders` — from-scratch lossless coding substrate.
+* :mod:`repro.coders` — lossless coding substrate.
 * :mod:`repro.baselines` — the compressors IPComp is evaluated against
   (SZ3, SZ3-M, SZ3-R, ZFP, ZFP-R, MGARD/PMGARD, SPERR/SPERR-R).
 * :mod:`repro.datasets` — synthetic stand-ins for the six SDRBench fields.
@@ -38,7 +38,7 @@ from repro.core.optimizer import LoadingPlan, OptimizedLoader
 from repro.io.dataset import ChunkedDataset, DatasetReadResult
 from repro.service import RetrievalService, RetrievalTrace
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "CodecProfile",

@@ -51,11 +51,9 @@ class PMGARDCompressor(ProgressiveCompressor):
         error_bound: float = 1e-6,
         relative: bool = True,
         prefix_bits: int = 2,
-        backend: str = "zlib",
     ) -> None:
         super().__init__(error_bound, relative)
         self.prefix_bits = int(prefix_bits)
-        self.backend = backend
 
     # ------------------------------------------------------------ compression
 
@@ -66,10 +64,7 @@ class PMGARDCompressor(ProgressiveCompressor):
         refinement = _quantizer_refinement(data.shape, predictor.num_levels)
         eb_q = eb_user / refinement
         quantizer = LinearQuantizer(eb_q)
-        coder = PredictiveCoder(
-            quantizer,
-            CodecProfile.fixed(self.backend, prefix_bits=self.prefix_bits),
-        )
+        coder = PredictiveCoder(quantizer, CodecProfile(prefix_bits=self.prefix_bits))
 
         anchor_values, unit_coeffs = predictor.transform(data, granularity="sweep")
         anchor_codes = quantizer.quantize(anchor_values)
@@ -84,7 +79,7 @@ class PMGARDCompressor(ProgressiveCompressor):
             error_bound=eb_q,
             method="linear",
             prefix_bits=self.prefix_bits,
-            anchor_coder=self.backend,
+            anchor_coder=coder.anchor_coder,
             anchor_count=int(anchor_codes.size),
             anchor_size=len(anchor_block),
             levels=encodings,

@@ -61,8 +61,8 @@ remote stack's request/egress/retry/breaker statistics.
 
 Configuration is one :class:`~repro.core.profile.CodecProfile`:
 ``--profile FILE.json`` loads a profile, and the individual flags (``--eb``,
-``--abs``, ``--method``, ``--coders``, ``--negotiation``)
-override single fields of it — flags always win over the file.
+``--abs``, ``--method``) override single fields of it — flags always win
+over the file.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ from pathlib import Path
 
 from repro import ChunkedDataset, CodecProfile, IPComp, ProgressiveRetriever
 from repro.analysis import summarize
-from repro.core.profile import NEGOTIATION_ALIASES, NEGOTIATION_POLICIES
 from repro.core.stream import IPCompStream
 from repro.datasets import dataset_table, load_dataset, load_raw, save_raw
 from repro.errors import ConfigurationError, ReproError
@@ -119,16 +118,12 @@ def _parse_roi(text: str) -> tuple:
     return tuple(axes)
 
 
-def _parse_coders(text: str) -> tuple:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
 def _add_profile_arguments(subparser: argparse.ArgumentParser, full: bool = True) -> None:
     """Codec-profile options: a JSON file plus per-field override flags.
 
     ``full=False`` adds only ``--profile`` (read for its runtime knobs —
-    ``prefetch`` / ``workers`` / cache fields): prefix bits, coders, and the
-    bound are stream properties on the read side.
+    ``prefetch`` / ``workers`` / cache fields): prefix bits and the bound
+    are stream properties on the read side.
     """
     subparser.add_argument(
         "--profile",
@@ -146,29 +141,6 @@ def _add_profile_arguments(subparser: argparse.ArgumentParser, full: bool = True
         "(--no-abs restores range-relative over a profile file)",
     )
     subparser.add_argument("--method", choices=("cubic", "linear"), default=None)
-    subparser.add_argument(
-        "--coders",
-        type=_parse_coders,
-        default=None,
-        metavar="A,B,...",
-        help="plane-coder candidate set, e.g. zlib,huffman,rle,raw",
-    )
-    subparser.add_argument(
-        "--negotiation",
-        choices=NEGOTIATION_POLICIES + tuple(NEGOTIATION_ALIASES),
-        default=None,
-        help="how the plane coder is chosen from the candidates "
-        "(smallest/full: per-plane trial encode; sampled: trial encode a "
-        "plane prefix only; fixed: always the first)",
-    )
-    subparser.add_argument(
-        "--negotiation-sample",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="plane-prefix bytes trial-encoded per candidate under "
-        "--negotiation sampled",
-    )
 
 
 def _profile_from_args(args) -> CodecProfile:
@@ -181,12 +153,6 @@ def _profile_from_args(args) -> CodecProfile:
         overrides["relative"] = not args.abs
     if getattr(args, "method", None) is not None:
         overrides["method"] = args.method
-    if getattr(args, "coders", None) is not None:
-        overrides["plane_coders"] = args.coders
-    if getattr(args, "negotiation", None) is not None:
-        overrides["negotiation"] = args.negotiation
-    if getattr(args, "negotiation_sample", None) is not None:
-        overrides["negotiation_sample"] = args.negotiation_sample
     return CodecProfile.from_options(base, **overrides)
 
 

@@ -1,15 +1,16 @@
 """Backend registry for lossless coders.
 
-The compressors in this package never hard-code a specific lossless coder;
-they ask the registry for a backend by name.  This mirrors the FZ framework's
-pluggable lossless stage described in the paper (§3.2) and makes it trivial to
-benchmark the effect of the backend choice (DEFLATE vs. from-scratch LZ77 vs.
-Huffman) on the final compression ratio.
+A stream names the lossless coder of its anchor block and of every plane
+block, and its reader resolves those names here — the FZ framework's
+pluggable lossless stage described in the paper (§3.2).  Two coders are
+registered: ``zlib`` (DEFLATE, the paper's zstd stand-in) and ``raw`` (the
+block stored verbatim), the two outcomes of the writer's entropy stage
+(:func:`repro.core.predictive_coder.negotiate_encode`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Protocol
+from typing import Callable, Dict, Optional, Protocol
 
 from repro.errors import ConfigurationError
 
@@ -24,8 +25,15 @@ class Backend(Protocol):
         """Losslessly compress ``data``."""
         ...
 
-    def decode(self, data: bytes) -> bytes:  # pragma: no cover - protocol
-        """Invert :meth:`encode`."""
+    def decode(
+        self, data: bytes, max_length: Optional[int] = None
+    ) -> bytes:  # pragma: no cover - protocol
+        """Invert :meth:`encode`, producing no more than ``max_length`` bytes.
+
+        ``data`` may be hostile: a coder whose output can exceed its input
+        must stop at the bound and raise
+        :class:`~repro.errors.StreamFormatError` on malformed input.
+        """
         ...
 
 
@@ -39,7 +47,7 @@ def register_backend(
 
     Re-registering an existing name is rejected unless ``replace=True`` —
     a silent replacement would let two subsystems fight over a name and
-    corrupt streams that negotiated the original coder.  Tests that inject
+    corrupt streams written with the original coder.  Tests that inject
     instrumented backends pass ``replace=True`` explicitly.
     """
     if not name:
@@ -76,15 +84,9 @@ def get_backend(name: str) -> Backend:
 
 def _register_defaults() -> None:
     """Register the built-in backends lazily to avoid import cycles."""
-    from repro.coders.huffman import HuffmanCoder
-    from repro.coders.lz77 import LZ77Coder
-    from repro.coders.rle import RLECoder
     from repro.coders.zlib_backend import ZlibCoder
 
     register_backend("zlib", ZlibCoder)
-    register_backend("huffman", HuffmanCoder)
-    register_backend("rle", RLECoder)
-    register_backend("lz77", LZ77Coder)
     register_backend("raw", RawCoder)
 
 
@@ -96,7 +98,7 @@ class RawCoder:
     def encode(self, data: bytes) -> bytes:
         return bytes(data)
 
-    def decode(self, data: bytes) -> bytes:
+    def decode(self, data: bytes, max_length: Optional[int] = None) -> bytes:
         return bytes(data)
 
 

@@ -2,14 +2,11 @@
 
 The SZ3 baseline in the paper encodes quantization integers with Huffman
 coding before handing the bit stream to zstd (§6.1.3).  This module provides
-a from-scratch canonical Huffman implementation with two entry points:
-
-* the byte-oriented :class:`HuffmanCoder` backend (``encode``/``decode`` over
-  ``bytes``), registered as the ``"huffman"`` lossless backend, and
-* the symbol-oriented :func:`encode_symbols` / :func:`decode_symbols` pair
-  used by the SZ3 baseline, which works on arbitrary integer alphabets and
-  packs codes with vectorised NumPy bit scatter so encoding large fields stays
-  fast in pure Python.
+a from-scratch canonical Huffman implementation: the symbol-oriented
+:func:`encode_symbols` / :func:`decode_symbols` pair used by the SZ3 and
+MGARD baselines, which works on arbitrary integer alphabets and packs codes
+with vectorised NumPy bit scatter so encoding large fields stays fast in
+pure Python.
 
 Canonical codes are used so the code table can be transmitted as just the
 per-symbol code lengths.
@@ -190,20 +187,6 @@ def decode_symbols(data: bytes) -> np.ndarray:
     if produced != n_symbols:
         raise StreamFormatError("Huffman stream truncated")
     return out
-
-
-class HuffmanCoder:
-    """Byte-oriented lossless backend based on :func:`encode_symbols`."""
-
-    name = "huffman"
-
-    def encode(self, data: bytes) -> bytes:
-        symbols = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
-        return encode_symbols(symbols)
-
-    def decode(self, data: bytes) -> bytes:
-        symbols = decode_symbols(data)
-        return symbols.astype(np.uint8).tobytes()
 
 
 def estimate_code_lengths(frequencies: Dict[int, int]) -> Dict[int, int]:

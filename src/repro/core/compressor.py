@@ -27,7 +27,7 @@ Typical use::
     exact  = retriever.retrieve(bitrate=4.0)           # or budget the I/O
 
     # or hand the whole configuration over as one object
-    profile = CodecProfile(error_bound=1e-5, plane_coders=("zlib", "huffman"))
+    profile = CodecProfile(error_bound=1e-5, method="linear", prefix_bits=3)
     comp = IPComp(profile=profile)
 """
 
@@ -47,9 +47,7 @@ from repro.errors import ConfigurationError
 
 #: The v1-era per-compressor configuration class is the unified codec
 #: profile now; the old name still resolves, but the field set is the
-#: profile's (``backend=`` survives only as a keyword shim in
-#: :meth:`CodecProfile.from_options` / ``IPComp(**...)``) — a breaking
-#: release, reflected in the package version.
+#: profile's — a breaking release, reflected in the package version.
 IPCompConfig = CodecProfile
 
 
@@ -107,7 +105,7 @@ class IPComp:
             error_bound=eb,
             method=self.profile.method,
             prefix_bits=self.profile.prefix_bits,
-            anchor_coder=self.profile.anchor_coder,
+            anchor_coder=coder.anchor_coder,
             anchor_count=int(anchor_codes.size),
             anchor_size=len(anchor_block),
             levels=encodings,

@@ -7,23 +7,14 @@ and bitplane:
 1. signed integers → negabinary codes (:mod:`repro.core.negabinary`);
 2. codes → bitplanes, most significant first (:mod:`repro.core.bitplane`);
 3. planes → XOR-predicted planes using the two previously loaded planes;
-4. every predicted plane → packed bits → a lossless coder chosen by the
-   profile's **backend negotiation**: under the default ``"smallest"``
-   (a.k.a. *full*) policy each candidate coder trial-encodes the whole
-   packed plane and the smallest output wins (ties break toward the earlier
-   candidate, so the choice — and therefore the stream — is deterministic).
-   The ``"sampled"`` policy trial-encodes only a deterministic prefix of
-   the packed plane — autotuned per plane as ≈1/8 of the plane's bytes,
-   clamped to ``[MIN_NEGOTIATION_PROBE, profile.negotiation_sample]`` — to
-   pick the winner and then encodes the full plane once with it —
-   O(candidates × probe) instead of O(candidates × plane) work.  Either way the winning
-   coder's name is recorded per plane in
-   :attr:`LevelEncoding.plane_coders` and travels in the stream-v2 header,
-   so decoding dispatches per ``(level, plane)`` without any out-of-band
-   configuration: sampled streams are just as self-describing and
-   deterministic as fully negotiated ones (they may merely pick a
-   different — still valid — coder for a plane whose prefix is not
-   representative).
+4. every predicted plane → packed bits → the one **entropy stage**,
+   :func:`negotiate_encode`: the packed plane is deflated, and stored
+   verbatim instead when deflate does not make it smaller (ties go to
+   deflate, so the choice — and therefore the stream — is deterministic).
+   The name of what was written (``"zlib"`` or ``"raw"``) is recorded per
+   plane in :attr:`LevelEncoding.plane_coders` and travels in the stream-v2
+   header, so decoding dispatches per ``(level, plane)`` by name without
+   any out-of-band configuration.
 
 Steps 1–3 (and the packing of step 4) run on the plane kernel
 (:mod:`repro.core.kernels`) through its *shard-wide* hooks
@@ -52,10 +43,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.coders.backend import Backend, get_backend
+from repro.coders.backend import Backend, RawCoder, get_backend
+from repro.coders.zlib_backend import ZlibCoder
 from repro.core.kernels import get_kernel
 from repro.core.negabinary import truncation_errors
-from repro.core.profile import DEFAULT_NEGOTIATION_SAMPLE, CodecProfile
+from repro.core.profile import CodecProfile
 from repro.core.quantizer import LinearQuantizer
 from repro.errors import ConfigurationError, StreamFormatError
 
@@ -111,110 +103,38 @@ class LevelEncoding:
             ) from None
 
 
-#: Floor of the autotuned per-plane probe under ``sampled`` negotiation:
-#: below this, prefix statistics are too thin to separate the candidates
-#: reliably (and the probe overhead is negligible anyway).
-MIN_NEGOTIATION_PROBE = 4096
-
-#: Fraction of the plane the autotuned probe covers: probe ≈ plane/8,
-#: clamped to [:data:`MIN_NEGOTIATION_PROBE`, ``negotiation_sample``].
-NEGOTIATION_PROBE_FRACTION = 8
+#: The lossless back-end of every plane and anchor block (the paper's zstd).
+_DEFLATE = ZlibCoder()
 
 
-def effective_negotiation_sample(nbytes: int, configured: int) -> int:
-    """The autotuned per-plane probe size under ``sampled`` negotiation.
+def negotiate_encode(data: bytes) -> Tuple[str, bytes]:
+    """The entropy stage of one packed plane; returns ``(name, blob)``.
 
-    ``configured`` (the profile's ``negotiation_sample``) is an *upper
-    bound*; the probe actually used for a plane of ``nbytes`` is::
-
-        min(configured, max(MIN_NEGOTIATION_PROBE, nbytes // 8))
-
-    Large planes probe a fixed fraction (1/8) of their bytes instead of the
-    conservative fixed default, so mid-size planes (say 32 KiB) pay a 4 KiB
-    probe rather than a full trial, while the probe never exceeds the
-    configured cap.  Planes that fit inside the resulting probe keep the
-    tiny-plane behaviour: they are fully negotiated (the prefix *is* the
-    payload, so probing would cost more than trialling).
+    ``data`` is deflated; when that is no smaller than ``data`` the plane is
+    stored as it is, under the name ``"raw"``.  Ties go to deflate (the
+    choice must be deterministic, and this is the one every existing stream
+    was written with).  A stored plane *is* ``data``: its size was known
+    without making a copy to measure.
     """
-    return max(
-        1,
-        min(int(configured), max(MIN_NEGOTIATION_PROBE, nbytes // NEGOTIATION_PROBE_FRACTION)),
-    )
-
-
-def negotiate_encode(
-    data: bytes,
-    candidates: Sequence[str],
-    coders: Optional[Dict[str, Backend]] = None,
-    *,
-    policy: str = "smallest",
-    sample: int = DEFAULT_NEGOTIATION_SAMPLE,
-) -> Tuple[str, bytes]:
-    """Encode ``data`` with the best candidate coder; return ``(name, blob)``.
-
-    Under ``policy="smallest"`` (full negotiation) every candidate
-    trial-encodes the whole payload and the smallest output wins; ties break
-    toward the earlier candidate.  With a single candidate this degenerates
-    to a plain encode (the ``"fixed"`` negotiation policy).
-
-    Under ``policy="sampled"`` each candidate trial-encodes two
-    deterministic payload prefixes (``probe // 2`` and ``probe`` bytes,
-    where the probe is :func:`effective_negotiation_sample` of the payload
-    size capped by ``sample``) and its full-payload size is *extrapolated*
-    from the affine fit ``size(n) ≈ a + b·n`` — the two-point fit cancels
-    per-stream fixed costs (e.g. a Huffman symbol table) that would
-    otherwise bias short probes against coders with large headers but low
-    per-byte rates.  The predicted winner then encodes the full payload
-    exactly once.  Prefixes are deterministic and ties break toward the
-    earlier candidate, so the chosen coder — and therefore the stream — is
-    deterministic too.  Payloads no longer than the probe fall back to full
-    negotiation (the prefix *is* the payload, so probing would cost more
-    than trialling).
-    """
-    if not candidates:
-        raise StreamFormatError("no candidate coders to negotiate between")
-
-    resolve = coders.__getitem__ if coders is not None else get_backend
-    # The probe only exists under ``sampled`` with a real choice to make;
-    # otherwise it is the payload itself and the branch below is skipped.
-    probe = (
-        effective_negotiation_sample(len(data), sample)
-        if policy == "sampled" and len(candidates) > 1
-        else len(data)
-    )
-    if len(data) > probe:
-        half = max(1, probe // 2)
-        best_name: Optional[str] = None
-        best_predicted = 0.0
-        for name in candidates:
-            coder = resolve(name)
-            size_half = len(coder.encode(data[:half]))
-            size_probe = len(coder.encode(data[:probe]))
-            slope = (size_probe - size_half) / max(1, probe - half)
-            predicted = size_probe + slope * (len(data) - probe)
-            if best_name is None or predicted < best_predicted:
-                best_name, best_predicted = name, predicted
-        assert best_name is not None
-        return best_name, resolve(best_name).encode(data)
-
-    best_name = None
-    best_blob: Optional[bytes] = None
-    for name in candidates:
-        blob = resolve(name).encode(data)
-        if best_blob is None or len(blob) < len(best_blob):
-            best_name, best_blob = name, blob
-    assert best_name is not None and best_blob is not None
-    return best_name, best_blob
+    blob = _DEFLATE.encode(data)
+    if len(blob) <= len(data):
+        return _DEFLATE.name, blob
+    return RawCoder.name, data
 
 
 class PredictiveCoder:
     """Stateless encoder/decoder shared by compression and retrieval.
 
-    The encode path is configured by a :class:`~repro.core.profile.CodecProfile`
-    (candidate coders + negotiation policy + prefix bits); the decode
-    path needs no profile — per-plane coder names arrive with the stream
-    metadata — so retrieval constructs the coder via :meth:`for_header`.
+    The encode path takes its prefix bits from a
+    :class:`~repro.core.profile.CodecProfile`; the decode path needs no
+    profile — prefix bits, the anchor coder and per-plane coder names arrive
+    with the stream metadata — so retrieval constructs the coder via
+    :meth:`for_header`.
     """
+
+    #: Coder of the anchor block.  Writers always deflate it;
+    #: :meth:`for_header` replaces the name with the one the stream carries.
+    anchor_coder = ZlibCoder.name
 
     def __init__(self, quantizer: LinearQuantizer, profile: Optional[CodecProfile] = None) -> None:
         if profile is None:
@@ -222,13 +142,9 @@ class PredictiveCoder:
         self.quantizer = quantizer
         self.profile = profile
         self.prefix_bits = profile.prefix_bits
-        self.anchor_coder = profile.anchor_coder
-        self.candidates = profile.candidates
-        # One shared instance cache for every stage; the encode candidates
-        # (and anchor coder) are resolved once, not per plane.
-        self._coders: Dict[str, Backend] = {
-            name: get_backend(name) for name in {self.anchor_coder, *self.candidates}
-        }
+        # One shared instance cache for every stage, filled by name on
+        # first use.
+        self._coders: Dict[str, Backend] = {}
 
     @classmethod
     def for_header(cls, header, quantizer: LinearQuantizer) -> "PredictiveCoder":
@@ -236,10 +152,8 @@ class PredictiveCoder:
 
         Everything that shapes the bytes (prefix bits, anchor coder,
         per-plane coders) comes from the header itself — streams are
-        self-describing.  The synthesized profile
-        pins the header's anchor coder as the only (fixed) candidate, so the
-        coder is fully initialised: re-encoding through it stays coherent
-        and ``coder.profile`` is always a real profile.
+        self-describing.  The profile built here validates the header's
+        lossy-stage fields, so ``coder.profile`` is always a real profile.
         """
         try:
             profile = CodecProfile(
@@ -247,25 +161,23 @@ class PredictiveCoder:
                 relative=False,
                 method=header.method,
                 prefix_bits=header.prefix_bits,
-                anchor_coder=header.anchor_coder,
-                plane_coders=(header.anchor_coder,),
-                negotiation="fixed",
             )
         except ConfigurationError as exc:
             # Out-of-range header fields are stream corruption, not a caller
             # configuration mistake — keep the errors.py taxonomy honest.
             raise StreamFormatError(f"stream header invalid: {exc}") from None
-        return cls(quantizer, profile)
+        coder = cls(quantizer, profile)
+        coder.anchor_coder = header.anchor_coder
+        return coder
 
     def _coder(self, name: str) -> Backend:
         try:
             return self._coders[name]
         except KeyError:
             pass
-        # The encode-side coders are prefetched from the validated profile in
-        # __init__, so a lazy miss can only come from a *stream's* per-plane
-        # coder table — an unknown name there is stream corruption (or a
-        # foreign coder), not a caller configuration mistake.
+        # Writers only ever name the two built-in coders, so an unknown name
+        # can only come from a *stream's* coder table — stream corruption (or
+        # a foreign coder), not a caller configuration mistake.
         try:
             backend = get_backend(name)
         except ConfigurationError:
@@ -290,15 +202,12 @@ class PredictiveCoder:
         planes = get_kernel().encode_planes(
             [codes for _, codes in levels], self.prefix_bits
         )
-        policy, sample = self.profile.negotiation, self.profile.negotiation_sample
         encodings: List[LevelEncoding] = []
         for (level, codes), (nbits, packed_planes) in zip(levels, planes):
             blocks: List[bytes] = []
             chosen: List[str] = []
             for packed in packed_planes:
-                name, block = negotiate_encode(
-                    packed, self.candidates, self._coders, policy=policy, sample=sample
-                )
+                name, block = negotiate_encode(packed)
                 blocks.append(block)
                 chosen.append(name)
             # Integer losses for every b at once; the bin width is the only float.
@@ -328,18 +237,30 @@ class PredictiveCoder:
 
     def decode_anchor(self, block: bytes, count: int) -> np.ndarray:
         """Recover dequantized anchor values from their block."""
-        raw = self._coder(self.anchor_coder).decode(block)
-        codes = np.frombuffer(raw, dtype=np.int64)
-        if codes.size != count:
+        try:
+            # Bounded like a plane row, one byte over so that an anchor block
+            # that is too long still fails the size check below.
+            raw = self._coder(self.anchor_coder).decode(block, 8 * count + 1)
+        except StreamFormatError as exc:
+            raise StreamFormatError(f"anchor block: {exc}") from None
+        if len(raw) != 8 * count:
             raise StreamFormatError(
-                f"anchor block holds {codes.size} integers, expected {count}"
+                f"anchor block holds {len(raw)} bytes, expected {8 * count}"
             )
+        codes = np.frombuffer(raw, dtype=np.int64)
         return self.quantizer.dequantize(codes)
 
     def _decode_row(self, encoding_meta: "LevelEncoding", plane: int, block: bytes) -> bytes:
         """Losslessly decode one plane block to its packed ``ceil(count / 8)``-byte row."""
-        row = self._coder(encoding_meta.coder_for_plane(plane)).decode(block)
         row_bytes = (encoding_meta.count + 7) // 8
+        try:
+            # The block is untrusted and the row size is known: the coder
+            # inflates no further (a longer row's tail is ignored, as ever).
+            row = self._coder(encoding_meta.coder_for_plane(plane)).decode(block, row_bytes)
+        except StreamFormatError as exc:
+            raise StreamFormatError(
+                f"level {encoding_meta.level} plane {plane}: {exc}"
+            ) from None
         if len(row) < row_bytes:
             raise StreamFormatError(
                 f"level {encoding_meta.level} plane {plane} holds {len(row)} "

@@ -19,12 +19,10 @@ Two header versions exist (the binary ``version`` word distinguishes them):
 * **v2** (current) — per-``(level, plane)`` codec dispatch: the header holds
   a ``"codecs"`` name table (the coders actually used), the anchor block's
   coder, and per level a ``"plane_codecs"`` index array parallel to the
-  plane sizes.  This is what backend negotiation records, and it makes every
-  stream self-describing — no compression-time configuration is needed to
-  decode one.  The *negotiation policy* never appears in the stream: whether
-  a plane's coder was chosen by a full trial encode (``"smallest"``) or by
-  probing a deterministic plane prefix (``"sampled"``), only the winner's
-  name travels, so sampled streams parse and decode exactly like full ones.
+  plane sizes.  This is where the writer's entropy stage records whether
+  a plane was deflated (``"zlib"``) or stored (``"raw"``), and it makes
+  every stream self-describing — no compression-time configuration is
+  needed to decode one.
 
 Readers accept both: a v1 header is normalised at parse time into the same
 in-memory :class:`StreamHeader` (every plane coded by the single backend), so

@@ -36,8 +36,7 @@ File layout (a :mod:`repro.io.container` block container)::
 The manifest (version 2) records shape, dtype, slab slices, the global
 absolute error bound, and the full resolved
 :class:`~repro.core.profile.CodecProfile` the shards were written with;
-version-1 manifests (method / prefix bits / backend as loose fields) are
-still read.
+version-1 manifests (method / prefix bits as loose fields) are still read.
 """
 
 from __future__ import annotations
@@ -208,26 +207,23 @@ class ChunkedDataset:
         """The codec profile the shards were written with (informational).
 
         Built lazily so that *opening and reading* a dataset never validates
-        it: the profile names the writer's **candidate** coders, which a
-        reader need not have registered to decode the shards (streams are
-        self-describing and only record coders that actually won a plane).
-        Accessing this property does validate against the local registry and
-        raises :class:`~repro.errors.ConfigurationError` when the writer
-        used candidates this process lacks.
+        it: the shards are self-describing streams and decode without it.
+        The coder fields that manifests written before 5.0 carry are
+        dropped on load (:data:`~repro.core.profile.LEGACY_JSON_KEYS`).
         """
         if self._write_profile is None:
             if self.version >= 2:
                 self._write_profile = CodecProfile.from_json(self.manifest["profile"])
             else:
                 # v1 manifests spell out the stream parameters as loose
-                # fields with one implicit backend for every stage.
+                # fields (their ``backend`` names the coder of every block,
+                # which each shard's own header records too).
                 self._write_profile = CodecProfile.from_options(
                     None,
                     error_bound=self.absolute_bound,
                     relative=False,
                     method=str(self.manifest["method"]),
                     prefix_bits=int(self.manifest["prefix_bits"]),
-                    backend=str(self.manifest["backend"]),
                 )
         return self._write_profile
 

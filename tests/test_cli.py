@@ -18,26 +18,6 @@ def raw_field(tmp_path):
     return field, path
 
 
-def test_sampled_negotiation_flags(tmp_path, raw_field):
-    """`--negotiation sampled|full` + `--negotiation-sample`."""
-    field, raw_path = raw_field
-    sampled = tmp_path / "sampled.ipc"
-    full = tmp_path / "full.ipc"
-    common = ["compress", str(raw_path), "--shape", "16x18x20", "--eb", "1e-5",
-              "--coders", "zlib,huffman,rle,raw"]
-    assert main(common + ["-o", str(sampled), "--negotiation", "sampled",
-                          "--negotiation-sample", "256"]) == 0
-    assert main(common + ["-o", str(full), "--negotiation", "full"]) == 0
-    restored = tmp_path / "restored.d64"
-    assert main(["decompress", str(sampled), "-o", str(restored)]) == 0
-    eb = 1e-5 * (field.max() - field.min())
-    assert np.abs(load_raw(restored, field.shape) - field).max() <= eb * (1 + 1e-9)
-    # "full" must spell the default policy: byte-identical to "smallest".
-    smallest = tmp_path / "smallest.ipc"
-    assert main(common + ["-o", str(smallest), "--negotiation", "smallest"]) == 0
-    assert full.read_bytes() == smallest.read_bytes()
-
-
 def test_compress_decompress_cycle(tmp_path, raw_field, capsys):
     field, raw_path = raw_field
     compressed = tmp_path / "density.ipc"
@@ -122,8 +102,7 @@ def test_profile_file_configures_compression(tmp_path, raw_field, capsys):
     profile_path.write_text(json.dumps({
         "error_bound": 1e-4,
         "relative": True,
-        "plane_coders": ["zlib", "raw"],
-        "negotiation": "smallest",
+        "method": "cubic",
     }))
     compressed = tmp_path / "density.ipc"
     assert main(["compress", str(raw_path), "-o", str(compressed),
@@ -143,18 +122,6 @@ def test_profile_file_configures_compression(tmp_path, raw_field, capsys):
     assert main(["info", str(tighter)]) == 0
     header = json.loads(capsys.readouterr().out)
     assert header["error_bound"] == pytest.approx(1e-6 * (field.max() - field.min()), rel=1e-6)
-
-
-def test_negotiation_flags(tmp_path, raw_field, capsys):
-    _, raw_path = raw_field
-    negotiated = tmp_path / "neg.ipc"
-    fixed = tmp_path / "fix.ipc"
-    assert main(["compress", str(raw_path), "-o", str(negotiated), "--shape", "16x18x20",
-                 "--eb", "1e-5", "--coders", "huffman,zlib,rle,raw"]) == 0
-    assert main(["compress", str(raw_path), "-o", str(fixed), "--shape", "16x18x20",
-                 "--eb", "1e-5", "--coders", "huffman", "--negotiation", "fixed"]) == 0
-    capsys.readouterr()
-    assert negotiated.stat().st_size <= fixed.stat().st_size
 
 
 def test_bad_profile_file_errors(tmp_path, raw_field, capsys):
@@ -180,7 +147,8 @@ def test_demo_command(capsys):
 
 
 #: What ``CodecProfile(error_bound=1e-4).dump()`` wrote at 3.0 (plus the
-#: pre-3.0 ``io_backend`` key): both removed options must keep loading.
+#: pre-3.0 ``io_backend`` key): all six removed options (``io_backend``,
+#: ``kernel``, and the four coder fields dropped in 5.0) must keep loading.
 LEGACY_PROFILE_JSON = {
     "error_bound": 1e-4,
     "relative": True,
@@ -215,9 +183,12 @@ def test_legacy_profile_file_with_kernel_key_drives_the_cli(tmp_path, raw_field)
                      "--profile", str(profile_path)]) == 0
         eb = 1e-4 * (field.max() - field.min())
         assert np.abs(load_raw(restored, field.shape) - field).max() <= eb * (1 + 1e-9)
-    # The flag itself is gone: argparse rejects it like any unknown option.
+    # The flags themselves are gone: argparse rejects them like any unknown option.
     with pytest.raises(SystemExit):
         main(["decompress", str(compressed), "-o", str(restored), "--kernel", "fused"])
+    for flag in ("--coders", "--negotiation", "--negotiation-sample"):
+        with pytest.raises(SystemExit):
+            main([*common, "-o", str(plain), flag, "zlib"])
 
 
 def test_compress_blocks_writes_container_and_roi_retrieve(tmp_path, raw_field, capsys):

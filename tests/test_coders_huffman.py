@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.coders.huffman import (
-    HuffmanCoder,
     decode_symbols,
     encode_symbols,
     estimate_code_lengths,
@@ -62,12 +61,6 @@ def test_code_lengths_single_symbol():
     assert estimate_code_lengths({7: 99}) == {7: 1}
 
 
-def test_byte_backend_roundtrip():
-    coder = HuffmanCoder()
-    data = bytes([1, 2, 3, 1, 1, 1, 0, 0, 255] * 100)
-    assert coder.decode(coder.encode(data)) == data
-
-
 def test_bad_magic_rejected():
     with pytest.raises(StreamFormatError):
         decode_symbols(b"NOPE" + b"\x00" * 32)
@@ -105,8 +98,6 @@ def test_hostile_header_words_raise_before_any_allocation(blob):
     with pytest.raises(StreamFormatError):
         decode_symbols(blob)
     assert time.perf_counter() - start < 1.0
-    with pytest.raises(StreamFormatError):
-        HuffmanCoder().decode(blob)
 
 
 def test_trailing_bytes_after_the_payload_are_ignored():

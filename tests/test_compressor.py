@@ -107,13 +107,6 @@ def test_invalid_configurations_rejected():
         IPCompConfig(error_bound=float("inf"))
 
 
-@pytest.mark.parametrize("backend", ["zlib", "rle", "lz77", "raw"])
-def test_alternate_lossless_backends(smooth_2d, backend):
-    comp = IPComp(error_bound=1e-5, relative=True, backend=backend)
-    restored = comp.decompress(comp.compress(smooth_2d))
-    assert np.abs(smooth_2d - restored).max() <= comp.absolute_bound(smooth_2d) * (1 + 1e-12)
-
-
 @pytest.mark.parametrize("prefix_bits", [0, 1, 2, 3])
 def test_all_prefix_settings(smooth_2d, prefix_bits):
     comp = IPComp(error_bound=1e-5, relative=True, prefix_bits=prefix_bits)

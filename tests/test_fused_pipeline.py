@@ -1,15 +1,10 @@
-"""Sweep byte identity and sampled-negotiation behaviour.
+"""Sweep byte identity.
 
-The packed-domain shard sweep and the sampled negotiation policy are both
-pure performance features: neither may change a single stream byte (sweep)
-or may produce anything but a valid, self-describing stream (sampled).
-These tests pin that contract:
+The packed-domain shard sweep is a pure performance feature: it may not
+change a single stream byte.  These tests pin that contract:
 
-* a negotiation-policy **byte-identity matrix** over synthetic fields (the
-  sweep ≡ the loop oracle of ``tests/oracle_kernel.py`` under each policy);
-* sampled streams decode correctly, are deterministic, and their
-  header-recorded per-plane coders agree with a full re-negotiation on at
-  least 90 % of synthetic planes;
+* a **byte-identity matrix** over synthetic fields (the sweep ≡ the loop
+  oracle of ``tests/oracle_kernel.py``);
 * the kernel hooks (`encode_planes` / `decode_planes`) agree with the oracle
   at the API level, including the edge shapes the stream layer never
   exercises.
@@ -27,16 +22,8 @@ import pytest
 from oracle_kernel import OracleKernel
 from repro.core.compressor import IPComp
 from repro.core.kernels import get_kernel
-from repro.core.predictive_coder import negotiate_encode
-from repro.core.profile import (
-    DEFAULT_NEGOTIATION_SAMPLE,
-    CodecProfile,
-    NEGOTIATION_POLICIES,
-)
+from repro.core.profile import CodecProfile
 from repro.core.progressive import ProgressiveRetriever
-from repro.errors import ConfigurationError
-
-WIDE_CODERS = ("zlib", "huffman", "rle", "raw")
 
 
 def _local_rng(offset: int = 0) -> np.random.Generator:
@@ -53,22 +40,10 @@ def _field(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 @pytest.mark.parametrize("shape", [(257,), (31, 37), (14, 18, 22)])
-@pytest.mark.parametrize("negotiation", ["smallest", "sampled", "fixed"])
-def test_kernel_negotiation_stream_identity_matrix(oracle, shape, negotiation):
-    """The sweep and the oracle emit byte-identical streams under every policy."""
-    # Stable per-cell seed (str hashing is PYTHONHASHSEED-salted, so
-    # hash() here would make any failure unreproducible across runs).
-    rng = _local_rng(
-        100 * len(shape) + NEGOTIATION_POLICIES.index(negotiation)
-    )
-    field = _field(rng, shape)
-    profile = CodecProfile(
-        error_bound=1e-4,
-        relative=True,
-        plane_coders=WIDE_CODERS,
-        negotiation=negotiation,
-        negotiation_sample=512,
-    )
+def test_kernel_stream_identity_matrix(oracle, shape):
+    """The sweep and the oracle emit byte-identical streams."""
+    field = _field(_local_rng(100 * len(shape)), shape)
+    profile = CodecProfile(error_bound=1e-4, relative=True)
     stream = IPComp(profile=profile).compress(field)
     oracle()
     assert IPComp(profile=profile).compress(field) == stream
@@ -126,134 +101,6 @@ def test_fused_arena_reuse_does_not_leak_between_levels():
                 [previous], 2
             )
         previous = codes
-
-
-# -------------------------------------------------------- sampled negotiation
-
-
-def test_sampled_policy_is_valid_and_full_is_an_alias():
-    assert "sampled" in NEGOTIATION_POLICIES
-    assert CodecProfile(negotiation="full").negotiation == "smallest"
-    assert CodecProfile(negotiation="sampled").negotiation_sample == (
-        DEFAULT_NEGOTIATION_SAMPLE
-    )
-    with pytest.raises(ConfigurationError):
-        CodecProfile(negotiation="sampled", negotiation_sample=0)
-    with pytest.raises(ConfigurationError):
-        CodecProfile(negotiation_sample="64k")
-
-
-def test_sampled_profile_json_roundtrip():
-    profile = CodecProfile(
-        plane_coders=WIDE_CODERS, negotiation="sampled", negotiation_sample=2048
-    )
-    assert CodecProfile.from_json(profile.to_json()) == profile
-
-
-def test_negotiate_encode_sampled_semantics():
-    rng = _local_rng(11)
-    # Compressible payload much larger than the sample: zlib must win on
-    # the prefix and the returned blob must be the *full* encode.
-    payload = (rng.integers(0, 4, size=65536, dtype=np.uint8) // 3).tobytes()
-    name, blob = negotiate_encode(
-        payload, ("zlib", "raw"), policy="sampled", sample=1024
-    )
-    assert name == "zlib"
-    from repro.coders.backend import get_backend
-
-    assert blob == get_backend("zlib").encode(payload)
-    # Payload within the sample: identical to full negotiation.
-    short = payload[:512]
-    assert negotiate_encode(short, WIDE_CODERS, policy="sampled", sample=1024) == (
-        negotiate_encode(short, WIDE_CODERS, policy="smallest")
-    )
-
-
-def test_sampled_stream_decodes_and_is_deterministic():
-    rng = _local_rng(13)
-    field = _field(rng, (20, 24, 28))
-    profile = CodecProfile(
-        error_bound=1e-5,
-        relative=True,
-        plane_coders=WIDE_CODERS,
-        negotiation="sampled",
-        negotiation_sample=512,
-    )
-    comp = IPComp(profile=profile)
-    blob = comp.compress(field)
-    assert blob == comp.compress(field)  # deterministic prefix → same bytes
-    eb = profile.absolute_bound(field)
-    # Decode needs no knowledge of the negotiation policy (header-driven).
-    retriever = ProgressiveRetriever(blob)
-    out = retriever.retrieve(error_bound=retriever.header.error_bound).data
-    assert np.abs(out - field).max() <= eb * (1 + 1e-9)
-
-
-def test_sampled_winner_matches_full_negotiation_on_most_planes():
-    """Header-recorded coders agree with a full re-negotiation ≥ 90 %.
-
-    Synthetic packed planes spanning the regimes the codec actually
-    produces: all-zero top planes, sparse mid planes, dense noise bottom
-    planes, and run-structured planes.
-    """
-    rng = _local_rng(17)
-    planes = []
-    for i in range(40):
-        kind = i % 4
-        nbytes = int(rng.integers(3000, 20000))
-        if kind == 0:
-            raw = np.zeros(nbytes, dtype=np.uint8)
-        elif kind == 1:
-            raw = (rng.random(nbytes * 8) < 0.03).astype(np.uint8)
-            raw = np.packbits(raw, bitorder="little")
-        elif kind == 2:
-            raw = rng.integers(0, 256, size=nbytes, dtype=np.uint8)
-        else:
-            runs = np.repeat(
-                rng.integers(0, 256, size=max(1, nbytes // 64), dtype=np.uint8), 64
-            )[:nbytes]
-            raw = runs
-        planes.append(raw.tobytes())
-    agree = 0
-    for payload in planes:
-        full_name, _ = negotiate_encode(payload, WIDE_CODERS, policy="smallest")
-        sampled_name, sampled_blob = negotiate_encode(
-            payload, WIDE_CODERS, policy="sampled", sample=4096
-        )
-        agree += full_name == sampled_name
-        # Whatever the pick, the blob must be that coder's real encoding.
-        from repro.coders.backend import get_backend
-
-        assert get_backend(sampled_name).decode(sampled_blob) == payload
-    assert agree >= 0.9 * len(planes), f"only {agree}/{len(planes)} planes agree"
-
-
-def test_sampled_stream_header_coders_match_full_stream_mostly():
-    """End-to-end variant: per-plane coder tables of the two policies."""
-    rng = _local_rng(19)
-    field = _field(rng, (24, 28, 32))
-    base = dict(
-        error_bound=1e-6, relative=True, plane_coders=WIDE_CODERS,
-        negotiation_sample=1024,
-    )
-    blob_full = IPComp(
-        profile=CodecProfile(negotiation="smallest", **base)
-    ).compress(field)
-    blob_sampled = IPComp(
-        profile=CodecProfile(negotiation="sampled", **base)
-    ).compress(field)
-    header_full = ProgressiveRetriever(blob_full).header
-    header_sampled = ProgressiveRetriever(blob_sampled).header
-    total = agree = 0
-    for enc_full, enc_sampled in zip(header_full.levels, header_sampled.levels):
-        assert enc_full.level == enc_sampled.level
-        for a, b in zip(enc_full.plane_coders, enc_sampled.plane_coders):
-            total += 1
-            agree += a == b
-    assert total > 0
-    assert agree >= 0.9 * total, f"only {agree}/{total} plane coders agree"
-    # The size penalty of prefix-based winners is bounded.
-    assert len(blob_sampled) <= len(blob_full) * 1.05
 
 
 # --------------------------------------------------------- executor utilities

@@ -162,7 +162,7 @@ def test_arena_is_not_shared_across_threads():
 
 @pytest.fixture
 def encoded_level():
-    coder = PredictiveCoder(LinearQuantizer(0.5), CodecProfile(plane_coders=("zlib",)))
+    coder = PredictiveCoder(LinearQuantizer(0.5), CodecProfile())
     rng = np.random.default_rng(20261003)
     encoding = coder.encode_level(1, rng.integers(-900, 900, size=100, dtype=np.int64))
     return coder, encoding

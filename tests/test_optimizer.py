@@ -127,7 +127,7 @@ def test_non_monotone_delta_table_is_planned_per_choice():
     22 = 64 − 42: keeping only the top plane is worse than keeping none), so
     every keep count must be weighed on its own error, not assumed ordered."""
     eb = 0.5  # bin width 1: errors below read in code units
-    coder = PredictiveCoder(LinearQuantizer(eb), CodecProfile.fixed("zlib", error_bound=eb))
+    coder = PredictiveCoder(LinearQuantizer(eb), CodecProfile(error_bound=eb))
     enc = coder.encode_level(1, np.array([22], dtype=np.int64))
     assert enc.delta_table[::-1].tolist() == [22, 42, 10, 10, 2, 2, 0, 0]  # by keep
     header = StreamHeader(

@@ -13,7 +13,7 @@ from repro.errors import StreamFormatError
 
 @pytest.fixture
 def coder():
-    return PredictiveCoder(LinearQuantizer(0.01), CodecProfile.fixed("zlib", prefix_bits=2))
+    return PredictiveCoder(LinearQuantizer(0.01), CodecProfile(prefix_bits=2))
 
 
 @pytest.fixture
@@ -117,7 +117,7 @@ def test_too_many_blocks_rejected(coder, codes):
 @pytest.mark.parametrize("prefix_bits", [0, 1, 2, 3])
 def test_all_prefix_settings_roundtrip(rng, prefix_bits):
     coder = PredictiveCoder(
-        LinearQuantizer(0.5), CodecProfile.fixed("zlib", prefix_bits=prefix_bits)
+        LinearQuantizer(0.5), CodecProfile(prefix_bits=prefix_bits)
     )
     codes = rng.integers(-100, 100, size=777)
     encoding = coder.encode_level(4, codes)

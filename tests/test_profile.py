@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
 
@@ -10,7 +11,6 @@ import pytest
 
 from repro import CodecProfile, IPComp, IPCompConfig
 from repro.baselines.ipcomp_adapter import IPCompAdapter
-from repro.core.profile import DEFAULT_PLANE_CODERS
 from repro.errors import ConfigurationError
 from repro.parallel import BlockParallelCompressor
 
@@ -29,9 +29,12 @@ def _field(shape=(12, 10, 8)):
 
 def test_defaults_are_valid():
     profile = CodecProfile()
-    assert profile.plane_coders == DEFAULT_PLANE_CODERS
-    assert profile.negotiation == "smallest"
-    assert profile.candidates == DEFAULT_PLANE_CODERS
+    assert (profile.method, profile.prefix_bits, profile.relative) == ("cubic", 2, True)
+    # Four lossy-stage fields and four runtime knobs; no lossless-stage one.
+    assert [f.name for f in dataclasses.fields(profile)] == [
+        "error_bound", "relative", "method", "prefix_bits",
+        "prefetch", "workers", "cache_bytes", "cache_verify",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -42,33 +45,11 @@ def test_defaults_are_valid():
         {"method": "quartic"},
         {"prefix_bits": 7},
         {"workers": -1},
-        {"anchor_coder": "no-such-coder"},
-        {"plane_coders": ("zlib", "no-such-coder")},
-        {"plane_coders": ()},
-        {"negotiation": "biggest"},
     ],
 )
 def test_invalid_fields_rejected(kwargs):
     with pytest.raises(ConfigurationError):
         CodecProfile(**kwargs)
-
-
-def test_plane_coders_coerced_to_tuple():
-    assert CodecProfile(plane_coders=["zlib", "raw"]).plane_coders == ("zlib", "raw")
-    assert CodecProfile(plane_coders="rle").plane_coders == ("rle",)
-
-
-def test_fixed_policy_uses_only_first_candidate():
-    profile = CodecProfile(plane_coders=("rle", "zlib"), negotiation="fixed")
-    assert profile.candidates == ("rle",)
-
-
-def test_fixed_constructor():
-    profile = CodecProfile.fixed("huffman", prefix_bits=1)
-    assert profile.plane_coders == ("huffman",)
-    assert profile.anchor_coder == "huffman"
-    assert profile.negotiation == "fixed"
-    assert profile.prefix_bits == 1
 
 
 def test_resolve_makes_bound_absolute():
@@ -97,13 +78,9 @@ def test_ipcomp_rejects_typo_kwargs():
     """The satellite regression: IPComp must not swallow unknown options."""
     with pytest.raises(ValueError, match="kernal"):
         IPComp(error_bound=1e-5, kernal="vectorized")
-
-
-def test_legacy_backend_kwarg_maps_to_fixed_profile():
-    profile = CodecProfile.from_options(None, backend="rle")
-    assert profile.anchor_coder == "rle"
-    assert profile.plane_coders == ("rle",)
-    assert profile.negotiation == "fixed"
+    # The v1-era single-coder keyword went with the coder fields in 5.0.
+    with pytest.raises(ValueError, match="backend"):
+        IPComp(error_bound=1e-5, backend="zlib")
 
 
 def test_from_options_overrides_base_profile():
@@ -132,26 +109,32 @@ def test_json_roundtrip():
         relative=False,
         method="linear",
         prefix_bits=1,
-        anchor_coder="rle",
-        plane_coders=("zlib", "raw"),
-        negotiation="fixed",
+        prefetch=3,
     )
     assert CodecProfile.from_json(profile.to_json()) == profile
 
 
 def test_from_file_and_dump(tmp_path):
     path = tmp_path / "profile.json"
-    profile = CodecProfile(error_bound=1e-3, plane_coders=("zlib", "huffman"))
+    profile = CodecProfile(error_bound=1e-3, method="linear")
     profile.dump(path)
     assert CodecProfile.from_file(path) == profile
 
 
 def test_profile_file_written_before_3_0_still_loads(tmp_path):
-    # ``io_backend`` was a runtime field until 3.0 and ``kernel`` until 4.0; a
-    # file carrying them loads with the keys ignored (any other unknown key —
-    # and either name as a keyword in code — still fails loudly).
+    # ``io_backend`` was a runtime field until 3.0, ``kernel`` until 4.0 and
+    # the four coder fields until 5.0; a file carrying them loads with the
+    # keys ignored (any other unknown key — and any of these names as a
+    # keyword in code — still fails loudly).
     path = tmp_path / "old.json"
-    legacy = {"io_backend": "threads", "kernel": "reference"}
+    legacy = {
+        "io_backend": "threads",
+        "kernel": "reference",
+        "anchor_coder": "huffman",
+        "plane_coders": ["huffman", "zlib", "rle", "raw"],
+        "negotiation": "sampled",
+        "negotiation_sample": 2048,
+    }
     path.write_text(json.dumps({**CodecProfile().to_json(), **legacy}))
     assert CodecProfile.from_file(path) == CodecProfile()
     for name, value in legacy.items():
@@ -176,7 +159,7 @@ def test_from_file_errors(tmp_path):
 
 def test_profile_pickles_unchanged():
     """Profiles cross process boundaries in repro.parallel — must pickle."""
-    profile = CodecProfile(error_bound=1e-4, plane_coders=("rle", "raw"))
+    profile = CodecProfile(error_bound=1e-4, prefix_bits=1)
     assert pickle.loads(pickle.dumps(profile)) == profile
 
 
@@ -185,7 +168,7 @@ def test_profile_pickles_unchanged():
 
 def test_ipcomp_threads_profile_end_to_end():
     field = _field()
-    profile = CodecProfile(error_bound=1e-4, relative=True, plane_coders=("zlib", "raw"))
+    profile = CodecProfile(error_bound=1e-4, relative=True)
     comp = IPComp(profile=profile)
     assert comp.profile is profile
     assert comp.config is profile  # legacy attribute alias
@@ -202,7 +185,7 @@ def test_ipcomp_explicit_args_override_profile():
 
 def test_block_parallel_compressor_carries_profile():
     field = _field((16, 6, 6))
-    profile = CodecProfile(error_bound=1e-4, negotiation="fixed", plane_coders=("zlib",))
+    profile = CodecProfile(error_bound=1e-4)
     comp = BlockParallelCompressor(profile=profile, n_blocks=2, workers=0)
     assert comp.profile is profile
     resolved = comp.resolved_profile(field)
@@ -223,9 +206,9 @@ def test_adapter_preserves_profile_bound_when_unspecified():
 def test_adapter_accepts_profile():
     field = _field((10, 8, 6))
     adapter = IPCompAdapter(
-        error_bound=1e-4, profile=CodecProfile(plane_coders=("zlib", "raw"))
+        error_bound=1e-4, profile=CodecProfile(method="linear")
     )
-    assert adapter.profile.plane_coders == ("zlib", "raw")
+    assert adapter.profile.method == "linear"
     assert adapter.profile.error_bound == 1e-4
     restored = adapter.decompress(adapter.compress(field))
     assert np.abs(field - restored).max() <= adapter.absolute_bound(field) * (1 + 1e-12)

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import time
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 
 from repro import IPComp, ProgressiveRetriever
-from repro.errors import ConfigurationError
+from repro.coders import get_backend
+from repro.core.stream import CompressedStore, IPCompStream
+from repro.errors import ConfigurationError, StreamFormatError
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +144,75 @@ def test_linear_method_progressive_roundtrip():
     eb = comp.absolute_bound(data)
     result = ProgressiveRetriever(blob).retrieve(error_bound=eb * 32)
     assert np.abs(data - result.data).max() <= eb * 32 * (1 + 1e-12)
+
+
+# ------------------------------------------------------------ hostile blocks
+
+
+@pytest.fixture(scope="module")
+def deflate_bomb():
+    """65 KB of deflate that inflates to 64 MiB of zeros."""
+    return zlib.compress(bytes(64 << 20), 9)
+
+
+def _hostile_stream(blob, where, block):
+    """``blob`` with its anchor block, or the last plane a full retrieval
+    loads of level 1, replaced by ``block`` and labelled ``zlib``
+    (``block=None``: the deflated original with two bytes flipped)."""
+    header, _ = IPCompStream.parse_header(blob)
+    store = CompressedStore(blob)
+    anchor = store.read_anchor()
+    for enc in header.levels:
+        enc.plane_blocks = store.read_planes(enc.level, len(enc.plane_coders))
+    full = ProgressiveRetriever(blob)
+    full.retrieve(error_bound=header.error_bound)
+    victim, plane = header.level(1), full.current_keep[1] - 1
+    if block is None:
+        original = anchor if where == "anchor" else victim.plane_blocks[plane]
+        coder = header.anchor_coder if where == "anchor" else victim.plane_coders[plane]
+        block = bytearray(zlib.compress(get_backend(coder).decode(original)))
+        block[len(block) // 2] ^= 0x5A
+        block[len(block) // 2 + 1] ^= 0x5A
+        block = bytes(block)
+    if where == "anchor":
+        anchor, header.anchor_coder, header.anchor_size = block, "zlib", len(block)
+    else:
+        victim.plane_blocks[plane], victim.plane_coders[plane] = block, "zlib"
+    return IPCompStream.serialize(header, anchor, header.levels), plane
+
+
+@pytest.mark.parametrize(
+    "where, route",
+    [("plane", "retrieve"), ("plane", "refine"), ("anchor", "retrieve")],
+)
+@pytest.mark.parametrize("attack", ["corrupt", "bomb"])
+def test_hostile_block_is_a_stream_format_error(compressed_pair, deflate_bomb, attack, where, route):
+    """A corrupt or over-long deflate block read from a stream raises
+    ``StreamFormatError`` naming the block — never a bare ``zlib.error`` —
+    through Algorithm 1 and Algorithm 2 alike, and is never inflated past
+    the row (or anchor) size the reader expects."""
+    _, _, blob = compressed_pair
+    hostile, plane = _hostile_stream(blob, where, deflate_bomb if attack == "bomb" else None)
+    retriever = ProgressiveRetriever(hostile)
+    eb = retriever.header.error_bound
+    if route == "refine":  # Algorithm 2 meets the block on the second request
+        retriever.retrieve(error_bound=eb * 4096)
+        assert retriever.current_keep[1] <= plane
+    named = "anchor block" if where == "anchor" else f"level 1 plane {plane}"
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        if attack == "bomb" and where == "plane":
+            # The bomb's first bytes are a well-formed row of zeros: what a
+            # longer block holds past the row is ignored, unread.
+            retriever.retrieve(error_bound=eb)
+        else:
+            with pytest.raises(StreamFormatError, match=named):
+                retriever.retrieve(error_bound=eb)
+        elapsed = time.perf_counter() - started
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    # The whole field is 175 KB and the bomb 65 KB; inflating it is 64 MiB.
+    assert peak < 4 << 20

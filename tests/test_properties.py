@@ -6,6 +6,8 @@ randomly generated inputs rather than hand-picked fixtures:
 * negabinary and bitplane codings are bijections;
 * the quantizer never exceeds its bound and truncation errors never exceed
   the pre-computed δ tables;
+* the entropy stage writes deflate or the payload itself, whichever is
+  smaller, and either decodes by name;
 * the end-to-end compressor honours arbitrary error bounds on arbitrary
   shapes; and
 * progressive retrieval never violates a requested bound and refinement is
@@ -14,11 +16,14 @@ randomly generated inputs rather than hand-picked fixtures:
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro import CodecProfile, IPComp, ProgressiveRetriever
+from repro.coders import get_backend
 from repro.coders.huffman import decode_symbols, encode_symbols
 from repro.core.bitplane import (
     assemble_bitplanes,
@@ -33,7 +38,7 @@ from repro.core.negabinary import (
     truncate_low_planes,
     truncation_uncertainty,
 )
-from repro.core.predictive_coder import PredictiveCoder
+from repro.core.predictive_coder import PredictiveCoder, negotiate_encode
 from repro.core.quantizer import LinearQuantizer
 
 _SETTINGS = dict(
@@ -115,12 +120,32 @@ def test_quantizer_never_exceeds_bound(data, error_bound):
 @settings(**_SETTINGS)
 def test_delta_tables_upper_bound_partial_decoding_error(values, keep_fraction):
     quantizer = LinearQuantizer(0.01)
-    coder = PredictiveCoder(quantizer, CodecProfile.fixed("zlib"))
+    coder = PredictiveCoder(quantizer, CodecProfile())
     encoding = coder.encode_level(1, values)
     keep = int(round(keep_fraction * encoding.nbits))
     decoded = coder.decode_level_codes(encoding, encoding.plane_blocks[:keep])
     error = np.abs(decoded - values).max() * quantizer.bin_width if values.size else 0.0
     assert error <= encoding.delta_table[encoding.nbits - keep] + 1e-12
+
+
+#: Packed planes as the encoder meets them: near-random low planes (stored)
+#: and sparse or periodic high planes (deflated), down to the empty row.
+_packed_planes = st.one_of(
+    st.binary(max_size=2048),
+    st.builds(bytes.__mul__, st.binary(min_size=1, max_size=6), st.integers(0, 700)),
+)
+
+
+@given(payload=_packed_planes)
+@settings(**_SETTINGS)
+def test_entropy_stage_is_deflate_or_stored(payload):
+    name, blob = negotiate_encode(payload)
+    deflated = zlib.compress(payload, 6)
+    if len(deflated) <= len(payload):  # ties go to deflate
+        assert (name, blob) == ("zlib", deflated)
+    else:
+        assert name == "raw" and blob is payload
+    assert get_backend(name).decode(blob, len(payload)) == payload
 
 
 _field_shapes = st.sampled_from(

@@ -470,71 +470,6 @@ def test_engine_plan_matches_read_bytes(tmp_path):
         assert payload["predicted_bytes"] == payload["op_bytes"] + payload["header_bytes"]
 
 
-# ----------------------------------------------------- negotiation autotune
-
-
-def test_effective_negotiation_sample_autotunes_per_plane():
-    from repro.core.predictive_coder import (
-        MIN_NEGOTIATION_PROBE,
-        effective_negotiation_sample,
-    )
-
-    configured = 65536
-    # Tiny planes: probe floor (and the <= probe full-trial fallback).
-    assert effective_negotiation_sample(1000, configured) == MIN_NEGOTIATION_PROBE
-    # Mid-size planes probe ~1/8 of the plane instead of the fixed cap.
-    assert effective_negotiation_sample(80_000, configured) == 10_000
-    # Huge planes are capped by the configured sample.
-    assert effective_negotiation_sample(10_000_000, configured) == configured
-    # A small configured sample is always respected (legacy behaviour).
-    assert effective_negotiation_sample(80_000, 2048) == 2048
-    assert effective_negotiation_sample(0, 2048) >= 1
-
-
-def test_autotuned_sampled_agreement_with_default_profile():
-    """Default-cap sampled negotiation agrees ≥90% with full trials."""
-    from repro.core.predictive_coder import negotiate_encode
-
-    rng = _local_rng(11)
-    candidates = ("zlib", "huffman", "rle", "raw")
-    planes = []
-    for i in range(30):
-        kind = i % 3
-        nbytes = int(rng.integers(8_000, 120_000))  # mid-size: autotune regime
-        if kind == 0:
-            raw = (rng.random(nbytes * 8) < 0.05).astype(np.uint8)
-            raw = np.packbits(raw, bitorder="little")
-        elif kind == 1:
-            raw = rng.integers(0, 256, size=nbytes, dtype=np.uint8)
-        else:
-            raw = np.repeat(
-                rng.integers(0, 256, size=max(1, nbytes // 48), dtype=np.uint8), 48
-            )[:nbytes]
-        planes.append(raw.tobytes())
-    agree = 0
-    for payload in planes:
-        full_name, _ = negotiate_encode(payload, candidates, policy="smallest")
-        sampled_name, _ = negotiate_encode(payload, candidates, policy="sampled")
-        agree += full_name == sampled_name
-    assert agree >= 0.9 * len(planes), f"only {agree}/{len(planes)} agree"
-
-
-def test_sampled_streams_stay_deterministic_under_autotune():
-    field = _field((22, 18, 14), 8)
-    profile = CodecProfile(
-        error_bound=1e-5,
-        relative=True,
-        plane_coders=("zlib", "huffman", "rle", "raw"),
-        negotiation="sampled",
-    )
-    comp = IPComp(profile=profile)
-    blob = comp.compress(field)
-    assert blob == comp.compress(field)
-    retriever = ProgressiveRetriever(blob)
-    out = retriever.retrieve(error_bound=retriever.header.error_bound).data
-    assert np.abs(out - field).max() <= profile.absolute_bound(field) * (1 + 1e-9)
-
-
 # ------------------------------------------------------------ profile knobs
 
 

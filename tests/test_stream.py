@@ -15,7 +15,7 @@ from repro.errors import StreamFormatError
 @pytest.fixture
 def sample_stream(rng):
     quantizer = LinearQuantizer(0.05)
-    coder = PredictiveCoder(quantizer, CodecProfile.fixed("zlib"))
+    coder = PredictiveCoder(quantizer, CodecProfile())
     anchor_codes = rng.integers(-40, 40, size=8)
     anchor_block = coder.encode_anchor(anchor_codes)
     encodings = [

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import CodecProfile, IPComp, ProgressiveRetriever
+from repro.coders import backend as backend_registry
 from repro.core.stream import (
     VERSION,
     CompressedStore,
@@ -89,6 +90,13 @@ def test_recompressing_v1_content_yields_v2(v1_blob):
 # ------------------------------------------------------------------ v2 format
 
 
+def _reheadered(blob: bytes, offset: int, obj: dict, payload: bytes = None) -> bytes:
+    """``blob`` with its header JSON replaced by ``obj`` (and its payload, if given)."""
+    header_json = zlib.compress(json.dumps(obj).encode(), 9)
+    payload = blob[offset:] if payload is None else payload
+    return blob[:6] + struct.pack("<I", len(header_json)) + header_json + payload
+
+
 def _compress(profile: CodecProfile, shape=(14, 12, 10)) -> tuple:
     base = np.cumsum(_rng.normal(size=shape), axis=0)
     field = (base + np.cumsum(_rng.normal(size=shape), axis=1)).astype(np.float64)
@@ -104,7 +112,7 @@ def test_v2_header_records_codec_per_plane():
     for enc in header.levels:
         sizes = header_plane_sizes(enc)
         assert len(enc.plane_coders) == len(sizes)
-        assert set(enc.plane_coders) <= set(profile.plane_coders)
+        assert set(enc.plane_coders) <= {"zlib", "raw"}
         used.update(enc.plane_coders)
     assert used, "stream must have at least one coded plane"
     # The name table only lists coders actually used (plus the anchor's).
@@ -124,16 +132,41 @@ def test_v2_header_json_roundtrip_preserves_plane_coders():
         assert header_plane_sizes(a) == header_plane_sizes(b)
 
 
-def test_mixed_codec_stream_decodes_with_store_dispatch():
-    """A stream whose planes use different coders decodes correctly."""
-    profile = CodecProfile(error_bound=1e-6, plane_coders=("zlib", "rle", "raw"))
-    field, blob = _compress(profile)
-    header, _ = IPCompStream.parse_header(blob)
-    all_coders = {name for enc in header.levels for name in enc.plane_coders}
-    assert len(all_coders) >= 2, "sweep should exercise real per-plane dispatch"
-    restored = IPComp(profile=profile).decompress(blob)
-    eb = header.error_bound
-    assert np.abs(field - restored).max() <= eb * (1 + 1e-12)
+class _ComplementCoder:
+    """Injected test coder: every byte complemented (size-preserving)."""
+
+    name = "complement"
+
+    def encode(self, data: bytes) -> bytes:
+        return bytes(byte ^ 0xFF for byte in data)
+
+    def decode(self, data: bytes, max_length=None) -> bytes:
+        return self.encode(data)
+
+
+def test_mixed_codec_stream_decodes_with_store_dispatch(monkeypatch):
+    """Every plane is decoded by the coder the header names for it."""
+    monkeypatch.setattr(backend_registry, "_REGISTRY", dict(backend_registry._REGISTRY))
+    backend_registry.register_backend("complement", _ComplementCoder, replace=True)
+    _, blob = _compress(CodecProfile(error_bound=1e-6))
+    header, offset = IPCompStream.parse_header(blob)
+    store = CompressedStore(blob)
+    # Re-code every stored plane with the injected coder — same size, so the
+    # block directory does not move — and rename it in the header's table.
+    recoded = bytearray(blob)
+    for enc in header.levels:
+        for plane, name in enumerate(enc.plane_coders):
+            if name == "raw":
+                start, size = store.block_extent(enc.level, plane)
+                recoded[start : start + size] = _ComplementCoder().encode(
+                    blob[start : start + size]
+                )
+    obj = header.to_json()
+    assert set(obj["codecs"]) == {"zlib", "raw"}, "field should exercise both outcomes"
+    obj["codecs"] = ["complement" if name == "raw" else name for name in obj["codecs"]]
+    mixed = _reheadered(blob, offset, obj, bytes(recoded[offset:]))
+    assert mixed != blob
+    assert IPComp().decompress(mixed).tobytes() == IPComp().decompress(blob).tobytes()
 
 
 def test_unknown_version_rejected(v1_blob):
@@ -211,7 +244,7 @@ def test_dataset_manifest_v1_still_opens(tmp_path):
         manifest["version"] = 1
         manifest["method"] = profile["method"]
         manifest["prefix_bits"] = profile["prefix_bits"]
-        manifest["backend"] = profile["anchor_coder"]
+        manifest["backend"] = "zlib"
         with BlockContainerWriter(rewritten) as writer:
             for name in reader.block_names():
                 if name == "manifest":
@@ -225,7 +258,8 @@ def test_dataset_manifest_v1_still_opens(tmp_path):
 
     with ChunkedDataset(rewritten) as dataset:
         assert dataset.version == 1
-        assert dataset.write_profile.negotiation == "fixed"
+        assert dataset.write_profile.method == profile["method"]
+        assert dataset.write_profile.prefix_bits == profile["prefix_bits"]
         result = dataset.read()
         assert np.abs(result.data - field).max() <= dataset.absolute_bound * (1 + 1e-9)
 
@@ -241,10 +275,8 @@ def test_out_of_range_header_fields_are_stream_errors(corruption):
     header, offset = IPCompStream.parse_header(blob)
     obj = header.to_json()
     obj.update(corruption)
-    bad_json = zlib.compress(json.dumps(obj).encode(), 9)
-    bad = blob[:6] + struct.pack("<I", len(bad_json)) + bad_json + blob[offset:]
     with pytest.raises(StreamFormatError, match="header invalid"):
-        ProgressiveRetriever(bad)
+        ProgressiveRetriever(_reheadered(blob, offset, obj))
 
 
 def test_unknown_plane_coder_in_stream_is_a_stream_error():
@@ -257,18 +289,15 @@ def test_unknown_plane_coder_in_stream_is_a_stream_error():
     anchor_index = obj["anchor_coder"]
     victim = next(i for i in range(len(obj["codecs"])) if i != anchor_index)
     obj["codecs"][victim] = "zstd-from-the-future"
-    bad_json = zlib.compress(json.dumps(obj).encode(), 9)
-    bad = blob[:6] + struct.pack("<I", len(bad_json)) + bad_json + blob[offset:]
-    retriever = ProgressiveRetriever(bad)
+    retriever = ProgressiveRetriever(_reheadered(blob, offset, obj))
     with pytest.raises(StreamFormatError, match="unknown lossless coder"):
         retriever.retrieve(error_bound=retriever.header.error_bound)
 
 
 def test_dataset_opens_when_manifest_names_unregistered_coder(tmp_path):
-    """The write profile is informational: a reader that lacks one of the
-    writer's *candidate* coders must still open and decode the dataset
-    (streams only record coders that actually won a plane)."""
-    from repro.errors import ConfigurationError
+    """A manifest written before 5.0 carries the writer's coder fields —
+    possibly naming a coder this process lacks.  The dataset still opens
+    and decodes, and the write profile loads with those keys dropped."""
     from repro.io import BlockContainerReader, BlockContainerWriter
 
     field = np.cumsum(_rng.normal(size=(10, 6, 4)), axis=0)
@@ -277,7 +306,13 @@ def test_dataset_opens_when_manifest_names_unregistered_coder(tmp_path):
     rewritten = tmp_path / "field.alien.rprc"
     with BlockContainerReader(path) as reader:
         manifest = json.loads(reader.read_block("manifest").decode("utf-8"))
-        manifest["profile"]["plane_coders"].append("zstd-from-the-future")
+        current = dict(manifest["profile"])
+        manifest["profile"].update(
+            anchor_coder="zlib",
+            plane_coders=["zlib", "raw", "zstd-from-the-future"],
+            negotiation="sampled",
+            negotiation_sample=65536,
+        )
         with BlockContainerWriter(rewritten) as writer:
             for name in reader.block_names():
                 data = (
@@ -290,9 +325,7 @@ def test_dataset_opens_when_manifest_names_unregistered_coder(tmp_path):
     with ChunkedDataset(rewritten) as dataset:
         result = dataset.read()
         assert np.abs(result.data - field).max() <= dataset.absolute_bound * (1 + 1e-9)
-        # Only the explicit informational accessor complains.
-        with pytest.raises(ConfigurationError):
-            dataset.write_profile
+        assert dataset.write_profile == CodecProfile.from_json(current)
 
 
 def test_unsupported_manifest_version_rejected(tmp_path):
@@ -332,7 +365,28 @@ PINNED_V2_CRC32 = {
     "cubic/1": 0x9A1FA61D,
     "cubic/2": 0x970FF871,
     "cubic/3": 0xDCD6D394,
-    "dataset": 0x62CDE18F,
+    # Re-pinned once, at 5.0: the manifest lost its four coder keys (the
+    # container's directory entry and footer moved with it), nothing else —
+    # see PINNED_SHARD_CRC32 / PINNED_4X_MANIFEST_CRC32.  Was 0x62CDE18F.
+    "dataset": 0x20168081,
+}
+
+#: The four shard entries and the manifest of the pinned dataset, recorded at
+#: commit a3806d7 (4.0, file CRC32 0x62CDE18F) before the profile lost its
+#: coder fields: the shards must still be these bytes, and putting the four
+#: keys back must reproduce that manifest.
+PINNED_SHARD_CRC32 = {
+    "shard-0000": 0xA7123115,
+    "shard-0001": 0x1FE7E3FF,
+    "shard-0002": 0xD4F383A9,
+    "shard-0003": 0xF03FD6DA,
+}
+PINNED_4X_MANIFEST_CRC32 = 0xA77B6AF6
+REMOVED_MANIFEST_PROFILE_KEYS = {
+    "anchor_coder": "zlib",
+    "plane_coders": ["zlib", "raw"],
+    "negotiation": "smallest",
+    "negotiation_sample": 65536,
 }
 
 # The blocks are deflate output: byte-stable across stock zlib releases, not
@@ -365,3 +419,14 @@ def test_default_profile_dataset_bytes_are_pinned(tmp_path):
         path, _pinned_field(), error_bound=1e-4, relative=True, n_blocks=4, workers=0
     )
     assert zlib.crc32(path.read_bytes()) == PINNED_V2_CRC32["dataset"]
+    from repro.io import BlockContainerReader
+
+    with BlockContainerReader(path) as reader:
+        shards = {n: zlib.crc32(reader.read_block(n)) for n in reader.block_names()}
+        manifest = json.loads(reader.read_block("manifest"))
+    del shards["manifest"]
+    assert shards == PINNED_SHARD_CRC32
+    assert not REMOVED_MANIFEST_PROFILE_KEYS.keys() & manifest["profile"].keys()
+    manifest["profile"].update(REMOVED_MANIFEST_PROFILE_KEYS)
+    as_written_by_4x = json.dumps(manifest, separators=(",", ":"), sort_keys=True)
+    assert zlib.crc32(as_written_by_4x.encode()) == PINNED_4X_MANIFEST_CRC32
