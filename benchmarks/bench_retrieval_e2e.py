@@ -4,10 +4,16 @@ The decode-side companion of ``bench_pipeline_e2e``: it measures the
 retrieval engine's three execution paths over a file-backed chunked dataset
 and emits **`BENCH_retrieval.json`** at the repo root:
 
-1. **Full-field read** — output MB/s for the synchronous path, the
-   prefetching path (range reads overlapped with decode), and the pool
-   decode stage per worker count (recorded with the box's ``cpu_count``;
-   a 1-core CI box cannot scale, so pool floors only apply on ≥ 2 cores).
+1. **Full-field read** — output MB/s for the synchronous path and the
+   prefetching path (range reads overlapped with decode) on the scale's
+   field; their ratio is reported, never gated (threads over the page
+   cache do not win on a local file).  The **pool decode stage** is timed
+   where a process pool can win — the archive ``bench_pipeline_e2e``'s
+   pool leg uses at every scale (the ``benchmarks/e2e`` field size, 16
+   shards): ``workers=2`` against the synchronous read as medians over
+   alternating pairs after untimed warm-ups (``pool_e2e``, recorded
+   with the box's ``cpu_count``; a 1-core CI box cannot scale, so the pool
+   floor only applies on ≥ 2 cores).
 2. **ROI reads** — bytes-touched fraction for a ≤ 1/4-volume region
    (the Figure 6 headline), identical across execution paths.
 3. **Refinement ladder** — a 4-rung ``refine()`` ladder under prefetch
@@ -57,8 +63,18 @@ FLOOR_FILE = REPO_ROOT / "benchmarks" / "perf_floor.json"
 
 BOUND = 1e-5
 N_BLOCKS = 8
-_POOL_WORKERS = (0, 2, 4)
 _PREFETCH_DEPTH = 4
+#: The pool leg's archive, whatever the scale (bench_pipeline_e2e's too).
+_POOL_SHAPE = (128, 136, 120)
+_POOL_BLOCKS = 16
+_POOL_WORKERS = 2
+_POOL_PAIRS = 7
+#: Untimed pooled reads before the pairs.  Two would cover worker start-up;
+#: the rest is for the *box*: on an idle 2-vCPU VM the second core needs
+#: ≈ 1 s of two-core load before it runs at speed (measured: the first ≈ 6
+#: pooled reads of a cold box take 147 ms, every later one ≈ 80 ms, across
+#: processes), and the gate is about the pool, not about that.
+_POOL_WARMUPS = 8
 #: Server-side injected latency per ranged read for the latency legs.
 _REMOTE_LATENCY_S = 0.02
 #: Hard gate: the multiplexed read must beat the serial one by at least
@@ -116,25 +132,56 @@ def _run_full_reads(path, field):
         identical &= (
             _read_once(path, **knobs).data.tobytes() == reference.data.tobytes()
         )
-    pool = {}
-    for workers in _POOL_WORKERS:
-        seconds = _best_seconds(lambda: _read_once(path, workers=workers), 2)
-        pool[str(workers)] = {
-            "mbps": round(mb / seconds, 3), "seconds": round(seconds, 4)
-        }
-    best_pool = max(cell["mbps"] for cell in pool.values())
-    best_pipeline = max(best_pool, modes["prefetch"]["mbps"])
     return {
         "modes": modes,
-        "pool": pool,
-        "cpu_count": os.cpu_count(),
         "speedup_prefetch_over_sync": round(
             modes["prefetch"]["mbps"] / modes["sync"]["mbps"], 3
         ),
-        "speedup_best_pipeline_over_sync": round(
-            best_pipeline / modes["sync"]["mbps"], 3
-        ),
         "paths_byte_identical": bool(identical),
+    }
+
+
+def _run_pool(tmp_path):
+    """``workers=2`` vs the synchronous read on the e2e-size archive.
+
+    Alternating pairs (sync first, then pool first, ...) so drift on a
+    shared box lands on both legs; ``_POOL_WARMUPS`` pooled and two sync
+    reads go untimed first, and the medians, not the best case, make the
+    ratio.
+    """
+    field = _synthetic_field(_POOL_SHAPE)
+    path = tmp_path / "pool.rprc"
+    ChunkedDataset.write(
+        path, field, error_bound=BOUND, relative=True, n_blocks=_POOL_BLOCKS,
+        workers=0,
+    )
+
+    def seconds(workers):
+        start = time.perf_counter()
+        _read_once(path, workers=workers)
+        return time.perf_counter() - start
+
+    for workers in (_POOL_WORKERS,) * _POOL_WARMUPS + (0, 0):
+        seconds(workers)
+    sync, pool = [], []
+    for pair in range(_POOL_PAIRS):
+        for workers in (0, _POOL_WORKERS) if pair % 2 == 0 else (_POOL_WORKERS, 0):
+            (pool if workers else sync).append(seconds(workers))
+    sync_s, pool_s = float(np.median(sync)), float(np.median(pool))
+    mb = field.nbytes / 1e6
+    return {
+        "shape": list(_POOL_SHAPE),
+        "n_blocks": _POOL_BLOCKS,
+        "workers": _POOL_WORKERS,
+        "pairs": _POOL_PAIRS,
+        "warmups": _POOL_WARMUPS,
+        "cpu_count": os.cpu_count(),
+        "sync": {"mbps": round(mb / sync_s, 3), "seconds": round(sync_s, 4)},
+        "pool": {"mbps": round(mb / pool_s, 3), "seconds": round(pool_s, 4)},
+        "pool_wins": sum(p < s for s, p in zip(sync, pool)),
+        "speedup_pool_over_sync": round(sync_s / pool_s, 3),
+        "identical": _read_once(path, workers=_POOL_WORKERS).data.tobytes()
+        == _read_once(path).data.tobytes(),
     }
 
 
@@ -331,11 +378,11 @@ def _check_floor(payload) -> list:
     pool_floor = floor.get("retrieval_pool_speedup_min")
     cores = os.cpu_count() or 1
     if pool_floor is not None and cores >= 2:
-        measured = payload["full_read"]["speedup_best_pipeline_over_sync"]
+        measured = payload["pool_e2e"]["speedup_pool_over_sync"]
         if measured < pool_floor:
             failures.append(
-                f"pool/prefetch speedup {measured} < floor {pool_floor} "
-                f"on a {cores}-core box"
+                f"pool speedup {measured} (workers={_POOL_WORKERS}, e2e-size "
+                f"archive) < floor {pool_floor} on a {cores}-core box"
             )
     return failures
 
@@ -352,13 +399,14 @@ def test_retrieval_e2e(benchmark, results_dir, tmp_path):
     def _run():
         full_read = _run_full_reads(path, field)
         return {
-            "schema": "bench-retrieval-e2e/v4",
+            "schema": "bench-retrieval-e2e/v5",
             "scale": BENCH_SCALE,
             "shape": list(shape),
             "field_mb": round(field.nbytes / 1e6, 3),
             "n_blocks": N_BLOCKS,
             "prefetch_depth": _PREFETCH_DEPTH,
             "full_read": full_read,
+            "pool_e2e": _run_pool(tmp_path),
             "roi": _run_roi(path, field),
             "refine_ladder": _run_refine_ladder(path),
             "single_stream": _run_stream(tmp_path, field),
@@ -371,9 +419,8 @@ def test_retrieval_e2e(benchmark, results_dir, tmp_path):
     rows = [
         ["sync", payload["full_read"]["modes"]["sync"]["mbps"]],
         ["prefetch", payload["full_read"]["modes"]["prefetch"]["mbps"]],
-    ] + [
-        [f"pool/workers={w}", cell["mbps"]]
-        for w, cell in payload["full_read"]["pool"].items()
+        ["e2e-size/sync", payload["pool_e2e"]["sync"]["mbps"]],
+        [f"e2e-size/workers={_POOL_WORKERS}", payload["pool_e2e"]["pool"]["mbps"]],
     ] + [
         [f"http/{label}", leg["mbps"]]
         for label, leg in payload["remote_http"]["legs"].items()
@@ -393,13 +440,16 @@ def test_retrieval_e2e(benchmark, results_dir, tmp_path):
     print(
         f"roi: {payload['roi']['roi_volume_fraction']:.3f} of the volume → "
         f"{payload['roi']['bytes_fraction']:.3f} of the bytes; "
-        f"pipeline speedup {payload['full_read']['speedup_best_pipeline_over_sync']}x "
-        f"over sync on {payload['full_read']['cpu_count']} core(s)"
+        f"prefetch {payload['full_read']['speedup_prefetch_over_sync']}x sync "
+        f"(ungated); pool {payload['pool_e2e']['speedup_pool_over_sync']}x sync at "
+        f"the e2e size ({payload['pool_e2e']['pool_wins']}/{_POOL_PAIRS} pairs) "
+        f"on {payload['pool_e2e']['cpu_count']} core(s)"
     )
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
 
     # Correctness gates (hardware-independent, always asserted).
     assert payload["full_read"]["paths_byte_identical"]
+    assert payload["pool_e2e"]["identical"]
     assert payload["roi"]["paths_byte_identical"]
     assert payload["single_stream"]["identical"]
     ladder = payload["refine_ladder"]

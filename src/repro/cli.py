@@ -12,7 +12,7 @@ Subcommands::
     ipcomp info       OUT.ipc             # header: version, levels, per-plane codec
     ipcomp info       OUT.rprc            # manifest + per-shard header summary
     ipcomp info       OUT.rprc --roi 0:16,:,: --error-bound 1e-3  # + retrieval plan
-    ipcomp serve      OUT.rprc --requests REQS.jsonl [--threads 4] [--workers 2]
+    ipcomp serve      OUT.rprc --requests REQS.jsonl [--threads 4]
     ipcomp serve      OUT.rprc --requests REQS.jsonl --max-inflight 2 \
                       --client-budget-bps 1000000 --client-budget-bps vip=8000000
     ipcomp stats      OUT.rprc --requests REQS.jsonl  # aggregate only
@@ -29,18 +29,20 @@ shape is passed as ``AxBxC``.  ``compress --blocks N`` writes a sharded
 ``--roi START:STOP,...`` regions by opening only the intersecting shards.
 Retrieval runs the plan → prefetch → pool-decode pipeline of
 :mod:`repro.retrieval`: ``--prefetch N`` bounds the background range reads
-in flight (default 4; ``--no-prefetch`` reads synchronously) and
-``--workers N`` pool-decodes container shards in worker processes — both
-pure runtime choices with bitwise-identical output and identical reported
-byte counts.
+in flight (``--no-prefetch`` reads synchronously; with neither flag nor a
+profile file the library's default applies — a URL prefetches at depth 4,
+a local file reads synchronously) and ``--workers N`` pool-decodes the
+shards of a local container in worker processes through one shared-memory
+output segment (in-process when there is none) — both pure runtime choices
+with bitwise-identical output and identical reported byte counts.
 
 ``serve`` runs a batch of requests — one JSON object per line, e.g.
 ``{"roi": "0:16,:,:", "error_bound": 1e-3, "out": "roi.raw", "client":
 "alice"}`` — through a single long-lived
 :class:`~repro.service.RetrievalService` (pinned session, tiered slab/rung
-cache, optional ``--threads`` concurrency and persistent ``--workers``
-pool) and prints one trace JSON line per request; ``stats`` serves the
-same batch but prints only the aggregate statistics.  ``--max-inflight``
+cache, optional ``--threads`` concurrency; every shard decodes in-process)
+and prints one trace JSON line per request; ``stats`` serves the same
+batch but prints only the aggregate statistics.  ``--max-inflight``
 and/or ``--client-budget-bps`` route the batch through the QoS
 :class:`~repro.service.RequestScheduler` instead: admission-bounded,
 byte-budgeted per client, with overload answered from resident fidelity
@@ -83,7 +85,6 @@ from repro.io.faults import FaultInjector, FaultPlan
 from repro.io.aio import open_remote_source
 from repro.io.remote import is_url
 from repro.retrieval.engine import open_stream_source
-from repro.retrieval.prefetch import DEFAULT_PREFETCH_DEPTH
 from repro.service import RetrievalService
 
 
@@ -236,8 +237,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="pool-decode worker processes for container retrieval "
-        "(0/1 = in-process; single streams always decode in-process)",
+        help="pool-decode worker processes for local container retrieval "
+        "(0/1 = in-process; URLs and single streams always decode "
+        "in-process)",
     )
     prefetch_group = retrieve.add_mutually_exclusive_group()
     prefetch_group.add_argument(
@@ -245,9 +247,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help=f"planned byte ranges kept in flight by the background "
-        f"prefetcher (default: {DEFAULT_PREFETCH_DEPTH}; reads overlap "
-        "decode, reported bytes are unchanged)",
+        help="planned byte ranges kept in flight by the background "
+        "prefetcher (default: the profile file's, else 4 for a URL and "
+        "synchronous for a local file; reported bytes are unchanged)",
     )
     prefetch_group.add_argument(
         "--no-prefetch",
@@ -335,13 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="N",
             help="serve the batch with N concurrent threads (default 1; "
             "traces still print in request order)",
-        )
-        subparser.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            metavar="N",
-            help="persistent pool-decode workers shared across requests",
         )
         subparser.add_argument(
             "--cache-bytes",
@@ -453,15 +448,16 @@ def _runtime_knobs_from_profile_file(args) -> dict:
     }
 
 
-def _retrieve_prefetch_depth(args, file_knobs: dict) -> int:
-    """Effective prefetch depth: flag > profile file > default."""
+def _retrieve_prefetch_depth(args, file_knobs: dict) -> "int | None":
+    """Prefetch depth: flag > profile file > ``None`` (the library's default,
+    :func:`repro.retrieval.prefetch.default_prefetch_depth`)."""
     if args.no_prefetch:
         return 0
     if args.prefetch is not None:
         if args.prefetch < 0:
             raise ConfigurationError("--prefetch must be non-negative")
         return args.prefetch
-    return int(file_knobs.get("prefetch", DEFAULT_PREFETCH_DEPTH))
+    return file_knobs.get("prefetch")
 
 
 def _fault_injector_from_args(args) -> "FaultInjector | None":
@@ -759,7 +755,6 @@ def _serve_batch(args) -> tuple:
     from concurrent.futures import ThreadPoolExecutor
 
     file_knobs = _runtime_knobs_from_profile_file(args)
-    workers = args.workers if args.workers is not None else file_knobs.get("workers")
     cache_bytes = (
         args.cache_bytes
         if args.cache_bytes is not None
@@ -772,7 +767,6 @@ def _serve_batch(args) -> tuple:
     with RetrievalService(
         cache_bytes=cache_bytes,
         cache_verify=file_knobs.get("cache_verify"),
-        workers=workers,
         source_filter=injector.source_filter if injector is not None else None,
         remote_options=remote_options,
     ) as service:

@@ -70,8 +70,13 @@ class CodecProfile:
         reads).  A pure runtime choice — it never changes any byte,
         reported byte count, or range trace.
     workers:
-        Retrieval-side knob: pool-decode worker processes for stateless
-        container reads (0/1 = in-process decode).  Runtime-only, output
+        Read-side knob: pool-decode worker processes for stateless reads
+        of a local container (0/1 = in-process decode), taken as the
+        default by ``ChunkedDataset(path, profile=...)`` and by ``retrieve``
+        / ``decompress --profile``.  The write side has a ``workers`` of
+        its own (``ChunkedDataset.write(workers=)``, ``compress
+        --workers``) and never reads this field; neither does the serving
+        layer, which decodes in-process.  Runtime-only, output
         bitwise-identical either way.
     cache_bytes:
         Serving-side knob: byte budget of the

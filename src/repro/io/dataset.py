@@ -19,11 +19,13 @@ Requests are served by the :class:`~repro.retrieval.engine.RetrievalEngine`
 pipeline — fetch-op planning, optional background prefetch (``prefetch=``)
 that overlaps range reads with decode and speculatively primes the next
 fidelity rung after a ``refine()``, and an optional pool decode stage
-(``workers=``) for stateless reads where worker processes retrieve shards
-straight off the file into a shared output segment.  All of it is a pure
-runtime choice: decoded output is bitwise-identical, and the reported
-accounting is *consumption-based* — the ranges a request's decoding
-actually used, identical with and without prefetching.
+(``workers=``) for stateless reads of a local file where worker processes
+retrieve shards straight off the file into a shared output segment
+(*shared memory or in-process*: without a segment, or for a remote
+dataset, the read decodes in-process).  All of it is a pure runtime
+choice: decoded output is bitwise-identical, and the reported accounting
+is *consumption-based* — the ranges a request's decoding actually used,
+identical with and without prefetching.
 
 Every request returns a :class:`DatasetReadResult` carrying the exact bytes
 touched (header and anchor included) and the ``(shard, offset, length)``
@@ -44,7 +46,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -68,7 +70,7 @@ from repro.parallel.partition import (
 )
 from repro.retrieval.engine import RetrievalEngine
 from repro.retrieval.plan import RetrievalPlan
-from repro.retrieval.prefetch import DEFAULT_PREFETCH_DEPTH
+from repro.retrieval.prefetch import default_prefetch_depth
 
 MANIFEST_BLOCK = "manifest"
 FORMAT_NAME = "repro-chunked-dataset"
@@ -113,12 +115,12 @@ class ChunkedDataset:
     supplies the runtime decode knobs — default ``prefetch`` / ``workers``
     for the retrieval engine; it does not need to match the profile used at
     write time (shards are self-describing v2 streams).  The explicit
-    ``prefetch`` / ``workers`` keywords override the profile's fields; all of these knobs are runtime-only and change
-    no reported byte or decoded bit.  With neither ``prefetch`` nor a
-    profile, a remote dataset prefetches at
-    :data:`~repro.retrieval.prefetch.DEFAULT_PREFETCH_DEPTH` (as the CLI
-    does) and a local one reads synchronously; ``prefetch=0`` is the
-    serial read everywhere.
+    ``prefetch`` / ``workers`` keywords override the profile's fields; all
+    of these knobs are runtime-only and change no reported byte or decoded
+    bit.  With neither ``prefetch`` nor a profile the depth is
+    :func:`~repro.retrieval.prefetch.default_prefetch_depth` — a remote
+    dataset prefetches, a local one reads synchronously (the CLI follows
+    the same rule); ``prefetch=0`` is the serial read everywhere.
     """
 
     def __init__(
@@ -128,7 +130,6 @@ class ChunkedDataset:
         *,
         prefetch: Optional[int] = None,
         workers: Optional[int] = None,
-        executor=None,
         source=None,
     ) -> None:
         # ``path`` may be an ``http(s)://`` URL: the container is then read
@@ -179,9 +180,7 @@ class ChunkedDataset:
             if profile is not None:
                 prefetch = profile.prefetch
             else:
-                # Nothing specified: a remote dataset read synchronously pays
-                # one round trip per plane block, so it gets the CLI's depth.
-                prefetch = DEFAULT_PREFETCH_DEPTH if self.is_remote else 0
+                prefetch = default_prefetch_depth(self.is_remote)
         if workers is None:
             workers = profile.workers if profile is not None else 0
         # The plan → prefetch → pool-decode pipeline serving every request
@@ -194,11 +193,10 @@ class ChunkedDataset:
             prefetch=prefetch,
             workers=workers,
             # Pool workers re-open the container by path in their own
-            # process; a remote dataset has no local path, so pool decode
-            # is disabled and requests run serial/prefetch (bitwise-
+            # process; a remote dataset has no local path, so it has no
+            # pool stage and requests run serial/prefetch (bitwise-
             # identical by construction).
             path=None if self.is_remote else self.path,
-            executor=executor,
         )
         self._write_profile: Optional[CodecProfile] = None
 
@@ -246,10 +244,11 @@ class ChunkedDataset:
         (``profile`` plus field overrides such as ``error_bound=`` /
         ``relative=`` / ``method=``).  One IPComp stream per slab is produced
         (process-parallel via
-        :class:`~repro.parallel.executor.BlockParallelCompressor`) and the
-        slab's absolute bound is derived from the *global* value range, so
-        the reassembled field honours the bound globally.  The resolved
-        profile is embedded in the manifest.
+        :class:`~repro.parallel.executor.BlockParallelCompressor`, sized by
+        the ``workers`` keyword alone — the profile's read-side ``workers``
+        field is not consulted) and the slab's absolute bound is derived
+        from the *global* value range, so the reassembled field honours the
+        bound globally.  The resolved profile is embedded in the manifest.
         """
         data = np.asarray(data)
         # Resolve the range-relative bound once (one min/max scan of the
@@ -305,8 +304,9 @@ class ChunkedDataset:
         whose slabs intersect ``roi`` are opened; each contributes exactly
         the plane blocks its loader plan selects.  Stateless: a later
         ``read`` starts from scratch — use :meth:`refine` for incremental
-        refinement.  With ``workers > 1`` the decode runs in the pool
-        stage (bitwise-identical output, same per-shard range accounting).
+        refinement.  With ``workers > 1`` a local multi-shard read decodes
+        in the pool stage (bitwise-identical output, same per-shard range
+        accounting).
         """
         roi_slices, selected = self.select(roi)
         target = self._validated_target(error_bound)

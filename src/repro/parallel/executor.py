@@ -6,29 +6,28 @@ NumPy work genuinely runs in parallel), and reassembles on decompression.
 Because each block carries its own error-bounded stream the global L∞ bound
 is preserved, and progressive retrieval can be served block by block.
 
-**Slab transport.**  The parallel compress path places the field in one
-:mod:`multiprocessing.shared_memory` segment and sends workers only
-``(profile, segment name, shape, dtype, slab extents)`` — a few hundred
-bytes per task instead of a pickled copy of every slab crossing the process
-boundary twice.  Workers attach a read-only NumPy view and compress their
-slabs in place.  Consecutive small slabs are **batched** into one task
-(:data:`MIN_TASK_BYTES`) so a finely sharded field does not drown in
-per-task dispatch overhead.  When shared memory is unavailable (no
-``/dev/shm``, sealed sandbox) the payloads fall back to pickled slab
-arrays, and ``workers=0`` — or an environment without ``fork``/spawn
-support — falls back to serial execution; every route produces
-byte-identical streams.  A pool that cannot start — or that loses its
-worker processes — triggers the serial fallback; an exception *raised by
-the worker function itself* is a real error and propagates to the caller
-(the ladder lives in :mod:`repro.parallel.poolmap`, shared with the decode
-direction).
+**Slab transport: shared memory or in-process.**  The parallel compress
+path places the field in one :mod:`multiprocessing.shared_memory` segment
+and sends workers only ``(profile, segment name, shape, dtype, slab
+extents)`` — a few hundred bytes per task instead of a pickled copy of
+every slab crossing the process boundary twice.  Workers attach a read-only
+NumPy view and compress their slabs in place.  Consecutive small slabs are
+**batched** into one task (:data:`MIN_TASK_BYTES`) so a finely sharded
+field does not drown in per-task dispatch overhead.  When the transport
+cannot be used — ``workers <= 1``, a single slab, or no segment (no
+``/dev/shm``, sealed sandbox) — the slabs are compressed by the plain
+in-process loop; no slab is ever pickled to a worker.  A pool that cannot
+start — or that loses its worker processes — finishes in-process too; an
+exception *raised by the worker function itself* is a real error and
+propagates to the caller (:func:`repro.parallel.poolmap.imap_fallback`).
+Every route produces byte-identical streams.
 
 **Decode direction.**  :meth:`~BlockParallelCompressor.decompress` and
-:meth:`~BlockParallelCompressor.retrieve` run the mirror transport — the
-pool decode stage of :mod:`repro.retrieval.pooldecode`: workers write
-reconstructed slabs directly into one shared-memory *output* segment keyed
-by the slab extents, so reassembly is zero-copy (no result array is ever
-pickled back), with the same fallback ladder and bitwise-identical output.
+:meth:`~BlockParallelCompressor.retrieve` decode in-memory blobs in-process
+and scatter them with :func:`repro.parallel.partition.reassemble`.  The
+pooled read decodes shards straight off a container file:
+:func:`repro.retrieval.pooldecode.pooled_container_read`, reached through
+``ChunkedDataset(path, workers=N).read()``.
 
 The compressor also speaks the on-disk container dialect of
 :mod:`repro.io`: :meth:`~BlockParallelCompressor.compress_into` **streams**
@@ -42,14 +41,9 @@ substrate :class:`repro.io.ChunkedDataset` builds on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
-
-try:  # pragma: no cover - present on every supported platform
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - exotic builds without _posixshmem
-    _shared_memory = None
 
 from repro.core.compressor import IPComp
 from repro.core.profile import CodecProfile
@@ -60,9 +54,10 @@ from repro.parallel.partition import (
     batch_slabs,
     block_slices,
     ranges_to_slices,
+    reassemble,
     slices_to_ranges,
 )
-from repro.parallel.poolmap import create_segment, imap_fallback
+from repro.parallel import poolmap
 
 #: Container entries produced by :meth:`BlockParallelCompressor.compress_into`.
 SHARD_PREFIX = "shard-"
@@ -77,23 +72,17 @@ def shard_name(index: int) -> str:
     return f"{SHARD_PREFIX}{index:04d}"
 
 
-def _compress_block(payload: Tuple[CodecProfile, np.ndarray]) -> bytes:
-    """Worker: compress one slab with a fresh IPComp instance."""
-    profile, block = payload
-    return IPComp(profile=profile).compress(block)
-
-
 def _compress_batch_shm(payload) -> List[bytes]:
     """Worker: compress a batch of slabs read from a shared-memory field.
 
     The payload carries no array data — just the segment name plus the
     global shape/dtype and each slab's extents — so task pickling cost is
     independent of the field size.  The same function also runs in-process
-    on the serial fallback paths (attaching to a segment from the creating
-    process is valid and free).
+    when the pool breaks (attaching to a segment from the creating process
+    is valid and free).
     """
     profile, segment_name, shape, dtype, batch_ranges = payload
-    segment = _shared_memory.SharedMemory(name=segment_name)
+    segment = poolmap.shared_memory.SharedMemory(name=segment_name)
     field = None
     try:
         field = np.ndarray(tuple(shape), dtype=np.dtype(dtype), buffer=segment.buf)
@@ -150,23 +139,12 @@ class BlockParallelCompressor:
             return min(self.n_blocks, 4)
         return self.workers or 0
 
-    def _imap(self, function, payloads: Sequence) -> Iterator:
-        """Apply ``function`` to every payload, yielding results *in order*.
-
-        Results are yielded as soon as they (and all their predecessors)
-        complete, so consumers can stream them — e.g. write shard ``k`` to
-        a container while shard ``k+1`` is still compressing.  The fallback
-        ladder (shared with the decode side, see
-        :func:`repro.parallel.poolmap.imap_fallback`): a pool that cannot
-        start, a submit-time fork/spawn denial, or worker *processes* dying
-        mid-run all degrade to in-process execution with bit-identical
-        results, while an exception raised by ``function`` itself is a real
-        error and propagates.
-        """
-        yield from imap_fallback(function, payloads, self._effective_workers())
-
     def _map(self, function, payloads: Sequence) -> List:
-        return list(self._imap(function, payloads))
+        """``function`` over ``payloads`` through the pool's safety ladder
+        (:func:`repro.parallel.poolmap.imap_fallback`), results in order."""
+        return list(
+            poolmap.imap_fallback(function, payloads, self._effective_workers())
+        )
 
     # ------------------------------------------------------------- public API
 
@@ -195,25 +173,16 @@ class BlockParallelCompressor:
         data = np.ascontiguousarray(data)
         profile = self.resolved_profile(data)
         slabs = block_slices(data.shape, self.n_blocks)
-        if len(slabs) > 1 and self._effective_workers() > 1 and _shared_memory is not None:
-            segment = self._create_segment(data.nbytes)
-            if segment is not None:
-                yield from self._compress_iter_shm(segment, data, profile, slabs)
-                return
-        payloads = [(profile, np.ascontiguousarray(data[slc])) for slc in slabs]
-        for slc, blob in zip(slabs, self._imap(_compress_block, payloads)):
+        segment = None
+        if len(slabs) > 1 and self._effective_workers() > 1:
+            segment = poolmap.create_segment(data.nbytes)
+        if segment is not None:
+            yield from self._compress_iter_shm(segment, data, profile, slabs)
+            return
+        # No transport, no pool: the plain in-process slab loop.
+        for slc in slabs:
+            blob = IPComp(profile=profile).compress(np.ascontiguousarray(data[slc]))
             yield CompressedBlock(slc, blob)
-
-    @staticmethod
-    def _create_segment(nbytes: int):
-        """A fresh shared-memory segment, or ``None`` where unsupported.
-
-        ``None`` routes to the pickled slab transport — slower but always
-        available (see :func:`repro.parallel.poolmap.create_segment`).
-        """
-        if _shared_memory is None:
-            return None
-        return create_segment(nbytes)
 
     def _compress_iter_shm(
         self, segment, data: np.ndarray, profile: CodecProfile, slabs: List[SliceTuple]
@@ -239,15 +208,14 @@ class BlockParallelCompressor:
                 )
                 for batch in batches
             ]
-            for batch, blobs in zip(batches, self._imap(_compress_batch_shm, payloads)):
+            results = poolmap.imap_fallback(
+                _compress_batch_shm, payloads, self._effective_workers()
+            )
+            for batch, blobs in zip(batches, results):
                 for slc, blob in zip(batch, blobs):
                     yield CompressedBlock(slc, blob)
         finally:
-            try:
-                segment.close()
-                segment.unlink()
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
+            poolmap.release_segment(segment)
 
     # ----------------------------------------------------- container entries
 
@@ -306,15 +274,8 @@ class BlockParallelCompressor:
     def decompress(
         self, blocks: Sequence[CompressedBlock], shape: Sequence[int], dtype=np.float64
     ) -> np.ndarray:
-        """Fully decompress and reassemble the original field.
-
-        Runs the pool decode stage (:mod:`repro.retrieval.pooldecode`):
-        with ``workers > 1`` and shared memory available, workers write the
-        reconstructed slabs straight into one shared output segment and the
-        returned array is a zero-copy view of it; every fallback (no shared
-        memory → pickled results, no pool → in-process) is bit-identical.
-        """
-        return self._pooled_reassemble(blocks, shape, dtype, None)
+        """Fully decompress and reassemble the original field (in-process)."""
+        return self._reassemble(blocks, shape, dtype, None)
 
     def retrieve(
         self,
@@ -324,24 +285,24 @@ class BlockParallelCompressor:
         dtype=np.float64,
     ) -> np.ndarray:
         """Progressively retrieve every slab at ``error_bound`` and reassemble."""
-        return self._pooled_reassemble(blocks, shape, dtype, float(error_bound))
+        return self._reassemble(blocks, shape, dtype, float(error_bound))
 
-    def _pooled_reassemble(
-        self,
+    @staticmethod
+    def _reassemble(
         blocks: Sequence[CompressedBlock],
         shape: Sequence[int],
         dtype,
         error_bound: Optional[float],
     ) -> np.ndarray:
-        from repro.retrieval.pooldecode import pooled_reassemble
-
-        return pooled_reassemble(
-            blocks,
-            shape,
-            dtype,
-            workers=self._effective_workers(),
-            error_bound=error_bound,
-        )
+        """Decode each blob (``None`` = its stored bound) and scatter it."""
+        pieces = []
+        for block in blocks:
+            retriever = ProgressiveRetriever(block.blob)
+            target = (
+                error_bound if error_bound is not None else retriever.header.error_bound
+            )
+            pieces.append((block.slices, retriever.retrieve(error_bound=target).data))
+        return reassemble(shape, pieces, dtype)
 
     @staticmethod
     def compressed_bytes(blocks: Sequence[CompressedBlock]) -> int:

@@ -1,9 +1,13 @@
-"""Generic process-pool mapping with the bit-identical fallback ladder.
+"""The one process-pool primitive: ordered map + shared-memory segments.
 
-Both halves of the parallel substrate — the encode side
-(:class:`repro.parallel.executor.BlockParallelCompressor`) and the decode
-side (:mod:`repro.retrieval.pooldecode`) — dispatch work to a process pool
-with exactly the same degradation contract:
+**Shared memory or in-process.**  Work crosses the process boundary in two
+places only — slabs go *in* through one shared-memory segment on write
+(:mod:`repro.parallel.executor`) and come *out* through one on read
+(:mod:`repro.retrieval.pooldecode`).  Where that transport cannot be used
+(``workers <= 1``, a single task, :func:`create_segment` returning
+``None``) the caller runs its ordinary in-process path; no array is ever
+pickled across the boundary.  Both directions dispatch through
+:func:`imap_fallback`, which covers the errors a pool can still return:
 
 * a pool that cannot *start* (no spawn method, sealed sandbox, resource
   limits) falls back to in-process execution;
@@ -15,15 +19,14 @@ with exactly the same degradation contract:
   never do.
 
 Every route produces identical results because the worker functions are
-pure; the ladder only changes *where* they run.  This module also owns the
-shared-memory segment helpers both sides use for their zero-copy
-transports.
+pure; the ladder only changes *where* they run.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack
 from typing import Iterator, Sequence
 
 try:  # pragma: no cover - present on every supported platform
@@ -32,79 +35,56 @@ except ImportError:  # pragma: no cover - exotic builds without _posixshmem
     shared_memory = None
 
 
-def imap_fallback(function, payloads: Sequence, workers: int, executor=None) -> Iterator:
+def imap_fallback(function, payloads: Sequence, workers: int) -> Iterator:
     """Apply ``function`` to every payload, yielding results *in order*.
 
     Results are yielded as soon as they (and all their predecessors)
     complete, so consumers can stream them — e.g. write shard ``k`` to a
     container while shard ``k+1`` is still compressing.  ``workers <= 1``
-    (or a single payload) short-circuits to plain in-process execution.
-
-    ``executor`` lends a caller-owned persistent pool (the serving layer
-    keeps one warm across requests); it is never shut down here, and a
-    broken lent pool degrades through the same ladder as a private one.
+    (or a single payload) is plain in-process execution.  The pool lives
+    for this one call; whatever it did not deliver is finished in-process.
     """
-    if not workers or workers <= 1 or len(payloads) <= 1:
-        for payload in payloads:
-            yield function(payload)
-        return
-    if executor is not None:
-        # A lent pool is the caller's to shut down, never ours.
-        yield from _drain_pool(executor, function, payloads)
-        return
-    try:
-        pool = ProcessPoolExecutor(max_workers=workers)
-    except (OSError, ValueError, RuntimeError, NotImplementedError):
-        # The pool itself could not start (no /dev/shm, no spawn method):
-        # fall back to in-process execution, results are bit-identical.
-        for payload in payloads:
-            yield function(payload)
-        return
-    with pool:
-        yield from _drain_pool(pool, function, payloads)
-
-
-def _drain_pool(pool, function, payloads: Sequence) -> Iterator:
-    """Submit everything, yield in order, degrading per the ladder."""
-    try:
-        # Worker processes are spawned lazily at submit time, so
-        # fork/spawn denial (sandboxes) surfaces here — still an
-        # environment problem, still the in-process fallback.
-        # (Submitting to an already-broken lent pool raises
-        # BrokenProcessPool, a RuntimeError subclass — same clause.)
-        futures = [pool.submit(function, p) for p in payloads]
-    except (OSError, ValueError, RuntimeError, NotImplementedError):
-        for payload in payloads:
-            yield function(payload)
-        return
-    for index, future in enumerate(futures):
-        try:
-            result = future.result()
-        except BrokenProcessPool:
-            # Worker *processes* died while running — an environment
-            # problem, so finish the remaining payloads in-process.
-            # Exceptions raised by ``function`` itself arrive as their
-            # original type and fall through to the caller: a worker
-            # error is a real error, not a cue to silently recompute.
-            for payload in payloads[index:]:
-                yield function(payload)
-            return
-        yield result
+    done = 0
+    if workers and workers > 1 and len(payloads) > 1:
+        with ExitStack() as stack:
+            try:
+                # The pool itself may not start (no /dev/shm, no spawn
+                # method), and worker processes are spawned lazily at
+                # submit time, so fork/spawn denial (sandboxes) surfaces
+                # there — environment problems both: run in-process,
+                # results are bit-identical.
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+                futures = [pool.submit(function, p) for p in payloads]
+            except (OSError, ValueError, RuntimeError, NotImplementedError):
+                futures = []
+            for future in futures:
+                try:
+                    result = future.result()
+                except BrokenProcessPool:
+                    # Worker *processes* died while running — an environment
+                    # problem, so finish the remaining payloads in-process.
+                    # Exceptions raised by ``function`` itself arrive as their
+                    # original type and fall through to the caller: a worker
+                    # error is a real error, not a cue to silently recompute.
+                    break
+                yield result
+                done += 1
+    for payload in payloads[done:]:
+        yield function(payload)
 
 
 def create_segment(nbytes: int):
     """A fresh shared-memory segment, or ``None`` where unsupported.
 
-    ``None`` signals the caller to use its pickled transport instead; the
-    two are bit-identical, the segment is merely faster.
+    ``None`` tells the caller to run its in-process path instead: without
+    a segment there is no transport, and so no pool.
     """
     if shared_memory is None:
         return None
     try:
         return shared_memory.SharedMemory(create=True, size=max(1, nbytes))
     except (OSError, ValueError, RuntimeError, NotImplementedError):
-        # No /dev/shm (sealed sandbox), size limits, … — the pickled
-        # transport is slower but always available.
+        # No /dev/shm (sealed sandbox), size limits, …
         return None
 
 

@@ -14,9 +14,10 @@ synchronously.  This package centralises the pipeline the paper's Figures
   I/O overlaps per-shard decode (and ``refine()`` can speculatively fetch
   the next fidelity rung).
 * :mod:`repro.retrieval.pooldecode` — the **pool decode stage**: worker
-  processes write reconstructed slabs straight into one shared-memory
-  output segment keyed by partition extents, the decode-side mirror of the
-  encode slab transport (same serial/pickled fallback ladder).
+  processes read shards off a local container file and write the
+  reconstructed slabs straight into one shared-memory output segment keyed
+  by partition extents, the decode-side mirror of the encode slab
+  transport (*shared memory or in-process* — nothing is pickled back).
 * :mod:`repro.retrieval.engine` — :class:`~repro.retrieval.engine.RetrievalEngine`,
   the façade all three consumers drive: ``ChunkedDataset.read/refine``,
   :class:`~repro.core.progressive.ProgressiveRetriever` (which primes its

@@ -15,10 +15,11 @@ set of shards" and "an assembled array plus its exact I/O accounting":
   blocks already resident — physically read once, attributed to the
   request that consumes them;
 * **stage 3 (decode)** — in-process per-shard decode by default; with
-  ``workers > 1`` a *stateless* read of a container is dispatched to the
-  pool decode stage (:mod:`repro.retrieval.pooldecode`), whose workers do
-  the same plan-then-load retrieval against their own reader and write the
-  slabs straight into a shared output segment.
+  ``workers > 1`` a *stateless* read of a local container is dispatched to
+  the pool decode stage (:mod:`repro.retrieval.pooldecode`), whose workers
+  do the same plan-then-load retrieval against their own reader and write
+  the slabs straight into a shared output segment.  *Shared memory or
+  in-process*: without a segment the read runs the in-process path.
 
 Byte accounting is **consumption-based**: each request reports the ranges
 its decoding actually consumed (per block, identical to the synchronous
@@ -42,7 +43,7 @@ from repro.parallel.partition import (
     slices_to_ranges,
 )
 from repro.retrieval.plan import RetrievalPlan, ShardPlan
-from repro.retrieval.prefetch import Prefetcher, PrefetchSource
+from repro.retrieval.prefetch import Prefetcher, PrefetchSource, default_prefetch_depth
 
 __all__ = ["EngineResult", "RetrievalEngine", "assemble", "open_stream_source"]
 
@@ -105,10 +106,10 @@ class RetrievalEngine:
     ``open_source(name)`` returns a fresh byte-range source for one shard
     (duck-typed, so the engine has no dependency on :mod:`repro.io`; the
     chunked dataset passes container block sources).  ``path`` — when the
-    shards live in a container file — enables the pool decode stage for
-    stateless reads; without it pool requests fall back to in-process
-    decode.  ``stored_bound`` is the fidelity served when a request passes
-    no target.
+    shards live in a local container file — enables the pool decode stage
+    for stateless reads; without it (a remote dataset) ``workers`` requests
+    decode in-process.  ``stored_bound`` is the fidelity served when a
+    request passes no target.
     """
 
     def __init__(
@@ -123,7 +124,6 @@ class RetrievalEngine:
         path=None,
         speculate: bool = True,
         rung_factor: float = DEFAULT_RUNG_FACTOR,
-        executor=None,
     ) -> None:
         self._open_source = open_source
         self.shape = tuple(int(s) for s in shape)
@@ -134,9 +134,6 @@ class RetrievalEngine:
         self.path = path
         self.speculate = bool(speculate)
         self.rung_factor = float(rung_factor)
-        # A caller-owned persistent pool for the decode stage (the serving
-        # layer keeps one warm across requests); never shut down here.
-        self.executor = executor
         # Lazy, chosen by the first opened source: the event-loop
         # prefetcher when it ``supports_async`` (a remote stack), the
         # thread prefetcher for local files.  Identical bytes either way.
@@ -217,7 +214,9 @@ class RetrievalEngine:
         """Stateless retrieval: fresh retrievers, optionally pool-decoded."""
         target = self._target(error_bound)
         if self.workers > 1 and self.path is not None and len(shards) > 1:
-            return self._pooled_read(shards, roi_slices, target)
+            result = self._pooled_read(shards, roi_slices, target)
+            if result is not None:
+                return result
         return self._request(shards, roi_slices, target, {}, {}, speculate_next=False)
 
     def refine(
@@ -298,12 +297,16 @@ class RetrievalEngine:
             source = sources[shard.name]
             for offset, length in source.trace[trace_start.get(shard.name, 0):]:
                 ranges.append((shard.name, offset, length))
-        bytes_loaded = sum(length for _, _, length in ranges)
-        self.cumulative_bytes += bytes_loaded
         if speculate_next and self.speculate and self._prefetcher is not None:
             self._speculate(shards, retrievers, sources, target)
+        data = assemble(pieces, roi_slices, self.dtype)
+        return self._result(data, achieved, shards, ranges)
+
+    def _result(self, data, achieved, shards, ranges) -> EngineResult:
+        bytes_loaded = sum(length for _, _, length in ranges)
+        self.cumulative_bytes += bytes_loaded
         return EngineResult(
-            data=assemble(pieces, roi_slices, self.dtype),
+            data=data,
             error_bound=achieved,
             bytes_loaded=bytes_loaded,
             cumulative_bytes=self.cumulative_bytes,
@@ -336,7 +339,8 @@ class RetrievalEngine:
 
     def _pooled_read(
         self, shards: Sequence, roi_slices: SliceTuple, target: float
-    ) -> EngineResult:
+    ) -> Optional[EngineResult]:
+        """The pool decode stage; ``None`` when there is no shared memory."""
         from repro.retrieval.pooldecode import pooled_container_read
 
         out_shape = tuple(s.stop - s.start for s in roi_slices)
@@ -344,7 +348,7 @@ class RetrievalEngine:
             (shard.name, slices_to_ranges(shard.slices, self.shape))
             for shard in shards
         ]
-        data, accounting = pooled_container_read(
+        pooled = pooled_container_read(
             self.path,
             tasks,
             slices_to_ranges(roi_slices, self.shape),
@@ -352,24 +356,17 @@ class RetrievalEngine:
             self.dtype,
             target,
             self.workers,
-            executor=self.executor,
         )
+        if pooled is None:
+            return None
+        data, accounting = pooled
         achieved = max((bound for _, _, bound in accounting), default=0.0)
         ranges = [
             (name, offset, length)
             for name, trace, _ in accounting
             for offset, length in trace
         ]
-        bytes_loaded = sum(length for _, _, length in ranges)
-        self.cumulative_bytes += bytes_loaded
-        return EngineResult(
-            data=data,
-            error_bound=achieved,
-            bytes_loaded=bytes_loaded,
-            cumulative_bytes=self.cumulative_bytes,
-            shards=[s.name for s in shards],
-            ranges=ranges,
-        )
+        return self._result(data, achieved, shards, ranges)
 
     # ------------------------------------------------------------------- state
 
@@ -404,7 +401,7 @@ def _prefetcher_for(inner, depth: int):
     return Prefetcher(depth=depth), False
 
 
-def open_stream_source(path, prefetch: int = 0, *, source=None):
+def open_stream_source(path, prefetch: Optional[int] = None, *, source=None):
     """A byte-range source over a bare ``.ipc`` stream file or URL.
 
     ``path`` may be a local file or an ``http(s)://`` URL — the latter is
@@ -415,9 +412,11 @@ def open_stream_source(path, prefetch: int = 0, *, source=None):
     for a file — and a
     :class:`~repro.core.progressive.ProgressiveRetriever` reading through
     it will overlap its planned range reads with decoding (the retriever
-    primes its own pending ops); ``prefetch=0`` reads serially.
-    ``source.close()`` releases the backing handle/connection and the
-    prefetcher.
+    primes its own pending ops); ``prefetch=0`` reads serially, and
+    ``prefetch=None`` takes the library default
+    (:func:`~repro.retrieval.prefetch.default_prefetch_depth`: remote →
+    prefetch, local → serial).  ``source.close()`` releases the backing
+    handle/connection and the prefetcher.
     """
     from repro.io.aio import open_remote_source
     from repro.io.container import FileSource
@@ -429,6 +428,8 @@ def open_stream_source(path, prefetch: int = 0, *, source=None):
         inner = open_remote_source(str(path))
     else:
         inner = FileSource(path)
+    if prefetch is None:
+        prefetch = default_prefetch_depth(source is not None or is_url(path))
     if prefetch <= 0:
         return inner
     prefetcher, is_async = _prefetcher_for(inner, prefetch)

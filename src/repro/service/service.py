@@ -3,8 +3,8 @@
 :class:`RetrievalService` is the daemon-style layer the ROADMAP asks for on
 top of the one-shot :class:`~repro.retrieval.engine.RetrievalEngine`
 pipeline.  Where a fresh :class:`~repro.io.dataset.ChunkedDataset` pays
-container-open, per-shard header parse, and cold pool workers on every
-request, the service keeps:
+container-open and per-shard header parse on every request, the service
+keeps:
 
 * **sessions** — one per dataset file, pinning the open container reader
   and parsing each shard's stream header exactly once.  Sessions are keyed
@@ -13,10 +13,6 @@ request, the service keeps:
   the same size within the filesystem's mtime granularity — gets a fresh
   session and the old session's cache entries are purged, never served
   against the new bytes;
-* **a persistent worker pool** — one :class:`~concurrent.futures.\
-  ProcessPoolExecutor` shared by every request's pool-decode stage (lent to
-  :func:`~repro.parallel.poolmap.imap_fallback`, which degrades through the
-  usual ladder when it breaks);
 * **a tiered byte-budgeted LRU** (:class:`~repro.service.cache.TieredCache`)
   over decoded **slabs** and resident plane **rungs**, so concurrent ROI
   requests on the same dataset reuse each other's work.  A request whose
@@ -34,8 +30,10 @@ consumes — cache hits replay the recorded consumption — while the
 physically-performed reads are reported separately (``physical_reads`` is
 0 on a warm repeat).  Decoded answers are bitwise-identical to
 :meth:`ChunkedDataset.read <repro.io.dataset.ChunkedDataset.read>` across
-cold, warm, refined, evicted, and pooled paths; the test suite pins every
-one of those paths to the serial oracle.
+cold, warm, refined and evicted paths; the test suite pins every one of
+those paths to the serial oracle.  Every shard decodes in-process under
+the session's pinned reader; the process pool exists on the direct
+:class:`~repro.io.dataset.ChunkedDataset` path only.
 
 Failures degrade along the existing ladder: a faulty source
 (:class:`~repro.errors.StreamFormatError`, short read, ``OSError``) costs
@@ -65,7 +63,6 @@ from __future__ import annotations
 import threading
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -86,7 +83,6 @@ from repro.parallel.partition import (
     normalize_roi,
     slices_intersect,
 )
-from repro.parallel.poolmap import imap_fallback
 from repro.retrieval.engine import assemble
 from repro.retrieval.plan import plan_stream_ops
 from repro.service.cache import DEFAULT_CACHE_BYTES, TieredCache
@@ -230,7 +226,7 @@ class _ShardServe:
     physical_reads: int
     physical_bytes: int
     retries: int
-    tier: str  # "slab" | "rung" | "cold" | "pool"
+    tier: str  # "slab" | "rung" | "cold"
     retry_delays: List[float] = field(default_factory=list)
 
 
@@ -239,24 +235,6 @@ def _validated_target(stored_bound: float, error_bound: Optional[float]) -> floa
     if target <= 0 or not np.isfinite(target):
         raise ConfigurationError("error_bound must be a positive finite number")
     return target
-
-
-def _cold_shard_worker(payload):
-    """Pool worker: fresh plan-then-load retrieval of one container shard.
-
-    Opens its own reader (exactly like the engine's pool-decode stage), so
-    the returned ``(name, consumed trace, achieved bound, data)`` matches
-    the serial path entry for entry while the parent's pinned reader sees
-    zero physical reads.
-    """
-    from repro.io.container import BlockContainerReader, BlockSource
-
-    path, name, target = payload
-    with BlockContainerReader(path) as reader:
-        source = BlockSource(reader, name)
-        retriever = ProgressiveRetriever(source)
-        result = retriever.retrieve(error_bound=target)
-        return (name, list(source.trace), float(result.error_bound), result.data)
 
 
 class _Session:
@@ -401,10 +379,11 @@ class _Session:
 class RetrievalService:
     """Serve ROI-progressive requests from pinned sessions and a tiered cache.
 
-    ``cache_bytes`` / ``cache_verify`` / ``workers`` default to the
-    profile's runtime knobs (:class:`~repro.core.profile.CodecProfile`);
-    like ``prefetch`` and ``workers`` everywhere else, none of them changes
-    a reported byte or a decoded bit.  Transient-fault retries back off
+    ``cache_bytes`` / ``cache_verify`` default to the profile's runtime
+    knobs (:class:`~repro.core.profile.CodecProfile`; its ``prefetch`` /
+    ``workers`` fields are not read here — the service decodes
+    in-process); neither changes a reported byte or a decoded bit.
+    Transient-fault retries back off
     exponentially from ``retry_backoff`` seconds up to
     ``retry_backoff_cap``, scaled by a deterministic per-(shard, attempt)
     jitter so concurrent retriers de-synchronise identically across runs;
@@ -412,8 +391,7 @@ class RetrievalService:
     it out.  ``source_filter`` is an adapter hook
     — ``source_filter(shard_name, source) -> source`` — wrapped around every
     cold read's byte-range source; the fault-injection tests use it to make
-    sources flaky.  Requests with a filter installed stay in-process (a
-    filter cannot cross the pool boundary).
+    sources flaky.
     """
 
     def __init__(
@@ -422,7 +400,6 @@ class RetrievalService:
         *,
         cache_bytes: Optional[int] = None,
         cache_verify: Optional[bool] = None,
-        workers: Optional[int] = None,
         retries: int = 2,
         retry_backoff: float = 0.05,
         retry_backoff_cap: float = 1.0,
@@ -438,9 +415,6 @@ class RetrievalService:
         if cache_verify is None:
             cache_verify = profile.cache_verify if profile is not None else True
         self.cache_verify = bool(cache_verify)
-        if workers is None:
-            workers = profile.workers if profile is not None else 0
-        self.workers = max(0, int(workers or 0))
         self.retries = max(0, int(retries))
         self.retry_backoff = max(0.0, float(retry_backoff))
         self.retry_backoff_cap = max(0.0, float(retry_backoff_cap))
@@ -462,8 +436,6 @@ class RetrievalService:
         self._sessions: Dict[str, _Session] = {}
         self._lock = threading.Lock()
         self._next_sid = 0
-        self._executor: Optional[ProcessPoolExecutor] = None
-        self._executor_failed = False
         self._closed = False
 
     # ------------------------------------------------------------------ serve
@@ -523,12 +495,10 @@ class RetrievalService:
     ) -> ServiceResponse:
         roi_slices, selected = session.select(roi)
         target = _validated_target(session.stored_bound, error_bound)
-        served: Dict[str, _ShardServe] = {}
-        if self._pool_eligible(session, selected):
-            served.update(self._serve_pooled(session, selected, target))
-        for shard in selected:
-            if shard.name not in served:
-                served[shard.name] = self._serve_shard(session, shard.name, target)
+        served = {
+            shard.name: self._serve_shard(session, shard.name, target)
+            for shard in selected
+        }
         pieces = [(shard.slices, served[shard.name].data) for shard in selected]
         data = assemble(pieces, roi_slices, session.dtype)
         ranges: List[Tuple[str, int, int]] = []
@@ -949,85 +919,6 @@ class RetrievalService:
         )
         self.cache.put("slab", slab_key, entry, data.nbytes)
 
-    # ----------------------------------------------------------- pooled path
-
-    def _pool_eligible(self, session: _Session, selected) -> bool:
-        # Remote sessions stay in-process: pool workers re-open the
-        # container by local path, which a URL-backed session lacks.
-        return (
-            self.workers > 1
-            and session.kind == "container"
-            and not session.is_remote
-            and self.source_filter is None
-            and len(selected) > 1
-        )
-
-    def _serve_pooled(
-        self, session: _Session, selected, target: float
-    ) -> Dict[str, _ShardServe]:
-        """Decode every cache-missing shard through the persistent pool.
-
-        Only shards with neither a matching slab nor a usable rung go to the
-        pool; each worker opens its own reader, so the parent's pinned
-        reader performs zero physical reads for them.  Pool results populate
-        the slab tier (not the rung tier — the retriever state lives in the
-        worker) and are accounted exactly like a serial cold read.
-        """
-        missing: List[Tuple[str, Tuple]] = []
-        for shard in selected:
-            meta, _, _ = session.shard_meta(shard.name)
-            keep = self._plan_keep(meta, target)
-            keep_sig = tuple(sorted(keep.items()))
-            with session.shard_lock(shard.name):
-                slab_key = (session.sid, shard.name, keep_sig)
-                if self.cache.get("slab", slab_key, count=False) is not None:
-                    continue
-                rung = self.cache.get("rung", (session.sid, shard.name), count=False)
-                if rung is not None and all(
-                    rung.retriever.current_keep.get(level, 0) <= k
-                    for level, k in keep.items()
-                ):
-                    continue
-            missing.append((shard.name, keep_sig))
-        if len(missing) <= 1:
-            return {}
-        payloads = [(str(session.path), name, float(target)) for name, _ in missing]
-        served: Dict[str, _ShardServe] = {}
-        keep_sigs = dict(missing)
-        for name, trace, bound, data in imap_fallback(
-            _cold_shard_worker, payloads, self.workers, executor=self._pool()
-        ):
-            serve = _ShardServe(
-                data=data,
-                ranges=[(int(o), int(n)) for o, n in trace],
-                bound=bound,
-                planned_bytes=self._planned_bytes(
-                    session.shard_meta(name)[0],
-                    dict(keep_sigs[name]),
-                ),
-                physical_reads=len(trace),
-                physical_bytes=sum(n for _, n in trace),
-                retries=0,
-                tier="pool",
-            )
-            with session.shard_lock(name):
-                self.cache.record("slab", hit=False)
-                self._insert_slab((session.sid, name, keep_sigs[name]), serve)
-            served[name] = serve
-        return served
-
-    def _pool(self) -> Optional[ProcessPoolExecutor]:
-        """The persistent shared executor, lazily started; None if it can't be."""
-        if self._executor is not None or self._executor_failed:
-            return self._executor
-        with self._lock:
-            if self._executor is None and not self._executor_failed:
-                try:
-                    self._executor = ProcessPoolExecutor(max_workers=self.workers)
-                except (OSError, ValueError, RuntimeError, NotImplementedError):
-                    self._executor_failed = True
-        return self._executor
-
     # -------------------------------------------------------------- sessions
 
     def _session(self, path: Union[str, Path]) -> _Session:
@@ -1094,9 +985,6 @@ class RetrievalService:
             for session in self._sessions.values():
                 session.close()
             self._sessions.clear()
-            if self._executor is not None:
-                self._executor.shutdown()
-                self._executor = None
 
     def __enter__(self) -> "RetrievalService":
         return self

@@ -8,6 +8,8 @@ runs in seconds; the benchmarks under ``benchmarks/`` use the realistic
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
+import os
 import threading
 import time
 import zlib
@@ -94,10 +96,26 @@ def oracle(monkeypatch):
     return install
 
 
-# ------------------------------------------------------- remote leak ledger
+# -------------------------------------------------------------- leak ledger
 
 #: Test modules that open sockets; the ledger below audits each of their tests.
 _REMOTE_MODULES = ("test_remote", "test_aio")
+
+#: Test modules that reach the process pool and its shared-memory segments.
+_POOL_MODULES = (
+    "test_parallel",
+    "test_retrieval_engine",
+    "test_properties_dataset",
+    "test_fused_pipeline",
+)
+
+
+def _shm_segments() -> set:
+    """Names of the ``multiprocessing.shared_memory`` segments that exist."""
+    try:
+        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+    except OSError:  # no /dev/shm here: nothing can leak into it
+        return set()
 
 
 def _settles(predicate, timeout: float = 3.0) -> bool:
@@ -123,13 +141,27 @@ async def _pending_tasks() -> int:
 
 @pytest.fixture(autouse=True)
 def leak_ledger(request, monkeypatch):
-    """After each remote test nothing it started is still running.
+    """After each audited test nothing it started is still running.
 
-    No ``repro-hedge*`` thread, no new non-daemon thread, no task on the
-    shared event loop beyond the baseline, and every :class:`RangeServer`
-    the test used (its own, plus the module's ``server`` / ``replica``)
-    back at ``open_connections == 0`` — i.e. every stack got closed.
+    Remote modules: no ``repro-hedge*`` thread, no new non-daemon thread,
+    no task on the shared event loop beyond the baseline, and every
+    :class:`RangeServer` the test used (its own, plus the module's
+    ``server`` / ``replica``) back at ``open_connections == 0`` — i.e.
+    every stack got closed.  Pool modules: no ``/dev/shm/psm_*`` segment
+    and no child process the test created remains — error paths included
+    (a worker that raises, a partial-coverage decode).
     """
+    if request.module.__name__ in _POOL_MODULES:
+        segments = _shm_segments()
+        children = set(multiprocessing.active_children())
+        yield
+        assert _settles(lambda: _shm_segments() <= segments), sorted(
+            _shm_segments() - segments
+        )
+        assert _settles(
+            lambda: set(multiprocessing.active_children()) <= children
+        ), multiprocessing.active_children()
+        return
     if request.module.__name__ not in _REMOTE_MODULES:
         yield
         return

@@ -257,8 +257,25 @@ def test_error_path_returns_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_retrieve_prefetch_and_workers_flags(tmp_path, raw_field, capsys):
-    """--prefetch/--no-prefetch/--workers: identical output and accounting."""
+def test_retrieve_prefetch_and_workers_flags(tmp_path, raw_field, capsys, monkeypatch):
+    """--prefetch/--no-prefetch/--workers: identical output and accounting;
+    no flag on a local file is the library's default — a synchronous read."""
+    import threading
+
+    started = []
+    real_start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+
+    def prefetch_threads():
+        names = [n for n in started if n.startswith("repro-prefetch")]
+        started.clear()
+        return names
+
     _, raw_path = raw_field
     container = tmp_path / "density.rprc"
     main(["compress", str(raw_path), "-o", str(container), "--shape", "16x18x20",
@@ -268,8 +285,9 @@ def test_retrieve_prefetch_and_workers_flags(tmp_path, raw_field, capsys):
         "sync": ["--no-prefetch"],
         "prefetch": ["--prefetch", "8"],
         "pool": ["--workers", "2", "--no-prefetch"],
+        "default": [],
     }
-    outputs, reports = {}, {}
+    outputs, reports, threads = {}, {}, {}
     for label, extra in variants.items():
         out = tmp_path / f"{label}.d64"
         assert main(
@@ -278,19 +296,25 @@ def test_retrieve_prefetch_and_workers_flags(tmp_path, raw_field, capsys):
         ) == 0
         outputs[label] = out.read_bytes()
         reports[label] = capsys.readouterr().out
-    assert outputs["sync"] == outputs["prefetch"] == outputs["pool"]
+        threads[label] = prefetch_threads()
+    assert len(set(outputs.values())) == 1
     # The printed byte accounting is identical across execution paths.
     assert len({r.split("(")[0] for r in reports.values()}) == 1
-    # Single streams accept the prefetch flags too.
+    assert threads["prefetch"] and not threads["default"] and not threads["sync"]
+    # Single streams accept the prefetch flags too, and default the same way.
     stream = tmp_path / "density.ipc"
     main(["compress", str(raw_path), "-o", str(stream), "--shape", "16x18x20",
           "--eb", "1e-5"])
-    a, b = tmp_path / "a.d64", tmp_path / "b.d64"
+    a, b, c = tmp_path / "a.d64", tmp_path / "b.d64", tmp_path / "c.d64"
     assert main(["retrieve", str(stream), "-o", str(a),
                  "--error-bound", "1e-3", "--prefetch", "4"]) == 0
+    assert prefetch_threads()
     assert main(["retrieve", str(stream), "-o", str(b),
                  "--error-bound", "1e-3", "--no-prefetch"]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    assert main(["retrieve", str(stream), "-o", str(c),
+                 "--error-bound", "1e-3"]) == 0
+    assert not prefetch_threads()
+    assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
 def test_retrieve_profile_file_runtime_knobs(tmp_path, raw_field, capsys):

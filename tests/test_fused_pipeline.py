@@ -151,18 +151,3 @@ def test_compress_into_streaming_and_keep_blobs(tmp_path):
     with BlockContainerReader(path) as reader:
         stored = [reader.read_block(n) for n in order]
     assert stored == [b.blob for b in comp.compress(field)]
-
-
-def test_compress_falls_back_without_shared_memory(monkeypatch, smooth_3d):
-    from repro.parallel import executor as executor_module
-
-    monkeypatch.setattr(executor_module, "_shared_memory", None)
-    comp = executor_module.BlockParallelCompressor(
-        error_bound=1e-5, relative=True, n_blocks=2, workers=2
-    )
-    serial = executor_module.BlockParallelCompressor(
-        error_bound=1e-5, relative=True, n_blocks=2, workers=0
-    )
-    assert [b.blob for b in comp.compress(smooth_3d)] == [
-        b.blob for b in serial.compress(smooth_3d)
-    ]

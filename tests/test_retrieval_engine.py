@@ -33,7 +33,6 @@ from repro.io.container import FileSource
 from repro.parallel.executor import BlockParallelCompressor
 from repro.retrieval.plan import coalesce_blocks, plan_stream_ops
 from repro.retrieval.prefetch import Prefetcher, PrefetchSource
-from repro.retrieval.pooldecode import pooled_reassemble
 
 DATA = Path(__file__).parent / "data"
 
@@ -359,67 +358,98 @@ def test_v1_container_decodes_the_pinned_payload(tmp_path, v1_blob):
 # ------------------------------------------------------------- pool decode
 
 
-def test_pooled_reassemble_matrix_identical(smooth_3d):
-    comp = BlockParallelCompressor(
-        error_bound=1e-5, relative=True, n_blocks=4, workers=0
+def _write_and_read(path, field, workers):
+    """One pooled-or-not write + full and ROI reads; everything comparable."""
+    ChunkedDataset.write(
+        path, field, error_bound=1e-5, relative=True, n_blocks=4, workers=workers
     )
-    blocks = comp.compress(smooth_3d)
-    serial = pooled_reassemble(blocks, smooth_3d.shape, workers=0)
-    pooled = pooled_reassemble(blocks, smooth_3d.shape, workers=2)
-    assert serial.tobytes() == pooled.tobytes()
-    partial_serial = pooled_reassemble(
-        blocks, smooth_3d.shape, workers=0, error_bound=1e-2
-    )
-    partial_pooled = pooled_reassemble(
-        blocks, smooth_3d.shape, workers=2, error_bound=1e-2
-    )
-    assert partial_serial.tobytes() == partial_pooled.tobytes()
+    with ChunkedDataset(path, workers=workers) as dataset:
+        eb = dataset.absolute_bound
+        reads = [
+            dataset.read(error_bound=eb * 16),
+            dataset.read(error_bound=eb * 16, roi=(slice(2, 14),)),
+        ]
+    return path.read_bytes(), [
+        (r.data.tobytes(), r.bytes_loaded, sorted(r.ranges), r.shards) for r in reads
+    ]
 
 
-def test_pooled_reassemble_without_shared_memory(monkeypatch, smooth_3d):
-    from repro.parallel import poolmap as poolmap_module
-    from repro.retrieval import pooldecode as pooldecode_module
+def test_kept_pool_paths_build_a_pool_and_match_in_process(tmp_path, monkeypatch):
+    """Write and read (full, ROI) really cross the process boundary with
+    ``workers=2`` — and produce the in-process bytes, ranges and counts."""
+    from repro.parallel import poolmap
 
-    monkeypatch.setattr(poolmap_module, "shared_memory", None)
-    comp = BlockParallelCompressor(
-        error_bound=1e-5, relative=True, n_blocks=3, workers=2
+    built = []
+    real_pool = poolmap.ProcessPoolExecutor
+
+    def counting_pool(*args, **kwargs):
+        built.append(kwargs)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(poolmap, "ProcessPoolExecutor", counting_pool)
+    field = _field((24, 14, 10), 4)
+    assert _write_and_read(tmp_path / "serial.rprc", field, 0) == _write_and_read(
+        tmp_path / "pooled.rprc", field, 2
     )
-    blocks = comp.compress(smooth_3d)
-    pickled = pooldecode_module.pooled_reassemble(
-        blocks, smooth_3d.shape, workers=2
-    )
-    serial = pooldecode_module.pooled_reassemble(blocks, smooth_3d.shape, workers=0)
-    assert pickled.tobytes() == serial.tobytes()
+    assert len(built) == 3  # one per pooled op: write, full read, ROI read
 
 
-def test_pooled_reassemble_rejects_partial_coverage(smooth_3d):
+@pytest.mark.parametrize("direction", ["write", "read"])
+def test_no_shared_memory_runs_in_process(tmp_path, monkeypatch, direction):
+    """Shared memory or in-process: without a segment no pool is built."""
+    from repro.parallel import poolmap
+
+    def no_pool(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("no segment, so no pool may be constructed")
+
+    field = _field((24, 14, 10), 4)
+    serial = _write_and_read(tmp_path / "serial.rprc", field, 0)
+    monkeypatch.setattr(poolmap, "create_segment", lambda nbytes: None)
+    monkeypatch.setattr(poolmap, "ProcessPoolExecutor", no_pool)
+    if direction == "write":
+        ChunkedDataset.write(
+            tmp_path / "w.rprc", field, error_bound=1e-5, relative=True,
+            n_blocks=4, workers=2,
+        )
+        assert (tmp_path / "w.rprc").read_bytes() == serial[0]
+    else:
+        (tmp_path / "r.rprc").write_bytes(serial[0])
+        with ChunkedDataset(tmp_path / "r.rprc", workers=2) as dataset:
+            eb = dataset.absolute_bound
+            for roi, expected in zip((None, (slice(2, 14),)), serial[1]):
+                r = dataset.read(error_bound=eb * 16, roi=roi)
+                assert (
+                    r.data.tobytes(), r.bytes_loaded, sorted(r.ranges), r.shards
+                ) == expected
+
+
+def test_decompress_rejects_partial_coverage(smooth_3d):
     from repro.errors import ConfigurationError
 
     comp = BlockParallelCompressor(
-        error_bound=1e-4, relative=True, n_blocks=4, workers=0
+        error_bound=1e-4, relative=True, n_blocks=4, workers=2
     )
     blocks = comp.compress(smooth_3d)
     with pytest.raises(ConfigurationError):
-        pooled_reassemble(blocks[:-1], smooth_3d.shape, workers=0)
-    with pytest.raises(ConfigurationError):
-        pooled_reassemble(blocks[:-1], smooth_3d.shape, workers=2)
+        comp.decompress(blocks[:-1], smooth_3d.shape)
 
 
 def test_pool_worker_errors_propagate(tmp_path):
     """A corrupt shard is a real error on the pool path, not a fallback."""
+    from repro.errors import ReproError
+    from repro.io import BlockContainerReader
+
     field = _field((16, 10), 5)
     path = tmp_path / "x.rprc"
     ChunkedDataset.write(path, field, error_bound=1e-4, n_blocks=2, workers=0)
-    comp = BlockParallelCompressor(error_bound=1e-4, n_blocks=2, workers=2)
-    from repro.io import BlockContainerReader
-
     with BlockContainerReader(path) as reader:
-        blocks = comp.blocks_from_entries(reader)
-    blocks[1].__dict__["blob"] = b"IPC1 garbage that is not a stream"
-    from repro.errors import ReproError
-
-    with pytest.raises(ReproError):
-        comp.decompress(blocks, field.shape)
+        offset = int(reader.directory["shard-0001"]["offset"])
+    with open(path, "r+b") as handle:
+        handle.seek(offset)
+        handle.write(b"IPC1 garbage that is not a stream")
+    with ChunkedDataset(path, workers=2) as dataset:
+        with pytest.raises(ReproError):
+            dataset.read()
 
 
 # -------------------------------------------------------- engine speculation

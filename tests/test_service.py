@@ -259,25 +259,6 @@ def test_eviction_pressure_stays_correct_and_bounded(tmp_path):
         assert sum(service.cache.stats.evictions.values()) > 0
 
 
-# ------------------------------------------------------------- pooled decode
-
-
-def test_pooled_service_identity_and_warm_hits(tmp_path):
-    path = _v2_container(tmp_path)
-    stored = _serial(path, None, None).error_bound
-    bound = stored * 16.0
-    oracle = _serial(path, bound, None)
-    with RetrievalService(workers=2) as service:
-        cold = service.get(path, error_bound=bound)
-        assert np.array_equal(cold.data, oracle.data)
-        assert cold.trace.bytes_loaded == oracle.bytes_loaded
-        assert sorted(cold.trace.ranges) == sorted(oracle.ranges)
-        warm = service.get(path, error_bound=bound)
-        assert np.array_equal(warm.data, oracle.data)
-        assert warm.trace.physical_reads == 0
-        assert sorted(warm.trace.ranges) == sorted(oracle.ranges)
-
-
 # --------------------------------------------------------- session lifecycle
 
 
@@ -324,7 +305,6 @@ def test_profile_cache_knobs_flow_into_service():
     try:
         assert service.cache.budget_bytes == 12345
         assert service.cache_verify is False
-        assert service.workers == 3
     finally:
         service.close()
     # Explicit keywords override the profile; 0 falls back to the default.

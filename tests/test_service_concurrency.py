@@ -20,7 +20,6 @@ and shared (use ``local_rng`` in new tests that need randomness).
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -203,25 +202,3 @@ def test_budget_invariant_under_concurrent_eviction(container, matrix):
         assert sum(service.cache.stats.evictions.values()) > 0
         stats = service.stats()
         assert stats["requests"] == N_THREADS * len(requests)
-
-
-def test_concurrent_threads_with_persistent_pool(container, matrix):
-    """Thread concurrency composes with the shared process pool: pooled
-    cold decodes and threaded warm hits agree with the serial oracle."""
-    requests, oracles = matrix
-    with RetrievalService(workers=2) as service:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            keys = [0, 1, 0, 1, 6, 6, 2, 3]
-            futures = [
-                pool.submit(
-                    service.get, container,
-                    error_bound=requests[k][1], roi=requests[k][0],
-                )
-                for k in keys
-            ]
-            for k, future in zip(keys, futures):
-                response = future.result()
-                assert np.array_equal(response.data, oracles[k].data)
-                assert response.trace.bytes_loaded == oracles[k].bytes_loaded
-                assert sorted(response.trace.ranges) == sorted(oracles[k].ranges)
-        assert service.stats()["requests"] == len(keys)

@@ -1,17 +1,14 @@
 """Fault injection against the serving layer's degradation ladder.
 
 Injected failures — flaky byte-range sources (:mod:`repro.io.faults`
-plans raising or short-reading on scheduled global read numbers),
-poisoned cache entries, a broken persistent pool — must degrade exactly
-along the ladder the rest of the repo uses:
+plans raising or short-reading on scheduled global read numbers) and
+poisoned cache entries — must degrade exactly along the ladder the rest of
+the repo uses:
 
 * a bad *source* costs the attempt (and any tier entry built from it) and
   is retried from scratch up to ``retries`` times before propagating;
 * a slab entry whose bytes stopped matching its insert-time checksum is
-  invalidated and recomputed, never served (``cache_verify``);
-* a broken lent process pool finishes the work in-process with
-  bit-identical results (environment failures degrade; logic failures
-  still propagate).
+  invalidated and recomputed, never served (``cache_verify``).
 
 NB: module-local data only — the conftest ``rng`` fixture is session-scoped
 and shared (use ``local_rng`` in new tests that need randomness).
@@ -19,8 +16,6 @@ and shared (use ``local_rng`` in new tests that need randomness).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +24,6 @@ import pytest
 from repro import ChunkedDataset, IPComp
 from repro.errors import ConfigurationError
 from repro.io.faults import FaultInjector, FaultPlan
-from repro.parallel.poolmap import imap_fallback
 from repro.service import RetrievalService
 
 
@@ -239,38 +233,3 @@ def test_zero_backoff_disables_pacing(tmp_path):
     assert response.trace.retries == 1
     assert all(delay == 0.0 for delay in slept)
     assert all(delay == 0.0 for delay in response.trace.retry_delays)
-
-
-# --------------------------------------------------------------- broken pool
-
-
-class _BrokenPool:
-    """A persistent pool whose workers have already died."""
-
-    def submit(self, *args, **kwargs):
-        raise BrokenProcessPool("injected: worker processes are gone")
-
-    def shutdown(self, *args, **kwargs):
-        pass
-
-
-def test_broken_persistent_pool_degrades_in_process(tmp_path):
-    path = _make_container(tmp_path)
-    oracle = _serial(path)
-    with RetrievalService(workers=2) as service:
-        service._executor = _BrokenPool()  # the lazy _pool() now lends this
-        response = service.get(path)
-        assert np.array_equal(response.data, oracle.data)
-        assert response.trace.bytes_loaded == oracle.bytes_loaded
-        assert sorted(response.trace.ranges) == sorted(oracle.ranges)
-        warm = service.get(path)
-        assert warm.trace.physical_reads == 0
-        assert np.array_equal(warm.data, oracle.data)
-
-
-def test_imap_fallback_never_shuts_down_a_lent_pool():
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        results = list(imap_fallback(len, [b"aa", b"bbb", b"c"], 2, executor=pool))
-        assert results == [2, 3, 1]
-        # The lent pool is still alive and usable after the call.
-        assert pool.submit(len, b"dddd").result() == 4
