@@ -1,29 +1,30 @@
-"""End-to-end retrieval throughput: sync vs prefetch vs pool decode.
+"""End-to-end retrieval throughput: sync vs pool decode vs remote reads.
 
 The decode-side companion of ``bench_pipeline_e2e``: it measures the
-retrieval engine's three execution paths over a file-backed chunked dataset
-and emits **`BENCH_retrieval.json`** at the repo root:
+retrieval engine's execution paths over a file-backed chunked dataset and
+emits **`BENCH_retrieval.json`** at the repo root:
 
-1. **Full-field read** — output MB/s for the synchronous path and the
-   prefetching path (range reads overlapped with decode) on the scale's
-   field; their ratio is reported, never gated (threads over the page
-   cache do not win on a local file).  The **pool decode stage** is timed
-   where a process pool can win — the archive ``bench_pipeline_e2e``'s
-   pool leg uses at every scale (the ``benchmarks/e2e`` field size, 16
-   shards): ``workers=2`` against the synchronous read as medians over
-   alternating pairs after untimed warm-ups (``pool_e2e``, recorded
-   with the box's ``cpu_count``; a 1-core CI box cannot scale, so the pool
-   floor only applies on ≥ 2 cores).
+1. **Full-field read** — output MB/s of the synchronous read on the
+   scale's field (a local file has no other in-process path).  The **pool
+   decode stage** is timed where a process pool can win — the archive
+   ``bench_pipeline_e2e``'s pool leg uses at every scale (the
+   ``benchmarks/e2e`` field size, 16 shards): ``workers=2`` against the
+   synchronous read as medians over alternating pairs after untimed
+   warm-ups (``pool_e2e``, recorded with the box's ``cpu_count``; a
+   1-core CI box cannot scale, so the pool floor only applies on ≥ 2
+   cores).
 2. **ROI reads** — bytes-touched fraction for a ≤ 1/4-volume region
    (the Figure 6 headline), identical across execution paths.
-3. **Refinement ladder** — a 4-rung ``refine()`` ladder under prefetch
-   with speculation: zero re-read ranges and byte counts identical to the
-   synchronous ladder (hard-gated; this is the accounting contract).
-4. **Single-stream decode** — the bare ``.ipc`` file path through
-   ``open_stream_source`` with and without prefetch.
+3. **Refinement ladder** — a 4-rung ``refine()`` ladder over loopback
+   HTTP, multiplexed with rung speculation: zero re-read ranges and byte
+   counts identical to the local synchronous ladder (hard-gated; this is
+   the accounting contract).
+4. **Single-stream decode** — a bare ``.ipc`` file read through
+   ``ChunkedDataset`` (a one-shard dataset), identical to the bare
+   retriever.
 5. **Loopback HTTP** — a container served by
    :class:`repro.io.rangeserver.RangeServer` and read through the
-   resilient remote stack, one leg per prefetch depth (``serial`` = 0,
+   resilient remote stack, one leg per ``prefetch`` value (``serial`` = 0,
    one range on the wire at a time, vs the ``multiplexed`` default) ×
    server condition (clean vs a 20 ms/read latency plan): MB/s per leg
    is recorded with its ``prefetch`` and ``latency_plan``; byte identity
@@ -56,14 +57,13 @@ from repro import ChunkedDataset, IPComp, ProgressiveRetriever
 from repro.io.aio import OPENING_WINDOW, open_remote_source
 from repro.io.faults import FaultPlan
 from repro.io.rangeserver import RangeServer
-from repro.retrieval.engine import open_stream_source
+from repro.retrieval.prefetch import DEFAULT_PREFETCH_DEPTH
 
 BENCH_JSON = REPO_ROOT / "BENCH_retrieval.json"
 FLOOR_FILE = REPO_ROOT / "benchmarks" / "perf_floor.json"
 
 BOUND = 1e-5
 N_BLOCKS = 8
-_PREFETCH_DEPTH = 4
 #: The pool leg's archive, whatever the scale (bench_pipeline_e2e's too).
 _POOL_SHAPE = (128, 136, 120)
 _POOL_BLOCKS = 16
@@ -118,26 +118,11 @@ def _read_once(path, **knobs):
 def _run_full_reads(path, field):
     mb = field.nbytes / 1e6
     reference = _read_once(path)
-    modes = {}
     sync_s = _best_seconds(lambda: _read_once(path), 3)
-    modes["sync"] = {"mbps": round(mb / sync_s, 3), "seconds": round(sync_s, 4)}
-    prefetch_s = _best_seconds(
-        lambda: _read_once(path, prefetch=_PREFETCH_DEPTH), 3
-    )
-    modes["prefetch"] = {
-        "mbps": round(mb / prefetch_s, 3), "seconds": round(prefetch_s, 4)
-    }
-    identical = True
-    for knobs in ({"prefetch": _PREFETCH_DEPTH}, {"workers": 2}):
-        identical &= (
-            _read_once(path, **knobs).data.tobytes() == reference.data.tobytes()
-        )
     return {
-        "modes": modes,
-        "speedup_prefetch_over_sync": round(
-            modes["prefetch"]["mbps"] / modes["sync"]["mbps"], 3
-        ),
-        "paths_byte_identical": bool(identical),
+        "modes": {"sync": {"mbps": round(mb / sync_s, 3), "seconds": round(sync_s, 4)}},
+        "paths_byte_identical": _read_once(path, workers=2).data.tobytes()
+        == reference.data.tobytes(),
     }
 
 
@@ -192,10 +177,7 @@ def _run_roi(path, field):
         slice(0, max(1, s // 2)) for s in field.shape[1:]
     )
     results = {}
-    for label, knobs in (
-        ("sync", {}), ("prefetch", {"prefetch": _PREFETCH_DEPTH}),
-        ("pool", {"workers": 2}),
-    ):
+    for label, knobs in (("sync", {}), ("pool", {"workers": 2})):
         with ChunkedDataset(path, **knobs) as dataset:
             full = dataset.read()
             with ChunkedDataset(path, **knobs) as fresh:
@@ -222,8 +204,9 @@ def _run_refine_ladder(path):
         eb = dataset.absolute_bound
         ladder = [eb * k for k in (1024, 64, 8, 1)]
         sync = [dataset.refine(error_bound=target) for target in ladder]
-    with ChunkedDataset(path, prefetch=_PREFETCH_DEPTH) as dataset:
-        spec = [dataset.refine(error_bound=target) for target in ladder]
+    with RangeServer(path.parent) as server:
+        with ChunkedDataset(server.url_for(path.name)) as dataset:
+            spec = [dataset.refine(error_bound=target) for target in ladder]
     seen = set()
     re_read = 0
     for step in spec:
@@ -245,36 +228,28 @@ def _run_refine_ladder(path):
 
 def _run_stream(tmp_path, field):
     mb = field.nbytes / 1e6
+    blob = IPComp(error_bound=BOUND, relative=True).compress(field)
     path = tmp_path / "stream.ipc"
-    path.write_bytes(IPComp(error_bound=BOUND, relative=True).compress(field))
-
-    def read(prefetch):
-        source = open_stream_source(path, prefetch=prefetch)
-        try:
-            retriever = ProgressiveRetriever(source)
-            return retriever.retrieve(error_bound=retriever.header.error_bound)
-        finally:
-            source.close()
-
-    sync_s = _best_seconds(lambda: read(0), 3)
-    prefetch_s = _best_seconds(lambda: read(_PREFETCH_DEPTH), 3)
+    path.write_bytes(blob)
+    retriever = ProgressiveRetriever(blob)
+    bare = retriever.retrieve(error_bound=retriever.header.error_bound)
+    sync_s = _best_seconds(lambda: _read_once(path), 3)
     return {
         "sync_mbps": round(mb / sync_s, 3),
-        "prefetch_mbps": round(mb / prefetch_s, 3),
-        "identical": read(0).data.tobytes() == read(_PREFETCH_DEPTH).data.tobytes(),
+        "identical": _read_once(path).data.tobytes() == bare.data.tobytes(),
     }
 
 
 def _run_remote(tmp_path, path, field):
-    """Loopback-HTTP legs: prefetch depth × server condition through the stack.
+    """Loopback-HTTP legs: serial/multiplexed × server condition through the stack.
 
     Clean legs are the stack's fixed-overhead measurement: bytes identical
     to the local read (hard gate elsewhere), zero retries (ditto), and the
     remote/local latency ratio is the per-request cost of HTTP framing —
     recorded, never gated, since it is pure hardware/loopback noise.  The
-    20 ms/read latency legs isolate request concurrency: at depth 0 every
-    plane block is its own round trip, one at a time, while the default
-    depth reads the plan in three waves (open, shard headers, payload)
+    20 ms/read latency legs isolate request concurrency: at ``prefetch=0``
+    every plane block is its own round trip, one at a time, while the
+    default reads the plan in three waves (open, shard headers, payload)
     over the connection pool, so its speedup there is network-bound and
     gated even on a 1-core box.
     """
@@ -328,7 +303,7 @@ def _run_remote(tmp_path, path, field):
 
     latency_plan = FaultPlan.always("latency", seconds=_REMOTE_LATENCY_S)
     legs = {}
-    for label, prefetch in (("serial", 0), ("multiplexed", _PREFETCH_DEPTH)):
+    for label, prefetch in (("serial", 0), ("multiplexed", DEFAULT_PREFETCH_DEPTH)):
         legs[f"{label}/clean"] = leg(prefetch, None)
         legs[f"{label}/latency"] = leg(prefetch, latency_plan)
     return {
@@ -363,7 +338,7 @@ def _check_floor(payload) -> list:
             failures.append(
                 f"retrieval {mode}: {measured} MB/s < 70% of floor {minimum} MB/s"
             )
-    # Remote floors arm per leg (prefetch depth × condition): a regression
+    # Remote floors arm per leg (serial/multiplexed × condition): a regression
     # in one cannot hide behind the other's healthy number.
     for leg_label, minimum in floor.get("remote_mbps", {}).items():
         measured = (
@@ -399,12 +374,11 @@ def test_retrieval_e2e(benchmark, results_dir, tmp_path):
     def _run():
         full_read = _run_full_reads(path, field)
         return {
-            "schema": "bench-retrieval-e2e/v5",
+            "schema": "bench-retrieval-e2e/v6",
             "scale": BENCH_SCALE,
             "shape": list(shape),
             "field_mb": round(field.nbytes / 1e6, 3),
             "n_blocks": N_BLOCKS,
-            "prefetch_depth": _PREFETCH_DEPTH,
             "full_read": full_read,
             "pool_e2e": _run_pool(tmp_path),
             "roi": _run_roi(path, field),
@@ -418,7 +392,6 @@ def test_retrieval_e2e(benchmark, results_dir, tmp_path):
     header = ["path", "MB/s"]
     rows = [
         ["sync", payload["full_read"]["modes"]["sync"]["mbps"]],
-        ["prefetch", payload["full_read"]["modes"]["prefetch"]["mbps"]],
         ["e2e-size/sync", payload["pool_e2e"]["sync"]["mbps"]],
         [f"e2e-size/workers={_POOL_WORKERS}", payload["pool_e2e"]["pool"]["mbps"]],
     ] + [
@@ -440,8 +413,7 @@ def test_retrieval_e2e(benchmark, results_dir, tmp_path):
     print(
         f"roi: {payload['roi']['roi_volume_fraction']:.3f} of the volume → "
         f"{payload['roi']['bytes_fraction']:.3f} of the bytes; "
-        f"prefetch {payload['full_read']['speedup_prefetch_over_sync']}x sync "
-        f"(ungated); pool {payload['pool_e2e']['speedup_pool_over_sync']}x sync at "
+        f"pool {payload['pool_e2e']['speedup_pool_over_sync']}x sync at "
         f"the e2e size ({payload['pool_e2e']['pool_wins']}/{_POOL_PAIRS} pairs) "
         f"on {payload['pool_e2e']['cpu_count']} core(s)"
     )
@@ -459,8 +431,8 @@ def test_retrieval_e2e(benchmark, results_dir, tmp_path):
     # A ≤ 1/4-volume ROI must touch well under half the full-read bytes.
     assert payload["roi"]["roi_volume_fraction"] <= 0.25
     assert payload["roi"]["bytes_fraction"] < 0.5, payload["roi"]
-    # Loopback HTTP: identical bytes on every depth × condition leg, clean
-    # runs never retry, and the default depth genuinely multiplexes
+    # Loopback HTTP: identical bytes on every leg, clean runs never retry,
+    # and the default genuinely multiplexes
     # (window > 1 on the wire) and beats the serial read by ≥ 2x when each
     # read costs 20 ms — network-bound, so valid on any core count.
     for label, leg in payload["remote_http"]["legs"].items():

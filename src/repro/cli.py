@@ -8,7 +8,7 @@ Subcommands::
     ipcomp decompress OUT.ipc  -o RESTORED.raw
     ipcomp retrieve   OUT.ipc  -o PARTIAL.raw (--error-bound 1e-3 | --bitrate 2.0)
     ipcomp retrieve   OUT.rprc -o ROI.raw --roi 0:16,:,: --error-bound 1e-3
-    ipcomp retrieve   OUT.rprc -o ROI.raw --roi ... --workers 4 --prefetch 8
+    ipcomp retrieve   OUT.rprc -o ROI.raw --roi ... --workers 4
     ipcomp info       OUT.ipc             # header: version, levels, per-plane codec
     ipcomp info       OUT.rprc            # manifest + per-shard header summary
     ipcomp info       OUT.rprc --roi 0:16,:,: --error-bound 1e-3  # + retrieval plan
@@ -25,13 +25,15 @@ Subcommands::
 Raw inputs follow the SDRBench layout (headerless little-endian binary); the
 shape is passed as ``AxBxC``.  ``compress --blocks N`` writes a sharded
 :class:`~repro.io.ChunkedDataset` container instead of a single stream;
-``retrieve`` detects the format from the file and, for containers, serves
-``--roi START:STOP,...`` regions by opening only the intersecting shards.
+every reading subcommand opens either kind through
+:class:`~repro.io.ChunkedDataset` — a bare stream is a dataset of one shard
+— so ``--roi START:STOP,...`` works on both (a container opens only the
+intersecting shards) and ``--bitrate`` on any single-shard input.
 Retrieval runs the plan → prefetch → pool-decode pipeline of
-:mod:`repro.retrieval`: ``--prefetch N`` bounds the background range reads
-in flight (``--no-prefetch`` reads synchronously; with neither flag nor a
-profile file the library's default applies — a URL prefetches at depth 4,
-a local file reads synchronously) and ``--workers N`` pool-decodes the
+:mod:`repro.retrieval`: over a URL the planned ranges are multiplexed
+(``--prefetch 0`` / ``--no-prefetch`` reads one range at a time; any
+positive ``--prefetch`` means the default), a local file reads
+synchronously whatever the flag says, and ``--workers N`` pool-decodes the
 shards of a local container in worker processes through one shared-memory
 output segment (in-process when there is none) — both pure runtime choices
 with bitwise-identical output and identical reported byte counts.
@@ -74,17 +76,13 @@ import json
 import sys
 from pathlib import Path
 
-from repro import ChunkedDataset, CodecProfile, IPComp, ProgressiveRetriever
+from repro import ChunkedDataset, CodecProfile, IPComp
 from repro.analysis import summarize
-from repro.core.stream import IPCompStream
 from repro.datasets import dataset_table, load_dataset, load_raw, save_raw
 from repro.errors import ConfigurationError, ReproError
-from repro.io import is_container
-from repro.io.container import sniff_container
 from repro.io.faults import FaultInjector, FaultPlan
 from repro.io.aio import open_remote_source
 from repro.io.remote import is_url
-from repro.retrieval.engine import open_stream_source
 from repro.service import RetrievalService
 
 
@@ -229,8 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_parse_roi,
         default=None,
         metavar="S:E,S:E,...",
-        help="region of interest (container inputs only): per-axis "
-        "start:stop, ':' keeps an axis whole",
+        help="region of interest: per-axis start:stop, ':' keeps an axis "
+        "whole (a container opens only the intersecting shards)",
     )
     retrieve.add_argument(
         "--workers",
@@ -247,14 +245,15 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="planned byte ranges kept in flight by the background "
-        "prefetcher (default: the profile file's, else 4 for a URL and "
-        "synchronous for a local file; reported bytes are unchanged)",
+        help="URL inputs: 0 reads one range at a time, any positive value "
+        "multiplexes the planned ranges (default: the profile file's, else "
+        "multiplexed); a local file reads synchronously whatever it says; "
+        "reported bytes are unchanged",
     )
     prefetch_group.add_argument(
         "--no-prefetch",
         action="store_true",
-        help="read every planned range synchronously",
+        help="same as --prefetch 0",
     )
     _add_profile_arguments(retrieve, full=False)
 
@@ -268,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="S:E,S:E,...",
         help="also print the retrieval plan (fetch ops, coalesced ranges, "
-        "predicted bytes) for this region (container inputs only)",
+        "predicted bytes) for this region",
     )
     info.add_argument(
         "--error-bound",
@@ -411,19 +410,12 @@ def _cmd_compress(args) -> int:
 
 def _cmd_decompress(args) -> int:
     file_knobs = _runtime_knobs_from_profile_file(args)
-    if is_container(args.input):
-        with ChunkedDataset(
-            args.input,
-            prefetch=file_knobs.get("prefetch"),
-            workers=file_knobs.get("workers"),
-        ) as dataset:
-            result = dataset.read()
-        save_raw(args.output, result.data)
-        print(f"decompressed to {args.output} shape={result.data.shape}")
-        return 0
-    blob = args.input.read_bytes()
-    retriever = ProgressiveRetriever(blob)
-    result = retriever.retrieve(error_bound=retriever.header.error_bound)
+    with ChunkedDataset(
+        args.input,
+        prefetch=file_knobs.get("prefetch"),
+        workers=file_knobs.get("workers"),
+    ) as dataset:
+        result = dataset.read()
     save_raw(args.output, result.data)
     print(f"decompressed to {args.output} shape={result.data.shape}")
     return 0
@@ -480,117 +472,52 @@ def _write_retrieve_trace(args, result, remote_stats) -> None:
     args.trace_json.write_text(json.dumps(receipt, indent=2), encoding="utf-8")
 
 
-def _cmd_retrieve_remote(args, prefetch, workers) -> int:
-    """``retrieve`` over an ``http(s)://`` URL: the resilient remote stack
-    (retries, CRC, optional mirrors / injected faults) feeds the same
-    plan → prefetch → decode pipeline; output is bitwise-identical to a
-    local read of the same file."""
-    injector = _fault_injector_from_args(args)
-    stack = open_remote_source(
-        args.input,
-        tuple(args.mirror or ()),
-        tamper=injector.tamper if injector is not None else None,
-    )
-    if sniff_container(stack):
-        if args.bitrate is not None:
-            stack.close()
-            raise ConfigurationError(
-                "container retrieval targets an error bound, not a bitrate"
-            )
-        # The dataset's reader owns (and closes) the stack.
-        with ChunkedDataset(
-            args.input, prefetch=prefetch, workers=workers, source=stack,
-        ) as dataset:
-            result = dataset.read(error_bound=args.error_bound, roi=args.roi)
-            save_raw(args.output, result.data)
-            file_bytes = dataset.file_bytes
-            n_shards = dataset.n_shards
-        stats = stack.stats()
-        print(
-            f"retrieved {result.bytes_loaded} B of {file_bytes} B over HTTP "
-            f"({len(result.shards)}/{n_shards} shards, "
-            f"{stats['egress_bytes']} B egress, {stats.get('retries', 0)} retries), "
-            f"guaranteed error <= {result.error_bound:.3e}"
-        )
-    else:
-        if args.roi is not None:
-            stack.close()
-            raise ConfigurationError(
-                "--roi requires a chunked container (compress with --blocks)"
-            )
-        source = open_stream_source(args.input, prefetch=prefetch, source=stack)
-        try:
-            retriever = ProgressiveRetriever(source)
-            result = retriever.retrieve(
-                error_bound=args.error_bound, bitrate=args.bitrate
-            )
-        finally:
-            close = getattr(source, "close", None)
-            if close is not None:
-                close()
-        save_raw(args.output, result.data)
-        stats = stack.stats()
-        print(
-            f"retrieved {result.bytes_loaded} B over HTTP "
-            f"({stats['egress_bytes']} B egress, {stats.get('retries', 0)} "
-            f"retries, {result.bitrate():.3f} bits/value), "
-            f"guaranteed error <= {result.error_bound:.3e}"
-        )
-    if injector is not None:
-        stats = {**stats, "faults": injector.stats()}
-    _write_retrieve_trace(args, result, stats)
-    return 0
-
-
 def _cmd_retrieve(args) -> int:
+    """``retrieve``: one path for files and URLs, containers and bare
+    streams — :class:`ChunkedDataset` opens them all.  Over an
+    ``http(s)://`` URL the resilient remote stack (retries, CRC, optional
+    mirrors / injected faults) feeds the same plan → prefetch → decode
+    pipeline; output is bitwise-identical to a local read of the file."""
     file_knobs = _runtime_knobs_from_profile_file(args)
     prefetch = _retrieve_prefetch_depth(args, file_knobs)
     workers = args.workers if args.workers is not None else file_knobs.get("workers")
+    stack = injector = None
     if is_url(args.input):
-        return _cmd_retrieve_remote(args, prefetch, workers)
-    if args.mirror or args.inject_faults is not None:
+        injector = _fault_injector_from_args(args)
+        stack = open_remote_source(
+            args.input,
+            tuple(args.mirror or ()),
+            tamper=injector.tamper if injector is not None else None,
+        )
+    elif args.mirror or args.inject_faults is not None:
         raise ConfigurationError(
             "--mirror and --inject-faults apply to http(s):// inputs "
             "(use 'serve --inject-faults' for local files)"
         )
-    if is_container(args.input):
-        if args.bitrate is not None:
-            raise ConfigurationError(
-                "container retrieval targets an error bound, not a bitrate"
-            )
-        with ChunkedDataset(args.input, prefetch=prefetch, workers=workers) as dataset:
-            result = dataset.read(error_bound=args.error_bound, roi=args.roi)
-            save_raw(args.output, result.data)
-            print(
-                f"retrieved {result.bytes_loaded} B of {dataset.file_bytes} B "
-                f"({len(result.shards)}/{dataset.n_shards} shards, "
-                f"{result.bitrate():.3f} bits/value), "
-                f"guaranteed error <= {result.error_bound:.3e}"
-            )
-        _write_retrieve_trace(args, result, None)
-        return 0
-    if args.roi is not None:
-        raise ConfigurationError(
-            "--roi requires a chunked container (compress with --blocks)"
+    # The dataset's reader owns (and closes) the stack.
+    with ChunkedDataset(
+        args.input, prefetch=prefetch, workers=workers, source=stack
+    ) as dataset:
+        result = dataset.read(
+            error_bound=args.error_bound, roi=args.roi, bitrate=args.bitrate
         )
-    # Single streams decode in-process (one stream, nothing to pool), but
-    # still run the plan → prefetch stages against the file: only the
-    # planned plane blocks are read, overlapped with decode when prefetch
-    # is on.
-    source = open_stream_source(args.input, prefetch=prefetch)
-    try:
-        retriever = ProgressiveRetriever(source)
-        result = retriever.retrieve(error_bound=args.error_bound, bitrate=args.bitrate)
-    finally:
-        close = getattr(source, "close", None)
-        if close is not None:
-            close()
-    save_raw(args.output, result.data)
-    print(
-        f"retrieved {result.bytes_loaded} B "
-        f"({result.bitrate():.3f} bits/value), guaranteed error <= {result.error_bound:.3e}"
-    )
-    _write_retrieve_trace(args, result, None)
+        save_raw(args.output, result.data)
+        summary = (
+            f"retrieved {result.bytes_loaded} B of {dataset.file_bytes} B "
+            f"({len(result.shards)}/{dataset.n_shards} shards, "
+            f"{result.bitrate():.3f} bits/value"
+        )
+    stats = None
+    if stack is not None:
+        stats = stack.stats()
+        summary += (
+            f", {stats['egress_bytes']} B egress over HTTP, "
+            f"{stats.get('retries', 0)} retries"
+        )
+        if injector is not None:
+            stats = {**stats, "faults": injector.stats()}
+    print(f"{summary}), guaranteed error <= {result.error_bound:.3e}")
+    _write_retrieve_trace(args, result, stats)
     return 0
 
 
@@ -609,77 +536,28 @@ def _header_summary(header) -> dict:
     return summary
 
 
-def _container_info(dataset, args) -> dict:
-    report = dict(dataset.manifest)
-    report["file_bytes"] = dataset.file_bytes
-    shard_headers = {}
-    for shard in sorted(dataset.shards, key=lambda s: s.name):
-        header, _ = IPCompStream.parse_header_source(
-            dataset.shard_source(shard.name)
-        )
-        shard_headers[shard.name] = _header_summary(header)
-    report["shard_headers"] = shard_headers
-    if args.roi is not None or args.error_bound is not None:
-        # Stage-1 planning only: the fetch ops, coalesced ranges and
-        # predicted bytes a stateless read of this region would run.
-        plan = dataset.plan(error_bound=args.error_bound, roi=args.roi)
-        report["retrieval_plan"] = plan.to_json()
-    return report
-
-
-def _stream_info(blob: bytes, args) -> dict:
-    header, _ = IPCompStream.parse_header(blob)
-    summary = _header_summary(header)
-    if args.error_bound is not None:
-        # Single-stream retrieval plan at the requested target: the same
-        # stage-1 fetch ops a `retrieve --error-bound` would read.
-        from repro.retrieval.plan import RetrievalPlan, ShardPlan
-
-        retriever = ProgressiveRetriever(blob)
-        ops = retriever.pending_ops(error_bound=args.error_bound)
-        plan = RetrievalPlan([
-            ShardPlan(
-                shard=None,
-                ops=ops,
-                header_bytes=retriever.store.header_bytes,
-                target_keep=retriever.plan_request(
-                    error_bound=args.error_bound
-                ).keep,
-            )
-        ])
-        summary["retrieval_plan"] = plan.to_json()
-    return summary
-
-
 def _cmd_info(args) -> int:
-    if is_url(args.input):
-        stack = open_remote_source(args.input)
-        if sniff_container(stack):
-            with ChunkedDataset(args.input, source=stack) as dataset:
-                report = _container_info(dataset, args)
+    """``info``: a container prints its manifest plus every shard's header
+    summary, a bare stream its header summary — the two output formats;
+    everything else (files and URLs, the optional retrieval plan) is one
+    path through :class:`ChunkedDataset`."""
+    with ChunkedDataset(args.input) as dataset:
+        headers = {
+            shard.name: _header_summary(dataset.shard_header(shard.name)[0])
+            for shard in sorted(dataset.shards, key=lambda s: s.name)
+        }
+        if dataset.manifest is None:
+            (report,) = headers.values()
         else:
-            try:
-                if args.roi is not None:
-                    raise ConfigurationError(
-                        "--roi requires a chunked container "
-                        "(compress with --blocks)"
-                    )
-                blob = stack.read_range(0, stack.size)
-            finally:
-                stack.close()
-            report = _stream_info(blob, args)
-        print(json.dumps(report, indent=2))
-        return 0
-    if is_container(args.input):
-        with ChunkedDataset(args.input) as dataset:
-            report = _container_info(dataset, args)
-        print(json.dumps(report, indent=2))
-        return 0
-    if args.roi is not None:
-        raise ConfigurationError(
-            "--roi requires a chunked container (compress with --blocks)"
-        )
-    print(json.dumps(_stream_info(args.input.read_bytes(), args), indent=2))
+            report = dict(dataset.manifest)
+            report["file_bytes"] = dataset.file_bytes
+            report["shard_headers"] = headers
+        if args.roi is not None or args.error_bound is not None:
+            # Stage-1 planning only: the fetch ops, coalesced ranges and
+            # predicted bytes a stateless read of this region would run.
+            plan = dataset.plan(error_bound=args.error_bound, roi=args.roi)
+            report["retrieval_plan"] = plan.to_json()
+    print(json.dumps(report, indent=2))
     return 0
 
 

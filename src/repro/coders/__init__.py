@@ -7,7 +7,7 @@ This subpackage provides that substrate:
 * :mod:`repro.coders.zlib_backend` — stdlib DEFLATE wrapper, the back-end of
   every block (fast and always available), with a bounded inflate for
   blocks read from untrusted streams.
-* :mod:`repro.coders.backend` — the name registry a stream's coder table
+* :mod:`repro.coders.backend` — the name table a stream's coder table
   resolves through: ``zlib`` and ``raw`` (a block stored verbatim because
   deflate would not have made it smaller).
 * :mod:`repro.coders.huffman` — canonical Huffman symbol coder (used by the
@@ -16,7 +16,7 @@ This subpackage provides that substrate:
 * :mod:`repro.coders.entropy` — Shannon entropy estimators used by the
   Table 2 reproduction.
 
-The two registered coders expose the same interface, ``encode(bytes) ->
+The two coders expose the same interface, ``encode(bytes) ->
 bytes`` and ``decode(bytes, max_length) -> bytes``.
 """
 
@@ -26,7 +26,6 @@ from repro.coders.backend import (
     Backend,
     available_backends,
     get_backend,
-    register_backend,
 )
 from repro.coders.entropy import bit_entropy, byte_entropy, shannon_entropy
 from repro.coders.zlib_backend import ZlibCoder
@@ -35,7 +34,6 @@ __all__ = [
     "Backend",
     "available_backends",
     "get_backend",
-    "register_backend",
     "ZlibCoder",
     "shannon_entropy",
     "byte_entropy",

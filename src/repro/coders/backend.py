@@ -1,10 +1,10 @@
-"""Backend registry for lossless coders.
+"""The lossless coders a stream can name.
 
 A stream names the lossless coder of its anchor block and of every plane
 block, and its reader resolves those names here — the FZ framework's
-pluggable lossless stage described in the paper (§3.2).  Two coders are
-registered: ``zlib`` (DEFLATE, the paper's zstd stand-in) and ``raw`` (the
-block stored verbatim), the two outcomes of the writer's entropy stage
+pluggable lossless stage described in the paper (§3.2).  There are two:
+``zlib`` (DEFLATE, the paper's zstd stand-in) and ``raw`` (the block stored
+verbatim), the two outcomes of the writer's entropy stage
 (:func:`repro.core.predictive_coder.negotiate_encode`).
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Protocol
 
+from repro.coders.zlib_backend import ZlibCoder
 from repro.errors import ConfigurationError
 
 
@@ -37,41 +38,18 @@ class Backend(Protocol):
         ...
 
 
-_REGISTRY: Dict[str, Callable[[], Backend]] = {}
-
-
-def register_backend(
-    name: str, factory: Callable[[], Backend], *, replace: bool = False
-) -> None:
-    """Register a lossless backend factory under ``name``.
-
-    Re-registering an existing name is rejected unless ``replace=True`` —
-    a silent replacement would let two subsystems fight over a name and
-    corrupt streams written with the original coder.  Tests that inject
-    instrumented backends pass ``replace=True`` explicitly.
-    """
-    if not name:
-        raise ConfigurationError("backend name must be a non-empty string")
-    if name in _REGISTRY and not replace:
-        raise ConfigurationError(
-            f"lossless backend {name!r} is already registered; "
-            "pass replace=True to override it"
-        )
-    _REGISTRY[name] = factory
-
-
 def available_backends() -> tuple[str, ...]:
-    """Return the names of all registered backends, sorted."""
+    """Return the names of all backends, sorted."""
     return tuple(sorted(_REGISTRY))
 
 
 def get_backend(name: str) -> Backend:
-    """Instantiate the backend registered under ``name``.
+    """Instantiate the backend called ``name``.
 
     Raises
     ------
     ConfigurationError
-        If no backend with that name has been registered.
+        If there is no backend with that name.
     """
     try:
         factory = _REGISTRY[name]
@@ -80,14 +58,6 @@ def get_backend(name: str) -> Backend:
             f"unknown lossless backend {name!r}; available: {available_backends()}"
         ) from None
     return factory()
-
-
-def _register_defaults() -> None:
-    """Register the built-in backends lazily to avoid import cycles."""
-    from repro.coders.zlib_backend import ZlibCoder
-
-    register_backend("zlib", ZlibCoder)
-    register_backend("raw", RawCoder)
 
 
 class RawCoder:
@@ -102,4 +72,6 @@ class RawCoder:
         return bytes(data)
 
 
-_register_defaults()
+#: Name → factory of every coder (a closed table: a stream can only name
+#: what every reader can resolve).
+_REGISTRY: Dict[str, Callable[[], Backend]] = {"zlib": ZlibCoder, "raw": RawCoder}

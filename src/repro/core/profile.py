@@ -7,7 +7,7 @@ instead of ad-hoc keyword plumbing.  A profile bundles:
 
 * the **lossy stage** — error bound (+ relative flag), interpolation method,
   prefix bits of the predictive bitplane coder;
-* the **runtime knobs** of retrieval and serving — prefetch depth, pool
+* the **runtime knobs** of retrieval and serving — remote prefetch, pool
   workers, cache budget and verification — which never change a byte.
 
 The lossless stage is not configurable: every packed plane is deflated, or
@@ -65,10 +65,10 @@ class CodecProfile:
         Number of prefix bits of the predictive bitplane coder (0–3; 2 is
         the paper's choice, Table 2).
     prefetch:
-        Retrieval-side knob: number of planned byte ranges kept in flight
-        by the retrieval engine's background prefetcher (0 = synchronous
-        reads).  A pure runtime choice — it never changes any byte,
-        reported byte count, or range trace.
+        Retrieval-side knob: 0 = serial, any positive value = multiplexed
+        remote reads; ignored for local files (they read synchronously).
+        A pure runtime choice — it never changes any byte, reported byte
+        count, or range trace.
     workers:
         Read-side knob: pool-decode worker processes for stateless reads
         of a local container (0/1 = in-process decode), taken as the

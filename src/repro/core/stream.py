@@ -10,7 +10,9 @@ The header is deliberately self-describing JSON: it carries everything the
 payload block — per-plane compressed sizes and the per-level information-loss
 tables ``δy_l(b)``.  Only after planning are the selected blocks actually read,
 which is what lets :class:`CompressedStore` report the exact retrieval volume
-plotted in Figures 6 and 7.
+plotted in Figures 6 and 7 — it is the one recorder of what a request
+consumed (``trace``, ``bytes_read``) and it checks the length of every
+block it is handed, whatever source sits beneath it.
 
 Two header versions exist (the binary ``version`` word distinguishes them):
 
@@ -310,6 +312,16 @@ class CompressedStore:
     (``bytes_read``), which is the quantity the paper's retrieval-volume
     figures report, plus the unavoidable header/anchor overhead
     (``overhead_bytes``).
+
+    ``trace`` is the one record of what a request **consumed**: the
+    ``(offset, length)`` of every read the store issued, in order, never
+    reset.  It always begins with the two header ranges — ``(0, 10)`` and
+    ``(10, payload_start - 10)`` — whether the store parsed the header
+    itself or was handed ``parsed=``, so a request reports the same ranges
+    however its header was obtained.  Whatever sits between the store and
+    the bytes (a prime cache, a container block, a remote stack) keeps no
+    list of its own: the engine, the pool worker and the serving layer all
+    report ``retriever.store.trace``.
     """
 
     def __init__(self, blob, *, parsed: "Tuple[StreamHeader, int] | None" = None) -> None:
@@ -334,6 +346,7 @@ class CompressedStore:
             raise StreamFormatError("stream shorter than its block directory")
         self._payload_end = cursor
         self.bytes_read = 0
+        self.trace: List[Tuple[int, int]] = [(0, 10), (10, payload_start - 10)]
 
     # ------------------------------------------------------------------ sizes
 
@@ -372,17 +385,26 @@ class CompressedStore:
 
     # ------------------------------------------------------------------ reads
 
+    def _read(self, offset: int, size: int, what: str) -> bytes:
+        data = self._source.read_range(offset, size)
+        if len(data) != size:
+            raise StreamFormatError(
+                f"short read of {what}: wanted {size} B at stream offset "
+                f"{offset}, got {len(data)}"
+            )
+        # Charge only after the read succeeds: a raising or truncating
+        # source must not inflate the consumed figures with bytes that
+        # never arrived.
+        self.bytes_read += size
+        self.trace.append((offset, size))
+        return data
+
     def read_anchor(self) -> bytes:
-        self.bytes_read += self.header.anchor_size
-        return self._source.read_range(self._anchor_offset, self.header.anchor_size)
+        return self._read(self._anchor_offset, self.header.anchor_size, "the anchor block")
 
     def read_block(self, level: int, plane: int) -> bytes:
-        try:
-            offset, size = self._offsets[(level, plane)]
-        except KeyError:
-            raise StreamFormatError(f"no block for level {level}, plane {plane}") from None
-        self.bytes_read += size
-        return self._source.read_range(offset, size)
+        offset, size = self.block_extent(level, plane)
+        return self._read(offset, size, f"level {level}, plane {plane}")
 
     def read_planes(self, level: int, count: int) -> List[bytes]:
         """Read the ``count`` most significant planes of ``level``."""

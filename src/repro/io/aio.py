@@ -39,19 +39,20 @@ running in a single daemon thread; everything above it keeps the plain
   read's bytes — the object's tail, where a container's footer and
   manifest live — and answers any read inside them from memory, so
   opening a remote container costs that one round trip.
-* :class:`AsyncPrefetcher` — the
-  :class:`~repro.retrieval.prefetch.Prefetcher` of async-capable sources:
-  ``submit()`` returns a ``concurrent.futures.Future``, but instead of
-  queueing thread work it collects the ops of one *burst* (a ``prime()``
-  call, or every shard's plan under one ``burst()``), merges them into at
-  most as many contiguous GETs as the source has pooled connections
-  (:func:`coalesce_burst`; payloads split back per-op client-side), and
-  dispatches them as concurrent tasks on the shared loop — one wave.
+* :class:`AsyncPrefetcher` — the prefetcher behind
+  :class:`~repro.retrieval.prefetch.PrefetchSource`: ``submit()`` returns
+  a ``concurrent.futures.Future``, collects the ops of one *burst* (a
+  ``prime()`` call, or every shard's plan under one ``burst()``), merges
+  them into at most as many contiguous GETs as the source has pooled
+  connections (:func:`coalesce_burst`; payloads split back per-op
+  client-side), and dispatches them as concurrent tasks on the shared
+  loop — one wave.
 
 Output and accounting are bitwise what a local read reports:
-consumed-range accounting lives in ``PrefetchSource`` and never changes,
-and coalescing only merges *physical* fetches.  A prefetch depth of 0 is
-the serial read — one range on the wire at a time.  One process-wide loop
+consumed-range accounting lives in
+:class:`~repro.core.stream.CompressedStore` and never changes, and
+coalescing only merges *physical* fetches.  ``prefetch=0`` is the serial
+read — one range on the wire at a time.  One process-wide loop
 thread (:meth:`EventLoopThread.shared`) is reused by every source and
 prefetcher; closing a prefetcher never stops a shared loop.
 """
@@ -111,6 +112,12 @@ OPENING_WINDOW = 65536
 #: Ceiling on one coalesced GET, so a huge merged run still pipelines
 #: across connections instead of serialising into one monster request.
 DEFAULT_MAX_BATCH = 8 << 20
+
+#: Automatic hedging (no ``hedge_delay`` given): a read that has outlived
+#: this quantile of the observed latencies is hedged, once this many reads
+#: have been timed.
+HEDGE_QUANTILE = 0.9
+HEDGE_MIN_SAMPLES = 8
 
 #: Widest gap (bytes) :func:`coalesce_burst` will fetch and throw away to
 #: save a round trip — the over-fetch ceiling of one closed gap.
@@ -779,8 +786,9 @@ class _AsyncMirror:
 
     **Hedged reads** bound tail latency: the primary read runs as a task,
     and once it has outlived the hedge threshold — ``hedge_delay`` if
-    given, else the observed slowest-decile (p90) latency once
-    ``min_samples`` reads have been timed — the same range fires at the
+    given, else the observed slowest-decile (:data:`HEDGE_QUANTILE`)
+    latency once :data:`HEDGE_MIN_SAMPLES` reads have been timed — the same
+    range fires at the
     next-healthiest mirror.  First payload wins; the loser is
     **cancelled** — which aborts the request and recycles its connection,
     so a hedge costs nothing unless the loser finishes in the same tick
@@ -795,8 +803,6 @@ class _AsyncMirror:
         sources: Sequence,
         *,
         hedge_delay: Optional[float] = None,
-        hedge_quantile: float = 0.9,
-        min_samples: int = 8,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if not sources:
@@ -809,8 +815,6 @@ class _AsyncMirror:
         self._mirrors = [_Mirror(source) for source in sources]
         self.size = sizes.pop()
         self.hedge_delay = hedge_delay
-        self.hedge_quantile = float(hedge_quantile)
-        self.min_samples = max(2, int(min_samples))
         self._clock = clock
         self._latencies: List[float] = []
         self.failovers = 0
@@ -829,10 +833,10 @@ class _AsyncMirror:
     def _hedge_threshold(self) -> Optional[float]:
         if self.hedge_delay is not None:
             return self.hedge_delay
-        if len(self._latencies) < self.min_samples:
+        if len(self._latencies) < HEDGE_MIN_SAMPLES:
             return None
         ordered = sorted(self._latencies)
-        index = min(len(ordered) - 1, int(self.hedge_quantile * len(ordered)))
+        index = min(len(ordered) - 1, int(HEDGE_QUANTILE * len(ordered)))
         return ordered[index]
 
     def _record(self, mirror: _Mirror, ok: bool, seconds: Optional[float]) -> None:
@@ -1257,13 +1261,11 @@ def coalesce_burst(
 
 
 class AsyncPrefetcher:
-    """Event-loop prefetcher speaking the ``Prefetcher`` duck type.
+    """The event-loop prefetcher of :class:`~repro.retrieval.prefetch.PrefetchSource`.
 
     ``submit(source.read_range, offset, length)`` — ``source`` being
     async-capable (``supports_async``, i.e. it has the coroutine
-    ``aread_range``) — returns a ``concurrent.futures.Future`` exactly
-    like the thread prefetcher, so
-    :class:`~repro.retrieval.prefetch.PrefetchSource` is oblivious.
+    ``aread_range``) — returns a ``concurrent.futures.Future``.
     Submits are collected into *bursts*: everything submitted inside one
     :meth:`burst` block (``PrefetchSource.prime`` opens one per call; the
     engine opens one around all shards' plans) reaches the loop thread as
@@ -1271,9 +1273,9 @@ class AsyncPrefetcher:
     touching ranges always, the smallest gaps too while the batch would
     need more GETs than the remote stack has pooled connections — and
     every merged range is fetched as a concurrent task: one wave of round
-    trips.  Local files keep the thread
-    :class:`~repro.retrieval.prefetch.Prefetcher`; the engine picks by
-    the opened source's ``supports_async``.
+    trips.  A wave is sized by the connection pool, not by a depth: local
+    files never come here (the engine wraps only sources that
+    ``supports_async``).
 
     :meth:`close` cancels queued and in-flight work (cancelled/raised
     futures are exactly what ``PrefetchSource`` already handles by refund
@@ -1281,15 +1283,7 @@ class AsyncPrefetcher:
     prefetchers keep running.
     """
 
-    def __init__(
-        self,
-        depth: int = 4,
-        *,
-        loop: Optional[EventLoopThread] = None,
-        max_batch_bytes: int = DEFAULT_MAX_BATCH,
-    ) -> None:
-        self.depth = max(1, int(depth))
-        self.max_batch_bytes = max(1, int(max_batch_bytes))
+    def __init__(self, *, loop: Optional[EventLoopThread] = None) -> None:
         self._loop = loop or EventLoopThread.shared()
         self._lock = threading.Lock()
         self._pending: List[Tuple[object, int, int, Future]] = []
@@ -1310,8 +1304,8 @@ class AsyncPrefetcher:
 
     def submit(self, fn, offset: int, length: int) -> Future:
         if self._closed or not self._loop.alive:
-            # Same contract as a shut-down ThreadPoolExecutor, which
-            # PrefetchSource already catches and degrades around.
+            # The shut-down executor contract, which PrefetchSource
+            # catches and degrades around.
             raise RuntimeError("cannot schedule new futures after shutdown")
         future: Future = Future()
         with self._lock:
@@ -1368,7 +1362,7 @@ class AsyncPrefetcher:
             for owner, _ops in groups.values()
         )
         batches = coalesce_burst(
-            [ops for _owner, ops in groups.values()], wave, self.max_batch_bytes
+            [ops for _owner, ops in groups.values()], wave
         )
         loop = asyncio.get_running_loop()
         for (owner, _ops), owner_batches in zip(groups.values(), batches):

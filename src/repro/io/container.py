@@ -19,6 +19,13 @@ Layout::
 
     block 0 bytes | block 1 bytes | ... | footer JSON | footer_len:u64 | MAGIC
 
+A **bare IPComp stream** — a file whose tail is not a container's and
+whose head is the stream magic — is presented by the reader as a directory
+of one block, :data:`STREAM_BLOCK`, spanning the file.  The lock, the
+counters, the short-read check and the async twin therefore serve plain
+``.ipc`` files too, and this module (with :mod:`repro.io.dataset`) is the
+only place that knows the two kinds of file apart.
+
 Every malformed input — truncated footer, bad magic, duplicate or overlapping
 directory entries, extents past end-of-file — raises
 :class:`~repro.errors.StreamFormatError`, never a bare ``struct`` / ``json``
@@ -33,10 +40,15 @@ import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.core.stream import MAGIC as STREAM_MAGIC
 from repro.errors import StreamFormatError
 
 MAGIC = b"RPRC"
 _TAIL = 12  # footer_len:u64 + MAGIC
+
+#: Name of the one block a bare IPComp stream file is presented as (and of
+#: the one shard the dataset and the serving layer report for it).
+STREAM_BLOCK = "stream"
 
 
 def is_container(path: Union[str, Path]) -> bool:
@@ -51,18 +63,6 @@ def is_container(path: Union[str, Path]) -> bool:
             return handle.read(4) == MAGIC
     except OSError:
         return False
-
-
-def sniff_container(source) -> bool:
-    """Tail-magic sniff over any byte-range source (remote ``is_container``).
-
-    One 4-byte ranged read — the cheapest way to decide whether an
-    ``http(s)://`` object is a block container or a bare stream.
-    """
-    size = int(source.size)
-    if size < _TAIL:
-        return False
-    return source.read_range(size - 4, 4) == MAGIC
 
 
 class BlockContainerWriter:
@@ -134,13 +134,16 @@ class BlockContainerReader:
             self._handle = open(self.path, "rb")
             self._handle.seek(0, 2)
             self._file_size = self._handle.tell()
-        # Range reads may arrive from prefetch threads concurrently with the
-        # decoding thread's cache misses; seek+read must stay atomic.
+        # Range reads arrive from concurrent request threads (the serving
+        # layer shares one pinned reader); seek+read must stay atomic.
         self._lock = threading.Lock()
         self.bytes_read = 0
         #: Number of physical ``read_range`` calls served (the serving-layer
         #: tests assert a warm cache repeat performs zero of them).
         self.n_reads = 0
+        #: True when the file is a bare IPComp stream, presented as a
+        #: directory of one block named :data:`STREAM_BLOCK`.
+        self.is_stream = False
         self._closed = False
         try:
             self._parse_footer()
@@ -175,8 +178,17 @@ class BlockContainerReader:
             raise StreamFormatError("container too small")
         tail = self._read_at(file_size - _TAIL, _TAIL, "container tail")
         footer_len = struct.unpack("<Q", tail[:8])[0]
+        self.directory: Dict[str, Dict[str, object]] = {}
         if tail[8:] != MAGIC:
-            raise StreamFormatError("not a repro block container")
+            # The tail decides first: a container's first block is itself an
+            # IPComp stream, so both kinds of file *start* with its magic.
+            if self._read_at(0, len(STREAM_MAGIC), "stream magic") != STREAM_MAGIC:
+                raise StreamFormatError("not a repro block container")
+            self.is_stream = True
+            self.directory[STREAM_BLOCK] = {
+                "name": STREAM_BLOCK, "offset": 0, "size": file_size, "metadata": {},
+            }
+            return
         if footer_len > file_size - _TAIL:
             raise StreamFormatError("truncated container footer")
         payload_end = file_size - _TAIL - footer_len
@@ -186,7 +198,6 @@ class BlockContainerReader:
             blocks = footer["blocks"]
         except (ValueError, UnicodeDecodeError, KeyError, TypeError) as exc:
             raise StreamFormatError(f"corrupted container footer: {exc}") from None
-        self.directory: Dict[str, Dict[str, object]] = {}
         extents: List[Tuple[int, int, str]] = []
         try:
             for entry in blocks:
@@ -322,88 +333,30 @@ class BlockContainerReader:
         self.close()
 
 
-class FileSource:
-    """Byte-range source over a plain (single-stream) file.
-
-    The file-backed analogue of :class:`repro.core.stream.BytesSource`: it
-    lets a :class:`~repro.core.progressive.ProgressiveRetriever` — and the
-    retrieval engine's prefetcher — pull individual plane blocks of a bare
-    ``.ipc`` stream straight off disk instead of materialising the whole
-    blob first.  Reads are lock-serialised so prefetch threads can share
-    the handle.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self._handle = open(self.path, "rb")
-        self._lock = threading.Lock()
-        self._handle.seek(0, 2)
-        self.size = self._handle.tell()
-        self.bytes_read = 0
-        self.n_reads = 0
-
-    def read_range(self, offset: int, length: int) -> bytes:
-        if offset < 0 or length < 0 or offset + length > self.size:
-            raise StreamFormatError(
-                f"read of [{offset}, {offset + length}) past stream end {self.size}"
-            )
-        with self._lock:
-            self._handle.seek(offset)
-            data = self._handle.read(length)
-            self.bytes_read += length
-            self.n_reads += 1
-        if len(data) != length:
-            raise StreamFormatError(
-                f"stream file truncated at offset {offset}: "
-                f"wanted {length} B, got {len(data)}"
-            )
-        return data
-
-    def close(self) -> None:
-        with self._lock:
-            self._handle.close()
-
-    def __enter__(self) -> "FileSource":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 class BlockSource:
     """Byte-range-source view of one container block.
 
     Implements the ``size`` / ``read_range`` interface of
     :class:`repro.core.stream.BytesSource`, so an IPComp stream stored as a
-    container block can back a :class:`~repro.core.stream.CompressedStore`
-    directly.  Each read is forwarded to the container (counted in its
-    ``bytes_read``) and appended to ``trace`` as an absolute
-    ``(offset, length)`` pair within the block — the benchmarks use the
-    trace to prove that refinement never re-reads a block range.
+    container block — or a bare stream file, the reader's one block — can
+    back a :class:`~repro.core.stream.CompressedStore` directly.  Each read
+    is forwarded to the container, which validates its length and counts it
+    (``bytes_read`` / ``n_reads``); what a request *consumed* is recorded
+    one layer up, by the store.
     """
 
     def __init__(self, reader: BlockContainerReader, name: str) -> None:
         self._reader = reader
         self.name = name
         self.size = reader.block_size(name)
-        self.trace: List[Tuple[int, int]] = []
 
     def read_range(self, offset: int, length: int) -> bytes:
-        data = self._reader.read_range(self.name, offset, length)
-        self.trace.append((offset, length))
-        return data
+        return self._reader.read_range(self.name, offset, length)
 
     @property
     def supports_async(self) -> bool:
         return self._reader.supports_async
 
     async def aread_range(self, offset: int, length: int) -> bytes:
-        """Async twin of :meth:`read_range` (event-loop prefetch path).
-
-        Forwards to the container's async primitive and records the same
-        trace entry — under prefetch both backends log *physical* reads
-        here; the consumed trace lives in ``PrefetchSource``.
-        """
-        data = await self._reader.aread_range(self.name, offset, length)
-        self.trace.append((offset, length))
-        return data
+        """Async twin of :meth:`read_range` (event-loop prefetch path)."""
+        return await self._reader.aread_range(self.name, offset, length)

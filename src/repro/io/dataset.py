@@ -16,16 +16,24 @@ needs:
   *new* plane blocks, never re-reading a byte range it already has.
 
 Requests are served by the :class:`~repro.retrieval.engine.RetrievalEngine`
-pipeline — fetch-op planning, optional background prefetch (``prefetch=``)
-that overlaps range reads with decode and speculatively primes the next
-fidelity rung after a ``refine()``, and an optional pool decode stage
-(``workers=``) for stateless reads of a local file where worker processes
-retrieve shards straight off the file into a shared output segment
-(*shared memory or in-process*: without a segment, or for a remote
-dataset, the read decodes in-process).  All of it is a pure runtime
-choice: decoded output is bitwise-identical, and the reported accounting
-is *consumption-based* — the ranges a request's decoding actually used,
-identical with and without prefetching.
+pipeline — fetch-op planning; for a remote dataset (``prefetch > 0``, the
+default there) a prime cache over the event-loop prefetcher that overlaps
+round trips with decode and speculatively primes the next fidelity rung
+after a ``refine()``; and an optional pool decode stage (``workers=``) for
+stateless reads of a local file where worker processes retrieve shards
+straight off the file into a shared output segment (*shared memory or
+in-process*: without a segment, or for a remote dataset, the read decodes
+in-process).  A local file reads synchronously whatever ``prefetch`` says.
+All of it is a pure runtime choice: decoded output is bitwise-identical,
+and the reported accounting is *consumption-based* — the ranges each
+shard's :class:`~repro.core.stream.CompressedStore` recorded, identical on
+every path.
+
+A file or URL that is a **bare IPComp stream** opens as a dataset of one
+shard named ``"stream"`` (:data:`~repro.io.container.STREAM_BLOCK`): the
+reader presents it as a one-block directory and its own header supplies
+shape, dtype and bound, so everything above — the engine, the serving
+layer, the CLI — handles one kind of object.
 
 Every request returns a :class:`DatasetReadResult` carrying the exact bytes
 touched (header and anchor included) and the ``(shard, offset, length)``
@@ -51,11 +59,12 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.profile import CodecProfile
+from repro.core.stream import StreamHeader
 from repro.errors import ConfigurationError, StreamFormatError
 from repro.io.container import (
+    STREAM_BLOCK,
     BlockContainerReader,
     BlockContainerWriter,
-    BlockSource,
     is_container,
 )
 from repro.io.aio import open_remote_source
@@ -110,17 +119,22 @@ class DatasetReadResult:
 class ChunkedDataset:
     """Sharded, file-backed IPComp store with ROI-progressive reads.
 
-    Open an existing file with ``ChunkedDataset(path)`` (context-manager
-    friendly) or create one with :meth:`ChunkedDataset.write`.  ``profile``
-    supplies the runtime decode knobs — default ``prefetch`` / ``workers``
-    for the retrieval engine; it does not need to match the profile used at
-    write time (shards are self-describing v2 streams).  The explicit
-    ``prefetch`` / ``workers`` keywords override the profile's fields; all
-    of these knobs are runtime-only and change no reported byte or decoded
-    bit.  With neither ``prefetch`` nor a profile the depth is
-    :func:`~repro.retrieval.prefetch.default_prefetch_depth` — a remote
-    dataset prefetches, a local one reads synchronously (the CLI follows
-    the same rule); ``prefetch=0`` is the serial read everywhere.
+    Open an existing file or ``http(s)://`` URL with ``ChunkedDataset(path)``
+    (context-manager friendly) or create one with
+    :meth:`ChunkedDataset.write`.  A **bare IPComp stream** opens too, as a
+    dataset of one shard named ``"stream"`` spanning the domain, with shape
+    / dtype / bound from the stream's own header and ``manifest`` ``None``
+    — nothing above :mod:`repro.io` tells the two kinds of file apart.
+    ``profile`` supplies the runtime decode knobs — default ``prefetch`` /
+    ``workers`` for the retrieval engine; it does not need to match the
+    profile used at write time (shards are self-describing v2 streams).
+    The explicit ``prefetch`` / ``workers`` keywords override the profile's
+    fields; all of these knobs are runtime-only and change no reported byte
+    or decoded bit.  ``prefetch`` means something for a remote dataset only
+    — ``0`` reads serially, any positive value multiplexes, and with
+    neither keyword nor profile
+    :func:`~repro.retrieval.prefetch.default_prefetch_depth` multiplexes; a
+    local file reads synchronously whatever it says.
     """
 
     def __init__(
@@ -132,7 +146,7 @@ class ChunkedDataset:
         workers: Optional[int] = None,
         source=None,
     ) -> None:
-        # ``path`` may be an ``http(s)://`` URL: the container is then read
+        # ``path`` may be an ``http(s)://`` URL: the file is then read
         # through a resilient remote stack (default one, or the caller's
         # pre-built ``source`` — e.g. with mirrors / fault injection).
         self.is_remote = source is not None or is_url(path)
@@ -143,39 +157,6 @@ class ChunkedDataset:
         self._reader = BlockContainerReader(
             source if source is not None else self.path
         )
-        if MANIFEST_BLOCK not in self._reader.directory:
-            self._reader.close()
-            raise StreamFormatError(f"{self.path} is not a chunked dataset (no manifest)")
-        try:
-            manifest = json.loads(self._reader.read_block(MANIFEST_BLOCK).decode("utf-8"))
-            if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
-                raise StreamFormatError(f"{self.path} is not a chunked dataset")
-            version = int(manifest.get("version", 0))
-            if version not in SUPPORTED_MANIFEST_VERSIONS:
-                raise StreamFormatError(
-                    f"unsupported dataset version {manifest.get('version')} "
-                    f"(supported: {SUPPORTED_MANIFEST_VERSIONS})"
-                )
-            self.manifest = manifest
-            self.version = version
-            self.shape: Tuple[int, ...] = tuple(int(s) for s in manifest["shape"])
-            self.dtype = np.dtype(manifest["dtype"])
-            self.absolute_bound = float(manifest["error_bound"])
-            if version >= 2 and "profile" not in manifest:
-                raise StreamFormatError("dataset manifest v2 has no profile")
-            self.shards: List[DatasetShard] = [
-                DatasetShard(item["name"], ranges_to_slices(item["slices"]))
-                for item in manifest["shards"]
-            ]
-        except StreamFormatError:
-            # Container-level corruption and format mismatches keep their
-            # own diagnostics (StreamFormatError subclasses ValueError, so
-            # this clause must come first).
-            self._reader.close()
-            raise
-        except (KeyError, TypeError, ValueError, UnicodeDecodeError) as exc:
-            self._reader.close()
-            raise StreamFormatError(f"malformed dataset manifest: {exc!r}") from None
         if prefetch is None:
             if profile is not None:
                 prefetch = profile.prefetch
@@ -184,21 +165,70 @@ class ChunkedDataset:
         if workers is None:
             workers = profile.workers if profile is not None else 0
         # The plan → prefetch → pool-decode pipeline serving every request
-        # (it owns the stateful per-shard retrievers of the refine() path).
+        # (it owns the stateful per-shard retrievers of the refine() path,
+        # and assembles every shard's source tower).
         self._engine = RetrievalEngine(
-            lambda name: BlockSource(self._reader, name),
-            shape=self.shape,
-            dtype=self.dtype,
-            stored_bound=self.absolute_bound,
+            self._reader.source,
             prefetch=prefetch,
             workers=workers,
             # Pool workers re-open the container by path in their own
             # process; a remote dataset has no local path, so it has no
-            # pool stage and requests run serial/prefetch (bitwise-
+            # pool stage and requests run serial/multiplexed (bitwise-
             # identical by construction).
             path=None if self.is_remote else self.path,
         )
         self._write_profile: Optional[CodecProfile] = None
+        try:
+            if self._reader.is_stream:
+                self._describe_stream()
+            else:
+                self._describe_manifest()
+        except StreamFormatError:
+            # Container-level corruption and format mismatches keep their
+            # own diagnostics (StreamFormatError subclasses ValueError, so
+            # this clause must come first).
+            self.close()
+            raise
+        except (KeyError, TypeError, ValueError, UnicodeDecodeError) as exc:
+            self.close()
+            raise StreamFormatError(f"malformed dataset manifest: {exc!r}") from None
+        self._engine.describe(self.shape, self.dtype, self.absolute_bound)
+
+    def _describe_stream(self) -> None:
+        """A bare stream: its own header is the manifest."""
+        header, _ = self._engine.header(STREAM_BLOCK)
+        self.manifest: Optional[dict] = None
+        self.version = 0
+        self.shape: Tuple[int, ...] = tuple(int(s) for s in header.shape)
+        self.dtype = np.dtype(header.dtype)
+        self.absolute_bound = float(header.error_bound)
+        self.shards: List[DatasetShard] = [
+            DatasetShard(STREAM_BLOCK, tuple(slice(0, s) for s in self.shape))
+        ]
+
+    def _describe_manifest(self) -> None:
+        if MANIFEST_BLOCK not in self._reader.directory:
+            raise StreamFormatError(f"{self.path} is not a chunked dataset (no manifest)")
+        manifest = json.loads(self._reader.read_block(MANIFEST_BLOCK).decode("utf-8"))
+        if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
+            raise StreamFormatError(f"{self.path} is not a chunked dataset")
+        version = int(manifest.get("version", 0))
+        if version not in SUPPORTED_MANIFEST_VERSIONS:
+            raise StreamFormatError(
+                f"unsupported dataset version {manifest.get('version')} "
+                f"(supported: {SUPPORTED_MANIFEST_VERSIONS})"
+            )
+        self.manifest = manifest
+        self.version = version
+        self.shape = tuple(int(s) for s in manifest["shape"])
+        self.dtype = np.dtype(manifest["dtype"])
+        self.absolute_bound = float(manifest["error_bound"])
+        if version >= 2 and "profile" not in manifest:
+            raise StreamFormatError("dataset manifest v2 has no profile")
+        self.shards = [
+            DatasetShard(item["name"], ranges_to_slices(item["slices"]))
+            for item in manifest["shards"]
+        ]
 
     @property
     def write_profile(self) -> CodecProfile:
@@ -215,13 +245,15 @@ class ChunkedDataset:
             else:
                 # v1 manifests spell out the stream parameters as loose
                 # fields (their ``backend`` names the coder of every block,
-                # which each shard's own header records too).
+                # which each shard's own header records too); a bare
+                # stream's header carries the same two.
+                loose = self.manifest or self.shard_header(STREAM_BLOCK)[0].to_json()
                 self._write_profile = CodecProfile.from_options(
                     None,
                     error_bound=self.absolute_bound,
                     relative=False,
-                    method=str(self.manifest["method"]),
-                    prefix_bits=int(self.manifest["prefix_bits"]),
+                    method=str(loose["method"]),
+                    prefix_bits=int(loose["prefix_bits"]),
                 )
         return self._write_profile
 
@@ -296,42 +328,47 @@ class ChunkedDataset:
         self,
         error_bound: Optional[float] = None,
         roi=None,
+        *,
+        bitrate: Optional[float] = None,
     ) -> DatasetReadResult:
         """One-shot retrieval of the full field or a region of interest.
 
         ``error_bound`` is the *absolute* L∞ target (``None`` retrieves at
-        the dataset's stored bound, i.e. full precision).  Only the shards
-        whose slabs intersect ``roi`` are opened; each contributes exactly
-        the plane blocks its loader plan selects.  Stateless: a later
-        ``read`` starts from scratch — use :meth:`refine` for incremental
-        refinement.  With ``workers > 1`` a local multi-shard read decodes
-        in the pool stage (bitwise-identical output, same per-shard range
-        accounting).
+        the dataset's stored bound, i.e. full precision); a single-shard
+        dataset — a bare stream — may be asked for a ``bitrate`` (bits per
+        value) instead.  Only the shards whose slabs intersect ``roi`` are
+        opened; each contributes exactly the plane blocks its loader plan
+        selects.  Stateless: a later ``read`` starts from scratch — use
+        :meth:`refine` for incremental refinement.  With ``workers > 1`` a
+        local multi-shard read decodes in the pool stage
+        (bitwise-identical output, same per-shard range accounting).
         """
         roi_slices, selected = self.select(roi)
-        target = self._validated_target(error_bound)
-        result = self._engine.read(selected, roi_slices, target)
+        target = self._validated_target(error_bound, bitrate)
+        result = self._engine.read(selected, roi_slices, target, bitrate)
         return self._to_read_result(result, roi_slices)
 
     def refine(
         self,
         error_bound: Optional[float] = None,
         roi=None,
+        *,
+        bitrate: Optional[float] = None,
     ) -> DatasetReadResult:
         """Stateful ROI-progressive retrieval (Algorithm 2 per shard).
 
         Per-shard retrievers persist across calls: a shard touched before
         only loads the plane blocks the tighter target adds (never
         re-reading a byte range), and a shard entering the ROI for the first
-        time is retrieved from scratch.  Fidelity never decreases.  With
-        prefetching enabled the engine also primes the *next* fidelity rung
-        in the background after each call; a speculative read is physically
-        performed at most once and is only ever reported by the request
-        that consumes it.
+        time is retrieved from scratch.  Fidelity never decreases.  Over a
+        multiplexed remote dataset the engine also primes the *next*
+        fidelity rung in the background after each call; a speculative read
+        is physically performed at most once and is only ever reported by
+        the request that consumes it.
         """
         roi_slices, selected = self.select(roi)
-        target = self._validated_target(error_bound)
-        result = self._engine.refine(selected, roi_slices, target)
+        target = self._validated_target(error_bound, bitrate)
+        result = self._engine.refine(selected, roi_slices, target, bitrate)
         return self._to_read_result(result, roi_slices)
 
     def plan(self, error_bound: Optional[float] = None, roi=None) -> RetrievalPlan:
@@ -346,7 +383,17 @@ class ChunkedDataset:
 
     # ------------------------------------------------------------------ guts
 
-    def _validated_target(self, error_bound: Optional[float]) -> float:
+    def _validated_target(
+        self, error_bound: Optional[float], bitrate: Optional[float] = None
+    ) -> Optional[float]:
+        if bitrate is not None:
+            if self.n_shards > 1:
+                raise ConfigurationError(
+                    "container retrieval targets an error bound, not a bitrate"
+                )
+            if error_bound is not None:
+                raise ConfigurationError("specify exactly one of error_bound, bitrate")
+            return None
         target = self.absolute_bound if error_bound is None else float(error_bound)
         if target <= 0 or not np.isfinite(target):
             raise ConfigurationError("error_bound must be a positive finite number")
@@ -383,19 +430,23 @@ class ChunkedDataset:
     def n_shards(self) -> int:
         return len(self.shards)
 
-    def shard_source(self, name: str) -> BlockSource:
+    def shard_source(self, name: str, wrap=None):
         """A byte-range source over one shard's embedded IPComp stream.
 
-        Reuses the dataset's open container reader, so inspection tools
-        (e.g. the CLI's ``info``) can parse per-shard stream headers without
-        opening the file a second time.
+        The engine's assembled tower over the dataset's open reader
+        (:meth:`~repro.retrieval.engine.RetrievalEngine.open_sources`): the
+        block source itself for a local file, a prime cache over it for a
+        multiplexed remote one — with ``wrap(name, source)``, the serving
+        layer's ``source_filter``, applied beneath the cache.
         """
-        return BlockSource(self._reader, name)
+        (source,) = self._engine.open_sources([name], wrap)
+        return source
 
-    @property
-    def bytes_read(self) -> int:
-        """Total container bytes touched since the dataset was opened."""
-        return self._reader.bytes_read
+    def shard_header(self, name: str) -> Tuple[StreamHeader, int]:
+        """``(header, payload offset)`` of one shard's stream, parsed once
+        per open dataset (the ``parsed=`` pair of a
+        :class:`~repro.core.stream.CompressedStore`)."""
+        return self._engine.header(name)
 
     @property
     def physical_reads(self) -> int:
@@ -406,21 +457,6 @@ class ChunkedDataset:
         warm-cache tests assert it stays flat across a cache hit.
         """
         return self._reader.n_reads
-
-    @property
-    def fingerprint(self) -> Tuple[int, int]:
-        """(size, mtime_ns) identity of the backing file.
-
-        The serving layer keys its per-dataset sessions on this: a rewrite
-        of the file changes the fingerprint, so pinned readers and cached
-        slabs for the old bytes are never served against the new ones.
-        Remote objects expose no mtime; their identity is the size alone
-        here (the serving layer strengthens it with a tail CRC).
-        """
-        if self.is_remote:
-            return (self._reader.file_size, 0)
-        stat = self.path.stat()
-        return (int(stat.st_size), int(stat.st_mtime_ns))
 
     @property
     def file_bytes(self) -> int:

@@ -318,6 +318,11 @@ class FaultInjectingSource:
     transparent wherever it sits in a stack.
     """
 
+    #: Faults are drawn on the synchronous ``read_range`` only: a coroutine
+    #: read delegated to the wrapped source would slip past the injector,
+    #: so nothing above may multiplex through this wrapper.
+    supports_async = False
+
     def __init__(self, inner, injector: FaultInjector, name: str = "") -> None:
         self._inner = inner
         self._injector = injector

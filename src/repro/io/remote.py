@@ -208,8 +208,8 @@ def _merge_stats(into: dict, child: dict) -> dict:
 def find_remote_source(obj):
     """Walk a wrapper chain down to the remote stack (or ``None``).
 
-    Follows the conventional private links — ``_inner`` (prefetch / traced
-    / fault wrappers), ``_reader`` (block sources), ``_source`` (container
+    Follows the conventional private links — ``_inner`` (prefetch / fault
+    wrappers), ``_reader`` (block sources), ``_source`` (container
     readers) — until an object marked ``is_remote_source`` appears.  The
     serving layer uses this to harvest ``stats()`` deltas for traces
     without every intermediate layer having to know about networking.

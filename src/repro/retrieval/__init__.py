@@ -9,23 +9,23 @@ synchronously.  This package centralises the pipeline the paper's Figures
 * :mod:`repro.retrieval.plan` — the **planner**: turn an ROI + fidelity
   target into a deduplicated, coalesced list of ``(shard, byte-range,
   planes)`` fetch ops, computed from stream headers alone.
-* :mod:`repro.retrieval.prefetch` — the **prefetcher**: a bounded
-  thread-backed reader that primes planned ranges in the background so disk
-  I/O overlaps per-shard decode (and ``refine()`` can speculatively fetch
-  the next fidelity rung).
+* :mod:`repro.retrieval.prefetch` — the **prime cache** of remote reads:
+  planned ranges are fetched in the background by the event-loop
+  prefetcher so round trips overlap per-shard decode (and ``refine()`` can
+  speculatively fetch the next fidelity rung); a local file reads
+  synchronously, with no wrapper.
 * :mod:`repro.retrieval.pooldecode` — the **pool decode stage**: worker
   processes read shards off a local container file and write the
   reconstructed slabs straight into one shared-memory output segment keyed
   by partition extents, the decode-side mirror of the encode slab
   transport (*shared memory or in-process* — nothing is pickled back).
 * :mod:`repro.retrieval.engine` — :class:`~repro.retrieval.engine.RetrievalEngine`,
-  the façade all three consumers drive: ``ChunkedDataset.read/refine``,
-  :class:`~repro.core.progressive.ProgressiveRetriever` (which primes its
-  own planned ranges whenever its source supports it), and the CLI
-  ``retrieve`` command.
+  the façade behind ``ChunkedDataset.read/refine`` and the one place a
+  shard's source tower is assembled — for the dataset, the pool worker,
+  the serving layer and the CLI alike.
 
-Decoded output is bitwise-identical across every path — serial, prefetch,
-pool — on v1 and v2 streams and containers alike; the pipeline only changes
+Decoded output is bitwise-identical across every path — serial,
+multiplexed, pool — on v1 and v2 streams and containers alike; the pipeline only changes
 *when* and *where* bytes move.
 
 ``engine`` and ``pooldecode`` are imported lazily: they depend on
@@ -42,7 +42,7 @@ from repro.retrieval.plan import (
     coalesce_blocks,
     plan_stream_ops,
 )
-from repro.retrieval.prefetch import Prefetcher, PrefetchSource
+from repro.retrieval.prefetch import PrefetchSource
 
 __all__ = [
     "FetchOp",
@@ -50,10 +50,8 @@ __all__ = [
     "RetrievalPlan",
     "coalesce_blocks",
     "plan_stream_ops",
-    "Prefetcher",
     "PrefetchSource",
     "RetrievalEngine",
-    "open_stream_source",
 ]
 
 
@@ -62,8 +60,4 @@ def __getattr__(name: str):
         from repro.retrieval.engine import RetrievalEngine
 
         return RetrievalEngine
-    if name == "open_stream_source":
-        from repro.retrieval.engine import open_stream_source
-
-        return open_stream_source
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,19 +1,27 @@
 """The retrieval engine: one façade driving plan → prefetch → pool-decode.
 
 :class:`RetrievalEngine` owns everything between "a fidelity request over a
-set of shards" and "an assembled array plus its exact I/O accounting":
+set of shards" and "an assembled array plus its exact I/O accounting", and
+it is where the path from a request to the bytes is assembled — once, in
+:meth:`RetrievalEngine.open_sources`::
+
+    ChunkedDataset(path or URL) → RetrievalEngine → per shard CompressedStore
+        → [PrefetchSource over the event-loop prefetcher]  remote and prefetch > 0 only
+        → BlockSource → BlockContainerReader → file | remote stack
 
 * **stage 1 (plan)** — every selected shard's
   :meth:`~repro.core.progressive.ProgressiveRetriever.pending_ops` yields
   the deduplicated, coalesced fetch ops of the request
   (:mod:`repro.retrieval.plan`);
-* **stage 2 (prefetch)** — with a prefetch depth configured, all shards'
-  ops are primed up front through one shared :class:`Prefetcher`, so the
-  range reads of shard *k+1* overlap the decode of shard *k*; after a
-  stateful ``refine()`` the engine speculatively primes the next fidelity
-  rung (``target / rung_factor``) so a follow-up refinement finds its
-  blocks already resident — physically read once, attributed to the
-  request that consumes them;
+* **stage 2 (prefetch)** — over sources that ``supports_async`` (a remote
+  stack) and with ``prefetch > 0``, every new shard's header and then all
+  shards' ops are primed through one shared
+  :class:`~repro.io.aio.AsyncPrefetcher`, each as one wave of round trips;
+  after a stateful ``refine()`` the engine speculatively primes the next
+  fidelity rung (``target / RUNG_FACTOR``) so a follow-up refinement finds
+  its blocks already resident — physically read once, attributed to the
+  request that consumes them.  A local file has no stage 2: the store
+  reads its block source directly;
 * **stage 3 (decode)** — in-process per-shard decode by default; with
   ``workers > 1`` a *stateless* read of a local container is dispatched to
   the pool decode stage (:mod:`repro.retrieval.pooldecode`), whose workers
@@ -22,20 +30,22 @@ set of shards" and "an assembled array plus its exact I/O accounting":
   in-process*: without a segment the read runs the in-process path.
 
 Byte accounting is **consumption-based**: each request reports the ranges
-its decoding actually consumed (per block, identical to the synchronous
-path), never the physical prefetch I/O — so turning prefetching on changes
-no reported number, only wall-clock time.  Decoded output is
-bitwise-identical across serial / prefetch / pool paths.
+its stores recorded (:attr:`repro.core.stream.CompressedStore.trace` — per
+block, identical on every path), never the physical prefetch I/O — so
+multiplexing changes no reported number, only wall-clock time.  Decoded
+output is bitwise-identical across serial / multiplexed / pool paths.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.progressive import ProgressiveRetriever
+from repro.core.stream import CompressedStore, IPCompStream, StreamHeader
 from repro.errors import StreamFormatError
 from repro.parallel.partition import (
     SliceTuple,
@@ -43,20 +53,20 @@ from repro.parallel.partition import (
     slices_to_ranges,
 )
 from repro.retrieval.plan import RetrievalPlan, ShardPlan
-from repro.retrieval.prefetch import Prefetcher, PrefetchSource, default_prefetch_depth
+from repro.retrieval.prefetch import PrefetchSource
 
-__all__ = ["EngineResult", "RetrievalEngine", "assemble", "open_stream_source"]
+__all__ = ["EngineResult", "RetrievalEngine", "assemble"]
 
-#: Default speculation ratio: after serving a refine() at bound E, prefetch
-#: the plan for E / DEFAULT_RUNG_FACTOR (the ladder step the benchmarks and
-#: examples use) in the background.
-DEFAULT_RUNG_FACTOR = 8.0
+#: Speculation ratio: after serving a refine() at bound E, prefetch the plan
+#: for E / RUNG_FACTOR (the ladder step the benchmarks and examples use) in
+#: the background.
+RUNG_FACTOR = 8.0
 
-#: Bytes speculatively primed at the head of each shard before its
-#: retriever is constructed (async-capable sources only): the stream header
-#: lives there, so header parsing — otherwise a serial round-trip per shard
-#: — rides one multiplexed batch.  Consumed-trace accounting is untouched;
-#: the over-fetch is ordinary speculation.
+#: Bytes speculatively primed at the head of each remote shard when its
+#: source is built: the stream header lives there, so header parsing —
+#: otherwise a serial round-trip per shard — rides one multiplexed batch.
+#: Consumed-trace accounting is untouched; the over-fetch is ordinary
+#: speculation.
 DEFAULT_HEADER_PRIME = 8192
 
 
@@ -104,103 +114,130 @@ class RetrievalEngine:
     """Plan → prefetch → pool-decode pipeline over a set of shard streams.
 
     ``open_source(name)`` returns a fresh byte-range source for one shard
-    (duck-typed, so the engine has no dependency on :mod:`repro.io`; the
-    chunked dataset passes container block sources).  ``path`` — when the
-    shards live in a local container file — enables the pool decode stage
-    for stateless reads; without it (a remote dataset) ``workers`` requests
-    decode in-process.  ``stored_bound`` is the fidelity served when a
-    request passes no target.
+    (duck-typed; the chunked dataset passes container block sources).
+    ``prefetch`` has one meaning — ``0`` reads serially, any positive value
+    multiplexes — and only for sources that ``supports_async``; a local
+    file reads synchronously whatever it says.  ``path`` — when the shards
+    live in a local container file — enables the pool decode stage for
+    stateless reads; without it (a remote dataset) ``workers`` requests
+    decode in-process.  :meth:`describe` supplies the domain before the
+    first request.
     """
 
     def __init__(
         self,
         open_source: Callable[[str], object],
         *,
-        shape: Sequence[int],
-        dtype,
-        stored_bound: float,
         prefetch: int = 0,
         workers: int = 0,
         path=None,
-        speculate: bool = True,
-        rung_factor: float = DEFAULT_RUNG_FACTOR,
     ) -> None:
         self._open_source = open_source
-        self.shape = tuple(int(s) for s in shape)
-        self.dtype = np.dtype(dtype)
-        self.stored_bound = float(stored_bound)
         self.prefetch = max(0, int(prefetch or 0))
         self.workers = max(0, int(workers or 0))
         self.path = path
-        self.speculate = bool(speculate)
-        self.rung_factor = float(rung_factor)
-        # Lazy, chosen by the first opened source: the event-loop
-        # prefetcher when it ``supports_async`` (a remote stack), the
-        # thread prefetcher for local files.  Identical bytes either way.
+        # The event-loop prefetcher, created with the first remote tower and
+        # shared by every shard (one burst merges all of their ranges).
         self._prefetcher = None
-        self._async = False
-        # Stateful per-shard retrievers + traced sources (refine() path).
+        self._lock = threading.Lock()  # serving threads open towers concurrently
+        # Shard headers parsed through :meth:`header`; a store built for
+        # one of these shards is handed the parse instead of re-reading it.
+        self._parsed: Dict[str, Tuple[StreamHeader, int]] = {}
+        # Stateful per-shard retrievers (refine() path).
         self._retrievers: Dict[str, ProgressiveRetriever] = {}
-        self._sources: Dict[str, PrefetchSource] = {}
         self.cumulative_bytes = 0
+
+    def describe(self, shape: Sequence[int], dtype, stored_bound: float) -> None:
+        """The domain the shards tile, and the fidelity a request gets when
+        it names no target.  A bare stream's come from its own header, read
+        through :meth:`header` — hence not constructor arguments."""
+        self.shape = tuple(int(s) for s in shape)
+        self.dtype = np.dtype(dtype)
+        self.stored_bound = float(stored_bound)
 
     # ------------------------------------------------------------------ wiring
 
-    def _make_source(self, name: str) -> PrefetchSource:
-        inner = self._open_source(name)
-        if self.prefetch > 0 and self._prefetcher is None:
-            self._prefetcher, self._async = _prefetcher_for(inner, self.prefetch)
-        return PrefetchSource(inner, self._prefetcher)
+    def open_sources(self, names: Sequence[str], wrap=None) -> list:
+        """Fresh byte-range sources for ``names`` — the one place the tower
+        between a :class:`~repro.core.stream.CompressedStore` and the bytes
+        is assembled.
 
-    def _source_for(
-        self, name: str, sources: Dict[str, PrefetchSource]
-    ) -> PrefetchSource:
-        source = sources.get(name)
-        if source is None:
-            source = self._make_source(name)
-            sources[name] = source
-        return source
+        ``wrap(name, source)`` (the serving layer's fault-injection hook)
+        goes around the raw shard source, *beneath* the prime cache.  A
+        source that ``supports_async`` is read through a
+        :class:`PrefetchSource` when ``prefetch > 0``, and the heads of all
+        such sources are primed here as one burst, so the header parses
+        that follow ride one wave of round trips instead of serialising;
+        anything else — every local file — is returned as it is.
+        """
+        towers, unparsed = [], []
+        for name in names:
+            source = self._open_source(name)
+            if wrap is not None:
+                source = wrap(name, source)
+            if self.prefetch > 0 and getattr(source, "supports_async", False):
+                source = PrefetchSource(source, self._prefetcher_on(source))
+                if name not in self._parsed:
+                    unparsed.append(source)
+            towers.append(source)
+        if unparsed:
+            with self._prefetcher.burst():
+                for source in unparsed:
+                    source.prime([(0, min(DEFAULT_HEADER_PRIME, source.size))])
+        return towers
 
-    def _retriever_for(
-        self,
-        name: str,
-        retrievers: Dict[str, ProgressiveRetriever],
-        sources: Dict[str, PrefetchSource],
-    ) -> ProgressiveRetriever:
-        retriever = retrievers.get(name)
-        if retriever is None:
-            source = self._source_for(name, sources)
-            retriever = ProgressiveRetriever(source)
-            retrievers[name] = retriever
-        return retriever
+    def _prefetcher_on(self, source):
+        """The engine's one prefetcher, made on first need."""
+        with self._lock:
+            if self._prefetcher is None:
+                from repro.io.aio import AsyncPrefetcher
+                from repro.io.remote import find_remote_source
 
-    def _target(self, error_bound: Optional[float]) -> float:
-        return self.stored_bound if error_bound is None else float(error_bound)
+                # On the loop thread the remote stack was opened on: its
+                # pool and window primitives are bound to that loop.
+                self._prefetcher = AsyncPrefetcher(
+                    loop=find_remote_source(source).loop_thread
+                )
+            return self._prefetcher
+
+    def header(self, name: str) -> Tuple[StreamHeader, int]:
+        """``(header, payload offset)`` of one shard, read once per engine."""
+        parsed = self._parsed.get(name)
+        if parsed is None:
+            (source,) = self.open_sources([name])
+            parsed = self._parsed[name] = IPCompStream.parse_header_source(source)
+        return parsed
+
+    def open_retrievers(self, names: Sequence[str]) -> List[ProgressiveRetriever]:
+        """One fresh retriever per shard, each over its :meth:`open_sources`
+        tower (the engine's own requests and the pool worker's)."""
+        return [
+            ProgressiveRetriever(CompressedStore(source, parsed=self._parsed.get(name)))
+            for name, source in zip(names, self.open_sources(names))
+        ]
 
     # ---------------------------------------------------------------- planning
 
     def plan(self, shards: Sequence, error_bound: Optional[float] = None) -> RetrievalPlan:
         """Stage 1 only: the fetch ops a *stateless* request would perform.
 
-        Uses throwaway retrievers over plain sources (header reads only —
-        no payload is touched and no stateful retriever is disturbed), so
-        inspection tools can print a plan without changing any accounting.
+        Uses throwaway retrievers (header reads only — no payload is
+        touched and no stateful retriever is disturbed), so inspection
+        tools can print a plan without changing any accounting.
         """
-        target = self._target(error_bound)
+        target = self.stored_bound if error_bound is None else float(error_bound)
+        names = [shard.name for shard in shards]
         plans: List[ShardPlan] = []
-        for shard in shards:
-            source = PrefetchSource(self._open_source(shard.name), None)
-            retriever = ProgressiveRetriever(source)
+        for name, retriever in zip(names, self.open_retrievers(names)):
             ops = retriever.pending_ops(error_bound=target)
             plans.append(
                 ShardPlan(
-                    shard=shard.name,
-                    ops=[replace(op, shard=shard.name) for op in ops],
+                    shard=name,
+                    ops=[replace(op, shard=name) for op in ops],
                     header_bytes=retriever.store.header_bytes,
                     target_keep=retriever.plan_request(error_bound=target).keep,
                 )
             )
-            source.close()
         return RetrievalPlan(plans)
 
     # ---------------------------------------------------------------- requests
@@ -210,62 +247,61 @@ class RetrievalEngine:
         shards: Sequence,
         roi_slices: SliceTuple,
         error_bound: Optional[float] = None,
+        bitrate: Optional[float] = None,
     ) -> EngineResult:
         """Stateless retrieval: fresh retrievers, optionally pool-decoded."""
-        target = self._target(error_bound)
-        if self.workers > 1 and self.path is not None and len(shards) > 1:
-            result = self._pooled_read(shards, roi_slices, target)
+        target = self._target(error_bound, bitrate)
+        if self.workers > 1 and self.path is not None and len(shards) > 1 and bitrate is None:
+            result = self._pooled_read(shards, roi_slices, target["error_bound"])
             if result is not None:
                 return result
-        return self._request(shards, roi_slices, target, {}, {}, speculate_next=False)
+        return self._request(shards, roi_slices, target, {}, speculate_next=False)
 
     def refine(
         self,
         shards: Sequence,
         roi_slices: SliceTuple,
         error_bound: Optional[float] = None,
+        bitrate: Optional[float] = None,
     ) -> EngineResult:
         """Stateful retrieval (Algorithm 2 per shard) with rung speculation."""
-        target = self._target(error_bound)
+        target = self._target(error_bound, bitrate)
         return self._request(
-            shards, roi_slices, target, self._retrievers, self._sources,
-            speculate_next=True,
+            shards, roi_slices, target, self._retrievers, speculate_next=True
         )
 
     # ------------------------------------------------------------------- guts
+
+    def _target(self, error_bound: Optional[float], bitrate: Optional[float]) -> dict:
+        """The request as the keyword every shard's planner takes."""
+        if bitrate is not None:
+            return {"bitrate": float(bitrate)}
+        bound = self.stored_bound if error_bound is None else float(error_bound)
+        return {"error_bound": bound}
 
     def _request(
         self,
         shards: Sequence,
         roi_slices: SliceTuple,
-        target: float,
+        target: dict,
         retrievers: Dict[str, ProgressiveRetriever],
-        sources: Dict[str, PrefetchSource],
         *,
         speculate_next: bool,
     ) -> EngineResult:
-        trace_start = {name: len(src.trace) for name, src in sources.items()}
-        # Header speculation (async-capable sources): prime the head of
-        # every new shard *before* any retriever parses a header, so the
-        # per-shard header round-trips ride one multiplexed wave instead
-        # of serialising — the parses below then hit the prime cache.
-        if self.prefetch > 0:
-            fresh = [
-                self._source_for(shard.name, sources)
-                for shard in shards
-                if shard.name not in retrievers
-            ]
-            if self._async:  # known once the first source is open
-                with self._prefetcher.burst():
-                    for source in fresh:
-                        source.prime([(0, min(DEFAULT_HEADER_PRIME, source.size))])
+        trace_start = {
+            name: len(retriever.store.trace) for name, retriever in retrievers.items()
+        }
+        # Every new shard's source is opened together, so their header
+        # primes are one wave and the parses below hit the prime cache.
+        fresh = [shard.name for shard in shards if shard.name not in retrievers]
+        retrievers.update(zip(fresh, self.open_retrievers(fresh)))
         # Stage 1 for *all* shards, then stage 2 as one burst: the
-        # prefetcher sees every shard's ops together (and, over a remote
-        # stack, merges them into one wave of round trips), and the
-        # background reads for later shards proceed while the first shard
-        # decodes.  Each plan is handed on to its retrieve() call below.
-        selected = [self._retriever_for(s.name, retrievers, sources) for s in shards]
-        plans = [retriever.plan_request(error_bound=target) for retriever in selected]
+        # prefetcher sees every shard's ops together and merges them into
+        # one wave of round trips, and the reads for later shards proceed
+        # while the first shard decodes.  Each plan is handed on to its
+        # retrieve() call below.
+        selected = [retrievers[shard.name] for shard in shards]
+        plans = [retriever.plan_request(**target) for retriever in selected]
         if self._prefetcher is not None:
             with self._prefetcher.burst():
                 for retriever, plan in zip(selected, plans):
@@ -275,7 +311,7 @@ class RetrievalEngine:
         remaining = list(zip(shards, selected, plans))
         while remaining:
             index = 0
-            if self.prefetch > 0 and len(remaining) > 1:
+            if self._prefetcher is not None and len(remaining) > 1:
                 # Streaming handoff: decode a shard whose primed ranges
                 # have all landed rather than blocking on plan order — the
                 # first shard still fetching overlaps with another shard's
@@ -283,8 +319,8 @@ class RetrievalEngine:
                 index = next(
                     (
                         i
-                        for i, (shard, _retriever, _plan) in enumerate(remaining)
-                        if sources[shard.name].inflight == 0
+                        for i, (_shard, retriever, _plan) in enumerate(remaining)
+                        if getattr(retriever.store.source, "inflight", 0) == 0
                     ),
                     0,
                 )
@@ -293,12 +329,11 @@ class RetrievalEngine:
             achieved = max(achieved, result.error_bound)
             pieces.append((shard.slices, result.data))
         ranges: List[Tuple[str, int, int]] = []
-        for shard in shards:
-            source = sources[shard.name]
-            for offset, length in source.trace[trace_start.get(shard.name, 0):]:
+        for shard, retriever in zip(shards, selected):
+            for offset, length in retriever.store.trace[trace_start.get(shard.name, 0):]:
                 ranges.append((shard.name, offset, length))
-        if speculate_next and self.speculate and self._prefetcher is not None:
-            self._speculate(shards, retrievers, sources, target)
+        if speculate_next and self._prefetcher is not None:
+            self._speculate(selected, target.get("error_bound", achieved))
         data = assemble(pieces, roi_slices, self.dtype)
         return self._result(data, achieved, shards, ranges)
 
@@ -314,28 +349,19 @@ class RetrievalEngine:
             ranges=ranges,
         )
 
-    def _speculate(
-        self,
-        shards: Sequence,
-        retrievers: Dict[str, ProgressiveRetriever],
-        sources: Dict[str, PrefetchSource],
-        target: float,
-    ) -> None:
+    def _speculate(self, selected: Sequence[ProgressiveRetriever], target: float) -> None:
         """Prime the next fidelity rung's blocks in the background.
 
         A wrong guess costs only background I/O: the primed ranges stay
         cached (physically read once), unreported until a later request
         consumes them.
         """
-        next_target = max(self.stored_bound, target / self.rung_factor)
+        next_target = max(self.stored_bound, target / RUNG_FACTOR)
         if next_target >= target:
             return
         with self._prefetcher.burst():
-            for shard in shards:
-                retriever = retrievers[shard.name]
-                ops = retriever.pending_ops(error_bound=next_target)
-                if ops:
-                    sources[shard.name].prime([(op.offset, op.length) for op in ops])
+            for retriever in selected:
+                retriever._prime(retriever.plan_request(error_bound=next_target))
 
     def _pooled_read(
         self, shards: Sequence, roi_slices: SliceTuple, target: float
@@ -379,70 +405,6 @@ class RetrievalEngine:
 
     def close(self) -> None:
         self._retrievers.clear()
-        for source in self._sources.values():
-            source.drop_unconsumed()
-        self._sources.clear()
         if self._prefetcher is not None:
             self._prefetcher.close()
             self._prefetcher = None
-
-
-def _prefetcher_for(inner, depth: int):
-    """``(prefetcher, is_async)`` for an opened source: the event-loop
-    prefetcher when it can serve coroutine range reads, else threads."""
-    if getattr(inner, "supports_async", False):
-        from repro.io.aio import AsyncPrefetcher
-        from repro.io.remote import find_remote_source
-
-        # On the loop thread the remote stack was opened on: its pool and
-        # window primitives are bound to that loop.
-        loop = getattr(find_remote_source(inner), "loop_thread", None)
-        return AsyncPrefetcher(depth=depth, loop=loop), True
-    return Prefetcher(depth=depth), False
-
-
-def open_stream_source(path, prefetch: Optional[int] = None, *, source=None):
-    """A byte-range source over a bare ``.ipc`` stream file or URL.
-
-    ``path`` may be a local file or an ``http(s)://`` URL — the latter is
-    read through a resilient remote stack
-    (:func:`repro.io.aio.open_remote_source`, or a pre-built ``source``
-    with mirrors / fault injection).  With ``prefetch > 0`` the source
-    owns a private prefetcher — event-loop for a remote stack, thread-pool
-    for a file — and a
-    :class:`~repro.core.progressive.ProgressiveRetriever` reading through
-    it will overlap its planned range reads with decoding (the retriever
-    primes its own pending ops); ``prefetch=0`` reads serially, and
-    ``prefetch=None`` takes the library default
-    (:func:`~repro.retrieval.prefetch.default_prefetch_depth`: remote →
-    prefetch, local → serial).  ``source.close()`` releases the backing
-    handle/connection and the prefetcher.
-    """
-    from repro.io.aio import open_remote_source
-    from repro.io.container import FileSource
-    from repro.io.remote import is_url
-
-    if source is not None:
-        inner = source
-    elif is_url(path):
-        inner = open_remote_source(str(path))
-    else:
-        inner = FileSource(path)
-    if prefetch is None:
-        prefetch = default_prefetch_depth(source is not None or is_url(path))
-    if prefetch <= 0:
-        return inner
-    prefetcher, is_async = _prefetcher_for(inner, prefetch)
-    source = PrefetchSource(inner, prefetcher)
-    if is_async:
-        # Header speculation: the retriever's construction-time header
-        # reads ride one multiplexed prime instead of serial round-trips.
-        source.prime([(0, min(DEFAULT_HEADER_PRIME, inner.size))])
-    original_close = source.close
-
-    def close() -> None:
-        original_close()
-        prefetcher.close()
-
-    source.close = close  # type: ignore[method-assign]
-    return source

@@ -84,8 +84,8 @@ def _retrieve_container_shards(payload) -> List[Tuple[str, list, float]]:
     Also runs in-process when the pool breaks (attaching to a segment from
     the creating process is valid and free).
     """
-    from repro.io.container import BlockContainerReader, BlockSource
-    from repro.core.progressive import ProgressiveRetriever
+    from repro.io.container import BlockContainerReader
+    from repro.retrieval.engine import RetrievalEngine
 
     path, segment_name, out_shape, dtype, roi_ranges, tasks, error_bound = payload
     roi = ranges_to_slices(roi_ranges)
@@ -95,13 +95,15 @@ def _retrieve_container_shards(payload) -> List[Tuple[str, list, float]]:
     try:
         out = np.ndarray(tuple(out_shape), dtype=np.dtype(dtype), buffer=segment.buf)
         with BlockContainerReader(path) as reader:
+            # The same source tower as the serial path, over this process's
+            # own reader (a local file: the store reads its block directly).
+            engine = RetrievalEngine(reader.source)
             for name, slab_ranges in tasks:
-                source = BlockSource(reader, name)
-                retriever = ProgressiveRetriever(source)
+                (retriever,) = engine.open_retrievers([name])
                 result = retriever.retrieve(error_bound=error_bound)
                 sel_out, sel_in = intersect_slab_roi(ranges_to_slices(slab_ranges), roi)
                 out[sel_out] = result.data[sel_in]
-                results.append((name, list(source.trace), float(result.error_bound)))
+                results.append((name, retriever.store.trace, float(result.error_bound)))
         return results
     finally:
         # The ndarray view must release the buffer before the segment

@@ -1,9 +1,11 @@
-"""Stage 2 of the retrieval pipeline: bounded background prefetching.
+"""Stage 2 of the retrieval pipeline: the prime cache of remote reads.
 
-A :class:`Prefetcher` owns a small thread pool (file reads release the GIL,
-so range I/O genuinely overlaps NumPy decode work); a :class:`PrefetchSource`
-wraps any byte-range source and serves reads out of a cache of *primed*
-ranges:
+A :class:`PrefetchSource` sits between a
+:class:`~repro.core.stream.CompressedStore` and a byte-range source whose
+reads cost a round trip — one that ``supports_async``, i.e. a container
+block (or bare stream) over the remote stack of :mod:`repro.io.aio` — and
+serves reads out of a cache of *primed* ranges fetched by the event-loop
+:class:`~repro.io.aio.AsyncPrefetcher`:
 
 * ``prime(ranges)`` submits background reads for the planned, coalesced
   ranges of a :class:`~repro.retrieval.plan.FetchOp` list, skipping (or
@@ -14,31 +16,30 @@ ranges:
   primed range covers them (blocking only if that read is still in flight)
   and falls through to a direct synchronous read otherwise.
 
-Accounting is split in two on purpose:
+It is the remote path, not a second prefetcher: a local file has no
+wrapper between the store and its block source (the page cache is the
+source; a thread prefetcher measured 0.92× / 0.87× of the synchronous
+read and was deleted), and ``prefetch=0`` is the serial oracle — one range
+on the wire at a time.  The one construction site is
+:meth:`repro.retrieval.engine.RetrievalEngine.open_sources`.
 
-* ``trace`` records the ranges **consumed** by the reader — per block,
-  append-ordered, exactly what the synchronous path would have read.  The
-  dataset layer reports these, so byte counts are identical with and
-  without prefetching, and a speculative fetch of the next fidelity rung is
-  attributed to the request that eventually *uses* it (or to none at all).
-* ``bytes_fetched`` counts the physical reads, speculation included — the
-  honest I/O figure.
-
-With no prefetcher attached the source is a pure pass-through (plus the
-consumed trace), so the synchronous path runs the same code.
+The cache keeps no record of what was *consumed* — that is the store's
+``trace``, identical with and without it, so a speculative fetch of the
+next fidelity rung is attributed to the request that eventually uses it
+(or to none at all).  ``bytes_fetched`` counts the physical reads,
+speculation included — the honest I/O figure.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import CancelledError, Future
 from typing import List, Optional, Sequence, Tuple
 
-__all__ = ["Prefetcher", "PrefetchSource"]
+__all__ = ["PrefetchSource"]
 
-#: Number of range reads in flight when a *remote* source is read and
-#: nobody said otherwise (see :func:`default_prefetch_depth`).
+#: The ``prefetch`` value of a *remote* source when nobody said otherwise
+#: (see :func:`default_prefetch_depth`): 0 = serial, positive = multiplexed.
 DEFAULT_PREFETCH_DEPTH = 4
 
 
@@ -46,49 +47,12 @@ def default_prefetch_depth(remote: bool) -> int:
     """The depth used when neither a keyword, a flag nor a profile sets one.
 
     A remote source read synchronously pays one round trip per plane
-    block, so it prefetches at :data:`DEFAULT_PREFETCH_DEPTH`; a local file
-    reads synchronously — the page cache is the source, and the thread
-    prefetcher measured 0.92× (full read) / 0.87× (four-rung ladder) of
-    the synchronous read at the e2e size.  The one rule behind
-    :class:`~repro.io.dataset.ChunkedDataset`,
-    :func:`~repro.retrieval.engine.open_stream_source` and the CLI.
+    block, so it is multiplexed (:data:`DEFAULT_PREFETCH_DEPTH`; any
+    positive value means the same — a wave is sized by the connection
+    pool); a local file reads synchronously whatever the value.  The one
+    rule behind :class:`~repro.io.dataset.ChunkedDataset` and the CLI.
     """
     return DEFAULT_PREFETCH_DEPTH if remote else 0
-
-
-class Prefetcher:
-    """A bounded pool of background range readers, shared across sources."""
-
-    def __init__(self, depth: int = DEFAULT_PREFETCH_DEPTH) -> None:
-        self.depth = max(1, int(depth))
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.depth, thread_name_prefix="repro-prefetch"
-        )
-        self._closed = False
-
-    def submit(self, fn, *args) -> Future:
-        return self._executor.submit(fn, *args)
-
-    def burst(self):
-        """Group the submits of one block (the prefetcher duck type).  Pool
-        threads start each read as it is submitted; nothing to hold."""
-        return nullcontext()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def close(self) -> None:
-        """Stop issuing new reads; in-flight reads are abandoned to finish."""
-        if not self._closed:
-            self._closed = True
-            self._executor.shutdown(wait=False, cancel_futures=True)
-
-    def __enter__(self) -> "Prefetcher":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 class _Primed:
@@ -112,12 +76,10 @@ class _Primed:
 class PrefetchSource:
     """Byte-range source wrapper with asynchronous range priming."""
 
-    def __init__(self, inner, prefetcher: Optional[Prefetcher] = None) -> None:
+    def __init__(self, inner, prefetcher) -> None:
         self._inner = inner
         self._prefetcher = prefetcher
         self.size = inner.size
-        #: Ranges consumed by the reader (the synchronous-path equivalent).
-        self.trace: List[Tuple[int, int]] = []
         #: Physical bytes read, speculative primes included.
         self.bytes_fetched = 0
         self._primed: List[_Primed] = []
@@ -130,22 +92,21 @@ class PrefetchSource:
 
         Ranges (coalesced fetch-op extents) are split around anything
         already primed, so re-priming — e.g. a speculative rung followed by
-        the actual request's plan — never re-reads a byte.  Without a
-        prefetcher this is a no-op and reads stay synchronous.
+        the actual request's plan — never re-reads a byte.
 
         A prefetcher that has been closed (possibly by another request
-        sharing it, mid-prime) degrades the same way: its executor refuses
-        new futures with ``RuntimeError``, which ends the prime early — the
-        unscheduled ranges simply fall through to direct synchronous reads
-        in :meth:`read_range`, bitwise-identical.
+        sharing it, mid-prime) refuses new futures with ``RuntimeError``,
+        which ends the prime early — the unscheduled ranges simply fall
+        through to direct synchronous reads in :meth:`read_range`,
+        bitwise-identical.
         """
-        if self._prefetcher is None or self._prefetcher.closed:
+        if self._prefetcher.closed:
             return 0
         scheduled = 0
         submitted: List[_Primed] = []
         shut_down = False
-        # One burst per call: an event-loop prefetcher then sees (and
-        # merges) all of these ranges together, not as they trickle in.
+        # One burst per call: the prefetcher then sees (and merges) all of
+        # these ranges together, not as they trickle in.
         with self._lock, self._prefetcher.burst():
             for offset, length in ranges:
                 if shut_down:
@@ -156,8 +117,8 @@ class PrefetchSource:
                             self._inner.read_range, start, end - start
                         )
                     except RuntimeError:
-                        # Executor shut down between the closed check and
-                        # the submit: stop priming; nothing was charged for
+                        # Shut down between the closed check and the
+                        # submit: stop priming; nothing was charged for
                         # this range and reads stay synchronous.
                         shut_down = True
                         break
@@ -214,9 +175,8 @@ class PrefetchSource:
 
     def read_range(self, offset: int, length: int) -> bytes:
         """Serve one consumed range: cache hit, in-flight wait, or direct read."""
-        self.trace.append((offset, length))
         hit = parts = None
-        if self._primed:  # else (every local-file read) a plain miss: no lock, no scans
+        if self._primed:  # else a plain miss: no lock, no scans
             with self._lock:
                 hit = next(
                     (p for p in self._primed if p.covers(offset, length)), None
@@ -338,18 +298,8 @@ class PrefetchSource:
 
     def close(self) -> None:
         """Discard the cache and close the wrapped source (when closable)."""
-        self.drop_unconsumed()
+        with self._lock:
+            self._primed.clear()
         close = getattr(self._inner, "close", None)
         if close is not None:
             close()
-
-    def drop_unconsumed(self) -> int:
-        """Discard primed-but-unconsumed intervals; returns bytes dropped.
-
-        Used when a speculative rung turns out wrong enough that its cached
-        blocks can never be consumed (the retriever surpassed them).
-        """
-        with self._lock:
-            dropped = sum(p.end - p.start - p.consumed for p in self._primed)
-            self._primed.clear()
-        return dropped

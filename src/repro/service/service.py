@@ -6,8 +6,14 @@ pipeline.  Where a fresh :class:`~repro.io.dataset.ChunkedDataset` pays
 container-open and per-shard header parse on every request, the service
 keeps:
 
-* **sessions** — one per dataset file, pinning the open container reader
-  and parsing each shard's stream header exactly once.  Sessions are keyed
+* **sessions** — one per dataset file or URL, pinning one open
+  :class:`~repro.io.dataset.ChunkedDataset` (a container or a bare stream
+  — the session does not know which) and parsing each shard's stream
+  header exactly once.  The session reads through the dataset's own
+  source tower (:meth:`~repro.io.dataset.ChunkedDataset.shard_source` /
+  :meth:`~repro.io.dataset.ChunkedDataset.shard_header`): a remote one
+  multiplexes — a header prime and one payload burst per cold shard — and
+  a local one reads synchronously.  Sessions are keyed
   by the file's ``(size, mtime_ns, tail_crc)`` fingerprint
   (:func:`file_fingerprint`), so a rewritten file — even one rewritten at
   the same size within the filesystem's mtime granularity — gets a fresh
@@ -26,9 +32,10 @@ keeps:
 
 Accounting stays **consumption-based**: every request's trace reports the
 ``bytes_loaded`` / ``ranges`` a fresh serial read of the same request
-consumes — cache hits replay the recorded consumption — while the
-physically-performed reads are reported separately (``physical_reads`` is
-0 on a warm repeat).  Decoded answers are bitwise-identical to
+consumes (the stores' ``trace``; cache hits replay the recorded
+consumption) while the reads the request's stores actually issued, plus
+the once-per-session header parse, are reported separately
+(``physical_reads`` is 0 on a warm repeat).  Decoded answers are bitwise-identical to
 :meth:`ChunkedDataset.read <repro.io.dataset.ChunkedDataset.read>` across
 cold, warm, refined and evicted paths; the test suite pins every one of
 those paths to the serial oracle.  Every shard decodes in-process under
@@ -75,14 +82,8 @@ from repro.core.progressive import ProgressiveRetriever
 from repro.core.stream import CompressedStore, StreamHeader
 from repro.errors import ConfigurationError, RetrievalError, StreamFormatError
 from repro.io.aio import open_remote_source
-from repro.io.container import FileSource, is_container, sniff_container
-from repro.io.dataset import ChunkedDataset, DatasetShard
+from repro.io.dataset import ChunkedDataset
 from repro.io.remote import is_url, jittered_backoff, remote_fingerprint
-from repro.parallel.partition import (
-    SliceTuple,
-    normalize_roi,
-    slices_intersect,
-)
 from repro.retrieval.engine import assemble
 from repro.retrieval.plan import plan_stream_ops
 from repro.service.cache import DEFAULT_CACHE_BYTES, TieredCache
@@ -152,57 +153,14 @@ class RequestCost:
     planned_bound: float
 
 
-class _TracedSource:
-    """Byte-range source wrapper keeping consumed and physical accounting.
-
-    ``trace`` is the *consumed* view — replayed header ranges included — and
-    is what the service reports; ``physical_reads`` / ``physical_bytes``
-    count only actual ``read_range`` calls.  Short reads surface as
-    :class:`StreamFormatError` so the retry ladder treats them like any
-    other bad source.
-    """
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
-        self.size = inner.size
-        self.trace: List[Tuple[int, int]] = []
-        self.physical_reads = 0
-        self.physical_bytes = 0
-
-    def read_range(self, offset: int, length: int) -> bytes:
-        data = self._inner.read_range(offset, length)
-        if len(data) != length:
-            raise StreamFormatError(
-                f"short read: wanted {length} bytes at offset {offset}, "
-                f"got {len(data)}"
-            )
-        self.physical_reads += 1
-        self.physical_bytes += length
-        self.trace.append((offset, length))
-        return data
-
-    def replay(self, ranges) -> None:
-        """Record already-satisfied ranges (pinned header) without I/O."""
-        self.trace.extend((int(o), int(n)) for o, n in ranges)
-
-
 @dataclass
 class _ShardMeta:
     """Once-per-session parsed state of one shard's stream."""
 
     header: StreamHeader
     header_bytes: int
-    header_trace: List[Tuple[int, int]]
     loader: OptimizedLoader
     extent_store: CompressedStore  # block extents for planning; never read
-
-
-@dataclass
-class _Rung:
-    """A resident progressive retriever plus its accumulated consumed trace."""
-
-    retriever: ProgressiveRetriever
-    source: _TracedSource
 
 
 @dataclass
@@ -238,12 +196,15 @@ def _validated_target(stored_bound: float, error_bound: Optional[float]) -> floa
 
 
 class _Session:
-    """Per-file pinned state: reader, manifest/header, lazy shard metadata.
+    """Per-file pinned state: the open dataset, lazy shard metadata.
 
     ``path`` is a local :class:`~pathlib.Path` or an ``http(s)://`` URL;
     for a URL the caller hands in the already-built ``remote_source``
-    stack, which the session owns (closed with it) and whose ``stats()``
-    the service harvests per request.
+    stack, which the session's dataset owns (closed with it) and whose
+    ``stats()`` the service harvests per request.  A container and a bare
+    stream are the same thing here: :class:`ChunkedDataset` opens either,
+    with the library's default read path (remote → multiplexed, local →
+    synchronous).
     """
 
     def __init__(
@@ -264,34 +225,7 @@ class _Session:
         self._meta: Dict[str, _ShardMeta] = {}
         self._meta_lock = threading.Lock()
         self._shard_locks: Dict[str, threading.Lock] = {}
-        container = (
-            sniff_container(remote_source) if self.is_remote else is_container(path)
-        )
-        if container:
-            self.kind = "container"
-            self.dataset: Optional[ChunkedDataset] = ChunkedDataset(
-                path, prefetch=0, workers=0, source=remote_source
-            )
-            self.shape = self.dataset.shape
-            self.dtype = self.dataset.dtype
-            self.stored_bound = self.dataset.absolute_bound
-            self.shards = list(self.dataset.shards)
-            self._stream_source = None
-        else:
-            # A bare ``.ipc`` stream: one pseudo-shard covering the domain.
-            self.kind = "stream"
-            self.dataset = None
-            self._stream_source = (
-                remote_source if self.is_remote else FileSource(path)
-            )
-            meta = self._build_meta("stream")
-            self._meta["stream"] = meta
-            self.shape = tuple(int(s) for s in meta.header.shape)
-            self.dtype = np.dtype(meta.header.dtype)
-            self.stored_bound = float(meta.header.error_bound)
-            self.shards = [
-                DatasetShard("stream", tuple(slice(0, s) for s in self.shape))
-            ]
+        self.dataset = ChunkedDataset(path, workers=0, source=remote_source)
 
     def remote_stats(self) -> Optional[dict]:
         """Current cumulative stats of the remote stack (None when local)."""
@@ -306,26 +240,7 @@ class _Session:
             if setter is not None:
                 setter(deadline)
 
-    # ------------------------------------------------------------- selection
-
-    def select(self, roi) -> Tuple[SliceTuple, List[DatasetShard]]:
-        if self.dataset is not None:
-            return self.dataset.select(roi)
-        if roi is None:
-            return tuple(slice(0, s) for s in self.shape), list(self.shards)
-        roi_slices = normalize_roi(roi, self.shape)
-        selected = [
-            s for s in self.shards if slices_intersect(s.slices, roi_slices)
-        ]
-        return roi_slices, selected
-
     # --------------------------------------------------------------- plumbing
-
-    def raw_source(self, name: str):
-        """A fresh logical byte-range view of one shard over the pinned handle."""
-        if self.dataset is not None:
-            return self.dataset.shard_source(name)
-        return self._stream_source
 
     def shard_lock(self, name: str) -> threading.Lock:
         with self._meta_lock:
@@ -335,13 +250,14 @@ class _Session:
             return lock
 
     def _build_meta(self, name: str) -> _ShardMeta:
-        source = _TracedSource(self.raw_source(name))
-        store = CompressedStore(source)  # parses the header through ``source``
+        header, header_bytes = self.dataset.shard_header(name)
+        store = CompressedStore(
+            self.dataset.shard_source(name), parsed=(header, header_bytes)
+        )
         return _ShardMeta(
-            header=store.header,
-            header_bytes=store.header_bytes,
-            header_trace=list(source.trace),
-            loader=OptimizedLoader(store.header, overhead_bytes=store.overhead_bytes),
+            header=header,
+            header_bytes=header_bytes,
+            loader=OptimizedLoader(header, overhead_bytes=store.overhead_bytes),
             extent_store=store,
         )
 
@@ -349,8 +265,8 @@ class _Session:
         """The shard's pinned metadata, plus the physical cost of building it.
 
         The header is parsed on first touch only; the ``(reads, bytes)``
-        pair is non-zero exactly once per shard per session and is charged
-        to the request that triggered the parse.
+        pair — the two header reads — is non-zero exactly once per shard
+        per session and is charged to the request that triggered the parse.
         """
         with self._meta_lock:
             meta = self._meta.get(name)
@@ -367,13 +283,10 @@ class _Session:
             meta = self._build_meta(name)
             with self._meta_lock:
                 self._meta[name] = meta
-        return meta, len(meta.header_trace), sum(n for _, n in meta.header_trace)
+        return meta, 2, meta.header_bytes
 
     def close(self) -> None:
-        if self.dataset is not None:
-            self.dataset.close()
-        if self._stream_source is not None:
-            self._stream_source.close()
+        self.dataset.close()
 
 
 class RetrievalService:
@@ -493,14 +406,14 @@ class RetrievalService:
         error_bound: Optional[float],
         roi,
     ) -> ServiceResponse:
-        roi_slices, selected = session.select(roi)
-        target = _validated_target(session.stored_bound, error_bound)
+        roi_slices, selected = session.dataset.select(roi)
+        target = _validated_target(session.dataset.absolute_bound, error_bound)
         served = {
             shard.name: self._serve_shard(session, shard.name, target)
             for shard in selected
         }
         pieces = [(shard.slices, served[shard.name].data) for shard in selected]
-        data = assemble(pieces, roi_slices, session.dtype)
+        data = assemble(pieces, roi_slices, session.dataset.dtype)
         ranges: List[Tuple[str, int, int]] = []
         tier_hits: Dict[str, int] = {}
         tier_misses: Dict[str, int] = {}
@@ -574,8 +487,8 @@ class RetrievalService:
         to actually call :meth:`get`.
         """
         session = self._session(path)
-        roi_slices, selected = session.select(roi)
-        target = _validated_target(session.stored_bound, error_bound)
+        roi_slices, selected = session.dataset.select(roi)
+        target = _validated_target(session.dataset.absolute_bound, error_bound)
         per_shard: Dict[str, int] = {}
         planned_bounds: List[float] = []
         for shard in selected:
@@ -622,8 +535,8 @@ class RetrievalService:
         the *final* answer).
         """
         session = self._session(path)
-        roi_slices, selected = session.select(roi)
-        target = _validated_target(session.stored_bound, error_bound)
+        roi_slices, selected = session.dataset.select(roi)
+        target = _validated_target(session.dataset.absolute_bound, error_bound)
         served: Dict[str, Tuple[np.ndarray, float, bool]] = {}
         for shard in selected:
             best = self._best_resident(session, shard.name, target)
@@ -631,7 +544,7 @@ class RetrievalService:
                 return None
             served[shard.name] = best
         pieces = [(shard.slices, served[shard.name][0]) for shard in selected]
-        data = assemble(pieces, roi_slices, session.dtype)
+        data = assemble(pieces, roi_slices, session.dataset.dtype)
         trace = RetrievalTrace(
             dataset=str(session.path),
             roi=[[s.start, s.stop] for s in roi_slices],
@@ -668,12 +581,10 @@ class RetrievalService:
             try:
                 rung = self.cache.get("rung", (sid, name), count=False)
                 if rung is not None:
-                    output = rung.retriever.current_output
+                    output = rung.current_output
                     if output is not None:
                         meta, _, _ = session.shard_meta(name)
-                        bound = meta.loader.plan_error(
-                            rung.retriever.current_keep
-                        )
+                        bound = meta.loader.plan_error(rung.current_keep)
                         candidates.append((output, float(bound)))
             finally:
                 lock.release()
@@ -769,7 +680,7 @@ class RetrievalService:
             delays: List[float] = []
             rung = self.cache.get("rung", rung_key, count=False)
             rung_usable = rung is not None and all(
-                rung.retriever.current_keep.get(level, 0) <= k
+                rung.current_keep.get(level, 0) <= k
                 for level, k in keep.items()
             )
             self.cache.record("rung", hit=rung_usable)
@@ -808,7 +719,7 @@ class RetrievalService:
         self,
         session: _Session,
         name: str,
-        rung: _Rung,
+        rung: ProgressiveRetriever,
         target: float,
         planned: int,
         meta_reads: int,
@@ -822,21 +733,20 @@ class RetrievalService:
         trace is the rung's accumulated one: the same multiset of ranges a
         fresh serial read at this selection reads.
         """
-        before_reads = rung.source.physical_reads
-        before_bytes = rung.source.physical_bytes
-        result = rung.retriever.retrieve_rebuilt(error_bound=target)
+        before_reads = len(rung.store.trace)
+        result = rung.retrieve_rebuilt(error_bound=target)
         # Re-charge the rung at its new resident size (it may have grown);
         # if the budget no longer accommodates it, it simply ages out.
-        self.cache.put(
-            "rung", (session.sid, name), rung, rung.retriever.resident_nbytes
-        )
+        self.cache.put("rung", (session.sid, name), rung, rung.resident_nbytes)
         return _ShardServe(
             data=result.data,
-            ranges=list(rung.source.trace),
+            ranges=list(rung.store.trace),
             bound=result.error_bound,
             planned_bytes=planned,
-            physical_reads=meta_reads + rung.source.physical_reads - before_reads,
-            physical_bytes=meta_bytes + rung.source.physical_bytes - before_bytes,
+            physical_reads=meta_reads + len(rung.store.trace) - before_reads,
+            # The store's counter restarts with each retrieval: what it
+            # holds now is this refinement's payload bytes.
+            physical_bytes=meta_bytes + rung.store.bytes_read,
             retries=0,
             tier="rung",
         )
@@ -853,25 +763,27 @@ class RetrievalService:
         meta_bytes: int,
         delays: Optional[List[float]] = None,
     ) -> _ShardServe:
-        """From-scratch read over a fresh traced source, with the retry ladder.
+        """From-scratch read over a fresh source tower, with the retry ladder.
 
         Each attempt starts clean — fresh source, fresh retriever — because
-        a failure may have left partial decode state.  The pinned header is
-        handed to the store pre-parsed and *replayed* into the consumed
-        trace, so the report matches a serial fresh read (which parses the
-        header itself) while the session parses it only once physically.
-        Failed attempts back off (capped exponential, deterministic jitter)
-        instead of hot-spinning against a transient fault; each slept delay
-        lands in the trace's ``retry_delays``.
+        a failure may have left partial decode state.  The source is the
+        dataset's assembled tower (``source_filter`` beneath its prime
+        cache), so a remote shard costs one payload burst, not a round trip
+        per block.  The pinned header is handed to the store pre-parsed;
+        its two ranges open the store's consumed trace all the same, so the
+        report matches a serial fresh read (which parses the header itself)
+        while the session parses it only once physically.  Failed attempts
+        back off (capped exponential, deterministic jitter) instead of
+        hot-spinning against a transient fault; each slept delay lands in
+        the trace's ``retry_delays``.
         """
         delays = [] if delays is None else delays
         while True:
-            source = _TracedSource(self._filtered_source(session, name))
             try:
                 store = CompressedStore(
-                    source, parsed=(meta.header, meta.header_bytes)
+                    session.dataset.shard_source(name, self.source_filter),
+                    parsed=(meta.header, meta.header_bytes),
                 )
-                source.replay(meta.header_trace)
                 retriever = ProgressiveRetriever(store)
                 result = retriever.retrieve(error_bound=target)
             except _RETRYABLE:
@@ -886,28 +798,21 @@ class RetrievalService:
                 self._sleep(delay)
                 continue
             self.cache.put(
-                "rung",
-                (session.sid, name),
-                _Rung(retriever=retriever, source=source),
-                retriever.resident_nbytes,
+                "rung", (session.sid, name), retriever, retriever.resident_nbytes
             )
             return _ShardServe(
                 data=result.data,
-                ranges=list(source.trace),
+                ranges=list(store.trace),
                 bound=result.error_bound,
                 planned_bytes=planned,
-                physical_reads=meta_reads + source.physical_reads,
-                physical_bytes=meta_bytes + source.physical_bytes,
+                # Every trace entry after the two header ranges is one
+                # payload read the store issued.
+                physical_reads=meta_reads + len(store.trace) - 2,
+                physical_bytes=meta_bytes + store.bytes_read,
                 retries=retries,
                 tier="cold",
                 retry_delays=delays,
             )
-
-    def _filtered_source(self, session: _Session, name: str):
-        source = session.raw_source(name)
-        if self.source_filter is not None:
-            source = self.source_filter(name, source)
-        return source
 
     def _insert_slab(self, slab_key, serve: _ShardServe) -> None:
         data = serve.data

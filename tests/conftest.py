@@ -8,14 +8,18 @@ runs in seconds; the benchmarks under ``benchmarks/`` use the realistic
 from __future__ import annotations
 
 import asyncio
+import json
 import multiprocessing
 import os
 import threading
 import time
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="session")
@@ -78,6 +82,92 @@ def signal_1d() -> np.ndarray:
     return (np.sin(t) + 0.1 * np.sin(13 * t) + 0.01 * t**2).astype(np.float64)
 
 
+def cumsum_field(shape, seed=0) -> np.ndarray:
+    """A smooth random field from its own generator (never the shared ``rng``)."""
+    rng = np.random.default_rng(90210 + seed)
+    base = rng.normal(size=shape)
+    for axis in range(len(shape)):
+        base = np.cumsum(base, axis=axis)
+    return (base + 0.1 * rng.normal(size=shape)).astype(np.float64)
+
+
+@pytest.fixture(scope="session")
+def v1_blob() -> bytes:
+    """The pinned legacy (version-1) stream."""
+    return (DATA / "v1_stream.ipc").read_bytes()
+
+
+def write_v1_container(path: Path, n_shards: int = 2) -> Path:
+    """A manifest-v1 container wrapping the pinned v1 stream ``n_shards`` times.
+
+    Every shard decodes the same pinned payload; the field is their stack
+    along axis 0 — enough structure to drive the multi-shard (and pool)
+    paths against genuine version-1 bytes.
+    """
+    from repro.io import BlockContainerWriter
+
+    blob = (DATA / "v1_stream.ipc").read_bytes()
+    n0, n1 = np.load(DATA / "v1_expected.npy").shape
+    names = [f"shard-{index:04d}" for index in range(n_shards)]
+    manifest = {
+        "format": "repro-chunked-dataset",
+        "version": 1,
+        "shape": [n_shards * n0, n1],
+        "dtype": "float64",
+        "error_bound": 3.292730916654546e-05,
+        "method": "cubic",
+        "prefix_bits": 2,
+        "backend": "zlib",
+        "shards": [
+            {"name": name, "slices": [[index * n0, (index + 1) * n0], [0, n1]]}
+            for index, name in enumerate(names)
+        ],
+    }
+    with BlockContainerWriter(path) as writer:
+        for name in names:
+            writer.add_block(name, blob)
+        writer.add_block("manifest", json.dumps(manifest).encode())
+    return path
+
+
+@pytest.fixture(scope="module")
+def served_dir(tmp_path_factory, v1_blob) -> Path:
+    """One directory holding the {v1, v2} × {stream, container} fixtures of
+    the remote suites.
+
+    Every fixture is well over one opening window long (48 copies of the v1
+    blob, three windows of zero bytes after the bare v1 stream), so the
+    streams' headers and most payload sit *outside* the window and reading
+    them is real wire traffic (a fixture inside it would be read from memory
+    and every fault leg would go vacuous).
+    """
+    from repro import ChunkedDataset, IPComp
+    from repro.io.aio import OPENING_WINDOW
+
+    root = tmp_path_factory.mktemp("served")
+    # A stream is read from its head by its own directory; bytes after its
+    # last block are never touched, locally or remotely.
+    (root / "v1.ipc").write_bytes(v1_blob + bytes(3 * OPENING_WINDOW))
+    v2_blob = IPComp(error_bound=1e-5, relative=True).compress(cumsum_field((400, 360), 3))
+    (root / "v2.ipc").write_bytes(v2_blob)
+    ChunkedDataset.write(
+        root / "v2.rprc", cumsum_field((64, 48, 40), 4), error_bound=1e-5,
+        relative=True, n_blocks=4, workers=0,
+    )
+    write_v1_container(root / "v1.rprc", n_shards=48)
+    for served in root.iterdir():
+        assert served.stat().st_size > 3 * OPENING_WINDOW // 2, served
+    return root
+
+
+@pytest.fixture(scope="module")
+def server(served_dir):
+    from repro.io.rangeserver import RangeServer
+
+    with RangeServer(served_dir) as srv:
+        yield srv
+
+
 @pytest.fixture
 def oracle(monkeypatch):
     """``oracle()`` swaps the loop oracle in for the one plane kernel.
@@ -98,8 +188,16 @@ def oracle(monkeypatch):
 
 # -------------------------------------------------------------- leak ledger
 
-#: Test modules that open sockets; the ledger below audits each of their tests.
-_REMOTE_MODULES = ("test_remote", "test_aio")
+#: Test modules that open sockets or run a service (a remote session owns an
+#: event-loop prefetcher); the ledger below audits each of their tests.
+_REMOTE_MODULES = (
+    "test_remote",
+    "test_aio",
+    "test_service",
+    "test_service_faults",
+    "test_service_concurrency",
+    "test_scheduler",
+)
 
 #: Test modules that reach the process pool and its shared-memory segments.
 _POOL_MODULES = (
@@ -143,7 +241,8 @@ async def _pending_tasks() -> int:
 def leak_ledger(request, monkeypatch):
     """After each audited test nothing it started is still running.
 
-    Remote modules: no ``repro-hedge*`` thread, no new non-daemon thread,
+    Remote modules: no ``repro-hedge*`` / ``repro-prefetch*`` thread (neither
+    can exist any more), no new non-daemon thread,
     no task on the shared event loop beyond the baseline, and every
     :class:`RangeServer` the test used (its own, plus the module's
     ``server`` / ``replica``) back at ``open_connections == 0`` — i.e.
@@ -194,7 +293,8 @@ def leak_ledger(request, monkeypatch):
         return [
             t.name
             for t in threading.enumerate()
-            if t.name.startswith("repro-hedge") or not (t.daemon or t in threads)
+            if t.name.startswith(("repro-hedge", "repro-prefetch"))
+            or not (t.daemon or t in threads)
         ]
 
     assert _settles(lambda: not strays()), strays()

@@ -36,11 +36,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import cumsum_field
 
-from repro import ChunkedDataset, IPComp, ProgressiveRetriever
+from repro import ChunkedDataset
 from repro.cli import main
 from repro.errors import RemoteSourceError, StreamFormatError
-from repro.io import BlockContainerWriter
 from repro.io.aio import (
     DEFAULT_CONNECTIONS,
     MAX_MERGE_GAP,
@@ -53,89 +53,14 @@ from repro.io.aio import (
 )
 from repro.io.faults import FaultInjector, FaultPlan
 from repro.io.rangeserver import RangeServer
-from repro.retrieval.engine import open_stream_source
 from repro.retrieval.prefetch import DEFAULT_PREFETCH_DEPTH, PrefetchSource
-
-DATA = Path(__file__).parent / "data"
 
 #: Fault-leg stacks never sleep for real and never run out of ladder.
 _PATIENT = dict(retries=8, retry_budget=10_000, backoff=0.0)
 
 
-def _field(shape, seed=0) -> np.ndarray:
-    rng = np.random.default_rng(424242 + seed)
-    base = rng.normal(size=shape)
-    for axis in range(len(shape)):
-        base = np.cumsum(base, axis=axis)
-    return (base + 0.1 * rng.normal(size=shape)).astype(np.float64)
-
-
-#: Copies of the legacy v1 blob in the v1 container / zero bytes after the
-#: bare v1 stream.  Every fixture is well over one opening window long, so the
-#: streams' headers and most payload sit *outside* the window and reading
-#: them is real wire traffic (a fixture inside it would be read from memory
-#: and every fault leg would go vacuous).
-_V1_SHARDS = 48
-_V1_PADDING = 3 * OPENING_WINDOW
-
-
-@pytest.fixture(scope="module")
-def served_dir(tmp_path_factory) -> Path:
-    """One directory holding the {v1, v2} × {stream, container} fixtures."""
-    root = tmp_path_factory.mktemp("aio-served")
-    v1_blob = (DATA / "v1_stream.ipc").read_bytes()
-    # A stream is read from its head by its own directory; bytes after its
-    # last block are never touched, locally or remotely.
-    (root / "v1.ipc").write_bytes(v1_blob + bytes(_V1_PADDING))
-    v2_blob = IPComp(error_bound=1e-5, relative=True).compress(_field((400, 360), 3))
-    (root / "v2.ipc").write_bytes(v2_blob)
-    ChunkedDataset.write(
-        root / "v2.rprc", _field((64, 48, 40), 4), error_bound=1e-5,
-        relative=True, n_blocks=4, workers=0,
-    )
-    n0, n1 = np.load(DATA / "v1_expected.npy").shape
-    names = [f"shard-{index:04d}" for index in range(_V1_SHARDS)]
-    manifest = {
-        "format": "repro-chunked-dataset",
-        "version": 1,
-        "shape": [_V1_SHARDS * n0, n1],
-        "dtype": "float64",
-        "error_bound": 3.292730916654546e-05,
-        "method": "cubic",
-        "prefix_bits": 2,
-        "backend": "zlib",
-        "shards": [
-            {"name": name, "slices": [[index * n0, (index + 1) * n0], [0, n1]]}
-            for index, name in enumerate(names)
-        ],
-    }
-    with BlockContainerWriter(root / "v1.rprc") as writer:
-        for name in names:
-            writer.add_block(name, v1_blob)
-        writer.add_block("manifest", json.dumps(manifest).encode())
-    for served in root.iterdir():
-        assert served.stat().st_size > 3 * OPENING_WINDOW // 2, served
-    return root
-
-
-@pytest.fixture(scope="module")
-def server(served_dir) -> RangeServer:
-    with RangeServer(served_dir) as srv:
-        yield srv
-
-
-def _read_stream(path_or_url, *, prefetch=4, source=None):
-    src = open_stream_source(path_or_url, prefetch=prefetch, source=source)
-    try:
-        retriever = ProgressiveRetriever(src)
-        return retriever.retrieve(error_bound=retriever.header.error_bound)
-    finally:
-        close = getattr(src, "close", None)
-        if close is not None:
-            close()
-
-
-def _read_container(path_or_url, **knobs):
+def _read(path_or_url, **knobs):
+    """Full-fidelity read of a container or a bare stream."""
     with ChunkedDataset(path_or_url, **knobs) as dataset:
         return dataset.read()
 
@@ -256,18 +181,18 @@ def test_async_window_bounds_inflight(served_dir):
 @pytest.mark.parametrize("prefetch", [0, 4])
 @pytest.mark.parametrize("version", ["v1", "v2"])
 def test_identity_matrix_clean(served_dir, server, version, prefetch):
-    stream_oracle = _read_stream(served_dir / f"{version}.ipc", prefetch=0)
+    stream_oracle = _read(served_dir / f"{version}.ipc", prefetch=0)
     on_wire = server.range_requests
-    stream = _read_stream(server.url_for(f"{version}.ipc"), prefetch=prefetch)
+    stream = _read(server.url_for(f"{version}.ipc"), prefetch=prefetch)
     assert stream.data.tobytes() == stream_oracle.data.tobytes()
     assert stream.bytes_loaded == stream_oracle.bytes_loaded
     # Not answered out of the opening window: the stream went by wire (the
     # whole v1 stream fits one header prime).
     assert server.range_requests - on_wire >= 2
 
-    container_oracle = _read_container(served_dir / f"{version}.rprc")
+    container_oracle = _read(served_dir / f"{version}.rprc")
     on_wire = server.range_requests
-    container = _read_container(server.url_for(f"{version}.rprc"), prefetch=prefetch)
+    container = _read(server.url_for(f"{version}.rprc"), prefetch=prefetch)
     assert container.data.tobytes() == container_oracle.data.tobytes()
     assert container.bytes_loaded == container_oracle.bytes_loaded
     assert server.range_requests - on_wire >= 6
@@ -298,7 +223,7 @@ def test_identity_async_under_client_faults(served_dir, server, version):
     # verification: the retry ladder heals them all and the answer stays
     # bitwise-identical (short reads surface as stale-connection retries,
     # corruption as integrity retries).
-    oracle = _read_container(served_dir / f"{version}.rprc")
+    oracle = _read(served_dir / f"{version}.rprc")
     plan = (
         FaultPlan.at({2, 9}, kind="raise")
         + FaultPlan.at({4}, kind="corrupt")
@@ -309,7 +234,7 @@ def test_identity_async_under_client_faults(served_dir, server, version):
     stack = open_remote_source(
         server.url_for(f"{version}.rprc"), tamper=injector.tamper, **_PATIENT
     )
-    result = _read_container(
+    result = _read(
         server.url_for(f"{version}.rprc"),
         source=stack, prefetch=4,
     )
@@ -324,14 +249,14 @@ def test_identity_async_under_server_faults(served_dir, version):
     # Server-side latency plus stall→500 replies: the stall costs one
     # connection (the server closes it after the error), other in-flight
     # ranges proceed, and the ladder re-reads the stalled range.
-    oracle = _read_container(served_dir / f"{version}.rprc")
+    oracle = _read(served_dir / f"{version}.rprc")
     # First-match-wins: the stall rule must precede the catch-all latency.
     plan = FaultPlan.at({3, 7}, kind="stall", seconds=0.02) + FaultPlan.always(
         "latency", seconds=0.005
     )
     with RangeServer(served_dir, plan=plan) as srv:
         stack = open_remote_source(srv.url_for(f"{version}.rprc"), **_PATIENT)
-        result = _read_container(
+        result = _read(
             srv.url_for(f"{version}.rprc"), source=stack, prefetch=4,
         )
         stats = stack.stats()
@@ -347,7 +272,7 @@ def test_identity_async_mirror_failover(served_dir, server):
     # on, and the stream of answers never changes.  The frozen clock removes
     # the latency signal, so health ranking is failures-then-listing-order
     # and the read that meets the dead primary is the same one every run.
-    oracle = _read_container(served_dir / "v2.rprc")
+    oracle = _read(served_dir / "v2.rprc")
     injector = FaultInjector(FaultPlan.never())
     with RangeServer(served_dir) as primary:
         url = primary.url_for("v2.rprc")
@@ -360,7 +285,7 @@ def test_identity_async_mirror_failover(served_dir, server):
         first = stack.read_range(0, 64)
         injector.plan.rules.extend(FaultPlan.always(kind="raise").rules)
         on_wire = server.range_requests
-        result = _read_container(url, source=stack, prefetch=4)
+        result = _read(url, source=stack, prefetch=4)
         stats = stack.stats()
         # Everything after the dead primary's two attempts hit the replica.
         assert server.range_requests - on_wire >= 6
@@ -493,7 +418,7 @@ def roi_archive(tmp_path_factory) -> Path:
     """Eight shards, the first four (the ROI below) well before the window."""
     path = tmp_path_factory.mktemp("aio-roi") / "roi.rprc"
     ChunkedDataset.write(
-        path, _field((64, 48, 40), 4), error_bound=1e-6, relative=True,
+        path, cumsum_field((64, 48, 40), 4), error_bound=1e-6, relative=True,
         n_blocks=8, workers=0,
     )
     return path
@@ -542,7 +467,7 @@ def test_burst_larger_than_the_pool_is_merged_into_one_wave(virtual_loop):
     exactly its own bytes (bridged bytes are fetched, never served)."""
     blob = bytes(np.random.default_rng(7).integers(0, 256, 4 * OPENING_WINDOW, dtype=np.uint8))
     source, transport = _scripted_source(blob, virtual_loop, connections=3)
-    prefetcher = AsyncPrefetcher(4, loop=virtual_loop)
+    prefetcher = AsyncPrefetcher(loop=virtual_loop)
     primed = PrefetchSource(source, prefetcher)
     try:
         # Gaps: 10, 500, 40, 3000, 20, MAX_MERGE_GAP + 1, 60.
@@ -565,7 +490,7 @@ def test_burst_larger_than_the_pool_is_merged_into_one_wave(virtual_loop):
         ]
         assert transport.waves == [1, 3]
         assert virtual_loop.loop.time() - began == pytest.approx(transport.rtt)
-        assert primed.bytes_fetched == 8 * 700 and primed.trace == list(reversed(ranges))
+        assert primed.bytes_fetched == 8 * 700 and primed.pending_bytes == 0
         assert (prefetcher.batches, prefetcher.batched_ops) == (3, 8)
     finally:
         prefetcher.close()
@@ -578,7 +503,7 @@ def test_burst_larger_than_the_pool_is_merged_into_one_wave(virtual_loop):
 def test_adjacent_primes_coalesce_to_one_request(served_dir, server):
     blob = (served_dir / "v2.rprc").read_bytes()
     stack = open_remote_source(server.url_for("v2.rprc"))
-    prefetcher = AsyncPrefetcher(4, loop=stack.loop_thread)
+    prefetcher = AsyncPrefetcher(loop=stack.loop_thread)
     source = PrefetchSource(stack, prefetcher)
     try:
         before = stack.stats()["requests"]
@@ -598,7 +523,7 @@ def test_adjacent_primes_coalesce_to_one_request(served_dir, server):
 
 def test_deadline_cancel_refunds_prefetch_charge(served_dir, server):
     stack = open_remote_source(server.url_for("v2.rprc"))
-    prefetcher = AsyncPrefetcher(4, loop=stack.loop_thread)
+    prefetcher = AsyncPrefetcher(loop=stack.loop_thread)
     source = PrefetchSource(stack, prefetcher)
     try:
         stack.set_deadline(time.monotonic() - 1.0)  # already expired
@@ -623,7 +548,7 @@ def test_prefetcher_close_mid_request_spares_loop(served_dir):
     with RangeServer(served_dir, plan=plan) as srv:
         stack = open_remote_source(srv.url_for("v2.rprc"))
         loop = stack.loop_thread
-        prefetcher = AsyncPrefetcher(4, loop=loop)
+        prefetcher = AsyncPrefetcher(loop=loop)
         source = PrefetchSource(stack, prefetcher)
         source.prime([(0, 128)])
         prefetcher.close()  # while the 100 ms read is still on the wire
@@ -634,7 +559,7 @@ def test_prefetcher_close_mid_request_spares_loop(served_dir):
         # The stack (and a fresh prefetcher on the same loop) still work.
         blob = (served_dir / "v2.rprc").read_bytes()
         assert source.read_range(0, 128) == blob[:128]
-        fresh = AsyncPrefetcher(4, loop=loop)
+        fresh = AsyncPrefetcher(loop=loop)
         replacement = PrefetchSource(stack, fresh)
         replacement.prime([(256, 128)])
         assert replacement.read_range(256, 128) == blob[256:384]

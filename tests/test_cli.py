@@ -225,16 +225,20 @@ def test_compress_blocks_writes_container_and_roi_retrieve(tmp_path, raw_field, 
     assert np.abs(field - restored).max() <= eb * (1 + 1e-9)
 
 
-def test_roi_on_plain_stream_rejected(tmp_path, raw_field, capsys):
+def test_roi_on_plain_stream_equals_sliced_decode(tmp_path, raw_field, capsys):
+    """A bare stream is a one-shard dataset: ``--roi`` slices its decode."""
     _, raw_path = raw_field
     compressed = tmp_path / "density.ipc"
     main(["compress", str(raw_path), "-o", str(compressed), "--shape", "16x18x20"])
-    code = main(
-        ["retrieve", str(compressed), "-o", str(tmp_path / "x.d64"),
-         "--roi", "0:4,:,:", "--error-bound", "1e-3"]
-    )
-    assert code == 2
-    assert "--roi requires" in capsys.readouterr().err
+    full, roi = tmp_path / "full.d64", tmp_path / "roi.d64"
+    assert main(["retrieve", str(compressed), "-o", str(full), "--error-bound", "1e-3"]) == 0
+    assert main(
+        ["retrieve", str(compressed), "-o", str(roi),
+         "--roi", "0:8,:,:", "--error-bound", "1e-3"]
+    ) == 0
+    assert "1/1 shards" in capsys.readouterr().out
+    sliced = load_raw(full, (16, 18, 20))[0:8]
+    assert load_raw(roi, (8, 18, 20)).tobytes() == sliced.tobytes()
 
 
 def test_bitrate_on_container_rejected(tmp_path, raw_field, capsys):
@@ -257,25 +261,10 @@ def test_error_path_returns_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_retrieve_prefetch_and_workers_flags(tmp_path, raw_field, capsys, monkeypatch):
+def test_retrieve_prefetch_and_workers_flags(tmp_path, raw_field, capsys):
     """--prefetch/--no-prefetch/--workers: identical output and accounting;
-    no flag on a local file is the library's default — a synchronous read."""
-    import threading
-
-    started = []
-    real_start = threading.Thread.start
-
-    def recording_start(thread):
-        started.append(thread.name)
-        real_start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", recording_start)
-
-    def prefetch_threads():
-        names = [n for n in started if n.startswith("repro-prefetch")]
-        started.clear()
-        return names
-
+    a local file reads synchronously whatever the prefetch flag says (no
+    thread prefetcher exists: tests/test_retrieval_engine.py pins that)."""
     _, raw_path = raw_field
     container = tmp_path / "density.rprc"
     main(["compress", str(raw_path), "-o", str(container), "--shape", "16x18x20",
@@ -287,7 +276,7 @@ def test_retrieve_prefetch_and_workers_flags(tmp_path, raw_field, capsys, monkey
         "pool": ["--workers", "2", "--no-prefetch"],
         "default": [],
     }
-    outputs, reports, threads = {}, {}, {}
+    outputs, reports = {}, {}
     for label, extra in variants.items():
         out = tmp_path / f"{label}.d64"
         assert main(
@@ -296,24 +285,20 @@ def test_retrieve_prefetch_and_workers_flags(tmp_path, raw_field, capsys, monkey
         ) == 0
         outputs[label] = out.read_bytes()
         reports[label] = capsys.readouterr().out
-        threads[label] = prefetch_threads()
     assert len(set(outputs.values())) == 1
     # The printed byte accounting is identical across execution paths.
     assert len({r.split("(")[0] for r in reports.values()}) == 1
-    assert threads["prefetch"] and not threads["default"] and not threads["sync"]
-    # Single streams accept the prefetch flags too, and default the same way.
+    # Single streams accept the prefetch flags too.
     stream = tmp_path / "density.ipc"
     main(["compress", str(raw_path), "-o", str(stream), "--shape", "16x18x20",
           "--eb", "1e-5"])
     a, b, c = tmp_path / "a.d64", tmp_path / "b.d64", tmp_path / "c.d64"
     assert main(["retrieve", str(stream), "-o", str(a),
                  "--error-bound", "1e-3", "--prefetch", "4"]) == 0
-    assert prefetch_threads()
     assert main(["retrieve", str(stream), "-o", str(b),
                  "--error-bound", "1e-3", "--no-prefetch"]) == 0
     assert main(["retrieve", str(stream), "-o", str(c),
                  "--error-bound", "1e-3"]) == 0
-    assert not prefetch_threads()
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
@@ -377,9 +362,10 @@ def test_info_roi_prints_retrieval_plan(tmp_path, raw_field, capsys):
                  "--no-prefetch"]) == 0
     printed = capsys.readouterr().out
     assert f"retrieved {plan['predicted_bytes']} B" in printed
-    # --roi on a plain stream is rejected for info as well.
+    # A plain stream plans the same way: its one shard, whatever the region.
     stream = tmp_path / "density.ipc"
     main(["compress", str(raw_path), "-o", str(stream), "--shape", "16x18x20"])
     capsys.readouterr()
-    assert main(["info", str(stream), "--roi", "0:4,:,:"]) == 2
-    assert "--roi requires" in capsys.readouterr().err
+    assert main(["info", str(stream), "--roi", "0:4,:,:"]) == 0
+    plan = json.loads(capsys.readouterr().out)["retrieval_plan"]
+    assert [entry["shard"] for entry in plan["shards"]] == ["stream"]

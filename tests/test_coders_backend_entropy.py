@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.coders import available_backends, get_backend, register_backend
+from repro.coders import available_backends, backend as backend_table, get_backend
 from repro.coders.entropy import bit_entropy, byte_entropy, shannon_entropy
 from repro.coders.zlib_backend import ZlibCoder
 from repro.errors import ConfigurationError
@@ -31,7 +31,9 @@ def test_unknown_backend_rejected():
         get_backend("zstd-but-not-really")
 
 
-def test_register_custom_backend():
+def test_register_custom_backend(monkeypatch):
+    """The table is closed; a test that needs an instrumented coder patches it."""
+
     class Reverser:
         name = "reverse"
 
@@ -41,27 +43,10 @@ def test_register_custom_backend():
         def decode(self, data: bytes) -> bytes:
             return data[::-1]
 
-    register_backend("reverse", Reverser, replace=True)
+    monkeypatch.setitem(backend_table._REGISTRY, "reverse", Reverser)
     backend = get_backend("reverse")
     assert backend.decode(backend.encode(b"abc")) == b"abc"
-
-
-def test_duplicate_register_rejected():
-    """Silently replacing a registered coder could corrupt negotiated streams."""
-    with pytest.raises(ConfigurationError, match="already registered"):
-        register_backend("zlib", ZlibCoder)
-    # The original registration survives the failed attempt.
-    assert get_backend("zlib").decode(get_backend("zlib").encode(b"abc")) == b"abc"
-
-
-def test_register_replace_opt_in():
-    register_backend("zlib", ZlibCoder, replace=True)
-    assert "zlib" in available_backends()
-
-
-def test_register_empty_name_rejected():
-    with pytest.raises(ConfigurationError):
-        register_backend("", ZlibCoder)
+    assert "reverse" in available_backends()
 
 
 def test_zlib_level_validation():

@@ -236,9 +236,9 @@ def test_block_source_serves_compressed_store(tmp_path, smooth_3d):
         assert 0 < reader.bytes_read < len(blob)
         # ...and refinement to full precision touches only the remainder,
         # never re-reading a range.
-        ranges = list(source.trace)
+        ranges = list(retriever.store.trace)
         retriever.retrieve(error_bound=eb)
-        new_ranges = source.trace[len(ranges):]
+        new_ranges = retriever.store.trace[len(ranges):]
         assert new_ranges and not set(ranges) & set(new_ranges)
         assert reader.bytes_read <= len(blob)
 

@@ -18,7 +18,9 @@ Four invariant families pin the remote layer (`repro.io.aio` +
   {clean HTTP, client faults on ≥20% of reads, server faults, a dead
   primary with a replica} equals the local serial read in data,
   ``bytes_loaded`` and consumed ranges, with the healing visible in the
-  stack's stats.
+  stack's stats; and the one source tower — {local, HTTP} × {container,
+  stream} × {read, refine ladder, service, CLI} — equals the per-shard
+  bare-retriever oracle.
 
 NB: module-local data only — the conftest ``rng`` fixture is session-scoped
 and shared (use ``local_rng`` in new tests that need randomness).
@@ -29,15 +31,17 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-import threading
 import time
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import cumsum_field
 
 from repro import ChunkedDataset, IPComp, ProgressiveRetriever
+from repro.cli import main
+from repro.datasets import load_dataset
 from repro.errors import (
     ConfigurationError,
     RemoteIntegrityError,
@@ -46,15 +50,17 @@ from repro.errors import (
 )
 from repro.io import BlockContainerWriter
 from repro.io.aio import (
+    DEFAULT_CONNECTIONS,
     OPENING_WINDOW,
     AsyncHTTPTransport,
+    AsyncPrefetcher,
     EventLoopThread,
     _AsyncMirror,
     _AsyncRetry,
     _AsyncVerify,
     open_remote_source,
 )
-from repro.io.container import BlockContainerReader, FileSource
+from repro.io.container import BlockContainerReader
 from repro.io.faults import FaultInjector, FaultPlan
 from repro.io.rangeserver import RangeServer
 from repro.io.remote import (
@@ -64,76 +70,12 @@ from repro.io.remote import (
     jittered_backoff,
     remote_fingerprint,
 )
-from repro.retrieval.engine import open_stream_source
-from repro.retrieval.prefetch import Prefetcher, PrefetchSource
+from repro.retrieval.engine import DEFAULT_HEADER_PRIME
+from repro.retrieval.prefetch import PrefetchSource
 from repro.service import RetrievalService
-
-DATA = Path(__file__).parent / "data"
 
 #: Fault-leg stacks never sleep for real and never run out of ladder.
 _PATIENT = dict(retries=8, retry_budget=10_000, backoff=0.0)
-
-
-def _field(shape, seed=0) -> np.ndarray:
-    rng = np.random.default_rng(90210 + seed)
-    base = rng.normal(size=shape)
-    for axis in range(len(shape)):
-        base = np.cumsum(base, axis=axis)
-    return (base + 0.1 * rng.normal(size=shape)).astype(np.float64)
-
-
-#: Copies of the legacy v1 blob in the v1 container / zero bytes after the
-#: bare v1 stream.  Every fixture is well over one opening window long, so the
-#: streams' headers and most payload sit *outside* the window and reading
-#: them is real wire traffic (a fixture inside it would be read from memory
-#: and every fault leg would go vacuous).
-_V1_SHARDS = 48
-_V1_PADDING = 3 * OPENING_WINDOW
-
-
-@pytest.fixture(scope="module")
-def served_dir(tmp_path_factory) -> Path:
-    """One directory holding the {v1, v2} × {stream, container} fixtures."""
-    root = tmp_path_factory.mktemp("served")
-    v1_blob = (DATA / "v1_stream.ipc").read_bytes()
-    # A stream is read from its head by its own directory; bytes after its
-    # last block are never touched, locally or remotely.
-    (root / "v1.ipc").write_bytes(v1_blob + bytes(_V1_PADDING))
-    v2_blob = IPComp(error_bound=1e-5, relative=True).compress(_field((400, 360), 3))
-    (root / "v2.ipc").write_bytes(v2_blob)
-    ChunkedDataset.write(
-        root / "v2.rprc", _field((64, 48, 40), 4), error_bound=1e-5,
-        relative=True, n_blocks=4, workers=0,
-    )
-    n0, n1 = np.load(DATA / "v1_expected.npy").shape
-    names = [f"shard-{index:04d}" for index in range(_V1_SHARDS)]
-    manifest = {
-        "format": "repro-chunked-dataset",
-        "version": 1,
-        "shape": [_V1_SHARDS * n0, n1],
-        "dtype": "float64",
-        "error_bound": 3.292730916654546e-05,
-        "method": "cubic",
-        "prefix_bits": 2,
-        "backend": "zlib",
-        "shards": [
-            {"name": name, "slices": [[index * n0, (index + 1) * n0], [0, n1]]}
-            for index, name in enumerate(names)
-        ],
-    }
-    with BlockContainerWriter(root / "v1.rprc") as writer:
-        for name in names:
-            writer.add_block(name, v1_blob)
-        writer.add_block("manifest", json.dumps(manifest).encode())
-    for served in root.iterdir():
-        assert served.stat().st_size > 3 * OPENING_WINDOW // 2, served
-    return root
-
-
-@pytest.fixture(scope="module")
-def server(served_dir) -> RangeServer:
-    with RangeServer(served_dir) as srv:
-        yield srv
 
 
 @pytest.fixture(scope="module")
@@ -250,12 +192,14 @@ def test_missing_object_errors(server):
         open_remote_source(server.url_for("no-such-file"))
 
 
-def test_failed_container_open_closes_the_stack_it_opened(served_dir, settles):
-    """``ChunkedDataset(url)`` on a non-container raises — and must not leave
-    the stack it opened itself (unreachable by the caller) connected."""
-    with RangeServer(served_dir) as srv:
-        with pytest.raises(StreamFormatError):
-            ChunkedDataset(srv.url_for("v2.ipc"))
+def test_failed_container_open_closes_the_stack_it_opened(tmp_path, settles):
+    """``ChunkedDataset(url)`` on neither a container nor a stream raises —
+    and must not leave the stack it opened itself (unreachable by the
+    caller) connected."""
+    (tmp_path / "junk.bin").write_bytes(bytes(2 * OPENING_WINDOW))
+    with RangeServer(tmp_path) as srv:
+        with pytest.raises(StreamFormatError, match="not a repro block container"):
+            ChunkedDataset(srv.url_for("junk.bin"))
         assert settles(lambda: srv.open_connections == 0)
 
 
@@ -572,7 +516,7 @@ def test_find_remote_source_walks_wrapper_chains(served_dir, server):
     stack = open_remote_source(server.url_for("v2.rprc"))
     try:
         assert find_remote_source(stack) is stack
-        prefetch = PrefetchSource(stack)
+        prefetch = PrefetchSource(stack, None)
         assert find_remote_source(prefetch) is stack
         reader = BlockContainerReader(stack)
         assert find_remote_source(reader) is stack
@@ -723,25 +667,15 @@ def test_tamper_applies_each_kind_on_the_wire_duck_type():
 # ------------------------------------------------- the byte-identity matrix
 
 
-def _read(kind, target, *, source=None, prefetch=None):
+def _read(target, *, source=None, prefetch=None):
     """Full-fidelity read → ``(data bytes, bytes_loaded, consumed ranges)``.
 
-    Remote cells leave ``prefetch`` alone: a container then reads at the
-    default depth (multiplexed), a bare stream serially — one wire read
-    per plane block, which is what sweeps the fault plans.
+    Remote cells leave ``prefetch`` alone: container or bare stream, the
+    dataset then reads multiplexed — header wave, payload burst.
     """
-    if kind == "container":
-        with ChunkedDataset(target, source=source, prefetch=prefetch) as dataset:
-            result = dataset.read()
-        return result.data.tobytes(), result.bytes_loaded, result.ranges
-    opened = open_stream_source(target, prefetch=prefetch or 0, source=source)
-    traced = opened if isinstance(opened, PrefetchSource) else PrefetchSource(opened)
-    try:
-        retriever = ProgressiveRetriever(traced)
-        result = retriever.retrieve(error_bound=retriever.header.error_bound)
-    finally:
-        opened.close()
-    return result.data.tobytes(), result.bytes_loaded, traced.trace
+    with ChunkedDataset(target, source=source, prefetch=prefetch) as dataset:
+        result = dataset.read()
+    return result.data.tobytes(), result.bytes_loaded, result.ranges
 
 
 _SERVER_FAULTS = (
@@ -762,14 +696,14 @@ def test_identity_matrix_over_http(served_dir, server, replica, version, kind, c
     loopback HTTP equal the local serial read."""
     name = f"{version}.ipc" if kind == "stream" else f"{version}.rprc"
     url = server.url_for(name)
-    expected = _read(kind, served_dir / name, prefetch=0)
+    expected = _read(served_dir / name, prefetch=0)
     # Wire traffic of the leg (server-side count; the opening read is #1):
     # a fixture that fitted the opening window would make every leg vacuous.
     served, on_wire = server, server.range_requests
 
     if condition == "clean":
         stack = open_remote_source(url)
-        assert _read(kind, url, source=stack) == expected
+        assert _read(url, source=stack) == expected
         assert stack.stats()["retries"] == 0
     elif condition == "client-faults":
         # raise + short + corrupt on >= 20% of reads, injected below CRC
@@ -780,7 +714,7 @@ def test_identity_matrix_over_http(served_dir, server, replica, version, kind, c
             + FaultPlan.every(7, kind="corrupt")
         )
         stack = open_remote_source(url, tamper=injector.tamper, **_PATIENT)
-        assert _read(kind, url, source=stack) == expected
+        assert _read(url, source=stack) == expected
         stats = stack.stats()
         assert stats["retries"] >= 1
         assert injector.faults_injected / injector.total_reads >= 0.2
@@ -791,7 +725,7 @@ def test_identity_matrix_over_http(served_dir, server, replica, version, kind, c
         with RangeServer(served_dir, plan=_SERVER_FAULTS) as faulty:
             served, on_wire = faulty, 0
             stack = open_remote_source(faulty.url_for(name), **_PATIENT)
-            assert _read(kind, faulty.url_for(name), source=stack) == expected
+            assert _read(faulty.url_for(name), source=stack) == expected
             assert stack.stats()["retries"] >= 1
             assert faulty.faults_served >= 1
     else:
@@ -811,11 +745,116 @@ def test_identity_matrix_over_http(served_dir, server, replica, version, kind, c
         )
         injector.plan.rules.extend(FaultPlan.always(kind="raise").rules)
         served, on_wire = replica, replica.range_requests
-        assert _read(kind, url, source=stack) == expected
+        assert _read(url, source=stack) == expected
         stats = stack.stats()
         assert stats["failovers"] >= 1
         assert len(stats["breaker"]) == 2
-    assert served.range_requests - on_wire >= 4
+    # At least a bare stream's three waves: its sniff, header and payload.
+    assert served.range_requests - on_wire >= 3
+
+
+# ------------------------------- one tower: every reader against the bare oracle
+
+#: The probe's fidelity ladder, as multiples of the stored bound; the
+#: one-shot readers ask for its first rung.
+_LADDER = (100.0, 10.0, 1.0)
+
+
+@pytest.fixture(scope="module")
+def probe(tmp_path_factory) -> Path:
+    """One field as a 4-shard archive and as a bare stream (≈ 280 KB each)."""
+    root = tmp_path_factory.mktemp("probe")
+    field = load_dataset("density", shape=(48, 56, 64))
+    ChunkedDataset.write(
+        root / "probe.rprc", field, error_bound=1e-5, relative=True, n_blocks=4, workers=0
+    )
+    (root / "probe.ipc").write_bytes(
+        IPComp(error_bound=1e-5, relative=True).compress(field)
+    )
+    return root
+
+
+def _oracle(path: Path):
+    """Per rung ``(data bytes, bytes_loaded, sorted ranges)`` from one bare
+    stateful ``ProgressiveRetriever(blob)`` per shard — no dataset, engine,
+    prime cache or service between the retriever and the bytes."""
+    with BlockContainerReader(path) as reader:
+        blobs = {name: reader.read_block(name) for name in reader.block_names()}
+    manifest = json.loads(blobs.pop("manifest")) if "manifest" in blobs else None
+    retrievers = {name: ProgressiveRetriever(blob) for name, blob in blobs.items()}
+    stored = max(r.header.error_bound for r in retrievers.values())
+    rungs, starts = [], dict.fromkeys(retrievers, 0)
+    for factor in _LADDER:
+        results = {n: r.retrieve(error_bound=factor * stored) for n, r in retrievers.items()}
+        ranges = sorted(
+            (n, offset, length)
+            for n, r in retrievers.items()
+            for offset, length in r.store.trace[starts[n]:]
+        )
+        starts = {n: len(r.store.trace) for n, r in retrievers.items()}
+        if manifest is None:
+            (data,) = (result.data for result in results.values())
+        else:
+            data = np.empty(manifest["shape"], dtype=manifest["dtype"])
+            for shard in manifest["shards"]:
+                data[tuple(slice(a, b) for a, b in shard["slices"])] = results[shard["name"]].data
+        loaded = sum(result.bytes_loaded for result in results.values())
+        rungs.append((data.tobytes(), loaded, ranges))
+    return stored, rungs
+
+
+def _receipt(result):
+    return result.data.tobytes(), result.bytes_loaded, sorted(result.ranges)
+
+
+@pytest.mark.parametrize("reader", ["read", "refine", "service", "cli"])
+@pytest.mark.parametrize("name", ["probe.rprc", "probe.ipc"])
+@pytest.mark.parametrize("where", ["local", "http"])
+def test_one_tower_identity_matrix(probe, tmp_path, where, name, reader):
+    """{local file, http} × {4-shard container, bare stream} × {read, refine
+    ladder, service, CLI}: data, ``bytes_loaded`` and sorted ranges equal the
+    per-shard bare-retriever oracle — one source tower behind them all."""
+    stored, rungs = _oracle(probe / name)
+    shards = len({shard for shard, _, _ in rungs[0][2]})
+    with RangeServer(probe) as srv:
+        target = srv.url_for(name) if where == "http" else probe / name
+        if reader == "read":
+            with ChunkedDataset(target) as dataset:
+                assert _receipt(dataset.read(error_bound=_LADDER[0] * stored)) == rungs[0]
+        elif reader == "refine":
+            with ChunkedDataset(target) as dataset:
+                steps = [dataset.refine(error_bound=f * stored) for f in _LADDER]
+            assert [_receipt(step) for step in steps] == rungs
+        elif reader == "service":
+            with RetrievalService() as service:
+                response = service.get(target, error_bound=_LADDER[0] * stored)
+            trace = response.trace
+            assert (response.data.tobytes(), trace.bytes_loaded, sorted(trace.ranges)) == rungs[0]
+            # Cold and remote: the open (and a stream's sniff), then a header
+            # prime and one payload burst (≤ a pool of GETs) per shard — not
+            # a round trip per plane block (859 requests before 7.0).
+            assert srv.range_requests <= 2 + (1 + DEFAULT_CONNECTIONS) * shards
+        else:
+            out, receipt = tmp_path / "out.raw", tmp_path / "receipt.json"
+            assert main([
+                "retrieve", str(target), "-o", str(out), "--trace-json", str(receipt),
+                "--error-bound", repr(_LADDER[0] * stored),
+            ]) == 0
+            # The CLI prints no ranges; its receipt carries the byte count.
+            loaded = json.loads(receipt.read_text())["bytes_loaded"]
+            assert (out.read_bytes(), loaded) == rungs[0][:2]
+        assert (srv.range_requests > 0) == (where == "http")
+
+
+def test_info_of_a_remote_stream_transfers_a_header_not_the_object(probe, capsys):
+    """``ipcomp info URL`` of a bare stream: the opening window, the stream
+    sniff and one header prime — it used to download the whole object."""
+    with RangeServer(probe) as srv:
+        assert main(["info", srv.url_for("probe.ipc"), "--error-bound", "1e-3"]) == 0
+        assert srv.bytes_sent <= OPENING_WINDOW + DEFAULT_HEADER_PRIME + 1024
+    report = json.loads(capsys.readouterr().out)
+    assert report["shape"] == [48, 56, 64] and report["retrieval_plan"]["ops"] >= 1
+    assert (probe / "probe.ipc").stat().st_size > 3 * OPENING_WINDOW
 
 
 def test_dead_primary_at_open_fails_over_to_mirror(served_dir, server):
@@ -904,7 +943,8 @@ def _retail(blob: bytes, footer_len=None, magic=b"RPRC") -> bytes:
 @pytest.mark.parametrize(
     "case, match, requests",
     [
-        ("bad-magic", "not a repro block container", 1),
+        # Neither tail magic nor stream magic: one more read, of the head.
+        ("bad-magic", "not a repro block container", 2),
         ("footer-past-file", "truncated container footer", 1),
         # Inside the file but before the window: the footer read falls
         # through to the wire and finds payload bytes, not JSON.
@@ -920,7 +960,7 @@ def test_hostile_opening_window_raises_format_error(
     no byte requested beyond the object's real size."""
     blob = (served_dir / "v2.rprc").read_bytes()
     if case == "bad-magic":
-        hostile = _retail(blob, magic=b"XXXX")
+        hostile = b"XXXX" + _retail(blob, magic=b"XXXX")[4:]
     elif case == "footer-past-file":
         hostile = _retail(blob, footer_len=1 << 40)
     elif case == "footer-past-window":
@@ -1033,11 +1073,12 @@ def test_service_over_url_warm_repeat_and_remote_trace(served_dir, server):
 
 @pytest.mark.parametrize("name, kind", [("v2.rprc", "container"), ("v2.ipc", "stream")])
 def test_service_session_opens_in_one_request(served_dir, name, kind):
-    """Fingerprint, container sniff, tail word, footer and manifest all come
-    out of the opening read; a stream session then reads its header."""
+    """Fingerprint, tail word, footer and manifest all come out of the
+    opening read; a stream session then sniffs its head and reads its
+    header (one primed wave)."""
     with RangeServer(served_dir) as srv, RetrievalService() as service:
         session = service._session(srv.url_for(name))
-        assert session.kind == kind
+        assert (session.dataset.manifest is None) == (kind == "stream")
         assert srv.range_requests == (1 if kind == "container" else 3)
         blob = (served_dir / name).read_bytes()
         assert session.fingerprint == (len(blob), 0, zlib.crc32(blob[-4096:]))
@@ -1069,7 +1110,7 @@ def test_service_remote_failure_degrades_to_resident(served_dir, server):
 def test_service_remote_fingerprint_change_purges_session(tmp_path):
     path = tmp_path / "data.rprc"
     ChunkedDataset.write(
-        path, _field((12, 10, 8), 5), error_bound=1e-4, relative=True,
+        path, cumsum_field((12, 10, 8), 5), error_bound=1e-4, relative=True,
         n_blocks=2, workers=0,
     )
     with RangeServer(tmp_path) as srv, RetrievalService() as service:
@@ -1077,7 +1118,7 @@ def test_service_remote_fingerprint_change_purges_session(tmp_path):
         first = service.get(url)
         # Replace the served object in place: same URL, different bytes.
         ChunkedDataset.write(
-            path, _field((12, 10, 8), 6), error_bound=1e-4, relative=True,
+            path, cumsum_field((12, 10, 8), 6), error_bound=1e-4, relative=True,
             n_blocks=2, workers=0,
         )
         with ChunkedDataset(path) as dataset:
@@ -1105,75 +1146,70 @@ def test_scheduler_serves_urls_with_deadlines(served_dir, server):
 # ------------------------------------------------------ prefetch interaction
 
 
+class _FirstPrimeDies:
+    """In-memory async-capable source whose first (primed) read fails."""
+
+    supports_async = True
+
+    def __init__(self, payload: bytes, delay: float = 0.0) -> None:
+        self.payload, self.delay, self.size, self.calls = payload, delay, len(payload), 0
+
+    def read_range(self, offset, length):
+        self.calls += 1
+        return self.payload[offset : offset + length]
+
+    async def aread_range(self, offset, length):
+        self.calls += 1
+        await asyncio.sleep(self.delay)
+        raise RemoteSourceError("speculative prime dies")
+
+
 def test_failed_prime_is_refunded_and_never_fatal():
     payload = bytes(range(200))
-    gate = threading.Event()
-    lock = threading.Lock()
-
-    class _FirstReadDies:
-        size = len(payload)
-
-        def __init__(self):
-            self.calls = 0
-
-        def read_range(self, offset, length):
-            with lock:
-                self.calls += 1
-                first = self.calls == 1
-            if first:
-                assert gate.wait(5.0)
-                raise RemoteSourceError("speculative prime dies")
-            return payload[offset : offset + length]
-
-    inner = _FirstReadDies()
-    with Prefetcher(depth=2) as prefetcher:
+    inner = _FirstPrimeDies(payload, delay=0.02)
+    prefetcher = AsyncPrefetcher()
+    try:
         source = PrefetchSource(inner, prefetcher)
         assert source.prime([(0, 50)]) == 50
         assert source.bytes_fetched == 50  # charged at prime time
-        threading.Timer(0.02, gate.set).start()
         # The consuming read hits the failed prime, refunds it, and
         # degrades to a direct synchronous read — never fatal.
         assert source.read_range(0, 50) == payload[:50]
         assert source.bytes_fetched == 50  # prime refunded, direct charged
         assert inner.calls == 2
+    finally:
+        prefetcher.close()
 
 
-def test_failed_prime_refunds_via_done_callback_too():
-    class _FirstReadFails:
-        size = 64
-        calls = 0
-
-        def read_range(self, offset, length):
-            self.calls += 1
-            if self.calls == 1:
-                raise RemoteSourceError("speculative prime dies")
-            return bytes(length)
-
-    inner = _FirstReadFails()
-    with Prefetcher(depth=1) as prefetcher:
+def test_failed_prime_refunds_via_done_callback_too(settles):
+    inner = _FirstPrimeDies(bytes(64))
+    prefetcher = AsyncPrefetcher()
+    try:
         source = PrefetchSource(inner, prefetcher)
         source.prime([(0, 32)])
-        deadline = time.monotonic() + 5.0
-        while source.bytes_fetched != 0 and time.monotonic() < deadline:
-            time.sleep(0.005)
-        assert source.bytes_fetched == 0  # refunded without any consumer
+        assert settles(lambda: source.bytes_fetched == 0)  # refunded, no consumer
         assert source.read_range(0, 32) == bytes(32)
         assert source.bytes_fetched == 32
+    finally:
+        prefetcher.close()
 
 
 # ------------------------------------------------------ short-read hardening
 
 
 def test_file_source_truncation_names_the_offset(tmp_path):
-    path = tmp_path / "stream.bin"
-    path.write_bytes(bytes(100))
-    with FileSource(path) as source:
-        path.write_bytes(bytes(60))  # truncate behind the open handle
+    """A bare stream file (the reader's one block) truncated behind the
+    open handle: the short read names the block and the offset."""
+    path = tmp_path / "stream.ipc"
+    path.write_bytes(b"IPC1" + bytes(99_996))  # well past the handle's buffer
+    with BlockContainerReader(path) as reader:
+        path.write_bytes(b"IPC1" + bytes(59_996))  # truncate behind the open handle
         with pytest.raises(
             StreamFormatError,
-            match=r"truncated at offset 50: wanted 30 B, got 10",
+            match=r"inside block 'stream' \(block offset 50000\): "
+            r"wanted 30000 B at offset 50000, got 10000",
         ):
-            source.read_range(50, 30)
+            reader.source("stream").read_range(50_000, 30_000)
 
 
 def test_container_truncation_names_the_offset(tmp_path):

@@ -5,9 +5,9 @@ Three invariant families pin the refactor:
 * **planner** — fetch ops are deduplicated against resident planes,
   coalesced across physically adjacent blocks, and predict the request's
   byte cost exactly;
-* **prefetcher** — primed ranges are physically read at most once, served
-  to the consumer per block, and the *consumed* trace (what accounting
-  reports) is identical to the synchronous path's;
+* **prime cache** — primed ranges are physically read at most once and
+  served to the consumer per block; what was *consumed* is the store's
+  trace, identical whatever sits between the store and the bytes;
 * **byte-identity matrix** — decoded output is bitwise-identical across
   {v1, v2} streams × {serial, prefetch, pool} execution paths, on bare
   streams and on containers (the acceptance criterion of the refactor).
@@ -18,6 +18,7 @@ and shared; consuming it here would shift downstream fixtures' draws.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import struct
 import threading
@@ -25,14 +26,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import write_v1_container
 
 from repro import ChunkedDataset, CodecProfile, IPComp, ProgressiveRetriever
 from repro.core.stream import BytesSource, CompressedStore
-from repro.io import BlockContainerWriter
-from repro.io.container import FileSource
+from repro.errors import StreamFormatError
+from repro.io import BlockContainerReader
+from repro.io.aio import AsyncPrefetcher
+from repro.io.container import BlockSource
 from repro.parallel.executor import BlockParallelCompressor
 from repro.retrieval.plan import coalesce_blocks, plan_stream_ops
-from repro.retrieval.prefetch import Prefetcher, PrefetchSource
+from repro.retrieval.prefetch import PrefetchSource
 
 DATA = Path(__file__).parent / "data"
 
@@ -123,6 +127,10 @@ def test_retriever_pending_ops_predict_exact_bytes():
 
 
 class _CountingSource:
+    """In-memory async-capable source (what the event-loop prefetcher reads)."""
+
+    supports_async = True
+
     def __init__(self, blob: bytes) -> None:
         self._inner = BytesSource(blob)
         self.size = self._inner.size
@@ -132,47 +140,94 @@ class _CountingSource:
         self.reads.append((offset, length))
         return self._inner.read_range(offset, length)
 
+    async def aread_range(self, offset: int, length: int) -> bytes:
+        return self.read_range(offset, length)
 
-def test_prefetch_source_serves_primed_ranges_once():
+
+@pytest.fixture
+def prefetcher():
+    made = AsyncPrefetcher()
+    yield made
+    made.close()
+
+
+def test_prefetch_source_serves_primed_ranges_once(prefetcher):
     payload = bytes(range(256)) * 8
     inner = _CountingSource(payload)
-    with Prefetcher(depth=2) as prefetcher:
-        source = PrefetchSource(inner, prefetcher)
-        source.prime([(0, 64), (128, 64)])
-        # Re-priming overlapping ranges must only read the gaps.
-        source.prime([(0, 96), (128, 64)])
-        assert source.read_range(0, 32) == payload[0:32]
-        assert source.read_range(32, 32) == payload[32:64]
-        assert source.read_range(64, 32) == payload[64:96]
-        assert source.read_range(128, 64) == payload[128:192]
-        # A miss falls through to a direct read.
-        assert source.read_range(1024, 16) == payload[1024:1040]
+    source = PrefetchSource(inner, prefetcher)
+    source.prime([(0, 64), (128, 64)])
+    prefetcher.loop_thread.call(asyncio.sleep(0))  # the first burst has left
+    # Re-priming overlapping ranges must only read the gaps.
+    source.prime([(0, 96), (128, 64)])
+    assert source.read_range(0, 32) == payload[0:32]
+    assert source.read_range(32, 32) == payload[32:64]
+    assert source.read_range(64, 32) == payload[64:96]
+    assert source.read_range(128, 64) == payload[128:192]
+    # A miss falls through to a direct read.
+    assert source.read_range(1024, 16) == payload[1024:1040]
     physical = sorted(inner.reads)
     assert physical == [(0, 64), (64, 32), (128, 64), (1024, 16)]
-    # Consumed trace is per request, exactly what a sync reader would log.
-    assert source.trace == [(0, 32), (32, 32), (64, 32), (128, 64), (1024, 16)]
+    assert source.bytes_fetched == 64 + 32 + 64 + 16
     assert source.pending_bytes == 0
 
 
-def test_prefetch_source_without_prefetcher_is_passthrough():
-    payload = b"0123456789" * 100
-    inner = _CountingSource(payload)
-    source = PrefetchSource(inner, None)
-    assert source.prime([(0, 100)]) == 0
-    assert source.read_range(10, 5) == payload[10:15]
-    assert inner.reads == [(10, 5)]
-    # The nothing-primed fast path keeps both ledgers of a miss.
-    assert source.trace == [(10, 5)]
-    assert source.bytes_fetched == 5
+def test_prefetch_source_without_prefetcher_is_passthrough(tmp_path):
+    """A local file has no prime cache at all: whatever ``prefetch`` says,
+    the store reads its block source directly (no thread, no wrapper)."""
+    path = tmp_path / "local.rprc"
+    ChunkedDataset.write(path, _field((12, 10), 1), error_bound=1e-4, n_blocks=2, workers=0)
+    with ChunkedDataset(path, prefetch=8) as dataset:
+        assert type(dataset.shard_source("shard-0000")) is BlockSource
+        before = threading.active_count()
+        dataset.refine()
+        assert threading.active_count() == before
+
+
+def test_store_trace_is_the_consumed_record():
+    """The store records every read it issues, after the two header ranges —
+    the same two whether it parsed the header or was handed ``parsed=``."""
+    blob = IPComp(error_bound=1e-4, relative=True).compress(_field((16, 12), 2))
+    inner = _CountingSource(blob)
+    store = CompressedStore(inner)
+    head = [(0, 10), (10, store.header_bytes - 10)]
+    assert store.trace == head == inner.reads
+    level = store.header.levels[0].level
+    store.read_anchor()
+    store.read_block(level, 0)
+    assert store.trace == head + [store.anchor_extent(), store.block_extent(level, 0)]
+    assert store.trace == inner.reads
+    store.reset_accounting()  # bytes_read restarts per request; the trace never does
+    assert store.bytes_read == 0 and len(store.trace) == 4
+    pinned = CompressedStore(inner, parsed=(store.header, store.header_bytes))
+    assert pinned.trace == head and len(inner.reads) == 4
+
+
+def test_short_read_names_the_block():
+    """A source that returns short bytes to a bare retriever is a
+    ``StreamFormatError`` naming the block, never a decode of garbage."""
+    blob = IPComp(error_bound=1e-4, relative=True).compress(_field((16, 12), 2))
+
+    class _ShortPayload(BytesSource):
+        def read_range(self, offset, length):
+            data = super().read_range(offset, length)
+            return data if offset < payload_start else data[:-1]
+
+    payload_start = CompressedStore(blob).header_bytes
+    retriever = ProgressiveRetriever(_ShortPayload(blob))
+    with pytest.raises(StreamFormatError, match=r"short read of the anchor block: wanted \d+ B"):
+        retriever.retrieve(error_bound=retriever.header.error_bound)
+    assert retriever.store.bytes_read == 0 and len(retriever.store.trace) == 2
+    with pytest.raises(StreamFormatError, match=r"short read of level \d+, plane 0"):
+        retriever.store.read_block(retriever.header.levels[0].level, 0)
 
 
 def test_prime_on_closed_prefetcher_degrades_to_sync_reads():
     """Regression: ``prime()`` against a prefetcher another request already
-    closed must not propagate the executor's shutdown ``RuntimeError`` —
-    the source degrades to direct synchronous reads, bitwise-identical."""
+    closed must not propagate the shutdown ``RuntimeError`` — the source
+    degrades to direct synchronous reads, bitwise-identical."""
     payload = bytes(range(256)) * 4
     inner = _CountingSource(payload)
-    prefetcher = Prefetcher(depth=2)
+    prefetcher = AsyncPrefetcher()
     prefetcher.close()
     source = PrefetchSource(inner, prefetcher)
     assert source.prime([(0, 64), (128, 64)]) == 0  # no crash, nothing primed
@@ -186,39 +241,30 @@ def test_prime_on_closed_prefetcher_degrades_to_sync_reads():
 
 def test_cancelled_primed_read_degrades_to_sync_read():
     """Regression: a primed range whose future was cancelled by a mid-flight
-    ``Prefetcher.close`` must be re-read directly (bitwise-identical), with
-    the prime-time charge refunded so ``bytes_fetched`` stays honest."""
+    ``close`` must be re-read directly (bitwise-identical), with the
+    prime-time charge refunded so ``bytes_fetched`` stays honest."""
     payload = bytes(range(256)) * 4
-    gate = threading.Event()
     started = threading.Event()
 
-    class _GatedSource:
-        def __init__(self, blob):
-            self._inner = BytesSource(blob)
-            self.size = self._inner.size
-
-        def read_range(self, offset, length):
+    class _StalledSource(_CountingSource):
+        async def aread_range(self, offset, length):
             started.set()
-            gate.wait(timeout=30)
-            return self._inner.read_range(offset, length)
+            await asyncio.sleep(30)  # on the wire until close() cancels it
 
-    inner = _GatedSource(payload)
-    prefetcher = Prefetcher(depth=1)
+    inner = _StalledSource(payload)
+    prefetcher = AsyncPrefetcher()
     source = PrefetchSource(inner, prefetcher)
-    # One worker: the first primed read occupies it (blocked on the gate),
-    # the second stays queued and is cancelled by close().
     assert source.prime([(0, 64), (128, 64)]) == 128
     assert started.wait(timeout=30)
     prefetcher.close()
-    gate.set()
-    assert source.read_range(0, 64) == payload[0:64]  # in-flight: completes
-    assert source.read_range(128, 64) == payload[128:192]  # cancelled: direct
-    assert source.trace == [(0, 64), (128, 64)]
-    # 128 primed, 64 refunded for the cancelled interval, 64 re-read direct.
+    assert source.read_range(0, 64) == payload[0:64]  # cancelled: direct
+    assert source.read_range(128, 64) == payload[128:192]
+    assert inner.reads == [(0, 64), (128, 64)]
+    # 128 primed, 128 refunded for the cancelled intervals, 128 re-read.
     assert source.bytes_fetched == 128
 
 
-def test_failed_direct_read_is_not_charged():
+def test_failed_direct_read_is_not_charged(prefetcher):
     """Regression: a miss whose direct read raises must not inflate
     ``bytes_fetched`` — the charge lands only after the read succeeds."""
 
@@ -228,23 +274,27 @@ def test_failed_direct_read_is_not_charged():
         def read_range(self, offset, length):
             raise OSError("injected")
 
-    source = PrefetchSource(_FailingSource(), None)
+    source = PrefetchSource(_FailingSource(), prefetcher)
     with pytest.raises(OSError):
         source.read_range(0, 64)
     assert source.bytes_fetched == 0
 
 
 def test_file_source_range_reads(tmp_path):
+    """A bare stream file is the reader's one block: ranged reads, bounds
+    and a retriever straight off the file."""
     blob = IPComp(error_bound=1e-4, relative=True).compress(_field((16, 12), 2))
     path = tmp_path / "s.ipc"
     path.write_bytes(blob)
-    with FileSource(path) as source:
+    with BlockContainerReader(path) as reader:
+        assert reader.is_stream and reader.block_names() == ["stream"]
+        source = reader.source("stream")
         assert source.size == len(blob)
         assert source.read_range(4, 10) == blob[4:14]
-        with pytest.raises(Exception):
+        with pytest.raises(StreamFormatError):
             source.read_range(len(blob) - 2, 5)
-    retriever = ProgressiveRetriever(FileSource(path))
-    out = retriever.retrieve(error_bound=retriever.header.error_bound)
+        retriever = ProgressiveRetriever(source)
+        out = retriever.retrieve(error_bound=retriever.header.error_bound)
     ref = ProgressiveRetriever(blob).retrieve(
         error_bound=retriever.header.error_bound
     )
@@ -255,44 +305,8 @@ def test_file_source_range_reads(tmp_path):
 # ------------------------------------------------- byte-identity matrix: v1/v2
 
 
-@pytest.fixture(scope="module")
-def v1_blob() -> bytes:
-    return (DATA / "v1_stream.ipc").read_bytes()
-
-
-def _v1_container(tmp_path, v1_blob) -> Path:
-    """A two-shard manifest-v1 container wrapping the pinned v1 stream twice.
-
-    Both shards decode the same pinned payload; the field is their stack
-    along axis 0 — enough structure to drive the multi-shard (and pool)
-    paths against genuine version-1 bytes.
-    """
-    header_shape = np.load(DATA / "v1_expected.npy").shape
-    n0 = header_shape[0]
-    manifest = {
-        "format": "repro-chunked-dataset",
-        "version": 1,
-        "shape": [2 * n0, header_shape[1]],
-        "dtype": "float64",
-        "error_bound": 3.292730916654546e-05,
-        "method": "cubic",
-        "prefix_bits": 2,
-        "backend": "zlib",
-        "shards": [
-            {"name": "shard-0000", "slices": [[0, n0], [0, header_shape[1]]]},
-            {"name": "shard-0001", "slices": [[n0, 2 * n0], [0, header_shape[1]]]},
-        ],
-    }
-    path = tmp_path / "v1.rprc"
-    with BlockContainerWriter(path) as writer:
-        writer.add_block("shard-0000", v1_blob)
-        writer.add_block("shard-0001", v1_blob)
-        writer.add_block("manifest", json.dumps(manifest).encode())
-    return path
-
-
 def test_identity_matrix_streams(tmp_path, v1_blob):
-    """{v1, v2} single streams × {serial, prefetch} are bitwise-identical."""
+    """{v1, v2} single streams through the dataset are the bare retriever."""
     v2_blob = IPComp(error_bound=1e-5, relative=True).compress(_field((20, 18), 3))
     for label, blob in (("v1", v1_blob), ("v2", v2_blob)):
         path = tmp_path / f"{label}.ipc"
@@ -300,17 +314,13 @@ def test_identity_matrix_streams(tmp_path, v1_blob):
         header_version = struct.unpack_from("<HI", blob, 4)[0]
         assert header_version == (1 if label == "v1" else 2)
         serial = ProgressiveRetriever(blob)
-        eb = serial.header.error_bound
-        expected = serial.retrieve(error_bound=eb)
-        from repro.retrieval.engine import open_stream_source
-
-        source = open_stream_source(path, prefetch=4)
-        try:
-            prefetched = ProgressiveRetriever(source).retrieve(error_bound=eb)
-        finally:
-            source.close()
-        assert prefetched.data.tobytes() == expected.data.tobytes()
-        assert prefetched.bytes_loaded == expected.bytes_loaded
+        expected = serial.retrieve(error_bound=serial.header.error_bound)
+        with ChunkedDataset(path, prefetch=4) as dataset:
+            assert dataset.absolute_bound == serial.header.error_bound
+            read = dataset.read()
+        assert read.data.tobytes() == expected.data.tobytes()
+        assert read.bytes_loaded == expected.bytes_loaded
+        assert read.ranges == [("stream", o, n) for o, n in serial.store.trace]
     # The pinned decode stays byte-identical to the recorded expectation.
     pinned = np.load(DATA / "v1_expected.npy")
     out = ProgressiveRetriever(v1_blob)
@@ -319,10 +329,10 @@ def test_identity_matrix_streams(tmp_path, v1_blob):
 
 
 @pytest.mark.parametrize("version", ["v1", "v2"])
-def test_identity_matrix_containers(tmp_path, v1_blob, version):
+def test_identity_matrix_containers(tmp_path, version):
     """{v1, v2} containers × {serial, prefetch, pool} are bitwise-identical."""
     if version == "v1":
-        path = _v1_container(tmp_path, v1_blob)
+        path = write_v1_container(tmp_path / "v1.rprc")
     else:
         path = tmp_path / "v2.rprc"
         ChunkedDataset.write(
@@ -347,9 +357,9 @@ def test_identity_matrix_containers(tmp_path, v1_blob, version):
         assert sorted(part.ranges) == sorted(serial_part.ranges)
 
 
-def test_v1_container_decodes_the_pinned_payload(tmp_path, v1_blob):
+def test_v1_container_decodes_the_pinned_payload(tmp_path):
     pinned = np.load(DATA / "v1_expected.npy")
-    path = _v1_container(tmp_path, v1_blob)
+    path = write_v1_container(tmp_path / "v1.rprc")
     with ChunkedDataset(path, workers=2) as dataset:
         out = dataset.read()
     assert out.data.tobytes() == np.concatenate([pinned, pinned]).tobytes()
@@ -467,8 +477,8 @@ def test_refine_speculation_preserves_accounting(tmp_path):
         sync = [dataset.refine(error_bound=eb * k) for k in ladder]
     with ChunkedDataset(path, prefetch=4) as dataset:
         spec = [dataset.refine(error_bound=eb * k) for k in ladder]
-        # Speculation physically fetched ahead, but reported accounting is
-        # consumption-based: identical to the synchronous ladder.
+        # ``prefetch`` on a local file changes nothing (over HTTP the same
+        # ladder speculates — tests/test_remote.py): identical accounting.
         for s, p in zip(sync, spec):
             assert p.data.tobytes() == s.data.tobytes()
             assert p.bytes_loaded == s.bytes_loaded

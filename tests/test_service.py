@@ -24,67 +24,26 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import cumsum_field, write_v1_container
 
 from repro import ChunkedDataset, CodecProfile, IPComp, ProgressiveRetriever
 from repro.cli import main as cli_main
 from repro.errors import ConfigurationError
-from repro.io import BlockContainerWriter
 from repro.service import DEFAULT_CACHE_BYTES, RetrievalService, TieredCache
-
-DATA = Path(__file__).parent / "data"
-
-
-def _field(shape, seed=0) -> np.ndarray:
-    rng = np.random.default_rng(60708 + seed)
-    base = rng.normal(size=shape)
-    for axis in range(len(shape)):
-        base = np.cumsum(base, axis=axis)
-    return (base + 0.1 * rng.normal(size=shape)).astype(np.float64)
-
-
-@pytest.fixture(scope="module")
-def v1_blob() -> bytes:
-    return (DATA / "v1_stream.ipc").read_bytes()
-
-
-def _v1_container(directory: Path, v1_blob: bytes) -> Path:
-    """A two-shard manifest-v1 container wrapping the pinned v1 stream twice."""
-    header_shape = np.load(DATA / "v1_expected.npy").shape
-    n0 = header_shape[0]
-    manifest = {
-        "format": "repro-chunked-dataset",
-        "version": 1,
-        "shape": [2 * n0, header_shape[1]],
-        "dtype": "float64",
-        "error_bound": 3.292730916654546e-05,
-        "method": "cubic",
-        "prefix_bits": 2,
-        "backend": "zlib",
-        "shards": [
-            {"name": "shard-0000", "slices": [[0, n0], [0, header_shape[1]]]},
-            {"name": "shard-0001", "slices": [[n0, 2 * n0], [0, header_shape[1]]]},
-        ],
-    }
-    path = directory / "v1.rprc"
-    with BlockContainerWriter(path) as writer:
-        writer.add_block("shard-0000", v1_blob)
-        writer.add_block("shard-0001", v1_blob)
-        writer.add_block("manifest", json.dumps(manifest).encode())
-    return path
 
 
 def _v2_container(directory: Path, shape=(24, 20, 18), seed=2) -> Path:
     path = directory / "v2.rprc"
     ChunkedDataset.write(
-        path, _field(shape, seed), error_bound=1e-4, relative=True,
+        path, cumsum_field(shape, seed), error_bound=1e-4, relative=True,
         n_blocks=4, workers=0,
     )
     return path
 
 
-def _make_container(version: int, directory: Path, v1_blob: bytes) -> Path:
+def _make_container(version: int, directory: Path) -> Path:
     if version == 1:
-        return _v1_container(directory, v1_blob)
+        return write_v1_container(directory / "v1.rprc")
     return _v2_container(directory)
 
 
@@ -113,9 +72,9 @@ def _request_ladder(path: Path):
 
 
 @pytest.mark.parametrize("version", [1, 2])
-def test_service_identity_matrix_containers(tmp_path, v1_blob, version):
+def test_service_identity_matrix_containers(tmp_path, version):
     """Cold / warm / cache-rejecting answers all match the serial oracle."""
-    path = _make_container(version, tmp_path, v1_blob)
+    path = _make_container(version, tmp_path)
     _, ladder = _request_ladder(path)
     with RetrievalService() as service, RetrievalService(cache_bytes=1) as tiny:
         for roi, bound in ladder:
@@ -149,12 +108,9 @@ def test_service_identity_matrix_streams(tmp_path, v1_blob, version):
     else:
         path = tmp_path / "v2_stream.ipc"
         path.write_bytes(
-            IPComp(error_bound=1e-4, relative=True).compress(_field((20, 16), 1))
+            IPComp(error_bound=1e-4, relative=True).compress(cumsum_field((20, 16), 1))
         )
     stored = ProgressiveRetriever(path.read_bytes()).header.error_bound
-    oracle_full = ProgressiveRetriever(path.read_bytes()).retrieve(
-        error_bound=stored
-    )
     with RetrievalService() as service:
         for bound in (stored * 32.0, None):
             oracle = ProgressiveRetriever(path.read_bytes()).retrieve(
@@ -173,14 +129,12 @@ def test_service_identity_matrix_streams(tmp_path, v1_blob, version):
             roi = tuple(slice(1, max(2, s // 2)) for s in oracle.data.shape)
             sliced = service.get(path, error_bound=bound, roi=roi)
             assert np.array_equal(sliced.data, oracle.data[roi])
-    if version == 1:
-        assert np.array_equal(oracle_full.data, np.load(DATA / "v1_expected.npy"))
 
 
 # ------------------------------------------------ acceptance: warm-zero reads
 
 
-def test_warm_repeat_is_physically_free(tmp_path, v1_blob):
+def test_warm_repeat_is_physically_free(tmp_path):
     """Acceptance: a warm repeat performs zero physical ``read_range`` calls
     while reporting bytes/ranges identical to the synchronous path."""
     path = _v2_container(tmp_path)
@@ -267,7 +221,7 @@ def test_rewritten_file_gets_fresh_session_and_purged_cache(tmp_path):
     with RetrievalService() as service:
         before = service.get(path)
         ChunkedDataset.write(
-            path, _field((24, 20, 18), seed=4), error_bound=1e-4,
+            path, cumsum_field((24, 20, 18), seed=4), error_bound=1e-4,
             relative=True, n_blocks=4, workers=0,
         )
         os.utime(path, ns=(1_700_000_000_000_000_000, 1_700_000_000_000_000_001))
@@ -582,7 +536,7 @@ def test_service_level_purge_reconciles(tmp_path):
         # Rewrite the dataset (different content, new fingerprint): the old
         # session's entries are purged, counted as invalidations.
         ChunkedDataset.write(
-            path, _field((24, 20, 18), seed=9), error_bound=1e-4,
+            path, cumsum_field((24, 20, 18), seed=9), error_bound=1e-4,
             relative=True, n_blocks=4, workers=0,
         )
         service.get(path)

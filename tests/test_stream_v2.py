@@ -146,8 +146,7 @@ class _ComplementCoder:
 
 def test_mixed_codec_stream_decodes_with_store_dispatch(monkeypatch):
     """Every plane is decoded by the coder the header names for it."""
-    monkeypatch.setattr(backend_registry, "_REGISTRY", dict(backend_registry._REGISTRY))
-    backend_registry.register_backend("complement", _ComplementCoder, replace=True)
+    monkeypatch.setitem(backend_registry._REGISTRY, "complement", _ComplementCoder)
     _, blob = _compress(CodecProfile(error_bound=1e-6))
     header, offset = IPCompStream.parse_header(blob)
     store = CompressedStore(blob)
