@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from itertools import accumulate
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,8 +41,12 @@ from repro.core.negabinary import from_negabinary as _nb_decode
 from repro.core.negabinary import required_bits_from_codes as _nb_required_bits
 
 #: One level as :meth:`PlaneKernel.decode_planes` takes it: the loaded packed
-#: plane rows (most significant first), the value count, the level width.
-LevelPlanes = Tuple[Sequence[bytes], int, int]
+#: plane rows (most significant first) as one ``(keep, ceil(count / 8))``
+#: ``uint8`` array — what the progressive retriever keeps resident, handed
+#: over as a view, never copied row by row — the value count, and the level
+#: width.  Loose byte strings (``encode_planes``' own output) are accepted
+#: too and joined into that array first.
+LevelPlanes = Tuple[Union[np.ndarray, Sequence[bytes]], int, int]
 
 
 class _BufferArena:
@@ -194,17 +198,17 @@ class PlaneKernel:
     ) -> List[np.ndarray]:
         """Invert :meth:`encode_planes` for each level's loaded plane prefix.
 
-        Every entry of ``levels`` is ``(raw_planes, count, nbits)``: the
-        losslessly *decoded* packed plane rows that were loaded (most
-        significant first, each ``ceil(count / 8)`` bytes — the predictive
-        coder validates and trims them), the number of values and the level
-        width.  Unloaded low planes are treated as zero.  Returns the
-        ``int64`` quantization codes of every level, in order; the arrays
-        may be views of one shared buffer.
+        Every entry of ``levels`` is ``(raw_planes, count, nbits)``
+        (:data:`LevelPlanes`): the losslessly *decoded* packed plane rows
+        that were loaded (most significant first, each ``ceil(count / 8)``
+        bytes — the predictive coder validates and trims them), the number
+        of values and the level width.  Unloaded low planes are treated as
+        zero.  Returns the ``int64`` quantization codes of every level, in
+        order; the arrays may be views of one shared buffer.
         """
         check_prefix_bits(prefix_bits)
         # A level with no plane loaded takes no columns and decodes to zeros.
-        row_bytes = [(count + 7) // 8 if rows else 0 for rows, count, _ in levels]
+        row_bytes = [(count + 7) // 8 if len(rows) else 0 for rows, count, _ in levels]
         starts = list(accumulate(row_bytes, initial=0))
         width = starts[-1]
         top = max((level[2] for level, nbytes in zip(levels, row_bytes) if nbytes), default=0)
@@ -217,13 +221,14 @@ class PlaneKernel:
             keep = len(rows)
             if not nbytes:
                 continue
-            if keep > nbits or set(map(len, rows)) != {nbytes}:
+            if not isinstance(rows, np.ndarray) and set(map(len, rows)) == {nbytes}:
+                rows = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(keep, nbytes)
+            if keep > nbits or np.shape(rows) != (keep, nbytes):
                 raise ValueError(
-                    f"{keep} plane rows of {sorted(set(map(len, rows)))} bytes "
-                    f"for a level of {nbits} planes × {nbytes} bytes"
+                    f"{keep} plane rows for a level of {nbits} planes × {nbytes} "
+                    f"bytes are not one ({keep}, {nbytes}) array"
                 )
-            joined = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(keep, nbytes)
-            packed[nbits - keep : nbits, start : start + nbytes] = joined[::-1]
+            packed[nbits - keep : nbits, start : start + nbytes] = rows[::-1]
             bottom = min(bottom, nbits - keep)
         if prefix_bits == 1:
             descending = packed[bottom:top][::-1]

@@ -23,8 +23,11 @@ Steps 1–3 (and the packing of step 4) run on the plane kernel
 of the shard in one call (:meth:`PredictiveCoder.encode_levels` /
 :meth:`~PredictiveCoder.decode_levels_codes`; the per-level methods are the
 shard of one) and sweep them together in one position-major matrix over a
-reusable buffer arena.  Lossless decoding stays per plane, and every decoded
-row is validated where the batch is assembled.
+reusable buffer arena.  Decoding is two steps: lossless decoding stays per
+plane (:meth:`PredictiveCoder.decode_row`, which validates every row), and
+:meth:`PredictiveCoder.codes_from_rows` is the sweep.  The progressive
+retriever calls the two apart — it keeps the validated rows resident and
+re-sweeps them on every refinement — so there is one plane decoder.
 
 Alongside the blocks the encoder records the *exact* information-loss table
 ``δy_l(b)`` — the largest value-domain error introduced at this level when the
@@ -250,8 +253,12 @@ class PredictiveCoder:
         codes = np.frombuffer(raw, dtype=np.int64)
         return self.quantizer.dequantize(codes)
 
-    def _decode_row(self, encoding_meta: "LevelEncoding", plane: int, block: bytes) -> bytes:
-        """Losslessly decode one plane block to its packed ``ceil(count / 8)``-byte row."""
+    def decode_row(self, encoding_meta: "LevelEncoding", plane: int, block: bytes) -> bytes:
+        """Losslessly decode one plane block to its packed ``ceil(count / 8)``-byte row.
+
+        The row is still XOR-predicted — the form the progressive retriever
+        keeps resident and :meth:`codes_from_rows` sweeps.
+        """
         row_bytes = (encoding_meta.count + 7) // 8
         try:
             # The block is untrusted and the row size is known: the coder
@@ -268,15 +275,21 @@ class PredictiveCoder:
             )
         return row[:row_bytes]
 
-    def decode_plane_packed(self, encoding_meta: "LevelEncoding", plane: int, block: bytes) -> np.ndarray:
-        """Decode one plane block to its (still XOR-predicted) packed bit row.
+    def codes_from_rows(
+        self, levels: Iterable[Tuple["LevelEncoding", Sequence[bytes]]]
+    ) -> List[np.ndarray]:
+        """Integer codes of a shard's levels from their loaded, validated rows.
 
-        Returns a writable ``uint8`` row of ``ceil(count / 8)`` bytes,
-        little-endian bit order — the form Algorithm 2's merge consumes.
+        Each pair is a level's metadata and its loaded :meth:`decode_row`
+        rows, most significant first — a ``(keep, row_bytes)`` ``uint8``
+        array or loose byte strings (:data:`repro.core.kernels.LevelPlanes`);
+        unloaded planes count as zero — exactly what the interpolation
+        reconstruction is fed.  The bit-level inverse chain of all levels
+        is one kernel hook call.
         """
-        return np.frombuffer(
-            self._decode_row(encoding_meta, plane, block), dtype=np.uint8
-        ).copy()
+        return get_kernel().decode_planes(
+            [(rows, meta.count, meta.nbits) for meta, rows in levels], self.prefix_bits
+        )
 
     def decode_levels_codes(
         self, levels: Iterable[Tuple["LevelEncoding", Sequence[bytes]]]
@@ -284,31 +297,24 @@ class PredictiveCoder:
         """Integer codes of a shard's levels from their loaded plane blocks.
 
         Each pair is a level's metadata and its first ``len(blocks)`` plane
-        blocks; unloaded planes count as zero — exactly what Algorithm 1
-        feeds into the interpolation reconstruction.  Lossless decoding
-        dispatches per plane (the header names a coder for each) and every
-        row is validated here, once; the bit-level inverse chain of all
-        levels is one kernel hook call.
+        blocks.  Lossless decoding dispatches per plane (the header names a
+        coder for each) and every row is validated here, once
+        (:meth:`decode_row`); the rest is :meth:`codes_from_rows`.
         """
         batch = []
         for meta, blocks in levels:
             if len(blocks) > meta.nbits:
                 raise StreamFormatError("more plane blocks supplied than the level width")
-            rows = [self._decode_row(meta, plane, block) for plane, block in enumerate(blocks)]
-            batch.append((rows, meta.count, meta.nbits))
-        return get_kernel().decode_planes(batch, self.prefix_bits)
+            rows = [self.decode_row(meta, plane, block) for plane, block in enumerate(blocks)]
+            batch.append((meta, rows))
+        return self.codes_from_rows(batch)
 
     def decode_level_codes(
         self,
         encoding_meta: "LevelEncoding",
         loaded_blocks: Sequence[bytes],
     ) -> np.ndarray:
-        """Integer codes of one level: the shard of one (see :meth:`decode_levels_codes`).
-
-        The progressive retriever keeps the integer codes of the current
-        fidelity so that incremental refinement (Algorithm 2) can compute the
-        exact integer delta contributed by newly loaded planes.
-        """
+        """Integer codes of one level: the shard of one (see :meth:`decode_levels_codes`)."""
         return self.decode_levels_codes([(encoding_meta, loaded_blocks)])[0]
 
     def decode_level(

@@ -1,20 +1,31 @@
-"""Progressive retrieval: Algorithm 1 (from scratch) and Algorithm 2 (refine).
+"""Progressive retrieval: one state machine for Algorithms 1 and 2.
 
 A :class:`ProgressiveRetriever` wraps a :class:`repro.core.stream.CompressedStore`
 and serves any number of retrieval requests against it.  Each request is
 expressed either as an error bound or as a bitrate / byte budget; the
 :class:`repro.core.optimizer.OptimizedLoader` turns the request into a
-per-level plane selection, and the retriever then:
+per-level plane selection, and the retriever makes **one transition**:
 
-* **first request (Algorithm 1)** — loads the anchor block plus the selected
-  plane blocks, decodes every level once, and runs one interpolation
-  reconstruction pass;
-* **subsequent requests (Algorithm 2)** — loads only the plane blocks that the
-  new plan adds on top of what is already in memory, decodes the *integer
-  delta* those planes contribute, pushes the delta through the (linear)
-  interpolation reconstruction, and adds it to the previous output.  No block
-  is ever read twice and no full decompression pass is repeated — the property
-  that distinguishes IPComp from residual-based progressive schemes.
+* **load** — read and bounded-inflate exactly the plane blocks the plan adds
+  on top of what is already resident (the anchor block only while it has
+  not been decoded), writing each validated, still XOR-predicted packed row
+  into its slot of the shard's one preallocated buffer *as it arrives*.  No
+  block is ever read twice — the property that distinguishes IPComp from
+  residual-based progressive schemes;
+* **rebuild** — if anything arrived since the output was last built, one
+  shard sweep over the resident rows
+  (:meth:`~repro.core.predictive_coder.PredictiveCoder.codes_from_rows`)
+  and one interpolation reconstruction from the anchor.
+
+The paper's Algorithm 1 is this transition from the empty state; its
+Algorithm 2 is the same transition from any other.  The paper forms
+Algorithm 2's answer as *previous output + reconstruction of the delta*
+(the interpolation is linear); both routes read the same blocks and cost
+one interpolation pass, but a sum of two reconstructions is only within
+rounding of the single pass.  Rebuilding from the resident rows makes every
+answer **bitwise** what a fresh retriever returns at the same plane
+selection, and leaves no partial state to forget: a call that fails midway
+keeps the rows that arrived, and the next call finishes the job.
 
 Every request reports exactly how many compressed bytes it had to touch,
 which is the quantity Figures 6 and 7 of the paper plot.
@@ -22,19 +33,18 @@ which is the quantity Figures 6 and 7 of the paper plot.
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import accumulate
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core.interpolation import InterpolationPredictor
-from repro.core.negabinary import from_negabinary, to_negabinary
 from repro.core.optimizer import LoadingPlan, OptimizedLoader
 from repro.core.predictive_coder import PredictiveCoder
 from repro.core.quantizer import LinearQuantizer
 from repro.core.stream import CompressedStore
-from repro.errors import ConfigurationError, RetrievalError, StreamFormatError
+from repro.errors import ConfigurationError, StreamFormatError
 from repro.retrieval.plan import FetchOp, plan_stream_ops
 
 
@@ -66,8 +76,8 @@ class ProgressiveRetriever:
     (``size`` + ``read_range(offset, length)``, see
     :class:`repro.core.stream.BytesSource`).  With a file-backed source —
     e.g. one shard block of a :class:`repro.io.ChunkedDataset` container —
-    every retrieval, including Algorithm-2 refinement, touches exactly the
-    byte ranges of the blocks it needs and nothing else.
+    every retrieval, refinement included, touches exactly the byte ranges
+    of the blocks it needs and nothing else.
 
     There is no decode-time configuration: everything that shaped the bytes
     (prefix bits, per-plane lossless coders) comes from the stream's own
@@ -90,17 +100,37 @@ class ProgressiveRetriever:
             self.coder = PredictiveCoder.for_header(header, self.quantizer)
         except ConfigurationError as exc:
             raise StreamFormatError(f"stream header invalid: {exc}") from None
+        # One buffer for the shard's packed rows; level i owns its bytes
+        # starts[i] … starts[i+1].  Its pages are touched only as rows arrive.
+        row_bytes = [(enc.count + 7) // 8 for enc in header.levels]
+        starts = list(
+            accumulate((enc.nbits * n for enc, n in zip(header.levels, row_bytes)), initial=0)
+        )
+        try:
+            buffer = np.empty(starts[-1], dtype=np.uint8)
+            slots = {
+                enc.level: buffer[start:stop]
+                for enc, start, stop in zip(header.levels, starts, starts[1:])
+            }
+            rows = {
+                enc.level: slots[enc.level].reshape(enc.nbits, n)
+                for enc, n in zip(header.levels, row_bytes)
+            }
+        except (MemoryError, ValueError) as exc:
+            raise StreamFormatError(f"stream header invalid: plane rows: {exc}") from None
         self.loader = OptimizedLoader(header, overhead_bytes=self.store.overhead_bytes)
-        # Retrieval state (Algorithm 2 needs all three).
-        self._current_keep: Dict[int, int] = {enc.level: 0 for enc in header.levels}
-        self._current_codes: Dict[int, np.ndarray] = {}
-        self._current_output: Optional[np.ndarray] = None
+        # Retrieval state: the decoded anchor, the packed (still XOR-predicted)
+        # plane rows loaded so far — ``_rows[level][:keep]``, written through
+        # the level's flat ``_slots`` view (a memoryview slice assignment
+        # costs a fraction of a NumPy one, and there is one per block) — and
+        # the output last built from them.
         self._anchor_values: Optional[np.ndarray] = None
-        # True while the resident output is bit-for-bit what a from-scratch
-        # retrieval at the current keep would reconstruct (Algorithm-1 and
-        # rebuilt-refine paths keep it; a delta-add refine clears it).
-        self._output_exact = True
-        self.cumulative_bytes = 0
+        self._current_keep: Dict[int, int] = {enc.level: 0 for enc in header.levels}
+        self._rows: Dict[int, np.ndarray] = rows
+        self._slots = {level: memoryview(slot) for level, slot in slots.items()}
+        self._current_output: Optional[np.ndarray] = None
+        # True while something has arrived that ``_current_output`` lacks.
+        self._stale = False
 
     # ----------------------------------------------------------------- planning
 
@@ -131,6 +161,13 @@ class ProgressiveRetriever:
         """Stage-1 planning only: the loading plan a request would use."""
         return self._plan(error_bound, bitrate, byte_budget)
 
+    def _target_keep(self, plan: LoadingPlan) -> Dict[int, int]:
+        """Never drop precision that is already in memory."""
+        return {
+            level: max(plan.keep.get(level, 0), resident)
+            for level, resident in self._current_keep.items()
+        }
+
     def pending_ops(
         self,
         error_bound: Optional[float] = None,
@@ -141,25 +178,20 @@ class ProgressiveRetriever:
     ) -> List[FetchOp]:
         """The coalesced fetch ops a request would read, given current state.
 
-        The exact byte ranges :meth:`retrieve` is about to touch — the
-        anchor plus planned planes from scratch, only the *new* planes on
-        refinement (fidelity never decreases, mirroring Algorithm 2's keep
-        merge).  The retrieval engine primes these through the prefetcher;
+        The exact byte ranges :meth:`retrieve` is about to touch: only the
+        planes above what is resident (fidelity never decreases), and the
+        anchor while it has not been decoded — also after a call that failed
+        midway.  The retrieval engine primes these through the prefetcher;
         the CLI's ``info`` prints them.
         """
         if plan is None:
             plan = self._plan(error_bound, bitrate, byte_budget)
-        fresh = self._current_output is None
-        if fresh:
-            target = {enc.level: plan.keep.get(enc.level, 0) for enc in self.header.levels}
-            current: Optional[Dict[int, int]] = None
-        else:
-            target = {
-                level: max(plan.keep.get(level, 0), self._current_keep.get(level, 0))
-                for level in self._current_keep
-            }
-            current = self._current_keep
-        return plan_stream_ops(self.store, current, target, include_anchor=fresh)
+        return plan_stream_ops(
+            self.store,
+            self._current_keep,
+            self._target_keep(plan),
+            include_anchor=self._anchor_values is None,
+        )
 
     def _prime(self, plan: LoadingPlan) -> None:
         """Hand the planned ranges to the source's prefetcher, if it has one."""
@@ -179,234 +211,92 @@ class ProgressiveRetriever:
     ) -> RetrievalResult:
         """Serve one retrieval request, reusing previously loaded data.
 
-        The first call runs Algorithm 1; later calls run Algorithm 2 and only
-        ever *add* precision: if the new request is coarser than what is
-        already reconstructed, the existing (finer) output is returned and no
-        data is loaded at all.  A caller that already holds this request's
-        :meth:`plan_request` result (the engine plans every shard before it
-        fetches any) passes it as ``plan`` instead of the target.
+        The one transition of the state machine (module docstring): load
+        what the plan adds, rebuild the output if anything arrived.  Calls
+        only ever *add* precision: if the new request is coarser than what
+        is already resident, the existing (finer) output is returned and no
+        data is loaded at all.  The returned array is bitwise what a fresh
+        retriever produces at :attr:`current_keep`.  A caller that already
+        holds this request's :meth:`plan_request` result (the engine and
+        the serving layer plan every shard before they fetch any) passes it
+        as ``plan`` instead of the target.
         """
         if plan is None:
             plan = self._plan(error_bound, bitrate, byte_budget)
         # Stage 2: overlap the planned range reads with decoding whenever
         # the source supports priming (a no-op on plain in-memory blobs).
         self._prime(plan)
-        if self._current_output is None:
-            return self._retrieve_from_scratch(plan)
-        return self._refine(plan)
-
-    def retrieve_rebuilt(
-        self,
-        error_bound: Optional[float] = None,
-        bitrate: Optional[float] = None,
-        byte_budget: Optional[int] = None,
-    ) -> RetrievalResult:
-        """Refine with Algorithm-2 I/O but from-scratch reconstruction bits.
-
-        Reads exactly the plane blocks :meth:`retrieve` would read (only the
-        delta above the resident keep — never a byte twice), merges them into
-        the resident integer codes (exact bit-plane arithmetic), then runs
-        **one full reconstruction pass** over the merged codes instead of
-        adding a delta reconstruction to the previous output.  Summing two
-        reconstructions is within rounding of the single pass but not
-        bit-identical to it; the single pass *is* — so the returned array is
-        bitwise what a fresh retrieval at the achieved plane selection
-        produces.  This is the property the serving layer's rung cache needs
-        to answer stateless requests from refined state.  Costs a full
-        reconstruction of compute per call; saves the same bytes as
-        :meth:`retrieve`.
-        """
-        plan = self._plan(error_bound, bitrate, byte_budget)
-        self._prime(plan)
-        if self._current_output is None:
-            return self._retrieve_from_scratch(plan)
-        assert self._anchor_values is not None
         self.store.reset_accounting()
-        target_keep = self._merged_target(plan)
-        any_new = bool(self._load_new_planes(target_keep))
-        if any_new or not self._output_exact:
+        self._load(self._target_keep(plan))
+        levels = self.header.levels
+        # The header is charged to the first call that completes.
+        bytes_loaded = self.store.bytes_read
+        if self._current_output is None:
+            bytes_loaded += self.store.header_bytes
+        if self._stale:
+            # One decode call for the whole shard: the kernel sweeps every level
+            # together instead of paying its fixed dispatch cost per level.
+            codes = self.coder.codes_from_rows(
+                (enc, self._rows[enc.level][: self._current_keep[enc.level]])
+                for enc in levels
+            )
             level_diffs = {
-                enc.level: self.quantizer.dequantize(
-                    self._current_codes.get(
-                        enc.level, np.zeros(enc.count, dtype=np.int64)
-                    )
-                )
-                for enc in self.header.levels
+                enc.level: self.quantizer.dequantize(c) for enc, c in zip(levels, codes)
             }
             self._current_output = self.predictor.reconstruct(
                 self._anchor_values, level_diffs, granularity="sweep"
             )
-            self._output_exact = True
-        bytes_loaded = self.store.bytes_read
-        self.cumulative_bytes += bytes_loaded
-        achieved_keep = dict(self._current_keep)
+            self._stale = False
+        achieved = self._current_keep
         return RetrievalResult(
             data=self._cast(self._current_output),
             plan=plan,
             bytes_loaded=bytes_loaded,
             cumulative_bytes=self.cumulative_bytes,
-            # When the merge landed exactly on the plan's selection, report
+            # When the load landed exactly on the plan's selection, report
             # the plan's own bound so the result is indistinguishable from a
-            # fresh retrieval at this target; a finer resident rung keeps the
-            # Theorem-1 bound of what is actually resident.
+            # fresh retrieval at this target; a finer resident state keeps
+            # the Theorem-1 bound of what is actually resident.
             error_bound=(
                 plan.predicted_error
-                if all(
-                    achieved_keep.get(enc.level, 0) == plan.keep.get(enc.level, 0)
-                    for enc in self.header.levels
-                )
-                else self.loader.plan_error(achieved_keep)
+                if all(achieved[enc.level] == plan.keep.get(enc.level, 0) for enc in levels)
+                else self.loader.plan_error(achieved)
             ),
         )
 
-    def _retrieve_from_scratch(self, plan: LoadingPlan) -> RetrievalResult:
-        """Algorithm 1: single decoding + reconstruction pass."""
-        self.store.reset_accounting()
-        anchor_block = self.store.read_anchor()
-        self._anchor_values = self.coder.decode_anchor(
-            anchor_block, self.header.anchor_count
-        )
-        levels = self.header.levels
-        keep = {enc.level: plan.keep.get(enc.level, 0) for enc in levels}
-        # One decode call for the whole shard: the kernel sweeps every level
-        # together instead of paying its fixed dispatch cost per level.
-        codes = self.coder.decode_levels_codes(
-            (enc, self.store.read_planes(enc.level, keep[enc.level])) for enc in levels
-        )
-        self._current_keep = keep
-        self._current_codes = {enc.level: c for enc, c in zip(levels, codes)}
-        level_diffs = {
-            level: self.quantizer.dequantize(c)
-            for level, c in self._current_codes.items()
-        }
-        output = self.predictor.reconstruct(
-            self._anchor_values, level_diffs, granularity="sweep"
-        )
-        self._current_output = output
-        bytes_loaded = self.store.bytes_read + self.store.header_bytes
-        self.cumulative_bytes += bytes_loaded
-        return RetrievalResult(
-            data=self._cast(output),
-            plan=plan,
-            bytes_loaded=bytes_loaded,
-            cumulative_bytes=self.cumulative_bytes,
-            error_bound=plan.predicted_error,
-        )
+    def _load(self, target_keep: Dict[int, int]) -> None:
+        """Read, inflate and keep every block between the resident state and
+        ``target_keep`` — the blocks :meth:`pending_ops` names, in stream order.
 
-    def _load_new_planes(self, target_keep: Dict[int, int]) -> Dict[int, np.ndarray]:
-        """Read + merge every plane above the current keep, per level.
-
-        Advances ``_current_codes`` / ``_current_keep`` to ``target_keep``
-        and returns the *previous* integer codes of each level that gained
-        planes (what Algorithm 2 needs to form its delta).  All merging is
-        integer bit-plane arithmetic — the updated codes are bit-for-bit the
-        codes a from-scratch decode at ``target_keep`` would produce.
+        State advances block by block, so a read or a hostile block that
+        raises midway leaves a consistent retriever: what arrived stays (and
+        is never read again), what did not is still pending.
         """
-        old_codes_by_level: Dict[int, np.ndarray] = {}
+        if self._anchor_values is None:
+            self._anchor_values = self.coder.decode_anchor(
+                self.store.read_anchor(), self.header.anchor_count
+            )
+            self._stale = True
         for enc in self.header.levels:
-            old_keep = self._current_keep[enc.level]
-            new_keep = target_keep[enc.level]
-            if new_keep <= old_keep:
-                continue
-            blocks = [
-                self.store.read_block(enc.level, plane) for plane in range(new_keep)
-                if plane >= old_keep
-            ]
-            # Decoding plane k needs planes < k for the XOR prediction; those
-            # are already decoded in ``_current_codes`` so we re-derive the new
-            # integer codes from old codes + freshly loaded planes.
-            new_codes = self._merge_codes(enc, old_keep, new_keep, blocks)
-            old_codes_by_level[enc.level] = self._current_codes.get(
-                enc.level, np.zeros(enc.count, dtype=np.int64)
-            )
-            self._current_codes[enc.level] = new_codes
-            self._current_keep[enc.level] = new_keep
-        return old_codes_by_level
-
-    def _merged_target(self, plan: LoadingPlan) -> Dict[int, int]:
-        """Never drop precision that is already in memory."""
-        return {
-            level: max(plan.keep.get(level, 0), self._current_keep.get(level, 0))
-            for level in self._current_keep
-        }
-
-    def _refine(self, plan: LoadingPlan) -> RetrievalResult:
-        """Algorithm 2: load only the new planes and add their contribution."""
-        assert self._current_output is not None and self._anchor_values is not None
-        self.store.reset_accounting()
-        target_keep = self._merged_target(plan)
-        old_codes_by_level = self._load_new_planes(target_keep)
-        delta_diffs: Dict[int, np.ndarray] = {
-            level: self.quantizer.dequantize(self._current_codes[level] - old_codes)
-            for level, old_codes in old_codes_by_level.items()
-        }
-        any_new = bool(old_codes_by_level)
-        if any_new:
-            zero_anchor = np.zeros(self.header.anchor_count, dtype=np.float64)
-            delta_output = self.predictor.reconstruct(
-                zero_anchor, delta_diffs, granularity="sweep"
-            )
-            self._current_output = self._current_output + delta_output
-            # Adding reconstructed deltas is within rounding of — but not
-            # bit-identical to — a from-scratch pass at the merged keep.
-            self._output_exact = False
-        bytes_loaded = self.store.bytes_read
-        self.cumulative_bytes += bytes_loaded
-        achieved_keep = dict(self._current_keep)
-        return RetrievalResult(
-            data=self._cast(self._current_output),
-            plan=plan,
-            bytes_loaded=bytes_loaded,
-            cumulative_bytes=self.cumulative_bytes,
-            error_bound=self.loader.plan_error(achieved_keep),
-        )
-
-    # ------------------------------------------------------------------ helpers
-
-    def _merge_codes(self, enc, old_keep: int, new_keep: int, new_blocks) -> np.ndarray:
-        """Integer codes of a level once planes ``old_keep … new_keep-1`` arrive.
-
-        The merge runs on the resident negabinary word and in the packed
-        byte domain.  XOR-predictive decoding of plane ``k`` needs the true
-        planes ``k−1 … k−prefix_bits``, so only those are re-derived from
-        the word (as packed rows); every newly loaded packed row is
-        un-predicted against them and its bits are OR-ed into the word.  The
-        cost follows the number of planes *added*, not the level width.
-        """
-        count = enc.count
-        if count == 0:
-            return np.zeros(0, dtype=np.int64)
-        old_codes = self._current_codes.get(enc.level)
-        if old_codes is None or old_codes.size == 0:
-            old_codes = np.zeros(count, dtype=np.int64)
-        word = to_negabinary(old_codes)  # a fresh array: OR-ed in place
-        prefix_bits = self.coder.prefix_bits
-
-        def shift(k: int) -> np.uint64:
-            return np.uint64(enc.nbits - 1 - k)
-
-        def resident_plane(k: int) -> np.ndarray:
-            bits = ((word >> shift(k)) & np.uint64(1)).astype(np.uint8)
-            return np.packbits(bits, bitorder="little")
-
-        recent = deque(
-            map(resident_plane, range(max(0, old_keep - prefix_bits), old_keep)),
-            maxlen=prefix_bits,
-        )
-        for k, block in zip(range(old_keep, new_keep), new_blocks):
-            plane = self.coder.decode_plane_packed(enc, k, block)
-            for earlier in recent:
-                plane ^= earlier
-            recent.append(plane)
-            lifted = np.unpackbits(plane, count=count, bitorder="little").astype(np.uint64)
-            lifted <<= shift(k)
-            word |= lifted
-        return from_negabinary(word)
+            if target_keep[enc.level] > enc.nbits:
+                raise StreamFormatError("more planes planned than the level width")
+            slot, row_bytes = self._slots[enc.level], self._rows[enc.level].shape[1]
+            for plane in range(self._current_keep[enc.level], target_keep[enc.level]):
+                row = self.coder.decode_row(enc, plane, self.store.read_block(enc.level, plane))
+                slot[plane * row_bytes : (plane + 1) * row_bytes] = row
+                self._current_keep[enc.level] = plane + 1
+                self._stale = True
 
     def _cast(self, output: np.ndarray) -> np.ndarray:
         return output.astype(self.header.dtype, copy=True).reshape(self.header.shape)
 
     # ------------------------------------------------------------------- state
+
+    @property
+    def cumulative_bytes(self) -> int:
+        """Bytes consumed since the retriever was created, header included:
+        the sum of the store's trace, so it counts a failed call's reads too."""
+        return sum(length for _, length in self.store.trace)
 
     @property
     def current_keep(self) -> Dict[int, int]:
@@ -422,16 +312,15 @@ class ProgressiveRetriever:
 
     @property
     def resident_nbytes(self) -> int:
-        """Decoded bytes this retriever keeps resident (cache accounting).
+        """Bytes this retriever keeps resident (cache accounting).
 
-        The reconstruction, the per-level integer codes, and the anchor
-        values — what a byte-budgeted cache should charge for keeping this
-        retriever's rung warm.
+        The reconstruction, the anchor values and the whole packed-row
+        buffer (allocated once, for every plane of the stream) — what a
+        byte-budgeted cache should charge for keeping this retriever warm.
         """
-        total = 0
+        total = sum(slot.nbytes for slot in self._slots.values())
         if self._current_output is not None:
             total += self._current_output.nbytes
         if self._anchor_values is not None:
             total += self._anchor_values.nbytes
-        total += sum(codes.nbytes for codes in self._current_codes.values())
         return total

@@ -406,10 +406,6 @@ class CompressedStore:
         offset, size = self.block_extent(level, plane)
         return self._read(offset, size, f"level {level}, plane {plane}")
 
-    def read_planes(self, level: int, count: int) -> List[bytes]:
-        """Read the ``count`` most significant planes of ``level``."""
-        return [self.read_block(level, plane) for plane in range(count)]
-
     def reset_accounting(self) -> None:
         """Zero the ``bytes_read`` counter (used between retrieval requests)."""
         self.bytes_read = 0

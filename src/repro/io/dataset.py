@@ -360,7 +360,10 @@ class ChunkedDataset:
         Per-shard retrievers persist across calls: a shard touched before
         only loads the plane blocks the tighter target adds (never
         re-reading a byte range), and a shard entering the ROI for the first
-        time is retrieved from scratch.  Fidelity never decreases.  Over a
+        time is retrieved from scratch.  Fidelity never decreases, a rung is
+        bitwise the :meth:`read` of the same plane selection, and a call
+        whose source failed midway can be repeated (what arrived is kept,
+        never read again).  Over a
         multiplexed remote dataset the engine also primes the *next*
         fidelity rung in the background after each call; a speculative read
         is physically performed at most once and is only ever reported by

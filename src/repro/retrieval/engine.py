@@ -264,7 +264,14 @@ class RetrievalEngine:
         error_bound: Optional[float] = None,
         bitrate: Optional[float] = None,
     ) -> EngineResult:
-        """Stateful retrieval (Algorithm 2 per shard) with rung speculation."""
+        """Stateful retrieval (Algorithm 2 per shard) with rung speculation.
+
+        Every answer is bitwise the ``read()`` of the same bound whenever the
+        resident plane selection is that read's (always, on a ladder of
+        tightening bounds whose plans nest): a shard's output is rebuilt
+        from its resident rows, never summed from deltas.  A call that
+        raised midway left every shard consistent and can be repeated.
+        """
         target = self._target(error_bound, bitrate)
         return self._request(
             shards, roi_slices, target, self._retrievers, speculate_next=True

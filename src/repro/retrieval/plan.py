@@ -211,8 +211,8 @@ def plan_stream_ops(
     of ``None`` (or ``{}``) plans from scratch; per-level entries already at
     or above the target contribute nothing — the plan is the exact integer
     delta Algorithm 2 will read, deduplicated by construction.
-    ``include_anchor`` adds the anchor block (a from-scratch retrieval needs
-    it; refinement never re-reads it).
+    ``include_anchor`` adds the anchor block (a retriever needs it until it
+    has decoded it; after that it is never re-read).
     """
     resident = current_keep or {}
     blocks: List[Tuple[int, int, str]] = []

@@ -9,7 +9,7 @@ budget:
   the request that produced them.  A slab hit answers a repeated request
   with **zero physical reads** by replaying the recorded trace.
 * tier ``"rung"`` — live :class:`~repro.core.progressive.ProgressiveRetriever`
-  state (integer codes + reconstruction) for one shard.  A rung hit answers
+  state (packed plane rows + reconstruction) for one shard.  A rung hit answers
   a *finer* request by refining in place — Algorithm 2 reads only the new
   plane blocks, never re-fetching from byte zero.
 

@@ -25,10 +25,11 @@ keeps:
   plane selection is already decoded is answered from the slab tier with
   zero physical reads; a coarser resident rung is *refined in place*
   (Algorithm 2 reads only the new plane blocks — never re-fetched from
-  byte zero) via
-  :meth:`~repro.core.progressive.ProgressiveRetriever.retrieve_rebuilt`,
-  whose single reconstruction pass keeps the answer bitwise-identical to a
-  fresh serial read.
+  byte zero) by the same
+  :meth:`~repro.core.progressive.ProgressiveRetriever.retrieve` call a cold
+  shard makes on a fresh retriever: every answer of a retriever is rebuilt
+  from its resident plane rows, so it is bitwise-identical to a fresh
+  serial read.
 
 Accounting stays **consumption-based**: every request's trace reports the
 ``bytes_loaded`` / ``ranges`` a fresh serial read of the same request
@@ -45,6 +46,7 @@ the session's pinned reader; the process pool exists on the direct
 Failures degrade along the existing ladder: a faulty source
 (:class:`~repro.errors.StreamFormatError`, short read, ``OSError``) costs
 the poisoned tier entry its residency and the read is retried from scratch
+— the one serve loop continues with a fresh retriever over a fresh source —
 up to ``retries`` times before propagating; checksum-verified slab entries
 (``cache_verify``) are invalidated on mismatch, never served.  When even
 the ladder is exhausted — e.g. a remote backend died mid-refine — the
@@ -76,7 +78,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.optimizer import OptimizedLoader
+from repro.core.optimizer import LoadingPlan, OptimizedLoader
 from repro.core.profile import CodecProfile
 from repro.core.progressive import ProgressiveRetriever
 from repro.core.stream import CompressedStore, StreamHeader
@@ -493,9 +495,9 @@ class RetrievalService:
         planned_bounds: List[float] = []
         for shard in selected:
             meta, _, _ = session.shard_meta(shard.name)
-            keep = self._plan_keep(meta, target)
-            per_shard[shard.name] = self._planned_bytes(meta, keep)
-            planned_bounds.append(float(meta.loader.plan_error(keep)))
+            plan = self._plan_keep(meta, target)
+            per_shard[shard.name] = self._planned_bytes(meta, plan.keep)
+            planned_bounds.append(float(meta.loader.plan_error(plan.keep)))
         return RequestCost(
             dataset=str(session.path),
             roi=[[s.start, s.stop] for s in roi_slices],
@@ -519,8 +521,7 @@ class RetrievalService:
         a fetch.  Per selected shard a resident artifact at exactly the
         planned fidelity wins (the canonical bytes of a from-scratch serve),
         else the finest resident one — a slab at any plane selection, or
-        the live rung's current reconstruction (exact by construction: the
-        service only ever runs ``retrieve`` / ``retrieve_rebuilt``);
+        the live rung's current reconstruction (exact by construction);
         ``trace.canonical`` records which case served.  Returns ``None``
         when any shard has nothing resident — degradation is
         all-or-nothing, a partially-fresh answer would splice fidelities
@@ -599,7 +600,7 @@ class RetrievalService:
         # A resident artifact exists, so this shard has served before and
         # its header metadata is already parsed: planning is free here.
         meta, _, _ = session.shard_meta(name)
-        planned = float(meta.loader.plan_error(self._plan_keep(meta, target)))
+        planned = float(meta.loader.plan_error(self._plan_keep(meta, target).keep))
         for data, bound in candidates:
             if bound == planned:
                 return data, bound, True
@@ -637,11 +638,10 @@ class RetrievalService:
             return True
         return time.monotonic() + delay < deadline
 
-    def _plan_keep(self, meta: _ShardMeta, target: float) -> Dict[int, int]:
-        plan = meta.loader.plan_for_error_bound(target)
-        return {
-            enc.level: plan.keep.get(enc.level, 0) for enc in meta.header.levels
-        }
+    def _plan_keep(self, meta: _ShardMeta, target: float) -> LoadingPlan:
+        """The shard's loading plan for ``target`` — run once per serve and
+        handed to the retriever as ``plan=``; ``plan.keep`` names every level."""
+        return meta.loader.plan_for_error_bound(target)
 
     def _planned_bytes(self, meta: _ShardMeta, keep: Dict[int, int]) -> int:
         ops = plan_stream_ops(meta.extent_store, None, keep, include_anchor=True)
@@ -649,10 +649,10 @@ class RetrievalService:
 
     def _serve_shard(self, session: _Session, name: str, target: float) -> _ShardServe:
         meta, meta_reads, meta_bytes = session.shard_meta(name)
-        keep = self._plan_keep(meta, target)
-        keep_sig = tuple(sorted(keep.items()))
+        plan = self._plan_keep(meta, target)
+        keep = plan.keep
         planned = self._planned_bytes(meta, keep)
-        slab_key = (session.sid, name, keep_sig)
+        slab_key = (session.sid, name, tuple(sorted(keep.items())))
         rung_key = (session.sid, name)
         with session.shard_lock(name):
             entry = self.cache.get("slab", slab_key, count=False)
@@ -676,143 +676,76 @@ class RetrievalService:
                 # recorded at insert.  Never served — drop and recompute.
                 self.cache.invalidate("slab", slab_key)
             self.cache.record("slab", hit=False)
+            # The resident rung serves only when its keep is component-wise
+            # ≤ the plan's: the load then lands exactly on the plan's
+            # selection, so the answer is bitwise what a fresh read at
+            # ``target`` produces and the rung's accumulated trace is the
+            # multiset of ranges that fresh read consumes.
+            rung = self.cache.get("rung", rung_key, count=False)
+            if rung is not None and any(
+                rung.current_keep.get(level, 0) > k for level, k in keep.items()
+            ):
+                rung = None
+            self.cache.record("rung", hit=rung is not None)
             retries = 0
             delays: List[float] = []
-            rung = self.cache.get("rung", rung_key, count=False)
-            rung_usable = rung is not None and all(
-                rung.current_keep.get(level, 0) <= k
-                for level, k in keep.items()
-            )
-            self.cache.record("rung", hit=rung_usable)
-            if rung_usable:
+            while True:
                 try:
-                    serve = self._serve_from_rung(
-                        session, name, rung, target, planned, meta_reads, meta_bytes
+                    # Without a rung: a fresh source tower per attempt
+                    # (``source_filter`` beneath its prime cache, so a remote
+                    # shard costs one payload burst, not a round trip per
+                    # block).  The pinned header is handed to the store
+                    # pre-parsed; its two ranges open the store's consumed
+                    # trace all the same, so the report matches a serial
+                    # fresh read (which parses the header itself) while the
+                    # session parses it only once physically.
+                    retriever = rung if rung is not None else ProgressiveRetriever(
+                        CompressedStore(
+                            session.dataset.shard_source(name, self.source_filter),
+                            parsed=(meta.header, meta.header_bytes),
+                        )
                     )
-                    self._insert_slab(slab_key, serve)
-                    return serve
+                    store = retriever.store
+                    # Every trace entry from here on is one payload read the
+                    # store issues (a fresh trace opens with the header's two).
+                    before = len(store.trace)
+                    result = retriever.retrieve(plan=plan)
+                    break
                 except _RETRYABLE:
-                    # The rung's source went bad mid-refine; its partial
-                    # state is unusable — drop it and rebuild from scratch.
-                    self.cache.invalidate("rung", rung_key)
+                    if rung is not None:
+                        # The rung's source went bad mid-refine: drop it and
+                        # continue from scratch, over a fresh source.
+                        self.cache.invalidate("rung", rung_key)
+                        rung = None
                     retries += 1
                     delay = self._backoff_delay(name, retries)
+                    # Back off (capped exponential, deterministic jitter)
+                    # instead of hot-spinning against a transient fault.  An
+                    # expired (or about-to-expire) request deadline ends the
+                    # ladder early: propagate the real failure rather than
+                    # sleeping past the time the caller stops caring.
                     if retries > self.retries or not self._retry_permitted(delay):
                         raise
                     delays.append(delay)
                     self._sleep(delay)
-            serve = self._serve_cold(
-                session,
-                name,
-                meta,
-                target,
-                planned,
-                retries,
-                meta_reads,
-                meta_bytes,
-                delays,
-            )
-            self._insert_slab(slab_key, serve)
-            return serve
-
-    def _serve_from_rung(
-        self,
-        session: _Session,
-        name: str,
-        rung: ProgressiveRetriever,
-        target: float,
-        planned: int,
-        meta_reads: int,
-        meta_bytes: int,
-    ) -> _ShardServe:
-        """Refine a coarser resident rung in place (Algorithm-2 I/O).
-
-        Valid only when the resident keep is component-wise ≤ the plan's, so
-        the merged selection *is* the plan's and the rebuilt reconstruction
-        is bitwise what a fresh read at ``target`` produces.  The consumed
-        trace is the rung's accumulated one: the same multiset of ranges a
-        fresh serial read at this selection reads.
-        """
-        before_reads = len(rung.store.trace)
-        result = rung.retrieve_rebuilt(error_bound=target)
-        # Re-charge the rung at its new resident size (it may have grown);
-        # if the budget no longer accommodates it, it simply ages out.
-        self.cache.put("rung", (session.sid, name), rung, rung.resident_nbytes)
-        return _ShardServe(
-            data=result.data,
-            ranges=list(rung.store.trace),
-            bound=result.error_bound,
-            planned_bytes=planned,
-            physical_reads=meta_reads + len(rung.store.trace) - before_reads,
-            # The store's counter restarts with each retrieval: what it
-            # holds now is this refinement's payload bytes.
-            physical_bytes=meta_bytes + rung.store.bytes_read,
-            retries=0,
-            tier="rung",
-        )
-
-    def _serve_cold(
-        self,
-        session: _Session,
-        name: str,
-        meta: _ShardMeta,
-        target: float,
-        planned: int,
-        retries: int,
-        meta_reads: int,
-        meta_bytes: int,
-        delays: Optional[List[float]] = None,
-    ) -> _ShardServe:
-        """From-scratch read over a fresh source tower, with the retry ladder.
-
-        Each attempt starts clean — fresh source, fresh retriever — because
-        a failure may have left partial decode state.  The source is the
-        dataset's assembled tower (``source_filter`` beneath its prime
-        cache), so a remote shard costs one payload burst, not a round trip
-        per block.  The pinned header is handed to the store pre-parsed;
-        its two ranges open the store's consumed trace all the same, so the
-        report matches a serial fresh read (which parses the header itself)
-        while the session parses it only once physically.  Failed attempts
-        back off (capped exponential, deterministic jitter) instead of
-        hot-spinning against a transient fault; each slept delay lands in
-        the trace's ``retry_delays``.
-        """
-        delays = [] if delays is None else delays
-        while True:
-            try:
-                store = CompressedStore(
-                    session.dataset.shard_source(name, self.source_filter),
-                    parsed=(meta.header, meta.header_bytes),
-                )
-                retriever = ProgressiveRetriever(store)
-                result = retriever.retrieve(error_bound=target)
-            except _RETRYABLE:
-                retries += 1
-                delay = self._backoff_delay(name, retries)
-                # An expired (or about-to-expire) request deadline ends the
-                # ladder early: propagate the real failure rather than
-                # sleeping past the time the caller stops caring.
-                if retries > self.retries or not self._retry_permitted(delay):
-                    raise
-                delays.append(delay)
-                self._sleep(delay)
-                continue
-            self.cache.put(
-                "rung", (session.sid, name), retriever, retriever.resident_nbytes
-            )
-            return _ShardServe(
+            # (Re-)charge the rung at its resident size; if the budget no
+            # longer accommodates it, it simply ages out.
+            self.cache.put("rung", rung_key, retriever, retriever.resident_nbytes)
+            serve = _ShardServe(
                 data=result.data,
                 ranges=list(store.trace),
                 bound=result.error_bound,
                 planned_bytes=planned,
-                # Every trace entry after the two header ranges is one
-                # payload read the store issued.
-                physical_reads=meta_reads + len(store.trace) - 2,
+                physical_reads=meta_reads + len(store.trace) - before,
+                # The store's counter restarts with each retrieval: what it
+                # holds now is this serve's payload bytes.
                 physical_bytes=meta_bytes + store.bytes_read,
                 retries=retries,
-                tier="cold",
+                tier="rung" if rung is not None else "cold",
                 retry_delays=delays,
             )
+            self._insert_slab(slab_key, serve)
+            return serve
 
     def _insert_slab(self, slab_key, serve: _ShardServe) -> None:
         data = serve.data

@@ -58,8 +58,13 @@ def test_incremental_refinement_matches_from_scratch(compressed_pair):
     stepwise = ProgressiveRetriever(blob)
     for multiplier in (4096, 512, 64, 8, 1):
         refined = stepwise.retrieve(error_bound=eb * multiplier)
+        # Every rung is the bytes of a fresh retriever at the resident planes.
+        fresh = ProgressiveRetriever(blob)
+        direct = fresh.retrieve(plan=fresh.loader._make_plan(stepwise.current_keep))
+        assert refined.data.tobytes() == direct.data.tobytes()
+        assert refined.error_bound == direct.error_bound
     direct = ProgressiveRetriever(blob).retrieve(error_bound=eb)
-    assert np.allclose(refined.data, direct.data, atol=0.0)
+    assert refined.data.tobytes() == direct.data.tobytes()
 
 
 def test_refinement_never_reloads_blocks(compressed_pair):
@@ -163,7 +168,9 @@ def _hostile_stream(blob, where, block):
     store = CompressedStore(blob)
     anchor = store.read_anchor()
     for enc in header.levels:
-        enc.plane_blocks = store.read_planes(enc.level, len(enc.plane_coders))
+        enc.plane_blocks = [
+            store.read_block(enc.level, plane) for plane in range(len(enc.plane_coders))
+        ]
     full = ProgressiveRetriever(blob)
     full.retrieve(error_bound=header.error_bound)
     victim, plane = header.level(1), full.current_keep[1] - 1
@@ -216,3 +223,24 @@ def test_hostile_block_is_a_stream_format_error(compressed_pair, deflate_bomb, a
     assert elapsed < 1.0
     # The whole field is 175 KB and the bomb 65 KB; inflating it is 64 MiB.
     assert peak < 4 << 20
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("count", 1 << 62), ("count", -8), ("nbits", 1 << 70)],
+    ids=["count-huge", "count-negative", "nbits-huge"],
+)
+def test_hostile_level_geometry_is_a_stream_format_error(compressed_pair, field, value):
+    """The resident row buffer is sized from the header: a level geometry
+    that cannot be laid out is stream corruption, not a ``MemoryError``."""
+    _, _, blob = compressed_pair
+    header, _ = IPCompStream.parse_header(blob)
+    store = CompressedStore(blob)
+    for enc in header.levels:
+        enc.plane_blocks = [
+            store.read_block(enc.level, plane) for plane in range(len(enc.plane_coders))
+        ]
+    setattr(header.level(1), field, value)
+    hostile = IPCompStream.serialize(header, store.read_anchor(), header.levels)
+    with pytest.raises(StreamFormatError, match="stream header invalid"):
+        ProgressiveRetriever(hostile)

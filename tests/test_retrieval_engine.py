@@ -475,6 +475,11 @@ def test_refine_speculation_preserves_accounting(tmp_path):
     ladder = (1024, 64, 8, 1)
     with ChunkedDataset(path) as dataset:
         sync = [dataset.refine(error_bound=eb * k) for k in ladder]
+        # Every rung of a refinement is bitwise the read() of the same bound.
+        for k, rung in zip(ladder, sync):
+            fresh = dataset.read(error_bound=eb * k)
+            assert rung.data.tobytes() == fresh.data.tobytes()
+            assert rung.error_bound == fresh.error_bound
     with ChunkedDataset(path, prefetch=4) as dataset:
         spec = [dataset.refine(error_bound=eb * k) for k in ladder]
         # ``prefetch`` on a local file changes nothing (over HTTP the same

@@ -190,6 +190,33 @@ def test_rung_refinement_reads_only_the_delta(tmp_path):
         assert back.trace.ranges == first.trace.ranges
 
 
+def test_a_shard_serve_plans_once(tmp_path, monkeypatch):
+    """``cost`` plans each shard, and a cold or rung-refined ``get`` plans it
+    once more — the retriever is handed that plan, it does not re-run the DP."""
+    from repro.core.optimizer import OptimizedLoader
+
+    plans = []
+    real = OptimizedLoader.plan_for_error_bound
+
+    def counting(self, target_error):
+        plans.append(target_error)
+        return real(self, target_error)
+
+    monkeypatch.setattr(OptimizedLoader, "plan_for_error_bound", counting)
+    path = _v2_container(tmp_path)
+    with ChunkedDataset(path) as dataset:
+        stored, n = dataset.absolute_bound, dataset.n_shards
+    with RetrievalService() as service:
+        for bound, tier in ((stored * 128.0, "cold"), (stored * 4.0, "rung")):
+            del plans[:]
+            service.cost(path, error_bound=bound)
+            assert len(plans) == n
+            served = service.get(path, error_bound=bound)
+            assert len(plans) == 2 * n
+            hits = served.trace.tier_hits if tier == "rung" else served.trace.tier_misses
+            assert sum(hits.values()) == n
+
+
 # ------------------------------------------------------------ eviction churn
 
 
