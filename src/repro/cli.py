@@ -31,12 +31,13 @@ every reading subcommand opens either kind through
 intersecting shards) and ``--bitrate`` on any single-shard input.
 Retrieval runs the plan → prefetch → pool-decode pipeline of
 :mod:`repro.retrieval`: over a URL the planned ranges are multiplexed
-(``--prefetch 0`` / ``--no-prefetch`` reads one range at a time; any
-positive ``--prefetch`` means the default), a local file reads
-synchronously whatever the flag says, and ``--workers N`` pool-decodes the
-shards of a local container in worker processes through one shared-memory
-output segment (in-process when there is none) — both pure runtime choices
-with bitwise-identical output and identical reported byte counts.
+(``--prefetch 0`` reads one range at a time; any positive value means the
+default), a local file reads synchronously whatever the flag says, and
+``retrieve --workers N`` pool-decodes the shards of a local container in
+worker processes through one shared-memory output segment (in-process when
+there is none) — both pure runtime choices with bitwise-identical output
+and identical reported byte counts.  ``decompress`` is the full-precision
+read, always in-process.
 
 ``serve`` runs a batch of requests — one JSON object per line, e.g.
 ``{"roi": "0:16,:,:", "error_bound": 1e-3, "out": "roi.raw", "client":
@@ -51,9 +52,10 @@ byte-budgeted per client, with overload answered from resident fidelity
 (``"degraded": true`` in the trace) and refined in the background — the
 written outputs are always the final refined answers.
 
-``retrieve``, ``info``, ``serve`` and ``stats`` also accept ``http(s)://``
-URLs served with byte-range support (``python -m repro.io.rangeserver PATH``
-publishes a directory): reads go through the resilient remote stack of
+``decompress``, ``retrieve``, ``info``, ``serve`` and ``stats`` also accept
+``http(s)://`` URLs served with byte-range support
+(``python -m repro.io.rangeserver PATH`` publishes a directory): reads go
+through the resilient remote stack of
 :mod:`repro.io.aio` — retries with jittered backoff, per-endpoint
 circuit breakers, CRC verification, and with ``--mirror`` replica failover
 — and stay bitwise-identical to a local read.  ``--inject-faults PLAN.json``
@@ -63,10 +65,14 @@ cold read's source for ``serve``/``stats``, exercising the healing paths
 end-to-end.  ``retrieve --trace-json FILE`` writes a receipt with the
 remote stack's request/egress/retry/breaker statistics.
 
-Configuration is one :class:`~repro.core.profile.CodecProfile`:
-``--profile FILE.json`` loads a profile, and the individual flags (``--eb``,
-``--abs``, ``--method``) override single fields of it — flags always win
-over the file.
+The codec is configured on the write side only (``compress``, ``demo``),
+by one :class:`~repro.core.profile.CodecProfile`: ``--profile FILE.json``
+loads a profile, and the individual flags (``--eb``, ``--abs``,
+``--method``) override single fields of it — flags always win over the
+file.  Streams are self-describing, so no reading subcommand takes a
+profile; each runtime knob is one flag of the subcommand it acts in
+(``retrieve --prefetch / --workers``, ``serve --cache-bytes``), validated
+by the library object it configures.
 """
 
 from __future__ import annotations
@@ -83,7 +89,7 @@ from repro.errors import ConfigurationError, ReproError
 from repro.io.faults import FaultInjector, FaultPlan
 from repro.io.aio import open_remote_source
 from repro.io.remote import is_url
-from repro.service import RetrievalService
+from repro.service import DEFAULT_CACHE_BYTES, RetrievalService
 
 
 def _input_path(text: str):
@@ -117,13 +123,9 @@ def _parse_roi(text: str) -> tuple:
     return tuple(axes)
 
 
-def _add_profile_arguments(subparser: argparse.ArgumentParser, full: bool = True) -> None:
-    """Codec-profile options: a JSON file plus per-field override flags.
-
-    ``full=False`` adds only ``--profile`` (read for its runtime knobs —
-    ``prefetch`` / ``workers`` / cache fields): prefix bits and the bound
-    are stream properties on the read side.
-    """
+def _add_profile_arguments(subparser: argparse.ArgumentParser) -> None:
+    """Codec-profile options of a writing subcommand: a JSON file plus
+    per-field override flags."""
     subparser.add_argument(
         "--profile",
         type=Path,
@@ -131,8 +133,6 @@ def _add_profile_arguments(subparser: argparse.ArgumentParser, full: bool = True
         metavar="FILE.json",
         help="codec profile JSON file; individual flags override its fields",
     )
-    if not full:
-        return
     subparser.add_argument("--eb", type=float, default=None, help="error bound")
     subparser.add_argument(
         "--abs", action=argparse.BooleanOptionalAction, default=None,
@@ -144,13 +144,13 @@ def _add_profile_arguments(subparser: argparse.ArgumentParser, full: bool = True
 
 def _profile_from_args(args) -> CodecProfile:
     """Resolve the effective profile: file (or defaults) + flag overrides."""
-    base = CodecProfile.from_file(args.profile) if getattr(args, "profile", None) else None
+    base = CodecProfile.from_file(args.profile) if args.profile else None
     overrides = {}
-    if getattr(args, "eb", None) is not None:
+    if args.eb is not None:
         overrides["error_bound"] = args.eb
-    if getattr(args, "abs", None) is not None:
+    if args.abs is not None:
         overrides["relative"] = not args.abs
-    if getattr(args, "method", None) is not None:
+    if args.method is not None:
         overrides["method"] = args.method
     return CodecProfile.from_options(base, **overrides)
 
@@ -183,9 +183,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_profile_arguments(compress)
 
     decompress = sub.add_parser("decompress", help="full-precision decompression")
-    decompress.add_argument("input", type=Path)
+    decompress.add_argument(
+        "input",
+        type=_input_path,
+        help="stream/container file, or an http(s):// URL",
+    )
     decompress.add_argument("-o", "--output", type=Path, required=True)
-    _add_profile_arguments(decompress, full=False)
 
     retrieve = sub.add_parser("retrieve", help="partial retrieval at a fidelity target")
     retrieve.add_argument(
@@ -233,29 +236,22 @@ def _build_parser() -> argparse.ArgumentParser:
     retrieve.add_argument(
         "--workers",
         type=int,
-        default=None,
+        default=0,
         metavar="N",
         help="pool-decode worker processes for local container retrieval "
-        "(0/1 = in-process; URLs and single streams always decode "
-        "in-process)",
+        "(0/1 = in-process, the default; URLs and single streams always "
+        "decode in-process)",
     )
-    prefetch_group = retrieve.add_mutually_exclusive_group()
-    prefetch_group.add_argument(
+    retrieve.add_argument(
         "--prefetch",
         type=int,
         default=None,
         metavar="N",
         help="URL inputs: 0 reads one range at a time, any positive value "
-        "multiplexes the planned ranges (default: the profile file's, else "
-        "multiplexed); a local file reads synchronously whatever it says; "
-        "reported bytes are unchanged",
+        "multiplexes the planned ranges (default: multiplexed); a local "
+        "file reads synchronously whatever it says; reported bytes are "
+        "unchanged",
     )
-    prefetch_group.add_argument(
-        "--no-prefetch",
-        action="store_true",
-        help="same as --prefetch 0",
-    )
-    _add_profile_arguments(retrieve, full=False)
 
     info = sub.add_parser(
         "info", help="print the parsed stream header / dataset manifest"
@@ -340,10 +336,9 @@ def _build_parser() -> argparse.ArgumentParser:
         subparser.add_argument(
             "--cache-bytes",
             type=int,
-            default=None,
+            default=DEFAULT_CACHE_BYTES,
             metavar="B",
-            help="tiered slab/rung cache budget in bytes "
-            "(default: profile's cache_bytes, else 256 MiB)",
+            help="tiered slab/rung cache budget in bytes (default 256 MiB)",
         )
         subparser.add_argument(
             "--out-dir",
@@ -358,7 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="FILE",
             help="also write the aggregate service stats to FILE",
         )
-        _add_profile_arguments(subparser, full=False)
 
     serve = sub.add_parser(
         "serve",
@@ -409,47 +403,11 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_decompress(args) -> int:
-    file_knobs = _runtime_knobs_from_profile_file(args)
-    with ChunkedDataset(
-        args.input,
-        prefetch=file_knobs.get("prefetch"),
-        workers=file_knobs.get("workers"),
-    ) as dataset:
+    with ChunkedDataset(args.input) as dataset:
         result = dataset.read()
     save_raw(args.output, result.data)
     print(f"decompressed to {args.output} shape={result.data.shape}")
     return 0
-
-
-def _runtime_knobs_from_profile_file(args) -> dict:
-    """``prefetch`` / ``workers`` read from ``--profile`` (flags override)."""
-    if getattr(args, "profile", None) is None:
-        return {}
-    try:
-        obj = json.loads(Path(args.profile).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ConfigurationError(
-            f"cannot read codec profile {args.profile}: {exc}"
-        ) from None
-    if not isinstance(obj, dict):
-        raise ConfigurationError("codec profile JSON must be an object")
-    return {
-        k: obj[k]
-        for k in ("prefetch", "workers", "cache_bytes", "cache_verify")
-        if k in obj
-    }
-
-
-def _retrieve_prefetch_depth(args, file_knobs: dict) -> "int | None":
-    """Prefetch depth: flag > profile file > ``None`` (the library's default,
-    :func:`repro.retrieval.prefetch.default_prefetch_depth`)."""
-    if args.no_prefetch:
-        return 0
-    if args.prefetch is not None:
-        if args.prefetch < 0:
-            raise ConfigurationError("--prefetch must be non-negative")
-        return args.prefetch
-    return file_knobs.get("prefetch")
 
 
 def _fault_injector_from_args(args) -> "FaultInjector | None":
@@ -478,9 +436,6 @@ def _cmd_retrieve(args) -> int:
     ``http(s)://`` URL the resilient remote stack (retries, CRC, optional
     mirrors / injected faults) feeds the same plan → prefetch → decode
     pipeline; output is bitwise-identical to a local read of the file."""
-    file_knobs = _runtime_knobs_from_profile_file(args)
-    prefetch = _retrieve_prefetch_depth(args, file_knobs)
-    workers = args.workers if args.workers is not None else file_knobs.get("workers")
     stack = injector = None
     if is_url(args.input):
         injector = _fault_injector_from_args(args)
@@ -496,7 +451,7 @@ def _cmd_retrieve(args) -> int:
         )
     # The dataset's reader owns (and closes) the stack.
     with ChunkedDataset(
-        args.input, prefetch=prefetch, workers=workers, source=stack
+        args.input, prefetch=args.prefetch, workers=args.workers, source=stack
     ) as dataset:
         result = dataset.read(
             error_bound=args.error_bound, roi=args.roi, bitrate=args.bitrate
@@ -588,13 +543,16 @@ def _load_requests(path: Path) -> list:
         except argparse.ArgumentTypeError as exc:
             raise ConfigurationError(f"requests line {lineno}: {exc}") from None
         bound = obj.get("error_bound")
+        if bound is not None:
+            try:
+                bound = float(bound)
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"requests line {lineno}: error_bound must be a number, "
+                    f"got {bound!r}"
+                ) from None
         requests.append(
-            (
-                roi,
-                float(bound) if bound is not None else None,
-                obj.get("out"),
-                str(obj.get("client") or "default"),
-            )
+            (roi, bound, obj.get("out"), str(obj.get("client") or "default"))
         )
     if not requests:
         raise ConfigurationError("requests file contains no requests")
@@ -632,19 +590,12 @@ def _serve_batch(args) -> tuple:
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    file_knobs = _runtime_knobs_from_profile_file(args)
-    cache_bytes = (
-        args.cache_bytes
-        if args.cache_bytes is not None
-        else file_knobs.get("cache_bytes")
-    )
     requests = _load_requests(args.requests)
     scheduled = args.max_inflight is not None or args.client_budget_bps
     injector = _fault_injector_from_args(args)
     remote_options = {"mirrors": tuple(args.mirror)} if args.mirror else {}
     with RetrievalService(
-        cache_bytes=cache_bytes,
-        cache_verify=file_knobs.get("cache_verify"),
+        cache_bytes=args.cache_bytes,
         source_filter=injector.source_filter if injector is not None else None,
         remote_options=remote_options,
     ) as service:

@@ -1,14 +1,16 @@
-"""CodecProfile: the single configuration object of the whole system.
+"""CodecProfile: the codec's configuration — the four fields that shape bytes.
 
-Every layer — :class:`repro.IPComp`, the progressive retriever, the
-block-parallel compressor, the file-backed :class:`repro.io.ChunkedDataset`,
-the baselines adapter, and the CLI — is configured by one frozen dataclass
-instead of ad-hoc keyword plumbing.  A profile bundles:
+Every writer — :class:`repro.IPComp`, the block-parallel compressor,
+:meth:`repro.io.ChunkedDataset.write`, the baselines adapter, and the CLI's
+``compress`` / ``demo`` — is configured by one frozen dataclass instead of
+ad-hoc keyword plumbing.  A profile is the **lossy stage** and nothing else:
+the error bound (+ relative flag), the interpolation method and the prefix
+bits of the predictive bitplane coder (the paper's Table 2 parameters).
 
-* the **lossy stage** — error bound (+ relative flag), interpolation method,
-  prefix bits of the predictive bitplane coder;
-* the **runtime knobs** of retrieval and serving — remote prefetch, pool
-  workers, cache budget and verification — which never change a byte.
+A read takes no profile: streams are self-describing, so decoding needs only
+a fidelity target.  Runtime knobs live where they act, each validated there
+— ``ChunkedDataset(prefetch=, workers=)``, ``RetrievalService(cache_bytes=)``
+and the CLI flags of the same names — and never in a profile.
 
 The lossless stage is not configurable: every packed plane is deflated, or
 stored verbatim when that is not smaller
@@ -17,7 +19,7 @@ records which per plane.
 
 Profiles are immutable, hashable, picklable (they cross process boundaries in
 :mod:`repro.parallel`), and JSON round-trippable (they are embedded in
-dataset manifests and loaded from ``--profile`` files by the CLI).
+dataset manifests and loaded from ``compress --profile`` files).
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from repro.errors import ConfigurationError
 
 #: Keys old ``CodecProfile.dump()`` files carry for options that no longer
 #: exist (``io_backend`` until 3.0, ``kernel`` until 4.0, the four
-#: lossless-coder fields until 5.0): dropped on load.
+#: lossless-coder fields until 5.0, the four runtime knobs until 9.0):
+#: dropped on load.
 LEGACY_JSON_KEYS = (
     "io_backend",
     "kernel",
@@ -43,6 +46,10 @@ LEGACY_JSON_KEYS = (
     "plane_coders",
     "negotiation",
     "negotiation_sample",
+    "prefetch",
+    "workers",
+    "cache_bytes",
+    "cache_verify",
 )
 
 
@@ -64,41 +71,12 @@ class CodecProfile:
     prefix_bits:
         Number of prefix bits of the predictive bitplane coder (0–3; 2 is
         the paper's choice, Table 2).
-    prefetch:
-        Retrieval-side knob: 0 = serial, any positive value = multiplexed
-        remote reads; ignored for local files (they read synchronously).
-        A pure runtime choice — it never changes any byte, reported byte
-        count, or range trace.
-    workers:
-        Read-side knob: pool-decode worker processes for stateless reads
-        of a local container (0/1 = in-process decode), taken as the
-        default by ``ChunkedDataset(path, profile=...)`` and by ``retrieve``
-        / ``decompress --profile``.  The write side has a ``workers`` of
-        its own (``ChunkedDataset.write(workers=)``, ``compress
-        --workers``) and never reads this field; neither does the serving
-        layer, which decodes in-process.  Runtime-only, output
-        bitwise-identical either way.
-    cache_bytes:
-        Serving-side knob: byte budget of the
-        :class:`~repro.service.RetrievalService` tiered cache (decoded slabs
-        + resident plane rungs).  ``0`` means the service default.  Like
-        ``prefetch`` / ``workers`` it is runtime-only: it never
-        changes any served byte, reported byte count, or range trace — only
-        how much physical I/O a warm request can skip.
-    cache_verify:
-        Serving-side knob: verify the checksum of a cached decoded slab on
-        every hit, so a poisoned cache entry is invalidated and recomputed
-        instead of served.  Runtime-only.
     """
 
     error_bound: float = 1e-6
     relative: bool = True
     method: str = "cubic"
     prefix_bits: int = DEFAULT_PREFIX_BITS
-    prefetch: int = 0
-    workers: int = 0
-    cache_bytes: int = 0
-    cache_verify: bool = True
 
     def __post_init__(self) -> None:
         if self.error_bound <= 0 or not np.isfinite(self.error_bound):
@@ -106,14 +84,6 @@ class CodecProfile:
         if self.method not in ("cubic", "linear"):
             raise ConfigurationError("method must be 'cubic' or 'linear'")
         check_prefix_bits(self.prefix_bits)
-        for name in ("prefetch", "workers", "cache_bytes"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigurationError(f"{name} must be an integer")
-            if value < 0:
-                raise ConfigurationError(f"{name} must be non-negative")
-        if not isinstance(self.cache_verify, bool):
-            raise ConfigurationError("cache_verify must be a boolean")
 
     # -------------------------------------------------------------- derived
 
@@ -184,34 +154,14 @@ class CodecProfile:
 
     # ------------------------------------------------------------------ JSON
 
-    def to_json(self, *, runtime: bool = True) -> dict:
-        """JSON form of the profile.
-
-        ``runtime=False`` omits the runtime-only fields — ``prefetch``,
-        ``workers``, ``cache_bytes``, ``cache_verify`` — which never change
-        the bytes, so on-disk artefacts (dataset manifests) exclude them to
-        stay byte-identical across runtime configurations; ``--profile``
-        files keep them.
-        """
-        obj = {
+    def to_json(self) -> dict:
+        """JSON form of the profile (what manifests embed)."""
+        return {
             "error_bound": float(self.error_bound),
             "relative": bool(self.relative),
             "method": self.method,
             "prefix_bits": int(self.prefix_bits),
-            "prefetch": int(self.prefetch),
-            "workers": int(self.workers),
-            "cache_bytes": int(self.cache_bytes),
-            "cache_verify": bool(self.cache_verify),
         }
-        if not runtime:
-            for name in (
-                "prefetch",
-                "workers",
-                "cache_bytes",
-                "cache_verify",
-            ):
-                del obj[name]
-        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "CodecProfile":
@@ -222,7 +172,7 @@ class CodecProfile:
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "CodecProfile":
-        """Load a profile from a JSON file (the CLI's ``--profile``)."""
+        """Load a profile from a JSON file (``compress --profile``)."""
         try:
             obj = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:

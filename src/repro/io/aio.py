@@ -1094,8 +1094,6 @@ def open_remote_source(
     retry_budget: int = 32,
     backoff: float = 0.05,
     backoff_cap: float = 1.0,
-    breaker_threshold: int = 5,
-    breaker_cooldown: float = 1.0,
     hedge_delay: Optional[float] = None,
     connections: int = DEFAULT_CONNECTIONS,
     window: int = DEFAULT_WINDOW,
@@ -1132,9 +1130,7 @@ def open_remote_source(
             connections=connections,
             window=window,
             timeout=timeout,
-            breaker=CircuitBreaker(
-                threshold=breaker_threshold, cooldown=breaker_cooldown, clock=clock
-            ),
+            breaker=CircuitBreaker(clock=clock),
         )
         await transport.open()
         wrapped = tamper(endpoint_url, transport) if tamper is not None else transport

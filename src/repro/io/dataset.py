@@ -52,6 +52,7 @@ version-1 manifests (method / prefix bits as loose fields) are still read.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -85,6 +86,15 @@ MANIFEST_BLOCK = "manifest"
 FORMAT_NAME = "repro-chunked-dataset"
 FORMAT_VERSION = 2
 SUPPORTED_MANIFEST_VERSIONS = (1, 2)
+
+
+def _check_count(name: str, value) -> None:
+    """A runtime knob of a read: a non-negative integer, or a configuration
+    error (not a silent clamp)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ConfigurationError(
+            f"{name} must be a non-negative integer, got {value!r}"
+        )
 
 
 @dataclass
@@ -125,27 +135,35 @@ class ChunkedDataset:
     dataset of one shard named ``"stream"`` spanning the domain, with shape
     / dtype / bound from the stream's own header and ``manifest`` ``None``
     — nothing above :mod:`repro.io` tells the two kinds of file apart.
-    ``profile`` supplies the runtime decode knobs — default ``prefetch`` /
-    ``workers`` for the retrieval engine; it does not need to match the
-    profile used at write time (shards are self-describing v2 streams).
-    The explicit ``prefetch`` / ``workers`` keywords override the profile's
-    fields; all of these knobs are runtime-only and change no reported byte
-    or decoded bit.  ``prefetch`` means something for a remote dataset only
-    — ``0`` reads serially, any positive value multiplexes, and with
-    neither keyword nor profile
-    :func:`~repro.retrieval.prefetch.default_prefetch_depth` multiplexes; a
-    local file reads synchronously whatever it says.
+    Reading takes no codec profile (shards are self-describing streams);
+    its two runtime knobs are keywords here and nowhere else, non-negative
+    integers that change no reported byte or decoded bit.  ``prefetch``
+    means something for a remote dataset only — ``0`` reads serially, any
+    positive value multiplexes, ``None`` is
+    :func:`~repro.retrieval.prefetch.default_prefetch_depth` (multiplexed);
+    a local file reads synchronously whatever it says.  ``workers`` sizes
+    the pool decode of stateless reads of a local file (``0`` / ``1`` =
+    in-process).
     """
 
     def __init__(
         self,
         path: Union[str, Path],
-        profile: Optional[CodecProfile] = None,
         *,
         prefetch: Optional[int] = None,
-        workers: Optional[int] = None,
+        workers: int = 0,
         source=None,
     ) -> None:
+        try:
+            if prefetch is not None:
+                _check_count("prefetch", prefetch)
+            _check_count("workers", workers)
+        except ConfigurationError:
+            # A handed-in source belongs to the dataset, even one never built.
+            closer = getattr(source, "close", None)
+            if closer is not None:
+                closer()
+            raise
         # ``path`` may be an ``http(s)://`` URL: the file is then read
         # through a resilient remote stack (default one, or the caller's
         # pre-built ``source`` — e.g. with mirrors / fault injection).
@@ -153,17 +171,11 @@ class ChunkedDataset:
         if source is None and self.is_remote:
             source = open_remote_source(str(path))
         self.path: Union[str, Path] = str(path) if self.is_remote else Path(path)
-        self.profile = profile
         self._reader = BlockContainerReader(
             source if source is not None else self.path
         )
         if prefetch is None:
-            if profile is not None:
-                prefetch = profile.prefetch
-            else:
-                prefetch = default_prefetch_depth(self.is_remote)
-        if workers is None:
-            workers = profile.workers if profile is not None else 0
+            prefetch = default_prefetch_depth(self.is_remote)
         # The plan → prefetch → pool-decode pipeline serving every request
         # (it owns the stateful per-shard retrievers of the refine() path,
         # and assembles every shard's source tower).
@@ -277,8 +289,7 @@ class ChunkedDataset:
         ``relative=`` / ``method=``).  One IPComp stream per slab is produced
         (process-parallel via
         :class:`~repro.parallel.executor.BlockParallelCompressor`, sized by
-        the ``workers`` keyword alone — the profile's read-side ``workers``
-        field is not consulted) and the slab's absolute bound is derived
+        ``workers``) and the slab's absolute bound is derived
         from the *global* value range, so the reassembled field honours the
         bound globally.  The resolved profile is embedded in the manifest.
         """
@@ -300,9 +311,7 @@ class ChunkedDataset:
                 "shape": [int(s) for s in data.shape],
                 "dtype": str(data.dtype),
                 "error_bound": float(resolved.error_bound),
-                # runtime=False: prefetch / workers / cache knobs never change
-                # bytes, and the manifest must not depend on them.
-                "profile": resolved.to_json(runtime=False),
+                "profile": resolved.to_json(),
                 "shards": [
                     {
                         "name": shard_name(index),

@@ -302,6 +302,33 @@ class FaultInjector:
             }
 
 
+def _before_read(
+    fault: Fault, number: int, name: str
+) -> Tuple[float, Optional[RemoteSourceError]]:
+    """What global read ``number`` does before touching the wrapped source:
+    the seconds to wait, then the error to raise instead of reading
+    (``None`` reads).  One vocabulary for both injecting wrappers."""
+    where = f" ({name})" if name else ""
+    if fault.kind == "raise":
+        return 0.0, RemoteSourceError(f"injected failure on read #{number}{where}")
+    if fault.kind == "stall":
+        return fault.seconds, RemoteSourceError(
+            f"injected stall timed out on read #{number}{where}"
+        )
+    if fault.kind == "latency":
+        return fault.seconds, None
+    return 0.0, None
+
+
+def _mangle(fault: Fault, data: bytes) -> bytes:
+    """The payload a ``short`` / ``corrupt`` fault hands back instead."""
+    if fault.kind == "short":
+        return data[:-1]
+    if fault.kind == "corrupt" and data:
+        return bytes([data[0] ^ 0xFF]) + data[1:]
+    return data
+
+
 class FaultInjectingSource:
     """One wrapped byte-range source; applies the injector's drawn fault.
 
@@ -336,27 +363,12 @@ class FaultInjectingSource:
         number, fault = self._injector._draw()
         if fault is None:
             return self._inner.read_range(offset, length)
-        kind = fault.kind
-        if kind == "raise":
-            raise RemoteSourceError(
-                f"injected failure on read #{number}"
-                + (f" ({self.name})" if self.name else "")
-            )
-        if kind == "stall":
-            if fault.seconds:
-                self._injector._sleep(fault.seconds)
-            raise RemoteSourceError(
-                f"injected stall timed out on read #{number}"
-                + (f" ({self.name})" if self.name else "")
-            )
-        if kind == "latency" and fault.seconds:
-            self._injector._sleep(fault.seconds)
-        data = self._inner.read_range(offset, length)
-        if kind == "short":
-            return data[: max(0, length - 1)]
-        if kind == "corrupt" and data:
-            return bytes([data[0] ^ 0xFF]) + data[1:]
-        return data
+        delay, error = _before_read(fault, number, self.name)
+        if delay:
+            self._injector._sleep(delay)
+        if error is not None:
+            raise error
+        return _mangle(fault, self._inner.read_range(offset, length))
 
     def __getattr__(self, attribute: str):
         return getattr(self._inner, attribute)
@@ -399,27 +411,13 @@ class AsyncFaultInjectingSource:
         number, fault = self._injector._draw()
         if fault is None:
             return await self._inner.aget(offset, length)
-        kind = fault.kind
-        if kind == "raise":
-            raise RemoteSourceError(
-                f"injected failure on read #{number}"
-                + (f" ({self.name})" if self.name else "")
-            )
-        if kind == "stall":
-            if fault.seconds:
-                await asyncio.sleep(fault.seconds)
-            raise RemoteSourceError(
-                f"injected stall timed out on read #{number}"
-                + (f" ({self.name})" if self.name else "")
-            )
-        if kind == "latency" and fault.seconds:
-            await asyncio.sleep(fault.seconds)
+        delay, error = _before_read(fault, number, self.name)
+        if delay:
+            await asyncio.sleep(delay)
+        if error is not None:
+            raise error
         data, crc = await self._inner.aget(offset, length)
-        if kind == "short":
-            return data[:-1], crc
-        if kind == "corrupt" and data:
-            return bytes([data[0] ^ 0xFF]) + data[1:], crc
-        return data, crc
+        return _mangle(fault, data), crc
 
     async def aread_range(self, offset: int, length: int) -> bytes:
         return (await self.aget(offset, length))[0]

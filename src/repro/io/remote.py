@@ -53,9 +53,13 @@ CRC_HEADER = "X-Range-Crc32"
 #: Configuration mistakes are excluded — they fail identically every time.
 RETRYABLE_ERRORS = (StreamFormatError, OSError)
 
-#: Tail bytes hashed by :func:`remote_fingerprint` (the container footer /
-#: manifest window — same rationale as the service's local fingerprint).
-_FINGERPRINT_TAIL = 4096
+#: Tail bytes hashed into a session fingerprint — :func:`remote_fingerprint`
+#: and the service's local ``file_fingerprint`` alike.  The container footer
+#: (directory extents plus the JSON manifest: shard offsets, error bound,
+#: profile) lives at the end of the file, so any rewrite that changes *what
+#: the bytes mean* lands in this window even when size and mtime do not
+#: move (coarse-mtime filesystems, same-size rewrites in fast tests).
+FINGERPRINT_TAIL_BYTES = 4096
 
 
 def is_url(path) -> bool:
@@ -246,9 +250,9 @@ def remote_fingerprint(source, *, revalidate: bool = False) -> Tuple[int, int, i
     """
     probe = getattr(source, "read_tail", None) if revalidate else None
     if probe is not None:
-        size, tail = probe(_FINGERPRINT_TAIL)
+        size, tail = probe(FINGERPRINT_TAIL_BYTES)
     else:
         size = int(source.size)
-        span = min(size, _FINGERPRINT_TAIL)
+        span = min(size, FINGERPRINT_TAIL_BYTES)
         tail = source.read_range(size - span, span)
     return (int(size), 0, zlib.crc32(tail))

@@ -133,8 +133,8 @@ class RetrievalEngine:
         path=None,
     ) -> None:
         self._open_source = open_source
-        self.prefetch = max(0, int(prefetch or 0))
-        self.workers = max(0, int(workers or 0))
+        self.prefetch = int(prefetch)
+        self.workers = int(workers)
         self.path = path
         # The event-loop prefetcher, created with the first remote tower and
         # shared by every shard (one burst merges all of their ranges).

@@ -26,13 +26,16 @@ service's aggregate ``stats()``.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from collections import OrderedDict
 from typing import Callable, Dict, Hashable, Optional, Tuple
 
+from repro.errors import ConfigurationError
+
 __all__ = ["CacheStats", "TieredCache"]
 
-#: Default service cache budget when the profile leaves ``cache_bytes`` at 0.
+#: Default budget of :class:`~repro.service.RetrievalService` (``cache_bytes``).
 DEFAULT_CACHE_BYTES = 256 << 20
 
 
@@ -77,10 +80,15 @@ class TieredCache:
     """Thread-safe LRU over ``(tier, key)`` entries with a shared byte budget."""
 
     def __init__(self, budget_bytes: int) -> None:
-        budget = int(budget_bytes)
-        if budget <= 0:
-            raise ValueError("cache budget must be a positive byte count")
-        self.budget_bytes = budget
+        if (
+            isinstance(budget_bytes, bool)
+            or not isinstance(budget_bytes, numbers.Integral)
+            or budget_bytes <= 0
+        ):
+            raise ConfigurationError(
+                f"cache_bytes must be a positive integer, got {budget_bytes!r}"
+            )
+        self.budget_bytes = int(budget_bytes)
         self._lock = threading.RLock()
         #: (tier, key) -> (value, nbytes); insertion order is LRU order.
         self._entries: "OrderedDict[Tuple[str, Hashable], Tuple[object, int]]" = (

@@ -62,7 +62,7 @@ __all__ = ["RequestScheduler", "ScheduledResponse"]
 DEFAULT_MAX_INFLIGHT = 4
 
 #: DRR byte quantum a client accrues per scheduling round.
-DEFAULT_QUANTUM_BYTES = 1 << 20
+QUANTUM_BYTES = 1 << 20
 
 #: How long a follower waits for its leader before proceeding alone.
 _FOLLOWER_WAIT_S = 60.0
@@ -216,7 +216,6 @@ class RequestScheduler:
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         budget_bps: int = 0,
         client_budgets: Optional[Dict[str, int]] = None,
-        quantum_bytes: int = DEFAULT_QUANTUM_BYTES,
         clock: Callable[[], float] = time.monotonic,
         pacer: bool = True,
     ) -> None:
@@ -224,7 +223,6 @@ class RequestScheduler:
         self.max_inflight = max(1, int(max_inflight))
         self.default_budget_bps = max(0, int(budget_bps))
         self.client_budgets = dict(client_budgets or {})
-        self.quantum_bytes = max(1, int(quantum_bytes))
         self.clock = clock
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
@@ -436,11 +434,8 @@ class RequestScheduler:
                     continue
                 client.refill(now)
                 client.deficit = min(
-                    client.deficit + self.quantum_bytes,
-                    max(
-                        self.quantum_bytes,
-                        client.queue[0].cost.predicted_bytes,
-                    ),
+                    client.deficit + QUANTUM_BYTES,
+                    max(QUANTUM_BYTES, client.queue[0].cost.predicted_bytes),
                 )
                 while client.queue:
                     head = client.queue[0]

@@ -47,14 +47,13 @@ Failures degrade along the existing ladder: a faulty source
 (:class:`~repro.errors.StreamFormatError`, short read, ``OSError``) costs
 the poisoned tier entry its residency and the read is retried from scratch
 — the one serve loop continues with a fresh retriever over a fresh source —
-up to ``retries`` times before propagating; checksum-verified slab entries
-(``cache_verify``) are invalidated on mismatch, never served.  When even
-the ladder is exhausted — e.g. a remote backend died mid-refine — the
-service falls back to the load-shed path (:meth:`~RetrievalService.\
-get_resident`): an already-resident coarser fidelity is returned with
-``trace.degraded`` set instead of erroring, and only a request with
-*nothing* resident propagates the failure (``degrade_on_failure=False``
-restores strict propagation).
+up to ``retries`` times before propagating; every slab hit is verified
+against the checksum recorded at insert, and a mismatching entry is
+invalidated, never served.  When even the ladder is exhausted — e.g. a
+remote backend died mid-refine — the service falls back to the load-shed
+path (:meth:`~RetrievalService.get_resident`): an already-resident coarser
+fidelity is returned with ``trace.degraded`` set instead of erroring, and
+only a request with *nothing* resident propagates the failure.
 
 Sessions also open over ``http(s)://`` URLs: the container (or bare
 stream) is read through the resilient remote stack of
@@ -79,13 +78,18 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.optimizer import LoadingPlan, OptimizedLoader
-from repro.core.profile import CodecProfile
 from repro.core.progressive import ProgressiveRetriever
 from repro.core.stream import CompressedStore, StreamHeader
-from repro.errors import ConfigurationError, RetrievalError, StreamFormatError
+from repro.errors import ConfigurationError, RetrievalError
 from repro.io.aio import open_remote_source
 from repro.io.dataset import ChunkedDataset
-from repro.io.remote import is_url, jittered_backoff, remote_fingerprint
+from repro.io.remote import (
+    FINGERPRINT_TAIL_BYTES,
+    RETRYABLE_ERRORS,
+    is_url,
+    jittered_backoff,
+    remote_fingerprint,
+)
 from repro.retrieval.engine import assemble
 from repro.retrieval.plan import plan_stream_ops
 from repro.service.cache import DEFAULT_CACHE_BYTES, TieredCache
@@ -93,33 +97,21 @@ from repro.service.trace import RetrievalTrace, ServiceStats
 
 __all__ = ["RequestCost", "RetrievalService", "ServiceResponse", "file_fingerprint"]
 
-#: Errors that mark a *source* (or a cache entry built from one) as bad —
-#: retried per the fallback ladder.  Configuration mistakes are not in the
-#: tuple: they fail identically on every attempt and belong to the caller.
-_RETRYABLE = (StreamFormatError, RetrievalError, OSError)
-
-#: Tail bytes hashed into the session fingerprint.  The container footer —
-#: directory extents plus the JSON manifest (shard offsets, error bound,
-#: profile) — lives at the end of the file, so any rewrite that changes
-#: *what the bytes mean* lands in this window even when size and mtime do
-#: not move (coarse-mtime filesystems, same-size rewrites in fast tests).
-_WITNESS_TAIL_BYTES = 4096
-
-
 def file_fingerprint(path: Path) -> Tuple[int, int, int]:
     """Session identity of a dataset file: ``(size, mtime_ns, tail_crc)``.
 
     ``(st_size, st_mtime_ns)`` alone serves stale cache when a file is
     rewritten at the same size within the filesystem's mtime granularity;
-    the CRC of the footer/manifest tail is the cheap content witness that
-    catches it (one bounded read, no payload scan).
+    the CRC of the footer/manifest tail
+    (:data:`~repro.io.remote.FINGERPRINT_TAIL_BYTES`) is the cheap content
+    witness that catches it (one bounded read, no payload scan).
     """
     stat = path.stat()
     size = int(stat.st_size)
     with open(path, "rb") as handle:
-        if size > _WITNESS_TAIL_BYTES:
-            handle.seek(size - _WITNESS_TAIL_BYTES)
-        witness = zlib.crc32(handle.read(_WITNESS_TAIL_BYTES))
+        if size > FINGERPRINT_TAIL_BYTES:
+            handle.seek(size - FINGERPRINT_TAIL_BYTES)
+        witness = zlib.crc32(handle.read(FINGERPRINT_TAIL_BYTES))
     return (size, int(stat.st_mtime_ns), witness)
 
 
@@ -294,11 +286,11 @@ class _Session:
 class RetrievalService:
     """Serve ROI-progressive requests from pinned sessions and a tiered cache.
 
-    ``cache_bytes`` / ``cache_verify`` default to the profile's runtime
-    knobs (:class:`~repro.core.profile.CodecProfile`; its ``prefetch`` /
-    ``workers`` fields are not read here — the service decodes
-    in-process); neither changes a reported byte or a decoded bit.
-    Transient-fault retries back off
+    ``cache_bytes`` is the tiered cache's byte budget, a positive integer
+    (:data:`~repro.service.cache.DEFAULT_CACHE_BYTES` by default); it
+    changes no reported byte or decoded bit, only how much physical I/O a
+    warm request can skip.  Every shard decodes in-process, and a read takes
+    no codec profile.  Transient-fault retries back off
     exponentially from ``retry_backoff`` seconds up to
     ``retry_backoff_cap``, scaled by a deterministic per-(shard, attempt)
     jitter so concurrent retriers de-synchronise identically across runs;
@@ -311,34 +303,21 @@ class RetrievalService:
 
     def __init__(
         self,
-        profile: Optional[CodecProfile] = None,
         *,
-        cache_bytes: Optional[int] = None,
-        cache_verify: Optional[bool] = None,
+        cache_bytes: int = DEFAULT_CACHE_BYTES,
         retries: int = 2,
         retry_backoff: float = 0.05,
         retry_backoff_cap: float = 1.0,
         sleep: Callable[[float], None] = time.sleep,
         source_filter: Optional[Callable[[str, object], object]] = None,
-        degrade_on_failure: bool = True,
         remote_options: Optional[dict] = None,
     ) -> None:
-        self.profile = profile
-        if cache_bytes is None:
-            cache_bytes = profile.cache_bytes if profile is not None else 0
-        self.cache = TieredCache(int(cache_bytes) or DEFAULT_CACHE_BYTES)
-        if cache_verify is None:
-            cache_verify = profile.cache_verify if profile is not None else True
-        self.cache_verify = bool(cache_verify)
+        self.cache = TieredCache(cache_bytes)
         self.retries = max(0, int(retries))
         self.retry_backoff = max(0.0, float(retry_backoff))
         self.retry_backoff_cap = max(0.0, float(retry_backoff_cap))
         self._sleep = sleep
         self.source_filter = source_filter
-        #: Exhausted retries degrade to resident fidelity (the scheduler's
-        #: shed path) instead of erroring; only a request with nothing
-        #: resident still propagates the failure.
-        self.degrade_on_failure = bool(degrade_on_failure)
         #: Keyword arguments for the remote stack builder when a session
         #: opens over an ``http(s)://`` URL (mirrors, retry/breaker knobs,
         #: a fault-injecting ``tamper`` hook...) — forwarded to
@@ -370,11 +349,11 @@ class RetrievalService:
         nor a remote stack underneath sleeps into another attempt — the
         underlying failure propagates (or degrades, see below) instead.
 
-        When the ladder is exhausted and ``degrade_on_failure`` is on, the
-        request is answered from resident tiers at whatever fidelity is
-        already decoded (``trace.degraded=True``) — the same shed path the
-        scheduler uses under load — so a remote backend dying mid-refine
-        costs fidelity, not availability.
+        When the ladder is exhausted, the request is answered from resident
+        tiers at whatever fidelity is already decoded
+        (``trace.degraded=True``) — the same shed path the scheduler uses
+        under load — so a remote backend dying mid-refine costs fidelity,
+        not availability.
         """
         session = self._session(path)
         remote_before = session.remote_stats()
@@ -383,11 +362,10 @@ class RetrievalService:
         try:
             try:
                 response = self._get_fresh(session, error_bound, roi)
-            except ConfigurationError:
-                raise
-            except _RETRYABLE:
-                if not self.degrade_on_failure:
-                    raise
+            except RETRYABLE_ERRORS:
+                # Exhausted retries degrade to resident fidelity (the
+                # scheduler's shed path) instead of erroring; only a request
+                # with nothing resident propagates the failure.
                 resident = self.get_resident(path, error_bound, roi)
                 if resident is None:
                     raise
@@ -656,10 +634,7 @@ class RetrievalService:
         rung_key = (session.sid, name)
         with session.shard_lock(name):
             entry = self.cache.get("slab", slab_key, count=False)
-            if entry is not None and (
-                not self.cache_verify
-                or zlib.crc32(entry.data.tobytes()) == entry.crc
-            ):
+            if entry is not None and zlib.crc32(entry.data.tobytes()) == entry.crc:
                 self.cache.record("slab", hit=True)
                 return _ShardServe(
                     data=entry.data,
@@ -711,7 +686,7 @@ class RetrievalService:
                     before = len(store.trace)
                     result = retriever.retrieve(plan=plan)
                     break
-                except _RETRYABLE:
+                except RETRYABLE_ERRORS:
                     if rung is not None:
                         # The rung's source went bad mid-refine: drop it and
                         # continue from scratch, over a fresh source.
@@ -799,7 +774,7 @@ class RetrievalService:
                     fresh = session.fingerprint == remote_fingerprint(
                         session.remote_source, revalidate=True
                     )
-                except _RETRYABLE:
+                except RETRYABLE_ERRORS:
                     # The probe itself failed: freshness is unknowable right
                     # now.  Keep the session — the request's own reads run
                     # the full resilience (and degrade) machinery anyway.

@@ -147,8 +147,9 @@ def test_demo_command(capsys):
 
 
 #: What ``CodecProfile(error_bound=1e-4).dump()`` wrote at 3.0 (plus the
-#: pre-3.0 ``io_backend`` key): all six removed options (``io_backend``,
-#: ``kernel``, and the four coder fields dropped in 5.0) must keep loading.
+#: pre-3.0 ``io_backend`` key): all ten removed options (``io_backend``,
+#: ``kernel``, the four coder fields dropped in 5.0 and the four runtime
+#: knobs dropped in 9.0) must keep loading.
 LEGACY_PROFILE_JSON = {
     "error_bound": 1e-4,
     "relative": True,
@@ -179,8 +180,7 @@ def test_legacy_profile_file_with_kernel_key_drives_the_cli(tmp_path, raw_field)
         assert main(common + ["-o", str(plain), "--eb", "1e-4"]) == 0
         assert compressed.read_bytes() == plain.read_bytes()
         restored = tmp_path / "restored.d64"
-        assert main(["decompress", str(compressed), "-o", str(restored),
-                     "--profile", str(profile_path)]) == 0
+        assert main(["decompress", str(compressed), "-o", str(restored)]) == 0
         eb = 1e-4 * (field.max() - field.min())
         assert np.abs(load_raw(restored, field.shape) - field).max() <= eb * (1 + 1e-9)
     # The flags themselves are gone: argparse rejects them like any unknown option.
@@ -262,7 +262,7 @@ def test_error_path_returns_nonzero(tmp_path, capsys):
 
 
 def test_retrieve_prefetch_and_workers_flags(tmp_path, raw_field, capsys):
-    """--prefetch/--no-prefetch/--workers: identical output and accounting;
+    """--prefetch/--workers: identical output and accounting;
     a local file reads synchronously whatever the prefetch flag says (no
     thread prefetcher exists: tests/test_retrieval_engine.py pins that)."""
     _, raw_path = raw_field
@@ -271,9 +271,9 @@ def test_retrieve_prefetch_and_workers_flags(tmp_path, raw_field, capsys):
           "--blocks", "4", "--workers", "0", "--eb", "1e-5"])
     capsys.readouterr()
     variants = {
-        "sync": ["--no-prefetch"],
+        "sync": ["--prefetch", "0"],
         "prefetch": ["--prefetch", "8"],
-        "pool": ["--workers", "2", "--no-prefetch"],
+        "pool": ["--workers", "2", "--prefetch", "0"],
         "default": [],
     }
     outputs, reports = {}, {}
@@ -296,28 +296,40 @@ def test_retrieve_prefetch_and_workers_flags(tmp_path, raw_field, capsys):
     assert main(["retrieve", str(stream), "-o", str(a),
                  "--error-bound", "1e-3", "--prefetch", "4"]) == 0
     assert main(["retrieve", str(stream), "-o", str(b),
-                 "--error-bound", "1e-3", "--no-prefetch"]) == 0
+                 "--error-bound", "1e-3", "--prefetch", "0"]) == 0
     assert main(["retrieve", str(stream), "-o", str(c),
                  "--error-bound", "1e-3"]) == 0
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
-def test_retrieve_profile_file_runtime_knobs(tmp_path, raw_field, capsys):
-    """A --profile file's prefetch/workers knobs drive retrieval (flags win)."""
+def test_read_subcommands_take_no_profile(tmp_path, raw_field, capsys):
+    """Streams are self-describing: no reading subcommand accepts
+    ``--profile``, ``--no-prefetch`` is gone (``--prefetch 0`` is the serial
+    read), and a bad runtime knob is an ``error:`` exit, not a silent clamp."""
     _, raw_path = raw_field
-    container = tmp_path / "density.rprc"
-    main(["compress", str(raw_path), "-o", str(container), "--shape", "16x18x20",
-          "--blocks", "3", "--workers", "0", "--eb", "1e-5"])
-    profile_path = tmp_path / "runtime.json"
+    stream = tmp_path / "density.ipc"
+    main(["compress", str(raw_path), "-o", str(stream), "--shape", "16x18x20"])
+    profile_path = tmp_path / "p.json"
     profile_path.write_text('{"prefetch": 2, "workers": 2}')
+    requests = tmp_path / "r.jsonl"
+    requests.write_text("{}\n")
+    out = str(tmp_path / "out.d64")
+    rejected = [
+        ["decompress", str(stream), "-o", out, "--profile", str(profile_path)],
+        ["retrieve", str(stream), "-o", out, "--error-bound", "1e-3",
+         "--profile", str(profile_path)],
+        ["retrieve", str(stream), "-o", out, "--error-bound", "1e-3", "--no-prefetch"],
+        ["serve", str(stream), "--requests", str(requests), "--profile", str(profile_path)],
+        ["stats", str(stream), "--requests", str(requests), "--profile", str(profile_path)],
+    ]
+    for argv in rejected:
+        with pytest.raises(SystemExit):
+            main(argv)
     capsys.readouterr()
-    a, b = tmp_path / "a.d64", tmp_path / "b.d64"
-    assert main(["retrieve", str(container), "-o", str(a),
-                 "--error-bound", "1e-3", "--profile", str(profile_path)]) == 0
-    assert main(["retrieve", str(container), "-o", str(b),
-                 "--error-bound", "1e-3", "--profile", str(profile_path),
-                 "--no-prefetch", "--workers", "0"]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    for flag in ("--prefetch", "--workers"):
+        assert main(["retrieve", str(stream), "-o", out, "--error-bound", "1e-3",
+                     flag, "-1"]) == 2
+        assert f"error: {flag[2:]} must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_info_stream_error_bound_prints_plan(tmp_path, raw_field, capsys):
@@ -334,7 +346,7 @@ def test_info_stream_error_bound_prints_plan(tmp_path, raw_field, capsys):
     # The plan predicts the bytes a retrieve at the same target reports.
     out = tmp_path / "p.d64"
     assert main(["retrieve", str(stream), "-o", str(out),
-                 "--error-bound", "1e-3", "--no-prefetch"]) == 0
+                 "--error-bound", "1e-3", "--prefetch", "0"]) == 0
     assert f"retrieved {plan['predicted_bytes']} B" in capsys.readouterr().out
 
 
@@ -359,7 +371,7 @@ def test_info_roi_prints_retrieval_plan(tmp_path, raw_field, capsys):
     out = tmp_path / "roi.d64"
     assert main(["retrieve", str(container), "-o", str(out),
                  "--roi", "0:8,:,:", "--error-bound", "1e-3",
-                 "--no-prefetch"]) == 0
+                 "--prefetch", "0"]) == 0
     printed = capsys.readouterr().out
     assert f"retrieved {plan['predicted_bytes']} B" in printed
     # A plain stream plans the same way: its one shard, whatever the region.

@@ -1,0 +1,88 @@
+"""The configuration surface, pinned.
+
+Every codec field, CLI option and constructor keyword of the reading and
+serving stack is listed here.  Adding a knob means editing this file — a
+deliberate, reviewable diff — and a removed one (the profile's runtime
+fields, the read-side ``--profile``, ``--no-prefetch``, the service's
+``cache_verify`` / ``degrade_on_failure``, the scheduler's
+``quantum_bytes``, the remote stack's breaker knobs) cannot come back
+unnoticed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import inspect
+
+from repro import ChunkedDataset, CodecProfile, RetrievalService
+from repro.cli import _build_parser
+from repro.io.aio import open_remote_source
+from repro.service import RequestScheduler
+
+_WRITE_PROFILE = ["--abs", "--eb", "--method", "--no-abs", "--profile"]
+_SERVE = [
+    "--cache-bytes", "--client-budget-bps", "--inject-faults", "--max-inflight",
+    "--mirror", "--out-dir", "--requests", "--stats-json", "--threads",
+]
+
+CLI_OPTIONS = {
+    "compress": sorted(
+        _WRITE_PROFILE + ["--blocks", "--dtype", "--output", "--shape", "--workers", "-o"]
+    ),
+    "decompress": ["--output", "-o"],
+    "retrieve": [
+        "--bitrate", "--error-bound", "--inject-faults", "--mirror", "--output",
+        "--prefetch", "--roi", "--trace-json", "--workers", "-o",
+    ],
+    "info": ["--error-bound", "--roi"],
+    "serve": _SERVE,
+    "stats": _SERVE,
+    "datasets": [],
+    "demo": sorted(_WRITE_PROFILE + ["--dataset", "--shape"]),
+}
+
+KEYWORDS = {
+    ChunkedDataset.__init__: ["path", "prefetch", "workers", "source"],
+    RetrievalService.__init__: [
+        "cache_bytes", "retries", "retry_backoff", "retry_backoff_cap", "sleep",
+        "source_filter", "remote_options",
+    ],
+    RequestScheduler.__init__: [
+        "service", "max_inflight", "budget_bps", "client_budgets", "clock", "pacer",
+    ],
+    open_remote_source: [
+        "url", "mirrors", "timeout", "retries", "retry_budget", "backoff",
+        "backoff_cap", "hedge_delay", "connections", "window", "tamper", "clock",
+        "loop",
+    ],
+}
+
+
+def test_codec_profile_fields():
+    assert [f.name for f in dataclasses.fields(CodecProfile)] == [
+        "error_bound", "relative", "method", "prefix_bits",
+    ]
+
+
+def test_cli_option_strings():
+    parser = _build_parser()
+    (subparsers,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    surface = {
+        name: sorted(
+            option
+            for action in sub._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        )
+        for name, sub in subparsers.choices.items()
+    }
+    assert surface == CLI_OPTIONS
+
+
+def test_constructor_keywords():
+    for function, expected in KEYWORDS.items():
+        names = [n for n in inspect.signature(function).parameters if n != "self"]
+        assert names == expected, function.__qualname__

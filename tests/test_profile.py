@@ -30,10 +30,9 @@ def _field(shape=(12, 10, 8)):
 def test_defaults_are_valid():
     profile = CodecProfile()
     assert (profile.method, profile.prefix_bits, profile.relative) == ("cubic", 2, True)
-    # Four lossy-stage fields and four runtime knobs; no lossless-stage one.
+    # The four lossy-stage fields; no lossless-stage one, no runtime knob.
     assert [f.name for f in dataclasses.fields(profile)] == [
         "error_bound", "relative", "method", "prefix_bits",
-        "prefetch", "workers", "cache_bytes", "cache_verify",
     ]
 
 
@@ -44,7 +43,7 @@ def test_defaults_are_valid():
         {"error_bound": float("nan")},
         {"method": "quartic"},
         {"prefix_bits": 7},
-        {"workers": -1},
+        {"error_bound": float("inf")},
     ],
 )
 def test_invalid_fields_rejected(kwargs):
@@ -109,7 +108,6 @@ def test_json_roundtrip():
         relative=False,
         method="linear",
         prefix_bits=1,
-        prefetch=3,
     )
     assert CodecProfile.from_json(profile.to_json()) == profile
 
@@ -122,10 +120,11 @@ def test_from_file_and_dump(tmp_path):
 
 
 def test_profile_file_written_before_3_0_still_loads(tmp_path):
-    # ``io_backend`` was a runtime field until 3.0, ``kernel`` until 4.0 and
-    # the four coder fields until 5.0; a file carrying them loads with the
-    # keys ignored (any other unknown key — and any of these names as a
-    # keyword in code — still fails loudly).
+    # ``io_backend`` was a runtime field until 3.0, ``kernel`` until 4.0,
+    # the four coder fields until 5.0 and the four runtime knobs until 9.0;
+    # a file carrying them loads with the keys ignored (any other unknown
+    # key — and any of these names as a keyword in code — still fails
+    # loudly).
     path = tmp_path / "old.json"
     legacy = {
         "io_backend": "threads",
@@ -134,6 +133,10 @@ def test_profile_file_written_before_3_0_still_loads(tmp_path):
         "plane_coders": ["huffman", "zlib", "rle", "raw"],
         "negotiation": "sampled",
         "negotiation_sample": 2048,
+        "prefetch": 8,
+        "workers": 4,
+        "cache_bytes": 1 << 20,
+        "cache_verify": False,
     }
     path.write_text(json.dumps({**CodecProfile().to_json(), **legacy}))
     assert CodecProfile.from_file(path) == CodecProfile()

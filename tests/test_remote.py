@@ -41,6 +41,7 @@ from conftest import cumsum_field
 
 from repro import ChunkedDataset, IPComp, ProgressiveRetriever
 from repro.cli import main
+from repro.core.stream import BytesSource
 from repro.datasets import load_dataset
 from repro.errors import (
     ConfigurationError,
@@ -61,7 +62,7 @@ from repro.io.aio import (
     open_remote_source,
 )
 from repro.io.container import BlockContainerReader
-from repro.io.faults import FaultInjector, FaultPlan
+from repro.io.faults import FAULT_KINDS, FaultInjector, FaultPlan
 from repro.io.rangeserver import RangeServer
 from repro.io.remote import (
     CircuitBreaker,
@@ -664,6 +665,52 @@ def test_tamper_applies_each_kind_on_the_wire_duck_type():
     _run(body)
 
 
+def test_one_plan_means_the_same_around_a_source_and_on_the_wire():
+    """One :class:`FaultPlan` drawn through a sync injector (around a block
+    source) and an async one (around a transport): read for read, the same
+    exception type and message, or the same truncated / corrupted bytes,
+    after the same wait."""
+    blob = bytes(range(256)) * 4
+    reads = [(0, 64), (64, 0), (100, 300), (1000, 24), (5, 1), (7, 9), (512, 512)]
+    plan = FaultPlan.at({2}, kind="short")
+    for number, kind in enumerate(FAULT_KINDS, start=3):
+        plan = plan + FaultPlan.at({number}, kind=kind, seconds=0.25 * number)
+
+    slept = []
+    source = FaultInjector(plan, sleep=slept.append).wrap(BytesSource(blob), "shard")
+    expected = []
+    for offset, length in reads:
+        try:
+            data = source.read_range(offset, length)
+        except RemoteSourceError as exc:
+            expected.append((type(exc), str(exc), sum(slept)))
+        else:
+            expected.append((data, sum(slept)))
+
+    class _Transport:
+        size = len(blob)
+
+        async def aget(self, offset, length):
+            return blob[offset : offset + length], 99
+
+    async def body(loop):
+        wire = FaultInjector(plan).tamper("shard", _Transport())
+        got = []
+        for offset, length in reads:
+            try:
+                data, crc = await wire.aget(offset, length)
+            except RemoteSourceError as exc:
+                got.append((type(exc), str(exc), loop.time()))
+            else:
+                assert crc == 99  # forwarded untouched: the CRC gate's job
+                got.append((data, loop.time()))
+        return got
+
+    assert _run(body) == expected
+    assert [len(o) for o in expected].count(3) == 2  # raise, stall
+    assert expected[1][0] == b"" and len(expected[3][0]) == 23  # short
+
+
 # ------------------------------------------------- the byte-identity matrix
 
 
@@ -855,6 +902,29 @@ def test_info_of_a_remote_stream_transfers_a_header_not_the_object(probe, capsys
     report = json.loads(capsys.readouterr().out)
     assert report["shape"] == [48, 56, 64] and report["retrieval_plan"]["ops"] >= 1
     assert (probe / "probe.ipc").stat().st_size > 3 * OPENING_WINDOW
+
+
+@pytest.mark.parametrize("name", ["probe.rprc", "probe.ipc"])
+def test_decompress_url_writes_the_local_bytes(probe, tmp_path, capsys, name):
+    """``ipcomp decompress URL`` keeps the URL verbatim (a ``Path`` collapsed
+    ``http://`` to ``http:/``) and writes what ``decompress FILE`` writes."""
+    local, remote = tmp_path / "local.raw", tmp_path / "remote.raw"
+    assert main(["decompress", str(probe / name), "-o", str(local)]) == 0
+    with RangeServer(probe) as srv:
+        assert main(["decompress", srv.url_for(name), "-o", str(remote)]) == 0
+        assert srv.range_requests > 0
+    assert remote.read_bytes() == local.read_bytes()
+    capsys.readouterr()
+
+
+def test_bad_read_knob_on_a_url_is_an_error_and_closes_the_stack(server, tmp_path, capsys):
+    """``ChunkedDataset`` validates ``prefetch`` / ``workers`` and owns the
+    remote stack handed to it even when it refuses them (``leak_ledger``
+    checks the stack's connections are gone)."""
+    for flag in ("--prefetch", "--workers"):
+        assert main(["retrieve", server.url_for("v2.rprc"), "-o", str(tmp_path / "x"),
+                     "--error-bound", "1e-3", flag, "-1"]) == 2
+        assert f"error: {flag[2:]} must be" in capsys.readouterr().err
 
 
 def test_dead_primary_at_open_fails_over_to_mirror(served_dir, server):

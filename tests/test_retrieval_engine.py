@@ -518,14 +518,22 @@ def test_engine_plan_matches_read_bytes(tmp_path):
 # ------------------------------------------------------------ profile knobs
 
 
-def test_profile_prefetch_workers_are_runtime_only():
-    profile = CodecProfile(prefetch=8, workers=4)
-    assert CodecProfile.from_json(profile.to_json()) == profile
-    manifest_form = profile.to_json(runtime=False)
-    assert "prefetch" not in manifest_form and "workers" not in manifest_form
+def test_profile_prefetch_workers_are_runtime_only(tmp_path):
+    """``prefetch`` / ``workers`` are read keywords, not codec options: a
+    profile file written before 9.0 that carries them loads (the keys are
+    dropped), and ``ChunkedDataset`` — their one home — validates them
+    instead of clamping a bad value to serial."""
     from repro.errors import ConfigurationError
 
-    with pytest.raises(ConfigurationError):
-        CodecProfile(prefetch=-1)
-    with pytest.raises(ConfigurationError):
-        CodecProfile(workers="two")
+    legacy = {**CodecProfile(method="linear").to_json(), "prefetch": 8, "workers": 4}
+    assert CodecProfile.from_json(legacy) == CodecProfile(method="linear")
+    assert set(CodecProfile().to_json()).isdisjoint({"prefetch", "workers"})
+    path = tmp_path / "k.rprc"
+    ChunkedDataset.write(path, _field((8, 6, 5), seed=3), error_bound=1e-3,
+                         n_blocks=2, workers=0)
+    for knobs in ({"prefetch": -1}, {"workers": -1}, {"workers": "two"},
+                  {"prefetch": 1.5}, {"workers": True}):
+        with pytest.raises(ConfigurationError, match=next(iter(knobs))):
+            ChunkedDataset(path, **knobs)
+    with pytest.raises(TypeError):
+        ChunkedDataset(path, CodecProfile())

@@ -275,45 +275,47 @@ def test_closed_service_refuses_requests(tmp_path):
         service.get(path)
 
 
-# ------------------------------------------------------------- profile knobs
+# ------------------------------------------------------------ runtime knobs
 
 
-def test_profile_cache_knobs_flow_into_service():
-    profile = CodecProfile(
-        error_bound=1e-4, cache_bytes=12345, cache_verify=False, workers=3
-    )
-    service = RetrievalService(profile)
-    try:
-        assert service.cache.budget_bytes == 12345
-        assert service.cache_verify is False
-    finally:
-        service.close()
-    # Explicit keywords override the profile; 0 falls back to the default.
-    service = RetrievalService(profile, cache_bytes=0, cache_verify=True)
-    try:
-        assert service.cache.budget_bytes == DEFAULT_CACHE_BYTES
-        assert service.cache_verify is True
-    finally:
-        service.close()
-
-
-def test_profile_cache_knobs_are_runtime_only():
-    profile = CodecProfile(error_bound=1e-4, cache_bytes=777, cache_verify=False)
-    runtime = profile.to_json(runtime=True)
-    assert runtime["cache_bytes"] == 777 and runtime["cache_verify"] is False
-    persisted = profile.to_json(runtime=False)
-    assert "cache_bytes" not in persisted and "cache_verify" not in persisted
-    restored = CodecProfile.from_json(runtime)
-    assert restored.cache_bytes == 777 and restored.cache_verify is False
+def test_profile_cache_knobs_are_runtime_only(tmp_path):
+    """The cache knobs are service keywords, not codec options: a profile
+    file written before 9.0 that carries them loads (the keys are dropped),
+    and a serve with any budget answers with the same bytes and receipt."""
+    legacy = {**CodecProfile(error_bound=1e-4).to_json(),
+              "cache_bytes": 777, "cache_verify": False}
+    assert CodecProfile.from_json(legacy) == CodecProfile(error_bound=1e-4)
+    assert set(CodecProfile().to_json()).isdisjoint({"cache_bytes", "cache_verify"})
+    path = _v2_container(tmp_path)
+    with RetrievalService() as default, RetrievalService(cache_bytes=1) as tiny:
+        assert default.cache.budget_bytes == DEFAULT_CACHE_BYTES
+        a, b = default.get(path), tiny.get(path)
+        assert a.data.tobytes() == b.data.tobytes()
+        assert a.trace.ranges == b.trace.ranges
 
 
 def test_profile_cache_knob_validation():
-    with pytest.raises(ConfigurationError):
-        CodecProfile(cache_bytes=-1)
-    with pytest.raises(ConfigurationError):
-        CodecProfile(cache_bytes=1.5)
-    with pytest.raises(ConfigurationError):
-        CodecProfile(cache_verify="yes")
+    """``cache_bytes`` is validated at its one home, the service; the
+    profile no longer has the field, nor the service a profile."""
+    for bad in (0, -5, 1.5, True, None):
+        with pytest.raises(ConfigurationError, match="cache_bytes"):
+            RetrievalService(cache_bytes=bad)
+    with pytest.raises(ConfigurationError, match="cache_bytes"):
+        CodecProfile.from_options(None, cache_bytes=1 << 20)
+    for removed in ("profile", "cache_verify", "degrade_on_failure"):
+        with pytest.raises(TypeError):
+            RetrievalService(**{removed: None})
+
+
+def test_cli_serve_rejects_bad_cache_bytes(tmp_path, capsys):
+    path = _v2_container(tmp_path)
+    requests = tmp_path / "r.jsonl"
+    requests.write_text('{"error_bound": 1e-3}\n')
+    for command in ("serve", "stats"):
+        assert cli_main(
+            [command, str(path), "--requests", str(requests), "--cache-bytes", "-5"]
+        ) == 2
+        assert "error: cache_bytes" in capsys.readouterr().err
 
 
 def test_invalid_error_bound_rejected(tmp_path):
@@ -442,6 +444,18 @@ def test_cli_serve_rejects_bad_request_batches(tmp_path, capsys):
     not_obj.write_text("[1, 2]\n")
     assert cli_main(["serve", str(path), "--requests", str(not_obj)]) == 2
     capsys.readouterr()
+
+
+def test_cli_serve_rejects_non_numeric_error_bound(tmp_path, capsys):
+    """A request line whose ``error_bound`` is no number is a configuration
+    error naming the line — not a traceback."""
+    path = _v2_container(tmp_path)
+    bad = tmp_path / "bad.jsonl"
+    for value in ('"abc"', "[1]", "{}"):
+        bad.write_text('{"error_bound": 1e-3}\n{"error_bound": %s}\n' % value)
+        for command in ("serve", "stats"):
+            assert cli_main([command, str(path), "--requests", str(bad)]) == 2
+            assert "error: requests line 2: error_bound" in capsys.readouterr().err
 
 
 # --------------------------------------------------- fingerprint content witness

@@ -8,7 +8,7 @@ the repo uses:
 * a bad *source* costs the attempt (and any tier entry built from it) and
   is retried from scratch up to ``retries`` times before propagating;
 * a slab entry whose bytes stopped matching its insert-time checksum is
-  invalidated and recomputed, never served (``cache_verify``).
+  invalidated and recomputed, never served (the check always runs).
 
 NB: module-local data only — the conftest ``rng`` fixture is session-scoped
 and shared (use ``local_rng`` in new tests that need randomness).
@@ -163,21 +163,6 @@ def test_poisoned_slab_is_invalidated_not_served(tmp_path):
         warm = service.get(path)
         assert warm.trace.physical_reads == 0
         assert np.array_equal(warm.data, oracle.data)
-
-
-def test_cache_verify_off_is_what_disables_the_checksum(tmp_path):
-    """With ``cache_verify=False`` a poisoned entry *is* served — proving
-    the checksum gate is what protects the default path."""
-    path = _make_container(tmp_path)
-    oracle = _serial(path)
-    with RetrievalService(cache_verify=False) as service:
-        service.get(path)
-        for (tier, key), (entry, _nbytes) in list(service.cache._entries.items()):
-            if tier == "slab":
-                entry.data.flat[0] += 1.0
-        response = service.get(path)
-        assert response.trace.physical_reads == 0
-        assert not np.array_equal(response.data, oracle.data)
 
 
 # ------------------------------------------------------------- retry backoff
