@@ -5,7 +5,9 @@ block, and its reader resolves those names here — the FZ framework's
 pluggable lossless stage described in the paper (§3.2).  There are two:
 ``zlib`` (DEFLATE, the paper's zstd stand-in) and ``raw`` (the block stored
 verbatim), the two outcomes of the writer's entropy stage
-(:func:`repro.core.predictive_coder.negotiate_encode`).
+(:func:`repro.core.predictive_coder.negotiate_level`, which stores a
+level's planes below two stored in a row untried: byte-identical on the
+registry datasets bar one tied plane, ≤ 0.8 % larger on a 64-value field).
 """
 
 from __future__ import annotations

@@ -13,19 +13,17 @@ from typing import Optional
 
 from repro.errors import StreamFormatError
 
+#: The deflate level every stream was written with.
+LEVEL = 6
+
 
 class ZlibCoder:
     """Thin wrapper adding the registry protocol around :mod:`zlib`."""
 
     name = "zlib"
 
-    def __init__(self, level: int = 6) -> None:
-        if not 0 <= level <= 9:
-            raise ValueError("zlib level must be in [0, 9]")
-        self.level = level
-
     def encode(self, data: bytes) -> bytes:
-        return zlib.compress(data, self.level)
+        return zlib.compress(data, LEVEL)
 
     def decode(self, data: bytes, max_length: Optional[int] = None) -> bytes:
         """Inflate ``data``, at most ``max_length`` bytes of it when given.

@@ -8,9 +8,12 @@ and bitplane:
 2. codes → bitplanes, most significant first (:mod:`repro.core.bitplane`);
 3. planes → XOR-predicted planes using the two previously loaded planes;
 4. every predicted plane → packed bits → the one **entropy stage**,
-   :func:`negotiate_encode`: the packed plane is deflated, and stored
-   verbatim instead when deflate does not make it smaller (ties go to
-   deflate, so the choice — and therefore the stream — is deterministic).
+   :func:`negotiate_level`: a plane is deflated, or stored verbatim when
+   deflate does not make it smaller (ties go to deflate, so the stream is
+   deterministic) — until two planes of the level in a row are stored; the
+   rest are stored untried.  Of 54 registry writes (6 datasets × 3 bounds ×
+   3 shapes) 53 are byte-identical to trying every plane, the 54th 2 B
+   smaller; a field of 64 values grows ≤ 0.8 % (docs/architecture.md).
    The name of what was written (``"zlib"`` or ``"raw"``) is recorded per
    plane in :attr:`LevelEncoding.plane_coders` and travels in the stream-v2
    header, so decoding dispatches per ``(level, plane)`` by name without
@@ -125,6 +128,18 @@ def negotiate_encode(data: bytes) -> Tuple[str, bytes]:
     return RawCoder.name, data
 
 
+def negotiate_level(packed_planes: Iterable[bytes]) -> List[Tuple[str, bytes]]:
+    """The entropy stage of a level's packed planes, most significant first:
+    :func:`negotiate_encode`'s answer until two in a row are stored, then stored."""
+    chosen: List[Tuple[str, bytes]] = []
+    stored = 0  # planes stored in a row
+    for packed in packed_planes:
+        name, block = (RawCoder.name, packed) if stored >= 2 else negotiate_encode(packed)
+        stored = stored + 1 if name == RawCoder.name else 0
+        chosen.append((name, block))
+    return chosen
+
+
 class PredictiveCoder:
     """Stateless encoder/decoder shared by compression and retrieval.
 
@@ -207,12 +222,7 @@ class PredictiveCoder:
         )
         encodings: List[LevelEncoding] = []
         for (level, codes), (nbits, packed_planes) in zip(levels, planes):
-            blocks: List[bytes] = []
-            chosen: List[str] = []
-            for packed in packed_planes:
-                name, block = negotiate_encode(packed)
-                blocks.append(block)
-                chosen.append(name)
+            chosen = negotiate_level(packed_planes)
             # Integer losses for every b at once; the bin width is the only float.
             delta = truncation_errors(codes, nbits) * self.quantizer.bin_width
             encodings.append(
@@ -220,8 +230,8 @@ class PredictiveCoder:
                     level=level,
                     count=codes.size,
                     nbits=nbits,
-                    plane_blocks=blocks,
-                    plane_coders=chosen,
+                    plane_blocks=[block for _, block in chosen],
+                    plane_coders=[name for name, _ in chosen],
                     delta_table=delta,
                 )
             )

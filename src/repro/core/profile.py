@@ -12,10 +12,10 @@ a fidelity target.  Runtime knobs live where they act, each validated there
 — ``ChunkedDataset(prefetch=, workers=)``, ``RetrievalService(cache_bytes=)``
 and the CLI flags of the same names — and never in a profile.
 
-The lossless stage is not configurable: every packed plane is deflated, or
-stored verbatim when that is not smaller
-(:func:`repro.core.predictive_coder.negotiate_encode`), and the stream
-records which per plane.
+The lossless stage is not configurable: each plane is deflated or stored,
+and a level's planes below two stored in a row are stored untried — on the
+registry byte-identical bar one tied plane, ≤ 0.8 % larger on a 64-value
+field (:mod:`repro.core.predictive_coder`); the stream records which.
 
 Profiles are immutable, hashable, picklable (they cross process boundaries in
 :mod:`repro.parallel`), and JSON round-trippable (they are embedded in

@@ -5,10 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import IPComp, ProgressiveRetriever
 from repro.coders import available_backends, backend as backend_table, get_backend
 from repro.coders.entropy import bit_entropy, byte_entropy, shannon_entropy
 from repro.coders.zlib_backend import ZlibCoder
-from repro.errors import ConfigurationError
+from repro.datasets import load_dataset
+from repro.errors import ConfigurationError, StreamFormatError
 
 
 def test_default_backends_registered():
@@ -49,15 +51,46 @@ def test_register_custom_backend(monkeypatch):
     assert "reverse" in available_backends()
 
 
-def test_zlib_level_validation():
-    with pytest.raises(ValueError):
-        ZlibCoder(level=11)
-
-
 def test_zlib_compresses_redundant_data():
     coder = ZlibCoder()
     data = b"\x00" * 4096
     assert len(coder.encode(data)) < 64
+
+
+@pytest.fixture(scope="module")
+def deflated_plane():
+    """A written stream's retriever and its largest deflated plane block."""
+    blob = IPComp(error_bound=1e-4).compress(load_dataset("density", shape=(24, 28, 32)))
+    retriever = ProgressiveRetriever(blob)
+    enc, plane = max(
+        (
+            (enc, plane)
+            for enc in retriever.header.levels
+            for plane, name in enumerate(enc.plane_coders)
+            if name == ZlibCoder.name
+        ),
+        key=lambda pair: retriever.store.block_extent(pair[0].level, pair[1])[1],
+    )
+    return retriever, enc, plane, retriever.store.read_block(enc.level, plane)
+
+
+@pytest.mark.parametrize("from_end", [1, 2, 3, 4])
+def test_flipped_adler32_is_a_stream_format_error(deflated_plane, from_end):
+    """A deflated plane's last 4 bytes are its Adler-32: flipping any of them
+    is caught by the bounded inflate at the row size, one byte over it and
+    unbounded, and ``decode_row`` names the level and plane.  (A stored
+    plane has no check.)"""
+    retriever, enc, plane, block = deflated_plane
+    row_bytes = (enc.count + 7) // 8
+    assert len(retriever.coder.decode_row(enc, plane, block)) == row_bytes
+    flipped = bytearray(block)
+    flipped[-from_end] ^= 0xFF
+    flipped = bytes(flipped)
+    for max_length in (row_bytes, row_bytes + 1, None):
+        with pytest.raises(StreamFormatError, match="incorrect data check"):
+            ZlibCoder().decode(flipped, max_length)
+    with pytest.raises(StreamFormatError, match=f"level {enc.level} plane {plane}: "):
+        retriever.coder.decode_row(enc, plane, flipped)
 
 
 def test_shannon_entropy_uniform():

@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_properties import _SETTINGS, _packed_planes
 
-from repro.core.predictive_coder import PredictiveCoder
+import repro.core.predictive_coder as predictive_coder
+from repro.coders import get_backend
+from repro.core.predictive_coder import PredictiveCoder, negotiate_encode, negotiate_level
 from repro.core.profile import CodecProfile
 from repro.core.quantizer import LinearQuantizer
+from repro.datasets import dataset_names, load_dataset
 from repro.errors import StreamFormatError
+from repro.io import ChunkedDataset
 
 
 @pytest.fixture
@@ -124,3 +130,62 @@ def test_all_prefix_settings_roundtrip(rng, prefix_bits):
     assert np.array_equal(
         coder.decode_level_codes(encoding, encoding.plane_blocks), codes
     )
+
+
+# ------------------------------------------------------------ entropy stage
+
+
+def _exhaustive_level(packed_planes):
+    """The oracle: every plane through the deflate-or-stored rule."""
+    return [negotiate_encode(packed) for packed in packed_planes]
+
+
+def _write(tmp_path, monkeypatch, data, error_bound, exhaustive):
+    """The bytes of a 4-shard dataset file, written by the encoder or the oracle."""
+    with monkeypatch.context() as patch:
+        if exhaustive:
+            patch.setattr(predictive_coder, "negotiate_level", _exhaustive_level)
+        path = tmp_path / f"{'oracle' if exhaustive else 'encoder'}.rprc"
+        ChunkedDataset.write(path, data, error_bound=error_bound, n_blocks=4, workers=0)
+    return path, path.read_bytes()
+
+
+@pytest.mark.parametrize("error_bound", [1e-3, 1e-5, 1e-7])
+@pytest.mark.parametrize("name", dataset_names())
+def test_stored_run_rule_writes_the_exhaustive_bytes(tmp_path, monkeypatch, name, error_bound):
+    """Skipping deflate below two stored planes loses nothing on the registry
+    datasets: the file is byte-identical to trying every plane."""
+    data = load_dataset(name, shape=(32, 32, 32))
+    _, encoded = _write(tmp_path, monkeypatch, data, error_bound, exhaustive=False)
+    _, oracle = _write(tmp_path, monkeypatch, data, error_bound, exhaustive=True)
+    assert encoded == oracle
+
+
+@given(packed_planes=st.lists(_packed_planes, max_size=10))
+@settings(**_SETTINGS)
+def test_level_is_negotiated_until_two_stored_planes(packed_planes):
+    chosen = negotiate_level(packed_planes)
+    assert len(chosen) == len(packed_planes)
+    stored_run = 0
+    for packed, (name, block) in zip(packed_planes, chosen):
+        if stored_run < 2:
+            assert (name, block) == negotiate_encode(packed)
+            stored_run = stored_run + 1 if name == "raw" else 0
+        else:
+            assert name == "raw" and block is packed
+        assert get_backend(name).decode(block, len(packed)) == packed
+
+
+def test_step_field_cost_is_bounded(tmp_path, monkeypatch):
+    """The known cost: a field of 64 values has sparse planes below stored
+    runs, which the rule stores.  It loses bytes — at most 0.5 % — and the
+    answer stays within the bound."""
+    field = load_dataset("density", shape=(48, 48, 48))
+    low, high = field.min(), field.max()
+    step = low + np.round((field - low) / (high - low) * 63) * ((high - low) / 63)
+    path, encoded = _write(tmp_path, monkeypatch, step, 1e-9, exhaustive=False)
+    _, oracle = _write(tmp_path, monkeypatch, step, 1e-9, exhaustive=True)
+    assert len(oracle) < len(encoded) <= 1.005 * len(oracle)
+    with ChunkedDataset(path) as dataset:
+        restored = dataset.read().data
+    assert np.abs(restored - step).max() <= 1e-9 * (high - low)
