@@ -34,7 +34,7 @@ class RemoteSourceError(ReproError, OSError):
     """A remote byte-range backend failed at the transport level.
 
     Covers connection failures, unexpected HTTP statuses, ``Content-Range``
-    mismatches, open circuit breakers, and exceeded retry deadlines.
+    mismatches, open circuit breakers, and exceeded request deadlines.
     Subclasses :class:`OSError` so every existing retry ladder (the
     service's, the remote stack's) already treats
     it as transient, while staying distinct from
@@ -50,6 +50,15 @@ class RemoteIntegrityError(RemoteSourceError):
     for the range — in-flight corruption, a mid-rewrite mirror, a broken
     proxy.  Retryable (a re-fetch usually heals it) and deliberately *not*
     a :class:`StreamFormatError`: the stored stream is presumed intact.
+    """
+
+
+class CircuitOpenError(RemoteSourceError):
+    """An endpoint's circuit breaker is open: the read failed fast, untried.
+
+    No retry of the same endpoint can succeed before the breaker's
+    cooldown, so an endpoint's retry loop re-raises it at once; a mirror
+    set still fails over on it, like on any other transport failure.
     """
 
 

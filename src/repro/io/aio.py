@@ -4,49 +4,47 @@ An ``http(s)://`` stream or container is read by an asyncio event loop
 running in a single daemon thread; everything above it keeps the plain
 ``size`` / ``read_range`` byte-range interface.  Bottom to top:
 
-* :class:`AsyncHTTPTransport` — the transport: a pool of up to
-  ``connections`` persistent HTTP/1.1 connections per endpoint, a bounded
-  in-flight ``window`` (semaphore), every coalesced
-  :class:`~repro.retrieval.plan.FetchOp` mapping onto a ranged GET with
+* :class:`AsyncHTTPTransport` — the wire: a pool of up to
+  :data:`CONNECTIONS` persistent HTTP/1.1 connections per endpoint, which
+  is also its in-flight bound; every coalesced
+  :class:`~repro.retrieval.plan.FetchOp` maps onto a ranged GET with
   strict 206/200 + ``Content-Range`` validation, gated by a per-endpoint
-  :class:`~repro.io.remote.CircuitBreaker`.  Each request returns
+  :class:`~repro.io.remote.CircuitBreaker` (an open breaker raises
+  :class:`~repro.errors.CircuitOpenError`).  Each request returns
   ``(payload, declared_crc)`` — under multiplexing a ``last_crc``
   attribute handoff would race, so the CRC travels with the payload.
   There is no sizing request: the object is sized by the *opening read*,
   one suffix-range GET of :data:`OPENING_WINDOW` bytes whose
   ``Content-Range`` carries the total.
-* :class:`_AsyncVerify` — the CRC gate: compares each payload against the
-  server-declared CRC and classifies corruption as
-  :class:`~repro.errors.RemoteIntegrityError` — retryable, and distinct
-  from :class:`~repro.errors.StreamFormatError` (the stream is presumed
-  intact; the wire was not).  Fault injection wraps the transport *below*
-  it, so injected corruption is caught exactly like wire corruption.
-* :class:`_AsyncRetry` — per-read retry ladder with
-  :func:`~repro.io.remote.jittered_backoff` sleeps, a whole-source retry
-  *budget* so a dying backend cannot multiply load, and a whole-request
-  ``deadline`` the scheduler propagates (expiry mid-retry stops the
-  ladder).
-* :class:`_AsyncMirror` — failover across replica endpoints ranked by
-  health (consecutive failures + latency EWMA) and optional *hedged
-  reads* as ``asyncio`` races: a primary read slower than the hedge
-  threshold fires the same range at the next-healthiest mirror, first
-  payload wins, the loser is a cancelled task.
+* :class:`_Endpoint` — one per URL: the ``tamper`` hook's view of the
+  transport, then the CRC gate, then the retry loop.  Corruption is
+  classified as :class:`~repro.errors.RemoteIntegrityError` — retryable,
+  and distinct from :class:`~repro.errors.StreamFormatError` (the stream
+  is presumed intact; the wire was not).  Retries sleep
+  :func:`~repro.io.remote.jittered_backoff`, never past the request's
+  :data:`~repro.io.remote.REQUEST_DEADLINE`, and a circuit-open rejection
+  is never retried.
+* :class:`_MirrorSet` — on top of every stack (a single URL is a set of
+  one): failover across endpoints ranked by health (consecutive failures
+  + latency EWMA) and *hedged reads* as ``asyncio`` races: a primary read
+  slower than the observed p90 latency fires the same range at the
+  next-healthiest mirror, first payload wins, the loser is a cancelled
+  task.  The stack's one stats builder.
 * :class:`AsyncRangeSource` — the synchronous facade
   :func:`open_remote_source` returns: ``read_range`` / ``read_tail`` /
-  ``set_deadline`` / ``stats`` / ``close`` by submitting coroutines to the
-  loop thread, so the container reader, prefetch source, engine, service
-  and scheduler know nothing about networking.  It keeps the opening
-  read's bytes — the object's tail, where a container's footer and
-  manifest live — and answers any read inside them from memory, so
-  opening a remote container costs that one round trip.
+  ``stats`` / ``close`` by submitting coroutines to the loop thread, so
+  the container reader, prefetch source, engine, service and scheduler
+  know nothing about networking.  It keeps the opening read's bytes — the
+  object's tail, where a container's footer and manifest live — and
+  answers any read inside them from memory, so opening a remote container
+  costs that one round trip.
 * :class:`AsyncPrefetcher` — the prefetcher behind
   :class:`~repro.retrieval.prefetch.PrefetchSource`: ``submit()`` returns
   a ``concurrent.futures.Future``, collects the ops of one *burst* (a
   ``prime()`` call, or every shard's plan under one ``burst()``), merges
-  them into at most as many contiguous GETs as the source has pooled
-  connections (:func:`coalesce_burst`; payloads split back per-op
-  client-side), and dispatches them as concurrent tasks on the shared
-  loop — one wave.
+  them into at most :data:`CONNECTIONS` contiguous GETs
+  (:func:`coalesce_burst`; payloads split back per-op client-side), and
+  dispatches them as concurrent tasks on the shared loop — one wave.
 
 Output and accounting are bitwise what a local read reports:
 consumed-range accounting lives in
@@ -69,6 +67,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
 from repro.errors import (
+    CircuitOpenError,
     ConfigurationError,
     RemoteIntegrityError,
     RemoteSourceError,
@@ -76,12 +75,11 @@ from repro.errors import (
 )
 from repro.io.remote import (
     CRC_HEADER,
+    REQUEST_DEADLINE,
     RETRYABLE_ERRORS,
     CircuitBreaker,
-    _merge_stats,
     _Mirror,
     _parse_content_range,
-    find_remote_source,
     jittered_backoff,
 )
 
@@ -95,12 +93,18 @@ __all__ = [
     "open_remote_source",
 ]
 
-#: Persistent connections per endpoint (pool ceiling, opened lazily).
-DEFAULT_CONNECTIONS = 6
+#: Persistent connections per endpoint (opened lazily): the pool, the
+#: in-flight bound, and how many GETs one prefetch wave may hold.
+CONNECTIONS = 6
 
-#: In-flight requests per endpoint (window semaphore).  A little above the
-#: pool size so a request is already queued when a connection frees up.
-DEFAULT_WINDOW = 8
+#: Seconds a connect or one request/response exchange may take.
+TIMEOUT = 10.0
+
+#: Retries per read after its first attempt, and their backoff schedule
+#: (:func:`~repro.io.remote.jittered_backoff` base and cap, seconds).
+RETRIES = 3
+BACKOFF = 0.05
+BACKOFF_CAP = 1.0
 
 #: Bytes of the one suffix-range GET that opens a remote object.  Its reply
 #: sizes the object (``Content-Range`` total) and is kept as the *opening
@@ -113,9 +117,8 @@ OPENING_WINDOW = 65536
 #: across connections instead of serialising into one monster request.
 DEFAULT_MAX_BATCH = 8 << 20
 
-#: Automatic hedging (no ``hedge_delay`` given): a read that has outlived
-#: this quantile of the observed latencies is hedged, once this many reads
-#: have been timed.
+#: Hedging: a read that has outlived this quantile of the observed
+#: latencies is hedged, once this many reads have been timed.
 HEDGE_QUANTILE = 0.9
 HEDGE_MIN_SAMPLES = 8
 
@@ -226,48 +229,36 @@ def _declared_crc(headers: Dict[str, str]) -> Optional[int]:
 class AsyncHTTPTransport:
     """Async byte-range transport over one HTTP(S) endpoint.
 
-    A pool of up to ``connections`` persistent HTTP/1.1 connections
-    (opened lazily, reused LIFO) and a ``window`` semaphore bounding
-    in-flight requests.  :meth:`aget` returns ``(payload, declared_crc)``
-    — the CRC travels with the payload because a ``last_crc`` attribute
-    would race under multiplexing.  A **206** must carry a
-    ``Content-Range`` matching the request exactly and a full-length
-    payload; a **200** (server ignored ``Range``) is honoured by slicing
-    the full body — correct, but the whole object counts as egress;
-    anything else raises :class:`~repro.errors.RemoteSourceError`.  Every
-    request is gated and fed by a per-endpoint
-    :class:`~repro.io.remote.CircuitBreaker`.  This class never verifies
-    payloads, so fault-injection layers can sit between it and the CRC
-    gate.
+    A pool of up to :data:`CONNECTIONS` persistent HTTP/1.1 connections
+    (opened lazily, reused LIFO); as many slots bound the requests in
+    flight, so a request always finds an idle connection or room to open
+    one.  :meth:`aget` returns ``(payload, declared_crc)`` — the CRC
+    travels with the payload because a ``last_crc`` attribute would race
+    under multiplexing.  A **206** must carry a ``Content-Range`` matching
+    the request exactly and a full-length payload; a **200** (server
+    ignored ``Range``) is honoured by slicing the full body — correct, but
+    the whole object counts as egress; anything else raises
+    :class:`~repro.errors.RemoteSourceError`.  Every request is gated and
+    fed by a per-endpoint :class:`~repro.io.remote.CircuitBreaker`; an open
+    breaker raises :class:`~repro.errors.CircuitOpenError` without touching
+    the network.  This class never verifies payloads, so fault injection
+    can sit between it and the CRC gate.
 
     ``size`` is ``None`` until the first suffix read — ``aget`` with a
     negative offset, the *opening read* :func:`open_remote_source` issues
     through the whole ladder — whose reply carries the object's total.
 
     All state mutation happens on the loop thread, so no locks; counters
-    are plain ints readable from any thread.  Construct via
-    :meth:`open` (async) or let :func:`open_remote_source` do it.
+    are plain ints readable from any thread.  :meth:`open` (async) creates
+    the loop-bound primitives before the first request.
     """
 
-    is_remote_source = True
-
-    def __init__(
-        self,
-        url: str,
-        *,
-        connections: int = DEFAULT_CONNECTIONS,
-        window: int = DEFAULT_WINDOW,
-        timeout: float = 10.0,
-        breaker: Optional[CircuitBreaker] = None,
-    ) -> None:
+    def __init__(self, url: str, *, breaker: Optional[CircuitBreaker] = None) -> None:
         parts = urlsplit(url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ConfigurationError(f"not a usable http(s) URL: {url!r}")
         self.url = url
-        self.timeout = float(timeout)
         self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self.connections = max(1, int(connections))
-        self.window = max(1, int(window))
         self._ssl = parts.scheme == "https"
         self._host = parts.hostname
         self._port = parts.port or (443 if self._ssl else 80)
@@ -283,8 +274,7 @@ class AsyncHTTPTransport:
         # Loop-bound primitives are created in open() (they must be born
         # on the running loop for 3.10 compatibility).
         self._idle: Optional[asyncio.LifoQueue] = None
-        self._sem: Optional[asyncio.Semaphore] = None
-        self._conn_count = 0
+        self._slots: Optional[asyncio.Semaphore] = None
         self.size: Optional[int] = None
         self.n_requests = 0
         self.egress_bytes = 0
@@ -295,7 +285,7 @@ class AsyncHTTPTransport:
     async def open(self) -> "AsyncHTTPTransport":
         """Create the loop-bound primitives (no request is made)."""
         self._idle = asyncio.LifoQueue()
-        self._sem = asyncio.Semaphore(self.window)
+        self._slots = asyncio.Semaphore(CONNECTIONS)
         return self
 
     # ------------------------------------------------------------------- pool
@@ -306,11 +296,11 @@ class AsyncHTTPTransport:
                 asyncio.open_connection(
                     self._host, self._port, ssl=True if self._ssl else None
                 ),
-                self.timeout,
+                TIMEOUT,
             )
         except asyncio.TimeoutError as exc:
             raise RemoteSourceError(
-                f"connect to {self.endpoint} timed out after {self.timeout}s"
+                f"connect to {self.endpoint} timed out after {TIMEOUT}s"
             ) from exc
         except OSError as exc:
             raise RemoteSourceError(
@@ -320,32 +310,18 @@ class AsyncHTTPTransport:
         return _AioConn(reader, writer)
 
     async def _acquire(self) -> _AioConn:
+        """An idle pooled connection, else a new one.  The caller holds one
+        of :data:`CONNECTIONS` slots, and every live connection is idle or
+        held by a slot, so opening one never outgrows the pool."""
         assert self._idle is not None
         try:
             conn = self._idle.get_nowait()
-            conn.fresh = False
-            return conn
         except asyncio.QueueEmpty:
-            pass
-        if self._conn_count < self.connections:
-            self._conn_count += 1
-            try:
-                return await self._connect()
-            except BaseException:
-                self._conn_count -= 1
-                raise
-        try:
-            conn = await asyncio.wait_for(self._idle.get(), self.timeout)
-        except asyncio.TimeoutError as exc:
-            raise RemoteSourceError(
-                f"no pooled connection to {self.endpoint} freed within "
-                f"{self.timeout}s"
-            ) from exc
+            return await self._connect()
         conn.fresh = False
         return conn
 
     def _discard(self, conn: _AioConn) -> None:
-        self._conn_count -= 1
         try:
             conn.writer.close()
         except Exception:  # pragma: no cover - close is best-effort
@@ -411,7 +387,7 @@ class AsyncHTTPTransport:
             reused = not conn.fresh
             try:
                 status, resp_headers, body = await asyncio.wait_for(
-                    self._exchange(conn, method, headers), self.timeout
+                    self._exchange(conn, method, headers), TIMEOUT
                 )
             except asyncio.CancelledError:
                 self._discard(conn)
@@ -419,7 +395,7 @@ class AsyncHTTPTransport:
             except asyncio.TimeoutError as exc:
                 self._discard(conn)
                 raise RemoteSourceError(
-                    f"{method} {self.url} timed out after {self.timeout}s"
+                    f"{method} {self.url} timed out after {TIMEOUT}s"
                 ) from exc
             except (asyncio.IncompleteReadError, ConnectionError, OSError, EOFError) as exc:
                 self._discard(conn)
@@ -439,12 +415,12 @@ class AsyncHTTPTransport:
         """Size the object without a suffix range (``HEAD``, else a 1-byte
         GET): only for an endpoint that refuses the opening read."""
         try:
-            status, headers, _body = await self._windowed("HEAD", {})
+            status, headers, _body = await self._request("HEAD", {})
             if status == 200 and headers.get("content-length") is not None:
                 return int(headers["content-length"])
         except RemoteSourceError:
             pass  # fall through to the ranged probe
-        status, headers, body = await self._windowed("GET", {"Range": "bytes=0-0"})
+        status, headers, body = await self._request("GET", {"Range": "bytes=0-0"})
         self.egress_bytes += len(body)
         if status == 206:
             return _parse_content_range(headers.get("content-range"), self.url)[2]
@@ -452,12 +428,12 @@ class AsyncHTTPTransport:
             return len(body)
         raise RemoteSourceError(f"cannot size {self.url}: HTTP {status}")
 
-    async def _windowed(
+    async def _request(
         self, method: str, headers: Dict[str, str]
     ) -> Tuple[int, Dict[str, str], bytes]:
-        """A roundtrip under the in-flight window, with depth accounting."""
-        assert self._sem is not None
-        async with self._sem:
+        """A roundtrip holding one of the pool's slots, with depth accounting."""
+        assert self._slots is not None
+        async with self._slots:
             self._inflight += 1
             self.inflight_max = max(self.inflight_max, self._inflight)
             try:
@@ -465,6 +441,12 @@ class AsyncHTTPTransport:
                 return await self._roundtrip(method, headers)
             finally:
                 self._inflight -= 1
+
+    def _admit(self) -> None:
+        if not self.breaker.allow():
+            raise CircuitOpenError(
+                f"circuit open for {self.endpoint}: failing fast ({self.url})"
+            )
 
     # ------------------------------------------------------------------ reads
 
@@ -487,10 +469,7 @@ class AsyncHTTPTransport:
                 )
         if length == 0:
             return b"", None
-        if not self.breaker.allow():
-            raise RemoteSourceError(
-                f"circuit open for {self.endpoint}: failing fast ({self.url})"
-            )
+        self._admit()
         try:
             if offset >= 0:
                 result = await self._ranged_get(offset, length)
@@ -511,7 +490,7 @@ class AsyncHTTPTransport:
     async def _ranged_get(
         self, offset: int, length: int
     ) -> Tuple[bytes, Optional[int]]:
-        status, headers, body = await self._windowed(
+        status, headers, body = await self._request(
             "GET", {"Range": f"bytes={offset}-{offset + length - 1}"}
         )
         self.egress_bytes += len(body)
@@ -552,7 +531,7 @@ class AsyncHTTPTransport:
         200.  A 4xx while the object is still unsized means the endpoint
         refuses suffix ranges; it is sized the slow way and yields no bytes.
         """
-        status, headers, body = await self._windowed(
+        status, headers, body = await self._request(
             "GET", {"Range": f"bytes=-{span}"}
         )
         self.egress_bytes += len(body)
@@ -574,18 +553,12 @@ class AsyncHTTPTransport:
             f"HTTP {status} for suffix range of {span} B ({self.url})"
         )
 
-    async def aread_range(self, offset: int, length: int) -> bytes:
-        return (await self.aget(offset, length))[0]
-
     async def aread_tail(self, span: int) -> Tuple[int, bytes]:
         """Freshness probe: ``(total, last span bytes)`` of the object the
         server holds now.  Always a request; no CRC gate and no ladder above
         it — a failed probe just means "freshness unknown"."""
         span = max(1, int(span))
-        if not self.breaker.allow():
-            raise RemoteSourceError(
-                f"circuit open for {self.endpoint}: failing fast ({self.url})"
-            )
+        self._admit()
         try:
             total, body, _crc = await self._suffix_get(span)
         except RETRYABLE_ERRORS:
@@ -593,17 +566,6 @@ class AsyncHTTPTransport:
             raise
         self.breaker.record_success()
         return total, body[-span:]
-
-    # ------------------------------------------------------------ accounting
-
-    def stats(self) -> dict:
-        return {
-            "requests": self.n_requests,
-            "egress_bytes": self.egress_bytes,
-            "breaker": {self.endpoint: self.breaker.state},
-            "inflight_max": self.inflight_max,
-            "connections_opened": self.connections_opened,
-        }
 
     async def aclose(self) -> None:
         self._closed = True
@@ -617,204 +579,145 @@ class AsyncHTTPTransport:
             self._discard(conn)
 
 
-# ---------------------------------------------------------- resilience layers
+# ------------------------------------------------------------- the ladder
 
 
-class _Layer:
-    """What a ladder layer forwards untouched to the layer below it.
+class _Endpoint:
+    """One URL's read path: tamper hook → CRC gate → retry loop.
 
-    ``size`` is read through, never copied: the stack is assembled before
-    the opening read that sizes the transport.
-    """
+    Owns the URL's :class:`AsyncHTTPTransport` — its private breaker, its
+    counters, its close — and reads through ``tamper(url, transport)``
+    when a hook is given (:meth:`~repro.io.faults.FaultInjector.tamper`):
+    faults are injected *below* the gate, so injected corruption is caught
+    exactly like wire corruption.
 
-    is_remote_source = True
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
-
-    @property
-    def size(self) -> Optional[int]:
-        return self._inner.size
-
-    @property
-    def connections(self) -> int:
-        return self._inner.connections
-
-    async def aread_tail(self, span: int):
-        return await self._inner.aread_tail(span)
-
-    async def aclose(self) -> None:
-        await _aclose(self._inner)
-
-
-class _AsyncVerify(_Layer):
-    """Per-fetch CRC gate between the transport and the retry ladder.
-
-    Consumes the wrapped source's ``aget`` (payload + server-declared CRC
-    travel together) and exposes ``aread_range``.  A mismatch raises
+    The gate compares each payload against the server-declared CRC that
+    travels with it.  A mismatch raises
     :class:`~repro.errors.RemoteIntegrityError`: retryable — re-fetching
     usually heals in-flight corruption — and deliberately **not** a
     :class:`StreamFormatError`, because the stored stream is presumed
-    intact.  Ranges without a declared CRC pass through unverified
-    (counted separately).
-    """
+    intact.  A range without a declared CRC passes unverified.
 
-    def __init__(self, inner) -> None:
-        super().__init__(inner)
-        self.verified = 0
-        self.unverified = 0
-        self.mismatches = 0
-
-    async def aread_range(self, offset: int, length: int) -> bytes:
-        data, expected = await self._inner.aget(offset, length)
-        if expected is None:
-            self.unverified += 1
-            return data
-        actual = zlib.crc32(data)
-        if actual != expected:
-            self.mismatches += 1
-            raise RemoteIntegrityError(
-                f"payload CRC mismatch for [{offset}, {offset + length}): "
-                f"got {actual:#010x}, server declared {expected:#010x}"
-            )
-        self.verified += 1
-        return data
-
-    def stats(self) -> dict:
-        merged = _async_inner_stats(self._inner)
-        merged.update(
-            crc_verified=merged.get("crc_verified", 0) + self.verified,
-            crc_mismatches=merged.get("crc_mismatches", 0) + self.mismatches,
-        )
-        return merged
-
-
-class _AsyncRetry(_Layer):
-    """Retry ladder around one endpoint's reads.
-
-    Each read is attempted up to ``1 + retries`` times against
+    The loop attempts each read up to ``1 + RETRIES`` times against
     :data:`RETRYABLE_ERRORS`, sleeping :func:`jittered_backoff` between
     attempts (``await asyncio.sleep`` — a retrying range never blocks the
-    other in-flight ranges).  Two guards bound the ladder:
+    other in-flight ranges).  It stops early in two cases:
 
-    * a whole-source **retry budget** — once ``retry_budget`` retries have
-      been spent (across all reads), further failures propagate
-      immediately, so a dying backend degrades to fail-fast instead of
-      multiplying its own load ``retries``-fold;
-    * a whole-request **deadline** (monotonic timestamp via
-      :meth:`set_deadline`, propagated by the scheduler/service) — a read
-      arriving after expiry fails fast, and a retry whose backoff would
-      cross the deadline re-raises the underlying error instead of
-      sleeping.
+    * :class:`~repro.errors.CircuitOpenError` — the transport refused
+      without trying, and no retry can succeed before the breaker's
+      cooldown; re-raised at once (a mirror set still fails over on it);
+    * the request's :data:`~repro.io.remote.REQUEST_DEADLINE` — a read
+      that starts after it fails fast, and a retry whose backoff would
+      cross it re-raises the underlying error instead of sleeping.
 
-    The freshness probe (``aread_tail``) is forwarded without a ladder: a
-    failed probe means "freshness unknown", not a reason to spend budget.
-
+    The freshness probe (``aread_tail``) goes straight to the transport —
+    no hook, gate or loop: a failed probe means "freshness unknown".
     ``clock`` is injectable; tests drive the sleeps on a virtual-time loop.
     """
 
     def __init__(
         self,
-        inner,
+        url: str,
         *,
-        retries: int = 3,
-        retry_budget: int = 32,
-        backoff: float = 0.05,
-        backoff_cap: float = 1.0,
-        label: str = "",
+        tamper: Optional[Callable[[str, object], object]] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        super().__init__(inner)
-        self.retries = max(0, int(retries))
-        self.backoff = max(0.0, float(backoff))
-        self.backoff_cap = max(0.0, float(backoff_cap))
-        self.label = label or getattr(inner, "url", "") or "remote"
+        self.url = url
+        self.transport = AsyncHTTPTransport(url, breaker=CircuitBreaker(clock=clock))
+        self._wire = self.transport if tamper is None else tamper(url, self.transport)
         self._clock = clock
-        self.budget_left = max(0, int(retry_budget))
-        self.retries_used = 0
+        self.retries = 0
         self.retry_delays: List[float] = []
-        self.deadline: Optional[float] = None
+        self.crc_verified = 0
+        self.crc_mismatches = 0
 
-    def set_deadline(self, deadline: Optional[float]) -> None:
-        self.deadline = deadline
-
-    def _expired(self, margin: float = 0.0) -> bool:
-        return self.deadline is not None and self._clock() + margin >= self.deadline
+    def _expired(self, deadline: Optional[float], margin: float = 0.0) -> bool:
+        return deadline is not None and self._clock() + margin >= deadline
 
     async def aread_range(self, offset: int, length: int) -> bytes:
-        if self._expired():
+        deadline = REQUEST_DEADLINE.get()
+        if self._expired(deadline):
             raise RemoteSourceError(
                 f"request deadline exceeded before reading "
-                f"[{offset}, {offset + length}) from {self.label}"
+                f"[{offset}, {offset + length}) from {self.url}"
             )
         attempt = 0
         while True:
             try:
-                return await self._inner.aread_range(offset, length)
-            except RETRYABLE_ERRORS as exc:
+                return await self._verified(offset, length)
+            except CircuitOpenError:
+                raise
+            except RETRYABLE_ERRORS:
                 attempt += 1
-                if attempt > self.retries or self.budget_left <= 0:
-                    raise
-                self.budget_left -= 1
-                self.retries_used += 1
                 delay = jittered_backoff(
-                    f"{self.label}@{offset}", attempt, self.backoff, self.backoff_cap
+                    f"{self.url}@{offset}", attempt, BACKOFF, BACKOFF_CAP
                 )
-                if self._expired(margin=delay):
-                    raise exc
+                if attempt > RETRIES or self._expired(deadline, margin=delay):
+                    raise
+                self.retries += 1
                 self.retry_delays.append(delay)
                 if delay > 0.0:
                     await asyncio.sleep(delay)
 
-    def stats(self) -> dict:
-        merged = _async_inner_stats(self._inner)
-        merged.update(
-            retries=merged.get("retries", 0) + self.retries_used,
-            retry_budget_left=self.budget_left,
-        )
-        return merged
+    async def _verified(self, offset: int, length: int) -> bytes:
+        data, expected = await self._wire.aget(offset, length)
+        if expected is not None:
+            actual = zlib.crc32(data)
+            if actual != expected:
+                self.crc_mismatches += 1
+                raise RemoteIntegrityError(
+                    f"payload CRC mismatch for [{offset}, {offset + length}): "
+                    f"got {actual:#010x}, server declared {expected:#010x}"
+                )
+            self.crc_verified += 1
+        return data
+
+    async def aread_tail(self, span: int) -> Tuple[int, bytes]:
+        return await self.transport.aread_tail(span)
+
+    async def aclose(self) -> None:
+        await self.transport.aclose()
 
 
-class _AsyncMirror:
-    """Failover + hedged reads across replica endpoint stacks.
+class _MirrorSet:
+    """Failover + hedged reads across the endpoints of one object.
 
-    Mirrors are ranked by health — consecutive failures first, then
-    latency EWMA (:class:`~repro.io.remote._Mirror`) — and a read walks the
-    ranking: the healthiest mirror serves, a retryable failure *fails
-    over* to the next (counted), only total failure propagates (the last
-    error).  All mirrors must agree on ``size``.
+    It sits on top of every stack: a single URL is a set of one, which
+    never fails over and never hedges.  Endpoints are ranked by health —
+    consecutive failures first, then latency EWMA
+    (:class:`~repro.io.remote._Mirror`) — and a read walks the ranking:
+    the healthiest endpoint serves, a retryable failure *fails over* to
+    the next (counted), only total failure propagates (the last error).
+    All endpoints must agree on ``size``.
 
     **Hedged reads** bound tail latency: the primary read runs as a task,
-    and once it has outlived the hedge threshold — ``hedge_delay`` if
-    given, else the observed slowest-decile (:data:`HEDGE_QUANTILE`)
-    latency once :data:`HEDGE_MIN_SAMPLES` reads have been timed — the same
-    range fires at the
-    next-healthiest mirror.  First payload wins; the loser is
+    and once it has outlived the observed slowest-decile
+    (:data:`HEDGE_QUANTILE`) latency — known once
+    :data:`HEDGE_MIN_SAMPLES` reads have been timed — the same range fires
+    at the next-healthiest endpoint.  First payload wins; the loser is
     **cancelled** — which aborts the request and recycles its connection,
     so a hedge costs nothing unless the loser finishes in the same tick
     (those bytes land in ``hedge_wasted_bytes``, never in the consumed
     trace).  Hedging engages only while the backup is healthy.
-    """
 
-    is_remote_source = True
+    :meth:`stats` is the stack's one stats builder: the endpoints'
+    counters summed, plus the set's own.
+    """
 
     def __init__(
         self,
-        sources: Sequence,
+        endpoints: Sequence[_Endpoint],
         *,
-        hedge_delay: Optional[float] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if not sources:
-            raise ConfigurationError("mirror set needs at least one source")
-        sizes = {int(source.size) for source in sources}
+        # The opening reads sized the transports.
+        sizes = {int(endpoint.transport.size) for endpoint in endpoints}
         if len(sizes) != 1:
             raise RemoteSourceError(
                 f"mirrors disagree on object size: {sorted(sizes)}"
             )
-        self._mirrors = [_Mirror(source) for source in sources]
+        self._mirrors = [_Mirror(endpoint) for endpoint in endpoints]
         self.size = sizes.pop()
-        self.hedge_delay = hedge_delay
         self._clock = clock
         self._latencies: List[float] = []
         self.failovers = 0
@@ -823,16 +726,10 @@ class _AsyncMirror:
         self.hedge_cancelled = 0
         self.hedge_wasted_bytes = 0
 
-    @property
-    def connections(self) -> int:
-        return min(mirror.source.connections for mirror in self._mirrors)
-
     def _ranked(self) -> List[_Mirror]:
         return sorted(self._mirrors, key=_Mirror.health_key)
 
     def _hedge_threshold(self) -> Optional[float]:
-        if self.hedge_delay is not None:
-            return self.hedge_delay
         if len(self._latencies) < HEDGE_MIN_SAMPLES:
             return None
         ordered = sorted(self._latencies)
@@ -928,85 +825,63 @@ class _AsyncMirror:
             f"hedged read failed: {first_error}"
         )
 
-    async def aread_tail(self, span: int):
+    async def aread_tail(self, span: int) -> Tuple[int, bytes]:
         last_error: Optional[BaseException] = None
         for mirror in self._ranked():
-            probe = getattr(mirror.source, "aread_tail", None)
-            if probe is None:
-                continue
             try:
-                return await probe(span)
+                return await mirror.source.aread_tail(span)
             except RETRYABLE_ERRORS as exc:
                 last_error = exc
-        if last_error is not None:
-            raise last_error
-        raise RemoteSourceError("no mirror supports tail probes")
-
-    def set_deadline(self, deadline: Optional[float]) -> None:
-        for mirror in self._mirrors:
-            setter = getattr(mirror.source, "set_deadline", None)
-            if setter is not None:
-                setter(deadline)
+        assert last_error is not None
+        raise last_error
 
     def stats(self) -> dict:
-        merged: dict = {}
-        peak = 0
-        for mirror in self._mirrors:
-            child = _async_inner_stats(mirror.source)
-            peak = max(peak, child.get("inflight_max", 0))
-            _merge_stats(merged, child)
-        # Concurrency depth is a per-endpoint peak, not additive.
-        if "inflight_max" in merged:
-            merged["inflight_max"] = peak
-        merged.update(
-            failovers=merged.get("failovers", 0) + self.failovers,
-            hedges=self.hedges,
-            hedge_wins=self.hedge_wins,
-            hedge_cancelled=self.hedge_cancelled,
-            hedge_wasted_bytes=self.hedge_wasted_bytes,
-            mirrors=[
+        endpoints = [mirror.source for mirror in self._mirrors]
+        wires = [endpoint.transport for endpoint in endpoints]
+        return {
+            "requests": sum(wire.n_requests for wire in wires),
+            "egress_bytes": sum(wire.egress_bytes for wire in wires),
+            "connections_opened": sum(wire.connections_opened for wire in wires),
+            # Concurrency depth is a per-endpoint peak, not additive.
+            "inflight_max": max(wire.inflight_max for wire in wires),
+            "breaker": {wire.endpoint: wire.breaker.state for wire in wires},
+            "retries": sum(endpoint.retries for endpoint in endpoints),
+            "crc_verified": sum(endpoint.crc_verified for endpoint in endpoints),
+            "crc_mismatches": sum(endpoint.crc_mismatches for endpoint in endpoints),
+            "failovers": self.failovers,
+            "hedges": self.hedges,
+            "hedge_wins": self.hedge_wins,
+            "hedge_cancelled": self.hedge_cancelled,
+            "hedge_wasted_bytes": self.hedge_wasted_bytes,
+            "mirrors": [
                 {
-                    "label": getattr(
-                        mirror.source, "label", getattr(mirror.source, "url", "")
-                    ),
+                    "label": mirror.source.url,
                     "failures": mirror.failures,
                     "latency_ewma_s": mirror.latency,
                     "reads": mirror.reads,
                 }
                 for mirror in self._mirrors
             ],
-        )
-        return merged
+        }
 
     async def aclose(self) -> None:
         for mirror in self._mirrors:
-            await _aclose(mirror.source)
-
-
-def _async_inner_stats(source) -> dict:
-    stats = getattr(source, "stats", None)
-    return dict(stats()) if callable(stats) else {}
-
-
-async def _aclose(source) -> None:
-    closer = getattr(source, "aclose", None)
-    if closer is not None:
-        await closer()
+            await mirror.source.aclose()
 
 
 # -------------------------------------------------------------------- facade
 
 
 class AsyncRangeSource:
-    """Synchronous facade over an async endpoint stack.
+    """Synchronous facade over a remote stack (its :class:`_MirrorSet`).
 
     Speaks the plain byte-range duck type (``size`` / ``read_range`` /
-    ``read_tail`` / ``stats`` / ``set_deadline`` / ``close``) by running
-    coroutines on the owning :class:`EventLoopThread`, so every existing
-    consumer — container reader, prefetch source, engine, service,
-    scheduler — works unchanged.  Also exposes the async side
-    (``aread_range`` + ``supports_async``) so :class:`AsyncPrefetcher`
-    can dispatch *without* a thread hop per range.
+    ``read_tail`` / ``stats`` / ``close``) by running coroutines on the
+    owning :class:`EventLoopThread`, so every existing consumer —
+    container reader, prefetch source, engine, service, scheduler — works
+    unchanged.  Also exposes the async side (``aread_range`` +
+    ``supports_async``) so :class:`AsyncPrefetcher` can dispatch *without*
+    a thread hop per range.
 
     ``opening`` is the payload of the opening read — the object's last
     bytes, already CRC-checked by the ladder.  A read that falls wholly
@@ -1019,21 +894,10 @@ class AsyncRangeSource:
     is_remote_source = True
     supports_async = True
 
-    def __init__(
-        self,
-        top,
-        loop: EventLoopThread,
-        *,
-        label: str = "",
-        opening: bytes = b"",
-    ) -> None:
-        self._top = top
+    def __init__(self, mirrors: _MirrorSet, loop: EventLoopThread, opening: bytes) -> None:
+        self._mirrors = mirrors
         self._loop = loop
-        self.size = int(top.size)
-        #: Pooled connections per endpoint: how many GETs fit in one wave.
-        self.connections = int(top.connections)
-        self.label = label
-        self.url = label
+        self.size = mirrors.size
         self._opening = opening
         self._opening_start = self.size - len(opening)
 
@@ -1050,31 +914,26 @@ class AsyncRangeSource:
     def read_range(self, offset: int, length: int) -> bytes:
         data = self._from_opening(offset, length)
         if data is None:
-            data = self._loop.call(self._top.aread_range(offset, length))
+            data = self._loop.call(self._mirrors.aread_range(offset, length))
         return data
 
     async def aread_range(self, offset: int, length: int) -> bytes:
         """Coroutine view for async-aware callers (no thread hop)."""
         data = self._from_opening(offset, length)
         if data is None:
-            data = await self._top.aread_range(offset, length)
+            data = await self._mirrors.aread_range(offset, length)
         return data
 
-    def read_tail(self, span: int):
-        return self._loop.call(self._top.aread_tail(span))
-
-    def set_deadline(self, deadline: Optional[float]) -> None:
-        setter = getattr(self._top, "set_deadline", None)
-        if setter is not None:
-            setter(deadline)
+    def read_tail(self, span: int) -> Tuple[int, bytes]:
+        return self._loop.call(self._mirrors.aread_tail(span))
 
     def stats(self) -> dict:
-        return _async_inner_stats(self._top)
+        return self._mirrors.stats()
 
     def close(self) -> None:
         if self._loop.alive:
             try:
-                self._loop.call(_aclose(self._top), timeout=5.0)
+                self._loop.call(self._mirrors.aclose(), timeout=5.0)
             except Exception:  # pragma: no cover - close is best-effort
                 pass
 
@@ -1089,95 +948,60 @@ def open_remote_source(
     url: str,
     mirrors: Sequence[str] = (),
     *,
-    timeout: float = 10.0,
-    retries: int = 3,
-    retry_budget: int = 32,
-    backoff: float = 0.05,
-    backoff_cap: float = 1.0,
-    hedge_delay: Optional[float] = None,
-    connections: int = DEFAULT_CONNECTIONS,
-    window: int = DEFAULT_WINDOW,
     tamper: Optional[Callable[[str, object], object]] = None,
     clock: Callable[[], float] = time.monotonic,
     loop: Optional[EventLoopThread] = None,
 ) -> AsyncRangeSource:
-    """Build the resilient stack over one URL (plus replicas).
+    """Build the resilient stack over one URL plus its replica ``mirrors``.
 
-    Per endpoint: :class:`AsyncHTTPTransport` (private breaker) →
-    ``tamper`` hook (:meth:`~repro.io.faults.FaultInjector.tamper`; fault
-    injection wraps *below* verification, so injected corruption is caught
-    exactly like wire corruption) → :class:`_AsyncVerify` →
-    :class:`_AsyncRetry`; replica ``mirrors`` join the stacks under
-    :class:`_AsyncMirror`, a single URL returns the bare retrying stack.
+    One :class:`_Endpoint` per URL — its transport with a private breaker,
+    the ``tamper`` hook (:meth:`~repro.io.faults.FaultInjector.tamper`),
+    the CRC gate and the retry loop — all under one :class:`_MirrorSet`.
+    The wire's knobs are the module constants (:data:`CONNECTIONS`,
+    :data:`TIMEOUT`, :data:`RETRIES`, :data:`BACKOFF`,
+    :data:`BACKOFF_CAP`); ``clock`` drives the breakers, the deadline
+    checks and the hedge timing.
 
-    Opening costs **one round trip**: each endpoint's finished stack reads
-    the object's last :data:`OPENING_WINDOW` bytes — a range like any
-    other, so it is CRC-checked, retried against the budget, feeds the
-    breaker and meets injected faults — and that reply both sizes the
-    object and becomes the facade's opening window.  Endpoints open
-    concurrently; one dead at open time is failover-at-construction
-    (dropped) when replicas exist — only every endpoint failing
-    propagates.  Returns the synchronous :class:`AsyncRangeSource` facade
-    bound to ``loop`` (the process-shared loop thread by default), which
-    speaks plain ``size``/``read_range`` — everything upstream is
-    oblivious to the networking underneath.
+    Opening costs **one round trip**: each endpoint reads the object's
+    last :data:`OPENING_WINDOW` bytes through its ladder — a range like
+    any other, so it is CRC-checked, retried, feeds the breaker and meets
+    injected faults — and that reply both sizes the object and becomes the
+    facade's opening window.  Endpoints open concurrently; one that fails
+    its opening read is dropped — only every endpoint failing propagates.
+    Returns the synchronous :class:`AsyncRangeSource` facade bound to
+    ``loop`` (the process-shared loop thread by default), which speaks
+    plain ``size``/``read_range`` — everything upstream is oblivious to
+    the networking underneath.
     """
     loop = loop or EventLoopThread.shared()
 
-    async def endpoint_stack(endpoint_url: str):
-        transport = AsyncHTTPTransport(
-            endpoint_url,
-            connections=connections,
-            window=window,
-            timeout=timeout,
-            breaker=CircuitBreaker(clock=clock),
-        )
-        await transport.open()
-        wrapped = tamper(endpoint_url, transport) if tamper is not None else transport
-        stack = _AsyncRetry(
-            _AsyncVerify(wrapped),
-            retries=retries,
-            retry_budget=retry_budget,
-            backoff=backoff,
-            backoff_cap=backoff_cap,
-            label=endpoint_url,
-            clock=clock,
-        )
+    async def opened(endpoint_url: str) -> Tuple[_Endpoint, bytes]:
+        endpoint = _Endpoint(endpoint_url, tamper=tamper, clock=clock)
+        await endpoint.transport.open()
         try:
-            opening = await stack.aread_range(-OPENING_WINDOW, OPENING_WINDOW)
+            return endpoint, await endpoint.aread_range(-OPENING_WINDOW, OPENING_WINDOW)
         except BaseException:
-            await stack.aclose()
+            await endpoint.aclose()
             raise
-        return stack, opening
 
-    async def build():
-        endpoints = (url, *tuple(mirrors))
-        if len(endpoints) == 1:
-            return await endpoint_stack(url)
+    async def build() -> Tuple[_MirrorSet, bytes]:
         outcomes = await asyncio.gather(
-            *(endpoint_stack(endpoint) for endpoint in endpoints),
+            *(opened(endpoint) for endpoint in (url, *mirrors)),
             return_exceptions=True,
         )
-        opened, first_error = [], None
-        for outcome in outcomes:
-            if isinstance(outcome, (RemoteSourceError, OSError)):
-                first_error = first_error or outcome
-            elif isinstance(outcome, BaseException):
-                raise outcome
-            else:
-                opened.append(outcome)
-        if not opened:
-            raise first_error
-        stacks = [stack for stack, _opening in opened]
+        alive = [o for o in outcomes if not isinstance(o, BaseException)]
+        errors = [o for o in outcomes if isinstance(o, BaseException)]
+        fatal = next((e for e in errors if not isinstance(e, OSError)), None)
+        if fatal is not None or not alive:
+            for endpoint, _opening in alive:
+                await endpoint.aclose()
+            raise fatal if fatal is not None else errors[0]
         # Every replica read its own tail; they hold the same object (sizes
         # are checked), so the first survivor's window serves.
-        opening = opened[0][1]
-        if len(stacks) == 1:
-            return stacks[0], opening
-        return _AsyncMirror(stacks, hedge_delay=hedge_delay, clock=clock), opening
+        return _MirrorSet([e for e, _opening in alive], clock=clock), alive[0][1]
 
     top, opening = loop.call(build())
-    return AsyncRangeSource(top, loop, label=url, opening=opening)
+    return AsyncRangeSource(top, loop, opening)
 
 
 # ---------------------------------------------------------------- prefetcher
@@ -1267,11 +1091,15 @@ class AsyncPrefetcher:
     engine opens one around all shards' plans) reaches the loop thread as
     a single batch, where :func:`coalesce_burst` merges it — per source,
     touching ranges always, the smallest gaps too while the batch would
-    need more GETs than the remote stack has pooled connections — and
-    every merged range is fetched as a concurrent task: one wave of round
-    trips.  A wave is sized by the connection pool, not by a depth: local
-    files never come here (the engine wraps only sources that
-    ``supports_async``).
+    need more GETs than :data:`CONNECTIONS` — and every merged range is
+    fetched as a concurrent task: one wave of round trips.  A wave is
+    sized by the connection pool, not by a depth: local files never come
+    here (the engine wraps only sources that ``supports_async``).
+
+    Each submit records the submitting request's
+    :data:`~repro.io.remote.REQUEST_DEADLINE`, and a merged GET runs under
+    the latest deadline among its members — under none if any member has
+    none — so no request's deadline cuts short another request's read.
 
     :meth:`close` cancels queued and in-flight work (cancelled/raised
     futures are exactly what ``PrefetchSource`` already handles by refund
@@ -1282,7 +1110,7 @@ class AsyncPrefetcher:
     def __init__(self, *, loop: Optional[EventLoopThread] = None) -> None:
         self._loop = loop or EventLoopThread.shared()
         self._lock = threading.Lock()
-        self._pending: List[Tuple[object, int, int, Future]] = []
+        self._pending: List[Tuple[object, int, int, Future, Optional[float]]] = []
         self._bursts = 0  # open burst() blocks: submits wait for the last to exit
         self._flush_queued = False
         self._tasks: set = set()  # touched only on the loop thread
@@ -1305,7 +1133,9 @@ class AsyncPrefetcher:
             raise RuntimeError("cannot schedule new futures after shutdown")
         future: Future = Future()
         with self._lock:
-            self._pending.append((fn.__self__, int(offset), int(length), future))
+            self._pending.append(
+                (fn.__self__, int(offset), int(length), future, REQUEST_DEADLINE.get())
+            )
         self._queue_flush()
         return future
 
@@ -1344,21 +1174,17 @@ class AsyncPrefetcher:
             pending, self._pending = self._pending, []
             self._flush_queued = False
         if self._closed or not self._loop.alive:
-            for _owner, _offset, _length, future in pending:
+            for _owner, _offset, _length, future, _deadline in pending:
                 future.cancel()
             return
-        groups: Dict[int, Tuple[object, List[Tuple[int, int, Future]]]] = {}
-        for owner, offset, length, future in pending:
+        groups: Dict[int, Tuple[object, List[Tuple]]] = {}
+        for owner, offset, length, future, deadline in pending:
             groups.setdefault(id(owner), (owner, []))[1].append(
-                (offset, length, future)
+                (offset, length, future, deadline)
             )
         # One wave is as many GETs as the remote stack pools connections.
-        wave = min(
-            getattr(find_remote_source(owner), "connections", DEFAULT_CONNECTIONS)
-            for owner, _ops in groups.values()
-        )
         batches = coalesce_burst(
-            [ops for _owner, ops in groups.values()], wave
+            [ops for _owner, ops in groups.values()], CONNECTIONS
         )
         loop = asyncio.get_running_loop()
         for (owner, _ops), owner_batches in zip(groups.values(), batches):
@@ -1374,22 +1200,26 @@ class AsyncPrefetcher:
         owner,
         start: int,
         total: int,
-        members: List[Tuple[int, int, Future]],
+        members: List[Tuple[int, int, Future, Optional[float]]],
     ) -> None:
+        # This task runs in its own context: the variable is set for this
+        # GET only.  (``create_task(context=)`` would need Python 3.11.)
+        deadlines = [deadline for _offset, _length, _future, deadline in members]
+        REQUEST_DEADLINE.set(None if None in deadlines else max(deadlines))
         try:
             data = await owner.aread_range(start, total)
         except asyncio.CancelledError:
-            for _offset, _length, future in members:
+            for _offset, _length, future, _deadline in members:
                 future.cancel()
             raise
         except BaseException as exc:
-            for _offset, _length, future in members:
+            for _offset, _length, future, _deadline in members:
                 try:
                     future.set_exception(exc)
                 except Exception:  # already cancelled by close()
                     pass
         else:
-            for offset, length, future in members:
+            for offset, length, future, _deadline in members:
                 try:
                     future.set_result(data[offset - start : offset - start + length])
                 except Exception:  # already cancelled by close()
@@ -1401,7 +1231,7 @@ class AsyncPrefetcher:
         self._closed = True
         with self._lock:
             pending, self._pending = self._pending, []
-        for _owner, _offset, _length, future in pending:
+        for _owner, _offset, _length, future, _deadline in pending:
             future.cancel()
         if self._loop.alive:
             self._loop.call_soon(self._cancel_tasks)

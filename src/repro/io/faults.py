@@ -286,8 +286,8 @@ class FaultInjector:
 
     def tamper(self, url: str, source) -> "AsyncFaultInjectingSource":
         """The :func:`~repro.io.aio.open_remote_source` ``tamper`` hook:
-        wraps the transport (``aget`` duck type) *below* CRC verification,
-        under the same plan and global read counter as :meth:`wrap`."""
+        wraps the transport's ``aget`` *below* CRC verification, under the
+        same plan and global read counter as :meth:`wrap`."""
         wrapped = AsyncFaultInjectingSource(source, self, name=url)
         with self._lock:
             self.sources.append(wrapped)
@@ -387,24 +387,12 @@ class AsyncFaultInjectingSource:
     untouched, which is exactly what the CRC gate exists to catch.
     """
 
-    is_remote_source = True
-
     def __init__(self, inner, injector: FaultInjector, name: str = "") -> None:
         self._inner = inner
         self._injector = injector
         self.name = name
         #: Reads served by *this* source (the injector counts globally).
         self.reads = 0
-
-    # Read through, not copied: the hook wraps the transport before the
-    # opening read (global read #1 of a fresh injector) has sized it.
-    @property
-    def size(self) -> Optional[int]:
-        return self._inner.size
-
-    @property
-    def connections(self) -> int:
-        return self._inner.connections
 
     async def aget(self, offset: int, length: int):
         self.reads += 1
@@ -418,18 +406,3 @@ class AsyncFaultInjectingSource:
             raise error
         data, crc = await self._inner.aget(offset, length)
         return _mangle(fault, data), crc
-
-    async def aread_range(self, offset: int, length: int) -> bytes:
-        return (await self.aget(offset, length))[0]
-
-    async def aread_tail(self, span: int):
-        return await self._inner.aread_tail(span)
-
-    def stats(self) -> dict:
-        inner_stats = getattr(self._inner, "stats", None)
-        return dict(inner_stats()) if callable(inner_stats) else {}
-
-    async def aclose(self) -> None:
-        closer = getattr(self._inner, "aclose", None)
-        if closer is not None:
-            await closer()

@@ -12,6 +12,8 @@ socket:
 * :func:`is_url` — the CLI/service switch between a path and a URL;
 * :func:`jittered_backoff` — the capped exponential, deterministically
   jittered schedule used by the ladder's retries and by the service's;
+* :data:`REQUEST_DEADLINE` — the deadline of the request being served,
+  which both retry ladders read;
 * :class:`CircuitBreaker` — per-endpoint failure gate: after ``threshold``
   consecutive failures the endpoint is *open* (reads fail fast without
   touching the network) until a cooldown elapses and a half-open probe is
@@ -30,12 +32,14 @@ from __future__ import annotations
 import threading
 import time
 import zlib
+from contextvars import ContextVar
 from typing import Callable, Optional, Tuple
 
 from repro.errors import RemoteSourceError, StreamFormatError
 
 __all__ = [
     "CRC_HEADER",
+    "REQUEST_DEADLINE",
     "CircuitBreaker",
     "find_remote_source",
     "is_url",
@@ -60,6 +64,14 @@ RETRYABLE_ERRORS = (StreamFormatError, OSError)
 #: the bytes mean* lands in this window even when size and mtime do not
 #: move (coarse-mtime filesystems, same-size rewrites in fast tests).
 FINGERPRINT_TAIL_BYTES = 4096
+
+#: The monotonic deadline of the request being served (``None``: none).
+#: ``RetrievalService.get`` sets it; the service's retry ladder and every
+#: remote endpoint's read it, so it travels with the request's own reads
+#: (:class:`~repro.io.aio.AsyncPrefetcher` carries it into its GETs).
+REQUEST_DEADLINE: ContextVar[Optional[float]] = ContextVar(
+    "repro_request_deadline", default=None
+)
 
 
 def is_url(path) -> bool:
@@ -193,20 +205,6 @@ class _Mirror:
 
 
 # ---------------------------------------------------------------- utilities
-
-
-def _merge_stats(into: dict, child: dict) -> dict:
-    """Fold one layer's stats into an aggregate (sums, breaker-dict union)."""
-    for key, value in child.items():
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            into[key] = into.get(key, 0) + value
-        elif isinstance(value, dict):
-            merged = dict(into.get(key, {}))
-            merged.update(value)
-            into[key] = merged
-        else:
-            into.setdefault(key, value)
-    return into
 
 
 def find_remote_source(obj):

@@ -58,12 +58,15 @@ only a request with *nothing* resident propagates the failure.
 Sessions also open over ``http(s)://`` URLs: the container (or bare
 stream) is read through the resilient remote stack of
 :mod:`repro.io.aio` — retries, circuit breakers, optional mirrors and
-hedged reads (``remote_options`` passes knobs to
+hedged reads (``remote_options`` passes ``mirrors`` / ``tamper`` to
 :func:`~repro.io.aio.open_remote_source`).  Remote sessions are keyed
 by a ``(size, 0, tail_crc)`` fingerprint probed over the stack, traces
 carry per-request remote deltas (egress bytes, absorbed retries, hedges,
 failovers, breaker states), and every answer stays bitwise-identical to
-the local serial read of the same file.
+the local serial read of the same file.  Concurrent requests share a
+session's stack, but not their deadlines: a request's deadline is
+:data:`~repro.io.remote.REQUEST_DEADLINE`, set for the request's own
+reads only.
 """
 
 from __future__ import annotations
@@ -85,6 +88,7 @@ from repro.io.aio import open_remote_source
 from repro.io.dataset import ChunkedDataset
 from repro.io.remote import (
     FINGERPRINT_TAIL_BYTES,
+    REQUEST_DEADLINE,
     RETRYABLE_ERRORS,
     is_url,
     jittered_backoff,
@@ -227,13 +231,6 @@ class _Session:
             return None
         return self.remote_source.stats()
 
-    def set_deadline(self, deadline: Optional[float]) -> None:
-        """Propagate a whole-request monotonic deadline into the stack."""
-        if self.is_remote:
-            setter = getattr(self.remote_source, "set_deadline", None)
-            if setter is not None:
-                setter(deadline)
-
     # --------------------------------------------------------------- plumbing
 
     def shard_lock(self, name: str) -> threading.Lock:
@@ -319,13 +316,10 @@ class RetrievalService:
         self._sleep = sleep
         self.source_filter = source_filter
         #: Keyword arguments for the remote stack builder when a session
-        #: opens over an ``http(s)://`` URL (mirrors, retry/breaker knobs,
-        #: a fault-injecting ``tamper`` hook...) — forwarded to
+        #: opens over an ``http(s)://`` URL (``mirrors``, a fault-injecting
+        #: ``tamper`` hook) — forwarded to
         #: :func:`~repro.io.aio.open_remote_source`.
         self.remote_options = dict(remote_options or {})
-        #: Per-request deadline (monotonic timestamp), thread-local so
-        #: concurrent requests don't share one.
-        self._deadlines = threading.local()
         self.stats_agg = ServiceStats()
         self._sessions: Dict[str, _Session] = {}
         self._lock = threading.Lock()
@@ -345,9 +339,12 @@ class RetrievalService:
         """Serve one request; bitwise-identical to a fresh serial ``read``.
 
         ``deadline`` (monotonic timestamp, e.g. ``time.monotonic() + 0.5``)
-        bounds the retry budget: once crossed, neither the service's ladder
-        nor a remote stack underneath sleeps into another attempt — the
-        underlying failure propagates (or degrades, see below) instead.
+        bounds this request's retries: once crossed, neither the service's
+        ladder nor a remote endpoint underneath sleeps into another attempt,
+        and a remote read that starts after it fails fast — the underlying
+        failure propagates (or degrades, see below) instead.  It is this
+        request's alone (:data:`~repro.io.remote.REQUEST_DEADLINE`): a
+        concurrent request on the same session keeps its own, or none.
 
         When the ladder is exhausted, the request is answered from resident
         tiers at whatever fidelity is already decoded
@@ -357,8 +354,7 @@ class RetrievalService:
         """
         session = self._session(path)
         remote_before = session.remote_stats()
-        session.set_deadline(deadline)
-        self._deadlines.value = deadline
+        token = REQUEST_DEADLINE.set(deadline)
         try:
             try:
                 response = self._get_fresh(session, error_bound, roi)
@@ -374,8 +370,7 @@ class RetrievalService:
                 self.stats_agg.record(resident.trace)
                 return resident
         finally:
-            session.set_deadline(None)
-            self._deadlines.value = None
+            REQUEST_DEADLINE.reset(token)
         self._annotate_remote(response.trace, session, remote_before)
         self.stats_agg.record(response.trace)
         return response
@@ -611,7 +606,7 @@ class RetrievalService:
 
     def _retry_permitted(self, delay: float) -> bool:
         """False when sleeping ``delay`` would cross the request deadline."""
-        deadline = getattr(self._deadlines, "value", None)
+        deadline = REQUEST_DEADLINE.get()
         if deadline is None:
             return True
         return time.monotonic() + delay < deadline

@@ -169,6 +169,17 @@ def server(served_dir):
 
 
 @pytest.fixture
+def patient(monkeypatch):
+    """Remote stacks built in this test never sleep for real and never run
+    out of retries (the fault legs' ladder): :mod:`repro.io.aio`'s
+    ``RETRIES`` / ``BACKOFF`` constants, patched for the test."""
+    from repro.io import aio
+
+    monkeypatch.setattr(aio, "RETRIES", 8)
+    monkeypatch.setattr(aio, "BACKOFF", 0.0)
+
+
+@pytest.fixture
 def oracle(monkeypatch):
     """``oracle()`` swaps the loop oracle in for the one plane kernel.
 

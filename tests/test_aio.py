@@ -3,17 +3,17 @@
 Covers the remote transport end to end (the ladder's units and the fault
 matrix live in ``test_remote.py``):
 
-* unit pieces — ``coalesce_ops``, the pooled transport's window bound,
-  request accounting and stale-connection retry;
+* unit pieces — ``coalesce_ops``, the pooled transport's in-flight
+  bound, request accounting and stale-connection retry;
 * byte identity {v1, v2} × {stream, container} × prefetch {0, 4} over
   loopback HTTP (depth 0 is the serial read), and the multiplexed path
   under client faults, server latency/stall faults, and a primary dying
   mid-session — every combination must match the local serial oracle
   bitwise;
 * the :class:`~repro.io.aio.AsyncPrefetcher` bridge — adjacent primes
-  coalesce into one wire request, a past deadline refunds the prefetch
-  charge, and closing a prefetcher mid-request never kills the shared
-  loop thread;
+  coalesce into one wire request, a request's past deadline refunds its
+  prefetch charge, and closing a prefetcher mid-request never kills the
+  shared loop thread;
 * the CLI — identical outputs at ``--prefetch 0`` and the default depth,
   with an ``inflight_max > 1`` receipt for the latter;
 * rangeserver connection hygiene — a stalled connection cannot wedge
@@ -41,8 +41,10 @@ from conftest import cumsum_field
 from repro import ChunkedDataset
 from repro.cli import main
 from repro.errors import RemoteSourceError, StreamFormatError
+from repro.io import aio
 from repro.io.aio import (
-    DEFAULT_CONNECTIONS,
+    CONNECTIONS,
+    HEDGE_MIN_SAMPLES,
     MAX_MERGE_GAP,
     OPENING_WINDOW,
     AsyncPrefetcher,
@@ -53,10 +55,8 @@ from repro.io.aio import (
 )
 from repro.io.faults import FaultInjector, FaultPlan
 from repro.io.rangeserver import RangeServer
+from repro.io.remote import REQUEST_DEADLINE
 from repro.retrieval.prefetch import DEFAULT_PREFETCH_DEPTH, PrefetchSource
-
-#: Fault-leg stacks never sleep for real and never run out of ladder.
-_PATIENT = dict(retries=8, retry_budget=10_000, backoff=0.0)
 
 
 def _read(path_or_url, **knobs):
@@ -148,19 +148,17 @@ def test_async_source_basic_reads(served_dir, server):
             source.read_range(len(blob) - 2, 5)
 
 
-def test_async_window_bounds_inflight(served_dir):
+def test_async_pool_bounds_inflight(served_dir, monkeypatch):
     # Under a uniform per-read latency every submitted range wants the
-    # wire at once: the semaphore must cap concurrency at window=2 and
+    # wire at once: the pool must cap concurrency at its 2 connections and
     # the latency must actually force it to the cap.
+    monkeypatch.setattr(aio, "CONNECTIONS", 2)
     plan = FaultPlan.always("latency", seconds=0.05)
     blob = (served_dir / "v2.rprc").read_bytes()
     with RangeServer(served_dir, plan=plan) as srv:
-        source = open_remote_source(
-            srv.url_for("v2.rprc"), connections=2, window=2
-        )
+        source = open_remote_source(srv.url_for("v2.rprc"))
         try:
             loop = source.loop_thread
-            import asyncio
 
             async def burst():
                 return await asyncio.gather(
@@ -169,7 +167,8 @@ def test_async_window_bounds_inflight(served_dir):
 
             chunks = loop.call(burst())
             assert chunks == [blob[i * 100:(i + 1) * 100] for i in range(6)]
-            assert source.stats()["inflight_max"] == 2
+            stats = source.stats()
+            assert stats["inflight_max"] == 2 and stats["connections_opened"] == 2
             assert srv.range_requests == 1 + 6
         finally:
             source.close()
@@ -218,7 +217,7 @@ def test_default_argument_url_dataset_prefetches(served_dir):
 
 
 @pytest.mark.parametrize("version", ["v1", "v2"])
-def test_identity_async_under_client_faults(served_dir, server, version):
+def test_identity_async_under_client_faults(served_dir, server, patient, version):
     # Every client-side fault kind, on a deterministic schedule, below CRC
     # verification: the retry ladder heals them all and the answer stays
     # bitwise-identical (short reads surface as stale-connection retries,
@@ -231,9 +230,7 @@ def test_identity_async_under_client_faults(served_dir, server, version):
         + FaultPlan.at({8}, kind="latency", seconds=0.01)
     )
     injector = FaultInjector(plan)
-    stack = open_remote_source(
-        server.url_for(f"{version}.rprc"), tamper=injector.tamper, **_PATIENT
-    )
+    stack = open_remote_source(server.url_for(f"{version}.rprc"), tamper=injector.tamper)
     result = _read(
         server.url_for(f"{version}.rprc"),
         source=stack, prefetch=4,
@@ -245,7 +242,7 @@ def test_identity_async_under_client_faults(served_dir, server, version):
 
 
 @pytest.mark.parametrize("version", ["v1", "v2"])
-def test_identity_async_under_server_faults(served_dir, version):
+def test_identity_async_under_server_faults(served_dir, patient, version):
     # Server-side latency plus stall→500 replies: the stall costs one
     # connection (the server closes it after the error), other in-flight
     # ranges proceed, and the ladder re-reads the stalled range.
@@ -255,7 +252,7 @@ def test_identity_async_under_server_faults(served_dir, version):
         "latency", seconds=0.005
     )
     with RangeServer(served_dir, plan=plan) as srv:
-        stack = open_remote_source(srv.url_for(f"{version}.rprc"), **_PATIENT)
+        stack = open_remote_source(srv.url_for(f"{version}.rprc"))
         result = _read(
             srv.url_for(f"{version}.rprc"), source=stack, prefetch=4,
         )
@@ -266,12 +263,14 @@ def test_identity_async_under_server_faults(served_dir, version):
     assert stats["retries"] >= 1
 
 
-def test_identity_async_mirror_failover(served_dir, server):
+def test_identity_async_mirror_failover(served_dir, server, monkeypatch):
     # The primary dies mid-session (every read after the first fails, on
     # every retry): the next read fails over, the replica serves from then
     # on, and the stream of answers never changes.  The frozen clock removes
     # the latency signal, so health ranking is failures-then-listing-order
     # and the read that meets the dead primary is the same one every run.
+    monkeypatch.setattr(aio, "RETRIES", 1)
+    monkeypatch.setattr(aio, "BACKOFF", 0.0)
     oracle = _read(served_dir / "v2.rprc")
     injector = FaultInjector(FaultPlan.never())
     with RangeServer(served_dir) as primary:
@@ -280,7 +279,7 @@ def test_identity_async_mirror_failover(served_dir, server):
             url,
             mirrors=[server.url_for("v2.rprc")],
             tamper=lambda endpoint, t: injector.tamper(endpoint, t) if endpoint == url else t,
-            retries=1, backoff=0.0, clock=lambda: 0.0,
+            clock=lambda: 0.0,
         )
         first = stack.read_range(0, 64)
         injector.plan.rules.extend(FaultPlan.always(kind="raise").rules)
@@ -297,26 +296,35 @@ def test_identity_async_mirror_failover(served_dir, server):
     assert injector.faults_injected == 2  # the attempt and its one retry
 
 
-def test_async_hedged_read_wins_race(served_dir):
-    # A slow primary (uniform latency) with an instant hedge threshold: the
-    # clean replica's hedge should win at least one race, and winners are
-    # byte-identical to the slow path by construction.
+def test_async_hedged_read_wins_race(served_dir, server):
+    # The primary serves HEDGE_MIN_SAMPLES reads at loopback speed — which
+    # arms the adaptive threshold at their p90 — and then turns slow (a
+    # 300 ms tail injected below its CRC gate): the clean replica's hedges
+    # win those races, and winners are byte-identical to the slow path by
+    # construction.
     blob = (served_dir / "v2.rprc").read_bytes()
-    slow_plan = FaultPlan.always("latency", seconds=0.08)
-    with RangeServer(served_dir, plan=slow_plan) as slow, RangeServer(
-        served_dir
-    ) as fast:
+    tail = FaultInjector(
+        FaultPlan.at(range(HEDGE_MIN_SAMPLES + 2, 10**6), "latency", seconds=0.3)
+    )
+    with RangeServer(served_dir) as primary:
+        url = primary.url_for("v2.rprc")
         stack = open_remote_source(
-            slow.url_for("v2.rprc"),
-            mirrors=[fast.url_for("v2.rprc")],
-            hedge_delay=0.005, backoff=0.0,
+            url,
+            mirrors=[server.url_for("v2.rprc")],
+            tamper=lambda endpoint, t: tail.tamper(endpoint, t) if endpoint == url else t,
         )
         try:
+            # Read #1 of the primary's injector was its opening read.
+            for i in range(HEDGE_MIN_SAMPLES):
+                assert stack.read_range(i * 256, 128) == blob[i * 256:i * 256 + 128]
+            began = time.perf_counter()
             for i in range(4):
                 assert stack.read_range(i * 256, 128) == blob[i * 256:i * 256 + 128]
+            # No read waited out the tail (a winning replica may take over
+            # as primary, so not every one of them needs a hedge).
+            assert time.perf_counter() - began < 0.3
             stats = stack.stats()
-            assert stats["hedges"] >= 1
-            assert stats["hedge_wins"] >= 1
+            assert stats["hedges"] >= 1 and stats["hedge_wins"] >= 1
         finally:
             stack.close()
 
@@ -361,31 +369,36 @@ def virtual_loop(monkeypatch):
 
 
 class _ScriptedTransport:
-    """The transport duck type over a byte string, one round trip per request.
+    """The transport's ``aget`` over a byte string, one round trip per request.
 
-    Each request holds one of ``connections`` pooled connections for ``rtt``
-    (virtual) seconds and is logged as ``(start time, offset, length)`` —
-    requests that start at the same instant are one wave.  Installed through
-    the ``tamper`` hook, which replaces the (never connected) HTTP transport
-    *below* the CRC gate and the retry ladder.
+    Each request holds one of :data:`~repro.io.aio.CONNECTIONS` pooled
+    connections for ``rtt`` (virtual) seconds and is logged as ``(start
+    time, offset, length)`` — requests that start at the same instant are
+    one wave.  Installed through the ``tamper`` hook (:meth:`tamper`), it
+    answers in place of the never-connected HTTP transport, *below* the CRC
+    gate and the retry loop; its opening read sizes that transport, as the
+    real reply would.
     """
 
-    def __init__(self, blob: bytes, connections: int = DEFAULT_CONNECTIONS, rtt=0.05):
+    def __init__(self, blob: bytes, rtt=0.05):
         self.blob = blob
-        self.size = None  # learned from the opening read, like the real one
-        self.connections = connections
         self.rtt = rtt
         self.log = []
+        self._unconnected = None
         self._pool = None
+
+    def tamper(self, _url, unconnected):
+        self._unconnected = unconnected
+        return self
 
     async def aget(self, offset, length):
         if self._pool is None:
-            self._pool = asyncio.Semaphore(self.connections)
+            self._pool = asyncio.Semaphore(aio.CONNECTIONS)
         async with self._pool:
             self.log.append((asyncio.get_running_loop().time(), offset, length))
             await asyncio.sleep(self.rtt)
         if offset < 0:
-            self.size = len(self.blob)
+            self._unconnected.size = len(self.blob)
             data = self.blob[-length:]
         else:
             data = self.blob[offset : offset + length]
@@ -397,18 +410,11 @@ class _ScriptedTransport:
         starts = sorted({start for start, _offset, _length in self.log})
         return [sum(1 for entry in self.log if entry[0] == start) for start in starts]
 
-    def stats(self) -> dict:
-        return {"requests": len(self.log)}
 
-    async def aclose(self) -> None:
-        pass
-
-
-def _scripted_source(blob, loop, **script):
-    transport = _ScriptedTransport(blob, **script)
+def _scripted_source(blob, loop):
+    transport = _ScriptedTransport(blob)
     source = open_remote_source(
-        "http://scripted.invalid/archive.rprc",
-        tamper=lambda _url, _unconnected: transport, loop=loop,
+        "http://scripted.invalid/archive.rprc", tamper=transport.tamper, loop=loop
     )
     return source, transport
 
@@ -439,7 +445,7 @@ def test_cold_roi_read_is_three_dependent_waves(roi_archive, virtual_loop):
         planned = {
             rung: local.plan(error_bound=rung * stored, roi=_ROI).n_ops for rung in (1024, 1)
         }
-    assert planned[1024] > 4 * DEFAULT_CONNECTIONS and planned[1] == 4
+    assert planned[1024] > 4 * CONNECTIONS and planned[1] == 4
     shapes = {}
     for rung, oracle in oracles.items():
         began = virtual_loop.loop.time()
@@ -454,19 +460,20 @@ def test_cold_roi_read_is_three_dependent_waves(roi_archive, virtual_loop):
         # One opening request, one header prime per ROI shard, then at most
         # a pool's worth of payload GETs — and nothing after that.
         assert waves[:2] == [1, 4] and len(waves) == 3, (rung, transport.log)
-        assert 4 <= waves[2] <= DEFAULT_CONNECTIONS
+        assert 4 <= waves[2] <= CONNECTIONS
         assert virtual_loop.loop.time() - began == pytest.approx(3 * transport.rtt)
         shapes[rung] = waves
-    assert sum(shapes[1024]) <= 1 + 4 + DEFAULT_CONNECTIONS
+    assert sum(shapes[1024]) <= 1 + 4 + CONNECTIONS
     assert shapes[1] == [1, 4, 4]
 
 
-def test_burst_larger_than_the_pool_is_merged_into_one_wave(virtual_loop):
+def test_burst_larger_than_the_pool_is_merged_into_one_wave(virtual_loop, monkeypatch):
     """More primed ranges than pooled connections: the smallest gaps are
     bridged until the burst is one wave, and every range still reads back
     exactly its own bytes (bridged bytes are fetched, never served)."""
+    monkeypatch.setattr(aio, "CONNECTIONS", 3)
     blob = bytes(np.random.default_rng(7).integers(0, 256, 4 * OPENING_WINDOW, dtype=np.uint8))
-    source, transport = _scripted_source(blob, virtual_loop, connections=3)
+    source, transport = _scripted_source(blob, virtual_loop)
     prefetcher = AsyncPrefetcher(loop=virtual_loop)
     primed = PrefetchSource(source, prefetcher)
     try:
@@ -526,15 +533,17 @@ def test_deadline_cancel_refunds_prefetch_charge(served_dir, server):
     prefetcher = AsyncPrefetcher(loop=stack.loop_thread)
     source = PrefetchSource(stack, prefetcher)
     try:
-        stack.set_deadline(time.monotonic() - 1.0)  # already expired
+        # This thread's request is already out of time: the prime carries
+        # its deadline onto the loop thread.
+        expired = REQUEST_DEADLINE.set(time.monotonic() - 1.0)
         source.prime([(0, 256)])
         # The primed read fails on the dead deadline; the charge is
         # refunded and the degrade-to-direct read fails the same way.
         with pytest.raises(RemoteSourceError, match="deadline"):
             source.read_range(0, 256)
         assert source.bytes_fetched == 0
-        # Lifting the deadline heals the source completely.
-        stack.set_deadline(None)
+        # Out of that request, the source is healthy.
+        REQUEST_DEADLINE.reset(expired)
         blob = (served_dir / "v2.rprc").read_bytes()
         assert source.read_range(0, 256) == blob[:256]
         assert source.bytes_fetched == 256
@@ -605,16 +614,17 @@ def test_cli_retrieve_io_backends_identical(served_dir, server, tmp_path, prefet
     if prefetch:
         # One request to open (container sniff, footer and manifest ride the
         # opening read), a header per shard, a pool's worth of payload GETs.
-        assert 3 <= remote["requests"] <= 1 + 4 + DEFAULT_CONNECTIONS
+        assert 3 <= remote["requests"] <= 1 + 4 + CONNECTIONS
 
 
 # ------------------------------------------------------- rangeserver hygiene
 
 
-def test_rangeserver_stall_does_not_wedge_other_connections(served_dir):
+def test_rangeserver_stall_does_not_wedge_other_connections(served_dir, monkeypatch):
     # Range reply #2 — client A's first read, after its opening read —
     # stalls for 0.4 s on connection A; client B's open and read must
     # complete while A is still stuck (thread-per-connection isolation).
+    monkeypatch.setattr(aio, "RETRIES", 0)
     plan = FaultPlan.at({2}, kind="stall", seconds=0.4)
     blob = (served_dir / "v2.rprc").read_bytes()
     with RangeServer(served_dir, plan=plan) as srv:
@@ -622,7 +632,7 @@ def test_rangeserver_stall_does_not_wedge_other_connections(served_dir):
         stalled_done = threading.Event()
 
         def stalled():
-            with open_remote_source(url, retries=0) as src:
+            with open_remote_source(url) as src:
                 try:
                     src.read_range(0, 64)  # draws the stall → 500
                 except RemoteSourceError:
@@ -633,24 +643,24 @@ def test_rangeserver_stall_does_not_wedge_other_connections(served_dir):
         worker.start()
         time.sleep(0.05)  # let the stalled read hit the server first
         start = time.perf_counter()
-        with open_remote_source(url, retries=0) as src:
+        with open_remote_source(url) as src:
             assert src.read_range(64, 64) == blob[64:128]
         elapsed = time.perf_counter() - start
         assert elapsed < 0.35, "read waited out another connection's stall"
         assert stalled_done.wait(timeout=5.0)
 
 
-def test_rangeserver_max_connections_and_counters(served_dir):
+def test_rangeserver_max_connections_and_counters(served_dir, monkeypatch):
     # A client pool (4) larger than the server's cap (2): the cap gates
     # requests being handled, so the extra connections queue for a slot
     # instead of waiting out a socket timeout behind idle keep-alives.
+    monkeypatch.setattr(aio, "CONNECTIONS", 4)
     plan = FaultPlan.always("latency", seconds=0.05)
     with RangeServer(
         served_dir, plan=plan, max_connections=2, backlog=8
     ) as srv:
         url = srv.url_for("v2.rprc")
-        with open_remote_source(url, connections=4, window=4) as src:
-            import asyncio
+        with open_remote_source(url) as src:
 
             async def burst():
                 return await asyncio.gather(

@@ -5,8 +5,9 @@ serving stack is listed here.  Adding a knob means editing this file — a
 deliberate, reviewable diff — and a removed one (the profile's runtime
 fields, the read-side ``--profile``, ``--no-prefetch``, the service's
 ``cache_verify`` / ``degrade_on_failure``, the scheduler's
-``quantum_bytes``, the remote stack's breaker knobs) cannot come back
-unnoticed.
+``quantum_bytes``, the remote stack's breaker knobs and its wire and
+retry keywords, now module constants of :mod:`repro.io.aio`) cannot come
+back unnoticed.
 """
 
 from __future__ import annotations
@@ -51,11 +52,7 @@ KEYWORDS = {
     RequestScheduler.__init__: [
         "service", "max_inflight", "budget_bps", "client_budgets", "clock", "pacer",
     ],
-    open_remote_source: [
-        "url", "mirrors", "timeout", "retries", "retry_budget", "backoff",
-        "backoff_cap", "hedge_delay", "connections", "window", "tamper", "clock",
-        "loop",
-    ],
+    open_remote_source: ["url", "mirrors", "tamper", "clock", "loop"],
 }
 
 

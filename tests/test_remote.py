@@ -7,11 +7,17 @@ Four invariant families pin the remote layer (`repro.io.aio` +
   the requested window (206 validated, Range-ignoring 200 sliced), size
   probing works, and CRC mismatches surface as
   :class:`~repro.errors.RemoteIntegrityError`, never as stream corruption;
-* **resilience units** — circuit-breaker transitions, and the ladder's
-  layer classes (CRC gate, retry budget + deadline, mirror health ranking
-  and hedged-read accounting) driven through their duck-typed ``inner``
-  by scripted coroutine fakes on a virtual-time event loop: backoffs and
-  hedge thresholds advance the injected clock, nothing waits for real;
+* **resilience units** — circuit-breaker transitions, one endpoint's
+  ladder (CRC gate, retries, the request deadline) over a scripted
+  ``aget`` fake, and the mirror set's health ranking and hedged-read
+  accounting over scripted endpoints, all on a virtual-time event loop:
+  backoffs and hedge thresholds advance the injected clock, nothing waits
+  for real;
+* **policy rows** — the scenarios that decided which resilience policies
+  stay: a long-lived stack on a flaky link keeps serving (no retry
+  budget), a dying backend is cut off by its breaker (and a circuit-open
+  rejection is not retried), and a request's deadline never fails a
+  concurrent request on the same session;
 * **fault plans** — deterministic, JSON-round-trippable schedules that
   reproduce the old hand-rolled flaky-source idioms exactly;
 * **byte identity** — {v1, v2} × {stream, container} retrieved over
@@ -31,6 +37,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
+import threading
 import time
 import zlib
 from pathlib import Path
@@ -49,22 +56,23 @@ from repro.errors import (
     RemoteSourceError,
     StreamFormatError,
 )
-from repro.io import BlockContainerWriter
+from repro.io import BlockContainerWriter, aio
 from repro.io.aio import (
-    DEFAULT_CONNECTIONS,
+    CONNECTIONS,
+    HEDGE_MIN_SAMPLES,
     OPENING_WINDOW,
     AsyncHTTPTransport,
     AsyncPrefetcher,
     EventLoopThread,
-    _AsyncMirror,
-    _AsyncRetry,
-    _AsyncVerify,
+    _Endpoint,
+    _MirrorSet,
     open_remote_source,
 )
 from repro.io.container import BlockContainerReader
 from repro.io.faults import FAULT_KINDS, FaultInjector, FaultPlan
 from repro.io.rangeserver import RangeServer
 from repro.io.remote import (
+    REQUEST_DEADLINE,
     CircuitBreaker,
     find_remote_source,
     is_url,
@@ -74,9 +82,6 @@ from repro.io.remote import (
 from repro.retrieval.engine import DEFAULT_HEADER_PRIME
 from repro.retrieval.prefetch import PrefetchSource
 from repro.service import RetrievalService
-
-#: Fault-leg stacks never sleep for real and never run out of ladder.
-_PATIENT = dict(retries=8, retry_budget=10_000, backoff=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -125,9 +130,8 @@ def test_transport_reads_exact_windows(served_dir, server):
         assert transport.n_requests == before
         with pytest.raises(StreamFormatError, match="past remote object end"):
             call(transport.aget(len(blob) - 2, 5))
-        stats = transport.stats()
-        assert stats["egress_bytes"] >= 33
-        assert stats["breaker"] == {transport.endpoint: "closed"}
+        assert transport.egress_bytes >= 33
+        assert transport.breaker.state == "closed"
     finally:
         call(transport.aclose())
 
@@ -242,30 +246,42 @@ def _run(body):
         loop.close()
 
 
-def test_crc_gate_classifies_corruption():
-    class _Inner:
-        size = 5
+#: Unit-test endpoints are named, never connected: a scripted ``wire``
+#: answers their reads through the tamper hook.
+_UNIT_URL = "http://unit.invalid/x"
+
+
+def _endpoint(wire, clock=time.monotonic, size=None) -> _Endpoint:
+    endpoint = _Endpoint(_UNIT_URL, tamper=lambda _url, _transport: wire, clock=clock)
+    endpoint.transport.size = size  # what an opening read would have learned
+    return endpoint
+
+
+def test_crc_gate_classifies_corruption(monkeypatch):
+    monkeypatch.setattr(aio, "RETRIES", 0)  # one attempt: the gate alone
+
+    class _Wire:
         crc = None
 
         async def aget(self, offset, length):
             return b"hello"[offset : offset + length], self.crc
 
-    async def body(_loop):
-        inner = _Inner()
-        verifying = _AsyncVerify(inner)
-        inner.crc = zlib.crc32(b"hello")
-        assert await verifying.aread_range(0, 5) == b"hello"
-        assert verifying.verified == 1
-        inner.crc = zlib.crc32(b"other")
+    async def body(loop):
+        wire = _Wire()
+        endpoint = _endpoint(wire, loop.time)
+        wire.crc = zlib.crc32(b"hello")
+        assert await endpoint.aread_range(0, 5) == b"hello"
+        assert endpoint.crc_verified == 1
+        wire.crc = zlib.crc32(b"other")
         with pytest.raises(RemoteIntegrityError) as excinfo:
-            await verifying.aread_range(0, 5)
+            await endpoint.aread_range(0, 5)
         # Retryable (an OSError), and NOT stream corruption.
         assert isinstance(excinfo.value, OSError)
         assert not isinstance(excinfo.value, StreamFormatError)
-        inner.crc = None
-        assert await verifying.aread_range(0, 5) == b"hello"
-        assert verifying.unverified == 1
-        assert verifying.stats()["crc_mismatches"] == 1
+        # No declared CRC: passed through unverified.
+        wire.crc = None
+        assert await endpoint.aread_range(0, 5) == b"hello"
+        assert (endpoint.crc_verified, endpoint.crc_mismatches) == (1, 1)
 
     _run(body)
 
@@ -302,75 +318,51 @@ def test_jittered_backoff_is_capped_deterministic():
     assert jittered_backoff("a", 2, 0.05, 1.0) != jittered_backoff("b", 2, 0.05, 1.0)
 
 
-class _FailingSource:
+class _FailingWire:
     """Fails the first ``failures`` reads, then serves ``payload``."""
 
     def __init__(self, failures=10**9, payload=b"x" * 8):
-        self.size = len(payload)
         self.payload = payload
         self.failures = failures
         self.calls = 0
 
-    async def aread_range(self, offset, length):
+    async def aget(self, offset, length):
         self.calls += 1
         if self.calls <= self.failures:
             raise RemoteSourceError(f"injected failure #{self.calls}")
-        return self.payload[offset : offset + length]
+        return self.payload[offset : offset + length], None
 
 
 def test_retry_ladder_heals_and_records_delays():
     async def body(loop):
-        inner = _FailingSource(failures=2)
-        source = _AsyncRetry(
-            inner, retries=3, backoff=0.05, backoff_cap=1.0, label="L",
-            clock=loop.time,
-        )
-        assert await source.aread_range(0, 8) == inner.payload
-        assert inner.calls == 3 and source.retries_used == 2
+        wire = _FailingWire(failures=2)
+        endpoint = _endpoint(wire, loop.time)
+        assert await endpoint.aread_range(0, 8) == wire.payload
+        assert wire.calls == 3 and endpoint.retries == 2
         # The ladder slept exactly its recorded delays, nothing else.
-        assert loop.time() == pytest.approx(sum(source.retry_delays))
-        for attempt, delay in enumerate(source.retry_delays, start=1):
-            assert delay == jittered_backoff("L@0", attempt, 0.05, 1.0)
-        assert source.stats()["retries"] == 2
-
-    _run(body)
-
-
-def test_retry_budget_exhaustion_fails_fast():
-    async def body(loop):
-        inner = _FailingSource()
-        source = _AsyncRetry(
-            inner, retries=5, retry_budget=2, backoff=0.0, clock=loop.time
-        )
-        with pytest.raises(RemoteSourceError):
-            await source.aread_range(0, 4)
-        assert inner.calls == 3  # initial + the 2 budgeted retries
-        with pytest.raises(RemoteSourceError):
-            await source.aread_range(0, 4)
-        assert inner.calls == 4  # budget empty: a single fail-fast attempt
-        assert source.stats()["retry_budget_left"] == 0
+        assert loop.time() == pytest.approx(sum(endpoint.retry_delays))
+        for attempt, delay in enumerate(endpoint.retry_delays, start=1):
+            assert delay == jittered_backoff(f"{_UNIT_URL}@0", attempt, 0.05, 1.0)
 
     _run(body)
 
 
 def test_deadline_expiry_mid_retry():
     async def body(loop):
-        inner = _FailingSource()
-        source = _AsyncRetry(
-            inner, retries=5, backoff=0.05, label="x", clock=loop.time
-        )
+        wire = _FailingWire()
+        endpoint = _endpoint(wire, loop.time)
         # Expired before the read starts: fail fast, the backend is never hit.
-        source.set_deadline(0.0)
+        REQUEST_DEADLINE.set(0.0)
         with pytest.raises(RemoteSourceError, match="deadline exceeded"):
-            await source.aread_range(0, 4)
-        assert inner.calls == 0
+            await endpoint.aread_range(0, 4)
+        assert wire.calls == 0
         # Mid-ladder: a backoff that would cross the deadline re-raises the
         # *underlying* error instead of sleeping past the deadline.
-        source.set_deadline(0.06)
+        REQUEST_DEADLINE.set(0.06)
         with pytest.raises(RemoteSourceError, match="injected failure"):
-            await source.aread_range(0, 4)
+            await endpoint.aread_range(0, 4)
         # Attempt 1 backs off (< 0.06); attempt 2's delay >= 0.05 would cross.
-        assert inner.calls == 2
+        assert wire.calls == 2
         assert 0.0 < loop.time() < 0.06
 
     _run(body)
@@ -388,7 +380,7 @@ class _ScriptedMirror:
         self.calls = 0
         self.cancelled = 0
 
-    async def aread_range(self, offset, length):
+    async def aget(self, offset, length):
         self.calls += 1
         try:
             if self.delay:
@@ -398,16 +390,26 @@ class _ScriptedMirror:
             raise
         if self.failing:
             raise RemoteSourceError("mirror down")
-        return self.payload[offset : offset + length]
+        return self.payload[offset : offset + length], None
 
 
-def test_mirror_failover_and_health_ranking():
+@pytest.fixture
+def one_attempt(monkeypatch):
+    """Endpoints make one attempt per read: every failure reaches the set."""
+    monkeypatch.setattr(aio, "RETRIES", 0)
+
+
+def _mirror_set(wires, clock=time.monotonic) -> _MirrorSet:
+    return _MirrorSet([_endpoint(w, clock, size=w.size) for w in wires], clock=clock)
+
+
+def test_mirror_failover_and_health_ranking(one_attempt):
     payload = bytes(range(64))
 
     async def body(loop):
         primary = _ScriptedMirror(payload, failing=True)
         backup = _ScriptedMirror(payload)
-        mirror = _AsyncMirror([primary, backup], clock=loop.time)
+        mirror = _mirror_set([primary, backup], loop.time)
         assert await mirror.aread_range(3, 9) == payload[3:12]
         assert mirror.failovers == 1
         # The failure re-ranks: the next read goes straight to the backup.
@@ -425,12 +427,10 @@ def test_mirror_failover_and_health_ranking():
 
     _run(body)
     with pytest.raises(RemoteSourceError, match="disagree on object size"):
-        _AsyncMirror([_ScriptedMirror(b"abc"), _ScriptedMirror(b"abcd")])
-    with pytest.raises(ConfigurationError):
-        _AsyncMirror([])
+        _mirror_set([_ScriptedMirror(b"abc"), _ScriptedMirror(b"abcd")])
 
 
-def test_unsampled_mirror_ranks_after_a_timed_healthy_one():
+def test_unsampled_mirror_ranks_after_a_timed_healthy_one(one_attempt):
     """An unknown latency is not latency 0: the replica that has never been
     timed must not displace a healthy primary after its first read."""
     payload = bytes(range(64))
@@ -438,7 +438,7 @@ def test_unsampled_mirror_ranks_after_a_timed_healthy_one():
     async def body(loop):
         primary = _ScriptedMirror(payload, delay=0.03)
         backup = _ScriptedMirror(payload)  # instant, but nobody knows that yet
-        mirror = _AsyncMirror([primary, backup], clock=loop.time)
+        mirror = _mirror_set([primary, backup], loop.time)
         for _ in range(3):
             assert await mirror.aread_range(0, 4) == payload[:4]
         assert (primary.calls, backup.calls) == (3, 0)
@@ -454,42 +454,53 @@ def test_unsampled_mirror_ranks_after_a_timed_healthy_one():
     _run(body)
 
 
-def test_hedged_read_fires_and_cancels_the_loser():
+async def _arm_hedging(mirror, primary) -> None:
+    """HEDGE_MIN_SAMPLES timed reads at the primary's delay: the adaptive
+    threshold (their p90) is then exactly that delay."""
+    for _ in range(HEDGE_MIN_SAMPLES):
+        await mirror.aread_range(0, 4)
+    assert mirror.hedges == 0 and primary.calls == HEDGE_MIN_SAMPLES
+
+
+def test_hedged_read_fires_and_cancels_the_loser(one_attempt):
     payload = bytes(range(32))
 
     async def body(loop):
-        slow_primary = _ScriptedMirror(payload, delay=10.0)
+        primary = _ScriptedMirror(payload, delay=0.01)
         backup = _ScriptedMirror(payload)
-        mirror = _AsyncMirror(
-            [slow_primary, backup], hedge_delay=0.01, clock=loop.time
-        )
+        mirror = _mirror_set([primary, backup], loop.time)
+        await _arm_hedging(mirror, primary)
+        primary.delay = 10.0
+        began = loop.time()
         assert await mirror.aread_range(4, 16) == payload[4:20]
         # Answered at the hedge threshold, not after the primary's 10 s.
-        assert loop.time() == pytest.approx(0.01)
+        assert loop.time() - began == pytest.approx(0.01)
         assert mirror.hedges == 1 and mirror.hedge_wins == 1
         # The loser was aborted on the wire: nothing wasted, nothing running.
-        assert mirror.hedge_cancelled == 1 and slow_primary.cancelled == 1
+        assert mirror.hedge_cancelled == 1 and primary.cancelled == 1
         stats = mirror.stats()
         assert stats["hedges"] == 1 and stats["hedge_wasted_bytes"] == 0
         assert len(asyncio.all_tasks()) == 1  # only this test body
         # A fast primary never hedges.
-        slow_primary.delay = 0.0
+        primary.delay = 0.0
         assert await mirror.aread_range(0, 4) == payload[0:4]
         assert mirror.hedges == 1
 
     _run(body)
 
 
-def test_hedge_loser_finishing_in_the_same_tick_is_accounted():
+def test_hedge_loser_finishing_in_the_same_tick_is_accounted(one_attempt):
     payload = bytes(range(32))
 
     async def body(loop):
-        # Hedge fires at 0.01; backup (0.01) and primary (0.02) both land at
-        # 0.02 — the loser's bytes hit the wire for nothing and are counted,
-        # never consumed.
-        primary = _ScriptedMirror(payload, delay=0.02)
+        primary = _ScriptedMirror(payload, delay=0.01)
         backup = _ScriptedMirror(payload, delay=0.01)
-        mirror = _AsyncMirror([primary, backup], hedge_delay=0.01, clock=loop.time)
+        mirror = _mirror_set([primary, backup], loop.time)
+        await _arm_hedging(mirror, primary)
+        # Hedge fires at +0.01; backup (0.01) and primary (0.02) both land at
+        # +0.02 — the loser's bytes hit the wire for nothing and are counted,
+        # never consumed.
+        primary.delay = 0.02
         assert await mirror.aread_range(4, 16) == payload[4:20]
         assert mirror.hedges == 1 and mirror.hedge_cancelled == 0
         assert mirror.stats()["hedge_wasted_bytes"] == 16
@@ -737,10 +748,17 @@ _SERVER_FAULTS = (
 )
 @pytest.mark.parametrize("version", ["v1", "v2"])
 @pytest.mark.parametrize("kind", ["stream", "container"])
-def test_identity_matrix_over_http(served_dir, server, replica, version, kind, condition):
+def test_identity_matrix_over_http(
+    served_dir, server, replica, monkeypatch, version, kind, condition
+):
     """{v1, v2} × {stream, container} × {clean, client faults, server faults,
     dead primary + replica}: data, ``bytes_loaded`` and consumed ranges over
     loopback HTTP equal the local serial read."""
+    if condition != "clean":
+        # Fault legs never sleep for real and never run out of ladder; the
+        # dead primary is given up on at its first failure.
+        monkeypatch.setattr(aio, "RETRIES", 0 if condition == "dead-primary" else 8)
+        monkeypatch.setattr(aio, "BACKOFF", 0.0)
     name = f"{version}.ipc" if kind == "stream" else f"{version}.rprc"
     url = server.url_for(name)
     expected = _read(served_dir / name, prefetch=0)
@@ -760,7 +778,7 @@ def test_identity_matrix_over_http(served_dir, server, replica, version, kind, c
             + FaultPlan.every(5, kind="short")
             + FaultPlan.every(7, kind="corrupt")
         )
-        stack = open_remote_source(url, tamper=injector.tamper, **_PATIENT)
+        stack = open_remote_source(url, tamper=injector.tamper)
         assert _read(url, source=stack) == expected
         stats = stack.stats()
         assert stats["retries"] >= 1
@@ -771,7 +789,7 @@ def test_identity_matrix_over_http(served_dir, server, replica, version, kind, c
         # the *server* injects heal exactly like client-side ones.
         with RangeServer(served_dir, plan=_SERVER_FAULTS) as faulty:
             served, on_wire = faulty, 0
-            stack = open_remote_source(faulty.url_for(name), **_PATIENT)
+            stack = open_remote_source(faulty.url_for(name))
             assert _read(faulty.url_for(name), source=stack) == expected
             assert stack.stats()["retries"] >= 1
             assert faulty.faults_served >= 1
@@ -786,10 +804,7 @@ def test_identity_matrix_over_http(served_dir, server, replica, version, kind, c
                 return injector.tamper(endpoint_url, transport)
             return transport
 
-        stack = open_remote_source(
-            url, [replica.url_for(name)], tamper=tamper_primary,
-            retries=0, backoff=0.0,
-        )
+        stack = open_remote_source(url, [replica.url_for(name)], tamper=tamper_primary)
         injector.plan.rules.extend(FaultPlan.always(kind="raise").rules)
         served, on_wire = replica, replica.range_requests
         assert _read(url, source=stack) == expected
@@ -880,7 +895,7 @@ def test_one_tower_identity_matrix(probe, tmp_path, where, name, reader):
             # Cold and remote: the open (and a stream's sniff), then a header
             # prime and one payload burst (≤ a pool of GETs) per shard — not
             # a round trip per plane block (859 requests before 7.0).
-            assert srv.range_requests <= 2 + (1 + DEFAULT_CONNECTIONS) * shards
+            assert srv.range_requests <= 2 + (1 + CONNECTIONS) * shards
         else:
             out, receipt = tmp_path / "out.raw", tmp_path / "receipt.json"
             assert main([
@@ -927,9 +942,11 @@ def test_bad_read_knob_on_a_url_is_an_error_and_closes_the_stack(server, tmp_pat
         assert f"error: {flag[2:]} must be" in capsys.readouterr().err
 
 
-def test_dead_primary_at_open_fails_over_to_mirror(served_dir, server):
+def test_dead_primary_at_open_fails_over_to_mirror(served_dir, server, monkeypatch):
     """An endpoint that is down when the stack is built is dropped; only
     every endpoint failing propagates."""
+    monkeypatch.setattr(aio, "RETRIES", 2)
+    monkeypatch.setattr(aio, "BACKOFF", 0.0)
     blob = (served_dir / "v2.rprc").read_bytes()
     dead = "http://127.0.0.1:1/v2.rprc"
     stack = open_remote_source(dead, [server.url_for("v2.rprc")])
@@ -945,7 +962,7 @@ def test_dead_primary_at_open_fails_over_to_mirror(served_dir, server):
     injector = FaultInjector(FaultPlan.always(kind="raise"))
     with RangeServer(served_dir) as mirror:
         with open_remote_source(
-            url, [mirror.url_for("v2.rprc")], retries=2, backoff=0.0,
+            url, [mirror.url_for("v2.rprc")],
             tamper=lambda endpoint, t: injector.tamper(endpoint, t) if endpoint == url else t,
         ) as stack:
             assert injector.total_reads == 3  # the opening read and its retries
@@ -959,20 +976,19 @@ def test_dead_primary_at_open_fails_over_to_mirror(served_dir, server):
 
 @pytest.mark.parametrize("kind", ["corrupt", "short", "raise"])
 @pytest.mark.parametrize("side", ["client", "server"])
-def test_faulted_opening_read_is_caught_and_healed(served_dir, side, kind):
+def test_faulted_opening_read_is_caught_and_healed(served_dir, monkeypatch, side, kind):
     """Request #1 of a stack is its opening read, and it climbs the ladder:
     a corrupted or truncated window is stopped by the CRC gate, a failed
-    one retried — within the budget — before anything is parsed from it."""
+    one retried, before anything is parsed from it."""
+    monkeypatch.setattr(aio, "BACKOFF", 0.0)
     blob = (served_dir / "v2.rprc").read_bytes()
     plan = FaultPlan.at({1}, kind=kind)
     injector = FaultInjector(plan if side == "client" else FaultPlan.never())
     with RangeServer(served_dir, plan=plan if side == "server" else None) as srv:
-        with open_remote_source(
-            srv.url_for("v2.rprc"), tamper=injector.tamper, backoff=0.0, retry_budget=4,
-        ) as stack:
+        with open_remote_source(srv.url_for("v2.rprc"), tamper=injector.tamper) as stack:
             stats = stack.stats()
             assert stack.size == len(blob)
-            assert stats["retries"] == 1 and stats["retry_budget_left"] == 3
+            assert stats["retries"] == 1
             # A server-side short body under-runs Content-Length (transport
             # error); a client-side one is only visible to the CRC gate.
             assert stats["crc_mismatches"] == (
@@ -989,13 +1005,13 @@ def test_faulted_opening_read_is_caught_and_healed(served_dir, side, kind):
             assert srv.range_requests == on_wire
 
 
-def test_opening_read_out_of_retries_fails_the_open(served_dir, settles):
+def test_opening_read_out_of_retries_fails_the_open(served_dir, settles, monkeypatch):
+    monkeypatch.setattr(aio, "RETRIES", 2)
+    monkeypatch.setattr(aio, "BACKOFF", 0.0)
     injector = FaultInjector(FaultPlan.always(kind="corrupt"))
     with RangeServer(served_dir) as srv:
         with pytest.raises(RemoteIntegrityError):
-            open_remote_source(
-                srv.url_for("v2.rprc"), tamper=injector.tamper, retries=2, backoff=0.0
-            )
+            open_remote_source(srv.url_for("v2.rprc"), tamper=injector.tamper)
         assert injector.total_reads == 3 and srv.range_requests == 3
         assert settles(lambda: srv.open_connections == 0)  # nothing left open
 
@@ -1099,12 +1115,12 @@ class _Unowned:
         self.read_range = source.read_range
 
 
-def test_server_side_fault_plan_is_healed_by_the_client(served_dir):
+def test_server_side_fault_plan_is_healed_by_the_client(served_dir, patient):
     """Chunked reads sweep the server's per-range fault counter past every
     rule of the plan (a short object's full read could dodge some)."""
     blob = (served_dir / "v2.rprc").read_bytes()
     with RangeServer(served_dir, plan=_SERVER_FAULTS) as faulty:
-        stack = open_remote_source(faulty.url_for("v2.rprc"), **_PATIENT)
+        stack = open_remote_source(faulty.url_for("v2.rprc"))
         try:
             step = max(1, stack.size // 16)
             got = b"".join(
@@ -1116,6 +1132,49 @@ def test_server_side_fault_plan_is_healed_by_the_client(served_dir):
             assert faulty.faults_served >= 3
         finally:
             stack.close()
+
+
+# ------------------------------------------------------------- policy rows
+
+
+def test_long_lived_stack_keeps_serving_a_flaky_link(served_dir, server, monkeypatch):
+    """The client drops every 4th read; one stack serves 400 reads.  Every
+    read heals, and every drop costs exactly one retry.  (A retry budget of
+    32 per stack, never refilled, served 324: nothing retried after read 98.)"""
+    monkeypatch.setattr(aio, "BACKOFF", 0.0)
+    blob = (served_dir / "v2.rprc").read_bytes()
+    injector = FaultInjector(FaultPlan.every(4, kind="raise"))
+    served = 0
+    with open_remote_source(server.url_for("v2.rprc"), tamper=injector.tamper) as stack:
+        for index in range(400):
+            offset = index * 16  # all outside the opening window
+            try:
+                served += stack.read_range(offset, 16) == blob[offset : offset + 16]
+            except RemoteSourceError:
+                pass
+        stats = stack.stats()
+    assert served == 400
+    assert stats["retries"] == injector.faults_injected == 133
+
+
+def test_dying_backend_is_cut_off_by_its_breaker(served_dir):
+    """The backend answers the opening read, then only 500s.  At the default
+    backoff, 60 reads cost the five failures that open the breaker and well
+    under a second: every later read fails fast, and is not retried.
+    (Retrying circuit-open rejections cost 8 requests and 2.75 s; without
+    the breaker, 93 requests.)"""
+    plan = FaultPlan.never()
+    with RangeServer(served_dir, plan=plan) as dying:
+        with open_remote_source(dying.url_for("v2.rprc")) as stack:
+            plan.rules.extend(FaultPlan.always(kind="raise").rules)
+            began = time.perf_counter()
+            for index in range(60):
+                with pytest.raises(RemoteSourceError):
+                    stack.read_range(index * 16, 16)
+            elapsed = time.perf_counter() - began
+            assert stack.stats()["breaker"] == {f"{dying.host}:{dying.port}": "open"}
+        assert dying.range_requests <= 1 + 5
+    assert elapsed < 1.0
 
 
 # --------------------------------------------------------- service over HTTP
@@ -1158,11 +1217,12 @@ def test_service_session_opens_in_one_request(served_dir, name, kind):
         assert srv.range_requests == before + 1
 
 
-def test_service_remote_failure_degrades_to_resident(served_dir, server):
+def test_service_remote_failure_degrades_to_resident(served_dir, server, monkeypatch):
+    monkeypatch.setattr(aio, "RETRIES", 0)
     url = server.url_for("v2.rprc")
     poison = set()
     injector = FaultInjector(FaultPlan.at(poison))
-    options = dict(tamper=injector.tamper, retries=0, backoff=0.0)
+    options = dict(tamper=injector.tamper)
     with RetrievalService(retries=0, remote_options=options) as service:
         with ChunkedDataset(served_dir / "v2.rprc") as dataset:
             stored = dataset.absolute_bound
@@ -1197,6 +1257,58 @@ def test_service_remote_fingerprint_change_purges_session(tmp_path):
         assert np.array_equal(fresh.data, oracle.data)
         assert not np.array_equal(fresh.data, first.data)
         assert fresh.trace.physical_reads > 0
+
+
+@pytest.fixture(scope="module")
+def eight_shards(tmp_path_factory) -> Path:
+    """An 8-shard archive whose first shard lies outside the opening window."""
+    root = tmp_path_factory.mktemp("eight")
+    ChunkedDataset.write(
+        root / "eight.rprc", cumsum_field((64, 48, 40), 4), error_bound=1e-6,
+        relative=True, n_blocks=8, workers=0,
+    )
+    return root
+
+
+def test_a_deadline_belongs_to_its_request(eight_shards, settles):
+    """Request A (a full read, no deadline) and request B (a small ROI whose
+    deadline has already passed) share one URL session, 80 ms per read.  B
+    arrives while A reads shard 0 and waits on it, so B's deadline is live
+    through A's reads of that shard — and fails only B's own: A returns
+    bitwise the local read with no retry, B raises or degrades.  (With the
+    deadline kept on the shared stack, A raised "request deadline
+    exceeded".)"""
+    path = eight_shards / "eight.rprc"
+    with ChunkedDataset(path) as local:
+        oracle = local.read()
+        stored = local.absolute_bound
+        first = local.shards[0].slices
+    roi = (slice(first[0].start, first[0].start + 4),) + tuple(first[1:])
+    # The latency sits below the CRC gate; the freshness probe bypasses it.
+    slow = FaultInjector(FaultPlan.always("latency", seconds=0.08))
+    answers = {}
+
+    def request(name, **kwargs):
+        try:
+            answers[name] = service.get(url, **kwargs)
+        except RemoteSourceError as exc:
+            answers[name] = exc
+
+    with RangeServer(eight_shards) as srv, RetrievalService(
+        remote_options=dict(tamper=slow.tamper)
+    ) as service:
+        url = srv.url_for("eight.rprc")
+        a = threading.Thread(target=request, args=("A",))
+        a.start()
+        # A opens the session, then holds shard 0 for its 80 ms header read.
+        assert settles(lambda: url in service._sessions)
+        time.sleep(0.02)
+        request("B", error_bound=64 * stored, roi=roi, deadline=time.monotonic() - 1.0)
+        a.join()
+    assert not isinstance(answers["A"], Exception), answers["A"]
+    assert answers["A"].data.tobytes() == oracle.data.tobytes()
+    assert answers["A"].trace.retries == 0
+    assert isinstance(answers["B"], RemoteSourceError) or answers["B"].trace.degraded
 
 
 def test_scheduler_serves_urls_with_deadlines(served_dir, server):
