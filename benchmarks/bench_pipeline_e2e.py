@@ -13,9 +13,10 @@ grows.  It measures three things:
 2. **Kernel stage in isolation** — ``encode_planes``/``decode_planes``
    throughput of the shard sweep on one 400 k-value level and on a ragged
    shard (recorded; the e2e floors are what gate).
-3. **Pool scaling** — ``BlockParallelCompressor`` throughput over worker
-   counts on the field and shard count of ``benchmarks/e2e``
-   (recorded, not asserted: single-core CI boxes cannot scale).
+3. **Pool scaling** — ``ChunkedDataset.write`` throughput (into a
+   temporary file) over worker counts on the field and shard count of
+   ``benchmarks/e2e`` (recorded, not asserted: single-core CI boxes cannot
+   scale).
 
 A checked-in floor (``benchmarks/perf_floor.json``) turns the bench into a
 regression gate: when the floor file's scale matches the active
@@ -29,8 +30,10 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +41,7 @@ import pytest
 from benchmarks.conftest import BENCH_SCALE, REPO_ROOT, print_table, write_csv
 from repro.core import kernels
 from repro.core.compressor import IPComp
-from repro.parallel.executor import BlockParallelCompressor
+from repro.io import ChunkedDataset
 
 BENCH_JSON = REPO_ROOT / "BENCH_pipeline.json"
 FLOOR_FILE = REPO_ROOT / "benchmarks" / "perf_floor.json"
@@ -190,11 +193,17 @@ def _run_pool(field):
     mb = field.nbytes / 1e6
     scaling = {}
     for workers in _POOL_WORKERS:
-        comp = BlockParallelCompressor(
-            error_bound=BOUND, relative=True, n_blocks=_POOL_BLOCKS, workers=workers
-        )
-        # Best of five: a pool's first passes pay for starting its workers.
-        seconds = _best_seconds(lambda: comp.compress(field), 5)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pool.rprc"
+
+            def write():
+                ChunkedDataset.write(
+                    path, field, error_bound=BOUND, relative=True,
+                    n_blocks=_POOL_BLOCKS, workers=workers,
+                )
+
+            # Best of five: a pool's first passes pay for starting its workers.
+            seconds = _best_seconds(write, 5)
         scaling[str(workers)] = {
             "encode_mbps": round(mb / seconds, 3),
             "encode_s": round(seconds, 3),

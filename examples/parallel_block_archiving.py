@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Domain example: block-parallel compression of a large combustion field.
+"""Domain example: block-parallel archiving of a large combustion field.
 
 HPC deployments compress per-rank blocks rather than whole fields.  This
-example decomposes an S3D-like CH4 mass-fraction field into slabs, compresses
-the slabs in a process pool (falling back to serial execution in restricted
-environments), verifies that the global error bound survives the
-decomposition, and then performs a block-local progressive retrieval — only
-the slab containing the flame front is refined to high fidelity.
+example writes an S3D-like CH4 mass-fraction field into a sharded
+:class:`repro.io.ChunkedDataset` container, compressing the slabs in-process
+and in a process pool (which falls back to in-process execution in
+restricted environments; the files are byte-identical), verifies that the
+global error bound survives the decomposition, and then performs a
+slab-local progressive retrieval — a coarse pass finds the slab containing
+the flame front and only that slab is refined to full fidelity.  Every byte
+count printed is the retrieval engine's own accounting.
 
 Run with::
 
@@ -15,59 +18,61 @@ Run with::
 
 from __future__ import annotations
 
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
-from repro import ProgressiveRetriever
 from repro.analysis import max_error
 from repro.datasets import load_dataset
-from repro.parallel import BlockParallelCompressor
+from repro.io import ChunkedDataset
 
 SHAPE = (64, 56, 56)
 RELATIVE_BOUND = 1e-6
+N_BLOCKS = 4
 
 
 def main() -> None:
     ch4 = load_dataset("ch4", shape=SHAPE)
-    global_eb = RELATIVE_BOUND * (ch4.max() - ch4.min())
 
-    for workers in (0, 4):
-        compressor = BlockParallelCompressor(
-            error_bound=RELATIVE_BOUND, relative=True, n_blocks=4, workers=workers
-        )
-        start = time.perf_counter()
-        blocks = compressor.compress(ch4)
-        elapsed = time.perf_counter() - start
-        total = BlockParallelCompressor.compressed_bytes(blocks)
-        label = "serial" if workers == 0 else f"{workers} workers"
-        print(
-            f"[{label:10s}] compressed {ch4.nbytes / 1e6:.1f} MB into {len(blocks)} blocks, "
-            f"{total / 1e6:.2f} MB total (CR {ch4.nbytes / total:.2f}) in {elapsed:.2f} s"
-        )
+    with tempfile.TemporaryDirectory() as tmp:
+        for workers in (0, 4):
+            path = Path(tmp) / f"ch4-{workers}.rprc"
+            start = time.perf_counter()
+            manifest = ChunkedDataset.write(
+                path, ch4, error_bound=RELATIVE_BOUND, relative=True,
+                n_blocks=N_BLOCKS, workers=workers,
+            )
+            elapsed = time.perf_counter() - start
+            total = path.stat().st_size
+            label = "serial" if workers == 0 else f"{workers} workers"
+            print(
+                f"[{label:10s}] compressed {ch4.nbytes / 1e6:.1f} MB into "
+                f"{len(manifest['shards'])} shards, {total / 1e6:.2f} MB file "
+                f"(CR {ch4.nbytes / total:.2f}) in {elapsed:.2f} s"
+            )
+        global_eb = manifest["error_bound"]
 
-    compressor = BlockParallelCompressor(
-        error_bound=RELATIVE_BOUND, relative=True, n_blocks=4, workers=0
-    )
-    blocks = compressor.compress(ch4)
-    restored = compressor.decompress(blocks, ch4.shape)
-    print(f"global error after reassembly: {max_error(ch4, restored):.3e} "
-          f"(bound {global_eb:.3e})")
+        with ChunkedDataset(path) as dataset:
+            restored = dataset.read()
+            print(f"global error after reassembly: {max_error(ch4, restored.data):.3e} "
+                  f"(bound {global_eb:.3e})")
 
-    # Block-local progressive retrieval: find the slab with the most CH4 from a
-    # coarse pass, then refine only that slab.
-    coarse_means = []
-    for block in blocks:
-        result = ProgressiveRetriever(block.blob).retrieve(bitrate=0.5)
-        coarse_means.append(float(result.data.mean()))
-    hot = int(np.argmax(coarse_means))
-    hot_block = blocks[hot]
-    fine = ProgressiveRetriever(hot_block.blob).retrieve(error_bound=global_eb)
-    original_slab = ch4[hot_block.slices]
-    print(
-        f"refined only slab {hot} (rows {hot_block.slices[0].start}:{hot_block.slices[0].stop}): "
-        f"loaded {fine.bytes_loaded / 1e3:.1f} kB, slab error {max_error(original_slab, fine.data):.3e}"
-    )
+            # Slab-local progressive retrieval: find the slab with the most
+            # CH4 from a coarse pass, then refine only that slab.
+            coarse = dataset.read(error_bound=global_eb * 4096)
+            print(f"coarse pass over {len(coarse.shards)} shards: "
+                  f"loaded {coarse.bytes_loaded / 1e3:.1f} kB")
+            means = [float(coarse.data[shard.slices].mean()) for shard in dataset.shards]
+            hot = dataset.shards[int(np.argmax(means))]
+            fine = dataset.refine(error_bound=global_eb, roi=hot.slices)
+            rows = hot.slices[0]
+            print(
+                f"refined only {hot.name} (rows {rows.start}:{rows.stop}): "
+                f"loaded {fine.bytes_loaded / 1e3:.1f} kB, "
+                f"slab error {max_error(ch4[hot.slices], fine.data):.3e}"
+            )
 
 
 if __name__ == "__main__":

@@ -72,7 +72,8 @@ loads a profile, and the individual flags (``--eb``, ``--abs``,
 file.  Streams are self-describing, so no reading subcommand takes a
 profile; each runtime knob is one flag of the subcommand it acts in
 (``retrieve --prefetch / --workers``, ``serve --cache-bytes``), validated
-by the library object it configures.
+by the library object it configures (``serve --threads``, which configures
+none, here): a bad value is an ``error:`` exit, never a clamp.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ from pathlib import Path
 from repro import ChunkedDataset, CodecProfile, IPComp
 from repro.analysis import summarize
 from repro.datasets import dataset_table, load_dataset, load_raw, save_raw
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, ReproError, check_count
 from repro.io.faults import FaultInjector, FaultPlan
 from repro.io.aio import open_remote_source
 from repro.io.remote import is_url
@@ -590,6 +591,7 @@ def _serve_batch(args) -> tuple:
     """
     from concurrent.futures import ThreadPoolExecutor
 
+    check_count("threads", args.threads, positive=True)
     requests = _load_requests(args.requests)
     scheduled = args.max_inflight is not None or args.client_budget_bps
     injector = _fault_injector_from_args(args)
@@ -605,7 +607,11 @@ def _serve_batch(args) -> tuple:
 
             with RequestScheduler(
                 service,
-                max_inflight=args.max_inflight or DEFAULT_MAX_INFLIGHT,
+                max_inflight=(
+                    DEFAULT_MAX_INFLIGHT
+                    if args.max_inflight is None
+                    else args.max_inflight
+                ),
                 budget_bps=default_bps,
                 client_budgets=per_client,
             ) as scheduler:
@@ -632,11 +638,10 @@ def _serve_batch(args) -> tuple:
                     save_raw(args.out_dir / out, response.data)
                 return response.trace
 
-            threads = max(1, int(args.threads))
-            if threads == 1 or len(requests) == 1:
+            if args.threads == 1 or len(requests) == 1:
                 traces = [serve_one(request) for request in requests]
             else:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
+                with ThreadPoolExecutor(max_workers=args.threads) as pool:
                     traces = list(pool.map(serve_one, requests))
             stats = service.stats()
     if injector is not None:

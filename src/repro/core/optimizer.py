@@ -101,16 +101,6 @@ class OptimizedLoader:
             overhead_bytes=self.overhead_bytes,
         )
 
-    def _empty_plan(self) -> LoadingPlan:
-        keep = {enc.level: 0 for enc in self._levels}
-        error = self.plan_error(keep)
-        return LoadingPlan(
-            keep=keep,
-            predicted_error=error,
-            payload_bytes=0,
-            overhead_bytes=self.overhead_bytes,
-        )
-
     def plan_error(self, keep: Dict[int, int]) -> float:
         """Theorem-1 error bound of an arbitrary keep-assignment."""
         total = self.header.error_bound

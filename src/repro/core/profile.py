@@ -1,8 +1,8 @@
 """CodecProfile: the codec's configuration — the four fields that shape bytes.
 
-Every writer — :class:`repro.IPComp`, the block-parallel compressor,
-:meth:`repro.io.ChunkedDataset.write`, the baselines adapter, and the CLI's
-``compress`` / ``demo`` — is configured by one frozen dataclass instead of
+Every writer — :class:`repro.IPComp`, :meth:`repro.io.ChunkedDataset.write`
+(and the block-parallel compressor under it), the baselines adapter, and the
+CLI's ``compress`` / ``demo`` — is configured by one frozen dataclass instead of
 ad-hoc keyword plumbing.  A profile is the **lossy stage** and nothing else:
 the error bound (+ relative flag), the interpolation method and the prefix
 bits of the predictive bitplane coder (the paper's Table 2 parameters).
@@ -123,11 +123,12 @@ class CodecProfile:
         """Build a profile from an optional base plus field overrides.
 
         This is the one place keyword configuration enters the system: every
-        façade (``IPComp``, ``BlockParallelCompressor``,
-        ``ChunkedDataset.write``, the baselines adapter) funnels its kwargs
-        through here.  Unknown names raise :class:`ConfigurationError` (a
-        ``ValueError``) listing the valid fields, so a typo like ``metod=``
-        fails loudly instead of being silently swallowed.
+        façade (``IPComp``, ``ChunkedDataset.write``, the baselines adapter,
+        the CLI) funnels its kwargs through here.  The block compressor is
+        not a façade: it takes the profile ``ChunkedDataset.write`` resolved.
+        Unknown names raise :class:`ConfigurationError` (a ``ValueError``)
+        listing the valid fields, so a typo like ``metod=`` fails loudly
+        instead of being silently swallowed.
 
         ``error_bound`` and ``relative`` are named so the façades' optional
         parameters flow through directly: ``None`` means *unspecified* —

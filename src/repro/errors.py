@@ -3,10 +3,13 @@
 All library-raised exceptions derive from :class:`ReproError` so callers can
 catch everything coming from this package with a single ``except`` clause
 while still being able to distinguish configuration mistakes from corrupted
-streams.
+streams.  :func:`check_count` is the one validation rule of a count-valued
+knob, applied where the knob lives.
 """
 
 from __future__ import annotations
+
+import numbers
 
 
 class ReproError(Exception):
@@ -62,5 +65,13 @@ class CircuitOpenError(RemoteSourceError):
     """
 
 
-class NotCompressedError(ReproError, RuntimeError):
-    """An operation that requires a compressed stream was called too early."""
+def check_count(name: str, value, *, positive: bool = False) -> None:
+    """A count-valued knob: an integer ≥ 0 (≥ 1 when ``positive``), or a
+    :class:`ConfigurationError` naming it — never a silent clamp."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < (1 if positive else 0)
+    ):
+        kind = "positive" if positive else "non-negative"
+        raise ConfigurationError(f"{name} must be a {kind} integer, got {value!r}")

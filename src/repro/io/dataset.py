@@ -52,7 +52,6 @@ version-1 manifests (method / prefix bits as loose fields) are still read.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -61,7 +60,7 @@ import numpy as np
 
 from repro.core.profile import CodecProfile
 from repro.core.stream import StreamHeader
-from repro.errors import ConfigurationError, StreamFormatError
+from repro.errors import ConfigurationError, StreamFormatError, check_count
 from repro.io.container import (
     STREAM_BLOCK,
     BlockContainerReader,
@@ -76,7 +75,6 @@ from repro.parallel.partition import (
     normalize_roi,
     ranges_to_slices,
     slices_intersect,
-    slices_to_ranges,
 )
 from repro.retrieval.engine import RetrievalEngine
 from repro.retrieval.plan import RetrievalPlan
@@ -86,15 +84,6 @@ MANIFEST_BLOCK = "manifest"
 FORMAT_NAME = "repro-chunked-dataset"
 FORMAT_VERSION = 2
 SUPPORTED_MANIFEST_VERSIONS = (1, 2)
-
-
-def _check_count(name: str, value) -> None:
-    """A runtime knob of a read: a non-negative integer, or a configuration
-    error (not a silent clamp)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ConfigurationError(
-            f"{name} must be a non-negative integer, got {value!r}"
-        )
 
 
 @dataclass
@@ -156,8 +145,8 @@ class ChunkedDataset:
     ) -> None:
         try:
             if prefetch is not None:
-                _check_count("prefetch", prefetch)
-            _check_count("workers", workers)
+                check_count("prefetch", prefetch)
+            check_count("workers", workers)
         except ConfigurationError:
             # A handed-in source belongs to the dataset, even one never built.
             closer = getattr(source, "close", None)
@@ -284,27 +273,28 @@ class ChunkedDataset:
     ) -> dict:
         """Compress ``data`` into a new dataset file; returns the manifest.
 
-        Configuration is one :class:`~repro.core.profile.CodecProfile`
-        (``profile`` plus field overrides such as ``error_bound=`` /
-        ``relative=`` / ``method=``).  One IPComp stream per slab is produced
-        (process-parallel via
-        :class:`~repro.parallel.executor.BlockParallelCompressor`, sized by
-        ``workers``) and the slab's absolute bound is derived
-        from the *global* value range, so the reassembled field honours the
-        bound globally.  The resolved profile is embedded in the manifest.
+        The one way to shard a field.  Configuration is one
+        :class:`~repro.core.profile.CodecProfile` (``profile`` plus field
+        overrides such as ``error_bound=`` / ``relative=`` / ``method=``).
+        ``n_blocks`` slabs along the slowest axis each become one IPComp
+        stream, produced by the write transport
+        :class:`~repro.parallel.executor.BlockParallelCompressor` — a
+        shared-memory pool of ``workers`` processes (``None`` = up to four,
+        ``0`` / ``1`` = in-process; same bytes either way).  The slabs'
+        absolute bound is derived from the *global* value range, so the
+        reassembled field honours the bound globally.  The resolved profile
+        is embedded in the manifest.  Read the shards back with
+        :meth:`read` / :meth:`refine`.
         """
         data = np.asarray(data)
         # Resolve the range-relative bound once (one min/max scan of the
         # field) and hand the compressor the already-absolute profile.
         resolved = CodecProfile.from_options(profile, **profile_overrides).resolve(data)
-        compressor = BlockParallelCompressor(
-            n_blocks=n_blocks, workers=workers, profile=resolved
-        )
+        compressor = BlockParallelCompressor(resolved, n_blocks, workers)
         with BlockContainerWriter(path) as writer:
             # Shards stream straight into the container as each slab's
-            # stream is produced; the manifest only needs the slab extents,
-            # so the compressed payloads are not retained in memory.
-            blocks = compressor.compress_into(writer, data, keep_blobs=False)
+            # stream is produced; the manifest only needs the slab extents.
+            extents = compressor.compress_into(writer, data)
             manifest = {
                 "format": FORMAT_NAME,
                 "version": FORMAT_VERSION,
@@ -313,11 +303,8 @@ class ChunkedDataset:
                 "error_bound": float(resolved.error_bound),
                 "profile": resolved.to_json(),
                 "shards": [
-                    {
-                        "name": shard_name(index),
-                        "slices": slices_to_ranges(block.slices, data.shape),
-                    }
-                    for index, block in enumerate(blocks)
+                    {"name": shard_name(index), "slices": ranges}
+                    for index, ranges in enumerate(extents)
                 ],
             }
             writer.add_block(

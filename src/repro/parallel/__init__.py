@@ -4,31 +4,27 @@ Scientific compressors are deployed per-rank on HPC systems: the domain is
 decomposed into blocks and every block is compressed independently, which
 preserves the point-wise error bound and lets retrieval be block-local.  This
 subpackage provides that execution substrate with the Python standard
-library's process pool (no MPI dependency is available offline; the block
-interface mirrors what an mpi4py-based driver would scatter/gather).
+library's process pool (no MPI dependency is available offline): the write
+transport behind :meth:`repro.io.ChunkedDataset.write` and the slab
+geometry the write, the pool read and the retrieval engine share.
 """
 
 from __future__ import annotations
 
-from repro.parallel.executor import BlockParallelCompressor, CompressedBlock, shard_name
+from repro.parallel.executor import BlockParallelCompressor, shard_name
 from repro.parallel.partition import (
     block_slices,
     intersect_slab_roi,
     normalize_roi,
-    partition_shape,
     ranges_to_slices,
-    reassemble,
     slices_intersect,
     slices_to_ranges,
 )
 
 __all__ = [
     "BlockParallelCompressor",
-    "CompressedBlock",
     "shard_name",
-    "partition_shape",
     "block_slices",
-    "reassemble",
     "normalize_roi",
     "intersect_slab_roi",
     "slices_intersect",

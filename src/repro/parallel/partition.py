@@ -1,49 +1,23 @@
 """Domain decomposition helpers.
 
-``partition_shape`` splits an N-dimensional index space into roughly equal
-axis-aligned blocks; ``block_slices`` turns the partition into concrete slice
-tuples; ``reassemble`` is the inverse scatter.  The decomposition is purely
+``block_slices`` splits a field into contiguous slabs along its slowest
+axis; the range helpers serialize slab extents for manifests and worker
+payloads; ``intersect_slab_roi`` gives the selectors that scatter a slab
+into an ROI-shaped output (the one scatter is
+:func:`repro.retrieval.engine.assemble`).  The decomposition is purely
 geometric — no ghost layers are needed because every compressor in this
 repository is block-independent.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
 SliceTuple = Tuple[slice, ...]
-
-
-def partition_shape(shape: Sequence[int], max_block: Sequence[int] | int) -> List[SliceTuple]:
-    """Split ``shape`` into blocks no larger than ``max_block`` per axis.
-
-    ``max_block`` may be a single integer (applied to every axis) or one value
-    per axis.  Returns the slice tuples in C (row-major block) order.
-    """
-    shape = tuple(int(s) for s in shape)
-    if isinstance(max_block, (int, np.integer)):
-        max_block = (int(max_block),) * len(shape)
-    max_block = tuple(int(b) for b in max_block)
-    if len(max_block) != len(shape):
-        raise ConfigurationError("max_block must match the number of dimensions")
-    if any(b < 1 for b in max_block):
-        raise ConfigurationError("block extents must be positive")
-
-    per_axis: List[List[slice]] = []
-    for size, block in zip(shape, max_block):
-        starts = list(range(0, size, block))
-        per_axis.append([slice(s, min(s + block, size)) for s in starts])
-
-    blocks: List[SliceTuple] = []
-    grid_shape = tuple(len(ax) for ax in per_axis)
-    for flat_index in range(int(np.prod(grid_shape))):
-        coords = np.unravel_index(flat_index, grid_shape)
-        blocks.append(tuple(per_axis[axis][c] for axis, c in enumerate(coords)))
-    return blocks
 
 
 def block_slices(shape: Sequence[int], n_blocks: int) -> List[SliceTuple]:
@@ -194,25 +168,3 @@ def batch_slabs(
         batches.append(current)
     return batches
 
-
-def reassemble(
-    shape: Sequence[int],
-    pieces: Sequence[Tuple[SliceTuple, np.ndarray]],
-    dtype=np.float64,
-) -> np.ndarray:
-    """Scatter decompressed blocks back into a full field.
-
-    ``pieces`` is a sequence of ``(slice_tuple, block)`` pairs (slice objects
-    are not hashable before Python 3.12, so a mapping is deliberately not
-    used here).
-    """
-    out = np.empty(tuple(int(s) for s in shape), dtype=dtype)
-    filled = 0
-    for slc, piece in pieces:
-        out[slc] = piece
-        filled += piece.size
-    if filled != out.size:
-        raise ConfigurationError(
-            f"blocks cover {filled} points but the field has {out.size}"
-        )
-    return out

@@ -34,6 +34,11 @@ try:  # pragma: no cover - present on every supported platform
 except ImportError:  # pragma: no cover - exotic builds without _posixshmem
     shared_memory = None
 
+#: Minimum field bytes a pool task should carry, in both directions
+#: (encode tasks over input slabs, pool-decode tasks over output slabs):
+#: consecutive smaller slabs are batched into one task to amortise dispatch.
+MIN_TASK_BYTES = 1 << 20
+
 
 def imap_fallback(function, payloads: Sequence, workers: int) -> Iterator:
     """Apply ``function`` to every payload, yielding results *in order*.

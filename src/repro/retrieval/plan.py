@@ -141,14 +141,6 @@ class RetrievalPlan:
         """
         return self.op_bytes + self.header_bytes
 
-    def cost_by_shard(self) -> Dict[Optional[str], int]:
-        """Predicted bytes keyed by shard name — the scheduler's cost map.
-
-        Two concurrent plans sharing a key here are candidates for batching
-        (one physical fetch/decode serves both through the cache tiers).
-        """
-        return {plan.shard: plan.predicted_bytes for plan in self.shards}
-
     @property
     def n_ops(self) -> int:
         return sum(len(plan.ops) for plan in self.shards)

@@ -37,10 +37,6 @@ from repro.parallel import poolmap
 
 __all__ = ["pooled_container_read", "detach_shared_array"]
 
-#: Minimum decoded bytes a pool-decode task should carry (consecutive
-#: smaller slabs are batched, mirroring the encode side's threshold).
-MIN_DECODE_TASK_BYTES = 1 << 20
-
 
 # ------------------------------------------------------------ segment lifetime
 
@@ -144,7 +140,7 @@ def pooled_container_read(
             for _, ranges in shard_tasks
         ]
         batches = batch_slabs(
-            overlaps, out_shape, dtype.itemsize, workers, MIN_DECODE_TASK_BYTES
+            overlaps, out_shape, dtype.itemsize, workers, poolmap.MIN_TASK_BYTES
         )
         payloads = []
         cursor = 0

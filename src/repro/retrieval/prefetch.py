@@ -44,7 +44,8 @@ DEFAULT_PREFETCH_DEPTH = 4
 
 
 def default_prefetch_depth(remote: bool) -> int:
-    """The depth used when neither a keyword, a flag nor a profile sets one.
+    """The depth used when neither the ``prefetch`` keyword nor the
+    ``--prefetch`` flag sets one (a codec profile carries no runtime knob).
 
     A remote source read synchronously pays one round trip per plane
     block, so it is multiplexed (:data:`DEFAULT_PREFETCH_DEPTH`; any

@@ -26,12 +26,11 @@ service's aggregate ``stats()``.
 
 from __future__ import annotations
 
-import numbers
 import threading
 from collections import OrderedDict
 from typing import Callable, Dict, Hashable, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import check_count
 
 __all__ = ["CacheStats", "TieredCache"]
 
@@ -80,14 +79,7 @@ class TieredCache:
     """Thread-safe LRU over ``(tier, key)`` entries with a shared byte budget."""
 
     def __init__(self, budget_bytes: int) -> None:
-        if (
-            isinstance(budget_bytes, bool)
-            or not isinstance(budget_bytes, numbers.Integral)
-            or budget_bytes <= 0
-        ):
-            raise ConfigurationError(
-                f"cache_bytes must be a positive integer, got {budget_bytes!r}"
-            )
+        check_count("cache_bytes", budget_bytes, positive=True)
         self.budget_bytes = int(budget_bytes)
         self._lock = threading.RLock()
         #: (tier, key) -> (value, nbytes); insertion order is LRU order.

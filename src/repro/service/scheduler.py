@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
-from repro.errors import RetrievalError
+from repro.errors import RetrievalError, check_count
 from repro.io.remote import is_url
 from repro.service.service import RequestCost, RetrievalService, ServiceResponse
 
@@ -167,7 +167,7 @@ class _Client:
 
     def __init__(self, name: str, budget_bps: int, now: float) -> None:
         self.name = name
-        self.budget_bps = max(0, int(budget_bps))
+        self.budget_bps = int(budget_bps)
         self.queue: List[_Pending] = []
         self.deficit = 0
         # A full bucket at birth: a fresh client's first request should not
@@ -202,11 +202,13 @@ class _Client:
 class RequestScheduler:
     """Admission, fair-share and degradation policy over one service.
 
-    ``client_budgets`` maps client name to bytes/second; ``budget_bps`` is
-    the default for clients not listed (0 = unmetered).  ``clock`` must be
-    monotonic; tests inject a fake one and call :meth:`kick` after
-    advancing it (pass ``pacer=False`` to disable the real-time refill
-    thread entirely).
+    ``max_inflight`` is a positive integer.  ``client_budgets`` maps client
+    name to bytes/second; ``budget_bps`` is the default for clients not
+    listed (0 = unmetered).  A rate is a non-negative integer: a bad knob
+    is a :class:`~repro.errors.ConfigurationError`, never a clamp.
+    ``clock`` must be monotonic; tests inject a fake one and call
+    :meth:`kick` after advancing it (pass ``pacer=False`` to disable the
+    real-time refill thread entirely).
     """
 
     def __init__(
@@ -219,9 +221,13 @@ class RequestScheduler:
         clock: Callable[[], float] = time.monotonic,
         pacer: bool = True,
     ) -> None:
+        check_count("max_inflight", max_inflight, positive=True)
+        check_count("budget_bps", budget_bps)
+        for name, bps in (client_budgets or {}).items():
+            check_count(f"budget of client {name!r}", bps)
         self.service = service
-        self.max_inflight = max(1, int(max_inflight))
-        self.default_budget_bps = max(0, int(budget_bps))
+        self.max_inflight = int(max_inflight)
+        self.default_budget_bps = int(budget_bps)
         self.client_budgets = dict(client_budgets or {})
         self.clock = clock
         self._lock = threading.Lock()

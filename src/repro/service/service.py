@@ -83,7 +83,7 @@ import numpy as np
 from repro.core.optimizer import LoadingPlan, OptimizedLoader
 from repro.core.progressive import ProgressiveRetriever
 from repro.core.stream import CompressedStore, StreamHeader
-from repro.errors import ConfigurationError, RetrievalError
+from repro.errors import ConfigurationError, RetrievalError, check_count
 from repro.io.aio import open_remote_source
 from repro.io.dataset import ChunkedDataset
 from repro.io.remote import (
@@ -287,15 +287,16 @@ class RetrievalService:
     (:data:`~repro.service.cache.DEFAULT_CACHE_BYTES` by default); it
     changes no reported byte or decoded bit, only how much physical I/O a
     warm request can skip.  Every shard decodes in-process, and a read takes
-    no codec profile.  Transient-fault retries back off
-    exponentially from ``retry_backoff`` seconds up to
-    ``retry_backoff_cap``, scaled by a deterministic per-(shard, attempt)
-    jitter so concurrent retriers de-synchronise identically across runs;
-    ``sleep`` is injectable so tests assert the schedule without waiting
-    it out.  ``source_filter`` is an adapter hook
-    — ``source_filter(shard_name, source) -> source`` — wrapped around every
-    cold read's byte-range source; the fault-injection tests use it to make
-    sources flaky.
+    no codec profile.  Up to ``retries`` (a non-negative integer)
+    transient-fault retries back off exponentially from ``retry_backoff``
+    seconds up to ``retry_backoff_cap`` (both ≥ 0; a bad value of any of
+    the three is a configuration error, not a clamp), scaled by a
+    deterministic per-(shard, attempt) jitter so concurrent retriers
+    de-synchronise identically across runs; ``sleep`` is injectable so
+    tests assert the schedule without waiting it out.  ``source_filter`` is
+    an adapter hook — ``source_filter(shard_name, source) -> source`` —
+    wrapped around every cold read's byte-range source; the fault-injection
+    tests use it to make sources flaky.
     """
 
     def __init__(
@@ -309,10 +310,19 @@ class RetrievalService:
         source_filter: Optional[Callable[[str, object], object]] = None,
         remote_options: Optional[dict] = None,
     ) -> None:
+        check_count("retries", retries)
+        for name, seconds in (
+            ("retry_backoff", retry_backoff),
+            ("retry_backoff_cap", retry_backoff_cap),
+        ):
+            if not float(seconds) >= 0.0:  # NaN fails too
+                raise ConfigurationError(
+                    f"{name} must be a non-negative number, got {seconds!r}"
+                )
         self.cache = TieredCache(cache_bytes)
-        self.retries = max(0, int(retries))
-        self.retry_backoff = max(0.0, float(retry_backoff))
-        self.retry_backoff_cap = max(0.0, float(retry_backoff_cap))
+        self.retries = int(retries)
+        self.retry_backoff = float(retry_backoff)
+        self.retry_backoff_cap = float(retry_backoff_cap)
         self._sleep = sleep
         self.source_filter = source_filter
         #: Keyword arguments for the remote stack builder when a session

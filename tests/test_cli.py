@@ -253,6 +253,16 @@ def test_bitrate_on_container_rejected(tmp_path, raw_field, capsys):
     assert "error bound" in capsys.readouterr().err
 
 
+def test_compress_blocks_rejects_negative_workers(tmp_path, raw_field, capsys):
+    """``--workers -1`` used to compress in-process and exit 0."""
+    _, raw_path = raw_field
+    container = tmp_path / "density.rprc"
+    assert main(["compress", str(raw_path), "-o", str(container), "--shape", "16x18x20",
+                 "--blocks", "4", "--workers", "-1"]) == 2
+    assert "error: workers must be a non-negative integer" in capsys.readouterr().err
+    assert not container.exists()
+
+
 def test_error_path_returns_nonzero(tmp_path, capsys):
     missing = tmp_path / "missing.d64"
     out_path = tmp_path / "out.ipc"

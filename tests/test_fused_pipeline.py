@@ -107,8 +107,8 @@ def test_fused_arena_reuse_does_not_leak_between_levels():
 
 
 def test_batch_slabs_merges_small_and_respects_workers():
-    from repro.parallel.executor import MIN_TASK_BYTES
     from repro.parallel.partition import batch_slabs, block_slices
+    from repro.parallel.poolmap import MIN_TASK_BYTES
 
     shape = (64, 8, 8)
     slabs = block_slices(shape, 16)  # 16 slabs × 2 KiB
@@ -123,14 +123,18 @@ def test_batch_slabs_merges_small_and_respects_workers():
 
 
 def test_compress_into_streaming_and_keep_blobs(tmp_path):
+    """Shards reach the writer one by one, in slab order, each the stream
+    ``IPComp`` makes of its slab; only the slab extents come back (no
+    payload is kept)."""
     from repro.io import BlockContainerReader, BlockContainerWriter
     from repro.parallel.executor import BlockParallelCompressor
+    from repro.parallel.partition import block_slices, slices_to_ranges
 
     rng = _local_rng(23)
     field = _field(rng, (16, 18, 20))
-    comp = BlockParallelCompressor(
-        error_bound=1e-4, relative=True, n_blocks=3, workers=0
-    )
+    resolved = CodecProfile(error_bound=1e-4, relative=True).resolve(field)
+    comp = BlockParallelCompressor(resolved, 3, 0)
+    slabs = block_slices(field.shape, 3)
 
     order = []
 
@@ -144,10 +148,10 @@ def test_compress_into_streaming_and_keep_blobs(tmp_path):
 
     path = tmp_path / "streamed.rprc"
     with BlockContainerWriter(path) as writer:
-        light = comp.compress_into(RecordingWriter(writer), field, keep_blobs=False)
+        extents = comp.compress_into(RecordingWriter(writer), field)
     assert order == ["shard-0000", "shard-0001", "shard-0002"]
-    assert all(block.blob == b"" for block in light)  # extents only
-    assert [b.slices for b in light] == [b.slices for b in comp.compress(field)]
+    assert extents == [slices_to_ranges(slc, field.shape) for slc in slabs]
     with BlockContainerReader(path) as reader:
         stored = [reader.read_block(n) for n in order]
-    assert stored == [b.blob for b in comp.compress(field)]
+        assert [reader.metadata(n)["slices"] for n in order] == extents
+    assert stored == [IPComp(profile=resolved).compress(field[slc]) for slc in slabs]

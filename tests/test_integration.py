@@ -10,8 +10,7 @@ from repro.analysis import max_error, psnr, summarize
 from repro.analysis.derived import laplacian
 from repro.baselines import make_compressor
 from repro.datasets import load_dataset
-from repro.io import BlockContainerReader, BlockContainerWriter
-from repro.parallel import BlockParallelCompressor
+from repro.io import BlockContainerReader, ChunkedDataset
 
 
 @pytest.fixture(scope="module")
@@ -90,28 +89,22 @@ def test_progressive_beats_residual_on_retrieval_volume(density):
 
 
 def test_parallel_blocks_to_container_and_back(density, tmp_path):
-    """HPC-style pipeline: decompose, compress per block in parallel, archive
-    in a block container, then read back only what a coarse analysis needs."""
-    compressor = BlockParallelCompressor(
-        error_bound=1e-6, relative=True, n_blocks=4, workers=0
-    )
-    blocks = compressor.compress(density)
+    """HPC-style pipeline: decompose, compress per block, archive in a block
+    container, then read back only what a coarse analysis needs."""
     path = tmp_path / "density_blocks.rprc"
-    with BlockContainerWriter(path) as writer:
-        for index, block in enumerate(blocks):
-            writer.add_block(
-                f"block{index}",
-                block.blob,
-                {"start": int(block.slices[0].start), "stop": int(block.slices[0].stop)},
-            )
+    manifest = ChunkedDataset.write(
+        path, density, error_bound=1e-6, relative=True, n_blocks=4, workers=0
+    )
     with BlockContainerReader(path) as reader:
-        assert len(reader.block_names()) == 4
+        shards = [n for n in reader.block_names() if n.startswith("shard-")]
+        assert len(shards) == 4
+    with ChunkedDataset(path) as dataset:
         # Load only the first slab for a region-of-interest analysis.
-        meta = reader.metadata("block0")
-        blob = reader.read_block("block0")
-        slab = ProgressiveRetriever(blob).retrieve(bitrate=4.0).data
-        assert slab.shape[0] == meta["stop"] - meta["start"]
-        assert reader.bytes_read < path.stat().st_size / 2
+        first = dataset.shards[0]
+        slab = dataset.read(error_bound=manifest["error_bound"] * 64, roi=first.slices)
+        assert slab.shards == [first.name]
+        assert slab.data.shape == first.shape
+        assert slab.bytes_loaded < path.stat().st_size / 2
 
 
 def test_summarize_reports_are_consistent(density):

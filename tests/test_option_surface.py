@@ -19,6 +19,7 @@ import inspect
 from repro import ChunkedDataset, CodecProfile, RetrievalService
 from repro.cli import _build_parser
 from repro.io.aio import open_remote_source
+from repro.parallel import BlockParallelCompressor
 from repro.service import RequestScheduler
 
 _WRITE_PROFILE = ["--abs", "--eb", "--method", "--no-abs", "--profile"]
@@ -45,6 +46,10 @@ CLI_OPTIONS = {
 
 KEYWORDS = {
     ChunkedDataset.__init__: ["path", "prefetch", "workers", "source"],
+    ChunkedDataset.write: [
+        "path", "data", "profile", "n_blocks", "workers", "profile_overrides",
+    ],
+    BlockParallelCompressor.__init__: ["profile", "n_blocks", "workers"],
     RetrievalService.__init__: [
         "cache_bytes", "retries", "retry_backoff", "retry_backoff_cap", "sleep",
         "source_filter", "remote_options",

@@ -1,4 +1,9 @@
-"""Tests of the domain-decomposition parallel substrate."""
+"""Tests of the domain-decomposition parallel substrate.
+
+Sharded round trips go through the one sharded codec:
+``ChunkedDataset.write`` (the block compressor's write transport) and
+``ChunkedDataset.read``.
+"""
 
 from __future__ import annotations
 
@@ -8,16 +13,16 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+from repro import CodecProfile
 from repro.analysis import max_error
-from repro.errors import ConfigurationError, StreamFormatError
-from repro.io import BlockContainerReader, BlockContainerWriter
+from repro.errors import ConfigurationError
+from repro.io import ChunkedDataset
 from repro.parallel import (
     BlockParallelCompressor,
     block_slices,
     normalize_roi,
-    partition_shape,
+    poolmap,
     ranges_to_slices,
-    reassemble,
     slices_intersect,
     slices_to_ranges,
 )
@@ -46,27 +51,6 @@ def _die_in_child(payload):
     return value
 
 
-def test_partition_shape_covers_domain():
-    blocks = partition_shape((10, 7), 4)
-    covered = np.zeros((10, 7), dtype=int)
-    for slc in blocks:
-        covered[slc] += 1
-    assert np.all(covered == 1)
-
-
-def test_partition_shape_respects_max_block():
-    for slc in partition_shape((32, 32, 32), (8, 16, 32)):
-        sizes = [s.stop - s.start for s in slc]
-        assert sizes[0] <= 8 and sizes[1] <= 16 and sizes[2] <= 32
-
-
-def test_partition_validation():
-    with pytest.raises(ConfigurationError):
-        partition_shape((8, 8), (4,))
-    with pytest.raises(ConfigurationError):
-        partition_shape((8, 8), 0)
-
-
 def test_block_slices_slab_decomposition():
     slabs = block_slices((20, 6, 6), 4)
     assert len(slabs) == 4
@@ -81,92 +65,92 @@ def test_block_slices_more_blocks_than_rows():
     assert len(slabs) == 3
 
 
-def test_reassemble_checks_coverage():
-    pieces = [((slice(0, 2), slice(None)), np.ones((2, 4)))]
-    with pytest.raises(ConfigurationError):
-        reassemble((4, 4), pieces)
+def _written(path, field, **options):
+    """``ChunkedDataset.write`` with the tests' defaults; returns the manifest."""
+    options = {"error_bound": 1e-5, "relative": True, "workers": 0, **options}
+    return ChunkedDataset.write(path, field, **options)
 
 
-def test_reassemble_roundtrip(rng):
-    data = rng.normal(size=(9, 6))
-    slabs = block_slices(data.shape, 3)
-    pieces = [(slc, data[slc]) for slc in slabs]
-    assert np.array_equal(reassemble(data.shape, pieces), data)
-
-
-def test_serial_block_compression_roundtrip(smooth_3d):
-    comp = BlockParallelCompressor(error_bound=1e-5, relative=True, n_blocks=3, workers=0)
-    blocks = comp.compress(smooth_3d)
-    assert len(blocks) == 3
-    restored = comp.decompress(blocks, smooth_3d.shape)
+def test_serial_block_compression_roundtrip(tmp_path, smooth_3d):
+    manifest = _written(tmp_path / "f.rprc", smooth_3d, n_blocks=3)
+    assert len(manifest["shards"]) == 3
+    with ChunkedDataset(tmp_path / "f.rprc") as dataset:
+        restored = dataset.read().data
     eb = 1e-5 * (smooth_3d.max() - smooth_3d.min())
     assert max_error(smooth_3d, restored) <= eb * (1 + 1e-9)
 
 
-def test_block_compression_preserves_global_relative_bound(smooth_3d):
+def test_block_compression_preserves_global_relative_bound(tmp_path, smooth_3d):
     """Per-block relative bounds would differ; the global bound must be used."""
-    comp = BlockParallelCompressor(error_bound=1e-4, relative=True, n_blocks=4, workers=0)
-    blocks = comp.compress(smooth_3d)
-    restored = comp.decompress(blocks, smooth_3d.shape)
+    _written(tmp_path / "f.rprc", smooth_3d, error_bound=1e-4, n_blocks=4)
+    with ChunkedDataset(tmp_path / "f.rprc") as dataset:
+        restored = dataset.read().data
     global_eb = 1e-4 * (smooth_3d.max() - smooth_3d.min())
     assert max_error(smooth_3d, restored) <= global_eb * (1 + 1e-9)
 
 
-def test_block_progressive_retrieval(smooth_3d):
-    comp = BlockParallelCompressor(error_bound=1e-6, relative=True, n_blocks=2, workers=0)
-    blocks = comp.compress(smooth_3d)
+def test_block_progressive_retrieval(tmp_path, smooth_3d):
+    _written(tmp_path / "f.rprc", smooth_3d, error_bound=1e-6, n_blocks=2)
     eb = 1e-6 * (smooth_3d.max() - smooth_3d.min())
-    coarse = comp.retrieve(blocks, smooth_3d.shape, error_bound=eb * 128)
+    with ChunkedDataset(tmp_path / "f.rprc") as dataset:
+        coarse = dataset.read(error_bound=eb * 128).data
     assert max_error(smooth_3d, coarse) <= eb * 128 * (1 + 1e-9)
 
 
-def test_parallel_workers_match_serial_results(smooth_3d):
-    serial = BlockParallelCompressor(error_bound=1e-5, relative=True, n_blocks=2, workers=0)
-    parallel = BlockParallelCompressor(error_bound=1e-5, relative=True, n_blocks=2, workers=2)
-    blocks_serial = serial.compress(smooth_3d)
-    blocks_parallel = parallel.compress(smooth_3d)
-    # Streams must be byte-identical regardless of the execution mode.
-    assert [b.blob for b in blocks_serial] == [b.blob for b in blocks_parallel]
-    assert np.array_equal(
-        serial.decompress(blocks_serial, smooth_3d.shape),
-        parallel.decompress(blocks_parallel, smooth_3d.shape),
-    )
-
-
-def test_compressed_bytes_accounting(smooth_3d):
-    comp = BlockParallelCompressor(error_bound=1e-5, relative=True, n_blocks=3, workers=0)
-    blocks = comp.compress(smooth_3d)
-    assert BlockParallelCompressor.compressed_bytes(blocks) == sum(b.nbytes for b in blocks)
+def test_parallel_workers_match_serial_results(tmp_path, smooth_3d):
+    _written(tmp_path / "serial.rprc", smooth_3d, n_blocks=2, workers=0)
+    _written(tmp_path / "pooled.rprc", smooth_3d, n_blocks=2, workers=2)
+    # Files must be byte-identical regardless of the execution mode.
+    assert (tmp_path / "serial.rprc").read_bytes() == (
+        tmp_path / "pooled.rprc"
+    ).read_bytes()
 
 
 def test_invalid_configuration():
+    absolute = CodecProfile(error_bound=1e-3, relative=False)
     with pytest.raises(ConfigurationError):
-        BlockParallelCompressor(n_blocks=0)
+        BlockParallelCompressor(absolute, 0, 0)
+    # A still-relative profile would be resolved slab by slab, breaking the
+    # global bound: the transport refuses it.
+    with pytest.raises(ConfigurationError, match="absolute"):
+        BlockParallelCompressor(CodecProfile(relative=True), 2, 0)
 
 
-# ----------------------------------------------------------- _map error paths
+@pytest.mark.parametrize(
+    "options",
+    [{"workers": -1}, {"workers": 1.5}, {"workers": True}, {"n_blocks": 0},
+     {"n_blocks": 2.5}],
+)
+def test_write_rejects_bad_runtime_knobs(tmp_path, smooth_3d, options):
+    """The write side's knobs follow the read side's rule: a configuration
+    error before any file exists, not a silent in-process run."""
+    path = tmp_path / "never.rprc"
+    with pytest.raises(ConfigurationError):
+        _written(path, smooth_3d, **{"n_blocks": 2, **options})
+    assert not path.exists()
+
+
+# ------------------------------------------------ imap_fallback error paths
 
 
 @pytest.mark.skipif(not _pool_usable(), reason="process pools unavailable here")
 def test_worker_exception_propagates():
     """A worker-raised exception is a real error, not a cue to fall back."""
-    comp = BlockParallelCompressor(n_blocks=2, workers=2)
     parent = os.getpid()
     with pytest.raises(RuntimeError, match="worker raised on purpose"):
-        comp._map(_fail_in_child, [(parent, 1), (parent, 2)])
+        list(poolmap.imap_fallback(_fail_in_child, [(parent, 1), (parent, 2)], 2))
 
 
 @pytest.mark.skipif(not _pool_usable(), reason="process pools unavailable here")
 def test_broken_pool_falls_back_to_serial():
     """Worker *processes* dying (not raising) triggers the serial fallback."""
-    comp = BlockParallelCompressor(n_blocks=2, workers=2)
     parent = os.getpid()
-    assert comp._map(_die_in_child, [(parent, 1), (parent, 2)]) == [1, 2]
+    payloads = [(parent, 1), (parent, 2)]
+    assert list(poolmap.imap_fallback(_die_in_child, payloads, 2)) == [1, 2]
 
 
 def test_submit_time_spawn_failure_falls_back_to_serial(monkeypatch):
     """Workers spawn lazily: fork denial at submit() is still environmental."""
-    from repro.parallel import poolmap as poolmap_module
 
     class NoForkPool:
         def __init__(self, *args, **kwargs):
@@ -181,62 +165,24 @@ def test_submit_time_spawn_failure_falls_back_to_serial(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-    monkeypatch.setattr(poolmap_module, "ProcessPoolExecutor", NoForkPool)
-    comp = BlockParallelCompressor(n_blocks=2, workers=2)
-    assert comp._map(str, [1, 2, 3]) == ["1", "2", "3"]
+    monkeypatch.setattr(poolmap, "ProcessPoolExecutor", NoForkPool)
+    assert list(poolmap.imap_fallback(str, [1, 2, 3], 2)) == ["1", "2", "3"]
 
 
 def test_pool_start_failure_falls_back_to_serial(monkeypatch):
-    from repro.parallel import poolmap as poolmap_module
-
     def broken_pool(*args, **kwargs):
         raise OSError("no fork for you")
 
-    monkeypatch.setattr(poolmap_module, "ProcessPoolExecutor", broken_pool)
-    comp = BlockParallelCompressor(n_blocks=2, workers=2)
-    assert comp._map(str, [1, 2, 3]) == ["1", "2", "3"]
+    monkeypatch.setattr(poolmap, "ProcessPoolExecutor", broken_pool)
+    assert list(poolmap.imap_fallback(str, [1, 2, 3], 2)) == ["1", "2", "3"]
 
 
 def test_serial_path_never_touches_the_pool(monkeypatch):
-    from repro.parallel import poolmap as poolmap_module
-
     def exploding_pool(*args, **kwargs):  # pragma: no cover - must not run
         raise AssertionError("pool must not be constructed for workers=0")
 
-    monkeypatch.setattr(poolmap_module, "ProcessPoolExecutor", exploding_pool)
-    comp = BlockParallelCompressor(n_blocks=3, workers=0)
-    assert comp._map(str, [1, 2]) == ["1", "2"]
-
-
-# ----------------------------------------------------- container entry round-trip
-
-
-def test_compress_into_and_blocks_from_entries(tmp_path, smooth_3d):
-    comp = BlockParallelCompressor(error_bound=1e-5, relative=True, n_blocks=3, workers=0)
-    path = tmp_path / "slabs.rprc"
-    with BlockContainerWriter(path) as writer:
-        written = comp.compress_into(writer, smooth_3d)
-    with BlockContainerReader(path) as reader:
-        names = sorted(n for n in reader.block_names() if n.startswith("shard-"))
-        assert names == ["shard-0000", "shard-0001", "shard-0002"]
-        blocks = BlockParallelCompressor.blocks_from_entries(reader)
-    assert [b.blob for b in blocks] == [b.blob for b in written]
-    # Rehydrated slices are concrete; compare via their normalized extents.
-    assert [slices_to_ranges(b.slices, smooth_3d.shape) for b in blocks] == [
-        slices_to_ranges(b.slices, smooth_3d.shape) for b in written
-    ]
-    restored = comp.decompress(blocks, smooth_3d.shape)
-    eb = 1e-5 * (smooth_3d.max() - smooth_3d.min())
-    assert max_error(smooth_3d, restored) <= eb * (1 + 1e-9)
-
-
-def test_blocks_from_entries_requires_slab_metadata(tmp_path):
-    path = tmp_path / "bare.rprc"
-    with BlockContainerWriter(path) as writer:
-        writer.add_block("shard-0000", b"opaque", {})
-    with BlockContainerReader(path) as reader:
-        with pytest.raises(StreamFormatError):
-            BlockParallelCompressor.blocks_from_entries(reader)
+    monkeypatch.setattr(poolmap, "ProcessPoolExecutor", exploding_pool)
+    assert list(poolmap.imap_fallback(str, [1, 2], 0)) == ["1", "2"]
 
 
 # ------------------------------------------------------------ slice utilities

@@ -9,7 +9,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro import CodecProfile, IPComp, IPCompConfig
+from repro import ChunkedDataset, CodecProfile, IPComp, IPCompConfig
 from repro.baselines.ipcomp_adapter import IPCompAdapter
 from repro.errors import ConfigurationError
 from repro.parallel import BlockParallelCompressor
@@ -186,15 +186,19 @@ def test_ipcomp_explicit_args_override_profile():
     assert comp.profile.error_bound == 1e-6
 
 
-def test_block_parallel_compressor_carries_profile():
+def test_block_parallel_compressor_carries_profile(tmp_path):
     field = _field((16, 6, 6))
     profile = CodecProfile(error_bound=1e-4)
-    comp = BlockParallelCompressor(profile=profile, n_blocks=2, workers=0)
-    assert comp.profile is profile
-    resolved = comp.resolved_profile(field)
+    resolved = profile.resolve(field)
     assert not resolved.relative
-    blocks = comp.compress(field)
-    restored = comp.decompress(blocks, field.shape)
+    assert BlockParallelCompressor(resolved, 2, 0).profile is resolved
+    manifest = ChunkedDataset.write(
+        tmp_path / "f.rprc", field, profile=profile, n_blocks=2, workers=0
+    )
+    # The write resolves the bound once, from the whole field.
+    assert CodecProfile.from_json(manifest["profile"]) == resolved
+    with ChunkedDataset(tmp_path / "f.rprc") as dataset:
+        restored = dataset.read().data
     assert np.abs(field - restored).max() <= resolved.error_bound * (1 + 1e-9)
 
 

@@ -17,11 +17,13 @@ and consuming it here would shift the draws every later test module sees.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, StreamFormatError
-from repro.io import BlockContainerWriter, ChunkedDataset
+from repro.io import BlockContainerReader, BlockContainerWriter, ChunkedDataset
 
 # (case id, dtype, shape, n_blocks, relative, error_bound).  The ids are
 # opaque labels the tier-1 floor list names; their last part selects nothing.
@@ -271,6 +273,8 @@ def test_manifest_missing_fields_rejected(tmp_path):
             b' "dtype": "bogus!!", "error_bound": 1.0, "shards": []}',
             b'{"format": "repro-chunked-dataset", "version": 1, "shape": [4],'
             b' "dtype": "float64", "error_bound": 1.0, "shards": [{"slices": [[0, 4]]}]}',
+            b'{"format": "repro-chunked-dataset", "version": 1, "shape": [4],'
+            b' "dtype": "float64", "error_bound": 1.0, "shards": [{"name": "shard-0000"}]}',
             b'["not", "an", "object"]',
         ]
     ):
@@ -279,6 +283,24 @@ def test_manifest_missing_fields_rejected(tmp_path):
             writer.add_block("manifest", body)
         with pytest.raises(StreamFormatError):
             ChunkedDataset(path)
+
+
+def test_manifest_short_coverage_rejected_on_read(tmp_path):
+    """Shards that leave part of the domain uncovered make a corrupt
+    dataset: a full read fails instead of returning unset points."""
+    field = _field((16, 6), np.float64, seed=5)
+    full = tmp_path / "full.rprc"
+    manifest = ChunkedDataset.write(full, field, error_bound=1e-3, n_blocks=4, workers=0)
+    manifest["shards"] = manifest["shards"][:-1]
+    path = tmp_path / "short.rprc"
+    with BlockContainerReader(full) as reader, BlockContainerWriter(path) as writer:
+        for shard in manifest["shards"]:
+            name = shard["name"]
+            writer.add_block(name, reader.read_block(name), reader.metadata(name))
+        writer.add_block("manifest", json.dumps(manifest).encode())
+    with ChunkedDataset(path) as dataset:
+        with pytest.raises(StreamFormatError, match="cover"):
+            dataset.read()
 
 
 def test_is_dataset_sniff(tmp_path):

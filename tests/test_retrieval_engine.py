@@ -34,7 +34,6 @@ from repro.errors import StreamFormatError
 from repro.io import BlockContainerReader
 from repro.io.aio import AsyncPrefetcher
 from repro.io.container import BlockSource
-from repro.parallel.executor import BlockParallelCompressor
 from repro.retrieval.plan import coalesce_blocks, plan_stream_ops
 from repro.retrieval.prefetch import PrefetchSource
 
@@ -431,17 +430,6 @@ def test_no_shared_memory_runs_in_process(tmp_path, monkeypatch, direction):
                 assert (
                     r.data.tobytes(), r.bytes_loaded, sorted(r.ranges), r.shards
                 ) == expected
-
-
-def test_decompress_rejects_partial_coverage(smooth_3d):
-    from repro.errors import ConfigurationError
-
-    comp = BlockParallelCompressor(
-        error_bound=1e-4, relative=True, n_blocks=4, workers=2
-    )
-    blocks = comp.compress(smooth_3d)
-    with pytest.raises(ConfigurationError):
-        comp.decompress(blocks[:-1], smooth_3d.shape)
 
 
 def test_pool_worker_errors_propagate(tmp_path):

@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 
 from repro import ChunkedDataset
-from repro.errors import RetrievalError
+from repro.errors import ConfigurationError, RetrievalError
 from repro.service import RequestScheduler, RetrievalService
 
 SHAPE = (24, 20, 18)
@@ -150,6 +150,24 @@ def test_submit_after_close_raises(tmp_path):
         scheduler.close()
         with pytest.raises(RetrievalError):
             scheduler.submit(path)
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"max_inflight": 0},
+        {"max_inflight": -3},
+        {"max_inflight": 2.5},
+        {"budget_bps": -5},
+        {"client_budgets": {"vip": -1}},
+    ],
+)
+def test_bad_knobs_are_configuration_errors_not_clamps(options):
+    """A window below one or a negative rate used to be clamped (to a
+    window of 1, to unmetered); it is rejected where the knob lives."""
+    with RetrievalService() as service:
+        with pytest.raises(ConfigurationError):
+            RequestScheduler(service, pacer=False, **options)
 
 
 # -------------------------------------------------------------- token budget

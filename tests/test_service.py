@@ -318,6 +318,42 @@ def test_cli_serve_rejects_bad_cache_bytes(tmp_path, capsys):
         assert "error: cache_bytes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        ("retries", -1),
+        ("retries", 1.5),
+        ("retry_backoff", -0.1),
+        ("retry_backoff", float("nan")),
+        ("retry_backoff_cap", -1.0),
+    ],
+)
+def test_retry_knobs_rejected_not_clamped(name, bad):
+    with pytest.raises(ConfigurationError, match=name):
+        RetrievalService(**{name: bad})
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--max-inflight", "0"],
+        ["--max-inflight", "-3"],
+        ["--client-budget-bps", "-5"],
+        ["--client-budget-bps", "vip=-5"],
+        ["--threads", "-2"],
+        ["--threads", "0"],
+    ],
+)
+def test_cli_serve_rejects_bad_serving_knobs(tmp_path, capsys, flags):
+    """Each of these used to run with a clamped value and exit 0."""
+    path = _v2_container(tmp_path)
+    requests = tmp_path / "r.jsonl"
+    requests.write_text('{"error_bound": 1e-3}\n')
+    for command in ("serve", "stats"):
+        assert cli_main([command, str(path), "--requests", str(requests), *flags]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 def test_invalid_error_bound_rejected(tmp_path):
     path = _v2_container(tmp_path)
     with RetrievalService() as service:
