@@ -91,11 +91,14 @@ def assemble(
         piece = data[sel_in]
         out[sel_out] = piece
         filled += piece.size
-    if filled != out.size:
-        raise StreamFormatError(
-            f"shards cover {filled} of the region's {out.size} points"
-        )
+    _check_coverage(filled, out.size)
     return out
+
+
+def _check_coverage(filled: int, size: int) -> None:
+    """Shards must tile the requested region exactly."""
+    if filled != size:
+        raise StreamFormatError(f"shards cover {filled} of the region's {size} points")
 
 
 @dataclass
@@ -377,6 +380,17 @@ class RetrievalEngine:
         from repro.retrieval.pooldecode import pooled_container_read
 
         out_shape = tuple(s.stop - s.start for s in roi_slices)
+        # The workers scatter straight into the output segment, so the
+        # coverage check assemble() makes is made here, before any decode.
+        _check_coverage(
+            sum(
+                int(np.prod([max(0, s.stop - s.start) for s in sel_out]))
+                for sel_out, _ in (
+                    intersect_slab_roi(shard.slices, roi_slices) for shard in shards
+                )
+            ),
+            int(np.prod(out_shape)),
+        )
         tasks = [
             (shard.name, slices_to_ranges(shard.slices, self.shape))
             for shard in shards

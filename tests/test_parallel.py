@@ -7,16 +7,17 @@ Sharded round trips go through the one sharded codec:
 
 from __future__ import annotations
 
+import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro import CodecProfile
+from repro import CodecProfile, IPComp
 from repro.analysis import max_error
-from repro.errors import ConfigurationError
-from repro.io import ChunkedDataset
+from repro.errors import ConfigurationError, StreamFormatError
+from repro.io import BlockContainerReader, BlockContainerWriter, ChunkedDataset
 from repro.parallel import (
     BlockParallelCompressor,
     block_slices,
@@ -26,6 +27,7 @@ from repro.parallel import (
     slices_intersect,
     slices_to_ranges,
 )
+from repro.retrieval.engine import assemble
 
 
 def _pool_usable() -> bool:
@@ -104,6 +106,55 @@ def test_parallel_workers_match_serial_results(tmp_path, smooth_3d):
     assert (tmp_path / "serial.rprc").read_bytes() == (
         tmp_path / "pooled.rprc"
     ).read_bytes()
+
+
+def test_compress_into_and_blocks_from_entries(tmp_path, smooth_3d):
+    """The pooled transport writes one ``shard-NNNN`` entry per slab, each
+    carrying the slab extents it returns; the entries alone rebuild the
+    field within the global bound."""
+    resolved = CodecProfile(error_bound=1e-5, relative=True).resolve(smooth_3d)
+    comp = BlockParallelCompressor(resolved, 3, 2)
+    path = tmp_path / "slabs.rprc"
+    with BlockContainerWriter(path) as writer:
+        extents = comp.compress_into(writer, smooth_3d)
+    with BlockContainerReader(path) as reader:
+        names = sorted(n for n in reader.block_names() if n.startswith("shard-"))
+        assert names == ["shard-0000", "shard-0001", "shard-0002"]
+        assert [reader.metadata(n)["slices"] for n in names] == extents
+        pieces = [
+            (ranges_to_slices(reader.metadata(n)["slices"]),
+             IPComp().decompress(reader.read_block(n)))
+            for n in names
+        ]
+    whole = tuple(slice(0, s) for s in smooth_3d.shape)
+    restored = assemble(pieces, whole, smooth_3d.dtype)
+    eb = 1e-5 * (smooth_3d.max() - smooth_3d.min())
+    assert max_error(smooth_3d, restored) <= eb * (1 + 1e-9)
+
+
+def test_blocks_from_entries_requires_slab_metadata(tmp_path, smooth_3d):
+    """A shard whose slab extents are gone from the manifest cannot be
+    placed: opening the dataset is a format error."""
+    full = tmp_path / "full.rprc"
+    manifest = _written(full, smooth_3d, n_blocks=2, workers=2)
+    del manifest["shards"][1]["slices"]
+    path = tmp_path / "bare.rprc"
+    with BlockContainerReader(full) as reader, BlockContainerWriter(path) as writer:
+        for shard in manifest["shards"]:
+            name = shard["name"]
+            writer.add_block(name, reader.read_block(name), reader.metadata(name))
+        writer.add_block("manifest", json.dumps(manifest).encode())
+    with pytest.raises(StreamFormatError):
+        ChunkedDataset(path)
+
+
+def test_reassemble_checks_coverage():
+    """The one scatter rejects pieces that leave part of the region unset."""
+    pieces = [((slice(0, 2), slice(0, 4)), np.ones((2, 4)))]
+    with pytest.raises(StreamFormatError, match="cover"):
+        assemble(pieces, (slice(0, 4), slice(0, 4)), np.float64)
+    # Covering the ROI is what counts, not the whole domain.
+    assert assemble(pieces, (slice(0, 2), slice(1, 3)), np.float64).shape == (2, 2)
 
 
 def test_invalid_configuration():

@@ -450,6 +450,31 @@ def test_pool_worker_errors_propagate(tmp_path):
             dataset.read()
 
 
+def test_decompress_rejects_partial_coverage(tmp_path, monkeypatch):
+    """The pool decode stage scatters straight into its output, so short
+    shard coverage is refused before any worker decodes."""
+    from repro.io import BlockContainerWriter
+    from repro.retrieval import pooldecode
+
+    def no_decode(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("short coverage must be refused before decoding")
+
+    field = _field((16, 10), 7)
+    full = tmp_path / "full.rprc"
+    manifest = ChunkedDataset.write(full, field, error_bound=1e-4, n_blocks=4, workers=0)
+    manifest["shards"] = manifest["shards"][:-1]
+    path = tmp_path / "short.rprc"
+    with BlockContainerReader(full) as reader, BlockContainerWriter(path) as writer:
+        for shard in manifest["shards"]:
+            name = shard["name"]
+            writer.add_block(name, reader.read_block(name), reader.metadata(name))
+        writer.add_block("manifest", json.dumps(manifest).encode())
+    monkeypatch.setattr(pooldecode, "pooled_container_read", no_decode)
+    with ChunkedDataset(path, workers=2) as dataset:
+        with pytest.raises(StreamFormatError, match="cover"):
+            dataset.read()
+
+
 # -------------------------------------------------------- engine speculation
 
 
