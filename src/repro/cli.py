@@ -499,7 +499,7 @@ def _cmd_info(args) -> int:
     path through :class:`ChunkedDataset`."""
     with ChunkedDataset(args.input) as dataset:
         headers = {
-            shard.name: _header_summary(dataset.shard_header(shard.name)[0])
+            shard.name: _header_summary(dataset.pinned_shard(shard.name).header)
             for shard in sorted(dataset.shards, key=lambda s: s.name)
         }
         if dataset.manifest is None:

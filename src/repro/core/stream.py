@@ -300,7 +300,49 @@ class IPCompStream:
         return header, end
 
 
-class CompressedStore:
+class BlockExtents:
+    """Where each block of a stream lies, known from its header alone.
+
+    ``(header, payload_start)`` is what
+    :meth:`IPCompStream.parse_header_source` returns; ``size`` is the
+    stream's length, which must hold every block the header lists.  This
+    extent table is what the planner (:func:`repro.retrieval.plan.plan_stream_ops`)
+    walks; a :class:`CompressedStore` is one plus a source to read from.
+    """
+
+    def __init__(self, header: StreamHeader, payload_start: int, size: int) -> None:
+        self.header = header
+        self.header_bytes = payload_start
+        self._anchor_offset = payload_start
+        self._offsets: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        cursor = payload_start + header.anchor_size
+        for enc in sorted(header.levels, key=lambda e: -e.level):
+            for plane_index, plane_size in enumerate(header_plane_sizes(enc)):
+                self._offsets[(enc.level, plane_index)] = (cursor, plane_size)
+                cursor += plane_size
+        if cursor > size:
+            raise StreamFormatError("stream shorter than its block directory")
+
+    @property
+    def overhead_bytes(self) -> int:
+        """Header + anchor block: always loaded regardless of fidelity."""
+        return self.header_bytes + self.header.anchor_size
+
+    def anchor_extent(self) -> Tuple[int, int]:
+        """``(offset, size)`` of the anchor block within the stream."""
+        return self._anchor_offset, self.header.anchor_size
+
+    def block_extent(self, level: int, plane: int) -> Tuple[int, int]:
+        """``(offset, size)`` of one plane block — the planner's substrate."""
+        try:
+            return self._offsets[(level, plane)]
+        except KeyError:
+            raise StreamFormatError(
+                f"no block for level {level}, plane {plane}"
+            ) from None
+
+
+class CompressedStore(BlockExtents):
     """Random access to the blocks of a serialized IPComp stream.
 
     ``blob`` is either the in-memory byte string or any *byte-range source*
@@ -326,29 +368,16 @@ class CompressedStore:
 
     def __init__(self, blob, *, parsed: "Tuple[StreamHeader, int] | None" = None) -> None:
         self._source = BytesSource(blob) if isinstance(blob, (bytes, bytearray)) else blob
-        if parsed is None:
-            self.header, payload_start = IPCompStream.parse_header_source(self._source)
-        else:
-            # A pre-parsed ``(header, payload_offset)`` pair skips the header
-            # reads entirely — the serving layer parses each shard's header
-            # once per session and pins the result, so re-opening a stream
-            # for a later request touches zero header bytes.
-            self.header, payload_start = parsed
-        self.header_bytes = payload_start
-        self._anchor_offset = payload_start
-        self._offsets: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        cursor = payload_start + self.header.anchor_size
-        for enc in sorted(self.header.levels, key=lambda e: -e.level):
-            for plane_index, size in enumerate(header_plane_sizes(enc)):
-                self._offsets[(enc.level, plane_index)] = (cursor, size)
-                cursor += size
-        if cursor > self._source.size:
-            raise StreamFormatError("stream shorter than its block directory")
-        self._payload_end = cursor
+        # A pre-parsed ``(header, payload_offset)`` pair skips the header
+        # reads entirely — a dataset pins each shard's parse
+        # (:class:`~repro.retrieval.engine.PinnedShard`), so re-opening a
+        # stream for a later request touches zero header bytes.
+        header, payload_start = (
+            IPCompStream.parse_header_source(self._source) if parsed is None else parsed
+        )
+        super().__init__(header, payload_start, self._source.size)
         self.bytes_read = 0
         self.trace: List[Tuple[int, int]] = [(0, 10), (10, payload_start - 10)]
-
-    # ------------------------------------------------------------------ sizes
 
     @property
     def total_bytes(self) -> int:
@@ -356,32 +385,9 @@ class CompressedStore:
         return self._source.size
 
     @property
-    def overhead_bytes(self) -> int:
-        """Header + anchor block: always loaded regardless of fidelity."""
-        return self.header_bytes + self.header.anchor_size
-
-    @property
     def source(self):
         """The byte-range source backing this store (planner/prefetch hook)."""
         return self._source
-
-    def block_size(self, level: int, plane: int) -> int:
-        return self._offsets[(level, plane)][1]
-
-    # ---------------------------------------------------------------- extents
-
-    def anchor_extent(self) -> Tuple[int, int]:
-        """``(offset, size)`` of the anchor block within the stream."""
-        return self._anchor_offset, self.header.anchor_size
-
-    def block_extent(self, level: int, plane: int) -> Tuple[int, int]:
-        """``(offset, size)`` of one plane block — the planner's substrate."""
-        try:
-            return self._offsets[(level, plane)]
-        except KeyError:
-            raise StreamFormatError(
-                f"no block for level {level}, plane {plane}"
-            ) from None
 
     # ------------------------------------------------------------------ reads
 

@@ -59,7 +59,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.profile import CodecProfile
-from repro.core.stream import StreamHeader
+from repro.core.progressive import ProgressiveRetriever
 from repro.errors import ConfigurationError, StreamFormatError, check_count
 from repro.io.container import (
     STREAM_BLOCK,
@@ -76,7 +76,7 @@ from repro.parallel.partition import (
     ranges_to_slices,
     slices_intersect,
 )
-from repro.retrieval.engine import RetrievalEngine
+from repro.retrieval.engine import PinnedShard, RetrievalEngine
 from repro.retrieval.plan import RetrievalPlan
 from repro.retrieval.prefetch import default_prefetch_depth
 
@@ -197,7 +197,7 @@ class ChunkedDataset:
 
     def _describe_stream(self) -> None:
         """A bare stream: its own header is the manifest."""
-        header, _ = self._engine.header(STREAM_BLOCK)
+        header = self.pinned_shard(STREAM_BLOCK).header
         self.manifest: Optional[dict] = None
         self.version = 0
         self.shape: Tuple[int, ...] = tuple(int(s) for s in header.shape)
@@ -248,7 +248,7 @@ class ChunkedDataset:
                 # fields (their ``backend`` names the coder of every block,
                 # which each shard's own header records too); a bare
                 # stream's header carries the same two.
-                loose = self.manifest or self.shard_header(STREAM_BLOCK)[0].to_json()
+                loose = self.manifest or self.pinned_shard(STREAM_BLOCK).header.to_json()
                 self._write_profile = CodecProfile.from_options(
                     None,
                     error_bound=self.absolute_bound,
@@ -374,8 +374,10 @@ class ChunkedDataset:
         """Stage-1 planning only: the fetch ops a stateless request would run.
 
         The coalesced ``(shard, byte-range, planes)`` op list plus predicted
-        bytes — what the CLI's ``info --roi`` prints.  Reads only the shard
-        headers; no payload is touched and no refine() state is disturbed.
+        bytes — what the CLI's ``info --roi`` prints, and what the serving
+        layer costs and serves.  Reads only the shard headers, once per open
+        dataset (:meth:`pinned_shard`), and runs one DP per shard; no payload
+        is touched and no refine() state is disturbed.
         """
         _, selected = self.select(roi)
         return self._engine.plan(selected, self._validated_target(error_bound))
@@ -401,7 +403,7 @@ class ChunkedDataset:
     def select(self, roi) -> Tuple[SliceTuple, List[DatasetShard]]:
         """Normalize ``roi`` and list the shards whose slabs intersect it.
 
-        Public because the serving layer plans per-shard work itself: it
+        Public because the serving layer serves per-shard work itself: it
         needs the same ``(normalized roi, selected shards)`` answer the
         internal read paths use, without issuing a read.
         """
@@ -429,23 +431,25 @@ class ChunkedDataset:
     def n_shards(self) -> int:
         return len(self.shards)
 
-    def shard_source(self, name: str, wrap=None):
-        """A byte-range source over one shard's embedded IPComp stream.
+    def open_shard(self, name: str, wrap=None) -> ProgressiveRetriever:
+        """A fresh retriever over one shard's embedded IPComp stream.
 
-        The engine's assembled tower over the dataset's open reader
-        (:meth:`~repro.retrieval.engine.RetrievalEngine.open_sources`): the
-        block source itself for a local file, a prime cache over it for a
-        multiplexed remote one — with ``wrap(name, source)``, the serving
-        layer's ``source_filter``, applied beneath the cache.
+        It reads through the engine's assembled tower over the dataset's
+        open reader (:meth:`~repro.retrieval.engine.RetrievalEngine.open_sources`):
+        the block source itself for a local file, a prime cache over it for
+        a multiplexed remote one — with ``wrap(name, source)``, the serving
+        layer's ``source_filter``, applied beneath the cache — and over the
+        shard's pinned header once :meth:`plan` or :meth:`pinned_shard` has
+        parsed it.
         """
-        (source,) = self._engine.open_sources([name], wrap)
-        return source
+        (retriever,) = self._engine.open_retrievers([name], wrap)
+        return retriever
 
-    def shard_header(self, name: str) -> Tuple[StreamHeader, int]:
-        """``(header, payload offset)`` of one shard's stream, parsed once
-        per open dataset (the ``parsed=`` pair of a
-        :class:`~repro.core.stream.CompressedStore`)."""
-        return self._engine.header(name)
+    def pinned_shard(self, name: str) -> PinnedShard:
+        """One shard's stream header, block extents and loader, parsed once
+        per open dataset (:class:`~repro.retrieval.engine.PinnedShard`)."""
+        (pinned,) = self._engine.pin([name])
+        return pinned
 
     @property
     def physical_reads(self) -> int:

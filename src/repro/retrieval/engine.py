@@ -12,7 +12,11 @@ it is where the path from a request to the bytes is assembled — once, in
 * **stage 1 (plan)** — every selected shard's
   :meth:`~repro.core.progressive.ProgressiveRetriever.pending_ops` yields
   the deduplicated, coalesced fetch ops of the request
-  (:mod:`repro.retrieval.plan`);
+  (:mod:`repro.retrieval.plan`).  A plan on its own
+  (:meth:`RetrievalEngine.plan`: ``ChunkedDataset.plan``, the serving
+  layer's cost and serve) comes from the shard's :class:`PinnedShard` —
+  header, block extents and loader, parsed once per engine — with one DP
+  run per shard;
 * **stage 2 (prefetch)** — over sources that ``supports_async`` (a remote
   stack) and with ``prefetch > 0``, every new shard's header and then all
   shards' ops are primed through one shared
@@ -39,23 +43,24 @@ output is bitwise-identical across serial / multiplexed / pool paths.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.optimizer import OptimizedLoader
 from repro.core.progressive import ProgressiveRetriever
-from repro.core.stream import CompressedStore, IPCompStream, StreamHeader
+from repro.core.stream import BlockExtents, CompressedStore, IPCompStream
 from repro.errors import StreamFormatError
 from repro.parallel.partition import (
     SliceTuple,
     intersect_slab_roi,
     slices_to_ranges,
 )
-from repro.retrieval.plan import RetrievalPlan, ShardPlan
+from repro.retrieval.plan import RetrievalPlan, ShardPlan, plan_stream_ops
 from repro.retrieval.prefetch import PrefetchSource
 
-__all__ = ["EngineResult", "RetrievalEngine", "assemble"]
+__all__ = ["EngineResult", "PinnedShard", "RetrievalEngine", "assemble"]
 
 #: Speculation ratio: after serving a refine() at bound E, prefetch the plan
 #: for E / RUNG_FACTOR (the ladder step the benchmarks and examples use) in
@@ -101,6 +106,33 @@ def _check_coverage(filled: int, size: int) -> None:
         raise StreamFormatError(f"shards cover {filled} of the region's {size} points")
 
 
+class PinnedShard(BlockExtents):
+    """One shard's metadata, parsed once per open dataset.
+
+    The stream header and payload offset (``header`` / ``header_bytes``,
+    the ``parsed=`` pair of a :class:`~repro.core.stream.CompressedStore`),
+    the block extents the planner walks, and the shard's
+    :class:`~repro.core.optimizer.OptimizedLoader` — all a plan needs.  It
+    holds no source: nothing reads through it after the parse.  The
+    parse's physical cost, its two header reads, is handed out once by
+    :meth:`claim_parse`, so a server can charge it to exactly one request.
+    """
+
+    def __init__(self, source) -> None:
+        header, payload_start = IPCompStream.parse_header_source(source)
+        super().__init__(header, payload_start, source.size)
+        self.loader = OptimizedLoader(header, overhead_bytes=self.overhead_bytes)
+        self._unclaimed = (2, payload_start)
+        self._claim_lock = threading.Lock()
+
+    def claim_parse(self) -> Tuple[int, int]:
+        """``(reads, bytes)`` of the header parse on the first call, then
+        ``(0, 0)``."""
+        with self._claim_lock:
+            claimed, self._unclaimed = self._unclaimed, (0, 0)
+        return claimed
+
+
 @dataclass
 class EngineResult:
     """One engine request: per-shard pieces assembled, plus exact I/O cost."""
@@ -143,9 +175,10 @@ class RetrievalEngine:
         # shared by every shard (one burst merges all of their ranges).
         self._prefetcher = None
         self._lock = threading.Lock()  # serving threads open towers concurrently
-        # Shard headers parsed through :meth:`header`; a store built for
-        # one of these shards is handed the parse instead of re-reading it.
-        self._parsed: Dict[str, Tuple[StreamHeader, int]] = {}
+        # Shards pinned through :meth:`pin` (the only header cache); a store
+        # built for one of these is handed the parse instead of re-reading it.
+        self._pinned: Dict[str, PinnedShard] = {}
+        self._pin_lock = threading.Lock()
         # Stateful per-shard retrievers (refine() path).
         self._retrievers: Dict[str, ProgressiveRetriever] = {}
         self.cumulative_bytes = 0
@@ -180,7 +213,7 @@ class RetrievalEngine:
                 source = wrap(name, source)
             if self.prefetch > 0 and getattr(source, "supports_async", False):
                 source = PrefetchSource(source, self._prefetcher_on(source))
-                if name not in self._parsed:
+                if name not in self._pinned:
                     unparsed.append(source)
             towers.append(source)
         if unparsed:
@@ -203,42 +236,55 @@ class RetrievalEngine:
                 )
             return self._prefetcher
 
-    def header(self, name: str) -> Tuple[StreamHeader, int]:
-        """``(header, payload offset)`` of one shard, read once per engine."""
-        parsed = self._parsed.get(name)
-        if parsed is None:
-            (source,) = self.open_sources([name])
-            parsed = self._parsed[name] = IPCompStream.parse_header_source(source)
-        return parsed
+    def pin(self, names: Sequence[str]) -> List[PinnedShard]:
+        """The :class:`PinnedShard` of each named shard, parsed once per
+        engine.  Shards not yet pinned are parsed together — over a remote
+        dataset their header primes are one wave — under a lock, so two
+        requests touching a shard first at the same moment parse it once."""
+        if any(name not in self._pinned for name in names):
+            with self._pin_lock:
+                missing = [name for name in names if name not in self._pinned]
+                for name, source in zip(missing, self.open_sources(missing)):
+                    self._pinned[name] = PinnedShard(source)
+        return [self._pinned[name] for name in names]
 
-    def open_retrievers(self, names: Sequence[str]) -> List[ProgressiveRetriever]:
+    def open_retrievers(self, names: Sequence[str], wrap=None) -> List[ProgressiveRetriever]:
         """One fresh retriever per shard, each over its :meth:`open_sources`
-        tower (the engine's own requests and the pool worker's)."""
-        return [
-            ProgressiveRetriever(CompressedStore(source, parsed=self._parsed.get(name)))
-            for name, source in zip(names, self.open_sources(names))
-        ]
+        tower (``wrap`` as there) — and over the pinned header when the
+        shard is pinned (the engine's own requests, the pool worker's and
+        the serving layer's cold serves)."""
+        retrievers = []
+        for name, source in zip(names, self.open_sources(names, wrap)):
+            pinned = self._pinned.get(name)
+            parsed = None if pinned is None else (pinned.header, pinned.header_bytes)
+            retrievers.append(ProgressiveRetriever(CompressedStore(source, parsed=parsed)))
+        return retrievers
 
     # ---------------------------------------------------------------- planning
 
     def plan(self, shards: Sequence, error_bound: Optional[float] = None) -> RetrievalPlan:
         """Stage 1 only: the fetch ops a *stateless* request would perform.
 
-        Uses throwaway retrievers (header reads only — no payload is
-        touched and no stateful retriever is disturbed), so inspection
-        tools can print a plan without changing any accounting.
+        Each shard is planned from its :class:`PinnedShard` with one DP run
+        and no retriever, so no payload is touched, no stateful retriever is
+        disturbed and a repeat plan reads nothing at all.  Every
+        :class:`~repro.retrieval.plan.ShardPlan` carries its
+        :class:`~repro.core.optimizer.LoadingPlan` for the serve that
+        follows.
         """
         target = self.stored_bound if error_bound is None else float(error_bound)
         names = [shard.name for shard in shards]
         plans: List[ShardPlan] = []
-        for name, retriever in zip(names, self.open_retrievers(names)):
-            ops = retriever.pending_ops(error_bound=target)
+        for name, pinned in zip(names, self.pin(names)):
+            loading = pinned.loader.plan_for_error_bound(target)
             plans.append(
                 ShardPlan(
                     shard=name,
-                    ops=[replace(op, shard=name) for op in ops],
-                    header_bytes=retriever.store.header_bytes,
-                    target_keep=retriever.plan_request(error_bound=target).keep,
+                    ops=plan_stream_ops(
+                        pinned, None, loading.keep, include_anchor=True, shard=name
+                    ),
+                    header_bytes=pinned.header_bytes,
+                    loading_plan=loading,
                 )
             )
         return RetrievalPlan(plans)

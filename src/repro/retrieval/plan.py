@@ -14,17 +14,19 @@ such ops:
   contiguous run instead of once per block.
 
 The planner works from parsed stream headers alone (the block extent table
-of a :class:`repro.core.stream.CompressedStore`); it never touches payload
-bytes.  Everything downstream — the prefetcher, the pool decode stage, the
-CLI's plan inspection — consumes the same :class:`FetchOp` list, which is
-what makes the accounting of the three execution paths identical by
-construction.
+of a :class:`repro.core.stream.BlockExtents` — a store's, or a dataset's
+pinned shard's); it never touches payload bytes.  Everything downstream —
+the prefetcher, the pool decode stage, the CLI's plan inspection — consumes
+the same :class:`FetchOp` list, which is what makes the accounting of the
+three execution paths identical by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.core.optimizer import LoadingPlan
 
 __all__ = [
     "FetchOp",
@@ -69,7 +71,14 @@ class FetchOp:
 
 @dataclass
 class ShardPlan:
-    """The planned fetch ops of one stream (one shard of a dataset)."""
+    """The planned fetch ops of one stream (one shard of a dataset).
+
+    ``loading_plan`` is the optimizer's plan the ops were derived from —
+    one DP run over the shard's pinned header — so whoever serves the shard
+    hands it to :meth:`~repro.core.progressive.ProgressiveRetriever.retrieve`
+    as ``plan=`` instead of planning again.  From scratch the two agree:
+    :attr:`predicted_bytes` is ``loading_plan.total_bytes``.
+    """
 
     shard: Optional[str]
     ops: List[FetchOp]
@@ -77,8 +86,12 @@ class ShardPlan:
     #: before any planning can happen, so reported as overhead rather than
     #: as a plannable op.
     header_bytes: int
-    #: Planes to keep per level once the plan is applied.
-    target_keep: Dict[int, int] = field(default_factory=dict)
+    loading_plan: LoadingPlan
+
+    @property
+    def target_keep(self) -> Dict[int, int]:
+        """Planes to keep per level once the plan is applied."""
+        return self.loading_plan.keep
 
     @property
     def op_bytes(self) -> int:
@@ -198,11 +211,12 @@ def plan_stream_ops(
 ) -> List[FetchOp]:
     """Fetch ops that move one stream from ``current_keep`` to ``target_keep``.
 
-    ``store`` is a :class:`repro.core.stream.CompressedStore` (anything with
-    ``header``, ``anchor_extent`` and ``block_extent``).  ``current_keep``
-    of ``None`` (or ``{}``) plans from scratch; per-level entries already at
-    or above the target contribute nothing — the plan is the exact integer
-    delta Algorithm 2 will read, deduplicated by construction.
+    ``store`` is a :class:`repro.core.stream.BlockExtents` — a
+    :class:`~repro.core.stream.CompressedStore` or a pinned shard.
+    ``current_keep`` of ``None`` (or ``{}``) plans from scratch; per-level
+    entries already at or above the target contribute nothing — the plan is
+    the exact integer delta Algorithm 2 will read, deduplicated by
+    construction.
     ``include_anchor`` adds the anchor block (a retriever needs it until it
     has decoded it; after that it is never re-read).
     """

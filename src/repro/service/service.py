@@ -8,13 +8,18 @@ keeps:
 
 * **sessions** — one per dataset file or URL, pinning one open
   :class:`~repro.io.dataset.ChunkedDataset` (a container or a bare stream
-  — the session does not know which) and parsing each shard's stream
-  header exactly once.  The session reads through the dataset's own
-  source tower (:meth:`~repro.io.dataset.ChunkedDataset.shard_source` /
-  :meth:`~repro.io.dataset.ChunkedDataset.shard_header`): a remote one
-  multiplexes — a header prime and one payload burst per cold shard — and
-  a local one reads synchronously.  Sessions are keyed
-  by the file's ``(size, mtime_ns, tail_crc)`` fingerprint
+  — the session does not know which), whose engine parses each shard's
+  stream header exactly once and pins it with the shard's block extents
+  and loader (:class:`~repro.retrieval.engine.PinnedShard`).  The service
+  keeps no per-shard metadata of its own: it costs and plans a request
+  with :meth:`~repro.io.dataset.ChunkedDataset.plan` — one DP per shard,
+  whose :class:`~repro.core.optimizer.LoadingPlan` the serve hands to the
+  retriever — and opens cold shards with
+  :meth:`~repro.io.dataset.ChunkedDataset.open_shard`, through the
+  dataset's own source tower: a remote one multiplexes — one header wave
+  per first plan, one payload burst per cold shard — and a local one
+  reads synchronously.  Each session checks its own freshness: a local
+  file by its ``(size, mtime_ns, tail_crc)`` fingerprint
   (:func:`file_fingerprint`), so a rewritten file — even one rewritten at
   the same size within the filesystem's mtime granularity — gets a fresh
   session and the old session's cache entries are purged, never served
@@ -35,8 +40,10 @@ Accounting stays **consumption-based**: every request's trace reports the
 ``bytes_loaded`` / ``ranges`` a fresh serial read of the same request
 consumes (the stores' ``trace``; cache hits replay the recorded
 consumption) while the reads the request's stores actually issued, plus
-the once-per-session header parse, are reported separately
-(``physical_reads`` is 0 on a warm repeat).  Decoded answers are bitwise-identical to
+each shard's once-per-session header parse — charged to the first serve
+of the shard, whether a ``get`` or a :meth:`~RetrievalService.cost`
+triggered the parse — are reported separately (``physical_reads`` is 0 on
+a warm repeat).  Decoded answers are bitwise-identical to
 :meth:`ChunkedDataset.read <repro.io.dataset.ChunkedDataset.read>` across
 cold, warm, refined and evicted paths; the test suite pins every one of
 those paths to the serial oracle.  Every shard decodes in-process under
@@ -80,9 +87,6 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.optimizer import LoadingPlan, OptimizedLoader
-from repro.core.progressive import ProgressiveRetriever
-from repro.core.stream import CompressedStore, StreamHeader
 from repro.errors import ConfigurationError, RetrievalError, check_count
 from repro.io.aio import open_remote_source
 from repro.io.dataset import ChunkedDataset
@@ -95,7 +99,7 @@ from repro.io.remote import (
     remote_fingerprint,
 )
 from repro.retrieval.engine import assemble
-from repro.retrieval.plan import plan_stream_ops
+from repro.retrieval.plan import ShardPlan
 from repro.service.cache import DEFAULT_CACHE_BYTES, TieredCache
 from repro.service.trace import RetrievalTrace, ServiceStats
 
@@ -133,32 +137,17 @@ class RequestCost:
 
     ``predicted_bytes`` is what the planner says a from-scratch read of this
     request consumes (header + anchor + planned plane blocks, summed over
-    the selected shards) — the costing primitive the scheduler's token
-    buckets debit.  ``shards`` names the selection so the scheduler can
-    detect overlapping in-flight requests without re-planning.
-    ``planned_bound`` is the bound the canonical serve achieves (the same
-    ``plan_error`` of the planned keep that :meth:`RetrievalService.get`
-    reports), so a resident answer can be recognised as bitwise-canonical
-    — not merely bound-satisfying — by exact comparison.
+    the selected shards: :attr:`RetrievalPlan.predicted_bytes
+    <repro.retrieval.plan.RetrievalPlan.predicted_bytes>`) — the costing
+    primitive the scheduler's token buckets debit.  ``shards`` names the
+    selection so the scheduler can detect overlapping in-flight requests
+    without re-planning.
     """
 
     dataset: str
-    roi: List[List[int]]
     error_bound: float
     shards: List[str]
     predicted_bytes: int
-    per_shard_bytes: Dict[str, int]
-    planned_bound: float
-
-
-@dataclass
-class _ShardMeta:
-    """Once-per-session parsed state of one shard's stream."""
-
-    header: StreamHeader
-    header_bytes: int
-    loader: OptimizedLoader
-    extent_store: CompressedStore  # block extents for planning; never read
 
 
 @dataclass
@@ -178,7 +167,6 @@ class _ShardServe:
     data: np.ndarray
     ranges: List[Tuple[int, int]]
     bound: float
-    planned_bytes: int
     physical_reads: int
     physical_bytes: int
     retries: int
@@ -186,44 +174,51 @@ class _ShardServe:
     retry_delays: List[float] = field(default_factory=list)
 
 
-def _validated_target(stored_bound: float, error_bound: Optional[float]) -> float:
-    target = stored_bound if error_bound is None else float(error_bound)
-    if target <= 0 or not np.isfinite(target):
-        raise ConfigurationError("error_bound must be a positive finite number")
-    return target
-
-
 class _Session:
-    """Per-file pinned state: the open dataset, lazy shard metadata.
+    """Per-file pinned state: the open dataset and its shard locks.
 
-    ``path`` is a local :class:`~pathlib.Path` or an ``http(s)://`` URL;
-    for a URL the caller hands in the already-built ``remote_source``
-    stack, which the session's dataset owns (closed with it) and whose
-    ``stats()`` the service harvests per request.  A container and a bare
-    stream are the same thing here: :class:`ChunkedDataset` opens either,
-    with the library's default read path (remote → multiplexed, local →
-    synchronous).
+    ``key`` is a resolved local path or an ``http(s)://`` URL.  For a URL
+    the session builds the remote stack (``remote_options`` are
+    :func:`~repro.io.aio.open_remote_source`'s keywords), which its dataset
+    owns (closed with it) and whose ``stats()`` the service harvests per
+    request.  A container and a bare stream are the same thing here:
+    :class:`ChunkedDataset` opens either, with the library's default read
+    path (remote → multiplexed, local → synchronous).  Everything known
+    per shard — header, block extents, loader — is pinned in the dataset's
+    engine, not here.
     """
 
-    def __init__(
-        self,
-        sid: int,
-        path: Union[str, Path],
-        remote_source=None,
-    ) -> None:
+    def __init__(self, sid: int, key: str, remote_options: dict) -> None:
         self.sid = sid
-        self.path = path
-        self.remote_source = remote_source
-        self.is_remote = remote_source is not None
-        self.fingerprint = (
-            remote_fingerprint(remote_source)
-            if self.is_remote
-            else file_fingerprint(path)
+        self.is_remote = is_url(key)
+        self.path: Union[str, Path] = key if self.is_remote else Path(key)
+        self.remote_source = (
+            open_remote_source(key, **remote_options) if self.is_remote else None
         )
-        self._meta: Dict[str, _ShardMeta] = {}
-        self._meta_lock = threading.Lock()
+        self.fingerprint = (
+            remote_fingerprint(self.remote_source)
+            if self.is_remote
+            else file_fingerprint(self.path)
+        )
+        self._locks_lock = threading.Lock()
         self._shard_locks: Dict[str, threading.Lock] = {}
-        self.dataset = ChunkedDataset(path, workers=0, source=remote_source)
+        self.dataset = ChunkedDataset(self.path, workers=0, source=self.remote_source)
+
+    def is_fresh(self) -> bool:
+        """True while the file or object still has the session's fingerprint.
+
+        A remote probe is one bounded ranged GET (size + tail CRC) over the
+        session's own stack.  When the probe itself fails, freshness is
+        unknowable right now: the session is kept — the request's own reads
+        run the full resilience (and degrade) machinery anyway.
+        """
+        if not self.is_remote:
+            return file_fingerprint(self.path) == self.fingerprint
+        try:
+            probe = remote_fingerprint(self.remote_source, revalidate=True)
+        except RETRYABLE_ERRORS:
+            return True
+        return probe == self.fingerprint
 
     def remote_stats(self) -> Optional[dict]:
         """Current cumulative stats of the remote stack (None when local)."""
@@ -231,50 +226,12 @@ class _Session:
             return None
         return self.remote_source.stats()
 
-    # --------------------------------------------------------------- plumbing
-
     def shard_lock(self, name: str) -> threading.Lock:
-        with self._meta_lock:
+        with self._locks_lock:
             lock = self._shard_locks.get(name)
             if lock is None:
                 lock = self._shard_locks[name] = threading.Lock()
             return lock
-
-    def _build_meta(self, name: str) -> _ShardMeta:
-        header, header_bytes = self.dataset.shard_header(name)
-        store = CompressedStore(
-            self.dataset.shard_source(name), parsed=(header, header_bytes)
-        )
-        return _ShardMeta(
-            header=header,
-            header_bytes=header_bytes,
-            loader=OptimizedLoader(header, overhead_bytes=store.overhead_bytes),
-            extent_store=store,
-        )
-
-    def shard_meta(self, name: str) -> Tuple[_ShardMeta, int, int]:
-        """The shard's pinned metadata, plus the physical cost of building it.
-
-        The header is parsed on first touch only; the ``(reads, bytes)``
-        pair — the two header reads — is non-zero exactly once per shard
-        per session and is charged to the request that triggered the parse.
-        """
-        with self._meta_lock:
-            meta = self._meta.get(name)
-        if meta is not None:
-            return meta, 0, 0
-        # Build under the shard's serve lock so concurrent first touches
-        # cannot each pay a physical header parse; the loser re-checks and
-        # is charged nothing.
-        with self.shard_lock(name):
-            with self._meta_lock:
-                meta = self._meta.get(name)
-            if meta is not None:
-                return meta, 0, 0
-            meta = self._build_meta(name)
-            with self._meta_lock:
-                self._meta[name] = meta
-        return meta, 2, meta.header_bytes
 
     def close(self) -> None:
         self.dataset.close()
@@ -391,19 +348,17 @@ class RetrievalService:
         error_bound: Optional[float],
         roi,
     ) -> ServiceResponse:
-        roi_slices, selected = session.dataset.select(roi)
-        target = _validated_target(session.dataset.absolute_bound, error_bound)
-        served = {
-            shard.name: self._serve_shard(session, shard.name, target)
-            for shard in selected
-        }
-        pieces = [(shard.slices, served[shard.name].data) for shard in selected]
-        data = assemble(pieces, roi_slices, session.dataset.dtype)
+        dataset = session.dataset
+        roi_slices, selected = dataset.select(roi)
+        target = dataset._validated_target(error_bound)
+        plan = dataset.plan(target, roi)
+        served = [self._serve_shard(session, shard_plan) for shard_plan in plan.shards]
+        pieces = [(shard.slices, serve.data) for shard, serve in zip(selected, served)]
+        data = assemble(pieces, roi_slices, dataset.dtype)
         ranges: List[Tuple[str, int, int]] = []
         tier_hits: Dict[str, int] = {}
         tier_misses: Dict[str, int] = {}
-        for shard in selected:
-            serve = served[shard.name]
+        for shard, serve in zip(selected, served):
             ranges.extend((shard.name, o, n) for o, n in serve.ranges)
             counter = tier_hits if serve.tier in ("slab", "rung") else tier_misses
             tier = serve.tier if serve.tier in ("slab", "rung") else "slab"
@@ -412,21 +367,17 @@ class RetrievalService:
             dataset=str(session.path),
             roi=[[s.start, s.stop] for s in roi_slices],
             error_bound=target,
-            achieved_bound=max(
-                (served[s.name].bound for s in selected), default=0.0
-            ),
+            achieved_bound=max((serve.bound for serve in served), default=0.0),
             shards=[s.name for s in selected],
             ranges=ranges,
             bytes_loaded=sum(n for _, _, n in ranges),
-            planned_bytes=sum(served[s.name].planned_bytes for s in selected),
-            physical_reads=sum(served[s.name].physical_reads for s in selected),
-            physical_bytes=sum(served[s.name].physical_bytes for s in selected),
+            planned_bytes=plan.predicted_bytes,
+            physical_reads=sum(serve.physical_reads for serve in served),
+            physical_bytes=sum(serve.physical_bytes for serve in served),
             tier_hits=tier_hits,
             tier_misses=tier_misses,
-            retries=sum(served[s.name].retries for s in selected),
-            retry_delays=[
-                d for s in selected for d in served[s.name].retry_delays
-            ],
+            retries=sum(serve.retries for serve in served),
+            retry_delays=[d for serve in served for d in serve.retry_delays],
         )
         return ServiceResponse(data=data, trace=trace)
 
@@ -465,30 +416,21 @@ class RetrievalService:
     ) -> RequestCost:
         """Plan a request's byte cost without serving it (no payload I/O).
 
-        Only metadata is touched: shard headers are parsed on first contact
-        (a bounded physical read, paid once per shard per session) and the
-        planner runs over the pinned extents.  The scheduler prices every
-        admission with this before deciding when — and at what fidelity —
-        to actually call :meth:`get`.
+        This is :meth:`ChunkedDataset.plan <repro.io.dataset.ChunkedDataset.plan>`
+        on the session's dataset: only metadata is touched — each shard's
+        header is parsed on first contact (a bounded physical read, paid
+        once per shard per session and charged to the first serve of that
+        shard) and planned from its pinned extents.  The scheduler prices
+        every admission with this before deciding when — and at what
+        fidelity — to actually call :meth:`get`.
         """
         session = self._session(path)
-        roi_slices, selected = session.dataset.select(roi)
-        target = _validated_target(session.dataset.absolute_bound, error_bound)
-        per_shard: Dict[str, int] = {}
-        planned_bounds: List[float] = []
-        for shard in selected:
-            meta, _, _ = session.shard_meta(shard.name)
-            plan = self._plan_keep(meta, target)
-            per_shard[shard.name] = self._planned_bytes(meta, plan.keep)
-            planned_bounds.append(float(meta.loader.plan_error(plan.keep)))
+        plan = session.dataset.plan(error_bound, roi)
         return RequestCost(
             dataset=str(session.path),
-            roi=[[s.start, s.stop] for s in roi_slices],
-            error_bound=target,
-            shards=[s.name for s in selected],
-            predicted_bytes=sum(per_shard.values()),
-            per_shard_bytes=per_shard,
-            planned_bound=max(planned_bounds, default=0.0),
+            error_bound=session.dataset._validated_target(error_bound),
+            shards=[shard_plan.shard for shard_plan in plan.shards],
+            predicted_bytes=plan.predicted_bytes,
         )
 
     def get_resident(
@@ -508,7 +450,8 @@ class RetrievalService:
         ``trace.canonical`` records which case served.  Returns ``None``
         when any shard has nothing resident — degradation is
         all-or-nothing, a partially-fresh answer would splice fidelities
-        within one array.
+        within one array.  It plans only once every shard has something
+        resident, so a miss runs no DP.
 
         The shard lock is only *tried*: if a writer is mid-decode the rung
         is skipped (its state is live) and immutable slabs alone are
@@ -519,45 +462,42 @@ class RetrievalService:
         the *final* answer).
         """
         session = self._session(path)
-        roi_slices, selected = session.dataset.select(roi)
-        target = _validated_target(session.dataset.absolute_bound, error_bound)
-        served: Dict[str, Tuple[np.ndarray, float, bool]] = {}
+        dataset = session.dataset
+        roi_slices, selected = dataset.select(roi)
+        target = dataset._validated_target(error_bound)
+        resident: List[List[Tuple[np.ndarray, float]]] = []
         for shard in selected:
-            best = self._best_resident(session, shard.name, target)
-            if best is None:
+            candidates = self._resident(session, shard.name)
+            if not candidates:
                 return None
-            served[shard.name] = best
-        pieces = [(shard.slices, served[shard.name][0]) for shard in selected]
-        data = assemble(pieces, roi_slices, session.dataset.dtype)
+            resident.append(candidates)
+        # Every shard has served before, so its header is pinned: this plan
+        # reads nothing.
+        plan = dataset.plan(target, roi)
+        served = [
+            self._best_resident(candidates, shard_plan.loading_plan.predicted_error)
+            for candidates, shard_plan in zip(resident, plan.shards)
+        ]
+        pieces = [(shard.slices, data) for shard, (data, _, _) in zip(selected, served)]
+        data = assemble(pieces, roi_slices, dataset.dtype)
         trace = RetrievalTrace(
             dataset=str(session.path),
             roi=[[s.start, s.stop] for s in roi_slices],
             error_bound=target,
-            achieved_bound=max(
-                (served[s.name][1] for s in selected), default=0.0
-            ),
+            achieved_bound=max((bound for _, bound, _ in served), default=0.0),
             shards=[s.name for s in selected],
             ranges=[],
             bytes_loaded=0,
             planned_bytes=0,
             physical_reads=0,
             physical_bytes=0,
-            canonical=all(served[s.name][2] for s in selected),
+            canonical=all(canonical for _, _, canonical in served),
         )
         return ServiceResponse(data=data, trace=trace)
 
-    def _best_resident(
-        self, session: _Session, name: str, target: float
-    ) -> Optional[Tuple[np.ndarray, float, bool]]:
-        """Best resident ``(data, bound, canonical)`` for one shard.
-
-        ``canonical`` marks the reconstruction a from-scratch serve of
-        ``target`` would produce bit-for-bit (resident bound equals the
-        planned bound).  A canonical candidate wins over a finer one —
-        it lets the caller settle the request outright instead of
-        refining a bound-satisfying-but-different answer.  Returns None
-        when nothing is resident.
-        """
+    def _resident(self, session: _Session, name: str) -> List[Tuple[np.ndarray, float]]:
+        """Every resident ``(data, bound)`` of one shard: the live rung's
+        reconstruction, its bound from the rung's own loader, and each slab."""
         sid = session.sid
         candidates: List[Tuple[np.ndarray, float]] = []
         lock = session.shard_lock(name)
@@ -567,8 +507,7 @@ class RetrievalService:
                 if rung is not None:
                     output = rung.current_output
                     if output is not None:
-                        meta, _, _ = session.shard_meta(name)
-                        bound = meta.loader.plan_error(rung.current_keep)
+                        bound = rung.loader.plan_error(rung.current_keep)
                         candidates.append((output, float(bound)))
             finally:
                 lock.release()
@@ -578,12 +517,20 @@ class RetrievalService:
             "slab", lambda k: k[0] == sid and k[1] == name
         ):
             candidates.append((entry.data, float(entry.bound)))
-        if not candidates:
-            return None
-        # A resident artifact exists, so this shard has served before and
-        # its header metadata is already parsed: planning is free here.
-        meta, _, _ = session.shard_meta(name)
-        planned = float(meta.loader.plan_error(self._plan_keep(meta, target).keep))
+        return candidates
+
+    @staticmethod
+    def _best_resident(
+        candidates: List[Tuple[np.ndarray, float]], planned: float
+    ) -> Tuple[np.ndarray, float, bool]:
+        """Best resident ``(data, bound, canonical)`` for one shard.
+
+        ``canonical`` marks the reconstruction a from-scratch serve would
+        produce bit-for-bit (resident bound equals ``planned``, the bound of
+        the shard's plan).  A canonical candidate wins over a finer one —
+        it lets the caller settle the request outright instead of
+        refining a bound-satisfying-but-different answer.
+        """
         for data, bound in candidates:
             if bound == planned:
                 return data, bound, True
@@ -621,33 +568,22 @@ class RetrievalService:
             return True
         return time.monotonic() + delay < deadline
 
-    def _plan_keep(self, meta: _ShardMeta, target: float) -> LoadingPlan:
-        """The shard's loading plan for ``target`` — run once per serve and
-        handed to the retriever as ``plan=``; ``plan.keep`` names every level."""
-        return meta.loader.plan_for_error_bound(target)
-
-    def _planned_bytes(self, meta: _ShardMeta, keep: Dict[int, int]) -> int:
-        ops = plan_stream_ops(meta.extent_store, None, keep, include_anchor=True)
-        return sum(op.length for op in ops) + meta.header_bytes
-
-    def _serve_shard(self, session: _Session, name: str, target: float) -> _ShardServe:
-        meta, meta_reads, meta_bytes = session.shard_meta(name)
-        plan = self._plan_keep(meta, target)
-        keep = plan.keep
-        planned = self._planned_bytes(meta, keep)
+    def _serve_shard(self, session: _Session, plan: ShardPlan) -> _ShardServe:
+        name, keep = plan.shard, plan.target_keep
         slab_key = (session.sid, name, tuple(sorted(keep.items())))
         rung_key = (session.sid, name)
         with session.shard_lock(name):
             entry = self.cache.get("slab", slab_key, count=False)
             if entry is not None and zlib.crc32(entry.data.tobytes()) == entry.crc:
                 self.cache.record("slab", hit=True)
+                # Only a serve of this shard in this session inserts a slab,
+                # and that serve has claimed the header parse already.
                 return _ShardServe(
                     data=entry.data,
                     ranges=list(entry.trace),
                     bound=entry.bound,
-                    planned_bytes=planned,
-                    physical_reads=meta_reads,
-                    physical_bytes=meta_bytes,
+                    physical_reads=0,
+                    physical_bytes=0,
                     retries=0,
                     tier="slab",
                 )
@@ -671,25 +607,22 @@ class RetrievalService:
             delays: List[float] = []
             while True:
                 try:
-                    # Without a rung: a fresh source tower per attempt
-                    # (``source_filter`` beneath its prime cache, so a remote
-                    # shard costs one payload burst, not a round trip per
-                    # block).  The pinned header is handed to the store
-                    # pre-parsed; its two ranges open the store's consumed
-                    # trace all the same, so the report matches a serial
-                    # fresh read (which parses the header itself) while the
-                    # session parses it only once physically.
-                    retriever = rung if rung is not None else ProgressiveRetriever(
-                        CompressedStore(
-                            session.dataset.shard_source(name, self.source_filter),
-                            parsed=(meta.header, meta.header_bytes),
-                        )
+                    # Without a rung: a fresh retriever over a fresh source
+                    # tower per attempt (``source_filter`` beneath its prime
+                    # cache, so a remote shard costs one payload burst, not a
+                    # round trip per block).  Its store is handed the pinned
+                    # header; the header's two ranges open the consumed trace
+                    # all the same, so the report matches a serial fresh read
+                    # (which parses the header itself) while the dataset
+                    # parses it only once physically.
+                    retriever = rung if rung is not None else session.dataset.open_shard(
+                        name, self.source_filter
                     )
                     store = retriever.store
                     # Every trace entry from here on is one payload read the
                     # store issues (a fresh trace opens with the header's two).
                     before = len(store.trace)
-                    result = retriever.retrieve(plan=plan)
+                    result = retriever.retrieve(plan=plan.loading_plan)
                     break
                 except RETRYABLE_ERRORS:
                     if rung is not None:
@@ -711,15 +644,18 @@ class RetrievalService:
             # (Re-)charge the rung at its resident size; if the budget no
             # longer accommodates it, it simply ages out.
             self.cache.put("rung", rung_key, retriever, retriever.resident_nbytes)
+            # The shard's header parse is charged to the first serve of it
+            # that completes, whichever request — a get or a cost() —
+            # triggered the parse.
+            parse_reads, parse_bytes = session.dataset.pinned_shard(name).claim_parse()
             serve = _ShardServe(
                 data=result.data,
                 ranges=list(store.trace),
                 bound=result.error_bound,
-                planned_bytes=planned,
-                physical_reads=meta_reads + len(store.trace) - before,
+                physical_reads=parse_reads + len(store.trace) - before,
                 # The store's counter restarts with each retrieval: what it
                 # holds now is this serve's payload bytes.
-                physical_bytes=meta_bytes + store.bytes_read,
+                physical_bytes=parse_bytes + store.bytes_read,
                 retries=retries,
                 tier="rung" if rung is not None else "cold",
                 retry_delays=delays,
@@ -740,59 +676,30 @@ class RetrievalService:
     # -------------------------------------------------------------- sessions
 
     def _session(self, path: Union[str, Path]) -> _Session:
+        """The live session of a file or URL, keyed by the URL or the
+        resolved path.
+
+        A session whose file or object no longer has its fingerprint
+        (:meth:`_Session.is_fresh`) is closed, and every cache entry keyed
+        to it purged, before a fresh one opens — the new bytes are never
+        answered from the old cache.  A remote session that is opened anew
+        costs one request: its first fingerprint, the container sniff,
+        footer and manifest all come out of the stack's opening read.
+        """
         if self._closed:
             raise RetrievalError("service is closed")
-        if is_url(path):
-            return self._remote_session(str(path))
-        resolved = Path(path).resolve()
-        key = str(resolved)
-        fingerprint = file_fingerprint(resolved)
+        key = str(path) if is_url(path) else str(Path(path).resolve())
         with self._lock:
             session = self._sessions.get(key)
-            if session is not None and session.fingerprint == fingerprint:
-                return session
             if session is not None:
-                # The file changed identity under us: purge every cache
-                # entry keyed to the dead session before the new one opens.
-                dead = session.sid
-                self.cache.purge(lambda tier, k: k[0] == dead)
-                session.close()
-            session = _Session(self._next_sid, resolved)
-            self._next_sid += 1
-            self._sessions[key] = session
-            return session
-
-    def _remote_session(self, url: str) -> _Session:
-        """Session keyed by URL, fingerprinted through the live stack.
-
-        The freshness probe is one bounded ranged GET (size + tail CRC)
-        over the *existing* session's stack; a changed remote object purges
-        the dead session's cache entries exactly like a rewritten local
-        file.  Only a missing or stale session pays a new stack build —
-        one request: its first fingerprint, the container sniff, footer
-        and manifest all come out of the stack's opening read.
-        """
-        with self._lock:
-            session = self._sessions.get(url)
-            if session is not None:
-                try:
-                    fresh = session.fingerprint == remote_fingerprint(
-                        session.remote_source, revalidate=True
-                    )
-                except RETRYABLE_ERRORS:
-                    # The probe itself failed: freshness is unknowable right
-                    # now.  Keep the session — the request's own reads run
-                    # the full resilience (and degrade) machinery anyway.
-                    fresh = True
-                if fresh:
+                if session.is_fresh():
                     return session
                 dead = session.sid
                 self.cache.purge(lambda tier, k: k[0] == dead)
                 session.close()
-            stack = open_remote_source(url, **self.remote_options)
-            session = _Session(self._next_sid, url, remote_source=stack)
+            session = _Session(self._next_sid, key, self.remote_options)
             self._next_sid += 1
-            self._sessions[url] = session
+            self._sessions[key] = session
             return session
 
     def close(self) -> None:

@@ -6,8 +6,8 @@ deliberate, reviewable diff — and a removed one (the profile's runtime
 fields, the read-side ``--profile``, ``--no-prefetch``, the service's
 ``cache_verify`` / ``degrade_on_failure``, the scheduler's
 ``quantum_bytes``, the remote stack's breaker knobs and its wire and
-retry keywords, now module constants of :mod:`repro.io.aio`) cannot come
-back unnoticed.
+retry keywords, now module constants of :mod:`repro.io.aio`, and the
+``RequestCost`` fields no caller read) cannot come back unnoticed.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro import ChunkedDataset, CodecProfile, RetrievalService
 from repro.cli import _build_parser
 from repro.io.aio import open_remote_source
 from repro.parallel import BlockParallelCompressor
-from repro.service import RequestScheduler
+from repro.service import RequestCost, RequestScheduler
 
 _WRITE_PROFILE = ["--abs", "--eb", "--method", "--no-abs", "--profile"]
 _SERVE = [
@@ -64,6 +64,12 @@ KEYWORDS = {
 def test_codec_profile_fields():
     assert [f.name for f in dataclasses.fields(CodecProfile)] == [
         "error_bound", "relative", "method", "prefix_bits",
+    ]
+
+
+def test_request_cost_fields():
+    assert [f.name for f in dataclasses.fields(RequestCost)] == [
+        "dataset", "error_bound", "shards", "predicted_bytes",
     ]
 
 

@@ -176,7 +176,7 @@ def test_prefetch_source_without_prefetcher_is_passthrough(tmp_path):
     path = tmp_path / "local.rprc"
     ChunkedDataset.write(path, _field((12, 10), 1), error_bound=1e-4, n_blocks=2, workers=0)
     with ChunkedDataset(path, prefetch=8) as dataset:
-        assert type(dataset.shard_source("shard-0000")) is BlockSource
+        assert type(dataset.open_shard("shard-0000").store.source) is BlockSource
         before = threading.active_count()
         dataset.refine()
         assert threading.active_count() == before
@@ -526,6 +526,77 @@ def test_engine_plan_matches_read_bytes(tmp_path):
         payload = dataset.plan(error_bound=eb * 16).to_json()
         json.dumps(payload)
         assert payload["predicted_bytes"] == payload["op_bytes"] + payload["header_bytes"]
+
+
+def test_dataset_plan_runs_one_dp_per_shard_and_pins_its_loader(tmp_path, monkeypatch):
+    """``plan()`` plans each shard from its pinned metadata: one DP per
+    shard, and the loaders are built once per open dataset, not per plan."""
+    from repro.core.optimizer import OptimizedLoader
+
+    path = tmp_path / "c.rprc"
+    ChunkedDataset.write(
+        path, _field((24, 12, 10), 8), error_bound=1e-5, relative=True,
+        n_blocks=4, workers=0,
+    )
+    plans, loaders = [], []
+    real_plan, real_init = OptimizedLoader.plan_for_error_bound, OptimizedLoader.__init__
+
+    def counting_plan(self, target_error):
+        plans.append(target_error)
+        return real_plan(self, target_error)
+
+    def counting_init(self, *args, **kwargs):
+        loaders.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(OptimizedLoader, "plan_for_error_bound", counting_plan)
+    monkeypatch.setattr(OptimizedLoader, "__init__", counting_init)
+    with ChunkedDataset(path) as dataset:
+        eb, n = dataset.absolute_bound, dataset.n_shards
+        first = dataset.plan(error_bound=eb * 8)
+        assert (len(plans), len(loaders)) == (n, n)
+        second = dataset.plan(error_bound=eb * 8)
+        assert (len(plans), len(loaders)) == (2 * n, n)
+    assert second.to_json() == first.to_json()
+
+
+def test_concurrent_first_plans_parse_each_header_once(tmp_path):
+    """Threads planning an unpinned dataset at once parse each shard's
+    header once, and its parse is claimed exactly once."""
+    import sys
+
+    path = tmp_path / "c.rprc"
+    ChunkedDataset.write(
+        path, _field((24, 12, 10), 9), error_bound=1e-5, relative=True,
+        n_blocks=4, workers=0,
+    )
+    n_threads = 8
+    barrier = threading.Barrier(n_threads)
+    claims = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ChunkedDataset(path) as dataset:
+            before = dataset.physical_reads
+
+            def worker():
+                barrier.wait(timeout=30)
+                plan = dataset.plan()
+                claims.extend(dataset.pinned_shard(p.shard).claim_parse() for p in plan.shards)
+
+            threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(claims) == n_threads * dataset.n_shards
+            pinned = [dataset.pinned_shard(s.name) for s in dataset.shards]
+            assert dataset.physical_reads - before == 2 * dataset.n_shards
+    finally:
+        sys.setswitchinterval(switch)
+    assert sum(reads for reads, _ in claims) == 2 * len(pinned)
+    assert sum(nbytes for _, nbytes in claims) == sum(p.header_bytes for p in pinned)
 
 
 # ------------------------------------------------------------ profile knobs

@@ -217,6 +217,80 @@ def test_a_shard_serve_plans_once(tmp_path, monkeypatch):
             assert sum(hits.values()) == n
 
 
+@pytest.mark.parametrize("route", ["cost_then_get", "scheduled"])
+def test_every_header_parse_is_charged_to_one_served_request(tmp_path, route):
+    """A header parse that ``cost()`` triggered — every scheduler submit
+    does — is charged to the first serve of the shard: summed over the
+    served traces, physical reads and bytes are exactly the reader's."""
+    from repro.service import RequestScheduler
+
+    path = _v2_container(tmp_path)
+    stored = _serial(path, None, None).error_bound
+    roi = (slice(0, 12), slice(None), slice(None))
+    with RetrievalService() as service:
+        # The session open reads the footer and manifest, charged to no
+        # request: keep it out of the baseline.
+        reader = service._session(path).dataset._reader
+        reads, nbytes = reader.n_reads, reader.bytes_read
+        if route == "cost_then_get":
+            service.cost(path, error_bound=stored * 16)
+            traces = [service.get(path, error_bound=stored * 16).trace]
+        else:
+            with RequestScheduler(service, pacer=False) as scheduler:
+                traces = [scheduler.request(path, stored * 16).trace]
+        # A later request on a shard the first one left cold still pays
+        # nothing twice.
+        traces.append(service.get(path, error_bound=stored, roi=roi).trace)
+        assert sum(t.physical_reads for t in traces) == reader.n_reads - reads
+        assert sum(t.physical_bytes for t in traces) == reader.bytes_read - nbytes
+
+
+@pytest.fixture(scope="module")
+def cost_files(tmp_path_factory):
+    """One file of each kind a session opens: v1 and v2 containers and a
+    bare stream."""
+    root = tmp_path_factory.mktemp("cost")
+    stream = root / "s.ipc"
+    stream.write_bytes(
+        IPComp(error_bound=1e-5, relative=True).compress(cumsum_field((20, 16, 12), 6))
+    )
+    return {
+        "v1": write_v1_container(root / "v1.rprc"),
+        "v2": _v2_container(root),
+        "stream": stream,
+    }
+
+
+@pytest.mark.parametrize("factor", [None, 64.0, 1024.0])
+@pytest.mark.parametrize("part", ["full", "roi"])
+@pytest.mark.parametrize("kind", ["v1", "v2", "stream"])
+def test_cost_equals_plan_equals_consumption(cost_files, kind, part, factor):
+    """What the scheduler debits is what the plan predicts, what a fresh
+    read consumes and what the served trace reports; the plan's largest
+    predicted error is the bound the serve achieves."""
+    path = cost_files[kind]
+    with ChunkedDataset(path) as dataset:
+        bound = None if factor is None else dataset.absolute_bound * factor
+        roi = None if part == "full" else tuple(
+            slice(s // 4, 3 * s // 4) for s in dataset.shape
+        )
+        plan = dataset.plan(bound, roi)
+        fresh = dataset.read(bound, roi=roi)
+    with RetrievalService() as service:
+        cost = service.cost(path, error_bound=bound, roi=roi)
+        served = service.get(path, error_bound=bound, roi=roi).trace
+    loading = [shard.loading_plan for shard in plan.shards]
+    assert (
+        cost.predicted_bytes
+        == plan.predicted_bytes
+        == sum(p.total_bytes for p in loading)
+        == fresh.bytes_loaded
+        == served.bytes_loaded
+    )
+    assert max(p.predicted_error for p in loading) == served.achieved_bound
+    assert cost.shards == [shard.shard for shard in plan.shards] == served.shards
+
+
 # ------------------------------------------------------------ eviction churn
 
 
