@@ -12,7 +12,7 @@ Subcommands::
     ipcomp info       OUT.ipc             # header: version, levels, per-plane codec
     ipcomp info       OUT.rprc            # manifest + per-shard header summary
     ipcomp info       OUT.rprc --roi 0:16,:,: --error-bound 1e-3  # + retrieval plan
-    ipcomp serve      OUT.rprc --requests REQS.jsonl [--threads 4]
+    ipcomp serve      OUT.rprc --requests REQS.jsonl
     ipcomp serve      OUT.rprc --requests REQS.jsonl --max-inflight 2 \
                       --client-budget-bps 1000000 --client-budget-bps vip=8000000
     ipcomp stats      OUT.rprc --requests REQS.jsonl  # aggregate only
@@ -43,12 +43,13 @@ read, always in-process.
 ``{"roi": "0:16,:,:", "error_bound": 1e-3, "out": "roi.raw", "client":
 "alice"}`` — through a single long-lived
 :class:`~repro.service.RetrievalService` (pinned session, tiered slab/rung
-cache, optional ``--threads`` concurrency; every shard decodes in-process)
-and prints one trace JSON line per request; ``stats`` serves the same
-batch but prints only the aggregate statistics.  ``--max-inflight``
-and/or ``--client-budget-bps`` route the batch through the QoS
-:class:`~repro.service.RequestScheduler` instead: admission-bounded,
-byte-budgeted per client, with overload answered from resident fidelity
+cache; every shard decodes in-process), one request after another, and
+prints one trace JSON line per request; ``stats`` serves the same batch
+but prints only the aggregate statistics.  Concurrency is the QoS
+:class:`~repro.service.RequestScheduler`'s: ``--max-inflight`` and/or
+``--client-budget-bps`` route the batch through it — up to N requests
+fetch/decode at once, overlapping ones share one fetch, each client is
+byte-budgeted, and overload is answered from resident fidelity
 (``"degraded": true`` in the trace) and refined in the background — the
 written outputs are always the final refined answers.
 
@@ -71,9 +72,9 @@ loads a profile, and the individual flags (``--eb``, ``--abs``,
 ``--method``) override single fields of it — flags always win over the
 file.  Streams are self-describing, so no reading subcommand takes a
 profile; each runtime knob is one flag of the subcommand it acts in
-(``retrieve --prefetch / --workers``, ``serve --cache-bytes``), validated
-by the library object it configures (``serve --threads``, which configures
-none, here): a bad value is an ``error:`` exit, never a clamp.
+(``retrieve --prefetch / --workers``, ``serve --cache-bytes /
+--max-inflight``), validated by the library object it configures: a bad
+value is an ``error:`` exit, never a clamp.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ from pathlib import Path
 from repro import ChunkedDataset, CodecProfile, IPComp
 from repro.analysis import summarize
 from repro.datasets import dataset_table, load_dataset, load_raw, save_raw
-from repro.errors import ConfigurationError, ReproError, check_count
+from repro.errors import ConfigurationError, ReproError
 from repro.io.faults import FaultInjector, FaultPlan
 from repro.io.aio import open_remote_source
 from repro.io.remote import is_url
@@ -325,14 +326,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="byte-budget token bucket rate; plain BPS sets the "
             "default for every client, CLIENT=BPS one tenant's rate "
             "(repeatable; enables the scheduler)",
-        )
-        subparser.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            metavar="N",
-            help="serve the batch with N concurrent threads (default 1; "
-            "traces still print in request order)",
         )
         subparser.add_argument(
             "--cache-bytes",
@@ -589,9 +582,6 @@ def _serve_batch(args) -> tuple:
     answers, with the trace's ``degraded`` flag recording whether a
     coarser answer was load-shed first.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    check_count("threads", args.threads, positive=True)
     requests = _load_requests(args.requests)
     scheduled = args.max_inflight is not None or args.client_budget_bps
     injector = _fault_injector_from_args(args)
@@ -629,20 +619,13 @@ def _serve_batch(args) -> tuple:
                     traces.append(response.trace)
                 stats = {**service.stats(), "scheduler": scheduler.stats()}
         else:
-
-            def serve_one(request):
-                roi, error_bound, out, client = request
+            traces = []
+            for roi, error_bound, out, client in requests:
                 response = service.get(args.input, error_bound=error_bound, roi=roi)
                 response.trace.client = client
                 if out is not None:
                     save_raw(args.out_dir / out, response.data)
-                return response.trace
-
-            if args.threads == 1 or len(requests) == 1:
-                traces = [serve_one(request) for request in requests]
-            else:
-                with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                    traces = list(pool.map(serve_one, requests))
+                traces.append(response.trace)
             stats = service.stats()
     if injector is not None:
         stats = {**stats, "faults": injector.stats()}

@@ -22,9 +22,10 @@ a time — is held by the loop oracle in ``tests/oracle_kernel.py``
 the Huffman coder, the Table 2 analysis) are plain functions in
 :mod:`repro.core.bitplane`.
 
-The instance is decoded on concurrently by ``RetrievalService --threads``,
-so it keeps its grow-only scratch *per thread*: per-thread scratch is a
-correctness requirement, not an optimisation.
+The instance is decoded on concurrently by the serving layer (a
+``RequestScheduler`` runs ``max_inflight`` requests at once), so it keeps
+its grow-only scratch *per thread*: per-thread scratch is a correctness
+requirement, not an optimisation.
 """
 
 from __future__ import annotations
@@ -138,12 +139,12 @@ class PlaneKernel:
     @property
     def _arena(self) -> _BufferArena:
         # :func:`get_kernel` hands every caller the **same** instance and the
-        # serving layer (``RetrievalService --threads``) decodes concurrently
-        # on it, so arena state must be per thread: two threads sweeping the
-        # same buffers would silently corrupt each other's streams.  Nothing
-        # the hooks return may alias an arena buffer (block bytes are
-        # materialised with ``tobytes``, decoded arrays by a copying
-        # conversion).
+        # serving layer (``RequestScheduler``'s in-flight requests) decodes
+        # concurrently on it, so arena state must be per thread: two threads
+        # sweeping the same buffers would silently corrupt each other's
+        # streams.  Nothing the hooks return may alias an arena buffer
+        # (block bytes are materialised with ``tobytes``, decoded arrays by
+        # a copying conversion).
         arena = getattr(self._thread_state, "arena", None)
         if arena is None:
             arena = self._thread_state.arena = _BufferArena()

@@ -80,6 +80,7 @@ from repro.io.remote import (
     CircuitBreaker,
     _Mirror,
     _parse_content_range,
+    before_deadline,
     jittered_backoff,
 )
 
@@ -100,11 +101,9 @@ CONNECTIONS = 6
 #: Seconds a connect or one request/response exchange may take.
 TIMEOUT = 10.0
 
-#: Retries per read after its first attempt, and their backoff schedule
-#: (:func:`~repro.io.remote.jittered_backoff` base and cap, seconds).
+#: Retries per read after its first attempt (their backoff schedule is
+#: :func:`~repro.io.remote.jittered_backoff`'s, shared with the service).
 RETRIES = 3
-BACKOFF = 0.05
-BACKOFF_CAP = 1.0
 
 #: Bytes of the one suffix-range GET that opens a remote object.  Its reply
 #: sizes the object (``Content-Range`` total) and is kept as the *opening
@@ -115,7 +114,7 @@ OPENING_WINDOW = 65536
 
 #: Ceiling on one coalesced GET, so a huge merged run still pipelines
 #: across connections instead of serialising into one monster request.
-DEFAULT_MAX_BATCH = 8 << 20
+MAX_BATCH = 8 << 20
 
 #: Hedging: a read that has outlived this quantile of the observed
 #: latencies is hedged, once this many reads have been timed.
@@ -631,12 +630,8 @@ class _Endpoint:
         self.crc_verified = 0
         self.crc_mismatches = 0
 
-    def _expired(self, deadline: Optional[float], margin: float = 0.0) -> bool:
-        return deadline is not None and self._clock() + margin >= deadline
-
     async def aread_range(self, offset: int, length: int) -> bytes:
-        deadline = REQUEST_DEADLINE.get()
-        if self._expired(deadline):
+        if not before_deadline(clock=self._clock):
             raise RemoteSourceError(
                 f"request deadline exceeded before reading "
                 f"[{offset}, {offset + length}) from {self.url}"
@@ -649,10 +644,8 @@ class _Endpoint:
                 raise
             except RETRYABLE_ERRORS:
                 attempt += 1
-                delay = jittered_backoff(
-                    f"{self.url}@{offset}", attempt, BACKOFF, BACKOFF_CAP
-                )
-                if attempt > RETRIES or self._expired(deadline, margin=delay):
+                delay = jittered_backoff(f"{self.url}@{offset}", attempt)
+                if attempt > RETRIES or not before_deadline(delay, self._clock):
                     raise
                 self.retries += 1
                 self.retry_delays.append(delay)
@@ -958,9 +951,10 @@ def open_remote_source(
     the ``tamper`` hook (:meth:`~repro.io.faults.FaultInjector.tamper`),
     the CRC gate and the retry loop — all under one :class:`_MirrorSet`.
     The wire's knobs are the module constants (:data:`CONNECTIONS`,
-    :data:`TIMEOUT`, :data:`RETRIES`, :data:`BACKOFF`,
-    :data:`BACKOFF_CAP`); ``clock`` drives the breakers, the deadline
-    checks and the hedge timing.
+    :data:`TIMEOUT`, :data:`RETRIES`) and :mod:`repro.io.remote`'s
+    (the backoff schedule, the breaker's threshold and cooldown);
+    ``clock`` drives the breakers, the deadline checks and the hedge
+    timing.
 
     Opening costs **one round trip**: each endpoint reads the object's
     last :data:`OPENING_WINDOW` bytes through its ladder — a range like
@@ -1007,21 +1001,16 @@ def open_remote_source(
 # ---------------------------------------------------------------- prefetcher
 
 
-def coalesce_ops(
-    ops: Sequence[Tuple],
-    gap: int = 0,
-    max_batch: int = DEFAULT_MAX_BATCH,
-) -> List[Tuple[int, int, List[Tuple]]]:
+def coalesce_ops(ops: Sequence[Tuple]) -> List[Tuple[int, int, List[Tuple]]]:
     """Merge ``(offset, length, ...)`` ops into contiguous fetch batches.
 
-    Ops are sorted by offset and merged while the next op starts within
-    ``gap`` bytes of the running end (0: only touching or overlapping ops)
-    and the merged extent stays within ``max_batch``.  Returns
-    ``[(start, total_length, [op, ...]), ...]`` — each member op's payload
-    is a slice of its batch, so one GET serves the whole run and is split
-    back per-op client-side; bytes of a bridged gap ride along and are
-    dropped (the loopback server answers true multi-range requests with a
-    full 200 body, so batches are always a single contiguous range).
+    Ops are sorted by offset and merged while the next op touches or
+    overlaps the running extent and the merged extent stays within
+    :data:`MAX_BATCH`.  Returns ``[(start, total_length, [op, ...]), ...]``
+    — each member op's payload is a slice of its batch, so one GET serves
+    the whole run and is split back per-op client-side (the loopback
+    server answers true multi-range requests with a full 200 body, so
+    batches are always a single contiguous range).
     """
     batches: List[Tuple[int, int, List[Tuple]]] = []
     for op in sorted(ops, key=lambda item: (item[0], item[1])):
@@ -1029,7 +1018,7 @@ def coalesce_ops(
         if batches:
             start, end, members = batches[-1]
             merged_end = max(end, offset + length)
-            if offset <= end + gap and merged_end - start <= max_batch:
+            if offset <= end and merged_end - start <= MAX_BATCH:
                 members.append(op)
                 batches[-1] = (start, merged_end, members)
                 continue
@@ -1038,9 +1027,7 @@ def coalesce_ops(
 
 
 def coalesce_burst(
-    op_groups: Sequence[Sequence[Tuple]],
-    max_requests: int,
-    max_batch: int = DEFAULT_MAX_BATCH,
+    op_groups: Sequence[Sequence[Tuple]], max_requests: int
 ) -> List[List[Tuple[int, int, List[Tuple]]]]:
     """Price one burst in round trips: :func:`coalesce_ops` per group,
     bridging just enough gaps that the burst fits in ``max_requests`` GETs.
@@ -1050,11 +1037,12 @@ def coalesce_burst(
     While the burst would still need more GETs than ``max_requests`` — the
     source's pooled connections, i.e. more than one wave of round trips —
     the smallest remaining gap is closed first, never one wider than
-    :data:`MAX_MERGE_GAP`: a skipped plane or two of over-fetch costs far
-    less than the round trip it saves.  A burst that already fits, and
-    every local-file read, is left exactly as planned.
+    :data:`MAX_MERGE_GAP` nor into an extent past :data:`MAX_BATCH`: a
+    skipped plane or two of over-fetch costs far less than the round trip
+    it saves; the bridged bytes ride along and are dropped.  A burst that
+    already fits, and every local-file read, is left exactly as planned.
     """
-    batches = [coalesce_ops(ops, 0, max_batch) for ops in op_groups]
+    batches = [coalesce_ops(ops) for ops in op_groups]
     excess = sum(len(group) for group in batches) - max_requests
     if excess <= 0:
         return batches
@@ -1071,7 +1059,7 @@ def coalesce_burst(
     for group, run in enumerate(batches):
         out: List[Tuple[int, int, List[Tuple]]] = []
         for index, (start, total, members) in enumerate(run):
-            if (group, index - 1) in close and start + total - out[-1][0] <= max_batch:
+            if (group, index - 1) in close and start + total - out[-1][0] <= MAX_BATCH:
                 first, _total, held = out[-1]
                 out[-1] = (first, start + total - first, held + members)
             else:

@@ -18,13 +18,10 @@ robustness suite needs:
   reply;
 * ``ignore_range=True`` answers ranged GETs with a plain ``200`` full
   body, exercising the client's slice-the-200 fallback;
-* connection hygiene knobs: ``handler_timeout`` reaps idle keep-alive
-  sockets (a dead or stalled client cannot pin a handler thread
-  forever), ``max_connections`` bounds the connections whose request is
-  being *handled* at once behind a semaphore (an idle keep-alive socket
-  holds no slot, so a client pool larger than the cap only queues), and
-  ``backlog`` sets the TCP listen queue — so a ``stall`` fault on one
-  connection never wedges other in-flight connections.
+* connection hygiene: every connection has its own handler thread, so a
+  ``stall`` fault on one never wedges the others, and
+  :data:`HANDLER_TIMEOUT` reaps idle keep-alive sockets (a dead or stalled
+  client cannot pin a handler thread forever).
 
 Intended for loopback use only (tests, CI smokes, the README's
 "serve a container over HTTP" quickstart via ``python -m
@@ -38,7 +35,6 @@ import argparse
 import threading
 import time
 import zlib
-from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional, Tuple
@@ -47,6 +43,9 @@ from repro.io.faults import FaultPlan
 from repro.io.remote import CRC_HEADER
 
 __all__ = ["RangeServer"]
+
+#: Seconds an idle keep-alive connection may hold its handler thread.
+HANDLER_TIMEOUT = 30.0
 
 
 def _parse_range(header: str, size: int) -> Optional[Tuple[int, int]]:
@@ -82,9 +81,9 @@ class _Handler(BaseHTTPRequestHandler):
     def setup(self) -> None:
         # Socket-level timeout: an idle keep-alive peer (or one that went
         # away without FIN) trips it, handle_one_request marks the
-        # connection closed, and the handler thread — plus its
-        # max-connections slot — is reaped instead of pinned forever.
-        self.timeout = self.server.handler_timeout
+        # connection closed, and the handler thread is reaped instead of
+        # pinned forever.
+        self.timeout = HANDLER_TIMEOUT
         super().setup()
 
     def log_message(self, *args) -> None:  # noqa: D102 - silence test noise
@@ -99,14 +98,6 @@ class _Handler(BaseHTTPRequestHandler):
         return candidate if candidate.is_file() else None
 
     def do_HEAD(self) -> None:  # noqa: N802 - http.server API
-        with self.server.handling():
-            self._head()
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        with self.server.handling():
-            self._get()
-
-    def _head(self) -> None:
         target = self._resolve()
         if target is None:
             self.send_error(404)
@@ -116,7 +107,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Accept-Ranges", "bytes")
         self.end_headers()
 
-    def _get(self) -> None:
+    def do_GET(self) -> None:  # noqa: N802 - http.server API
         target = self._resolve()
         if target is None:
             self.send_error(404)
@@ -129,18 +120,13 @@ class _Handler(BaseHTTPRequestHandler):
             if header is not None:
                 span = _parse_range(header, len(data))
         if span is None:
-            self._reply(200, data, content_range=None, total=len(data))
+            self._reply(200, data, content_range=None)
             return
         start, end = span
         payload = data[start : end + 1]
-        self._reply(
-            206, payload, content_range=f"bytes {start}-{end}/{len(data)}",
-            total=len(data),
-        )
+        self._reply(206, payload, content_range=f"bytes {start}-{end}/{len(data)}")
 
-    def _reply(
-        self, status: int, payload: bytes, *, content_range: Optional[str], total: int
-    ) -> None:
+    def _reply(self, status: int, payload: bytes, *, content_range: Optional[str]) -> None:
         srv = self.server
         fault = None
         if status == 206:  # faults are scheduled against ranged reads only
@@ -173,7 +159,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Accept-Ranges", "bytes")
         if content_range is not None:
             self.send_header("Content-Range", content_range)
-        if srv.send_crc and status == 206:
+        if status == 206:
             self.send_header(CRC_HEADER, str(crc))
         if declared != len(payload):
             self.send_header("Connection", "close")  # don't wedge keep-alive
@@ -188,42 +174,17 @@ class _Handler(BaseHTTPRequestHandler):
 class _Server(ThreadingHTTPServer):
     daemon_threads = True
 
-    def __init__(
-        self,
-        address,
-        root: Path,
-        plan,
-        ignore_range: bool,
-        send_crc: bool,
-        max_connections: Optional[int] = None,
-        backlog: Optional[int] = None,
-        handler_timeout: Optional[float] = 30.0,
-    ):
-        if backlog is not None:
-            # Instance attribute shadows the class default before
-            # server_activate() calls socket.listen() during __init__.
-            self.request_queue_size = int(backlog)
+    def __init__(self, address, root: Path, plan, ignore_range: bool):
         super().__init__(address, _Handler)
         self.root = root
         self.plan = plan
         self.ignore_range = ignore_range
-        self.send_crc = send_crc
-        self.handler_timeout = handler_timeout
-        self.max_connections = max_connections
-        self._slots = (
-            threading.BoundedSemaphore(int(max_connections))
-            if max_connections
-            else None
-        )
         self.lock = threading.Lock()
         self.range_requests = 0
         self.faults_served = 0
         self.bytes_sent = 0
         #: Accepted sockets whose handler thread is alive (idle ones too).
         self.open_connections = 0
-        self._handling = 0
-        #: Most connections with a request in service at once.
-        self.peak_connections = 0
 
     def process_request_thread(self, request, client_address):
         # Each accepted connection gets its own thread (ThreadingMixIn), so
@@ -235,28 +196,6 @@ class _Server(ThreadingHTTPServer):
         finally:
             with self.lock:
                 self.open_connections -= 1
-
-    @contextmanager
-    def handling(self):
-        """Hold one ``max_connections`` slot for the length of a request.
-
-        The slot gates requests being handled, not sockets: a keep-alive
-        connection waiting for its next request holds none, so a client
-        whose pool is larger than the cap queues here instead of waiting
-        out its own socket timeout behind idle peers.
-        """
-        if self._slots is not None:
-            self._slots.acquire()
-        with self.lock:
-            self._handling += 1
-            self.peak_connections = max(self.peak_connections, self._handling)
-        try:
-            yield
-        finally:
-            with self.lock:
-                self._handling -= 1
-            if self._slots is not None:
-                self._slots.release()
 
 
 class RangeServer:
@@ -275,17 +214,9 @@ class RangeServer:
         port: int = 0,
         plan: Optional[FaultPlan] = None,
         ignore_range: bool = False,
-        send_crc: bool = True,
-        max_connections: Optional[int] = None,
-        backlog: Optional[int] = None,
-        handler_timeout: Optional[float] = 30.0,
     ) -> None:
         self.root = Path(root)
-        self._server = _Server(
-            (host, port), self.root, plan, ignore_range, send_crc,
-            max_connections=max_connections, backlog=backlog,
-            handler_timeout=handler_timeout,
-        )
+        self._server = _Server((host, port), self.root, plan, ignore_range)
         self.host, self.port = self._server.server_address[:2]
         self._thread = threading.Thread(
             target=self._server.serve_forever, name="repro-rangeserver", daemon=True
@@ -320,11 +251,6 @@ class RangeServer:
         with self._server.lock:
             return self._server.open_connections
 
-    @property
-    def peak_connections(self) -> int:
-        with self._server.lock:
-            return self._server.peak_connections
-
     def close(self) -> None:
         self._server.shutdown()
         self._thread.join(timeout=5.0)
@@ -337,8 +263,7 @@ class RangeServer:
         self.close()
 
 
-def main(argv=None) -> int:
-    """``python -m repro.io.rangeserver PATH`` — serve a file or directory."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.io.rangeserver",
         description="Serve files over loopback HTTP with byte-range support.",
@@ -350,27 +275,16 @@ def main(argv=None) -> int:
         "--inject-faults", type=Path, default=None, metavar="PLAN.json",
         help="apply a repro.io.faults.FaultPlan to every ranged read",
     )
-    parser.add_argument(
-        "--no-crc", action="store_true",
-        help=f"omit the {CRC_HEADER} payload-checksum header",
-    )
-    parser.add_argument(
-        "--max-connections", type=int, default=None, metavar="N",
-        help="bound concurrently handled connections (default: unbounded)",
-    )
-    parser.add_argument(
-        "--backlog", type=int, default=None, metavar="N",
-        help="TCP listen queue depth (default: http.server's)",
-    )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    """``python -m repro.io.rangeserver PATH`` — serve a file or directory."""
+    args = _build_parser().parse_args(argv)
     target = args.path
     root = target if target.is_dir() else target.parent
     plan = FaultPlan.from_file(args.inject_faults) if args.inject_faults else None
-    server = RangeServer(
-        root, host=args.host, port=args.port, plan=plan,
-        send_crc=not args.no_crc, max_connections=args.max_connections,
-        backlog=args.backlog,
-    )
+    server = RangeServer(root, host=args.host, port=args.port, plan=plan)
     try:
         if target.is_dir():
             print(f"serving {root}/ at {server.url}")

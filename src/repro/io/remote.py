@@ -10,14 +10,16 @@ ladder, the serving layer and the range server share without touching a
 socket:
 
 * :func:`is_url` — the CLI/service switch between a path and a URL;
-* :func:`jittered_backoff` — the capped exponential, deterministically
-  jittered schedule used by the ladder's retries and by the service's;
-* :data:`REQUEST_DEADLINE` — the deadline of the request being served,
-  which both retry ladders read;
-* :class:`CircuitBreaker` — per-endpoint failure gate: after ``threshold``
-  consecutive failures the endpoint is *open* (reads fail fast without
-  touching the network) until a cooldown elapses and a half-open probe is
-  allowed through;
+* the one retry schedule of both retry ladders (the remote endpoint's and
+  the service's): :func:`jittered_backoff` over :data:`BACKOFF` /
+  :data:`BACKOFF_CAP`, and :func:`before_deadline`, which stops a ladder
+  whose next sleep would cross :data:`REQUEST_DEADLINE`, the deadline of
+  the request being served;
+* :class:`CircuitBreaker` — per-endpoint failure gate: after
+  :data:`BREAKER_THRESHOLD` consecutive failures the endpoint is *open*
+  (reads fail fast without touching the network) until
+  :data:`BREAKER_COOLDOWN` elapses and a half-open probe is allowed
+  through;
 * :class:`_Mirror` — one replica's health record (consecutive failures +
   latency EWMA), the ranking key of failover;
 * :func:`find_remote_source` — walks a wrapper chain (prefetch sources,
@@ -41,6 +43,7 @@ __all__ = [
     "CRC_HEADER",
     "REQUEST_DEADLINE",
     "CircuitBreaker",
+    "before_deadline",
     "find_remote_source",
     "is_url",
     "jittered_backoff",
@@ -65,6 +68,16 @@ RETRYABLE_ERRORS = (StreamFormatError, OSError)
 #: move (coarse-mtime filesystems, same-size rewrites in fast tests).
 FINGERPRINT_TAIL_BYTES = 4096
 
+#: Retry backoff, seconds: the first retry's base delay and the cap of the
+#: exponential (:func:`jittered_backoff`).  0 disables pacing.
+BACKOFF = 0.05
+BACKOFF_CAP = 1.0
+
+#: Consecutive failures that open an endpoint's :class:`CircuitBreaker`,
+#: and the seconds it stays open before one half-open probe.
+BREAKER_THRESHOLD = 5
+BREAKER_COOLDOWN = 1.0
+
 #: The monotonic deadline of the request being served (``None``: none).
 #: ``RetrievalService.get`` sets it; the service's retry ladder and every
 #: remote endpoint's read it, so it travels with the request's own reads
@@ -79,42 +92,49 @@ def is_url(path) -> bool:
     return isinstance(path, str) and path.startswith(("http://", "https://"))
 
 
-def jittered_backoff(key: str, attempt: int, base: float, cap: float) -> float:
+def jittered_backoff(key: str, attempt: int) -> float:
     """Backoff before retry ``attempt`` (1-based): capped exponential,
     deterministically jittered.
 
-    ``base * 2^(attempt-1)`` clamped to ``cap``, scaled into ``[0.5, 1.0]``
-    by a CRC of ``key:attempt`` — reproducible traces and assertable tests,
-    yet spread across keys so a burst of failures does not retry in
-    lockstep.  The single backoff scheme shared by the service's retry
-    ladder and the remote stack's.
+    ``BACKOFF * 2^(attempt-1)`` clamped to ``BACKOFF_CAP``, scaled into
+    ``[0.5, 1.0]`` by a CRC of ``key:attempt`` — reproducible traces and
+    assertable tests, yet spread across keys so a burst of failures does
+    not retry in lockstep.  The single backoff scheme shared by the
+    service's retry ladder and the remote stack's.
     """
-    if base <= 0.0:
+    if BACKOFF <= 0.0:
         return 0.0
-    raw = min(cap, base * (2.0 ** (attempt - 1)))
+    raw = min(BACKOFF_CAP, BACKOFF * (2.0 ** (attempt - 1)))
     seed = zlib.crc32(f"{key}:{attempt}".encode("utf-8")) & 0xFFFF
     return raw * (0.5 + 0.5 * (seed / 0xFFFF))
+
+
+def before_deadline(
+    margin: float = 0.0, clock: Callable[[], float] = time.monotonic
+) -> bool:
+    """False once ``clock() + margin`` reaches the request's deadline.
+
+    The one deadline rule of both retry ladders: a read does not start
+    after :data:`REQUEST_DEADLINE` (``margin`` 0), and a retry does not
+    sleep its backoff (``margin`` = the delay) across it.  True when the
+    request has no deadline.
+    """
+    deadline = REQUEST_DEADLINE.get()
+    return deadline is None or clock() + margin < deadline
 
 
 class CircuitBreaker:
     """Per-endpoint failure gate with half-open probing.
 
-    ``threshold`` consecutive failures *open* the breaker: :meth:`allow`
-    returns False (callers fail fast with zero network cost) until
-    ``cooldown`` seconds pass, when exactly one probe is let through
-    (*half-open*).  A successful probe closes the breaker; a failed one
-    re-opens it for another cooldown.  Thread-safe; ``clock`` is
+    :data:`BREAKER_THRESHOLD` consecutive failures *open* the breaker:
+    :meth:`allow` returns False (callers fail fast with zero network cost)
+    until :data:`BREAKER_COOLDOWN` seconds pass, when exactly one probe is
+    let through (*half-open*).  A successful probe closes the breaker; a
+    failed one re-opens it for another cooldown.  Thread-safe; ``clock`` is
     injectable so tests drive the cooldown without sleeping.
     """
 
-    def __init__(
-        self,
-        threshold: int = 5,
-        cooldown: float = 1.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.threshold = max(1, int(threshold))
-        self.cooldown = float(cooldown)
+    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
         self._clock = clock
         self._lock = threading.Lock()
         self._failures = 0
@@ -127,7 +147,7 @@ class CircuitBreaker:
         with self._lock:
             if self._opened_at is None:
                 return "closed"
-            if self._probing or self._clock() - self._opened_at >= self.cooldown:
+            if self._probing or self._clock() - self._opened_at >= BREAKER_COOLDOWN:
                 return "half-open"
             return "open"
 
@@ -138,7 +158,7 @@ class CircuitBreaker:
                 return True
             if self._probing:
                 return False  # one probe at a time
-            if self._clock() - self._opened_at >= self.cooldown:
+            if self._clock() - self._opened_at >= BREAKER_COOLDOWN:
                 self._probing = True
                 return True
             return False
@@ -153,7 +173,7 @@ class CircuitBreaker:
         with self._lock:
             self._failures += 1
             self._probing = False
-            if self._failures >= self.threshold:
+            if self._failures >= BREAKER_THRESHOLD:
                 self._opened_at = self._clock()
 
 

@@ -244,7 +244,11 @@ class RequestScheduler:
         self._submitted = 0
         self._degraded_served = 0
         self._followers_total = 0
-        self._queue_waits: List[float] = []
+        # Queue waits as a running count, sum and max: constant size however
+        # long the scheduler lives.
+        self._waits = 0
+        self._wait_sum = 0.0
+        self._wait_max = 0.0
         # Leaders + followers can all block in workers at once.
         self._executor = ThreadPoolExecutor(
             max_workers=self.max_inflight + self._follower_slots,
@@ -468,7 +472,9 @@ class RequestScheduler:
     def _grant_locked(self, pending: _Pending, now: float, follower: bool) -> None:
         pending.granted = True
         pending.queue_wait = max(0.0, now - pending.enqueued_at)
-        self._queue_waits.append(pending.queue_wait)
+        self._waits += 1
+        self._wait_sum += pending.queue_wait
+        self._wait_max = max(self._wait_max, pending.queue_wait)
         token = self._next_token
         self._next_token += 1
         if follower:
@@ -564,7 +570,6 @@ class RequestScheduler:
         """Scheduler-level aggregates plus per-client QoS accounting."""
         with self._lock:
             queued = sum(len(c.queue) for c in self._clients.values())
-            waits = list(self._queue_waits)
             return {
                 "submitted": self._submitted,
                 "queued": queued,
@@ -572,8 +577,8 @@ class RequestScheduler:
                 "followers": self._followers_total,
                 "degraded_served": self._degraded_served,
                 "max_inflight": self.max_inflight,
-                "queue_wait_max": max(waits, default=0.0),
-                "queue_wait_mean": (sum(waits) / len(waits)) if waits else 0.0,
+                "queue_wait_max": self._wait_max,
+                "queue_wait_mean": self._wait_sum / self._waits if self._waits else 0.0,
                 "clients": {
                     name: {
                         "budget_bps": c.budget_bps,

@@ -54,7 +54,7 @@ Failures degrade along the existing ladder: a faulty source
 (:class:`~repro.errors.StreamFormatError`, short read, ``OSError``) costs
 the poisoned tier entry its residency and the read is retried from scratch
 — the one serve loop continues with a fresh retriever over a fresh source —
-up to ``retries`` times before propagating; every slab hit is verified
+up to :data:`RETRIES` times before propagating; every slab hit is verified
 against the checksum recorded at insert, and a mismatching entry is
 invalidated, never served.  When even the ladder is exhausted — e.g. a
 remote backend died mid-refine — the service falls back to the load-shed
@@ -87,13 +87,14 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.errors import ConfigurationError, RetrievalError, check_count
+from repro.errors import RetrievalError
 from repro.io.aio import open_remote_source
 from repro.io.dataset import ChunkedDataset
 from repro.io.remote import (
     FINGERPRINT_TAIL_BYTES,
     REQUEST_DEADLINE,
     RETRYABLE_ERRORS,
+    before_deadline,
     is_url,
     jittered_backoff,
     remote_fingerprint,
@@ -104,6 +105,10 @@ from repro.service.cache import DEFAULT_CACHE_BYTES, TieredCache
 from repro.service.trace import RetrievalTrace, ServiceStats
 
 __all__ = ["RequestCost", "RetrievalService", "ServiceResponse", "file_fingerprint"]
+
+#: Transient-fault retries per shard serve after its first attempt.
+RETRIES = 2
+
 
 def file_fingerprint(path: Path) -> Tuple[int, int, int]:
     """Session identity of a dataset file: ``(size, mtime_ns, tail_crc)``.
@@ -244,42 +249,25 @@ class RetrievalService:
     (:data:`~repro.service.cache.DEFAULT_CACHE_BYTES` by default); it
     changes no reported byte or decoded bit, only how much physical I/O a
     warm request can skip.  Every shard decodes in-process, and a read takes
-    no codec profile.  Up to ``retries`` (a non-negative integer)
-    transient-fault retries back off exponentially from ``retry_backoff``
-    seconds up to ``retry_backoff_cap`` (both ≥ 0; a bad value of any of
-    the three is a configuration error, not a clamp), scaled by a
-    deterministic per-(shard, attempt) jitter so concurrent retriers
-    de-synchronise identically across runs; ``sleep`` is injectable so
-    tests assert the schedule without waiting it out.  ``source_filter`` is
-    an adapter hook — ``source_filter(shard_name, source) -> source`` —
-    wrapped around every cold read's byte-range source; the fault-injection
-    tests use it to make sources flaky.
+    no codec profile.  Up to :data:`RETRIES` transient-fault retries per
+    shard sleep the remote stack's schedule
+    (:func:`~repro.io.remote.jittered_backoff`, keyed by shard name), so
+    concurrent retriers de-synchronise identically across runs; ``sleep``
+    is injectable so tests assert the schedule without waiting it out.
+    ``source_filter`` is an adapter hook — ``source_filter(shard_name,
+    source) -> source`` — wrapped around every cold read's byte-range
+    source; the fault-injection tests use it to make sources flaky.
     """
 
     def __init__(
         self,
         *,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        retries: int = 2,
-        retry_backoff: float = 0.05,
-        retry_backoff_cap: float = 1.0,
         sleep: Callable[[float], None] = time.sleep,
         source_filter: Optional[Callable[[str, object], object]] = None,
         remote_options: Optional[dict] = None,
     ) -> None:
-        check_count("retries", retries)
-        for name, seconds in (
-            ("retry_backoff", retry_backoff),
-            ("retry_backoff_cap", retry_backoff_cap),
-        ):
-            if not float(seconds) >= 0.0:  # NaN fails too
-                raise ConfigurationError(
-                    f"{name} must be a non-negative number, got {seconds!r}"
-                )
         self.cache = TieredCache(cache_bytes)
-        self.retries = int(retries)
-        self.retry_backoff = float(retry_backoff)
-        self.retry_backoff_cap = float(retry_backoff_cap)
         self._sleep = sleep
         self.source_filter = source_filter
         #: Keyword arguments for the remote stack builder when a session
@@ -328,8 +316,10 @@ class RetrievalService:
             except RETRYABLE_ERRORS:
                 # Exhausted retries degrade to resident fidelity (the
                 # scheduler's shed path) instead of erroring; only a request
-                # with nothing resident propagates the failure.
-                resident = self.get_resident(path, error_bound, roi)
+                # with nothing resident propagates the failure.  The
+                # request's session serves it: no second freshness probe
+                # right after the backend failed.
+                resident = self._get_resident(session, error_bound, roi)
                 if resident is None:
                     raise
                 resident.trace.degraded = True
@@ -461,7 +451,11 @@ class RetrievalService:
         and is not recorded in the service aggregate (the scheduler records
         the *final* answer).
         """
-        session = self._session(path)
+        return self._get_resident(self._session(path), error_bound, roi)
+
+    def _get_resident(
+        self, session: _Session, error_bound: Optional[float], roi
+    ) -> Optional[ServiceResponse]:
         dataset = session.dataset
         roi_slices, selected = dataset.select(roi)
         target = dataset._validated_target(error_bound)
@@ -547,27 +541,6 @@ class RetrievalService:
 
     # ------------------------------------------------------------- per shard
 
-    def _backoff_delay(self, name: str, attempt: int) -> float:
-        """Backoff before retry ``attempt`` (1-based) of shard ``name``.
-
-        The shared scheme (:func:`repro.io.remote.jittered_backoff`):
-        capped exponential — ``base · 2^(attempt-1)``, clamped to
-        ``retry_backoff_cap`` — scaled into ``[0.5, 1.0]`` by a jitter
-        derived from a CRC of ``name:attempt``: deterministic (reproducible
-        traces, assertable tests) yet spread across shards so a burst of
-        failures does not retry in lockstep.
-        """
-        return jittered_backoff(
-            name, attempt, self.retry_backoff, self.retry_backoff_cap
-        )
-
-    def _retry_permitted(self, delay: float) -> bool:
-        """False when sleeping ``delay`` would cross the request deadline."""
-        deadline = REQUEST_DEADLINE.get()
-        if deadline is None:
-            return True
-        return time.monotonic() + delay < deadline
-
     def _serve_shard(self, session: _Session, plan: ShardPlan) -> _ShardServe:
         name, keep = plan.shard, plan.target_keep
         slab_key = (session.sid, name, tuple(sorted(keep.items())))
@@ -631,13 +604,13 @@ class RetrievalService:
                         self.cache.invalidate("rung", rung_key)
                         rung = None
                     retries += 1
-                    delay = self._backoff_delay(name, retries)
+                    delay = jittered_backoff(name, retries)
                     # Back off (capped exponential, deterministic jitter)
                     # instead of hot-spinning against a transient fault.  An
                     # expired (or about-to-expire) request deadline ends the
                     # ladder early: propagate the real failure rather than
                     # sleeping past the time the caller stops caring.
-                    if retries > self.retries or not self._retry_permitted(delay):
+                    if retries > RETRIES or not before_deadline(delay):
                         raise
                     delays.append(delay)
                     self._sleep(delay)

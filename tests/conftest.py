@@ -172,11 +172,12 @@ def server(served_dir):
 def patient(monkeypatch):
     """Remote stacks built in this test never sleep for real and never run
     out of retries (the fault legs' ladder): :mod:`repro.io.aio`'s
-    ``RETRIES`` / ``BACKOFF`` constants, patched for the test."""
-    from repro.io import aio
+    ``RETRIES`` and :mod:`repro.io.remote`'s ``BACKOFF``, patched for the
+    test."""
+    from repro.io import aio, remote
 
     monkeypatch.setattr(aio, "RETRIES", 8)
-    monkeypatch.setattr(aio, "BACKOFF", 0.0)
+    monkeypatch.setattr(remote, "BACKOFF", 0.0)
 
 
 @pytest.fixture

@@ -17,8 +17,8 @@ matrix live in ``test_remote.py``):
 * the CLI — identical outputs at ``--prefetch 0`` and the default depth,
   with an ``inflight_max > 1`` receipt for the latter;
 * rangeserver connection hygiene — a stalled connection cannot wedge
-  other in-flight connections, and ``max_connections`` bounds (and
-  counts) the requests handled at once without stalling a larger pool.
+  other in-flight connections, a client pool reuses its connections, and
+  idle keep-alive sockets are reaped.
 
 Randomness: this module is deterministic (fixed seeds); never touch the
 shared session ``rng`` fixture.
@@ -41,7 +41,7 @@ from conftest import cumsum_field
 from repro import ChunkedDataset
 from repro.cli import main
 from repro.errors import RemoteSourceError, StreamFormatError
-from repro.io import aio
+from repro.io import aio, rangeserver, remote
 from repro.io.aio import (
     CONNECTIONS,
     HEDGE_MIN_SAMPLES,
@@ -68,19 +68,17 @@ def _read(path_or_url, **knobs):
 # ----------------------------------------------------------------- unit bits
 
 
-def test_coalesce_ops_merges_and_splits():
+def test_coalesce_ops_merges_and_splits(monkeypatch):
     # Adjacent and overlapping ops merge; gaps and the batch cap split.
     batches = coalesce_ops([(100, 50), (0, 100), (150, 10)])
     assert [(b[0], b[1]) for b in batches] == [(0, 160)]
     assert [len(b[2]) for b in batches] == [3]
-    # A gap larger than `gap` starts a new batch …
+    # Any gap starts a new batch (only coalesce_burst bridges gaps).
     batches = coalesce_ops([(0, 10), (20, 10)])
     assert [(b[0], b[1]) for b in batches] == [(0, 10), (20, 10)]
-    # … unless gap= bridges it (the bridged bytes ride along).
-    batches = coalesce_ops([(0, 10), (20, 10)], gap=16)
-    assert [(b[0], b[1]) for b in batches] == [(0, 30)]
-    # max_batch bounds a single merged extent.
-    batches = coalesce_ops([(0, 100), (100, 100)], max_batch=150)
+    # MAX_BATCH bounds a single merged extent.
+    monkeypatch.setattr(aio, "MAX_BATCH", 150)
+    batches = coalesce_ops([(0, 100), (100, 100)])
     assert [(b[0], b[1]) for b in batches] == [(0, 100), (100, 100)]
 
 
@@ -88,7 +86,7 @@ def _extents(batches):
     return [[(start, total) for start, total, _members in group] for group in batches]
 
 
-def test_coalesce_burst_closes_the_smallest_gaps_until_one_wave():
+def test_coalesce_burst_closes_the_smallest_gaps_until_one_wave(monkeypatch):
     # Two address spaces (shards), four ops each: 8 GETs for 6 connections.
     shard_a = [(0, 100), (150, 100), (300, 100), (1400, 100)]  # gaps 50, 50, 1000
     shard_b = [(0, 100), (120, 100), (900, 100), (1300, 100)]  # gaps 20, 680, 300
@@ -114,8 +112,9 @@ def test_coalesce_burst_closes_the_smallest_gaps_until_one_wave():
     # back out of it per op).
     (batch,), = coalesce_burst([[(40, 5, "late"), (0, 5, "early")]], 1)
     assert batch == (0, 45, [(0, 5, "early"), (40, 5, "late")])
-    # max_batch still bounds a bridged extent.
-    assert _extents(coalesce_burst([[(0, 100), (150, 100)]], 1, max_batch=200)) == [
+    # MAX_BATCH still bounds a bridged extent.
+    monkeypatch.setattr(aio, "MAX_BATCH", 200)
+    assert _extents(coalesce_burst([[(0, 100), (150, 100)]], 1)) == [
         [(0, 100), (150, 100)]
     ]
 
@@ -270,7 +269,7 @@ def test_identity_async_mirror_failover(served_dir, server, monkeypatch):
     # the latency signal, so health ranking is failures-then-listing-order
     # and the read that meets the dead primary is the same one every run.
     monkeypatch.setattr(aio, "RETRIES", 1)
-    monkeypatch.setattr(aio, "BACKOFF", 0.0)
+    monkeypatch.setattr(remote, "BACKOFF", 0.0)
     oracle = _read(served_dir / "v2.rprc")
     injector = FaultInjector(FaultPlan.never())
     with RangeServer(served_dir) as primary:
@@ -651,14 +650,11 @@ def test_rangeserver_stall_does_not_wedge_other_connections(served_dir, monkeypa
 
 
 def test_rangeserver_max_connections_and_counters(served_dir, monkeypatch):
-    # A client pool (4) larger than the server's cap (2): the cap gates
-    # requests being handled, so the extra connections queue for a slot
-    # instead of waiting out a socket timeout behind idle keep-alives.
+    # A burst of 8 slow reads over a client pool of 4: the pool opens
+    # exactly its 4 connections and reuses them, with nothing retried.
     monkeypatch.setattr(aio, "CONNECTIONS", 4)
     plan = FaultPlan.always("latency", seconds=0.05)
-    with RangeServer(
-        served_dir, plan=plan, max_connections=2, backlog=8
-    ) as srv:
+    with RangeServer(served_dir, plan=plan) as srv:
         url = srv.url_for("v2.rprc")
         with open_remote_source(url) as src:
 
@@ -676,17 +672,19 @@ def test_rangeserver_max_connections_and_counters(served_dir, monkeypatch):
         assert stats["retries"] == 0
         assert stats["requests"] - before == 8
         assert stats["connections_opened"] == 4
-        assert srv.peak_connections == 2
         assert srv.range_requests == 1 + 8  # the opening read, then the burst
     assert srv.open_connections == 0
 
 
-def test_stale_keepalive_is_retried_once_on_a_fresh_connection(served_dir, settles):
+def test_stale_keepalive_is_retried_once_on_a_fresh_connection(
+    served_dir, settles, monkeypatch
+):
     # The server reaps the pooled connection while it idles; the next read
     # hits EOF on it and is transparently re-sent on a new connection —
     # below the ladder, so no retry is spent.
     blob = (served_dir / "v2.rprc").read_bytes()
-    with RangeServer(served_dir, handler_timeout=0.1) as srv:
+    monkeypatch.setattr(rangeserver, "HANDLER_TIMEOUT", 0.1)
+    with RangeServer(served_dir) as srv:
         with open_remote_source(srv.url_for("v2.rprc")) as src:
             assert src.read_range(0, 64) == blob[:64]
             assert settles(lambda: srv.open_connections == 0)
@@ -695,10 +693,11 @@ def test_stale_keepalive_is_retried_once_on_a_fresh_connection(served_dir, settl
             assert stats["connections_opened"] == 2 and stats["retries"] == 0
 
 
-def test_rangeserver_reaps_idle_connections(served_dir):
-    with RangeServer(served_dir, handler_timeout=0.2) as srv:
+def test_rangeserver_reaps_idle_connections(served_dir, monkeypatch):
+    monkeypatch.setattr(rangeserver, "HANDLER_TIMEOUT", 0.2)
+    with RangeServer(served_dir) as srv:
         with socket.create_connection((srv.host, srv.port), timeout=5.0) as sock:
             # Say nothing: the handler must give up on the idle socket
-            # after handler_timeout instead of pinning its thread forever.
+            # after HANDLER_TIMEOUT instead of pinning its thread forever.
             sock.settimeout(5.0)
             assert sock.recv(1) == b""  # server closed its end

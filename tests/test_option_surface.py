@@ -2,12 +2,17 @@
 
 Every codec field, CLI option and constructor keyword of the reading and
 serving stack is listed here.  Adding a knob means editing this file — a
-deliberate, reviewable diff — and a removed one (the profile's runtime
-fields, the read-side ``--profile``, ``--no-prefetch``, the service's
-``cache_verify`` / ``degrade_on_failure``, the scheduler's
-``quantum_bytes``, the remote stack's breaker knobs and its wire and
-retry keywords, now module constants of :mod:`repro.io.aio`, and the
-``RequestCost`` fields no caller read) cannot come back unnoticed.
+deliberate, reviewable diff — and a removed one cannot come back
+unnoticed: the profile's runtime fields, the read-side ``--profile``,
+``--no-prefetch``, the service's ``cache_verify`` / ``degrade_on_failure``
+and retry keywords, the scheduler's ``quantum_bytes``, ``serve`` /
+``stats --threads``, the ``RequestCost`` fields no caller read, and the
+remote stack's knobs, now module constants: the wire's in
+:mod:`repro.io.aio` (``CONNECTIONS``, ``TIMEOUT``, ``RETRIES``,
+``MAX_BATCH``), the backoff schedule and the breaker's threshold and
+cooldown in :mod:`repro.io.remote`, the service's ``RETRIES`` in
+:mod:`repro.service.service`, and the range server's ``HANDLER_TIMEOUT``
+(its CRC header, connection cap and listen backlog are gone).
 """
 
 from __future__ import annotations
@@ -18,14 +23,17 @@ import inspect
 
 from repro import ChunkedDataset, CodecProfile, RetrievalService
 from repro.cli import _build_parser
-from repro.io.aio import open_remote_source
+from repro.io import rangeserver
+from repro.io.aio import coalesce_burst, coalesce_ops, open_remote_source
+from repro.io.rangeserver import RangeServer
+from repro.io.remote import CircuitBreaker
 from repro.parallel import BlockParallelCompressor
 from repro.service import RequestCost, RequestScheduler
 
 _WRITE_PROFILE = ["--abs", "--eb", "--method", "--no-abs", "--profile"]
 _SERVE = [
     "--cache-bytes", "--client-budget-bps", "--inject-faults", "--max-inflight",
-    "--mirror", "--out-dir", "--requests", "--stats-json", "--threads",
+    "--mirror", "--out-dir", "--requests", "--stats-json",
 ]
 
 CLI_OPTIONS = {
@@ -51,14 +59,20 @@ KEYWORDS = {
     ],
     BlockParallelCompressor.__init__: ["profile", "n_blocks", "workers"],
     RetrievalService.__init__: [
-        "cache_bytes", "retries", "retry_backoff", "retry_backoff_cap", "sleep",
-        "source_filter", "remote_options",
+        "cache_bytes", "sleep", "source_filter", "remote_options",
     ],
     RequestScheduler.__init__: [
         "service", "max_inflight", "budget_bps", "client_budgets", "clock", "pacer",
     ],
     open_remote_source: ["url", "mirrors", "tamper", "clock", "loop"],
+    CircuitBreaker.__init__: ["clock"],
+    coalesce_ops: ["ops"],
+    coalesce_burst: ["op_groups", "max_requests"],
+    RangeServer.__init__: ["root", "host", "port", "plan", "ignore_range"],
 }
+
+#: ``python -m repro.io.rangeserver``'s options (besides the positional PATH).
+RANGESERVER_OPTIONS = ["--host", "--inject-faults", "--port"]
 
 
 def test_codec_profile_fields():
@@ -73,21 +87,26 @@ def test_request_cost_fields():
     ]
 
 
+def _options(parser: argparse.ArgumentParser) -> list:
+    return sorted(
+        option
+        for action in parser._actions
+        for option in action.option_strings
+        if option not in ("-h", "--help")
+    )
+
+
 def test_cli_option_strings():
     parser = _build_parser()
     (subparsers,) = [
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     ]
-    surface = {
-        name: sorted(
-            option
-            for action in sub._actions
-            for option in action.option_strings
-            if option not in ("-h", "--help")
-        )
-        for name, sub in subparsers.choices.items()
-    }
+    surface = {name: _options(sub) for name, sub in subparsers.choices.items()}
     assert surface == CLI_OPTIONS
+
+
+def test_rangeserver_option_strings():
+    assert _options(rangeserver._build_parser()) == RANGESERVER_OPTIONS
 
 
 def test_constructor_keywords():

@@ -56,7 +56,7 @@ from repro.errors import (
     RemoteSourceError,
     StreamFormatError,
 )
-from repro.io import BlockContainerWriter, aio
+from repro.io import BlockContainerWriter, aio, remote
 from repro.io.aio import (
     CONNECTIONS,
     HEDGE_MIN_SAMPLES,
@@ -82,6 +82,7 @@ from repro.io.remote import (
 from repro.retrieval.engine import DEFAULT_HEADER_PRIME
 from repro.retrieval.prefetch import PrefetchSource
 from repro.service import RetrievalService
+from repro.service import service as service_mod
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +174,7 @@ def test_endpoint_refusing_suffix_ranges_is_sized_the_slow_way(served_dir, monke
     window; every read then goes to the wire as it always did."""
     from repro.io import rangeserver
 
-    get = rangeserver._Handler._get
+    get = rangeserver._Handler.do_GET
 
     def refusing_get(self):
         if (self.headers.get("Range") or "").startswith("bytes=-"):
@@ -181,7 +182,7 @@ def test_endpoint_refusing_suffix_ranges_is_sized_the_slow_way(served_dir, monke
         else:
             get(self)
 
-    monkeypatch.setattr(rangeserver._Handler, "_get", refusing_get)
+    monkeypatch.setattr(rangeserver._Handler, "do_GET", refusing_get)
     blob = (served_dir / "v2.rprc").read_bytes()
     with RangeServer(served_dir) as srv:
         with open_remote_source(srv.url_for("v2.rprc")) as stack:
@@ -286,9 +287,11 @@ def test_crc_gate_classifies_corruption(monkeypatch):
     _run(body)
 
 
-def test_circuit_breaker_transitions():
+def test_circuit_breaker_transitions(monkeypatch):
+    monkeypatch.setattr(remote, "BREAKER_THRESHOLD", 3)
+    monkeypatch.setattr(remote, "BREAKER_COOLDOWN", 5.0)
     clock = {"t": 0.0}
-    breaker = CircuitBreaker(threshold=3, cooldown=5.0, clock=lambda: clock["t"])
+    breaker = CircuitBreaker(clock=lambda: clock["t"])
     assert breaker.state == "closed" and breaker.allow()
     breaker.record_failure()
     breaker.record_failure()
@@ -308,14 +311,16 @@ def test_circuit_breaker_transitions():
     assert breaker.state == "closed" and breaker.allow()
 
 
-def test_jittered_backoff_is_capped_deterministic():
-    for attempt in (1, 2, 3):
+def test_jittered_backoff_is_capped_deterministic(monkeypatch):
+    assert (remote.BACKOFF, remote.BACKOFF_CAP) == (0.05, 1.0)
+    for attempt in (1, 2, 3, 6):
         raw = min(1.0, 0.05 * 2.0 ** (attempt - 1))
-        delay = jittered_backoff("k", attempt, 0.05, 1.0)
+        delay = jittered_backoff("k", attempt)
         assert 0.5 * raw <= delay <= raw
-        assert delay == jittered_backoff("k", attempt, 0.05, 1.0)
-    assert jittered_backoff("k", 1, 0.0, 1.0) == 0.0
-    assert jittered_backoff("a", 2, 0.05, 1.0) != jittered_backoff("b", 2, 0.05, 1.0)
+        assert delay == jittered_backoff("k", attempt)
+    assert jittered_backoff("a", 2) != jittered_backoff("b", 2)
+    monkeypatch.setattr(remote, "BACKOFF", 0.0)
+    assert jittered_backoff("k", 1) == 0.0
 
 
 class _FailingWire:
@@ -342,9 +347,44 @@ def test_retry_ladder_heals_and_records_delays():
         # The ladder slept exactly its recorded delays, nothing else.
         assert loop.time() == pytest.approx(sum(endpoint.retry_delays))
         for attempt, delay in enumerate(endpoint.retry_delays, start=1):
-            assert delay == jittered_backoff(f"{_UNIT_URL}@0", attempt, 0.05, 1.0)
+            assert delay == jittered_backoff(f"{_UNIT_URL}@0", attempt)
 
     _run(body)
+
+
+def test_both_retry_ladders_sleep_the_one_schedule(tmp_path, monkeypatch):
+    """The backoff schedule has one home, :mod:`repro.io.remote`: patching
+    ``BACKOFF`` / ``BACKOFF_CAP`` there moves the recorded delays of the
+    endpoint's ladder and of the service's alike."""
+    base, cap = 0.2, 0.3  # attempt 2 clamps: base·2 > cap
+    monkeypatch.setattr(remote, "BACKOFF", base)
+    monkeypatch.setattr(remote, "BACKOFF_CAP", cap)
+
+    def assert_follows(delays):
+        assert len(delays) == 2
+        for attempt, delay in enumerate(delays, start=1):
+            raw = min(cap, base * 2.0 ** (attempt - 1))
+            assert 0.5 * raw <= delay <= raw
+
+    async def body(loop):
+        endpoint = _endpoint(_FailingWire(failures=2), loop.time)
+        await endpoint.aread_range(0, 8)
+        return endpoint.retry_delays
+
+    assert_follows(_run(body))
+    path = tmp_path / "field.rprc"
+    ChunkedDataset.write(
+        path, cumsum_field((12, 10, 8), 3), error_bound=1e-4, relative=True,
+        n_blocks=2, workers=0,
+    )
+    injector = FaultInjector(FaultPlan.first(2))
+    slept = []
+    with RetrievalService(
+        source_filter=injector.source_filter, sleep=slept.append
+    ) as service:
+        delays = service.get(path).trace.retry_delays
+    assert_follows(delays)
+    assert slept == delays
 
 
 def test_deadline_expiry_mid_retry():
@@ -758,7 +798,7 @@ def test_identity_matrix_over_http(
         # Fault legs never sleep for real and never run out of ladder; the
         # dead primary is given up on at its first failure.
         monkeypatch.setattr(aio, "RETRIES", 0 if condition == "dead-primary" else 8)
-        monkeypatch.setattr(aio, "BACKOFF", 0.0)
+        monkeypatch.setattr(remote, "BACKOFF", 0.0)
     name = f"{version}.ipc" if kind == "stream" else f"{version}.rprc"
     url = server.url_for(name)
     expected = _read(served_dir / name, prefetch=0)
@@ -946,7 +986,7 @@ def test_dead_primary_at_open_fails_over_to_mirror(served_dir, server, monkeypat
     """An endpoint that is down when the stack is built is dropped; only
     every endpoint failing propagates."""
     monkeypatch.setattr(aio, "RETRIES", 2)
-    monkeypatch.setattr(aio, "BACKOFF", 0.0)
+    monkeypatch.setattr(remote, "BACKOFF", 0.0)
     blob = (served_dir / "v2.rprc").read_bytes()
     dead = "http://127.0.0.1:1/v2.rprc"
     stack = open_remote_source(dead, [server.url_for("v2.rprc")])
@@ -980,7 +1020,7 @@ def test_faulted_opening_read_is_caught_and_healed(served_dir, monkeypatch, side
     """Request #1 of a stack is its opening read, and it climbs the ladder:
     a corrupted or truncated window is stopped by the CRC gate, a failed
     one retried, before anything is parsed from it."""
-    monkeypatch.setattr(aio, "BACKOFF", 0.0)
+    monkeypatch.setattr(remote, "BACKOFF", 0.0)
     blob = (served_dir / "v2.rprc").read_bytes()
     plan = FaultPlan.at({1}, kind=kind)
     injector = FaultInjector(plan if side == "client" else FaultPlan.never())
@@ -1007,7 +1047,7 @@ def test_faulted_opening_read_is_caught_and_healed(served_dir, monkeypatch, side
 
 def test_opening_read_out_of_retries_fails_the_open(served_dir, settles, monkeypatch):
     monkeypatch.setattr(aio, "RETRIES", 2)
-    monkeypatch.setattr(aio, "BACKOFF", 0.0)
+    monkeypatch.setattr(remote, "BACKOFF", 0.0)
     injector = FaultInjector(FaultPlan.always(kind="corrupt"))
     with RangeServer(served_dir) as srv:
         with pytest.raises(RemoteIntegrityError):
@@ -1141,7 +1181,7 @@ def test_long_lived_stack_keeps_serving_a_flaky_link(served_dir, server, monkeyp
     """The client drops every 4th read; one stack serves 400 reads.  Every
     read heals, and every drop costs exactly one retry.  (A retry budget of
     32 per stack, never refilled, served 324: nothing retried after read 98.)"""
-    monkeypatch.setattr(aio, "BACKOFF", 0.0)
+    monkeypatch.setattr(remote, "BACKOFF", 0.0)
     blob = (served_dir / "v2.rprc").read_bytes()
     injector = FaultInjector(FaultPlan.every(4, kind="raise"))
     served = 0
@@ -1218,12 +1258,16 @@ def test_service_session_opens_in_one_request(served_dir, name, kind):
 
 
 def test_service_remote_failure_degrades_to_resident(served_dir, server, monkeypatch):
+    """A degraded ``get`` over a URL: answered from the resident rung, with
+    one freshness probe on the wire — its session's, not a second one sent
+    right after the backend failed."""
     monkeypatch.setattr(aio, "RETRIES", 0)
+    monkeypatch.setattr(service_mod, "RETRIES", 0)
     url = server.url_for("v2.rprc")
     poison = set()
     injector = FaultInjector(FaultPlan.at(poison))
     options = dict(tamper=injector.tamper)
-    with RetrievalService(retries=0, remote_options=options) as service:
+    with RetrievalService(remote_options=options) as service:
         with ChunkedDataset(served_dir / "v2.rprc") as dataset:
             stored = dataset.absolute_bound
         coarse = service.get(url, error_bound=stored * 16)
@@ -1231,10 +1275,17 @@ def test_service_remote_failure_degrades_to_resident(served_dir, server, monkeyp
         # Every future remote read fails: the finer request cannot refine,
         # so it degrades to the resident coarse rung instead of erroring.
         injector.plan.rules.extend(FaultPlan.always(kind="raise").rules)
+        checks = []
+        is_fresh = service_mod._Session.is_fresh
+        monkeypatch.setattr(
+            service_mod._Session, "is_fresh",
+            lambda session: checks.append(session) or is_fresh(session),
+        )
         refined = service.get(url, error_bound=stored)
         assert refined.trace.degraded
         assert refined.trace.achieved_bound <= stored * 16
         assert service.stats()["degraded"] == 1
+        assert len(checks) == 1
 
 
 def test_service_remote_fingerprint_change_purges_session(tmp_path):

@@ -25,6 +25,7 @@ and shared (use local generators in new tests that need randomness).
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from pathlib import Path
@@ -457,3 +458,63 @@ def test_fair_share_across_threaded_clients(tmp_path):
             oracle = _serial(paths[client], bound, roi=roi)
             assert np.array_equal(final.data, oracle.data)
             assert final.trace.client == client
+
+
+# ---------------------------------------------------------------- stats
+
+
+class _NothingResident:
+    """Service proxy with nothing ever resident: no request settles or
+    degrades, so every submitted request is granted."""
+
+    def __init__(self, service: RetrievalService) -> None:
+        self._service = service
+
+    def cost(self, *args, **kwargs):
+        return self._service.cost(*args, **kwargs)
+
+    def get(self, *args, **kwargs):
+        return self._service.get(*args, **kwargs)
+
+    def get_resident(self, *args, **kwargs):
+        return None
+
+
+def test_queue_wait_stats_stay_constant_size(tmp_path):
+    """``queue_wait_max`` / ``queue_wait_mean`` equal what the served
+    traces report, and serving more requests grows no scheduler attribute
+    (a list of every queue wait used to grow by one entry per request)."""
+    path = _make_container(tmp_path)
+    coarse, _ = _bounds(path)
+    ticks = itertools.count()
+
+    def clock() -> float:
+        return float(next(ticks))  # every reading is a later instant
+
+    def sizes(scheduler) -> dict:
+        return {
+            name: len(value)
+            for name, value in vars(scheduler).items()
+            if isinstance(value, (list, dict, set))
+        }
+
+    traces = []
+    with RetrievalService() as service:
+        with RequestScheduler(
+            _NothingResident(service), max_inflight=1, clock=clock, pacer=False
+        ) as scheduler:
+
+            def serve(n: int) -> None:
+                handles = [scheduler.submit(path, error_bound=coarse) for _ in range(n)]
+                traces.extend(handle.refined(timeout=60).trace for handle in handles)
+                assert scheduler.drain(timeout=60)
+
+            serve(3)
+            before = sizes(scheduler)
+            serve(9)
+            assert sizes(scheduler) == before
+            stats = scheduler.stats()
+    waits = [trace.queue_wait for trace in traces]
+    assert len(waits) == 12 and max(waits) > 0.0
+    assert stats["queue_wait_max"] == max(waits)
+    assert stats["queue_wait_mean"] == sum(waits) / len(waits)

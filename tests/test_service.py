@@ -403,7 +403,10 @@ def test_cli_serve_rejects_bad_cache_bytes(tmp_path, capsys):
     ],
 )
 def test_retry_knobs_rejected_not_clamped(name, bad):
-    with pytest.raises(ConfigurationError, match=name):
+    """The retry ladder has no keywords since 14.0: its limit is
+    ``service.RETRIES`` and its schedule :mod:`repro.io.remote`'s, so any
+    value — good or bad — is refused by the signature, never clamped."""
+    with pytest.raises(TypeError, match=name):
         RetrievalService(**{name: bad})
 
 
@@ -414,8 +417,6 @@ def test_retry_knobs_rejected_not_clamped(name, bad):
         ["--max-inflight", "-3"],
         ["--client-budget-bps", "-5"],
         ["--client-budget-bps", "vip=-5"],
-        ["--threads", "-2"],
-        ["--threads", "0"],
     ],
 )
 def test_cli_serve_rejects_bad_serving_knobs(tmp_path, capsys, flags):
@@ -534,7 +535,7 @@ def test_cli_stats_prints_aggregate_only(tmp_path, capsys):
     requests = tmp_path / "requests.jsonl"
     requests.write_text('{"roi": "0:8,:,:"}\n{"roi": "0:8,:,:"}\n')
     rc = cli_main([
-        "stats", str(path), "--requests", str(requests), "--threads", "2",
+        "stats", str(path), "--requests", str(requests), "--max-inflight", "2",
     ])
     assert rc == 0
     stats = json.loads(capsys.readouterr().out)

@@ -6,7 +6,9 @@ poisoned cache entries — must degrade exactly along the ladder the rest of
 the repo uses:
 
 * a bad *source* costs the attempt (and any tier entry built from it) and
-  is retried from scratch up to ``retries`` times before propagating;
+  is retried from scratch up to ``service.RETRIES`` times before
+  propagating (tests patch the constant and the backoff schedule of
+  :mod:`repro.io.remote`);
 * a slab entry whose bytes stopped matching its insert-time checksum is
   invalidated and recomputed, never served (the check always runs).
 
@@ -23,8 +25,10 @@ import pytest
 
 from repro import ChunkedDataset, IPComp
 from repro.errors import ConfigurationError
+from repro.io import remote
 from repro.io.faults import FaultInjector, FaultPlan
 from repro.service import RetrievalService
+from repro.service import service as service_mod
 
 
 def _field(shape, seed=0) -> np.ndarray:
@@ -73,7 +77,7 @@ def test_every_kth_read_fails_but_answers_stay_identical(tmp_path, mode):
     k = max(source.reads for source in probe.sources) + 1
     injector = FaultInjector(FaultPlan.every(k, kind=mode))
 
-    with RetrievalService(source_filter=injector.source_filter, retries=2) as service:
+    with RetrievalService(source_filter=injector.source_filter) as service:
         response = service.get(path)
         assert np.array_equal(response.data, oracle.data)
         assert response.trace.bytes_loaded == oracle.bytes_loaded
@@ -88,16 +92,17 @@ def test_every_kth_read_fails_but_answers_stay_identical(tmp_path, mode):
         assert warm.trace.physical_reads == 0
 
 
-def test_exhausted_retries_propagate(tmp_path):
+def test_exhausted_retries_propagate(tmp_path, monkeypatch):
+    monkeypatch.setattr(service_mod, "RETRIES", 1)
     path = _make_container(tmp_path)
     injector = FaultInjector(FaultPlan.always())
-    with RetrievalService(source_filter=injector.source_filter, retries=1) as service:
+    with RetrievalService(source_filter=injector.source_filter) as service:
         with pytest.raises(OSError):
             service.get(path)
     assert injector.faults_injected == injector.total_reads > 0
     # Configuration mistakes are not retried: the source is never touched.
     injector = FaultInjector(FaultPlan.always())
-    with RetrievalService(source_filter=injector.source_filter, retries=5) as service:
+    with RetrievalService(source_filter=injector.source_filter) as service:
         with pytest.raises(ConfigurationError):
             service.get(path, error_bound=-1.0)
         assert injector.total_reads == 0
@@ -119,7 +124,7 @@ def test_rung_failure_falls_back_to_cold_rebuild(tmp_path):
     # FaultPlan.at keeps the set by reference, so poisoning it mid-run works.
     injector = FaultInjector(FaultPlan.at(fail_reads))
 
-    with RetrievalService(source_filter=injector.source_filter, retries=2) as service:
+    with RetrievalService(source_filter=injector.source_filter) as service:
         service.get(path, error_bound=coarse)
         # Poison exactly the refine's first delta read: the resident rung's
         # next touch fails, forcing invalidation + a cold rebuild (whose own
@@ -168,7 +173,7 @@ def test_poisoned_slab_is_invalidated_not_served(tmp_path):
 # ------------------------------------------------------------- retry backoff
 
 
-def test_retry_backoff_is_capped_jittered_and_recorded(tmp_path):
+def test_retry_backoff_is_capped_jittered_and_recorded(tmp_path, monkeypatch):
     """Retries pace themselves: each failed attempt sleeps a capped
     exponential delay with deterministic per-(shard, attempt) jitter, the
     exact slept values land in ``trace.retry_delays``, and an identical run
@@ -176,13 +181,15 @@ def test_retry_backoff_is_capped_jittered_and_recorded(tmp_path):
     path = _make_container(tmp_path)
     oracle = _serial(path)
     base, cap = 0.05, 0.06  # cap < base·2: attempt 2 exercises the clamp
+    monkeypatch.setattr(service_mod, "RETRIES", 3)
+    monkeypatch.setattr(remote, "BACKOFF", base)
+    monkeypatch.setattr(remote, "BACKOFF_CAP", cap)
 
     def run():
         injector = FaultInjector(FaultPlan.first(2))
         slept = []
         with RetrievalService(
-            source_filter=injector.source_filter, retries=3, retry_backoff=base,
-            retry_backoff_cap=cap, sleep=slept.append,
+            source_filter=injector.source_filter, sleep=slept.append
         ) as service:
             return service.get(path), slept
 
@@ -203,18 +210,44 @@ def test_retry_backoff_is_capped_jittered_and_recorded(tmp_path):
     assert slept_again == slept
 
 
-def test_zero_backoff_disables_pacing(tmp_path):
+def test_zero_backoff_disables_pacing(tmp_path, monkeypatch):
+    monkeypatch.setattr(remote, "BACKOFF", 0.0)
     path = _make_container(tmp_path)
     oracle = _serial(path)
     injector = FaultInjector(FaultPlan.at({1}))
     slept = []
 
     with RetrievalService(
-        source_filter=injector.source_filter, retries=2, retry_backoff=0.0,
-        sleep=slept.append,
+        source_filter=injector.source_filter, sleep=slept.append
     ) as service:
         response = service.get(path)
     assert np.array_equal(response.data, oracle.data)
     assert response.trace.retries == 1
     assert all(delay == 0.0 for delay in slept)
     assert all(delay == 0.0 for delay in response.trace.retry_delays)
+
+
+# ------------------------------------------------------------ degraded get
+
+
+def test_degraded_get_checks_freshness_once(tmp_path, monkeypatch):
+    """A ``get`` that exhausts its ladder and degrades to the resident rung
+    checks its session's freshness once — the request's own check, not a
+    second one on the way into the resident path."""
+    path = _make_container(tmp_path)
+    injector = FaultInjector(FaultPlan.never())
+    with RetrievalService(
+        source_filter=injector.source_filter, sleep=lambda _delay: None
+    ) as service:
+        stored = service.cost(path).error_bound
+        assert not service.get(path, error_bound=stored * 64).trace.degraded
+        injector.plan = FaultPlan.always()
+        checks = []
+        is_fresh = service_mod._Session.is_fresh
+        monkeypatch.setattr(
+            service_mod._Session, "is_fresh",
+            lambda session: checks.append(session) or is_fresh(session),
+        )
+        response = service.get(path, error_bound=stored)
+        assert response.trace.degraded
+        assert len(checks) == 1
