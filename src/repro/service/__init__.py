@@ -11,7 +11,7 @@ Public surface:
 * :class:`~repro.service.cache.TieredCache` — the shared LRU itself;
 * :class:`~repro.service.scheduler.RequestScheduler` — multi-tenant QoS
   in front of the service: admission window, per-client byte-budget token
-  buckets (deficit-round-robin), overlapping-ROI batching, and
+  buckets (tenants take turns in rotation), overlapping-ROI batching, and
   load-shedding by fidelity degradation with background refinement.
 """
 

@@ -8,17 +8,15 @@ turns that property into a multi-tenant serving policy:
 * **admission control** — at most ``max_inflight`` requests physically
   fetch/decode at once; everything else queues (or degrades, below)
   instead of convoying on the per-shard locks;
-* **byte-budget token buckets** — each client refills at its configured
-  bytes/second and a request is granted only when the bucket holds its
-  full :attr:`~repro.service.service.RequestCost.predicted_bytes` (the
+* **byte-budget token buckets** — the one per-tenant byte rule: each
+  client refills at its configured bytes/second and a request is granted
+  only when the bucket holds its full
+  :attr:`~repro.service.service.RequestCost.predicted_bytes` (the
   planner's stage-1 cost, computed without payload I/O).  Buckets are
   never overdrawn; a request costlier than one second of budget is still
   servable because the bucket's burst capacity stretches to the head
-  request's cost — it just waits proportionally longer;
-* **deficit round-robin** — clients take turns accumulating a byte
-  quantum and spend it on their queue heads, so a tenant issuing many
-  small requests cannot starve one issuing few large ones (or vice
-  versa);
+  request's cost — it just waits proportionally longer.  Clients with a
+  queued head take turns in rotation, one grant per turn;
 * **overlapping-ROI batching** — a granted request whose plan shares a
   shard (same dataset, same fidelity target) with one already in flight
   becomes a *follower*: it waits for that leader to finish and then reads
@@ -31,14 +29,18 @@ turns that property into a multi-tenant serving policy:
   right away with ``degraded=True`` in its trace, and the queued request
   lives on as a background refine whose final answer —
   bitwise-identical to a fresh serial read at the requested bound — lands
-  in :meth:`ScheduledResponse.refined`.
+  in :meth:`ScheduledResponse.refined`.  Shedding is retried whenever a
+  scheduled serve completes, the one event that adds residency.
 
 Traces gain ``client``, ``queue_wait`` (enqueue→grant seconds),
 ``degraded`` and ``budget_debited``; :meth:`RequestScheduler.stats`
 aggregates per-client delivered bytes, wait times and the bucket
 low-water marks the overdraw tests pin.
 
-``clock`` and the pacer are injectable/disablable so tests drive time
+Grants happen on submit and on completion.  A pacer thread refills the
+buckets and re-runs the grant loop only in a scheduler with some non-zero
+rate; an unmetered one has nothing to refill and starts none.  ``clock``
+is injectable and ``pacer=False`` disables the thread, so tests drive time
 explicitly (:meth:`RequestScheduler.kick` re-runs the grant loop after a
 fake-clock advance).
 """
@@ -60,9 +62,6 @@ __all__ = ["RequestScheduler", "ScheduledResponse"]
 
 #: Default bound on concurrently fetching/decoding requests.
 DEFAULT_MAX_INFLIGHT = 4
-
-#: DRR byte quantum a client accrues per scheduling round.
-QUANTUM_BYTES = 1 << 20
 
 #: How long a follower waits for its leader before proceeding alone.
 _FOLLOWER_WAIT_S = 60.0
@@ -146,7 +145,6 @@ class _Pending:
     enqueued_at: float
     deadline: Optional[float] = None
     granted: bool = False
-    cancelled: bool = False
     degraded_served: bool = False
     queue_wait: float = 0.0
     leader_done: Optional[threading.Event] = None
@@ -163,13 +161,12 @@ class _Inflight:
 
 
 class _Client:
-    """Per-tenant queue, DRR deficit, and byte-budget token bucket."""
+    """Per-tenant queue and byte-budget token bucket."""
 
     def __init__(self, name: str, budget_bps: int, now: float) -> None:
         self.name = name
         self.budget_bps = int(budget_bps)
         self.queue: List[_Pending] = []
-        self.deficit = 0
         # A full bucket at birth: a fresh client's first request should not
         # wait out a cold refill.
         self.tokens = float(self.budget_bps)
@@ -207,8 +204,8 @@ class RequestScheduler:
     listed (0 = unmetered).  A rate is a non-negative integer: a bad knob
     is a :class:`~repro.errors.ConfigurationError`, never a clamp.
     ``clock`` must be monotonic; tests inject a fake one and call
-    :meth:`kick` after advancing it (pass ``pacer=False`` to disable the
-    real-time refill thread entirely).
+    :meth:`kick` after advancing it.  The real-time refill thread runs only
+    when some rate is non-zero; ``pacer=False`` disables it entirely.
     """
 
     def __init__(
@@ -255,7 +252,8 @@ class RequestScheduler:
             thread_name_prefix="repro-sched",
         )
         self._pacer: Optional[threading.Thread] = None
-        if pacer:
+        metered = self.default_budget_bps > 0 or any(self.client_budgets.values())
+        if pacer and metered:
             self._pacer = threading.Thread(
                 target=self._pace, name="repro-sched-pacer", daemon=True
             )
@@ -288,8 +286,6 @@ class RequestScheduler:
         sleeping into further attempts, and an exhausted request degrades
         to resident fidelity (or fails) instead of hanging.
         """
-        if self._closed:
-            raise RetrievalError("scheduler is closed")
         cost = self.service.cost(path, error_bound, roi)
         response = ScheduledResponse(client, cost)
         pending = _Pending(
@@ -307,6 +303,10 @@ class RequestScheduler:
             ),
         )
         with self._lock:
+            # Checked under the lock: a close() that ran while this request
+            # was being costed has already swept the queues.
+            if self._closed:
+                raise RetrievalError("scheduler is closed")
             self._submitted += 1
             self._client(client).queue.append(pending)
             self._pump_locked()
@@ -367,10 +367,10 @@ class RequestScheduler:
             if satisfied:
                 # Full fidelity straight from residency: nothing left to
                 # refine, so the queued request is withdrawn undebited.
-                pending.cancelled = True
                 client = self._clients.get(pending.client)
                 if client is not None and pending in client.queue:
                     client.queue.remove(pending)
+                    self._cond.notify_all()  # drain() may be waiting on it
             else:
                 trace.degraded = True
                 pending.degraded_served = True
@@ -384,10 +384,11 @@ class RequestScheduler:
     def _shed_queued(self) -> None:
         """Retry load-shedding for requests still waiting in queue.
 
-        Residency changes as requests complete (a finished serve leaves
-        slabs and rungs behind), so a request that found nothing resident
-        at submit time may be shed-servable now.  Candidates are chosen
-        under the lock; the actual degrade attempts run outside it.
+        Runs when a scheduled serve completes — the one event that adds
+        residency for scheduled traffic (a finished serve leaves slabs and
+        rungs behind) — so a request that found nothing resident at submit
+        time may be shed-servable now.  Candidates are chosen under the
+        lock; the actual degrade attempts run outside it.
         """
         with self._lock:
             waiting = [
@@ -423,7 +424,12 @@ class RequestScheduler:
         return None
 
     def _pump_locked(self) -> None:
-        """Deficit-round-robin grant loop; runs until no client can proceed."""
+        """Round-robin grant loop; runs until no client can proceed.
+
+        Each pass gives every client with a queued head one turn: the head
+        is granted when the client's bucket affords it and a window slot —
+        or a leader to follow — is free.
+        """
         if self._closed:
             return
         now = self.clock()
@@ -434,40 +440,27 @@ class RequestScheduler:
             if not active:
                 break
             # Rotate the starting client so ties don't always favour the
-            # same tenant; each client in turn accrues one quantum and
-            # spends it on as many queue heads as it covers.
-            order = active[self._rr % len(active):] + active[: self._rr % len(active)]
+            # same tenant.
+            start = self._rr % len(active)
             self._rr += 1
-            for name in order:
+            for name in active[start:] + active[:start]:
                 client = self._clients[name]
-                if not client.queue:
-                    continue
                 client.refill(now)
-                client.deficit = min(
-                    client.deficit + QUANTUM_BYTES,
-                    max(QUANTUM_BYTES, client.queue[0].cost.predicted_bytes),
-                )
-                while client.queue:
-                    head = client.queue[0]
-                    cost_bytes = head.cost.predicted_bytes
-                    if cost_bytes > client.deficit or not client.affords(cost_bytes):
-                        break
-                    leader = self._find_leader(head)
-                    if leader is not None:
-                        if self._follower_count >= self._follower_slots:
-                            leader = None  # fall through to window rules
-                        else:
-                            head.leader_done = leader.done
-                    if leader is None and self._inflight_count >= self.max_inflight:
-                        break
-                    client.queue.pop(0)
-                    client.deficit -= cost_bytes
-                    client.debit(cost_bytes)
-                    client.granted += 1
-                    self._grant_locked(head, now, follower=leader is not None)
-                    progressed = True
-                if not client.queue:
-                    client.deficit = 0
+                head = client.queue[0]
+                cost_bytes = head.cost.predicted_bytes
+                if not client.affords(cost_bytes):
+                    continue
+                leader = self._find_leader(head)
+                if leader is not None and self._follower_count >= self._follower_slots:
+                    leader = None  # fall through to window rules
+                if leader is None and self._inflight_count >= self.max_inflight:
+                    continue
+                head.leader_done = leader.done if leader is not None else None
+                client.queue.pop(0)
+                client.debit(cost_bytes)
+                client.granted += 1
+                self._grant_locked(head, now, follower=leader is not None)
+                progressed = True
 
     def _grant_locked(self, pending: _Pending, now: float, follower: bool) -> None:
         pending.granted = True
@@ -531,40 +524,23 @@ class RequestScheduler:
     # ------------------------------------------------------------------ pacer
 
     def _pace(self) -> None:
-        while True:
-            with self._cond:
-                if self._closed:
-                    return
+        """Refill the buckets and re-grant every period until closed."""
+        with self._cond:
+            while not self._closed:
                 self._cond.wait(_PACER_PERIOD_S)
-                if self._closed:
-                    return
                 self._pump_locked()
-            self._shed_queued()
 
     # ------------------------------------------------------------------ misc
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Block until no request is queued or in flight; False on timeout."""
-        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while True:
-                idle = (
-                    self._inflight_count == 0
-                    and self._follower_count == 0
-                    and all(not c.queue for c in self._clients.values())
-                )
-                if idle:
-                    return True
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return False
-                self._cond.wait(
-                    _PACER_PERIOD_S
-                    if remaining is None
-                    else min(_PACER_PERIOD_S, remaining)
-                )
+            return self._cond.wait_for(
+                lambda: self._inflight_count == 0
+                and self._follower_count == 0
+                and not any(c.queue for c in self._clients.values()),
+                timeout,
+            )
 
     def stats(self) -> dict:
         """Scheduler-level aggregates plus per-client QoS accounting."""
@@ -608,6 +584,8 @@ class RequestScheduler:
             self._cond.notify_all()
         for pending in doomed:
             pending.response._fail(RetrievalError("scheduler closed"))
+        if self._pacer is not None:
+            self._pacer.join()
         self._executor.shutdown(wait=True)
 
     def __enter__(self) -> "RequestScheduler":

@@ -165,6 +165,10 @@ class _SlabEntry:
     crc: int
 
 
+#: One resident candidate of a shard: ``(data, bound, consumed ranges)``.
+_Resident = Tuple[np.ndarray, float, List[Tuple[int, int]]]
+
+
 @dataclass
 class _ShardServe:
     """What serving one shard produced (before request-level assembly)."""
@@ -445,11 +449,12 @@ class RetrievalService:
 
         The shard lock is only *tried*: if a writer is mid-decode the rung
         is skipped (its state is live) and immutable slabs alone are
-        considered, so this path never blocks behind a cold read.  The
-        trace reports ``bytes_loaded=0`` / no ranges — nothing was consumed
-        — with ``achieved_bound`` whatever fidelity was actually served,
-        and is not recorded in the service aggregate (the scheduler records
-        the *final* answer).
+        considered, so this path never blocks behind a cold read.  A slab
+        failing its checksum is invalidated, not resident.  A canonical
+        answer reports the ranges a fresh serial read consumes, like a warm
+        hit; a degraded one reports none (``bytes_loaded=0``).  The trace is
+        not recorded in the service aggregate (the scheduler records the
+        *final* answer).
         """
         return self._get_resident(self._session(path), error_bound, roi)
 
@@ -459,7 +464,7 @@ class RetrievalService:
         dataset = session.dataset
         roi_slices, selected = dataset.select(roi)
         target = dataset._validated_target(error_bound)
-        resident: List[List[Tuple[np.ndarray, float]]] = []
+        resident: List[List[_Resident]] = []
         for shard in selected:
             candidates = self._resident(session, shard.name)
             if not candidates:
@@ -474,26 +479,33 @@ class RetrievalService:
         ]
         pieces = [(shard.slices, data) for shard, (data, _, _) in zip(selected, served)]
         data = assemble(pieces, roi_slices, dataset.dtype)
+        canonical = all(consumed is not None for _, _, consumed in served)
+        ranges = [
+            (shard.name, o, n)
+            for shard, (_, _, consumed) in zip(selected, served)
+            for o, n in consumed
+        ] if canonical else []
         trace = RetrievalTrace(
             dataset=str(session.path),
             roi=[[s.start, s.stop] for s in roi_slices],
             error_bound=target,
             achieved_bound=max((bound for _, bound, _ in served), default=0.0),
             shards=[s.name for s in selected],
-            ranges=[],
-            bytes_loaded=0,
-            planned_bytes=0,
+            ranges=ranges,
+            bytes_loaded=sum(n for _, _, n in ranges),
+            planned_bytes=plan.predicted_bytes if canonical else 0,
             physical_reads=0,
             physical_bytes=0,
-            canonical=all(canonical for _, _, canonical in served),
+            canonical=canonical,
         )
         return ServiceResponse(data=data, trace=trace)
 
-    def _resident(self, session: _Session, name: str) -> List[Tuple[np.ndarray, float]]:
-        """Every resident ``(data, bound)`` of one shard: the live rung's
-        reconstruction, its bound from the rung's own loader, and each slab."""
+    def _resident(self, session: _Session, name: str) -> List[_Resident]:
+        """Every resident ``(data, bound, consumed ranges)`` of one shard: the
+        live rung's reconstruction, its bound from the rung's own loader and
+        its store's trace, and each intact slab with its recorded trace."""
         sid = session.sid
-        candidates: List[Tuple[np.ndarray, float]] = []
+        candidates: List[_Resident] = []
         lock = session.shard_lock(name)
         if lock.acquire(blocking=False):
             try:
@@ -502,34 +514,36 @@ class RetrievalService:
                     output = rung.current_output
                     if output is not None:
                         bound = rung.loader.plan_error(rung.current_keep)
-                        candidates.append((output, float(bound)))
+                        candidates.append((output, float(bound), list(rung.store.trace)))
             finally:
                 lock.release()
         # Slabs are immutable once inserted — safe to read lock-free even
         # while a writer holds the shard lock for a different selection.
-        for _key, entry in self.cache.scan(
+        for key, entry in self.cache.scan(
             "slab", lambda k: k[0] == sid and k[1] == name
         ):
-            candidates.append((entry.data, float(entry.bound)))
+            if self._slab_intact(key, entry):
+                candidates.append((entry.data, float(entry.bound), entry.trace))
         return candidates
 
     @staticmethod
     def _best_resident(
-        candidates: List[Tuple[np.ndarray, float]], planned: float
-    ) -> Tuple[np.ndarray, float, bool]:
-        """Best resident ``(data, bound, canonical)`` for one shard.
+        candidates: List[_Resident], planned: float
+    ) -> Tuple[np.ndarray, float, Optional[List[Tuple[int, int]]]]:
+        """Best resident ``(data, bound, consumed)`` for one shard.
 
-        ``canonical`` marks the reconstruction a from-scratch serve would
-        produce bit-for-bit (resident bound equals ``planned``, the bound of
-        the shard's plan).  A canonical candidate wins over a finer one —
-        it lets the caller settle the request outright instead of
-        refining a bound-satisfying-but-different answer.
+        A canonical candidate — the reconstruction a from-scratch serve
+        would produce bit-for-bit (resident bound equals ``planned``, the
+        bound of the shard's plan) — wins over a finer one: it lets the
+        caller settle the request outright instead of refining a
+        bound-satisfying-but-different answer.  ``consumed`` is None for a
+        non-canonical answer, which consumed nothing.
         """
-        for data, bound in candidates:
+        for data, bound, consumed in candidates:
             if bound == planned:
-                return data, bound, True
-        data, bound = min(candidates, key=lambda c: c[1])
-        return data, bound, False
+                return data, bound, consumed
+        data, bound, _ = min(candidates, key=lambda c: c[1])
+        return data, bound, None
 
     def stats(self) -> dict:
         """Aggregate request statistics plus the cache's live counters."""
@@ -547,7 +561,7 @@ class RetrievalService:
         rung_key = (session.sid, name)
         with session.shard_lock(name):
             entry = self.cache.get("slab", slab_key, count=False)
-            if entry is not None and zlib.crc32(entry.data.tobytes()) == entry.crc:
+            if entry is not None and self._slab_intact(slab_key, entry):
                 self.cache.record("slab", hit=True)
                 # Only a serve of this shard in this session inserts a slab,
                 # and that serve has claimed the header parse already.
@@ -560,10 +574,6 @@ class RetrievalService:
                     retries=0,
                     tier="slab",
                 )
-            if entry is not None:
-                # Poisoned entry: its bytes no longer match the checksum
-                # recorded at insert.  Never served — drop and recompute.
-                self.cache.invalidate("slab", slab_key)
             self.cache.record("slab", hit=False)
             # The resident rung serves only when its keep is component-wise
             # ≤ the plan's: the load then lands exactly on the plan's
@@ -635,6 +645,14 @@ class RetrievalService:
             )
             self._insert_slab(slab_key, serve)
             return serve
+
+    def _slab_intact(self, slab_key, entry: _SlabEntry) -> bool:
+        """The one slab check of the serve and the resident path: True while
+        the bytes match the checksum recorded at insert, else invalidate."""
+        if zlib.crc32(entry.data.tobytes()) == entry.crc:
+            return True
+        self.cache.invalidate("slab", slab_key)
+        return False
 
     def _insert_slab(self, slab_key, serve: _ShardServe) -> None:
         data = serve.data

@@ -1,23 +1,30 @@
-"""QoS scheduler: admission, budgets, batching, degradation, fairness.
+"""QoS scheduler: admission, budgets, batching, degradation, rotation.
 
-The contract under test, per scheduler feature:
+The scheduler keeps four policies, each because it wins a measured
+scenario (the table is in ``docs/architecture.md``); the contract under
+test, per policy:
 
 * a scheduled request's final answer is **bitwise-identical** to a direct
   ``RetrievalService.get`` (itself pinned to the serial oracle);
-* token buckets are **never overdrawn** — a grant happens only when the
-  client's bucket covers the planner's ``predicted_bytes``, and the
-  bucket's recorded low-water mark stays >= 0 under any contention;
+* token buckets — the one per-tenant byte rule — are **never overdrawn**:
+  a grant happens only when the client's bucket covers the planner's
+  ``predicted_bytes``, and the bucket's recorded low-water mark stays
+  >= 0 under any contention; an unmetered client is granted at submit
+  whatever its request costs;
 * at most ``max_inflight`` requests fetch/decode concurrently;
 * concurrent overlapping requests batch — one leader fetches, followers
-  read the tiers it populated with zero physical reads;
+  read the tiers it populated with zero physical reads, and a follower
+  needs no window slot;
 * a load-shed (degraded) response serves a *resident* coarser fidelity
   immediately and its background refine converges to the exact bytes a
-  fresh serial read at the requested bound produces.
+  fresh serial read at the requested bound produces; shedding is retried
+  when a scheduled serve completes, and a resident answer is trusted only
+  after the slab checksum and carries the serial read's receipt.
 
 Time-dependent paths run on an injected fake clock with the pacer thread
 disabled (``pacer=False``), so refills happen only at explicit
 :meth:`~repro.service.scheduler.RequestScheduler.kick` calls and the tests
-are deterministic.
+are deterministic.  An unmetered scheduler starts no pacer at all.
 
 NB: module-local data only — the conftest ``rng`` fixture is session-scoped
 and shared (use local generators in new tests that need randomness).
@@ -107,6 +114,34 @@ class _ConcurrencyProbe:
                 self.active -= 1
 
 
+class _FirstReadGate:
+    """``source_filter`` whose first read blocks until :attr:`release` is set."""
+
+    def __init__(self) -> None:
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, name, source):
+        return _GatedSource(source, self)
+
+
+class _GatedSource:
+    def __init__(self, inner, gate: _FirstReadGate) -> None:
+        self._inner = inner
+        self._gate = gate
+        self.size = inner.size
+
+    def read_range(self, offset, length):
+        if not self._gate.entered.is_set():
+            self._gate.entered.set()
+            self._gate.release.wait(timeout=60)
+        return self._inner.read_range(offset, length)
+
+
+def _pacer_threads() -> int:
+    return sum(t.name == "repro-sched-pacer" for t in threading.enumerate())
+
+
 # --------------------------------------------------------------- passthrough
 
 
@@ -151,6 +186,84 @@ def test_submit_after_close_raises(tmp_path):
         scheduler.close()
         with pytest.raises(RetrievalError):
             scheduler.submit(path)
+
+
+def test_submit_racing_close_raises_instead_of_hanging(tmp_path):
+    """A ``close()`` that runs while ``submit`` is costing its request has
+    already swept the queues: the submit must refuse, not enqueue a
+    request nothing will ever serve."""
+    path = _make_container(tmp_path)
+    costing, release = threading.Event(), threading.Event()
+
+    class _SlowCost(_NothingResident):
+        def cost(self, *args, **kwargs):
+            costing.set()
+            release.wait(timeout=60)
+            return super().cost(*args, **kwargs)
+
+    outcome: dict = {}
+    with RetrievalService() as service:
+        scheduler = RequestScheduler(_SlowCost(service), pacer=False)
+
+        def submit() -> None:
+            try:
+                outcome["handle"] = scheduler.submit(path)
+            except RetrievalError as exc:
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=submit)
+        thread.start()
+        assert costing.wait(timeout=60)
+        scheduler.close()
+        release.set()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert "error" in outcome, outcome
+        assert scheduler.stats()["queued"] == 0
+
+
+def test_large_request_on_idle_unmetered_scheduler_is_granted_at_submit(tmp_path):
+    """An unmetered client's request is granted inside ``submit`` whatever
+    it costs.  Deficit round-robin used to hold a request predicting more
+    than its 1 MiB quantum until a pacer tick (with ``pacer=False``, until
+    a ``kick()``)."""
+    path = tmp_path / "large.rprc"
+    noise = np.random.default_rng(55150).normal(size=(80, 64, 64))
+    ChunkedDataset.write(
+        path, noise, error_bound=1e-9, relative=True, n_blocks=4, workers=0,
+    )
+    oracle = _serial(path)
+    clock = _FakeClock()
+    with RetrievalService() as service:
+        with RequestScheduler(
+            service, max_inflight=2, clock=clock, pacer=False
+        ) as scheduler:
+            handle = scheduler.submit(path, client="big")
+            assert handle.cost.predicted_bytes > 1 << 20
+            assert scheduler.stats()["queued"] == 0  # granted, not queued
+            final = handle.refined(timeout=60)  # no kick()
+    assert final.trace.queue_wait == 0.0
+    assert np.array_equal(final.data, oracle.data)
+
+
+@pytest.mark.parametrize(
+    "options, pacers",
+    [
+        ({}, 0),
+        ({"max_inflight": 2}, 0),
+        ({"client_budgets": {"free": 0}}, 0),
+        ({"budget_bps": 1000}, 1),
+        ({"client_budgets": {"free": 0, "vip": 5000}}, 1),
+    ],
+)
+def test_pacer_thread_runs_only_when_a_budget_is_set(options, pacers):
+    """The pacer only refills buckets: with every rate 0 there is nothing
+    to refill and no thread wakes for it.  ``close()`` joins it."""
+    with RetrievalService() as service:
+        before = _pacer_threads()
+        with RequestScheduler(service, **options):
+            assert _pacer_threads() - before == pacers
+        assert _pacer_threads() == before
 
 
 @pytest.mark.parametrize(
@@ -264,31 +377,14 @@ def test_overlapping_requests_batch_leader_and_follower(tmp_path):
     path = _make_container(tmp_path)
     _, fine = _bounds(path)
     oracle = _serial(path, fine)
-    gate = threading.Event()
-    gated_once = threading.Event()
-
-    class _GatedSource:
-        """First read blocks until the test releases the gate."""
-
-        def __init__(self, inner):
-            self._inner = inner
-            self.size = inner.size
-
-        def read_range(self, offset, length):
-            if not gated_once.is_set():
-                gated_once.set()
-                gate.wait(timeout=60)
-            return self._inner.read_range(offset, length)
-
-    with RetrievalService(
-        source_filter=lambda name, source: _GatedSource(source)
-    ) as service:
+    gate = _FirstReadGate()
+    with RetrievalService(source_filter=gate) as service:
         with RequestScheduler(service, max_inflight=4) as scheduler:
             leader = scheduler.submit(path, error_bound=fine, client="lead")
-            assert gated_once.wait(timeout=60)  # leader is mid-fetch
+            assert gate.entered.wait(timeout=60)  # leader is mid-fetch
             follower = scheduler.submit(path, error_bound=fine, client="tail")
             assert scheduler.stats()["followers"] == 1
-            gate.set()
+            gate.release.set()
             lead_final = leader.refined(timeout=120)
             tail_final = follower.refined(timeout=120)
     assert np.array_equal(lead_final.data, oracle.data)
@@ -297,6 +393,29 @@ def test_overlapping_requests_batch_leader_and_follower(tmp_path):
     # slabs (consumed accounting identical, physical zero).
     assert tail_final.trace.bytes_loaded == oracle.bytes_loaded
     assert tail_final.trace.physical_reads == 0
+
+
+def test_follower_needs_no_window_slot(tmp_path):
+    """Batching's measured win: with the one window slot held by a cold
+    leader, an identical request is granted at once as its follower
+    instead of queueing behind it for a slot."""
+    path = _make_container(tmp_path)
+    _, fine = _bounds(path)
+    oracle = _serial(path, fine)
+    gate = _FirstReadGate()
+    with RetrievalService(source_filter=gate) as service:
+        with RequestScheduler(service, max_inflight=1) as scheduler:
+            leader = scheduler.submit(path, error_bound=fine, client="lead")
+            assert gate.entered.wait(timeout=60)  # the only slot is busy
+            follower = scheduler.submit(path, error_bound=fine, client="tail")
+            stats = scheduler.stats()
+            assert stats["inflight"] == 1 and stats["queued"] == 0
+            assert stats["followers"] == 1
+            gate.release.set()
+            finals = [leader.refined(timeout=120), follower.refined(timeout=120)]
+    for final in finals:
+        assert np.array_equal(final.data, oracle.data)
+    assert finals[1].trace.physical_reads == 0
 
 
 # -------------------------------------------------------------- degradation
@@ -359,6 +478,94 @@ def test_resident_full_fidelity_settles_without_debit(tmp_path):
             assert stats["queued"] == 0
             assert stats["clients"]["free"]["granted"] == 0
             assert stats["degraded_served"] == 0
+
+
+def test_queued_request_is_shed_when_a_scheduled_serve_completes(tmp_path):
+    """Re-shedding runs on completion: a request that found nothing
+    resident at submit is served the fidelity another tenant's finished
+    serve left behind — no pacer, no kick."""
+    path = _make_container(tmp_path)
+    coarse, fine = _bounds(path)
+    coarse_oracle = _serial(path, coarse)
+    fine_oracle = _serial(path, fine)
+    clock = _FakeClock()
+    with RetrievalService() as service:
+        cost = service.cost(path, fine).predicted_bytes
+        with RequestScheduler(
+            service, client_budgets={"short": 100}, clock=clock, pacer=False
+        ) as scheduler:
+            starved = scheduler.submit(path, error_bound=fine, client="short")
+            with pytest.raises(TimeoutError):
+                starved.result(timeout=0.2)  # nothing resident yet
+            scheduler.request(path, error_bound=coarse, client="free", timeout=60)
+            first = starved.result(timeout=10)
+            assert starved.degraded
+            assert np.array_equal(first.data, coarse_oracle.data)
+            clock.advance(cost / 100 + 1.0)
+            scheduler.kick()
+            final = starved.refined(timeout=60)
+    assert np.array_equal(final.data, fine_oracle.data)
+
+
+def _drop_tier(service: RetrievalService, tier: str) -> None:
+    service.cache.purge(lambda entry_tier, key: entry_tier == tier)
+
+
+@pytest.mark.parametrize("resident_tier", ["slab", "rung"])
+def test_settled_resident_answer_carries_the_serial_receipt(tmp_path, resident_tier):
+    """A canonical answer from residency is the bytes of a fresh serial
+    read, so it reports that read's consumption — a slab's recorded trace,
+    the rung's store trace — like a warm hit, never an empty receipt."""
+    path = _make_container(tmp_path)
+    _, fine = _bounds(path)
+    oracle = _serial(path, fine)
+    clock = _FakeClock()
+    with RetrievalService() as service:
+        service.get(path, error_bound=fine)
+        _drop_tier(service, "rung" if resident_tier == "slab" else "slab")
+        resident = service.get_resident(path, fine)
+        assert resident.trace.canonical
+        assert resident.trace.bytes_loaded == oracle.bytes_loaded
+        assert sorted(resident.trace.ranges) == sorted(oracle.ranges)
+        with RequestScheduler(
+            service, budget_bps=100, clock=clock, pacer=False
+        ) as scheduler:
+            handle = scheduler.submit(path, error_bound=fine, client="free")
+            final = handle.refined(timeout=10)
+            assert scheduler.stats()["clients"]["free"]["granted"] == 0
+    assert final.trace.budget_debited == 0
+    assert final.trace.bytes_loaded == oracle.bytes_loaded
+    assert sorted(final.trace.ranges) == sorted(oracle.ranges)
+    assert np.array_equal(final.data, oracle.data)
+
+
+def test_poisoned_slab_is_not_resident(tmp_path):
+    """The resident path runs the slab checksum a slab hit runs: a
+    poisoned slab is invalidated, so a budget-short request cannot settle
+    on it and waits for a real serve instead."""
+    path = _make_container(tmp_path)
+    _, fine = _bounds(path)
+    oracle = _serial(path, fine)
+    clock = _FakeClock()
+    with RetrievalService() as service:
+        service.get(path, error_bound=fine)
+        _drop_tier(service, "rung")
+        poisoned = [entry for _, entry in service.cache.scan("slab", lambda k: True)]
+        assert poisoned
+        for entry in poisoned:
+            entry.data.flat[0] += 1.0
+        assert service.get_resident(path, fine) is None
+        cost = service.cost(path, fine).predicted_bytes
+        with RequestScheduler(
+            service, budget_bps=100, clock=clock, pacer=False
+        ) as scheduler:
+            handle = scheduler.submit(path, error_bound=fine, client="short")
+            with pytest.raises(TimeoutError):
+                handle.result(timeout=0.2)
+            clock.advance(cost / 100 + 1.0)
+            scheduler.kick()
+            final = handle.refined(timeout=60)
+    assert np.array_equal(final.data, oracle.data)
 
 
 def test_finer_residency_is_not_canonical_and_refines_to_serial(tmp_path):
