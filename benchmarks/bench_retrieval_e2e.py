@@ -16,7 +16,7 @@ emits **`BENCH_retrieval.json`** at the repo root:
 2. **ROI reads** — bytes-touched fraction for a ≤ 1/4-volume region
    (the Figure 6 headline), identical across execution paths.
 3. **Refinement ladder** — a 4-rung ``refine()`` ladder over loopback
-   HTTP, multiplexed with rung speculation: zero re-read ranges and byte
+   HTTP, multiplexed: zero re-read ranges and byte
    counts identical to the local synchronous ladder (hard-gated; this is
    the accounting contract).
 4. **Single-stream decode** — a bare ``.ipc`` file read through

@@ -8,10 +8,11 @@ per-level plane selection, and the retriever makes **one transition**:
 
 * **load** — read and bounded-inflate exactly the plane blocks the plan adds
   on top of what is already resident (the anchor block only while it has
-  not been decoded), writing each validated, still XOR-predicted packed row
-  into its slot of the shard's one preallocated buffer *as it arrives*.  No
-  block is ever read twice — the property that distinguishes IPComp from
-  residual-based progressive schemes;
+  not been decoded), one source read per coalesced fetch op
+  (:meth:`pending_ops`), writing each validated, still XOR-predicted packed
+  row into its slot of the shard's one preallocated buffer *as it is
+  sliced out*.  No block is ever read twice — the property that
+  distinguishes IPComp from residual-based progressive schemes;
 * **rebuild** — if anything arrived since the output was last built, one
   shard sweep over the resident rows
   (:meth:`~repro.core.predictive_coder.PredictiveCoder.codes_from_rows`)
@@ -126,6 +127,7 @@ class ProgressiveRetriever:
         # the output last built from them.
         self._anchor_values: Optional[np.ndarray] = None
         self._current_keep: Dict[int, int] = {enc.level: 0 for enc in header.levels}
+        self._levels = {enc.level: enc for enc in header.levels}
         self._rows: Dict[int, np.ndarray] = rows
         self._slots = {level: memoryview(slot) for level, slot in slots.items()}
         self._current_output: Optional[np.ndarray] = None
@@ -178,23 +180,27 @@ class ProgressiveRetriever:
     ) -> List[FetchOp]:
         """The coalesced fetch ops a request would read, given current state.
 
-        The exact byte ranges :meth:`retrieve` is about to touch: only the
-        planes above what is resident (fidelity never decreases), and the
-        anchor while it has not been decoded — also after a call that failed
-        midway.  The retrieval engine primes these through the prefetcher;
-        the CLI's ``info`` prints them.
+        The exact reads :meth:`retrieve` is about to issue, one per op: only
+        the planes above what is resident (fidelity never decreases), and
+        the anchor while it has not been decoded — also after a call that
+        failed midway.  Over a remote source the engine or the serving layer
+        primes these first (:meth:`_prime`); the CLI's ``info`` prints them.
         """
         if plan is None:
             plan = self._plan(error_bound, bitrate, byte_budget)
+        return self._ops(self._target_keep(plan))
+
+    def _ops(self, target_keep: Dict[int, int]) -> List[FetchOp]:
         return plan_stream_ops(
             self.store,
             self._current_keep,
-            self._target_keep(plan),
+            target_keep,
             include_anchor=self._anchor_values is None,
         )
 
     def _prime(self, plan: LoadingPlan) -> None:
-        """Hand the planned ranges to the source's prefetcher, if it has one."""
+        """Hand the planned ops to the source's prime cache, if it has one —
+        once per plan, before :meth:`retrieve` reads them."""
         prime = getattr(self.store.source, "prime", None)
         if prime is not None:
             prime([(op.offset, op.length) for op in self.pending_ops(plan=plan)])
@@ -223,9 +229,6 @@ class ProgressiveRetriever:
         """
         if plan is None:
             plan = self._plan(error_bound, bitrate, byte_budget)
-        # Stage 2: overlap the planned range reads with decoding whenever
-        # the source supports priming (a no-op on plain in-memory blobs).
-        self._prime(plan)
         self.store.reset_accounting()
         self._load(self._target_keep(plan))
         levels = self.header.levels
@@ -266,26 +269,37 @@ class ProgressiveRetriever:
 
     def _load(self, target_keep: Dict[int, int]) -> None:
         """Read, inflate and keep every block between the resident state and
-        ``target_keep`` — the blocks :meth:`pending_ops` names, in stream order.
+        ``target_keep``: one store read per :meth:`pending_ops` op, its
+        blocks taken in stream order.
 
         State advances block by block, so a read or a hostile block that
         raises midway leaves a consistent retriever: what arrived stays (and
         is never read again), what did not is still pending.
         """
-        if self._anchor_values is None:
-            self._anchor_values = self.coder.decode_anchor(
-                self.store.read_anchor(), self.header.anchor_count
-            )
-            self._stale = True
         for enc in self.header.levels:
             if target_keep[enc.level] > enc.nbits:
                 raise StreamFormatError("more planes planned than the level width")
-            slot, row_bytes = self._slots[enc.level], self._rows[enc.level].shape[1]
-            for plane in range(self._current_keep[enc.level], target_keep[enc.level]):
-                row = self.coder.decode_row(enc, plane, self.store.read_block(enc.level, plane))
-                slot[plane * row_bytes : (plane + 1) * row_bytes] = row
-                self._current_keep[enc.level] = plane + 1
+        for op in self._ops(target_keep):
+            for key, block in self.store.read_op(op):
+                if key is None:
+                    self._anchor_values = self.coder.decode_anchor(
+                        block, self.header.anchor_count
+                    )
+                else:
+                    level, plane = key
+                    row_bytes = self._rows[level].shape[1]
+                    self._slots[level][plane * row_bytes : (plane + 1) * row_bytes] = (
+                        self.coder.decode_row(self._levels[level], plane, block)
+                    )
+                    self._current_keep[level] = plane + 1
                 self._stale = True
+        # Only an empty block outside every op (no writer emits one) can be
+        # planned but never read.
+        if self._anchor_values is None:
+            raise StreamFormatError("the anchor is an empty block")
+        for level, keep in self._current_keep.items():
+            if keep < target_keep[level]:
+                raise StreamFormatError(f"level {level} plane {keep} is an empty block")
 
     def _cast(self, output: np.ndarray) -> np.ndarray:
         return output.astype(self.header.dtype, copy=True).reshape(self.header.shape)

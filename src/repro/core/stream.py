@@ -42,7 +42,8 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from functools import cached_property
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,6 +53,9 @@ from repro.errors import StreamFormatError
 MAGIC = b"IPC1"
 VERSION = 2
 SUPPORTED_VERSIONS = (1, 2)
+
+#: Label of the anchor block in a fetch op; a plane block's is ``"L<level>/p<plane>"``.
+ANCHOR_BLOCK = "anchor"
 
 
 class BytesSource:
@@ -314,14 +318,32 @@ class BlockExtents:
         self.header = header
         self.header_bytes = payload_start
         self._anchor_offset = payload_start
-        self._offsets: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        cursor = payload_start + header.anchor_size
-        for enc in sorted(header.levels, key=lambda e: -e.level):
-            for plane_index, plane_size in enumerate(header_plane_sizes(enc)):
-                self._offsets[(enc.level, plane_index)] = (cursor, plane_size)
-                cursor += plane_size
-        if cursor > size:
+        if payload_start + header.payload_bytes() > size:
             raise StreamFormatError("stream shorter than its block directory")
+
+    @cached_property
+    def _planes(self) -> Dict[int, List[Tuple[int, int, str]]]:
+        # Per level, ``(offset, size, fetch-op label)`` of each plane block,
+        # most significant first.  Built on the first block lookup: a
+        # pinned shard that is never planned from pays only the size check.
+        planes: Dict[int, List[Tuple[int, int, str]]] = {}
+        cursor = self.header_bytes + self.header.anchor_size
+        for enc in sorted(self.header.levels, key=lambda e: -e.level):
+            blocks = planes[enc.level] = []
+            for plane, size in enumerate(header_plane_sizes(enc)):
+                blocks.append((cursor, size, f"L{enc.level}/p{plane}"))
+                cursor += size
+        return planes
+
+    @cached_property
+    def _labelled(self) -> Dict[str, Tuple[Optional[Tuple[int, int]], int, int]]:
+        # Fetch-op label → (``(level, plane)`` or ``None`` for the anchor,
+        # offset, size): how a store finds the blocks inside an op.
+        labelled = {ANCHOR_BLOCK: (None, self._anchor_offset, self.header.anchor_size)}
+        for level, blocks in self._planes.items():
+            for plane, (offset, size, label) in enumerate(blocks):
+                labelled[label] = ((level, plane), offset, size)
+        return labelled
 
     @property
     def overhead_bytes(self) -> int:
@@ -333,13 +355,18 @@ class BlockExtents:
         return self._anchor_offset, self.header.anchor_size
 
     def block_extent(self, level: int, plane: int) -> Tuple[int, int]:
-        """``(offset, size)`` of one plane block — the planner's substrate."""
-        try:
-            return self._offsets[(level, plane)]
-        except KeyError:
-            raise StreamFormatError(
-                f"no block for level {level}, plane {plane}"
-            ) from None
+        """``(offset, size)`` of one plane block."""
+        offset, size, _ = self.plane_blocks(level, plane, plane + 1)[0]
+        return offset, size
+
+    def plane_blocks(self, level: int, start: int, stop: int) -> List[Tuple[int, int, str]]:
+        """``(offset, size, label)`` of planes ``start … stop − 1`` of one
+        level, in stream order — the planner's substrate."""
+        blocks = self._planes.get(level, [])
+        if start < 0 or stop > len(blocks):
+            missing = start if not 0 <= start < len(blocks) else len(blocks)
+            raise StreamFormatError(f"no block for level {level}, plane {missing}")
+        return blocks[start:stop]
 
 
 class CompressedStore(BlockExtents):
@@ -356,14 +383,17 @@ class CompressedStore(BlockExtents):
     (``overhead_bytes``).
 
     ``trace`` is the one record of what a request **consumed**: the
-    ``(offset, length)`` of every read the store issued, in order, never
-    reset.  It always begins with the two header ranges — ``(0, 10)`` and
-    ``(10, payload_start - 10)`` — whether the store parsed the header
+    ``(offset, length)`` of every block the store handed out, in order,
+    never reset.  It always begins with the two header ranges — ``(0, 10)``
+    and ``(10, payload_start - 10)`` — whether the store parsed the header
     itself or was handed ``parsed=``, so a request reports the same ranges
     however its header was obtained.  Whatever sits between the store and
     the bytes (a prime cache, a container block, a remote stack) keeps no
     list of its own: the engine, the pool worker and the serving layer all
-    report ``retriever.store.trace``.
+    report ``retriever.store.trace``.  A fetch op (:meth:`read_op`) is one
+    source read but one trace entry per block it carries, so the record
+    does not depend on how the reads were grouped; ``n_reads`` counts the
+    source reads themselves.
     """
 
     def __init__(self, blob, *, parsed: "Tuple[StreamHeader, int] | None" = None) -> None:
@@ -377,6 +407,9 @@ class CompressedStore(BlockExtents):
         )
         super().__init__(header, payload_start, self._source.size)
         self.bytes_read = 0
+        #: Source reads issued since the last :meth:`reset_accounting` (one
+        #: per fetch op or single block) — a serve's ``physical_reads``.
+        self.n_reads = 0
         self.trace: List[Tuple[int, int]] = [(0, 10), (10, payload_start - 10)]
 
     @property
@@ -391,13 +424,18 @@ class CompressedStore(BlockExtents):
 
     # ------------------------------------------------------------------ reads
 
-    def _read(self, offset: int, size: int, what: str) -> bytes:
+    def _fetch(self, offset: int, size: int, what: str) -> bytes:
         data = self._source.read_range(offset, size)
+        self.n_reads += 1
         if len(data) != size:
             raise StreamFormatError(
                 f"short read of {what}: wanted {size} B at stream offset "
                 f"{offset}, got {len(data)}"
             )
+        return data
+
+    def _read(self, offset: int, size: int, what: str) -> bytes:
+        data = self._fetch(offset, size, what)
         # Charge only after the read succeeds: a raising or truncating
         # source must not inflate the consumed figures with bytes that
         # never arrived.
@@ -412,6 +450,38 @@ class CompressedStore(BlockExtents):
         offset, size = self.block_extent(level, plane)
         return self._read(offset, size, f"level {level}, plane {plane}")
 
+    def read_op(self, op) -> Iterator[Tuple[Optional[Tuple[int, int]], memoryview]]:
+        """Read one fetch op (:class:`~repro.retrieval.plan.FetchOp`) with one
+        source read; yield ``((level, plane) or None for the anchor, bytes)``
+        per block it carries.
+
+        Each block is sliced out of the op's buffer, never copied, and is
+        charged — one ``trace`` entry, checked to lie inside the op — as it
+        is handed out, so a consumer that raises midway has consumed
+        exactly the blocks before the one it failed on.
+        """
+        shown = op.blocks if len(op.blocks) <= 3 else (op.blocks[0], "…", op.blocks[-1])
+        buffer = memoryview(
+            self._fetch(op.offset, op.length, f"fetch op [{', '.join(shown)}]")
+        )
+        labelled = self._labelled
+        for label in op.blocks:
+            try:
+                key, offset, size = labelled[label]
+            except KeyError:
+                raise StreamFormatError(f"the stream has no block {label!r}") from None
+            start = offset - op.offset
+            if start < 0 or start + size > op.length:
+                raise StreamFormatError(
+                    f"block {label} [{offset}, {offset + size}) outside its "
+                    f"fetch op [{op.offset}, {op.offset + op.length})"
+                )
+            self.bytes_read += size
+            self.trace.append((offset, size))
+            yield key, buffer[start : start + size]
+
     def reset_accounting(self) -> None:
-        """Zero the ``bytes_read`` counter (used between retrieval requests)."""
+        """Zero the ``bytes_read`` and ``n_reads`` counters (used between
+        retrieval requests)."""
         self.bytes_read = 0
+        self.n_reads = 0

@@ -879,9 +879,10 @@ class AsyncRangeSource:
     ``opening`` is the payload of the opening read — the object's last
     bytes, already CRC-checked by the ladder.  A read that falls wholly
     inside it is answered from memory (the container sniff, tail word,
-    footer and manifest of a normal archive); anything else goes to the
-    wire as before.  ``read_tail`` never looks at it: revalidation must
-    see the object the server holds *now*.
+    footer and manifest of a normal archive); one that runs into it (a
+    fetch op of the last shard) sends only the part before it to the wire.
+    ``read_tail`` never looks at it: revalidation must see the object the
+    server holds *now*.
     """
 
     is_remote_source = True
@@ -898,24 +899,27 @@ class AsyncRangeSource:
     def loop_thread(self) -> EventLoopThread:
         return self._loop
 
-    def _from_opening(self, offset: int, length: int) -> Optional[bytes]:
-        start = offset - self._opening_start
-        if start < 0 or length < 0 or offset + length > self.size:
-            return None
-        return self._opening[start : start + length]
+    def _split(self, offset: int, length: int) -> Tuple[int, bytes]:
+        """``(wire, tail)``: the read's first ``wire`` bytes must be fetched,
+        the opening window holds the rest (``tail``)."""
+        cut = max(offset, self._opening_start)
+        if length < 0 or offset + length > self.size or cut >= offset + length:
+            return length, b""
+        start = cut - self._opening_start
+        return cut - offset, self._opening[start : start + offset + length - cut]
 
     def read_range(self, offset: int, length: int) -> bytes:
-        data = self._from_opening(offset, length)
-        if data is None:
-            data = self._loop.call(self._mirrors.aread_range(offset, length))
-        return data
+        wire, tail = self._split(offset, length)
+        if not wire:
+            return tail
+        return self._loop.call(self._mirrors.aread_range(offset, wire)) + tail
 
     async def aread_range(self, offset: int, length: int) -> bytes:
         """Coroutine view for async-aware callers (no thread hop)."""
-        data = self._from_opening(offset, length)
-        if data is None:
-            data = await self._mirrors.aread_range(offset, length)
-        return data
+        wire, tail = self._split(offset, length)
+        if not wire:
+            return tail
+        return await self._mirrors.aread_range(offset, wire) + tail
 
     def read_tail(self, span: int) -> Tuple[int, bytes]:
         return self._loop.call(self._mirrors.aread_tail(span))
@@ -1090,8 +1094,8 @@ class AsyncPrefetcher:
     none — so no request's deadline cuts short another request's read.
 
     :meth:`close` cancels queued and in-flight work (cancelled/raised
-    futures are exactly what ``PrefetchSource`` already handles by refund
-    + direct read) but never stops a *shared* loop — other sources and
+    futures are exactly what ``PrefetchSource`` already handles by a
+    direct read) but never stops a *shared* loop — other sources and
     prefetchers keep running.
     """
 

@@ -165,6 +165,11 @@ class BlockContainerReader:
             with self._lock:
                 self._handle.seek(offset)
                 data = self._handle.read(length)
+        return self._checked(data, offset, length, context)
+
+    @staticmethod
+    def _checked(data: bytes, offset: int, length: int, context: str) -> bytes:
+        """``data`` if it is the ``length`` bytes asked for at ``offset``."""
         if len(data) != length:
             raise StreamFormatError(
                 f"{context}: wanted {length} B at offset {offset}, "
@@ -259,6 +264,15 @@ class BlockContainerReader:
         a retriever backed by :class:`BlockSource` fetches exactly the plane
         blocks its plan selected, and ``bytes_read`` accounts for them.
         """
+        start, context = self._extent(name, offset, length)
+        data = self._read_at(start, length, context)
+        self._count(length)
+        return data
+
+    def _extent(self, name: str, offset: int, length: int) -> Tuple[int, str]:
+        """File offset of ``length`` bytes at ``offset`` into block ``name``,
+        and the context a short read of them is reported in — the lookup
+        and bounds check of both range reads."""
         if self._closed:
             raise StreamFormatError("container reader is closed")
         entry = self._entry(name)
@@ -268,15 +282,16 @@ class BlockContainerReader:
                 f"range [{offset}, {offset + length}) outside block "
                 f"{name!r} of {size} bytes"
             )
-        data = self._read_at(
+        return (
             int(entry["offset"]) + offset,
-            length,
             f"container truncated inside block {name!r} (block offset {offset})",
         )
+
+    def _count(self, length: int) -> None:
+        """Charge one physical read of ``length`` bytes."""
         with self._lock:
             self.bytes_read += length
             self.n_reads += 1
-        return data
 
     @property
     def supports_async(self) -> bool:
@@ -289,27 +304,14 @@ class BlockContainerReader:
     async def aread_range(self, name: str, offset: int, length: int) -> bytes:
         """Async twin of :meth:`read_range` over an async-capable source.
 
-        Same validation and byte accounting; used by the event-loop
-        prefetcher to multiplex block reads without a thread hop.
+        Same validation, error messages and byte accounting; used by the
+        event-loop prefetcher to multiplex block reads without a thread hop.
         """
-        if self._closed:
-            raise StreamFormatError("container reader is closed")
-        entry = self._entry(name)
-        size = int(entry["size"])
-        if offset < 0 or length < 0 or offset + length > size:
-            raise StreamFormatError(
-                f"range [{offset}, {offset + length}) outside block "
-                f"{name!r} of {size} bytes"
-            )
-        data = await self._source.aread_range(int(entry["offset"]) + offset, length)
-        if len(data) != length:
-            raise StreamFormatError(
-                f"container truncated inside block {name!r} "
-                f"(block offset {offset}): wanted {length} B, got {len(data)}"
-            )
-        with self._lock:
-            self.bytes_read += length
-            self.n_reads += 1
+        start, context = self._extent(name, offset, length)
+        data = self._checked(
+            await self._source.aread_range(start, length), start, length, context
+        )
+        self._count(length)
         return data
 
     def source(self, name: str) -> "BlockSource":

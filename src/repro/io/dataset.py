@@ -16,10 +16,10 @@ needs:
   *new* plane blocks, never re-reading a byte range it already has.
 
 Requests are served by the :class:`~repro.retrieval.engine.RetrievalEngine`
-pipeline — fetch-op planning; for a remote dataset (``prefetch > 0``, the
-default there) a prime cache over the event-loop prefetcher that overlaps
-round trips with decode and speculatively primes the next fidelity rung
-after a ``refine()``; and an optional pool decode stage (``workers=``) for
+pipeline — fetch-op planning, with one source read per op; for a remote
+dataset (``prefetch > 0``, the default there) a prime cache over the
+event-loop prefetcher that fetches each request's ops as one wave and
+overlaps round trips with decode; and an optional pool decode stage (``workers=``) for
 stateless reads of a local file where worker processes retrieve shards
 straight off the file into a shared output segment (*shared memory or
 in-process*: without a segment, or for a remote dataset, the read decodes
@@ -359,11 +359,10 @@ class ChunkedDataset:
         time is retrieved from scratch.  Fidelity never decreases, a rung is
         bitwise the :meth:`read` of the same plane selection, and a call
         whose source failed midway can be repeated (what arrived is kept,
-        never read again).  Over a
-        multiplexed remote dataset the engine also primes the *next*
-        fidelity rung in the background after each call; a speculative read
-        is physically performed at most once and is only ever reported by
-        the request that consumes it.
+        never read again).  Each call reads its shards' new fetch ops once —
+        over a multiplexed remote dataset as one primed wave — and fetches
+        nothing for a call not yet made: once it returns, no background
+        read is left.
         """
         roi_slices, selected = self.select(roi)
         target = self._validated_target(error_bound, bitrate)
@@ -439,8 +438,7 @@ class ChunkedDataset:
         the block source itself for a local file, a prime cache over it for
         a multiplexed remote one — with ``wrap(name, source)``, the serving
         layer's ``source_filter``, applied beneath the cache — and over the
-        shard's pinned header once :meth:`plan` or :meth:`pinned_shard` has
-        parsed it.
+        shard's pinned header (:meth:`pinned_shard`), parsed on first need.
         """
         (retriever,) = self._engine.open_retrievers([name], wrap)
         return retriever

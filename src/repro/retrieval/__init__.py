@@ -8,12 +8,13 @@ synchronously.  This package centralises the pipeline the paper's Figures
 
 * :mod:`repro.retrieval.plan` — the **planner**: turn an ROI + fidelity
   target into a deduplicated, coalesced list of ``(shard, byte-range,
-  planes)`` fetch ops, computed from stream headers alone.
+  planes)`` fetch ops, computed from stream headers alone.  The op is the
+  unit of I/O: a retriever reads each op with one source read.
 * :mod:`repro.retrieval.prefetch` — the **prime cache** of remote reads:
-  planned ranges are fetched in the background by the event-loop
-  prefetcher so round trips overlap per-shard decode (and ``refine()`` can
-  speculatively fetch the next fidelity rung); a local file reads
-  synchronously, with no wrapper.
+  one future per planned op, fetched in the background by the event-loop
+  prefetcher so round trips overlap per-shard decode; a request primes
+  exactly the ops it reads.  A local file reads synchronously, with no
+  wrapper.
 * :mod:`repro.retrieval.pooldecode` — the **pool decode stage**: worker
   processes read shards off a local container file and write the
   reconstructed slabs straight into one shared-memory output segment keyed

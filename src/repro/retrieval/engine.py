@@ -12,20 +12,19 @@ it is where the path from a request to the bytes is assembled — once, in
 * **stage 1 (plan)** — every selected shard's
   :meth:`~repro.core.progressive.ProgressiveRetriever.pending_ops` yields
   the deduplicated, coalesced fetch ops of the request
-  (:mod:`repro.retrieval.plan`).  A plan on its own
-  (:meth:`RetrievalEngine.plan`: ``ChunkedDataset.plan``, the serving
-  layer's cost and serve) comes from the shard's :class:`PinnedShard` —
-  header, block extents and loader, parsed once per engine — with one DP
-  run per shard;
+  (:mod:`repro.retrieval.plan`); the retriever reads each op with one
+  source read.  Every request opens its stores over the shards'
+  :class:`PinnedShard` — header, block extents and loader, parsed once
+  per engine — and a plan on its own (:meth:`RetrievalEngine.plan`:
+  ``ChunkedDataset.plan``, the serving layer's cost and serve) comes from
+  the same pins with one DP run per shard;
 * **stage 2 (prefetch)** — over sources that ``supports_async`` (a remote
-  stack) and with ``prefetch > 0``, every new shard's header and then all
-  shards' ops are primed through one shared
-  :class:`~repro.io.aio.AsyncPrefetcher`, each as one wave of round trips;
-  after a stateful ``refine()`` the engine speculatively primes the next
-  fidelity rung (``target / RUNG_FACTOR``) so a follow-up refinement finds
-  its blocks already resident — physically read once, attributed to the
-  request that consumes them.  A local file has no stage 2: the store
-  reads its block source directly;
+  stack) and with ``prefetch > 0``, the heads of shards not yet pinned and
+  then all shards' ops are primed through one shared
+  :class:`~repro.io.aio.AsyncPrefetcher`, each as one wave of round trips,
+  one future per op.  Each plan is primed once, by the request that reads
+  it; nothing is fetched for a request nobody made.  A local file has no
+  stage 2: the store reads its block source directly;
 * **stage 3 (decode)** — in-process per-shard decode by default; with
   ``workers > 1`` a *stateless* read of a local container is dispatched to
   the pool decode stage (:mod:`repro.retrieval.pooldecode`), whose workers
@@ -44,6 +43,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,16 +62,11 @@ from repro.retrieval.prefetch import PrefetchSource
 
 __all__ = ["EngineResult", "PinnedShard", "RetrievalEngine", "assemble"]
 
-#: Speculation ratio: after serving a refine() at bound E, prefetch the plan
-#: for E / RUNG_FACTOR (the ladder step the benchmarks and examples use) in
-#: the background.
-RUNG_FACTOR = 8.0
-
-#: Bytes speculatively primed at the head of each remote shard when its
-#: source is built: the stream header lives there, so header parsing —
-#: otherwise a serial round-trip per shard — rides one multiplexed batch.
-#: Consumed-trace accounting is untouched; the over-fetch is ordinary
-#: speculation.
+#: Bytes primed at the head of each remote shard before its header is
+#: parsed: the stream header lives there, so header parsing — otherwise a
+#: serial round trip per shard — rides one multiplexed batch.  A fetch op
+#: inside the head is later answered from it; one running past its end is
+#: fetched whole.  Consumed-trace accounting is untouched.
 DEFAULT_HEADER_PRIME = 8192
 
 
@@ -121,9 +116,14 @@ class PinnedShard(BlockExtents):
     def __init__(self, source) -> None:
         header, payload_start = IPCompStream.parse_header_source(source)
         super().__init__(header, payload_start, source.size)
-        self.loader = OptimizedLoader(header, overhead_bytes=self.overhead_bytes)
         self._unclaimed = (2, payload_start)
         self._claim_lock = threading.Lock()
+
+    @cached_property
+    def loader(self) -> OptimizedLoader:
+        """Built by the first plan: an engine read plans through its
+        retrievers' own loaders and never needs this one."""
+        return OptimizedLoader(self.header, overhead_bytes=self.overhead_bytes)
 
     def claim_parse(self) -> Tuple[int, int]:
         """``(reads, bytes)`` of the header parse on the first call, then
@@ -201,25 +201,17 @@ class RetrievalEngine:
         ``wrap(name, source)`` (the serving layer's fault-injection hook)
         goes around the raw shard source, *beneath* the prime cache.  A
         source that ``supports_async`` is read through a
-        :class:`PrefetchSource` when ``prefetch > 0``, and the heads of all
-        such sources are primed here as one burst, so the header parses
-        that follow ride one wave of round trips instead of serialising;
-        anything else — every local file — is returned as it is.
+        :class:`PrefetchSource` when ``prefetch > 0``; anything else —
+        every local file — is returned as it is.
         """
-        towers, unparsed = [], []
+        towers = []
         for name in names:
             source = self._open_source(name)
             if wrap is not None:
                 source = wrap(name, source)
             if self.prefetch > 0 and getattr(source, "supports_async", False):
                 source = PrefetchSource(source, self._prefetcher_on(source))
-                if name not in self._pinned:
-                    unparsed.append(source)
             towers.append(source)
-        if unparsed:
-            with self._prefetcher.burst():
-                for source in unparsed:
-                    source.prime([(0, min(DEFAULT_HEADER_PRIME, source.size))])
         return towers
 
     def _prefetcher_on(self, source):
@@ -239,25 +231,45 @@ class RetrievalEngine:
     def pin(self, names: Sequence[str]) -> List[PinnedShard]:
         """The :class:`PinnedShard` of each named shard, parsed once per
         engine.  Shards not yet pinned are parsed together — over a remote
-        dataset their header primes are one wave — under a lock, so two
-        requests touching a shard first at the same moment parse it once."""
-        if any(name not in self._pinned for name in names):
-            with self._pin_lock:
-                missing = [name for name in names if name not in self._pinned]
-                for name, source in zip(missing, self.open_sources(missing)):
-                    self._pinned[name] = PinnedShard(source)
+        dataset their heads are primed as one burst, so the parses ride one
+        wave of round trips — under a lock, so two requests touching a
+        shard first at the same moment parse it once."""
+        self._parse(names)
         return [self._pinned[name] for name in names]
 
+    def _parse(self, names: Sequence[str]) -> Dict[str, object]:
+        """Pin the shards of ``names`` not pinned yet; returns the tower each
+        was parsed over."""
+        if all(name in self._pinned for name in names):
+            return {}
+        with self._pin_lock:
+            missing = [name for name in names if name not in self._pinned]
+            sources = self.open_sources(missing)
+            heads = [s for s in sources if isinstance(s, PrefetchSource)]
+            if heads:
+                with self._prefetcher.burst():
+                    for source in heads:
+                        source.prime([(0, min(DEFAULT_HEADER_PRIME, source.size))])
+            for name, source in zip(missing, sources):
+                self._pinned[name] = PinnedShard(source)
+            return dict(zip(missing, sources))
+
     def open_retrievers(self, names: Sequence[str], wrap=None) -> List[ProgressiveRetriever]:
-        """One fresh retriever per shard, each over its :meth:`open_sources`
-        tower (``wrap`` as there) — and over the pinned header when the
-        shard is pinned (the engine's own requests, the pool worker's and
-        the serving layer's cold serves)."""
+        """One fresh retriever per shard over its pinned header (:meth:`pin`)
+        — for the engine's own requests, the pool worker's and the serving
+        layer's cold serves alike.  A shard pinned by this call is read over
+        the tower it was parsed over, whose head prime then answers the ops
+        inside it for every rung; any other gets a fresh :meth:`open_sources`
+        tower (``wrap`` as there)."""
+        parsed_over = self._parse(names)
         retrievers = []
-        for name, source in zip(names, self.open_sources(names, wrap)):
-            pinned = self._pinned.get(name)
-            parsed = None if pinned is None else (pinned.header, pinned.header_bytes)
-            retrievers.append(ProgressiveRetriever(CompressedStore(source, parsed=parsed)))
+        for name in names:
+            pinned = self._pinned[name]
+            source = parsed_over.get(name) if wrap is None else None
+            if source is None:
+                (source,) = self.open_sources([name], wrap)
+            store = CompressedStore(source, parsed=(pinned.header, pinned.header_bytes))
+            retrievers.append(ProgressiveRetriever(store))
         return retrievers
 
     # ---------------------------------------------------------------- planning
@@ -304,7 +316,7 @@ class RetrievalEngine:
             result = self._pooled_read(shards, roi_slices, target["error_bound"])
             if result is not None:
                 return result
-        return self._request(shards, roi_slices, target, {}, speculate_next=False)
+        return self._request(shards, roi_slices, target, {})
 
     def refine(
         self,
@@ -313,18 +325,18 @@ class RetrievalEngine:
         error_bound: Optional[float] = None,
         bitrate: Optional[float] = None,
     ) -> EngineResult:
-        """Stateful retrieval (Algorithm 2 per shard) with rung speculation.
+        """Stateful retrieval (Algorithm 2 per shard).
 
         Every answer is bitwise the ``read()`` of the same bound whenever the
         resident plane selection is that read's (always, on a ladder of
         tightening bounds whose plans nest): a shard's output is rebuilt
         from its resident rows, never summed from deltas.  A call that
         raised midway left every shard consistent and can be repeated.
+        Nothing is fetched past what the call reads: once it returns, no
+        background read of the dataset is left.
         """
         target = self._target(error_bound, bitrate)
-        return self._request(
-            shards, roi_slices, target, self._retrievers, speculate_next=True
-        )
+        return self._request(shards, roi_slices, target, self._retrievers)
 
     # ------------------------------------------------------------------- guts
 
@@ -341,21 +353,19 @@ class RetrievalEngine:
         roi_slices: SliceTuple,
         target: dict,
         retrievers: Dict[str, ProgressiveRetriever],
-        *,
-        speculate_next: bool,
     ) -> EngineResult:
         trace_start = {
             name: len(retriever.store.trace) for name, retriever in retrievers.items()
         }
-        # Every new shard's source is opened together, so their header
-        # primes are one wave and the parses below hit the prime cache.
+        # Every new shard is pinned together, so over a remote dataset their
+        # header parses are one wave.
         fresh = [shard.name for shard in shards if shard.name not in retrievers]
         retrievers.update(zip(fresh, self.open_retrievers(fresh)))
         # Stage 1 for *all* shards, then stage 2 as one burst: the
         # prefetcher sees every shard's ops together and merges them into
         # one wave of round trips, and the reads for later shards proceed
         # while the first shard decodes.  Each plan is handed on to its
-        # retrieve() call below.
+        # retrieve() call below, which reads the primed ops.
         selected = [retrievers[shard.name] for shard in shards]
         plans = [retriever.plan_request(**target) for retriever in selected]
         if self._prefetcher is not None:
@@ -388,8 +398,6 @@ class RetrievalEngine:
         for shard, retriever in zip(shards, selected):
             for offset, length in retriever.store.trace[trace_start.get(shard.name, 0):]:
                 ranges.append((shard.name, offset, length))
-        if speculate_next and self._prefetcher is not None:
-            self._speculate(selected, target.get("error_bound", achieved))
         data = assemble(pieces, roi_slices, self.dtype)
         return self._result(data, achieved, shards, ranges)
 
@@ -404,20 +412,6 @@ class RetrievalEngine:
             shards=[s.name for s in shards],
             ranges=ranges,
         )
-
-    def _speculate(self, selected: Sequence[ProgressiveRetriever], target: float) -> None:
-        """Prime the next fidelity rung's blocks in the background.
-
-        A wrong guess costs only background I/O: the primed ranges stay
-        cached (physically read once), unreported until a later request
-        consumes them.
-        """
-        next_target = max(self.stored_bound, target / RUNG_FACTOR)
-        if next_target >= target:
-            return
-        with self._prefetcher.burst():
-            for retriever in selected:
-                retriever._prime(retriever.plan_request(error_bound=next_target))
 
     def _pooled_read(
         self, shards: Sequence, roi_slices: SliceTuple, target: float

@@ -15,10 +15,12 @@ such ops:
 
 The planner works from parsed stream headers alone (the block extent table
 of a :class:`repro.core.stream.BlockExtents` — a store's, or a dataset's
-pinned shard's); it never touches payload bytes.  Everything downstream —
-the prefetcher, the pool decode stage, the CLI's plan inspection — consumes
-the same :class:`FetchOp` list, which is what makes the accounting of the
-three execution paths identical by construction.
+pinned shard's); it never touches payload bytes.  The op is the unit of
+I/O: a retriever reads each op it plans with one source read
+(:meth:`repro.core.stream.CompressedStore.read_op`), a remote prime cache
+holds one future per op, and the serving layer and the CLI's plan
+inspection see the same :class:`FetchOp` list — which is what makes the
+accounting of every execution path identical by construction.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.optimizer import LoadingPlan
+from repro.core.stream import ANCHOR_BLOCK
 
 __all__ = [
     "FetchOp",
@@ -35,9 +38,6 @@ __all__ = [
     "coalesce_blocks",
     "plan_stream_ops",
 ]
-
-#: Label of the anchor block inside a fetch op.
-ANCHOR_BLOCK = "anchor"
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,6 @@ def plan_stream_ops(
     for enc in store.header.levels:
         old = max(0, int(resident.get(enc.level, 0)))
         new = int(target_keep.get(enc.level, 0))
-        for plane in range(old, new):
-            offset, size = store.block_extent(enc.level, plane)
-            blocks.append((offset, size, f"L{enc.level}/p{plane}"))
+        if new > old:
+            blocks.extend(store.plane_blocks(enc.level, old, new))
     return coalesce_blocks(blocks, shard)

@@ -592,19 +592,19 @@ class RetrievalService:
                 try:
                     # Without a rung: a fresh retriever over a fresh source
                     # tower per attempt (``source_filter`` beneath its prime
-                    # cache, so a remote shard costs one payload burst, not a
-                    # round trip per block).  Its store is handed the pinned
-                    # header; the header's two ranges open the consumed trace
-                    # all the same, so the report matches a serial fresh read
-                    # (which parses the header itself) while the dataset
-                    # parses it only once physically.
+                    # cache).  Its store is handed the pinned header; the
+                    # header's two ranges open the consumed trace all the
+                    # same, so the report matches a serial fresh read (which
+                    # parses the header itself) while the dataset parses it
+                    # only once physically.
                     retriever = rung if rung is not None else session.dataset.open_shard(
                         name, self.source_filter
                     )
-                    store = retriever.store
-                    # Every trace entry from here on is one payload read the
-                    # store issues (a fresh trace opens with the header's two).
-                    before = len(store.trace)
+                    # The serve primes its plan once — over a remote source
+                    # the shard's ops are one payload burst, not a round trip
+                    # per op (a local one has nothing to prime) — and the
+                    # retrieve that follows reads them.
+                    retriever._prime(plan.loading_plan)
                     result = retriever.retrieve(plan=plan.loading_plan)
                     break
                 except RETRYABLE_ERRORS:
@@ -631,13 +631,14 @@ class RetrievalService:
             # that completes, whichever request — a get or a cost() —
             # triggered the parse.
             parse_reads, parse_bytes = session.dataset.pinned_shard(name).claim_parse()
+            store = retriever.store
             serve = _ShardServe(
                 data=result.data,
                 ranges=list(store.trace),
                 bound=result.error_bound,
-                physical_reads=parse_reads + len(store.trace) - before,
-                # The store's counter restarts with each retrieval: what it
-                # holds now is this serve's payload bytes.
+                # The store's counters restart with each retrieval: what they
+                # hold now is this serve's payload reads and bytes.
+                physical_reads=parse_reads + store.n_reads,
                 physical_bytes=parse_bytes + store.bytes_read,
                 retries=retries,
                 tier="rung" if rung is not None else "cold",
@@ -648,8 +649,10 @@ class RetrievalService:
 
     def _slab_intact(self, slab_key, entry: _SlabEntry) -> bool:
         """The one slab check of the serve and the resident path: True while
-        the bytes match the checksum recorded at insert, else invalidate."""
-        if zlib.crc32(entry.data.tobytes()) == entry.crc:
+        the bytes match the checksum recorded at insert, else invalidate.
+        The CRC runs over the slab's own buffer (C-contiguous by
+        construction: the retriever's ``_cast``), never over a copy."""
+        if zlib.crc32(entry.data) == entry.crc:
             return True
         self.cache.invalidate("slab", slab_key)
         return False
@@ -660,7 +663,7 @@ class RetrievalService:
             data=data,
             trace=[(int(o), int(n)) for o, n in serve.ranges],
             bound=serve.bound,
-            crc=zlib.crc32(data.tobytes()),
+            crc=zlib.crc32(data),
         )
         self.cache.put("slab", slab_key, entry, data.nbytes)
 

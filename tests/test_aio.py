@@ -127,8 +127,9 @@ def test_async_source_basic_reads(served_dir, server):
         assert source.read_range(10, 33) == blob[10:43]
         assert source.read_range(5, 0) == b""
         assert source.stats()["requests"] == 2
-        # Reads wholly inside the opening window are served from memory,
-        # one straddling its start is not; the freshness probe never is.
+        # Reads wholly inside the opening window are served from memory, one
+        # straddling its start fetches only the byte before it; the
+        # freshness probe never is.
         edge = len(blob) - OPENING_WINDOW
         assert source.read_range(edge, 100) == blob[edge:edge + 100]
         assert source.read_range(len(blob) - 4, 4) == blob[-4:]
@@ -139,7 +140,7 @@ def test_async_source_basic_reads(served_dir, server):
         stats = source.stats()
         assert stats["requests"] == 4
         assert stats["retries"] == 0
-        assert stats["egress_bytes"] == OPENING_WINDOW + 33 + 100 + 64
+        assert stats["egress_bytes"] == OPENING_WINDOW + 33 + 1 + 64
         assert stats["connections_opened"] >= 1
         # Out-of-bounds reads raise (after the ladder: StreamFormatError
         # is in RETRYABLE_ERRORS).
@@ -496,7 +497,7 @@ def test_burst_larger_than_the_pool_is_merged_into_one_wave(virtual_loop, monkey
         ]
         assert transport.waves == [1, 3]
         assert virtual_loop.loop.time() - began == pytest.approx(transport.rtt)
-        assert primed.bytes_fetched == 8 * 700 and primed.pending_bytes == 0
+        assert primed.inflight == 0
         assert (prefetcher.batches, prefetcher.batched_ops) == (3, 8)
     finally:
         prefetcher.close()
@@ -521,7 +522,6 @@ def test_adjacent_primes_coalesce_to_one_request(served_dir, server):
         assert stack.stats()["requests"] == before + 1  # one coalesced GET
         assert prefetcher.batches >= 1
         assert prefetcher.batched_ops >= 2
-        assert source.bytes_fetched == 1024
     finally:
         prefetcher.close()
         source.close()
@@ -536,16 +536,17 @@ def test_deadline_cancel_refunds_prefetch_charge(served_dir, server):
         # its deadline onto the loop thread.
         expired = REQUEST_DEADLINE.set(time.monotonic() - 1.0)
         source.prime([(0, 256)])
-        # The primed read fails on the dead deadline; the charge is
-        # refunded and the degrade-to-direct read fails the same way.
+        # The primed read fails on the dead deadline; the prime is dropped
+        # and the degrade-to-direct read fails the same way.
         with pytest.raises(RemoteSourceError, match="deadline"):
             source.read_range(0, 256)
-        assert source.bytes_fetched == 0
-        # Out of that request, the source is healthy.
+        assert source.inflight == 0
+        # Out of that request, the source is healthy: a direct read.
         REQUEST_DEADLINE.reset(expired)
         blob = (served_dir / "v2.rprc").read_bytes()
+        before = stack.stats()["requests"]
         assert source.read_range(0, 256) == blob[:256]
-        assert source.bytes_fetched == 256
+        assert stack.stats()["requests"] == before + 1
     finally:
         prefetcher.close()
         source.close()

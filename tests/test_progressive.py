@@ -225,6 +225,21 @@ def test_hostile_block_is_a_stream_format_error(compressed_pair, deflate_bomb, a
     assert peak < 4 << 20
 
 
+def test_an_empty_block_read_alone_is_a_stream_format_error(compressed_pair):
+    """A header may list an empty plane block (no writer emits one).  Planned
+    on its own it makes no fetch op at all, and the retriever still raises
+    instead of answering at the coarser resident selection."""
+    _, _, blob = compressed_pair
+    hostile, plane = _hostile_stream(blob, "plane", b"")
+    retriever = ProgressiveRetriever(hostile)
+    full = {enc.level: enc.nbits for enc in retriever.header.levels}
+    assert full[1] == plane + 1
+    retriever.retrieve(plan=retriever.loader._make_plan({**full, 1: plane}))
+    with pytest.raises(StreamFormatError, match=f"level 1 plane {plane}"):
+        retriever.retrieve(plan=retriever.loader._make_plan(full))
+    assert retriever.current_keep[1] == plane
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("count", 1 << 62), ("count", -8), ("nbits", 1 << 70)],

@@ -133,9 +133,10 @@ def test_failed_call_then_retry_honours_the_bound():
     blob = IPComp(error_bound=1e-6, relative=True).compress(field)
     clean = ProgressiveRetriever(blob)
     eb = clean.header.error_bound
-    first_reads = len(clean.retrieve(error_bound=eb * 4096) and clean.store.trace) - 2
-    refine_reads = len(clean.retrieve(error_bound=eb) and clean.store.trace) - 2 - first_reads
-    assert first_reads > 4 and refine_reads > 40
+    # One read per fetch op; the store's counter restarts with each call.
+    first_reads = clean.retrieve(error_bound=eb * 4096) and clean.store.n_reads
+    refine_reads = clean.retrieve(error_bound=eb) and clean.store.n_reads
+    assert first_reads > 4 and refine_reads > 4
     retried = []
     for k in range(1, refine_reads + 1):  # the refine's k-th read fails
         injector, retriever = _flaky(blob)
@@ -186,9 +187,9 @@ def test_failed_dataset_refine_then_retry_equals_read(tmp_path):
         refine_reads = -injector.total_reads
         dataset.refine()
         refine_reads += injector.total_reads
-    assert refine_reads > 60  # three shards' worth: the fault lands in each
+    assert refine_reads > 3  # several ops per shard: a fault lands in every one
     worst, answers = 0.0, []
-    for k in range(1, refine_reads + 1, 7):
+    for k in range(1, refine_reads + 1):
         injector, dataset = flaky_dataset()
         with dataset:
             dataset.refine(error_bound=stored * 1024)

@@ -135,12 +135,12 @@ def test_refine_is_monotone_additive_and_never_rereads(tmp_path):
 
 @pytest.mark.parametrize("prefetch", [2, 4])
 def test_refine_under_prefetch_keeps_byte_and_range_accounting(tmp_path, prefetch):
-    """Prefetch (and rung speculation) changes no reported number.
+    """Prefetch changes no reported number.
 
-    The engine reads ahead in the background, but accounting is
-    consumption-based: every refine() step must report exactly the ranges
-    and byte counts of the synchronous path, never re-read a range, and
-    decode bitwise-identically.
+    A multiplexed engine fetches each step's ops ahead of decode, but
+    accounting is consumption-based: every refine() step must report
+    exactly the ranges and byte counts of the synchronous path, never
+    re-read a range, and decode bitwise-identically.
     """
     field = _field((20, 12, 10), np.float64, seed=60801)
     path = tmp_path / "field.rprc"

@@ -948,6 +948,30 @@ def test_one_tower_identity_matrix(probe, tmp_path, where, name, reader):
         assert (srv.range_requests > 0) == (where == "http")
 
 
+def test_remote_refine_leaves_no_background_read(probe):
+    """A remote ``refine()`` reads what it plans and nothing more: once it
+    returns and the loop settles, the stack sends and receives nothing (no
+    read of a rung nobody asked for), and the remote ladder is bitwise the
+    local one, with identical ranges."""
+    path = probe / "probe.rprc"
+    with ChunkedDataset(path) as local:
+        stored = local.absolute_bound
+        want = [local.refine(error_bound=f * stored) for f in _LADDER]
+    # 50 ms per read: a background GET would still be on the wire on return.
+    slow = FaultInjector(FaultPlan.always("latency", seconds=0.05))
+    with RangeServer(probe) as srv:
+        stack = open_remote_source(srv.url_for("probe.rprc"), tamper=slow.tamper)
+        with ChunkedDataset(srv.url_for("probe.rprc"), source=stack) as dataset:
+            for expected, factor in zip(want, _LADDER):
+                got = dataset.refine(error_bound=factor * stored)
+                wire = {key: stack.stats()[key] for key in ("requests", "egress_bytes")}
+                time.sleep(0.3)  # anything still queued on the loop lands
+                assert {key: stack.stats()[key] for key in wire} == wire
+                assert got.data.tobytes() == expected.data.tobytes()
+                assert got.bytes_loaded == expected.bytes_loaded
+                assert got.ranges == expected.ranges
+
+
 def test_info_of_a_remote_stream_transfers_a_header_not_the_object(probe, capsys):
     """``ipcomp info URL`` of a bare stream: the opening window, the stream
     sniff and one header prime — it used to download the whole object."""
@@ -1397,34 +1421,26 @@ class _FirstPrimeDies:
         raise RemoteSourceError("speculative prime dies")
 
 
-def test_failed_prime_is_refunded_and_never_fatal():
+def test_failed_prime_is_refunded_and_never_fatal(settles):
     payload = bytes(range(200))
-    inner = _FirstPrimeDies(payload, delay=0.02)
-    prefetcher = AsyncPrefetcher()
-    try:
-        source = PrefetchSource(inner, prefetcher)
-        assert source.prime([(0, 50)]) == 50
-        assert source.bytes_fetched == 50  # charged at prime time
-        # The consuming read hits the failed prime, refunds it, and
-        # degrades to a direct synchronous read — never fatal.
-        assert source.read_range(0, 50) == payload[:50]
-        assert source.bytes_fetched == 50  # prime refunded, direct charged
-        assert inner.calls == 2
-    finally:
-        prefetcher.close()
-
-
-def test_failed_prime_refunds_via_done_callback_too(settles):
-    inner = _FirstPrimeDies(bytes(64))
-    prefetcher = AsyncPrefetcher()
-    try:
-        source = PrefetchSource(inner, prefetcher)
-        source.prime([(0, 32)])
-        assert settles(lambda: source.bytes_fetched == 0)  # refunded, no consumer
-        assert source.read_range(0, 32) == bytes(32)
-        assert source.bytes_fetched == 32
-    finally:
-        prefetcher.close()
+    for delay in (0.02, 0.0):  # the consumer waits on the prime, or finds it failed
+        inner = _FirstPrimeDies(payload, delay=delay)
+        prefetcher = AsyncPrefetcher()
+        try:
+            source = PrefetchSource(inner, prefetcher)
+            assert source.prime([(0, 50)]) == 50
+            if not delay:
+                assert settles(lambda: source.inflight == 0)
+            # The consuming read hits the failed prime and degrades to a
+            # direct synchronous read — never fatal.
+            assert source.read_range(0, 50) == payload[:50]
+            assert inner.calls == 2
+            # The failed prime is dropped with its one consumer: a later
+            # read of the range, or a re-prime of it, starts afresh.
+            assert source.read_range(0, 50) == payload[:50] and inner.calls == 3
+            assert source.prime([(0, 50)]) == 50
+        finally:
+            prefetcher.close()
 
 
 # ------------------------------------------------------ short-read hardening

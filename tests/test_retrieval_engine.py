@@ -151,23 +151,24 @@ def prefetcher():
 
 
 def test_prefetch_source_serves_primed_ranges_once(prefetcher):
+    """One future per primed range: re-priming it schedules nothing, a read
+    of exactly the range takes its future, a read inside it (a header parse
+    inside the head prime) is sliced from it, and a miss is a direct read."""
     payload = bytes(range(256)) * 8
     inner = _CountingSource(payload)
     source = PrefetchSource(inner, prefetcher)
-    source.prime([(0, 64), (128, 64)])
+    assert source.prime([(0, 64), (128, 64)]) == 128
     prefetcher.loop_thread.call(asyncio.sleep(0))  # the first burst has left
-    # Re-priming overlapping ranges must only read the gaps.
-    source.prime([(0, 96), (128, 64)])
-    assert source.read_range(0, 32) == payload[0:32]
-    assert source.read_range(32, 32) == payload[32:64]
-    assert source.read_range(64, 32) == payload[64:96]
+    assert source.prime([(0, 64), (128, 64)]) == 0
+    assert source.read_range(0, 10) == payload[0:10]
+    assert source.read_range(10, 54) == payload[10:64]
     assert source.read_range(128, 64) == payload[128:192]
-    # A miss falls through to a direct read.
+    # The op's future was handed out: a second read of it is direct, as is
+    # a range nothing primed.
+    assert source.read_range(128, 64) == payload[128:192]
     assert source.read_range(1024, 16) == payload[1024:1040]
-    physical = sorted(inner.reads)
-    assert physical == [(0, 64), (64, 32), (128, 64), (1024, 16)]
-    assert source.bytes_fetched == 64 + 32 + 64 + 16
-    assert source.pending_bytes == 0
+    assert sorted(inner.reads) == [(0, 64), (128, 64), (128, 64), (1024, 16)]
+    assert source.inflight == 0
 
 
 def test_prefetch_source_without_prefetcher_is_passthrough(tmp_path):
@@ -201,9 +202,36 @@ def test_store_trace_is_the_consumed_record():
     assert pinned.trace == head and len(inner.reads) == 4
 
 
+def test_a_retrieve_reads_each_planned_op_once():
+    """The op is the unit of I/O: one source read per planned op, while the
+    trace keeps one entry per block — the ranges a per-block walk records."""
+    blob = IPComp(error_bound=1e-5, relative=True).compress(_field((20, 16), 1))
+    inner = _CountingSource(blob)
+    retriever = ProgressiveRetriever(CompressedStore(inner))
+    eb = retriever.header.error_bound
+    for target in (eb * 64, eb):
+        ops = retriever.pending_ops(error_bound=target)
+        before = len(inner.reads)
+        retriever.retrieve(error_bound=target)
+        assert inner.reads[before:] == [(op.offset, op.length) for op in ops]
+        assert retriever.store.n_reads == len(ops)
+    store = retriever.store
+    walk = [store.anchor_extent()] + [
+        store.block_extent(enc.level, plane)
+        for enc in store.header.levels
+        for plane in range(enc.nbits)
+    ]
+    assert sorted(store.trace[2:]) == sorted(walk)
+    assert len(set(store.trace)) == len(store.trace)
+    assert ProgressiveRetriever(blob).retrieve(error_bound=eb).data.tobytes() == (
+        retriever.current_output.tobytes()
+    )
+
+
 def test_short_read_names_the_block():
     """A source that returns short bytes to a bare retriever is a
-    ``StreamFormatError`` naming the block, never a decode of garbage."""
+    ``StreamFormatError`` naming the op's blocks (or the one block) and the
+    offset, never a decode of garbage."""
     blob = IPComp(error_bound=1e-4, relative=True).compress(_field((16, 12), 2))
 
     class _ShortPayload(BytesSource):
@@ -213,7 +241,11 @@ def test_short_read_names_the_block():
 
     payload_start = CompressedStore(blob).header_bytes
     retriever = ProgressiveRetriever(_ShortPayload(blob))
-    with pytest.raises(StreamFormatError, match=r"short read of the anchor block: wanted \d+ B"):
+    with pytest.raises(
+        StreamFormatError,
+        match=rf"short read of fetch op \[anchor, .*L\d+/p\d+\]: wanted \d+ B "
+        rf"at stream offset {payload_start}, got \d+",
+    ):
         retriever.retrieve(error_bound=retriever.header.error_bound)
     assert retriever.store.bytes_read == 0 and len(retriever.store.trace) == 2
     with pytest.raises(StreamFormatError, match=r"short read of level \d+, plane 0"):
@@ -232,16 +264,13 @@ def test_prime_on_closed_prefetcher_degrades_to_sync_reads():
     assert source.prime([(0, 64), (128, 64)]) == 0  # no crash, nothing primed
     assert source.read_range(0, 64) == payload[0:64]
     assert source.read_range(128, 64) == payload[128:192]
+    # The physical reads are exactly the direct ones.
     assert inner.reads == [(0, 64), (128, 64)]
-    # Physical accounting covers exactly the direct reads — no phantom
-    # prime-time charges for ranges that were never scheduled.
-    assert source.bytes_fetched == 128
 
 
 def test_cancelled_primed_read_degrades_to_sync_read():
     """Regression: a primed range whose future was cancelled by a mid-flight
-    ``close`` must be re-read directly (bitwise-identical), with the
-    prime-time charge refunded so ``bytes_fetched`` stays honest."""
+    ``close`` must be re-read directly (bitwise-identical)."""
     payload = bytes(range(256)) * 4
     started = threading.Event()
 
@@ -258,25 +287,8 @@ def test_cancelled_primed_read_degrades_to_sync_read():
     prefetcher.close()
     assert source.read_range(0, 64) == payload[0:64]  # cancelled: direct
     assert source.read_range(128, 64) == payload[128:192]
+    # The stalled reads never returned bytes; the direct reads did.
     assert inner.reads == [(0, 64), (128, 64)]
-    # 128 primed, 128 refunded for the cancelled intervals, 128 re-read.
-    assert source.bytes_fetched == 128
-
-
-def test_failed_direct_read_is_not_charged(prefetcher):
-    """Regression: a miss whose direct read raises must not inflate
-    ``bytes_fetched`` — the charge lands only after the read succeeds."""
-
-    class _FailingSource:
-        size = 1024
-
-        def read_range(self, offset, length):
-            raise OSError("injected")
-
-    source = PrefetchSource(_FailingSource(), prefetcher)
-    with pytest.raises(OSError):
-        source.read_range(0, 64)
-    assert source.bytes_fetched == 0
 
 
 def test_file_source_range_reads(tmp_path):
@@ -475,10 +487,10 @@ def test_decompress_rejects_partial_coverage(tmp_path, monkeypatch):
             dataset.read()
 
 
-# -------------------------------------------------------- engine speculation
+# ------------------------------------------------------------ engine requests
 
 
-def test_refine_speculation_preserves_accounting(tmp_path):
+def test_refine_prefetch_preserves_accounting(tmp_path):
     field = _field((24, 12, 10), 6)
     path = tmp_path / "s.rprc"
     manifest = ChunkedDataset.write(
@@ -496,7 +508,7 @@ def test_refine_speculation_preserves_accounting(tmp_path):
     with ChunkedDataset(path, prefetch=4) as dataset:
         spec = [dataset.refine(error_bound=eb * k) for k in ladder]
         # ``prefetch`` on a local file changes nothing (over HTTP the same
-        # ladder speculates — tests/test_remote.py): identical accounting.
+        # ladder multiplexes — tests/test_remote.py): identical accounting.
         for s, p in zip(sync, spec):
             assert p.data.tobytes() == s.data.tobytes()
             assert p.bytes_loaded == s.bytes_loaded
@@ -506,6 +518,44 @@ def test_refine_speculation_preserves_accounting(tmp_path):
         for p in spec:
             assert not (seen & set(p.ranges))
             seen |= set(p.ranges)
+
+
+def test_local_reads_are_one_container_read_per_op(tmp_path):
+    """A local ``read()`` / ``refine()`` makes exactly the header reads of
+    the shards not yet pinned plus one container read per planned op."""
+    path = tmp_path / "ops.rprc"
+    ChunkedDataset.write(
+        path, _field((24, 12, 10), 6), error_bound=1e-5, relative=True,
+        n_blocks=3, workers=0,
+    )
+    roi = (slice(0, 10),)
+    with ChunkedDataset(path) as dataset:
+        eb = dataset.absolute_bound
+
+        def reads(call, *args, **kwargs):
+            before = dataset.physical_reads
+            call(*args, **kwargs)
+            return dataset.physical_reads - before
+
+        # The ROI pins two of three shards, the full read the third.
+        first = reads(dataset.read, eb * 16, roi=roi)
+        assert first == 2 * 2 + dataset.plan(eb * 16, roi).n_ops
+        assert reads(dataset.read, eb * 16) == 2 + dataset.plan(eb * 16).n_ops
+        assert reads(dataset.read, eb * 16) == dataset.plan(eb * 16).n_ops
+        # A refine rung reads the ops between the resident and the new
+        # planes of every shard.
+        resident = {}
+        for factor in (256, 16, 1):
+            plan = dataset.plan(eb * factor)
+            delta = sum(
+                len(plan_stream_ops(
+                    dataset.pinned_shard(p.shard), resident.get(p.shard),
+                    p.target_keep, include_anchor=p.shard not in resident,
+                ))
+                for p in plan.shards
+            )
+            assert reads(dataset.refine, eb * factor) == delta > 0
+            resident = dataset.current_keep()
 
 
 def test_engine_plan_matches_read_bytes(tmp_path):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,9 @@ def test_warm_repeat_is_physically_free(tmp_path):
         assert np.array_equal(second.data, oracle.data)
         assert second.trace.tier_hits.get("slab", 0) == len(second.trace.shards)
         assert first.trace.plan_delta == 0
+        # The slab check hashes the array's own buffer: the CRC of its bytes.
+        slabs = [entry for _, entry in service.cache.scan("slab", lambda key: True)]
+        assert slabs and all(e.crc == zlib.crc32(e.data.tobytes()) for e in slabs)
 
 
 # ----------------------------------------------------------- rung refinement
