@@ -375,8 +375,10 @@ class ChunkedDataset:
         The coalesced ``(shard, byte-range, planes)`` op list plus predicted
         bytes — what the CLI's ``info --roi`` prints, and what the serving
         layer costs and serves.  Reads only the shard headers, once per open
-        dataset (:meth:`pinned_shard`), and runs one DP per shard; no payload
-        is touched and no refine() state is disturbed.
+        dataset (:meth:`pinned_shard`), and runs one DP per shard and target
+        — a repeat target is a lookup while the shard remembers it
+        (:data:`~repro.retrieval.engine.PLAN_MEMO`); no payload is touched
+        and no refine() state is disturbed.
         """
         _, selected = self.select(roi)
         return self._engine.plan(selected, self._validated_target(error_bound))

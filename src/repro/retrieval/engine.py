@@ -17,7 +17,8 @@ it is where the path from a request to the bytes is assembled — once, in
   :class:`PinnedShard` — header, block extents and loader, parsed once
   per engine — and a plan on its own (:meth:`RetrievalEngine.plan`:
   ``ChunkedDataset.plan``, the serving layer's cost and serve) comes from
-  the same pins with one DP run per shard;
+  the same pins, each of which remembers its last :data:`PLAN_MEMO` plans:
+  a (shard, target) pair is planned once while it stays among them;
 * **stage 2 (prefetch)** — over sources that ``supports_async`` (a remote
   stack) and with ``prefetch > 0``, the heads of shards not yet pinned and
   then all shards' ops are primed through one shared
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -68,6 +69,11 @@ __all__ = ["EngineResult", "PinnedShard", "RetrievalEngine", "assemble"]
 #: inside the head is later answered from it; one running past its end is
 #: fetched whole.  Consumed-trace accounting is untouched.
 DEFAULT_HEADER_PRIME = 8192
+
+#: Plans a pinned shard remembers, least recently used out first: a serving
+#: session asks each shard for a few fidelities (a ladder's rungs) again and
+#: again.
+PLAN_MEMO = 8
 
 
 def assemble(
@@ -106,24 +112,40 @@ class PinnedShard(BlockExtents):
 
     The stream header and payload offset (``header`` / ``header_bytes``,
     the ``parsed=`` pair of a :class:`~repro.core.stream.CompressedStore`),
-    the block extents the planner walks, and the shard's
-    :class:`~repro.core.optimizer.OptimizedLoader` — all a plan needs.  It
-    holds no source: nothing reads through it after the parse.  The
-    parse's physical cost, its two header reads, is handed out once by
-    :meth:`claim_parse`, so a server can charge it to exactly one request.
+    the block extents the planner walks, the shard's
+    :class:`~repro.core.optimizer.OptimizedLoader`, and the last
+    :data:`PLAN_MEMO` plans made from them (:meth:`plan`).  It holds no
+    source: nothing reads through it after the parse.  The parse's physical
+    cost, its two header reads, is handed out once by :meth:`claim_parse`,
+    so a server can charge it to exactly one request.
     """
 
-    def __init__(self, source) -> None:
+    def __init__(self, source, name: str) -> None:
         header, payload_start = IPCompStream.parse_header_source(source)
         super().__init__(header, payload_start, source.size)
+        self.name = name
         self._unclaimed = (2, payload_start)
         self._claim_lock = threading.Lock()
+        # A plan is a pure function of the pinned header and the target, so
+        # a remembered one is the plan by construction.
+        self.plan = lru_cache(maxsize=PLAN_MEMO)(self._plan)
 
     @cached_property
     def loader(self) -> OptimizedLoader:
         """Built by the first plan: an engine read plans through its
         retrievers' own loaders and never needs this one."""
         return OptimizedLoader(self.header, overhead_bytes=self.overhead_bytes)
+
+    def _plan(self, target: float) -> ShardPlan:
+        """The from-scratch plan at absolute bound ``target``: one DP run
+        and one op walk, remembered by :meth:`plan`."""
+        loading = self.loader.plan_for_error_bound(target)
+        return ShardPlan(
+            shard=self.name,
+            ops=plan_stream_ops(self, None, loading.keep, include_anchor=True, shard=self.name),
+            header_bytes=self.header_bytes,
+            loading_plan=loading,
+        )
 
     def claim_parse(self) -> Tuple[int, int]:
         """``(reads, bytes)`` of the header parse on the first call, then
@@ -251,7 +273,7 @@ class RetrievalEngine:
                     for source in heads:
                         source.prime([(0, min(DEFAULT_HEADER_PRIME, source.size))])
             for name, source in zip(missing, sources):
-                self._pinned[name] = PinnedShard(source)
+                self._pinned[name] = PinnedShard(source, name)
             return dict(zip(missing, sources))
 
     def open_retrievers(self, names: Sequence[str], wrap=None) -> List[ProgressiveRetriever]:
@@ -277,29 +299,18 @@ class RetrievalEngine:
     def plan(self, shards: Sequence, error_bound: Optional[float] = None) -> RetrievalPlan:
         """Stage 1 only: the fetch ops a *stateless* request would perform.
 
-        Each shard is planned from its :class:`PinnedShard` with one DP run
-        and no retriever, so no payload is touched, no stateful retriever is
-        disturbed and a repeat plan reads nothing at all.  Every
+        Each shard is planned from its :class:`PinnedShard` with no
+        retriever, so no payload is touched and no stateful retriever is
+        disturbed; a repeat plan reads nothing and, while the shard
+        remembers the target, runs no DP either.  Every
         :class:`~repro.retrieval.plan.ShardPlan` carries its
         :class:`~repro.core.optimizer.LoadingPlan` for the serve that
         follows.
         """
         target = self.stored_bound if error_bound is None else float(error_bound)
-        names = [shard.name for shard in shards]
-        plans: List[ShardPlan] = []
-        for name, pinned in zip(names, self.pin(names)):
-            loading = pinned.loader.plan_for_error_bound(target)
-            plans.append(
-                ShardPlan(
-                    shard=name,
-                    ops=plan_stream_ops(
-                        pinned, None, loading.keep, include_anchor=True, shard=name
-                    ),
-                    header_bytes=pinned.header_bytes,
-                    loading_plan=loading,
-                )
-            )
-        return RetrievalPlan(plans)
+        return RetrievalPlan(
+            [pinned.plan(target) for pinned in self.pin([shard.name for shard in shards])]
+        )
 
     # ---------------------------------------------------------------- requests
 

@@ -69,7 +69,7 @@ class FetchOp:
         return obj
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShardPlan:
     """The planned fetch ops of one stream (one shard of a dataset).
 
@@ -77,7 +77,9 @@ class ShardPlan:
     one DP run over the shard's pinned header — so whoever serves the shard
     hands it to :meth:`~repro.core.progressive.ProgressiveRetriever.retrieve`
     as ``plan=`` instead of planning again.  From scratch the two agree:
-    :attr:`predicted_bytes` is ``loading_plan.total_bytes``.
+    :attr:`predicted_bytes` is ``loading_plan.total_bytes``.  A pinned shard
+    hands the same plan to every request at the same target
+    (:meth:`repro.retrieval.engine.PinnedShard.plan`): treat it as read-only.
     """
 
     shard: Optional[str]

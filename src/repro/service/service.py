@@ -12,9 +12,11 @@ keeps:
   stream header exactly once and pins it with the shard's block extents
   and loader (:class:`~repro.retrieval.engine.PinnedShard`).  The service
   keeps no per-shard metadata of its own: it costs and plans a request
-  with :meth:`~repro.io.dataset.ChunkedDataset.plan` — one DP per shard,
-  whose :class:`~repro.core.optimizer.LoadingPlan` the serve hands to the
-  retriever — and opens cold shards with
+  with :meth:`~repro.io.dataset.ChunkedDataset.plan` — one DP per (shard,
+  target) per session, which the pinned shard remembers, so a warm hit
+  plans nothing; the serve hands the plan's
+  :class:`~repro.core.optimizer.LoadingPlan` to the retriever — and opens
+  cold shards with
   :meth:`~repro.io.dataset.ChunkedDataset.open_shard`, through the
   dataset's own source tower: a remote one multiplexes — one header wave
   per first plan, one payload burst per cold shard — and a local one
@@ -414,7 +416,8 @@ class RetrievalService:
         on the session's dataset: only metadata is touched — each shard's
         header is parsed on first contact (a bounded physical read, paid
         once per shard per session and charged to the first serve of that
-        shard) and planned from its pinned extents.  The scheduler prices
+        shard) and planned from its pinned extents, once per target: the
+        :meth:`get` that follows finds the plan made here.  The scheduler prices
         every admission with this before deciding when — and at what
         fidelity — to actually call :meth:`get`.
         """

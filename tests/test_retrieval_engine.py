@@ -580,7 +580,8 @@ def test_engine_plan_matches_read_bytes(tmp_path):
 
 def test_dataset_plan_runs_one_dp_per_shard_and_pins_its_loader(tmp_path, monkeypatch):
     """``plan()`` plans each shard from its pinned metadata: one DP per
-    shard, and the loaders are built once per open dataset, not per plan."""
+    shard and target, and the loaders are built once per open dataset, not
+    per plan.  A repeat target is a lookup that hands back the same plan."""
     from repro.core.optimizer import OptimizedLoader
 
     path = tmp_path / "c.rprc"
@@ -606,8 +607,52 @@ def test_dataset_plan_runs_one_dp_per_shard_and_pins_its_loader(tmp_path, monkey
         first = dataset.plan(error_bound=eb * 8)
         assert (len(plans), len(loaders)) == (n, n)
         second = dataset.plan(error_bound=eb * 8)
+        assert (len(plans), len(loaders)) == (n, n)
+        assert all(a is b for a, b in zip(first.shards, second.shards))
+        dataset.plan(error_bound=eb * 4)
         assert (len(plans), len(loaders)) == (2 * n, n)
     assert second.to_json() == first.to_json()
+
+
+def test_remembered_plans_are_bounded_and_equal_fresh_ones(tmp_path, monkeypatch):
+    """Each pinned shard remembers its last ``PLAN_MEMO`` targets: a plan
+    handed back from memory equals one a fresh dataset makes, and the
+    least recently used target is planned again once it has been pushed
+    out."""
+    from repro.core.optimizer import OptimizedLoader
+    from repro.retrieval.engine import PLAN_MEMO
+
+    path = tmp_path / "m.rprc"
+    ChunkedDataset.write(
+        path, _field((24, 12, 10), 10), error_bound=1e-5, relative=True,
+        n_blocks=3, workers=0,
+    )
+    plans = []
+    real_plan = OptimizedLoader.plan_for_error_bound
+
+    def counting_plan(self, target_error):
+        plans.append(target_error)
+        return real_plan(self, target_error)
+
+    monkeypatch.setattr(OptimizedLoader, "plan_for_error_bound", counting_plan)
+    roi = (slice(0, 7),)  # the first shard only
+    with ChunkedDataset(path) as dataset:
+        eb = dataset.absolute_bound
+        targets = [eb * 2.0 ** k for k in range(PLAN_MEMO + 1)]
+        remembered = [dataset.plan(target, roi) for target in targets[:PLAN_MEMO]]
+        for target in reversed(targets[1:PLAN_MEMO]):  # refresh all but the first
+            dataset.plan(target, roi)
+        assert len(plans) == PLAN_MEMO
+        dataset.plan(targets[PLAN_MEMO], roi)  # pushes out the first target
+        assert dataset.plan(targets[1], roi).shards[0] is remembered[1].shards[0]
+        assert len(plans) == PLAN_MEMO + 1
+        again = dataset.plan(targets[0], roi)
+        assert len(plans) == PLAN_MEMO + 2
+        assert again.shards[0] is not remembered[0].shards[0]
+    for target, plan in [*zip(targets, remembered), (targets[0], again)]:
+        with ChunkedDataset(path) as fresh:
+            assert fresh.plan(target, roi) == plan
+            assert fresh.plan(target, roi).to_json() == plan.to_json()
 
 
 def test_concurrent_first_plans_parse_each_header_once(tmp_path):
@@ -622,7 +667,7 @@ def test_concurrent_first_plans_parse_each_header_once(tmp_path):
     )
     n_threads = 8
     barrier = threading.Barrier(n_threads)
-    claims = []
+    claims, plans = [], []
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -632,6 +677,7 @@ def test_concurrent_first_plans_parse_each_header_once(tmp_path):
             def worker():
                 barrier.wait(timeout=30)
                 plan = dataset.plan()
+                plans.append(plan)
                 claims.extend(dataset.pinned_shard(p.shard).claim_parse() for p in plan.shards)
 
             threads = [threading.Thread(target=worker) for _ in range(n_threads)]
@@ -647,6 +693,9 @@ def test_concurrent_first_plans_parse_each_header_once(tmp_path):
         sys.setswitchinterval(switch)
     assert sum(reads for reads, _ in claims) == 2 * len(pinned)
     assert sum(nbytes for _, nbytes in claims) == sum(p.header_bytes for p in pinned)
+    # Plans made at once by many threads are the plan a lone caller gets.
+    with ChunkedDataset(path) as fresh:
+        assert len(plans) == n_threads and all(p == fresh.plan() for p in plans)
 
 
 # ------------------------------------------------------------ profile knobs

@@ -195,9 +195,11 @@ def test_rung_refinement_reads_only_the_delta(tmp_path):
 
 
 def test_a_shard_serve_plans_once(tmp_path, monkeypatch):
-    """``cost`` plans each shard, and a cold or rung-refined ``get`` plans it
-    once more — the retriever is handed that plan, it does not re-run the DP."""
+    """A session plans each (shard, target) once: ``cost`` runs one DP per
+    shard, and the cold, rung-refined or warm ``get`` that follows — direct
+    or through the scheduler — runs none; the retriever is handed that plan."""
     from repro.core.optimizer import OptimizedLoader
+    from repro.service import RequestScheduler
 
     plans = []
     real = OptimizedLoader.plan_for_error_bound
@@ -216,9 +218,13 @@ def test_a_shard_serve_plans_once(tmp_path, monkeypatch):
             service.cost(path, error_bound=bound)
             assert len(plans) == n
             served = service.get(path, error_bound=bound)
-            assert len(plans) == 2 * n
             hits = served.trace.tier_hits if tier == "rung" else served.trace.tier_misses
             assert sum(hits.values()) == n
+            warm = service.get(path, error_bound=bound)
+            assert warm.trace.tier_hits == {"slab": n}
+            with RequestScheduler(service, pacer=False) as scheduler:
+                scheduler.request(path, bound)
+            assert len(plans) == n
 
 
 @pytest.mark.parametrize("route", ["cost_then_get", "scheduled"])
