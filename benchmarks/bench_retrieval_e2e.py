@@ -249,8 +249,9 @@ def _run_remote(tmp_path, path, field):
     recorded, never gated, since it is pure hardware/loopback noise.  The
     20 ms/read latency legs isolate request concurrency: at ``prefetch=0``
     every plane block is its own round trip, one at a time, while the
-    default reads the plan in three waves (open, shard headers, payload)
-    over the connection pool, so its speedup there is network-bound and
+    default reads the plan in two waves (open — which carries every shard
+    header in the archive's headers block — then payload) over the
+    connection pool, so its speedup there is network-bound and
     gated even on a 1-core box.
     """
     if field.size < int(np.prod(_REMOTE_MIN_SHAPE)):

@@ -259,6 +259,15 @@ class IPCompStream:
         return bytes(out)
 
     @staticmethod
+    def prefix_length(blob: bytes) -> int:
+        """The payload offset of a stream this process serialized: magic,
+        version/length word and header, from the length word alone (no
+        inflate, no JSON — a reader parses with :meth:`parse_header_source`)."""
+        if len(blob) < 10 or blob[:4] != MAGIC:
+            raise StreamFormatError("not an IPComp stream (bad magic)")
+        return 10 + struct.unpack_from("<I", blob, 6)[0]
+
+    @staticmethod
     def parse_header(blob: bytes) -> Tuple[StreamHeader, int]:
         """Return ``(header, payload_offset)`` without touching payload bytes."""
         return IPCompStream.parse_header_source(BytesSource(blob))

@@ -108,8 +108,9 @@ RETRIES = 3
 #: Bytes of the one suffix-range GET that opens a remote object.  Its reply
 #: sizes the object (``Content-Range`` total) and is kept as the *opening
 #: window*: a container's tail word, footer and manifest — read back to
-#: front by three dependent reads — normally sit inside it, so they cost no
-#: further request.  An object whose footer outgrows it just reads on.
+#: front by three dependent reads — and a dataset's headers block (every
+#: shard's stream header) normally sit inside it, so they cost no further
+#: request.  An object whose footer outgrows it just reads on.
 OPENING_WINDOW = 65536
 
 #: Ceiling on one coalesced GET, so a huge merged run still pipelines

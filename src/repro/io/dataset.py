@@ -41,12 +41,21 @@ ranges consumed — the quantities the ROI benchmark asserts on.
 
 File layout (a :mod:`repro.io.container` block container)::
 
-    shard-0000 | shard-0001 | ... | manifest | footer
+    shard-0000 | shard-0001 | ... | headers | manifest | footer
 
 The manifest (version 2) records shape, dtype, slab slices, the global
 absolute error bound, and the full resolved
 :class:`~repro.core.profile.CodecProfile` the shards were written with;
 version-1 manifests (method / prefix bits as loose fields) are still read.
+The ``headers`` block holds a byte copy of each shard's stream prefix
+(magic, version/length word, header), and the manifest's optional
+``"headers"`` key maps each shard to the ``[offset, length]`` of its copy.
+It sits just before the manifest, so a remote open's one read of the
+object's tail (:data:`~repro.io.aio.OPENING_WINDOW`) normally carries it,
+and every shard is pinned from it without a read of its own
+(:class:`~repro.retrieval.engine.HeaderCopies`).  An archive without it —
+written before the block existed — parses each shard's own head; an older
+reader ignores the key.
 """
 
 from __future__ import annotations
@@ -60,6 +69,7 @@ import numpy as np
 
 from repro.core.profile import CodecProfile
 from repro.core.progressive import ProgressiveRetriever
+from repro.core.stream import IPCompStream
 from repro.errors import ConfigurationError, StreamFormatError, check_count
 from repro.io.container import (
     STREAM_BLOCK,
@@ -76,11 +86,13 @@ from repro.parallel.partition import (
     ranges_to_slices,
     slices_intersect,
 )
-from repro.retrieval.engine import PinnedShard, RetrievalEngine
+from repro.retrieval.engine import HeaderCopies, PinnedShard, RetrievalEngine
 from repro.retrieval.plan import RetrievalPlan
 from repro.retrieval.prefetch import default_prefetch_depth
 
 MANIFEST_BLOCK = "manifest"
+#: The block of shard header copies, and the manifest key that places them.
+HEADERS_BLOCK = "headers"
 FORMAT_NAME = "repro-chunked-dataset"
 FORMAT_VERSION = 2
 SUPPORTED_MANIFEST_VERSIONS = (1, 2)
@@ -113,6 +125,26 @@ class DatasetReadResult:
     def bitrate(self) -> float:
         """Bits loaded by this request per value it returned."""
         return 8.0 * self.bytes_loaded / self.data.size
+
+
+class _HeaderCopier:
+    """The writer :meth:`ChunkedDataset.write` hands the write transport:
+    passes each shard block on, keeping a copy of its stream prefix
+    (``copies``) and where that copy lies in the headers block
+    (``placed``)."""
+
+    def __init__(self, writer: BlockContainerWriter) -> None:
+        self._writer = writer
+        self.copies: List[bytes] = []
+        self.placed: Dict[str, List[int]] = {}
+        self._offset = 0
+
+    def add_block(self, name: str, data: bytes, metadata: Optional[dict] = None) -> None:
+        payload_start = IPCompStream.prefix_length(data)
+        self.copies.append(bytes(data[:payload_start]))
+        self.placed[name] = [self._offset, payload_start]
+        self._offset += payload_start
+        self._writer.add_block(name, data, metadata)
 
 
 class ChunkedDataset:
@@ -179,11 +211,12 @@ class ChunkedDataset:
             path=None if self.is_remote else self.path,
         )
         self._write_profile: Optional[CodecProfile] = None
+        copies = None
         try:
             if self._reader.is_stream:
                 self._describe_stream()
             else:
-                self._describe_manifest()
+                copies = self._describe_manifest()
         except StreamFormatError:
             # Container-level corruption and format mismatches keep their
             # own diagnostics (StreamFormatError subclasses ValueError, so
@@ -193,7 +226,7 @@ class ChunkedDataset:
         except (KeyError, TypeError, ValueError, UnicodeDecodeError) as exc:
             self.close()
             raise StreamFormatError(f"malformed dataset manifest: {exc!r}") from None
-        self._engine.describe(self.shape, self.dtype, self.absolute_bound)
+        self._engine.describe(self.shape, self.dtype, self.absolute_bound, copies)
 
     def _describe_stream(self) -> None:
         """A bare stream: its own header is the manifest."""
@@ -207,7 +240,8 @@ class ChunkedDataset:
             DatasetShard(STREAM_BLOCK, tuple(slice(0, s) for s in self.shape))
         ]
 
-    def _describe_manifest(self) -> None:
+    def _describe_manifest(self) -> Optional[HeaderCopies]:
+        """Read the manifest; returns the shards' header copies, if any."""
         if MANIFEST_BLOCK not in self._reader.directory:
             raise StreamFormatError(f"{self.path} is not a chunked dataset (no manifest)")
         manifest = json.loads(self._reader.read_block(MANIFEST_BLOCK).decode("utf-8"))
@@ -230,6 +264,22 @@ class ChunkedDataset:
             DatasetShard(item["name"], ranges_to_slices(item["slices"]))
             for item in manifest["shards"]
         ]
+        placed = manifest.get(HEADERS_BLOCK)
+        if placed is None:
+            return None
+        block_size = self._reader.block_size(HEADERS_BLOCK)
+        extents = {}
+        for shard in self.shards:
+            offset, length = (int(v) for v in placed[shard.name])
+            if offset < 0 or length < 0 or offset + length > block_size:
+                raise StreamFormatError(
+                    f"header copy of shard {shard.name!r} at [{offset}, "
+                    f"{offset + length}) outside the {block_size} B headers block"
+                )
+            extents[shard.name] = (
+                offset, length, self._reader.block_size(shard.name), shard.shape
+            )
+        return HeaderCopies(lambda: self._reader.read_block(HEADERS_BLOCK), extents)
 
     @property
     def write_profile(self) -> CodecProfile:
@@ -283,8 +333,10 @@ class ChunkedDataset:
         ``0`` / ``1`` = in-process; same bytes either way).  The slabs'
         absolute bound is derived from the *global* value range, so the
         reassembled field honours the bound globally.  The resolved profile
-        is embedded in the manifest.  Read the shards back with
-        :meth:`read` / :meth:`refine`.
+        is embedded in the manifest, and a copy of every shard's stream
+        header is written to the ``headers`` block (see the module
+        docstring).  Read the shards back with :meth:`read` /
+        :meth:`refine`.
         """
         data = np.asarray(data)
         # Resolve the range-relative bound once (one min/max scan of the
@@ -293,8 +345,11 @@ class ChunkedDataset:
         compressor = BlockParallelCompressor(resolved, n_blocks, workers)
         with BlockContainerWriter(path) as writer:
             # Shards stream straight into the container as each slab's
-            # stream is produced; the manifest only needs the slab extents.
-            extents = compressor.compress_into(writer, data)
+            # stream is produced; the manifest only needs the slab extents,
+            # and the headers block each shard's stream prefix.
+            copier = _HeaderCopier(writer)
+            extents = compressor.compress_into(copier, data)
+            writer.add_block(HEADERS_BLOCK, b"".join(copier.copies))
             manifest = {
                 "format": FORMAT_NAME,
                 "version": FORMAT_VERSION,
@@ -306,6 +361,7 @@ class ChunkedDataset:
                     {"name": shard_name(index), "slices": ranges}
                     for index, ranges in enumerate(extents)
                 ],
+                HEADERS_BLOCK: copier.placed,
             }
             writer.add_block(
                 MANIFEST_BLOCK,

@@ -15,13 +15,15 @@ it is where the path from a request to the bytes is assembled — once, in
   (:mod:`repro.retrieval.plan`); the retriever reads each op with one
   source read.  Every request opens its stores over the shards'
   :class:`PinnedShard` — header, block extents and loader, parsed once
-  per engine — and a plan on its own (:meth:`RetrievalEngine.plan`:
+  per engine, from the archive's header copies (:class:`HeaderCopies`)
+  when it has them — and a plan on its own (:meth:`RetrievalEngine.plan`:
   ``ChunkedDataset.plan``, the serving layer's cost and serve) comes from
   the same pins, each of which remembers its last :data:`PLAN_MEMO` plans:
   a (shard, target) pair is planned once while it stays among them;
 * **stage 2 (prefetch)** — over sources that ``supports_async`` (a remote
-  stack) and with ``prefetch > 0``, the heads of shards not yet pinned and
-  then all shards' ops are primed through one shared
+  stack) and with ``prefetch > 0``, the heads of shards not yet pinned
+  (legacy-layout archives and bare streams only) and then all shards' ops
+  are primed through one shared
   :class:`~repro.io.aio.AsyncPrefetcher`, each as one wave of round trips,
   one future per op.  Each plan is primed once, by the request that reads
   it; nothing is fetched for a request nobody made.  A local file has no
@@ -51,7 +53,7 @@ import numpy as np
 
 from repro.core.optimizer import OptimizedLoader
 from repro.core.progressive import ProgressiveRetriever
-from repro.core.stream import BlockExtents, CompressedStore, IPCompStream
+from repro.core.stream import BlockExtents, BytesSource, CompressedStore, IPCompStream
 from repro.errors import StreamFormatError
 from repro.parallel.partition import (
     SliceTuple,
@@ -61,13 +63,15 @@ from repro.parallel.partition import (
 from repro.retrieval.plan import RetrievalPlan, ShardPlan, plan_stream_ops
 from repro.retrieval.prefetch import PrefetchSource
 
-__all__ = ["EngineResult", "PinnedShard", "RetrievalEngine", "assemble"]
+__all__ = ["EngineResult", "HeaderCopies", "PinnedShard", "RetrievalEngine", "assemble"]
 
 #: Bytes primed at the head of each remote shard before its header is
-#: parsed: the stream header lives there, so header parsing — otherwise a
-#: serial round trip per shard — rides one multiplexed batch.  A fetch op
-#: inside the head is later answered from it; one running past its end is
-#: fetched whole.  Consumed-trace accounting is untouched.
+#: parsed, for legacy-layout archives and bare streams only (an archive
+#: with a ``headers`` block parses its shards from the copies there,
+#: :class:`HeaderCopies`): the stream header lives there, so header parsing
+#: — otherwise a serial round trip per shard — rides one multiplexed batch.
+#: A fetch op inside the head is later answered from it; one running past
+#: its end is fetched whole.  Consumed-trace accounting is untouched.
 DEFAULT_HEADER_PRIME = 8192
 
 #: Plans a pinned shard remembers, least recently used out first: a serving
@@ -107,6 +111,20 @@ def _check_coverage(filled: int, size: int) -> None:
         raise StreamFormatError(f"shards cover {filled} of the region's {size} points")
 
 
+class _Charge:
+    """A physical read cost handed out once: :meth:`take` returns
+    ``(reads, bytes)`` on its first call, then ``(0, 0)``."""
+
+    def __init__(self, reads: int, nbytes: int) -> None:
+        self._cost = (reads, nbytes)
+        self._lock = threading.Lock()
+
+    def take(self) -> Tuple[int, int]:
+        with self._lock:
+            cost, self._cost = self._cost, (0, 0)
+        return cost
+
+
 class PinnedShard(BlockExtents):
     """One shard's metadata, parsed once per open dataset.
 
@@ -115,17 +133,22 @@ class PinnedShard(BlockExtents):
     the block extents the planner walks, the shard's
     :class:`~repro.core.optimizer.OptimizedLoader`, and the last
     :data:`PLAN_MEMO` plans made from them (:meth:`plan`).  It holds no
-    source: nothing reads through it after the parse.  The parse's physical
-    cost, its two header reads, is handed out once by :meth:`claim_parse`,
+    source: nothing reads through it after the parse.  ``source`` is the
+    shard itself, or a :class:`~repro.core.stream.BytesSource` over its
+    header copy (:class:`HeaderCopies`), in which case ``size`` is the
+    shard's and ``charge`` the copies block's.  The parse's physical cost
+    — its two header reads, or the one read of the copies block shared by
+    every shard of the dataset — is handed out once by :meth:`claim_parse`,
     so a server can charge it to exactly one request.
     """
 
-    def __init__(self, source, name: str) -> None:
+    def __init__(
+        self, source, name: str, *, size: Optional[int] = None, charge: Optional[_Charge] = None
+    ) -> None:
         header, payload_start = IPCompStream.parse_header_source(source)
-        super().__init__(header, payload_start, source.size)
+        super().__init__(header, payload_start, source.size if size is None else size)
         self.name = name
-        self._unclaimed = (2, payload_start)
-        self._claim_lock = threading.Lock()
+        self._charge = _Charge(2, payload_start) if charge is None else charge
         # A plan is a pure function of the pinned header and the target, so
         # a remembered one is the plan by construction.
         self.plan = lru_cache(maxsize=PLAN_MEMO)(self._plan)
@@ -149,10 +172,56 @@ class PinnedShard(BlockExtents):
 
     def claim_parse(self) -> Tuple[int, int]:
         """``(reads, bytes)`` of the header parse on the first call, then
-        ``(0, 0)``."""
-        with self._claim_lock:
-            claimed, self._unclaimed = self._unclaimed, (0, 0)
-        return claimed
+        ``(0, 0)``.  Shards pinned from one copies block share its charge:
+        the first of them to claim gets the block read."""
+        return self._charge.take()
+
+
+class HeaderCopies:
+    """An archive's ``headers`` block: a byte copy of each shard's stream
+    prefix (``[0, payload_start)``: magic, version/length word, header).
+
+    ``read()`` returns the block; it runs once, on the first :meth:`pin`,
+    so an open dataset makes one read of it and none per shard, and over a
+    remote stack the block usually lies inside the opening read.
+    ``extents`` maps each shard to ``(offset, length, shard size, slab
+    shape)``: where its copy lies in the block, and what the copy must
+    describe.  A copy is trusted only once it is checked against both, with
+    no read of the shard itself: it must parse, fill its slice exactly,
+    account for every byte of the shard (``payload_start +
+    payload_bytes() == size``) and carry the slab's shape.
+    """
+
+    def __init__(self, read: Callable[[], bytes], extents: Dict[str, tuple]) -> None:
+        self._read = read
+        self._extents = extents
+        self._block: Optional[bytes] = None
+        self._charge: Optional[_Charge] = None
+
+    def pin(self, name: str) -> PinnedShard:
+        """``name``'s :class:`PinnedShard`, parsed from its copy (the
+        caller serialises pins: the engine holds its pin lock)."""
+        if self._block is None:
+            block = self._read()
+            self._block, self._charge = block, _Charge(1, len(block))
+        offset, length, size, shape = self._extents[name]
+        copy = self._block[offset : offset + length]
+        try:
+            pinned = PinnedShard(BytesSource(copy), name, size=size, charge=self._charge)
+            if pinned.header_bytes != length:
+                raise StreamFormatError(
+                    f"the header ends at {pinned.header_bytes}, not at {length}"
+                )
+            total = pinned.header_bytes + pinned.header.payload_bytes()
+            if total != size:
+                raise StreamFormatError(f"header and blocks total {total} B, the shard {size} B")
+            if tuple(pinned.header.shape) != tuple(shape):
+                raise StreamFormatError(
+                    f"shape {tuple(pinned.header.shape)}, the slab {tuple(shape)}"
+                )
+        except StreamFormatError as exc:
+            raise StreamFormatError(f"header copy of shard {name!r}: {exc}") from None
+        return pinned
 
 
 @dataclass
@@ -200,18 +269,28 @@ class RetrievalEngine:
         # Shards pinned through :meth:`pin` (the only header cache); a store
         # built for one of these is handed the parse instead of re-reading it.
         self._pinned: Dict[str, PinnedShard] = {}
+        self._copies: Optional[HeaderCopies] = None
         self._pin_lock = threading.Lock()
         # Stateful per-shard retrievers (refine() path).
         self._retrievers: Dict[str, ProgressiveRetriever] = {}
         self.cumulative_bytes = 0
 
-    def describe(self, shape: Sequence[int], dtype, stored_bound: float) -> None:
-        """The domain the shards tile, and the fidelity a request gets when
-        it names no target.  A bare stream's come from its own header, read
-        through :meth:`header` — hence not constructor arguments."""
+    def describe(
+        self,
+        shape: Sequence[int],
+        dtype,
+        stored_bound: float,
+        copies: Optional[HeaderCopies] = None,
+    ) -> None:
+        """The domain the shards tile, the fidelity a request gets when it
+        names no target, and the archive's header copies (``None`` for a
+        legacy-layout archive or a bare stream, whose shards are parsed from
+        their own heads).  A bare stream's come from its own header, read
+        through :meth:`pin` — hence not constructor arguments."""
         self.shape = tuple(int(s) for s in shape)
         self.dtype = np.dtype(dtype)
         self.stored_bound = float(stored_bound)
+        self._copies = copies
 
     # ------------------------------------------------------------------ wiring
 
@@ -252,20 +331,27 @@ class RetrievalEngine:
 
     def pin(self, names: Sequence[str]) -> List[PinnedShard]:
         """The :class:`PinnedShard` of each named shard, parsed once per
-        engine.  Shards not yet pinned are parsed together — over a remote
-        dataset their heads are primed as one burst, so the parses ride one
-        wave of round trips — under a lock, so two requests touching a
-        shard first at the same moment parse it once."""
+        engine, under a lock, so two requests touching a shard first at the
+        same moment parse it once.  An archive with header copies parses
+        each shard from its copy (:class:`HeaderCopies`: one read of the
+        block per engine, none per shard).  Otherwise shards not yet pinned
+        are parsed from their own heads, together — over a remote dataset
+        the heads are primed as one burst, so the parses ride one wave of
+        round trips."""
         self._parse(names)
         return [self._pinned[name] for name in names]
 
     def _parse(self, names: Sequence[str]) -> Dict[str, object]:
         """Pin the shards of ``names`` not pinned yet; returns the tower each
-        was parsed over."""
+        was parsed over (none when parsed from its copy)."""
         if all(name in self._pinned for name in names):
             return {}
         with self._pin_lock:
             missing = [name for name in names if name not in self._pinned]
+            if self._copies is not None:
+                for name in missing:
+                    self._pinned[name] = self._copies.pin(name)
+                return {}
             sources = self.open_sources(missing)
             heads = [s for s in sources if isinstance(s, PrefetchSource)]
             if heads:
@@ -279,10 +365,10 @@ class RetrievalEngine:
     def open_retrievers(self, names: Sequence[str], wrap=None) -> List[ProgressiveRetriever]:
         """One fresh retriever per shard over its pinned header (:meth:`pin`)
         — for the engine's own requests, the pool worker's and the serving
-        layer's cold serves alike.  A shard pinned by this call is read over
-        the tower it was parsed over, whose head prime then answers the ops
-        inside it for every rung; any other gets a fresh :meth:`open_sources`
-        tower (``wrap`` as there)."""
+        layer's cold serves alike.  A shard pinned from its own head by this
+        call is read over the tower it was parsed over, whose head prime then
+        answers the ops inside it for every rung; any other gets a fresh
+        :meth:`open_sources` tower (``wrap`` as there)."""
         parsed_over = self._parse(names)
         retrievers = []
         for name in names:

@@ -18,14 +18,15 @@ keeps:
   :class:`~repro.core.optimizer.LoadingPlan` to the retriever — and opens
   cold shards with
   :meth:`~repro.io.dataset.ChunkedDataset.open_shard`, through the
-  dataset's own source tower: a remote one multiplexes — one header wave
-  per first plan, one payload burst per cold shard — and a local one
-  reads synchronously.  Each session checks its own freshness: a local
-  file by its ``(size, mtime_ns, tail_crc)`` fingerprint
-  (:func:`file_fingerprint`), so a rewritten file — even one rewritten at
-  the same size within the filesystem's mtime granularity — gets a fresh
-  session and the old session's cache entries are purged, never served
-  against the new bytes;
+  dataset's own source tower: a remote one multiplexes — one payload
+  burst per cold shard, after a header wave per first plan for a bare
+  stream or a legacy-layout archive (the headers block of any other rides
+  the opening read) — and a local one reads synchronously.  Each session
+  checks its own freshness: a local file by its ``(size, mtime_ns,
+  tail_crc)`` fingerprint (:func:`file_fingerprint`), so a rewritten file
+  — even one rewritten at the same size within the filesystem's mtime
+  granularity — gets a fresh session and the old session's cache entries
+  are purged, never served against the new bytes;
 * **a tiered byte-budgeted LRU** (:class:`~repro.service.cache.TieredCache`)
   over decoded **slabs** and resident plane **rungs**, so concurrent ROI
   requests on the same dataset reuse each other's work.  A request whose
@@ -42,9 +43,11 @@ Accounting stays **consumption-based**: every request's trace reports the
 ``bytes_loaded`` / ``ranges`` a fresh serial read of the same request
 consumes (the stores' ``trace``; cache hits replay the recorded
 consumption) while the reads the request's stores actually issued, plus
-each shard's once-per-session header parse — charged to the first serve
-of the shard, whether a ``get`` or a :meth:`~RetrievalService.cost`
-triggered the parse — are reported separately (``physical_reads`` is 0 on
+the once-per-session header parse — charged to exactly one serve, whether
+a ``get`` or a :meth:`~RetrievalService.cost` triggered the parse: the one
+read of the archive's headers block to the first serve of any shard, or
+(legacy layout, bare stream) each shard's two header reads to the first
+serve of that shard — are reported separately (``physical_reads`` is 0 on
 a warm repeat).  Decoded answers are bitwise-identical to
 :meth:`ChunkedDataset.read <repro.io.dataset.ChunkedDataset.read>` across
 cold, warm, refined and evicted paths; the test suite pins every one of
@@ -415,8 +418,9 @@ class RetrievalService:
         This is :meth:`ChunkedDataset.plan <repro.io.dataset.ChunkedDataset.plan>`
         on the session's dataset: only metadata is touched — each shard's
         header is parsed on first contact (a bounded physical read, paid
-        once per shard per session and charged to the first serve of that
-        shard) and planned from its pinned extents, once per target: the
+        once per session and charged to one serve, see
+        :meth:`~repro.retrieval.engine.PinnedShard.claim_parse`) and planned
+        from its pinned extents, once per target: the
         :meth:`get` that follows finds the plan made here.  The scheduler prices
         every admission with this before deciding when — and at what
         fidelity — to actually call :meth:`get`.
@@ -630,9 +634,11 @@ class RetrievalService:
             # (Re-)charge the rung at its resident size; if the budget no
             # longer accommodates it, it simply ages out.
             self.cache.put("rung", rung_key, retriever, retriever.resident_nbytes)
-            # The shard's header parse is charged to the first serve of it
-            # that completes, whichever request — a get or a cost() —
-            # triggered the parse.
+            # The header parse is charged to the first serve that completes,
+            # whichever request — a get or a cost() — triggered the parse:
+            # the shard's own two header reads, or, for a shard pinned from
+            # the archive's headers block, the one read of that block, to
+            # the first serve of any of its shards.
             parse_reads, parse_bytes = session.dataset.pinned_shard(name).claim_parse()
             store = retriever.store
             serve = _ShardServe(

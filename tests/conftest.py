@@ -130,6 +130,26 @@ def write_v1_container(path: Path, n_shards: int = 2) -> Path:
     return path
 
 
+def legacy_layout(path: Path, out: Path) -> Path:
+    """Rewrite the dataset at ``path`` into ``out`` as written before the
+    ``headers`` block existed: the same blocks and metadata, minus that
+    block and the manifest's ``"headers"`` key — the layout whose readers
+    parse each shard's own head."""
+    from repro.io import BlockContainerReader, BlockContainerWriter
+
+    with BlockContainerReader(path) as reader, BlockContainerWriter(out) as writer:
+        for name in reader.block_names():
+            if name == "headers":
+                continue
+            data = reader.read_block(name)
+            if name == "manifest":
+                manifest = json.loads(data)
+                del manifest["headers"]
+                data = json.dumps(manifest, separators=(",", ":"), sort_keys=True).encode()
+            writer.add_block(name, data, reader.metadata(name))
+    return out
+
+
 @pytest.fixture(scope="module")
 def served_dir(tmp_path_factory, v1_blob) -> Path:
     """One directory holding the {v1, v2} × {stream, container} fixtures of
@@ -151,8 +171,8 @@ def served_dir(tmp_path_factory, v1_blob) -> Path:
     v2_blob = IPComp(error_bound=1e-5, relative=True).compress(cumsum_field((400, 360), 3))
     (root / "v2.ipc").write_bytes(v2_blob)
     ChunkedDataset.write(
-        root / "v2.rprc", cumsum_field((64, 48, 40), 4), error_bound=1e-5,
-        relative=True, n_blocks=4, workers=0,
+        root / "v2.rprc", cumsum_field((128, 48, 40), 4), error_bound=1e-5,
+        relative=True, n_blocks=8, workers=0,
     )
     write_v1_container(root / "v1.rprc", n_shards=48)
     for served in root.iterdir():

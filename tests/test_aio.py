@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import cumsum_field
+from conftest import cumsum_field, legacy_layout
 
 from repro import ChunkedDataset
 from repro.cli import main
@@ -53,9 +53,11 @@ from repro.io.aio import (
     coalesce_ops,
     open_remote_source,
 )
+from repro.io.container import BlockContainerReader
 from repro.io.faults import FaultInjector, FaultPlan
 from repro.io.rangeserver import RangeServer
 from repro.io.remote import REQUEST_DEADLINE
+from repro.retrieval.engine import DEFAULT_HEADER_PRIME
 from repro.retrieval.prefetch import DEFAULT_PREFETCH_DEPTH, PrefetchSource
 
 
@@ -430,23 +432,30 @@ def roi_archive(tmp_path_factory) -> Path:
     return path
 
 
+@pytest.fixture(scope="module")
+def legacy_roi_archive(roi_archive) -> Path:
+    """The same archive without its headers block: each shard is parsed
+    from its own head."""
+    return legacy_layout(roi_archive, roi_archive.with_name("legacy.rprc"))
+
+
 _ROI = (slice(0, 32), slice(None), slice(None))  # shards 0-3 of 8
 
 
-def test_cold_roi_read_is_three_dependent_waves(roi_archive, virtual_loop):
-    """Open, headers, payload: a cold remote ROI read is three round trips
-    deep at *every* fidelity — the coarse target, whose plan is many small
-    ops with skipped planes between them, must not need more than the fine
-    one, whose plan is one op per shard."""
-    blob = roi_archive.read_bytes()
-    with ChunkedDataset(roi_archive) as local:
+def _cold_roi_reads(archive, virtual_loop):
+    """Per rung (1024 and 1 × the stored bound): the scripted transport of
+    a cold remote read of :data:`_ROI`, checked bitwise against the local
+    oracle — data, ``bytes_loaded`` and ranges — and the virtual seconds
+    it took."""
+    blob = archive.read_bytes()
+    with ChunkedDataset(archive) as local:
         stored = local.absolute_bound
         oracles = {rung: local.read(error_bound=rung * stored, roi=_ROI) for rung in (1024, 1)}
         planned = {
             rung: local.plan(error_bound=rung * stored, roi=_ROI).n_ops for rung in (1024, 1)
         }
     assert planned[1024] > 4 * CONNECTIONS and planned[1] == 4
-    shapes = {}
+    reads = {}
     for rung, oracle in oracles.items():
         began = virtual_loop.loop.time()
         source, transport = _scripted_source(blob, virtual_loop)
@@ -456,15 +465,76 @@ def test_cold_roi_read_is_three_dependent_waves(roi_archive, virtual_loop):
         assert result.data.tobytes() == oracle.data.tobytes()
         assert result.bytes_loaded == oracle.bytes_loaded
         assert sorted(result.ranges) == sorted(oracle.ranges)
+        reads[rung] = transport, virtual_loop.loop.time() - began
+    return reads
+
+
+def test_cold_roi_read_is_three_dependent_waves(legacy_roi_archive, virtual_loop):
+    """Legacy layout — open, headers, payload: a cold remote ROI read is
+    three round trips deep at *every* fidelity — the coarse target, whose
+    plan is many small ops with skipped planes between them, must not need
+    more than the fine one, whose plan is one op per shard."""
+    shapes = {}
+    for rung, (transport, elapsed) in _cold_roi_reads(legacy_roi_archive, virtual_loop).items():
         waves = transport.waves
         # One opening request, one header prime per ROI shard, then at most
         # a pool's worth of payload GETs — and nothing after that.
         assert waves[:2] == [1, 4] and len(waves) == 3, (rung, transport.log)
         assert 4 <= waves[2] <= CONNECTIONS
-        assert virtual_loop.loop.time() - began == pytest.approx(3 * transport.rtt)
+        assert elapsed == pytest.approx(3 * transport.rtt)
         shapes[rung] = waves
     assert sum(shapes[1024]) <= 1 + 4 + CONNECTIONS
     assert shapes[1] == [1, 4, 4]
+
+
+def test_cold_roi_read_is_two_dependent_waves(roi_archive, virtual_loop):
+    """An archive with a headers block — open, payload: the shard headers
+    ride the opening read, so a cold remote ROI read is two round trips
+    deep at every fidelity, with the local read's bytes and ranges."""
+    shapes = {}
+    for rung, (transport, elapsed) in _cold_roi_reads(roi_archive, virtual_loop).items():
+        waves = transport.waves
+        assert len(waves) == 2 and waves[0] == 1, (rung, transport.log)
+        assert 4 <= waves[1] <= CONNECTIONS
+        assert elapsed == pytest.approx(2 * transport.rtt)
+        shapes[rung] = waves
+    assert shapes[1] == [1, 4]
+
+
+@pytest.fixture(scope="module")
+def wide_archive(tmp_path_factory) -> Path:
+    """Sixteen shards, each longer than a header prime plus the widest gap
+    a burst bridges (≈ 91 KB), so no two shard heads share a GET."""
+    path = tmp_path_factory.mktemp("aio-wide") / "wide.rprc"
+    field = np.random.default_rng(11).normal(size=(512, 32, 32))
+    ChunkedDataset.write(path, field, error_bound=1e-7, relative=True, n_blocks=16, workers=0)
+    return path
+
+
+def test_cold_sixteen_shard_read_needs_no_header_wave(wide_archive, virtual_loop, tmp_path):
+    """A cold whole-field remote read of sixteen shards: the legacy layout
+    primes sixteen heads over a pool of CONNECTIONS, ⌈16 / CONNECTIONS⌉
+    waves before the payload; the headers block needs none.  The payload
+    is one GET per shard (a burst merges ranges within a shard only), so
+    it takes as many waves again in both layouts."""
+    legacy = legacy_layout(wide_archive, tmp_path / "legacy.rprc")
+    with BlockContainerReader(legacy) as reader:
+        shards = [reader.block_size(n) for n in reader.block_names() if n != "manifest"]
+    assert len(shards) == 16 and min(shards) > DEFAULT_HEADER_PRIME + MAX_MERGE_GAP
+    pool = [CONNECTIONS] * (16 // CONNECTIONS) + [16 % CONNECTIONS] * (16 % CONNECTIONS > 0)
+    for archive, header_waves in ((legacy, pool), (wide_archive, [])):
+        with ChunkedDataset(archive) as local:
+            oracle = local.read()
+        began = virtual_loop.loop.time()
+        source, transport = _scripted_source(archive.read_bytes(), virtual_loop)
+        with ChunkedDataset("http://scripted.invalid/archive.rprc", source=source) as dataset:
+            result = dataset.read()
+        assert result.data.tobytes() == oracle.data.tobytes()
+        assert result.bytes_loaded == oracle.bytes_loaded
+        assert sorted(result.ranges) == sorted(oracle.ranges)
+        waves = transport.waves
+        assert waves == [1, *header_waves, *pool], archive.name
+        assert virtual_loop.loop.time() - began == pytest.approx(len(waves) * transport.rtt)
 
 
 def test_burst_larger_than_the_pool_is_merged_into_one_wave(virtual_loop, monkeypatch):

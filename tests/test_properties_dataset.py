@@ -297,6 +297,7 @@ def test_manifest_short_coverage_rejected_on_read(tmp_path):
         for shard in manifest["shards"]:
             name = shard["name"]
             writer.add_block(name, reader.read_block(name), reader.metadata(name))
+        writer.add_block("headers", reader.read_block("headers"))
         writer.add_block("manifest", json.dumps(manifest).encode())
     with ChunkedDataset(path) as dataset:
         with pytest.raises(StreamFormatError, match="cover"):

@@ -769,7 +769,8 @@ def _read(target, *, source=None, prefetch=None):
     """Full-fidelity read → ``(data bytes, bytes_loaded, consumed ranges)``.
 
     Remote cells leave ``prefetch`` alone: container or bare stream, the
-    dataset then reads multiplexed — header wave, payload burst.
+    dataset then reads multiplexed — a header wave (bare stream or legacy
+    layout only), then a payload burst.
     """
     with ChunkedDataset(target, source=source, prefetch=prefetch) as dataset:
         result = dataset.read()
@@ -883,6 +884,7 @@ def _oracle(path: Path):
     with BlockContainerReader(path) as reader:
         blobs = {name: reader.read_block(name) for name in reader.block_names()}
     manifest = json.loads(blobs.pop("manifest")) if "manifest" in blobs else None
+    blobs.pop("headers", None)  # the shards' header copies, not a shard
     retrievers = {name: ProgressiveRetriever(blob) for name, blob in blobs.items()}
     stored = max(r.header.error_bound for r in retrievers.values())
     rungs, starts = [], dict.fromkeys(retrievers, 0)
@@ -932,9 +934,10 @@ def test_one_tower_identity_matrix(probe, tmp_path, where, name, reader):
                 response = service.get(target, error_bound=_LADDER[0] * stored)
             trace = response.trace
             assert (response.data.tobytes(), trace.bytes_loaded, sorted(trace.ranges)) == rungs[0]
-            # Cold and remote: the open (and a stream's sniff), then a header
-            # prime and one payload burst (≤ a pool of GETs) per shard — not
-            # a round trip per plane block (859 requests before 7.0).
+            # Cold and remote: the open (and a stream's sniff), then (a bare
+            # stream's) header prime and one payload burst (≤ a pool of GETs)
+            # per shard — not a round trip per plane block (859 requests
+            # before 7.0).
             assert srv.range_requests <= 2 + (1 + CONNECTIONS) * shards
         else:
             out, receipt = tmp_path / "out.raw", tmp_path / "receipt.json"

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import write_v1_container
+from conftest import legacy_layout, write_v1_container
 
 from repro import ChunkedDataset, CodecProfile, IPComp, ProgressiveRetriever
 from repro.core.stream import BytesSource, CompressedStore
@@ -480,6 +480,7 @@ def test_decompress_rejects_partial_coverage(tmp_path, monkeypatch):
         for shard in manifest["shards"]:
             name = shard["name"]
             writer.add_block(name, reader.read_block(name), reader.metadata(name))
+        writer.add_block("headers", reader.read_block("headers"))
         writer.add_block("manifest", json.dumps(manifest).encode())
     monkeypatch.setattr(pooldecode, "pooled_container_read", no_decode)
     with ChunkedDataset(path, workers=2) as dataset:
@@ -521,41 +522,47 @@ def test_refine_prefetch_preserves_accounting(tmp_path):
 
 
 def test_local_reads_are_one_container_read_per_op(tmp_path):
-    """A local ``read()`` / ``refine()`` makes exactly the header reads of
-    the shards not yet pinned plus one container read per planned op."""
+    """A local ``read()`` / ``refine()`` makes one container read per
+    planned op, plus the header reads of the shards it pins first: one read
+    of the headers block per open dataset, or — in the legacy layout, which
+    has no headers block — two reads per shard not yet pinned."""
     path = tmp_path / "ops.rprc"
     ChunkedDataset.write(
         path, _field((24, 12, 10), 6), error_bound=1e-5, relative=True,
         n_blocks=3, workers=0,
     )
     roi = (slice(0, 10),)
-    with ChunkedDataset(path) as dataset:
-        eb = dataset.absolute_bound
+    for archive, first_pin, per_shard in (
+        (legacy_layout(path, tmp_path / "legacy.rprc"), 0, 2),
+        (path, 1, 0),
+    ):
+        with ChunkedDataset(archive) as dataset:
+            eb = dataset.absolute_bound
 
-        def reads(call, *args, **kwargs):
-            before = dataset.physical_reads
-            call(*args, **kwargs)
-            return dataset.physical_reads - before
+            def reads(call, *args, **kwargs):
+                before = dataset.physical_reads
+                call(*args, **kwargs)
+                return dataset.physical_reads - before
 
-        # The ROI pins two of three shards, the full read the third.
-        first = reads(dataset.read, eb * 16, roi=roi)
-        assert first == 2 * 2 + dataset.plan(eb * 16, roi).n_ops
-        assert reads(dataset.read, eb * 16) == 2 + dataset.plan(eb * 16).n_ops
-        assert reads(dataset.read, eb * 16) == dataset.plan(eb * 16).n_ops
-        # A refine rung reads the ops between the resident and the new
-        # planes of every shard.
-        resident = {}
-        for factor in (256, 16, 1):
-            plan = dataset.plan(eb * factor)
-            delta = sum(
-                len(plan_stream_ops(
-                    dataset.pinned_shard(p.shard), resident.get(p.shard),
-                    p.target_keep, include_anchor=p.shard not in resident,
-                ))
-                for p in plan.shards
-            )
-            assert reads(dataset.refine, eb * factor) == delta > 0
-            resident = dataset.current_keep()
+            # The ROI pins two of three shards, the full read the third.
+            first = reads(dataset.read, eb * 16, roi=roi)
+            assert first == first_pin + per_shard * 2 + dataset.plan(eb * 16, roi).n_ops
+            assert reads(dataset.read, eb * 16) == per_shard + dataset.plan(eb * 16).n_ops
+            assert reads(dataset.read, eb * 16) == dataset.plan(eb * 16).n_ops
+            # A refine rung reads the ops between the resident and the new
+            # planes of every shard.
+            resident = {}
+            for factor in (256, 16, 1):
+                plan = dataset.plan(eb * factor)
+                delta = sum(
+                    len(plan_stream_ops(
+                        dataset.pinned_shard(p.shard), resident.get(p.shard),
+                        p.target_keep, include_anchor=p.shard not in resident,
+                    ))
+                    for p in plan.shards
+                )
+                assert reads(dataset.refine, eb * factor) == delta > 0
+                resident = dataset.current_keep()
 
 
 def test_engine_plan_matches_read_bytes(tmp_path):
@@ -657,7 +664,8 @@ def test_remembered_plans_are_bounded_and_equal_fresh_ones(tmp_path, monkeypatch
 
 def test_concurrent_first_plans_parse_each_header_once(tmp_path):
     """Threads planning an unpinned dataset at once parse each shard's
-    header once, and its parse is claimed exactly once."""
+    header once, and its parse is claimed exactly once: two reads per shard
+    in the legacy layout, the one read of the headers block otherwise."""
     import sys
 
     path = tmp_path / "c.rprc"
@@ -665,37 +673,49 @@ def test_concurrent_first_plans_parse_each_header_once(tmp_path):
         path, _field((24, 12, 10), 9), error_bound=1e-5, relative=True,
         n_blocks=4, workers=0,
     )
+    legacy = legacy_layout(path, tmp_path / "legacy.rprc")
+    with BlockContainerReader(path) as reader:
+        copies_bytes = reader.block_size("headers")
     n_threads = 8
-    barrier = threading.Barrier(n_threads)
-    claims, plans = [], []
     switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ChunkedDataset(path) as dataset:
-            before = dataset.physical_reads
+    for archive in (legacy, path):
+        barrier = threading.Barrier(n_threads)
+        claims, plans = [], []
+        sys.setswitchinterval(1e-6)
+        try:
+            with ChunkedDataset(archive) as dataset:
+                before = dataset.physical_reads
 
-            def worker():
-                barrier.wait(timeout=30)
-                plan = dataset.plan()
-                plans.append(plan)
-                claims.extend(dataset.pinned_shard(p.shard).claim_parse() for p in plan.shards)
+                def worker():
+                    barrier.wait(timeout=30)
+                    plan = dataset.plan()
+                    plans.append(plan)
+                    claims.extend(
+                        dataset.pinned_shard(p.shard).claim_parse() for p in plan.shards
+                    )
 
-            threads = [threading.Thread(target=worker) for _ in range(n_threads)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-            assert not any(thread.is_alive() for thread in threads)
-            assert len(claims) == n_threads * dataset.n_shards
-            pinned = [dataset.pinned_shard(s.name) for s in dataset.shards]
-            assert dataset.physical_reads - before == 2 * dataset.n_shards
-    finally:
-        sys.setswitchinterval(switch)
-    assert sum(reads for reads, _ in claims) == 2 * len(pinned)
-    assert sum(nbytes for _, nbytes in claims) == sum(p.header_bytes for p in pinned)
-    # Plans made at once by many threads are the plan a lone caller gets.
-    with ChunkedDataset(path) as fresh:
-        assert len(plans) == n_threads and all(p == fresh.plan() for p in plans)
+                threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(claims) == n_threads * dataset.n_shards
+                pinned = [dataset.pinned_shard(s.name) for s in dataset.shards]
+                physical = dataset.physical_reads - before
+        finally:
+            sys.setswitchinterval(switch)
+        if archive is legacy:
+            assert physical == 2 * len(pinned)
+            assert sum(reads for reads, _ in claims) == 2 * len(pinned)
+            assert sum(nbytes for _, nbytes in claims) == sum(p.header_bytes for p in pinned)
+        else:
+            assert physical == 1
+            assert [claim for claim in claims if claim != (0, 0)] == [(1, copies_bytes)]
+            assert copies_bytes == sum(p.header_bytes for p in pinned)
+        # Plans made at once by many threads are the plan a lone caller gets.
+        with ChunkedDataset(archive) as fresh:
+            assert len(plans) == n_threads and all(p == fresh.plan() for p in plans)
 
 
 # ------------------------------------------------------------ profile knobs

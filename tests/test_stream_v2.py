@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import legacy_layout
 
 from repro import CodecProfile, IPComp, ProgressiveRetriever
 from repro.coders import backend as backend_registry
@@ -381,6 +382,13 @@ PINNED_SHARD_CRC32 = {
     "shard-0003": 0xF03FD6DA,
 }
 PINNED_4X_MANIFEST_CRC32 = 0xA77B6AF6
+
+#: CRC32 of the pinned dataset file since the ``headers`` block (a copy of
+#: each shard's stream prefix) and the manifest key placing it joined the
+#: container.  The change is additive: stripping both
+#: (:func:`conftest.legacy_layout`) gives back the file
+#: ``PINNED_V2_CRC32["dataset"]`` pins.
+PINNED_HEADERS_DATASET_CRC32 = 0x489979EB
 REMOVED_MANIFEST_PROFILE_KEYS = {
     "anchor_coder": "zlib",
     "plane_coders": ["zlib", "raw"],
@@ -417,14 +425,27 @@ def test_default_profile_dataset_bytes_are_pinned(tmp_path):
     ChunkedDataset.write(
         path, _pinned_field(), error_bound=1e-4, relative=True, n_blocks=4, workers=0
     )
-    assert zlib.crc32(path.read_bytes()) == PINNED_V2_CRC32["dataset"]
+    assert zlib.crc32(path.read_bytes()) == PINNED_HEADERS_DATASET_CRC32
+    # Without the headers block and its manifest key, the file is byte for
+    # byte the one written before the block existed.
+    legacy = legacy_layout(path, tmp_path / "legacy.rprc")
+    assert zlib.crc32(legacy.read_bytes()) == PINNED_V2_CRC32["dataset"]
     from repro.io import BlockContainerReader
 
     with BlockContainerReader(path) as reader:
-        shards = {n: zlib.crc32(reader.read_block(n)) for n in reader.block_names()}
-        manifest = json.loads(reader.read_block("manifest"))
-    del shards["manifest"]
-    assert shards == PINNED_SHARD_CRC32
+        blocks = {n: reader.read_block(n) for n in reader.block_names()}
+    manifest = json.loads(blocks.pop("manifest"))
+    copies = blocks.pop("headers")
+    assert {n: zlib.crc32(b) for n, b in blocks.items()} == PINNED_SHARD_CRC32
+    # The block is each shard's stream prefix, back to back in shard order.
+    cursor = 0
+    for name, blob in blocks.items():
+        offset, length = manifest["headers"][name]
+        assert (offset, length) == (cursor, IPCompStream.parse_header(blob)[1])
+        assert copies[offset : offset + length] == blob[:length]
+        cursor += length
+    assert cursor == len(copies)
+    del manifest["headers"]
     assert not REMOVED_MANIFEST_PROFILE_KEYS.keys() & manifest["profile"].keys()
     manifest["profile"].update(REMOVED_MANIFEST_PROFILE_KEYS)
     as_written_by_4x = json.dumps(manifest, separators=(",", ":"), sort_keys=True)
