@@ -17,7 +17,7 @@ at the repo root:
    granted, per-tenant debited bytes are exactly equal, token buckets
    never go negative, and every final answer is bitwise-identical to the
    serial oracle.
-3. **Shed-then-refine latency** — with a coarse rung resident and a budget
+3. **Shed-then-refine latency** — with a coarse slab resident and a budget
    too small to grant the fine request immediately, the degraded first
    answer must arrive ahead of the background-refined final (hard-gated),
    and well ahead at ≥ default scale.  The refined bytes are hard-gated
@@ -248,7 +248,7 @@ def _run_shed_refine(workdir, field):
         # Size the budget so the fine request cannot be granted on arrival
         # and the background refine has to wait ~0.6 s for tokens.
         budget_bps = max(1, int(cost / 1.6))
-        service.get(path, error_bound=coarse)  # resident rung to shed to
+        service.get(path, error_bound=coarse)  # resident slab to shed to
         with RequestScheduler(
             service, max_inflight=_WINDOW, budget_bps=budget_bps
         ) as scheduler:

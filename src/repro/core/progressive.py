@@ -13,10 +13,10 @@ per-level plane selection, and the retriever makes **one transition**:
   row into its slot of the shard's one preallocated buffer *as it is
   sliced out*.  No block is ever read twice — the property that
   distinguishes IPComp from residual-based progressive schemes;
-* **rebuild** — if anything arrived since the output was last built, one
-  shard sweep over the resident rows
+* **rebuild** — one shard sweep over the resident rows
   (:meth:`~repro.core.predictive_coder.PredictiveCoder.codes_from_rows`)
-  and one interpolation reconstruction from the anchor.
+  and one interpolation reconstruction from the anchor, handed to the
+  caller.
 
 The paper's Algorithm 1 is this transition from the empty state; its
 Algorithm 2 is the same transition from any other.  The paper forms
@@ -26,7 +26,10 @@ one interpolation pass, but a sum of two reconstructions is only within
 rounding of the single pass.  Rebuilding from the resident rows makes every
 answer **bitwise** what a fresh retriever returns at the same plane
 selection, and leaves no partial state to forget: a call that fails midway
-keeps the rows that arrived, and the next call finishes the job.
+keeps the rows that arrived, and the next call finishes the job.  The
+retriever's state is only what it read — the decoded anchor, the packed
+rows and :attr:`~ProgressiveRetriever.current_keep` — never an answer
+derived from them: the caller owns every array it receives.
 
 Every request reports exactly how many compressed bytes it had to touch,
 which is the quantity Figures 6 and 7 of the paper plot.
@@ -120,19 +123,18 @@ class ProgressiveRetriever:
         except (MemoryError, ValueError) as exc:
             raise StreamFormatError(f"stream header invalid: plane rows: {exc}") from None
         self.loader = OptimizedLoader(header, overhead_bytes=self.store.overhead_bytes)
-        # Retrieval state: the decoded anchor, the packed (still XOR-predicted)
-        # plane rows loaded so far — ``_rows[level][:keep]``, written through
-        # the level's flat ``_slots`` view (a memoryview slice assignment
-        # costs a fraction of a NumPy one, and there is one per block) — and
-        # the output last built from them.
+        # Retrieval state: the decoded anchor and the packed (still
+        # XOR-predicted) plane rows loaded so far — ``_rows[level][:keep]``,
+        # written through the level's flat ``_slots`` view (a memoryview
+        # slice assignment costs a fraction of a NumPy one, and there is one
+        # per block).
         self._anchor_values: Optional[np.ndarray] = None
         self._current_keep: Dict[int, int] = {enc.level: 0 for enc in header.levels}
         self._levels = {enc.level: enc for enc in header.levels}
         self._rows: Dict[int, np.ndarray] = rows
         self._slots = {level: memoryview(slot) for level, slot in slots.items()}
-        self._current_output: Optional[np.ndarray] = None
-        # True while something has arrived that ``_current_output`` lacks.
-        self._stale = False
+        # The header is charged to the first call that completes.
+        self._header_charged = False
 
     # ----------------------------------------------------------------- planning
 
@@ -218,11 +220,12 @@ class ProgressiveRetriever:
         """Serve one retrieval request, reusing previously loaded data.
 
         The one transition of the state machine (module docstring): load
-        what the plan adds, rebuild the output if anything arrived.  Calls
-        only ever *add* precision: if the new request is coarser than what
-        is already resident, the existing (finer) output is returned and no
-        data is loaded at all.  The returned array is bitwise what a fresh
-        retriever produces at :attr:`current_keep`.  A caller that already
+        what the plan adds, then rebuild the output from the resident rows.
+        Calls only ever *add* precision: if the new request is coarser than
+        what is already resident, nothing is loaded and the answer is
+        rebuilt at the finer resident selection.  The returned array is
+        bitwise what a fresh retriever produces at :attr:`current_keep`, and
+        the retriever keeps no reference to it.  A caller that already
         holds this request's :meth:`plan_request` result (the engine and
         the serving layer plan every shard before they fetch any) passes it
         as ``plan`` instead of the target.
@@ -232,27 +235,26 @@ class ProgressiveRetriever:
         self.store.reset_accounting()
         self._load(self._target_keep(plan))
         levels = self.header.levels
-        # The header is charged to the first call that completes.
         bytes_loaded = self.store.bytes_read
-        if self._current_output is None:
+        if not self._header_charged:
             bytes_loaded += self.store.header_bytes
-        if self._stale:
-            # One decode call for the whole shard: the kernel sweeps every level
-            # together instead of paying its fixed dispatch cost per level.
-            codes = self.coder.codes_from_rows(
-                (enc, self._rows[enc.level][: self._current_keep[enc.level]])
-                for enc in levels
-            )
-            level_diffs = {
-                enc.level: self.quantizer.dequantize(c) for enc, c in zip(levels, codes)
-            }
-            self._current_output = self.predictor.reconstruct(
-                self._anchor_values, level_diffs, granularity="sweep"
-            )
-            self._stale = False
+        # One decode call for the whole shard: the kernel sweeps every level
+        # together instead of paying its fixed dispatch cost per level.
+        codes = self.coder.codes_from_rows(
+            (enc, self._rows[enc.level][: self._current_keep[enc.level]])
+            for enc in levels
+        )
+        level_diffs = {
+            enc.level: self.quantizer.dequantize(c) for enc, c in zip(levels, codes)
+        }
+        output = self.predictor.reconstruct(
+            self._anchor_values, level_diffs, granularity="sweep"
+        )
+        self._header_charged = True
         achieved = self._current_keep
         return RetrievalResult(
-            data=self._cast(self._current_output),
+            # A no-op for a float64 field; a real dtype change copies.
+            data=output.astype(self.header.dtype, copy=False),
             plan=plan,
             bytes_loaded=bytes_loaded,
             cumulative_bytes=self.cumulative_bytes,
@@ -292,7 +294,6 @@ class ProgressiveRetriever:
                         self.coder.decode_row(self._levels[level], plane, block)
                     )
                     self._current_keep[level] = plane + 1
-                self._stale = True
         # Only an empty block outside every op (no writer emits one) can be
         # planned but never read.
         if self._anchor_values is None:
@@ -300,9 +301,6 @@ class ProgressiveRetriever:
         for level, keep in self._current_keep.items():
             if keep < target_keep[level]:
                 raise StreamFormatError(f"level {level} plane {keep} is an empty block")
-
-    def _cast(self, output: np.ndarray) -> np.ndarray:
-        return output.astype(self.header.dtype, copy=True).reshape(self.header.shape)
 
     # ------------------------------------------------------------------- state
 
@@ -318,23 +316,15 @@ class ProgressiveRetriever:
         return dict(self._current_keep)
 
     @property
-    def current_output(self) -> Optional[np.ndarray]:
-        """The most recent reconstruction, or ``None`` before the first request."""
-        if self._current_output is None:
-            return None
-        return self._cast(self._current_output)
-
-    @property
     def resident_nbytes(self) -> int:
         """Bytes this retriever keeps resident (cache accounting).
 
-        The reconstruction, the anchor values and the whole packed-row
-        buffer (allocated once, for every plane of the stream) — what a
-        byte-budgeted cache should charge for keeping this retriever warm.
+        The whole packed-row buffer (allocated once, for every plane of the
+        stream) and the anchor values — what a byte-budgeted cache should
+        charge for keeping this retriever warm.  No answer is resident: each
+        one belongs to the caller it was handed to.
         """
         total = sum(slot.nbytes for slot in self._slots.values())
-        if self._current_output is not None:
-            total += self._current_output.nbytes
         if self._anchor_values is not None:
             total += self._anchor_values.nbytes
         return total

@@ -9,9 +9,10 @@ budget:
   the request that produced them.  A slab hit answers a repeated request
   with **zero physical reads** by replaying the recorded trace.
 * tier ``"rung"`` — live :class:`~repro.core.progressive.ProgressiveRetriever`
-  state (packed plane rows + reconstruction) for one shard.  A rung hit answers
-  a *finer* request by refining in place — Algorithm 2 reads only the new
-  plane blocks, never re-fetching from byte zero.
+  state (packed plane rows + decoded anchor) for one shard.  A rung hit
+  answers a *finer* request by refining in place — Algorithm 2 reads only
+  the new plane blocks, never re-fetching from byte zero — and its answer
+  becomes a slab: the slab tier is the one home of decoded data.
 
 Entries across tiers share one LRU order and one budget: a decoded slab can
 evict a cold rung and vice versa.  The budget is a hard invariant — resident

@@ -446,18 +446,17 @@ class RetrievalService:
         whatever fidelity is already decoded *right now* instead of queueing
         a fetch.  Per selected shard a resident artifact at exactly the
         planned fidelity wins (the canonical bytes of a from-scratch serve),
-        else the finest resident one — a slab at any plane selection, or
-        the live rung's current reconstruction (exact by construction);
-        ``trace.canonical`` records which case served.  Returns ``None``
-        when any shard has nothing resident — degradation is
-        all-or-nothing, a partially-fresh answer would splice fidelities
+        else the finest resident one — a decoded slab at any plane
+        selection; ``trace.canonical`` records which case served.  A rung
+        holds packed rows, not an answer, so it is never a candidate.
+        Returns ``None`` when any shard has nothing resident — degradation
+        is all-or-nothing, a partially-fresh answer would splice fidelities
         within one array.  It plans only once every shard has something
         resident, so a miss runs no DP.
 
-        The shard lock is only *tried*: if a writer is mid-decode the rung
-        is skipped (its state is live) and immutable slabs alone are
-        considered, so this path never blocks behind a cold read.  A slab
-        failing its checksum is invalidated, not resident.  A canonical
+        Slabs are immutable once inserted, so this path takes no shard lock
+        and never blocks behind a cold read.  A slab failing its checksum
+        is invalidated, not resident.  A canonical
         answer reports the ranges a fresh serial read consumes, like a warm
         hit; a degraded one reports none (``bytes_loaded=0``).  The trace is
         not recorded in the service aggregate (the scheduler records the
@@ -508,30 +507,14 @@ class RetrievalService:
         return ServiceResponse(data=data, trace=trace)
 
     def _resident(self, session: _Session, name: str) -> List[_Resident]:
-        """Every resident ``(data, bound, consumed ranges)`` of one shard: the
-        live rung's reconstruction, its bound from the rung's own loader and
-        its store's trace, and each intact slab with its recorded trace."""
+        """Every intact slab of one shard as ``(data, bound, consumed
+        ranges)``, lock-free: slabs are immutable once inserted."""
         sid = session.sid
-        candidates: List[_Resident] = []
-        lock = session.shard_lock(name)
-        if lock.acquire(blocking=False):
-            try:
-                rung = self.cache.get("rung", (sid, name), count=False)
-                if rung is not None:
-                    output = rung.current_output
-                    if output is not None:
-                        bound = rung.loader.plan_error(rung.current_keep)
-                        candidates.append((output, float(bound), list(rung.store.trace)))
-            finally:
-                lock.release()
-        # Slabs are immutable once inserted — safe to read lock-free even
-        # while a writer holds the shard lock for a different selection.
-        for key, entry in self.cache.scan(
-            "slab", lambda k: k[0] == sid and k[1] == name
-        ):
-            if self._slab_intact(key, entry):
-                candidates.append((entry.data, float(entry.bound), entry.trace))
-        return candidates
+        return [
+            (entry.data, float(entry.bound), entry.trace)
+            for key, entry in self.cache.scan("slab", lambda k: k[0] == sid and k[1] == name)
+            if self._slab_intact(key, entry)
+        ]
 
     @staticmethod
     def _best_resident(
@@ -631,8 +614,9 @@ class RetrievalService:
                         raise
                     delays.append(delay)
                     self._sleep(delay)
-            # (Re-)charge the rung at its resident size; if the budget no
-            # longer accommodates it, it simply ages out.
+            # (Re-)charge the rung at its resident size — its rows and
+            # anchor; the answer it built lives in the slab tier alone.  If
+            # the budget no longer accommodates it, it simply ages out.
             self.cache.put("rung", rung_key, retriever, retriever.resident_nbytes)
             # The header parse is charged to the first serve that completes,
             # whichever request — a get or a cost() — triggered the parse:
@@ -659,14 +643,17 @@ class RetrievalService:
     def _slab_intact(self, slab_key, entry: _SlabEntry) -> bool:
         """The one slab check of the serve and the resident path: True while
         the bytes match the checksum recorded at insert, else invalidate.
-        The CRC runs over the slab's own buffer (C-contiguous by
-        construction: the retriever's ``_cast``), never over a copy."""
+        No path hands a slab buffer to a caller (``assemble`` copies every
+        answer out), so this guards the stored value itself.  The CRC runs
+        over the slab's own buffer (C-contiguous by construction: the
+        retriever's reconstruction), never over a copy."""
         if zlib.crc32(entry.data) == entry.crc:
             return True
         self.cache.invalidate("slab", slab_key)
         return False
 
     def _insert_slab(self, slab_key, serve: _ShardServe) -> None:
+        # The retriever's own output, not a copy: it keeps no reference.
         data = serve.data
         entry = _SlabEntry(
             data=data,
@@ -689,21 +676,33 @@ class RetrievalService:
         costs one request: its first fingerprint, the container sniff,
         footer and manifest all come out of the stack's opening read.
         """
-        if self._closed:
-            raise RetrievalError("service is closed")
         key = str(path) if is_url(path) else str(Path(path).resolve())
         with self._lock:
             session = self._sessions.get(key)
-            if session is not None:
-                if session.is_fresh():
-                    return session
-                dead = session.sid
-                self.cache.purge(lambda tier, k: k[0] == dead)
-                session.close()
-            session = _Session(self._next_sid, key, self.remote_options)
-            self._next_sid += 1
-            self._sessions[key] = session
+            if session is None:
+                return self._open_session(key)
+        # The probe runs outside the service lock: for a URL it is a ranged
+        # GET, and no other request may wait on it.
+        if session.is_fresh():
             return session
+        with self._lock:
+            current = self._sessions.get(key)
+            if current is session:
+                self.cache.purge(lambda tier, k: k[0] == session.sid)
+                session.close()
+                current = None
+            # Else another request replaced the session meanwhile (or the
+            # service closed, and opening raises).
+            return current if current is not None else self._open_session(key)
+
+    def _open_session(self, key: str) -> _Session:
+        """Open and register a session; the caller holds ``_lock``."""
+        if self._closed:
+            raise RetrievalError("service is closed")
+        session = _Session(self._next_sid, key, self.remote_options)
+        self._next_sid += 1
+        self._sessions[key] = session
+        return session
 
     def close(self) -> None:
         with self._lock:

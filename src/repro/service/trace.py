@@ -18,7 +18,7 @@ actual consumption landed from it (0 for a from-scratch plan-shaped read).
 The scheduler (:mod:`repro.service.scheduler`) annotates three more
 fields: ``client`` (the tenant the request was admitted under),
 ``queue_wait`` (seconds between enqueue and grant), ``degraded`` (the
-response was served from a coarser resident rung under load, with the
+response was served from a coarser resident slab under load, with the
 requested fidelity refined in the background) and ``budget_debited``
 (predicted bytes charged against the client's token bucket).  The retry
 ladder records its per-attempt backoff in ``retry_delays``.

@@ -62,7 +62,7 @@ def _assert_consistent(retriever, blob, field=None, result=None) -> None:
     assert result.cumulative_bytes == retriever.cumulative_bytes
     assert sorted(trace) == sorted(fresh.store.trace)
     rows = sum(enc.nbits * ((enc.count + 7) // 8) for enc in retriever.header.levels)
-    assert retriever.resident_nbytes >= result.data.nbytes + rows
+    assert retriever.resident_nbytes == rows + retriever._anchor_values.nbytes
 
 
 @lru_cache(maxsize=None)

@@ -1285,9 +1285,9 @@ def test_service_session_opens_in_one_request(served_dir, name, kind):
 
 
 def test_service_remote_failure_degrades_to_resident(served_dir, server, monkeypatch):
-    """A degraded ``get`` over a URL: answered from the resident rung, with
-    one freshness probe on the wire — its session's, not a second one sent
-    right after the backend failed."""
+    """A degraded ``get`` over a URL: answered from the resident coarse
+    slab, with one freshness probe on the wire — its session's, not a second
+    one sent right after the backend failed."""
     monkeypatch.setattr(aio, "RETRIES", 0)
     monkeypatch.setattr(service_mod, "RETRIES", 0)
     url = server.url_for("v2.rprc")
@@ -1300,7 +1300,7 @@ def test_service_remote_failure_degrades_to_resident(served_dir, server, monkeyp
         coarse = service.get(url, error_bound=stored * 16)
         assert not coarse.trace.degraded
         # Every future remote read fails: the finer request cannot refine,
-        # so it degrades to the resident coarse rung instead of erroring.
+        # so it degrades to the resident coarse slab instead of erroring.
         injector.plan.rules.extend(FaultPlan.always(kind="raise").rules)
         checks = []
         is_fresh = service_mod._Session.is_fresh
@@ -1313,6 +1313,35 @@ def test_service_remote_failure_degrades_to_resident(served_dir, server, monkeyp
         assert refined.trace.achieved_bound <= stored * 16
         assert service.stats()["degraded"] == 1
         assert len(checks) == 1
+
+
+def test_a_remote_freshness_probe_never_stalls_another_session(tmp_path):
+    """A URL session's freshness probe is a ranged GET: it runs outside the
+    service lock, so a warm local request started beside a slow probe is
+    served at once instead of waiting the probe out."""
+    path = tmp_path / "data.rprc"
+    ChunkedDataset.write(
+        path, cumsum_field((24, 28, 32), 7), error_bound=1e-4, relative=True,
+        n_blocks=4, workers=0,
+    )
+    slow = FaultPlan.never()
+    with RangeServer(tmp_path, plan=slow) as srv, RetrievalService() as service:
+        url = srv.url_for("data.rprc")
+        service.get(url)
+        service.get(path)
+        slow.rules.extend(FaultPlan.always("latency", seconds=0.5).rules)
+        answers = []
+        remote = threading.Thread(target=lambda: answers.append(service.get(url)))
+        remote.start()
+        time.sleep(0.02)
+        began = time.perf_counter()
+        local = service.get(path)
+        elapsed = time.perf_counter() - began
+        remote.join(timeout=10)
+        assert not remote.is_alive()
+    assert elapsed < 0.1
+    assert local.trace.physical_reads == 0
+    assert len(answers) == 1 and np.array_equal(answers[0].data, local.data)
 
 
 def test_service_remote_fingerprint_change_purges_session(tmp_path):

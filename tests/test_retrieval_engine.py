@@ -212,7 +212,7 @@ def test_a_retrieve_reads_each_planned_op_once():
     for target in (eb * 64, eb):
         ops = retriever.pending_ops(error_bound=target)
         before = len(inner.reads)
-        retriever.retrieve(error_bound=target)
+        result = retriever.retrieve(error_bound=target)
         assert inner.reads[before:] == [(op.offset, op.length) for op in ops]
         assert retriever.store.n_reads == len(ops)
     store = retriever.store
@@ -224,7 +224,7 @@ def test_a_retrieve_reads_each_planned_op_once():
     assert sorted(store.trace[2:]) == sorted(walk)
     assert len(set(store.trace)) == len(store.trace)
     assert ProgressiveRetriever(blob).retrieve(error_bound=eb).data.tobytes() == (
-        retriever.current_output.tobytes()
+        result.data.tobytes()
     )
 
 

@@ -511,18 +511,16 @@ def _drop_tier(service: RetrievalService, tier: str) -> None:
     service.cache.purge(lambda entry_tier, key: entry_tier == tier)
 
 
-@pytest.mark.parametrize("resident_tier", ["slab", "rung"])
-def test_settled_resident_answer_carries_the_serial_receipt(tmp_path, resident_tier):
+def test_settled_resident_answer_carries_the_serial_receipt(tmp_path):
     """A canonical answer from residency is the bytes of a fresh serial
-    read, so it reports that read's consumption — a slab's recorded trace,
-    the rung's store trace — like a warm hit, never an empty receipt."""
+    read, so it reports that read's consumption — the slab's recorded
+    trace — like a warm hit, never an empty receipt."""
     path = _make_container(tmp_path)
     _, fine = _bounds(path)
     oracle = _serial(path, fine)
     clock = _FakeClock()
     with RetrievalService() as service:
         service.get(path, error_bound=fine)
-        _drop_tier(service, "rung" if resident_tier == "slab" else "slab")
         resident = service.get_resident(path, fine)
         assert resident.trace.canonical
         assert resident.trace.bytes_loaded == oracle.bytes_loaded

@@ -194,6 +194,67 @@ def test_rung_refinement_reads_only_the_delta(tmp_path):
         assert back.trace.ranges == first.trace.ranges
 
 
+def test_the_caller_owns_what_it_receives(tmp_path):
+    """No answer shares a buffer with state that answers again: every
+    answer is mutated, and each re-ask — retriever, dataset, service cold,
+    warm and rung-refined — is still bitwise the serial read, with no
+    slab failing its checksum along the way."""
+    path = _v2_container(tmp_path)
+    stored = _serial(path, None, None).error_bound
+    coarse, fine = stored * 128.0, stored * 4.0
+    oracle = {bound: _serial(path, bound, None).data for bound in (coarse, fine)}
+
+    def spoiled(data):
+        want = data.copy()
+        data.fill(np.nan)
+        return want
+
+    blob = IPComp(error_bound=1e-4, relative=True).compress(cumsum_field((20, 16, 12), 3))
+    retriever = ProgressiveRetriever(blob)
+    eb = retriever.header.error_bound
+    for bound in (eb * 64, eb * 64, eb, eb):
+        answer = spoiled(retriever.retrieve(error_bound=bound).data)
+        assert answer.tobytes() == ProgressiveRetriever(blob).retrieve(
+            error_bound=bound
+        ).data.tobytes()
+    with ChunkedDataset(path) as dataset:
+        read, refine = dataset.read, dataset.refine
+        for ask, bound in (
+            (read, coarse), (read, coarse),
+            (refine, coarse), (refine, coarse), (refine, fine), (refine, fine),
+        ):
+            assert spoiled(ask(bound).data).tobytes() == oracle[bound].tobytes()
+    with RetrievalService() as service:
+        tiers = []
+        for bound in (coarse, coarse, fine, fine):
+            response = service.get(path, error_bound=bound)
+            tiers.append(sorted(response.trace.tier_hits))
+            assert spoiled(response.data).tobytes() == oracle[bound].tobytes()
+        assert tiers == [[], ["slab"], ["rung"], ["slab"]]
+        assert sum(service.stats()["cache"]["invalidations"].values()) == 0
+
+
+def test_a_cold_serve_charges_one_copy_of_the_decoded_shard(tmp_path):
+    """The slab tier is the one home of decoded data: after one cold serve
+    the cache holds each shard's answer once (its slab) and, per rung, the
+    packed rows and the anchor only."""
+    path = _v2_container(tmp_path)
+    with RetrievalService() as service:
+        service.get(path)
+        slabs = [entry for _, entry in service.cache.scan("slab", lambda key: True)]
+        rungs = [rung for _, rung in service.cache.scan("rung", lambda key: True)]
+        assert len(slabs) == len(rungs) == 4
+        rows = [
+            sum(enc.nbits * ((enc.count + 7) // 8) for enc in rung.header.levels)
+            for rung in rungs
+        ]
+        assert service.cache.resident_bytes == (
+            sum(entry.data.nbytes for entry in slabs)
+            + sum(rows)
+            + sum(rung._anchor_values.nbytes for rung in rungs)
+        )
+
+
 def test_a_shard_serve_plans_once(tmp_path, monkeypatch):
     """A session plans each (shard, target) once: ``cost`` runs one DP per
     shard, and the cold, rung-refined or warm ``get`` that follows — direct

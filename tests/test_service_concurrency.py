@@ -19,6 +19,7 @@ and shared (use ``local_rng`` in new tests that need randomness).
 
 from __future__ import annotations
 
+import sys
 import threading
 from pathlib import Path
 
@@ -202,3 +203,41 @@ def test_budget_invariant_under_concurrent_eviction(container, matrix):
         assert sum(service.cache.stats.evictions.values()) > 0
         stats = service.stats()
         assert stats["requests"] == N_THREADS * len(requests)
+
+
+def test_requests_racing_on_a_rewritten_file_share_one_new_session(tmp_path):
+    """The freshness probe runs outside the service lock, so several
+    requests can find one session stale at once: exactly one replaces it,
+    its cache entries are purged, and every request gets the new session."""
+    path = tmp_path / "field.rprc"
+
+    def write(seed):
+        ChunkedDataset.write(
+            path, _field((12, 10, 8), seed), error_bound=1e-4, relative=True,
+            n_blocks=2, workers=0,
+        )
+
+    write(1)
+    interval = sys.getswitchinterval()
+    with RetrievalService() as service:
+        service.get(path)
+        stale = service._session(path)
+        write(2)
+        barrier = threading.Barrier(N_THREADS)
+
+        def worker(_index):
+            barrier.wait()
+            return service._session(path)
+
+        sys.setswitchinterval(1e-6)
+        try:
+            sessions = _run_threads(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len({id(session) for session in sessions}) == 1
+        assert sessions[0] is not stale and service._next_sid == 2
+        for tier in ("slab", "rung"):
+            assert not service.cache.scan(tier, lambda key: key[0] == stale.sid)
+        with ChunkedDataset(path) as dataset:
+            oracle = dataset.read()
+        assert np.array_equal(service.get(path).data, oracle.data)
