@@ -4,7 +4,7 @@ One :class:`TieredCache` holds every reusable artifact of a
 :class:`~repro.service.service.RetrievalService` under a single byte
 budget:
 
-* tier ``"slab"`` — immutable decoded shard arrays at one exact plane
+* tier ``"slab"`` — decoded shard arrays, frozen at insert, at one exact plane
   selection, together with the consumed-range trace and achieved bound of
   the request that produced them.  A slab hit answers a repeated request
   with **zero physical reads** by replaying the recorded trace.

@@ -59,9 +59,10 @@ Failures degrade along the existing ladder: a faulty source
 (:class:`~repro.errors.StreamFormatError`, short read, ``OSError``) costs
 the poisoned tier entry its residency and the read is retried from scratch
 — the one serve loop continues with a fresh retriever over a fresh source —
-up to :data:`RETRIES` times before propagating; every slab hit is verified
-against the checksum recorded at insert, and a mismatching entry is
-invalidated, never served.  When even the ladder is exhausted — e.g. a
+up to :data:`RETRIES` times before propagating.  Every slab is frozen at
+insert — a read-only view over an immutable ``bytes`` buffer, which no
+write through numpy can reach — so a hit serves it as it is, hashing
+nothing.  When even the ladder is exhausted — e.g. a
 remote backend died mid-refine — the service falls back to the load-shed
 path (:meth:`~RetrievalService.get_resident`): an already-resident coarser
 fidelity is returned with ``trace.degraded`` set instead of erroring, and
@@ -162,12 +163,12 @@ class RequestCost:
 
 @dataclass
 class _SlabEntry:
-    """An immutable decoded shard at one exact plane selection."""
+    """A decoded shard at one exact plane selection, frozen at insert:
+    ``data`` is a read-only view over an immutable ``bytes`` buffer."""
 
     data: np.ndarray
     trace: List[Tuple[int, int]]
     bound: float
-    crc: int
 
 
 #: One resident candidate of a shard: ``(data, bound, consumed ranges)``.
@@ -454,13 +455,11 @@ class RetrievalService:
         within one array.  It plans only once every shard has something
         resident, so a miss runs no DP.
 
-        Slabs are immutable once inserted, so this path takes no shard lock
-        and never blocks behind a cold read.  A slab failing its checksum
-        is invalidated, not resident.  A canonical
-        answer reports the ranges a fresh serial read consumes, like a warm
-        hit; a degraded one reports none (``bytes_loaded=0``).  The trace is
-        not recorded in the service aggregate (the scheduler records the
-        *final* answer).
+        Slabs are frozen at insert, so this path takes no shard lock and
+        never blocks behind a cold read.  A canonical answer reports the
+        ranges a fresh serial read consumes, like a warm hit; a degraded one
+        reports none (``bytes_loaded=0``).  The trace is not recorded in the
+        service aggregate (the scheduler records the *final* answer).
         """
         return self._get_resident(self._session(path), error_bound, roi)
 
@@ -507,13 +506,12 @@ class RetrievalService:
         return ServiceResponse(data=data, trace=trace)
 
     def _resident(self, session: _Session, name: str) -> List[_Resident]:
-        """Every intact slab of one shard as ``(data, bound, consumed
-        ranges)``, lock-free: slabs are immutable once inserted."""
+        """Every slab of one shard as ``(data, bound, consumed ranges)``,
+        lock-free: slabs are frozen at insert."""
         sid = session.sid
         return [
             (entry.data, float(entry.bound), entry.trace)
-            for key, entry in self.cache.scan("slab", lambda k: k[0] == sid and k[1] == name)
-            if self._slab_intact(key, entry)
+            for _, entry in self.cache.scan("slab", lambda k: k[0] == sid and k[1] == name)
         ]
 
     @staticmethod
@@ -551,7 +549,7 @@ class RetrievalService:
         rung_key = (session.sid, name)
         with session.shard_lock(name):
             entry = self.cache.get("slab", slab_key, count=False)
-            if entry is not None and self._slab_intact(slab_key, entry):
+            if entry is not None:
                 self.cache.record("slab", hit=True)
                 # Only a serve of this shard in this session inserts a slab,
                 # and that serve has claimed the header parse already.
@@ -640,26 +638,14 @@ class RetrievalService:
             self._insert_slab(slab_key, serve)
             return serve
 
-    def _slab_intact(self, slab_key, entry: _SlabEntry) -> bool:
-        """The one slab check of the serve and the resident path: True while
-        the bytes match the checksum recorded at insert, else invalidate.
-        No path hands a slab buffer to a caller (``assemble`` copies every
-        answer out), so this guards the stored value itself.  The CRC runs
-        over the slab's own buffer (C-contiguous by construction: the
-        retriever's reconstruction), never over a copy."""
-        if zlib.crc32(entry.data) == entry.crc:
-            return True
-        self.cache.invalidate("slab", slab_key)
-        return False
-
     def _insert_slab(self, slab_key, serve: _ShardServe) -> None:
-        # The retriever's own output, not a copy: it keeps no reference.
+        # Frozen: a view over immutable ``bytes`` that numpy neither writes
+        # through nor makes writeable again, unlike a flag on owned memory.
         data = serve.data
         entry = _SlabEntry(
-            data=data,
+            data=np.frombuffer(data.tobytes(), data.dtype).reshape(data.shape),
             trace=[(int(o), int(n)) for o, n in serve.ranges],
             bound=serve.bound,
-            crc=zlib.crc32(data),
         )
         self.cache.put("slab", slab_key, entry, data.nbytes)
 
@@ -679,30 +665,36 @@ class RetrievalService:
         key = str(path) if is_url(path) else str(Path(path).resolve())
         with self._lock:
             session = self._sessions.get(key)
-            if session is None:
-                return self._open_session(key)
         # The probe runs outside the service lock: for a URL it is a ranged
         # GET, and no other request may wait on it.
-        if session.is_fresh():
-            return session
-        with self._lock:
-            current = self._sessions.get(key)
-            if current is session:
-                self.cache.purge(lambda tier, k: k[0] == session.sid)
-                session.close()
-                current = None
-            # Else another request replaced the session meanwhile (or the
-            # service closed, and opening raises).
-            return current if current is not None else self._open_session(key)
+        if session is not None and not session.is_fresh():
+            with self._lock:
+                if self._sessions.get(key) is session:
+                    del self._sessions[key]
+                    self.cache.purge(lambda tier, k: k[0] == session.sid)
+                    session.close()
+                # A racing request's replacement, if it registered one.
+                session = self._sessions.get(key)
+        return session if session is not None else self._open_session(key)
 
     def _open_session(self, key: str) -> _Session:
-        """Open and register a session; the caller holds ``_lock``."""
-        if self._closed:
+        """Open a session outside the service lock (a URL's opening read is
+        a GET) and register it, unless a racing request registered one
+        first: then the extra is closed and that one returned."""
+        with self._lock:
+            if self._closed:
+                raise RetrievalError("service is closed")
+            sid, self._next_sid = self._next_sid, self._next_sid + 1
+        session = _Session(sid, key, self.remote_options)
+        with self._lock:
+            current = self._sessions.get(key)  # None once the service closed
+            if current is None and not self._closed:
+                self._sessions[key] = session
+                return session
+        session.close()
+        if current is None:
             raise RetrievalError("service is closed")
-        session = _Session(self._next_sid, key, self.remote_options)
-        self._next_sid += 1
-        self._sessions[key] = session
-        return session
+        return current
 
     def close(self) -> None:
         with self._lock:

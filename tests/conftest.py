@@ -91,6 +91,21 @@ def cumsum_field(shape, seed=0) -> np.ndarray:
     return (base + 0.1 * rng.normal(size=shape)).astype(np.float64)
 
 
+def assert_frozen(array: np.ndarray) -> None:
+    """No write through numpy reaches ``array``: an in-place update, a
+    slice assignment and ``np.copyto`` raise, and so does turning writes
+    back on, on the array or on its base."""
+    with pytest.raises(ValueError):
+        array.flat[0] += 1.0
+    with pytest.raises(ValueError):
+        array[...] = 0
+    with pytest.raises(ValueError):
+        np.copyto(array, 0)
+    for view in (array, array.base):
+        with pytest.raises(ValueError):
+            view.flags.writeable = True
+
+
 @pytest.fixture(scope="session")
 def v1_blob() -> bytes:
     """The pinned legacy (version-1) stream."""

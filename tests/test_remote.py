@@ -1344,6 +1344,75 @@ def test_a_remote_freshness_probe_never_stalls_another_session(tmp_path):
     assert len(answers) == 1 and np.array_equal(answers[0].data, local.data)
 
 
+def test_opening_a_remote_session_never_stalls_another_session(tmp_path):
+    """A fresh URL's opening read runs outside the service lock: a warm
+    local request started while that read is held is served at once."""
+    path = tmp_path / "data.rprc"
+    ChunkedDataset.write(
+        path, cumsum_field((24, 28, 32), 7), error_bound=1e-4, relative=True,
+        n_blocks=4, workers=0,
+    )
+    slow = FaultPlan.always("latency", seconds=0.5)
+    with RangeServer(tmp_path, plan=slow) as srv, RetrievalService() as service:
+        service.get(path)
+        answers = []
+        remote = threading.Thread(
+            target=lambda: answers.append(service.get(srv.url_for("data.rprc")))
+        )
+        remote.start()
+        time.sleep(0.02)
+        began = time.perf_counter()
+        local = service.get(path)
+        elapsed = time.perf_counter() - began
+        remote.join(timeout=30)
+        assert not remote.is_alive()
+    assert elapsed < 0.1
+    assert local.trace.physical_reads == 0
+    assert len(answers) == 1 and np.array_equal(answers[0].data, local.data)
+
+
+def test_racing_first_opens_of_one_url_keep_one_session(tmp_path, monkeypatch):
+    """Two first requests of one URL each open a stack outside the service
+    lock; one registers, the loser's stack is closed, both answer alike."""
+    path = tmp_path / "data.rprc"
+    ChunkedDataset.write(
+        path, cumsum_field((12, 10, 8), 5), error_bound=1e-4, relative=True,
+        n_blocks=2, workers=0,
+    )
+    stacks, closed = [], []
+    both_opening = threading.Barrier(2)
+    open_stack = service_mod.open_remote_source
+
+    def opening(url, **options):
+        try:
+            both_opening.wait(timeout=2)
+        except threading.BrokenBarrierError:
+            pass
+        stack = open_stack(url, **options)
+        close = stack.close
+        stack.close = lambda: (closed.append(stack), close())
+        stacks.append(stack)
+        return stack
+
+    monkeypatch.setattr(service_mod, "open_remote_source", opening)
+    with RangeServer(tmp_path) as srv, RetrievalService() as service:
+        url = srv.url_for("data.rprc")
+        answers = []
+        racers = [
+            threading.Thread(target=lambda: answers.append(service.get(url)))
+            for _ in range(2)
+        ]
+        for racer in racers:
+            racer.start()
+        for racer in racers:
+            racer.join(timeout=30)
+        assert len(service._sessions) == 1
+        registered = service._sessions[url].remote_source
+        assert len(stacks) == 2 and registered in stacks
+        assert closed == [stack for stack in stacks if stack is not registered]
+    assert len(answers) == 2 and np.array_equal(answers[0].data, answers[1].data)
+
+
 def test_service_remote_fingerprint_change_purges_session(tmp_path):
     path = tmp_path / "data.rprc"
     ChunkedDataset.write(

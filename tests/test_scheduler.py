@@ -18,8 +18,8 @@ test, per policy:
 * a load-shed (degraded) response serves a *resident* coarser fidelity
   immediately and its background refine converges to the exact bytes a
   fresh serial read at the requested bound produces; shedding is retried
-  when a scheduled serve completes, and a resident answer is trusted only
-  after the slab checksum and carries the serial read's receipt.
+  when a scheduled serve completes, and a resident answer — a slab frozen
+  at insert — carries the serial read's receipt.
 
 Time-dependent paths run on an injected fake clock with the pacer thread
 disabled (``pacer=False``), so refills happen only at explicit
@@ -39,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import assert_frozen
 
 from repro import ChunkedDataset
 from repro.errors import ConfigurationError, RetrievalError
@@ -537,10 +538,10 @@ def test_settled_resident_answer_carries_the_serial_receipt(tmp_path):
     assert np.array_equal(final.data, oracle.data)
 
 
-def test_poisoned_slab_is_not_resident(tmp_path):
-    """The resident path runs the slab checksum a slab hit runs: a
-    poisoned slab is invalidated, so a budget-short request cannot settle
-    on it and waits for a real serve instead."""
+def test_a_resident_slab_cannot_be_poisoned(tmp_path):
+    """The resident path trusts a slab because it is frozen at insert: the
+    writes that would poison one raise, so the resident answer — and a
+    budget-short request settled on it — is the serial read."""
     path = _make_container(tmp_path)
     _, fine = _bounds(path)
     oracle = _serial(path, fine)
@@ -548,22 +549,21 @@ def test_poisoned_slab_is_not_resident(tmp_path):
     with RetrievalService() as service:
         service.get(path, error_bound=fine)
         _drop_tier(service, "rung")
-        poisoned = [entry for _, entry in service.cache.scan("slab", lambda k: True)]
-        assert poisoned
-        for entry in poisoned:
-            entry.data.flat[0] += 1.0
-        assert service.get_resident(path, fine) is None
-        cost = service.cost(path, fine).predicted_bytes
+        slabs = [entry for _, entry in service.cache.scan("slab", lambda k: True)]
+        assert slabs
+        for entry in slabs:
+            assert_frozen(entry.data)
+        resident = service.get_resident(path, fine)
+        assert resident.trace.canonical
+        assert resident.data.tobytes() == oracle.data.tobytes()
         with RequestScheduler(
             service, budget_bps=100, clock=clock, pacer=False
         ) as scheduler:
             handle = scheduler.submit(path, error_bound=fine, client="short")
-            with pytest.raises(TimeoutError):
-                handle.result(timeout=0.2)
-            clock.advance(cost / 100 + 1.0)
-            scheduler.kick()
-            final = handle.refined(timeout=60)
-    assert np.array_equal(final.data, oracle.data)
+            final = handle.refined(timeout=10)
+            assert scheduler.stats()["clients"]["short"]["granted"] == 0
+        assert service.get(path, error_bound=fine).data.tobytes() == oracle.data.tobytes()
+    assert final.data.tobytes() == oracle.data.tobytes()
 
 
 def test_finer_residency_is_not_canonical_and_refines_to_serial(tmp_path):

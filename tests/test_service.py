@@ -20,17 +20,19 @@ from __future__ import annotations
 
 import json
 import os
-import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import cumsum_field, write_v1_container
+from conftest import assert_frozen, cumsum_field, write_v1_container
 
 from repro import ChunkedDataset, CodecProfile, IPComp, ProgressiveRetriever
 from repro.cli import main as cli_main
 from repro.errors import ConfigurationError
+from repro.io.faults import FaultInjector, FaultPlan
+from repro.io.remote import FINGERPRINT_TAIL_BYTES
 from repro.service import DEFAULT_CACHE_BYTES, RetrievalService, TieredCache
+from repro.service import service as service_mod
 
 
 def _v2_container(directory: Path, shape=(24, 20, 18), seed=2) -> Path:
@@ -158,9 +160,14 @@ def test_warm_repeat_is_physically_free(tmp_path):
         assert np.array_equal(second.data, oracle.data)
         assert second.trace.tier_hits.get("slab", 0) == len(second.trace.shards)
         assert first.trace.plan_delta == 0
-        # The slab check hashes the array's own buffer: the CRC of its bytes.
+        # Every slab is frozen at insert, which is why a hit needs no check.
         slabs = [entry for _, entry in service.cache.scan("slab", lambda key: True)]
-        assert slabs and all(e.crc == zlib.crc32(e.data.tobytes()) for e in slabs)
+        assert slabs
+        for entry in slabs:
+            assert_frozen(entry.data)
+        assert service.get(path, error_bound=bound, roi=roi).data.tobytes() == (
+            oracle.data.tobytes()
+        )
 
 
 # ----------------------------------------------------------- rung refinement
@@ -198,7 +205,7 @@ def test_the_caller_owns_what_it_receives(tmp_path):
     """No answer shares a buffer with state that answers again: every
     answer is mutated, and each re-ask — retriever, dataset, service cold,
     warm and rung-refined — is still bitwise the serial read, with no
-    slab failing its checksum along the way."""
+    slab invalidated along the way."""
     path = _v2_container(tmp_path)
     stored = _serial(path, None, None).error_bound
     coarse, fine = stored * 128.0, stored * 4.0
@@ -253,6 +260,67 @@ def test_a_cold_serve_charges_one_copy_of_the_decoded_shard(tmp_path):
             + sum(rows)
             + sum(rung._anchor_values.nbytes for rung in rungs)
         )
+
+
+def test_every_insert_freezes_its_slab_and_every_answer_is_the_callers(tmp_path):
+    """Each insert path — a cold serve, a rung refine, a serve that succeeds
+    after a source fault and a retry — leaves only read-only slabs, while
+    every answer handed out (cold, hit, resident) is the caller's own
+    writeable array: mutating it changes nothing the next get returns."""
+    path = _v2_container(tmp_path)
+    stored = _serial(path, None, None).error_bound
+    coarse, fine = stored * 128.0, stored * 4.0
+    oracle = {bound: _serial(path, bound, None).data for bound in (coarse, fine)}
+
+    def frozen(service):
+        slabs = [entry for _, entry in service.cache.scan("slab", lambda key: True)]
+        return bool(slabs) and not any(entry.data.flags.writeable for entry in slabs)
+
+    def owned(response, bound):
+        assert response.data.flags.writeable
+        response.data.fill(np.nan)
+        again = service.get(path, error_bound=bound)
+        assert again.data.tobytes() == oracle[bound].tobytes()
+
+    injector = FaultInjector(FaultPlan.first(1))
+    with RetrievalService(
+        source_filter=injector.source_filter, sleep=lambda _: None
+    ) as service:
+        retried = service.get(path, error_bound=coarse)
+        assert retried.trace.retries == 1 and frozen(service)
+        owned(retried, coarse)
+    with RetrievalService() as service:
+        cold = service.get(path, error_bound=coarse)
+        assert sorted(cold.trace.tier_misses) == ["slab"] and frozen(service)
+        owned(cold, coarse)
+        hit = service.get(path, error_bound=coarse)
+        assert sorted(hit.trace.tier_hits) == ["slab"]
+        owned(hit, coarse)
+        refined = service.get(path, error_bound=fine)
+        assert sorted(refined.trace.tier_hits) == ["rung"] and frozen(service)
+        owned(refined, fine)
+        owned(service.get_resident(path, fine), fine)
+
+
+def test_a_warm_hit_hashes_no_payload(tmp_path, monkeypatch):
+    """A warm slab hit is a lookup: over a 2-shard ROI the service hashes
+    at most the file's freshness witness, never a slab."""
+    path = _v2_container(tmp_path)
+    roi = (slice(3, 10), slice(0, 20), slice(0, 18))
+    hashed = []
+    crc32 = service_mod.zlib.crc32
+
+    def counting(data, *args):
+        hashed.append(memoryview(data).nbytes)
+        return crc32(data, *args)
+
+    with RetrievalService() as service:
+        service.get(path, roi=roi)
+        monkeypatch.setattr(service_mod.zlib, "crc32", counting)
+        warm = service.get(path, roi=roi)
+    assert len(warm.trace.shards) == 2
+    assert warm.trace.tier_hits == {"slab": 2}
+    assert sum(hashed) <= FINGERPRINT_TAIL_BYTES
 
 
 def test_a_shard_serve_plans_once(tmp_path, monkeypatch):
