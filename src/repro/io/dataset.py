@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -96,6 +97,8 @@ HEADERS_BLOCK = "headers"
 FORMAT_NAME = "repro-chunked-dataset"
 FORMAT_VERSION = 2
 SUPPORTED_MANIFEST_VERSIONS = (1, 2)
+#: Distinct regions of interest whose shard selection a dataset remembers.
+_SELECT_MEMO = 64
 
 
 @dataclass
@@ -211,6 +214,7 @@ class ChunkedDataset:
             path=None if self.is_remote else self.path,
         )
         self._write_profile: Optional[CodecProfile] = None
+        self._intersecting = lru_cache(maxsize=_SELECT_MEMO)(self._intersect)
         copies = None
         try:
             if self._reader.is_stream:
@@ -462,14 +466,19 @@ class ChunkedDataset:
 
         Public because the serving layer serves per-shard work itself: it
         needs the same ``(normalized roi, selected shards)`` answer the
-        internal read paths use, without issuing a read.
+        internal read paths use, without issuing a read.  The selections of
+        the last ``_SELECT_MEMO`` (64) normalized regions are remembered.
         """
         if roi is None:
             roi_slices = tuple(slice(0, s) for s in self.shape)
             return roi_slices, list(self.shards)
         roi_slices = normalize_roi(roi, self.shape)
-        selected = [s for s in self.shards if slices_intersect(s.slices, roi_slices)]
-        return roi_slices, selected
+        bounds = tuple((s.start, s.stop) for s in roi_slices)
+        return roi_slices, list(self._intersecting(bounds))
+
+    def _intersect(self, bounds: Tuple[Tuple[int, int], ...]) -> Tuple[DatasetShard, ...]:
+        roi_slices = tuple(slice(start, stop) for start, stop in bounds)
+        return tuple(s for s in self.shards if slices_intersect(s.slices, roi_slices))
 
     def _to_read_result(self, result, roi_slices: SliceTuple) -> DatasetReadResult:
         return DatasetReadResult(

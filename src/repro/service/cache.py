@@ -111,6 +111,12 @@ class TieredCache:
                 self.stats._bump(self.stats.hits, tier)
             return entry[0]
 
+    def peek(self, tier: str, key: Hashable) -> Optional[object]:
+        """The cached value or None, read-only like :meth:`scan`."""
+        with self._lock:
+            entry = self._entries.get((tier, key))
+            return None if entry is None else entry[0]
+
     def record(self, tier: str, hit: bool) -> None:
         """Count a hit/miss judged by the caller (pairs with ``get(count=False)``)."""
         with self._lock:

@@ -3,8 +3,13 @@
 The paper's core promise is that fidelity trades against latency *per
 request, mid-flight* — a progressive stream can answer coarse now and
 refine later, which no fixed-rate codec can.  :class:`RequestScheduler`
-turns that property into a multi-tenant serving policy:
+turns that property into a multi-tenant serving policy, after one rule:
 
+* **settle first** — ``submit`` asks
+  :meth:`~repro.service.service.RetrievalService.get_resident` first.  A
+  canonical answer (every selected shard's slab at exactly the planned
+  selection) settles the request on the caller's thread, a counted slab
+  hit never queued, granted or debited: budgets meter fetches;
 * **admission control** — at most ``max_inflight`` requests physically
   fetch/decode at once; everything else queues (or degrades, below)
   instead of convoying on the per-shard locks;
@@ -23,26 +28,25 @@ turns that property into a multi-tenant serving policy:
   through the slab/rung tiers the leader just populated, one physical
   fetch/decode serving both;
 * **load-shedding by degradation** — when a request cannot be granted
-  immediately (window full or bucket short), the scheduler first tries
-  :meth:`~repro.service.service.RetrievalService.get_resident`: if every
-  selected shard has *some* resident fidelity, that answer is returned
-  right away with ``degraded=True`` in its trace, and the queued request
-  lives on as a background refine whose final answer —
-  bitwise-identical to a fresh serial read at the requested bound — lands
-  in :meth:`ScheduledResponse.refined`.  Shedding is retried whenever a
-  scheduled serve completes, the one event that adds residency.
+  immediately (window full or bucket short), the non-canonical answer of
+  its settle-first look, if every selected shard has *some* resident
+  fidelity, is returned right away with ``degraded=True`` in its trace,
+  and the queued request lives on as a background refine whose final
+  answer — bitwise-identical to a fresh serial read at the requested
+  bound — lands in :meth:`ScheduledResponse.refined`.  Shedding is retried
+  whenever a scheduled serve completes, the one event that adds residency.
 
 Traces gain ``client``, ``queue_wait`` (enqueue→grant seconds),
 ``degraded`` and ``budget_debited``; :meth:`RequestScheduler.stats`
 aggregates per-client delivered bytes, wait times and the bucket
 low-water marks the overdraw tests pin.
 
-Grants happen on submit and on completion.  A pacer thread refills the
-buckets and re-runs the grant loop only in a scheduler with some non-zero
-rate; an unmetered one has nothing to refill and starts none.  ``clock``
-is injectable and ``pacer=False`` disables the thread, so tests drive time
-explicitly (:meth:`RequestScheduler.kick` re-runs the grant loop after a
-fake-clock advance).
+Settles and grants happen on submit and on completion.  A pacer thread
+refills the buckets and re-runs the grant loop only in a scheduler with
+some non-zero rate; an unmetered one has nothing to refill and starts
+none.  ``clock`` is injectable and ``pacer=False`` disables the thread, so
+tests drive time explicitly (:meth:`RequestScheduler.kick` re-runs the
+grant loop after a fake-clock advance).
 """
 
 from __future__ import annotations
@@ -145,6 +149,7 @@ class _Pending:
     enqueued_at: float
     deadline: Optional[float] = None
     granted: bool = False
+    shedding: bool = False  # a shed look is out: the grant loop passes it by
     degraded_served: bool = False
     queue_wait: float = 0.0
     leader_done: Optional[threading.Event] = None
@@ -272,12 +277,15 @@ class RequestScheduler:
     ) -> ScheduledResponse:
         """Enqueue one request; returns immediately with its handle.
 
-        The request is costed (metadata-only planning), queued under its
+        A resident answer already *at* the requested bound — canonical,
+        the bytes a fresh serial read returns — settles the request before
+        ``submit`` returns, on the caller's thread: nothing costed, queued,
+        granted or debited, whether or not the window has room.  Otherwise
+        the request is costed (metadata-only planning), queued under its
         client, and the grant loop runs.  If it cannot start now and a
         degraded resident answer exists, that answer is served on the
         handle at once and the queued request becomes its background
-        refine.  A resident answer already *at* the requested bound
-        settles the request for free — nothing queued, nothing debited.
+        refine.
 
         ``path`` may be an ``http(s)://`` URL (served through the
         service's resilient remote stack).  ``timeout`` seconds, when
@@ -286,6 +294,12 @@ class RequestScheduler:
         sleeping into further attempts, and an exhausted request degrades
         to resident fidelity (or fails) instead of hanging.
         """
+        with self._lock:
+            if self._closed:  # before the service counts a settle
+                raise RetrievalError("scheduler is closed")
+        resident = self.service.get_resident(path, error_bound, roi)
+        if resident is not None and resident.trace.canonical:
+            return self._settle(client, resident)
         cost = self.service.cost(path, error_bound, roi)
         response = ScheduledResponse(client, cost)
         pending = _Pending(
@@ -311,8 +325,20 @@ class RequestScheduler:
             self._client(client).queue.append(pending)
             self._pump_locked()
         if not pending.granted:
-            self._try_degrade(pending)
+            self._try_degrade(pending, resident)
         return pending.response
+
+    def _settle(self, client: str, resident: ServiceResponse) -> ScheduledResponse:
+        """Settle with the canonical resident answer: never queued, granted or debited."""
+        trace = resident.trace
+        trace.client = client
+        cost = RequestCost(trace.dataset, trace.error_bound, trace.shards, trace.planned_bytes)
+        response = ScheduledResponse(client, cost)
+        with self._lock:
+            self._submitted += 1
+            self._client(client)  # a settled tenant still shows in stats()
+        response._serve_final(resident)
+        return response
 
     def request(
         self,
@@ -339,17 +365,14 @@ class RequestScheduler:
 
     # ------------------------------------------------------------ degradation
 
-    def _try_degrade(self, pending: _Pending) -> None:
+    def _try_degrade(self, pending: _Pending, resident: Optional[ServiceResponse]) -> None:
         """Serve a resident coarse answer now; keep the refine queued.
 
-        Runs outside the scheduler lock — ``get_resident`` performs no
-        physical I/O but does take shard-lock tries.  Whatever happens the
-        queued request stands, unless the resident answer already meets
-        the bound, in which case the request settles free of charge.
+        Runs outside the scheduler lock, like the ``get_resident`` call
+        that made ``resident``.  Whatever happens the queued request
+        stands, unless the resident answer is canonical, in which case the
+        request settles free of charge.
         """
-        resident = self.service.get_resident(
-            pending.path, pending.error_bound, pending.roi
-        )
         if resident is None:
             return
         trace = resident.trace
@@ -388,7 +411,8 @@ class RequestScheduler:
         residency for scheduled traffic (a finished serve leaves slabs and
         rungs behind) — so a request that found nothing resident at submit
         time may be shed-servable now.  Candidates are chosen under the
-        lock; the actual degrade attempts run outside it.
+        lock; each look runs outside it, its request marked ``shedding`` so
+        no grant races it: a canonical answer counts once, as the settle.
         """
         with self._lock:
             waiting = [
@@ -400,7 +424,17 @@ class RequestScheduler:
                 and not pending.response._first.is_set()
             ]
         for pending in waiting:
-            self._try_degrade(pending)
+            with self._lock:
+                if pending.granted:  # granted since the snapshot: no look
+                    continue
+                pending.shedding = True
+            try:
+                look = self.service.get_resident(pending.path, pending.error_bound, pending.roi)
+                self._try_degrade(pending, look)
+            finally:
+                with self._lock:
+                    pending.shedding = False
+                    self._pump_locked()
 
     # ------------------------------------------------------------- grant loop
 
@@ -448,7 +482,7 @@ class RequestScheduler:
                 client.refill(now)
                 head = client.queue[0]
                 cost_bytes = head.cost.predicted_bytes
-                if not client.affords(cost_bytes):
+                if head.shedding or not client.affords(cost_bytes):
                     continue
                 leader = self._find_leader(head)
                 if leader is not None and self._follower_count >= self._follower_slots:

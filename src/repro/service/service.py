@@ -11,10 +11,11 @@ keeps:
   — the session does not know which), whose engine parses each shard's
   stream header exactly once and pins it with the shard's block extents
   and loader (:class:`~repro.retrieval.engine.PinnedShard`).  The service
-  keeps no per-shard metadata of its own: it costs and plans a request
-  with :meth:`~repro.io.dataset.ChunkedDataset.plan` — one DP per (shard,
-  target) per session, which the pinned shard remembers, so a warm hit
-  plans nothing; the serve hands the plan's
+  keeps no per-shard metadata of its own: it costs a request with
+  :meth:`~repro.io.dataset.ChunkedDataset.plan` and a serve plans its one
+  selection through the dataset's engine — one DP per (shard, target) per
+  session, which the pinned shard remembers, so a warm hit plans nothing;
+  the serve hands the plan's
   :class:`~repro.core.optimizer.LoadingPlan` to the retriever — and opens
   cold shards with
   :meth:`~repro.io.dataset.ChunkedDataset.open_shard`, through the
@@ -164,28 +165,31 @@ class RequestCost:
 @dataclass
 class _SlabEntry:
     """A decoded shard at one exact plane selection, frozen at insert:
-    ``data`` is a read-only view over an immutable ``bytes`` buffer."""
+    ``data`` is a read-only view over an immutable ``bytes`` buffer, and
+    its receipt — the ``(shard, offset, length)`` ranges the serve that
+    decoded it consumed, and their byte total — is built once, so a hit
+    replays it without touching a block."""
 
     data: np.ndarray
-    trace: List[Tuple[int, int]]
+    ranges: Tuple[Tuple[str, int, int], ...]
+    nbytes: int
     bound: float
 
 
-#: One resident candidate of a shard: ``(data, bound, consumed ranges)``.
-_Resident = Tuple[np.ndarray, float, List[Tuple[int, int]]]
+def _slab_key(sid: int, plan: ShardPlan) -> tuple:
+    """The slab tier's key of one shard's plan: its exact plane selection."""
+    return (sid, plan.shard, tuple(sorted(plan.target_keep.items())))
 
 
 @dataclass
 class _ShardServe:
     """What serving one shard produced (before request-level assembly)."""
 
-    data: np.ndarray
-    ranges: List[Tuple[int, int]]
-    bound: float
-    physical_reads: int
-    physical_bytes: int
-    retries: int
-    tier: str  # "slab" | "rung" | "cold"
+    slab: _SlabEntry
+    physical_reads: int = 0
+    physical_bytes: int = 0
+    retries: int = 0
+    tier: str = "slab"  # "slab" | "rung" | "cold"
     retry_delays: List[float] = field(default_factory=list)
 
 
@@ -287,6 +291,7 @@ class RetrievalService:
         self.remote_options = dict(remote_options or {})
         self.stats_agg = ServiceStats()
         self._sessions: Dict[str, _Session] = {}
+        self._probed = threading.local()  # per thread: see _session
         self._lock = threading.Lock()
         self._next_sid = 0
         self._closed = False
@@ -351,26 +356,17 @@ class RetrievalService:
         dataset = session.dataset
         roi_slices, selected = dataset.select(roi)
         target = dataset._validated_target(error_bound)
-        plan = dataset.plan(target, roi)
+        plan = dataset._engine.plan(selected, target)
         served = [self._serve_shard(session, shard_plan) for shard_plan in plan.shards]
-        pieces = [(shard.slices, serve.data) for shard, serve in zip(selected, served)]
-        data = assemble(pieces, roi_slices, dataset.dtype)
-        ranges: List[Tuple[str, int, int]] = []
         tier_hits: Dict[str, int] = {}
         tier_misses: Dict[str, int] = {}
-        for shard, serve in zip(selected, served):
-            ranges.extend((shard.name, o, n) for o, n in serve.ranges)
-            counter = tier_hits if serve.tier in ("slab", "rung") else tier_misses
-            tier = serve.tier if serve.tier in ("slab", "rung") else "slab"
+        for serve in served:
+            counter = tier_misses if serve.tier == "cold" else tier_hits
+            tier = "slab" if serve.tier == "cold" else serve.tier
             counter[tier] = counter.get(tier, 0) + 1
-        trace = RetrievalTrace(
-            dataset=str(session.path),
-            roi=[[s.start, s.stop] for s in roi_slices],
+        return self._respond(
+            session, roi_slices, selected, [serve.slab for serve in served], True,
             error_bound=target,
-            achieved_bound=max((serve.bound for serve in served), default=0.0),
-            shards=[s.name for s in selected],
-            ranges=ranges,
-            bytes_loaded=sum(n for _, _, n in ranges),
             planned_bytes=plan.predicted_bytes,
             physical_reads=sum(serve.physical_reads for serve in served),
             physical_bytes=sum(serve.physical_bytes for serve in served),
@@ -379,7 +375,28 @@ class RetrievalService:
             retries=sum(serve.retries for serve in served),
             retry_delays=[d for serve in served for d in serve.retry_delays],
         )
-        return ServiceResponse(data=data, trace=trace)
+
+    @staticmethod
+    def _respond(
+        session: "_Session", roi_slices, selected, slabs: List[_SlabEntry], canonical, **fields
+    ) -> ServiceResponse:
+        """One answer assembled from its shards' slabs; their ranges if ``canonical``."""
+        pieces = [(shard.slices, slab.data) for shard, slab in zip(selected, slabs)]
+        ranges: List[Tuple[str, int, int]] = []
+        if canonical:
+            for slab in slabs:
+                ranges.extend(slab.ranges)
+        trace = RetrievalTrace(
+            dataset=str(session.path),
+            roi=[[s.start, s.stop] for s in roi_slices],
+            achieved_bound=max((slab.bound for slab in slabs), default=0.0),
+            shards=[s.name for s in selected],
+            ranges=ranges,
+            bytes_loaded=sum(slab.nbytes for slab in slabs) if canonical else 0,
+            canonical=canonical,
+            **fields,
+        )
+        return ServiceResponse(assemble(pieces, roi_slices, session.dataset.dtype), trace)
 
     def _annotate_remote(
         self, trace: RetrievalTrace, session: "_Session", before: Optional[dict]
@@ -424,9 +441,10 @@ class RetrievalService:
         from its pinned extents, once per target: the
         :meth:`get` that follows finds the plan made here.  The scheduler prices
         every admission with this before deciding when — and at what
-        fidelity — to actually call :meth:`get`.
+        fidelity — to actually call :meth:`get` (reusing the freshness probe
+        of the :meth:`get_resident` just before it on the same thread).
         """
-        session = self._session(path)
+        session = self._session(path, reuse_probe=True)
         plan = session.dataset.plan(error_bound, roi)
         return RequestCost(
             dataset=str(session.path),
@@ -443,95 +461,74 @@ class RetrievalService:
     ) -> Optional[ServiceResponse]:
         """Serve the request from resident tiers only — zero physical reads.
 
-        The load-shedding path: under pressure the scheduler answers with
-        whatever fidelity is already decoded *right now* instead of queueing
-        a fetch.  Per selected shard a resident artifact at exactly the
-        planned fidelity wins (the canonical bytes of a from-scratch serve),
-        else the finest resident one — a decoded slab at any plane
-        selection; ``trace.canonical`` records which case served.  A rung
-        holds packed rows, not an answer, so it is never a candidate.
+        Per selected shard a slab at exactly the planned plane selection
+        wins (the canonical bytes of a from-scratch serve), else the finest
+        resident one; ``trace.canonical`` records which case served.  A
+        rung holds packed rows, not an answer, so it is never a candidate.
         Returns ``None`` when any shard has nothing resident — degradation
         is all-or-nothing, a partially-fresh answer would splice fidelities
-        within one array.  It plans only once every shard has something
-        resident, so a miss runs no DP.
+        within one array.  It plans only pinned shards (a shard that never
+        served has no slab), so it reads nothing.
 
-        Slabs are frozen at insert, so this path takes no shard lock and
-        never blocks behind a cold read.  A canonical answer reports the
-        ranges a fresh serial read consumes, like a warm hit; a degraded one
-        reports none (``bytes_loaded=0``).  The trace is not recorded in the
-        service aggregate (the scheduler records the *final* answer).
+        A canonical answer *is* a slab hit: the same bytes and trace as the
+        all-slab hit of :meth:`get` (the serial read's ranges, ``tier_hits
+        == {"slab": n}``), each slab freshened in the LRU and counted as a
+        hit, and the trace recorded in the service aggregate — so the
+        scheduler settles such a request here, never calling :meth:`get`.
+        It looks each planned slab up by key: O(selected shards).  A
+        degraded answer (coarser or finer slabs) is a read-only look — one
+        scan of the slab tier, nothing freshened, counted or recorded, no
+        ranges reported (``bytes_loaded=0``).  Slabs are frozen at insert:
+        no shard lock is taken, no cold read waited on.
         """
-        return self._get_resident(self._session(path), error_bound, roi)
+        session = self._probed.session = self._session(path)
+        remote_before = session.remote_stats()
+        response = self._get_resident(session, error_bound, roi, hit=True)
+        if response is not None and response.trace.canonical:
+            self._annotate_remote(response.trace, session, remote_before)
+            self.stats_agg.record(response.trace)
+        return response
 
     def _get_resident(
-        self, session: _Session, error_bound: Optional[float], roi
+        self, session: _Session, error_bound: Optional[float], roi, *, hit: bool = False
     ) -> Optional[ServiceResponse]:
+        """The resident answer; ``hit`` freshens and counts a canonical
+        one's slabs (the public path — ``get``'s fallback counted its
+        shards already)."""
         dataset = session.dataset
         roi_slices, selected = dataset.select(roi)
         target = dataset._validated_target(error_bound)
-        resident: List[List[_Resident]] = []
-        for shard in selected:
-            candidates = self._resident(session, shard.name)
-            if not candidates:
+        # Only a served shard has a slab, and serving pinned it: an unpinned
+        # shard has nothing resident, and pinned ones plan reading nothing.
+        if not all(shard.name in dataset._engine._pinned for shard in selected):
+            return None
+        plan = dataset._engine.plan(selected, target)
+        keys = [_slab_key(session.sid, shard_plan) for shard_plan in plan.shards]
+        slabs = [self.cache.peek("slab", key) for key in keys]
+        canonical = all(slab is not None for slab in slabs)
+        found = len(keys)
+        if canonical and hit:  # a slab evicted since its peek counts as a miss
+            found = sum(self.cache.get("slab", key) is not None for key in keys)
+        elif not canonical:
+            # A shard without its planned selection answers at its finest
+            # slab: the one scan of the slab tier, on the degraded path only.
+            sid, names = session.sid, {key[1] for key, slab in zip(keys, slabs) if slab is None}
+            finest: Dict[str, _SlabEntry] = {}
+            for key, entry in self.cache.scan("slab", lambda k: k[0] == sid and k[1] in names):
+                if key[1] not in finest or entry.bound < finest[key[1]].bound:
+                    finest[key[1]] = entry
+            if len(finest) < len(names):
                 return None
-            resident.append(candidates)
-        # Every shard has served before, so its header is pinned: this plan
-        # reads nothing.
-        plan = dataset.plan(target, roi)
-        served = [
-            self._best_resident(candidates, shard_plan.loading_plan.predicted_error)
-            for candidates, shard_plan in zip(resident, plan.shards)
-        ]
-        pieces = [(shard.slices, data) for shard, (data, _, _) in zip(selected, served)]
-        data = assemble(pieces, roi_slices, dataset.dtype)
-        canonical = all(consumed is not None for _, _, consumed in served)
-        ranges = [
-            (shard.name, o, n)
-            for shard, (_, _, consumed) in zip(selected, served)
-            for o, n in consumed
-        ] if canonical else []
-        trace = RetrievalTrace(
-            dataset=str(session.path),
-            roi=[[s.start, s.stop] for s in roi_slices],
+            slabs = [slab or finest[key[1]] for key, slab in zip(keys, slabs)]
+        return self._respond(
+            session, roi_slices, selected, slabs, canonical,
             error_bound=target,
-            achieved_bound=max((bound for _, bound, _ in served), default=0.0),
-            shards=[s.name for s in selected],
-            ranges=ranges,
-            bytes_loaded=sum(n for _, _, n in ranges),
             planned_bytes=plan.predicted_bytes if canonical else 0,
             physical_reads=0,
             physical_bytes=0,
-            canonical=canonical,
+            tier_hits={"slab": found} if canonical and found else {},
+            tier_misses={"slab": len(keys) - found} if found < len(keys) else {},
         )
-        return ServiceResponse(data=data, trace=trace)
-
-    def _resident(self, session: _Session, name: str) -> List[_Resident]:
-        """Every slab of one shard as ``(data, bound, consumed ranges)``,
-        lock-free: slabs are frozen at insert."""
-        sid = session.sid
-        return [
-            (entry.data, float(entry.bound), entry.trace)
-            for _, entry in self.cache.scan("slab", lambda k: k[0] == sid and k[1] == name)
-        ]
-
-    @staticmethod
-    def _best_resident(
-        candidates: List[_Resident], planned: float
-    ) -> Tuple[np.ndarray, float, Optional[List[Tuple[int, int]]]]:
-        """Best resident ``(data, bound, consumed)`` for one shard.
-
-        A canonical candidate — the reconstruction a from-scratch serve
-        would produce bit-for-bit (resident bound equals ``planned``, the
-        bound of the shard's plan) — wins over a finer one: it lets the
-        caller settle the request outright instead of refining a
-        bound-satisfying-but-different answer.  ``consumed`` is None for a
-        non-canonical answer, which consumed nothing.
-        """
-        for data, bound, consumed in candidates:
-            if bound == planned:
-                return data, bound, consumed
-        data, bound, _ = min(candidates, key=lambda c: c[1])
-        return data, bound, None
 
     def stats(self) -> dict:
         """Aggregate request statistics plus the cache's live counters."""
@@ -545,24 +542,14 @@ class RetrievalService:
 
     def _serve_shard(self, session: _Session, plan: ShardPlan) -> _ShardServe:
         name, keep = plan.shard, plan.target_keep
-        slab_key = (session.sid, name, tuple(sorted(keep.items())))
+        slab_key = _slab_key(session.sid, plan)
         rung_key = (session.sid, name)
         with session.shard_lock(name):
-            entry = self.cache.get("slab", slab_key, count=False)
-            if entry is not None:
-                self.cache.record("slab", hit=True)
+            slab = self.cache.get("slab", slab_key)
+            if slab is not None:
                 # Only a serve of this shard in this session inserts a slab,
                 # and that serve has claimed the header parse already.
-                return _ShardServe(
-                    data=entry.data,
-                    ranges=list(entry.trace),
-                    bound=entry.bound,
-                    physical_reads=0,
-                    physical_bytes=0,
-                    retries=0,
-                    tier="slab",
-                )
-            self.cache.record("slab", hit=False)
+                return _ShardServe(slab)
             # The resident rung serves only when its keep is component-wise
             # ≤ the plan's: the load then lands exactly on the plan's
             # selection, so the answer is bitwise what a fresh read at
@@ -623,10 +610,20 @@ class RetrievalService:
             # the first serve of any of its shards.
             parse_reads, parse_bytes = session.dataset.pinned_shard(name).claim_parse()
             store = retriever.store
-            serve = _ShardServe(
-                data=result.data,
-                ranges=list(store.trace),
+            # Frozen: a view over immutable ``bytes`` that numpy neither
+            # writes through nor makes writeable again, unlike a flag on
+            # owned memory.  The receipt is built here, once per slab.
+            data = result.data
+            ranges = tuple((name, int(o), int(n)) for o, n in store.trace)
+            slab = _SlabEntry(
+                data=np.frombuffer(data.tobytes(), data.dtype).reshape(data.shape),
+                ranges=ranges,
+                nbytes=sum(n for _, _, n in ranges),
                 bound=result.error_bound,
+            )
+            self.cache.put("slab", slab_key, slab, data.nbytes)
+            return _ShardServe(
+                slab,
                 # The store's counters restart with each retrieval: what they
                 # hold now is this serve's payload reads and bytes.
                 physical_reads=parse_reads + store.n_reads,
@@ -635,23 +632,10 @@ class RetrievalService:
                 tier="rung" if rung is not None else "cold",
                 retry_delays=delays,
             )
-            self._insert_slab(slab_key, serve)
-            return serve
-
-    def _insert_slab(self, slab_key, serve: _ShardServe) -> None:
-        # Frozen: a view over immutable ``bytes`` that numpy neither writes
-        # through nor makes writeable again, unlike a flag on owned memory.
-        data = serve.data
-        entry = _SlabEntry(
-            data=np.frombuffer(data.tobytes(), data.dtype).reshape(data.shape),
-            trace=[(int(o), int(n)) for o, n in serve.ranges],
-            bound=serve.bound,
-        )
-        self.cache.put("slab", slab_key, entry, data.nbytes)
 
     # -------------------------------------------------------------- sessions
 
-    def _session(self, path: Union[str, Path]) -> _Session:
+    def _session(self, path: Union[str, Path], *, reuse_probe: bool = False) -> _Session:
         """The live session of a file or URL, keyed by the URL or the
         resolved path.
 
@@ -661,10 +645,16 @@ class RetrievalService:
         answered from the old cache.  A remote session that is opened anew
         costs one request: its first fingerprint, the container sniff,
         footer and manifest all come out of the stack's opening read.
+        ``reuse_probe`` skips the probe when the thread's previous session
+        lookup, a :meth:`get_resident`, probed this session; any lookup
+        ends that reuse.
         """
         key = str(path) if is_url(path) else str(Path(path).resolve())
+        probed = self._probed.__dict__.pop("session", None)
         with self._lock:
             session = self._sessions.get(key)
+        if reuse_probe and session is not None and session is probed:
+            return session
         # The probe runs outside the service lock: for a URL it is a ranged
         # GET, and no other request may wait on it.
         if session is not None and not session.is_fresh():

@@ -6,6 +6,9 @@ test, per policy:
 
 * a scheduled request's final answer is **bitwise-identical** to a direct
   ``RetrievalService.get`` (itself pinned to the serial oracle);
+* a request whose canonical answer is resident **settles inside
+  ``submit``** on the caller's thread — never granted or debited — and is
+  the same counted, freshened, recorded slab hit a direct ``get`` is;
 * token buckets — the one per-tenant byte rule — are **never overdrawn**:
   a grant happens only when the client's bucket covers the planner's
   ``predicted_bytes``, and the bucket's recorded low-water mark stays
@@ -536,6 +539,259 @@ def test_settled_resident_answer_carries_the_serial_receipt(tmp_path):
     assert final.trace.bytes_loaded == oracle.bytes_loaded
     assert sorted(final.trace.ranges) == sorted(oracle.ranges)
     assert np.array_equal(final.data, oracle.data)
+
+
+def _slab_hits(service: RetrievalService) -> int:
+    return service.stats()["cache"]["hits"].get("slab", 0)
+
+
+def test_a_settled_request_is_counted_as_one_slab_hit(tmp_path):
+    """The service aggregate sees every answer the scheduler hands out at
+    the requested bound: a request settled from residency counts once in
+    ``requests`` and as one slab hit per shard in ``tier_hits`` and the
+    cache; a degraded first answer counts nothing, its refine once."""
+    path = _make_container(tmp_path)
+    coarse, fine = _bounds(path)
+    clock = _FakeClock()
+    with RetrievalService() as service:
+        warmed = service.get(path, error_bound=fine)
+        n = len(warmed.trace.shards)
+        with RequestScheduler(
+            service, budget_bps=100, clock=clock, pacer=False
+        ) as scheduler:
+            before = service.stats()
+            settled = scheduler.submit(path, error_bound=fine, client="free").refined(timeout=10)
+            assert settled.trace.budget_debited == 0
+            assert scheduler.stats()["clients"]["free"]["granted"] == 0
+            after = service.stats()
+            assert after["requests"] == before["requests"] + 1
+            assert after["tier_hits"]["slab"] == before["tier_hits"].get("slab", 0) + n
+            assert _slab_hits(service) == before["cache"]["hits"].get("slab", 0) + n
+            # Coarser than resident is no canonical answer: shed degraded.
+            cost = service.cost(path, error_bound=coarse).predicted_bytes
+            shed = scheduler.submit(path, error_bound=coarse, client="shed")
+            assert shed.result(timeout=10).trace.degraded
+            assert service.stats()["requests"] == after["requests"]
+            assert _slab_hits(service) == after["cache"]["hits"]["slab"]
+            clock.advance(cost / 100 + 1.0)
+            scheduler.kick()
+            shed.refined(timeout=60)
+            assert scheduler.drain(timeout=60)
+            assert service.stats()["requests"] == after["requests"] + 1
+
+
+def _annotations_dropped(trace) -> dict:
+    out = trace.to_json()
+    for name in ("client", "queue_wait", "budget_debited"):
+        del out[name]
+    return out
+
+
+def test_a_settled_hit_is_indistinguishable_from_a_get_hit(tmp_path):
+    """Two services warmed alike, one served warm repeats through ``get``
+    and one through the scheduler, agree on every byte, every trace field
+    but the scheduler's annotations, every cache counter, the LRU order and
+    the eviction victim of the next insert: the settle freshens and counts
+    its slabs exactly as a ``get`` hit does."""
+    path = _make_container(tmp_path)
+    _, fine = _bounds(path)
+    first_half, second_half = ((0, 12),), ((12, 24),)
+
+    def warm(service: RetrievalService) -> None:
+        service.get(path, fine, first_half)
+        service.get(path, fine, second_half)
+        _drop_tier(service, "rung")  # the LRU order of slabs alone
+        service.cache.budget_bytes = service.cache.resident_bytes  # full
+
+    direct, scheduled = RetrievalService(), RetrievalService()
+    with direct, scheduled, RequestScheduler(scheduled, pacer=False) as scheduler:
+        warm(direct)
+        warm(scheduled)
+        for _ in range(3):
+            by_get = direct.get(path, fine, first_half)
+            handle = scheduler.submit(path, fine, first_half)
+            by_scheduler = handle.result(timeout=0)
+            assert by_scheduler.data.tobytes() == by_get.data.tobytes()
+            assert by_scheduler.trace.tier_hits == {"slab": 2}
+            assert _annotations_dropped(by_scheduler.trace) == _annotations_dropped(by_get.trace)
+        assert scheduler.stats()["clients"]["default"]["granted"] == 0
+        assert scheduled.cache.to_json() == direct.cache.to_json()
+        assert scheduled.stats() == direct.stats()
+        # The repeats freshened the first half's slabs in both: the next
+        # insert evicts the second half's first.
+        keys = [list(service.cache._entries) for service in (direct, scheduled)]
+        assert keys[0] == keys[1]
+        for service in (direct, scheduled):
+            service.get(path, fine * 8.0, ((0, 6),))
+        victims = [
+            [key for key in before if key not in service.cache._entries]
+            for before, service in zip(keys, (direct, scheduled))
+        ]
+        assert victims[0] == victims[1]
+        assert victims[0] and victims[0][0][1][1] == "shard-0002"
+
+
+def test_a_warm_hit_stays_on_the_callers_thread_and_walks_no_cache(tmp_path, monkeypatch):
+    """A warm request settles inside ``submit``: its handle is answered
+    before ``submit`` returns and no executor task is made for it.  The
+    settle, like a warm ``get``, is O(selected shards): a repeat region's
+    shard selection is remembered (no ``slices_intersect``) and each
+    planned slab is looked up by key (no ``cache.scan`` of the tier)."""
+    import repro.io.dataset as dataset_mod
+
+    path = _make_container(tmp_path)
+    _, fine = _bounds(path)
+    roi = ((0, 12), (0, 20), (0, 18))
+    oracle = _serial(path, fine, roi)
+    calls = {"submit": 0, "intersect": 0, "scan": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    with RetrievalService() as service:
+        service.get(path, fine, roi)
+        monkeypatch.setattr(
+            dataset_mod, "slices_intersect", counting("intersect", dataset_mod.slices_intersect)
+        )
+        monkeypatch.setattr(service.cache, "scan", counting("scan", service.cache.scan))
+        with RequestScheduler(service, pacer=False) as scheduler:
+            monkeypatch.setattr(
+                scheduler._executor, "submit", counting("submit", scheduler._executor.submit)
+            )
+            handle = scheduler.submit(path, fine, roi)
+            final = handle.result(timeout=0)
+            assert handle.refined(timeout=0) is final
+        warm = service.get(path, fine, roi)
+        assert warm.trace.tier_hits == final.trace.tier_hits == {"slab": 2}
+    assert calls == {"submit": 0, "intersect": 0, "scan": 0}
+    assert final.data.tobytes() == oracle.data.tobytes()
+    assert warm.data.tobytes() == oracle.data.tobytes()
+
+
+def test_a_scheduled_request_probes_freshness_once_per_service_pass(tmp_path, monkeypatch):
+    """Settle-first adds no freshness probe — for a URL each is a ranged
+    GET: the ``cost`` right after ``submit``'s ``get_resident`` reuses that
+    call's probe, so a cold request probes twice (the look, the ``get``),
+    as when it was only costed and served, and a warm settle once."""
+    from repro.service import service as service_mod
+
+    path = _make_container(tmp_path)
+    coarse, fine = _bounds(path)
+    probes = []
+    real_is_fresh = service_mod._Session.is_fresh
+
+    def counting_is_fresh(session):
+        probes.append(session.sid)
+        return real_is_fresh(session)
+
+    with RetrievalService() as service:
+        service.get(path, coarse)  # the session is open
+        monkeypatch.setattr(service_mod._Session, "is_fresh", counting_is_fresh)
+        with RequestScheduler(service, pacer=False) as scheduler:
+            counts = []
+            for _ in range(2):
+                del probes[:]
+                scheduler.submit(path, fine).refined(timeout=30)
+                counts.append(len(probes))
+            # A direct cost after another lookup probes again.
+            del probes[:]
+            service.get_resident(path, coarse)
+            service.get(path, coarse)
+            service.cost(path, coarse)
+    assert counts == [2, 1]
+    assert len(probes) == 3
+
+
+def test_a_closed_scheduler_counts_nothing_in_the_service(tmp_path):
+    """``submit`` refuses a closed scheduler before it asks the service for
+    a resident answer: a warm request counts no hit and records nothing."""
+    path = _make_container(tmp_path)
+    with RetrievalService() as service:
+        service.get(path)
+        scheduler = RequestScheduler(service, pacer=False)
+        scheduler.close()
+        before = service.stats()
+        with pytest.raises(RetrievalError):
+            scheduler.submit(path)
+        assert service.stats() == before
+
+
+def test_a_slab_evicted_during_the_settle_counts_as_a_miss(tmp_path, monkeypatch):
+    """The settle answers from the slabs it looked up (they are frozen), but
+    a slab evicted between that look and its count is reported as the miss
+    the cache recorded, never as a hit."""
+    path = _make_container(tmp_path)
+    _, fine = _bounds(path)
+    oracle = _serial(path, fine)
+    with RetrievalService() as service:
+        n = len(service.get(path, fine).trace.shards)
+        real_get = service.cache.get
+        evicted = []
+
+        def evicting_get(tier, key, count=True):
+            if tier == "slab" and not evicted:
+                evicted.append(key)
+                service.cache.invalidate(tier, key)
+            return real_get(tier, key, count)
+
+        monkeypatch.setattr(service.cache, "get", evicting_get)
+        before = service.stats()
+        resident = service.get_resident(path, fine)
+        after = service.stats()
+    assert resident.trace.canonical
+    assert resident.data.tobytes() == oracle.data.tobytes()
+    assert resident.trace.tier_hits == {"slab": n - 1}
+    assert resident.trace.tier_misses == {"slab": 1}
+    for counter, delta in (("hits", n - 1), ("misses", 1)):
+        assert after["cache"][counter]["slab"] == before["cache"][counter].get("slab", 0) + delta
+
+
+def test_a_grant_cannot_race_a_shed_look_into_a_double_count(tmp_path, monkeypatch):
+    """While a completion's re-shed looks at a queued request, the grant
+    loop passes it by: a look that finds the canonical answer settles the
+    request, which then counts in the service once — not once as the
+    settle and again as a granted ``get``."""
+    path = _make_container(tmp_path)
+    _, fine = _bounds(path)
+    clock = _FakeClock()
+    with RetrievalService() as service:
+        cost = service.cost(path, fine).predicted_bytes
+        with RequestScheduler(
+            service, budget_bps=cost, clock=clock, pacer=False
+        ) as scheduler:
+            monkeypatch.setattr(scheduler, "_find_leader", lambda pending: None)
+            gate = threading.Event()
+            real_get = service.get
+
+            def gated_get(*args, **kwargs):
+                gate.wait(10)
+                return real_get(*args, **kwargs)
+
+            monkeypatch.setattr(service, "get", gated_get)
+            leader = scheduler.submit(path, fine)  # the full bucket pays it
+            queued = scheduler.submit(path, fine)  # the empty one cannot
+            real_resident = service.get_resident
+
+            def racing_resident(*args, **kwargs):
+                # A refill lands mid-look: the grant loop runs right now.
+                clock.advance(cost / scheduler.default_budget_bps + 1.0)
+                scheduler.kick()
+                return real_resident(*args, **kwargs)
+
+            monkeypatch.setattr(service, "get_resident", racing_resident)
+            gate.set()
+            leader.refined(timeout=30)
+            settled = queued.refined(timeout=30)
+            assert scheduler.drain(timeout=30)
+            stats = scheduler.stats()["clients"]["default"]
+    assert settled.trace.budget_debited == 0
+    assert stats["granted"] == 1
+    assert service.stats()["requests"] == 2
+    assert service.stats()["tier_hits"]["slab"] == len(settled.trace.shards)
 
 
 def test_a_resident_slab_cannot_be_poisoned(tmp_path):
