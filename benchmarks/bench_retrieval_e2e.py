@@ -1,20 +1,14 @@
-"""End-to-end retrieval throughput: sync vs pool decode vs remote reads.
+"""End-to-end retrieval throughput: the local read vs remote reads.
 
 The decode-side companion of ``bench_pipeline_e2e``: it measures the
 retrieval engine's execution paths over a file-backed chunked dataset and
 emits **`BENCH_retrieval.json`** at the repo root:
 
 1. **Full-field read** — output MB/s of the synchronous read on the
-   scale's field (a local file has no other in-process path).  The **pool
-   decode stage** is timed where a process pool can win — the archive
-   ``bench_pipeline_e2e``'s pool leg uses at every scale (the
-   ``benchmarks/e2e`` field size, 16 shards): ``workers=2`` against the
-   synchronous read as medians over alternating pairs after untimed
-   warm-ups (``pool_e2e``, recorded with the box's ``cpu_count``; a
-   1-core CI box cannot scale, so the pool floor only applies on ≥ 2
-   cores).
+   scale's field (a local file has one read path: in-process, synchronous),
+   bitwise the one-rung ``refine()`` of the same bound.
 2. **ROI reads** — bytes-touched fraction for a ≤ 1/4-volume region
-   (the Figure 6 headline), identical across execution paths.
+   (the Figure 6 headline), bitwise the region of the full read.
 3. **Refinement ladder** — a 4-rung ``refine()`` ladder over loopback
    HTTP, multiplexed: zero re-read ranges and byte
    counts identical to the local synchronous ladder (hard-gated; this is
@@ -39,14 +33,12 @@ emits **`BENCH_retrieval.json`** at the repo root:
 Correctness is hard-gated (bitwise identity across every path); speed is
 recorded and gated only where the hardware can honour it: the checked-in
 floor (``benchmarks/perf_floor.json``, ``retrieval_mbps`` section) applies
-when the scale matches, and the pool-over-sync floor is asserted only when
-``os.cpu_count() ≥ 2``.
+when the scale matches.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 
 import numpy as np
@@ -64,17 +56,6 @@ FLOOR_FILE = REPO_ROOT / "benchmarks" / "perf_floor.json"
 
 BOUND = 1e-5
 N_BLOCKS = 8
-#: The pool leg's archive, whatever the scale (bench_pipeline_e2e's too).
-_POOL_SHAPE = (128, 136, 120)
-_POOL_BLOCKS = 16
-_POOL_WORKERS = 2
-_POOL_PAIRS = 7
-#: Untimed pooled reads before the pairs.  Two would cover worker start-up;
-#: the rest is for the *box*: on an idle 2-vCPU VM the second core needs
-#: ≈ 1 s of two-core load before it runs at speed (measured: the first ≈ 6
-#: pooled reads of a cold box take 147 ms, every later one ≈ 80 ms, across
-#: processes), and the gate is about the pool, not about that.
-_POOL_WARMUPS = 8
 #: Server-side injected latency per ranged read for the latency legs.
 _REMOTE_LATENCY_S = 0.02
 #: Hard gate: the multiplexed read must beat the serial one by at least
@@ -119,54 +100,11 @@ def _run_full_reads(path, field):
     mb = field.nbytes / 1e6
     reference = _read_once(path)
     sync_s = _best_seconds(lambda: _read_once(path), 3)
+    with ChunkedDataset(path) as dataset:
+        refined = dataset.refine()
     return {
         "modes": {"sync": {"mbps": round(mb / sync_s, 3), "seconds": round(sync_s, 4)}},
-        "paths_byte_identical": _read_once(path, workers=2).data.tobytes()
-        == reference.data.tobytes(),
-    }
-
-
-def _run_pool(tmp_path):
-    """``workers=2`` vs the synchronous read on the e2e-size archive.
-
-    Alternating pairs (sync first, then pool first, ...) so drift on a
-    shared box lands on both legs; ``_POOL_WARMUPS`` pooled and two sync
-    reads go untimed first, and the medians, not the best case, make the
-    ratio.
-    """
-    field = _synthetic_field(_POOL_SHAPE)
-    path = tmp_path / "pool.rprc"
-    ChunkedDataset.write(
-        path, field, error_bound=BOUND, relative=True, n_blocks=_POOL_BLOCKS,
-        workers=0,
-    )
-
-    def seconds(workers):
-        start = time.perf_counter()
-        _read_once(path, workers=workers)
-        return time.perf_counter() - start
-
-    for workers in (_POOL_WORKERS,) * _POOL_WARMUPS + (0, 0):
-        seconds(workers)
-    sync, pool = [], []
-    for pair in range(_POOL_PAIRS):
-        for workers in (0, _POOL_WORKERS) if pair % 2 == 0 else (_POOL_WORKERS, 0):
-            (pool if workers else sync).append(seconds(workers))
-    sync_s, pool_s = float(np.median(sync)), float(np.median(pool))
-    mb = field.nbytes / 1e6
-    return {
-        "shape": list(_POOL_SHAPE),
-        "n_blocks": _POOL_BLOCKS,
-        "workers": _POOL_WORKERS,
-        "pairs": _POOL_PAIRS,
-        "warmups": _POOL_WARMUPS,
-        "cpu_count": os.cpu_count(),
-        "sync": {"mbps": round(mb / sync_s, 3), "seconds": round(sync_s, 4)},
-        "pool": {"mbps": round(mb / pool_s, 3), "seconds": round(pool_s, 4)},
-        "pool_wins": sum(p < s for s, p in zip(sync, pool)),
-        "speedup_pool_over_sync": round(sync_s / pool_s, 3),
-        "identical": _read_once(path, workers=_POOL_WORKERS).data.tobytes()
-        == _read_once(path).data.tobytes(),
+        "paths_byte_identical": refined.data.tobytes() == reference.data.tobytes(),
     }
 
 
@@ -176,26 +114,17 @@ def _run_roi(path, field):
     roi = (slice(0, max(1, field.shape[0] // 4)),) + tuple(
         slice(0, max(1, s // 2)) for s in field.shape[1:]
     )
-    results = {}
-    for label, knobs in (("sync", {}), ("pool", {"workers": 2})):
-        with ChunkedDataset(path, **knobs) as dataset:
-            full = dataset.read()
-            with ChunkedDataset(path, **knobs) as fresh:
-                part = fresh.read(roi=roi)
-            results[label] = (part, full)
-    sync_part, sync_full = results["sync"]
-    identical = all(
-        part.data.tobytes() == sync_part.data.tobytes()
-        and part.bytes_loaded == sync_part.bytes_loaded
-        for part, _ in results.values()
-    )
+    with ChunkedDataset(path) as dataset:
+        full = dataset.read()
+        with ChunkedDataset(path) as fresh:
+            part = fresh.read(roi=roi)
     return {
-        "roi": [[s.start, s.stop] for s in sync_part.roi],
-        "roi_volume_fraction": round(sync_part.data.size / field.size, 4),
-        "roi_bytes": sync_part.bytes_loaded,
-        "full_bytes": sync_full.bytes_loaded,
-        "bytes_fraction": round(sync_part.bytes_loaded / sync_full.bytes_loaded, 4),
-        "paths_byte_identical": bool(identical),
+        "roi": [[s.start, s.stop] for s in part.roi],
+        "roi_volume_fraction": round(part.data.size / field.size, 4),
+        "roi_bytes": part.bytes_loaded,
+        "full_bytes": full.bytes_loaded,
+        "bytes_fraction": round(part.bytes_loaded / full.bytes_loaded, 4),
+        "paths_byte_identical": part.data.tobytes() == full.data[roi].tobytes(),
     }
 
 
@@ -350,16 +279,6 @@ def _check_floor(payload) -> list:
                 f"remote {leg_label}: {measured} MB/s < 70% of floor "
                 f"{minimum} MB/s"
             )
-    # Pool scaling only means anything with ≥ 2 cores under the pool.
-    pool_floor = floor.get("retrieval_pool_speedup_min")
-    cores = os.cpu_count() or 1
-    if pool_floor is not None and cores >= 2:
-        measured = payload["pool_e2e"]["speedup_pool_over_sync"]
-        if measured < pool_floor:
-            failures.append(
-                f"pool speedup {measured} (workers={_POOL_WORKERS}, e2e-size "
-                f"archive) < floor {pool_floor} on a {cores}-core box"
-            )
     return failures
 
 
@@ -375,13 +294,12 @@ def test_retrieval_e2e(benchmark, results_dir, tmp_path):
     def _run():
         full_read = _run_full_reads(path, field)
         return {
-            "schema": "bench-retrieval-e2e/v6",
+            "schema": "bench-retrieval-e2e/v7",
             "scale": BENCH_SCALE,
             "shape": list(shape),
             "field_mb": round(field.nbytes / 1e6, 3),
             "n_blocks": N_BLOCKS,
             "full_read": full_read,
-            "pool_e2e": _run_pool(tmp_path),
             "roi": _run_roi(path, field),
             "refine_ladder": _run_refine_ladder(path),
             "single_stream": _run_stream(tmp_path, field),
@@ -393,8 +311,6 @@ def test_retrieval_e2e(benchmark, results_dir, tmp_path):
     header = ["path", "MB/s"]
     rows = [
         ["sync", payload["full_read"]["modes"]["sync"]["mbps"]],
-        ["e2e-size/sync", payload["pool_e2e"]["sync"]["mbps"]],
-        [f"e2e-size/workers={_POOL_WORKERS}", payload["pool_e2e"]["pool"]["mbps"]],
     ] + [
         [f"http/{label}", leg["mbps"]]
         for label, leg in payload["remote_http"]["legs"].items()
@@ -413,16 +329,12 @@ def test_retrieval_e2e(benchmark, results_dir, tmp_path):
     )
     print(
         f"roi: {payload['roi']['roi_volume_fraction']:.3f} of the volume → "
-        f"{payload['roi']['bytes_fraction']:.3f} of the bytes; "
-        f"pool {payload['pool_e2e']['speedup_pool_over_sync']}x sync at "
-        f"the e2e size ({payload['pool_e2e']['pool_wins']}/{_POOL_PAIRS} pairs) "
-        f"on {payload['pool_e2e']['cpu_count']} core(s)"
+        f"{payload['roi']['bytes_fraction']:.3f} of the bytes"
     )
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
 
     # Correctness gates (hardware-independent, always asserted).
     assert payload["full_read"]["paths_byte_identical"]
-    assert payload["pool_e2e"]["identical"]
     assert payload["roi"]["paths_byte_identical"]
     assert payload["single_stream"]["identical"]
     ladder = payload["refine_ladder"]
@@ -446,6 +358,6 @@ def test_retrieval_e2e(benchmark, results_dir, tmp_path):
         >= _MULTIPLEXED_LATENCY_SPEEDUP_MIN
     ), payload["remote_http"]
 
-    # Perf gates: floor-file driven; pool floors only on multi-core boxes.
+    # Perf gates: floor-file driven.
     floor_failures = _check_floor(payload)
     assert not floor_failures, "\n".join(floor_failures)

@@ -8,7 +8,6 @@ Subcommands::
     ipcomp decompress OUT.ipc  -o RESTORED.raw
     ipcomp retrieve   OUT.ipc  -o PARTIAL.raw (--error-bound 1e-3 | --bitrate 2.0)
     ipcomp retrieve   OUT.rprc -o ROI.raw --roi 0:16,:,: --error-bound 1e-3
-    ipcomp retrieve   OUT.rprc -o ROI.raw --roi ... --workers 4
     ipcomp info       OUT.ipc             # header: version, levels, per-plane codec
     ipcomp info       OUT.rprc            # manifest + per-shard header summary
     ipcomp info       OUT.rprc --roi 0:16,:,: --error-bound 1e-3  # + retrieval plan
@@ -29,15 +28,13 @@ every reading subcommand opens either kind through
 :class:`~repro.io.ChunkedDataset` — a bare stream is a dataset of one shard
 — so ``--roi START:STOP,...`` works on both (a container opens only the
 intersecting shards) and ``--bitrate`` on any single-shard input.
-Retrieval runs the plan → prefetch → pool-decode pipeline of
-:mod:`repro.retrieval`: over a URL the planned ranges are multiplexed
-(``--prefetch 0`` reads one range at a time; any positive value means the
-default), a local file reads synchronously whatever the flag says, and
-``retrieve --workers N`` pool-decodes the shards of a local container in
-worker processes through one shared-memory output segment (in-process when
-there is none) — both pure runtime choices with bitwise-identical output
-and identical reported byte counts.  ``decompress`` is the full-precision
-read, always in-process.
+Retrieval runs the plan → prefetch → decode pipeline of
+:mod:`repro.retrieval`, decoding every shard in-process: over a URL the
+planned ranges are multiplexed (``--prefetch 0`` reads one range at a time;
+any positive value means the default) and a local file reads synchronously
+whatever the flag says — a pure runtime choice with bitwise-identical
+output and identical reported byte counts.  ``decompress`` is the
+full-precision read.
 
 ``serve`` runs a batch of requests — one JSON object per line, e.g.
 ``{"roi": "0:16,:,:", "error_bound": 1e-3, "out": "roi.raw", "client":
@@ -72,7 +69,7 @@ loads a profile, and the individual flags (``--eb``, ``--abs``,
 ``--method``) override single fields of it — flags always win over the
 file.  Streams are self-describing, so no reading subcommand takes a
 profile; each runtime knob is one flag of the subcommand it acts in
-(``retrieve --prefetch / --workers``, ``serve --cache-bytes /
+(``retrieve --prefetch``, ``serve --cache-bytes /
 --max-inflight``), validated by the library object it configures: a bad
 value is an ``error:`` exit, never a clamp.
 """
@@ -234,15 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="S:E,S:E,...",
         help="region of interest: per-axis start:stop, ':' keeps an axis "
         "whole (a container opens only the intersecting shards)",
-    )
-    retrieve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="pool-decode worker processes for local container retrieval "
-        "(0/1 = in-process, the default; URLs and single streams always "
-        "decode in-process)",
     )
     retrieve.add_argument(
         "--prefetch",
@@ -444,9 +432,7 @@ def _cmd_retrieve(args) -> int:
             "(use 'serve --inject-faults' for local files)"
         )
     # The dataset's reader owns (and closes) the stack.
-    with ChunkedDataset(
-        args.input, prefetch=args.prefetch, workers=args.workers, source=stack
-    ) as dataset:
+    with ChunkedDataset(args.input, prefetch=args.prefetch, source=stack) as dataset:
         result = dataset.read(
             error_bound=args.error_bound, roi=args.roi, bitrate=args.bitrate
         )

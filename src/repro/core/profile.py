@@ -9,8 +9,9 @@ bits of the predictive bitplane coder (the paper's Table 2 parameters).
 
 A read takes no profile: streams are self-describing, so decoding needs only
 a fidelity target.  Runtime knobs live where they act, each validated there
-— ``ChunkedDataset(prefetch=, workers=)``, ``RetrievalService(cache_bytes=)``
-and the CLI flags of the same names — and never in a profile.
+— ``ChunkedDataset(prefetch=)``, ``ChunkedDataset.write(workers=)``,
+``RetrievalService(cache_bytes=)`` and the CLI flags of the same names — and
+never in a profile.
 
 The lossless stage is not configurable: each plane is deflated or stored,
 and a level's planes below two stored in a row are stored untried — on the

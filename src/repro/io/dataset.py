@@ -19,11 +19,8 @@ Requests are served by the :class:`~repro.retrieval.engine.RetrievalEngine`
 pipeline — fetch-op planning, with one source read per op; for a remote
 dataset (``prefetch > 0``, the default there) a prime cache over the
 event-loop prefetcher that fetches each request's ops as one wave and
-overlaps round trips with decode; and an optional pool decode stage (``workers=``) for
-stateless reads of a local file where worker processes retrieve shards
-straight off the file into a shared output segment (*shared memory or
-in-process*: without a segment, or for a remote dataset, the read decodes
-in-process).  A local file reads synchronously whatever ``prefetch`` says.
+overlaps round trips with decode; and an in-process decode of each
+shard's plan.  A local file reads synchronously whatever ``prefetch`` says.
 All of it is a pure runtime choice: decoded output is bitwise-identical,
 and the reported accounting is *consumption-based* — the ranges each
 shard's :class:`~repro.core.stream.CompressedStore` recorded, identical on
@@ -160,14 +157,12 @@ class ChunkedDataset:
     / dtype / bound from the stream's own header and ``manifest`` ``None``
     — nothing above :mod:`repro.io` tells the two kinds of file apart.
     Reading takes no codec profile (shards are self-describing streams);
-    its two runtime knobs are keywords here and nowhere else, non-negative
-    integers that change no reported byte or decoded bit.  ``prefetch``
+    its one runtime knob is a keyword here and nowhere else, a non-negative
+    integer that changes no reported byte or decoded bit.  ``prefetch``
     means something for a remote dataset only — ``0`` reads serially, any
     positive value multiplexes, ``None`` is
     :func:`~repro.retrieval.prefetch.default_prefetch_depth` (multiplexed);
-    a local file reads synchronously whatever it says.  ``workers`` sizes
-    the pool decode of stateless reads of a local file (``0`` / ``1`` =
-    in-process).
+    a local file reads synchronously whatever it says.
     """
 
     def __init__(
@@ -175,13 +170,11 @@ class ChunkedDataset:
         path: Union[str, Path],
         *,
         prefetch: Optional[int] = None,
-        workers: int = 0,
         source=None,
     ) -> None:
         try:
             if prefetch is not None:
                 check_count("prefetch", prefetch)
-            check_count("workers", workers)
         except ConfigurationError:
             # A handed-in source belongs to the dataset, even one never built.
             closer = getattr(source, "close", None)
@@ -200,19 +193,10 @@ class ChunkedDataset:
         )
         if prefetch is None:
             prefetch = default_prefetch_depth(self.is_remote)
-        # The plan → prefetch → pool-decode pipeline serving every request
-        # (it owns the stateful per-shard retrievers of the refine() path,
-        # and assembles every shard's source tower).
-        self._engine = RetrievalEngine(
-            self._reader.source,
-            prefetch=prefetch,
-            workers=workers,
-            # Pool workers re-open the container by path in their own
-            # process; a remote dataset has no local path, so it has no
-            # pool stage and requests run serial/multiplexed (bitwise-
-            # identical by construction).
-            path=None if self.is_remote else self.path,
-        )
+        # The plan → prefetch → decode pipeline serving every request (it
+        # owns the stateful per-shard retrievers of the refine() path, and
+        # assembles every shard's source tower).
+        self._engine = RetrievalEngine(self._reader.source, prefetch=prefetch)
         self._write_profile: Optional[CodecProfile] = None
         self._intersecting = lru_cache(maxsize=_SELECT_MEMO)(self._intersect)
         copies = None
@@ -395,9 +379,7 @@ class ChunkedDataset:
         value) instead.  Only the shards whose slabs intersect ``roi`` are
         opened; each contributes exactly the plane blocks its loader plan
         selects.  Stateless: a later ``read`` starts from scratch — use
-        :meth:`refine` for incremental refinement.  With ``workers > 1`` a
-        local multi-shard read decodes in the pool stage
-        (bitwise-identical output, same per-shard range accounting).
+        :meth:`refine` for incremental refinement.
         """
         roi_slices, selected = self.select(roi)
         target = self._validated_target(error_bound, bitrate)

@@ -1,6 +1,6 @@
 """Remote byte-range reads: the parts that do no I/O.
 
-The whole retrieval stack — planner, prefetcher, pool decode, service,
+The whole retrieval stack — planner, prefetcher, decode, service,
 scheduler — talks to storage through the two-method byte-range interface
 (``size`` + ``read_range``), so serving a stream or container over a
 network needs exactly one thing: a byte-range source whose backend is a

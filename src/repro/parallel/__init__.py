@@ -6,7 +6,7 @@ preserves the point-wise error bound and lets retrieval be block-local.  This
 subpackage provides that execution substrate with the Python standard
 library's process pool (no MPI dependency is available offline): the write
 transport behind :meth:`repro.io.ChunkedDataset.write` and the slab
-geometry the write, the pool read and the retrieval engine share.
+geometry the write and the retrieval engine share.
 """
 
 from __future__ import annotations

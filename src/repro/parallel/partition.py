@@ -115,9 +115,8 @@ def intersect_slab_roi(slab: SliceTuple, roi: SliceTuple) -> Tuple[SliceTuple, S
 
     Returns ``(sel_out, sel_in)``: ``out[sel_out] = slab_data[sel_in]``
     places the slab∩ROI overlap of a decoded slab into an array shaped like
-    the ROI.  Both the serial reassembly and the pool-decode workers (which
-    write straight into the shared output segment) use this, so the two
-    paths scatter identically by construction.
+    the ROI; :func:`repro.retrieval.engine.assemble` scatters every read's
+    slabs with it.
     """
     sel_out, sel_in = [], []
     for slab_axis, roi_axis in zip(slab, roi):
@@ -149,9 +148,8 @@ def batch_slabs(
     Small slabs are merged until a batch carries at least ``min_bytes`` of
     field data, capped so a field large enough to feed every worker is never
     collapsed below ``workers`` batches: the effective threshold is
-    ``min(min_bytes, total_bytes // workers)``.  Both transport directions
-    use this — encode tasks over input slabs and pool-decode tasks over
-    output slabs.
+    ``min(min_bytes, total_bytes // workers)``.  The encode pool batches
+    its input slabs with this.
     """
     total = sum(slab_bytes(slc, shape, itemsize) for slc in slabs)
     target = min(min_bytes, max(1, total // max(workers, 1)))

@@ -1,13 +1,13 @@
 """The one process-pool primitive: ordered map + shared-memory segments.
 
-**Shared memory or in-process.**  Work crosses the process boundary in two
-places only — slabs go *in* through one shared-memory segment on write
-(:mod:`repro.parallel.executor`) and come *out* through one on read
-(:mod:`repro.retrieval.pooldecode`).  Where that transport cannot be used
-(``workers <= 1``, a single task, :func:`create_segment` returning
-``None``) the caller runs its ordinary in-process path; no array is ever
-pickled across the boundary.  Both directions dispatch through
-:func:`imap_fallback`, which covers the errors a pool can still return:
+**Shared memory or in-process.**  Work crosses the process boundary in one
+place only — slabs go *in* through one shared-memory segment on write
+(:mod:`repro.parallel.executor`); every read decodes in-process.  Where
+that transport cannot be used (``workers <= 1``, a single task,
+:func:`create_segment` returning ``None``) the writer runs its ordinary
+in-process path; no array is ever pickled across the boundary.  The pool
+dispatches through :func:`imap_fallback`, which covers the errors a pool
+can still return:
 
 * a pool that cannot *start* (no spawn method, sealed sandbox, resource
   limits) falls back to in-process execution;
@@ -34,9 +34,8 @@ try:  # pragma: no cover - present on every supported platform
 except ImportError:  # pragma: no cover - exotic builds without _posixshmem
     shared_memory = None
 
-#: Minimum field bytes a pool task should carry, in both directions
-#: (encode tasks over input slabs, pool-decode tasks over output slabs):
-#: consecutive smaller slabs are batched into one task to amortise dispatch.
+#: Minimum field bytes an encode task should carry: consecutive smaller
+#: slabs are batched into one task to amortise dispatch.
 MIN_TASK_BYTES = 1 << 20
 
 

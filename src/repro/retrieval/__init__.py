@@ -1,4 +1,4 @@
-"""Unified retrieval engine: plan → prefetch → pool-decode pipeline.
+"""Unified retrieval engine: plan → prefetch → decode pipeline.
 
 Retrieval used to scatter its byte-range logic across three layers — the
 progressive retriever read plane blocks one by one, the chunked dataset kept
@@ -15,21 +15,16 @@ synchronously.  This package centralises the pipeline the paper's Figures
   prefetcher so round trips overlap per-shard decode; a request primes
   exactly the ops it reads.  A local file reads synchronously, with no
   wrapper.
-* :mod:`repro.retrieval.pooldecode` — the **pool decode stage**: worker
-  processes read shards off a local container file and write the
-  reconstructed slabs straight into one shared-memory output segment keyed
-  by partition extents, the decode-side mirror of the encode slab
-  transport (*shared memory or in-process* — nothing is pickled back).
 * :mod:`repro.retrieval.engine` — :class:`~repro.retrieval.engine.RetrievalEngine`,
   the façade behind ``ChunkedDataset.read/refine`` and the one place a
-  shard's source tower is assembled — for the dataset, the pool worker,
-  the serving layer and the CLI alike.
+  shard's source tower is assembled — for the dataset, the serving layer
+  and the CLI alike — and where each shard's plan is decoded in-process.
 
-Decoded output is bitwise-identical across every path — serial,
-multiplexed, pool — on v1 and v2 streams and containers alike; the pipeline only changes
-*when* and *where* bytes move.
+Decoded output is bitwise-identical across serial and multiplexed reads, on
+v1 and v2 streams and containers alike; the pipeline only changes *when*
+bytes move.
 
-``engine`` and ``pooldecode`` are imported lazily: they depend on
+``engine`` is imported lazily: it depends on
 :mod:`repro.core.progressive`, which itself uses the planner, and the lazy
 hop keeps the import graph acyclic.
 """

@@ -1,4 +1,4 @@
-"""The retrieval engine: one façade driving plan → prefetch → pool-decode.
+"""The retrieval engine: one façade driving plan → prefetch → decode.
 
 :class:`RetrievalEngine` owns everything between "a fidelity request over a
 set of shards" and "an assembled array plus its exact I/O accounting", and
@@ -28,18 +28,14 @@ it is where the path from a request to the bytes is assembled — once, in
   one future per op.  Each plan is primed once, by the request that reads
   it; nothing is fetched for a request nobody made.  A local file has no
   stage 2: the store reads its block source directly;
-* **stage 3 (decode)** — in-process per-shard decode by default; with
-  ``workers > 1`` a *stateless* read of a local container is dispatched to
-  the pool decode stage (:mod:`repro.retrieval.pooldecode`), whose workers
-  do the same plan-then-load retrieval against their own reader and write
-  the slabs straight into a shared output segment.  *Shared memory or
-  in-process*: without a segment the read runs the in-process path.
+* **stage 3 (decode)** — each shard's retriever decodes its plan
+  in-process and :func:`assemble` scatters the slabs into the answer.
 
 Byte accounting is **consumption-based**: each request reports the ranges
 its stores recorded (:attr:`repro.core.stream.CompressedStore.trace` — per
 block, identical on every path), never the physical prefetch I/O — so
 multiplexing changes no reported number, only wall-clock time.  Decoded
-output is bitwise-identical across serial / multiplexed / pool paths.
+output is bitwise-identical across serial / multiplexed reads.
 """
 
 from __future__ import annotations
@@ -55,11 +51,7 @@ from repro.core.optimizer import OptimizedLoader
 from repro.core.progressive import ProgressiveRetriever
 from repro.core.stream import BlockExtents, BytesSource, CompressedStore, IPCompStream
 from repro.errors import StreamFormatError
-from repro.parallel.partition import (
-    SliceTuple,
-    intersect_slab_roi,
-    slices_to_ranges,
-)
+from repro.parallel.partition import SliceTuple, intersect_slab_roi
 from repro.retrieval.plan import RetrievalPlan, ShardPlan, plan_stream_ops
 from repro.retrieval.prefetch import PrefetchSource
 
@@ -101,14 +93,9 @@ def assemble(
         piece = data[sel_in]
         out[sel_out] = piece
         filled += piece.size
-    _check_coverage(filled, out.size)
+    if filled != out.size:
+        raise StreamFormatError(f"shards cover {filled} of the region's {out.size} points")
     return out
-
-
-def _check_coverage(filled: int, size: int) -> None:
-    """Shards must tile the requested region exactly."""
-    if filled != size:
-        raise StreamFormatError(f"shards cover {filled} of the region's {size} points")
 
 
 class _Charge:
@@ -237,17 +224,14 @@ class EngineResult:
 
 
 class RetrievalEngine:
-    """Plan → prefetch → pool-decode pipeline over a set of shard streams.
+    """Plan → prefetch → decode pipeline over a set of shard streams.
 
     ``open_source(name)`` returns a fresh byte-range source for one shard
     (duck-typed; the chunked dataset passes container block sources).
     ``prefetch`` has one meaning — ``0`` reads serially, any positive value
     multiplexes — and only for sources that ``supports_async``; a local
-    file reads synchronously whatever it says.  ``path`` — when the shards
-    live in a local container file — enables the pool decode stage for
-    stateless reads; without it (a remote dataset) ``workers`` requests
-    decode in-process.  :meth:`describe` supplies the domain before the
-    first request.
+    file reads synchronously whatever it says.  :meth:`describe` supplies
+    the domain before the first request.
     """
 
     def __init__(
@@ -255,13 +239,9 @@ class RetrievalEngine:
         open_source: Callable[[str], object],
         *,
         prefetch: int = 0,
-        workers: int = 0,
-        path=None,
     ) -> None:
         self._open_source = open_source
         self.prefetch = int(prefetch)
-        self.workers = int(workers)
-        self.path = path
         # The event-loop prefetcher, created with the first remote tower and
         # shared by every shard (one burst merges all of their ranges).
         self._prefetcher = None
@@ -364,10 +344,10 @@ class RetrievalEngine:
 
     def open_retrievers(self, names: Sequence[str], wrap=None) -> List[ProgressiveRetriever]:
         """One fresh retriever per shard over its pinned header (:meth:`pin`)
-        — for the engine's own requests, the pool worker's and the serving
-        layer's cold serves alike.  A shard pinned from its own head by this
-        call is read over the tower it was parsed over, whose head prime then
-        answers the ops inside it for every rung; any other gets a fresh
+        — for the engine's own requests and the serving layer's cold serves
+        alike.  A shard pinned from its own head by this call is read over
+        the tower it was parsed over, whose head prime then answers the ops
+        inside it for every rung; any other gets a fresh
         :meth:`open_sources` tower (``wrap`` as there)."""
         parsed_over = self._parse(names)
         retrievers = []
@@ -407,13 +387,8 @@ class RetrievalEngine:
         error_bound: Optional[float] = None,
         bitrate: Optional[float] = None,
     ) -> EngineResult:
-        """Stateless retrieval: fresh retrievers, optionally pool-decoded."""
-        target = self._target(error_bound, bitrate)
-        if self.workers > 1 and self.path is not None and len(shards) > 1 and bitrate is None:
-            result = self._pooled_read(shards, roi_slices, target["error_bound"])
-            if result is not None:
-                return result
-        return self._request(shards, roi_slices, target, {})
+        """Stateless retrieval: fresh retrievers, decoded in-process."""
+        return self._request(shards, roi_slices, self._target(error_bound, bitrate), {})
 
     def refine(
         self,
@@ -496,9 +471,6 @@ class RetrievalEngine:
             for offset, length in retriever.store.trace[trace_start.get(shard.name, 0):]:
                 ranges.append((shard.name, offset, length))
         data = assemble(pieces, roi_slices, self.dtype)
-        return self._result(data, achieved, shards, ranges)
-
-    def _result(self, data, achieved, shards, ranges) -> EngineResult:
         bytes_loaded = sum(length for _, _, length in ranges)
         self.cumulative_bytes += bytes_loaded
         return EngineResult(
@@ -509,48 +481,6 @@ class RetrievalEngine:
             shards=[s.name for s in shards],
             ranges=ranges,
         )
-
-    def _pooled_read(
-        self, shards: Sequence, roi_slices: SliceTuple, target: float
-    ) -> Optional[EngineResult]:
-        """The pool decode stage; ``None`` when there is no shared memory."""
-        from repro.retrieval.pooldecode import pooled_container_read
-
-        out_shape = tuple(s.stop - s.start for s in roi_slices)
-        # The workers scatter straight into the output segment, so the
-        # coverage check assemble() makes is made here, before any decode.
-        _check_coverage(
-            sum(
-                int(np.prod([max(0, s.stop - s.start) for s in sel_out]))
-                for sel_out, _ in (
-                    intersect_slab_roi(shard.slices, roi_slices) for shard in shards
-                )
-            ),
-            int(np.prod(out_shape)),
-        )
-        tasks = [
-            (shard.name, slices_to_ranges(shard.slices, self.shape))
-            for shard in shards
-        ]
-        pooled = pooled_container_read(
-            self.path,
-            tasks,
-            slices_to_ranges(roi_slices, self.shape),
-            out_shape,
-            self.dtype,
-            target,
-            self.workers,
-        )
-        if pooled is None:
-            return None
-        data, accounting = pooled
-        achieved = max((bound for _, _, bound in accounting), default=0.0)
-        ranges = [
-            (name, offset, length)
-            for name, trace, _ in accounting
-            for offset, length in trace
-        ]
-        return self._result(data, achieved, shards, ranges)
 
     # ------------------------------------------------------------------- state
 

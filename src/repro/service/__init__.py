@@ -5,7 +5,7 @@ Public surface:
 * :class:`~repro.service.service.RetrievalService` — per-dataset sessions
   and a byte-budgeted slab/rung LRU over the
   :class:`~repro.retrieval.engine.RetrievalEngine` primitives (every shard
-  decodes in-process; the process pool is a direct-dataset feature);
+  decodes in-process);
 * :class:`~repro.service.trace.RetrievalTrace` — one request's receipt
   (consumed vs physical bytes, per-tier cache behaviour, plan delta);
 * :class:`~repro.service.cache.TieredCache` — the shared LRU itself;

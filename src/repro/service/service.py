@@ -53,8 +53,7 @@ a warm repeat).  Decoded answers are bitwise-identical to
 :meth:`ChunkedDataset.read <repro.io.dataset.ChunkedDataset.read>` across
 cold, warm, refined and evicted paths; the test suite pins every one of
 those paths to the serial oracle.  Every shard decodes in-process under
-the session's pinned reader; the process pool exists on the direct
-:class:`~repro.io.dataset.ChunkedDataset` path only.
+the session's pinned reader, as every dataset read does.
 
 Failures degrade along the existing ladder: a faulty source
 (:class:`~repro.errors.StreamFormatError`, short read, ``OSError``) costs
@@ -221,7 +220,7 @@ class _Session:
         )
         self._locks_lock = threading.Lock()
         self._shard_locks: Dict[str, threading.Lock] = {}
-        self.dataset = ChunkedDataset(self.path, workers=0, source=self.remote_source)
+        self.dataset = ChunkedDataset(self.path, source=self.remote_source)
 
     def is_fresh(self) -> bool:
         """True while the file or object still has the session's fingerprint.

@@ -272,9 +272,10 @@ def test_error_path_returns_nonzero(tmp_path, capsys):
 
 
 def test_retrieve_prefetch_and_workers_flags(tmp_path, raw_field, capsys):
-    """--prefetch/--workers: identical output and accounting;
-    a local file reads synchronously whatever the prefetch flag says (no
-    thread prefetcher exists: tests/test_retrieval_engine.py pins that)."""
+    """--prefetch: identical output and accounting; a local file reads
+    synchronously whatever the flag says (no thread prefetcher exists:
+    tests/test_retrieval_engine.py pins that).  Compression's --workers
+    writes the archive every variant reads."""
     _, raw_path = raw_field
     container = tmp_path / "density.rprc"
     main(["compress", str(raw_path), "-o", str(container), "--shape", "16x18x20",
@@ -283,7 +284,6 @@ def test_retrieve_prefetch_and_workers_flags(tmp_path, raw_field, capsys):
     variants = {
         "sync": ["--prefetch", "0"],
         "prefetch": ["--prefetch", "8"],
-        "pool": ["--workers", "2", "--prefetch", "0"],
         "default": [],
     }
     outputs, reports = {}, {}
@@ -336,10 +336,9 @@ def test_read_subcommands_take_no_profile(tmp_path, raw_field, capsys):
         with pytest.raises(SystemExit):
             main(argv)
     capsys.readouterr()
-    for flag in ("--prefetch", "--workers"):
-        assert main(["retrieve", str(stream), "-o", out, "--error-bound", "1e-3",
-                     flag, "-1"]) == 2
-        assert f"error: {flag[2:]} must be a non-negative integer" in capsys.readouterr().err
+    assert main(["retrieve", str(stream), "-o", out, "--error-bound", "1e-3",
+                 "--prefetch", "-1"]) == 2
+    assert "error: prefetch must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_info_stream_error_bound_prints_plan(tmp_path, raw_field, capsys):

@@ -6,7 +6,8 @@ deliberate, reviewable diff — and a removed one cannot come back
 unnoticed: the profile's runtime fields, the read-side ``--profile``,
 ``--no-prefetch``, the service's ``cache_verify`` / ``degrade_on_failure``
 and retry keywords, the scheduler's ``quantum_bytes``, ``serve`` /
-``stats --threads``, the ``RequestCost`` fields no caller read, and the
+``stats --threads``, the ``RequestCost`` fields no caller read, the read's
+``workers`` (``ChunkedDataset(workers=)``, ``retrieve --workers``), and the
 remote stack's knobs, now module constants: the wire's in
 :mod:`repro.io.aio` (``CONNECTIONS``, ``TIMEOUT``, ``RETRIES``,
 ``MAX_BATCH``), the backoff schedule and the breaker's threshold and
@@ -21,8 +22,10 @@ import argparse
 import dataclasses
 import inspect
 
+import pytest
+
 from repro import ChunkedDataset, CodecProfile, RetrievalService
-from repro.cli import _build_parser
+from repro.cli import _build_parser, main
 from repro.io import rangeserver
 from repro.io.aio import coalesce_burst, coalesce_ops, open_remote_source
 from repro.io.rangeserver import RangeServer
@@ -43,7 +46,7 @@ CLI_OPTIONS = {
     "decompress": ["--output", "-o"],
     "retrieve": [
         "--bitrate", "--error-bound", "--inject-faults", "--mirror", "--output",
-        "--prefetch", "--roi", "--trace-json", "--workers", "-o",
+        "--prefetch", "--roi", "--trace-json", "-o",
     ],
     "info": ["--error-bound", "--roi"],
     "serve": _SERVE,
@@ -53,7 +56,7 @@ CLI_OPTIONS = {
 }
 
 KEYWORDS = {
-    ChunkedDataset.__init__: ["path", "prefetch", "workers", "source"],
+    ChunkedDataset.__init__: ["path", "prefetch", "source"],
     ChunkedDataset.write: [
         "path", "data", "profile", "n_blocks", "workers", "profile_overrides",
     ],
@@ -113,3 +116,14 @@ def test_constructor_keywords():
     for function, expected in KEYWORDS.items():
         names = [n for n in inspect.signature(function).parameters if n != "self"]
         assert names == expected, function.__qualname__
+
+
+def test_a_read_takes_no_workers(tmp_path, capsys):
+    """The pool read is gone with its knob: a read decodes in-process only."""
+    with pytest.raises(TypeError):
+        ChunkedDataset(tmp_path / "f.rprc", workers=2)
+    with pytest.raises(SystemExit) as exc:
+        main(["retrieve", str(tmp_path / "f.rprc"), "-o", str(tmp_path / "o.raw"),
+              "--error-bound", "1e-3", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err

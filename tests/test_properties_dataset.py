@@ -168,27 +168,6 @@ def test_refine_under_prefetch_keeps_byte_and_range_accounting(tmp_path, prefetc
         assert idle.bytes_loaded == 0 and idle.ranges == []
 
 
-def test_read_with_pool_workers_matches_serial_accounting(tmp_path):
-    """Pool-decoded stateless reads: same bytes, same ranges, same bits."""
-    field = _field((18, 11, 9), np.float64, seed=60802)
-    path = tmp_path / "field.rprc"
-    manifest = ChunkedDataset.write(
-        path, field, error_bound=1e-5, relative=True, n_blocks=4, workers=0
-    )
-    eb = manifest["error_bound"]
-    with ChunkedDataset(path) as dataset:
-        serial = dataset.read(error_bound=eb * 8)
-        serial_roi = dataset.read(error_bound=eb * 8, roi=(slice(2, 14),))
-    with ChunkedDataset(path, workers=2) as dataset:
-        pooled = dataset.read(error_bound=eb * 8)
-        pooled_roi = dataset.read(error_bound=eb * 8, roi=(slice(2, 14),))
-    assert pooled.data.tobytes() == serial.data.tobytes()
-    assert pooled.bytes_loaded == serial.bytes_loaded
-    assert sorted(pooled.ranges) == sorted(serial.ranges)
-    assert pooled_roi.data.tobytes() == serial_roi.data.tobytes()
-    assert pooled_roi.shards == serial_roi.shards
-
-
 def test_refine_roi_then_widen(tmp_path):
     """Shards entering the ROI later start from scratch; old ones only add."""
     field = _field((16, 10, 8), np.float64, seed=4321)

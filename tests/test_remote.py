@@ -1000,13 +1000,12 @@ def test_decompress_url_writes_the_local_bytes(probe, tmp_path, capsys, name):
 
 
 def test_bad_read_knob_on_a_url_is_an_error_and_closes_the_stack(server, tmp_path, capsys):
-    """``ChunkedDataset`` validates ``prefetch`` / ``workers`` and owns the
-    remote stack handed to it even when it refuses them (``leak_ledger``
-    checks the stack's connections are gone)."""
-    for flag in ("--prefetch", "--workers"):
-        assert main(["retrieve", server.url_for("v2.rprc"), "-o", str(tmp_path / "x"),
-                     "--error-bound", "1e-3", flag, "-1"]) == 2
-        assert f"error: {flag[2:]} must be" in capsys.readouterr().err
+    """``ChunkedDataset`` validates ``prefetch`` and owns the remote stack
+    handed to it even when it refuses it (``leak_ledger`` checks the
+    stack's connections are gone)."""
+    assert main(["retrieve", server.url_for("v2.rprc"), "-o", str(tmp_path / "x"),
+                 "--error-bound", "1e-3", "--prefetch", "-1"]) == 2
+    assert "error: prefetch must be" in capsys.readouterr().err
 
 
 def test_dead_primary_at_open_fails_over_to_mirror(served_dir, server, monkeypatch):

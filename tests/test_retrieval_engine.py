@@ -341,7 +341,7 @@ def test_identity_matrix_streams(tmp_path, v1_blob):
 
 @pytest.mark.parametrize("version", ["v1", "v2"])
 def test_identity_matrix_containers(tmp_path, version):
-    """{v1, v2} containers × {serial, prefetch, pool} are bitwise-identical."""
+    """{v1, v2} containers × {serial, prefetch} are bitwise-identical."""
     if version == "v1":
         path = write_v1_container(tmp_path / "v1.rprc")
     else:
@@ -360,23 +360,17 @@ def test_identity_matrix_containers(tmp_path, version):
         assert part.data.tobytes() == serial_part.data.tobytes()
         assert part.bytes_loaded == serial_part.bytes_loaded
         assert part.ranges == serial_part.ranges
-    with ChunkedDataset(path, workers=2) as dataset:
-        assert dataset.read().data.tobytes() == serial_full.data.tobytes()
-        part = dataset.read(error_bound=eb * 16)
-        assert part.data.tobytes() == serial_part.data.tobytes()
-        assert part.bytes_loaded == serial_part.bytes_loaded
-        assert sorted(part.ranges) == sorted(serial_part.ranges)
 
 
 def test_v1_container_decodes_the_pinned_payload(tmp_path):
     pinned = np.load(DATA / "v1_expected.npy")
     path = write_v1_container(tmp_path / "v1.rprc")
-    with ChunkedDataset(path, workers=2) as dataset:
+    with ChunkedDataset(path) as dataset:
         out = dataset.read()
     assert out.data.tobytes() == np.concatenate([pinned, pinned]).tobytes()
 
 
-# ------------------------------------------------------------- pool decode
+# ------------------------------------------------------------- pool write
 
 
 def _write_and_read(path, field, workers):
@@ -384,7 +378,7 @@ def _write_and_read(path, field, workers):
     ChunkedDataset.write(
         path, field, error_bound=1e-5, relative=True, n_blocks=4, workers=workers
     )
-    with ChunkedDataset(path, workers=workers) as dataset:
+    with ChunkedDataset(path) as dataset:
         eb = dataset.absolute_bound
         reads = [
             dataset.read(error_bound=eb * 16),
@@ -396,8 +390,9 @@ def _write_and_read(path, field, workers):
 
 
 def test_kept_pool_paths_build_a_pool_and_match_in_process(tmp_path, monkeypatch):
-    """Write and read (full, ROI) really cross the process boundary with
-    ``workers=2`` — and produce the in-process bytes, ranges and counts."""
+    """The write really crosses the process boundary with ``workers=2`` —
+    and its archive is the in-process one, read back (full, ROI) with the
+    same bytes, ranges and counts.  Reads build no pool."""
     from repro.parallel import poolmap
 
     built = []
@@ -412,10 +407,10 @@ def test_kept_pool_paths_build_a_pool_and_match_in_process(tmp_path, monkeypatch
     assert _write_and_read(tmp_path / "serial.rprc", field, 0) == _write_and_read(
         tmp_path / "pooled.rprc", field, 2
     )
-    assert len(built) == 3  # one per pooled op: write, full read, ROI read
+    assert len(built) == 1  # the pooled write; every read decodes in-process
 
 
-@pytest.mark.parametrize("direction", ["write", "read"])
+@pytest.mark.parametrize("direction", ["write"])
 def test_no_shared_memory_runs_in_process(tmp_path, monkeypatch, direction):
     """Shared memory or in-process: without a segment no pool is built."""
     from repro.parallel import poolmap
@@ -427,25 +422,18 @@ def test_no_shared_memory_runs_in_process(tmp_path, monkeypatch, direction):
     serial = _write_and_read(tmp_path / "serial.rprc", field, 0)
     monkeypatch.setattr(poolmap, "create_segment", lambda nbytes: None)
     monkeypatch.setattr(poolmap, "ProcessPoolExecutor", no_pool)
-    if direction == "write":
-        ChunkedDataset.write(
-            tmp_path / "w.rprc", field, error_bound=1e-5, relative=True,
-            n_blocks=4, workers=2,
-        )
-        assert (tmp_path / "w.rprc").read_bytes() == serial[0]
-    else:
-        (tmp_path / "r.rprc").write_bytes(serial[0])
-        with ChunkedDataset(tmp_path / "r.rprc", workers=2) as dataset:
-            eb = dataset.absolute_bound
-            for roi, expected in zip((None, (slice(2, 14),)), serial[1]):
-                r = dataset.read(error_bound=eb * 16, roi=roi)
-                assert (
-                    r.data.tobytes(), r.bytes_loaded, sorted(r.ranges), r.shards
-                ) == expected
+    ChunkedDataset.write(
+        tmp_path / "w.rprc", field, error_bound=1e-5, relative=True,
+        n_blocks=4, workers=2,
+    )
+    assert (tmp_path / "w.rprc").read_bytes() == serial[0]
 
 
 def test_pool_worker_errors_propagate(tmp_path):
-    """A corrupt shard is a real error on the pool path, not a fallback."""
+    """A corrupt shard is a real error on the read, not a fallback.  The
+    garbage lands on the shard's first payload block (its anchor): the read
+    parses the header from the archive's header copies, so that is the
+    first byte of the shard it reads."""
     from repro.errors import ReproError
     from repro.io import BlockContainerReader
 
@@ -454,22 +442,20 @@ def test_pool_worker_errors_propagate(tmp_path):
     ChunkedDataset.write(path, field, error_bound=1e-4, n_blocks=2, workers=0)
     with BlockContainerReader(path) as reader:
         offset = int(reader.directory["shard-0001"]["offset"])
+    with ChunkedDataset(path) as dataset:
+        offset += dataset.pinned_shard("shard-0001").header_bytes
     with open(path, "r+b") as handle:
         handle.seek(offset)
         handle.write(b"IPC1 garbage that is not a stream")
-    with ChunkedDataset(path, workers=2) as dataset:
+    with ChunkedDataset(path) as dataset:
         with pytest.raises(ReproError):
             dataset.read()
 
 
-def test_decompress_rejects_partial_coverage(tmp_path, monkeypatch):
-    """The pool decode stage scatters straight into its output, so short
-    shard coverage is refused before any worker decodes."""
+def test_decompress_rejects_partial_coverage(tmp_path):
+    """Shards whose slabs miss part of the domain are refused by
+    ``assemble``: a short answer is an error, never uninitialised data."""
     from repro.io import BlockContainerWriter
-    from repro.retrieval import pooldecode
-
-    def no_decode(*args, **kwargs):  # pragma: no cover - must not run
-        raise AssertionError("short coverage must be refused before decoding")
 
     field = _field((16, 10), 7)
     full = tmp_path / "full.rprc"
@@ -482,8 +468,7 @@ def test_decompress_rejects_partial_coverage(tmp_path, monkeypatch):
             writer.add_block(name, reader.read_block(name), reader.metadata(name))
         writer.add_block("headers", reader.read_block("headers"))
         writer.add_block("manifest", json.dumps(manifest).encode())
-    monkeypatch.setattr(pooldecode, "pooled_container_read", no_decode)
-    with ChunkedDataset(path, workers=2) as dataset:
+    with ChunkedDataset(path) as dataset:
         with pytest.raises(StreamFormatError, match="cover"):
             dataset.read()
 
@@ -722,10 +707,10 @@ def test_concurrent_first_plans_parse_each_header_once(tmp_path):
 
 
 def test_profile_prefetch_workers_are_runtime_only(tmp_path):
-    """``prefetch`` / ``workers`` are read keywords, not codec options: a
-    profile file written before 9.0 that carries them loads (the keys are
-    dropped), and ``ChunkedDataset`` — their one home — validates them
-    instead of clamping a bad value to serial."""
+    """``prefetch`` is a read keyword and ``workers`` a write one, neither a
+    codec option: a profile file written before 9.0 that carries them loads
+    (the keys are dropped), and ``ChunkedDataset`` — the read knob's one
+    home — validates it instead of clamping a bad value to serial."""
     from repro.errors import ConfigurationError
 
     legacy = {**CodecProfile(method="linear").to_json(), "prefetch": 8, "workers": 4}
@@ -734,8 +719,8 @@ def test_profile_prefetch_workers_are_runtime_only(tmp_path):
     path = tmp_path / "k.rprc"
     ChunkedDataset.write(path, _field((8, 6, 5), seed=3), error_bound=1e-3,
                          n_blocks=2, workers=0)
-    for knobs in ({"prefetch": -1}, {"workers": -1}, {"workers": "two"},
-                  {"prefetch": 1.5}, {"workers": True}):
+    for knobs in ({"prefetch": -1}, {"prefetch": "two"}, {"prefetch": 1.5},
+                  {"prefetch": True}):
         with pytest.raises(ConfigurationError, match=next(iter(knobs))):
             ChunkedDataset(path, **knobs)
     with pytest.raises(TypeError):
