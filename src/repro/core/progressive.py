@@ -165,7 +165,7 @@ class ProgressiveRetriever:
         """Stage-1 planning only: the loading plan a request would use."""
         return self._plan(error_bound, bitrate, byte_budget)
 
-    def _target_keep(self, plan: LoadingPlan) -> Dict[int, int]:
+    def _keep_for(self, plan: LoadingPlan) -> Dict[int, int]:
         """Never drop precision that is already in memory."""
         return {
             level: max(plan.keep.get(level, 0), resident)
@@ -190,7 +190,7 @@ class ProgressiveRetriever:
         """
         if plan is None:
             plan = self._plan(error_bound, bitrate, byte_budget)
-        return self._ops(self._target_keep(plan))
+        return self._ops(self._keep_for(plan))
 
     def _ops(self, target_keep: Dict[int, int]) -> List[FetchOp]:
         return plan_stream_ops(
@@ -233,7 +233,7 @@ class ProgressiveRetriever:
         if plan is None:
             plan = self._plan(error_bound, bitrate, byte_budget)
         self.store.reset_accounting()
-        self._load(self._target_keep(plan))
+        self._load(self._keep_for(plan))
         levels = self.header.levels
         bytes_loaded = self.store.bytes_read
         if not self._header_charged:

@@ -17,27 +17,21 @@ running in a single daemon thread; everything above it keeps the plain
   one suffix-range GET of :data:`OPENING_WINDOW` bytes whose
   ``Content-Range`` carries the total.
 * :class:`_Endpoint` — one per URL: the ``tamper`` hook's view of the
-  transport, then the CRC gate, then the retry loop.  Corruption is
-  classified as :class:`~repro.errors.RemoteIntegrityError` — retryable,
-  and distinct from :class:`~repro.errors.StreamFormatError` (the stream
-  is presumed intact; the wire was not).  Retries sleep
+  transport, then the CRC gate, then the retry loop, plus the URL's health
+  (consecutive failures + latency EWMA).  Corruption is classified as
+  :class:`~repro.errors.RemoteIntegrityError` — retryable, and distinct
+  from :class:`~repro.errors.StreamFormatError` (the stream is presumed
+  intact; the wire was not).  Retries sleep
   :func:`~repro.io.remote.jittered_backoff`, never past the request's
   :data:`~repro.io.remote.REQUEST_DEADLINE`, and a circuit-open rejection
   is never retried.
-* :class:`_MirrorSet` — on top of every stack (a single URL is a set of
-  one): failover across endpoints ranked by health (consecutive failures
-  + latency EWMA) and *hedged reads* as ``asyncio`` races: a primary read
-  slower than the observed p90 latency fires the same range at the
-  next-healthiest mirror, first payload wins, the loser is a cancelled
-  task.  The stack's one stats builder.
-* :class:`AsyncRangeSource` — the synchronous facade
-  :func:`open_remote_source` returns: ``read_range`` / ``read_tail`` /
-  ``stats`` / ``close`` by submitting coroutines to the loop thread, so
-  the container reader, prefetch source, engine, service and scheduler
-  know nothing about networking.  It keeps the opening read's bytes — the
-  object's tail, where a container's footer and manifest live — and
-  answers any read inside them from memory, so opening a remote container
-  costs that one round trip.
+* :class:`AsyncRangeSource` — the stack :func:`open_remote_source`
+  returns (a single URL is a stack of one endpoint): failover across
+  endpoints ranked by health, *hedged reads* as ``asyncio`` races, the
+  opening read's bytes answering reads inside them from memory, and the
+  one stats builder — behind the synchronous ``read_range`` /
+  ``read_tail`` / ``stats`` / ``close``, so the container reader, prefetch
+  source, engine, service and scheduler know nothing about networking.
 * :class:`AsyncPrefetcher` — the prefetcher behind
   :class:`~repro.retrieval.prefetch.PrefetchSource`: ``submit()`` returns
   a ``concurrent.futures.Future``, collects the ops of one *burst* (a
@@ -78,7 +72,6 @@ from repro.io.remote import (
     REQUEST_DEADLINE,
     RETRYABLE_ERRORS,
     CircuitBreaker,
-    _Mirror,
     _parse_content_range,
     before_deadline,
     jittered_backoff,
@@ -218,6 +211,17 @@ _STALE_ERRORS = (
 )
 
 
+def _content_length(value: Optional[str], url: str) -> int:
+    """A reply's ``Content-Length`` as a byte count, or
+    :class:`~repro.errors.RemoteSourceError` naming the field — a reply the
+    client cannot frame is a transport failure like any other."""
+    if value is None:
+        raise RemoteSourceError(f"response without Content-Length ({url})")
+    if not value.isdecimal():
+        raise RemoteSourceError(f"malformed Content-Length {value!r} ({url})")
+    return int(value)
+
+
 def _declared_crc(headers: Dict[str, str]) -> Optional[int]:
     """The server-declared payload CRC32 of a response, if it sent one."""
     try:
@@ -238,7 +242,9 @@ class AsyncHTTPTransport:
     the request exactly and a full-length payload; a **200** (server
     ignored ``Range``) is honoured by slicing the full body — correct, but
     the whole object counts as egress; anything else raises
-    :class:`~repro.errors.RemoteSourceError`.  Every request is gated and
+    :class:`~repro.errors.RemoteSourceError`, as does a reply that cannot
+    be framed (a non-numeric status, a missing or malformed
+    ``Content-Length``).  Every request is gated and
     fed by a per-endpoint :class:`~repro.io.remote.CircuitBreaker`; an open
     breaker raises :class:`~repro.errors.CircuitOpenError` without touching
     the network.  This class never verifies payloads, so fault injection
@@ -348,7 +354,7 @@ class AsyncHTTPTransport:
         if not status_line:
             raise asyncio.IncompleteReadError(b"", None)
         parts = status_line.decode("latin-1", "replace").split(None, 2)
-        if len(parts) < 2 or not parts[0].startswith("HTTP/"):
+        if len(parts) < 2 or not parts[0].startswith("HTTP/") or not parts[1].isdecimal():
             raise RemoteSourceError(
                 f"malformed status line {status_line!r} ({self.url})"
             )
@@ -364,12 +370,9 @@ class AsyncHTTPTransport:
             resp_headers[key.strip().lower()] = value.strip()
         body = b""
         if method != "HEAD" and status not in (204, 304):
-            length_text = resp_headers.get("content-length")
-            if length_text is None:
-                raise RemoteSourceError(
-                    f"response without Content-Length ({self.url})"
-                )
-            body = await conn.reader.readexactly(int(length_text))
+            body = await conn.reader.readexactly(
+                _content_length(resp_headers.get("content-length"), self.url)
+            )
         return status, resp_headers, body
 
     async def _roundtrip(
@@ -417,7 +420,7 @@ class AsyncHTTPTransport:
         try:
             status, headers, _body = await self._request("HEAD", {})
             if status == 200 and headers.get("content-length") is not None:
-                return int(headers["content-length"])
+                return _content_length(headers["content-length"], self.url)
         except RemoteSourceError:
             pass  # fall through to the ranged probe
         status, headers, body = await self._request("GET", {"Range": "bytes=0-0"})
@@ -442,11 +445,22 @@ class AsyncHTTPTransport:
             finally:
                 self._inflight -= 1
 
-    def _admit(self) -> None:
+    async def _guarded(self, request):
+        """Await one request coroutine behind the breaker: refused without
+        touching the network while it is open, and feeding it the outcome.
+        A cancelled hedge or prefetch is not an endpoint failure."""
         if not self.breaker.allow():
+            request.close()
             raise CircuitOpenError(
                 f"circuit open for {self.endpoint}: failing fast ({self.url})"
             )
+        try:
+            result = await request
+        except RETRYABLE_ERRORS:
+            self.breaker.record_failure()
+            raise
+        self.breaker.record_success()
+        return result
 
     # ------------------------------------------------------------------ reads
 
@@ -469,23 +483,12 @@ class AsyncHTTPTransport:
                 )
         if length == 0:
             return b"", None
-        self._admit()
-        try:
-            if offset >= 0:
-                result = await self._ranged_get(offset, length)
-            else:
-                total, data, crc = await self._suffix_get(length)
-                if self.size is None:
-                    self.size = total
-                result = data, crc
-        except RETRYABLE_ERRORS:
-            self.breaker.record_failure()
-            raise
-        except asyncio.CancelledError:
-            # A cancelled hedge/prefetch is not an endpoint failure.
-            raise
-        self.breaker.record_success()
-        return result
+        if offset >= 0:
+            return await self._guarded(self._ranged_get(offset, length))
+        total, data, crc = await self._guarded(self._suffix_get(length))
+        if self.size is None:
+            self.size = total
+        return data, crc
 
     async def _ranged_get(
         self, offset: int, length: int
@@ -558,13 +561,7 @@ class AsyncHTTPTransport:
         server holds now.  Always a request; no CRC gate and no ladder above
         it — a failed probe just means "freshness unknown"."""
         span = max(1, int(span))
-        self._admit()
-        try:
-            total, body, _crc = await self._suffix_get(span)
-        except RETRYABLE_ERRORS:
-            self.breaker.record_failure()
-            raise
-        self.breaker.record_success()
+        total, body, _crc = await self._guarded(self._suffix_get(span))
         return total, body[-span:]
 
     async def aclose(self) -> None:
@@ -583,7 +580,7 @@ class AsyncHTTPTransport:
 
 
 class _Endpoint:
-    """One URL's read path: tamper hook → CRC gate → retry loop.
+    """One URL's read path and health: tamper hook → CRC gate → retry loop.
 
     Owns the URL's :class:`AsyncHTTPTransport` — its private breaker, its
     counters, its close — and reads through ``tamper(url, transport)``
@@ -605,14 +602,16 @@ class _Endpoint:
 
     * :class:`~repro.errors.CircuitOpenError` — the transport refused
       without trying, and no retry can succeed before the breaker's
-      cooldown; re-raised at once (a mirror set still fails over on it);
+      cooldown; re-raised at once (the stack still fails over on it);
     * the request's :data:`~repro.io.remote.REQUEST_DEADLINE` — a read
       that starts after it fails fast, and a retry whose backoff would
       cross it re-raises the underlying error instead of sleeping.
 
-    The freshness probe (``aread_tail``) goes straight to the transport —
-    no hook, gate or loop: a failed probe means "freshness unknown".
-    ``clock`` is injectable; tests drive the sleeps on a virtual-time loop.
+    Its health — consecutive failures and a latency EWMA, recorded by the
+    stack per read (:meth:`record`) — is the ranking key of failover
+    (:meth:`health_key`).  The freshness probe and the close go straight
+    to ``transport``: a failed probe means "freshness unknown".  ``clock``
+    is injectable; tests drive the sleeps on a virtual-time loop.
     """
 
     def __init__(
@@ -630,6 +629,27 @@ class _Endpoint:
         self.retry_delays: List[float] = []
         self.crc_verified = 0
         self.crc_mismatches = 0
+        self.failures = 0
+        self.latency: Optional[float] = None
+        self.reads = 0
+
+    def record(self, ok: bool, seconds: Optional[float]) -> None:
+        if ok:
+            self.failures = 0
+            self.reads += 1
+            if seconds is not None:
+                self.latency = (
+                    seconds
+                    if self.latency is None
+                    else 0.8 * self.latency + 0.2 * seconds
+                )
+        else:
+            self.failures += 1
+
+    def health_key(self) -> Tuple[int, bool, float]:
+        """Failures first, then timed endpoints by latency; one never timed
+        ranks after them (its latency is unknown, not zero)."""
+        return (self.failures, self.latency is None, self.latency or 0.0)
 
     async def aread_range(self, offset: int, length: int) -> bytes:
         if not before_deadline(clock=self._clock):
@@ -666,23 +686,27 @@ class _Endpoint:
             self.crc_verified += 1
         return data
 
-    async def aread_tail(self, span: int) -> Tuple[int, bytes]:
-        return await self.transport.aread_tail(span)
 
-    async def aclose(self) -> None:
-        await self.transport.aclose()
+# -------------------------------------------------------------------- facade
 
 
-class _MirrorSet:
-    """Failover + hedged reads across the endpoints of one object.
+class AsyncRangeSource:
+    """The remote stack: failover and hedged reads across the endpoints of
+    one object, behind the plain byte-range duck type.
 
-    It sits on top of every stack: a single URL is a set of one, which
-    never fails over and never hedges.  Endpoints are ranked by health —
-    consecutive failures first, then latency EWMA
-    (:class:`~repro.io.remote._Mirror`) — and a read walks the ranking:
-    the healthiest endpoint serves, a retryable failure *fails over* to
-    the next (counted), only total failure propagates (the last error).
-    All endpoints must agree on ``size``.
+    Speaks ``size`` / ``read_range`` / ``read_tail`` / ``stats`` / ``close``
+    by running coroutines on the owning :class:`EventLoopThread`, so every
+    consumer — container reader, prefetch source, engine, service,
+    scheduler — knows nothing about networking.  Also exposes the async
+    side (``aread_range`` + ``supports_async``) so :class:`AsyncPrefetcher`
+    can dispatch *without* a thread hop per range.
+
+    A single URL is a stack of one endpoint, which never fails over and
+    never hedges.  Endpoints are ranked by health — consecutive failures
+    first, then latency EWMA (:meth:`_Endpoint.health_key`) — and a read
+    walks the ranking: the healthiest endpoint serves, a retryable failure
+    *fails over* to the next (counted), only total failure propagates (the
+    last error).  All endpoints must agree on ``size``.
 
     **Hedged reads** bound tail latency: the primary read runs as a task,
     and once it has outlived the observed slowest-decile
@@ -694,13 +718,26 @@ class _MirrorSet:
     (those bytes land in ``hedge_wasted_bytes``, never in the consumed
     trace).  Hedging engages only while the backup is healthy.
 
+    ``opening`` is the payload of the opening read — the object's last
+    bytes, already CRC-checked by the ladder.  A read that falls wholly
+    inside it is answered from memory, before any hop to the loop (the
+    container sniff, tail word, footer and manifest of a normal archive);
+    one that runs into it (a fetch op of the last shard) sends only the
+    part before it to the wire.  ``read_tail`` never looks at it:
+    revalidation must see the object the server holds *now*.
+
     :meth:`stats` is the stack's one stats builder: the endpoints'
-    counters summed, plus the set's own.
+    counters summed, plus the stack's own.
     """
+
+    is_remote_source = True
+    supports_async = True
 
     def __init__(
         self,
         endpoints: Sequence[_Endpoint],
+        loop: EventLoopThread,
+        opening: bytes,
         *,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -710,8 +747,11 @@ class _MirrorSet:
             raise RemoteSourceError(
                 f"mirrors disagree on object size: {sorted(sizes)}"
             )
-        self._mirrors = [_Mirror(endpoint) for endpoint in endpoints]
+        self._endpoints = list(endpoints)
+        self._loop = loop
         self.size = sizes.pop()
+        self._opening = opening
+        self._opening_start = self.size - len(opening)
         self._clock = clock
         self._latencies: List[float] = []
         self.failovers = 0
@@ -720,8 +760,47 @@ class _MirrorSet:
         self.hedge_cancelled = 0
         self.hedge_wasted_bytes = 0
 
-    def _ranked(self) -> List[_Mirror]:
-        return sorted(self._mirrors, key=_Mirror.health_key)
+    @property
+    def loop_thread(self) -> EventLoopThread:
+        return self._loop
+
+    def _split(self, offset: int, length: int) -> Tuple[int, bytes]:
+        """``(wire, tail)``: the read's first ``wire`` bytes must be fetched,
+        the opening window holds the rest (``tail``)."""
+        cut = max(offset, self._opening_start)
+        if length < 0 or offset + length > self.size or cut >= offset + length:
+            return length, b""
+        start = cut - self._opening_start
+        return cut - offset, self._opening[start : start + offset + length - cut]
+
+    def read_range(self, offset: int, length: int) -> bytes:
+        wire, tail = self._split(offset, length)
+        if not wire:
+            return tail
+        return self._loop.call(self._failover(offset, wire)) + tail
+
+    async def aread_range(self, offset: int, length: int) -> bytes:
+        """Coroutine view for async-aware callers (no thread hop)."""
+        wire, tail = self._split(offset, length)
+        if not wire:
+            return tail
+        return await self._failover(offset, wire) + tail
+
+    def read_tail(self, span: int) -> Tuple[int, bytes]:
+        return self._loop.call(self.aread_tail(span))
+
+    async def aread_tail(self, span: int) -> Tuple[int, bytes]:
+        last_error: Optional[BaseException] = None
+        for endpoint in self._ranked():
+            try:
+                return await endpoint.transport.aread_tail(span)
+            except RETRYABLE_ERRORS as exc:
+                last_error = exc
+        assert last_error is not None
+        raise last_error
+
+    def _ranked(self) -> List[_Endpoint]:
+        return sorted(self._endpoints, key=_Endpoint.health_key)
 
     def _hedge_threshold(self) -> Optional[float]:
         if len(self._latencies) < HEDGE_MIN_SAMPLES:
@@ -730,17 +809,10 @@ class _MirrorSet:
         index = min(len(ordered) - 1, int(HEDGE_QUANTILE * len(ordered)))
         return ordered[index]
 
-    def _record(self, mirror: _Mirror, ok: bool, seconds: Optional[float]) -> None:
-        mirror.record(ok, seconds)
-        if ok and seconds is not None:
-            self._latencies.append(seconds)
-            if len(self._latencies) > 64:
-                del self._latencies[0]
-
-    async def aread_range(self, offset: int, length: int) -> bytes:
+    async def _failover(self, offset: int, length: int) -> bytes:
         ranked = self._ranked()
         last_error: Optional[BaseException] = None
-        for rank, mirror in enumerate(ranked):
+        for rank, endpoint in enumerate(ranked):
             backup = ranked[rank + 1] if rank + 1 < len(ranked) else None
             threshold = self._hedge_threshold()
             try:
@@ -749,8 +821,8 @@ class _MirrorSet:
                     and backup is not None
                     and backup.failures == 0
                 ):
-                    return await self._hedged(mirror, backup, offset, length, threshold)
-                return await self._timed(mirror, offset, length)
+                    return await self._hedged(endpoint, backup, offset, length, threshold)
+                return await self._timed(endpoint, offset, length)
             except RETRYABLE_ERRORS as exc:
                 last_error = exc
                 if backup is not None:
@@ -758,25 +830,29 @@ class _MirrorSet:
         assert last_error is not None
         raise last_error
 
-    async def _timed(self, mirror: _Mirror, offset: int, length: int) -> bytes:
+    async def _timed(self, endpoint: _Endpoint, offset: int, length: int) -> bytes:
         start = self._clock()
         try:
-            data = await mirror.source.aread_range(offset, length)
+            data = await endpoint.aread_range(offset, length)
         except RETRYABLE_ERRORS:
-            self._record(mirror, False, None)
+            endpoint.record(False, None)
             raise
-        self._record(mirror, True, self._clock() - start)
+        seconds = self._clock() - start
+        endpoint.record(True, seconds)
+        self._latencies.append(seconds)
+        if len(self._latencies) > 64:
+            del self._latencies[0]
         return data
 
     async def _hedged(
         self,
-        primary: _Mirror,
-        backup: _Mirror,
+        primary: _Endpoint,
+        backup: _Endpoint,
         offset: int,
         length: int,
         threshold: float,
     ) -> bytes:
-        owners: Dict[asyncio.Task, _Mirror] = {}
+        owners: Dict[asyncio.Task, _Endpoint] = {}
         primary_task = asyncio.ensure_future(self._timed(primary, offset, length))
         owners[primary_task] = primary
         done, pending = await asyncio.wait({primary_task}, timeout=threshold)
@@ -819,18 +895,8 @@ class _MirrorSet:
             f"hedged read failed: {first_error}"
         )
 
-    async def aread_tail(self, span: int) -> Tuple[int, bytes]:
-        last_error: Optional[BaseException] = None
-        for mirror in self._ranked():
-            try:
-                return await mirror.source.aread_tail(span)
-            except RETRYABLE_ERRORS as exc:
-                last_error = exc
-        assert last_error is not None
-        raise last_error
-
     def stats(self) -> dict:
-        endpoints = [mirror.source for mirror in self._mirrors]
+        endpoints = self._endpoints
         wires = [endpoint.transport for endpoint in endpoints]
         return {
             "requests": sum(wire.n_requests for wire in wires),
@@ -849,89 +915,23 @@ class _MirrorSet:
             "hedge_wasted_bytes": self.hedge_wasted_bytes,
             "mirrors": [
                 {
-                    "label": mirror.source.url,
-                    "failures": mirror.failures,
-                    "latency_ewma_s": mirror.latency,
-                    "reads": mirror.reads,
+                    "label": endpoint.url,
+                    "failures": endpoint.failures,
+                    "latency_ewma_s": endpoint.latency,
+                    "reads": endpoint.reads,
                 }
-                for mirror in self._mirrors
+                for endpoint in endpoints
             ],
         }
 
     async def aclose(self) -> None:
-        for mirror in self._mirrors:
-            await mirror.source.aclose()
-
-
-# -------------------------------------------------------------------- facade
-
-
-class AsyncRangeSource:
-    """Synchronous facade over a remote stack (its :class:`_MirrorSet`).
-
-    Speaks the plain byte-range duck type (``size`` / ``read_range`` /
-    ``read_tail`` / ``stats`` / ``close``) by running coroutines on the
-    owning :class:`EventLoopThread`, so every existing consumer —
-    container reader, prefetch source, engine, service, scheduler — works
-    unchanged.  Also exposes the async side (``aread_range`` +
-    ``supports_async``) so :class:`AsyncPrefetcher` can dispatch *without*
-    a thread hop per range.
-
-    ``opening`` is the payload of the opening read — the object's last
-    bytes, already CRC-checked by the ladder.  A read that falls wholly
-    inside it is answered from memory (the container sniff, tail word,
-    footer and manifest of a normal archive); one that runs into it (a
-    fetch op of the last shard) sends only the part before it to the wire.
-    ``read_tail`` never looks at it: revalidation must see the object the
-    server holds *now*.
-    """
-
-    is_remote_source = True
-    supports_async = True
-
-    def __init__(self, mirrors: _MirrorSet, loop: EventLoopThread, opening: bytes) -> None:
-        self._mirrors = mirrors
-        self._loop = loop
-        self.size = mirrors.size
-        self._opening = opening
-        self._opening_start = self.size - len(opening)
-
-    @property
-    def loop_thread(self) -> EventLoopThread:
-        return self._loop
-
-    def _split(self, offset: int, length: int) -> Tuple[int, bytes]:
-        """``(wire, tail)``: the read's first ``wire`` bytes must be fetched,
-        the opening window holds the rest (``tail``)."""
-        cut = max(offset, self._opening_start)
-        if length < 0 or offset + length > self.size or cut >= offset + length:
-            return length, b""
-        start = cut - self._opening_start
-        return cut - offset, self._opening[start : start + offset + length - cut]
-
-    def read_range(self, offset: int, length: int) -> bytes:
-        wire, tail = self._split(offset, length)
-        if not wire:
-            return tail
-        return self._loop.call(self._mirrors.aread_range(offset, wire)) + tail
-
-    async def aread_range(self, offset: int, length: int) -> bytes:
-        """Coroutine view for async-aware callers (no thread hop)."""
-        wire, tail = self._split(offset, length)
-        if not wire:
-            return tail
-        return await self._mirrors.aread_range(offset, wire) + tail
-
-    def read_tail(self, span: int) -> Tuple[int, bytes]:
-        return self._loop.call(self._mirrors.aread_tail(span))
-
-    def stats(self) -> dict:
-        return self._mirrors.stats()
+        for endpoint in self._endpoints:
+            await endpoint.transport.aclose()
 
     def close(self) -> None:
         if self._loop.alive:
             try:
-                self._loop.call(self._mirrors.aclose(), timeout=5.0)
+                self._loop.call(self.aclose(), timeout=5.0)
             except Exception:  # pragma: no cover - close is best-effort
                 pass
 
@@ -954,23 +954,21 @@ def open_remote_source(
 
     One :class:`_Endpoint` per URL — its transport with a private breaker,
     the ``tamper`` hook (:meth:`~repro.io.faults.FaultInjector.tamper`),
-    the CRC gate and the retry loop — all under one :class:`_MirrorSet`.
-    The wire's knobs are the module constants (:data:`CONNECTIONS`,
-    :data:`TIMEOUT`, :data:`RETRIES`) and :mod:`repro.io.remote`'s
-    (the backoff schedule, the breaker's threshold and cooldown);
-    ``clock`` drives the breakers, the deadline checks and the hedge
-    timing.
+    the CRC gate and the retry loop — all under one
+    :class:`AsyncRangeSource`.  The wire's knobs are the module constants
+    (:data:`CONNECTIONS`, :data:`TIMEOUT`, :data:`RETRIES`) and
+    :mod:`repro.io.remote`'s (the backoff schedule, the breaker's threshold
+    and cooldown); ``clock`` drives the breakers, the deadline checks and
+    the hedge timing.
 
     Opening costs **one round trip**: each endpoint reads the object's
     last :data:`OPENING_WINDOW` bytes through its ladder — a range like
     any other, so it is CRC-checked, retried, feeds the breaker and meets
     injected faults — and that reply both sizes the object and becomes the
-    facade's opening window.  Endpoints open concurrently; one that fails
+    stack's opening window.  Endpoints open concurrently; one that fails
     its opening read is dropped — only every endpoint failing propagates.
-    Returns the synchronous :class:`AsyncRangeSource` facade bound to
-    ``loop`` (the process-shared loop thread by default), which speaks
-    plain ``size``/``read_range`` — everything upstream is oblivious to
-    the networking underneath.
+    The stack is built on ``loop`` (the process-shared loop thread by
+    default) and bound to it.
     """
     loop = loop or EventLoopThread.shared()
 
@@ -980,10 +978,10 @@ def open_remote_source(
         try:
             return endpoint, await endpoint.aread_range(-OPENING_WINDOW, OPENING_WINDOW)
         except BaseException:
-            await endpoint.aclose()
+            await endpoint.transport.aclose()
             raise
 
-    async def build() -> Tuple[_MirrorSet, bytes]:
+    async def build() -> AsyncRangeSource:
         outcomes = await asyncio.gather(
             *(opened(endpoint) for endpoint in (url, *mirrors)),
             return_exceptions=True,
@@ -991,16 +989,18 @@ def open_remote_source(
         alive = [o for o in outcomes if not isinstance(o, BaseException)]
         errors = [o for o in outcomes if isinstance(o, BaseException)]
         fatal = next((e for e in errors if not isinstance(e, OSError)), None)
-        if fatal is not None or not alive:
+        try:
+            if fatal is not None or not alive:
+                raise fatal if fatal is not None else errors[0]
+            # Every replica read its own tail; they hold the same object
+            # (sizes are checked), so the first survivor's window serves.
+            return AsyncRangeSource([e for e, _opening in alive], loop, alive[0][1], clock=clock)
+        except BaseException:
             for endpoint, _opening in alive:
-                await endpoint.aclose()
-            raise fatal if fatal is not None else errors[0]
-        # Every replica read its own tail; they hold the same object (sizes
-        # are checked), so the first survivor's window serves.
-        return _MirrorSet([e for e, _opening in alive], clock=clock), alive[0][1]
+                await endpoint.transport.aclose()
+            raise
 
-    top, opening = loop.call(build())
-    return AsyncRangeSource(top, loop, opening)
+    return loop.call(build())
 
 
 # ---------------------------------------------------------------- prefetcher

@@ -32,9 +32,12 @@ reader presents it as a one-block directory and its own header supplies
 shape, dtype and bound, so everything above — the engine, the serving
 layer, the CLI — handles one kind of object.
 
-Every request returns a :class:`DatasetReadResult` carrying the exact bytes
-touched (header and anchor included) and the ``(shard, offset, length)``
-ranges consumed — the quantities the ROI benchmark asserts on.
+Every request returns the engine's
+:class:`~repro.retrieval.engine.DatasetReadResult` (re-exported here) as it
+is, carrying the exact bytes touched (header and anchor included) and the
+``(shard, offset, length)`` ranges consumed — the quantities the ROI
+benchmark asserts on.  The dataset resolves the target once
+(:meth:`ChunkedDataset._validated_target`); the engine takes it as given.
 
 File layout (a :mod:`repro.io.container` block container)::
 
@@ -84,7 +87,7 @@ from repro.parallel.partition import (
     ranges_to_slices,
     slices_intersect,
 )
-from repro.retrieval.engine import HeaderCopies, PinnedShard, RetrievalEngine
+from repro.retrieval.engine import DatasetReadResult, HeaderCopies, PinnedShard, RetrievalEngine
 from repro.retrieval.plan import RetrievalPlan
 from repro.retrieval.prefetch import default_prefetch_depth
 
@@ -108,23 +111,6 @@ class DatasetShard:
     @property
     def shape(self) -> Tuple[int, ...]:
         return tuple(s.stop - s.start for s in self.slices)
-
-
-@dataclass
-class DatasetReadResult:
-    """One ROI-progressive request: data plus its exact I/O cost."""
-
-    data: np.ndarray
-    roi: SliceTuple
-    error_bound: float
-    bytes_loaded: int
-    cumulative_bytes: int
-    shards: List[str]
-    ranges: List[Tuple[str, int, int]]
-
-    def bitrate(self) -> float:
-        """Bits loaded by this request per value it returned."""
-        return 8.0 * self.bytes_loaded / self.data.size
 
 
 class _HeaderCopier:
@@ -214,7 +200,7 @@ class ChunkedDataset:
         except (KeyError, TypeError, ValueError, UnicodeDecodeError) as exc:
             self.close()
             raise StreamFormatError(f"malformed dataset manifest: {exc!r}") from None
-        self._engine.describe(self.shape, self.dtype, self.absolute_bound, copies)
+        self._engine.describe(self.dtype, copies)
 
     def _describe_stream(self) -> None:
         """A bare stream: its own header is the manifest."""
@@ -383,8 +369,7 @@ class ChunkedDataset:
         """
         roi_slices, selected = self.select(roi)
         target = self._validated_target(error_bound, bitrate)
-        result = self._engine.read(selected, roi_slices, target, bitrate)
-        return self._to_read_result(result, roi_slices)
+        return self._engine.read(selected, roi_slices, target, bitrate)
 
     def refine(
         self,
@@ -408,8 +393,7 @@ class ChunkedDataset:
         """
         roi_slices, selected = self.select(roi)
         target = self._validated_target(error_bound, bitrate)
-        result = self._engine.refine(selected, roi_slices, target, bitrate)
-        return self._to_read_result(result, roi_slices)
+        return self._engine.refine(selected, roi_slices, target, bitrate)
 
     def plan(self, error_bound: Optional[float] = None, roi=None) -> RetrievalPlan:
         """Stage-1 planning only: the fetch ops a stateless request would run.
@@ -461,17 +445,6 @@ class ChunkedDataset:
     def _intersect(self, bounds: Tuple[Tuple[int, int], ...]) -> Tuple[DatasetShard, ...]:
         roi_slices = tuple(slice(start, stop) for start, stop in bounds)
         return tuple(s for s in self.shards if slices_intersect(s.slices, roi_slices))
-
-    def _to_read_result(self, result, roi_slices: SliceTuple) -> DatasetReadResult:
-        return DatasetReadResult(
-            data=result.data,
-            roi=roi_slices,
-            error_bound=result.error_bound,
-            bytes_loaded=result.bytes_loaded,
-            cumulative_bytes=result.cumulative_bytes,
-            shards=result.shards,
-            ranges=result.ranges,
-        )
 
     # ------------------------------------------------------------- properties
 

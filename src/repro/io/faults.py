@@ -22,10 +22,13 @@ PLAN.json``) and the CI remote-retrieval smoke all consume:
   :class:`~repro.service.RetrievalService` ``source_filter`` hook
   (:meth:`~FaultInjector.source_filter`);
 * a :class:`FaultInjectingSource` applies the drawn fault to one
-  ``read_range`` while delegating everything else (``close``…) to the
-  wrapped source; :class:`AsyncFaultInjectingSource` does the same to the
+  ``read_range`` — or, installed by :meth:`~FaultInjector.tamper`, to the
   remote transport's ``aget``, *between* the HTTP transport and the CRC
-  gate, where injected corruption is caught exactly like wire corruption.
+  gate, where injected corruption is caught exactly like wire corruption —
+  while delegating everything else (``size``, ``close``…) to the wrapped
+  source;
+* :mod:`repro.io.rangeserver` applies a drawn fault server-side through
+  the same two helpers (:func:`_before_read`, :func:`_mangle`).
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import threading
 import time
 import zlib
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, RemoteSourceError
 
@@ -79,9 +82,33 @@ class Fault:
         return cls(payload["kind"], float(payload.get("seconds", 0.0)))
 
 
+def _seeded_draw(seed: str, kind: str, read_number: int) -> float:
+    """A read's uniform draw in ``[0, 1)``: the CRC of ``seed:kind:n``."""
+    draw = zlib.crc32(f"{seed}:{kind}:{read_number}".encode("utf-8"))
+    return (draw & 0xFFFFFFFF) / float(1 << 32)
+
+
+#: Every matcher type: its JSON fields, each with the parser that reads it,
+#: and whether read ``n`` matches, given the fault kind and the fields.
+_MATCHERS: Dict[str, Tuple[Tuple[Tuple[str, Callable], ...], Callable[..., bool]]] = {
+    "every": ((("k", int),), lambda n, kind, k: n % k == 0),
+    "at": (
+        (("reads", lambda reads: set(int(r) for r in reads)),),
+        lambda n, kind, reads: n in reads,
+    ),
+    "first": ((("n", int),), lambda n, kind, first: n <= first),
+    "always": ((), lambda n, kind: True),
+    "rate": (
+        (("rate", float), ("seed", str)),
+        lambda n, kind, rate, seed: _seeded_draw(seed, kind, n) < rate,
+    ),
+}
+
+
 class _Rule:
-    """One (matcher, fault) pair; matchers are data, never callables, so a
-    plan serialises losslessly.  ``at`` keeps the caller's container by
+    """One (matcher, fault) pair; a matcher is data — its type and the
+    values of its :data:`_MATCHERS` fields — never a callable, so a plan
+    serialises losslessly.  ``at`` keeps the caller's container by
     reference — tests mutate the set mid-run to poison one future read."""
 
     __slots__ = ("match", "fault")
@@ -91,54 +118,23 @@ class _Rule:
         self.fault = fault
 
     def applies(self, read_number: int) -> bool:
-        kind = self.match[0]
-        if kind == "every":
-            return read_number % self.match[1] == 0
-        if kind == "at":
-            return read_number in self.match[1]
-        if kind == "first":
-            return read_number <= self.match[1]
-        if kind == "always":
-            return True
-        if kind == "rate":
-            rate, seed = self.match[1], self.match[2]
-            draw = zlib.crc32(
-                f"{seed}:{self.fault.kind}:{read_number}".encode("utf-8")
-            )
-            return (draw & 0xFFFFFFFF) / float(1 << 32) < rate
-        raise AssertionError(f"unknown matcher {kind!r}")  # pragma: no cover
+        return _MATCHERS[self.match[0]][1](read_number, self.fault.kind, *self.match[1:])
 
     def to_json(self) -> dict:
-        kind = self.match[0]
-        if kind == "every":
-            match: dict = {"type": "every", "k": self.match[1]}
-        elif kind == "at":
-            match = {"type": "at", "reads": sorted(self.match[1])}
-        elif kind == "first":
-            match = {"type": "first", "n": self.match[1]}
-        elif kind == "always":
-            match = {"type": "always"}
-        else:
-            match = {"type": "rate", "rate": self.match[1], "seed": self.match[2]}
+        fields = _MATCHERS[self.match[0]][0]
+        match: dict = {"type": self.match[0]}
+        for (name, _parse), value in zip(fields, self.match[1:]):
+            match[name] = sorted(value) if isinstance(value, set) else value
         return {"match": match, "fault": self.fault.to_json()}
 
     @classmethod
     def from_json(cls, payload: dict) -> "_Rule":
-        match = payload["match"]
+        match = {"seed": "", **payload["match"]}  # a rate's seed is optional
         kind = match["type"]
-        if kind == "every":
-            parsed: Tuple = ("every", int(match["k"]))
-        elif kind == "at":
-            parsed = ("at", set(int(n) for n in match["reads"]))
-        elif kind == "first":
-            parsed = ("first", int(match["n"]))
-        elif kind == "always":
-            parsed = ("always",)
-        elif kind == "rate":
-            parsed = ("rate", float(match["rate"]), str(match.get("seed", "")))
-        else:
+        if kind not in _MATCHERS:
             raise ConfigurationError(f"unknown fault matcher type {kind!r}")
-        return cls(parsed, Fault.from_json(payload["fault"]))
+        values = tuple(parse(match[name]) for name, parse in _MATCHERS[kind][0])
+        return cls((kind, *values), Fault.from_json(payload["fault"]))
 
 
 class FaultPlan:
@@ -279,19 +275,15 @@ class FaultInjector:
             self.sources.append(wrapped)
         return wrapped
 
-    def source_filter(self, name: str, source):
+    def source_filter(self, name: str, source) -> "FaultInjectingSource":
         """The :class:`~repro.service.RetrievalService` ``source_filter``
         hook: ``RetrievalService(source_filter=injector.source_filter)``."""
         return self.wrap(source, name=name)
 
-    def tamper(self, url: str, source) -> "AsyncFaultInjectingSource":
-        """The :func:`~repro.io.aio.open_remote_source` ``tamper`` hook:
-        wraps the transport's ``aget`` *below* CRC verification, under the
-        same plan and global read counter as :meth:`wrap`."""
-        wrapped = AsyncFaultInjectingSource(source, self, name=url)
-        with self._lock:
-            self.sources.append(wrapped)
-        return wrapped
+    #: The :func:`~repro.io.aio.open_remote_source` ``tamper`` hook: the
+    #: transport wrapped under its URL's name, so its ``aget`` draws from
+    #: the same plan and global read counter *below* CRC verification.
+    tamper = source_filter
 
     def stats(self) -> dict:
         with self._lock:
@@ -305,9 +297,9 @@ class FaultInjector:
 def _before_read(
     fault: Fault, number: int, name: str
 ) -> Tuple[float, Optional[RemoteSourceError]]:
-    """What global read ``number`` does before touching the wrapped source:
-    the seconds to wait, then the error to raise instead of reading
-    (``None`` reads).  One vocabulary for both injecting wrappers."""
+    """What global read ``number`` does before touching the wrapped source
+    (or before a range server replies): the seconds to wait, then the error
+    to raise instead of reading (``None`` reads)."""
     where = f" ({name})" if name else ""
     if fault.kind == "raise":
         return 0.0, RemoteSourceError(f"injected failure on read #{number}{where}")
@@ -320,89 +312,77 @@ def _before_read(
     return 0.0, None
 
 
-def _mangle(fault: Fault, data: bytes) -> bytes:
+def _mangle(fault: Optional[Fault], data: bytes) -> bytes:
     """The payload a ``short`` / ``corrupt`` fault hands back instead."""
-    if fault.kind == "short":
+    kind = None if fault is None else fault.kind
+    if kind == "short":
         return data[:-1]
-    if fault.kind == "corrupt" and data:
+    if kind == "corrupt" and data:
         return bytes([data[0] ^ 0xFF]) + data[1:]
     return data
 
 
 class FaultInjectingSource:
-    """One wrapped byte-range source; applies the injector's drawn fault.
+    """One wrapped source; applies the injector's drawn fault to each read.
+
+    It wraps a byte-range source's ``read_range`` and a remote transport's
+    ``aget(offset, length) -> (bytes, crc)`` alike, under the injector's
+    global 1-based read counter, so a fault plan means the same thing
+    around a block source and on the wire (where the opening read is an
+    ``aget`` like any other, so it is global read #1):
 
     * ``raise``/``stall`` raise :class:`~repro.errors.RemoteSourceError`
       (an :class:`OSError`, so every retry ladder treats it as transient);
       ``stall`` sleeps its delay first, like a read that hung until a
-      timeout;
+      timeout — on the wire ``await asyncio.sleep``, so an injected slow
+      read never blocks the other in-flight ranges;
     * ``short`` truncates the real payload by one byte (stricter layers
       convert that into a ``StreamFormatError``);
-    * ``corrupt`` flips every bit of the payload's first byte;
+    * ``corrupt`` flips every bit of the payload's first byte — on the wire
+      under the server-declared CRC, forwarded untouched, which is exactly
+      what the CRC gate exists to catch;
     * ``latency`` sleeps, then serves correctly.
 
-    Unknown attributes delegate to the wrapped source so the wrapper is
-    transparent wherever it sits in a stack.
+    Unknown attributes (``size``, ``close``…) delegate to the wrapped
+    source so the wrapper is transparent wherever it sits in a stack.
     """
 
-    #: Faults are drawn on the synchronous ``read_range`` only: a coroutine
-    #: read delegated to the wrapped source would slip past the injector,
-    #: so nothing above may multiplex through this wrapper.
+    #: Faults are drawn on ``read_range`` and ``aget`` only: a coroutine
+    #: ``aread_range`` delegated to the wrapped source would slip past the
+    #: injector, so nothing above may multiplex through this wrapper.
     supports_async = False
 
     def __init__(self, inner, injector: FaultInjector, name: str = "") -> None:
         self._inner = inner
         self._injector = injector
         self.name = name
-        self.size = inner.size
         #: Reads served by *this* source (the injector counts globally).
         self.reads = 0
 
-    def read_range(self, offset: int, length: int) -> bytes:
+    def _draw(self) -> Tuple[Optional[Fault], float, Optional[RemoteSourceError]]:
+        """This read's fault, the seconds to wait and the error to raise."""
         self.reads += 1
         number, fault = self._injector._draw()
         if fault is None:
-            return self._inner.read_range(offset, length)
-        delay, error = _before_read(fault, number, self.name)
+            return None, 0.0, None
+        return (fault, *_before_read(fault, number, self.name))
+
+    def read_range(self, offset: int, length: int) -> bytes:
+        fault, delay, error = self._draw()
         if delay:
             self._injector._sleep(delay)
         if error is not None:
             raise error
         return _mangle(fault, self._inner.read_range(offset, length))
 
-    def __getattr__(self, attribute: str):
-        return getattr(self._inner, attribute)
-
-
-class AsyncFaultInjectingSource:
-    """:class:`FaultInjectingSource` for the remote transport.
-
-    Wraps ``aget(offset, length) -> (bytes, crc)`` with the same fault
-    vocabulary and the same injector-global 1-based read counter, so a
-    fault plan means the same thing around a block source and on the wire.
-    The opening read is an ``aget`` like any other, so it is global read #1.
-    ``latency``/``stall`` delays are ``await asyncio.sleep`` — an injected
-    slow read never blocks the other in-flight ranges.  ``corrupt`` flips
-    the payload's first byte while forwarding the server-declared CRC
-    untouched, which is exactly what the CRC gate exists to catch.
-    """
-
-    def __init__(self, inner, injector: FaultInjector, name: str = "") -> None:
-        self._inner = inner
-        self._injector = injector
-        self.name = name
-        #: Reads served by *this* source (the injector counts globally).
-        self.reads = 0
-
     async def aget(self, offset: int, length: int):
-        self.reads += 1
-        number, fault = self._injector._draw()
-        if fault is None:
-            return await self._inner.aget(offset, length)
-        delay, error = _before_read(fault, number, self.name)
+        fault, delay, error = self._draw()
         if delay:
             await asyncio.sleep(delay)
         if error is not None:
             raise error
         data, crc = await self._inner.aget(offset, length)
         return _mangle(fault, data), crc
+
+    def __getattr__(self, attribute: str):
+        return getattr(self._inner, attribute)

@@ -11,11 +11,11 @@ robustness suite needs:
   fault looks exactly like in-flight corruption and the client's CRC
   gate can catch it;
 * a server-side :class:`~repro.io.faults.FaultPlan` (``plan=``) applied
-  per ranged read: ``raise``/``stall`` → HTTP 500 (after the stall's
-  delay), ``short`` → a body shorter than the declared ``Content-Length``
-  (the client surfaces ``IncompleteRead``), ``corrupt`` → a bit-flipped
-  payload under a truthful CRC header, ``latency`` → a slow but correct
-  reply;
+  per ranged read, in the fault vocabulary of :mod:`repro.io.faults`:
+  ``raise``/``stall`` → HTTP 500 (after the stall's delay), ``short`` → a
+  body shorter than the declared ``Content-Length`` (the client surfaces
+  ``IncompleteRead``), ``corrupt`` → a bit-flipped payload under a
+  truthful CRC header, ``latency`` → a slow but correct reply;
 * ``ignore_range=True`` answers ranged GETs with a plain ``200`` full
   body, exercising the client's slice-the-200 fallback;
 * connection hygiene: every connection has its own handler thread, so a
@@ -39,7 +39,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional, Tuple
 
-from repro.io.faults import FaultPlan
+from repro.io.faults import FaultPlan, _before_read, _mangle
 from repro.io.remote import CRC_HEADER
 
 __all__ = ["RangeServer"]
@@ -132,28 +132,25 @@ class _Handler(BaseHTTPRequestHandler):
         if status == 206:  # faults are scheduled against ranged reads only
             with srv.lock:
                 srv.range_requests += 1
+                number = srv.range_requests
                 if srv.plan is not None:
-                    fault = srv.plan.fault_for(srv.range_requests)
+                    fault = srv.plan.fault_for(number)
                     if fault is not None:
                         srv.faults_served += 1
-        crc = zlib.crc32(payload)  # the *intended* payload, pre-corruption
+        # CRC and length declare the *intended* payload, pre-corruption.
+        crc, declared = zlib.crc32(payload), len(payload)
         if fault is not None:
-            if fault.kind in ("raise", "stall"):
-                if fault.kind == "stall" and fault.seconds:
-                    time.sleep(fault.seconds)
+            delay, error = _before_read(fault, number, "")
+            if delay:
+                time.sleep(delay)
+            if error is not None:
                 self.send_error(500, "injected server fault")
                 # A faulted connection's wire state is suspect; dropping it
                 # keeps the stall confined to this one connection instead of
                 # wedging a keep-alive pipeline behind it.
                 self.close_connection = True
                 return
-            if fault.kind == "latency" and fault.seconds:
-                time.sleep(fault.seconds)
-            if fault.kind == "corrupt" and payload:
-                payload = bytes([payload[0] ^ 0xFF]) + payload[1:]
-        declared = len(payload)
-        if fault is not None and fault.kind == "short" and payload:
-            payload = payload[:-1]  # body under-runs Content-Length
+            payload = _mangle(fault, payload)  # a short body under-runs Content-Length
         self.send_response(status)
         self.send_header("Content-Length", str(declared))
         self.send_header("Accept-Ranges", "bytes")

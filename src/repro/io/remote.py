@@ -20,8 +20,6 @@ socket:
   (reads fail fast without touching the network) until
   :data:`BREAKER_COOLDOWN` elapses and a half-open probe is allowed
   through;
-* :class:`_Mirror` — one replica's health record (consecutive failures +
-  latency EWMA), the ranking key of failover;
 * :func:`find_remote_source` — walks a wrapper chain (prefetch sources,
   container readers, block sources) down to the remote stack so the
   serving layer can report retries, hedges, failovers, breaker states and
@@ -192,36 +190,6 @@ def _parse_content_range(value: Optional[str], url: str) -> Tuple[int, int, int]
         raise RemoteSourceError(
             f"unparseable Content-Range {value!r} ({url})"
         ) from None
-
-
-class _Mirror:
-    """Health record of one replica: consecutive failures + latency EWMA."""
-
-    __slots__ = ("source", "failures", "latency", "reads")
-
-    def __init__(self, source) -> None:
-        self.source = source
-        self.failures = 0
-        self.latency: Optional[float] = None
-        self.reads = 0
-
-    def record(self, ok: bool, seconds: Optional[float]) -> None:
-        if ok:
-            self.failures = 0
-            self.reads += 1
-            if seconds is not None:
-                self.latency = (
-                    seconds
-                    if self.latency is None
-                    else 0.8 * self.latency + 0.2 * seconds
-                )
-        else:
-            self.failures += 1
-
-    def health_key(self) -> Tuple[int, bool, float]:
-        """Failures first, then timed replicas by latency; one never timed
-        ranks after them (its latency is unknown, not zero)."""
-        return (self.failures, self.latency is None, self.latency or 0.0)
 
 
 # ---------------------------------------------------------------- utilities

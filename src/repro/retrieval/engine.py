@@ -31,6 +31,10 @@ it is where the path from a request to the bytes is assembled — once, in
 * **stage 3 (decode)** — each shard's retriever decodes its plan
   in-process and :func:`assemble` scatters the slabs into the answer.
 
+Every request returns one :class:`DatasetReadResult` — the type
+:class:`~repro.io.dataset.ChunkedDataset` hands its callers as it is — for
+a target the dataset resolved: an absolute bound, or a bitrate.
+
 Byte accounting is **consumption-based**: each request reports the ranges
 its stores recorded (:attr:`repro.core.stream.CompressedStore.trace` — per
 block, identical on every path), never the physical prefetch I/O — so
@@ -55,7 +59,7 @@ from repro.parallel.partition import SliceTuple, intersect_slab_roi
 from repro.retrieval.plan import RetrievalPlan, ShardPlan, plan_stream_ops
 from repro.retrieval.prefetch import PrefetchSource
 
-__all__ = ["EngineResult", "HeaderCopies", "PinnedShard", "RetrievalEngine", "assemble"]
+__all__ = ["DatasetReadResult", "HeaderCopies", "PinnedShard", "RetrievalEngine", "assemble"]
 
 #: Bytes primed at the head of each remote shard before its header is
 #: parsed, for legacy-layout archives and bare streams only (an archive
@@ -212,15 +216,20 @@ class HeaderCopies:
 
 
 @dataclass
-class EngineResult:
-    """One engine request: per-shard pieces assembled, plus exact I/O cost."""
+class DatasetReadResult:
+    """One ROI-progressive request: data plus its exact I/O cost."""
 
     data: np.ndarray
+    roi: SliceTuple
     error_bound: float
     bytes_loaded: int
     cumulative_bytes: int
     shards: List[str]
     ranges: List[Tuple[str, int, int]]
+
+    def bitrate(self) -> float:
+        """Bits loaded by this request per value it returned."""
+        return 8.0 * self.bytes_loaded / self.data.size
 
 
 class RetrievalEngine:
@@ -231,7 +240,8 @@ class RetrievalEngine:
     ``prefetch`` has one meaning — ``0`` reads serially, any positive value
     multiplexes — and only for sources that ``supports_async``; a local
     file reads synchronously whatever it says.  :meth:`describe` supplies
-    the domain before the first request.
+    the dtype before the first request.  Every request takes its target as
+    the dataset resolved it: an absolute bound, or ``None`` and a bitrate.
     """
 
     def __init__(
@@ -255,21 +265,13 @@ class RetrievalEngine:
         self._retrievers: Dict[str, ProgressiveRetriever] = {}
         self.cumulative_bytes = 0
 
-    def describe(
-        self,
-        shape: Sequence[int],
-        dtype,
-        stored_bound: float,
-        copies: Optional[HeaderCopies] = None,
-    ) -> None:
-        """The domain the shards tile, the fidelity a request gets when it
-        names no target, and the archive's header copies (``None`` for a
-        legacy-layout archive or a bare stream, whose shards are parsed from
-        their own heads).  A bare stream's come from its own header, read
-        through :meth:`pin` — hence not constructor arguments."""
-        self.shape = tuple(int(s) for s in shape)
+    def describe(self, dtype, copies: Optional[HeaderCopies] = None) -> None:
+        """The dtype of the answers, and the archive's header copies
+        (``None`` for a legacy-layout archive or a bare stream, whose shards
+        are parsed from their own heads).  A bare stream's dtype comes from
+        its own header, read through :meth:`pin` — hence not a constructor
+        argument."""
         self.dtype = np.dtype(dtype)
-        self.stored_bound = float(stored_bound)
         self._copies = copies
 
     # ------------------------------------------------------------------ wiring
@@ -362,7 +364,7 @@ class RetrievalEngine:
 
     # ---------------------------------------------------------------- planning
 
-    def plan(self, shards: Sequence, error_bound: Optional[float] = None) -> RetrievalPlan:
+    def plan(self, shards: Sequence, error_bound: float) -> RetrievalPlan:
         """Stage 1 only: the fetch ops a *stateless* request would perform.
 
         Each shard is planned from its :class:`PinnedShard` with no
@@ -373,9 +375,8 @@ class RetrievalEngine:
         :class:`~repro.core.optimizer.LoadingPlan` for the serve that
         follows.
         """
-        target = self.stored_bound if error_bound is None else float(error_bound)
         return RetrievalPlan(
-            [pinned.plan(target) for pinned in self.pin([shard.name for shard in shards])]
+            [pinned.plan(error_bound) for pinned in self.pin([shard.name for shard in shards])]
         )
 
     # ---------------------------------------------------------------- requests
@@ -384,19 +385,19 @@ class RetrievalEngine:
         self,
         shards: Sequence,
         roi_slices: SliceTuple,
-        error_bound: Optional[float] = None,
+        error_bound: Optional[float],
         bitrate: Optional[float] = None,
-    ) -> EngineResult:
+    ) -> DatasetReadResult:
         """Stateless retrieval: fresh retrievers, decoded in-process."""
-        return self._request(shards, roi_slices, self._target(error_bound, bitrate), {})
+        return self._request(shards, roi_slices, error_bound, bitrate, {})
 
     def refine(
         self,
         shards: Sequence,
         roi_slices: SliceTuple,
-        error_bound: Optional[float] = None,
+        error_bound: Optional[float],
         bitrate: Optional[float] = None,
-    ) -> EngineResult:
+    ) -> DatasetReadResult:
         """Stateful retrieval (Algorithm 2 per shard).
 
         Every answer is bitwise the ``read()`` of the same bound whenever the
@@ -407,25 +408,18 @@ class RetrievalEngine:
         Nothing is fetched past what the call reads: once it returns, no
         background read of the dataset is left.
         """
-        target = self._target(error_bound, bitrate)
-        return self._request(shards, roi_slices, target, self._retrievers)
+        return self._request(shards, roi_slices, error_bound, bitrate, self._retrievers)
 
     # ------------------------------------------------------------------- guts
-
-    def _target(self, error_bound: Optional[float], bitrate: Optional[float]) -> dict:
-        """The request as the keyword every shard's planner takes."""
-        if bitrate is not None:
-            return {"bitrate": float(bitrate)}
-        bound = self.stored_bound if error_bound is None else float(error_bound)
-        return {"error_bound": bound}
 
     def _request(
         self,
         shards: Sequence,
         roi_slices: SliceTuple,
-        target: dict,
+        error_bound: Optional[float],
+        bitrate: Optional[float],
         retrievers: Dict[str, ProgressiveRetriever],
-    ) -> EngineResult:
+    ) -> DatasetReadResult:
         trace_start = {
             name: len(retriever.store.trace) for name, retriever in retrievers.items()
         }
@@ -439,7 +433,7 @@ class RetrievalEngine:
         # while the first shard decodes.  Each plan is handed on to its
         # retrieve() call below, which reads the primed ops.
         selected = [retrievers[shard.name] for shard in shards]
-        plans = [retriever.plan_request(**target) for retriever in selected]
+        plans = [retriever.plan_request(error_bound, bitrate) for retriever in selected]
         if self._prefetcher is not None:
             with self._prefetcher.burst():
                 for retriever, plan in zip(selected, plans):
@@ -473,8 +467,9 @@ class RetrievalEngine:
         data = assemble(pieces, roi_slices, self.dtype)
         bytes_loaded = sum(length for _, _, length in ranges)
         self.cumulative_bytes += bytes_loaded
-        return EngineResult(
+        return DatasetReadResult(
             data=data,
+            roi=roi_slices,
             error_bound=achieved,
             bytes_loaded=bytes_loaded,
             cumulative_bytes=self.cumulative_bytes,

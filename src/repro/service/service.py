@@ -27,7 +27,8 @@ keeps:
   tail_crc)`` fingerprint (:func:`file_fingerprint`), so a rewritten file
   — even one rewritten at the same size within the filesystem's mtime
   granularity — gets a fresh session and the old session's cache entries
-  are purged, never served against the new bytes;
+  are purged, never served against the new bytes.  One request per key
+  opens a missing or stale session; requests racing it wait and share it;
 * **a tiered byte-budgeted LRU** (:class:`~repro.service.cache.TieredCache`)
   over decoded **slabs** and resident plane **rungs**, so concurrent ROI
   requests on the same dataset reuse each other's work.  A request whose
@@ -290,6 +291,7 @@ class RetrievalService:
         self.remote_options = dict(remote_options or {})
         self.stats_agg = ServiceStats()
         self._sessions: Dict[str, _Session] = {}
+        self._openers: Dict[str, threading.Lock] = {}  # see _opener
         self._probed = threading.local()  # per thread: see _session
         self._lock = threading.Lock()
         self._next_sid = 0
@@ -641,7 +643,9 @@ class RetrievalService:
         A session whose file or object no longer has its fingerprint
         (:meth:`_Session.is_fresh`) is closed, and every cache entry keyed
         to it purged, before a fresh one opens — the new bytes are never
-        answered from the old cache.  A remote session that is opened anew
+        answered from the old cache.  One request per key opens the new
+        session (:meth:`_opener`); requests racing it wait, then share it.
+        A remote session that is opened anew
         costs one request: its first fingerprint, the container sniff,
         footer and manifest all come out of the stack's opening read.
         ``reuse_probe`` skips the probe when the thread's previous session
@@ -656,34 +660,41 @@ class RetrievalService:
             return session
         # The probe runs outside the service lock: for a URL it is a ranged
         # GET, and no other request may wait on it.
-        if session is not None and not session.is_fresh():
+        if session is not None and session.is_fresh():
+            return session
+        # Missing or stale: the key's one opener replaces it.  A request
+        # that queued behind the opener takes the session it registered.
+        with self._opener(key):
             with self._lock:
-                if self._sessions.get(key) is session:
+                current = self._sessions.get(key)
+                if current is not None and current is not session:
+                    return current
+                if current is not None:
                     del self._sessions[key]
-                    self.cache.purge(lambda tier, k: k[0] == session.sid)
-                    session.close()
-                # A racing request's replacement, if it registered one.
-                session = self._sessions.get(key)
-        return session if session is not None else self._open_session(key)
+                    self.cache.purge(lambda tier, k: k[0] == current.sid)
+                    current.close()
+            return self._open_session(key)
+
+    def _opener(self, key: str) -> threading.Lock:
+        """The lock a missing or stale session of ``key`` is (re)opened
+        under: one opener per key, and no key waits on another's open."""
+        with self._lock:
+            return self._openers.setdefault(key, threading.Lock())
 
     def _open_session(self, key: str) -> _Session:
         """Open a session outside the service lock (a URL's opening read is
-        a GET) and register it, unless a racing request registered one
-        first: then the extra is closed and that one returned."""
+        a GET) and register it; the caller holds the key's opener."""
         with self._lock:
             if self._closed:
                 raise RetrievalError("service is closed")
             sid, self._next_sid = self._next_sid, self._next_sid + 1
         session = _Session(sid, key, self.remote_options)
         with self._lock:
-            current = self._sessions.get(key)  # None once the service closed
-            if current is None and not self._closed:
+            if not self._closed:
                 self._sessions[key] = session
                 return session
         session.close()
-        if current is None:
-            raise RetrievalError("service is closed")
-        return current
+        raise RetrievalError("service is closed")
 
     def close(self) -> None:
         with self._lock:

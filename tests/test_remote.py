@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import struct
 import threading
 import time
@@ -63,9 +64,9 @@ from repro.io.aio import (
     OPENING_WINDOW,
     AsyncHTTPTransport,
     AsyncPrefetcher,
+    AsyncRangeSource,
     EventLoopThread,
     _Endpoint,
-    _MirrorSet,
     open_remote_source,
 )
 from repro.io.container import BlockContainerReader
@@ -439,8 +440,11 @@ def one_attempt(monkeypatch):
     monkeypatch.setattr(aio, "RETRIES", 0)
 
 
-def _mirror_set(wires, clock=time.monotonic) -> _MirrorSet:
-    return _MirrorSet([_endpoint(w, clock, size=w.size) for w in wires], clock=clock)
+def _mirror_set(wires, clock=time.monotonic) -> AsyncRangeSource:
+    """A stack over scripted endpoints, read through its coroutine side
+    (no loop thread, no opening window)."""
+    endpoints = [_endpoint(w, clock, size=w.size) for w in wires]
+    return AsyncRangeSource(endpoints, None, b"", clock=clock)
 
 
 def test_mirror_failover_and_health_ranking(one_attempt):
@@ -1037,6 +1041,93 @@ def test_dead_primary_at_open_fails_over_to_mirror(served_dir, server, monkeypat
             assert mirror.range_requests == 1  # ... from memory
 
 
+class _CannedReplyServer:
+    """A raw loopback socket answering every request with one fixed reply,
+    then closing the connection — a server no HTTP library would write."""
+
+    def __init__(self, reply: bytes) -> None:
+        self._reply = reply
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self.url = f"http://127.0.0.1:{self._listener.getsockname()[1]}/v2.rprc"
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while not self._stop.is_set():
+            try:
+                conn, _address = self._listener.accept()
+            except socket.timeout:
+                continue
+            with conn:
+                request = b""
+                while b"\r\n\r\n" not in request:
+                    chunk = conn.recv(4096)
+                    if not chunk:
+                        break
+                    request += chunk
+                conn.sendall(self._reply)
+
+    def __enter__(self) -> "_CannedReplyServer":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stop.set()
+        self._thread.join(timeout=5)
+        self._listener.close()
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        b"HTTP/1.1 2x0 OK\r\nContent-Length: 0\r\n\r\n",
+        b"HTTP/1.1 206 Partial Content\r\nContent-Range: bytes 0-9/10\r\n"
+        b"Content-Length: abc\r\n\r\n",
+        b"HTTP/1.1 206 Partial Content\r\nContent-Range: bytes 0-9/10\r\n"
+        b"Content-Length: -1\r\n\r\n",
+    ],
+    ids=["status", "length-text", "length-negative"],
+)
+def test_malformed_reply_is_a_remote_source_error(served_dir, server, monkeypatch, reply):
+    """A reply the client cannot frame is a transport failure: the open
+    raises :class:`RemoteSourceError` naming the bad field (retried, fed to
+    the breaker, its connection closed), and beside a healthy mirror the
+    stack fails over and reads the local bytes."""
+    monkeypatch.setattr(remote, "BACKOFF", 0.0)
+    with _CannedReplyServer(reply) as bad:
+        with pytest.raises(RemoteSourceError, match="status line|Content-Length"):
+            open_remote_source(bad.url)
+        stack = open_remote_source(bad.url, [server.url_for("v2.rprc")])
+        with ChunkedDataset(bad.url, source=stack) as remote_dataset:
+            got = remote_dataset.read().data
+    with ChunkedDataset(served_dir / "v2.rprc") as local:
+        assert np.array_equal(got, local.read().data)
+
+
+#: Every key of a remote stack's ``stats()`` and of each ``mirrors[]``
+#: entry: CLI receipts, the CI remote smoke, service traces and the e2e
+#: benchmark's layer counters read them.
+_STACK_STATS_KEYS = {
+    "requests", "egress_bytes", "connections_opened", "inflight_max", "breaker",
+    "retries", "crc_verified", "crc_mismatches", "failovers", "hedges",
+    "hedge_wins", "hedge_cancelled", "hedge_wasted_bytes", "mirrors",
+}
+_MIRROR_STATS_KEYS = {"label", "failures", "latency_ewma_s", "reads"}
+
+
+def test_remote_stack_stats_keep_their_keys(server, replica):
+    primary, mirror = server.url_for("v2.rprc"), replica.url_for("v2.rprc")
+    for mirrors in ((), (mirror,)):
+        with open_remote_source(primary, mirrors) as stack:
+            stack.read_range(0, 16)
+            stats = stack.stats()
+        assert set(stats) == _STACK_STATS_KEYS
+        assert [entry["label"] for entry in stats["mirrors"]] == [primary, *mirrors]
+        assert all(set(entry) == _MIRROR_STATS_KEYS for entry in stats["mirrors"])
+        assert len(stats["breaker"]) == 1 + len(mirrors)
+
+
 # ---------------------------------------------- faults on the opening read
 
 
@@ -1371,22 +1462,19 @@ def test_opening_a_remote_session_never_stalls_another_session(tmp_path):
 
 
 def test_racing_first_opens_of_one_url_keep_one_session(tmp_path, monkeypatch):
-    """Two first requests of one URL each open a stack outside the service
-    lock; one registers, the loser's stack is closed, both answer alike."""
+    """Two first requests of one URL race: one opens the stack outside the
+    service lock while the other waits for it — one stack opened, none
+    closed, both answer alike."""
     path = tmp_path / "data.rprc"
     ChunkedDataset.write(
         path, cumsum_field((12, 10, 8), 5), error_bound=1e-4, relative=True,
         n_blocks=2, workers=0,
     )
     stacks, closed = [], []
-    both_opening = threading.Barrier(2)
     open_stack = service_mod.open_remote_source
 
     def opening(url, **options):
-        try:
-            both_opening.wait(timeout=2)
-        except threading.BrokenBarrierError:
-            pass
+        time.sleep(0.2)  # the other racer arrives while this open runs
         stack = open_stack(url, **options)
         close = stack.close
         stack.close = lambda: (closed.append(stack), close())
@@ -1397,18 +1485,19 @@ def test_racing_first_opens_of_one_url_keep_one_session(tmp_path, monkeypatch):
     with RangeServer(tmp_path) as srv, RetrievalService() as service:
         url = srv.url_for("data.rprc")
         answers = []
-        racers = [
-            threading.Thread(target=lambda: answers.append(service.get(url)))
-            for _ in range(2)
-        ]
-        for racer in racers:
-            racer.start()
-        for racer in racers:
-            racer.join(timeout=30)
+        both = threading.Barrier(2)
+
+        def racer():
+            both.wait(timeout=5)
+            answers.append(service.get(url))
+
+        racers = [threading.Thread(target=racer) for _ in range(2)]
+        for thread in racers:
+            thread.start()
+        for thread in racers:
+            thread.join(timeout=30)
         assert len(service._sessions) == 1
-        registered = service._sessions[url].remote_source
-        assert len(stacks) == 2 and registered in stacks
-        assert closed == [stack for stack in stacks if stack is not registered]
+        assert stacks == [service._sessions[url].remote_source] and closed == []
     assert len(answers) == 2 and np.array_equal(answers[0].data, answers[1].data)
 
 

@@ -436,10 +436,10 @@ def test_cost_equals_plan_equals_consumption(cost_files, kind, part, factor):
 def test_eviction_pressure_stays_correct_and_bounded(tmp_path):
     path = _v2_container(tmp_path)
     stored = _serial(path, None, None).error_bound
-    shard_nbytes = max(
-        s.shape[0] * s.shape[1] * s.shape[2] * 8
-        for s in ChunkedDataset(path).shards
-    )
+    with ChunkedDataset(path) as dataset:
+        shard_nbytes = max(
+            s.shape[0] * s.shape[1] * s.shape[2] * 8 for s in dataset.shards
+        )
     budget = shard_nbytes + shard_nbytes // 2  # ~1.5 slabs: constant churn
     ladder = [stored * 64.0, stored * 8.0, None, stored * 64.0, stored * 8.0]
     with RetrievalService(cache_bytes=budget) as service:
