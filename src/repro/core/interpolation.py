@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -40,6 +41,9 @@ from repro.core.quantizer import LinearQuantizer
 
 #: L∞ operator norm of the interpolation stencils (Theorem 1's ``p``).
 STENCIL_NORMS = {"linear": 1.0, "cubic": 1.25}
+
+#: Predictors :func:`shared_predictor` keeps, least recently used out first.
+SHARED_PREDICTORS = 32
 
 
 @dataclass(frozen=True)
@@ -59,10 +63,8 @@ class _DimPass:
     target: Tuple[slice, ...]
     known: Tuple[slice, ...]
     target_shape: Tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.target_shape)
+    #: Points in the sweep, ``prod(target_shape)``.
+    size: int
 
 
 class InterpolationPredictor:
@@ -141,7 +143,9 @@ class InterpolationPredictor:
             )
             if target_shape[dim] == 0:
                 continue
-            passes.append(_DimPass(level, dim, target, known, target_shape))
+            passes.append(
+                _DimPass(level, dim, target, known, target_shape, math.prod(target_shape))
+            )
         return passes
 
     # --------------------------------------------------------------- geometry
@@ -151,7 +155,7 @@ class InterpolationPredictor:
         """Shape of the anchor-point grid (points spaced ``2^L`` apart)."""
         return tuple(len(range(0, s, 2**self.num_levels)) for s in self.shape)
 
-    @property
+    @cached_property
     def anchor_count(self) -> int:
         """Number of anchor points (always fully loaded, never progressive)."""
         return int(np.prod(self.anchor_shape))
@@ -337,3 +341,15 @@ class InterpolationPredictor:
                 "sweeps": [(p.dim, p.target_shape) for p in passes],
             }
         return summary
+
+
+@lru_cache(maxsize=SHARED_PREDICTORS)
+def shared_predictor(shape: Tuple[int, ...], method: str) -> InterpolationPredictor:
+    """The one predictor of ``(shape, method)`` that readers share.
+
+    A predictor is read-only after construction, so every stream of one
+    geometry — the equal shards of a dataset — and every thread can use the
+    same instance; only the first open of a geometry builds its passes.
+    Raises :class:`~repro.errors.ConfigurationError` as the constructor does.
+    """
+    return InterpolationPredictor(shape, method)

@@ -18,12 +18,17 @@ paper's "negligible overhead, strictly bounded" framing.
 
 The DP state is a vector over budget bins and each level's transition is a
 vectorised minimum over shifted copies, so the whole optimization costs a few
-hundred microseconds even for 60+ planes per level.
+hundred microseconds even for 60+ planes per level.  The per-level choice
+tables it runs over are built by the first DP: a loader that only ever
+answers the stored bound (the full plan) never builds them.  Every target
+must be a positive finite number; anything else is a
+:class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -71,33 +76,32 @@ class OptimizedLoader:
         self.overhead_bytes = int(overhead_bytes)
         self.bins = int(bins)
         self._levels = sorted(header.levels, key=lambda enc: enc.level)
-        self._plane_sizes = {
-            enc.level: np.asarray(header_plane_sizes(enc), dtype=np.int64)
-            for enc in self._levels
-        }
-        self._choice_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+    @cached_property
+    def _choice_cache(self) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
+        # Per level, the cost and error of every keep choice.  Built by the
+        # first DP (or error/payload query): a read at the stored bound
+        # takes :meth:`_full_plan` and never needs them.
+        choices: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         for enc in self._levels:
-            sizes = self._plane_sizes[enc.level]
-            nbits = enc.nbits
             # cost[k] = bytes loaded when keeping the k most significant planes.
-            cost = np.concatenate(([0], np.cumsum(sizes)))
+            cost = np.concatenate(([0], np.cumsum(header_plane_sizes(enc))))
             # error[k] = propagated Theorem-1 error when keeping k planes.
             # Stream groups are per interpolation sweep, so the information
             # loss of group ``l`` passes through exactly ``l − 1`` later
             # prediction sweeps and the paper's p^(l−1) factor is exact.
             delta = np.asarray(enc.delta_table, dtype=np.float64)
-            err = propagation_factor(header.method, enc.level) * delta[::-1]
-            self._choice_cache[enc.level] = (cost.astype(np.float64), err)
+            err = propagation_factor(self.header.method, enc.level) * delta[::-1]
+            choices[enc.level] = (cost.astype(np.float64), err)
+        return choices
 
     # ----------------------------------------------------------------- helpers
 
     def _full_plan(self) -> LoadingPlan:
-        keep = {enc.level: enc.nbits for enc in self._levels}
-        payload = int(sum(self._plane_sizes[level].sum() for level in keep))
         return LoadingPlan(
-            keep=keep,
+            keep={enc.level: enc.nbits for enc in self._levels},
             predicted_error=self.header.error_bound,
-            payload_bytes=payload,
+            payload_bytes=self.header.payload_bytes() - self.header.anchor_size,
             overhead_bytes=self.overhead_bytes,
         )
 
@@ -187,8 +191,8 @@ class OptimizedLoader:
 
     def plan_for_size(self, byte_budget: int) -> LoadingPlan:
         """§5.3: minimise the error bound subject to a total byte budget."""
-        if byte_budget <= 0:
-            raise ConfigurationError("byte_budget must be positive")
+        if not byte_budget > 0 or not np.isfinite(byte_budget):
+            raise ConfigurationError("byte_budget must be a positive finite number")
         budget = byte_budget - self.overhead_bytes
         if budget <= 0:
             raise RetrievalError(
@@ -238,7 +242,7 @@ class OptimizedLoader:
 
     def plan_for_bitrate(self, bitrate: float) -> LoadingPlan:
         """Convenience wrapper: budget expressed in bits per scalar value."""
-        if bitrate <= 0:
-            raise ConfigurationError("bitrate must be positive")
+        if not bitrate > 0 or not np.isfinite(bitrate):
+            raise ConfigurationError("bitrate must be a positive finite number")
         byte_budget = int(np.floor(bitrate * self.header.n_elements / 8.0))
         return self.plan_for_size(max(byte_budget, 1))

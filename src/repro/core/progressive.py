@@ -9,10 +9,13 @@ per-level plane selection, and the retriever makes **one transition**:
 * **load** — read and bounded-inflate exactly the plane blocks the plan adds
   on top of what is already resident (the anchor block only while it has
   not been decoded), one source read per coalesced fetch op
-  (:meth:`pending_ops`), writing each validated, still XOR-predicted packed
-  row into its slot of the shard's one preallocated buffer *as it is
-  sliced out*.  No block is ever read twice — the property that
-  distinguishes IPComp from residual-based progressive schemes;
+  (:meth:`pending_ops`), writing the validated, still XOR-predicted packed
+  rows into their slots of the shard's one preallocated buffer *as they
+  are sliced out* — one copy per run of planes stored at their row size,
+  one :meth:`~repro.core.predictive_coder.PredictiveCoder.decode_row` per
+  other plane (:data:`~repro.core.stream.Segment`).  No block is ever
+  read twice — the property that distinguishes IPComp from residual-based
+  progressive schemes;
 * **rebuild** — one shard sweep over the resident rows
   (:meth:`~repro.core.predictive_coder.PredictiveCoder.codes_from_rows`)
   and one interpolation reconstruction from the anchor, handed to the
@@ -38,12 +41,13 @@ which is the quantity Figures 6 and 7 of the paper plot.
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import itemgetter
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.interpolation import InterpolationPredictor
+from repro.core.interpolation import shared_predictor
 from repro.core.optimizer import LoadingPlan, OptimizedLoader
 from repro.core.predictive_coder import PredictiveCoder
 from repro.core.quantizer import LinearQuantizer
@@ -99,7 +103,7 @@ class ProgressiveRetriever:
             # These constructors validate their inputs, but here every input
             # comes from the stream's own header — an out-of-range value is
             # stream corruption, not a caller configuration mistake.
-            self.predictor = InterpolationPredictor(header.shape, header.method)
+            self.predictor = shared_predictor(header.shape, header.method)
             self.quantizer = LinearQuantizer(header.error_bound)
             self.coder = PredictiveCoder.for_header(header, self.quantizer)
         except ConfigurationError as exc:
@@ -127,7 +131,7 @@ class ProgressiveRetriever:
         # XOR-predicted) plane rows loaded so far — ``_rows[level][:keep]``,
         # written through the level's flat ``_slots`` view (a memoryview
         # slice assignment costs a fraction of a NumPy one, and there is one
-        # per block).
+        # per segment).
         self._anchor_values: Optional[np.ndarray] = None
         self._current_keep: Dict[int, int] = {enc.level: 0 for enc in header.levels}
         self._levels = {enc.level: enc for enc in header.levels}
@@ -272,28 +276,29 @@ class ProgressiveRetriever:
     def _load(self, target_keep: Dict[int, int]) -> None:
         """Read, inflate and keep every block between the resident state and
         ``target_keep``: one store read per :meth:`pending_ops` op, its
-        blocks taken in stream order.
+        segments (:data:`~repro.core.stream.Segment`) taken in stream
+        order.  A stored run lands in its level's slot with one copy; any
+        other plane is decoded on its own.
 
-        State advances block by block, so a read or a hostile block that
-        raises midway leaves a consistent retriever: what arrived stays (and
-        is never read again), what did not is still pending.
+        State advances segment by segment, so a read or a hostile block
+        that raises midway leaves a consistent retriever: what arrived stays
+        (and is never read again), what did not is still pending.
         """
         for enc in self.header.levels:
             if target_keep[enc.level] > enc.nbits:
                 raise StreamFormatError("more planes planned than the level width")
         for op in self._ops(target_keep):
-            for key, block in self.store.read_op(op):
-                if key is None:
+            for (level, first, stop, stored), block in self.store.read_op(op):
+                if level is None:
                     self._anchor_values = self.coder.decode_anchor(
                         block, self.header.anchor_count
                     )
-                else:
-                    level, plane = key
-                    row_bytes = self._rows[level].shape[1]
-                    self._slots[level][plane * row_bytes : (plane + 1) * row_bytes] = (
-                        self.coder.decode_row(self._levels[level], plane, block)
-                    )
-                    self._current_keep[level] = plane + 1
+                    continue
+                row_bytes = self._rows[level].shape[1]
+                if not stored:
+                    block = self.coder.decode_row(self._levels[level], first, block)
+                self._slots[level][first * row_bytes : stop * row_bytes] = block
+                self._current_keep[level] = stop
         # Only an empty block outside every op (no writer emits one) can be
         # planned but never read.
         if self._anchor_values is None:
@@ -308,7 +313,7 @@ class ProgressiveRetriever:
     def cumulative_bytes(self) -> int:
         """Bytes consumed since the retriever was created, header included:
         the sum of the store's trace, so it counts a failed call's reads too."""
-        return sum(length for _, length in self.store.trace)
+        return sum(map(itemgetter(1), self.store.trace))
 
     @property
     def current_keep(self) -> Dict[int, int]:

@@ -12,7 +12,18 @@ tables ``δy_l(b)``.  Only after planning are the selected blocks actually read,
 which is what lets :class:`CompressedStore` report the exact retrieval volume
 plotted in Figures 6 and 7 — it is the one recorder of what a request
 consumed (``trace``, ``bytes_read``) and it checks the length of every
-block it is handed, whatever source sits beneath it.
+read it is handed, whatever source sits beneath it.
+
+The unit of decode is the :data:`Segment`, cut from the header alone: a
+maximal run of a level's planes stored raw at exactly their packed row size
+(contiguous in the stream, so their bytes *are* the rows), or any other
+single plane.  :meth:`CompressedStore.read_op` hands out one item per
+segment while still charging — and tracing — every block on its own.
+
+The header parse checks the header against the interpolation geometry its
+``(shape, method)`` implies (:meth:`StreamHeader._check_geometry`): a
+header that contradicts it is a :class:`~repro.errors.StreamFormatError`
+before any payload is read.
 
 Two header versions exist (the binary ``version`` word distinguishes them):
 
@@ -43,18 +54,21 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import accumulate, count
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.coders.backend import RawCoder
+from repro.core.interpolation import shared_predictor
 from repro.core.predictive_coder import LevelEncoding
-from repro.errors import StreamFormatError
+from repro.errors import ConfigurationError, StreamFormatError
 
 MAGIC = b"IPC1"
 VERSION = 2
 SUPPORTED_VERSIONS = (1, 2)
 
-#: Label of the anchor block in a fetch op; a plane block's is ``"L<level>/p<plane>"``.
+#: Label of the anchor block in plans and messages (:func:`block_label`).
 ANCHOR_BLOCK = "anchor"
 
 
@@ -174,19 +188,21 @@ class StreamHeader:
             codecs = [str(name) for name in obj["codecs"]]
             version = 2
 
-            def resolve(index) -> str:
-                index = int(index)
-                if not 0 <= index < len(codecs):
+            def resolve(indices) -> List[str]:
+                # One range check per list, then plain indexing.
+                indices = list(map(int, indices))
+                if indices and not (min(indices) >= 0 and max(indices) < len(codecs)):
+                    bad = next(i for i in indices if not 0 <= i < len(codecs))
                     raise StreamFormatError(
-                        f"codec index {index} outside the name table "
+                        f"codec index {bad} outside the name table "
                         f"of {len(codecs)} entries"
                     )
-                return codecs[index]
+                return list(map(codecs.__getitem__, indices))
 
-            anchor_coder = resolve(obj["anchor_coder"])
+            (anchor_coder,) = resolve([obj["anchor_coder"]])
 
             def plane_coders(item: dict) -> List[str]:
-                return [resolve(i) for i in item["plane_codecs"]]
+                return resolve(item["plane_codecs"])
 
         else:  # v1: one implicit backend for anchor and every plane
             backend = str(obj["backend"])
@@ -198,7 +214,7 @@ class StreamHeader:
 
         levels = []
         for item in obj["levels"]:
-            sizes = [int(s) for s in item["plane_sizes"]]
+            sizes = list(map(int, item["plane_sizes"]))
             coders = plane_coders(item)
             if len(coders) != len(sizes):
                 raise StreamFormatError(
@@ -216,7 +232,7 @@ class StreamHeader:
             # Plane blocks are not stored in the header; only their sizes.
             enc._header_plane_sizes = sizes  # type: ignore[attr-defined]
             levels.append(enc)
-        return cls(
+        header = cls(
             shape=tuple(int(s) for s in obj["shape"]),
             dtype=str(obj["dtype"]),
             error_bound=float(obj["error_bound"]),
@@ -228,6 +244,67 @@ class StreamHeader:
             levels=levels,
             version=version,
         )
+        header._check_geometry()
+        return header
+
+    def _check_geometry(self) -> None:
+        """Check a parsed header against the predictor of its ``(shape,
+        method)``: its levels are exactly the predictor's sweep units, each
+        ``count`` its unit's size and ``anchor_count`` the anchor grid's;
+        every level has ``0 ≤ nbits ≤ 64`` planes, a size for each, and a
+        finite, non-negative loss table of ``nbits + 1`` entries; the dtype
+        is a floating one.  A header that fails decodes nothing: it would
+        either decode silently at many times its stored bound or fail late,
+        after its payload was read."""
+
+        def invalid(reason: str) -> StreamFormatError:
+            return StreamFormatError(f"stream header invalid: {reason}")
+
+        try:
+            floating = np.issubdtype(np.dtype(self.dtype), np.floating)
+        except (TypeError, ValueError):
+            floating = False
+        if not floating:
+            raise invalid(f"dtype {self.dtype!r} is not a floating dtype")
+        try:
+            predictor = shared_predictor(self.shape, self.method)
+        except ConfigurationError as exc:
+            raise invalid(str(exc)) from None
+        if self.anchor_count != predictor.anchor_count:
+            raise invalid(
+                f"anchor_count {self.anchor_count}, the anchor grid of shape "
+                f"{self.shape} holds {predictor.anchor_count}"
+            )
+        units = predictor.level_sizes("sweep")
+        numbers = sorted(enc.level for enc in self.levels)
+        if numbers != sorted(units):
+            raise invalid(
+                f"levels {numbers}, a {self.method} predictor of shape "
+                f"{self.shape} sweeps units 1…{len(units)}"
+            )
+        for enc in self.levels:
+            if enc.count != units[enc.level]:
+                raise invalid(
+                    f"level {enc.level} counts {enc.count} values, its sweep "
+                    f"{units[enc.level]}"
+                )
+            if not 0 <= enc.nbits <= 64:
+                raise invalid(f"level {enc.level} has {enc.nbits} planes (0…64)")
+            # The parse gave every listed plane a size and a coder.
+            if len(enc.plane_coders) != enc.nbits:
+                raise invalid(
+                    f"level {enc.level} lists {len(enc.plane_coders)} plane "
+                    f"sizes for {enc.nbits} planes"
+                )
+            if enc.delta_table.shape != (enc.nbits + 1,):
+                raise invalid(
+                    f"level {enc.level} has {enc.delta_table.size} delta_table "
+                    f"entries for {enc.nbits} planes"
+                )
+        # One pass over every level's loss table.
+        losses = np.concatenate([enc.delta_table for enc in self.levels] or [np.zeros(0)])
+        if not (np.isfinite(losses).all() and (losses >= 0).all()):
+            raise invalid("a delta_table entry is negative or not finite")
 
 
 def header_plane_sizes(enc: LevelEncoding) -> List[int]:
@@ -313,14 +390,74 @@ class IPCompStream:
         return header, end
 
 
+#: The unit of decode, ``(level, first, stop, stored)``: planes ``first …
+#: stop − 1`` of one level.  A **stored** segment is a maximal run of planes
+#: the header lists as ``raw`` at exactly their packed row size,
+#: ``ceil(count / 8)`` bytes: adjacent in the stream, so its bytes *are* the
+#: run's rows, taken with one copy.  Any other plane — deflated, or raw at
+#: another size — is a segment of its own and goes through
+#: :meth:`~repro.core.predictive_coder.PredictiveCoder.decode_row`.  A plain
+#: tuple: a shard's table holds dozens and an open builds them all.
+Segment = Tuple[Optional[int], int, int, bool]
+
+
+class LevelTable(NamedTuple):
+    """Where one level's plane blocks lie: ``starts[p]`` is plane ``p``'s
+    stream offset (``starts[nbits]`` the level's end), ``sizes[p]`` its
+    size, and ``segments`` cut the planes in order."""
+
+    starts: List[int]
+    sizes: List[int]
+    segments: List[Segment]
+
+
+def _level_table(enc: LevelEncoding, cursor: int) -> LevelTable:
+    sizes = header_plane_sizes(enc)
+    row = (enc.count + 7) // 8
+    level = enc.level
+    segments: List[Segment] = []
+    run = -1  # first plane of the stored run being walked, if any
+    for plane, coder, size in zip(count(), enc.plane_coders, sizes):
+        if coder == RawCoder.name and size == row:
+            if run < 0:
+                run = plane
+            continue
+        if run >= 0:
+            segments.append((level, run, plane, True))
+            run = -1
+        segments.append((level, plane, plane + 1, False))
+    if run >= 0:
+        segments.append((level, run, len(sizes), True))
+    return LevelTable(list(accumulate(sizes, initial=cursor)), sizes, segments)
+
+
+def block_label(level: Optional[int], plane: int) -> str:
+    """A block's name in plans and messages: ``"anchor"`` (``level`` is
+    ``None``) or ``"L<level>/p<plane>"``."""
+    return ANCHOR_BLOCK if level is None else f"L{level}/p{plane}"
+
+
+def _span_name(level: Optional[int], first: int, stop: int) -> str:
+    name = block_label(level, first)
+    return name if stop - first == 1 else f"{name}…p{stop - 1}"
+
+
+def _shown(labels: Tuple[str, ...]) -> str:
+    """An op's block labels for a message: all of up to three, else the
+    first and the last."""
+    return ", ".join(labels if len(labels) <= 3 else (labels[0], "…", labels[-1]))
+
+
 class BlockExtents:
     """Where each block of a stream lies, known from its header alone.
 
     ``(header, payload_start)`` is what
     :meth:`IPCompStream.parse_header_source` returns; ``size`` is the
     stream's length, which must hold every block the header lists.  This
-    extent table is what the planner (:func:`repro.retrieval.plan.plan_stream_ops`)
-    walks; a :class:`CompressedStore` is one plus a source to read from.
+    extent table — per level, each plane's offset and size and the level's
+    :data:`Segment` cut — is what the planner
+    (:func:`repro.retrieval.plan.plan_stream_ops`) walks and what a
+    :class:`CompressedStore` (one plus a source to read from) reads by.
     """
 
     def __init__(self, header: StreamHeader, payload_start: int, size: int) -> None:
@@ -331,28 +468,21 @@ class BlockExtents:
             raise StreamFormatError("stream shorter than its block directory")
 
     @cached_property
-    def _planes(self) -> Dict[int, List[Tuple[int, int, str]]]:
-        # Per level, ``(offset, size, fetch-op label)`` of each plane block,
-        # most significant first.  Built on the first block lookup: a
-        # pinned shard that is never planned from pays only the size check.
-        planes: Dict[int, List[Tuple[int, int, str]]] = {}
+    def _table(self) -> Dict[Optional[int], LevelTable]:
+        # In stream order: the anchor (key ``None``, one segment of one
+        # block), then each level (descending level, planes MSB first).
+        # Built in one pass on first use: a pinned shard never planned from
+        # or read pays only the size check, and every store opened over a
+        # pin shares the pin's table.
         cursor = self.header_bytes + self.header.anchor_size
+        anchor = LevelTable(
+            [self.header_bytes, cursor], [self.header.anchor_size], [(None, 0, 1, False)]
+        )
+        table: Dict[Optional[int], LevelTable] = {None: anchor}
         for enc in sorted(self.header.levels, key=lambda e: -e.level):
-            blocks = planes[enc.level] = []
-            for plane, size in enumerate(header_plane_sizes(enc)):
-                blocks.append((cursor, size, f"L{enc.level}/p{plane}"))
-                cursor += size
-        return planes
-
-    @cached_property
-    def _labelled(self) -> Dict[str, Tuple[Optional[Tuple[int, int]], int, int]]:
-        # Fetch-op label → (``(level, plane)`` or ``None`` for the anchor,
-        # offset, size): how a store finds the blocks inside an op.
-        labelled = {ANCHOR_BLOCK: (None, self._anchor_offset, self.header.anchor_size)}
-        for level, blocks in self._planes.items():
-            for plane, (offset, size, label) in enumerate(blocks):
-                labelled[label] = ((level, plane), offset, size)
-        return labelled
+            table[enc.level] = _level_table(enc, cursor)
+            cursor = table[enc.level].starts[-1]
+        return table
 
     @property
     def overhead_bytes(self) -> int:
@@ -365,17 +495,28 @@ class BlockExtents:
 
     def block_extent(self, level: int, plane: int) -> Tuple[int, int]:
         """``(offset, size)`` of one plane block."""
-        offset, size, _ = self.plane_blocks(level, plane, plane + 1)[0]
-        return offset, size
+        return self.plane_blocks(level, plane, plane + 1)[0]
 
-    def plane_blocks(self, level: int, start: int, stop: int) -> List[Tuple[int, int, str]]:
-        """``(offset, size, label)`` of planes ``start … stop − 1`` of one
-        level, in stream order — the planner's substrate."""
-        blocks = self._planes.get(level, [])
-        if start < 0 or stop > len(blocks):
-            missing = start if not 0 <= start < len(blocks) else len(blocks)
+    def _level(self, level: int, start: int, stop: int) -> LevelTable:
+        table = self._table.get(level)
+        planes = 0 if table is None else len(table.sizes)
+        if start < 0 or stop > planes:
+            missing = start if not 0 <= start < planes else planes
             raise StreamFormatError(f"no block for level {level}, plane {missing}")
-        return blocks[start:stop]
+        return table
+
+    def plane_blocks(self, level: int, start: int, stop: int) -> List[Tuple[int, int]]:
+        """``(offset, size)`` of planes ``start … stop − 1`` of one level, in
+        stream order: the per-block entries a read of them adds to a
+        store's ``trace``."""
+        table = self._level(level, start, stop)
+        return list(zip(table.starts[start:stop], table.sizes[start:stop]))
+
+    def plane_span(self, level: int, start: int, stop: int) -> Tuple[int, int]:
+        """``(offset, size)`` of planes ``start … stop − 1`` of one level as
+        one contiguous range — the planner's substrate."""
+        starts = self._level(level, start, stop).starts
+        return starts[start], starts[stop] - starts[start]
 
 
 class CompressedStore(BlockExtents):
@@ -405,16 +546,19 @@ class CompressedStore(BlockExtents):
     source reads themselves.
     """
 
-    def __init__(self, blob, *, parsed: "Tuple[StreamHeader, int] | None" = None) -> None:
+    def __init__(self, blob, *, parsed: "BlockExtents | None" = None) -> None:
         self._source = BytesSource(blob) if isinstance(blob, (bytes, bytearray)) else blob
-        # A pre-parsed ``(header, payload_offset)`` pair skips the header
-        # reads entirely — a dataset pins each shard's parse
-        # (:class:`~repro.retrieval.engine.PinnedShard`), so re-opening a
-        # stream for a later request touches zero header bytes.
-        header, payload_start = (
-            IPCompStream.parse_header_source(self._source) if parsed is None else parsed
-        )
+        # An already parsed stream — a dataset pins each shard's parse
+        # (:class:`~repro.retrieval.engine.PinnedShard`) — skips the header
+        # reads entirely and shares its extent table, so re-opening a stream
+        # for a later request touches zero header bytes and builds nothing.
+        if parsed is None:
+            header, payload_start = IPCompStream.parse_header_source(self._source)
+        else:
+            header, payload_start = parsed.header, parsed.header_bytes
         super().__init__(header, payload_start, self._source.size)
+        if parsed is not None:
+            self._table = parsed._table
         self.bytes_read = 0
         #: Source reads issued since the last :meth:`reset_accounting` (one
         #: per fetch op or single block) — a serve's ``physical_reads``.
@@ -433,17 +577,17 @@ class CompressedStore(BlockExtents):
 
     # ------------------------------------------------------------------ reads
 
-    def _fetch(self, offset: int, size: int, what: str) -> bytes:
+    def _fetch(self, offset: int, size: int, what: Callable[[], str]) -> bytes:
         data = self._source.read_range(offset, size)
         self.n_reads += 1
         if len(data) != size:
             raise StreamFormatError(
-                f"short read of {what}: wanted {size} B at stream offset "
+                f"short read of {what()}: wanted {size} B at stream offset "
                 f"{offset}, got {len(data)}"
             )
         return data
 
-    def _read(self, offset: int, size: int, what: str) -> bytes:
+    def _read(self, offset: int, size: int, what: Callable[[], str]) -> bytes:
         data = self._fetch(offset, size, what)
         # Charge only after the read succeeds: a raising or truncating
         # source must not inflate the consumed figures with bytes that
@@ -453,41 +597,51 @@ class CompressedStore(BlockExtents):
         return data
 
     def read_anchor(self) -> bytes:
-        return self._read(self._anchor_offset, self.header.anchor_size, "the anchor block")
+        return self._read(
+            self._anchor_offset, self.header.anchor_size, lambda: "the anchor block"
+        )
 
     def read_block(self, level: int, plane: int) -> bytes:
         offset, size = self.block_extent(level, plane)
-        return self._read(offset, size, f"level {level}, plane {plane}")
+        return self._read(offset, size, lambda: f"level {level}, plane {plane}")
 
-    def read_op(self, op) -> Iterator[Tuple[Optional[Tuple[int, int]], memoryview]]:
+    def read_op(self, op) -> Iterator[Tuple[Segment, memoryview]]:
         """Read one fetch op (:class:`~repro.retrieval.plan.FetchOp`) with one
-        source read; yield ``((level, plane) or None for the anchor, bytes)``
-        per block it carries.
+        source read; yield ``(segment, bytes)`` per :data:`Segment` of the
+        op's spans, in stream order (the anchor as ``(None, 0, 1, False)``).
 
-        Each block is sliced out of the op's buffer, never copied, and is
-        charged — one ``trace`` entry, checked to lie inside the op — as it
-        is handed out, so a consumer that raises midway has consumed
-        exactly the blocks before the one it failed on.
+        Each segment is sliced out of the op's buffer, never copied, and is
+        charged — its blocks' ``bytes_read`` and one ``trace`` entry per
+        block, exactly as if each block were read alone — as it is handed
+        out, so a consumer that raises midway has consumed exactly the
+        segments before the one it failed on, that one included.
         """
-        shown = op.blocks if len(op.blocks) <= 3 else (op.blocks[0], "…", op.blocks[-1])
         buffer = memoryview(
-            self._fetch(op.offset, op.length, f"fetch op [{', '.join(shown)}]")
+            self._fetch(op.offset, op.length, lambda: f"fetch op [{_shown(op.blocks)}]")
         )
-        labelled = self._labelled
-        for label in op.blocks:
-            try:
-                key, offset, size = labelled[label]
-            except KeyError:
-                raise StreamFormatError(f"the stream has no block {label!r}") from None
-            start = offset - op.offset
-            if start < 0 or start + size > op.length:
+        for level, first, stop in op.spans:
+            table = self._table.get(level)
+            if table is None or not 0 <= first < stop <= len(table.sizes):
+                raise StreamFormatError(f"the stream has no block {_span_name(level, first, stop)}")
+            starts = table.starts
+            if starts[first] < op.offset or starts[stop] > op.offset + op.length:
                 raise StreamFormatError(
-                    f"block {label} [{offset}, {offset + size}) outside its "
-                    f"fetch op [{op.offset}, {op.offset + op.length})"
+                    f"block {_span_name(level, first, stop)} [{starts[first]}, "
+                    f"{starts[stop]}) outside its fetch op [{op.offset}, "
+                    f"{op.offset + op.length})"
                 )
-            self.bytes_read += size
-            self.trace.append((offset, size))
-            yield key, buffer[start : start + size]
+            for segment in table.segments:
+                _, a, b, stored = segment
+                if b <= first:
+                    continue
+                if a >= stop:
+                    break
+                if a < first or b > stop:  # a stored run the span cuts
+                    a, b = max(a, first), min(b, stop)
+                    segment = (level, a, b, stored)
+                self.bytes_read += starts[b] - starts[a]
+                self.trace.extend(zip(starts[a:b], table.sizes[a:b]))
+                yield segment, buffer[starts[a] - op.offset : starts[b] - op.offset]
 
     def reset_accounting(self) -> None:
         """Zero the ``bytes_read`` and ``n_reads`` counters (used between

@@ -47,6 +47,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import repeat
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -119,9 +121,9 @@ class _Charge:
 class PinnedShard(BlockExtents):
     """One shard's metadata, parsed once per open dataset.
 
-    The stream header and payload offset (``header`` / ``header_bytes``,
-    the ``parsed=`` pair of a :class:`~repro.core.stream.CompressedStore`),
-    the block extents the planner walks, the shard's
+    The stream header and payload offset (``header`` / ``header_bytes``),
+    the block extents the planner walks and every store opened over the
+    shard shares (``CompressedStore(source, parsed=pinned)``), the shard's
     :class:`~repro.core.optimizer.OptimizedLoader`, and the last
     :data:`PLAN_MEMO` plans made from them (:meth:`plan`).  It holds no
     source: nothing reads through it after the parse.  ``source`` is the
@@ -358,7 +360,7 @@ class RetrievalEngine:
             source = parsed_over.get(name) if wrap is None else None
             if source is None:
                 (source,) = self.open_sources([name], wrap)
-            store = CompressedStore(source, parsed=(pinned.header, pinned.header_bytes))
+            store = CompressedStore(source, parsed=pinned)
             retrievers.append(ProgressiveRetriever(store))
         return retrievers
 
@@ -462,10 +464,13 @@ class RetrievalEngine:
             pieces.append((shard.slices, result.data))
         ranges: List[Tuple[str, int, int]] = []
         for shard, retriever in zip(shards, selected):
-            for offset, length in retriever.store.trace[trace_start.get(shard.name, 0):]:
-                ranges.append((shard.name, offset, length))
+            # One entry per block: built in C, not one Python step each.
+            consumed = retriever.store.trace[trace_start.get(shard.name, 0):]
+            ranges.extend(
+                zip(repeat(shard.name), map(itemgetter(0), consumed), map(itemgetter(1), consumed))
+            )
         data = assemble(pieces, roi_slices, self.dtype)
-        bytes_loaded = sum(length for _, _, length in ranges)
+        bytes_loaded = sum(map(itemgetter(2), ranges))
         self.cumulative_bytes += bytes_loaded
         return DatasetReadResult(
             data=data,

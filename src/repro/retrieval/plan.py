@@ -1,17 +1,19 @@
 """Stage 1 of the retrieval pipeline: fetch-op planning.
 
 A *fetch op* is one contiguous byte range of one stream (or of one shard
-block inside a container) together with the payload blocks it carries.  The
-planner turns "refine this region to this fidelity" into the minimal list of
-such ops:
+block inside a container) together with the payload blocks it carries, held
+as *spans*: one ``(level, first, stop)`` range per level — the §5 loader
+always takes a prefix of a level's planes, and a level's planes are
+contiguous, MSB first — plus the anchor as its own span.  The planner turns
+"refine this region to this fidelity" into the minimal list of such ops:
 
 * **deduplicated** — blocks already resident in a stateful retriever are
   never planned again (the Algorithm-2 never-re-read property, now enforced
   at the planning layer instead of ad hoc in each reader);
-* **coalesced** — physically adjacent blocks (consecutive planes of a
-  level, the anchor plus the first planes, a level boundary crossed whole)
-  merge into a single range read, so a plan touches the disk once per
-  contiguous run instead of once per block.
+* **coalesced** — physically adjacent spans (the anchor plus the first
+  planes, a level boundary crossed whole) merge into a single range read,
+  so a plan touches the disk once per contiguous run instead of once per
+  block, and costs one step per level instead of one per plane.
 
 The planner works from parsed stream headers alone (the block extent table
 of a :class:`repro.core.stream.BlockExtents` — a store's, or a dataset's
@@ -29,34 +31,59 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.optimizer import LoadingPlan
-from repro.core.stream import ANCHOR_BLOCK
+from repro.core.stream import block_label
 
 __all__ = [
+    "ANCHOR_SPAN",
     "FetchOp",
     "ShardPlan",
     "RetrievalPlan",
+    "Span",
     "coalesce_blocks",
     "plan_stream_ops",
 ]
+
+
+#: What a fetch op carries, in offset order: ``(level, first, stop)`` is
+#: planes ``first … stop − 1`` of one level, contiguous in the stream;
+#: :data:`ANCHOR_SPAN` is the anchor block.
+Span = Tuple[Optional[int], int, int]
+
+ANCHOR_SPAN: Span = (None, 0, 1)
 
 
 @dataclass(frozen=True)
 class FetchOp:
     """One contiguous byte range to fetch and the blocks it carries.
 
-    ``blocks`` labels the payload blocks inside the range, in offset order:
-    ``"anchor"`` or ``"L<level>/p<plane>"``.  ``shard`` names the container
-    block the range lives in (``None`` for a bare stream).
+    ``spans`` are the level ranges inside the range, in offset order
+    (:data:`Span`); ``shard`` names the container block the range lives in
+    (``None`` for a bare stream).  :attr:`blocks` spells them out as one
+    label per block.
     """
 
     offset: int
     length: int
-    blocks: Tuple[str, ...]
+    spans: Tuple[Span, ...]
     shard: Optional[str] = None
 
     @property
     def end(self) -> int:
         return self.offset + self.length
+
+    @property
+    def blocks(self) -> Tuple[str, ...]:
+        """The label of every block, in offset order: ``"anchor"`` or
+        ``"L<level>/p<plane>"``."""
+        return tuple(
+            block_label(level, plane)
+            for level, first, stop in self.spans
+            for plane in range(first, stop)
+        )
+
+    @property
+    def n_blocks(self) -> int:
+        return sum(stop - first for _, first, stop in self.spans)
 
     def to_json(self) -> dict:
         obj = {
@@ -111,7 +138,7 @@ class ShardPlan:
 
     @property
     def n_blocks(self) -> int:
-        return sum(len(op.blocks) for op in self.ops)
+        return sum(op.n_blocks for op in self.ops)
 
     def ranges(self) -> List[Tuple[int, int]]:
         """The coalesced ``(offset, length)`` ranges of this plan."""
@@ -176,30 +203,28 @@ class RetrievalPlan:
 
 
 def coalesce_blocks(
-    blocks: Sequence[Tuple[int, int, str]], shard: Optional[str] = None
+    spans: Sequence[Tuple[int, int, Span]], shard: Optional[str] = None
 ) -> List[FetchOp]:
-    """Merge ``(offset, size, label)`` block extents into contiguous fetch ops.
+    """Merge ``(offset, size, span)`` extents into contiguous fetch ops.
 
-    Blocks are sorted by offset first; zero-sized blocks ride along inside
-    (or at the edge of) whichever op they touch, so their labels stay
+    Extents are sorted by offset first; zero-sized ones ride along inside
+    (or at the edge of) whichever op they touch, so their blocks stay
     visible in the plan without producing empty reads.
     """
-    ordered = sorted(blocks, key=lambda item: item[0])
+    ordered = sorted(spans, key=lambda item: item[0])
     ops: List[FetchOp] = []
     run_start = run_end = 0
-    run_labels: List[str] = []
-    for offset, size, label in ordered:
-        if run_labels and offset <= run_end:
+    run_spans: List[Span] = []
+    for offset, size, span in ordered:
+        if run_spans and offset <= run_end:
             run_end = max(run_end, offset + size)
-            run_labels.append(label)
+            run_spans.append(span)
         else:
-            if run_labels and run_end > run_start:
-                ops.append(
-                    FetchOp(run_start, run_end - run_start, tuple(run_labels), shard)
-                )
-            run_start, run_end, run_labels = offset, offset + size, [label]
-    if run_labels and run_end > run_start:
-        ops.append(FetchOp(run_start, run_end - run_start, tuple(run_labels), shard))
+            if run_spans and run_end > run_start:
+                ops.append(FetchOp(run_start, run_end - run_start, tuple(run_spans), shard))
+            run_start, run_end, run_spans = offset, offset + size, [span]
+    if run_spans and run_end > run_start:
+        ops.append(FetchOp(run_start, run_end - run_start, tuple(run_spans), shard))
     return ops
 
 
@@ -218,20 +243,21 @@ def plan_stream_ops(
     ``current_keep`` of ``None`` (or ``{}``) plans from scratch; per-level
     entries already at or above the target contribute nothing — the plan is
     the exact integer delta Algorithm 2 will read, deduplicated by
-    construction.
+    construction.  Each level contributes one span, the planes it adds.
     ``include_anchor`` adds the anchor block (a retriever needs it until it
     has decoded it; after that it is never re-read).
     """
     resident = current_keep or {}
-    blocks: List[Tuple[int, int, str]] = []
+    spans: List[Tuple[int, int, Span]] = []
     if include_anchor:
         offset, size = store.anchor_extent()
-        blocks.append((offset, size, ANCHOR_BLOCK))
+        spans.append((offset, size, ANCHOR_SPAN))
     # Walk levels in stream layout order (descending level, planes MSB
-    # first) so adjacent block runs coalesce maximally.
+    # first) so adjacent spans coalesce maximally.
     for enc in store.header.levels:
         old = max(0, int(resident.get(enc.level, 0)))
         new = int(target_keep.get(enc.level, 0))
         if new > old:
-            blocks.extend(store.plane_blocks(enc.level, old, new))
-    return coalesce_blocks(blocks, shard)
+            offset, size = store.plane_span(enc.level, old, new)
+            spans.append((offset, size, (enc.level, old, new)))
+    return coalesce_blocks(spans, shard)

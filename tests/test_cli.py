@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core.progressive import ProgressiveRetriever
+from repro.errors import ConfigurationError
 from repro.datasets import load_dataset, load_raw, save_raw
 
 
@@ -132,6 +134,29 @@ def test_bad_profile_file_errors(tmp_path, raw_field, capsys):
                  "--shape", "16x18x20", "--profile", str(bad)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_bitrate_or_budget_is_a_configuration_error(tmp_path, raw_field, capsys, value):
+    """A bitrate or byte budget of NaN or infinity is a caller mistake: the
+    library raises ``ConfigurationError`` (not a bare ``ValueError`` or
+    ``OverflowError``) and the CLI exits 2 with ``error:``, no traceback."""
+    field, raw_path = raw_field
+    compressed = tmp_path / "density.ipc"
+    main(["compress", str(raw_path), "-o", str(compressed), "--shape", "16x18x20", "--eb", "1e-6"])
+    retriever = ProgressiveRetriever(compressed.read_bytes())
+    for request in ({"bitrate": value}, {"byte_budget": value}):
+        with pytest.raises(ConfigurationError, match="positive finite"):
+            retriever.retrieve(**request)
+        with pytest.raises(ConfigurationError, match="positive finite"):
+            retriever.plan_request(**request)
+    capsys.readouterr()
+    code = main(["retrieve", str(compressed), "-o", str(tmp_path / "out.d64"),
+                 "--bitrate", str(value)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "out.d64").exists()
 
 
 def test_datasets_listing(capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import struct
 import time
 import tracemalloc
 import zlib
@@ -238,22 +240,46 @@ def test_an_empty_block_read_alone_is_a_stream_format_error(compressed_pair):
     assert retriever.current_keep[1] == plane
 
 
+def _level_1(obj: dict) -> dict:
+    return next(item for item in obj["levels"] if item["level"] == 1)
+
+
+#: One field of the stream's JSON header rewritten: each contradicts the
+#: geometry the header's own ``(shape, method)`` implies.
+_HOSTILE_HEADERS = {
+    "count-huge": lambda obj: _level_1(obj).update(count=1 << 62),
+    "count-negative": lambda obj: _level_1(obj).update(count=-8),
+    "nbits-huge": lambda obj: _level_1(obj).update(nbits=1 << 70),
+    "count-minus-5": lambda obj: _level_1(obj).update(count=-5),
+    "count-times-4": lambda obj: _level_1(obj).update(count=4 * _level_1(obj)["count"]),
+    "level-renumbered": lambda obj: _level_1(obj).update(level=999),
+    "level-dropped": lambda obj: obj["levels"].remove(_level_1(obj)),
+    "delta-short": lambda obj: _level_1(obj)["delta_table"].pop(),
+    "delta-empty": lambda obj: _level_1(obj).update(delta_table=[]),
+    "delta-negative": lambda obj: _level_1(obj)["delta_table"].__setitem__(0, -1.0),
+    "delta-nan": lambda obj: _level_1(obj)["delta_table"].__setitem__(0, float("nan")),
+    "shape-doubled": lambda obj: obj.update(shape=[2 * n for n in obj["shape"]]),
+    "dtype-complex999": lambda obj: obj.update(dtype="complex999"),
+}
+
+
 @pytest.mark.parametrize(
-    "field, value",
-    [("count", 1 << 62), ("count", -8), ("nbits", 1 << 70)],
-    ids=["count-huge", "count-negative", "nbits-huge"],
+    "rewrite", list(_HOSTILE_HEADERS.values()), ids=list(_HOSTILE_HEADERS)
 )
-def test_hostile_level_geometry_is_a_stream_format_error(compressed_pair, field, value):
-    """The resident row buffer is sized from the header: a level geometry
-    that cannot be laid out is stream corruption, not a ``MemoryError``."""
+def test_hostile_level_geometry_is_a_stream_format_error(compressed_pair, rewrite):
+    """A header that contradicts its own geometry — levels that are not the
+    predictor's sweeps, counts that are not their sizes, a loss table of
+    the wrong length or with non-finite entries, a shape the payload does
+    not hold, a dtype that is not floating — is stream corruption, caught
+    when the header is parsed: before any payload read, so planning sees it
+    too, and never as a decode at many times the stored bound."""
     _, _, blob = compressed_pair
-    header, _ = IPCompStream.parse_header(blob)
-    store = CompressedStore(blob)
-    for enc in header.levels:
-        enc.plane_blocks = [
-            store.read_block(enc.level, plane) for plane in range(len(enc.plane_coders))
-        ]
-    setattr(header.level(1), field, value)
-    hostile = IPCompStream.serialize(header, store.read_anchor(), header.levels)
+    _, payload_start = IPCompStream.parse_header(blob)
+    obj = json.loads(zlib.decompress(blob[10:payload_start]))
+    rewrite(obj)
+    header_json = zlib.compress(json.dumps(obj).encode(), 9)
+    prefix = blob[:6] + struct.pack("<I", len(header_json)) + header_json
     with pytest.raises(StreamFormatError, match="stream header invalid"):
-        ProgressiveRetriever(hostile)
+        IPCompStream.parse_header(prefix)  # the header alone, no payload
+    with pytest.raises(StreamFormatError, match="stream header invalid"):
+        ProgressiveRetriever(prefix + blob[payload_start:])

@@ -56,21 +56,23 @@ def _field(shape, seed=0) -> np.ndarray:
 
 
 def test_coalesce_merges_adjacent_blocks_only():
+    a, b, c, d, e = (5, 0, 1), (5, 1, 2), (4, 0, 1), (4, 1, 2), (3, 0, 1)
     ops = coalesce_blocks(
-        [(0, 10, "a"), (10, 5, "b"), (20, 5, "c"), (25, 5, "d"), (40, 1, "e")]
+        [(0, 10, a), (10, 5, b), (20, 5, c), (25, 5, d), (40, 1, e)]
     )
-    assert [(op.offset, op.length, op.blocks) for op in ops] == [
-        (0, 15, ("a", "b")),
-        (20, 10, ("c", "d")),
-        (40, 1, ("e",)),
+    assert [(op.offset, op.length, op.spans) for op in ops] == [
+        (0, 15, (a, b)),
+        (20, 10, (c, d)),
+        (40, 1, (e,)),
     ]
 
 
 def test_coalesce_sorts_and_carries_zero_sized_blocks():
-    ops = coalesce_blocks([(30, 0, "z"), (10, 10, "a"), (20, 10, "b")])
+    a, b, z = (3, 0, 1), (3, 1, 2), (2, 0, 1)
+    ops = coalesce_blocks([(30, 0, z), (10, 10, a), (20, 10, b)])
     assert len(ops) == 1
     assert ops[0].offset == 10 and ops[0].length == 20
-    assert set(ops[0].blocks) == {"a", "b", "z"}
+    assert set(ops[0].spans) == {a, b, z}
 
 
 def test_plan_stream_ops_from_scratch_covers_anchor_and_planes():
@@ -198,7 +200,7 @@ def test_store_trace_is_the_consumed_record():
     assert store.trace == inner.reads
     store.reset_accounting()  # bytes_read restarts per request; the trace never does
     assert store.bytes_read == 0 and len(store.trace) == 4
-    pinned = CompressedStore(inner, parsed=(store.header, store.header_bytes))
+    pinned = CompressedStore(inner, parsed=store)
     assert pinned.trace == head and len(inner.reads) == 4
 
 

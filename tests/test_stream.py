@@ -16,20 +16,23 @@ from repro.errors import StreamFormatError
 def sample_stream(rng):
     quantizer = LinearQuantizer(0.05)
     coder = PredictiveCoder(quantizer, CodecProfile())
-    anchor_codes = rng.integers(-40, 40, size=8)
+    # A header must describe its predictor's geometry: shape (4,) is one
+    # anchor and two sweeps, unit 2 of one point and unit 1 of two.  (The
+    # draws keep their old sizes: ``rng`` is shared by later modules.)
+    anchor_codes = rng.integers(-40, 40, size=8)[:1]
     anchor_block = coder.encode_anchor(anchor_codes)
     encodings = [
-        coder.encode_level(2, rng.integers(-30, 30, size=100)),
-        coder.encode_level(1, rng.integers(-10, 10, size=300)),
+        coder.encode_level(2, rng.integers(-30, 30, size=100)[:1]),
+        coder.encode_level(1, rng.integers(-10, 10, size=300)[:2]),
     ]
     header = StreamHeader(
-        shape=(20, 20),
+        shape=(4,),
         dtype="float64",
         error_bound=0.05,
         method="cubic",
         prefix_bits=2,
         anchor_coder="zlib",
-        anchor_count=8,
+        anchor_count=1,
         anchor_size=len(anchor_block),
         levels=encodings,
     )
