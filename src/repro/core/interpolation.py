@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -291,6 +291,9 @@ class InterpolationPredictor:
         anchor_values: np.ndarray,
         level_diffs: Mapping[int, np.ndarray],
         granularity: str = "level",
+        *,
+        out: Optional[np.ndarray] = None,
+        bin_width: Optional[float] = None,
     ) -> np.ndarray:
         """Rebuild a field from dequantized anchor values and per-level diffs.
 
@@ -299,17 +302,39 @@ class InterpolationPredictor:
         produced them.  Missing levels are treated as all-zero diffs, which is
         exactly the semantics of not having loaded any bitplane of that level.
 
+        With ``bin_width``, ``level_diffs`` holds the integer quantization
+        codes instead, and each sweep adds ``codes · bin_width`` to its
+        prediction: the float operations of dequantizing first (an int64 →
+        float64 conversion is exact below 2^53, and the multiply is
+        elementwise), so the result is bitwise the same, with no
+        level-sized float copy of the codes.
+
+        With ``out`` — float64, C-contiguous, of the predictor's shape — the
+        field is written there and ``out`` returned; it may hold anything on
+        entry, because every point is the anchor or the target of exactly
+        one sweep and a sweep reads only points written before it.
+
         The map is linear in its inputs, so calling it with *delta* diffs
         yields the delta of the reconstruction (Algorithm 2).
         """
-        xhat = np.zeros(self.shape, dtype=np.float64)
+        if out is None:
+            xhat = np.empty(self.shape, dtype=np.float64)
+        elif out.dtype != np.float64 or out.shape != self.shape or not out.flags.c_contiguous:
+            raise ConfigurationError(
+                f"out must be a C-contiguous float64 array of shape {self.shape}, "
+                f"got {out.dtype} {out.shape}"
+            )
+        else:
+            xhat = out
         xhat[self._anchor] = np.asarray(anchor_values, dtype=np.float64).reshape(
             self.anchor_shape
         )
         for key, passes in self._groups(granularity):
             diffs = level_diffs.get(key)
             if diffs is not None:
-                diffs = np.asarray(diffs, dtype=np.float64).ravel()
+                diffs = np.asarray(
+                    diffs, dtype=np.float64 if bin_width is None else None
+                ).ravel()
                 expected = sum(p.size for p in passes)
                 if diffs.size != expected:
                     raise ConfigurationError(
@@ -320,11 +345,12 @@ class InterpolationPredictor:
                 prediction = self._predict_pass(xhat, p)
                 # A missing level still adds +0.0 — what all-zero diffs would
                 # do to a −0.0 prediction — without building the zeros.
-                block = (
-                    0.0
-                    if diffs is None
-                    else diffs[offset : offset + p.size].reshape(p.target_shape)
-                )
+                if diffs is None:
+                    block = 0.0
+                else:
+                    block = diffs[offset : offset + p.size].reshape(p.target_shape)
+                    if bin_width is not None:
+                        block = block * bin_width
                 np.add(prediction, block, out=xhat[p.target])
                 offset += p.size
         return xhat

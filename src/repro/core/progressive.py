@@ -18,8 +18,9 @@ per-level plane selection, and the retriever makes **one transition**:
   progressive schemes;
 * **rebuild** — one shard sweep over the resident rows
   (:meth:`~repro.core.predictive_coder.PredictiveCoder.codes_from_rows`)
-  and one interpolation reconstruction from the anchor, handed to the
-  caller.
+  and one interpolation reconstruction from the anchor that dequantizes
+  the integer codes as it adds them, written into a fresh array or into
+  the caller's (``out``, the engine's slab of its answer) and handed over.
 
 The paper's Algorithm 1 is this transition from the empty state; its
 Algorithm 2 is the same transition from any other.  The paper forms
@@ -220,6 +221,7 @@ class ProgressiveRetriever:
         byte_budget: Optional[int] = None,
         *,
         plan: Optional[LoadingPlan] = None,
+        out: Optional[np.ndarray] = None,
     ) -> RetrievalResult:
         """Serve one retrieval request, reusing previously loaded data.
 
@@ -232,7 +234,10 @@ class ProgressiveRetriever:
         the retriever keeps no reference to it.  A caller that already
         holds this request's :meth:`plan_request` result (the engine and
         the serving layer plan every shard before they fetch any) passes it
-        as ``plan`` instead of the target.
+        as ``plan`` instead of the target.  With ``out`` — a C-contiguous
+        float64 array of the stream's shape, such as the engine's slab view
+        of its answer — the field is reconstructed there, and ``data`` is
+        ``out`` (float64 whatever the stream's dtype).
         """
         if plan is None:
             plan = self._plan(error_bound, bitrate, byte_budget)
@@ -248,17 +253,20 @@ class ProgressiveRetriever:
             (enc, self._rows[enc.level][: self._current_keep[enc.level]])
             for enc in levels
         )
-        level_diffs = {
-            enc.level: self.quantizer.dequantize(c) for enc, c in zip(levels, codes)
-        }
+        # The dequantize rides the interpolation add: each sweep multiplies
+        # its slice of the codes by the bin width.
         output = self.predictor.reconstruct(
-            self._anchor_values, level_diffs, granularity="sweep"
+            self._anchor_values,
+            {enc.level: c for enc, c in zip(levels, codes)},
+            granularity="sweep",
+            out=out,
+            bin_width=self.quantizer.bin_width,
         )
         self._header_charged = True
         achieved = self._current_keep
         return RetrievalResult(
             # A no-op for a float64 field; a real dtype change copies.
-            data=output.astype(self.header.dtype, copy=False),
+            data=output if out is not None else output.astype(self.header.dtype, copy=False),
             plan=plan,
             bytes_loaded=bytes_loaded,
             cumulative_bytes=self.cumulative_bytes,

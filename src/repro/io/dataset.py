@@ -61,6 +61,7 @@ reader ignores the key.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -111,6 +112,49 @@ class DatasetShard:
     @property
     def shape(self) -> Tuple[int, ...]:
         return tuple(s.stop - s.start for s in self.slices)
+
+
+def _check_tiling(shape: Tuple[int, ...], shards: List[DatasetShard]) -> None:
+    """Raise :class:`~repro.errors.StreamFormatError` unless the slabs tile
+    ``shape`` exactly: each non-empty and inside the domain, no two
+    overlapping, their volumes summing to the domain's.  A read decodes
+    every shard into an uninitialised answer, so a gap or an overlap must
+    never get that far."""
+    if any(len(shard.slices) != len(shape) for shard in shards):
+        raise StreamFormatError(f"a shard's slab does not have the field's {len(shape)} axes")
+    bounds = [[(s.start, s.stop) for s in shard.slices] for shard in shards]
+    try:
+        bounds = np.array(bounds, dtype=np.int64).reshape(len(shards), len(shape), 2)
+        extents = np.array(shape, dtype=np.int64)
+    except OverflowError:
+        raise StreamFormatError("a slab or the field's shape does not fit in 64 bits") from None
+    starts, stops = bounds[..., 0], bounds[..., 1]
+    bad = np.flatnonzero(((starts < 0) | (stops > extents) | (stops <= starts)).any(axis=1))
+    if bad.size:
+        raise StreamFormatError(
+            f"shard {shards[bad[0]].name!r}: slab {bounds[bad[0]].tolist()} is empty "
+            f"or outside the field {shape}"
+        )
+    # Two slabs overlap when they overlap along every axis; compared a band
+    # of rows at a time, so the temporaries stay near 2^20 entries.
+    step = max(1, (1 << 20) // (len(shards) * len(shape) or 1))
+    for first in range(0, len(shards), step):
+        band = slice(first, first + step)
+        lower = np.maximum(starts[band, None], starts[None])
+        overlap = (lower < np.minimum(stops[band, None], stops[None])).all(axis=2)
+        rows = np.arange(overlap.shape[0])
+        overlap[rows, first + rows] = False
+        pairs = np.argwhere(overlap)
+        if pairs.size:
+            i, j = pairs[0]
+            raise StreamFormatError(
+                f"the slabs of shards {shards[first + i].name!r} and {shards[j].name!r} overlap"
+            )
+    covered = sum(math.prod(extent) for extent in (stops - starts).tolist())
+    if covered != math.prod(shape):
+        raise StreamFormatError(
+            f"the shards' slabs cover {covered} of the field's {math.prod(shape)} points"
+        )
 
 
 class _HeaderCopier:
@@ -200,7 +244,9 @@ class ChunkedDataset:
         except (KeyError, TypeError, ValueError, UnicodeDecodeError) as exc:
             self.close()
             raise StreamFormatError(f"malformed dataset manifest: {exc!r}") from None
-        self._engine.describe(self.dtype, copies)
+        self._engine.describe(
+            self.dtype, copies, {shard.name: shard.shape for shard in self.shards}
+        )
 
     def _describe_stream(self) -> None:
         """A bare stream: its own header is the manifest."""
@@ -238,6 +284,7 @@ class ChunkedDataset:
             DatasetShard(item["name"], ranges_to_slices(item["slices"]))
             for item in manifest["shards"]
         ]
+        _check_tiling(self.shape, self.shards)
         placed = manifest.get(HEADERS_BLOCK)
         if placed is None:
             return None
@@ -250,9 +297,7 @@ class ChunkedDataset:
                     f"header copy of shard {shard.name!r} at [{offset}, "
                     f"{offset + length}) outside the {block_size} B headers block"
                 )
-            extents[shard.name] = (
-                offset, length, self._reader.block_size(shard.name), shard.shape
-            )
+            extents[shard.name] = (offset, length, self._reader.block_size(shard.name))
         return HeaderCopies(lambda: self._reader.read_block(HEADERS_BLOCK), extents)
 
     @property

@@ -2,8 +2,8 @@
 
 ``block_slices`` splits a field into contiguous slabs along its slowest
 axis; the range helpers serialize slab extents for manifests and worker
-payloads; ``intersect_slab_roi`` gives the selectors that scatter a slab
-into an ROI-shaped output (the one scatter is
+payloads; ``intersect_slab_roi`` gives the selectors that place a slab
+into an ROI-shaped output (the engine's decode stage and
 :func:`repro.retrieval.engine.assemble`).  The decomposition is purely
 geometric — no ghost layers are needed because every compressor in this
 repository is block-independent.
@@ -115,8 +115,8 @@ def intersect_slab_roi(slab: SliceTuple, roi: SliceTuple) -> Tuple[SliceTuple, S
 
     Returns ``(sel_out, sel_in)``: ``out[sel_out] = slab_data[sel_in]``
     places the slab∩ROI overlap of a decoded slab into an array shaped like
-    the ROI; :func:`repro.retrieval.engine.assemble` scatters every read's
-    slabs with it.
+    the ROI: the engine places each shard of a read with it, and
+    :func:`repro.retrieval.engine.assemble` the service's cached slabs.
     """
     sel_out, sel_in = [], []
     for slab_axis, roi_axis in zip(slab, roi):

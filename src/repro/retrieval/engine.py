@@ -28,8 +28,12 @@ it is where the path from a request to the bytes is assembled — once, in
   one future per op.  Each plan is primed once, by the request that reads
   it; nothing is fetched for a request nobody made.  A local file has no
   stage 2: the store reads its block source directly;
-* **stage 3 (decode)** — each shard's retriever decodes its plan
-  in-process and :func:`assemble` scatters the slabs into the answer.
+* **stage 3 (decode)** — the answer is allocated once, and each shard's
+  retriever decodes its plan in-process straight into it: a shard the ROI
+  does not cut reconstructs into its own slab view of the answer, any
+  other into one float64 scratch slab per request, whose slab∩ROI is
+  copied in.  Nothing is assembled afterwards (:func:`assemble` serves
+  the serving layer's cache-mixing reads).
 
 Every request returns one :class:`DatasetReadResult` — the type
 :class:`~repro.io.dataset.ChunkedDataset` hands its callers as it is — for
@@ -44,6 +48,7 @@ output is bitwise-identical across serial / multiplexed reads.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -86,10 +91,10 @@ def assemble(
     """Scatter decoded slab pieces into a fresh ROI-shaped output array.
 
     Each ``(slab slices, slab array)`` piece contributes its slab∩ROI
-    overlap; the pieces must tile the region exactly (short coverage —
-    e.g. a manifest whose slabs miss part of the domain — raises
-    :class:`~repro.errors.StreamFormatError`).  Shared by the engine's
-    in-process decode stage and the serving layer's cache-mixing reads.
+    overlap; the pieces must tile the region exactly (short coverage
+    raises :class:`~repro.errors.StreamFormatError`; a dataset proves at
+    open that its slabs tile the domain).  The serving layer's
+    cache-mixing reads use it; the engine decodes into its answer instead.
     """
     out_shape = tuple(s.stop - s.start for s in roi_slices)
     out = np.empty(out_shape, dtype=np.dtype(dtype))
@@ -177,12 +182,13 @@ class HeaderCopies:
     ``read()`` returns the block; it runs once, on the first :meth:`pin`,
     so an open dataset makes one read of it and none per shard, and over a
     remote stack the block usually lies inside the opening read.
-    ``extents`` maps each shard to ``(offset, length, shard size, slab
-    shape)``: where its copy lies in the block, and what the copy must
-    describe.  A copy is trusted only once it is checked against both, with
-    no read of the shard itself: it must parse, fill its slice exactly,
-    account for every byte of the shard (``payload_start +
-    payload_bytes() == size``) and carry the slab's shape.
+    ``extents`` maps each shard to ``(offset, length, shard size)``: where
+    its copy lies in the block, and what the copy must describe.  A copy is
+    trusted only once it is checked against both, with no read of the shard
+    itself: it must parse, fill its slice exactly and account for every
+    byte of the shard (``payload_start + payload_bytes() == size``).  The
+    engine checks its shape against the slab's, as for every pinned shard
+    (:meth:`RetrievalEngine.describe`).
     """
 
     def __init__(self, read: Callable[[], bytes], extents: Dict[str, tuple]) -> None:
@@ -197,7 +203,7 @@ class HeaderCopies:
         if self._block is None:
             block = self._read()
             self._block, self._charge = block, _Charge(1, len(block))
-        offset, length, size, shape = self._extents[name]
+        offset, length, size = self._extents[name]
         copy = self._block[offset : offset + length]
         try:
             pinned = PinnedShard(BytesSource(copy), name, size=size, charge=self._charge)
@@ -208,10 +214,6 @@ class HeaderCopies:
             total = pinned.header_bytes + pinned.header.payload_bytes()
             if total != size:
                 raise StreamFormatError(f"header and blocks total {total} B, the shard {size} B")
-            if tuple(pinned.header.shape) != tuple(shape):
-                raise StreamFormatError(
-                    f"shape {tuple(pinned.header.shape)}, the slab {tuple(shape)}"
-                )
         except StreamFormatError as exc:
             raise StreamFormatError(f"header copy of shard {name!r}: {exc}") from None
         return pinned
@@ -262,19 +264,29 @@ class RetrievalEngine:
         # built for one of these is handed the parse instead of re-reading it.
         self._pinned: Dict[str, PinnedShard] = {}
         self._copies: Optional[HeaderCopies] = None
+        self._shapes: Dict[str, Tuple[int, ...]] = {}
         self._pin_lock = threading.Lock()
         # Stateful per-shard retrievers (refine() path).
         self._retrievers: Dict[str, ProgressiveRetriever] = {}
         self.cumulative_bytes = 0
 
-    def describe(self, dtype, copies: Optional[HeaderCopies] = None) -> None:
-        """The dtype of the answers, and the archive's header copies
-        (``None`` for a legacy-layout archive or a bare stream, whose shards
-        are parsed from their own heads).  A bare stream's dtype comes from
-        its own header, read through :meth:`pin` — hence not a constructor
-        argument."""
+    def describe(
+        self,
+        dtype,
+        copies: Optional[HeaderCopies] = None,
+        shapes: Optional[Dict[str, Tuple[int, ...]]] = None,
+    ) -> None:
+        """The dtype of the answers, the archive's header copies (``None``
+        for a legacy-layout archive or a bare stream, whose shards are
+        parsed from their own heads), and each shard's slab shape: a shard
+        whose stream has another shape raises
+        :class:`~repro.errors.StreamFormatError` when it is pinned, before
+        any payload read, since a read decodes it into its slab of the
+        answer.  A bare stream's dtype and shape come from its own header,
+        read through :meth:`pin` — hence not constructor arguments."""
         self.dtype = np.dtype(dtype)
         self._copies = copies
+        self._shapes = shapes or {}
 
     # ------------------------------------------------------------------ wiring
 
@@ -334,7 +346,7 @@ class RetrievalEngine:
             missing = [name for name in names if name not in self._pinned]
             if self._copies is not None:
                 for name in missing:
-                    self._pinned[name] = self._copies.pin(name)
+                    self._pinned[name] = self._fits_slab(self._copies.pin(name))
                 return {}
             sources = self.open_sources(missing)
             heads = [s for s in sources if isinstance(s, PrefetchSource)]
@@ -343,8 +355,17 @@ class RetrievalEngine:
                     for source in heads:
                         source.prime([(0, min(DEFAULT_HEADER_PRIME, source.size))])
             for name, source in zip(missing, sources):
-                self._pinned[name] = PinnedShard(source, name)
+                self._pinned[name] = self._fits_slab(PinnedShard(source, name))
             return dict(zip(missing, sources))
+
+    def _fits_slab(self, pinned: PinnedShard) -> PinnedShard:
+        """``pinned``, once its stream has its slab's shape (a bare stream's
+        slab is its own)."""
+        shape = tuple(pinned.header.shape)
+        slab = tuple(self._shapes.get(pinned.name, shape))
+        if shape != slab:
+            raise StreamFormatError(f"shard {pinned.name!r}: shape {shape}, the slab {slab}")
+        return pinned
 
     def open_retrievers(self, names: Sequence[str], wrap=None) -> List[ProgressiveRetriever]:
         """One fresh retriever per shard over its pinned header (:meth:`pin`)
@@ -440,9 +461,30 @@ class RetrievalEngine:
             with self._prefetcher.burst():
                 for retriever, plan in zip(selected, plans):
                     retriever._prime(plan)
-        pieces: List[Tuple[SliceTuple, np.ndarray]] = []
+        # Stage 3 decodes into the answer, allocated once.  A shard the ROI
+        # does not cut reconstructs into its own slab of it when that view
+        # is C-contiguous float64 of the stream's shape; every other one
+        # into the request's one scratch slab, whose slab∩ROI is then
+        # copied in, cast (the one copy it costs).
+        answer = np.empty(tuple(s.stop - s.start for s in roi_slices), dtype=self.dtype)
+        remaining = []
+        scratch_size = 0
+        for shard, retriever, plan in zip(shards, selected, plans):
+            sel_out, sel_in = intersect_slab_roi(shard.slices, roi_slices)
+            view = answer[sel_out]
+            header = retriever.header
+            if (
+                view.shape == tuple(header.shape)
+                and view.flags.c_contiguous
+                and view.dtype == np.dtype(header.dtype) == np.float64
+            ):
+                sel_in = None
+            else:
+                scratch_size = max(scratch_size, math.prod(header.shape))
+            remaining.append((retriever, plan, view, sel_in))
+        scratch = np.empty(scratch_size, dtype=np.float64)
+        filled = 0
         achieved = 0.0
-        remaining = list(zip(shards, selected, plans))
         while remaining:
             index = 0
             if self._prefetcher is not None and len(remaining) > 1:
@@ -453,15 +495,29 @@ class RetrievalEngine:
                 index = next(
                     (
                         i
-                        for i, (_shard, retriever, _plan) in enumerate(remaining)
+                        for i, (retriever, *_slot) in enumerate(remaining)
                         if getattr(retriever.store.source, "inflight", 0) == 0
                     ),
                     0,
                 )
-            shard, retriever, plan = remaining.pop(index)
-            result = retriever.retrieve(plan=plan)
+            retriever, plan, view, sel_in = remaining.pop(index)
+            if sel_in is None:
+                result = retriever.retrieve(plan=plan, out=view)
+            else:
+                header = retriever.header
+                slab = scratch[: math.prod(header.shape)].reshape(header.shape)
+                result = retriever.retrieve(plan=plan, out=slab)
+                piece = slab[sel_in]
+                # A stream whose dtype is not the dataset's rounds through
+                # its own first, as its fresh answer would.
+                view[...] = (
+                    piece if header.dtype == self.dtype else piece.astype(header.dtype)
+                )
+            filled += view.size
             achieved = max(achieved, result.error_bound)
-            pieces.append((shard.slices, result.data))
+        # A second guard behind the dataset's tiling proof at open.
+        if filled != answer.size:
+            raise StreamFormatError(f"shards cover {filled} of the region's {answer.size} points")
         ranges: List[Tuple[str, int, int]] = []
         for shard, retriever in zip(shards, selected):
             # One entry per block: built in C, not one Python step each.
@@ -469,11 +525,10 @@ class RetrievalEngine:
             ranges.extend(
                 zip(repeat(shard.name), map(itemgetter(0), consumed), map(itemgetter(1), consumed))
             )
-        data = assemble(pieces, roi_slices, self.dtype)
         bytes_loaded = sum(map(itemgetter(2), ranges))
         self.cumulative_bytes += bytes_loaded
         return DatasetReadResult(
-            data=data,
+            data=answer,
             roi=roi_slices,
             error_bound=achieved,
             bytes_loaded=bytes_loaded,

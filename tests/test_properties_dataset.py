@@ -264,9 +264,9 @@ def test_manifest_missing_fields_rejected(tmp_path):
             ChunkedDataset(path)
 
 
-def test_manifest_short_coverage_rejected_on_read(tmp_path):
+def test_manifest_short_coverage_rejected_at_open(tmp_path):
     """Shards that leave part of the domain uncovered make a corrupt
-    dataset: a full read fails instead of returning unset points."""
+    dataset: it fails to open, so no read can return unset points."""
     field = _field((16, 6), np.float64, seed=5)
     full = tmp_path / "full.rprc"
     manifest = ChunkedDataset.write(full, field, error_bound=1e-3, n_blocks=4, workers=0)
@@ -278,9 +278,8 @@ def test_manifest_short_coverage_rejected_on_read(tmp_path):
             writer.add_block(name, reader.read_block(name), reader.metadata(name))
         writer.add_block("headers", reader.read_block("headers"))
         writer.add_block("manifest", json.dumps(manifest).encode())
-    with ChunkedDataset(path) as dataset:
-        with pytest.raises(StreamFormatError, match="cover"):
-            dataset.read()
+    with pytest.raises(StreamFormatError, match="cover"):
+        ChunkedDataset(path)
 
 
 def test_is_dataset_sniff(tmp_path):

@@ -455,8 +455,8 @@ def test_pool_worker_errors_propagate(tmp_path):
 
 
 def test_decompress_rejects_partial_coverage(tmp_path):
-    """Shards whose slabs miss part of the domain are refused by
-    ``assemble``: a short answer is an error, never uninitialised data."""
+    """Shards whose slabs miss part of the domain are refused when the
+    dataset opens: a short answer is an error, never uninitialised data."""
     from repro.io import BlockContainerWriter
 
     field = _field((16, 10), 7)
@@ -470,9 +470,8 @@ def test_decompress_rejects_partial_coverage(tmp_path):
             writer.add_block(name, reader.read_block(name), reader.metadata(name))
         writer.add_block("headers", reader.read_block("headers"))
         writer.add_block("manifest", json.dumps(manifest).encode())
-    with ChunkedDataset(path) as dataset:
-        with pytest.raises(StreamFormatError, match="cover"):
-            dataset.read()
+    with pytest.raises(StreamFormatError, match="cover"):
+        ChunkedDataset(path)
 
 
 # ------------------------------------------------------------ engine requests
