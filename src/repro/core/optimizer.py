@@ -16,17 +16,19 @@ next bin so discretization can never produce a plan that violates the
 constraint; the price is a marginally conservative plan, which matches the
 paper's "negligible overhead, strictly bounded" framing.
 
-The DP state is a vector over budget bins and each level's transition is a
-vectorised minimum over shifted copies, so the whole optimization costs a few
-hundred microseconds even for 60+ planes per level.  The per-level choice
-tables it runs over are built by the first DP: a loader that only ever
-answers the stored bound (the full plan) never builds them.  Every target
-must be a positive finite number; anything else is a
-:class:`~repro.errors.ConfigurationError`.
+One routine, :meth:`OptimizedLoader._knapsack`, runs the DP for both modes
+with the two tables' roles swapped, without per-choice allocations or choice
+tables; its plans are bitwise those of the straightforward loops kept in
+``tests/oracle_optimizer.py``.  The per-level tables it runs over are built
+by the first DP: a loader that only ever answers the stored bound (the full
+plan) never builds them.  Every target must be a positive finite number;
+anything else is a :class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
@@ -69,12 +71,9 @@ class LoadingPlan:
 class OptimizedLoader:
     """Plan minimal-volume retrievals from a stream header alone."""
 
-    def __init__(self, header: StreamHeader, overhead_bytes: int = 0, bins: int = DEFAULT_BINS):
-        if bins < 8:
-            raise ConfigurationError("bins must be at least 8")
+    def __init__(self, header: StreamHeader, overhead_bytes: int = 0):
         self.header = header
         self.overhead_bytes = int(overhead_bytes)
-        self.bins = int(bins)
         self._levels = sorted(header.levels, key=lambda enc: enc.level)
 
     @cached_property
@@ -131,6 +130,58 @@ class OptimizedLoader:
             overhead_bytes=self.overhead_bytes,
         )
 
+    # -------------------------------------------------------------- the DP
+
+    def _knapsack(
+        self, budget: float, weight: List[np.ndarray], value: List[np.ndarray]
+    ) -> Optional[Dict[int, int]]:
+        """Per level, the keep that minimises Σ ``value`` subject to
+        Σ ``weight`` ≤ ``budget`` (one table of each per level, in level
+        order); ``None`` when no plan fits.
+
+        ``dp[b]`` is the least value with total weight ≤ ``(b / bins) ·
+        budget``.  Each level folds in every keep ``k``, most planes first,
+        by a shifted add and an elementwise minimum that keeps the first
+        occurrence.  The backtrack redoes the same float sums, so the first
+        ``k`` that reproduces ``dp[r]`` is the one the fold chose.
+        """
+        bins = DEFAULT_BINS
+        n = bins + 1
+        # Shifts stay floats until they are known to fit: a budget a hair
+        # above zero puts some past int64, where a cast would wrap them
+        # negative and make them free.
+        shifts = [np.ceil(w / budget * bins).tolist() for w in weight]
+        values = [v.tolist() for v in value]
+        # Row i is the DP vector before level i; the last row is the answer.
+        table = np.full((len(shifts) + 1, n), np.inf)
+        table[0] = 0.0
+        candidate = np.empty(n)
+        for prev, dp, shift, val in zip(table, table[1:], shifts, values):
+            for k in range(len(shift) - 1, -1, -1):
+                if shift[k] <= bins:
+                    s = int(shift[k])
+                    out, cand = dp[s:], candidate[s:]
+                    np.add(prev[: n - s], val[k], out=cand)
+                    np.minimum(out, cand, out=out)
+        best = table[-1, bins]
+        if not np.isfinite(best):
+            return None
+
+        keep: Dict[int, int] = {}
+        remaining = bins
+        for enc, prev, shift, val in zip(
+            reversed(self._levels), table[-2::-1], reversed(shifts), reversed(values)
+        ):
+            for k in range(len(shift) - 1, -1, -1):
+                if shift[k] <= remaining:
+                    s = int(shift[k])
+                    if prev[remaining - s] + val[k] == best:
+                        break
+            keep[enc.level] = k
+            remaining -= s
+            best = prev[remaining]
+        return keep
+
     # ------------------------------------------------------------- error mode
 
     def plan_for_error_bound(self, target_error: float) -> LoadingPlan:
@@ -140,58 +191,24 @@ class OptimizedLoader:
         plan (whose bound is exactly ``eb``) is returned in that case, which is
         the paper's behaviour of clamping retrieval at the compression bound.
         """
-        if target_error <= 0 or not np.isfinite(target_error):
+        if not 0 < target_error < math.inf:
             raise ConfigurationError("target_error must be a positive finite number")
-        budget = target_error - self.header.error_bound
+        # Capped at the largest float, an integer target of any size stays
+        # a float budget; every float target is unchanged.
+        budget = min(target_error, sys.float_info.max) - self.header.error_bound
         if budget <= 0:
             return self._full_plan()
-
-        bins = self.bins
-        infinity = np.float64(np.inf)
-        # dp[b] = minimal payload bytes with total error ≤ (b / bins) * budget.
-        dp = np.zeros(bins + 1, dtype=np.float64)
-        choices: List[np.ndarray] = []
-
-        for enc in self._levels:
-            cost, err = self._choice_cache[enc.level]
-            err_bins = np.ceil(err / budget * bins).astype(np.int64)
-            new_dp = np.full(bins + 1, infinity)
-            new_choice = np.zeros(bins + 1, dtype=np.int64)
-            for k in range(enc.nbits, -1, -1):
-                shift = int(err_bins[k])
-                if shift > bins:
-                    continue
-                candidate = np.full(bins + 1, infinity)
-                if shift == 0:
-                    candidate = dp + cost[k]
-                else:
-                    candidate[shift:] = dp[:-shift] + cost[k]
-                better = candidate < new_dp
-                new_dp = np.where(better, candidate, new_dp)
-                new_choice = np.where(better, k, new_choice)
-            dp = new_dp
-            choices.append(new_choice)
-
-        if not np.isfinite(dp[bins]):
-            return self._full_plan()
-
-        # Backtrack: walk levels in reverse, re-deriving the budget consumed.
-        keep: Dict[int, int] = {}
-        remaining = bins
-        for enc, choice in zip(reversed(self._levels), reversed(choices)):
-            k = int(choice[remaining])
-            keep[enc.level] = k
-            _, err = self._choice_cache[enc.level]
-            err_bins = int(np.ceil(err[k] / budget * bins))
-            remaining -= err_bins
-            remaining = max(remaining, 0)
-        return self._make_plan(keep)
+        choices = self._choice_cache.values()
+        keep = self._knapsack(
+            budget, [err for _, err in choices], [cost for cost, _ in choices]
+        )
+        return self._full_plan() if keep is None else self._make_plan(keep)
 
     # ----------------------------------------------------------- bitrate mode
 
     def plan_for_size(self, byte_budget: int) -> LoadingPlan:
         """§5.3: minimise the error bound subject to a total byte budget."""
-        if not byte_budget > 0 or not np.isfinite(byte_budget):
+        if not 0 < byte_budget < math.inf:
             raise ConfigurationError("byte_budget must be a positive finite number")
         budget = byte_budget - self.overhead_bytes
         if budget <= 0:
@@ -202,47 +219,20 @@ class OptimizedLoader:
         full = self._full_plan()
         if full.payload_bytes <= budget:
             return full
-
-        bins = self.bins
-        infinity = np.float64(np.inf)
-        # dp[b] = minimal error with payload ≤ (b / bins) * budget.
-        dp = np.zeros(bins + 1, dtype=np.float64)
-        choices: List[np.ndarray] = []
-
-        for enc in self._levels:
-            cost, err = self._choice_cache[enc.level]
-            cost_bins = np.ceil(cost / budget * bins).astype(np.int64)
-            new_dp = np.full(bins + 1, infinity)
-            new_choice = np.zeros(bins + 1, dtype=np.int64)
-            for k in range(enc.nbits, -1, -1):
-                shift = int(cost_bins[k])
-                if shift > bins:
-                    continue
-                candidate = np.full(bins + 1, infinity)
-                if shift == 0:
-                    candidate = dp + err[k]
-                else:
-                    candidate[shift:] = dp[:-shift] + err[k]
-                better = candidate < new_dp
-                new_dp = np.where(better, candidate, new_dp)
-                new_choice = np.where(better, k, new_choice)
-            dp = new_dp
-            choices.append(new_choice)
-
-        keep: Dict[int, int] = {}
-        remaining = bins
-        for enc, choice in zip(reversed(self._levels), reversed(choices)):
-            k = int(choice[remaining])
-            keep[enc.level] = k
-            cost, _ = self._choice_cache[enc.level]
-            cost_bins = int(np.ceil(cost[k] / budget * bins))
-            remaining -= cost_bins
-            remaining = max(remaining, 0)
+        # Keeping no plane costs nothing, so some plan always fits.
+        choices = self._choice_cache.values()
+        keep = self._knapsack(
+            budget, [cost for cost, _ in choices], [err for _, err in choices]
+        )
         return self._make_plan(keep)
 
     def plan_for_bitrate(self, bitrate: float) -> LoadingPlan:
         """Convenience wrapper: budget expressed in bits per scalar value."""
-        if not bitrate > 0 or not np.isfinite(bitrate):
+        if not 0 < bitrate < math.inf:
             raise ConfigurationError("bitrate must be a positive finite number")
-        byte_budget = int(np.floor(bitrate * self.header.n_elements / 8.0))
+        # At 8 · (full plan's bytes) bits per value the budget covers the
+        # full plan already; capping there keeps a huge bitrate's byte count
+        # finite and changes no plan.
+        rate = min(bitrate, 8.0 * self._full_plan().total_bytes)
+        byte_budget = math.floor(rate * self.header.n_elements / 8.0)
         return self.plan_for_size(max(byte_budget, 1))

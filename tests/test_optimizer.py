@@ -9,9 +9,12 @@ from repro import IPComp
 from repro.core.optimizer import OptimizedLoader
 from repro.core.predictive_coder import PredictiveCoder
 from repro.core.profile import CodecProfile
+from repro.core.progressive import ProgressiveRetriever
 from repro.core.quantizer import LinearQuantizer
 from repro.core.stream import CompressedStore, StreamHeader
+from repro.datasets import load_dataset
 from repro.errors import ConfigurationError, RetrievalError
+from repro.io.dataset import ChunkedDataset
 
 
 @pytest.fixture(scope="module")
@@ -147,3 +150,54 @@ def test_non_monotone_delta_table_is_planned_per_choice():
     # A budget that affords exactly the top plane leaves it unloaded.
     cheap = loader.plan_for_size(one_plane)
     assert cheap.keep == {1: 0} and cheap.predicted_error == eb + 22
+
+
+@pytest.fixture(scope="module")
+def two_shard_density(tmp_path_factory):
+    path = tmp_path_factory.mktemp("hair") / "density.rprc"
+    data = load_dataset("density", shape=(32, 34, 30), seed=7)
+    ChunkedDataset.write(path, data, error_bound=1e-5, relative=True, n_blocks=2, workers=0)
+    return path, data
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("hair", [1e-12, 1e-14, 1e-15])
+def test_a_target_a_hair_above_the_stored_bound_keeps_it(two_shard_density, hair):
+    """``err / budget · bins`` passes 2^63 for a budget this small; cast to
+    int64 it wrapped negative, the DP took every lossy choice as free, and
+    the read came back 85,000× outside its target.  Now only choices that
+    lose nothing fit: the plan may skip a plane whose loss is exactly 0, so
+    it costs at most the full plan's bytes (16 B fewer here)."""
+    path, data = two_shard_density
+    with ChunkedDataset(path) as ds:
+        full = ds.read()
+        target = ds.absolute_bound * (1 + hair)
+        with ChunkedDataset(path) as fresh:
+            rung = fresh.refine(target)
+        for result in (ds.read(target), rung):
+            assert np.max(np.abs(result.data - data)) <= target
+            assert result.error_bound <= target
+            assert result.bytes_loaded <= full.bytes_loaded
+        for shard in ds.shards:
+            retriever = ds.open_shard(shard.name)
+            plan = retriever.plan_request(error_bound=target)
+            assert plan.predicted_error == retriever.header.error_bound
+            assert plan.payload_bytes <= retriever.loader._full_plan().payload_bytes
+
+
+def test_any_finite_budget_past_the_full_plan_gets_the_full_plan():
+    """Huge but finite budgets used to crash: a Python int past int64 is a
+    ``TypeError`` to ``np.isfinite`` and ``int(inf)`` an ``OverflowError``."""
+    data = load_dataset("density", shape=(12, 14, 10), seed=3)
+    retriever = ProgressiveRetriever(IPComp(error_bound=1e-4, relative=True).compress(data))
+    full = retriever.loader._full_plan()
+    for request in (
+        {"bitrate": 1e300}, {"bitrate": 1e308}, {"bitrate": 10**400},
+        {"byte_budget": 2**70}, {"byte_budget": 1e300}, {"byte_budget": 10**400},
+    ):
+        assert retriever.plan_request(**request) == full, request
+    assert retriever.plan_request(error_bound=10**400).payload_bytes == 0
+    for bad in (float("nan"), float("inf"), -float("inf"), 0, -1, -(10**400)):
+        for key in ("error_bound", "bitrate", "byte_budget"):
+            with pytest.raises(ConfigurationError):
+                retriever.plan_request(**{key: bad})
