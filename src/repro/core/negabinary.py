@@ -17,6 +17,9 @@ are bijections between ``int64`` and ``uint64`` and are fully vectorised.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from typing import List, Sequence, Tuple
+
 import numpy as np
 
 #: Alternating bit mask ``0b...10101010`` for 64-bit words.
@@ -80,33 +83,77 @@ def truncate_low_planes(values: np.ndarray, dropped: int) -> np.ndarray:
 def truncation_errors(values: np.ndarray, nbits: int) -> np.ndarray:
     """Exact ``max |v − truncate_low_planes(v, d)|`` for every ``d = 0 … nbits``.
 
+    The level of one: :func:`truncation_error_tables` of ``[(values, nbits)]``.
+    Returns ``int64[nbits + 1]``, all zeros for an empty level.
+    """
+    return truncation_error_tables([(values, nbits)])[0]
+
+
+def truncation_error_tables(
+    levels: Sequence[Tuple[np.ndarray, int]]
+) -> List[np.ndarray]:
+    """The δ tables of a shard: :func:`truncation_errors` of every
+    ``(values, nbits)`` pair, in one sweep over all of them.
+
     Dropping the ``d`` low digits loses exactly their value,
     ``from_negabinary(nb & low)`` with ``low = 2^d − 1``.  On the key
     ``x = nb ^ MASK`` — simply ``v + MASK`` (mod 2^64), so nothing is
     converted — that value is ``(x & low) − (MASK & low)``, *increasing* in
     the masked key: the largest loss of either sign sits at the maximum or
-    minimum of ``x & low``.  One ``and`` + ``max`` + ``min`` per plane, widest
-    mask first and in place (masks nest), on a private copy of the key in the
-    narrowest unsigned dtype holding ``nbits``; signs are resolved on Python
-    ints.  Returns ``int64[nbits + 1]``, all zeros for an empty level.
+    minimum of ``x & low``.
+
+    Every non-empty level's key goes into one array, widest level first, in
+    the narrowest unsigned dtype holding the widest level.  Plane ``d`` then
+    touches the prefix of levels at least ``d`` wide: one ``and`` (widest
+    mask first and in place; masks nest) and one ``maximum`` / ``minimum``
+    ``reduceat`` over the level starts — three NumPy calls per plane of the
+    shard, not per plane of every level.  The signs are resolved in
+    ``int64`` (or on Python ints when a level is 63 or 64 bits wide, where
+    ``int64`` could wrap).  Returns one ``int64[nbits + 1]`` table per
+    level, in order; an empty level's is all zeros.
     """
-    if not 0 <= nbits <= 64:
-        raise ValueError(f"nbits must be in 0..64, got {nbits}")
-    errors = np.zeros(nbits + 1, dtype=np.int64)
-    v = np.asarray(values, dtype=np.int64).ravel()
-    if v.size == 0:
-        return errors
+    tables: List[np.ndarray] = []
+    live: List[Tuple[int, int, np.ndarray]] = []  # (nbits, index, values)
+    for values, nbits in levels:
+        if not 0 <= nbits <= 64:
+            raise ValueError(f"nbits must be in 0..64, got {nbits}")
+        v = np.asarray(values, dtype=np.int64).ravel()
+        if v.size and nbits:
+            live.append((nbits, len(tables), v))
+        tables.append(np.zeros(nbits + 1, dtype=np.int64))
+    if not live:
+        return tables
+    live.sort(key=lambda item: -item[0])  # widest first
+    width = live[0][0]
+    dtype = np.uint16 if width <= 16 else np.uint32 if width <= 32 else np.uint64
+    bounds = list(accumulate((v.size for _, _, v in live), initial=0))
+    key = np.empty(bounds[-1], dtype=dtype)
     with np.errstate(over="ignore"):
-        key = v.view(np.uint64) + NEGABINARY_MASK
-    if nbits <= 32:
-        key = key.astype(np.uint16 if nbits <= 16 else np.uint32)
+        for (_, _, v), start, stop in zip(live, bounds, bounds[1:]):
+            # The key of a level, cut to the working dtype on the way in.
+            np.add(v.view(np.uint64), NEGABINARY_MASK, out=key[start:stop], casting="unsafe")
+    starts = np.array(bounds[:-1], dtype=np.intp)
+    top = np.zeros((width + 1, len(live)), dtype=dtype)
+    bottom = np.zeros_like(top)
+    active = 0  # levels at least ``dropped`` wide: a prefix that grows as ``dropped`` falls
+    for dropped in range(width, 0, -1):
+        while active < len(live) and live[active][0] >= dropped:
+            active += 1
+        masked = key[: bounds[active]]
+        np.bitwise_and(masked, dtype((1 << dropped) - 1), out=masked)
+        np.maximum.reduceat(masked, starts[:active], out=top[dropped, :active])
+        np.minimum.reduceat(masked, starts[:active], out=bottom[dropped, :active])
     mask = int(NEGABINARY_MASK)
-    for dropped in range(nbits, 0, -1):
-        low = (1 << dropped) - 1
-        np.bitwise_and(key, key.dtype.type(low), out=key)
-        offset = mask & low
-        errors[dropped] = max(int(key.max()) - offset, offset - int(key.min()))
-    return errors
+    offsets = [mask & ((1 << dropped) - 1) for dropped in range(width + 1)]
+    if width < 63:
+        offset = np.array(offsets, dtype=np.int64)[:, None]
+        errors = np.maximum(top.astype(np.int64) - offset, offset - bottom.astype(np.int64))
+    else:
+        offset = np.array(offsets, dtype=object)[:, None]
+        errors = np.maximum(top.astype(object) - offset, offset - bottom.astype(object))
+    for column, (nbits, index, _) in enumerate(live):
+        tables[index][1:] = errors[1 : nbits + 1, column]
+    return tables
 
 
 def truncation_uncertainty(dropped: int, scheme: str = "negabinary") -> float:

@@ -35,11 +35,11 @@ re-sweeps them on every refinement — so there is one plane decoder.
 Alongside the blocks the encoder records the *exact* information-loss table
 ``δy_l(b)`` — the largest value-domain error introduced at this level when the
 ``b`` least significant planes are not loaded — which is what the optimized
-data loader of §5 consumes (one order-preserving sweep,
-:func:`repro.core.negabinary.truncation_errors`).  Using exact per-level
-tables (instead of the worst-case negabinary uncertainty formula) tightens
-the retrieval plans noticeably on smooth fields where low planes are mostly
-zero.
+data loader of §5 consumes (one order-preserving sweep over the whole
+shard, :func:`repro.core.negabinary.truncation_error_tables`).  Using exact
+per-level tables (instead of the worst-case negabinary uncertainty formula)
+tightens the retrieval plans noticeably on smooth fields where low planes are
+mostly zero.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import numpy as np
 from repro.coders.backend import Backend, RawCoder, get_backend
 from repro.coders.zlib_backend import ZlibCoder
 from repro.core.kernels import get_kernel
-from repro.core.negabinary import truncation_errors
+from repro.core.negabinary import truncation_error_tables
 from repro.core.profile import CodecProfile
 from repro.core.quantizer import LinearQuantizer
 from repro.errors import ConfigurationError, StreamFormatError
@@ -220,11 +220,14 @@ class PredictiveCoder:
         planes = get_kernel().encode_planes(
             [codes for _, codes in levels], self.prefix_bits
         )
+        # Integer losses of every level and every b in one shard-wide
+        # sweep; the bin width is the only float.
+        deltas = truncation_error_tables(
+            [(codes, nbits) for (_, codes), (nbits, _) in zip(levels, planes)]
+        )
         encodings: List[LevelEncoding] = []
-        for (level, codes), (nbits, packed_planes) in zip(levels, planes):
+        for (level, codes), (nbits, packed_planes), delta in zip(levels, planes, deltas):
             chosen = negotiate_level(packed_planes)
-            # Integer losses for every b at once; the bin width is the only float.
-            delta = truncation_errors(codes, nbits) * self.quantizer.bin_width
             encodings.append(
                 LevelEncoding(
                     level=level,
@@ -232,7 +235,7 @@ class PredictiveCoder:
                     nbits=nbits,
                     plane_blocks=[block for _, block in chosen],
                     plane_coders=[name for name, _ in chosen],
-                    delta_table=delta,
+                    delta_table=delta * self.quantizer.bin_width,
                 )
             )
         return encodings

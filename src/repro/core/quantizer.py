@@ -80,12 +80,20 @@ def relative_to_absolute(relative_bound: float, data: np.ndarray) -> float:
 
     The paper (and SDRBench practice) specifies bounds like ``1e-6`` as a
     fraction of the field's value range; an all-constant field degenerates to
-    a tiny positive bound so the quantizer stays well defined.
+    a tiny positive bound so the quantizer stays well defined.  A NaN or
+    infinity in ``data`` makes the range it scans for not finite, and that
+    is what the error names (it is no fault of the bound).
     """
     if relative_bound <= 0:
         raise ConfigurationError("relative bound must be positive")
     data = np.asarray(data)
-    value_range = float(data.max() - data.min()) if data.size else 0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        value_range = float(data.max() - data.min()) if data.size else 0.0
+    if not np.isfinite(value_range):
+        raise ConfigurationError(
+            f"a range-relative error bound requires finite input values "
+            f"(the value range is {value_range})"
+        )
     if value_range == 0.0:
         value_range = 1.0
     return relative_bound * value_range

@@ -35,6 +35,8 @@ exception.
 from __future__ import annotations
 
 import json
+import os
+import secrets
 import struct
 import threading
 from pathlib import Path
@@ -66,13 +68,25 @@ def is_container(path: Union[str, Path]) -> bool:
 
 
 class BlockContainerWriter:
-    """Append named blocks to a container file."""
+    """Append named blocks to a container file.
+
+    The blocks go to a temporary sibling of ``path`` (same directory, so
+    the rename cannot cross a file system); :meth:`close` writes the footer
+    and renames it onto ``path`` in one step.  When a ``with`` block raises,
+    the temporary file is removed instead and whatever was at ``path``
+    before — a previous archive — is left as it was.
+    """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._entries: List[Dict[str, object]] = []
-        self._handle = open(self.path, "wb")
+        # Exclusive create: a unique name, and the permissions a plain
+        # ``open(path, "wb")`` would give.
+        self._partial = self.path.with_name(
+            f".{self.path.name}.{secrets.token_hex(8)}.partial"
+        )
+        self._handle = open(self._partial, "xb")
         self._offset = 0
         self._closed = False
 
@@ -94,21 +108,35 @@ class BlockContainerWriter:
         self._offset += len(data)
 
     def close(self) -> None:
-        """Write the footer directory and close the file."""
+        """Write the footer directory and move the file onto ``path``."""
         if self._closed:
             return
-        footer = json.dumps({"blocks": self._entries}, separators=(",", ":")).encode()
-        self._handle.write(footer)
-        self._handle.write(struct.pack("<Q", len(footer)))
-        self._handle.write(MAGIC)
-        self._handle.close()
         self._closed = True
+        try:
+            footer = json.dumps({"blocks": self._entries}, separators=(",", ":")).encode()
+            self._handle.write(footer)
+            self._handle.write(struct.pack("<Q", len(footer)))
+            self._handle.write(MAGIC)
+            self._handle.close()
+            os.replace(self._partial, self.path)
+        except BaseException:
+            self._discard()
+            raise
+
+    def _discard(self) -> None:
+        """Drop everything written so far; ``path`` is not touched."""
+        self._closed = True
+        self._handle.close()
+        self._partial.unlink(missing_ok=True)
 
     def __enter__(self) -> "BlockContainerWriter":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        elif not self._closed:
+            self._discard()
 
 
 class BlockContainerReader:

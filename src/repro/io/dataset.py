@@ -348,13 +348,17 @@ class ChunkedDataset:
         ``n_blocks`` slabs along the slowest axis each become one IPComp
         stream, produced by the write transport
         :class:`~repro.parallel.executor.BlockParallelCompressor` — a
-        shared-memory pool of ``workers`` processes (``None`` = up to four,
-        ``0`` / ``1`` = in-process; same bytes either way).  The slabs'
+        shared-memory pool of ``workers`` processes (``None`` = up to four),
+        or with ``0`` / ``1`` the in-process window of two slabs in flight
+        (the calling thread and one ``repro-write`` thread); same bytes
+        either way, and no thread or process outlives the call.  The slabs'
         absolute bound is derived from the *global* value range, so the
         reassembled field honours the bound globally.  The resolved profile
         is embedded in the manifest, and a copy of every shard's stream
         header is written to the ``headers`` block (see the module
-        docstring).  Read the shards back with :meth:`read` /
+        docstring).  The file appears at ``path`` only when the write
+        succeeds: a write that raises leaves whatever was there before
+        untouched.  Read the shards back with :meth:`read` /
         :meth:`refine`.
         """
         data = np.asarray(data)

@@ -19,16 +19,24 @@ slabs in place.  Consecutive small slabs are **batched** into one task
 (:data:`repro.parallel.poolmap.MIN_TASK_BYTES`) so a finely sharded field
 does not drown in per-task dispatch overhead.  When the transport cannot be
 used — ``workers <= 1``, a single slab, or no segment (no ``/dev/shm``,
-sealed sandbox) — the slabs are compressed by the plain in-process loop; no
-slab is ever pickled to a worker.  A pool that cannot start — or that loses
-its worker processes — finishes in-process too; an exception *raised by the
-worker function itself* is a real error and propagates to the caller
-(:func:`repro.parallel.poolmap.imap_fallback`).  Every route produces
-byte-identical streams.
+sealed sandbox) — the slabs are compressed in-process by the **two-slab
+threaded window**: the calling thread compresses one slab while a
+``repro-write`` thread compresses the next, the caller writes finished
+streams in slab order, and slab ``k + 2`` starts only once slab ``k`` is
+written.  Deflate and the large NumPy passes release the GIL, so one slab's
+entropy stage overlaps the other's Python; no slab is ever pickled to a
+worker, and ``workers`` still counts processes only.  A pool that cannot
+start — or that loses its worker processes — finishes in-process too; an
+exception *raised by the worker function itself* (or by either slab of the
+window) is a real error and propagates to the caller
+(:func:`repro.parallel.poolmap.imap_fallback`).  No thread or process
+outlives :meth:`~BlockParallelCompressor.compress_into`, and every route
+produces byte-identical streams.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator, List, Optional
 
 import numpy as np
@@ -126,23 +134,45 @@ class BlockParallelCompressor:
         segment = None
         if len(slabs) > 1 and self.workers > 1:
             segment = poolmap.create_segment(data.nbytes)
+        if segment is None:
+            # No transport, no pool: the in-process slab window.
+            blobs = self._threaded_blobs(data, slabs)
+        else:
+            blobs = self._pooled_blobs(segment, data, slabs, extents)
         try:
-            if segment is None:
-                # No transport, no pool: the plain in-process slab loop.
-                blobs = (
-                    IPComp(profile=self.profile).compress(
-                        np.ascontiguousarray(data[slc])
-                    )
-                    for slc in slabs
-                )
-            else:
-                blobs = self._pooled_blobs(segment, data, slabs, extents)
             for index, (ranges, blob) in enumerate(zip(extents, blobs)):
                 writer.add_block(shard_name(index), blob, {"slices": ranges})
         finally:
+            # A writer that failed leaves the generator suspended: close it
+            # here, so its thread or processes end before we return.
+            blobs.close()
             if segment is not None:
                 poolmap.release_segment(segment)
         return extents
+
+    def _threaded_blobs(self, data: np.ndarray, slabs: List[SliceTuple]) -> Iterator[bytes]:
+        """Slab streams in slab order, two slabs in flight.
+
+        The calling thread compresses the even slabs and one ``repro-write``
+        thread the odd ones, a pair at a time: slab ``k + 2`` starts only
+        once slab ``k`` has been taken, so at most two slab copies and two
+        streams are alive at once.  The caller takes a share rather than a
+        second helper because every thread leaves its malloc arena behind
+        (≈ 8 MB on the e2e field), which the process keeps.  Each thread has
+        its own kernel arena and ``compress`` shares no mutable state, so
+        the bytes are the serial loop's.  An exception in either slab
+        propagates once the helper's slab has finished.
+        """
+
+        def compress(slc: SliceTuple) -> bytes:
+            return IPComp(profile=self.profile).compress(np.ascontiguousarray(data[slc]))
+
+        with ThreadPoolExecutor(1, thread_name_prefix="repro-write") as helper:
+            for even in range(0, len(slabs), 2):
+                odd = helper.submit(compress, slabs[even + 1]) if even + 1 < len(slabs) else None
+                yield compress(slabs[even])
+                if odd is not None:
+                    yield odd.result()
 
     def _pooled_blobs(
         self, segment, data: np.ndarray, slabs: List[SliceTuple], extents: List

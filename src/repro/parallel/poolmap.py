@@ -4,8 +4,8 @@
 place only — slabs go *in* through one shared-memory segment on write
 (:mod:`repro.parallel.executor`); every read decodes in-process.  Where
 that transport cannot be used (``workers <= 1``, a single task,
-:func:`create_segment` returning ``None``) the writer runs its ordinary
-in-process path; no array is ever pickled across the boundary.  The pool
+:func:`create_segment` returning ``None``) the writer runs its two-slab
+threaded window in-process; no array is ever pickled across the boundary.  The pool
 dispatches through :func:`imap_fallback`, which covers the errors a pool
 can still return:
 

@@ -252,6 +252,7 @@ _POOL_MODULES = (
     "test_retrieval_engine",
     "test_properties_dataset",
     "test_fused_pipeline",
+    "test_write_pipeline",
 )
 
 
@@ -293,9 +294,10 @@ def leak_ledger(request, monkeypatch):
     no task on the shared event loop beyond the baseline, and every
     :class:`RangeServer` the test used (its own, plus the module's
     ``server`` / ``replica``) back at ``open_connections == 0`` — i.e.
-    every stack got closed.  Pool modules: no ``/dev/shm/psm_*`` segment
-    and no child process the test created remains — error paths included
-    (a worker that raises, a partial-coverage decode).
+    every stack got closed.  Pool modules: no ``/dev/shm/psm_*`` segment,
+    no child process the test created and no ``repro-write`` thread of the
+    in-process write window remains — error paths included (a worker or a
+    slab that raises, a partial-coverage decode).
     """
     if request.module.__name__ in _POOL_MODULES:
         segments = _shm_segments()
@@ -307,6 +309,10 @@ def leak_ledger(request, monkeypatch):
         assert _settles(
             lambda: set(multiprocessing.active_children()) <= children
         ), multiprocessing.active_children()
+        # compress_into joins its threads before it returns: no settling.
+        assert not [
+            t.name for t in threading.enumerate() if t.name.startswith("repro-write")
+        ]
         return
     if request.module.__name__ not in _REMOTE_MODULES:
         yield

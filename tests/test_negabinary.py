@@ -5,12 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+from oracle_negabinary import loop_truncation_errors
 
 from repro.core.negabinary import (
     from_negabinary,
     required_bits,
     to_negabinary,
     truncate_low_planes,
+    truncation_error_tables,
     truncation_errors,
     truncation_uncertainty,
 )
@@ -147,3 +149,62 @@ def test_truncation_errors_leaves_its_input_alone():
 def test_truncation_errors_rejects_impossible_widths(nbits):
     with pytest.raises(ValueError):
         truncation_errors(np.array([1]), nbits)
+
+
+# ------------------------------- truncation_error_tables (the shard-wide sweep)
+
+INT64 = np.iinfo(np.int64)
+
+#: Widths on both sides of every working-dtype boundary (uint16 / uint32 /
+#: uint64, and the Python-int signs from 63 planes on); None = the level's own.
+_WIDTHS = [None, 0, 1, 16, 17, 32, 33, 62, 63, 64]
+
+
+@st.composite
+def _shard_levels(draw):
+    """One level of a shard: empty or not, any magnitude up to the int64
+    extremes, and a width that may be its own, narrower or wider."""
+    size = draw(st.sampled_from([0, 1, 7, 8, 9, 33]))
+    magnitude = draw(st.integers(min_value=0, max_value=63))
+    element = st.one_of(
+        st.integers(min_value=-(2**magnitude), max_value=2**magnitude - 1),
+        st.sampled_from([INT64.min, INT64.max, INT64.min + 1, INT64.max - 1]),
+    )
+    codes = np.array(draw(st.lists(element, min_size=size, max_size=size)), dtype=np.int64)
+    nbits = draw(st.sampled_from(_WIDTHS))
+    return codes, required_bits(codes) if nbits is None else nbits
+
+
+def _loop_tables(levels):
+    """The oracle's tables, or the first exception the loop raises."""
+    try:
+        return [loop_truncation_errors(codes, nbits) for codes, nbits in levels]
+    except OverflowError as exc:
+        return exc
+
+
+@given(levels=st.lists(_shard_levels(), max_size=6))
+# Wider levels after narrower ones: the sweep puts them first.
+@example(levels=[(np.arange(-3, 4), 3), (np.zeros(0, dtype=np.int64), 5), (np.array([22]), 5)])
+# Every dtype branch in one shard, an empty level among them.
+@example(levels=[
+    (np.array([5, -7]), 1), (np.array([2**15, -(2**15)]), 16), (np.zeros(0, dtype=np.int64), 17),
+    (np.array([2**31 - 1, -3]), 32), (np.array([2**32]), 33), (np.array([2**62, -(2**62)]), 64),
+])
+# The int64 extremes where their tables fit: 63 planes (and fewer) of each.
+@example(levels=[(np.array([INT64.min, INT64.max, 0]), 63), (np.array([INT64.min, INT64.max]), 17)])
+# A 64-plane loss beyond int64: the loop fails, and so must the sweep.
+@example(levels=[(np.array([6148914691236517206]), 64), (np.array([1]), 1)])
+@example(levels=[(np.array([7]), 0), (np.zeros(0, dtype=np.int64), 0)])
+@settings(deadline=None, max_examples=400, suppress_health_check=[HealthCheck.too_slow])
+def test_truncation_error_tables_equal_the_loop_oracle(levels):
+    expected = _loop_tables(levels)
+    if isinstance(expected, OverflowError):
+        with pytest.raises(OverflowError):
+            truncation_error_tables(levels)
+        return
+    tables = truncation_error_tables(levels)
+    assert len(tables) == len(levels)
+    for table, oracle in zip(tables, expected):
+        assert table.dtype == np.int64
+        assert table.tobytes() == oracle.tobytes()
