@@ -34,7 +34,7 @@ def _run(bench_datasets, tmp_dir):
         path = tmp_dir / f"{name}.rprc"
         manifest = ChunkedDataset.write(
             path, field, error_bound=BASE_BOUND, relative=True,
-            n_blocks=N_BLOCKS, workers=0,
+            n_blocks=N_BLOCKS,
         )
         eb = manifest["error_bound"]
         target = eb * READ_MULTIPLIER

@@ -1,9 +1,9 @@
-"""End-to-end pipeline throughput: the write path, the sweep, the pool.
+"""End-to-end pipeline throughput: the write path and the sweep.
 
 This is the harness behind ``BENCH_pipeline.json`` (repo root): the one
 artefact tracking whether the compression pipeline keeps the paper's
 headline property — throughput that keeps pace with I/O — as the codebase
-grows.  It measures three things:
+grows.  It measures two things:
 
 1. **The write path** — encode/decode MB/s of the full IPComp pipeline under
    the default profile (the ``matrix`` has that one row), with stream
@@ -13,10 +13,6 @@ grows.  It measures three things:
 2. **Kernel stage in isolation** — ``encode_planes``/``decode_planes``
    throughput of the shard sweep on one 400 k-value level and on a ragged
    shard (recorded; the e2e floors are what gate).
-3. **Pool scaling** — ``ChunkedDataset.write`` throughput (into a
-   temporary file) over worker counts on the field and shard count of
-   ``benchmarks/e2e`` (recorded, not asserted: single-core CI boxes cannot
-   scale).
 
 A checked-in floor (``benchmarks/perf_floor.json``) turns the bench into a
 regression gate: when the floor file's scale matches the active
@@ -29,11 +25,8 @@ trip them.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +34,6 @@ import pytest
 from benchmarks.conftest import BENCH_SCALE, REPO_ROOT, print_table, write_csv
 from repro.core import kernels
 from repro.core.compressor import IPComp
-from repro.io import ChunkedDataset
 
 BENCH_JSON = REPO_ROOT / "BENCH_pipeline.json"
 FLOOR_FILE = REPO_ROOT / "benchmarks" / "perf_floor.json"
@@ -56,15 +48,6 @@ _MATRIX_SHAPES = {
     "full": (44, 48, 56),
     "paper": (44, 48, 56),
 }
-
-#: The pool leg compresses what ``benchmarks/e2e`` archives — a 16.7 MB
-#: field in 16 shards — at every scale: the pool's start-up cost against a
-#: smaller one-shot field says nothing about the archive the decision to
-#: keep the pool rests on.
-_POOL_SHAPE = (128, 136, 120)
-_POOL_BLOCKS = 16
-_POOL_WORKERS = (0, 2)
-
 
 def _synthetic_field(shape) -> np.ndarray:
     rng = np.random.default_rng(314159)  # local; never the shared fixture rng
@@ -189,33 +172,6 @@ def _run_kernel_stage(field):
     return stage
 
 
-def _run_pool(field):
-    mb = field.nbytes / 1e6
-    scaling = {}
-    for workers in _POOL_WORKERS:
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "pool.rprc"
-
-            def write():
-                ChunkedDataset.write(
-                    path, field, error_bound=BOUND, relative=True,
-                    n_blocks=_POOL_BLOCKS, workers=workers,
-                )
-
-            # Best of five: a pool's first passes pay for starting its workers.
-            seconds = _best_seconds(write, 5)
-        scaling[str(workers)] = {
-            "encode_mbps": round(mb / seconds, 3),
-            "encode_s": round(seconds, 3),
-        }
-    return {
-        "shape": list(field.shape),
-        "n_blocks": _POOL_BLOCKS,
-        "cpu_count": os.cpu_count(),
-        **scaling,
-    }
-
-
 def _check_floor(payload) -> list:
     """Regression gate against the checked-in floor (>30 % drop fails)."""
     if not FLOOR_FILE.exists():
@@ -237,15 +193,13 @@ def _run(_bench_datasets_unused=None):
     matrix_field = _synthetic_field(_MATRIX_SHAPES.get(BENCH_SCALE, (32, 36, 40)))
     matrix, identical = _run_matrix(matrix_field)
     kernel_stage = _run_kernel_stage(matrix_field)
-    pool = _run_pool(_synthetic_field(_POOL_SHAPE))
     payload = {
-        "schema": "bench-pipeline-e2e/v3",
+        "schema": "bench-pipeline-e2e/v4",
         "scale": BENCH_SCALE,
         "matrix_shape": list(matrix_field.shape),
         "matrix_field_mb": round(matrix_field.nbytes / 1e6, 3),
         "matrix": matrix,
         "kernel_stage": kernel_stage,
-        "pool": pool,
         "streams_byte_identical_to_oracle": identical,
     }
     return payload
@@ -263,14 +217,11 @@ def test_pipeline_e2e(benchmark, results_dir):
     print_table("Pipeline e2e: default profile", header, rows)
     write_csv(results_dir / "pipeline_e2e.csv", header, rows)
     stage = payload["kernel_stage"]
-    pool = payload["pool"]
     print(
         f"kernel stage: {stage['encode_mbps']} / {stage['decode_mbps']} MB/s "
         f"encode / decode on one level "
         f"({stage['ragged_shard']['encode_mbps']} / "
-        f"{stage['ragged_shard']['decode_mbps']} on a ragged shard)\n"
-        "pool encode: "
-        + ", ".join(f"{w} workers {pool[str(w)]['encode_mbps']} MB/s" for w in _POOL_WORKERS)
+        f"{stage['ragged_shard']['decode_mbps']} on a ragged shard)"
     )
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
 

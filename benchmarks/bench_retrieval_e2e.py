@@ -188,7 +188,6 @@ def _run_remote(tmp_path, path, field):
         path = tmp_path / "remote.rprc"
         ChunkedDataset.write(
             path, field, error_bound=BOUND, relative=True, n_blocks=N_BLOCKS,
-            workers=0,
         )
     windows = path.stat().st_size / OPENING_WINDOW
     assert windows >= 3, f"remote archive is only {windows:.1f} opening windows"
@@ -288,7 +287,7 @@ def test_retrieval_e2e(benchmark, results_dir, tmp_path):
     field = _synthetic_field(shape)
     path = tmp_path / "field.rprc"
     ChunkedDataset.write(
-        path, field, error_bound=BOUND, relative=True, n_blocks=N_BLOCKS, workers=0
+        path, field, error_bound=BOUND, relative=True, n_blocks=N_BLOCKS
     )
 
     def _run():

@@ -71,7 +71,6 @@ def _synthetic_field(shape) -> np.ndarray:
 def _write_container(path, field) -> None:
     ChunkedDataset.write(
         path, field, error_bound=BOUND, relative=True, n_blocks=N_BLOCKS,
-        workers=0,
     )
 
 

@@ -58,7 +58,7 @@ def main() -> None:
     workdir = Path(tempfile.mkdtemp(prefix="repro-qos-"))
     container = workdir / "wave.rprc"
     ChunkedDataset.write(
-        container, wave, error_bound=1e-6, relative=True, n_blocks=4, workers=0
+        container, wave, error_bound=1e-6, relative=True, n_blocks=4
     )
     print(f"wave field {wave.shape} -> {container} "
           f"({container.stat().st_size / 1e6:.2f} MB container)")

@@ -3,10 +3,10 @@
 
 HPC deployments compress per-rank blocks rather than whole fields.  This
 example writes an S3D-like CH4 mass-fraction field into a sharded
-:class:`repro.io.ChunkedDataset` container, compressing the slabs in-process
-and in a process pool (which falls back to in-process execution in
-restricted environments; the files are byte-identical), verifies that the
-global error bound survives the decomposition, and then performs a
+:class:`repro.io.ChunkedDataset` container — two slabs compress at once, on
+the calling thread and one helper thread, and each shard's stream is the
+one ``IPComp`` makes of its slab alone — verifies that the global error
+bound survives the decomposition, and then performs a
 slab-local progressive retrieval — a coarse pass finds the slab containing
 the flame front and only that slab is refined to full fidelity.  Every byte
 count printed is the retrieval engine's own accounting.
@@ -37,21 +37,18 @@ def main() -> None:
     ch4 = load_dataset("ch4", shape=SHAPE)
 
     with tempfile.TemporaryDirectory() as tmp:
-        for workers in (0, 4):
-            path = Path(tmp) / f"ch4-{workers}.rprc"
-            start = time.perf_counter()
-            manifest = ChunkedDataset.write(
-                path, ch4, error_bound=RELATIVE_BOUND, relative=True,
-                n_blocks=N_BLOCKS, workers=workers,
-            )
-            elapsed = time.perf_counter() - start
-            total = path.stat().st_size
-            label = "serial" if workers == 0 else f"{workers} workers"
-            print(
-                f"[{label:10s}] compressed {ch4.nbytes / 1e6:.1f} MB into "
-                f"{len(manifest['shards'])} shards, {total / 1e6:.2f} MB file "
-                f"(CR {ch4.nbytes / total:.2f}) in {elapsed:.2f} s"
-            )
+        path = Path(tmp) / "ch4.rprc"
+        start = time.perf_counter()
+        manifest = ChunkedDataset.write(
+            path, ch4, error_bound=RELATIVE_BOUND, relative=True, n_blocks=N_BLOCKS
+        )
+        elapsed = time.perf_counter() - start
+        total = path.stat().st_size
+        print(
+            f"compressed {ch4.nbytes / 1e6:.1f} MB into "
+            f"{len(manifest['shards'])} shards, {total / 1e6:.2f} MB file "
+            f"(CR {ch4.nbytes / total:.2f}) in {elapsed:.2f} s"
+        )
         global_eb = manifest["error_bound"]
 
         with ChunkedDataset(path) as dataset:

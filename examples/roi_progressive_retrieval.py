@@ -39,7 +39,7 @@ def main() -> None:
         path = Path(tmp) / "density.rprc"
         manifest = ChunkedDataset.write(
             path, density, error_bound=RELATIVE_BOUND, relative=True,
-            n_blocks=N_BLOCKS, workers=0,
+            n_blocks=N_BLOCKS,
         )
         eb = manifest["error_bound"]
         file_bytes = path.stat().st_size

@@ -173,12 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write a sharded ChunkedDataset container with N slabs "
         "instead of a single stream (enables ROI retrieval)",
     )
-    compress.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="process-pool size for --blocks compression (0 = serial)",
-    )
     _add_profile_arguments(compress)
 
     decompress = sub.add_parser("decompress", help="full-precision decompression")
@@ -365,7 +359,6 @@ def _cmd_compress(args) -> int:
             data,
             profile=profile,
             n_blocks=args.blocks,
-            workers=args.workers,
         )
         size = args.output.stat().st_size
         print(

@@ -9,18 +9,16 @@ bits of the predictive bitplane coder (the paper's Table 2 parameters).
 
 A read takes no profile: streams are self-describing, so decoding needs only
 a fidelity target.  Runtime knobs live where they act, each validated there
-— ``ChunkedDataset(prefetch=)``, ``ChunkedDataset.write(workers=)``,
-``RetrievalService(cache_bytes=)`` and the CLI flags of the same names — and
-never in a profile.
+— ``ChunkedDataset(prefetch=)``, ``RetrievalService(cache_bytes=)`` and
+the CLI flags of the same names — and never in a profile.
 
 The lossless stage is not configurable: each plane is deflated or stored,
 and a level's planes below two stored in a row are stored untried — on the
 registry byte-identical bar one tied plane, ≤ 0.8 % larger on a 64-value
 field (:mod:`repro.core.predictive_coder`); the stream records which.
 
-Profiles are immutable, hashable, picklable (they cross process boundaries in
-:mod:`repro.parallel`), and JSON round-trippable (they are embedded in
-dataset manifests and loaded from ``compress --profile`` files).
+Profiles are immutable, hashable and JSON round-trippable (they are embedded
+in dataset manifests and loaded from ``compress --profile`` files).
 """
 
 from __future__ import annotations

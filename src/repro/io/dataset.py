@@ -347,11 +347,9 @@ class ChunkedDataset:
         overrides such as ``error_bound=`` / ``relative=`` / ``method=``).
         ``n_blocks`` slabs along the slowest axis each become one IPComp
         stream, produced by the write transport
-        :class:`~repro.parallel.executor.BlockParallelCompressor` — a
-        shared-memory pool of ``workers`` processes (``None`` = up to four),
-        or with ``0`` / ``1`` the in-process window of two slabs in flight
-        (the calling thread and one ``repro-write`` thread); same bytes
-        either way, and no thread or process outlives the call.  The slabs'
+        :class:`~repro.parallel.executor.BlockParallelCompressor`: two slabs
+        in flight in this process (the calling thread and one
+        ``repro-write`` thread), and no thread outlives the call.  The slabs'
         absolute bound is derived from the *global* value range, so the
         reassembled field honours the bound globally.  The resolved profile
         is embedded in the manifest, and a copy of every shard's stream
@@ -360,12 +358,21 @@ class ChunkedDataset:
         succeeds: a write that raises leaves whatever was there before
         untouched.  Read the shards back with :meth:`read` /
         :meth:`refine`.
+
+        ``workers`` has no effect: it is validated (``None`` or a
+        non-negative integer) and ignored, and goes once the benchmark
+        harness stops passing it.
         """
+        if workers is not None:
+            check_count("workers", workers)
         data = np.asarray(data)
+        if data.ndim == 0:
+            # The slabs are cut along axis 0: a 0-d field has none.
+            raise ConfigurationError("invalid shape (): a dataset field needs at least one axis")
         # Resolve the range-relative bound once (one min/max scan of the
         # field) and hand the compressor the already-absolute profile.
         resolved = CodecProfile.from_options(profile, **profile_overrides).resolve(data)
-        compressor = BlockParallelCompressor(resolved, n_blocks, workers)
+        compressor = BlockParallelCompressor(resolved, n_blocks)
         with BlockContainerWriter(path) as writer:
             # Shards stream straight into the container as each slab's
             # stream is produced; the manifest only needs the slab extents,

@@ -3,10 +3,10 @@
 Scientific compressors are deployed per-rank on HPC systems: the domain is
 decomposed into blocks and every block is compressed independently, which
 preserves the point-wise error bound and lets retrieval be block-local.  This
-subpackage provides that execution substrate with the Python standard
-library's process pool (no MPI dependency is available offline): the write
-transport behind :meth:`repro.io.ChunkedDataset.write` and the slab
-geometry the write and the retrieval engine share.
+subpackage provides the write transport behind
+:meth:`repro.io.ChunkedDataset.write` — two slabs in flight in one process,
+the caller's thread and one helper thread — and the slab geometry the write
+and the retrieval engine share.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Domain decomposition helpers.
 
 ``block_slices`` splits a field into contiguous slabs along its slowest
-axis; the range helpers serialize slab extents for manifests and worker
-payloads; ``intersect_slab_roi`` gives the selectors that place a slab
+axis; the range helpers serialize slab extents for manifests;
+``intersect_slab_roi`` gives the selectors that place a slab
 into an ROI-shaped output (the engine's decode stage and
 :func:`repro.retrieval.engine.assemble`).  The decomposition is purely
 geometric — no ghost layers are needed because every compressor in this
@@ -125,44 +125,3 @@ def intersect_slab_roi(slab: SliceTuple, roi: SliceTuple) -> Tuple[SliceTuple, S
         sel_out.append(slice(start - roi_axis.start, stop - roi_axis.start))
         sel_in.append(slice(start - slab_axis.start, stop - slab_axis.start))
     return tuple(sel_out), tuple(sel_in)
-
-
-def slab_bytes(slc: SliceTuple, shape: Sequence[int], itemsize: int) -> int:
-    """Payload bytes of one slab of a field with the given shape/itemsize."""
-    n = itemsize
-    for axis_slice, extent in zip(slc, shape):
-        start, stop, _ = axis_slice.indices(extent)
-        n *= max(0, stop - start)
-    return n
-
-
-def batch_slabs(
-    slabs: Sequence[SliceTuple],
-    shape: Sequence[int],
-    itemsize: int,
-    workers: int,
-    min_bytes: int,
-) -> List[List[SliceTuple]]:
-    """Group consecutive slabs into per-task batches.
-
-    Small slabs are merged until a batch carries at least ``min_bytes`` of
-    field data, capped so a field large enough to feed every worker is never
-    collapsed below ``workers`` batches: the effective threshold is
-    ``min(min_bytes, total_bytes // workers)``.  The encode pool batches
-    its input slabs with this.
-    """
-    total = sum(slab_bytes(slc, shape, itemsize) for slc in slabs)
-    target = min(min_bytes, max(1, total // max(workers, 1)))
-    batches: List[List[SliceTuple]] = []
-    current: List[SliceTuple] = []
-    current_bytes = 0
-    for slc in slabs:
-        current.append(slc)
-        current_bytes += slab_bytes(slc, shape, itemsize)
-        if current_bytes >= target:
-            batches.append(current)
-            current, current_bytes = [], 0
-    if current:
-        batches.append(current)
-    return batches
-

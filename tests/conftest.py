@@ -116,8 +116,8 @@ def write_v1_container(path: Path, n_shards: int = 2) -> Path:
     """A manifest-v1 container wrapping the pinned v1 stream ``n_shards`` times.
 
     Every shard decodes the same pinned payload; the field is their stack
-    along axis 0 — enough structure to drive the multi-shard (and pool)
-    paths against genuine version-1 bytes.
+    along axis 0 — enough structure to drive the multi-shard paths against
+    genuine version-1 bytes.
     """
     from repro.io import BlockContainerWriter
 
@@ -187,7 +187,7 @@ def served_dir(tmp_path_factory, v1_blob) -> Path:
     (root / "v2.ipc").write_bytes(v2_blob)
     ChunkedDataset.write(
         root / "v2.rprc", cumsum_field((128, 48, 40), 4), error_bound=1e-5,
-        relative=True, n_blocks=8, workers=0,
+        relative=True, n_blocks=8,
     )
     write_v1_container(root / "v1.rprc", n_shards=48)
     for served in root.iterdir():
@@ -246,8 +246,9 @@ _REMOTE_MODULES = (
     "test_scheduler",
 )
 
-#: Test modules that reach the process pool and its shared-memory segments.
-_POOL_MODULES = (
+#: Test modules that run the write window.  Nothing in them should start a
+#: process or create a shared-memory segment; the ledger checks both.
+_WRITE_MODULES = (
     "test_parallel",
     "test_retrieval_engine",
     "test_properties_dataset",
@@ -294,12 +295,12 @@ def leak_ledger(request, monkeypatch):
     no task on the shared event loop beyond the baseline, and every
     :class:`RangeServer` the test used (its own, plus the module's
     ``server`` / ``replica``) back at ``open_connections == 0`` — i.e.
-    every stack got closed.  Pool modules: no ``/dev/shm/psm_*`` segment,
+    every stack got closed.  Write modules: no ``/dev/shm/psm_*`` segment,
     no child process the test created and no ``repro-write`` thread of the
-    in-process write window remains — error paths included (a worker or a
-    slab that raises, a partial-coverage decode).
+    write window remains — error paths included (a slab that raises, a
+    partial-coverage decode).
     """
-    if request.module.__name__ in _POOL_MODULES:
+    if request.module.__name__ in _WRITE_MODULES:
         segments = _shm_segments()
         children = set(multiprocessing.active_children())
         yield

@@ -59,7 +59,7 @@ def main() -> None:
         shutil.copyfile(v1_container, HERE / "corpus_v1_manifest.rprc")
     ChunkedDataset.write(
         HERE / "corpus_v2_headers.rprc", cumsum_field((20, 12, 10), 8),
-        error_bound=1e-5, relative=True, n_blocks=3, workers=0,
+        error_bound=1e-5, relative=True, n_blocks=3,
     )
     legacy_layout(HERE / "corpus_v2_headers.rprc", HERE / "corpus_v2_legacy.rprc")
     _record(HERE / "v1_stream.ipc", "corpus_v1_stream")

@@ -427,7 +427,7 @@ def roi_archive(tmp_path_factory) -> Path:
     path = tmp_path_factory.mktemp("aio-roi") / "roi.rprc"
     ChunkedDataset.write(
         path, cumsum_field((64, 48, 40), 4), error_bound=1e-6, relative=True,
-        n_blocks=8, workers=0,
+        n_blocks=8,
     )
     return path
 
@@ -507,7 +507,7 @@ def wide_archive(tmp_path_factory) -> Path:
     a burst bridges (≈ 91 KB), so no two shard heads share a GET."""
     path = tmp_path_factory.mktemp("aio-wide") / "wide.rprc"
     field = np.random.default_rng(11).normal(size=(512, 32, 32))
-    ChunkedDataset.write(path, field, error_bound=1e-7, relative=True, n_blocks=16, workers=0)
+    ChunkedDataset.write(path, field, error_bound=1e-7, relative=True, n_blocks=16)
     return path
 
 

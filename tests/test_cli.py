@@ -85,7 +85,7 @@ def test_info_on_container_includes_shard_headers(tmp_path, raw_field, capsys):
     _, raw_path = raw_field
     container = tmp_path / "density.rprc"
     main(["compress", str(raw_path), "-o", str(container), "--shape", "16x18x20",
-          "--blocks", "2", "--workers", "0"])
+          "--blocks", "2"])
     capsys.readouterr()
     assert main(["info", str(container)]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -197,7 +197,7 @@ def test_legacy_profile_file_with_kernel_key_drives_the_cli(tmp_path, raw_field)
     field, raw_path = raw_field
     profile_path = tmp_path / "v3_profile.json"
     profile_path.write_text(json.dumps(LEGACY_PROFILE_JSON, indent=2))
-    for suffix, extra in ((".ipc", []), (".rprc", ["--blocks", "3", "--workers", "0"])):
+    for suffix, extra in ((".ipc", []), (".rprc", ["--blocks", "3"])):
         compressed = tmp_path / f"density{suffix}"
         plain = tmp_path / f"plain{suffix}"
         common = ["compress", str(raw_path), "--shape", "16x18x20", *extra]
@@ -221,7 +221,7 @@ def test_compress_blocks_writes_container_and_roi_retrieve(tmp_path, raw_field, 
     container = tmp_path / "density.rprc"
     assert main(
         ["compress", str(raw_path), "-o", str(container), "--shape", "16x18x20",
-         "--eb", "1e-5", "--blocks", "4", "--workers", "0"]
+         "--eb", "1e-5", "--blocks", "4"]
     ) == 0
     assert "shards" in capsys.readouterr().out
 
@@ -270,7 +270,7 @@ def test_bitrate_on_container_rejected(tmp_path, raw_field, capsys):
     _, raw_path = raw_field
     container = tmp_path / "density.rprc"
     main(["compress", str(raw_path), "-o", str(container), "--shape", "16x18x20",
-          "--blocks", "2", "--workers", "0"])
+          "--blocks", "2"])
     code = main(
         ["retrieve", str(container), "-o", str(tmp_path / "x.d64"), "--bitrate", "2.0"]
     )
@@ -279,12 +279,15 @@ def test_bitrate_on_container_rejected(tmp_path, raw_field, capsys):
 
 
 def test_compress_blocks_rejects_negative_workers(tmp_path, raw_field, capsys):
-    """``--workers -1`` used to compress in-process and exit 0."""
+    """``compress`` has no ``--workers``: every write runs one in-process
+    path, so the flag is an unknown argument."""
     _, raw_path = raw_field
     container = tmp_path / "density.rprc"
-    assert main(["compress", str(raw_path), "-o", str(container), "--shape", "16x18x20",
-                 "--blocks", "4", "--workers", "-1"]) == 2
-    assert "error: workers must be a non-negative integer" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["compress", str(raw_path), "-o", str(container), "--shape", "16x18x20",
+              "--blocks", "4", "--workers", "-1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers -1" in capsys.readouterr().err
     assert not container.exists()
 
 
@@ -299,12 +302,11 @@ def test_error_path_returns_nonzero(tmp_path, capsys):
 def test_retrieve_prefetch_and_workers_flags(tmp_path, raw_field, capsys):
     """--prefetch: identical output and accounting; a local file reads
     synchronously whatever the flag says (no thread prefetcher exists:
-    tests/test_retrieval_engine.py pins that).  Compression's --workers
-    writes the archive every variant reads."""
+    tests/test_retrieval_engine.py pins that)."""
     _, raw_path = raw_field
     container = tmp_path / "density.rprc"
     main(["compress", str(raw_path), "-o", str(container), "--shape", "16x18x20",
-          "--blocks", "4", "--workers", "0", "--eb", "1e-5"])
+          "--blocks", "4", "--eb", "1e-5"])
     capsys.readouterr()
     variants = {
         "sync": ["--prefetch", "0"],
@@ -388,7 +390,7 @@ def test_info_roi_prints_retrieval_plan(tmp_path, raw_field, capsys):
     _, raw_path = raw_field
     container = tmp_path / "density.rprc"
     main(["compress", str(raw_path), "-o", str(container), "--shape", "16x18x20",
-          "--blocks", "4", "--workers", "0", "--eb", "1e-5"])
+          "--blocks", "4", "--eb", "1e-5"])
     capsys.readouterr()
     assert main(["info", str(container), "--roi", "0:8,:,:",
                  "--error-bound", "1e-3"]) == 0

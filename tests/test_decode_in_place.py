@@ -106,7 +106,7 @@ def archives(tmp_path_factory):
         paths[label] = root / f"{label}.rprc"
         ChunkedDataset.write(
             paths[label], cumsum_field((21, 14, 11), 12).astype(dtype),
-            error_bound=1e-5, relative=True, n_blocks=4, workers=0,
+            error_bound=1e-5, relative=True, n_blocks=4,
         )
     paths["stream"] = root / "s.ipc"
     paths["stream"].write_bytes(
@@ -176,7 +176,7 @@ def test_a_read_peaks_near_one_answer(tmp_path):
     path = tmp_path / "m.rprc"
     ChunkedDataset.write(
         path, cumsum_field((64, 68, 60), 14), error_bound=1e-5, relative=True,
-        n_blocks=8, workers=0,
+        n_blocks=8,
     )
     _peak_ratio(path, [1])  # warm every cache a first open fills
     assert _peak_ratio(path, [1]) <= 2.0
@@ -214,7 +214,7 @@ def _with_slabs(path, out, slabs):
 def test_slabs_that_do_not_tile_the_field_are_refused_at_open(tmp_path, slabs, match):
     path = tmp_path / "d.rprc"
     ChunkedDataset.write(
-        path, cumsum_field((32, 16, 16), 15), error_bound=1e-4, n_blocks=2, workers=0
+        path, cumsum_field((32, 16, 16), 15), error_bound=1e-4, n_blocks=2
     )
     bad = _with_slabs(path, tmp_path / "bad.rprc", slabs)
     with pytest.raises(StreamFormatError, match=match):
@@ -229,7 +229,7 @@ def test_a_legacy_shard_whose_stream_is_not_its_slab_is_refused_before_its_paylo
     read, not a broadcast error (or a write past its slot)."""
     path = tmp_path / "d.rprc"
     ChunkedDataset.write(
-        path, cumsum_field((32, 16, 16), 16), error_bound=1e-4, n_blocks=2, workers=0
+        path, cumsum_field((32, 16, 16), 16), error_bound=1e-4, n_blocks=2
     )
     slabs = [[[0, 12], [0, 16], [0, 16]], [[12, 32], [0, 16], [0, 16]]]
     legacy = legacy_layout(_with_slabs(path, tmp_path / "bad.rprc", slabs), tmp_path / "l.rprc")

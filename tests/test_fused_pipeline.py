@@ -103,23 +103,7 @@ def test_fused_arena_reuse_does_not_leak_between_levels():
         previous = codes
 
 
-# --------------------------------------------------------- executor utilities
-
-
-def test_batch_slabs_merges_small_and_respects_workers():
-    from repro.parallel.partition import batch_slabs, block_slices
-    from repro.parallel.poolmap import MIN_TASK_BYTES
-
-    shape = (64, 8, 8)
-    slabs = block_slices(shape, 16)  # 16 slabs × 2 KiB
-    batches = batch_slabs(slabs, shape, 8, 4, MIN_TASK_BYTES)
-    # Tiny slabs collapse into ≥ 1, ≤ workers-sized batch count while
-    # preserving order and covering every slab exactly once.
-    flat = [slc for batch in batches for slc in batch]
-    assert flat == list(slabs)
-    assert 1 <= len(batches) <= 16
-    big_batches = batch_slabs(slabs, (4096, 64, 64), 8, 4, MIN_TASK_BYTES)
-    assert len(big_batches) >= 4  # large field keeps every worker busy
+# --------------------------------------------------------- executor
 
 
 def test_compress_into_streaming_and_keep_blobs(tmp_path):
@@ -133,7 +117,7 @@ def test_compress_into_streaming_and_keep_blobs(tmp_path):
     rng = _local_rng(23)
     field = _field(rng, (16, 18, 20))
     resolved = CodecProfile(error_bound=1e-4, relative=True).resolve(field)
-    comp = BlockParallelCompressor(resolved, 3, 0)
+    comp = BlockParallelCompressor(resolved, 3)
     slabs = block_slices(field.shape, 3)
 
     order = []

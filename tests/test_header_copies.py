@@ -43,7 +43,7 @@ def archive(tmp_path_factory) -> Path:
     path = tmp_path_factory.mktemp("copies") / "field.rprc"
     ChunkedDataset.write(
         path, cumsum_field((26, 14, 12), 21), error_bound=1e-6, relative=True,
-        n_blocks=4, workers=0,
+        n_blocks=4,
     )
     return path
 

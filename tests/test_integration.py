@@ -93,7 +93,7 @@ def test_parallel_blocks_to_container_and_back(density, tmp_path):
     container, then read back only what a coarse analysis needs."""
     path = tmp_path / "density_blocks.rprc"
     manifest = ChunkedDataset.write(
-        path, density, error_bound=1e-6, relative=True, n_blocks=4, workers=0
+        path, density, error_bound=1e-6, relative=True, n_blocks=4
     )
     with BlockContainerReader(path) as reader:
         shards = [n for n in reader.block_names() if n.startswith("shard-")]

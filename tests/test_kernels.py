@@ -226,7 +226,7 @@ def test_chunked_dataset_files_byte_identical_across_kernels(oracle, tmp_path):
     def write_and_refine(name):
         path = tmp_path / f"field.{name}.rprc"
         ChunkedDataset.write(
-            path, field, error_bound=1e-4, relative=True, n_blocks=3, workers=0
+            path, field, error_bound=1e-4, relative=True, n_blocks=3
         )
         with ChunkedDataset(path) as dataset:
             eb = dataset.absolute_bound

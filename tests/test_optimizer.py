@@ -156,7 +156,7 @@ def test_non_monotone_delta_table_is_planned_per_choice():
 def two_shard_density(tmp_path_factory):
     path = tmp_path_factory.mktemp("hair") / "density.rprc"
     data = load_dataset("density", shape=(32, 34, 30), seed=7)
-    ChunkedDataset.write(path, data, error_bound=1e-5, relative=True, n_blocks=2, workers=0)
+    ChunkedDataset.write(path, data, error_bound=1e-5, relative=True, n_blocks=2)
     return path, data
 
 

@@ -69,7 +69,7 @@ def shard_headers(tmp_path_factory):
         data = load_dataset(name, shape=(20, 22, 18), seed=11)
         for rel in BOUNDS:
             path = root / f"{name}-{rel}.rprc"
-            ChunkedDataset.write(path, data, error_bound=rel, relative=True, n_blocks=2, workers=0)
+            ChunkedDataset.write(path, data, error_bound=rel, relative=True, n_blocks=2)
             with ChunkedDataset(path) as ds:
                 for shard in ds.shards:
                     retriever = ds.open_shard(shard.name)

@@ -7,7 +7,11 @@ unnoticed: the profile's runtime fields, the read-side ``--profile``,
 ``--no-prefetch``, the service's ``cache_verify`` / ``degrade_on_failure``
 and retry keywords, the scheduler's ``quantum_bytes``, ``serve`` /
 ``stats --threads``, the ``RequestCost`` fields no caller read, the read's
-``workers`` (``ChunkedDataset(workers=)``, ``retrieve --workers``), and the
+``workers`` (``ChunkedDataset(workers=)``, ``retrieve --workers``), the
+write's with the pool write (``compress --workers`` and
+``BlockParallelCompressor``'s ``workers``: every write runs one in-process
+path; ``ChunkedDataset.write`` still accepts a validated ``workers`` that
+does nothing, because the benchmark harness passes it), and the
 remote stack's knobs, now module constants: the wire's in
 :mod:`repro.io.aio` (``CONNECTIONS``, ``TIMEOUT``, ``RETRIES``,
 ``MAX_BATCH``), the backoff schedule and the breaker's threshold and
@@ -41,7 +45,7 @@ _SERVE = [
 
 CLI_OPTIONS = {
     "compress": sorted(
-        _WRITE_PROFILE + ["--blocks", "--dtype", "--output", "--shape", "--workers", "-o"]
+        _WRITE_PROFILE + ["--blocks", "--dtype", "--output", "--shape", "-o"]
     ),
     "decompress": ["--output", "-o"],
     "retrieve": [
@@ -60,7 +64,7 @@ KEYWORDS = {
     ChunkedDataset.write: [
         "path", "data", "profile", "n_blocks", "workers", "profile_overrides",
     ],
-    BlockParallelCompressor.__init__: ["profile", "n_blocks", "workers"],
+    BlockParallelCompressor.__init__: ["profile", "n_blocks"],
     RetrievalService.__init__: [
         "cache_bytes", "sleep", "source_filter", "remote_options",
     ],

@@ -7,9 +7,9 @@ Sharded round trips go through the one sharded codec:
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing.process
 
 import numpy as np
 import pytest
@@ -22,35 +22,12 @@ from repro.parallel import (
     BlockParallelCompressor,
     block_slices,
     normalize_roi,
-    poolmap,
     ranges_to_slices,
     slices_intersect,
     slices_to_ranges,
 )
 from repro.retrieval.engine import assemble
-
-
-def _pool_usable() -> bool:
-    try:
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            return pool.submit(int, 1).result(timeout=60) == 1
-    except Exception:
-        return False
-
-
-# Worker helpers must be module-level to be picklable.
-def _fail_in_child(payload):
-    parent_pid, value = payload
-    if os.getpid() != parent_pid:
-        raise RuntimeError("worker raised on purpose")
-    return value
-
-
-def _die_in_child(payload):
-    parent_pid, value = payload
-    if os.getpid() != parent_pid:
-        os._exit(13)  # kill the worker process: breaks the pool, no exception
-    return value
+from repro.service import RetrievalService
 
 
 def test_block_slices_slab_decomposition():
@@ -69,7 +46,7 @@ def test_block_slices_more_blocks_than_rows():
 
 def _written(path, field, **options):
     """``ChunkedDataset.write`` with the tests' defaults; returns the manifest."""
-    options = {"error_bound": 1e-5, "relative": True, "workers": 0, **options}
+    options = {"error_bound": 1e-5, "relative": True, **options}
     return ChunkedDataset.write(path, field, **options)
 
 
@@ -100,20 +77,21 @@ def test_block_progressive_retrieval(tmp_path, smooth_3d):
 
 
 def test_parallel_workers_match_serial_results(tmp_path, smooth_3d):
-    _written(tmp_path / "serial.rprc", smooth_3d, n_blocks=2, workers=0)
-    _written(tmp_path / "pooled.rprc", smooth_3d, n_blocks=2, workers=2)
-    # Files must be byte-identical regardless of the execution mode.
-    assert (tmp_path / "serial.rprc").read_bytes() == (
-        tmp_path / "pooled.rprc"
-    ).read_bytes()
+    """``workers`` is an accepted no-op: every value writes the bytes the
+    default write does (there is one write path)."""
+    _written(tmp_path / "default.rprc", smooth_3d, n_blocks=2)
+    for workers in (0, 1, 2, None):
+        path = tmp_path / f"workers-{workers}.rprc"
+        _written(path, smooth_3d, n_blocks=2, workers=workers)
+        assert path.read_bytes() == (tmp_path / "default.rprc").read_bytes()
 
 
 def test_compress_into_and_blocks_from_entries(tmp_path, smooth_3d):
-    """The pooled transport writes one ``shard-NNNN`` entry per slab, each
+    """The write transport writes one ``shard-NNNN`` entry per slab, each
     carrying the slab extents it returns; the entries alone rebuild the
     field within the global bound."""
     resolved = CodecProfile(error_bound=1e-5, relative=True).resolve(smooth_3d)
-    comp = BlockParallelCompressor(resolved, 3, 2)
+    comp = BlockParallelCompressor(resolved, 3)
     path = tmp_path / "slabs.rprc"
     with BlockContainerWriter(path) as writer:
         extents = comp.compress_into(writer, smooth_3d)
@@ -136,7 +114,7 @@ def test_blocks_from_entries_requires_slab_metadata(tmp_path, smooth_3d):
     """A shard whose slab extents are gone from the manifest cannot be
     placed: opening the dataset is a format error."""
     full = tmp_path / "full.rprc"
-    manifest = _written(full, smooth_3d, n_blocks=2, workers=2)
+    manifest = _written(full, smooth_3d, n_blocks=2)
     del manifest["shards"][1]["slices"]
     path = tmp_path / "bare.rprc"
     with BlockContainerReader(full) as reader, BlockContainerWriter(path) as writer:
@@ -160,11 +138,11 @@ def test_reassemble_checks_coverage():
 def test_invalid_configuration():
     absolute = CodecProfile(error_bound=1e-3, relative=False)
     with pytest.raises(ConfigurationError):
-        BlockParallelCompressor(absolute, 0, 0)
+        BlockParallelCompressor(absolute, 0)
     # A still-relative profile would be resolved slab by slab, breaking the
     # global bound: the transport refuses it.
     with pytest.raises(ConfigurationError, match="absolute"):
-        BlockParallelCompressor(CodecProfile(relative=True), 2, 0)
+        BlockParallelCompressor(CodecProfile(relative=True), 2)
 
 
 @pytest.mark.parametrize(
@@ -173,67 +151,46 @@ def test_invalid_configuration():
      {"n_blocks": 2.5}],
 )
 def test_write_rejects_bad_runtime_knobs(tmp_path, smooth_3d, options):
-    """The write side's knobs follow the read side's rule: a configuration
-    error before any file exists, not a silent in-process run."""
+    """A bad ``n_blocks``, or a bad value of the ignored ``workers``, is a
+    configuration error before any file exists."""
     path = tmp_path / "never.rprc"
     with pytest.raises(ConfigurationError):
         _written(path, smooth_3d, **{"n_blocks": 2, **options})
     assert not path.exists()
 
 
-# ------------------------------------------------ imap_fallback error paths
+# ------------------------------------------------------- nothing starts a process
 
 
-@pytest.mark.skipif(not _pool_usable(), reason="process pools unavailable here")
-def test_worker_exception_propagates():
-    """A worker-raised exception is a real error, not a cue to fall back."""
-    parent = os.getpid()
-    with pytest.raises(RuntimeError, match="worker raised on purpose"):
-        list(poolmap.imap_fallback(_fail_in_child, [(parent, 1), (parent, 2)], 2))
+def _round_trip(path, field):
+    """A default write, then a read, a two-rung refine and a service get."""
+    ChunkedDataset.write(path, field, error_bound=1e-5, relative=True, n_blocks=4)
+    with ChunkedDataset(path) as dataset:
+        eb = dataset.absolute_bound
+        answers = [dataset.read().data, dataset.read(error_bound=eb * 16, roi=(slice(2, 10),)).data]
+        answers += [dataset.refine(error_bound=eb * 64).data, dataset.refine(error_bound=eb).data]
+    with RetrievalService() as service:
+        answers.append(service.get(path, eb * 4, roi=(slice(1, 7),)).data)
+    return path.read_bytes(), [a.tobytes() for a in answers]
 
 
-@pytest.mark.skipif(not _pool_usable(), reason="process pools unavailable here")
-def test_broken_pool_falls_back_to_serial():
-    """Worker *processes* dying (not raising) triggers the serial fallback."""
-    parent = os.getpid()
-    payloads = [(parent, 1), (parent, 2)]
-    assert list(poolmap.imap_fallback(_die_in_child, payloads, 2)) == [1, 2]
+def test_nothing_starts_a_process(tmp_path, monkeypatch, smooth_3d):
+    """Every write and read runs in this process: with process pools and
+    process starts made to fail, a default write, a read, a refine and a
+    service get answer bitwise what an unpatched run does."""
+    expected = _round_trip(tmp_path / "free.rprc", smooth_3d)
+    started = []
 
+    def refuse(kind):
+        def refused(*args, **kwargs):
+            started.append(kind)
+            raise AssertionError(f"{kind} started")
+        return refused
 
-def test_submit_time_spawn_failure_falls_back_to_serial(monkeypatch):
-    """Workers spawn lazily: fork denial at submit() is still environmental."""
-
-    class NoForkPool:
-        def __init__(self, *args, **kwargs):
-            pass
-
-        def submit(self, *args, **kwargs):
-            raise OSError("fork denied by sandbox")
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-    monkeypatch.setattr(poolmap, "ProcessPoolExecutor", NoForkPool)
-    assert list(poolmap.imap_fallback(str, [1, 2, 3], 2)) == ["1", "2", "3"]
-
-
-def test_pool_start_failure_falls_back_to_serial(monkeypatch):
-    def broken_pool(*args, **kwargs):
-        raise OSError("no fork for you")
-
-    monkeypatch.setattr(poolmap, "ProcessPoolExecutor", broken_pool)
-    assert list(poolmap.imap_fallback(str, [1, 2, 3], 2)) == ["1", "2", "3"]
-
-
-def test_serial_path_never_touches_the_pool(monkeypatch):
-    def exploding_pool(*args, **kwargs):  # pragma: no cover - must not run
-        raise AssertionError("pool must not be constructed for workers=0")
-
-    monkeypatch.setattr(poolmap, "ProcessPoolExecutor", exploding_pool)
-    assert list(poolmap.imap_fallback(str, [1, 2], 0)) == ["1", "2"]
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", refuse("pool"))
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse("process"))
+    assert _round_trip(tmp_path / "patched.rprc", smooth_3d) == expected
+    assert not started
 
 
 # ------------------------------------------------------------ slice utilities

@@ -146,7 +146,7 @@ def _write(tmp_path, monkeypatch, data, error_bound, exhaustive):
         if exhaustive:
             patch.setattr(predictive_coder, "negotiate_level", _exhaustive_level)
         path = tmp_path / f"{'oracle' if exhaustive else 'encoder'}.rprc"
-        ChunkedDataset.write(path, data, error_bound=error_bound, n_blocks=4, workers=0)
+        ChunkedDataset.write(path, data, error_bound=error_bound, n_blocks=4)
     return path, path.read_bytes()
 
 

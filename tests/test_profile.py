@@ -161,7 +161,7 @@ def test_from_file_errors(tmp_path):
 
 
 def test_profile_pickles_unchanged():
-    """Profiles cross process boundaries in repro.parallel — must pickle."""
+    """Profiles are plain frozen data: a pickle round trip changes nothing."""
     profile = CodecProfile(error_bound=1e-4, prefix_bits=1)
     assert pickle.loads(pickle.dumps(profile)) == profile
 
@@ -191,9 +191,9 @@ def test_block_parallel_compressor_carries_profile(tmp_path):
     profile = CodecProfile(error_bound=1e-4)
     resolved = profile.resolve(field)
     assert not resolved.relative
-    assert BlockParallelCompressor(resolved, 2, 0).profile is resolved
+    assert BlockParallelCompressor(resolved, 2).profile is resolved
     manifest = ChunkedDataset.write(
-        tmp_path / "f.rprc", field, profile=profile, n_blocks=2, workers=0
+        tmp_path / "f.rprc", field, profile=profile, n_blocks=2
     )
     # The write resolves the bound once, from the whole field.
     assert CodecProfile.from_json(manifest["profile"]) == resolved

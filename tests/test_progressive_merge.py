@@ -171,7 +171,7 @@ def test_failed_dataset_refine_then_retry_equals_read(tmp_path):
     fails one read, retried, is bitwise ``read()`` at that bound."""
     path = tmp_path / "field.rprc"
     field = _field((20, 18, 14), seed=4)
-    ChunkedDataset.write(path, field, error_bound=1e-6, relative=True, n_blocks=3, workers=0)
+    ChunkedDataset.write(path, field, error_bound=1e-6, relative=True, n_blocks=3)
     with ChunkedDataset(path) as dataset:
         stored = dataset.absolute_bound
         want = dataset.read()
@@ -210,7 +210,7 @@ def test_rebuilt_ladder_rungs_equal_fresh_reads(tmp_path):
     path = tmp_path / "field.rprc"
     ChunkedDataset.write(
         path, _field((20, 18, 14), seed=3), error_bound=1e-5, relative=True,
-        n_blocks=3, workers=0,
+        n_blocks=3,
     )
     with ChunkedDataset(path) as dataset:
         stored = dataset.absolute_bound
@@ -253,13 +253,13 @@ def test_default_argument_streams_equal_the_reference_kernel(oracle, tmp_path):
     paths = {name: tmp_path / f"{name}.rprc" for name in ("default", "reference")}
     blob = IPComp(error_bound=1e-4, relative=True).compress(field)
     ChunkedDataset.write(paths["default"], field, error_bound=1e-4, relative=True,
-                         n_blocks=2, workers=0)
+                         n_blocks=2)
     with ChunkedDataset(paths["default"]) as default:
         restored = default.read().data.tobytes()
     oracle()
     assert IPComp(error_bound=1e-4, relative=True).compress(field) == blob
     ChunkedDataset.write(paths["reference"], field, error_bound=1e-4, relative=True,
-                         n_blocks=2, workers=0)
+                         n_blocks=2)
     assert paths["default"].read_bytes() == paths["reference"].read_bytes()
     with ChunkedDataset(paths["default"]) as reference:
         assert reference.read().data.tobytes() == restored

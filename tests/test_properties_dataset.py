@@ -74,7 +74,7 @@ def test_roundtrip_bound_and_roi_slab(
     path = tmp_path / "field.rprc"
     manifest = ChunkedDataset.write(
         path, field, error_bound=error_bound, relative=relative,
-        n_blocks=n_blocks, workers=0,
+        n_blocks=n_blocks,
     )
     eb = manifest["error_bound"]
     if relative:
@@ -111,7 +111,7 @@ def test_refine_is_monotone_additive_and_never_rereads(tmp_path):
     field = _field((20, 12, 10), np.float64, seed=90125)
     path = tmp_path / "field.rprc"
     manifest = ChunkedDataset.write(
-        path, field, error_bound=1e-6, relative=True, n_blocks=4, workers=0
+        path, field, error_bound=1e-6, relative=True, n_blocks=4
     )
     eb = manifest["error_bound"]
     with ChunkedDataset(path) as dataset:
@@ -145,7 +145,7 @@ def test_refine_under_prefetch_keeps_byte_and_range_accounting(tmp_path, prefetc
     field = _field((20, 12, 10), np.float64, seed=60801)
     path = tmp_path / "field.rprc"
     manifest = ChunkedDataset.write(
-        path, field, error_bound=1e-6, relative=True, n_blocks=4, workers=0
+        path, field, error_bound=1e-6, relative=True, n_blocks=4
     )
     eb = manifest["error_bound"]
     ladder = (1024, 64, 8, 1)
@@ -173,7 +173,7 @@ def test_refine_roi_then_widen(tmp_path):
     field = _field((16, 10, 8), np.float64, seed=4321)
     path = tmp_path / "field.rprc"
     manifest = ChunkedDataset.write(
-        path, field, error_bound=1e-5, relative=True, n_blocks=4, workers=0
+        path, field, error_bound=1e-5, relative=True, n_blocks=4
     )
     eb = manifest["error_bound"]
     with ChunkedDataset(path) as dataset:
@@ -192,7 +192,7 @@ def test_read_is_stateless_refine_is_stateful(tmp_path):
     field = _field((12, 9, 7), np.float64, seed=777)
     path = tmp_path / "f.rprc"
     manifest = ChunkedDataset.write(
-        path, field, error_bound=1e-5, relative=True, n_blocks=3, workers=0
+        path, field, error_bound=1e-5, relative=True, n_blocks=3
     )
     eb = manifest["error_bound"]
     with ChunkedDataset(path) as dataset:
@@ -208,7 +208,7 @@ def test_read_is_stateless_refine_is_stateful(tmp_path):
 def test_invalid_roi_and_bounds_rejected(tmp_path):
     field = _field((10, 8), np.float64, seed=31337)
     path = tmp_path / "f.rprc"
-    ChunkedDataset.write(path, field, error_bound=1e-4, n_blocks=2, workers=0)
+    ChunkedDataset.write(path, field, error_bound=1e-4, n_blocks=2)
     with ChunkedDataset(path) as dataset:
         with pytest.raises(ConfigurationError):
             dataset.read(roi=(slice(0, 0),))  # empty axis
@@ -269,7 +269,7 @@ def test_manifest_short_coverage_rejected_at_open(tmp_path):
     dataset: it fails to open, so no read can return unset points."""
     field = _field((16, 6), np.float64, seed=5)
     full = tmp_path / "full.rprc"
-    manifest = ChunkedDataset.write(full, field, error_bound=1e-3, n_blocks=4, workers=0)
+    manifest = ChunkedDataset.write(full, field, error_bound=1e-3, n_blocks=4)
     manifest["shards"] = manifest["shards"][:-1]
     path = tmp_path / "short.rprc"
     with BlockContainerReader(full) as reader, BlockContainerWriter(path) as writer:
@@ -285,7 +285,7 @@ def test_manifest_short_coverage_rejected_at_open(tmp_path):
 def test_is_dataset_sniff(tmp_path):
     field = _field((8, 6), np.float64, seed=99)
     path = tmp_path / "f.rprc"
-    ChunkedDataset.write(path, field, error_bound=1e-3, n_blocks=2, workers=0)
+    ChunkedDataset.write(path, field, error_bound=1e-3, n_blocks=2)
     assert ChunkedDataset.is_dataset(path)
     plain = tmp_path / "plain.ipc"
     plain.write_bytes(b"IPC1 definitely not a container")

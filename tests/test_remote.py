@@ -376,7 +376,7 @@ def test_both_retry_ladders_sleep_the_one_schedule(tmp_path, monkeypatch):
     path = tmp_path / "field.rprc"
     ChunkedDataset.write(
         path, cumsum_field((12, 10, 8), 3), error_bound=1e-4, relative=True,
-        n_blocks=2, workers=0,
+        n_blocks=2,
     )
     injector = FaultInjector(FaultPlan.first(2))
     slept = []
@@ -873,7 +873,7 @@ def probe(tmp_path_factory) -> Path:
     root = tmp_path_factory.mktemp("probe")
     field = load_dataset("density", shape=(48, 56, 64))
     ChunkedDataset.write(
-        root / "probe.rprc", field, error_bound=1e-5, relative=True, n_blocks=4, workers=0
+        root / "probe.rprc", field, error_bound=1e-5, relative=True, n_blocks=4
     )
     (root / "probe.ipc").write_bytes(
         IPComp(error_bound=1e-5, relative=True).compress(field)
@@ -1412,7 +1412,7 @@ def test_a_remote_freshness_probe_never_stalls_another_session(tmp_path):
     path = tmp_path / "data.rprc"
     ChunkedDataset.write(
         path, cumsum_field((24, 28, 32), 7), error_bound=1e-4, relative=True,
-        n_blocks=4, workers=0,
+        n_blocks=4,
     )
     slow = FaultPlan.never()
     with RangeServer(tmp_path, plan=slow) as srv, RetrievalService() as service:
@@ -1440,7 +1440,7 @@ def test_opening_a_remote_session_never_stalls_another_session(tmp_path):
     path = tmp_path / "data.rprc"
     ChunkedDataset.write(
         path, cumsum_field((24, 28, 32), 7), error_bound=1e-4, relative=True,
-        n_blocks=4, workers=0,
+        n_blocks=4,
     )
     slow = FaultPlan.always("latency", seconds=0.5)
     with RangeServer(tmp_path, plan=slow) as srv, RetrievalService() as service:
@@ -1468,7 +1468,7 @@ def test_racing_first_opens_of_one_url_keep_one_session(tmp_path, monkeypatch):
     path = tmp_path / "data.rprc"
     ChunkedDataset.write(
         path, cumsum_field((12, 10, 8), 5), error_bound=1e-4, relative=True,
-        n_blocks=2, workers=0,
+        n_blocks=2,
     )
     stacks, closed = [], []
     open_stack = service_mod.open_remote_source
@@ -1505,7 +1505,7 @@ def test_service_remote_fingerprint_change_purges_session(tmp_path):
     path = tmp_path / "data.rprc"
     ChunkedDataset.write(
         path, cumsum_field((12, 10, 8), 5), error_bound=1e-4, relative=True,
-        n_blocks=2, workers=0,
+        n_blocks=2,
     )
     with RangeServer(tmp_path) as srv, RetrievalService() as service:
         url = srv.url_for("data.rprc")
@@ -1513,7 +1513,7 @@ def test_service_remote_fingerprint_change_purges_session(tmp_path):
         # Replace the served object in place: same URL, different bytes.
         ChunkedDataset.write(
             path, cumsum_field((12, 10, 8), 6), error_bound=1e-4, relative=True,
-            n_blocks=2, workers=0,
+            n_blocks=2,
         )
         with ChunkedDataset(path) as dataset:
             oracle = dataset.read()
@@ -1529,7 +1529,7 @@ def eight_shards(tmp_path_factory) -> Path:
     root = tmp_path_factory.mktemp("eight")
     ChunkedDataset.write(
         root / "eight.rprc", cumsum_field((64, 48, 40), 4), error_bound=1e-6,
-        relative=True, n_blocks=8, workers=0,
+        relative=True, n_blocks=8,
     )
     return root
 

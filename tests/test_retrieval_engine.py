@@ -1,4 +1,4 @@
-"""The unified retrieval engine: plan → prefetch → pool-decode pipeline.
+"""The unified retrieval engine: plan → prefetch → decode pipeline.
 
 Three invariant families pin the refactor:
 
@@ -9,7 +9,7 @@ Three invariant families pin the refactor:
   served to the consumer per block; what was *consumed* is the store's
   trace, identical whatever sits between the store and the bytes;
 * **byte-identity matrix** — decoded output is bitwise-identical across
-  {v1, v2} streams × {serial, prefetch, pool} execution paths, on bare
+  {v1, v2} streams × {serial, prefetch} execution paths, on bare
   streams and on containers (the acceptance criterion of the refactor).
 
 NB: module-local rng only — the conftest ``rng`` fixture is session-scoped
@@ -177,7 +177,7 @@ def test_prefetch_source_without_prefetcher_is_passthrough(tmp_path):
     """A local file has no prime cache at all: whatever ``prefetch`` says,
     the store reads its block source directly (no thread, no wrapper)."""
     path = tmp_path / "local.rprc"
-    ChunkedDataset.write(path, _field((12, 10), 1), error_bound=1e-4, n_blocks=2, workers=0)
+    ChunkedDataset.write(path, _field((12, 10), 1), error_bound=1e-4, n_blocks=2)
     with ChunkedDataset(path, prefetch=8) as dataset:
         assert type(dataset.open_shard("shard-0000").store.source) is BlockSource
         before = threading.active_count()
@@ -350,7 +350,7 @@ def test_identity_matrix_containers(tmp_path, version):
         path = tmp_path / "v2.rprc"
         ChunkedDataset.write(
             path, _field((24, 14, 10), 4), error_bound=1e-5, relative=True,
-            n_blocks=4, workers=0,
+            n_blocks=4,
         )
     with ChunkedDataset(path) as dataset:
         eb = dataset.absolute_bound
@@ -372,63 +372,7 @@ def test_v1_container_decodes_the_pinned_payload(tmp_path):
     assert out.data.tobytes() == np.concatenate([pinned, pinned]).tobytes()
 
 
-# ------------------------------------------------------------- pool write
-
-
-def _write_and_read(path, field, workers):
-    """One pooled-or-not write + full and ROI reads; everything comparable."""
-    ChunkedDataset.write(
-        path, field, error_bound=1e-5, relative=True, n_blocks=4, workers=workers
-    )
-    with ChunkedDataset(path) as dataset:
-        eb = dataset.absolute_bound
-        reads = [
-            dataset.read(error_bound=eb * 16),
-            dataset.read(error_bound=eb * 16, roi=(slice(2, 14),)),
-        ]
-    return path.read_bytes(), [
-        (r.data.tobytes(), r.bytes_loaded, sorted(r.ranges), r.shards) for r in reads
-    ]
-
-
-def test_kept_pool_paths_build_a_pool_and_match_in_process(tmp_path, monkeypatch):
-    """The write really crosses the process boundary with ``workers=2`` —
-    and its archive is the in-process one, read back (full, ROI) with the
-    same bytes, ranges and counts.  Reads build no pool."""
-    from repro.parallel import poolmap
-
-    built = []
-    real_pool = poolmap.ProcessPoolExecutor
-
-    def counting_pool(*args, **kwargs):
-        built.append(kwargs)
-        return real_pool(*args, **kwargs)
-
-    monkeypatch.setattr(poolmap, "ProcessPoolExecutor", counting_pool)
-    field = _field((24, 14, 10), 4)
-    assert _write_and_read(tmp_path / "serial.rprc", field, 0) == _write_and_read(
-        tmp_path / "pooled.rprc", field, 2
-    )
-    assert len(built) == 1  # the pooled write; every read decodes in-process
-
-
-@pytest.mark.parametrize("direction", ["write"])
-def test_no_shared_memory_runs_in_process(tmp_path, monkeypatch, direction):
-    """Shared memory or in-process: without a segment no pool is built."""
-    from repro.parallel import poolmap
-
-    def no_pool(*args, **kwargs):  # pragma: no cover - must not run
-        raise AssertionError("no segment, so no pool may be constructed")
-
-    field = _field((24, 14, 10), 4)
-    serial = _write_and_read(tmp_path / "serial.rprc", field, 0)
-    monkeypatch.setattr(poolmap, "create_segment", lambda nbytes: None)
-    monkeypatch.setattr(poolmap, "ProcessPoolExecutor", no_pool)
-    ChunkedDataset.write(
-        tmp_path / "w.rprc", field, error_bound=1e-5, relative=True,
-        n_blocks=4, workers=2,
-    )
-    assert (tmp_path / "w.rprc").read_bytes() == serial[0]
+# ------------------------------------------------------------- shard errors
 
 
 def test_pool_worker_errors_propagate(tmp_path):
@@ -441,7 +385,7 @@ def test_pool_worker_errors_propagate(tmp_path):
 
     field = _field((16, 10), 5)
     path = tmp_path / "x.rprc"
-    ChunkedDataset.write(path, field, error_bound=1e-4, n_blocks=2, workers=0)
+    ChunkedDataset.write(path, field, error_bound=1e-4, n_blocks=2)
     with BlockContainerReader(path) as reader:
         offset = int(reader.directory["shard-0001"]["offset"])
     with ChunkedDataset(path) as dataset:
@@ -461,7 +405,7 @@ def test_decompress_rejects_partial_coverage(tmp_path):
 
     field = _field((16, 10), 7)
     full = tmp_path / "full.rprc"
-    manifest = ChunkedDataset.write(full, field, error_bound=1e-4, n_blocks=4, workers=0)
+    manifest = ChunkedDataset.write(full, field, error_bound=1e-4, n_blocks=4)
     manifest["shards"] = manifest["shards"][:-1]
     path = tmp_path / "short.rprc"
     with BlockContainerReader(full) as reader, BlockContainerWriter(path) as writer:
@@ -481,7 +425,7 @@ def test_refine_prefetch_preserves_accounting(tmp_path):
     field = _field((24, 12, 10), 6)
     path = tmp_path / "s.rprc"
     manifest = ChunkedDataset.write(
-        path, field, error_bound=1e-6, relative=True, n_blocks=4, workers=0
+        path, field, error_bound=1e-6, relative=True, n_blocks=4
     )
     eb = manifest["error_bound"]
     ladder = (1024, 64, 8, 1)
@@ -515,7 +459,7 @@ def test_local_reads_are_one_container_read_per_op(tmp_path):
     path = tmp_path / "ops.rprc"
     ChunkedDataset.write(
         path, _field((24, 12, 10), 6), error_bound=1e-5, relative=True,
-        n_blocks=3, workers=0,
+        n_blocks=3,
     )
     roi = (slice(0, 10),)
     for archive, first_pin, per_shard in (
@@ -555,7 +499,7 @@ def test_engine_plan_matches_read_bytes(tmp_path):
     field = _field((20, 14), 7)
     path = tmp_path / "p.rprc"
     manifest = ChunkedDataset.write(
-        path, field, error_bound=1e-5, relative=True, n_blocks=3, workers=0
+        path, field, error_bound=1e-5, relative=True, n_blocks=3
     )
     eb = manifest["error_bound"]
     with ChunkedDataset(path) as dataset:
@@ -580,7 +524,7 @@ def test_dataset_plan_runs_one_dp_per_shard_and_pins_its_loader(tmp_path, monkey
     path = tmp_path / "c.rprc"
     ChunkedDataset.write(
         path, _field((24, 12, 10), 8), error_bound=1e-5, relative=True,
-        n_blocks=4, workers=0,
+        n_blocks=4,
     )
     plans, loaders = [], []
     real_plan, real_init = OptimizedLoader.plan_for_error_bound, OptimizedLoader.__init__
@@ -618,7 +562,7 @@ def test_remembered_plans_are_bounded_and_equal_fresh_ones(tmp_path, monkeypatch
     path = tmp_path / "m.rprc"
     ChunkedDataset.write(
         path, _field((24, 12, 10), 10), error_bound=1e-5, relative=True,
-        n_blocks=3, workers=0,
+        n_blocks=3,
     )
     plans = []
     real_plan = OptimizedLoader.plan_for_error_bound
@@ -657,7 +601,7 @@ def test_concurrent_first_plans_parse_each_header_once(tmp_path):
     path = tmp_path / "c.rprc"
     ChunkedDataset.write(
         path, _field((24, 12, 10), 9), error_bound=1e-5, relative=True,
-        n_blocks=4, workers=0,
+        n_blocks=4,
     )
     legacy = legacy_layout(path, tmp_path / "legacy.rprc")
     with BlockContainerReader(path) as reader:
@@ -708,7 +652,7 @@ def test_concurrent_first_plans_parse_each_header_once(tmp_path):
 
 
 def test_profile_prefetch_workers_are_runtime_only(tmp_path):
-    """``prefetch`` is a read keyword and ``workers`` a write one, neither a
+    """``prefetch`` is a read keyword and ``workers`` an ignored write one, neither a
     codec option: a profile file written before 9.0 that carries them loads
     (the keys are dropped), and ``ChunkedDataset`` — the read knob's one
     home — validates it instead of clamping a bad value to serial."""
@@ -719,7 +663,7 @@ def test_profile_prefetch_workers_are_runtime_only(tmp_path):
     assert set(CodecProfile().to_json()).isdisjoint({"prefetch", "workers"})
     path = tmp_path / "k.rprc"
     ChunkedDataset.write(path, _field((8, 6, 5), seed=3), error_bound=1e-3,
-                         n_blocks=2, workers=0)
+                         n_blocks=2)
     for knobs in ({"prefetch": -1}, {"prefetch": "two"}, {"prefetch": 1.5},
                   {"prefetch": True}):
         with pytest.raises(ConfigurationError, match=next(iter(knobs))):

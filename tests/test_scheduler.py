@@ -62,7 +62,7 @@ def _field(shape=SHAPE, seed=0) -> np.ndarray:
 def _make_container(directory: Path) -> Path:
     path = directory / "field.rprc"
     ChunkedDataset.write(
-        path, _field(), error_bound=1e-4, relative=True, n_blocks=4, workers=0,
+        path, _field(), error_bound=1e-4, relative=True, n_blocks=4,
     )
     return path
 
@@ -234,7 +234,7 @@ def test_large_request_on_idle_unmetered_scheduler_is_granted_at_submit(tmp_path
     path = tmp_path / "large.rprc"
     noise = np.random.default_rng(55150).normal(size=(80, 64, 64))
     ChunkedDataset.write(
-        path, noise, error_bound=1e-9, relative=True, n_blocks=4, workers=0,
+        path, noise, error_bound=1e-9, relative=True, n_blocks=4,
     )
     oracle = _serial(path)
     clock = _FakeClock()

@@ -39,7 +39,7 @@ def _v2_container(directory: Path, shape=(24, 20, 18), seed=2) -> Path:
     path = directory / "v2.rprc"
     ChunkedDataset.write(
         path, cumsum_field(shape, seed), error_bound=1e-4, relative=True,
-        n_blocks=4, workers=0,
+        n_blocks=4,
     )
     return path
 
@@ -462,7 +462,7 @@ def test_rewritten_file_gets_fresh_session_and_purged_cache(tmp_path):
         before = service.get(path)
         ChunkedDataset.write(
             path, cumsum_field((24, 20, 18), seed=4), error_bound=1e-4,
-            relative=True, n_blocks=4, workers=0,
+            relative=True, n_blocks=4,
         )
         os.utime(path, ns=(1_700_000_000_000_000_000, 1_700_000_000_000_000_001))
         after = service.get(path)
@@ -828,7 +828,7 @@ def test_service_level_purge_reconciles(tmp_path):
         # session's entries are purged, counted as invalidations.
         ChunkedDataset.write(
             path, cumsum_field((24, 20, 18), seed=9), error_bound=1e-4,
-            relative=True, n_blocks=4, workers=0,
+            relative=True, n_blocks=4,
         )
         service.get(path)
         assert _reconciles(service.cache)

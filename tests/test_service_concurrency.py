@@ -43,7 +43,7 @@ def container(tmp_path_factory) -> Path:
     path = tmp_path_factory.mktemp("svc_conc") / "field.rprc"
     ChunkedDataset.write(
         path, _field((24, 20, 18)), error_bound=1e-4, relative=True,
-        n_blocks=4, workers=0,
+        n_blocks=4,
     )
     return path
 
@@ -214,7 +214,7 @@ def test_requests_racing_on_a_rewritten_file_share_one_new_session(tmp_path):
     def write(seed):
         ChunkedDataset.write(
             path, _field((12, 10, 8), seed), error_bound=1e-4, relative=True,
-            n_blocks=2, workers=0,
+            n_blocks=2,
         )
 
     write(1)

@@ -44,7 +44,7 @@ def _make_container(directory: Path) -> Path:
     path = directory / "field.rprc"
     ChunkedDataset.write(
         path, _field((24, 20, 18)), error_bound=1e-4, relative=True,
-        n_blocks=4, workers=0,
+        n_blocks=4,
     )
     return path
 

@@ -218,7 +218,7 @@ def test_store_block_dispatch_counts_bytes_for_mixed_codecs():
 def test_dataset_manifest_v2_embeds_profile(tmp_path):
     field = np.cumsum(_rng.normal(size=(12, 8, 6)), axis=0)
     path = tmp_path / "field.rprc"
-    manifest = ChunkedDataset.write(path, field, error_bound=1e-4, n_blocks=2, workers=0)
+    manifest = ChunkedDataset.write(path, field, error_bound=1e-4, n_blocks=2)
     assert manifest["version"] == 2
     with ChunkedDataset(path) as dataset:
         assert dataset.version == 2
@@ -234,7 +234,7 @@ def test_dataset_manifest_v1_still_opens(tmp_path):
 
     field = np.cumsum(_rng.normal(size=(10, 6, 4)), axis=0)
     path = tmp_path / "field.rprc"
-    ChunkedDataset.write(path, field, error_bound=1e-4, n_blocks=2, workers=0)
+    ChunkedDataset.write(path, field, error_bound=1e-4, n_blocks=2)
 
     # Rewrite the manifest block into its v1 shape, keeping the shards.
     rewritten = tmp_path / "field.v1.rprc"
@@ -302,7 +302,7 @@ def test_dataset_opens_when_manifest_names_unregistered_coder(tmp_path):
 
     field = np.cumsum(_rng.normal(size=(10, 6, 4)), axis=0)
     path = tmp_path / "field.rprc"
-    ChunkedDataset.write(path, field, error_bound=1e-4, n_blocks=2, workers=0)
+    ChunkedDataset.write(path, field, error_bound=1e-4, n_blocks=2)
     rewritten = tmp_path / "field.alien.rprc"
     with BlockContainerReader(path) as reader:
         manifest = json.loads(reader.read_block("manifest").decode("utf-8"))
@@ -333,7 +333,7 @@ def test_unsupported_manifest_version_rejected(tmp_path):
 
     field = np.cumsum(_rng.normal(size=(8, 4)), axis=0)
     path = tmp_path / "field.rprc"
-    ChunkedDataset.write(path, field, error_bound=1e-3, n_blocks=1, workers=0)
+    ChunkedDataset.write(path, field, error_bound=1e-3, n_blocks=1)
     rewritten = tmp_path / "field.v9.rprc"
     with BlockContainerReader(path) as reader:
         manifest = json.loads(reader.read_block("manifest").decode("utf-8"))
@@ -423,7 +423,7 @@ def test_default_profile_stream_bytes_are_pinned(method, prefix_bits):
 def test_default_profile_dataset_bytes_are_pinned(tmp_path):
     path = tmp_path / "field.rprc"
     ChunkedDataset.write(
-        path, _pinned_field(), error_bound=1e-4, relative=True, n_blocks=4, workers=0
+        path, _pinned_field(), error_bound=1e-4, relative=True, n_blocks=4
     )
     assert zlib.crc32(path.read_bytes()) == PINNED_HEADERS_DATASET_CRC32
     # Without the headers block and its manifest key, the file is byte for

@@ -1,9 +1,9 @@
-"""The in-process write window and what a failed write leaves behind.
+"""The write window and what a failed write leaves behind.
 
-``BlockParallelCompressor.compress_into`` compresses the slabs of an
-in-process write (``workers`` 0 or 1, one slab, or no shared-memory
-segment) two at a time — the calling thread one, a ``repro-write`` thread
-the next — and the calling thread writes finished streams in slab order.  These tests pin that the window
+``BlockParallelCompressor.compress_into`` — every write's one path —
+compresses the slabs two at a time (the calling thread one, a
+``repro-write`` thread the next), and the calling thread writes finished
+streams in slab order.  These tests pin that the window
 changes nothing but the time: the streams are the serial loop's, at most two
 slabs are in flight, a failure in any slab propagates with no thread left
 behind, and a failed write leaves the archive it was replacing as it was.
@@ -63,7 +63,7 @@ def _serial_streams(field, n_blocks):
 def test_the_window_writes_the_serial_streams(local_rng, rows, n_blocks):
     field = _field(local_rng, rows)
     recorder = _Recorder()
-    extents = BlockParallelCompressor(PROFILE, n_blocks, workers=0).compress_into(recorder, field)
+    extents = BlockParallelCompressor(PROFILE, n_blocks).compress_into(recorder, field)
     serial = _serial_streams(field, n_blocks)
     assert len(serial) == min(rows, n_blocks) == len(extents)
     assert [blob for _, blob, _ in recorder.blocks] == serial
@@ -96,7 +96,7 @@ def test_at_most_two_slabs_are_in_flight(local_rng, monkeypatch):
 
     monkeypatch.setattr(IPComp, "compress", counted)
     recorder = _Recorder(events)
-    BlockParallelCompressor(PROFILE, 8, workers=0).compress_into(recorder, field)
+    BlockParallelCompressor(PROFILE, 8).compress_into(recorder, field)
     assert peak[0] == 2
     # Slab k + 2 starts only once slab k's stream has been written.
     for k in range(len(slabs) - 2):
@@ -113,7 +113,7 @@ def test_the_window_under_a_short_switch_interval(local_rng):
     try:
         for _ in range(3):
             recorder = _Recorder()
-            BlockParallelCompressor(PROFILE, 16, workers=0).compress_into(recorder, field)
+            BlockParallelCompressor(PROFILE, 16).compress_into(recorder, field)
             assert [blob for _, blob, _ in recorder.blocks] == _serial_streams(field, 16)
     finally:
         sys.setswitchinterval(interval)
@@ -133,7 +133,7 @@ def test_a_failing_slab_propagates_and_leaves_no_thread(local_rng, monkeypatch, 
     monkeypatch.setattr(IPComp, "compress", flaky)
     recorder = _Recorder()
     with pytest.raises(RuntimeError, match=f"slab {failing} failed"):
-        BlockParallelCompressor(PROFILE, 8, workers=0).compress_into(recorder, field)
+        BlockParallelCompressor(PROFILE, 8).compress_into(recorder, field)
     assert len(recorder.blocks) == failing
     assert not _write_threads()
 
@@ -141,7 +141,7 @@ def test_a_failing_slab_propagates_and_leaves_no_thread(local_rng, monkeypatch, 
 def test_a_failing_writer_stops_the_window(local_rng):
     field = _field(local_rng)
     with pytest.raises(OSError, match="disk full"):
-        BlockParallelCompressor(PROFILE, 8, workers=0).compress_into(_Recorder(fail_at=3), field)
+        BlockParallelCompressor(PROFILE, 8).compress_into(_Recorder(fail_at=3), field)
     assert not _write_threads()
 
 
@@ -150,7 +150,7 @@ def test_a_failing_writer_stops_the_window(local_rng):
 
 def _archive(tmp_path, rng):
     path = tmp_path / "field.rprc"
-    ChunkedDataset.write(path, _field(rng), error_bound=1e-3, relative=False, n_blocks=4, workers=0)
+    ChunkedDataset.write(path, _field(rng), error_bound=1e-3, relative=False, n_blocks=4)
     return path, path.read_bytes()
 
 
@@ -166,7 +166,7 @@ def test_a_failed_slab_keeps_the_previous_archive(tmp_path, local_rng):
         expected = dataset.read().data.tobytes()
     with pytest.raises(ConfigurationError, match="finite input values"):
         ChunkedDataset.write(
-            path, _nan_in_slab_2(local_rng), error_bound=1e-3, relative=False, n_blocks=4, workers=0
+            path, _nan_in_slab_2(local_rng), error_bound=1e-3, relative=False, n_blocks=4
         )
     assert not _write_threads()
     assert path.read_bytes() == before
@@ -176,14 +176,22 @@ def test_a_failed_slab_keeps_the_previous_archive(tmp_path, local_rng):
 
 
 def test_a_rejected_dtype_keeps_the_previous_archive(tmp_path, local_rng):
+    """An integer field, and a 0-d field (no axis to cut slabs along), are
+    refused before any file opens and leave the old archive readable."""
     path, before = _archive(tmp_path, local_rng)
-    with pytest.raises(ConfigurationError, match="floating-point"):
-        ChunkedDataset.write(
-            path, np.arange(640, dtype=np.int32).reshape(16, 4, 10),
-            error_bound=1e-3, relative=False, n_blocks=4, workers=0,
-        )
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    with ChunkedDataset(path) as dataset:
+        expected = dataset.read().data.tobytes()
+    rejected = [
+        (np.arange(640, dtype=np.int32).reshape(16, 4, 10), "floating-point"),
+        (np.array(3.0), "at least one axis"),
+    ]
+    for field, reason in rejected:
+        with pytest.raises(ConfigurationError, match=reason):
+            ChunkedDataset.write(path, field, error_bound=1e-3, relative=False, n_blocks=4)
+        assert path.read_bytes() == before
+        with ChunkedDataset(path) as dataset:
+            assert dataset.read().data.tobytes() == expected
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_a_container_appears_whole_or_not_at_all(tmp_path):
@@ -212,9 +220,9 @@ def test_a_non_finite_field_is_named_not_the_bound(tmp_path, local_rng, value):
     field = _field(local_rng)
     field[3, 4, 5] = value
     with pytest.raises(ConfigurationError, match="^a range-relative error bound requires finite input values"):
-        ChunkedDataset.write(tmp_path / "f.rprc", field, error_bound=1e-3, relative=True, workers=0)
+        ChunkedDataset.write(tmp_path / "f.rprc", field, error_bound=1e-3, relative=True)
     with pytest.raises(ConfigurationError, match="^IPComp requires finite input values$"):
-        ChunkedDataset.write(tmp_path / "f.rprc", field, error_bound=1e-3, relative=False, workers=0)
+        ChunkedDataset.write(tmp_path / "f.rprc", field, error_bound=1e-3, relative=False)
     assert not list(tmp_path.iterdir())
 
 
