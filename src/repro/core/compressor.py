@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.interpolation import InterpolationPredictor
+from repro.core.interpolation import shared_predictor
 from repro.core.predictive_coder import PredictiveCoder
 from repro.core.profile import CodecProfile
 from repro.core.progressive import ProgressiveRetriever, RetrievalResult
@@ -86,7 +86,7 @@ class IPComp:
         if not np.isfinite(data).all():
             raise ConfigurationError("IPComp requires finite input values")
         eb = self.absolute_bound(data)
-        predictor = InterpolationPredictor(data.shape, self.profile.method)
+        predictor = shared_predictor(data.shape, self.profile.method)
         quantizer = LinearQuantizer(eb)
         coder = PredictiveCoder(quantizer, self.profile)
 

@@ -167,6 +167,12 @@ class InterpolationPredictor:
             for key, passes in self._groups(granularity)
         }
 
+    @cached_property
+    def sweep_sizes(self) -> Dict[int, int]:
+        """``level_sizes("sweep")``, built once: every header parse checks
+        its levels against it."""
+        return self.level_sizes("sweep")
+
     def total_points(self) -> int:
         """Anchors plus all predicted points — must equal ``prod(shape)``."""
         return self.anchor_count + sum(self.level_sizes().values())

@@ -38,7 +38,6 @@ import numpy as np
 
 from repro.core.bitplane import check_prefix_bits
 from repro.core.negabinary import NEGABINARY_MASK as _NEGABINARY_MASK
-from repro.core.negabinary import from_negabinary as _nb_decode
 from repro.core.negabinary import required_bits_from_codes as _nb_required_bits
 
 #: One level as :meth:`PlaneKernel.decode_planes` takes it: the loaded packed
@@ -224,33 +223,41 @@ class PlaneKernel:
                 continue
             if not isinstance(rows, np.ndarray) and set(map(len, rows)) == {nbytes}:
                 rows = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(keep, nbytes)
-            if keep > nbits or np.shape(rows) != (keep, nbytes):
+            if keep > nbits or getattr(rows, "shape", None) != (keep, nbytes):
                 raise ValueError(
                     f"{keep} plane rows for a level of {nbits} planes × {nbytes} "
                     f"bytes are not one ({keep}, {nbytes}) array"
                 )
             packed[nbits - keep : nbits, start : start + nbytes] = rows[::-1]
             bottom = min(bottom, nbits - keep)
-        if prefix_bits == 1:
-            descending = packed[bottom:top][::-1]
-            np.bitwise_xor.accumulate(descending, axis=0, out=descending)
-        else:
-            for p in range(top - 2, bottom - 1, -1):
-                for j in range(1, min(prefix_bits, top - 1 - p) + 1):
-                    packed[p] ^= packed[p + j]
+        for p in range(top - 2, bottom - 1, -1):
+            for j in range(1, min(prefix_bits, top - 1 - p) + 1):
+                packed[p] ^= packed[p + j]
         for (rows, _, nbits), start, nbytes in zip(levels, starts, row_bytes):
-            packed[bottom : nbits - len(rows), start : start + nbytes] = 0
-        # Byte groups wholly below every loaded plane stay zero untouched.
-        word_bytes = arena.take("decode.words", (width, 8, 8))
-        word_bytes.fill(0)
-        blocks = arena.take("decode.blocks", (width,), np.uint64)
-        scratch = arena.take("decode.scratch", (width,), np.uint64)
-        block_bytes = blocks.view(np.uint8).reshape(width, 8)
-        for j in range(bottom // 8, groups):
-            np.copyto(block_bytes, packed[8 * j : 8 * j + 8].T)
-            _transpose_bit_blocks(blocks, scratch)
-            word_bytes[:, :, j] = block_bytes
-        codes = _nb_decode(word_bytes.reshape(-1).view("<u8"))
+            if nbits - len(rows) > bottom:
+                packed[bottom : nbits - len(rows), start : start + nbytes] = 0
+        # Each value's code in the narrowest word of 1, 2, 4 or 8 bytes that
+        # holds its ``groups`` bytes.  Byte groups wholly below every loaded
+        # plane, or above ``top``, are zero: they are filled, not transposed.
+        size = next(size for size in (1, 2, 4, 8) if size >= groups)
+        low = bottom // 8
+        word_bytes = arena.take(f"decode.words{size}", (width, 8, size))
+        word_bytes[:, :, :low] = 0
+        word_bytes[:, :, groups:] = 0
+        blocks = arena.take("decode.blocks", (groups - low, width), np.uint64)
+        scratch = arena.take("decode.scratch", blocks.shape, np.uint64)
+        block_bytes = blocks.view(np.uint8).reshape(groups - low, width, 8)
+        for r in range(8):  # a row at a time: long strided writes, not 8-byte ones
+            block_bytes[:, :, r] = packed[8 * low + r :: 8]
+        _transpose_bit_blocks(blocks, scratch)
+        for j in range(low, groups):
+            word_bytes[:, :, j] = block_bytes[j - low]
+        # Negabinary in that width: a code below 2^(8·size) has ``nb ^ M − M
+        # == nb ^ m − m``, ``m`` the low bytes of the mask ``M``.
+        words = word_bytes.reshape(-1).view(f"<u{size}")
+        mask = _NEGABINARY_MASK >> np.uint64(64 - 8 * size)
+        words ^= mask.astype(words.dtype)
+        codes = np.subtract(words, mask.view(np.int64), dtype=np.int64)
         return [
             codes[8 * start : 8 * start + count] if nbytes else np.zeros(count, dtype=np.int64)
             for (_, count, _), start, nbytes in zip(levels, starts, row_bytes)

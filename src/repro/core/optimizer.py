@@ -31,11 +31,12 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.stream import StreamHeader, header_plane_sizes
+from repro.core.stream import StreamHeader
 from repro.core.theory import propagation_factor
 from repro.errors import ConfigurationError, RetrievalError
 
@@ -74,7 +75,7 @@ class OptimizedLoader:
     def __init__(self, header: StreamHeader, overhead_bytes: int = 0):
         self.header = header
         self.overhead_bytes = int(overhead_bytes)
-        self._levels = sorted(header.levels, key=lambda enc: enc.level)
+        self._levels = sorted(header.levels, key=attrgetter("level"))
 
     @cached_property
     def _choice_cache(self) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
@@ -84,14 +85,14 @@ class OptimizedLoader:
         choices: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         for enc in self._levels:
             # cost[k] = bytes loaded when keeping the k most significant planes.
-            cost = np.concatenate(([0], np.cumsum(header_plane_sizes(enc))))
+            cost = np.cumsum([0, *self.header.plane_sizes[enc.level]], dtype=np.float64)
             # error[k] = propagated Theorem-1 error when keeping k planes.
             # Stream groups are per interpolation sweep, so the information
             # loss of group ``l`` passes through exactly ``l − 1`` later
             # prediction sweeps and the paper's p^(l−1) factor is exact.
             delta = np.asarray(enc.delta_table, dtype=np.float64)
             err = propagation_factor(self.header.method, enc.level) * delta[::-1]
-            choices[enc.level] = (cost.astype(np.float64), err)
+            choices[enc.level] = (cost, err)
         return choices
 
     # ----------------------------------------------------------------- helpers
@@ -100,7 +101,7 @@ class OptimizedLoader:
         return LoadingPlan(
             keep={enc.level: enc.nbits for enc in self._levels},
             predicted_error=self.header.error_bound,
-            payload_bytes=self.header.payload_bytes() - self.header.anchor_size,
+            payload_bytes=self.header.plane_bytes,
             overhead_bytes=self.overhead_bytes,
         )
 

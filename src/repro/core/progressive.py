@@ -115,29 +115,23 @@ class ProgressiveRetriever:
         starts = list(
             accumulate((enc.nbits * n for enc, n in zip(header.levels, row_bytes)), initial=0)
         )
+        numbers = [enc.level for enc in header.levels]
+        self._rows = dict(zip(numbers, zip(starts, row_bytes)))
         try:
-            buffer = np.empty(starts[-1], dtype=np.uint8)
-            slots = {
-                enc.level: buffer[start:stop]
-                for enc, start, stop in zip(header.levels, starts, starts[1:])
-            }
-            rows = {
-                enc.level: slots[enc.level].reshape(enc.nbits, n)
-                for enc, n in zip(header.levels, row_bytes)
-            }
+            self._buffer = np.empty(starts[-1], dtype=np.uint8)
         except (MemoryError, ValueError) as exc:
             raise StreamFormatError(f"stream header invalid: plane rows: {exc}") from None
         self.loader = OptimizedLoader(header, overhead_bytes=self.store.overhead_bytes)
         # Retrieval state: the decoded anchor and the packed (still
-        # XOR-predicted) plane rows loaded so far — ``_rows[level][:keep]``,
-        # written through the level's flat ``_slots`` view (a memoryview
+        # XOR-predicted) plane rows loaded so far — level ``l``'s first
+        # ``keep`` rows of ``n`` bytes from ``start``, ``_rows[l] == (start,
+        # n)`` — written through one memoryview of the buffer (a memoryview
         # slice assignment costs a fraction of a NumPy one, and there is one
         # per segment).
         self._anchor_values: Optional[np.ndarray] = None
-        self._current_keep: Dict[int, int] = {enc.level: 0 for enc in header.levels}
-        self._levels = {enc.level: enc for enc in header.levels}
-        self._rows: Dict[int, np.ndarray] = rows
-        self._slots = {level: memoryview(slot) for level, slot in slots.items()}
+        self._current_keep: Dict[int, int] = dict.fromkeys(numbers, 0)
+        self._levels = dict(zip(numbers, header.levels))
+        self._view = memoryview(self._buffer)
         # The header is charged to the first call that completes.
         self._header_charged = False
 
@@ -250,8 +244,7 @@ class ProgressiveRetriever:
         # One decode call for the whole shard: the kernel sweeps every level
         # together instead of paying its fixed dispatch cost per level.
         codes = self.coder.codes_from_rows(
-            (enc, self._rows[enc.level][: self._current_keep[enc.level]])
-            for enc in levels
+            (enc, self._loaded_rows(enc.level)) for enc in levels
         )
         # The dequantize rides the interpolation add: each sweep multiplies
         # its slice of the codes by the bin width.
@@ -295,6 +288,8 @@ class ProgressiveRetriever:
         for enc in self.header.levels:
             if target_keep[enc.level] > enc.nbits:
                 raise StreamFormatError("more planes planned than the level width")
+        rows, view, keep = self._rows, self._view, self._current_keep
+        decode_row = self.coder.decode_row
         for op in self._ops(target_keep):
             for (level, first, stop, stored), block in self.store.read_op(op):
                 if level is None:
@@ -302,11 +297,11 @@ class ProgressiveRetriever:
                         block, self.header.anchor_count
                     )
                     continue
-                row_bytes = self._rows[level].shape[1]
+                start, row_bytes = rows[level]
                 if not stored:
-                    block = self.coder.decode_row(self._levels[level], first, block)
-                self._slots[level][first * row_bytes : stop * row_bytes] = block
-                self._current_keep[level] = stop
+                    block = decode_row(self._levels[level], first, block)
+                view[start + first * row_bytes : start + stop * row_bytes] = block
+                keep[level] = stop
         # Only an empty block outside every op (no writer emits one) can be
         # planned but never read.
         if self._anchor_values is None:
@@ -314,6 +309,12 @@ class ProgressiveRetriever:
         for level, keep in self._current_keep.items():
             if keep < target_keep[level]:
                 raise StreamFormatError(f"level {level} plane {keep} is an empty block")
+
+    def _loaded_rows(self, level: int) -> np.ndarray:
+        """The resident rows of ``level``, a ``(keep, n)`` view of the buffer."""
+        start, n = self._rows[level]
+        keep = self._current_keep[level]
+        return self._buffer[start : start + keep * n].reshape(keep, n)
 
     # ------------------------------------------------------------------- state
 
@@ -337,7 +338,7 @@ class ProgressiveRetriever:
         charge for keeping this retriever warm.  No answer is resident: each
         one belongs to the caller it was handed to.
         """
-        total = sum(slot.nbytes for slot in self._slots.values())
+        total = self._buffer.nbytes
         if self._anchor_values is not None:
             total += self._anchor_values.nbytes
         return total

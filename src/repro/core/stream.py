@@ -54,7 +54,8 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, count
+from itertools import accumulate, chain, count
+from operator import attrgetter
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -108,6 +109,18 @@ class StreamHeader:
     anchor_size: int
     levels: List[LevelEncoding] = field(default_factory=list)
     version: int = VERSION
+    #: Each level's plane block sizes, MSB first: the sizes a parsed header
+    #: lists (its levels carry no blocks), by default the blocks' lengths.
+    plane_sizes: Optional[Dict[int, List[int]]] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.plane_sizes is None:
+            self.plane_sizes = {enc.level: enc.plane_sizes for enc in self.levels}
+
+    @cached_property
+    def plane_bytes(self) -> int:
+        """Total size of all plane blocks."""
+        return sum(map(sum, self.plane_sizes.values()))
 
     @property
     def num_levels(self) -> int:
@@ -125,9 +138,7 @@ class StreamHeader:
 
     def payload_bytes(self) -> int:
         """Total size of anchor + all plane blocks (excluding the header)."""
-        return self.anchor_size + sum(
-            sum(header_plane_sizes(enc)) for enc in self.levels
-        )
+        return self.anchor_size + self.plane_bytes
 
     def codec_names(self) -> Tuple[str, ...]:
         """Every lossless coder this stream uses (anchor + planes), sorted."""
@@ -154,7 +165,9 @@ class StreamHeader:
                     "level": enc.level,
                     "count": enc.count,
                     "nbits": enc.nbits,
-                    "plane_sizes": header_plane_sizes(enc),
+                    "plane_sizes": (
+                        enc.plane_sizes if enc.plane_blocks else self.plane_sizes[enc.level]
+                    ),
                     "plane_codecs": [index[name] for name in enc.plane_coders],
                     # Stored rounded *up* to 5 significant digits: keeps the
                     # header small without ever under-stating the information
@@ -184,54 +197,54 @@ class StreamHeader:
 
     @classmethod
     def _from_json(cls, obj: dict) -> "StreamHeader":
+        # One pass over the levels into flat lists — every plane's size and
+        # coder, every loss table in one float64 array — checked once and
+        # then cut into per-level slices and views.
         if "codecs" in obj:
             codecs = [str(name) for name in obj["codecs"]]
+            names = dict(enumerate(codecs))
             version = 2
 
             def resolve(indices) -> List[str]:
-                # One range check per list, then plain indexing.
-                indices = list(map(int, indices))
-                if indices and not (min(indices) >= 0 and max(indices) < len(codecs)):
-                    bad = next(i for i in indices if not 0 <= i < len(codecs))
+                # One lookup per index; the first outside the table is named.
+                try:
+                    return list(map(names.__getitem__, map(int, indices)))
+                except KeyError as exc:
                     raise StreamFormatError(
-                        f"codec index {bad} outside the name table "
+                        f"codec index {exc.args[0]} outside the name table "
                         f"of {len(codecs)} entries"
-                    )
-                return list(map(codecs.__getitem__, indices))
+                    ) from None
 
             (anchor_coder,) = resolve([obj["anchor_coder"]])
-
-            def plane_coders(item: dict) -> List[str]:
-                return resolve(item["plane_codecs"])
-
         else:  # v1: one implicit backend for anchor and every plane
-            backend = str(obj["backend"])
-            anchor_coder = backend
+            anchor_coder = str(obj["backend"])
             version = 1
-
-            def plane_coders(item: dict) -> List[str]:
-                return [backend] * len(item["plane_sizes"])
-
-        levels = []
-        for item in obj["levels"]:
-            sizes = list(map(int, item["plane_sizes"]))
-            coders = plane_coders(item)
-            if len(coders) != len(sizes):
-                raise StreamFormatError(
-                    f"level {item['level']}: {len(coders)} plane codecs "
-                    f"for {len(sizes)} plane sizes"
-                )
-            enc = LevelEncoding(
-                level=int(item["level"]),
-                count=int(item["count"]),
-                nbits=int(item["nbits"]),
-                plane_blocks=[],
-                plane_coders=coders,
-                delta_table=np.asarray(item["delta_table"], dtype=np.float64),
+        items = obj["levels"]
+        size_lists = [item["plane_sizes"] for item in items]
+        sizes = list(map(int, chain.from_iterable(size_lists)))
+        widths = list(map(len, size_lists))
+        if version == 1:
+            coders = [anchor_coder] * len(sizes)
+        else:
+            codec_lists = [item["plane_codecs"] for item in items]
+            coders = resolve(chain.from_iterable(codec_lists))
+            for item, n_codecs, n_sizes in zip(items, map(len, codec_lists), widths):
+                if n_codecs != n_sizes:
+                    raise StreamFormatError(
+                        f"level {item['level']}: {n_codecs} plane codecs "
+                        f"for {n_sizes} plane sizes"
+                    )
+        tables = [item["delta_table"] for item in items]
+        deltas = np.array(list(chain.from_iterable(tables)), dtype=np.float64)
+        bounds = list(accumulate(widths, initial=0))
+        delta_bounds = list(accumulate(map(len, tables), initial=0))
+        levels = [
+            LevelEncoding(
+                int(item["level"]), int(item["count"]), int(item["nbits"]),
+                [], coders[a:b], deltas[c:d],
             )
-            # Plane blocks are not stored in the header; only their sizes.
-            enc._header_plane_sizes = sizes  # type: ignore[attr-defined]
-            levels.append(enc)
+            for item, a, b, c, d in zip(items, bounds, bounds[1:], delta_bounds, delta_bounds[1:])
+        ]
         header = cls(
             shape=tuple(int(s) for s in obj["shape"]),
             dtype=str(obj["dtype"]),
@@ -243,19 +256,25 @@ class StreamHeader:
             anchor_size=int(obj["anchor_size"]),
             levels=levels,
             version=version,
+            # Plane blocks are not stored in the header; only their sizes.
+            plane_sizes={
+                enc.level: sizes[a:b] for enc, a, b in zip(levels, bounds, bounds[1:])
+            },
         )
-        header._check_geometry()
+        header._check_geometry(sizes, deltas)
         return header
 
-    def _check_geometry(self) -> None:
+    def _check_geometry(self, sizes: List[int], losses: np.ndarray) -> None:
         """Check a parsed header against the predictor of its ``(shape,
         method)``: its levels are exactly the predictor's sweep units, each
         ``count`` its unit's size and ``anchor_count`` the anchor grid's;
         every level has ``0 ≤ nbits ≤ 64`` planes, a size for each, and a
-        finite, non-negative loss table of ``nbits + 1`` entries; the dtype
-        is a floating one.  A header that fails decodes nothing: it would
-        either decode silently at many times its stored bound or fail late,
-        after its payload was read."""
+        finite, non-negative loss table of ``nbits + 1`` entries; no plane
+        size is negative; the dtype is a floating one.  ``sizes`` and
+        ``losses`` are every plane size and every loss-table entry, flat.  A
+        header that fails decodes nothing: it would either decode silently
+        at many times its stored bound or fail late, after its payload was
+        read."""
 
         def invalid(reason: str) -> StreamFormatError:
             return StreamFormatError(f"stream header invalid: {reason}")
@@ -275,11 +294,11 @@ class StreamHeader:
                 f"anchor_count {self.anchor_count}, the anchor grid of shape "
                 f"{self.shape} holds {predictor.anchor_count}"
             )
-        units = predictor.level_sizes("sweep")
-        numbers = sorted(enc.level for enc in self.levels)
-        if numbers != sorted(units):
+        units = predictor.sweep_sizes
+        numbers = [enc.level for enc in self.levels]
+        if len(numbers) != len(units) or units.keys() != set(numbers):
             raise invalid(
-                f"levels {numbers}, a {self.method} predictor of shape "
+                f"levels {sorted(numbers)}, a {self.method} predictor of shape "
                 f"{self.shape} sweeps units 1…{len(units)}"
             )
         for enc in self.levels:
@@ -296,22 +315,15 @@ class StreamHeader:
                     f"level {enc.level} lists {len(enc.plane_coders)} plane "
                     f"sizes for {enc.nbits} planes"
                 )
-            if enc.delta_table.shape != (enc.nbits + 1,):
+            if len(enc.delta_table) != enc.nbits + 1:
                 raise invalid(
                     f"level {enc.level} has {enc.delta_table.size} delta_table "
                     f"entries for {enc.nbits} planes"
                 )
-        # One pass over every level's loss table.
-        losses = np.concatenate([enc.delta_table for enc in self.levels] or [np.zeros(0)])
         if not (np.isfinite(losses).all() and (losses >= 0).all()):
             raise invalid("a delta_table entry is negative or not finite")
-
-
-def header_plane_sizes(enc: LevelEncoding) -> List[int]:
-    """Plane sizes of a level, whether it came from an encoder or a header."""
-    if enc.plane_blocks:
-        return enc.plane_sizes
-    return list(getattr(enc, "_header_plane_sizes", []))
+        if min(sizes, default=0) < 0:
+            raise invalid(f"a plane size is negative ({min(sizes)} B)")
 
 
 class IPCompStream:
@@ -411,8 +423,8 @@ class LevelTable(NamedTuple):
     segments: List[Segment]
 
 
-def _level_table(enc: LevelEncoding, cursor: int) -> LevelTable:
-    sizes = header_plane_sizes(enc)
+def _segments(enc: LevelEncoding, sizes: List[int]) -> List[Segment]:
+    """One level's planes cut into segments (:data:`Segment`), MSB first."""
     row = (enc.count + 7) // 8
     level = enc.level
     segments: List[Segment] = []
@@ -428,7 +440,7 @@ def _level_table(enc: LevelEncoding, cursor: int) -> LevelTable:
         segments.append((level, plane, plane + 1, False))
     if run >= 0:
         segments.append((level, run, len(sizes), True))
-    return LevelTable(list(accumulate(sizes, initial=cursor)), sizes, segments)
+    return segments
 
 
 def block_label(level: Optional[int], plane: int) -> str:
@@ -474,14 +486,17 @@ class BlockExtents:
         # Built in one pass on first use: a pinned shard never planned from
         # or read pays only the size check, and every store opened over a
         # pin shares the pin's table.
-        cursor = self.header_bytes + self.header.anchor_size
+        header = self.header
+        cursor = self.header_bytes + header.anchor_size
         anchor = LevelTable(
-            [self.header_bytes, cursor], [self.header.anchor_size], [(None, 0, 1, False)]
+            [self.header_bytes, cursor], [header.anchor_size], [(None, 0, 1, False)]
         )
         table: Dict[Optional[int], LevelTable] = {None: anchor}
-        for enc in sorted(self.header.levels, key=lambda e: -e.level):
-            table[enc.level] = _level_table(enc, cursor)
-            cursor = table[enc.level].starts[-1]
+        for enc in sorted(header.levels, key=attrgetter("level"), reverse=True):
+            sizes = header.plane_sizes[enc.level]
+            starts = list(accumulate(sizes, initial=cursor))
+            cursor = starts[-1]
+            table[enc.level] = LevelTable(starts, sizes, _segments(enc, sizes))
         return table
 
     @property
@@ -616,19 +631,20 @@ class CompressedStore(BlockExtents):
         out, so a consumer that raises midway has consumed exactly the
         segments before the one it failed on, that one included.
         """
+        offset, end = op.offset, op.offset + op.length
         buffer = memoryview(
-            self._fetch(op.offset, op.length, lambda: f"fetch op [{_shown(op.blocks)}]")
+            self._fetch(offset, op.length, lambda: f"fetch op [{_shown(op.blocks)}]")
         )
+        trace = self.trace
         for level, first, stop in op.spans:
             table = self._table.get(level)
             if table is None or not 0 <= first < stop <= len(table.sizes):
                 raise StreamFormatError(f"the stream has no block {_span_name(level, first, stop)}")
-            starts = table.starts
-            if starts[first] < op.offset or starts[stop] > op.offset + op.length:
+            starts, sizes = table.starts, table.sizes
+            if starts[first] < offset or starts[stop] > end:
                 raise StreamFormatError(
                     f"block {_span_name(level, first, stop)} [{starts[first]}, "
-                    f"{starts[stop]}) outside its fetch op [{op.offset}, "
-                    f"{op.offset + op.length})"
+                    f"{starts[stop]}) outside its fetch op [{offset}, {end})"
                 )
             for segment in table.segments:
                 _, a, b, stored = segment
@@ -640,8 +656,11 @@ class CompressedStore(BlockExtents):
                     a, b = max(a, first), min(b, stop)
                     segment = (level, a, b, stored)
                 self.bytes_read += starts[b] - starts[a]
-                self.trace.extend(zip(starts[a:b], table.sizes[a:b]))
-                yield segment, buffer[starts[a] - op.offset : starts[b] - op.offset]
+                if b - a == 1:
+                    trace.append((starts[a], sizes[a]))
+                else:
+                    trace.extend(zip(starts[a:b], sizes[a:b]))
+                yield segment, buffer[starts[a] - offset : starts[b] - offset]
 
     def reset_accounting(self) -> None:
         """Zero the ``bytes_read`` and ``n_reads`` counters (used between

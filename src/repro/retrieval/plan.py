@@ -28,6 +28,7 @@ accounting of every execution path identical by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.optimizer import LoadingPlan
@@ -211,7 +212,7 @@ def coalesce_blocks(
     (or at the edge of) whichever op they touch, so their blocks stay
     visible in the plan without producing empty reads.
     """
-    ordered = sorted(spans, key=lambda item: item[0])
+    ordered = sorted(spans, key=itemgetter(0))
     ops: List[FetchOp] = []
     run_start = run_end = 0
     run_spans: List[Span] = []

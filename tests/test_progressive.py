@@ -244,8 +244,16 @@ def _level_1(obj: dict) -> dict:
     return next(item for item in obj["levels"] if item["level"] == 1)
 
 
+def _negative_size(obj: dict) -> None:
+    """Level 1's first two plane sizes as ``[s0 + s1 + 5, −5]``: the total,
+    and with it the stream-size check, is unchanged."""
+    sizes = _level_1(obj)["plane_sizes"]
+    sizes[:2] = [sizes[0] + sizes[1] + 5, -5]
+
+
 #: One field of the stream's JSON header rewritten: each contradicts the
-#: geometry the header's own ``(shape, method)`` implies.
+#: geometry the header's own ``(shape, method)`` implies, or no stream can
+#: hold it.
 _HOSTILE_HEADERS = {
     "count-huge": lambda obj: _level_1(obj).update(count=1 << 62),
     "count-negative": lambda obj: _level_1(obj).update(count=-8),
@@ -260,6 +268,7 @@ _HOSTILE_HEADERS = {
     "delta-nan": lambda obj: _level_1(obj)["delta_table"].__setitem__(0, float("nan")),
     "shape-doubled": lambda obj: obj.update(shape=[2 * n for n in obj["shape"]]),
     "dtype-complex999": lambda obj: obj.update(dtype="complex999"),
+    "size-negative": _negative_size,
 }
 
 

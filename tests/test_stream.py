@@ -8,7 +8,7 @@ import pytest
 from repro.core.predictive_coder import PredictiveCoder
 from repro.core.profile import CodecProfile
 from repro.core.quantizer import LinearQuantizer
-from repro.core.stream import CompressedStore, IPCompStream, StreamHeader, header_plane_sizes
+from repro.core.stream import CompressedStore, IPCompStream, StreamHeader
 from repro.errors import StreamFormatError
 
 
@@ -55,7 +55,7 @@ def test_header_roundtrip(sample_stream):
     ):
         assert decoded.count == original.count
         assert decoded.nbits == original.nbits
-        assert header_plane_sizes(decoded) == original.plane_sizes
+        assert parsed.plane_sizes[decoded.level] == original.plane_sizes
         # Header deltas are rounded *up* (never down) to 5 significant digits.
         assert np.all(decoded.delta_table >= original.delta_table - 1e-15)
         assert np.allclose(decoded.delta_table, original.delta_table, rtol=5e-4)

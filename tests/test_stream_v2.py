@@ -23,7 +23,6 @@ from repro.core.stream import (
     CompressedStore,
     IPCompStream,
     StreamHeader,
-    header_plane_sizes,
 )
 from repro.datasets import load_dataset
 from repro.errors import StreamFormatError
@@ -56,7 +55,7 @@ def test_v1_header_parses_and_normalises(v1_blob):
     assert header.anchor_coder == "zlib"
     # Every plane of a v1 stream is implicitly coded by the single backend.
     for enc in header.levels:
-        assert enc.plane_coders == ["zlib"] * len(header_plane_sizes(enc))
+        assert enc.plane_coders == ["zlib"] * len(header.plane_sizes[enc.level])
     assert header.codec_names() == ("zlib",)
 
 
@@ -111,7 +110,7 @@ def test_v2_header_records_codec_per_plane():
     assert header.version == 2
     used = set()
     for enc in header.levels:
-        sizes = header_plane_sizes(enc)
+        sizes = header.plane_sizes[enc.level]
         assert len(enc.plane_coders) == len(sizes)
         assert set(enc.plane_coders) <= {"zlib", "raw"}
         used.update(enc.plane_coders)
@@ -130,7 +129,7 @@ def test_v2_header_json_roundtrip_preserves_plane_coders():
         sorted(header.levels, key=lambda e: e.level),
     ):
         assert a.plane_coders == b.plane_coders
-        assert header_plane_sizes(a) == header_plane_sizes(b)
+        assert again.plane_sizes[a.level] == header.plane_sizes[b.level]
 
 
 class _ComplementCoder:
@@ -207,7 +206,7 @@ def test_store_block_dispatch_counts_bytes_for_mixed_codecs():
     store = CompressedStore(blob)
     store.read_anchor()
     enc = store.header.levels[0]
-    sizes = header_plane_sizes(enc)
+    sizes = store.header.plane_sizes[enc.level]
     store.read_block(enc.level, 0)
     assert store.bytes_read == store.header.anchor_size + sizes[0]
 
