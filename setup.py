@@ -10,10 +10,12 @@ from setuptools import find_packages, setup
 
 setup(
     name="ipcomp-repro",
-    version="22.0.0",
+    version="22.1.0",
     description="IPComp progressive lossy compressor (paper reproduction)",
     package_dir={"": "src"},
     packages=find_packages("src"),
+    # The interpolation sweep is compiled from this source at first import.
+    package_data={"repro.core": ["*.c"]},
     python_requires=">=3.10",
     install_requires=["numpy"],
 )

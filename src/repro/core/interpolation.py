@@ -29,9 +29,21 @@ output.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
+import os
+import platform
+import secrets
+import shlex
+import shutil
+import stat
+import subprocess
+import sysconfig
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
+from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,26 +57,125 @@ STENCIL_NORMS = {"linear": 1.0, "cubic": 1.25}
 #: Predictors :func:`shared_predictor` keeps, least recently used out first.
 SHARED_PREDICTORS = 32
 
+# ------------------------------------------------------------------ the sweep
+#
+# Every pass runs in C (``_sweep.c``, next to this file).  It is compiled at
+# import with the platform's C compiler into a per-user cache and loaded with
+# ctypes, whose calls release the GIL.  ``-ffp-contract=off`` keeps each
+# multiply and add its own rounding (GCC on aarch64 would fuse them into
+# FMAs), so every answer is bitwise the numpy sweep the predictor was first
+# written as.
+
+_SOURCE = Path(__file__).with_name("_sweep.c")
+_FLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
+# What a target gets on top of its prediction (``_sweep.c``'s enum).
+_ADD_ZERO, _ADD_DIFF, _ADD_CODE = 0, 1, 2
+
+
+def _cache_directory() -> Path:
+    """``$XDG_CACHE_HOME/ipcomp-repro`` (else under ``~/.cache``), created
+    ``0o700``; refused unless this user owns it and no one else can write it."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    path = Path(base) / "ipcomp-repro"
+    path.mkdir(mode=0o700, parents=True, exist_ok=True)
+    info = path.lstat()
+    if not stat.S_ISDIR(info.st_mode) or info.st_uid != os.geteuid() or info.st_mode & 0o022:
+        raise ConfigurationError(
+            f"the interpolation sweep's cache {path} is not a directory that "
+            "only this user can write"
+        )
+    return path
+
+
+def _private(path: Path) -> bool:
+    """A regular file this user owns and no one else can write."""
+    try:
+        info = path.lstat()
+    except FileNotFoundError:
+        return False
+    return stat.S_ISREG(info.st_mode) and info.st_uid == os.geteuid() and not info.st_mode & 0o022
+
+
+def _load_sweep() -> ctypes.CDLL:
+    """Build ``_sweep.c`` unless the cache holds it, and load it.
+
+    The library's name is a hash of the source, the compiler command, the
+    flags and the platform; a build lands under it by an atomic rename, so
+    processes building at once each load a whole library.
+    """
+    cc = shlex.split(sysconfig.get_config_var("CC") or "") or ["cc"]
+    if shutil.which(cc[0]) is None:
+        raise ConfigurationError(
+            f"the interpolation sweep needs a C compiler: {cc[0]!r} (sysconfig's CC) "
+            "is not on PATH"
+        )
+    build = "\0".join([" ".join([*cc, *_FLAGS]), sysconfig.get_platform(), platform.machine()])
+    key = hashlib.sha256(_SOURCE.read_bytes() + build.encode()).hexdigest()[:16]
+    directory = _cache_directory()
+    path = directory / f"sweep-{key}.so"
+    if not _private(path):
+        partial = directory / f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}"
+        try:
+            built = subprocess.run(
+                [*cc, *_FLAGS, "-o", str(partial), str(_SOURCE)],
+                capture_output=True,
+                text=True,
+            )
+            if built.returncode:
+                raise ConfigurationError(
+                    f"building the interpolation sweep with {cc[0]!r} failed: "
+                    f"{built.stderr.strip()}"
+                )
+            os.replace(partial, path)
+        finally:
+            partial.unlink(missing_ok=True)
+    lib = ctypes.CDLL(str(path))
+    pointer, i64 = ctypes.c_void_p, ctypes.c_int64
+    lib.ipc_reconstruct.argtypes = [pointer, pointer, i64, i64, pointer, pointer, ctypes.c_double]
+    lib.ipc_reconstruct.restype = None
+    lib.ipc_predict.argtypes = [pointer, pointer, i64, pointer]
+    lib.ipc_predict.restype = None
+    return lib
+
+
+try:
+    _SWEEP: Optional[ctypes.CDLL] = _load_sweep()
+    _SWEEP_MISSING = ""
+except ConfigurationError as error:  # ``import repro`` still works
+    _SWEEP, _SWEEP_MISSING = None, str(error)
+except OSError as error:
+    _SWEEP, _SWEEP_MISSING = None, f"the interpolation sweep could not be built or loaded: {error}"
+
+
+def _sweep() -> ctypes.CDLL:
+    """The loaded sweep; :class:`ConfigurationError` if it could not be built."""
+    if _SWEEP is None:
+        raise ConfigurationError(_SWEEP_MISSING)
+    return _SWEEP
+
 
 @dataclass(frozen=True)
 class _DimPass:
     """One (level, dimension) sweep: a regular lattice, held as basic slices.
 
-    ``target`` selects the sweep's points in the field; ``known`` is the same
-    lattice with axis ``dim`` moved onto the already reconstructed
-    stride-``2^level`` points, so target ``i`` along ``dim`` lies half-way
-    between known points ``i`` and ``i + 1``.  Indexing with either yields a
-    *view*: predictions read and results land in the field with no index
-    arrays and no gather/scatter copies.
+    ``target`` selects the sweep's points in the field, so indexing with it
+    yields a *view*.  ``row`` is the pass's row of the predictor's pass
+    table (``_sweep.c``): ``ndim``, ``dim``, ``k`` known points along
+    ``dim``, the element offset from a target to its nearest known
+    neighbours, the target lattice's start, and its per-axis counts and
+    element strides.  Target ``i`` along ``dim`` lies half-way between known
+    points ``i`` and ``i + 1``.
     """
 
     level: int
     dim: int
+    #: Position in processing order (coarsest level first, then ``dim``).
+    index: int
     target: Tuple[slice, ...]
-    known: Tuple[slice, ...]
     target_shape: Tuple[int, ...]
     #: Points in the sweep, ``prod(target_shape)``.
     size: int
+    row: Tuple[int, ...]
 
 
 class InterpolationPredictor:
@@ -95,21 +206,34 @@ class InterpolationPredictor:
         self.num_levels = max(1, int(np.ceil(np.log2(max_dim))) if max_dim > 1 else 1)
         self._anchor = (slice(0, None, 2**self.num_levels),) * self.ndim
         self._passes: Dict[int, List[_DimPass]] = {}
+        ordered: List[_DimPass] = []
         for level in range(self.num_levels, 0, -1):
-            self._passes[level] = self._build_level_passes(level)
+            self._passes[level] = self._build_level_passes(level, len(ordered))
+            ordered.extend(self._passes[level])
         # Sweep-granular ("unit") numbering: every (level, dim) pass gets its
         # own number, processed from ``num_units`` (coarsest sweep) down to 1
         # (the final, finest sweep).  IPComp's progressive blocks are grouped
         # per unit because the paper's p^(l−1) propagation bound is exact at
         # this granularity: the loss of unit ``u`` passes through exactly
         # ``u − 1`` later prediction sweeps.
-        ordered = [
-            p for level in range(self.num_levels, 0, -1) for p in self._passes[level]
-        ]
         self.num_units = len(ordered)
         self._unit_passes: Dict[int, _DimPass] = {
-            self.num_units - index: p for index, p in enumerate(ordered)
+            self.num_units - p.index: p for p in ordered
         }
+        self._table = np.array([p.row for p in ordered], dtype=np.int64).reshape(
+            self.num_units, 5 + 2 * self.ndim
+        )
+        self._table_address = self._table.ctypes.data
+        self._cubic = int(method == "cubic")
+        # Per granularity: each group's key, its first pass, the offsets of
+        # its passes' diffs in the group's flat array, and its size.
+        self._layouts: Dict[str, List[Tuple[int, int, List[int], int]]] = {}
+        for granularity in ("level", "sweep"):
+            layout = self._layouts[granularity] = []
+            for key, passes in self._groups(granularity):
+                starts = list(accumulate((p.size for p in passes), initial=0))
+                first = passes[0].index if passes else 0
+                layout.append((key, first, starts[:-1], starts[-1]))
 
     def _groups(self, granularity: str) -> List[Tuple[int, List[_DimPass]]]:
         """Processing-order grouping of passes, keyed per level or per sweep."""
@@ -127,24 +251,39 @@ class InterpolationPredictor:
 
     # ------------------------------------------------------------------ setup
 
-    def _build_level_passes(self, level: int) -> List[_DimPass]:
+    def _build_level_passes(self, level: int, first: int) -> List[_DimPass]:
         stride = 2**level
         half = stride // 2
+        # Element strides of the C-contiguous field.
+        field = [math.prod(self.shape[axis + 1 :]) for axis in range(self.ndim)]
         passes: List[_DimPass] = []
         for dim in range(self.ndim):
             # Axes before ``dim`` were already refined to ``half`` this level.
-            known = tuple(
-                slice(0, None, half if axis < dim else stride)
+            target = tuple(
+                slice(half, None, stride)
+                if axis == dim
+                else slice(0, None, half if axis < dim else stride)
                 for axis in range(self.ndim)
             )
-            target = known[:dim] + (slice(half, None, stride),) + known[dim + 1 :]
             target_shape = tuple(
                 len(range(*s.indices(size))) for s, size in zip(target, self.shape)
             )
             if target_shape[dim] == 0:
                 continue
+            row = (
+                self.ndim,
+                dim,
+                len(range(0, self.shape[dim], stride)),
+                half * field[dim],
+                half * field[dim],
+                *target_shape,
+                *(s.step * step for s, step in zip(target, field)),
+            )
             passes.append(
-                _DimPass(level, dim, target, known, target_shape, math.prod(target_shape))
+                _DimPass(
+                    level, dim, first + len(passes), target, target_shape,
+                    math.prod(target_shape), row,
+                )
             )
         return passes
 
@@ -184,33 +323,17 @@ class InterpolationPredictor:
 
     # ------------------------------------------------------------- prediction
 
-    def _predict_pass(self, buffer: np.ndarray, p: _DimPass) -> np.ndarray:
-        """Predict the target points of one (level, dim) sweep from ``buffer``.
-
-        With axis ``dim`` in front there are ``k`` known points and ``k − 1``
-        or ``k`` targets: target ``i < k − 1`` averages its two neighbours
-        (cubic: the 4-point stencil where ``1 ≤ i < k − 2``), and a trailing
-        target ``k − 1`` with no right neighbour copies the left one.  Each
-        formula runs on its own sub-slice only.
-        """
-        known = buffer[p.known].swapaxes(0, p.dim)
+    def _predict(self, buffer: np.ndarray, p: _DimPass) -> np.ndarray:
+        """The predictions of one (level, dim) sweep from ``buffer`` (a
+        C-contiguous float64 field of the predictor's shape), in the targets'
+        C order: one C call."""
         prediction = np.empty(p.target_shape, dtype=np.float64)
-        out = prediction.swapaxes(0, p.dim)
-        k = known.shape[0]
-        lo, hi = (1, k - 2) if self.method == "cubic" and k > 3 else (k - 1, k - 1)
-        for a, b in ((0, lo), (hi, k - 1)):
-            if b > a:
-                np.add(known[a:b], known[a + 1 : b + 1], out=out[a:b])
-                out[a:b] *= 0.5
-        if hi > lo:
-            out[lo:hi] = (
-                -known[lo - 1 : hi - 1] / 16.0
-                + 9.0 * known[lo:hi] / 16.0
-                + 9.0 * known[lo + 1 : hi + 1] / 16.0
-                - known[lo + 2 : hi + 2] / 16.0
-            )
-        if out.shape[0] == k:
-            out[k - 1] = known[k - 1]
+        _sweep().ipc_predict(
+            buffer.ctypes.data,
+            self._table_address + p.index * self._table.strides[0],
+            self._cubic,
+            prediction.ctypes.data,
+        )
         return prediction
 
     # ------------------------------------------------------------ compression
@@ -248,7 +371,7 @@ class InterpolationPredictor:
         for key, passes in self._groups(granularity):
             per_pass: List[np.ndarray] = []
             for p in passes:
-                prediction = self._predict_pass(xhat, p)
+                prediction = self._predict(xhat, p)
                 codes, dequant = quantizer.roundtrip(data[p.target] - prediction)
                 np.add(prediction, dequant, out=xhat[p.target])
                 per_pass.append(codes.ravel())
@@ -278,12 +401,13 @@ class InterpolationPredictor:
             raise ConfigurationError(
                 f"data shape {data.shape} does not match predictor shape {self.shape}"
             )
+        data = np.ascontiguousarray(data)
         anchor_values = data[self._anchor].flatten()
         level_coeffs: Dict[int, np.ndarray] = {}
         for key, passes in self._groups(granularity):
             per_pass: List[np.ndarray] = []
             for p in passes:
-                prediction = self._predict_pass(data, p)
+                prediction = self._predict(data, p)
                 per_pass.append((data[p.target] - prediction).ravel())
             level_coeffs[key] = (
                 np.concatenate(per_pass) if per_pass else np.zeros(0, dtype=np.float64)
@@ -335,30 +459,43 @@ class InterpolationPredictor:
         xhat[self._anchor] = np.asarray(anchor_values, dtype=np.float64).reshape(
             self.anchor_shape
         )
-        for key, passes in self._groups(granularity):
+        # One C call runs every pass; pass ``i`` adds the diffs or codes at
+        # ``adds[i]`` (a missing group adds +0.0 — what all-zero diffs would
+        # do to a −0.0 prediction — without building the zeros).
+        adds = np.zeros(self.num_units, dtype=np.uintp)
+        kinds = np.full(self.num_units, _ADD_ZERO, dtype=np.int64)
+        held = []  # the arrays ``adds`` points into, alive until the call returns
+        for key, first, offsets, expected in self._layouts[granularity]:
             diffs = level_diffs.get(key)
-            if diffs is not None:
-                diffs = np.asarray(
-                    diffs, dtype=np.float64 if bin_width is None else None
-                ).ravel()
-                expected = sum(p.size for p in passes)
-                if diffs.size != expected:
-                    raise ConfigurationError(
-                        f"group {key} expects {expected} diffs, got {diffs.size}"
-                    )
-            offset = 0
-            for p in passes:
-                prediction = self._predict_pass(xhat, p)
-                # A missing level still adds +0.0 — what all-zero diffs would
-                # do to a −0.0 prediction — without building the zeros.
-                if diffs is None:
-                    block = 0.0
-                else:
-                    block = diffs[offset : offset + p.size].reshape(p.target_shape)
-                    if bin_width is not None:
-                        block = block * bin_width
-                np.add(prediction, block, out=xhat[p.target])
-                offset += p.size
+            if diffs is None:
+                continue
+            if bin_width is None:
+                diffs, kind = np.asarray(diffs, dtype=np.float64), _ADD_DIFF
+            else:
+                diffs = np.asarray(diffs)
+                if diffs.dtype == np.int64:
+                    kind = _ADD_CODE
+                else:  # the float diffs numpy's promotion makes of them
+                    diffs, kind = np.asarray(diffs * bin_width, dtype=np.float64), _ADD_DIFF
+            diffs = diffs.ravel()  # C-contiguous, copied only if it was not
+            if diffs.size != expected:
+                raise ConfigurationError(
+                    f"group {key} expects {expected} diffs, got {diffs.size}"
+                )
+            held.append(diffs)
+            address = diffs.ctypes.data
+            for index, offset in enumerate(offsets, first):
+                adds[index] = address + offset * diffs.itemsize
+                kinds[index] = kind
+        _sweep().ipc_reconstruct(
+            xhat.ctypes.data,
+            self._table_address,
+            self.num_units,
+            self._cubic,
+            adds.ctypes.data,
+            kinds.ctypes.data,
+            0.0 if bin_width is None else bin_width,
+        )
         return xhat
 
     # ------------------------------------------------------------------ misc
