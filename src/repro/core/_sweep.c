@@ -14,18 +14,27 @@
  * points ``i - 1`` to ``i + 2``, and a trailing target ``k - 1`` with no
  * right neighbour copies the left one.
  *
- * The float operations, their order included, are those of the numpy sweep
- * the predictor was first written as; build with -ffp-contract=off so that
- * no multiply-add is fused and every answer stays bitwise.  (A NaN's sign
- * is the one thing not kept: IEEE 754 leaves it open, and numpy's own loops
- * disagree on it when two NaNs meet.)
+ * Two entries run every pass of a shard in one call: ``ipc_forward`` (the
+ * write's decompose, the baselines' transform) and ``ipc_reconstruct``
+ * (every read).  The float operations, their order included, are those of
+ * the numpy sweep and quantizer the predictor was first written as; build
+ * with -ffp-contract=off so that no multiply-add is fused and every answer
+ * stays bitwise.  (A NaN's sign is the one thing not kept: IEEE 754 leaves
+ * it open, and numpy's own loops disagree on it when two NaNs meet.)
  */
 
+#include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 
-/* What a target gets on top of its prediction. */
-enum { ADD_ZERO = 0, ADD_DIFF = 1, ADD_CODE = 2, PREDICT_ONLY = 3 };
+/* What a pass does at each target, from its prediction ``pred``. */
+enum {
+    ADD_ZERO = 0, /* reconstruct: x = pred + 0.0 */
+    ADD_DIFF = 1, /* reconstruct: x = pred + diff */
+    ADD_CODE = 2, /* reconstruct: x = pred + (double)code * w */
+    QUANTIZE = 3, /* decompose: code = Q(data - pred), x = pred + (double)code * w */
+    RESIDUAL = 4  /* transform: out = x - pred, x left as it is */
+};
 enum { LINEAR, CUBIC, COPY };
 
 #define LIN(p) (((p)[-off] + (p)[off]) * 0.5)
@@ -33,54 +42,97 @@ enum { LINEAR, CUBIC, COPY };
     (((-(p)[-3 * off] / 16.0 + 9.0 * (p)[-off] / 16.0) + 9.0 * (p)[off] / 16.0) - (p)[3 * off] / 16.0)
 #define CPY(p) ((p)[-off])
 
-#define LINE(RULE, ADD)                                           \
-    for (int64_t j = 0; j < n; ++j, src += s, dst += ds) {        \
-        *dst = RULE(src) ADD;                                     \
+/* Target ``j`` of a line is ``t[j * s]``; BODY sees its prediction. */
+#define LINE(RULE, BODY)                         \
+    for (int64_t j = 0; j < n; ++j) {            \
+        const ptrdiff_t i = j * s;               \
+        const double pred = RULE(t + i);         \
+        BODY;                                    \
     }
 
-#define RULES(ADD)              \
+#define RULES(BODY)             \
     if (rule == LINEAR) {       \
-        LINE(LIN, ADD)          \
+        LINE(LIN, BODY)         \
     } else if (rule == CUBIC) { \
-        LINE(CUB, ADD)          \
+        LINE(CUB, BODY)         \
     } else {                    \
-        LINE(CPY, ADD)          \
+        LINE(CPY, BODY)         \
     }
 
-/* ``n`` targets from ``src`` on, ``s`` elements apart, land at ``dst`` on,
- * ``ds`` elements apart; ``extra`` holds their diffs or codes in order. */
-static void run(int rule, int add, const double *src, ptrdiff_t s, ptrdiff_t off,
-                double *dst, ptrdiff_t ds, int64_t n, const void *extra, double w)
+/* The arrays a pass reads and writes besides the field ``x``. */
+struct io {
+    const void *in; /* diffs or codes (reconstruct), the original field (decompose) */
+    void *out;      /* codes (decompose), residuals (transform) */
+    double w;       /* the bin width */
+};
+
+/* ``LinearQuantizer.quantize`` of one difference, bit for bit: numpy's
+ * ``rint`` (half to even), its x86 cast (NaN and anything out of range
+ * become INT64_MIN), then up to two nudges of one bin toward ``y`` while
+ * the decoder's ``(double)q * w`` misses ``y`` by more than half a bin.  The
+ * nudges wrap like numpy's int64, so the sum runs in unsigned arithmetic.
+ * ``*qw`` gets the final code's ``(double)q * w``. */
+static int64_t quantize(double y, double w, double *qw)
 {
-    const double *diff = extra;
-    const int64_t *code = extra;
-    switch (add) {
+    const double r = rint(y / w), half = 0.5 * w;
+    uint64_t q = r >= -0x1p63 && r < 0x1p63 ? (uint64_t)(int64_t)r : (uint64_t)INT64_MIN;
+    double back = (double)(int64_t)q * w;
+    for (int round = 0; round < 2; ++round) {
+        const double e = y - back;
+        if (e > half) {
+            q += 1;
+        } else if (e < -half) {
+            q -= 1;
+        } else {
+            break;
+        }
+        back = (double)(int64_t)q * w;
+    }
+    *qw = back;
+    return (int64_t)q;
+}
+
+/* ``n`` targets, ``s`` elements apart, from element ``at`` of ``x`` on; the
+ * line's dense arrays start at element ``j0``. */
+static void run(int rule, int kind, double *x, ptrdiff_t at, ptrdiff_t s, ptrdiff_t off,
+                int64_t n, int64_t j0, const struct io *io)
+{
+    double *t = x + at;
+    const double w = io->w;
+    switch (kind) {
     case ADD_ZERO:
-        RULES(+ 0.0)
+        RULES(t[i] = pred + 0.0)
         break;
-    case ADD_DIFF:
-        RULES(+ diff[j])
+    case ADD_DIFF: {
+        const double *diff = (const double *)io->in + j0;
+        RULES(t[i] = pred + diff[j])
         break;
-    case ADD_CODE:
-        RULES(+ (double)code[j] * w)
+    }
+    case ADD_CODE: {
+        const int64_t *code = (const int64_t *)io->in + j0;
+        RULES(t[i] = pred + (double)code[j] * w)
         break;
-    default:
-        RULES()
+    }
+    case QUANTIZE: {
+        const double *data = (const double *)io->in + at;
+        int64_t *code = (int64_t *)io->out + j0;
+        RULES(double qw; code[j] = quantize(data[i] - pred, w, &qw); t[i] = pred + qw)
         break;
+    }
+    default: {
+        double *residual = (double *)io->out + j0;
+        RULES(residual[j] = t[i] - pred)
+        break;
+    }
     }
 }
 
-/* One pass.  With ``pred`` the predictions are written there, densely in the
- * targets' C order; otherwise each target of ``x`` gets its prediction plus
- * what ``add`` says. */
-static void pass(const int64_t *row, int cubic, double *x, double *pred, int add,
-                 const char *extra, double w)
+/* One pass of ``kind`` over ``x``; returns its number of targets. */
+static int64_t pass(const int64_t *row, int cubic, int kind, double *x, const struct io *io)
 {
     const int64_t nd = row[0], dim = row[1], k = row[2], off = row[3];
     const int64_t *count = row + 5, *stride = row + 5 + nd;
     const int64_t last = nd - 1, n = count[last], s = stride[last];
-    const size_t width = add == ADD_CODE ? sizeof(int64_t) : sizeof(double);
-    const ptrdiff_t ds = pred ? 1 : s;
     int64_t lo = k - 1, hi = k - 1;
     if (cubic && k > 3) {
         lo = 1;
@@ -95,24 +147,19 @@ static void pass(const int64_t *row, int cubic, double *x, double *pred, int add
         lines *= count[a];
         idx[a] = 0;
     }
-    double *base = x + row[4];
-    int64_t at = 0, flat = 0;
+    int64_t at = row[4], flat = 0;
     for (int64_t l = 0; l < lines; ++l, flat += n) {
-        double *src = base + at;
-        double *dst = pred ? pred + flat : src;
-        const char *more = extra ? extra + flat * width : NULL;
         if (dim == last) {
             for (int r = 0; r < 4; ++r) {
                 const int64_t a = bound[r], b = bound[r + 1];
                 if (b > a) {
-                    run(rules[r], add, src + a * s, s, off, dst + a * ds, ds, b - a,
-                        more ? more + a * width : NULL, w);
+                    run(rules[r], kind, x, at + a * s, s, off, b - a, flat + a, io);
                 }
             }
         } else {
             const int64_t i = idx[dim];
             const int rule = i < lo ? LINEAR : i < hi ? CUBIC : i < k - 1 ? LINEAR : COPY;
-            run(rule, add, src, s, off, dst, ds, n, more, w);
+            run(rule, kind, x, at, s, off, n, flat, io);
         }
         for (int64_t a = last - 1; a >= 0; --a) {
             at += stride[a];
@@ -123,6 +170,7 @@ static void pass(const int64_t *row, int cubic, double *x, double *pred, int add
             idx[a] = 0;
         }
     }
+    return lines * n;
 }
 
 /* Every pass of a reconstruction, in table order, in place in ``x``.  Pass
@@ -132,12 +180,27 @@ void ipc_reconstruct(double *x, const int64_t *table, int64_t npasses, int64_t c
                      const void *const *adds, const int64_t *kinds, double w)
 {
     for (int64_t p = 0; p < npasses; ++p, table += 5 + 2 * table[0]) {
-        pass(table, (int)cubic, x, NULL, (int)kinds[p], adds[p], w);
+        const struct io io = {adds[p], NULL, w};
+        pass(table, (int)cubic, (int)kinds[p], x, &io);
     }
 }
 
-/* The predictions of the pass at ``row`` from ``x``, into ``out``. */
-void ipc_predict(const double *x, const int64_t *row, int64_t cubic, double *out)
+/* Every pass of a decomposition, in table order; each pass's outputs follow
+ * the last pass's in ``out``, in its targets' C order.  With ``xhat``
+ * (decompose) a pass predicts from the reconstruction there, quantizes
+ * ``data - pred`` with bin width ``w`` into int64 codes and writes
+ * ``pred + (double)code * w`` back; without (transform) it predicts from
+ * ``data`` itself and writes the float64 residuals ``data - pred``. */
+void ipc_forward(const double *data, double *xhat, const int64_t *table, int64_t npasses,
+                 int64_t cubic, void *out, double w)
 {
-    pass(row, (int)cubic, (double *)x, out, PREDICT_ONLY, NULL, 0.0);
+    const int kind = xhat ? QUANTIZE : RESIDUAL;
+    /* A transform reads ``data`` as the field and never writes it. */
+    double *x = xhat ? xhat : (double *)data;
+    const size_t width = xhat ? sizeof(int64_t) : sizeof(double);
+    char *next = out;
+    for (int64_t p = 0; p < npasses; ++p, table += 5 + 2 * table[0]) {
+        const struct io io = {data, next, w};
+        next += width * (size_t)pass(table, (int)cubic, kind, x, &io);
+    }
 }

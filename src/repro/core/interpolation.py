@@ -59,15 +59,16 @@ SHARED_PREDICTORS = 32
 
 # ------------------------------------------------------------------ the sweep
 #
-# Every pass runs in C (``_sweep.c``, next to this file).  It is compiled at
-# import with the platform's C compiler into a per-user cache and loaded with
-# ctypes, whose calls release the GIL.  ``-ffp-contract=off`` keeps each
-# multiply and add its own rounding (GCC on aarch64 would fuse them into
-# FMAs), so every answer is bitwise the numpy sweep the predictor was first
-# written as.
+# Every pass runs in C (``_sweep.c``, next to this file), one call per shard
+# and direction.  It is compiled at import with the platform's C compiler
+# into a per-user cache and loaded with ctypes, whose calls release the GIL.
+# ``-ffp-contract=off`` keeps each multiply and add its own rounding (GCC on
+# aarch64 would fuse them into FMAs), so every answer is bitwise the numpy
+# sweep and quantizer the predictor was first written as.
 
 _SOURCE = Path(__file__).with_name("_sweep.c")
 _FLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
+_LIBS = ("-lm",)
 # What a target gets on top of its prediction (``_sweep.c``'s enum).
 _ADD_ZERO, _ADD_DIFF, _ADD_CODE = 0, 1, 2
 
@@ -109,7 +110,9 @@ def _load_sweep() -> ctypes.CDLL:
             f"the interpolation sweep needs a C compiler: {cc[0]!r} (sysconfig's CC) "
             "is not on PATH"
         )
-    build = "\0".join([" ".join([*cc, *_FLAGS]), sysconfig.get_platform(), platform.machine()])
+    build = "\0".join(
+        [" ".join([*cc, *_FLAGS, *_LIBS]), sysconfig.get_platform(), platform.machine()]
+    )
     key = hashlib.sha256(_SOURCE.read_bytes() + build.encode()).hexdigest()[:16]
     directory = _cache_directory()
     path = directory / f"sweep-{key}.so"
@@ -117,7 +120,7 @@ def _load_sweep() -> ctypes.CDLL:
         partial = directory / f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}"
         try:
             built = subprocess.run(
-                [*cc, *_FLAGS, "-o", str(partial), str(_SOURCE)],
+                [*cc, *_FLAGS, "-o", str(partial), str(_SOURCE), *_LIBS],
                 capture_output=True,
                 text=True,
             )
@@ -133,8 +136,8 @@ def _load_sweep() -> ctypes.CDLL:
     pointer, i64 = ctypes.c_void_p, ctypes.c_int64
     lib.ipc_reconstruct.argtypes = [pointer, pointer, i64, i64, pointer, pointer, ctypes.c_double]
     lib.ipc_reconstruct.restype = None
-    lib.ipc_predict.argtypes = [pointer, pointer, i64, pointer]
-    lib.ipc_predict.restype = None
+    lib.ipc_forward.argtypes = [pointer, pointer, pointer, i64, i64, pointer, ctypes.c_double]
+    lib.ipc_forward.restype = None
     return lib
 
 
@@ -217,6 +220,8 @@ class InterpolationPredictor:
         # this granularity: the loss of unit ``u`` passes through exactly
         # ``u − 1`` later prediction sweeps.
         self.num_units = len(ordered)
+        #: Points the passes predict: every point but the anchors.
+        self._predicted = sum(p.size for p in ordered)
         self._unit_passes: Dict[int, _DimPass] = {
             self.num_units - p.index: p for p in ordered
         }
@@ -321,22 +326,31 @@ class InterpolationPredictor:
         """Theorem 1's propagation factor ``p`` for the configured method."""
         return STENCIL_NORMS[self.method]
 
-    # ------------------------------------------------------------- prediction
-
-    def _predict(self, buffer: np.ndarray, p: _DimPass) -> np.ndarray:
-        """The predictions of one (level, dim) sweep from ``buffer`` (a
-        C-contiguous float64 field of the predictor's shape), in the targets'
-        C order: one C call."""
-        prediction = np.empty(p.target_shape, dtype=np.float64)
-        _sweep().ipc_predict(
-            buffer.ctypes.data,
-            self._table_address + p.index * self._table.strides[0],
-            self._cubic,
-            prediction.ctypes.data,
-        )
-        return prediction
-
     # ------------------------------------------------------------ compression
+
+    def _field(self, data: np.ndarray) -> np.ndarray:
+        """``data`` as the C-contiguous float64 field C reads, copied only
+        if it is not one already."""
+        data = np.asarray(data, dtype=np.float64)
+        if data.shape != self.shape:
+            raise ConfigurationError(
+                f"data shape {data.shape} does not match predictor shape {self.shape}"
+            )
+        return np.ascontiguousarray(data)
+
+    def _cut(self, flat: np.ndarray, granularity: str) -> Dict[int, np.ndarray]:
+        """Views of ``flat`` (room for every pass's outputs in processing
+        order), one per group of ``granularity``."""
+        if granularity not in self._layouts:
+            raise ConfigurationError(
+                f"granularity must be 'level' or 'sweep', got {granularity!r}"
+            )
+        cut: Dict[int, np.ndarray] = {}
+        start = 0
+        for key, _, _, size in self._layouts[granularity]:
+            cut[key] = flat[start : start + size]
+            start += size
+        return cut
 
     def decompose(
         self,
@@ -346,38 +360,40 @@ class InterpolationPredictor:
     ) -> Tuple[np.ndarray, Dict[int, np.ndarray], np.ndarray]:
         """Predict + quantize every point, running reconstruction in lock-step.
 
+        One C call runs every pass: its prediction from the reconstruction
+        ``x̂`` so far, ``y = x − pred``, ``quantizer``'s code of ``y`` (its
+        bin width is all C reads; the C quantizer is bitwise
+        :meth:`LinearQuantizer.quantize`) and ``x̂ = pred + code · w``.
+
         Returns
         -------
         anchor_codes:
             ``int64`` quantized anchor values (prediction 0), flattened.
         level_codes:
             Mapping level → flat ``int64`` quantization integers of every
-            (dim sweep) of that level, concatenated in sweep order.
+            (dim sweep) of that level, concatenated in sweep order (views of
+            one array).
         reconstruction:
             The lossy reconstruction ``x̂`` produced with the full-precision
             codes (what a non-progressive decompression would return).
         """
-        data = np.asarray(data, dtype=np.float64)
-        if data.shape != self.shape:
-            raise ConfigurationError(
-                f"data shape {data.shape} does not match predictor shape {self.shape}"
-            )
-        xhat = np.zeros(self.shape, dtype=np.float64)
-
+        data = self._field(data)
+        # Every point is the anchor or the target of exactly one pass, and a
+        # pass reads only points written before it.
+        xhat = np.empty(self.shape, dtype=np.float64)
         anchor_codes, anchor_dequant = quantizer.roundtrip(data[self._anchor])
         xhat[self._anchor] = anchor_dequant
-
-        level_codes: Dict[int, np.ndarray] = {}
-        for key, passes in self._groups(granularity):
-            per_pass: List[np.ndarray] = []
-            for p in passes:
-                prediction = self._predict(xhat, p)
-                codes, dequant = quantizer.roundtrip(data[p.target] - prediction)
-                np.add(prediction, dequant, out=xhat[p.target])
-                per_pass.append(codes.ravel())
-            level_codes[key] = (
-                np.concatenate(per_pass) if per_pass else np.zeros(0, dtype=np.int64)
-            )
+        codes = np.empty(self._predicted, dtype=np.int64)
+        level_codes = self._cut(codes, granularity)
+        _sweep().ipc_forward(
+            data.ctypes.data,
+            xhat.ctypes.data,
+            self._table_address,
+            self.num_units,
+            self._cubic,
+            codes.ctypes.data,
+            quantizer.bin_width,
+        )
         return anchor_codes.ravel(), level_codes, xhat
 
     def transform(
@@ -394,24 +410,22 @@ class InterpolationPredictor:
         the contrast with IPComp's prediction model the paper analyses.
 
         Returns ``(anchor_values, level_coefficients)`` as float arrays in the
-        same flattened sweep order as :meth:`decompose`.
+        same flattened sweep order as :meth:`decompose`: one C call computes
+        every pass's ``x − pred(x)``.
         """
-        data = np.asarray(data, dtype=np.float64)
-        if data.shape != self.shape:
-            raise ConfigurationError(
-                f"data shape {data.shape} does not match predictor shape {self.shape}"
-            )
-        data = np.ascontiguousarray(data)
+        data = self._field(data)
         anchor_values = data[self._anchor].flatten()
-        level_coeffs: Dict[int, np.ndarray] = {}
-        for key, passes in self._groups(granularity):
-            per_pass: List[np.ndarray] = []
-            for p in passes:
-                prediction = self._predict(data, p)
-                per_pass.append((data[p.target] - prediction).ravel())
-            level_coeffs[key] = (
-                np.concatenate(per_pass) if per_pass else np.zeros(0, dtype=np.float64)
-            )
+        coeffs = np.empty(self._predicted, dtype=np.float64)
+        level_coeffs = self._cut(coeffs, granularity)
+        _sweep().ipc_forward(
+            data.ctypes.data,
+            None,
+            self._table_address,
+            self.num_units,
+            self._cubic,
+            coeffs.ctypes.data,
+            0.0,
+        )
         return anchor_values, level_coeffs
 
     # ---------------------------------------------------------- reconstruction

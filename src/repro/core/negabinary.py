@@ -110,7 +110,9 @@ def truncation_error_tables(
     shard, not per plane of every level.  The signs are resolved in
     ``int64`` (or on Python ints when a level is 63 or 64 bits wide, where
     ``int64`` could wrap).  Returns one ``int64[nbits + 1]`` table per
-    level, in order; an empty level's is all zeros.
+    level, in order; an empty level's is all zeros.  A loss beyond
+    ``int64`` (a level 64 bits wide can have one) raises ``OverflowError``
+    naming the level's width.
     """
     tables: List[np.ndarray] = []
     live: List[Tuple[int, int, np.ndarray]] = []  # (nbits, index, values)
@@ -152,7 +154,13 @@ def truncation_error_tables(
         offset = np.array(offsets, dtype=object)[:, None]
         errors = np.maximum(top.astype(object) - offset, offset - bottom.astype(object))
     for column, (nbits, index, _) in enumerate(live):
-        tables[index][1:] = errors[1 : nbits + 1, column]
+        losses = errors[1 : nbits + 1, column]
+        if width >= 63 and max(losses) > np.iinfo(np.int64).max:
+            raise OverflowError(
+                f"a level's codes are {nbits} bits wide in negabinary, and dropping "
+                "their low planes loses more than an int64 δ table holds"
+            )
+        tables[index][1:] = losses
     return tables
 
 

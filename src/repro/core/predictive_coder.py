@@ -222,9 +222,15 @@ class PredictiveCoder:
         )
         # Integer losses of every level and every b in one shard-wide
         # sweep; the bin width is the only float.
-        deltas = truncation_error_tables(
-            [(codes, nbits) for (_, codes), (nbits, _) in zip(levels, planes)]
-        )
+        try:
+            deltas = truncation_error_tables(
+                [(codes, nbits) for (_, codes), (nbits, _) in zip(levels, planes)]
+            )
+        except OverflowError as error:
+            raise ConfigurationError(
+                f"error bound {self.quantizer.error_bound!r} is too fine for this "
+                f"field: {error}"
+            ) from None
         encodings: List[LevelEncoding] = []
         for (level, codes), (nbits, packed_planes), delta in zip(levels, planes, deltas):
             chosen = negotiate_level(packed_planes)

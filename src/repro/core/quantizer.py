@@ -27,7 +27,14 @@ from repro.errors import ConfigurationError
 
 @dataclass(frozen=True)
 class LinearQuantizer:
-    """Uniform mid-tread quantizer with half-bin error bound ``error_bound``."""
+    """Uniform mid-tread quantizer with half-bin error bound ``error_bound``.
+
+    IPComp's write quantizes inside the C sweep
+    (:meth:`~repro.core.interpolation.InterpolationPredictor.decompose`,
+    ``quantize`` in ``core/_sweep.c``), which reads only :attr:`bin_width`
+    and is bitwise :meth:`quantize`; this class quantizes the anchors and
+    the MGARD baselines' coefficients.
+    """
 
     error_bound: float
 

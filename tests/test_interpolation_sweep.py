@@ -156,3 +156,66 @@ def test_a_strided_field_transforms_like_its_copy():
     anchors, coeffs = predictor.transform(np.asfortranarray(data))
     want_anchors, want_coeffs = predictor.transform(data)
     assert _same(anchors, want_anchors) and _same_groups(coeffs, want_coeffs)
+
+
+# ------------------------------------------------------------ the C quantizer
+#
+# ``decompose`` quantizes inside the C sweep.  These fields put chosen
+# differences ``y`` on every target of the finest pass: the even columns are
+# zero, so every prediction there is ±0.0 and ``y`` is the odd column's value.
+
+
+def _edge_diffs() -> Dict[str, tuple]:
+    """name → (differences, bin width): the quantizer's edge cases."""
+    rng = np.random.default_rng(2047)
+    w = 2e-3
+    k = rng.integers(-(2**40), 2**40, size=60).astype(np.float64)
+    big = 2.0 ** rng.uniform(51, 53, size=600) * w * rng.choice([-1.0, 1.0], size=600)
+    near = np.array([2.0**62 - 3, 2.0**62, 2.0**62 + 2048, 2.0**63 - 1024, 2.0**63])
+    return {
+        # w a power of two, so ``(k + ½)·w / w`` is an exact tie: half to even.
+        "ties": (np.concatenate([k + 0.5, np.arange(-8, 8) + 0.5]) * 2.0**-9, 2.0**-9),
+        # |y|/w in [2^51, 2^53]: the divide can land a bin off and be nudged.
+        "nudged": (big, w),
+        # codes about ±2^62, and the last doubles below and at 2^63.
+        "wide": (np.concatenate([near, -near]) * w, w),
+        # INT64_MIN, and the nudges from it: +2, or a wrap to INT64_MAX − 1.
+        "specials": (np.array([np.inf, -np.inf, 1e300, -1e300, np.nan, -np.nan, 1e19, -1e19]), w),
+    }
+
+
+def _diff_field(diffs: np.ndarray) -> np.ndarray:
+    rows = 3
+    diffs = np.resize(diffs, rows * -(-diffs.size // rows)).reshape(rows, -1)
+    field = np.zeros((rows, 2 * diffs.shape[1] + 1))
+    field[:, 1::2] = diffs
+    return field
+
+
+@pytest.mark.parametrize("case", ["ties", "nudged", "wide", "specials"])
+@pytest.mark.parametrize("method", METHODS)
+def test_the_c_quantizer_is_bitwise_the_numpy_quantizer(case, method):
+    diffs, w = _edge_diffs()[case]
+    field = _diff_field(diffs)
+    quantizer = LinearQuantizer(w / 2)
+    new, old = InterpolationPredictor(field.shape, method), OracleSweepPredictor(field.shape, method)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = new.decompose(field, quantizer, "sweep")
+        want = old.decompose(field, quantizer, "sweep")
+        # The finest pass quantized exactly the chosen differences.
+        values = field[:, 1::2].ravel()
+        expected = quantizer.quantize(values)
+        unnudged = np.rint(values / w).astype(np.int64)
+    assert _same(got[0], want[0]) and _same_groups(got[1], want[1])
+    assert _same(got[2], want[2])
+    assert _same(got[1][1], expected)
+    if case == "nudged":
+        assert (expected != unnudged).any(), "no code was nudged: the case tests nothing"
+    if case == "specials":
+        # +big: INT64_MIN nudged up twice; −big: nudged down, wrapping to
+        # INT64_MAX, then down again; NaN: INT64_MIN, never nudged.
+        low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        assert expected[:8].tolist() == [
+            low + 2, high - 1, low + 2, high - 1, low, low, low + 2, high - 1
+        ]
