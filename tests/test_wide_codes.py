@@ -3,8 +3,8 @@
 A level's δ table (the loss of dropping each number of its low planes) is
 ``int64``.  Codes 63 bits wide in negabinary (about ``2^62``) still fit it;
 a level 64 bits wide can lose more than ``int64`` holds, and such a write
-raises :class:`ConfigurationError` naming the bound and the width, where it
-once raised ``OverflowError`` from the middle of the plane coder.
+raises :class:`ConfigurationError` naming the bound and the width before
+the shard's bytes are written.
 """
 
 from __future__ import annotations
