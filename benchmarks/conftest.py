@@ -1,11 +1,13 @@
-"""Shared infrastructure of the benchmark harness.
+"""Shared infrastructure of the paper-figure harnesses.
 
-Every ``bench_*`` module regenerates one table or figure of the paper's
-evaluation section (see DESIGN.md §2 for the index).  The harnesses run under
+Every ``bench_fig*`` / ``bench_table*`` module regenerates one table or
+figure of the paper's evaluation section (README.md's "Paper figures ↔
+benchmark scripts" is the index).  The harnesses run under
 ``pytest benchmarks/ --benchmark-only``: each figure is produced inside a
 ``benchmark.pedantic(..., rounds=1)`` call so pytest-benchmark records its
 wall-clock cost, and the produced rows are printed and written as CSV to
-``benchmarks/results/``.
+``benchmarks/results/``.  System speed is measured by ``benchmarks/e2e``, not
+here.
 
 Scaling: the paper's fields are up to 500³ doubles; the default harness halves
 the (already scaled-down) registry shapes so the full matrix completes in a
@@ -28,10 +30,6 @@ import pytest
 from repro.datasets import DATASETS, load_dataset
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-#: Repository root — the e2e pipeline harness emits ``BENCH_pipeline.json``
-#: here so the cross-PR benchmark trajectory has one canonical location.
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: The active shape-scale preset (see ``_SCALES``).
 BENCH_SCALE = os.environ.get("REPRO_BENCH_SCALE", "default")

@@ -64,19 +64,26 @@ struct io {
     const void *in; /* diffs or codes (reconstruct), the original field (decompose) */
     void *out;      /* codes (decompose), residuals (transform) */
     double w;       /* the bin width */
+    int *wide;      /* set by decompose when a difference has no int64 code */
 };
 
 /* ``LinearQuantizer.quantize`` of one difference, bit for bit: numpy's
- * ``rint`` (half to even), its x86 cast (NaN and anything out of range
- * become INT64_MIN), then up to two nudges of one bin toward ``y`` while
- * the decoder's ``(double)q * w`` misses ``y`` by more than half a bin.  The
- * nudges wrap like numpy's int64, so the sum runs in unsigned arithmetic.
- * ``*qw`` gets the final code's ``(double)q * w``. */
-static int64_t quantize(double y, double w, double *qw)
+ * ``rint`` (half to even), the cast, then up to two nudges of one bin toward
+ * ``y`` while the decoder's ``(double)q * w`` misses ``y`` by more than half
+ * a bin.  A rounded quotient that is NaN or not below 2^63 in magnitude has
+ * no code: ``*wide`` is set, and the caller refuses the field.  Below it,
+ * ``|r|`` is at most 2^63 - 1024 (the last double), so neither the cast nor
+ * the nudges can overflow.  ``*qw`` gets the final code's ``(double)q * w``. */
+static int64_t quantize(double y, double w, double *qw, int *wide)
 {
     const double r = rint(y / w), half = 0.5 * w;
-    uint64_t q = r >= -0x1p63 && r < 0x1p63 ? (uint64_t)(int64_t)r : (uint64_t)INT64_MIN;
-    double back = (double)(int64_t)q * w;
+    if (!(fabs(r) < 0x1p63)) {
+        *wide = 1;
+        *qw = 0.0;
+        return 0;
+    }
+    int64_t q = (int64_t)r;
+    double back = (double)q * w;
     for (int round = 0; round < 2; ++round) {
         const double e = y - back;
         if (e > half) {
@@ -86,10 +93,10 @@ static int64_t quantize(double y, double w, double *qw)
         } else {
             break;
         }
-        back = (double)(int64_t)q * w;
+        back = (double)q * w;
     }
     *qw = back;
-    return (int64_t)q;
+    return q;
 }
 
 /* ``n`` targets, ``s`` elements apart, from element ``at`` of ``x`` on; the
@@ -116,7 +123,9 @@ static void run(int rule, int kind, double *x, ptrdiff_t at, ptrdiff_t s, ptrdif
     case QUANTIZE: {
         const double *data = (const double *)io->in + at;
         int64_t *code = (int64_t *)io->out + j0;
-        RULES(double qw; code[j] = quantize(data[i] - pred, w, &qw); t[i] = pred + qw)
+        int wide = 0;
+        RULES(double qw; code[j] = quantize(data[i] - pred, w, &qw, &wide); t[i] = pred + qw)
+        *io->wide |= wide;
         break;
     }
     default: {
@@ -180,7 +189,7 @@ void ipc_reconstruct(double *x, const int64_t *table, int64_t npasses, int64_t c
                      const void *const *adds, const int64_t *kinds, double w)
 {
     for (int64_t p = 0; p < npasses; ++p, table += 5 + 2 * table[0]) {
-        const struct io io = {adds[p], NULL, w};
+        const struct io io = {adds[p], NULL, w, NULL};
         pass(table, (int)cubic, (int)kinds[p], x, &io);
     }
 }
@@ -190,17 +199,21 @@ void ipc_reconstruct(double *x, const int64_t *table, int64_t npasses, int64_t c
  * (decompose) a pass predicts from the reconstruction there, quantizes
  * ``data - pred`` with bin width ``w`` into int64 codes and writes
  * ``pred + (double)code * w`` back; without (transform) it predicts from
- * ``data`` itself and writes the float64 residuals ``data - pred``. */
-void ipc_forward(const double *data, double *xhat, const int64_t *table, int64_t npasses,
-                 int64_t cubic, void *out, double w)
+ * ``data`` itself and writes the float64 residuals ``data - pred``.
+ * Returns 1 when some difference had no int64 code (the outputs are then
+ * meaningless), else 0. */
+int64_t ipc_forward(const double *data, double *xhat, const int64_t *table, int64_t npasses,
+                    int64_t cubic, void *out, double w)
 {
     const int kind = xhat ? QUANTIZE : RESIDUAL;
     /* A transform reads ``data`` as the field and never writes it. */
     double *x = xhat ? xhat : (double *)data;
     const size_t width = xhat ? sizeof(int64_t) : sizeof(double);
     char *next = out;
+    int wide = 0;
     for (int64_t p = 0; p < npasses; ++p, table += 5 + 2 * table[0]) {
-        const struct io io = {data, next, w};
+        const struct io io = {data, next, w, &wide};
         next += width * (size_t)pass(table, (int)cubic, kind, x, &io);
     }
+    return wide;
 }

@@ -49,7 +49,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.core.quantizer import LinearQuantizer
+from repro.core.quantizer import LinearQuantizer, code_range_error
 
 #: L∞ operator norm of the interpolation stencils (Theorem 1's ``p``).
 STENCIL_NORMS = {"linear": 1.0, "cubic": 1.25}
@@ -137,7 +137,7 @@ def _load_sweep() -> ctypes.CDLL:
     lib.ipc_reconstruct.argtypes = [pointer, pointer, i64, i64, pointer, pointer, ctypes.c_double]
     lib.ipc_reconstruct.restype = None
     lib.ipc_forward.argtypes = [pointer, pointer, pointer, i64, i64, pointer, ctypes.c_double]
-    lib.ipc_forward.restype = None
+    lib.ipc_forward.restype = i64
     return lib
 
 
@@ -363,7 +363,8 @@ class InterpolationPredictor:
         One C call runs every pass: its prediction from the reconstruction
         ``x̂`` so far, ``y = x − pred``, ``quantizer``'s code of ``y`` (its
         bin width is all C reads; the C quantizer is bitwise
-        :meth:`LinearQuantizer.quantize`) and ``x̂ = pred + code · w``.
+        :meth:`LinearQuantizer.quantize`, and refuses the same differences
+        with the same :class:`ConfigurationError`) and ``x̂ = pred + code · w``.
 
         Returns
         -------
@@ -385,7 +386,7 @@ class InterpolationPredictor:
         xhat[self._anchor] = anchor_dequant
         codes = np.empty(self._predicted, dtype=np.int64)
         level_codes = self._cut(codes, granularity)
-        _sweep().ipc_forward(
+        wide = _sweep().ipc_forward(
             data.ctypes.data,
             xhat.ctypes.data,
             self._table_address,
@@ -394,6 +395,8 @@ class InterpolationPredictor:
             codes.ctypes.data,
             quantizer.bin_width,
         )
+        if wide:
+            raise code_range_error(quantizer.error_bound)
         return anchor_codes.ravel(), level_codes, xhat
 
     def transform(

@@ -13,7 +13,9 @@ A floating-point note: :meth:`LinearQuantizer.quantize` verifies the chosen
 code against the decoder's own ``float64`` arithmetic and nudges it when the
 rounded division landed a bin off (possible when ``|y| / (2·eb)`` approaches
 ``2^52``), so the bound holds up to the unavoidable half-ulp of representing
-the bin centre ``q · 2·eb`` as a ``float64``.
+the bin centre ``q · 2·eb`` as a ``float64``.  A difference whose rounded
+quotient is NaN or at least ``2^63`` in magnitude has no ``int64`` code, and
+the field is refused with :class:`ConfigurationError` (:func:`code_range_error`).
 """
 
 from __future__ import annotations
@@ -53,7 +55,12 @@ class LinearQuantizer:
         """Quantize floating-point differences to ``int64`` bin indices."""
         bin_width = self.bin_width
         values = np.asarray(values, dtype=np.float64)
-        codes = np.rint(values / bin_width).astype(np.int64)
+        rounded = np.rint(values / bin_width)
+        # NaN fails the comparison too.  Below 2^63 the last double is
+        # 2^63 − 1024, so neither the cast nor the nudges overflow.
+        if not (np.abs(rounded) < 2.0**63).all():
+            raise code_range_error(self.error_bound)
+        codes = rounded.astype(np.int64)
         # Rounding in the divide can land on the wrong side of a half-bin
         # boundary when |value| / bin_width approaches 2^52, so the decoder's
         # reconstruction (codes · bin_width, computed in float64) could
@@ -80,6 +87,15 @@ class LinearQuantizer:
         """
         codes = self.quantize(values)
         return codes, self.dequantize(codes)
+
+
+def code_range_error(error_bound: float) -> ConfigurationError:
+    """The refusal of a field some difference of which has no ``int64`` code."""
+    return ConfigurationError(
+        f"error bound {error_bound!r} is too fine for this field: a prediction "
+        f"difference of {2.0**63 * 2.0 * error_bound:.3g} or more (or a NaN) "
+        "has no int64 quantization code"
+    )
 
 
 def relative_to_absolute(relative_bound: float, data: np.ndarray) -> float:

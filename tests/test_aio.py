@@ -10,6 +10,8 @@ matrix live in ``test_remote.py``):
   under client faults, server latency/stall faults, and a primary dying
   mid-session — every combination must match the local serial oracle
   bitwise;
+* the multiplexed read at least 2× faster than the serial one when every
+  range read costs 20 ms, with the same requests on the wire;
 * the :class:`~repro.io.aio.AsyncPrefetcher` bridge — adjacent primes
   coalesce into one wire request, a request's past deadline refunds its
   prefetch charge, and closing a prefetcher mid-request never kills the
@@ -216,6 +218,46 @@ def test_default_argument_url_dataset_prefetches(served_dir):
     assert default.ranges == explicit.ranges == serial.ranges
     assert default.bytes_loaded == explicit.bytes_loaded == serial.bytes_loaded
     assert default_requests == explicit_requests < serial_requests
+
+
+def test_multiplexed_read_beats_the_serial_read_twice_under_latency(tmp_path):
+    """Every range read of a 16-shard archive costs 20 ms on the server.
+    The serial read (``prefetch=0``) waits for one request at a time; the
+    multiplexed default opens in one round trip and sends the payload in
+    waves of a pool of concurrent requests, so it is at least 2× faster.
+    Network-bound, so the ratio holds on any core count.  Both legs send
+    the same requests and return the local read's bytes, without a retry."""
+    path = tmp_path / "field.rprc"
+    ChunkedDataset.write(
+        path, cumsum_field((128, 48, 40), 4), error_bound=1e-5, relative=True, n_blocks=16
+    )
+    assert path.stat().st_size >= 3 * OPENING_WINDOW
+    local = _read(path)
+    plan = FaultPlan.always("latency", seconds=0.02)
+
+    def leg(prefetch):
+        seconds = float("inf")
+        with RangeServer(tmp_path, plan=plan) as srv:
+            url = srv.url_for(path.name)
+            for _ in range(3):
+                start = time.perf_counter()
+                stack = open_remote_source(url)
+                with ChunkedDataset(url, source=stack, prefetch=prefetch) as dataset:
+                    result, stats = dataset.read(), stack.stats()
+                    shards = len(dataset.shards)
+                seconds = min(seconds, time.perf_counter() - start)
+                assert result.data.tobytes() == local.data.tobytes()
+                assert result.bytes_loaded == local.bytes_loaded
+                assert stats["retries"] == 0
+        return seconds, stats, shards
+
+    serial_s, serial, shards = leg(0)
+    multiplexed_s, multiplexed, _ = leg(DEFAULT_PREFETCH_DEPTH)
+    assert serial["inflight_max"] == 1 and multiplexed["inflight_max"] > 1
+    # The opening request, then at most one payload request per shard (not
+    # one per plane block); concurrency changes none of them.
+    assert 2 < serial["requests"] == multiplexed["requests"] <= 1 + shards
+    assert serial_s >= 2.0 * multiplexed_s, (serial_s, multiplexed_s)
 
 
 @pytest.mark.parametrize("version", ["v1", "v2"])

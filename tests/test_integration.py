@@ -107,6 +107,22 @@ def test_parallel_blocks_to_container_and_back(density, tmp_path):
         assert slab.bytes_loaded < path.stat().st_size / 2
 
 
+def test_a_quarter_volume_roi_loads_under_half_the_bytes(density, tmp_path):
+    """Figure 6's headline: a region of at most ¼ of the volume (here the
+    first quarter of the sharded axis and half of each other axis) loads
+    less than half of the full read's bytes, and is bitwise its region."""
+    path = tmp_path / "density.rprc"
+    ChunkedDataset.write(path, density, error_bound=1e-5, relative=True, n_blocks=8)
+    roi = (slice(0, density.shape[0] // 4),) + tuple(slice(0, s // 2) for s in density.shape[1:])
+    with ChunkedDataset(path) as dataset:
+        full = dataset.read()
+    with ChunkedDataset(path) as dataset:
+        part = dataset.read(roi=roi)
+    assert part.data.size / density.size <= 0.25
+    assert part.bytes_loaded / full.bytes_loaded < 0.5
+    assert part.data.tobytes() == full.data[roi].tobytes()
+
+
 def test_summarize_reports_are_consistent(density):
     comp = IPComp(error_bound=1e-5, relative=True)
     blob = comp.compress(density)

@@ -6,8 +6,9 @@ One child process builds ``_sweep.c`` with ``-fsanitize=undefined`` (plus
 of the module's library, and runs ``decompose``, ``transform`` and
 ``reconstruct`` against the numpy oracle over fields full of specials —
 ±0.0, subnormals, ±1e300, NaN — and the quantizer's edge cases: half-bin
-ties, nudged codes, codes near ±2^62, ±inf.  Any undefined behaviour aborts
-the child.  Skipped when the compiler cannot build or load such a library.
+ties, nudged codes, codes near ±2^62, and the differences it refuses (±2^63
+bins, ±inf, NaN).  Any undefined behaviour aborts the child.  Skipped when
+the compiler cannot build or load such a library.
 """
 
 from __future__ import annotations

@@ -958,8 +958,9 @@ def test_one_tower_identity_matrix(probe, tmp_path, where, name, reader):
 def test_remote_refine_leaves_no_background_read(probe):
     """A remote ``refine()`` reads what it plans and nothing more: once it
     returns and the loop settles, the stack sends and receives nothing (no
-    read of a rung nobody asked for), and the remote ladder is bitwise the
-    local one, with identical ranges."""
+    read of a rung nobody asked for), no rung re-reads a range an earlier
+    one read, and the multiplexed remote ladder is bitwise the local one,
+    with identical bytes and ranges."""
     path = probe / "probe.rprc"
     with ChunkedDataset(path) as local:
         stored = local.absolute_bound
@@ -969,8 +970,11 @@ def test_remote_refine_leaves_no_background_read(probe):
     with RangeServer(probe) as srv:
         stack = open_remote_source(srv.url_for("probe.rprc"), tamper=slow.tamper)
         with ChunkedDataset(srv.url_for("probe.rprc"), source=stack) as dataset:
+            seen = set()
             for expected, factor in zip(want, _LADDER):
                 got = dataset.refine(error_bound=factor * stored)
+                assert not seen & set(got.ranges)
+                seen |= set(got.ranges)
                 wire = {key: stack.stats()[key] for key in ("requests", "egress_bytes")}
                 time.sleep(0.3)  # anything still queued on the loop lands
                 assert {key: stack.stats()[key] for key in wire} == wire

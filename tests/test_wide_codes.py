@@ -1,15 +1,17 @@
-"""Fields too wide for the bound: a clear refusal, never an ``OverflowError``.
+"""Fields too wide for the bound: a clear refusal, never garbage or an ``OverflowError``.
 
-A level's δ table (the loss of dropping each number of its low planes) is
-``int64``.  Codes 63 bits wide in negabinary (about ``2^62``) still fit it;
-a level 64 bits wide can lose more than ``int64`` holds, and such a write
-raises :class:`ConfigurationError` naming the bound and the width before
-the shard's bytes are written.
+Two limits, each a :class:`ConfigurationError` naming the bound, raised
+before any byte of the archive is written:
+
+* a quantization code is ``int64``: a difference whose rounded quotient
+  ``|y| / (2·eb)`` is ``2^63`` or more has none (x86 would cast it to
+  ``INT64_MIN``, and the archive would decode to garbage);
+* a level's δ table (the loss of dropping each number of its low planes) is
+  ``int64`` too.  Codes 63 bits wide in negabinary (about ``2^62``) still
+  fit it; a level 64 bits wide can lose more than ``int64`` holds.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -19,33 +21,43 @@ from repro.core.interpolation import shared_predictor
 from repro.core.quantizer import LinearQuantizer
 from repro.errors import ConfigurationError
 
-#: A field whose finest codes reach about 7e18 at absolute eb 1e-3.
-WIDE = np.linspace(0, 1e17, 64).reshape(4, 16)
+
+def _finest_codes(code: float) -> np.ndarray:
+    """A field whose finest-level codes at absolute eb 1e-3 are all ``code``:
+    the even columns are zero, so every prediction of an odd one is 0."""
+    field = np.zeros((4, 16))
+    field[:, 1::2] = code * 2e-3
+    return field
+
+
+#: Codes of about 8.1e18: inside ``int64``, 64 bits wide in negabinary.
+WIDE = _finest_codes(7 * 2.0**60)
 
 
 def test_a_64_bit_wide_level_is_refused_naming_bound_and_width():
     comp = IPComp(error_bound=1e-3, relative=False)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(ConfigurationError, match=r"error bound 0\.001 .*64 bits wide"):
-            comp.compress(WIDE)
+    with pytest.raises(ConfigurationError, match=r"error bound 0\.001 .*64 bits wide"):
+        comp.compress(WIDE)
 
 
 def test_a_64_bit_wide_level_leaves_no_archive(tmp_path):
     path = tmp_path / "wide.rprc"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(ConfigurationError, match="64 bits wide"):
-            ChunkedDataset.write(path, WIDE, error_bound=1e-3, relative=False)
+    with pytest.raises(ConfigurationError, match="64 bits wide"):
+        ChunkedDataset.write(path, WIDE, error_bound=1e-3, relative=False)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_code_beyond_int64_is_refused_naming_the_bound():
+    comp = IPComp(error_bound=1e-3, relative=False)
+    with pytest.raises(ConfigurationError, match=r"error bound 0\.001 .*no int64 quantization code"):
+        comp.compress(_finest_codes(2.0**63))
 
 
 @pytest.mark.parametrize("method", ["linear", "cubic"])
 def test_a_63_bit_wide_level_still_writes_and_round_trips(method, tmp_path):
     # Every finest-level code is exactly 2^62: ``2^62 · w`` is exact (a
     # power-of-two scaling), and so is every prediction of the zeros.
-    field = np.zeros((4, 16))
-    field[:, 1::2] = 2.0**62 * 2e-3
+    field = _finest_codes(2.0**62)
     comp = IPComp(error_bound=1e-3, relative=False, method=method)
     blob = comp.compress(field)
     assert max(level.nbits for level in comp.retriever(blob).header.levels) == 63
@@ -60,24 +72,25 @@ def test_a_63_bit_wide_level_still_writes_and_round_trips(method, tmp_path):
 MAGNITUDES = [10.0**k for k in range(12, 25)] + [10.0**k for k in range(30, 301, 10)]
 
 
-def test_every_magnitude_round_trips_or_is_refused():
-    """From 1e12 to 1e300 at absolute eb 1e-3: a write either decodes to
-    the compressor's own reconstruction, bit for bit, or raises
-    :class:`ConfigurationError` — never anything else."""
+def test_every_magnitude_round_trips_or_is_refused(tmp_path):
+    """From 1e12 to 1e300 at absolute eb 1e-3: up to 1e16 a write decodes
+    to the compressor's own reconstruction, bit for bit; from 1e17 on (a
+    code would need ``|y| / 2e-3 ≥ 2^63``) it raises
+    :class:`ConfigurationError` through ``IPComp.compress`` and
+    ``ChunkedDataset.write``, and leaves no archive."""
     comp = IPComp(error_bound=1e-3, relative=False)
     predictor = shared_predictor(WIDE.shape, comp.profile.method)
-    refused = written = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for magnitude in MAGNITUDES:
-            field = np.linspace(0, magnitude, 64).reshape(WIDE.shape)
-            try:
-                blob = comp.compress(field)
-            except ConfigurationError as error:
-                assert "bits wide" in str(error)
-                refused += 1
-                continue
+    for magnitude in MAGNITUDES:
+        field = np.linspace(0, magnitude, 64).reshape(WIDE.shape)
+        if magnitude < 1e17:
+            blob = comp.compress(field)
             _, _, xhat = predictor.decompose(field, LinearQuantizer(1e-3), "sweep")
             assert comp.decompress(blob).tobytes() == xhat.tobytes(), magnitude
-            written += 1
-    assert refused and written
+            continue
+        with pytest.raises(ConfigurationError, match="no int64 quantization code"):
+            comp.compress(field)
+        with pytest.raises(ConfigurationError, match="no int64 quantization code"):
+            ChunkedDataset.write(
+                tmp_path / "huge.rprc", field, error_bound=1e-3, relative=False, n_blocks=2
+            )
+        assert list(tmp_path.iterdir()) == [], magnitude
