@@ -13,9 +13,10 @@ A floating-point note: :meth:`LinearQuantizer.quantize` verifies the chosen
 code against the decoder's own ``float64`` arithmetic and nudges it when the
 rounded division landed a bin off (possible when ``|y| / (2·eb)`` approaches
 ``2^52``), so the bound holds up to the unavoidable half-ulp of representing
-the bin centre ``q · 2·eb`` as a ``float64``.  A difference whose rounded
-quotient is NaN or at least ``2^63`` in magnitude has no ``int64`` code, and
-the field is refused with :class:`ConfigurationError` (:func:`code_range_error`).
+the bin centre ``q · 2·eb`` as a ``float64``.  A value to quantize (a
+difference, an anchor, a coefficient) whose rounded quotient is NaN or at
+least ``2^63`` in magnitude has no ``int64`` code, and the field is refused
+with :class:`ConfigurationError` (:func:`code_range_error`).
 """
 
 from __future__ import annotations
@@ -90,11 +91,11 @@ class LinearQuantizer:
 
 
 def code_range_error(error_bound: float) -> ConfigurationError:
-    """The refusal of a field some difference of which has no ``int64`` code."""
+    """The refusal of a field some value to quantize of which has no ``int64`` code."""
     return ConfigurationError(
-        f"error bound {error_bound!r} is too fine for this field: a prediction "
-        f"difference of {2.0**63 * 2.0 * error_bound:.3g} or more (or a NaN) "
-        "has no int64 quantization code"
+        f"error bound {error_bound!r} is too fine for this field: a value to "
+        f"quantize of {2.0**63 * 2.0 * error_bound:.3g} or more in magnitude "
+        "(or a NaN) has no int64 quantization code"
     )
 
 
