@@ -17,6 +17,7 @@ import pytest
 from conftest import legacy_layout
 
 from repro import CodecProfile, IPComp, ProgressiveRetriever
+from repro.baselines import compressor_names, make_compressor
 from repro.coders import backend as backend_registry
 from repro.core.stream import (
     VERSION,
@@ -405,6 +406,38 @@ _needs_stock_zlib = pytest.mark.skipif(
 
 def _pinned_field() -> np.ndarray:
     return load_dataset("density", shape=(18, 20, 22), seed=7)
+
+
+#: CRC32 of each registered compressor's stream of :func:`_pinned_field` at
+#: 1e-4 relative, and of what its ``decompress`` returns, recorded at 22.2.1.
+#: Predictor refactors must leave every baseline's bytes as they are.
+PINNED_BASELINE_CRC32 = {
+    "ipcomp": (0x970FF871, 0x1F0818BB),
+    "sz3": (0xE4BB2635, 0x1F0818BB),
+    "sz3-m": (0x7CFB2987, 0x1F0818BB),
+    "sz3-r": (0x5089FA39, 0x2AC94380),
+    "zfp": (0x3ACB02A3, 0x311F964E),
+    "zfp-r": (0x1635D4A7, 0x1C83689C),
+    "mgard": (0xDC026C2A, 0x397C5B28),
+    "pmgard": (0x42AF6757, 0x397C5B28),
+    "sperr": (0x375BFA49, 0xB769D1FF),
+    "sperr-r": (0x8C959A5A, 0xE013983E),
+}
+
+
+def test_every_registered_compressor_is_pinned():
+    assert set(compressor_names()) == set(PINNED_BASELINE_CRC32)
+
+
+@_needs_stock_zlib
+@pytest.mark.parametrize("name", sorted(PINNED_BASELINE_CRC32))
+def test_baseline_stream_and_output_bytes_are_pinned(name):
+    compressor = make_compressor(name, 1e-4)
+    blob = compressor.compress(_pinned_field())
+    output = compressor.decompress(blob)
+    assert output.dtype == np.float64 and output.shape == (18, 20, 22)
+    crcs = (zlib.crc32(blob), zlib.crc32(np.ascontiguousarray(output).tobytes()))
+    assert crcs == PINNED_BASELINE_CRC32[name]
 
 
 @_needs_stock_zlib
