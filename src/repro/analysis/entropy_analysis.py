@@ -28,13 +28,11 @@ def _level_planes(field: np.ndarray, error_bound: float, relative: bool, method:
     eb = relative_to_absolute(error_bound, field) if relative else error_bound
     predictor = InterpolationPredictor(field.shape, method)
     quantizer = LinearQuantizer(eb)
-    _, level_codes, _ = predictor.decompose(field, quantizer)
-    for level, codes in level_codes.items():
-        if codes.size == 0:
-            continue
+    _, unit_codes, _ = predictor.decompose(field, quantizer)
+    for unit, codes in unit_codes.items():
         nbits = required_bits(codes)
         planes = extract_bitplanes(to_negabinary(codes), nbits)
-        yield level, planes
+        yield unit, planes
 
 
 def prefix_coding_entropy(

@@ -4,13 +4,11 @@ The non-progressive variant of :mod:`repro.baselines.pmgard`: the same
 hierarchical-basis (piecewise-linear multigrid) decomposition, but the
 quantized coefficients are entropy coded in one monolithic Huffman + DEFLATE
 stream instead of per-bitplane blocks.  It exists so the PMGARD progressive
-overhead (block granularity, per-level δ tables) can be measured against its
+overhead (per-plane blocks, per-level δ tables) can be measured against its
 own non-progressive baseline, mirroring how the paper positions SZ3 vs IPComp.
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 import numpy as np
 
@@ -42,11 +40,8 @@ class MGARDCompressor(LossyCompressor):
         refinement = _quantizer_refinement(data.shape, predictor.num_levels)
         quantizer = LinearQuantizer(eb_user / refinement)
 
-        anchor_values, level_coeffs = predictor.transform(data)
-        ordered = [quantizer.quantize(anchor_values)]
-        for level in range(predictor.num_levels, 0, -1):
-            ordered.append(quantizer.quantize(level_coeffs[level]))
-        symbols = np.concatenate(ordered)
+        anchor_values, unit_coeffs = predictor.transform(data)
+        symbols = quantizer.quantize(np.concatenate([anchor_values, *unit_coeffs.values()]))
 
         outlier_mask = np.abs(symbols) > _QUANT_CAP
         outliers = symbols[outlier_mask]
@@ -83,14 +78,9 @@ class MGARDCompressor(LossyCompressor):
         symbols[mask] = outliers
 
         anchor_count = predictor.anchor_count
-        cursor = anchor_count
-        sizes = predictor.level_sizes()
-        level_diffs: Dict[int, np.ndarray] = {}
-        for level in range(predictor.num_levels, 0, -1):
-            count = sizes[level]
-            level_diffs[level] = quantizer.dequantize(symbols[cursor : cursor + count])
-            cursor += count
         output = predictor.reconstruct(
-            quantizer.dequantize(symbols[:anchor_count]), level_diffs
+            quantizer.dequantize(symbols[:anchor_count]),
+            predictor.units(symbols[anchor_count:]),
+            quantizer.bin_width,
         )
         return output.astype(meta["dtype"]).reshape(shape)

@@ -66,7 +66,7 @@ class PMGARDCompressor(ProgressiveCompressor):
         quantizer = LinearQuantizer(eb_q)
         coder = PredictiveCoder(quantizer, CodecProfile(prefix_bits=self.prefix_bits))
 
-        anchor_values, unit_coeffs = predictor.transform(data, granularity="sweep")
+        anchor_values, unit_coeffs = predictor.transform(data)
         anchor_codes = quantizer.quantize(anchor_values)
         anchor_block = coder.encode_anchor(anchor_codes)
         encodings = [

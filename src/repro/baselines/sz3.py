@@ -5,8 +5,8 @@ linear-scale quantization, Huffman coding, and zstd lossless coding".  This
 baseline follows that pipeline exactly, reusing the same interpolation
 predictor as IPComp so that the comparison isolates the *encoding* stage:
 
-* quantization integers of every level are concatenated into one symbol
-  stream;
+* the anchors' and every sweep's quantization integers are concatenated
+  into one symbol stream;
 * symbols whose magnitude exceeds the quantization-bin capacity are emitted
   as literal "outliers" (SZ3's unpredictable-data path) so the Huffman
   alphabet stays bounded;
@@ -16,8 +16,6 @@ predictor as IPComp so that the comparison isolates the *encoding* stage:
 """
 
 from __future__ import annotations
-
-from typing import Dict, List
 
 import numpy as np
 
@@ -55,12 +53,8 @@ class SZ3Compressor(LossyCompressor):
         eb = self.absolute_bound(data)
         predictor = InterpolationPredictor(data.shape, self.method)
         quantizer = LinearQuantizer(eb)
-        anchor_codes, level_codes, _ = predictor.decompose(data, quantizer)
-
-        ordered: List[np.ndarray] = [anchor_codes]
-        for level in range(predictor.num_levels, 0, -1):
-            ordered.append(level_codes[level])
-        symbols = np.concatenate(ordered) if ordered else np.zeros(0, dtype=np.int64)
+        anchor_codes, unit_codes, _ = predictor.decompose(data, quantizer)
+        symbols = np.concatenate([anchor_codes, *unit_codes.values()])
 
         outlier_mask = np.abs(symbols) > _QUANT_CAP
         outlier_values = symbols[outlier_mask]
@@ -98,13 +92,9 @@ class SZ3Compressor(LossyCompressor):
         symbols[outlier_mask] = outliers
 
         anchor_count = predictor.anchor_count
-        anchor_codes = symbols[:anchor_count]
-        cursor = anchor_count
-        sizes = predictor.level_sizes()
-        level_diffs: Dict[int, np.ndarray] = {}
-        for level in range(predictor.num_levels, 0, -1):
-            count = sizes[level]
-            level_diffs[level] = quantizer.dequantize(symbols[cursor : cursor + count])
-            cursor += count
-        output = predictor.reconstruct(quantizer.dequantize(anchor_codes), level_diffs)
+        output = predictor.reconstruct(
+            quantizer.dequantize(symbols[:anchor_count]),
+            predictor.units(symbols[anchor_count:]),
+            quantizer.bin_width,
+        )
         return output.astype(meta["dtype"]).reshape(shape)

@@ -29,13 +29,16 @@
 
 /* What a pass does at each target, from its prediction ``pred``. */
 enum {
-    ADD_ZERO = 0, /* reconstruct: x = pred + 0.0 */
-    ADD_DIFF = 1, /* reconstruct: x = pred + diff */
-    ADD_CODE = 2, /* reconstruct: x = pred + (double)code * w */
-    QUANTIZE = 3, /* decompose: code = Q(data - pred), x = pred + (double)code * w */
-    RESIDUAL = 4  /* transform: out = x - pred, x left as it is */
+    ADD_ZERO, /* reconstruct: x = pred + 0.0 */
+    ADD_CODE, /* reconstruct: x = pred + (double)code * w */
+    QUANTIZE, /* decompose: code = Q(data - pred), x = pred + (double)code * w */
+    RESIDUAL  /* transform: out = x - pred, x left as it is */
 };
 enum { LINEAR, CUBIC, COPY };
+/* ``ipc_forward``'s refusals, as bits: a difference with no int64 code, and
+ * an x̂ that misses its original by more than w / 2 · (1 + SLACK). */
+enum { NO_CODE = 1, MISSED = 2 };
+#define SLACK 0x1p-20
 
 #define LIN(p) (((p)[-off] + (p)[off]) * 0.5)
 #define CUB(p) \
@@ -61,24 +64,25 @@ enum { LINEAR, CUBIC, COPY };
 
 /* The arrays a pass reads and writes besides the field ``x``. */
 struct io {
-    const void *in; /* diffs or codes (reconstruct), the original field (decompose) */
+    const void *in; /* codes (reconstruct), the original field (decompose) */
     void *out;      /* codes (decompose), residuals (transform) */
     double w;       /* the bin width */
-    int *wide;      /* set by decompose when a difference has no int64 code */
+    int *flags;     /* decompose ORs NO_CODE and MISSED into it */
 };
 
 /* ``LinearQuantizer.quantize`` of one difference, bit for bit: numpy's
  * ``rint`` (half to even), the cast, then up to two nudges of one bin toward
  * ``y`` while the decoder's ``(double)q * w`` misses ``y`` by more than half
  * a bin.  A rounded quotient that is NaN or not below 2^63 in magnitude has
- * no code: ``*wide`` is set, and the caller refuses the field.  Below it,
- * ``|r|`` is at most 2^63 - 1024 (the last double), so neither the cast nor
- * the nudges can overflow.  ``*qw`` gets the final code's ``(double)q * w``. */
-static int64_t quantize(double y, double w, double *qw, int *wide)
+ * no code: NO_CODE is set in ``*flags``, and the caller refuses the field.
+ * Below it, ``|r|`` is at most 2^63 - 1024 (the last double), so neither the
+ * cast nor the nudges can overflow.  ``*qw`` gets the final code's
+ * ``(double)q * w``. */
+static int64_t quantize(double y, double w, double *qw, int *flags)
 {
     const double r = rint(y / w), half = 0.5 * w;
     if (!(fabs(r) < 0x1p63)) {
-        *wide = 1;
+        *flags |= NO_CODE;
         *qw = 0.0;
         return 0;
     }
@@ -86,13 +90,10 @@ static int64_t quantize(double y, double w, double *qw, int *wide)
     double back = (double)q * w;
     for (int round = 0; round < 2; ++round) {
         const double e = y - back;
-        if (e > half) {
-            q += 1;
-        } else if (e < -half) {
-            q -= 1;
-        } else {
+        if (!(e > half || e < -half)) {
             break;
         }
+        q += e > half ? 1 : -1;
         back = (double)q * w;
     }
     *qw = back;
@@ -110,22 +111,22 @@ static void run(int rule, int kind, double *x, ptrdiff_t at, ptrdiff_t s, ptrdif
     case ADD_ZERO:
         RULES(t[i] = pred + 0.0)
         break;
-    case ADD_DIFF: {
-        const double *diff = (const double *)io->in + j0;
-        RULES(t[i] = pred + diff[j])
-        break;
-    }
     case ADD_CODE: {
         const int64_t *code = (const int64_t *)io->in + j0;
         RULES(t[i] = pred + (double)code[j] * w)
         break;
     }
     case QUANTIZE: {
+        /* ``pred + qw`` rounds to the field's float spacing: a miss within
+         * SLACK is rounding far finer than the bound, but where the spacing
+         * nears ``w`` x̂ misses by up to twice the bound. */
         const double *data = (const double *)io->in + at;
+        const double limit = 0.5 * w * (1.0 + SLACK);
         int64_t *code = (int64_t *)io->out + j0;
-        int wide = 0;
-        RULES(double qw; code[j] = quantize(data[i] - pred, w, &qw, &wide); t[i] = pred + qw)
-        *io->wide |= wide;
+        int flags = 0;
+        RULES(double qw; code[j] = quantize(data[i] - pred, w, &qw, &flags); t[i] = pred + qw;
+              flags |= MISSED * (fabs(data[i] - t[i]) > limit))
+        *io->flags |= flags;
         break;
     }
     default: {
@@ -142,11 +143,8 @@ static int64_t pass(const int64_t *row, int cubic, int kind, double *x, const st
     const int64_t nd = row[0], dim = row[1], k = row[2], off = row[3];
     const int64_t *count = row + 5, *stride = row + 5 + nd;
     const int64_t last = nd - 1, n = count[last], s = stride[last];
-    int64_t lo = k - 1, hi = k - 1;
-    if (cubic && k > 3) {
-        lo = 1;
-        hi = k - 2;
-    }
+    const int spline = cubic && k > 3;
+    const int64_t lo = spline ? 1 : k - 1, hi = spline ? k - 2 : k - 1;
     /* Segments of the line along ``dim``: [0, lo) linear, [lo, hi) cubic,
      * [hi, k - 1) linear, [k - 1, count) copy. */
     const int64_t bound[5] = {0, lo, hi, k - 1, count[dim]};
@@ -183,14 +181,14 @@ static int64_t pass(const int64_t *row, int cubic, int kind, double *x, const st
 }
 
 /* Every pass of a reconstruction, in table order, in place in ``x``.  Pass
- * ``p`` adds ``+ 0.0`` (kinds[p] == ADD_ZERO), ``+ diff`` (ADD_DIFF, float64
- * diffs at adds[p]) or ``+ (double)code * w`` (ADD_CODE, int64 codes). */
+ * ``p`` adds ``+ (double)code * w`` for the int64 codes at codes[p], or
+ * ``+ 0.0`` where codes[p] is NULL. */
 void ipc_reconstruct(double *x, const int64_t *table, int64_t npasses, int64_t cubic,
-                     const void *const *adds, const int64_t *kinds, double w)
+                     const int64_t *const *codes, double w)
 {
     for (int64_t p = 0; p < npasses; ++p, table += 5 + 2 * table[0]) {
-        const struct io io = {adds[p], NULL, w, NULL};
-        pass(table, (int)cubic, (int)kinds[p], x, &io);
+        const struct io io = {codes[p], NULL, w, NULL};
+        pass(table, (int)cubic, codes[p] ? ADD_CODE : ADD_ZERO, x, &io);
     }
 }
 
@@ -200,8 +198,7 @@ void ipc_reconstruct(double *x, const int64_t *table, int64_t npasses, int64_t c
  * ``data - pred`` with bin width ``w`` into int64 codes and writes
  * ``pred + (double)code * w`` back; without (transform) it predicts from
  * ``data`` itself and writes the float64 residuals ``data - pred``.
- * Returns 1 when some difference had no int64 code (the outputs are then
- * meaningless), else 0. */
+ * Returns the refusal bits some point set (0: none, and the outputs hold). */
 int64_t ipc_forward(const double *data, double *xhat, const int64_t *table, int64_t npasses,
                     int64_t cubic, void *out, double w)
 {
@@ -210,10 +207,10 @@ int64_t ipc_forward(const double *data, double *xhat, const int64_t *table, int6
     double *x = xhat ? xhat : (double *)data;
     const size_t width = xhat ? sizeof(int64_t) : sizeof(double);
     char *next = out;
-    int wide = 0;
+    int flags = 0;
     for (int64_t p = 0; p < npasses; ++p, table += 5 + 2 * table[0]) {
-        const struct io io = {data, next, w, &wide};
+        const struct io io = {data, next, w, &flags};
         next += width * (size_t)pass(table, (int)cubic, kind, x, &io);
     }
-    return wide;
+    return flags;
 }

@@ -91,12 +91,10 @@ class IPComp:
         coder = PredictiveCoder(quantizer, self.profile)
 
         # Progressive blocks are grouped per interpolation *sweep* (one unit
-        # per (level, dimension) pass): at that granularity the Theorem-1
+        # per (level, dimension) pass): per sweep the Theorem-1
         # propagation factor p^(l−1) is exact, so the optimizer's guarantees
         # stay tight where most of the data lives (the final sweeps).
-        anchor_codes, unit_codes, _ = predictor.decompose(
-            data, quantizer, granularity="sweep"
-        )
+        anchor_codes, unit_codes, _ = predictor.decompose(data, quantizer)
         anchor_block = coder.encode_anchor(anchor_codes)
         encodings = coder.encode_levels(unit_codes.items())
         header = StreamHeader(

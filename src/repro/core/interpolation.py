@@ -20,11 +20,10 @@ lock-step, which is what confines the point-wise error to the quantizer bound
 instead of letting it grow with the data size as a transform model would
 (Eq. (3) vs. Eq. (4)).
 
-The reconstruction map from per-level dequantized differences to the output is
-*linear* (fixed stencils, additive updates), which is the property Algorithm 2
-exploits for incremental refinement: feeding a *delta* of the differences
-through :meth:`InterpolationPredictor.reconstruct` yields the delta of the
-output.
+The reconstruction map from the quantization codes to the output is *linear*
+(fixed stencils, additive updates), which is the property Algorithm 2
+exploits for incremental refinement: feeding a *delta* of the codes through
+:meth:`InterpolationPredictor.reconstruct` yields the delta of the output.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.core.quantizer import LinearQuantizer, code_range_error
+from repro.core.quantizer import LinearQuantizer, code_range_error, spacing_error
 
 #: L∞ operator norm of the interpolation stencils (Theorem 1's ``p``).
 STENCIL_NORMS = {"linear": 1.0, "cubic": 1.25}
@@ -69,8 +68,8 @@ SHARED_PREDICTORS = 32
 _SOURCE = Path(__file__).with_name("_sweep.c")
 _FLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
 _LIBS = ("-lm",)
-# What a target gets on top of its prediction (``_sweep.c``'s enum).
-_ADD_ZERO, _ADD_DIFF, _ADD_CODE = 0, 1, 2
+# Why ``ipc_forward`` refused a field (``_sweep.c``'s flag bits).
+_NO_CODE, _MISSED = 1, 2
 
 
 def _cache_directory() -> Path:
@@ -134,7 +133,7 @@ def _load_sweep() -> ctypes.CDLL:
             partial.unlink(missing_ok=True)
     lib = ctypes.CDLL(str(path))
     pointer, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.ipc_reconstruct.argtypes = [pointer, pointer, i64, i64, pointer, pointer, ctypes.c_double]
+    lib.ipc_reconstruct.argtypes = [pointer, pointer, i64, i64, pointer, ctypes.c_double]
     lib.ipc_reconstruct.restype = None
     lib.ipc_forward.argtypes = [pointer, pointer, pointer, i64, i64, pointer, ctypes.c_double]
     lib.ipc_forward.restype = i64
@@ -172,8 +171,6 @@ class _DimPass:
 
     level: int
     dim: int
-    #: Position in processing order (coarsest level first, then ``dim``).
-    index: int
     target: Tuple[slice, ...]
     target_shape: Tuple[int, ...]
     #: Points in the sweep, ``prod(target_shape)``.
@@ -183,6 +180,13 @@ class _DimPass:
 
 class InterpolationPredictor:
     """Shared decorrelation engine of IPComp and the SZ3 baseline.
+
+    Every output is grouped per sweep *unit*: each (level, dimension) pass
+    gets its own number, processed from ``num_units`` (the coarsest sweep)
+    down to 1 (the final, finest sweep).  IPComp's progressive blocks are
+    grouped per unit because the paper's p^(l−1) propagation bound is exact
+    per sweep: the loss of unit ``u`` passes through exactly ``u − 1`` later
+    prediction sweeps.
 
     Parameters
     ----------
@@ -208,55 +212,27 @@ class InterpolationPredictor:
         #: Number of interpolation levels (coarsest = ``num_levels``).
         self.num_levels = max(1, int(np.ceil(np.log2(max_dim))) if max_dim > 1 else 1)
         self._anchor = (slice(0, None, 2**self.num_levels),) * self.ndim
-        self._passes: Dict[int, List[_DimPass]] = {}
-        ordered: List[_DimPass] = []
-        for level in range(self.num_levels, 0, -1):
-            self._passes[level] = self._build_level_passes(level, len(ordered))
-            ordered.extend(self._passes[level])
-        # Sweep-granular ("unit") numbering: every (level, dim) pass gets its
-        # own number, processed from ``num_units`` (coarsest sweep) down to 1
-        # (the final, finest sweep).  IPComp's progressive blocks are grouped
-        # per unit because the paper's p^(l−1) propagation bound is exact at
-        # this granularity: the loss of unit ``u`` passes through exactly
-        # ``u − 1`` later prediction sweeps.
-        self.num_units = len(ordered)
+        #: Every pass in processing order: pass ``i`` is unit ``num_units − i``.
+        self._passes: List[_DimPass] = [
+            p for level in range(self.num_levels, 0, -1) for p in self._build_level_passes(level)
+        ]
+        self.num_units = len(self._passes)
+        starts = list(accumulate((p.size for p in self._passes), initial=0))
         #: Points the passes predict: every point but the anchors.
-        self._predicted = sum(p.size for p in ordered)
-        self._unit_passes: Dict[int, _DimPass] = {
-            self.num_units - p.index: p for p in ordered
-        }
-        self._table = np.array([p.row for p in ordered], dtype=np.int64).reshape(
+        self._predicted = starts[-1]
+        #: Each unit's slice of the passes' outputs laid end to end.
+        self._spans = [
+            (self.num_units - i, a, b) for i, (a, b) in enumerate(zip(starts, starts[1:]))
+        ]
+        self._table = np.array([p.row for p in self._passes], dtype=np.int64).reshape(
             self.num_units, 5 + 2 * self.ndim
         )
         self._table_address = self._table.ctypes.data
         self._cubic = int(method == "cubic")
-        # Per granularity: each group's key, its first pass, the offsets of
-        # its passes' diffs in the group's flat array, and its size.
-        self._layouts: Dict[str, List[Tuple[int, int, List[int], int]]] = {}
-        for granularity in ("level", "sweep"):
-            layout = self._layouts[granularity] = []
-            for key, passes in self._groups(granularity):
-                starts = list(accumulate((p.size for p in passes), initial=0))
-                first = passes[0].index if passes else 0
-                layout.append((key, first, starts[:-1], starts[-1]))
-
-    def _groups(self, granularity: str) -> List[Tuple[int, List[_DimPass]]]:
-        """Processing-order grouping of passes, keyed per level or per sweep."""
-        if granularity == "level":
-            return [
-                (level, self._passes[level])
-                for level in range(self.num_levels, 0, -1)
-            ]
-        if granularity == "sweep":
-            return [
-                (unit, [self._unit_passes[unit]])
-                for unit in range(self.num_units, 0, -1)
-            ]
-        raise ConfigurationError(f"granularity must be 'level' or 'sweep', got {granularity!r}")
 
     # ------------------------------------------------------------------ setup
 
-    def _build_level_passes(self, level: int, first: int) -> List[_DimPass]:
+    def _build_level_passes(self, level: int) -> List[_DimPass]:
         stride = 2**level
         half = stride // 2
         # Element strides of the C-contiguous field.
@@ -285,10 +261,7 @@ class InterpolationPredictor:
                 *(s.step * step for s, step in zip(target, field)),
             )
             passes.append(
-                _DimPass(
-                    level, dim, first + len(passes), target, target_shape,
-                    math.prod(target_shape), row,
-                )
+                _DimPass(level, dim, target, target_shape, math.prod(target_shape), row)
             )
         return passes
 
@@ -304,27 +277,25 @@ class InterpolationPredictor:
         """Number of anchor points (always fully loaded, never progressive)."""
         return int(np.prod(self.anchor_shape))
 
-    def level_sizes(self, granularity: str = "level") -> Dict[int, int]:
-        """Number of predicted points per group, keyed by level or sweep unit."""
-        return {
-            key: sum(p.size for p in passes)
-            for key, passes in self._groups(granularity)
-        }
-
     @cached_property
     def sweep_sizes(self) -> Dict[int, int]:
-        """``level_sizes("sweep")``, built once: every header parse checks
-        its levels against it."""
-        return self.level_sizes("sweep")
+        """Number of predicted points per sweep unit, built once: every
+        header parse checks its levels against it."""
+        return {unit: b - a for unit, a, b in self._spans}
 
     def total_points(self) -> int:
         """Anchors plus all predicted points — must equal ``prod(shape)``."""
-        return self.anchor_count + sum(self.level_sizes().values())
+        return self.anchor_count + self._predicted
 
     @property
     def stencil_norm(self) -> float:
         """Theorem 1's propagation factor ``p`` for the configured method."""
         return STENCIL_NORMS[self.method]
+
+    def units(self, flat: np.ndarray) -> Dict[int, np.ndarray]:
+        """Views of ``flat`` — every pass's outputs end to end, in processing
+        order — one per sweep unit, coarsest first."""
+        return {unit: flat[a:b] for unit, a, b in self._spans}
 
     # ------------------------------------------------------------ compression
 
@@ -338,25 +309,8 @@ class InterpolationPredictor:
             )
         return np.ascontiguousarray(data)
 
-    def _cut(self, flat: np.ndarray, granularity: str) -> Dict[int, np.ndarray]:
-        """Views of ``flat`` (room for every pass's outputs in processing
-        order), one per group of ``granularity``."""
-        if granularity not in self._layouts:
-            raise ConfigurationError(
-                f"granularity must be 'level' or 'sweep', got {granularity!r}"
-            )
-        cut: Dict[int, np.ndarray] = {}
-        start = 0
-        for key, _, _, size in self._layouts[granularity]:
-            cut[key] = flat[start : start + size]
-            start += size
-        return cut
-
     def decompose(
-        self,
-        data: np.ndarray,
-        quantizer: LinearQuantizer,
-        granularity: str = "level",
+        self, data: np.ndarray, quantizer: LinearQuantizer
     ) -> Tuple[np.ndarray, Dict[int, np.ndarray], np.ndarray]:
         """Predict + quantize every point, running reconstruction in lock-step.
 
@@ -365,15 +319,17 @@ class InterpolationPredictor:
         bin width is all C reads; the C quantizer is bitwise
         :meth:`LinearQuantizer.quantize`, and refuses the same differences
         with the same :class:`ConfigurationError`) and ``x̂ = pred + code · w``.
+        A field where some ``x̂`` misses ``x`` by more than the bound — the
+        sum rounds to the field's float spacing, which may be about the bin
+        width — is refused with :class:`ConfigurationError` too.
 
         Returns
         -------
         anchor_codes:
             ``int64`` quantized anchor values (prediction 0), flattened.
-        level_codes:
-            Mapping level → flat ``int64`` quantization integers of every
-            (dim sweep) of that level, concatenated in sweep order (views of
-            one array).
+        unit_codes:
+            Mapping sweep unit → flat ``int64`` quantization integers of that
+            pass's targets in C order (views of one array, :meth:`units`).
         reconstruction:
             The lossy reconstruction ``x̂`` produced with the full-precision
             codes (what a non-progressive decompression would return).
@@ -385,8 +341,7 @@ class InterpolationPredictor:
         anchor_codes, anchor_dequant = quantizer.roundtrip(data[self._anchor])
         xhat[self._anchor] = anchor_dequant
         codes = np.empty(self._predicted, dtype=np.int64)
-        level_codes = self._cut(codes, granularity)
-        wide = _sweep().ipc_forward(
+        flags = _sweep().ipc_forward(
             data.ctypes.data,
             xhat.ctypes.data,
             self._table_address,
@@ -395,31 +350,30 @@ class InterpolationPredictor:
             codes.ctypes.data,
             quantizer.bin_width,
         )
-        if wide:
+        if flags & _NO_CODE:
             raise code_range_error(quantizer.error_bound)
-        return anchor_codes.ravel(), level_codes, xhat
+        if flags & _MISSED:
+            raise spacing_error(quantizer.error_bound, data)
+        return anchor_codes.ravel(), self.units(codes), xhat
 
-    def transform(
-        self, data: np.ndarray, granularity: str = "level"
-    ) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
+    def transform(self, data: np.ndarray) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
         """Hierarchical-basis *transform* variant of :meth:`decompose`.
 
         Unlike :meth:`decompose`, predictions read the **original** values of
         previously processed points, so the output coefficients are a lossless
         linear transform of the input (the multigrid/hierarchical-basis view
-        used by the MGARD-like baseline).  :meth:`reconstruct` is its exact
-        inverse.  Quantization error behaviour therefore follows the transform
-        model of §4.2.1 — errors accumulate across levels — which is exactly
-        the contrast with IPComp's prediction model the paper analyses.
+        used by the MGARD-like baselines).  Quantization error behaviour
+        therefore follows the transform model of §4.2.1 — errors accumulate
+        across levels — which is exactly the contrast with IPComp's
+        prediction model the paper analyses.
 
-        Returns ``(anchor_values, level_coefficients)`` as float arrays in the
-        same flattened sweep order as :meth:`decompose`: one C call computes
-        every pass's ``x − pred(x)``.
+        Returns ``(anchor_values, unit_coefficients)`` as float arrays in the
+        same layout as :meth:`decompose`: one C call computes every pass's
+        ``x − pred(x)``.
         """
         data = self._field(data)
         anchor_values = data[self._anchor].flatten()
         coeffs = np.empty(self._predicted, dtype=np.float64)
-        level_coeffs = self._cut(coeffs, granularity)
         _sweep().ipc_forward(
             data.ctypes.data,
             None,
@@ -429,39 +383,33 @@ class InterpolationPredictor:
             coeffs.ctypes.data,
             0.0,
         )
-        return anchor_values, level_coeffs
+        return anchor_values, self.units(coeffs)
 
     # ---------------------------------------------------------- reconstruction
 
     def reconstruct(
         self,
         anchor_values: np.ndarray,
-        level_diffs: Mapping[int, np.ndarray],
-        granularity: str = "level",
+        unit_codes: Mapping[int, np.ndarray],
+        bin_width: float,
         *,
         out: Optional[np.ndarray] = None,
-        bin_width: Optional[float] = None,
     ) -> np.ndarray:
-        """Rebuild a field from dequantized anchor values and per-level diffs.
+        """Rebuild a field from dequantized anchor values and per-unit codes.
 
-        ``level_diffs[level]`` must hold the dequantized prediction differences
-        of that level in the same flattened sweep order :meth:`decompose`
-        produced them.  Missing levels are treated as all-zero diffs, which is
-        exactly the semantics of not having loaded any bitplane of that level.
-
-        With ``bin_width``, ``level_diffs`` holds the integer quantization
-        codes instead, and each sweep adds ``codes · bin_width`` to its
-        prediction: the float operations of dequantizing first (an int64 →
-        float64 conversion is exact below 2^53, and the multiply is
-        elementwise), so the result is bitwise the same, with no
-        level-sized float copy of the codes.
+        ``unit_codes[unit]`` must hold the ``int64`` quantization codes of
+        that sweep unit in the order :meth:`decompose` produced them; each
+        sweep adds ``code · bin_width`` to its prediction, as
+        :meth:`decompose` built ``x̂``.  A missing unit adds ``+0.0`` — what
+        all-zero codes would do to a −0.0 prediction — which is exactly the
+        semantics of not having loaded any bitplane of it.
 
         With ``out`` — float64, C-contiguous, of the predictor's shape — the
         field is written there and ``out`` returned; it may hold anything on
         entry, because every point is the anchor or the target of exactly
         one sweep and a sweep reads only points written before it.
 
-        The map is linear in its inputs, so calling it with *delta* diffs
+        The map is linear in its inputs, so calling it with *delta* codes
         yields the delta of the reconstruction (Algorithm 2).
         """
         if out is None:
@@ -476,57 +424,33 @@ class InterpolationPredictor:
         xhat[self._anchor] = np.asarray(anchor_values, dtype=np.float64).reshape(
             self.anchor_shape
         )
-        # One C call runs every pass; pass ``i`` adds the diffs or codes at
-        # ``adds[i]`` (a missing group adds +0.0 — what all-zero diffs would
-        # do to a −0.0 prediction — without building the zeros).
+        # One C call runs every pass; pass ``i`` adds the codes at
+        # ``adds[i]``, or +0.0 where it is NULL.
         adds = np.zeros(self.num_units, dtype=np.uintp)
-        kinds = np.full(self.num_units, _ADD_ZERO, dtype=np.int64)
         held = []  # the arrays ``adds`` points into, alive until the call returns
-        for key, first, offsets, expected in self._layouts[granularity]:
-            diffs = level_diffs.get(key)
-            if diffs is None:
-                continue
-            if bin_width is None:
-                diffs, kind = np.asarray(diffs, dtype=np.float64), _ADD_DIFF
-            else:
-                diffs = np.asarray(diffs)
-                if diffs.dtype == np.int64:
-                    kind = _ADD_CODE
-                else:  # the float diffs numpy's promotion makes of them
-                    diffs, kind = np.asarray(diffs * bin_width, dtype=np.float64), _ADD_DIFF
-            diffs = diffs.ravel()  # C-contiguous, copied only if it was not
-            if diffs.size != expected:
+        for unit, codes in unit_codes.items():
+            index = self.num_units - unit
+            if not 0 <= index < self.num_units:
+                raise ConfigurationError(f"no sweep unit {unit!r} among {self.num_units}")
+            codes = np.asarray(codes)
+            if codes.dtype != np.int64:
+                raise ConfigurationError(f"unit {unit} codes must be int64, got {codes.dtype}")
+            codes = codes.ravel()  # C-contiguous, copied only if it was not
+            if codes.size != self._passes[index].size:
                 raise ConfigurationError(
-                    f"group {key} expects {expected} diffs, got {diffs.size}"
+                    f"unit {unit} expects {self._passes[index].size} codes, got {codes.size}"
                 )
-            held.append(diffs)
-            address = diffs.ctypes.data
-            for index, offset in enumerate(offsets, first):
-                adds[index] = address + offset * diffs.itemsize
-                kinds[index] = kind
+            held.append(codes)
+            adds[index] = codes.ctypes.data
         _sweep().ipc_reconstruct(
             xhat.ctypes.data,
             self._table_address,
             self.num_units,
             self._cubic,
             adds.ctypes.data,
-            kinds.ctypes.data,
-            0.0 if bin_width is None else bin_width,
+            bin_width,
         )
         return xhat
-
-    # ------------------------------------------------------------------ misc
-
-    def describe(self) -> Dict[int, Dict[str, object]]:
-        """Human-readable summary of the level layout (used by the CLI)."""
-        summary: Dict[int, Dict[str, object]] = {}
-        for level, passes in self._passes.items():
-            summary[level] = {
-                "stride": 2**level,
-                "points": sum(p.size for p in passes),
-                "sweeps": [(p.dim, p.target_shape) for p in passes],
-            }
-        return summary
 
 
 @lru_cache(maxsize=SHARED_PREDICTORS)

@@ -251,9 +251,8 @@ class ProgressiveRetriever:
         output = self.predictor.reconstruct(
             self._anchor_values,
             {enc.level: c for enc, c in zip(levels, codes)},
-            granularity="sweep",
+            self.quantizer.bin_width,
             out=out,
-            bin_width=self.quantizer.bin_width,
         )
         self._header_charged = True
         achieved = self._current_keep

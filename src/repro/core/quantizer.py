@@ -16,7 +16,9 @@ rounded division landed a bin off (possible when ``|y| / (2·eb)`` approaches
 the bin centre ``q · 2·eb`` as a ``float64``.  A value to quantize (a
 difference, an anchor, a coefficient) whose rounded quotient is NaN or at
 least ``2^63`` in magnitude has no ``int64`` code, and the field is refused
-with :class:`ConfigurationError` (:func:`code_range_error`).
+with :class:`ConfigurationError` (:func:`code_range_error`); so is a field
+whose interpolated reconstruction, rounded to its own float spacing, would
+miss the bound (:func:`spacing_error`).
 """
 
 from __future__ import annotations
@@ -96,6 +98,17 @@ def code_range_error(error_bound: float) -> ConfigurationError:
         f"error bound {error_bound!r} is too fine for this field: a value to "
         f"quantize of {2.0**63 * 2.0 * error_bound:.3g} or more in magnitude "
         "(or a NaN) has no int64 quantization code"
+    )
+
+
+def spacing_error(error_bound: float, data: np.ndarray) -> ConfigurationError:
+    """The refusal of a field whose float64 spacing cannot hold the bound: a
+    reconstruction ``prediction + code · 2·eb`` rounds to that spacing."""
+    largest = float(np.abs(data).max())
+    return ConfigurationError(
+        f"error bound {error_bound!r} is too fine for this field: float64 values "
+        f"near its largest magnitude {largest:.6g} are {np.spacing(largest):.3g} "
+        "apart, and a reconstructed value would miss the bound"
     )
 
 

@@ -26,7 +26,7 @@ keeps:
   checks its own freshness: a local file by its ``(size, mtime_ns,
   tail_crc)`` fingerprint (:func:`file_fingerprint`), so a rewritten file
   — even one rewritten at the same size within the filesystem's mtime
-  granularity — gets a fresh session and the old session's cache entries
+  resolution — gets a fresh session and the old session's cache entries
   are purged, never served against the new bytes.  One request per key
   opens a missing or stale session; requests racing it wait and share it;
 * **a tiered byte-budgeted LRU** (:class:`~repro.service.cache.TieredCache`)
@@ -121,7 +121,7 @@ def file_fingerprint(path: Path) -> Tuple[int, int, int]:
     """Session identity of a dataset file: ``(size, mtime_ns, tail_crc)``.
 
     ``(st_size, st_mtime_ns)`` alone serves stale cache when a file is
-    rewritten at the same size within the filesystem's mtime granularity;
+    rewritten at the same size within the filesystem's mtime resolution;
     the CRC of the footer/manifest tail
     (:data:`~repro.io.remote.FINGERPRINT_TAIL_BYTES`) is the cheap content
     witness that catches it (one bounded read, no payload scan).

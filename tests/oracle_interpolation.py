@@ -7,17 +7,17 @@ bitwise what these numpy passes return.  Nothing in ``src/`` imports it.
 The bodies are the predictor's former ones, kept as they were: each
 (level, dim) pass reads its known points as a strided view with ``dim``
 swapped to the front, runs each stencil on its own sub-slice, and the
-caller adds the diffs (or ``codes · bin_width``, or ``0.0``) in numpy.
+caller adds ``codes · bin_width`` (or ``0.0``) in numpy.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.core.interpolation import InterpolationPredictor
-from repro.core.quantizer import LinearQuantizer
+from repro.core.quantizer import LinearQuantizer, spacing_error
 from repro.errors import ConfigurationError
 
 
@@ -59,10 +59,7 @@ class OracleSweepPredictor(InterpolationPredictor):
         return prediction
 
     def decompose(
-        self,
-        data: np.ndarray,
-        quantizer: LinearQuantizer,
-        granularity: str = "level",
+        self, data: np.ndarray, quantizer: LinearQuantizer
     ) -> Tuple[np.ndarray, Dict[int, np.ndarray], np.ndarray]:
         data = np.asarray(data, dtype=np.float64)
         if data.shape != self.shape:
@@ -74,47 +71,41 @@ class OracleSweepPredictor(InterpolationPredictor):
         anchor_codes, anchor_dequant = quantizer.roundtrip(data[self._anchor])
         xhat[self._anchor] = anchor_dequant
 
-        level_codes: Dict[int, np.ndarray] = {}
-        for key, passes in self._groups(granularity):
-            per_pass: List[np.ndarray] = []
-            for p in passes:
-                prediction = self._predict_pass(xhat, p)
-                codes, dequant = quantizer.roundtrip(data[p.target] - prediction)
-                np.add(prediction, dequant, out=xhat[p.target])
-                per_pass.append(codes.ravel())
-            level_codes[key] = (
-                np.concatenate(per_pass) if per_pass else np.zeros(0, dtype=np.int64)
-            )
-        return anchor_codes.ravel(), level_codes, xhat
+        unit_codes: Dict[int, np.ndarray] = {}
+        missed = False
+        for unit, p in zip(range(self.num_units, 0, -1), self._passes):
+            prediction = self._predict_pass(xhat, p)
+            codes, dequant = quantizer.roundtrip(data[p.target] - prediction)
+            np.add(prediction, dequant, out=xhat[p.target])
+            # ``x̂`` rounds to the field's float spacing: it may miss by more
+            # than the bound though the code is within half a bin.
+            limit = 0.5 * quantizer.bin_width * (1.0 + 2.0**-20)
+            missed |= bool((np.abs(data[p.target] - xhat[p.target]) > limit).any())
+            unit_codes[unit] = codes.ravel()
+        if missed:
+            raise spacing_error(quantizer.error_bound, data)
+        return anchor_codes.ravel(), unit_codes, xhat
 
-    def transform(
-        self, data: np.ndarray, granularity: str = "level"
-    ) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
+    def transform(self, data: np.ndarray) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
         data = np.asarray(data, dtype=np.float64)
         if data.shape != self.shape:
             raise ConfigurationError(
                 f"data shape {data.shape} does not match predictor shape {self.shape}"
             )
         anchor_values = data[self._anchor].flatten()
-        level_coeffs: Dict[int, np.ndarray] = {}
-        for key, passes in self._groups(granularity):
-            per_pass: List[np.ndarray] = []
-            for p in passes:
-                prediction = self._predict_pass(data, p)
-                per_pass.append((data[p.target] - prediction).ravel())
-            level_coeffs[key] = (
-                np.concatenate(per_pass) if per_pass else np.zeros(0, dtype=np.float64)
-            )
-        return anchor_values, level_coeffs
+        unit_coeffs: Dict[int, np.ndarray] = {}
+        for unit, p in zip(range(self.num_units, 0, -1), self._passes):
+            prediction = self._predict_pass(data, p)
+            unit_coeffs[unit] = (data[p.target] - prediction).ravel()
+        return anchor_values, unit_coeffs
 
     def reconstruct(
         self,
         anchor_values: np.ndarray,
-        level_diffs: Mapping[int, np.ndarray],
-        granularity: str = "level",
+        unit_codes: Mapping[int, np.ndarray],
+        bin_width: float,
         *,
         out: Optional[np.ndarray] = None,
-        bin_width: Optional[float] = None,
     ) -> np.ndarray:
         if out is None:
             xhat = np.empty(self.shape, dtype=np.float64)
@@ -128,28 +119,23 @@ class OracleSweepPredictor(InterpolationPredictor):
         xhat[self._anchor] = np.asarray(anchor_values, dtype=np.float64).reshape(
             self.anchor_shape
         )
-        for key, passes in self._groups(granularity):
-            diffs = level_diffs.get(key)
-            if diffs is not None:
-                diffs = np.asarray(
-                    diffs, dtype=np.float64 if bin_width is None else None
-                ).ravel()
-                expected = sum(p.size for p in passes)
-                if diffs.size != expected:
+        for unit, p in zip(range(self.num_units, 0, -1), self._passes):
+            prediction = self._predict_pass(xhat, p)
+            codes = unit_codes.get(unit)
+            # A missing unit still adds +0.0 — what all-zero codes would do
+            # to a −0.0 prediction — without building the zeros.
+            if codes is None:
+                block = 0.0
+            else:
+                codes = np.asarray(codes)
+                if codes.dtype != np.int64:
                     raise ConfigurationError(
-                        f"group {key} expects {expected} diffs, got {diffs.size}"
+                        f"unit {unit} codes must be int64, got {codes.dtype}"
                     )
-            offset = 0
-            for p in passes:
-                prediction = self._predict_pass(xhat, p)
-                # A missing level still adds +0.0 — what all-zero diffs would
-                # do to a −0.0 prediction — without building the zeros.
-                if diffs is None:
-                    block = 0.0
-                else:
-                    block = diffs[offset : offset + p.size].reshape(p.target_shape)
-                    if bin_width is not None:
-                        block = block * bin_width
-                np.add(prediction, block, out=xhat[p.target])
-                offset += p.size
+                if codes.size != p.size:
+                    raise ConfigurationError(
+                        f"unit {unit} expects {p.size} codes, got {codes.size}"
+                    )
+                block = codes.reshape(p.target_shape) * bin_width
+            np.add(prediction, block, out=xhat[p.target])
         return xhat

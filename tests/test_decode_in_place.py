@@ -1,8 +1,8 @@
 """A read decodes into its answer.
 
 The interpolation writes into a caller's array (``reconstruct(out=)``) and
-dequantizes the integer codes as it adds them (``bin_width=``), bitwise as
-the dequantize-first route; the engine hands each shard the ROI does not cut
+dequantizes the integer codes as it adds them, bitwise as the write's own
+reconstruction; the engine hands each shard the ROI does not cut
 its own slab of the answer, so a read costs about one answer of memory
 beyond its packed rows.  Writing into an uninitialised answer is safe only
 because a dataset proves at open that its slabs tile the domain, and that a
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import cumsum_field, legacy_layout
+from oracle_interpolation import OracleSweepPredictor
 from repro import ChunkedDataset, IPComp
 from repro.core.interpolation import InterpolationPredictor
 from repro.core.progressive import ProgressiveRetriever
@@ -35,40 +36,34 @@ def _decomposed(shape, method):
     data = cumsum_field(shape, 11)
     predictor = InterpolationPredictor(shape, method)
     quantizer = LinearQuantizer(1e-3)
-    anchors, codes, _ = predictor.decompose(data, quantizer, granularity="sweep")
-    return predictor, quantizer, anchors, codes
+    anchors, codes, xhat = predictor.decompose(data, quantizer)
+    return predictor, quantizer, anchors, codes, xhat
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("method", ["linear", "cubic"])
 def test_reconstruct_into_out_and_from_codes_is_bitwise_the_fresh_one(shape, method):
-    predictor, quantizer, anchors, codes = _decomposed(shape, method)
+    predictor, quantizer, anchors, codes, xhat = _decomposed(shape, method)
     anchor_values = quantizer.dequantize(anchors)
-    diffs = {unit: quantizer.dequantize(c) for unit, c in codes.items()}
-    fresh = predictor.reconstruct(anchor_values, diffs, granularity="sweep")
+    w = quantizer.bin_width
+    # The codes rebuild the write's own reconstruction, bit for bit.
+    fresh = predictor.reconstruct(anchor_values, codes, w)
+    assert fresh.tobytes() == xhat.tobytes()
     # ``out`` may hold anything: every point is written before it is read.
     out = np.full(shape, np.nan)
-    into = predictor.reconstruct(anchor_values, diffs, granularity="sweep", out=out)
+    into = predictor.reconstruct(anchor_values, codes, w, out=out)
     assert into is out
     assert out.tobytes() == fresh.tobytes()
-    out = np.full(shape, np.nan)
-    predictor.reconstruct(
-        anchor_values, codes, granularity="sweep", out=out, bin_width=quantizer.bin_width
-    )
-    assert out.tobytes() == fresh.tobytes()
-    # A unit with no codes adds +0.0, in either form.
+    # A unit with no codes adds +0.0, as the numpy sweep does.
     partial = {unit: c for unit, c in codes.items() if unit % 2}
-    assert predictor.reconstruct(
-        anchor_values, partial, granularity="sweep", bin_width=quantizer.bin_width
-    ).tobytes() == predictor.reconstruct(
-        anchor_values,
-        {unit: quantizer.dequantize(c) for unit, c in partial.items()},
-        granularity="sweep",
-    ).tobytes()
+    out = np.full(shape, np.nan)
+    predictor.reconstruct(anchor_values, partial, w, out=out)
+    oracle = OracleSweepPredictor(shape, method)
+    assert out.tobytes() == oracle.reconstruct(anchor_values, partial, w).tobytes()
 
 
 def test_reconstruct_refuses_an_out_it_cannot_fill():
-    predictor, quantizer, anchors, codes = _decomposed((12, 10), "cubic")
+    predictor, quantizer, anchors, codes, _ = _decomposed((12, 10), "cubic")
     values = quantizer.dequantize(anchors)
     for out in (
         np.empty((12, 10), dtype=np.float32),
@@ -76,7 +71,7 @@ def test_reconstruct_refuses_an_out_it_cannot_fill():
         np.empty((12, 20))[:, ::2],
     ):
         with pytest.raises(ConfigurationError, match="out must be"):
-            predictor.reconstruct(values, codes, granularity="sweep", out=out)
+            predictor.reconstruct(values, codes, quantizer.bin_width, out=out)
 
 
 # ------------------------------------------------------------------- engine

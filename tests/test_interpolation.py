@@ -33,12 +33,11 @@ def test_decompose_respects_error_bound(shape, method, rng):
 def test_reconstruct_matches_decompose_output(smooth_3d, method):
     predictor = InterpolationPredictor(smooth_3d.shape, method)
     quantizer = LinearQuantizer(1e-4)
-    anchors, level_codes, reconstruction = predictor.decompose(smooth_3d, quantizer)
+    anchors, unit_codes, reconstruction = predictor.decompose(smooth_3d, quantizer)
     rebuilt = predictor.reconstruct(
-        quantizer.dequantize(anchors),
-        {level: quantizer.dequantize(codes) for level, codes in level_codes.items()},
+        quantizer.dequantize(anchors), unit_codes, quantizer.bin_width
     )
-    assert np.allclose(rebuilt, reconstruction, atol=1e-12)
+    assert rebuilt.tobytes() == reconstruction.tobytes()
 
 
 def test_reconstruct_is_linear(smooth_3d):
@@ -46,15 +45,14 @@ def test_reconstruct_is_linear(smooth_3d):
     predictor = InterpolationPredictor(smooth_3d.shape)
     quantizer = LinearQuantizer(1e-4)
     anchors, codes, _ = predictor.decompose(smooth_3d, quantizer)
-    diffs_full = {l: quantizer.dequantize(c) for l, c in codes.items()}
-    diffs_half = {l: 0.5 * d for l, d in diffs_full.items()}
     anchors_dq = quantizer.dequantize(anchors)
+    w = quantizer.bin_width
 
-    full = predictor.reconstruct(anchors_dq, diffs_full)
-    half = predictor.reconstruct(0.5 * anchors_dq, diffs_half)
+    full = predictor.reconstruct(anchors_dq, codes, w)
+    half = predictor.reconstruct(0.5 * anchors_dq, codes, 0.5 * w)
     assert np.allclose(full * 0.5, half, atol=1e-10)
 
-    zero = predictor.reconstruct(np.zeros_like(anchors_dq), {})
+    zero = predictor.reconstruct(np.zeros_like(anchors_dq), {}, w)
     assert np.allclose(zero, 0.0)
 
 
@@ -70,23 +68,30 @@ def test_cubic_predicts_smooth_data_better_than_linear(smooth_3d):
 
 
 def test_transform_is_exactly_invertible(smooth_3d):
-    predictor = InterpolationPredictor(smooth_3d.shape, "linear")
-    anchors, coeffs = predictor.transform(smooth_3d)
-    rebuilt = predictor.reconstruct(anchors, coeffs)
-    assert np.allclose(rebuilt, smooth_3d, atol=1e-9)
+    """On an integer field every coefficient is a whole number of 1/16ths
+    (the stencils' weights), so they are exact codes of that bin width."""
+    data = np.rint(smooth_3d * 1000)
+    for method in ("linear", "cubic"):
+        predictor = InterpolationPredictor(data.shape, method)
+        anchors, coeffs = predictor.transform(data)
+        codes = {unit: (c * 16).astype(np.int64) for unit, c in coeffs.items()}
+        assert all(np.array_equal(codes[unit] / 16, c) for unit, c in coeffs.items())
+        rebuilt = predictor.reconstruct(anchors, codes, 1 / 16)
+        assert np.array_equal(rebuilt, data)
 
 
 def test_transform_coefficient_counts_match_level_sizes(smooth_2d):
     predictor = InterpolationPredictor(smooth_2d.shape)
     _, coeffs = predictor.transform(smooth_2d)
-    sizes = predictor.level_sizes()
-    for level, values in coeffs.items():
-        assert values.size == sizes[level]
+    sizes = predictor.sweep_sizes
+    assert coeffs.keys() == sizes.keys()
+    for unit, values in coeffs.items():
+        assert values.size == sizes[unit]
 
 
 def test_level_sizes_sum_to_total(smooth_2d):
     predictor = InterpolationPredictor(smooth_2d.shape)
-    assert predictor.anchor_count + sum(predictor.level_sizes().values()) == smooth_2d.size
+    assert predictor.anchor_count + sum(predictor.sweep_sizes.values()) == smooth_2d.size
 
 
 def test_missing_level_diffs_treated_as_zero(smooth_2d):
@@ -95,7 +100,8 @@ def test_missing_level_diffs_treated_as_zero(smooth_2d):
     anchors, codes, _ = predictor.decompose(smooth_2d, quantizer)
     partial = predictor.reconstruct(
         quantizer.dequantize(anchors),
-        {predictor.num_levels: quantizer.dequantize(codes[predictor.num_levels])},
+        {predictor.num_units: codes[predictor.num_units]},
+        quantizer.bin_width,
     )
     assert partial.shape == smooth_2d.shape
     assert np.isfinite(partial).all()
@@ -111,7 +117,15 @@ def test_wrong_diff_count_rejected(smooth_2d):
     predictor = InterpolationPredictor(smooth_2d.shape)
     with pytest.raises(ConfigurationError):
         predictor.reconstruct(
-            np.zeros(predictor.anchor_count), {1: np.zeros(3)}
+            np.zeros(predictor.anchor_count), {1: np.zeros(3, dtype=np.int64)}, 1.0
+        )
+    with pytest.raises(ConfigurationError, match="must be int64"):
+        predictor.reconstruct(
+            np.zeros(predictor.anchor_count), {1: np.zeros(predictor.sweep_sizes[1])}, 1.0
+        )
+    with pytest.raises(ConfigurationError, match="no sweep unit"):
+        predictor.reconstruct(
+            np.zeros(predictor.anchor_count), {0: np.zeros(0, dtype=np.int64)}, 1.0
         )
 
 
@@ -127,9 +141,3 @@ def test_stencil_norms_match_paper():
     assert STENCIL_NORMS["cubic"] == 1.25
     assert InterpolationPredictor((16,), "cubic").stencil_norm == 1.25
 
-
-def test_describe_reports_every_level():
-    predictor = InterpolationPredictor((32, 32))
-    summary = predictor.describe()
-    assert set(summary) == set(range(1, predictor.num_levels + 1))
-    assert all("points" in info for info in summary.values())

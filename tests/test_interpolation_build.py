@@ -26,7 +26,7 @@ from repro.errors import ConfigurationError
 
 predictor = InterpolationPredictor((5, 6))
 try:
-    field = predictor.reconstruct(np.ones(predictor.anchor_count), {})
+    field = predictor.reconstruct(np.ones(predictor.anchor_count), {}, 1.0)
 except ConfigurationError as error:
     print("ConfigurationError:", error)
 else:

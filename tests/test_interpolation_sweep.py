@@ -2,7 +2,7 @@
 
 Every path through :class:`~repro.core.interpolation.InterpolationPredictor`
 — ``decompose`` (the write), ``transform`` (the MGARD baselines) and
-``reconstruct`` (every read and rung) — must give bitwise the answer of the
+``reconstruct`` (every read and rung, from ``int64`` codes) — must give bitwise the answer of the
 numpy sweep in ``tests/oracle_interpolation.py``.  Results are compared as
 ``.view(np.int64)``: equality of floats cannot see ``−0.0`` against
 ``+0.0``, and a skipped ``+ 0.0`` would show only there.  A NaN compares
@@ -31,7 +31,9 @@ from repro.errors import ConfigurationError
 SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300, np.nan])
 
 METHODS = ("linear", "cubic")
-GRANULARITIES = ("level", "sweep")
+#: What a partial reconstruction leaves out: a random set of sweep units, or
+#: every unit of a random set of levels (runs of missing passes).
+DROPS = ("level", "sweep")
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -61,13 +63,13 @@ def _field(shape, seed: int, specials: bool) -> np.ndarray:
     return data
 
 
-def _refused(new, old, data, quantizer, granularity) -> bool:
+def _refused(new, old, data, quantizer) -> bool:
     """Whether both sides refuse to quantize ``data``; fails if only one does."""
     outcomes = []
     for predictor in (new, old):
         try:
             with np.errstate(all="ignore"):
-                predictor.decompose(data, quantizer, granularity)
+                predictor.decompose(data, quantizer)
         except ConfigurationError as error:
             outcomes.append(str(error))
         else:
@@ -76,55 +78,56 @@ def _refused(new, old, data, quantizer, granularity) -> bool:
     return outcomes[0] is not None
 
 
-def _check_every_path(shape, method, granularity, seed, specials=True):
+def _check_every_path(shape, method, drop, seed, specials=True):
     new, old = InterpolationPredictor(shape, method), OracleSweepPredictor(shape, method)
     data = _field(shape, seed, specials)
     rng = np.random.default_rng(seed + 1)
 
-    anchors, coeffs = new.transform(data, granularity)
-    want_anchors, want_coeffs = old.transform(data, granularity)
+    anchors, coeffs = new.transform(data)
+    want_anchors, want_coeffs = old.transform(data)
     assert _same(anchors, want_anchors) and _same_groups(coeffs, want_coeffs)
 
     quantizer = LinearQuantizer(1e-3)
     # NaN and ±1e300 have no int64 code: both sides refuse the field exactly
     # when it holds one.  Zero them and keep ±0.0 and the subnormals.
     no_code = np.isnan(data) | (np.abs(data) > 1e299)
-    assert _refused(new, old, data, quantizer, granularity) == no_code.any()
+    assert _refused(new, old, data, quantizer) == no_code.any()
     data = np.where(no_code, 0.0, data)
-    got = new.decompose(data, quantizer, granularity)
-    want = old.decompose(data, quantizer, granularity)
+    got = new.decompose(data, quantizer)
+    want = old.decompose(data, quantizer)
     assert _same(got[0], want[0]) and _same_groups(got[1], want[1])
     assert _same(got[2], want[2])
 
     anchor_values = quantizer.dequantize(got[0])
+    # The decomposition's own codes rebuild its reconstruction exactly.
+    assert _same(new.reconstruct(anchor_values, got[1], quantizer.bin_width), got[2])
     codes = {k: rng.integers(-(2**20), 2**20, size=v.size) for k, v in got[1].items()}
-    keys = sorted(codes)
-    dropped = set(rng.permutation(keys)[: rng.integers(0, len(keys) + 1)].tolist())
-    partial = {k: v for k, v in codes.items() if k not in dropped}
+    level = {new.num_units - i: p.level for i, p in enumerate(new._passes)}
+    groups = sorted(set(level.values()) if drop == "level" else level)
+    dropped = set(rng.permutation(groups)[: rng.integers(0, len(groups) + 1)].tolist())
+    partial = {
+        k: v for k, v in codes.items() if (level[k] if drop == "level" else k) not in dropped
+    }
     inputs = [
-        # float diffs: full, with groups missing, none at all
-        (anchors, coeffs, None),
-        (anchors, {k: v for k, v in coeffs.items() if k not in dropped}, None),
-        (anchors, {}, None),
-        # int64 codes with a bin width, with groups missing
         (anchor_values, codes, quantizer.bin_width),
         (anchor_values, partial, quantizer.bin_width),
-        # narrower integer codes, and a mix of widths
-        (anchor_values, {k: v.astype(np.int32) for k, v in partial.items()}, quantizer.bin_width),
-        (
-            anchor_values,
-            {k: v.astype(np.int16 if k % 2 else np.int64) // 16 for k, v in codes.items()},
-            0.375,
-        ),
+        (anchors, {}, quantizer.bin_width),
+        (anchor_values, {k: v // 16 for k, v in partial.items()}, 0.375),
     ]
-    for values, diffs, bin_width in inputs:
-        fresh = new.reconstruct(values, diffs, granularity, bin_width=bin_width)
-        expected = old.reconstruct(values, diffs, granularity, bin_width=bin_width)
+    for values, unit_codes, bin_width in inputs:
+        fresh = new.reconstruct(values, unit_codes, bin_width)
+        expected = old.reconstruct(values, unit_codes, bin_width)
         assert _same(fresh, expected)
         # ``out`` may hold anything on entry.
         out = np.full(shape, np.nan)
-        assert new.reconstruct(values, diffs, granularity, bin_width=bin_width, out=out) is out
+        assert new.reconstruct(values, unit_codes, bin_width, out=out) is out
         assert _same(out, expected)
+    # Codes of any other integer type are refused, not promoted.
+    if codes:
+        narrow = {1: codes[1].astype(np.int32)}
+        for predictor in (new, old):
+            with pytest.raises(ConfigurationError, match="must be int64"):
+                predictor.reconstruct(anchor_values, narrow, quantizer.bin_width)
 
 
 @st.composite
@@ -139,11 +142,11 @@ def _shapes(draw):
 @given(
     shape=_shapes(),
     method=st.sampled_from(METHODS),
-    granularity=st.sampled_from(GRANULARITIES),
+    drop=st.sampled_from(DROPS),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_the_c_sweep_is_bitwise_the_numpy_sweep(shape, method, granularity, seed):
-    _check_every_path(shape, method, granularity, seed)
+def test_the_c_sweep_is_bitwise_the_numpy_sweep(shape, method, drop, seed):
+    _check_every_path(shape, method, drop, seed)
 
 
 @pytest.mark.parametrize(
@@ -152,9 +155,9 @@ def test_the_c_sweep_is_bitwise_the_numpy_sweep(shape, method, granularity, seed
     ids=str,
 )
 @pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("granularity", GRANULARITIES)
-def test_no_rank_cap(shape, method, granularity):
-    _check_every_path(shape, method, granularity, seed=math.prod(shape) + len(shape))
+@pytest.mark.parametrize("drop", DROPS)
+def test_no_rank_cap(shape, method, drop):
+    _check_every_path(shape, method, drop, seed=math.prod(shape) + len(shape))
 
 
 @pytest.mark.parametrize("shape", [(5, 4, 3, 6, 5), (2, 3, 2, 2, 3, 2, 2, 3, 2)], ids=str)
@@ -223,12 +226,12 @@ def test_the_c_quantizer_is_bitwise_the_numpy_quantizer(case, method):
         # Each alone among zeros makes both sides refuse the field.
         for i, diff in enumerate(diffs):
             alone = _diff_field(np.where(np.arange(diffs.size) == i, diffs, 0.0))
-            assert _refused(new, old, alone, quantizer, "sweep"), diff
+            assert _refused(new, old, alone, quantizer), diff
             with pytest.raises(ConfigurationError, match="no int64 quantization code"):
                 quantizer.quantize(diff)
         return
-    got = new.decompose(field, quantizer, "sweep")
-    want = old.decompose(field, quantizer, "sweep")
+    got = new.decompose(field, quantizer)
+    want = old.decompose(field, quantizer)
     # The finest pass quantized exactly the chosen differences.
     values = field[:, 1::2].ravel()
     expected = quantizer.quantize(values)

@@ -60,9 +60,9 @@ shapes = [(1,), (2,), (300,), (2, 1), (17, 40), (9, 7, 17), (5, 9, 4, 9),
           (3, 2, 5, 1, 4), (2, 3, 1, 2, 2, 3, 1, 2, 2)]
 for shape in shapes:
     for method in sweep.METHODS:
-        for granularity in sweep.GRANULARITIES:
+        for drop in sweep.DROPS:
             for seed in (1, 2):
-                sweep._check_every_path(shape, method, granularity, seed)
+                sweep._check_every_path(shape, method, drop, seed)
                 runs += 1
 for case in sweep._edge_diffs():
     for method in sweep.METHODS:

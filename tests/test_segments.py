@@ -42,8 +42,11 @@ def _per_block_answer(blob: bytes, keep) -> np.ndarray:
     }
     codes = coder.codes_from_rows((enc, rows[enc.level]) for enc in levels)
     anchor = coder.decode_anchor(store.read_anchor(), retriever.header.anchor_count)
-    diffs = {enc.level: retriever.quantizer.dequantize(c) for enc, c in zip(levels, codes)}
-    return retriever.predictor.reconstruct(anchor, diffs, granularity="sweep")
+    return retriever.predictor.reconstruct(
+        anchor,
+        {enc.level: c for enc, c in zip(levels, codes)},
+        retriever.quantizer.bin_width,
+    )
 
 
 def _stream_order(store):
