@@ -22,8 +22,9 @@ from repro.core.negabinary import required_bits, to_negabinary
 from repro.core.quantizer import LinearQuantizer, relative_to_absolute
 
 
-def _level_planes(field: np.ndarray, error_bound: float, relative: bool, method: str):
-    """Run the IPComp front end and yield per-level raw bitplane matrices."""
+def _unit_planes(field: np.ndarray, error_bound: float, relative: bool, method: str):
+    """Run the IPComp front end and yield each sweep unit's raw bitplane
+    matrix: the planes a stream of the field holds per level."""
     field = np.asarray(field, dtype=np.float64)
     eb = relative_to_absolute(error_bound, field) if relative else error_bound
     predictor = InterpolationPredictor(field.shape, method)
@@ -46,12 +47,12 @@ def prefix_coding_entropy(
 
     ``prefix_bits = 0`` reports the entropy of the raw bitplanes (the
     "Original" column of Table 2); 1–3 reproduce the remaining columns.  The
-    average weights every plane equally within a level and every level by its
+    average weights every plane equally within a sweep and every sweep by its
     number of planes × elements, i.e. by its share of the raw bit volume.
     """
     weighted = 0.0
     total_bits = 0
-    for _, planes in _level_planes(field, error_bound, relative, method):
+    for _, planes in _unit_planes(field, error_bound, relative, method):
         encoded = predictive_encode(planes, prefix_bits)
         for plane in encoded:
             weighted += bit_entropy(plane) * plane.size

@@ -124,9 +124,11 @@ static void run(int rule, int kind, double *x, ptrdiff_t at, ptrdiff_t s, ptrdif
         const double limit = 0.5 * w * (1.0 + SLACK);
         int64_t *code = (int64_t *)io->out + j0;
         int flags = 0;
-        RULES(double qw; code[j] = quantize(data[i] - pred, w, &qw, &flags); t[i] = pred + qw;
-              flags |= MISSED * (fabs(data[i] - t[i]) > limit))
-        *io->flags |= flags;
+        double worst = 0.0;
+        RULES(const double v = data[i]; double qw; code[j] = quantize(v - pred, w, &qw, &flags);
+              const double xhat = pred + qw; t[i] = xhat; const double miss = fabs(v - xhat);
+              worst = miss > worst ? miss : worst)
+        *io->flags |= flags | (worst > limit ? MISSED : 0);
         break;
     }
     default: {

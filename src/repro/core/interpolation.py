@@ -428,17 +428,17 @@ class InterpolationPredictor:
         # ``adds[i]``, or +0.0 where it is NULL.
         adds = np.zeros(self.num_units, dtype=np.uintp)
         held = []  # the arrays ``adds`` points into, alive until the call returns
-        for unit, codes in unit_codes.items():
-            index = self.num_units - unit
-            if not 0 <= index < self.num_units:
-                raise ConfigurationError(f"no sweep unit {unit!r} among {self.num_units}")
+        for index, (unit, start, stop) in enumerate(self._spans):
+            codes = unit_codes.get(unit)
+            if codes is None:
+                continue
             codes = np.asarray(codes)
             if codes.dtype != np.int64:
                 raise ConfigurationError(f"unit {unit} codes must be int64, got {codes.dtype}")
             codes = codes.ravel()  # C-contiguous, copied only if it was not
-            if codes.size != self._passes[index].size:
+            if codes.size != stop - start:
                 raise ConfigurationError(
-                    f"unit {unit} expects {self._passes[index].size} codes, got {codes.size}"
+                    f"unit {unit} expects {stop - start} codes, got {codes.size}"
                 )
             held.append(codes)
             adds[index] = codes.ctypes.data

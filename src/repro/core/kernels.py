@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import threading
 from itertools import accumulate
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -44,9 +44,8 @@ from repro.core.negabinary import required_bits_from_codes as _nb_required_bits
 #: plane rows (most significant first) as one ``(keep, ceil(count / 8))``
 #: ``uint8`` array — what the progressive retriever keeps resident, handed
 #: over as a view, never copied row by row — the value count, and the level
-#: width.  Loose byte strings (``encode_planes``' own output) are accepted
-#: too and joined into that array first.
-LevelPlanes = Tuple[Union[np.ndarray, Sequence[bytes]], int, int]
+#: width.
+LevelPlanes = Tuple[np.ndarray, int, int]
 
 
 class _BufferArena:
@@ -200,9 +199,9 @@ class PlaneKernel:
 
         Every entry of ``levels`` is ``(raw_planes, count, nbits)``
         (:data:`LevelPlanes`): the losslessly *decoded* packed plane rows
-        that were loaded (most significant first, each ``ceil(count / 8)``
-        bytes — the predictive coder validates and trims them), the number
-        of values and the level width.  Unloaded low planes are treated as
+        that were loaded, as one ``(keep, ceil(count / 8))`` ``uint8`` array
+        (most significant first — the predictive coder validates and trims
+        them), the number of values and the level width.  Unloaded low planes are treated as
         zero.  Returns the ``int64`` quantization codes of every level, in
         order; the arrays may be views of one shared buffer.
         """
@@ -221,9 +220,7 @@ class PlaneKernel:
             keep = len(rows)
             if not nbytes:
                 continue
-            if not isinstance(rows, np.ndarray) and set(map(len, rows)) == {nbytes}:
-                rows = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(keep, nbytes)
-            if keep > nbits or getattr(rows, "shape", None) != (keep, nbytes):
+            if keep > nbits or np.shape(rows) != (keep, nbytes):
                 raise ValueError(
                     f"{keep} plane rows for a level of {nbits} planes × {nbytes} "
                     f"bytes are not one ({keep}, {nbytes}) array"

@@ -295,14 +295,14 @@ class PredictiveCoder:
         return row[:row_bytes]
 
     def codes_from_rows(
-        self, levels: Iterable[Tuple["LevelEncoding", Sequence[bytes]]]
+        self, levels: Iterable[Tuple["LevelEncoding", np.ndarray]]
     ) -> List[np.ndarray]:
         """Integer codes of a shard's levels from their loaded, validated rows.
 
         Each pair is a level's metadata and its loaded :meth:`decode_row`
-        rows, most significant first — a ``(keep, row_bytes)`` ``uint8``
-        array or loose byte strings (:data:`repro.core.kernels.LevelPlanes`);
-        unloaded planes count as zero — exactly what the interpolation
+        rows, most significant first, as one ``(keep, row_bytes)`` ``uint8``
+        array (:data:`repro.core.kernels.LevelPlanes`); unloaded planes
+        count as zero — exactly what the interpolation
         reconstruction is fed.  The bit-level inverse chain of all levels
         is one kernel hook call.
         """
@@ -324,8 +324,9 @@ class PredictiveCoder:
         for meta, blocks in levels:
             if len(blocks) > meta.nbits:
                 raise StreamFormatError("more plane blocks supplied than the level width")
-            rows = [self.decode_row(meta, plane, block) for plane, block in enumerate(blocks)]
-            batch.append((meta, rows))
+            rows = b"".join(self.decode_row(meta, plane, b) for plane, b in enumerate(blocks))
+            row_bytes = (meta.count + 7) // 8
+            batch.append((meta, np.frombuffer(rows, np.uint8).reshape(len(blocks), row_bytes)))
         return self.codes_from_rows(batch)
 
     def decode_level_codes(

@@ -244,3 +244,9 @@ class OracleKernel:
             encoded[row] = self.unpack_bits(raw, count)
         planes = self.predictive_decode(encoded, prefix_bits)
         return self.from_negabinary(self.assemble_bitplanes(planes, nbits))
+
+
+def plane_rows(blocks: Sequence[bytes], count: int) -> np.ndarray:
+    """Packed plane rows (``encode_planes``' blocks) as the one
+    ``(len(blocks), ceil(count / 8))`` ``uint8`` array ``decode_planes`` takes."""
+    return np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(len(blocks), (count + 7) // 8)

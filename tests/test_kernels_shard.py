@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oracle_kernel import OracleKernel
+from oracle_kernel import OracleKernel, plane_rows
 from repro.core.kernels import get_kernel
 from repro.core.predictive_coder import PredictiveCoder
 from repro.core.profile import CodecProfile
@@ -62,10 +62,10 @@ def test_batched_hooks_match_per_level_reference(shard, prefix_bits, with_empty_
     loaded = []
     for (level, fraction), (nbits, blocks) in zip(shard, expected):
         keep = min(nbits, int(round(fraction * (nbits + 1))))  # 0 … nbits, per level
-        loaded.append((blocks[:keep], level.size, nbits))
+        loaded.append((plane_rows(blocks[:keep], level.size), level.size, nbits))
     if with_empty_width:
         # A level the header gives no planes at all decodes to zeros.
-        loaded.insert(len(loaded) // 2, ([], 5, 0))
+        loaded.insert(len(loaded) // 2, (plane_rows([], 5), 5, 0))
     want = [REFERENCE.decode_planes([level], prefix_bits)[0] for level in loaded]
     sweep = get_kernel()
     assert sweep.encode_planes(codes, prefix_bits) == expected
@@ -75,7 +75,10 @@ def test_batched_hooks_match_per_level_reference(shard, prefix_bits, with_empty_
         assert have.dtype == np.int64 and have.shape == (count,)
         assert np.array_equal(have, need), (count, nbits, len(rows))
     # Fully loaded levels are lossless.
-    full = [(blocks, level.size, nbits) for level, (nbits, blocks) in zip(codes, expected)]
+    full = [
+        (plane_rows(blocks, level.size), level.size, nbits)
+        for level, (nbits, blocks) in zip(codes, expected)
+    ]
     for have, level in zip(sweep.decode_planes(full, prefix_bits), codes):
         assert np.array_equal(have, level)
 
@@ -86,7 +89,10 @@ def test_a_single_level_is_the_batch_of_one():
     levels = [rng.integers(-900, 900, size=n, dtype=np.int64) for n in (1, 13, 200, 0, 64)]
     together = sweep.encode_planes(levels, 2)
     assert together == [sweep.encode_planes([level], 2)[0] for level in levels]
-    batch = [(blocks, level.size, nbits) for level, (nbits, blocks) in zip(levels, together)]
+    batch = [
+        (plane_rows(blocks, level.size), level.size, nbits)
+        for level, (nbits, blocks) in zip(levels, together)
+    ]
     for level, decoded in zip(levels, sweep.decode_planes(batch, 2)):
         assert np.array_equal(decoded, level)
     assert sweep.encode_planes([], 2) == [] and sweep.decode_planes([], 2) == []
@@ -97,8 +103,11 @@ def _shard(rng: np.random.Generator, sizes):
     sweep = get_kernel()
     codes = [rng.integers(-(2**30), 2**30, size=n, dtype=np.int64) for n in sizes]
     encoded = sweep.encode_planes(codes, 2)
-    levels = [(blocks, level.size, nbits) for level, (nbits, blocks) in zip(codes, encoded)]
-    return levels, codes
+    levels = [
+        (plane_rows(blocks, level.size), level.size, nbits)
+        for level, (nbits, blocks) in zip(codes, encoded)
+    ]
+    return levels, codes, encoded
 
 
 def test_threads_decode_different_shards_on_the_shared_instance():
@@ -117,14 +126,14 @@ def test_threads_decode_different_shards_on_the_shared_instance():
     failures = []
     barrier = threading.Barrier(len(shards))
 
-    def worker(levels, codes):
+    def worker(levels, codes, encoded):
         barrier.wait(timeout=30)
         for _ in range(40):
             decoded = sweep.decode_planes(levels, 2)
             if not all(np.array_equal(a, b) for a, b in zip(decoded, codes)):
                 failures.append("decode diverged")
             again = sweep.encode_planes(codes, 2)
-            if [blocks for _, blocks in again] != [rows for rows, _, _ in levels]:
+            if again != encoded:
                 failures.append("encode diverged")
 
     interval = sys.getswitchinterval()
@@ -198,10 +207,10 @@ def test_more_blocks_than_the_level_width_is_a_stream_format_error(encoded_level
 
 
 def test_fused_kernel_rejects_rows_it_cannot_lay_out():
-    """Called directly (no coder in front), bad rows fail loudly, not silently."""
+    """Called directly (no coder in front), bad rows fail loudly, not silently:
+    rows of the wrong width, more rows than planes, and loose byte strings."""
     sweep = get_kernel()
     [(nbits, blocks)] = sweep.encode_planes([np.arange(-32, 32, dtype=np.int64)], 2)
-    swapped = [blocks[0][:-1], blocks[1] + b"\x00"] + blocks[2:]  # same total size
-    for rows in ([blocks[0][:-1]], swapped, blocks + blocks[:1]):
+    for rows in (plane_rows(blocks, 64)[:, :-1], plane_rows(blocks + blocks[:1], 64), blocks):
         with pytest.raises(ValueError):
             sweep.decode_planes([(rows, 64, nbits)], 2)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from oracle_kernel import plane_rows
 from repro import IPComp, ProgressiveRetriever
 from repro.core.profile import CodecProfile
 from repro.core.stream import CompressedStore, IPCompStream
@@ -35,9 +36,10 @@ def _per_block_answer(blob: bytes, keep) -> np.ndarray:
     retriever = ProgressiveRetriever(blob)
     store, coder, levels = retriever.store, retriever.coder, retriever.header.levels
     rows = {
-        enc.level: [
-            coder.decode_row(enc, p, store.read_block(enc.level, p)) for p in range(keep[enc.level])
-        ]
+        enc.level: plane_rows(
+            [coder.decode_row(enc, p, store.read_block(enc.level, p)) for p in range(keep[enc.level])],
+            enc.count,
+        )
         for enc in levels
     }
     codes = coder.codes_from_rows((enc, rows[enc.level]) for enc in levels)
