@@ -201,9 +201,10 @@ class PlaneKernel:
         (:data:`LevelPlanes`): the losslessly *decoded* packed plane rows
         that were loaded, as one ``(keep, ceil(count / 8))`` ``uint8`` array
         (most significant first — the predictive coder validates and trims
-        them), the number of values and the level width.  Unloaded low planes are treated as
-        zero.  Returns the ``int64`` quantization codes of every level, in
-        order; the arrays may be views of one shared buffer.
+        them), the number of values and the level width.  Unloaded low
+        planes are treated as zero.  Returns the ``int64`` quantization codes
+        of every level, in order; the arrays may be views of one shared
+        buffer.
         """
         check_prefix_bits(prefix_bits)
         # A level with no plane loaded takes no columns and decodes to zeros.

@@ -20,6 +20,10 @@ from repro.core.interpolation import InterpolationPredictor
 from repro.core.quantizer import LinearQuantizer, spacing_error
 from repro.errors import ConfigurationError
 
+#: ``_sweep.c``'s SLACK: how far past half a bin, relative to it, a
+#: reconstructed value may land before the field is refused.
+SLACK = 2.0**-20
+
 
 class OracleSweepPredictor(InterpolationPredictor):
     """:class:`InterpolationPredictor` with the numpy sweep; answer for answer the same."""
@@ -79,7 +83,7 @@ class OracleSweepPredictor(InterpolationPredictor):
             np.add(prediction, dequant, out=xhat[p.target])
             # ``x̂`` rounds to the field's float spacing: it may miss by more
             # than the bound though the code is within half a bin.
-            limit = 0.5 * quantizer.bin_width * (1.0 + 2.0**-20)
+            limit = 0.5 * quantizer.bin_width * (1.0 + SLACK)
             missed |= bool((np.abs(data[p.target] - xhat[p.target]) > limit).any())
             unit_codes[unit] = codes.ravel()
         if missed:

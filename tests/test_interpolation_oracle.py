@@ -16,6 +16,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 import pytest
 
+from oracle_interpolation import SLACK
 from repro.core.interpolation import InterpolationPredictor
 from repro.core.quantizer import LinearQuantizer
 from repro.errors import ConfigurationError
@@ -226,13 +227,14 @@ def test_matches_the_open_mesh_oracle(shape, method, granularity):
     # A 1e12 point's x̂ rounds to its float spacing (1.2e-4) and may miss the
     # bound: the predictor refuses exactly the fields where one does, and
     # the paths are compared at a bound that spacing holds.
-    if (np.abs(data - want[2]) > 0.5 * quantizer.bin_width * (1.0 + 2.0**-20)).any():
+    if (np.abs(data - want[2]) > 0.5 * quantizer.bin_width * (1.0 + SLACK)).any():
         with pytest.raises(ConfigurationError, match="apart"):
             new.decompose(data, quantizer)
         quantizer = LinearQuantizer(2.0**7)
         want = old.decompose(data, quantizer, granularity)
     got = new.decompose(data, quantizer)
-    assert _same_bytes(got[0], want[0]) and _same_levels(_regrouped(got[1], old, granularity, np.int64), want[1])
+    assert _same_bytes(got[0], want[0])
+    assert _same_levels(_regrouped(got[1], old, granularity, np.int64), want[1])
     assert _same_bytes(got[2], want[2])
 
     # reconstruct from int64 codes against the oracle's dequantize-then-add:

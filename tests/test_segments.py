@@ -37,7 +37,10 @@ def _per_block_answer(blob: bytes, keep) -> np.ndarray:
     store, coder, levels = retriever.store, retriever.coder, retriever.header.levels
     rows = {
         enc.level: plane_rows(
-            [coder.decode_row(enc, p, store.read_block(enc.level, p)) for p in range(keep[enc.level])],
+            [
+                coder.decode_row(enc, p, store.read_block(enc.level, p))
+                for p in range(keep[enc.level])
+            ],
             enc.count,
         )
         for enc in levels
