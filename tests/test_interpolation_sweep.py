@@ -2,8 +2,8 @@
 
 Every path through :class:`~repro.core.interpolation.InterpolationPredictor`
 — ``decompose`` (the write), ``transform`` (the MGARD baselines) and
-``reconstruct`` (every read and rung, from ``int64`` codes) — must give bitwise the answer of the
-numpy sweep in ``tests/oracle_interpolation.py``.  Results are compared as
+``reconstruct`` (every read and rung, from ``int64`` codes) — must give
+bitwise the answer of the numpy sweep in ``tests/oracle_interpolation.py``.  Results are compared as
 ``.view(np.int64)``: equality of floats cannot see ``−0.0`` against
 ``+0.0``, and a skipped ``+ 0.0`` would show only there.  A NaN compares
 as NaN, whatever its sign: IEEE 754 leaves the sign of an operation's NaN
@@ -93,6 +93,9 @@ def _check_every_path(shape, method, drop, seed, specials=True):
     no_code = np.isnan(data) | (np.abs(data) > 1e299)
     assert _refused(new, old, data, quantizer) == no_code.any()
     data = np.where(no_code, 0.0, data)
+    # Near 1e13 the float spacing (1.95e-3) nears the bin width: both sides
+    # refuse exactly when some reconstruction misses the bound.
+    _refused(new, old, data + 1e13, quantizer)
     got = new.decompose(data, quantizer)
     want = old.decompose(data, quantizer)
     assert _same(got[0], want[0]) and _same_groups(got[1], want[1])
