@@ -3,10 +3,12 @@
 The paper quantifies how much the XOR-prefix prediction of §4.4.1 lowers the
 zero-order entropy of the bitplane streams (lower entropy → better
 compressibility by the lossless backend).  ``prefix_coding_entropy`` runs the
-full IPComp front end (interpolation + quantization + negabinary + bitplanes)
-on a field and reports the plane-size-weighted average bit entropy for a given
-number of prefix bits; ``prefix_entropy_table`` sweeps 0–3 prefix bits, which
-is exactly the content of Table 2.
+full IPComp front end (interpolation + quantization) on a field, packs every
+sweep unit's planes with the plane kernel the writer uses
+(:meth:`repro.core.kernels.PlaneKernel.encode_planes`) and reports the
+plane-size-weighted average bit entropy for a given number of prefix bits;
+``prefix_entropy_table`` sweeps 0–3 prefix bits, which is exactly the content
+of Table 2.
 """
 
 from __future__ import annotations
@@ -15,25 +17,10 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.coders.entropy import bit_entropy
-from repro.core.bitplane import extract_bitplanes, predictive_encode
+from repro.coders.entropy import binary_entropy
 from repro.core.interpolation import InterpolationPredictor
-from repro.core.negabinary import required_bits, to_negabinary
+from repro.core.kernels import get_kernel
 from repro.core.quantizer import LinearQuantizer, relative_to_absolute
-
-
-def _unit_planes(field: np.ndarray, error_bound: float, relative: bool, method: str):
-    """Run the IPComp front end and yield each sweep unit's raw bitplane
-    matrix: the planes a stream of the field holds per level."""
-    field = np.asarray(field, dtype=np.float64)
-    eb = relative_to_absolute(error_bound, field) if relative else error_bound
-    predictor = InterpolationPredictor(field.shape, method)
-    quantizer = LinearQuantizer(eb)
-    _, unit_codes, _ = predictor.decompose(field, quantizer)
-    for unit, codes in unit_codes.items():
-        nbits = required_bits(codes)
-        planes = extract_bitplanes(to_negabinary(codes), nbits)
-        yield unit, planes
 
 
 def prefix_coding_entropy(
@@ -50,13 +37,20 @@ def prefix_coding_entropy(
     average weights every plane equally within a sweep and every sweep by its
     number of planes × elements, i.e. by its share of the raw bit volume.
     """
+    field = np.asarray(field, dtype=np.float64)
+    eb = relative_to_absolute(error_bound, field) if relative else error_bound
+    predictor = InterpolationPredictor(field.shape, method)
+    _, unit_codes, _ = predictor.decompose(field, LinearQuantizer(eb))
+    levels = list(unit_codes.values())
     weighted = 0.0
     total_bits = 0
-    for _, planes in _unit_planes(field, error_bound, relative, method):
-        encoded = predictive_encode(planes, prefix_bits)
-        for plane in encoded:
-            weighted += bit_entropy(plane) * plane.size
-            total_bits += plane.size
+    for codes, (nbits, planes) in zip(levels, get_kernel().encode_planes(levels, prefix_bits)):
+        count = codes.size
+        # A packed plane's pad bits are zero, so its popcount counts its ones.
+        rows = np.frombuffer(b"".join(planes), dtype=np.uint8).reshape(nbits, -1)
+        for ones in np.unpackbits(rows, axis=1).sum(axis=1).tolist():
+            weighted += binary_entropy(ones / count) * count
+            total_bits += count
     return weighted / total_bits if total_bits else 0.0
 
 

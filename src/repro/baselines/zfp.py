@@ -23,14 +23,15 @@ on.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import math
+from typing import Tuple
 
 import numpy as np
 
 from repro.baselines.base import LossyCompressor, pack_sections, unpack_sections, validate_field
 from repro.coders.zlib_backend import ZlibCoder
-from repro.core.bitplane import extract_bitplanes, assemble_bitplanes, pack_plane, unpack_plane
-from repro.core.negabinary import from_negabinary, required_bits, to_negabinary
+from repro.core.kernels import get_kernel
+from repro.core.negabinary import truncate_low_planes
 from repro.errors import StreamFormatError
 
 BLOCK = 4
@@ -132,26 +133,21 @@ class ZFPCompressor(LossyCompressor):
         blocks = _to_blocks(quantized)
         coefficients = forward_transform(blocks)
         flat = coefficients.ravel()
-        nbits = required_bits(flat)
+        # The coefficients' packed planes, most significant first, unpredicted.
+        ((nbits, planes),) = get_kernel().encode_planes([flat], 0)
 
         # Pick the deepest low-plane truncation that still honours the bound,
         # measured on the actual data (accuracy mode with a hard guarantee).
         dropped = 0
         for candidate in range(0, nbits):
             if candidate and not self._truncation_ok(
-                flat, nbits, candidate, coefficients.shape, padded.shape,
+                flat, candidate, coefficients.shape, padded.shape,
                 original_shape, work, step, eb,
             ):
                 break
             dropped = candidate
 
-        codes = to_negabinary(flat)
-        if dropped:
-            mask = ~np.uint64((np.uint64(1) << np.uint64(dropped)) - np.uint64(1))
-            codes = codes & mask
-        planes = extract_bitplanes(codes, nbits)[: nbits - dropped]
-        payload = b"".join(pack_plane(plane) for plane in planes)
-        compressed = self._zlib.encode(payload)
+        compressed = self._zlib.encode(b"".join(planes[: nbits - dropped]))
 
         meta = {
             "shape": list(original_shape),
@@ -166,13 +162,11 @@ class ZFPCompressor(LossyCompressor):
         return pack_sections(meta, [compressed])
 
     def _truncation_ok(
-        self, flat, nbits, dropped, block_shape, padded_shape, original_shape,
+        self, flat, dropped, block_shape, padded_shape, original_shape,
         original, step, eb,
     ) -> bool:
         """Measure whether dropping ``dropped`` planes keeps the L∞ error ≤ eb."""
-        codes = to_negabinary(flat)
-        mask = ~np.uint64((np.uint64(1) << np.uint64(dropped)) - np.uint64(1))
-        truncated = from_negabinary(codes & mask).reshape(block_shape)
+        truncated = truncate_low_planes(flat, dropped).reshape(block_shape)
         restored = inverse_transform(truncated)
         field = _from_blocks(restored, padded_shape).astype(np.float64) * step
         slices = tuple(slice(0, s) for s in original_shape)
@@ -191,14 +185,27 @@ class ZFPCompressor(LossyCompressor):
         count = int(meta["count"])
         step = float(meta["step"])
 
-        payload = self._zlib.decode(sections[0])
+        # Everything that sizes the inflate and the planes is checked first.
+        if not 1 <= nbits <= 64:
+            raise StreamFormatError(f"ZFP stream declares {nbits} planes, not 1 to 64")
+        if not 0 <= dropped < nbits:
+            raise StreamFormatError(f"ZFP stream drops {dropped} of its {nbits} planes")
+        if count != math.prod(padded_shape):
+            raise StreamFormatError(
+                f"ZFP stream declares {count} coefficients for a "
+                f"{padded_shape} padded field"
+            )
         kept = nbits - dropped
-        plane_bytes = (count + 7) // 8
-        planes = np.empty((kept, count), dtype=np.uint8)
-        for row in range(kept):
-            start = row * plane_bytes
-            planes[row] = unpack_plane(payload[start : start + plane_bytes], count)
-        codes = from_negabinary(assemble_bitplanes(planes, nbits))
+        row_bytes = (count + 7) // 8
+        # One byte past the planes, so that an over-long payload shows.
+        payload = self._zlib.decode(sections[0], kept * row_bytes + 1)
+        if len(payload) != kept * row_bytes:
+            raise StreamFormatError(
+                f"ZFP payload holds {len(payload)} bytes, expected "
+                f"{kept} planes of {row_bytes}"
+            )
+        rows = np.frombuffer(payload, dtype=np.uint8).reshape(kept, row_bytes)
+        (codes,) = get_kernel().decode_planes([(rows, count, nbits)], 0)
 
         ndim = len(shape)
         block_shape = (-1,) + (BLOCK,) * ndim

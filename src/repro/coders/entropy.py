@@ -21,16 +21,20 @@ def shannon_entropy(symbols: np.ndarray) -> float:
     return float(-(probabilities * np.log2(probabilities)).sum())
 
 
+def binary_entropy(p1: float) -> float:
+    """Entropy in bits/bit of a binary source emitting 1 with probability ``p1``."""
+    if p1 in (0.0, 1.0):
+        return 0.0
+    p0 = 1.0 - p1
+    return float(-(p0 * np.log2(p0) + p1 * np.log2(p1)))
+
+
 def bit_entropy(bits: np.ndarray) -> float:
     """Entropy of a binary stream in bits/bit (between 0 and 1)."""
     flat = np.asarray(bits).ravel().astype(np.uint8)
     if flat.size == 0:
         return 0.0
-    p1 = float(flat.mean())
-    if p1 in (0.0, 1.0):
-        return 0.0
-    p0 = 1.0 - p1
-    return float(-(p0 * np.log2(p0) + p1 * np.log2(p1)))
+    return binary_entropy(float(flat.mean()))
 
 
 def byte_entropy(data: bytes) -> float:

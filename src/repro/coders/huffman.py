@@ -69,6 +69,35 @@ def _canonical_codes(lengths: Dict[int, int]) -> Dict[int, Tuple[int, int]]:
     return codes
 
 
+def scatter_code_bits(
+    sym_codes: np.ndarray,
+    sym_lengths: np.ndarray,
+    offsets: np.ndarray,
+    total_bits: int,
+) -> np.ndarray:
+    """Write variable-length codes (MSB first) into a flat bit array.
+
+    Symbol ``i`` occupies bit positions ``offsets[i] … offsets[i] +
+    sym_lengths[i] − 1``.
+    """
+    sym_codes = np.asarray(sym_codes, dtype=np.uint64)
+    sym_lengths = np.asarray(sym_lengths, dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    bits = np.zeros(int(total_bits), dtype=np.uint8)
+    if sym_codes.size == 0:
+        return bits
+    # One vector pass per code-bit position instead of one per symbol:
+    # the i-th emitted bit of a code is bit (length-1-i) of its value.
+    for bit in range(int(sym_lengths.max())):
+        active = sym_lengths > bit
+        if not active.any():
+            continue
+        shift = (sym_lengths[active] - 1 - bit).astype(np.uint64)
+        bit_vals = ((sym_codes[active] >> shift) & np.uint64(1)).astype(np.uint8)
+        bits[offsets[active] + bit] = bit_vals
+    return bits
+
+
 def encode_symbols(symbols: np.ndarray) -> bytes:
     """Huffman-encode an integer array into a self-describing byte stream.
 
@@ -77,13 +106,10 @@ def encode_symbols(symbols: np.ndarray) -> bytes:
         MAGIC | n_symbols:u64 | alphabet_size:u32 |
         (symbol:i64, length:u8) * alphabet_size | n_bits:u64 | packed bits
 
-    The bit scatter (:func:`repro.core.bitplane.scatter_code_bits`) writes
-    one bit position of every code per NumPy pass, so the cost is
-    ``O(max_code_length)`` vector operations instead of a Python loop over
-    all symbols.
+    The bit scatter (:func:`scatter_code_bits`) writes one bit position of
+    every code per NumPy pass, so the cost is ``O(max_code_length)`` vector
+    operations instead of a Python loop over all symbols.
     """
-    from repro.core.bitplane import pack_plane, scatter_code_bits
-
     flat = np.asarray(symbols).ravel()
     values, counts = np.unique(flat, return_counts=True)
     frequencies = {int(v): int(c) for v, c in zip(values, counts)}
@@ -113,8 +139,8 @@ def encode_symbols(symbols: np.ndarray) -> bytes:
     total_bits = int(offsets[-1] + sym_lengths[-1]) if flat.size else 0
 
     bits = scatter_code_bits(sym_codes, sym_lengths, offsets, total_bits)
-    payload = bytes(header) + struct.pack("<Q", total_bits) + pack_plane(bits)
-    return payload
+    packed = np.packbits(bits, bitorder="little").tobytes()
+    return bytes(header) + struct.pack("<Q", total_bits) + packed
 
 
 def decode_symbols(data: bytes) -> np.ndarray:
@@ -124,8 +150,6 @@ def decode_symbols(data: bytes) -> np.ndarray:
     table, the bit payload and the output are checked against ``len(data)``
     before anything is allocated from them.
     """
-    from repro.core.bitplane import unpack_plane
-
     if data[:4] != _MAGIC:
         raise StreamFormatError("not a Huffman symbol stream")
     pos = 4
@@ -165,8 +189,8 @@ def decode_symbols(data: bytes) -> np.ndarray:
         (length, value): sym for sym, (value, length) in codes.items()
     }
 
-    packed = memoryview(data)[pos : pos + payload_bytes]  # zero-copy
-    bits = unpack_plane(packed, total_bits)
+    packed = np.frombuffer(data, dtype=np.uint8, count=payload_bytes, offset=pos)  # zero-copy
+    bits = np.unpackbits(packed, count=total_bits, bitorder="little")
 
     out = np.empty(n_symbols, dtype=np.int64)
     value = 0

@@ -3,8 +3,8 @@
 The subpackage is organised exactly along the pipeline of Figure 2:
 
 ``interpolation`` (decorrelation) → ``quantizer`` (error-bounded quantization)
-→ ``negabinary`` + ``bitplane`` + ``predictive_coder`` (progressive encoding
-into independent blocks) → ``stream`` (addressable container) →
+→ ``negabinary`` + ``kernels`` (the one bitplane chain) + ``predictive_coder``
+(progressive encoding into independent blocks) → ``stream`` (addressable container) →
 ``optimizer`` (minimum-volume data loading) → ``progressive`` (Algorithm 1/2
 retrieval) → ``compressor`` (the public façade :class:`repro.core.compressor.IPComp`).
 

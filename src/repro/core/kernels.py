@@ -18,9 +18,8 @@ one process-wide instance.  The byte-identity contract — the sweep emits
 exactly the blocks the paper's pseudocode does, bit by bit and one level at
 a time — is held by the loop oracle in ``tests/oracle_kernel.py``
 (differential tests in ``tests/test_kernels*.py``), not by a second path in
-``src/``.  The unpacked-bit primitives other callers use (the ZFP baseline,
-the Huffman coder, the Table 2 analysis) are plain functions in
-:mod:`repro.core.bitplane`.
+``src/``.  Every plane in the package comes out of it: the IPComp writer and
+reader, the ZFP baseline's coefficient planes and the Table 2 entropy study.
 
 The instance is decoded on concurrently by the serving layer (a
 ``RequestScheduler`` runs ``max_inflight`` requests at once), so it keeps
@@ -36,9 +35,20 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.bitplane import check_prefix_bits
 from repro.core.negabinary import NEGABINARY_MASK as _NEGABINARY_MASK
 from repro.core.negabinary import required_bits_from_codes as _nb_required_bits
+from repro.errors import ConfigurationError
+
+#: XOR-prediction depth of the plane chain when a profile names none: two
+#: prefix bits minimise the plane entropy on the paper's datasets (Table 2).
+DEFAULT_PREFIX_BITS = 2
+
+
+def check_prefix_bits(prefix_bits: int) -> None:
+    """Reject a prefix-bit count outside the coder's ``[0, 3]`` range."""
+    if not 0 <= prefix_bits <= 3:
+        raise ConfigurationError("prefix_bits must be in [0, 3]")
+
 
 #: One level as :meth:`PlaneKernel.decode_planes` takes it: the loaded packed
 #: plane rows (most significant first) as one ``(keep, ceil(count / 8))``

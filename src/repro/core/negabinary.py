@@ -58,11 +58,6 @@ def required_bits_from_codes(codes: np.ndarray) -> int:
     return max(1, int(codes.max()).bit_length())
 
 
-def required_bits(values: np.ndarray) -> int:
-    """Minimal number of negabinary bitplanes needed to represent ``values``."""
-    return required_bits_from_codes(to_negabinary(values))
-
-
 def truncate_low_planes(values: np.ndarray, dropped: int) -> np.ndarray:
     """Zero the ``dropped`` least significant negabinary planes of ``values``.
 

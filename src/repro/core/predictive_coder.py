@@ -5,7 +5,7 @@ a shard into sequences of *independently decodable blocks*, one per level
 and bitplane:
 
 1. signed integers → negabinary codes (:mod:`repro.core.negabinary`);
-2. codes → bitplanes, most significant first (:mod:`repro.core.bitplane`);
+2. codes → bitplanes, most significant first;
 3. planes → XOR-predicted planes using the two previously loaded planes;
 4. every predicted plane → packed bits → the one **entropy stage**,
    :func:`negotiate_level`: a plane is deflated, or stored verbatim when

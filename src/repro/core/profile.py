@@ -31,7 +31,7 @@ from typing import Union
 
 import numpy as np
 
-from repro.core.bitplane import DEFAULT_PREFIX_BITS, check_prefix_bits
+from repro.core.kernels import DEFAULT_PREFIX_BITS, check_prefix_bits
 from repro.errors import ConfigurationError
 
 #: Keys old ``CodecProfile.dump()`` files carry for options that no longer

@@ -1,10 +1,10 @@
 """The loop oracle: the paper's pseudocode, one bit and one level at a time.
 
 This is the test-side half of the codec's one byte-identity contract: the
-packed-domain shard sweep of :mod:`repro.core.kernels` (and the NumPy
-primitives of :mod:`repro.core.bitplane`, the arithmetic of
-:class:`~repro.core.quantizer.LinearQuantizer`, the maps of
-:mod:`repro.core.negabinary`) must agree with these loops exactly.  Nothing
+packed-domain shard sweep of :mod:`repro.core.kernels` (and the arithmetic
+of :class:`~repro.core.quantizer.LinearQuantizer`, the maps of
+:mod:`repro.core.negabinary`, the Huffman coder's bit scatter) must agree
+with these loops exactly.  Nothing
 in ``src/`` imports it.
 
 Deliberately naive — per-plane shifts, per-bit packing, per-element
@@ -40,9 +40,8 @@ def _check_prefix_bits(prefix_bits: int) -> None:
 class OracleKernel:
     """Every bit-level operation of the codec as a straightforward loop.
 
-    Array conventions are those of :mod:`repro.core.bitplane`: planes are
-    ``uint8`` matrices of shape ``(nplanes, n)`` with row 0 the most
-    significant plane, packed bits use little-endian bit order within each
+    Planes are ``uint8`` 0/1 matrices of shape ``(nplanes, n)`` with row 0
+    the most significant plane, packed bits use little-endian bit order within each
     byte, and negabinary codes are ``uint64``.
     """
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.analysis import compression_ratio, max_error
 from repro.baselines import ZFPCompressor, ZFPResidualCompressor
+from repro.baselines.base import pack_sections, unpack_sections
 from repro.baselines.zfp import (
     BLOCK,
     _from_blocks,
@@ -15,6 +18,8 @@ from repro.baselines.zfp import (
     forward_transform,
     inverse_transform,
 )
+from repro.datasets import load_dataset
+from repro.errors import StreamFormatError
 
 
 def test_block_partitioning_roundtrip(rng):
@@ -93,3 +98,33 @@ def test_zfp_r_progressive_retrieval(smooth_3d):
     assert max_error(smooth_3d, coarse.data) <= eb * 16 * (1 + 1e-9)
     assert max_error(smooth_3d, fine.data) <= eb * (1 + 1e-9)
     assert fine.passes > coarse.passes
+
+
+@pytest.fixture(scope="module")
+def density_stream():
+    comp = ZFPCompressor(error_bound=1e-4, relative=True)
+    return comp, comp.compress(load_dataset("density", shape=(16, 16, 16)))
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        pytest.param(lambda payload, meta: (payload[: len(payload) // 2], {}), id="cut"),
+        pytest.param(lambda payload, meta: (payload + b"\0", {}), id="over-long"),
+        pytest.param(
+            lambda payload, meta: (payload, {"dropped": meta["nbits"]}), id="dropped-nbits"
+        ),
+        pytest.param(lambda payload, meta: (payload, {"dropped": -1}), id="dropped-minus-1"),
+        pytest.param(lambda payload, meta: (payload, {"nbits": 65}), id="nbits-65"),
+        pytest.param(lambda payload, meta: (payload, {"count": meta["count"] - 8}), id="count"),
+    ],
+)
+def test_hostile_stream_is_refused(density_stream, tamper):
+    """A payload or header that does not add up is refused before anything is
+    inflated or sized from it, never decoded silently."""
+    comp, blob = density_stream
+    meta, (section,) = unpack_sections(blob)
+    payload, changes = tamper(zlib.decompress(section), meta)
+    tampered = pack_sections({**meta, **changes}, [zlib.compress(payload)])
+    with pytest.raises(StreamFormatError):
+        comp.decompress(tampered)

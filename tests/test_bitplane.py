@@ -1,98 +1,131 @@
-"""Unit tests of bitplane extraction and predictive XOR coding."""
+"""Unit tests of the bitplane chain: plane order, partial decode, XOR prediction.
+
+The one chain is the plane kernel's (:mod:`repro.core.kernels`); these pin the
+properties progressive retrieval rests on through its public hooks, while
+``tests/test_kernels.py`` checks it bit for bit against the loop oracle.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracle_kernel import plane_rows
 
-from repro.core.bitplane import (
-    assemble_bitplanes,
-    extract_bitplanes,
-    pack_plane,
-    predictive_decode,
-    predictive_encode,
-    unpack_plane,
-)
+from repro.core.kernels import get_kernel
+from repro.core.negabinary import from_negabinary, to_negabinary, truncate_low_planes
 from repro.errors import ConfigurationError
 
+KERNEL = get_kernel()
 
-def _codes(rng, n=500, width=12):
-    return rng.integers(0, 1 << width, size=n).astype(np.uint64)
+
+def _values(rng, n=500, width=12):
+    """int64 values whose negabinary codes are at most ``width`` bits wide."""
+    return from_negabinary(rng.integers(0, 1 << width, size=n).astype(np.uint64))
+
+
+def _encode(values, prefix_bits=0):
+    """``(nbits, rows)``: the level's width and its packed plane rows."""
+    ((nbits, blocks),) = KERNEL.encode_planes([values], prefix_bits)
+    return nbits, plane_rows(blocks, values.size)
+
+
+def _decode(rows, count, nbits, prefix_bits=0):
+    (codes,) = KERNEL.decode_planes([(rows, count, nbits)], prefix_bits)
+    return codes
+
+
+def _bits(rows, count):
+    """The 0/1 plane matrix of packed rows (row 0 the most significant plane)."""
+    return np.unpackbits(rows, axis=1, count=count, bitorder="little")
 
 
 def test_extract_assemble_roundtrip(rng):
-    codes = _codes(rng)
-    planes = extract_bitplanes(codes, 16)
-    assert planes.shape == (16, codes.size)
-    assert np.array_equal(assemble_bitplanes(planes, 16), codes)
+    values = _values(rng)
+    nbits, rows = _encode(values)
+    assert nbits == 12 and rows.shape == (12, (values.size + 7) // 8)
+    assert np.array_equal(_decode(rows, values.size, nbits), values)
 
 
 def test_plane_zero_is_most_significant(rng):
-    codes = np.array([1 << 15, 0, 1], dtype=np.uint64)
-    planes = extract_bitplanes(codes, 16)
+    values = from_negabinary(np.array([1 << 15, 0, 1], dtype=np.uint64))
+    nbits, rows = _encode(values)
+    planes = _bits(rows, 3)
+    assert nbits == 16
     assert planes[0, 0] == 1 and planes[0, 1] == 0 and planes[0, 2] == 0
     assert planes[15, 2] == 1  # least significant plane holds the LSB
 
 
 def test_partial_assembly_zeroes_missing_low_planes(rng):
-    codes = _codes(rng, width=10)
-    planes = extract_bitplanes(codes, 10)
-    partial = assemble_bitplanes(planes[:4], 10)
-    # Keeping the top 4 of 10 planes means the low 6 bits are zero.
-    assert np.array_equal(partial, codes & ~np.uint64((1 << 6) - 1))
+    values = _values(rng, width=10)
+    nbits, rows = _encode(values)
+    partial = _decode(rows[:4], values.size, nbits)
+    # Keeping the top 4 planes zeroes the low nbits − 4 negabinary digits.
+    low = np.uint64((1 << (nbits - 4)) - 1)
+    assert np.array_equal(to_negabinary(partial), to_negabinary(values) & ~low)
 
 
 def test_too_many_planes_rejected(rng):
-    planes = extract_bitplanes(_codes(rng), 12)
-    with pytest.raises(ConfigurationError):
-        assemble_bitplanes(planes, 10)
+    values = _values(rng)
+    nbits, rows = _encode(values)
+    with pytest.raises(ValueError, match="plane rows"):
+        _decode(rows, values.size, nbits - 2)
 
 
 @pytest.mark.parametrize("prefix_bits", [0, 1, 2, 3])
 def test_predictive_roundtrip(rng, prefix_bits):
-    planes = extract_bitplanes(_codes(rng), 14)
-    encoded = predictive_encode(planes, prefix_bits)
-    assert np.array_equal(predictive_decode(encoded, prefix_bits), planes)
+    values = _values(rng)
+    nbits, rows = _encode(values, prefix_bits)
+    assert np.array_equal(_decode(rows, values.size, nbits, prefix_bits), values)
 
 
 def test_prefix_zero_is_identity(rng):
-    planes = extract_bitplanes(_codes(rng), 8)
-    assert np.array_equal(predictive_encode(planes, 0), planes)
+    values = _values(rng)
+    nbits, rows = _encode(values, 0)
+    codes = to_negabinary(values)
+    shifts = np.arange(nbits - 1, -1, -1, dtype=np.uint64)[:, None]
+    assert np.array_equal(_bits(rows, values.size), (codes >> shifts) & np.uint64(1))
 
 
 def test_predictive_decode_only_needs_prefix_planes(rng):
     """Decoding a prefix of the planes must not depend on the unloaded ones."""
-    planes = extract_bitplanes(_codes(rng), 12)
-    encoded = predictive_encode(planes, 2)
-    partial = predictive_decode(encoded[:5], 2)
-    assert np.array_equal(partial, planes[:5])
+    values = _values(rng)
+    nbits, rows = _encode(values, 2)
+    partial = _decode(rows[:5], values.size, nbits, 2)
+    assert np.array_equal(partial, truncate_low_planes(values, nbits - 5))
 
 
 def test_invalid_prefix_bits_rejected(rng):
-    planes = extract_bitplanes(_codes(rng), 8)
+    values = _values(rng)
     with pytest.raises(ConfigurationError):
-        predictive_encode(planes, 4)
+        KERNEL.encode_planes([values], 4)
     with pytest.raises(ConfigurationError):
-        predictive_decode(planes, -1)
+        KERNEL.decode_planes([], -1)
 
 
-def test_invalid_nbits_rejected():
-    with pytest.raises(ConfigurationError):
-        extract_bitplanes(np.zeros(4, dtype=np.uint64), 0)
-    with pytest.raises(ConfigurationError):
-        extract_bitplanes(np.zeros(4, dtype=np.uint64), 65)
+def test_level_width_is_one_to_64_planes():
+    """The kernel derives every width from the codes: 1 plane at the least
+    (an all-zero or empty level), 64 at the most (the widest ``int64``)."""
+    extremes = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1])
+    widths = [nbits for nbits, _ in KERNEL.encode_planes(
+        [np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int64), extremes], 0
+    )]
+    assert widths == [1, 1, 64]
 
 
 def test_pack_unpack_roundtrip(rng):
     plane = (rng.random(1000) > 0.7).astype(np.uint8)
-    packed = pack_plane(plane)
-    assert len(packed) == 125
-    assert np.array_equal(unpack_plane(packed, 1000), plane)
+    # A level of 0/1 values is one plane: its bits, packed.
+    nbits, rows = _encode(plane.astype(np.int64))
+    assert nbits == 1 and rows.nbytes == 125
+    assert np.array_equal(_bits(rows, 1000)[0], plane)
+    assert np.array_equal(_decode(rows, 1000, 1), plane)
 
 
 def test_pack_plane_partial_byte(rng):
-    plane = np.array([1, 0, 1], dtype=np.uint8)
-    assert np.array_equal(unpack_plane(pack_plane(plane), 3), plane)
+    plane = np.array([1, 0, 1], dtype=np.int64)
+    nbits, rows = _encode(plane)
+    assert rows.tobytes() == b"\x05"  # little-endian bits, zero pad
+    assert np.array_equal(_decode(rows, 3, nbits), plane)
 
 
 def test_predictive_coding_lowers_entropy_on_correlated_planes():
@@ -103,9 +136,10 @@ def test_predictive_coding_lowers_entropy_on_correlated_planes():
     rng = np.random.default_rng(5)
     # Build codes where the high planes are strongly correlated (all-ones runs).
     magnitudes = rng.integers(0, 4, size=n).astype(np.uint64)
-    codes = (np.uint64(0b111100) | magnitudes).astype(np.uint64)
-    planes = extract_bitplanes(codes, 6)
-    raw_entropy = np.mean([bit_entropy(p) for p in planes])
-    encoded = predictive_encode(planes, 2)
-    coded_entropy = np.mean([bit_entropy(p) for p in encoded])
-    assert coded_entropy <= raw_entropy + 1e-12
+    values = from_negabinary(np.uint64(0b111100) | magnitudes)
+
+    def mean_entropy(prefix_bits):
+        _, rows = _encode(values, prefix_bits)
+        return np.mean([bit_entropy(plane) for plane in _bits(rows, n)])
+
+    assert mean_entropy(2) <= mean_entropy(0) + 1e-12

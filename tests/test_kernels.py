@@ -2,11 +2,12 @@
 
 Every bit-level operation is checked for exact (bit/byte) equality between
 the loops of ``tests/oracle_kernel.py`` and the NumPy code in ``src/`` — the
-:mod:`repro.core.bitplane` primitives, the :mod:`repro.core.negabinary` maps
-and :class:`~repro.core.quantizer.LinearQuantizer` — across dtypes, shapes
-(1-D/2-D/3-D), plane widths, and prefix-bit settings — and end to end: with
-the oracle substituted for the one plane kernel, IPComp streams, dataset
-files and Huffman symbol streams stay byte-identical.
+plane kernel's hooks (plane order, partial decode, XOR prediction, bit
+packing), the :mod:`repro.core.negabinary` maps, the Huffman coder's bit
+scatter and :class:`~repro.core.quantizer.LinearQuantizer` — across dtypes,
+shapes (1-D/2-D/3-D), plane widths, and prefix-bit settings — and end to
+end: with the oracle substituted for the one plane kernel, IPComp streams,
+dataset files and Huffman symbol streams stay byte-identical.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracle_kernel import OracleKernel
+from oracle_kernel import OracleKernel, plane_rows
 from repro import CodecProfile, IPComp
+from repro.coders import huffman
 from repro.coders.huffman import decode_symbols, encode_symbols
-from repro.core import bitplane, negabinary
+from repro.core import negabinary
 from repro.core.kernels import PlaneKernel, get_kernel
 from repro.core.progressive import ProgressiveRetriever
 from repro.core.quantizer import LinearQuantizer
@@ -67,51 +69,59 @@ def test_kernel_keyword_is_an_unknown_option():
 @pytest.mark.parametrize("width,nbits", [(1, 1), (5, 7), (12, 16), (31, 33), (60, 64)])
 def test_extract_and_assemble_match(rng, width, nbits):
     codes = _codes(rng, width=width)
+    codes[0] |= np.uint64(1 << (nbits - 1))  # the level is exactly nbits wide
+    values = REF.from_negabinary(codes)
     ref_planes = REF.extract_bitplanes(codes, nbits)
-    vec_planes = bitplane.extract_bitplanes(codes, nbits)
-    assert np.array_equal(ref_planes, vec_planes)
+    ((vec_nbits, blocks),) = get_kernel().encode_planes([values], 0)
+    assert vec_nbits == nbits
+    assert blocks == [REF.pack_bits(plane) for plane in ref_planes]
+    rows = plane_rows(blocks, codes.size)
     for keep in (0, 1, nbits // 2, nbits):
-        assert np.array_equal(
-            REF.assemble_bitplanes(ref_planes[:keep], nbits),
-            bitplane.assemble_bitplanes(vec_planes[:keep], nbits),
-        )
-    assert np.array_equal(bitplane.assemble_bitplanes(vec_planes, nbits), codes)
+        (decoded,) = get_kernel().decode_planes([(rows[:keep], codes.size, nbits)], 0)
+        expected = REF.from_negabinary(REF.assemble_bitplanes(ref_planes[:keep], nbits))
+        assert np.array_equal(decoded, expected)
+    assert np.array_equal(decoded, values)
 
 
 def test_extract_empty_and_invalid_nbits(rng):
-    for ops in (REF, bitplane):
-        assert ops.extract_bitplanes(np.zeros(0, dtype=np.uint64), 5).shape == (5, 0)
-        with pytest.raises(ConfigurationError):
-            ops.extract_bitplanes(_codes(rng), 0)
-        with pytest.raises(ConfigurationError):
-            ops.extract_bitplanes(_codes(rng), 65)
-        with pytest.raises(ConfigurationError):
-            ops.assemble_bitplanes(np.zeros((4, 3), dtype=np.uint8), 3)
+    assert REF.extract_bitplanes(np.zeros(0, dtype=np.uint64), 5).shape == (5, 0)
+    with pytest.raises(ConfigurationError):
+        REF.extract_bitplanes(_codes(rng), 0)
+    with pytest.raises(ConfigurationError):
+        REF.extract_bitplanes(_codes(rng), 65)
+    with pytest.raises(ConfigurationError):
+        REF.assemble_bitplanes(np.zeros((4, 3), dtype=np.uint8), 3)
+    # The kernel: an empty level is one empty plane, and more plane rows
+    # than the level is wide are refused.
+    empty = [np.zeros(0, dtype=np.int64)]
+    assert get_kernel().encode_planes(empty, 0) == REF.encode_planes(empty, 0) == [(1, [b""])]
+    with pytest.raises(ValueError):
+        get_kernel().decode_planes([(np.zeros((4, 1), dtype=np.uint8), 3, 3)], 0)
 
 
 @pytest.mark.parametrize("prefix_bits", [0, 1, 2, 3])
 def test_predictive_coding_matches(rng, prefix_bits):
-    planes = bitplane.extract_bitplanes(_codes(rng), 14)
-    ref_encoded = REF.predictive_encode(planes, prefix_bits)
-    vec_encoded = bitplane.predictive_encode(planes, prefix_bits)
-    assert np.array_equal(ref_encoded, vec_encoded)
-    assert np.array_equal(
-        REF.predictive_decode(ref_encoded, prefix_bits),
-        bitplane.predictive_decode(vec_encoded, prefix_bits),
-    )
+    values = REF.from_negabinary(_codes(rng, width=14))
+    encoded = get_kernel().encode_planes([values], prefix_bits)
+    assert encoded == REF.encode_planes([values], prefix_bits)
+    ((nbits, blocks),) = encoded
+    rows = plane_rows(blocks, values.size)
+    (decoded,) = get_kernel().decode_planes([(rows, values.size, nbits)], prefix_bits)
+    assert np.array_equal(decoded, values)
     # Prefix decodability: a prefix of the planes decodes without the rest.
     assert np.array_equal(
-        bitplane.predictive_decode(vec_encoded[:5], prefix_bits), planes[:5]
+        get_kernel().decode_planes([(rows[:5], values.size, nbits)], prefix_bits)[0],
+        REF.decode_planes([(blocks[:5], values.size, nbits)], prefix_bits)[0],
     )
 
 
 def test_predictive_invalid_prefix_bits(rng):
-    planes = bitplane.extract_bitplanes(_codes(rng), 8)
-    for ops in (REF, bitplane):
+    values = REF.from_negabinary(_codes(rng, width=8))
+    for ops in (REF, get_kernel()):
         with pytest.raises(ConfigurationError):
-            ops.predictive_encode(planes, 4)
+            ops.encode_planes([values], 4)
         with pytest.raises(ConfigurationError):
-            ops.predictive_decode(planes, -1)
+            ops.decode_planes([], -1)
 
 
 # ------------------------------------------------------------------- bit pack
@@ -121,10 +131,11 @@ def test_predictive_invalid_prefix_bits(rng):
 def test_pack_unpack_bits_match(rng, count):
     bits = (rng.random(count) > 0.6).astype(np.uint8)
     ref_packed = REF.pack_bits(bits)
-    vec_packed = bitplane.pack_plane(bits)
-    assert ref_packed == vec_packed
     assert np.array_equal(REF.unpack_bits(ref_packed, count), bits)
-    assert np.array_equal(bitplane.unpack_plane(vec_packed, count), bits)
+    # A level of 0/1 values is one plane: its bits, packed.
+    assert get_kernel().encode_planes([bits], 0) == [(1, [ref_packed])]
+    rows = plane_rows([ref_packed], count)
+    assert np.array_equal(get_kernel().decode_planes([(rows, count, 1)], 0)[0], bits)
 
 
 def test_scatter_code_bits_match(rng):
@@ -138,7 +149,7 @@ def test_scatter_code_bits_match(rng):
     total = int(offsets[-1] + lengths[-1])
     assert np.array_equal(
         REF.scatter_code_bits(codes, lengths, offsets, total),
-        bitplane.scatter_code_bits(codes, lengths, offsets, total),
+        huffman.scatter_code_bits(codes, lengths, offsets, total),
     )
 
 
@@ -182,10 +193,8 @@ def test_huffman_streams_byte_identical(rng, monkeypatch):
     symbols = rng.integers(-40, 40, size=2000)
     vec_stream = encode_symbols(symbols)
     assert np.array_equal(decode_symbols(vec_stream), symbols)
-    # The coder resolves its three bit primitives at call time.
-    monkeypatch.setattr(bitplane, "scatter_code_bits", REF.scatter_code_bits)
-    monkeypatch.setattr(bitplane, "pack_plane", REF.pack_bits)
-    monkeypatch.setattr(bitplane, "unpack_plane", REF.unpack_bits)
+    # The coder resolves its bit scatter at call time.
+    monkeypatch.setattr(huffman, "scatter_code_bits", REF.scatter_code_bits)
     ref_stream = encode_symbols(symbols)
     assert ref_stream == vec_stream
     assert np.array_equal(decode_symbols(ref_stream), symbols)

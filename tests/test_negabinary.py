@@ -9,13 +9,18 @@ from oracle_negabinary import loop_truncation_errors
 
 from repro.core.negabinary import (
     from_negabinary,
-    required_bits,
+    required_bits_from_codes,
     to_negabinary,
     truncate_low_planes,
     truncation_error_tables,
     truncation_errors,
     truncation_uncertainty,
 )
+
+
+def required_bits(values: np.ndarray) -> int:
+    """Planes of the widest negabinary code of ``values`` (a level's width)."""
+    return required_bits_from_codes(to_negabinary(values))
 
 
 def test_known_small_codes():

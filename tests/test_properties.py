@@ -3,7 +3,8 @@
 These probe the algebraic invariants the paper's guarantees rest on, over
 randomly generated inputs rather than hand-picked fixtures:
 
-* negabinary and bitplane codings are bijections;
+* the negabinary map is a bijection, and every plane prefix of the kernel
+  decodes to the matching truncation;
 * the quantizer never exceeds its bound and truncation errors never exceed
   the pre-computed δ tables;
 * the entropy stage writes deflate or the payload itself, whichever is
@@ -21,19 +22,14 @@ import zlib
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from oracle_kernel import plane_rows
 
 from repro import CodecProfile, IPComp, ProgressiveRetriever
 from repro.coders import get_backend
 from repro.coders.huffman import decode_symbols, encode_symbols
-from repro.core.bitplane import (
-    assemble_bitplanes,
-    extract_bitplanes,
-    predictive_decode,
-    predictive_encode,
-)
+from repro.core.kernels import get_kernel
 from repro.core.negabinary import (
     from_negabinary,
-    required_bits,
     to_negabinary,
     truncate_low_planes,
     truncation_uncertainty,
@@ -74,13 +70,20 @@ def test_truncation_error_bounded_by_uncertainty_formula(values, dropped):
     assert worst <= truncation_uncertainty(dropped) + 1e-9
 
 
-@given(values=small_int_arrays, prefix=st.integers(min_value=0, max_value=3))
+@given(
+    values=st.one_of(small_int_arrays, int64_arrays),
+    prefix=st.integers(min_value=0, max_value=3),
+)
 @settings(**_SETTINGS)
 def test_bitplane_predictive_coding_roundtrip(values, prefix):
-    nbits = required_bits(values)
-    planes = extract_bitplanes(to_negabinary(values), nbits)
-    decoded = predictive_decode(predictive_encode(planes, prefix), prefix)
-    assert np.array_equal(assemble_bitplanes(decoded, nbits), to_negabinary(values))
+    """Every prefix of the kernel's planes decodes to the truncation the δ
+    tables price: ``keep`` planes are ``truncate_low_planes(v, nbits − keep)``."""
+    kernel = get_kernel()
+    ((nbits, blocks),) = kernel.encode_planes([values], prefix)
+    rows = plane_rows(blocks, values.size)
+    for keep in range(nbits + 1):
+        (decoded,) = kernel.decode_planes([(rows[:keep], values.size, nbits)], prefix)
+        assert np.array_equal(decoded, truncate_low_planes(values, nbits - keep))
 
 
 @given(values=small_int_arrays)
