@@ -12,6 +12,7 @@ too slow).
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -168,28 +169,54 @@ class SPERRCompressor(LossyCompressor):
         step = float(meta["step"])
         eb = float(meta["error_bound"])
         layout = meta["layout"]
+        levels = layout["levels"]
+        if len(sections) != 3 + sum(len(level["details"]) for level in levels):
+            raise StreamFormatError(f"SPERR stream carries {len(sections)} sections")
+        count = math.prod(shape)
 
         cursor = 0
-        approx_shape = tuple(layout["approx_shape"])
-        approx = np.frombuffer(self._zlib.decode(sections[cursor]), dtype=np.int64)
-        approx = approx.reshape(approx_shape).astype(np.float64) * step
+        approx = self._coefficients(sections[cursor], layout["approx_shape"]) * step
         cursor += 1
         plan = []
-        for level_meta in layout["levels"]:
+        for level_meta in levels:
             details = {}
             for axis_str, det_shape in level_meta["details"].items():
-                detail = np.frombuffer(self._zlib.decode(sections[cursor]), dtype=np.int64)
-                details[int(axis_str)] = detail.reshape(tuple(det_shape)).astype(np.float64) * step
+                details[int(axis_str)] = self._coefficients(sections[cursor], det_shape) * step
                 cursor += 1
             plan.append({"lengths": tuple(level_meta["lengths"]), "details": details})
         out = wavelet_inverse(approx, plan)
 
-        indices = np.frombuffer(self._zlib.decode(sections[cursor]), dtype=np.int64)
+        # At most one outlier a point; one byte over, so that more shows.
+        indices = np.frombuffer(self._zlib.decode(sections[cursor], 8 * count + 1), np.int64)
         cursor += 1
-        codes = np.frombuffer(self._zlib.decode(sections[cursor]), dtype=np.int64)
+        codes = np.frombuffer(self._zlib.decode(sections[cursor], 8 * count + 1), np.int64)
+        if (
+            indices.size > count
+            or codes.size != indices.size
+            or indices.size and not 0 <= indices.min() <= indices.max() < count
+        ):
+            raise StreamFormatError(
+                f"SPERR outlier sections hold {indices.size} indices and {codes.size} "
+                f"codes for a field of {count} points"
+            )
         flat = out.reshape(-1)
         flat[indices] += codes.astype(np.float64) * eb
         return flat.reshape(shape).astype(meta["dtype"])
+
+    def _coefficients(self, section: bytes, shape: Sequence[int]) -> np.ndarray:
+        """A section's quantized coefficients as a float64 array of ``shape``;
+        a section that holds any other number of them is a
+        :class:`StreamFormatError`."""
+        shape = tuple(shape)
+        expected = 8 * math.prod(shape)
+        # One byte past the coefficients, so that an over-long section shows.
+        raw = self._zlib.decode(section, expected + 1)
+        if len(raw) != expected:
+            raise StreamFormatError(
+                f"SPERR coefficient section holds {len(raw)} bytes, expected "
+                f"{expected} for a {shape} band"
+            )
+        return np.frombuffer(raw, dtype=np.int64).reshape(shape).astype(np.float64)
 
 
 class SPERRResidualCompressor(ResidualProgressiveCompressor):

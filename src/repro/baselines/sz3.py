@@ -82,11 +82,29 @@ class SZ3Compressor(LossyCompressor):
         eb = float(meta["error_bound"])
         predictor = InterpolationPredictor(shape, meta["method"])
         quantizer = LinearQuantizer(eb)
+        count = predictor.total_points()
+        n_outliers = int(meta["n_outliers"])
+        if not 0 <= n_outliers <= count:
+            raise StreamFormatError(f"SZ3 stream declares {n_outliers} outliers of {count} points")
 
-        symbols = decode_symbols(self._zlib.decode(sections[0]))
-        outliers = np.frombuffer(self._zlib.decode(sections[1]), dtype=np.int64)
+        # Both inflates are bounded by what the field can hold: a symbol's
+        # code is at most 64 bits, and the code table (``encode_symbols``'s
+        # 24 header bytes, 9 a symbol) lists each distinct symbol once.
+        alphabet = min(count, 2 * _QUANT_CAP + 2)
+        symbols = decode_symbols(self._zlib.decode(sections[0], 24 + 9 * alphabet + 8 * count))
+        if symbols.size != count:
+            raise StreamFormatError(
+                f"SZ3 stream holds {symbols.size} symbols for a {shape} field of {count}"
+            )
+        # One byte past the outliers, so that an over-long section shows.
+        raw = self._zlib.decode(sections[1], 8 * n_outliers + 1)
+        if len(raw) != 8 * n_outliers:
+            raise StreamFormatError(
+                f"SZ3 outlier section holds {len(raw)} bytes, expected {8 * n_outliers}"
+            )
+        outliers = np.frombuffer(raw, dtype=np.int64)
         outlier_mask = symbols == _OUTLIER_SENTINEL
-        if int(outlier_mask.sum()) != int(meta["n_outliers"]):
+        if int(outlier_mask.sum()) != n_outliers:
             raise StreamFormatError("outlier count mismatch in SZ3 stream")
         symbols = symbols.copy()
         symbols[outlier_mask] = outliers

@@ -1,4 +1,6 @@
-/* The interpolation sweep of repro.core.interpolation (§4.1–§4.3, Fig. 3).
+/* The C half of IPComp's read and write paths: the interpolation sweep of
+ * repro.core.interpolation (§4.1–§4.3, Fig. 3) and the plane decode of
+ * repro.core.kernels (§4.4), the latter at the end of this file.
  *
  * A predictor describes its (level, dim) passes as one int64 pass table,
  * one row per pass in processing order:
@@ -26,6 +28,7 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 /* What a pass does at each target, from its prediction ``pred``. */
 enum {
@@ -215,4 +218,140 @@ int64_t ipc_forward(const double *data, double *xhat, const int64_t *table, int6
         next += width * (size_t)pass(table, (int)cubic, kind, x, &io);
     }
     return flags;
+}
+
+/* ------------------------------------------------------------ plane decode
+ *
+ * ``ipc_decode_planes`` inverts repro.core.kernels' plane encode for every
+ * level of a shard in one call: XOR-prefix un-prediction, bitplanes to
+ * values, negabinary to int64.  A level arrives as its loaded packed plane
+ * rows, most significant first: ``keep`` rows of ``ceil(count / 8)`` bytes,
+ * row ``r`` holding bit ``nbits - 1 - r`` of every value, value ``8c + i``
+ * at bit ``i`` of byte ``c``.  Unloaded low planes count as zero.
+ *
+ * A level is decoded CHUNK packed columns (8 * CHUNK values) at a time.  The
+ * chunk's rows are laid position-major into ``plane`` (row ``p`` = bit
+ * ``p``) and un-predicted top-down.  Byte group ``g`` of the values is then
+ * one 8x8 bit transpose per column: the uint64 whose byte ``r`` is bit
+ * ``8g + r`` of the column's 8 values becomes the one whose byte ``i`` is
+ * byte ``g`` of value ``8c + i``.  Groups go two at a time, so a level of up
+ * to 16 planes writes each word once.  Every column loop runs a multiple of
+ * 16 columns, the tail zero-padded, and reads one local array: GCC
+ * vectorises the XOR, the transposes and the stores at -O2. */
+
+#define CHUNK 256
+/* The negabinary mask: a code ``nb`` is the integer ``(nb ^ M) - M``. */
+#define NEGABINARY 0xAAAAAAAAAAAAAAAAull
+
+typedef const uint8_t (*rows8)[CHUNK];
+
+/* ``dst ^= src`` over a chunk's first ``width`` columns. */
+static void xor_row(uint8_t *restrict dst, const uint8_t *restrict src, int width)
+{
+    for (int c = 0; c < width; ++c) {
+        dst[c] ^= src[c];
+    }
+}
+
+/* Column ``c`` of rows 8g … 8g + 7 as one uint64 (byte ``r`` from row
+ * ``r``), transposed by the three masked swaps of Hacker's Delight
+ * ``transpose8`` (its own inverse): byte ``i`` is then byte ``g`` of value
+ * ``8c + i``. */
+static inline uint64_t column(rows8 rows, int c)
+{
+    uint64_t x = (uint64_t)rows[0][c] | (uint64_t)rows[1][c] << 8 |
+                 (uint64_t)rows[2][c] << 16 | (uint64_t)rows[3][c] << 24 |
+                 (uint64_t)rows[4][c] << 32 | (uint64_t)rows[5][c] << 40 |
+                 (uint64_t)rows[6][c] << 48 | (uint64_t)rows[7][c] << 56;
+    uint64_t t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAull;
+    x ^= t ^ (t << 7);
+    t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCull;
+    x ^= t ^ (t << 14);
+    t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ull;
+    x ^= t ^ (t << 28);
+    return x;
+}
+
+/* Bytes ``g`` and ``g + 1`` of value ``8c + i``, from the columns of both
+ * groups, at their place in the word. */
+#define PAIR(i) (((x >> 8 * (i) & 0xFF) | (y >> 8 * (i) & 0xFF) << 8) << shift)
+#define STORE(i) w[i] = (PAIR(i) ^ mask) - mask
+#define MERGE(i) w[i] = ((w[i] | PAIR(i)) ^ mask) - mask
+
+/* Byte groups ``g`` and ``g + 1`` of a chunk's values into their words: the
+ * first pair stores them, a later one ORs them in, and the last (``mask``
+ * NEGABINARY, else 0) maps each word from negabinary. */
+static void pair(rows8 restrict low, rows8 restrict high, int g, int first, uint64_t mask,
+                 int width, uint64_t *restrict word)
+{
+    const int shift = 8 * g;
+    if (first) {
+        for (int c = 0; c < width; ++c) {
+            const uint64_t x = column(low, c), y = column(high, c);
+            uint64_t *const w = word + 8 * c;
+            STORE(0); STORE(1); STORE(2); STORE(3); STORE(4); STORE(5); STORE(6); STORE(7);
+        }
+    } else {
+        for (int c = 0; c < width; ++c) {
+            const uint64_t x = column(low, c), y = column(high, c);
+            uint64_t *const w = word + 8 * c;
+            MERGE(0); MERGE(1); MERGE(2); MERGE(3); MERGE(4); MERGE(5); MERGE(6); MERGE(7);
+        }
+    }
+}
+
+/* One level's ``count`` codes into ``out``; 0 <= keep <= nbits <= 64. */
+static void decode_level(const uint8_t *rows, int64_t count, int nbits, int keep, int prefix,
+                         uint64_t *out)
+{
+    if (keep == 0) {
+        memset(out, 0, sizeof *out * (size_t)count);
+        return;
+    }
+    const int64_t nbytes = (count + 7) / 8;
+    const int bottom = nbits - keep, lo = bottom / 8, hi = (nbits + 7) / 8;
+    /* Eight rows past bit 63, so that the last pair always has a high group. */
+    uint8_t plane[72][CHUNK];
+    uint64_t tail[8 * CHUNK];
+    /* Rows of the decoded groups that hold no loaded plane stay zero. */
+    memset(plane[8 * lo], 0, CHUNK * (size_t)(bottom - 8 * lo));
+    memset(plane[nbits], 0, CHUNK * (size_t)(8 * hi + 8 - nbits));
+    for (int64_t c0 = 0; c0 < nbytes; c0 += CHUNK) {
+        const int cols = (int)(nbytes - c0 < CHUNK ? nbytes - c0 : CHUNK);
+        const int width = (cols + 15) & ~15;
+        for (int p = bottom; p < nbits; ++p) {
+            memcpy(plane[p], rows + (nbits - 1 - p) * nbytes + c0, (size_t)cols);
+            memset(plane[p] + cols, 0, (size_t)(width - cols));
+        }
+        for (int p = nbits - 2; p >= bottom; --p) {
+            for (int j = 1; j <= prefix && p + j < nbits; ++j) {
+                xor_row(plane[p], plane[p + j], width);
+            }
+        }
+        /* A whole chunk of values is decoded in place, a short one beside. */
+        const int64_t n = count - 8 * c0;
+        uint64_t *const word = n >= 8 * width ? out + 8 * c0 : tail;
+        for (int g = lo; g < hi; g += 2) {
+            pair((rows8)plane[8 * g], (rows8)plane[8 * g + 8], g, g == lo,
+                 g + 2 >= hi ? NEGABINARY : 0, width, word);
+        }
+        if (word == tail) {
+            memcpy(out + 8 * c0, tail, sizeof *tail * (size_t)n);
+        }
+    }
+}
+
+/* Every level of a shard: level ``l`` reads ``rows[l]`` and its
+ * ``shape[3l … 3l + 2]`` = (count, nbits, keep), and writes its ``count``
+ * int64 codes after the previous level's in ``out``.  The caller checks
+ * 0 <= keep <= nbits <= 64, 0 <= prefix <= 3 and that ``rows[l]`` holds
+ * ``keep * ceil(count / 8)`` bytes. */
+void ipc_decode_planes(const uint8_t *const *rows, const int64_t *shape, int64_t nlevels,
+                       int64_t prefix, int64_t *out)
+{
+    uint64_t *next = (uint64_t *)out;
+    for (int64_t l = 0; l < nlevels; ++l, shape += 3) {
+        decode_level(rows[l], shape[0], (int)shape[1], (int)shape[2], (int)prefix, next);
+        next += shape[0];
+    }
 }

@@ -61,6 +61,8 @@ SHARED_PREDICTORS = 32
 # Every pass runs in C (``_sweep.c``, next to this file), one call per shard
 # and direction.  It is compiled at import with the platform's C compiler
 # into a per-user cache and loaded with ctypes, whose calls release the GIL.
+# The same library holds the plane decode of :mod:`repro.core.kernels`,
+# which loads it through :func:`_sweep` too.
 # ``-ffp-contract=off`` keeps each multiply and add its own rounding (GCC on
 # aarch64 would fuse them into FMAs), so every answer is bitwise the numpy
 # sweep and quantizer the predictor was first written as.
@@ -81,7 +83,7 @@ def _cache_directory() -> Path:
     info = path.lstat()
     if not stat.S_ISDIR(info.st_mode) or info.st_uid != os.geteuid() or info.st_mode & 0o022:
         raise ConfigurationError(
-            f"the interpolation sweep's cache {path} is not a directory that "
+            f"the C sweep's cache {path} is not a directory that "
             "only this user can write"
         )
     return path
@@ -106,7 +108,7 @@ def _load_sweep() -> ctypes.CDLL:
     cc = shlex.split(sysconfig.get_config_var("CC") or "") or ["cc"]
     if shutil.which(cc[0]) is None:
         raise ConfigurationError(
-            f"the interpolation sweep needs a C compiler: {cc[0]!r} (sysconfig's CC) "
+            f"the C sweep needs a C compiler: {cc[0]!r} (sysconfig's CC) "
             "is not on PATH"
         )
     build = "\0".join(
@@ -125,7 +127,7 @@ def _load_sweep() -> ctypes.CDLL:
             )
             if built.returncode:
                 raise ConfigurationError(
-                    f"building the interpolation sweep with {cc[0]!r} failed: "
+                    f"building the C sweep with {cc[0]!r} failed: "
                     f"{built.stderr.strip()}"
                 )
             os.replace(partial, path)
@@ -137,6 +139,8 @@ def _load_sweep() -> ctypes.CDLL:
     lib.ipc_reconstruct.restype = None
     lib.ipc_forward.argtypes = [pointer, pointer, pointer, i64, i64, pointer, ctypes.c_double]
     lib.ipc_forward.restype = i64
+    lib.ipc_decode_planes.argtypes = [pointer, pointer, i64, i64, pointer]
+    lib.ipc_decode_planes.restype = None
     return lib
 
 
@@ -146,7 +150,7 @@ try:
 except ConfigurationError as error:  # ``import repro`` still works
     _SWEEP, _SWEEP_MISSING = None, str(error)
 except OSError as error:
-    _SWEEP, _SWEEP_MISSING = None, f"the interpolation sweep could not be built or loaded: {error}"
+    _SWEEP, _SWEEP_MISSING = None, f"the C sweep could not be built or loaded: {error}"
 
 
 def _sweep() -> ctypes.CDLL:

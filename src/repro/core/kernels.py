@@ -3,28 +3,35 @@
 The paper's coder has exactly one bit path (§4): quantization integers →
 negabinary → bitplanes → XOR prediction → per-plane packed bytes, and its
 inverse.  :class:`PlaneKernel` runs that whole chain for **every level of a
-shard** as **one sweep in the packed byte domain**
-(:meth:`PlaneKernel.encode_planes` / :meth:`PlaneKernel.decode_planes`, which
-take a shard's list of levels), over a per-thread buffer arena.  The levels
-lie side by side in one position-major matrix (row ``p`` = bit ``p`` of
-every value, so levels of different width align at the LSB), and a sweep
-costs a fixed number of NumPy calls per shard instead of per level — a
-shard is mostly small levels that would each pay more for dispatch than
-for data.  XOR prediction commutes with bit packing (pad bits are zero
-on both sides), so it runs on the 8×-smaller packed rows.
+shard** in one call (:meth:`PlaneKernel.encode_planes` /
+:meth:`PlaneKernel.decode_planes`, which take a shard's list of levels):
+
+* **encode** is numpy, one sweep in the packed byte domain over a
+  per-thread buffer arena.  The levels lie side by side in one
+  position-major matrix (row ``p`` = bit ``p`` of every value, so levels of
+  different width align at the LSB), and the sweep costs a fixed number of
+  NumPy calls per shard instead of per level — a shard is mostly small
+  levels that would each pay more for dispatch than for data.  XOR
+  prediction commutes with bit packing (pad bits are zero on both sides),
+  so it runs on the 8×-smaller packed rows.
+* **decode** is one call into C (``ipc_decode_planes`` in ``_sweep.c``, the
+  library :mod:`repro.core.interpolation` builds and loads), which walks
+  each level in chunks of packed columns with the same 8×8 bit transpose;
+  the checks that keep it inside its rows are made here.  ctypes releases
+  the GIL for the call, and the C keeps no state between calls.
 
 There is one implementation and no selector: :func:`get_kernel` returns the
-one process-wide instance.  The byte-identity contract — the sweep emits
-exactly the blocks the paper's pseudocode does, bit by bit and one level at
-a time — is held by the loop oracle in ``tests/oracle_kernel.py``
-(differential tests in ``tests/test_kernels*.py``), not by a second path in
-``src/``.  Every plane in the package comes out of it: the IPComp writer and
-reader, the ZFP baseline's coefficient planes and the Table 2 entropy study.
+one process-wide instance.  The byte-identity contract — both directions
+agree with the paper's pseudocode, bit by bit and one level at a time — is
+held by the loop oracle in ``tests/oracle_kernel.py`` (differential tests
+in ``tests/test_kernels*.py``), not by a second path in ``src/``.  Every
+plane in the package goes through it: the IPComp writer and reader, the ZFP
+baseline's coefficient planes and the Table 2 entropy study.
 
-The instance is decoded on concurrently by the serving layer (a
-``RequestScheduler`` runs ``max_inflight`` requests at once), so it keeps
-its grow-only scratch *per thread*: per-thread scratch is a correctness
-requirement, not an optimisation.
+The instance is shared by every thread (the serving layer decodes
+``max_inflight`` requests at once, and a write encodes two slabs at once),
+so the encode keeps its grow-only scratch *per thread*: per-thread scratch
+is a correctness requirement, not an optimisation.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.interpolation import _sweep
 from repro.core.negabinary import NEGABINARY_MASK as _NEGABINARY_MASK
 from repro.core.negabinary import required_bits_from_codes as _nb_required_bits
 from repro.errors import ConfigurationError
@@ -51,24 +59,24 @@ def check_prefix_bits(prefix_bits: int) -> None:
 
 
 #: One level as :meth:`PlaneKernel.decode_planes` takes it: the loaded packed
-#: plane rows (most significant first) as one ``(keep, ceil(count / 8))``
-#: ``uint8`` array — what the progressive retriever keeps resident, handed
-#: over as a view, never copied row by row — the value count, and the level
-#: width.
+#: plane rows (most significant first) as one C-contiguous
+#: ``(keep, ceil(count / 8))`` ``uint8`` array — what the progressive
+#: retriever keeps resident, handed over as a view, never copied row by row —
+#: the value count, and the level width.
 LevelPlanes = Tuple[np.ndarray, int, int]
+_BYTE = np.dtype(np.uint8)
 
 
 class _BufferArena:
-    """Grow-only scratch buffers, keyed by role.
+    """Grow-only scratch buffers of the encode, keyed by role.
 
     The kernel reuses one arena across every level and plane it
     encodes, so the hot path allocates only when a level is larger than any
     level seen before.  Buffers are pure scratch: nothing returned to a
     caller aliases an arena buffer (block bytes are materialised with
-    ``tobytes``; decoded codes come out of ``packbits``/``view`` copies).
-    :class:`PlaneKernel` keeps one arena *per thread* — ``get_kernel``
-    returns a single process-wide instance, and two threads sweeping the
-    same buffers would silently corrupt each other's streams.
+    ``tobytes``).  :class:`PlaneKernel` keeps one arena *per thread* —
+    ``get_kernel`` returns a single process-wide instance, and two threads
+    sweeping the same buffers would silently corrupt each other's streams.
     """
 
     def __init__(self) -> None:
@@ -108,31 +116,28 @@ def _transpose_bit_blocks(blocks: np.ndarray, scratch: np.ndarray) -> None:
 
 
 class PlaneKernel:
-    """One packed-domain sweep per shard over a reusable buffer arena.
+    """A shard's plane chain: a numpy encode sweep, a C decode call.
 
     Negabinary conversion, bitplane extraction, XOR prediction and per-plane
     bit packing (and their inverses) compose to a **bit-matrix transpose** —
-    ``n × nbits`` value-major bits to ``nbits × n`` plane-major bits — and
-    :func:`_transpose_bit_blocks` does it 8×8 bits at a time without ever
-    materialising the ``n × nbits`` bit matrix.
+    ``n × nbits`` value-major bits to ``nbits × n`` plane-major bits — done
+    8×8 bits at a time (:func:`_transpose_bit_blocks` here, the same three
+    masked swaps in ``_sweep.c``) without ever materialising the
+    ``n × nbits`` bit matrix.
 
-    Every level of the shard is padded to whole 8-value blocks and laid
-    side by side in one **position-major** arena matrix: row ``p`` holds
-    bit ``p`` of every value as packed bytes, so levels of different
-    ``nbits`` align at the least significant bit and the rows above a
-    level's width are zero.  A fixed number of NumPy passes then serves
-    all levels at once — a shard's many small levels cost no more dispatch
-    than its largest one:
-
-    * **encode** — code byte ``j`` of a block's 8 values is one ``uint64``
-      whose transpose *is* the packed plane rows ``8j … 8j + 7``.  The XOR
-      prediction runs on the packed rows (8× less data than bits); zero
-      rows above a level's width predict nothing, exactly as the per-level
-      recurrence stops at the top plane.
-    * **decode** — the loaded rows are laid into the matrix, un-predicted
-      top-down (zero rows pass through the recurrence unchanged; rows
-      *below* a level's loaded planes pick up the planes above them and are
-      re-zeroed) and pushed through the same transpose into value bytes.
+    * **encode** — every level of the shard is padded to whole 8-value
+      blocks and laid side by side in one **position-major** arena matrix:
+      row ``p`` holds bit ``p`` of every value as packed bytes, so levels
+      of different ``nbits`` align at the least significant bit and the
+      rows above a level's width are zero.  Code byte ``j`` of a block's 8
+      values is one ``uint64`` whose transpose *is* the packed plane rows
+      ``8j … 8j + 7``.  The XOR prediction runs on the packed rows (8× less
+      data than bits); zero rows above a level's width predict nothing,
+      exactly as the per-level recurrence stops at the top plane.  A fixed
+      number of NumPy passes serves all levels at once.
+    * **decode** — per level, chunk by chunk, the C lays the loaded rows
+      position-major, un-predicts them top-down and pushes each byte group
+      through the transpose into the values' words.
 
     Byte identity with the per-level loop oracle holds because the block
     transpose reproduces ``np.packbits``'s little-endian bit placement exactly
@@ -146,13 +151,12 @@ class PlaneKernel:
 
     @property
     def _arena(self) -> _BufferArena:
-        # :func:`get_kernel` hands every caller the **same** instance and the
-        # serving layer (``RequestScheduler``'s in-flight requests) decodes
-        # concurrently on it, so arena state must be per thread: two threads
-        # sweeping the same buffers would silently corrupt each other's
-        # streams.  Nothing the hooks return may alias an arena buffer
-        # (block bytes are materialised with ``tobytes``, decoded arrays by
-        # a copying conversion).
+        # :func:`get_kernel` hands every caller the **same** instance and a
+        # write encodes two slabs concurrently on it, so arena state must be
+        # per thread: two threads sweeping the same buffers would silently
+        # corrupt each other's streams.  Nothing ``encode_planes`` returns
+        # aliases an arena buffer (block bytes are materialised with
+        # ``tobytes``).
         arena = getattr(self._thread_state, "arena", None)
         if arena is None:
             arena = self._thread_state.arena = _BufferArena()
@@ -209,67 +213,50 @@ class PlaneKernel:
 
         Every entry of ``levels`` is ``(raw_planes, count, nbits)``
         (:data:`LevelPlanes`): the losslessly *decoded* packed plane rows
-        that were loaded, as one ``(keep, ceil(count / 8))`` ``uint8`` array
-        (most significant first — the predictive coder validates and trims
-        them), the number of values and the level width.  Unloaded low
-        planes are treated as zero.  Returns the ``int64`` quantization codes
-        of every level, in order; the arrays may be views of one shared
-        buffer.
+        that were loaded, as one C-contiguous ``(keep, ceil(count / 8))``
+        ``uint8`` array (most significant first — the predictive coder
+        validates and trims them), the number of values and the level width
+        (0 to 64).  Unloaded low planes are treated as zero.  Returns the
+        ``int64`` quantization codes of every level, in order, as views of
+        one fresh buffer.
+
+        The whole shard is one C call (``ipc_decode_planes`` in
+        ``_sweep.c``); the checks here are what keeps it inside its rows.
         """
         check_prefix_bits(prefix_bits)
-        # A level with no plane loaded takes no columns and decodes to zeros.
-        row_bytes = [(count + 7) // 8 if len(rows) else 0 for rows, count, _ in levels]
-        starts = list(accumulate(row_bytes, initial=0))
-        width = starts[-1]
-        top = max((level[2] for level, nbytes in zip(levels, row_bytes) if nbytes), default=0)
-        groups = (top + 7) // 8
-        arena = self._arena
-        packed = arena.take("decode.packed", (8 * groups, width))
-        packed.fill(0)
-        bottom = top  # lowest bit position any level loaded
-        for (rows, _, nbits), start, nbytes in zip(levels, starts, row_bytes):
+        addresses, shape = [], []
+        for rows, count, nbits in levels:
+            if count < 0 or not 0 <= nbits <= 64:
+                raise ValueError(f"a level of {count} values × {nbits} planes (0 to 64)")
+            nbytes = (count + 7) // 8
             keep = len(rows)
-            if not nbytes:
-                continue
-            if keep > nbits or np.shape(rows) != (keep, nbytes):
+            if (
+                keep > nbits
+                or not isinstance(rows, np.ndarray)
+                or rows.dtype != _BYTE
+                or rows.shape != (keep, nbytes)
+                or not rows.flags.c_contiguous
+            ):
                 raise ValueError(
                     f"{keep} plane rows for a level of {nbits} planes × {nbytes} "
-                    f"bytes are not one ({keep}, {nbytes}) array"
+                    f"bytes are not one C-contiguous ({keep}, {nbytes}) uint8 array"
                 )
-            packed[nbits - keep : nbits, start : start + nbytes] = rows[::-1]
-            bottom = min(bottom, nbits - keep)
-        for p in range(top - 2, bottom - 1, -1):
-            for j in range(1, min(prefix_bits, top - 1 - p) + 1):
-                packed[p] ^= packed[p + j]
-        for (rows, _, nbits), start, nbytes in zip(levels, starts, row_bytes):
-            if nbits - len(rows) > bottom:
-                packed[bottom : nbits - len(rows), start : start + nbytes] = 0
-        # Each value's code in the narrowest word of 1, 2, 4 or 8 bytes that
-        # holds its ``groups`` bytes.  Byte groups wholly below every loaded
-        # plane, or above ``top``, are zero: they are filled, not transposed.
-        size = next(size for size in (1, 2, 4, 8) if size >= groups)
-        low = bottom // 8
-        word_bytes = arena.take(f"decode.words{size}", (width, 8, size))
-        word_bytes[:, :, :low] = 0
-        word_bytes[:, :, groups:] = 0
-        blocks = arena.take("decode.blocks", (groups - low, width), np.uint64)
-        scratch = arena.take("decode.scratch", blocks.shape, np.uint64)
-        block_bytes = blocks.view(np.uint8).reshape(groups - low, width, 8)
-        for r in range(8):  # a row at a time: long strided writes, not 8-byte ones
-            block_bytes[:, :, r] = packed[8 * low + r :: 8]
-        _transpose_bit_blocks(blocks, scratch)
-        for j in range(low, groups):
-            word_bytes[:, :, j] = block_bytes[j - low]
-        # Negabinary in that width: a code below 2^(8·size) has ``nb ^ M − M
-        # == nb ^ m − m``, ``m`` the low bytes of the mask ``M``.
-        words = word_bytes.reshape(-1).view(f"<u{size}")
-        mask = _NEGABINARY_MASK >> np.uint64(64 - 8 * size)
-        words ^= mask.astype(words.dtype)
-        codes = np.subtract(words, mask.view(np.int64), dtype=np.int64)
-        return [
-            codes[8 * start : 8 * start + count] if nbytes else np.zeros(count, dtype=np.int64)
-            for (_, count, _), start, nbytes in zip(levels, starts, row_bytes)
-        ]
+            addresses.append(rows.ctypes.data if keep and count else 0)
+            shape += (count, nbits, keep)
+        counts = shape[::3]
+        codes = np.empty(sum(counts), dtype=np.int64)
+        # Both tables stay bound until the call returns.
+        address_table = np.array(addresses, dtype=np.uintp)
+        shape_table = np.array(shape, dtype=np.int64)
+        _sweep().ipc_decode_planes(
+            address_table.ctypes.data,
+            shape_table.ctypes.data,
+            len(counts),
+            prefix_bits,
+            codes.ctypes.data,
+        )
+        starts = accumulate(counts, initial=0)
+        return [codes[start : start + count] for start, count in zip(starts, counts)]
 
 
 _KERNEL = PlaneKernel()

@@ -25,12 +25,13 @@ Steps 1–3 (and the packing of step 4) run on the plane kernel
 :meth:`~repro.core.kernels.PlaneKernel.decode_planes`, which take all levels
 of the shard in one call (:meth:`PredictiveCoder.encode_levels` /
 :meth:`~PredictiveCoder.decode_levels_codes`; the per-level methods are the
-shard of one) and sweep them together in one position-major matrix over a
-reusable buffer arena.  Decoding is two steps: lossless decoding stays per
-plane (:meth:`PredictiveCoder.decode_row`, which validates every row), and
-:meth:`PredictiveCoder.codes_from_rows` is the sweep.  The progressive
-retriever calls the two apart — it keeps the validated rows resident and
-re-sweeps them on every refinement — so there is one plane decoder.
+shard of one): the encode sweeps them together in one position-major matrix
+over a per-thread buffer arena, the decode is one C call.  Decoding is two
+steps: lossless decoding stays per plane (:meth:`PredictiveCoder.decode_row`,
+which validates every row), and :meth:`PredictiveCoder.codes_from_rows` is
+the kernel's decode.  The progressive retriever calls the two apart — it
+keeps the validated rows resident and decodes them again on every
+refinement — so there is one plane decoder.
 
 Alongside the blocks the encoder records the *exact* information-loss table
 ``δy_l(b)`` — the largest value-domain error introduced at this level when the
@@ -276,7 +277,7 @@ class PredictiveCoder:
         """Losslessly decode one plane block to its packed ``ceil(count / 8)``-byte row.
 
         The row is still XOR-predicted — the form the progressive retriever
-        keeps resident and :meth:`codes_from_rows` sweeps.
+        keeps resident and :meth:`codes_from_rows` decodes.
         """
         row_bytes = (encoding_meta.count + 7) // 8
         try:

@@ -16,7 +16,7 @@ per-level plane selection, and the retriever makes **one transition**:
   other plane (:data:`~repro.core.stream.Segment`).  No block is ever
   read twice — the property that distinguishes IPComp from residual-based
   progressive schemes;
-* **rebuild** — one shard sweep over the resident rows
+* **rebuild** — one shard decode call over the resident rows
   (:meth:`~repro.core.predictive_coder.PredictiveCoder.codes_from_rows`)
   and one interpolation reconstruction from the anchor that dequantizes
   the integer codes as it adds them, written into a fresh array or into
@@ -241,8 +241,8 @@ class ProgressiveRetriever:
         bytes_loaded = self.store.bytes_read
         if not self._header_charged:
             bytes_loaded += self.store.header_bytes
-        # One decode call for the whole shard: the kernel sweeps every level
-        # together instead of paying its fixed dispatch cost per level.
+        # One decode call for the whole shard: one C call walks every level
+        # instead of paying a fixed dispatch cost per level.
         codes = self.coder.codes_from_rows(
             (enc, self._loaded_rows(enc.level)) for enc in levels
         )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,10 @@ from repro.baselines import (
     SPERRCompressor,
     SPERRResidualCompressor,
 )
+from repro.baselines.base import pack_sections, unpack_sections
 from repro.baselines.sperr import wavelet_forward, wavelet_inverse
+from repro.datasets import load_dataset
+from repro.errors import StreamFormatError
 
 
 # ----------------------------------------------------------------- MGARD(-P)
@@ -108,6 +113,18 @@ def test_sperr_roundtrip_rough_field(rough_3d):
     comp = SPERRCompressor(error_bound=1e-3, relative=True)
     restored = comp.decompress(comp.compress(rough_3d))
     assert max_error(rough_3d, restored) <= comp.absolute_bound(rough_3d) * (1 + 1e-9)
+
+
+def test_sperr_cut_coefficient_section_is_a_stream_format_error():
+    """A coefficient section that holds half its band is refused by name,
+    not left to numpy's reshape."""
+    comp = SPERRCompressor(error_bound=1e-4, relative=True)
+    blob = comp.compress(load_dataset("density", shape=(16, 16, 16)))
+    meta, sections = unpack_sections(blob)
+    payload = zlib.decompress(sections[0])
+    sections[0] = zlib.compress(payload[: len(payload) // 2])
+    with pytest.raises(StreamFormatError, match="coefficient section"):
+        comp.decompress(pack_sections(meta, sections))
 
 
 def test_sperr_r_progressive(smooth_3d):

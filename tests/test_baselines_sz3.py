@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.analysis import compression_ratio, max_error
 from repro.baselines import SZ3Compressor, SZ3MultiFidelityCompressor, unpack_sections
-from repro.errors import ConfigurationError
+from repro.baselines.base import pack_sections
+from repro.coders.huffman import decode_symbols, encode_symbols
+from repro.datasets import load_dataset
+from repro.errors import ConfigurationError, StreamFormatError
 
 
 @pytest.mark.parametrize("method", ["linear", "cubic"])
@@ -103,3 +108,21 @@ def test_sz3m_request_validation(smooth_3d):
     blob = multi.compress(smooth_3d)
     with pytest.raises(ConfigurationError):
         multi.retrieve(blob)
+
+
+@pytest.mark.parametrize("change", [5, -1], ids=["five-surplus", "one-short"])
+def test_a_wrong_symbol_count_is_a_stream_format_error(change):
+    """The symbol section must hold exactly one symbol per point: surplus
+    symbols are not ignored, and a short section is named as the stream's
+    fault, not the predictor's."""
+    comp = SZ3Compressor(error_bound=1e-4, relative=True)
+    blob = comp.compress(load_dataset("density", shape=(16, 16, 16)))
+    meta, (symbols, outliers) = unpack_sections(blob)
+    decoded = decode_symbols(zlib.decompress(symbols))
+    if change > 0:
+        decoded = np.concatenate([decoded, np.zeros(change, dtype=np.int64)])
+    else:
+        decoded = decoded[:change]
+    tampered = pack_sections(meta, [zlib.compress(encode_symbols(decoded)), outliers])
+    with pytest.raises(StreamFormatError, match="symbols"):
+        comp.decompress(tampered)

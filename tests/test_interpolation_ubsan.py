@@ -2,13 +2,16 @@
 
 One child process builds ``_sweep.c`` with ``-fsanitize=undefined`` (plus
 ``float-cast-overflow``, which GCC leaves out of ``undefined``) and
-``-fno-sanitize-recover=all`` into a temporary directory, loads it in place
-of the module's library, and runs ``decompose``, ``transform`` and
-``reconstruct`` against the numpy oracle over fields full of specials —
-±0.0, subnormals, ±1e300, NaN — and the quantizer's edge cases: half-bin
-ties, nudged codes, codes near ±2^62, and the differences it refuses (±2^63
-bins, ±inf, NaN).  Any undefined behaviour aborts the child.  Skipped when
-the compiler cannot build or load such a library.
+``-fno-sanitize-recover=all`` and the library's own flags into a temporary
+directory, loads it in place of the module's library, and runs
+``decompose``, ``transform`` and ``reconstruct`` against the numpy oracle
+over fields full of specials — ±0.0, subnormals, ±1e300, NaN — and the
+quantizer's edge cases: half-bin ties, nudged codes, codes near ±2^62, and
+the differences it refuses (±2^63 bins, ±inf, NaN).  It then runs the plane
+decode (``ipc_decode_planes``) over random shards — 64-bit levels, levels
+with no plane loaded, one value, counts around the 256-column chunk, every
+prefix — against the unsanitized library.  Any undefined behaviour aborts
+the child.  Skipped when the compiler cannot build or load such a library.
 """
 
 from __future__ import annotations
@@ -48,10 +51,10 @@ with tempfile.TemporaryDirectory() as scratch:
     except OSError as error:
         print("SKIP cannot load a UBSan build:", error)
         sys.exit(0)
-for name in ("ipc_forward", "ipc_reconstruct"):
+for name in ("ipc_forward", "ipc_reconstruct", "ipc_decode_planes"):
     entry, real = getattr(lib, name), getattr(interpolation._SWEEP, name)
     entry.argtypes, entry.restype = real.argtypes, real.restype
-interpolation._SWEEP = lib
+unsanitized, interpolation._SWEEP = interpolation._SWEEP, lib
 
 import test_interpolation_sweep as sweep
 
@@ -68,6 +71,37 @@ for case in sweep._edge_diffs():
     for method in sweep.METHODS:
         sweep.test_the_c_quantizer_is_bitwise_the_numpy_quantizer(case, method)
         runs += 1
+
+# The plane decode over random shards: 64-bit levels, nothing loaded, one
+# value, chunk edges, every prefix; each answer is the unsanitized library's.
+import numpy as np
+from repro.core.kernels import get_kernel
+
+kernel = get_kernel()
+rng = np.random.default_rng(20261008)
+seen = set()
+for trial in range(48):
+    prefix = trial % 4
+    levels = []
+    for _ in range(int(rng.integers(1, 6))):
+        count = int(rng.choice([1, 2, 9, 17, 255, 2047, 2048, 2049]))
+        top = 63 if trial < 16 else int(rng.integers(0, 63))
+        codes = rng.integers(-(2**63), 2**63 - 1, size=count, dtype=np.int64, endpoint=True)
+        codes >>= 63 - top
+        codes[0] = -(2**63) if trial < 16 else codes[0]
+        [(nbits, blocks)] = kernel.encode_planes([codes], prefix)
+        keep = int(rng.choice([0, 0, nbits, int(rng.integers(0, nbits + 1))]))
+        rows = np.frombuffer(b"".join(blocks[:keep]), np.uint8).reshape(keep, (count + 7) // 8)
+        levels.append((rows, count, nbits))
+        seen |= {name for name, hit in (("64 planes", nbits == 64), ("none loaded", keep == 0),
+                                         ("one value", count == 1)) if hit}
+    got = kernel.decode_planes(levels, prefix)
+    interpolation._SWEEP = unsanitized
+    want = kernel.decode_planes(levels, prefix)
+    interpolation._SWEEP = lib
+    assert all(np.array_equal(a, b) for a, b in zip(got, want)), trial
+    runs += 1
+assert {"64 planes", "none loaded", "one value"} <= seen, seen
 print("OK", runs)
 """
 

@@ -1,12 +1,14 @@
-"""Shard-wide kernel hooks: one batched sweep ≡ the per-level loop oracle.
+"""Shard-wide kernel hooks: one batched call ≡ the per-level loop oracle.
 
 ``PlaneKernel.encode_planes`` / ``decode_planes`` take every level of a shard
-at once, lay them side by side in one position-major matrix and sweep them
-together.  The oracle (``tests/oracle_kernel.py``) loops over the bit-by-bit
-primitives one level at a time, so the differential tests below feed the
-sweep *ragged* shards: empty levels, ``nbits == 0``, counts that are not a
-multiple of 8, a different plane prefix loaded per level, every
-``prefix_bits``.
+at once: the encode lays them side by side in one position-major matrix and
+sweeps them together, the decode is one C call that walks them in chunks of
+256 packed columns.  The oracle (``tests/oracle_kernel.py``) loops over the
+bit-by-bit primitives one level at a time, so the differential tests below
+feed the kernel *ragged* shards — empty levels, ``nbits == 0``, counts that
+are not a multiple of 8, a different plane prefix loaded per level, every
+``prefix_bits`` — and the C decode's own edges: 64-bit levels, every
+``keep``, counts 1–17 and around the chunk size, many threads at once.
 
 Every draw comes from hypothesis or a module-local generator (the conftest
 ``rng`` fixture is session-scoped and shared).
@@ -36,8 +38,8 @@ def ragged_shards(draw):
     """Levels of a shard as ``(codes, keep fraction)``, sizes and widths mixed."""
     levels = []
     for _ in range(draw(st.integers(min_value=0, max_value=7))):
-        count = draw(st.sampled_from([0, 0, 1, 3, 7, 8, 9, 16, 37, 64, 65]))
-        spread = draw(st.sampled_from([0, 1, 5, 900, 2**20, 2**40]))
+        count = draw(st.sampled_from([0, 0, 1, 3, 7, 8, 9, 16, 37, 64, 65, 2047, 2049]))
+        spread = draw(st.sampled_from([0, 1, 5, 900, 2**20, 2**40, 2**63 - 1]))
         codes = draw(
             st.lists(
                 st.integers(min_value=-spread, max_value=spread),
@@ -98,11 +100,11 @@ def test_a_single_level_is_the_batch_of_one():
     assert sweep.encode_planes([], 2) == [] and sweep.decode_planes([], 2) == []
 
 
-def _shard(rng: np.random.Generator, sizes):
-    """An encoded shard: ``(levels for decode_planes, expected codes)``."""
+def _shard(rng: np.random.Generator, sizes, prefix_bits: int = 2):
+    """An encoded shard: ``(levels for decode_planes, codes, encoded)``."""
     sweep = get_kernel()
     codes = [rng.integers(-(2**30), 2**30, size=n, dtype=np.int64) for n in sizes]
-    encoded = sweep.encode_planes(codes, 2)
+    encoded = sweep.encode_planes(codes, prefix_bits)
     levels = [
         (plane_rows(blocks, level.size), level.size, nbits)
         for level, (nbits, blocks) in zip(codes, encoded)
@@ -110,36 +112,18 @@ def _shard(rng: np.random.Generator, sizes):
     return levels, codes, encoded
 
 
-def test_threads_decode_different_shards_on_the_shared_instance():
-    """The position-major arena is per thread: no cross-talk between shards.
+def _run_at_once(worker, jobs):
+    """Run ``worker(*job)`` for every job on its own thread, started together."""
+    barrier = threading.Barrier(len(jobs))
 
-    ``get_kernel`` hands every thread the same instance; shards of
-    different geometry decoded (and re-encoded) at the same time must come
-    out exactly as they do alone.
-    """
-    rng = np.random.default_rng(20261002)
-    sweep = get_kernel()
-    shards = [
-        _shard(rng, sizes)
-        for sizes in ((1, 9, 300, 4000), (5000, 2, 65), (7, 7, 7, 1200, 31), (2048,))
-    ]
-    failures = []
-    barrier = threading.Barrier(len(shards))
-
-    def worker(levels, codes, encoded):
+    def run(*job):
         barrier.wait(timeout=30)
-        for _ in range(40):
-            decoded = sweep.decode_planes(levels, 2)
-            if not all(np.array_equal(a, b) for a, b in zip(decoded, codes)):
-                failures.append("decode diverged")
-            again = sweep.encode_planes(codes, 2)
-            if again != encoded:
-                failures.append("encode diverged")
+        worker(*job)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        threads = [threading.Thread(target=worker, args=shard) for shard in shards]
+        threads = [threading.Thread(target=run, args=job) for job in jobs]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -147,6 +131,53 @@ def test_threads_decode_different_shards_on_the_shared_instance():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
+
+
+def test_eight_threads_decoding_different_shards_match_a_serial_decode():
+    """The C decode keeps no state between calls and runs without the GIL:
+    eight threads decoding shards of different geometry and prefix at the
+    same time each get exactly the serial answer."""
+    rng = np.random.default_rng(20261002)
+    sweep = get_kernel()
+    jobs = []
+    for index, sizes in enumerate(
+        ((1, 9, 300, 40000), (50000, 2, 65), (7, 7, 7, 12000, 31), (2048,), (2049, 2047),
+         (30000,), (17, 4097, 6000), (8, 64, 512, 20000))
+    ):
+        levels, _, _ = _shard(rng, sizes, prefix_bits=index % 4)
+        # A different plane prefix loaded per level, so the threads' keeps differ.
+        levels = [(rows[: len(rows) - i % 3], count, nbits) for i, (rows, count, nbits) in enumerate(levels)]
+        serial = [code.copy() for code in sweep.decode_planes(levels, index % 4)]
+        jobs.append((levels, index % 4, serial))
+    failures = []
+
+    def worker(levels, prefix_bits, serial):
+        for _ in range(20):
+            decoded = sweep.decode_planes(levels, prefix_bits)
+            if not all(np.array_equal(a, b) for a, b in zip(decoded, serial)):
+                failures.append("decode diverged")
+
+    _run_at_once(worker, jobs)
+    assert failures == []
+
+
+def test_threads_encode_different_shards_on_the_shared_instance():
+    """The encode's position-major arena is per thread: shards of different
+    geometry encoded at the same time come out exactly as they do alone."""
+    rng = np.random.default_rng(20261004)
+    sweep = get_kernel()
+    jobs = [
+        _shard(rng, sizes)[1:]
+        for sizes in ((1, 9, 300, 4000), (5000, 2, 65), (7, 7, 7, 1200, 31), (2048,))
+    ]
+    failures = []
+
+    def worker(codes, encoded):
+        for _ in range(40):
+            if sweep.encode_planes(codes, 2) != encoded:
+                failures.append("encode diverged")
+
+    _run_at_once(worker, jobs)
     assert failures == []
 
 
@@ -164,6 +195,80 @@ def test_arena_is_not_shared_across_threads():
         t.join()
     grab("main")
     assert len({id(a) for a in arenas.values()}) == len(arenas)
+
+
+# ------------------------------------------------------------ the C's edges
+
+
+def _check_every_keep(codes: np.ndarray, prefix_bits: int, keeps=None) -> int:
+    """The kernel's decode of ``codes``' planes equals the oracle's at every
+    ``keep`` (or those given); returns the level width."""
+    [(nbits, blocks)] = REFERENCE.encode_planes([codes], prefix_bits)
+    sweep = get_kernel()
+    assert sweep.encode_planes([codes], prefix_bits) == [(nbits, blocks)]
+    rows = plane_rows(blocks, codes.size)
+    for keep in range(nbits + 1) if keeps is None else keeps(nbits):
+        [have] = sweep.decode_planes([(rows[:keep], codes.size, nbits)], prefix_bits)
+        [need] = REFERENCE.decode_planes([(blocks[:keep], codes.size, nbits)], prefix_bits)
+        assert have.dtype == np.int64 and np.array_equal(have, need), (keep, nbits, codes.size)
+    assert np.array_equal(have, codes) or keeps is not None
+    return nbits
+
+
+@pytest.mark.parametrize("prefix_bits", [0, 1, 2, 3])
+def test_a_64_bit_level_decodes_at_every_keep(prefix_bits):
+    rng = np.random.default_rng(20261005 + prefix_bits)
+    codes = rng.integers(-(2**63), 2**63 - 1, size=37, dtype=np.int64, endpoint=True)
+    codes[:2] = (-(2**63), 2**63 - 1)
+    # Negabinary needs all 64 digits for values near either end of int64.
+    assert _check_every_keep(codes, prefix_bits) == 64
+
+
+@pytest.mark.parametrize("prefix_bits", [0, 1, 2, 3])
+def test_counts_one_to_seventeen_decode_at_every_keep(prefix_bits):
+    rng = np.random.default_rng(20261006 + prefix_bits)
+    for count in range(1, 18):
+        _check_every_keep(rng.integers(-(2**20), 2**20, size=count, dtype=np.int64), prefix_bits)
+
+
+@pytest.mark.parametrize("count", [8 * 256 - 1, 8 * 256, 8 * 256 + 1, 2 * 8 * 256 + 9])
+@pytest.mark.parametrize("prefix_bits", [0, 1, 2, 3])
+def test_chunk_edges_decode(count, prefix_bits):
+    """A level one value short of, exactly at and past the C's 256-column
+    chunk, and one ending in a short third chunk."""
+    rng = np.random.default_rng(20261007 + count + prefix_bits)
+    codes = rng.integers(-(2**40), 2**40, size=count, dtype=np.int64)
+    _check_every_keep(codes, prefix_bits, keeps=lambda nbits: (0, 1, 7, 8, 9, nbits - 1, nbits))
+
+
+def test_empty_levels_and_an_empty_shard():
+    sweep = get_kernel()
+    assert sweep.decode_planes([], 0) == []
+    empty = np.zeros((0, 0), dtype=np.uint8)
+    decoded = sweep.decode_planes(
+        [(empty, 0, 0), (np.zeros((0, 2), np.uint8), 9, 5), (np.zeros((3, 0), np.uint8), 0, 4)], 2
+    )
+    assert [d.tolist() for d in decoded] == [[], [0] * 9, []]
+    assert all(d.dtype == np.int64 for d in decoded)
+
+
+def test_decode_refuses_what_the_c_cannot_read_safely():
+    """Every level is checked before the C reads a byte of it."""
+    sweep = get_kernel()
+    [(nbits, blocks)] = sweep.encode_planes([np.arange(-32, 32, dtype=np.int64)], 2)
+    rows = plane_rows(blocks, 64)
+    strided = np.zeros((nbits, 16), dtype=np.uint8)[:, ::2]
+    strided[...] = rows
+    for level in (
+        (strided, 64, nbits),  # the right shape, not C-contiguous
+        (rows.astype(np.int8), 64, nbits),  # not uint8
+        (rows, 64, 65),  # wider than 64 planes
+        (rows[:0], 64, -1),  # a negative width
+        (rows[:0], -8, 0),  # a negative count
+        (rows[:0], 64, 65),  # wider than 64, nothing loaded
+    ):
+        with pytest.raises(ValueError):
+            sweep.decode_planes([(rows, 64, nbits), level], 2)
 
 
 # ------------------------------------------------------------- hostile rows
