@@ -133,7 +133,7 @@ def _run_at_once(worker, jobs):
     assert not any(thread.is_alive() for thread in threads)
 
 
-def test_eight_threads_decoding_different_shards_match_a_serial_decode():
+def test_threads_decode_different_shards_on_the_shared_instance():
     """The C decode keeps no state between calls and runs without the GIL:
     eight threads decoding shards of different geometry and prefix at the
     same time each get exactly the serial answer."""
