@@ -1,6 +1,7 @@
 /* The C half of IPComp's read and write paths: the interpolation sweep of
- * repro.core.interpolation (§4.1–§4.3, Fig. 3) and the plane decode of
- * repro.core.kernels (§4.4), the latter at the end of this file.
+ * repro.core.interpolation (§4.1–§4.3, Fig. 3), the plane decode of
+ * repro.core.kernels (§4.4) and the loading planner's DP of
+ * repro.core.optimizer (§5), the latter two at the end of this file.
  *
  * A predictor describes its (level, dim) passes as one int64 pass table,
  * one row per pass in processing order:
@@ -28,6 +29,7 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* What a pass does at each target, from its prediction ``pred``. */
@@ -354,4 +356,112 @@ void ipc_decode_planes(const uint8_t *const *rows, const int64_t *shape, int64_t
         decode_level(rows[l], shape[0], (int)shape[1], (int)shape[2], (int)prefix, next);
         next += shape[0];
     }
+}
+
+/* ------------------------------------------------------------ the planner
+ *
+ * ``ipc_plan`` is the discretized knapsack of repro.core.optimizer (§5.2,
+ * §5.3), one call per plan.  A shard's choices arrive as one flat table:
+ * level ``l`` (in level order) has ``length[l]`` keep choices, and
+ * ``cost[i]`` / ``err[i]`` are the payload bytes and the propagated
+ * Theorem-1 loss of its choice ``k`` at ``i`` = (the lengths before ``l``)
+ * + ``k``.  The error mode minimises Σ cost under Σ err ≤ ``budget``, the
+ * size mode Σ err under Σ cost ≤ ``budget``: a choice's weight ``w``
+ * costs ``ceil(w / budget * bins)`` of the ``bins`` bins.
+ *
+ * Row ``l`` of the DP table is the vector before level ``l``: ``dp[b]`` is
+ * the least value with weight ≤ ``b`` bins.  Each level folds in every
+ * choice, most planes first: ``dp[b + s] = min(dp[b + s], prev[b] + v)``,
+ * an entry replaced only by a smaller sum.  A shift is compared as a double
+ * before it is cast, so one past int64 is merely too large.  The backtrack
+ * redoes the same sums and takes the first choice from the top that
+ * reproduces ``dp[r]``.  These are the numpy DP's own operations, in its
+ * order, so every plan is bitwise that DP's.  The table is allocated per
+ * call: plans run from many threads at once. */
+
+/* ``dp[b] = min(dp[b], prev[b] + v)`` for ``b < m``, ``m`` a multiple of
+ * 8, so that GCC vectorises the loop at -O2 with no scalar tail. */
+static void fold(const double *restrict prev, double *restrict dp, double v, int64_t m)
+{
+    for (int64_t b = 0; b < m; ++b) {
+        const double c = prev[b] + v;
+        dp[b] = c < dp[b] ? c : dp[b];
+    }
+}
+
+/* The plan of ``nlevels`` levels under ``budget`` (> 0): the error mode
+ * when ``by_size`` is 0, else the size mode.  Writes each level's keep to
+ * ``keep`` and the plan's Theorem-1 bound, ``eb`` plus its losses summed in
+ * level order, to ``*error``; returns its payload bytes.  Returns -1 when
+ * no plan has a finite value (the backtrack cannot miss: every finite
+ * entry is one of the sums it redoes) and -2 when the table cannot be
+ * allocated. */
+int64_t ipc_plan(const double *cost, const double *err, const int64_t *length, int64_t nlevels,
+                 int64_t by_size, double budget, int64_t bins, double eb, int64_t *keep,
+                 double *error)
+{
+    const double *const weight = by_size ? cost : err, *const value = by_size ? err : cost;
+    const double top = (double)bins;
+    const int64_t n = bins + 1;
+    /* A fold of ``m`` entries from ``b`` = 0 reaches ``n + 6``. */
+    const int64_t stride = ((n + 7) & ~(int64_t)7) + 8;
+    double *const table = malloc(sizeof *table * (size_t)(stride * (nlevels + 1)));
+    if (!table) {
+        return -2;
+    }
+    for (int64_t b = 0; b < stride; ++b) {
+        table[b] = b < n ? 0.0 : INFINITY;
+    }
+    int64_t first = 0;
+    for (int64_t l = 0; l < nlevels; first += length[l], ++l) {
+        const double *const prev = table + l * stride, *const w = weight + first,
+                           *const v = value + first;
+        double *const dp = table + (l + 1) * stride;
+        for (int64_t b = 0; b < stride; ++b) {
+            dp[b] = INFINITY;
+        }
+        for (int64_t k = length[l] - 1; k >= 0; --k) {
+            const double shift = ceil(w[k] / budget * top);
+            if (shift <= top) {
+                const int64_t s = (int64_t)shift;
+                fold(prev, dp + s, v[k], (n - s + 7) & ~(int64_t)7);
+            }
+        }
+    }
+    double best = table[nlevels * stride + bins];
+    int64_t payload = -1;
+    if (isfinite(best)) {
+        int64_t remaining = bins;
+        for (int64_t l = nlevels - 1; l >= 0; --l) {
+            first -= length[l];
+            const double *const prev = table + l * stride, *const w = weight + first,
+                               *const v = value + first;
+            int64_t k = length[l], s = 0;
+            while (k-- > 0) {
+                const double shift = ceil(w[k] / budget * top);
+                if (shift <= (double)remaining) {
+                    s = (int64_t)shift;
+                    if (prev[remaining - s] + v[k] == best) {
+                        break;
+                    }
+                }
+            }
+            if (k < 0) {
+                goto done;
+            }
+            keep[l] = k;
+            remaining -= s;
+            best = prev[remaining];
+        }
+        double total = eb;
+        payload = 0;
+        for (int64_t l = 0; l < nlevels; first += length[l], ++l) {
+            total += err[first + keep[l]];
+            payload += (int64_t)cost[first + keep[l]];
+        }
+        *error = total;
+    }
+done:
+    free(table);
+    return payload;
 }

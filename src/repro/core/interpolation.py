@@ -61,8 +61,9 @@ SHARED_PREDICTORS = 32
 # Every pass runs in C (``_sweep.c``, next to this file), one call per shard
 # and direction.  It is compiled at import with the platform's C compiler
 # into a per-user cache and loaded with ctypes, whose calls release the GIL.
-# The same library holds the plane decode of :mod:`repro.core.kernels`,
-# which loads it through :func:`_sweep` too.
+# The same library holds the plane decode of :mod:`repro.core.kernels` and
+# the planner's DP of :mod:`repro.core.optimizer`, which load it through
+# :func:`_sweep` too.
 # ``-ffp-contract=off`` keeps each multiply and add its own rounding (GCC on
 # aarch64 would fuse them into FMAs), so every answer is bitwise the numpy
 # sweep and quantizer the predictor was first written as.
@@ -141,6 +142,10 @@ def _load_sweep() -> ctypes.CDLL:
     lib.ipc_forward.restype = i64
     lib.ipc_decode_planes.argtypes = [pointer, pointer, i64, i64, pointer]
     lib.ipc_decode_planes.restype = None
+    lib.ipc_plan.argtypes = [
+        pointer, pointer, pointer, i64, i64, ctypes.c_double, i64, ctypes.c_double, pointer, pointer
+    ]
+    lib.ipc_plan.restype = i64
     return lib
 
 

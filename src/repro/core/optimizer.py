@@ -16,26 +16,33 @@ next bin so discretization can never produce a plan that violates the
 constraint; the price is a marginally conservative plan, which matches the
 paper's "negligible overhead, strictly bounded" framing.
 
-One routine, :meth:`OptimizedLoader._knapsack`, runs the DP for both modes
-with the two tables' roles swapped, without per-choice allocations or choice
-tables; its plans are bitwise those of the straightforward loops kept in
-``tests/oracle_optimizer.py``.  The per-level tables it runs over are built
-by the first DP: a loader that only ever answers the stored bound (the full
-plan) never builds them.  Every target must be a positive finite number;
-anything else is a :class:`~repro.errors.ConfigurationError`.
+The DP runs in C, one call per plan (``ipc_plan`` in ``_sweep.c``, the
+library :mod:`repro.core.interpolation` builds and loads): the fold, the
+backtrack and the plan's payload and Theorem-1 sums, for both modes with the
+two tables' roles swapped, over a table allocated per call (plans run from
+many threads at once).  It reads one flat table per shard — the cost and
+error of every keep choice of every level, concatenated in level order, plus
+the per-level lengths — which the first DP builds in a few numpy calls; a
+loader that only ever answers the stored bound (the full plan) never builds
+it.  Its plans are bitwise those of the numpy fold and of the plain loops
+kept in ``tests/oracle_optimizer.py``.  Every target must be a positive
+finite number; anything else is a :class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from operator import attrgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.core.interpolation import _sweep
 from repro.core.stream import StreamHeader
 from repro.core.theory import propagation_factor
 from repro.errors import ConfigurationError, RetrievalError
@@ -69,6 +76,19 @@ class LoadingPlan:
         return 8.0 * self.total_bytes / n_elements
 
 
+class _ChoiceTable(NamedTuple):
+    """A shard's keep choices, flat, in level order: ``cost[i]`` / ``err[i]``
+    are the payload bytes and the propagated Theorem-1 loss of level ``l``'s
+    choice ``k`` at ``i = starts[l] + k``, ``lengths[l] = nbits + 1``."""
+
+    cost: np.ndarray
+    err: np.ndarray
+    lengths: np.ndarray
+    starts: Dict[int, int]
+    #: The three arrays' addresses, taken once (the tuple keeps them alive).
+    addresses: Tuple[int, int, int]
+
+
 class OptimizedLoader:
     """Plan minimal-volume retrievals from a stream header alone."""
 
@@ -78,22 +98,49 @@ class OptimizedLoader:
         self._levels = sorted(header.levels, key=attrgetter("level"))
 
     @cached_property
+    def _table(self) -> _ChoiceTable:
+        # Built by the first DP (or error/payload query): a read at the
+        # stored bound takes :meth:`_full_plan` and never needs it.
+        levels = self._levels
+        lengths = [enc.nbits + 1 for enc in levels]
+        firsts = list(accumulate(lengths, initial=0))[:-1]
+        # cost[k] = bytes loaded when keeping the k most significant planes:
+        # one running sum over every level's [0, *plane sizes], less its
+        # value at the level's first choice (exact: every sum is an integer).
+        sizes: List[int] = []
+        for enc in levels:
+            sizes.append(0)
+            sizes.extend(self.header.plane_sizes[enc.level])
+        running = np.cumsum(np.array(sizes, dtype=np.float64))
+        cost = running - np.repeat(running[firsts], lengths)
+        # err[k] = propagated Theorem-1 error when keeping k planes, the
+        # level's δ table reversed: the tables in reverse level order,
+        # concatenated and reversed as one.  Stream groups are per
+        # interpolation sweep, so the information loss of group ``l``
+        # passes through exactly ``l − 1`` later prediction sweeps and the
+        # paper's p^(l−1) factor is exact.
+        factors = [propagation_factor(self.header.method, enc.level) for enc in levels]
+        delta = np.concatenate(
+            [enc.delta_table for enc in reversed(levels)] or [[]], dtype=np.float64
+        )[::-1]
+        err = np.repeat(factors, lengths) * delta
+        counts = np.array(lengths, dtype=np.int64)
+        return _ChoiceTable(
+            cost,
+            err,
+            counts,
+            {enc.level: first for enc, first in zip(levels, firsts)},
+            (cost.ctypes.data, err.ctypes.data, counts.ctypes.data),
+        )
+
+    @cached_property
     def _choice_cache(self) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-        # Per level, the cost and error of every keep choice.  Built by the
-        # first DP (or error/payload query): a read at the stored bound
-        # takes :meth:`_full_plan` and never needs them.
-        choices: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        for enc in self._levels:
-            # cost[k] = bytes loaded when keeping the k most significant planes.
-            cost = np.cumsum([0, *self.header.plane_sizes[enc.level]], dtype=np.float64)
-            # error[k] = propagated Theorem-1 error when keeping k planes.
-            # Stream groups are per interpolation sweep, so the information
-            # loss of group ``l`` passes through exactly ``l − 1`` later
-            # prediction sweeps and the paper's p^(l−1) factor is exact.
-            delta = np.asarray(enc.delta_table, dtype=np.float64)
-            err = propagation_factor(self.header.method, enc.level) * delta[::-1]
-            choices[enc.level] = (cost, err)
-        return choices
+        """Per level, in level order, views of its cost and error choices."""
+        table = self._table
+        return {
+            level: (table.cost[first : first + n], table.err[first : first + n])
+            for (level, first), n in zip(table.starts.items(), table.lengths.tolist())
+        }
 
     # ----------------------------------------------------------------- helpers
 
@@ -108,19 +155,15 @@ class OptimizedLoader:
     def plan_error(self, keep: Dict[int, int]) -> float:
         """Theorem-1 error bound of an arbitrary keep-assignment."""
         total = self.header.error_bound
-        for enc in self._levels:
-            k = keep.get(enc.level, 0)
-            _, err = self._choice_cache[enc.level]
-            total += float(err[k])
+        for level, (_, err) in self._choice_cache.items():
+            total += float(err[keep.get(level, 0)])
         return total
 
     def plan_payload(self, keep: Dict[int, int]) -> int:
         """Plane bytes loaded by an arbitrary keep-assignment."""
         payload = 0
-        for enc in self._levels:
-            k = keep.get(enc.level, 0)
-            cost, _ = self._choice_cache[enc.level]
-            payload += int(cost[k])
+        for level, (cost, _) in self._choice_cache.items():
+            payload += int(cost[keep.get(level, 0)])
         return payload
 
     def _make_plan(self, keep: Dict[int, int]) -> LoadingPlan:
@@ -133,55 +176,33 @@ class OptimizedLoader:
 
     # -------------------------------------------------------------- the DP
 
-    def _knapsack(
-        self, budget: float, weight: List[np.ndarray], value: List[np.ndarray]
-    ) -> Optional[Dict[int, int]]:
-        """Per level, the keep that minimises Σ ``value`` subject to
-        Σ ``weight`` ≤ ``budget`` (one table of each per level, in level
-        order); ``None`` when no plan fits.
-
-        ``dp[b]`` is the least value with total weight ≤ ``(b / bins) ·
-        budget``.  Each level folds in every keep ``k``, most planes first,
-        by a shifted add and an elementwise minimum that keeps the first
-        occurrence.  The backtrack redoes the same float sums, so the first
-        ``k`` that reproduces ``dp[r]`` is the one the fold chose.
-        """
-        bins = DEFAULT_BINS
-        n = bins + 1
-        # Shifts stay floats until they are known to fit: a budget a hair
-        # above zero puts some past int64, where a cast would wrap them
-        # negative and make them free.
-        shifts = [np.ceil(w / budget * bins).tolist() for w in weight]
-        values = [v.tolist() for v in value]
-        # Row i is the DP vector before level i; the last row is the answer.
-        table = np.full((len(shifts) + 1, n), np.inf)
-        table[0] = 0.0
-        candidate = np.empty(n)
-        for prev, dp, shift, val in zip(table, table[1:], shifts, values):
-            for k in range(len(shift) - 1, -1, -1):
-                if shift[k] <= bins:
-                    s = int(shift[k])
-                    out, cand = dp[s:], candidate[s:]
-                    np.add(prev[: n - s], val[k], out=cand)
-                    np.minimum(out, cand, out=out)
-        best = table[-1, bins]
-        if not np.isfinite(best):
+    def _knapsack(self, budget: float, by_size: bool) -> Optional[LoadingPlan]:
+        """The plan that minimises Σ error subject to Σ cost ≤ ``budget``
+        (``by_size``) or Σ cost subject to Σ error ≤ ``budget``; ``None``
+        when no plan has a finite value.  One C call (module docstring)."""
+        table = self._table
+        keep = (ctypes.c_int64 * len(table.starts))()
+        error = ctypes.c_double()
+        payload = _sweep().ipc_plan(
+            *table.addresses,
+            len(keep),
+            by_size,
+            float(budget),
+            DEFAULT_BINS,
+            self.header.error_bound,
+            keep,
+            ctypes.byref(error),
+        )
+        if payload == -2:
+            raise MemoryError("no memory for the planner's DP table")
+        if payload < 0:
             return None
-
-        keep: Dict[int, int] = {}
-        remaining = bins
-        for enc, prev, shift, val in zip(
-            reversed(self._levels), table[-2::-1], reversed(shifts), reversed(values)
-        ):
-            for k in range(len(shift) - 1, -1, -1):
-                if shift[k] <= remaining:
-                    s = int(shift[k])
-                    if prev[remaining - s] + val[k] == best:
-                        break
-            keep[enc.level] = k
-            remaining -= s
-            best = prev[remaining]
-        return keep
+        return LoadingPlan(
+            keep=dict(zip(table.starts, keep)),
+            predicted_error=error.value,
+            payload_bytes=payload,
+            overhead_bytes=self.overhead_bytes,
+        )
 
     # ------------------------------------------------------------- error mode
 
@@ -199,11 +220,7 @@ class OptimizedLoader:
         budget = min(target_error, sys.float_info.max) - self.header.error_bound
         if budget <= 0:
             return self._full_plan()
-        choices = self._choice_cache.values()
-        keep = self._knapsack(
-            budget, [err for _, err in choices], [cost for cost, _ in choices]
-        )
-        return self._full_plan() if keep is None else self._make_plan(keep)
+        return self._knapsack(budget, by_size=False) or self._full_plan()
 
     # ----------------------------------------------------------- bitrate mode
 
@@ -220,12 +237,12 @@ class OptimizedLoader:
         full = self._full_plan()
         if full.payload_bytes <= budget:
             return full
-        # Keeping no plane costs nothing, so some plan always fits.
-        choices = self._choice_cache.values()
-        keep = self._knapsack(
-            budget, [cost for cost, _ in choices], [err for _, err in choices]
-        )
-        return self._make_plan(keep)
+        # Keeping no plane costs nothing, so some plan always fits; only a
+        # loss table that overflows to inf leaves none of finite error.
+        plan = self._knapsack(budget, by_size=True)
+        if plan is None:
+            raise RetrievalError(f"no plan within {byte_budget} B has a finite error bound")
+        return plan
 
     def plan_for_bitrate(self, bitrate: float) -> LoadingPlan:
         """Convenience wrapper: budget expressed in bits per scalar value."""
