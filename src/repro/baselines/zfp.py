@@ -24,6 +24,7 @@ on.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Tuple
 
 import numpy as np
@@ -204,8 +205,8 @@ class ZFPCompressor(LossyCompressor):
                 f"ZFP payload holds {len(payload)} bytes, expected "
                 f"{kept} planes of {row_bytes}"
             )
-        rows = np.frombuffer(payload, dtype=np.uint8).reshape(kept, row_bytes)
-        (codes,) = get_kernel().decode_planes([(rows, count, nbits)], 0)
+        rows = np.frombuffer(payload, dtype=np.uint8)
+        (codes,) = get_kernel().decode_planes(rows, array("q", (0, kept, count, nbits)), 0)
 
         ndim = len(shape)
         block_shape = (-1,) + (BLOCK,) * ndim

@@ -343,19 +343,37 @@ static void decode_level(const uint8_t *rows, int64_t count, int nbits, int keep
     }
 }
 
-/* Every level of a shard: level ``l`` reads ``rows[l]`` and its
- * ``shape[3l … 3l + 2]`` = (count, nbits, keep), and writes its ``count``
- * int64 codes after the previous level's in ``out``.  The caller checks
- * 0 <= keep <= nbits <= 64, 0 <= prefix <= 3 and that ``rows[l]`` holds
- * ``keep * ceil(count / 8)`` bytes. */
-void ipc_decode_planes(const uint8_t *const *rows, const int64_t *shape, int64_t nlevels,
-                       int64_t prefix, int64_t *out)
+/* Every level of a shard, from one buffer of ``size`` bytes holding the
+ * loaded rows: level ``l`` is ``levels[4l … 4l + 3]`` = (offset, keep,
+ * count, nbits), its ``keep`` rows at byte ``offset`` of ``rows``, and it
+ * writes its ``count`` int64 codes after the previous level's in ``out``.
+ * Every level is checked before any is decoded: 0 <= count, 0 <= keep <=
+ * nbits <= 64 and 0 <= offset <= size, its rows inside the buffer.
+ * Returns 0, or 1 + the first level that fails; the caller checks
+ * 0 <= prefix <= 3. */
+int64_t ipc_decode_planes(const uint8_t *rows, int64_t size, const int64_t *levels,
+                          int64_t nlevels, int64_t prefix, int64_t *out)
 {
-    uint64_t *next = (uint64_t *)out;
-    for (int64_t l = 0; l < nlevels; ++l, shape += 3) {
-        decode_level(rows[l], shape[0], (int)shape[1], (int)shape[2], (int)prefix, next);
-        next += shape[0];
+    for (int64_t l = 0; l < nlevels; ++l) {
+        const int64_t *const level = levels + 4 * l;
+        const int64_t offset = level[0], keep = level[1], count = level[2], nbits = level[3];
+        if (count < 0 || keep < 0 || keep > nbits || nbits > 64 || offset < 0 || offset > size) {
+            return l + 1;
+        }
+        /* ceil(count / 8) without overflow; the rows fit iff keep * nbytes
+         * <= size - offset, tested without the product. */
+        const int64_t nbytes = count / 8 + (count % 8 != 0);
+        if (keep > 0 && nbytes > (size - offset) / keep) {
+            return l + 1;
+        }
     }
+    uint64_t *next = (uint64_t *)out;
+    for (int64_t l = 0; l < nlevels; ++l, levels += 4) {
+        decode_level(rows + levels[0], levels[2], (int)levels[3], (int)levels[1], (int)prefix,
+                     next);
+        next += levels[2];
+    }
+    return 0;
 }
 
 /* ------------------------------------------------------------ the planner

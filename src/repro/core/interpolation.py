@@ -140,8 +140,8 @@ def _load_sweep() -> ctypes.CDLL:
     lib.ipc_reconstruct.restype = None
     lib.ipc_forward.argtypes = [pointer, pointer, pointer, i64, i64, pointer, ctypes.c_double]
     lib.ipc_forward.restype = i64
-    lib.ipc_decode_planes.argtypes = [pointer, pointer, i64, i64, pointer]
-    lib.ipc_decode_planes.restype = None
+    lib.ipc_decode_planes.argtypes = [pointer, i64, pointer, i64, i64, pointer]
+    lib.ipc_decode_planes.restype = i64
     lib.ipc_plan.argtypes = [
         pointer, pointer, pointer, i64, i64, ctypes.c_double, i64, ctypes.c_double, pointer, pointer
     ]

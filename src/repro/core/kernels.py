@@ -15,10 +15,11 @@ shard** in one call (:meth:`PlaneKernel.encode_planes` /
   prediction commutes with bit packing (pad bits are zero on both sides),
   so it runs on the 8×-smaller packed rows.
 * **decode** is one call into C (``ipc_decode_planes`` in ``_sweep.c``, the
-  library :mod:`repro.core.interpolation` builds and loads), which walks
-  each level in chunks of packed columns with the same 8×8 bit transpose;
-  the checks that keep it inside its rows are made here.  ctypes releases
-  the GIL for the call, and the C keeps no state between calls.
+  library :mod:`repro.core.interpolation` builds and loads) over the
+  shard's one row buffer and a table of each level's offset and shape: it
+  checks that every level lies inside the buffer, then walks each level in
+  chunks of packed columns with the same 8×8 bit transpose.  ctypes
+  releases the GIL for the call, and the C keeps no state between calls.
 
 There is one implementation and no selector: :func:`get_kernel` returns the
 one process-wide instance.  The byte-identity contract — both directions
@@ -36,7 +37,9 @@ is a correctness requirement, not an optimisation.
 
 from __future__ import annotations
 
+import ctypes
 import threading
+from array import array
 from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
@@ -58,13 +61,19 @@ def check_prefix_bits(prefix_bits: int) -> None:
         raise ConfigurationError("prefix_bits must be in [0, 3]")
 
 
-#: One level as :meth:`PlaneKernel.decode_planes` takes it: the loaded packed
-#: plane rows (most significant first) as one C-contiguous
-#: ``(keep, ceil(count / 8))`` ``uint8`` array — what the progressive
-#: retriever keeps resident, handed over as a view, never copied row by row —
-#: the value count, and the level width.
-LevelPlanes = Tuple[np.ndarray, int, int]
+#: A shard's level table as :meth:`PlaneKernel.decode_planes` takes it: an
+#: ``array("q")`` of four int64s per level, ``(offset, keep, count, nbits)``
+#: — the level's ``keep`` loaded packed plane rows (most significant first)
+#: of ``ceil(count / 8)`` bytes each, from byte ``offset`` of the shard's one
+#: row buffer (the progressive retriever's resident rows, handed over whole,
+#: never copied row by row), its value count and its width.  A typed buffer
+#: the C reads in place: its address costs no wrapper.
+LevelTable = array
 _BYTE = np.dtype(np.uint8)
+#: ``addressof(_VIEW.from_buffer(a))`` is the address of a writable array
+#: ``a``, an empty one too, for a third of what numpy's ``a.ctypes.data``
+#: costs.
+_VIEW = ctypes.c_char * 0
 
 
 class _BufferArena:
@@ -207,54 +216,49 @@ class PlaneKernel:
         ]
 
     def decode_planes(
-        self, levels: Sequence[LevelPlanes], prefix_bits: int
+        self, rows: np.ndarray, levels: LevelTable, prefix_bits: int
     ) -> List[np.ndarray]:
         """Invert :meth:`encode_planes` for each level's loaded plane prefix.
 
-        Every entry of ``levels`` is ``(raw_planes, count, nbits)``
-        (:data:`LevelPlanes`): the losslessly *decoded* packed plane rows
-        that were loaded, as one C-contiguous ``(keep, ceil(count / 8))``
-        ``uint8`` array (most significant first — the predictive coder
-        validates and trims them), the number of values and the level width
-        (0 to 64).  Unloaded low planes are treated as zero.  Returns the
-        ``int64`` quantization codes of every level, in order, as views of
-        one fresh buffer.
+        ``rows`` is one C-contiguous 1-D ``uint8`` buffer holding the
+        losslessly *decoded* packed plane rows that were loaded (the
+        predictive coder validates and trims them), and ``levels`` the
+        shard's :data:`LevelTable`, each level's ``(offset, keep, count,
+        nbits)`` in it; a caller with one level passes offset 0.  Unloaded
+        low planes are treated as zero.  Returns the ``int64`` quantization
+        codes of every level, in order, as views of one fresh buffer.
 
         The whole shard is one C call (``ipc_decode_planes`` in
-        ``_sweep.c``); the checks here are what keeps it inside its rows.
+        ``_sweep.c``), which checks that every level's rows lie inside
+        ``rows`` before it reads any; a level that does not is a
+        ``ValueError``.
         """
         check_prefix_bits(prefix_bits)
-        addresses, shape = [], []
-        for rows, count, nbits in levels:
-            if count < 0 or not 0 <= nbits <= 64:
-                raise ValueError(f"a level of {count} values × {nbits} planes (0 to 64)")
-            nbytes = (count + 7) // 8
-            keep = len(rows)
-            if (
-                keep > nbits
-                or not isinstance(rows, np.ndarray)
-                or rows.dtype != _BYTE
-                or rows.shape != (keep, nbytes)
-                or not rows.flags.c_contiguous
-            ):
-                raise ValueError(
-                    f"{keep} plane rows for a level of {nbits} planes × {nbytes} "
-                    f"bytes are not one C-contiguous ({keep}, {nbytes}) uint8 array"
-                )
-            addresses.append(rows.ctypes.data if keep and count else 0)
-            shape += (count, nbits, keep)
-        counts = shape[::3]
-        codes = np.empty(sum(counts), dtype=np.int64)
-        # Both tables stay bound until the call returns.
-        address_table = np.array(addresses, dtype=np.uintp)
-        shape_table = np.array(shape, dtype=np.int64)
-        _sweep().ipc_decode_planes(
-            address_table.ctypes.data,
-            shape_table.ctypes.data,
+        if not (
+            isinstance(rows, np.ndarray)
+            and rows.dtype == _BYTE
+            and rows.ndim == 1
+            and rows.flags.c_contiguous
+        ):
+            raise ValueError("the plane rows are not one C-contiguous 1-D uint8 array")
+        if not (isinstance(levels, array) and levels.typecode == "q" and len(levels) % 4 == 0):
+            raise ValueError("the level table is not an array('q') of four ints per level")
+        counts = levels[2::4]
+        codes = np.empty(max(sum(counts), 0), dtype=np.int64)
+        failed = _sweep().ipc_decode_planes(
+            rows.ctypes.data,
+            rows.size,
+            levels.buffer_info()[0],
             len(counts),
             prefix_bits,
-            codes.ctypes.data,
+            ctypes.addressof(_VIEW.from_buffer(codes)),
         )
+        if failed:
+            offset, keep, count, nbits = levels[4 * failed - 4 : 4 * failed]
+            raise ValueError(
+                f"level {failed - 1}: {keep} of {nbits} plane rows (0 to 64) of "
+                f"{count} values from byte {offset} are not inside {rows.size} bytes"
+            )
         starts = accumulate(counts, initial=0)
         return [codes[start : start + count] for start, count in zip(starts, counts)]
 

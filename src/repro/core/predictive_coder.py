@@ -45,6 +45,7 @@ mostly zero.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -52,7 +53,7 @@ import numpy as np
 
 from repro.coders.backend import Backend, RawCoder, get_backend
 from repro.coders.zlib_backend import ZlibCoder
-from repro.core.kernels import get_kernel
+from repro.core.kernels import LevelTable, get_kernel
 from repro.core.negabinary import truncation_error_tables
 from repro.core.profile import CodecProfile
 from repro.core.quantizer import LinearQuantizer
@@ -295,21 +296,16 @@ class PredictiveCoder:
             )
         return row[:row_bytes]
 
-    def codes_from_rows(
-        self, levels: Iterable[Tuple["LevelEncoding", np.ndarray]]
-    ) -> List[np.ndarray]:
+    def codes_from_rows(self, rows: np.ndarray, levels: LevelTable) -> List[np.ndarray]:
         """Integer codes of a shard's levels from their loaded, validated rows.
 
-        Each pair is a level's metadata and its loaded :meth:`decode_row`
-        rows, most significant first, as one ``(keep, row_bytes)`` ``uint8``
-        array (:data:`repro.core.kernels.LevelPlanes`); unloaded planes
-        count as zero — exactly what the interpolation
-        reconstruction is fed.  The bit-level inverse chain of all levels
-        is one kernel hook call.
+        ``rows`` is one ``uint8`` buffer of :meth:`decode_row` rows and
+        ``levels`` each level's ``(offset, keep, count, nbits)`` in it
+        (:data:`repro.core.kernels.LevelTable`); unloaded planes count as
+        zero — exactly what the interpolation reconstruction is fed.  The
+        bit-level inverse chain of all levels is one kernel hook call.
         """
-        return get_kernel().decode_planes(
-            [(rows, meta.count, meta.nbits) for meta, rows in levels], self.prefix_bits
-        )
+        return get_kernel().decode_planes(rows, levels, self.prefix_bits)
 
     def decode_levels_codes(
         self, levels: Iterable[Tuple["LevelEncoding", Sequence[bytes]]]
@@ -319,16 +315,19 @@ class PredictiveCoder:
         Each pair is a level's metadata and its first ``len(blocks)`` plane
         blocks.  Lossless decoding dispatches per plane (the header names a
         coder for each) and every row is validated here, once
-        (:meth:`decode_row`); the rest is :meth:`codes_from_rows`.
+        (:meth:`decode_row`); the rows go into one buffer for
+        :meth:`codes_from_rows`.
         """
-        batch = []
+        rows: List[bytes] = []
+        table = array("q")
+        offset = 0
         for meta, blocks in levels:
             if len(blocks) > meta.nbits:
                 raise StreamFormatError("more plane blocks supplied than the level width")
-            rows = b"".join(self.decode_row(meta, plane, b) for plane, b in enumerate(blocks))
-            row_bytes = (meta.count + 7) // 8
-            batch.append((meta, np.frombuffer(rows, np.uint8).reshape(len(blocks), row_bytes)))
-        return self.codes_from_rows(batch)
+            rows.extend(self.decode_row(meta, plane, b) for plane, b in enumerate(blocks))
+            table.extend((offset, len(blocks), meta.count, meta.nbits))
+            offset += len(blocks) * ((meta.count + 7) // 8)
+        return self.codes_from_rows(np.frombuffer(b"".join(rows), np.uint8), table)
 
     def decode_level_codes(
         self,

@@ -41,7 +41,8 @@ which is the quantity Figures 6 and 7 of the paper plot.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from array import array
+from itertools import accumulate, chain
 from operator import itemgetter
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -117,6 +118,14 @@ class ProgressiveRetriever:
         )
         numbers = [enc.level for enc in header.levels]
         self._rows = dict(zip(numbers, zip(starts, row_bytes)))
+        # The decode's level table: (offset, keep, count, nbits) per level,
+        # its keeps refreshed from ``_current_keep`` before each decode.
+        self._table = array(
+            "q",
+            chain.from_iterable(
+                (start, 0, enc.count, enc.nbits) for enc, start in zip(header.levels, starts)
+            ),
+        )
         try:
             self._buffer = np.empty(starts[-1], dtype=np.uint8)
         except (MemoryError, ValueError) as exc:
@@ -242,10 +251,9 @@ class ProgressiveRetriever:
         if not self._header_charged:
             bytes_loaded += self.store.header_bytes
         # One decode call for the whole shard: one C call walks every level
-        # instead of paying a fixed dispatch cost per level.
-        codes = self.coder.codes_from_rows(
-            (enc, self._loaded_rows(enc.level)) for enc in levels
-        )
+        # of the one row buffer instead of paying a fixed cost per level.
+        self._table[1::4] = array("q", self._current_keep.values())
+        codes = self.coder.codes_from_rows(self._buffer, self._table)
         # The dequantize rides the interpolation add: each sweep multiplies
         # its slice of the codes by the bin width.
         output = self.predictor.reconstruct(
@@ -308,12 +316,6 @@ class ProgressiveRetriever:
         for level, keep in self._current_keep.items():
             if keep < target_keep[level]:
                 raise StreamFormatError(f"level {level} plane {keep} is an empty block")
-
-    def _loaded_rows(self, level: int) -> np.ndarray:
-        """The resident rows of ``level``, a ``(keep, n)`` view of the buffer."""
-        start, n = self._rows[level]
-        keep = self._current_keep[level]
-        return self._buffer[start : start + keep * n].reshape(keep, n)
 
     # ------------------------------------------------------------------- state
 

@@ -17,6 +17,7 @@ at a time, so a test can substitute the oracle for the production instance
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -208,13 +209,18 @@ class OracleKernel:
         _check_prefix_bits(prefix_bits)
         return [self._encode_level(codes, prefix_bits) for codes in levels]
 
-    def decode_planes(self, levels, prefix_bits: int) -> List[np.ndarray]:
-        """``int64`` codes per ``(raw_planes, count, nbits)`` level, one at a time."""
+    def decode_planes(self, rows: np.ndarray, levels, prefix_bits: int) -> List[np.ndarray]:
+        """``int64`` codes per level of the row buffer ``rows``, one level at
+        a time; ``levels`` holds ``(offset, keep, count, nbits)`` per level."""
         _check_prefix_bits(prefix_bits)
-        return [
-            self._decode_level(raw_planes, count, nbits, prefix_bits)
-            for raw_planes, count, nbits in levels
-        ]
+        decoded = []
+        for offset, keep, count, nbits in zip(*[iter(levels)] * 4):
+            nbytes = (count + 7) // 8
+            raw_planes = [
+                bytes(rows[offset + r * nbytes : offset + (r + 1) * nbytes]) for r in range(keep)
+            ]
+            decoded.append(self._decode_level(raw_planes, count, nbits, prefix_bits))
+        return decoded
 
     def _encode_level(
         self, codes: np.ndarray, prefix_bits: int
@@ -246,6 +252,20 @@ class OracleKernel:
 
 
 def plane_rows(blocks: Sequence[bytes], count: int) -> np.ndarray:
-    """Packed plane rows (``encode_planes``' blocks) as the one
-    ``(len(blocks), ceil(count / 8))`` ``uint8`` array ``decode_planes`` takes."""
+    """Packed plane rows (``encode_planes``' blocks) as one
+    ``(len(blocks), ceil(count / 8))`` ``uint8`` array."""
     return np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(len(blocks), (count + 7) // 8)
+
+
+def shard_rows(levels) -> Tuple[np.ndarray, array]:
+    """``decode_planes``' first two arguments from levels given as
+    ``(planes, count, nbits)``, ``planes`` a level's loaded plane blocks or
+    its rows as one array: the one row buffer, every level's rows after the
+    last's, and the level table, ``(offset, keep, count, nbits)`` a level."""
+    parts, table, offset = [], array("q"), 0
+    for planes, count, nbits in levels:
+        data = planes.tobytes() if isinstance(planes, np.ndarray) else b"".join(planes)
+        table.extend((offset, len(planes), count, nbits))
+        parts.append(data)
+        offset += len(data)
+    return np.frombuffer(b"".join(parts), dtype=np.uint8), table

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from oracle_kernel import plane_rows
+from oracle_kernel import plane_rows, shard_rows
 
 from repro.core.kernels import get_kernel
 from repro.core.negabinary import from_negabinary, to_negabinary, truncate_low_planes
@@ -30,7 +30,7 @@ def _encode(values, prefix_bits=0):
 
 
 def _decode(rows, count, nbits, prefix_bits=0):
-    (codes,) = KERNEL.decode_planes([(rows, count, nbits)], prefix_bits)
+    (codes,) = KERNEL.decode_planes(*shard_rows([(rows, count, nbits)]), prefix_bits)
     return codes
 
 
@@ -99,7 +99,7 @@ def test_invalid_prefix_bits_rejected(rng):
     with pytest.raises(ConfigurationError):
         KERNEL.encode_planes([values], 4)
     with pytest.raises(ConfigurationError):
-        KERNEL.decode_planes([], -1)
+        KERNEL.decode_planes(*shard_rows([]), -1)
 
 
 def test_level_width_is_one_to_64_planes():

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracle_kernel import OracleKernel, plane_rows
+from oracle_kernel import OracleKernel, shard_rows
 from repro.core.compressor import IPComp
 from repro.core.kernels import get_kernel
 from repro.core.profile import CodecProfile
@@ -76,7 +76,7 @@ def test_encode_planes_hook_parity_across_kernels():
                 [(nbits, blocks)] = outs[0]
                 for keep in {0, 1, nbits // 2, nbits}:
                     decoded = [
-                        k.decode_planes([(plane_rows(blocks[:keep], n), n, nbits)], prefix_bits)[0]
+                        k.decode_planes(*shard_rows([(blocks[:keep], n, nbits)]), prefix_bits)[0]
                         for k in kernels
                     ]
                     for other in decoded[1:]:

@@ -10,8 +10,11 @@ quantizer's edge cases: half-bin ties, nudged codes, codes near ±2^62, and
 the differences it refuses (±2^63 bins, ±inf, NaN).  It then runs the plane
 decode (``ipc_decode_planes``) over random shards — 64-bit levels, levels
 with no plane loaded, one value, counts around the 256-column chunk, every
-prefix — against the unsanitized library.  Any undefined behaviour aborts
-the child.  Skipped when the compiler cannot build or load such a library.
+prefix — and the planner's DP (``ipc_plan``) over random flat tables —
+shifts of exactly ``bins``, infinite ones and ones past int64, levels of one
+choice, no levels — against the unsanitized library.  Any undefined
+behaviour aborts the child.  Skipped when the compiler cannot build or load
+such a library.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ with tempfile.TemporaryDirectory() as scratch:
     except OSError as error:
         print("SKIP cannot load a UBSan build:", error)
         sys.exit(0)
-for name in ("ipc_forward", "ipc_reconstruct", "ipc_decode_planes"):
+for name in ("ipc_forward", "ipc_reconstruct", "ipc_decode_planes", "ipc_plan"):
     entry, real = getattr(lib, name), getattr(interpolation._SWEEP, name)
     entry.argtypes, entry.restype = real.argtypes, real.restype
 unsanitized, interpolation._SWEEP = interpolation._SWEEP, lib
@@ -75,6 +78,7 @@ for case in sweep._edge_diffs():
 # The plane decode over random shards: 64-bit levels, nothing loaded, one
 # value, chunk edges, every prefix; each answer is the unsanitized library's.
 import numpy as np
+from oracle_kernel import shard_rows
 from repro.core.kernels import get_kernel
 
 kernel = get_kernel()
@@ -95,13 +99,50 @@ for trial in range(48):
         levels.append((rows, count, nbits))
         seen |= {name for name, hit in (("64 planes", nbits == 64), ("none loaded", keep == 0),
                                          ("one value", count == 1)) if hit}
-    got = kernel.decode_planes(levels, prefix)
+    got = kernel.decode_planes(*shard_rows(levels), prefix)
     interpolation._SWEEP = unsanitized
-    want = kernel.decode_planes(levels, prefix)
+    want = kernel.decode_planes(*shard_rows(levels), prefix)
     interpolation._SWEEP = lib
     assert all(np.array_equal(a, b) for a, b in zip(got, want)), trial
     runs += 1
 assert {"64 planes", "none loaded", "one value"} <= seen, seen
+
+# The planner's DP over random flat tables, both modes: weights of exactly
+# the budget (a shift of exactly ``bins``), infinite weights and weights
+# whose shift passes int64, levels of one choice, no levels at all; each
+# plan is the unsanitized library's.
+from repro.core.optimizer import DEFAULT_BINS
+
+def plan(library, cost, err, lengths, by_size, budget):
+    keep = (ctypes.c_int64 * len(lengths))()
+    error = ctypes.c_double()
+    payload = library.ipc_plan(
+        cost.ctypes.data, err.ctypes.data, lengths.ctypes.data, len(lengths), by_size,
+        budget, DEFAULT_BINS, 0.5, keep, ctypes.byref(error),
+    )
+    return payload, list(keep), error.value if payload >= 0 else None
+
+seen = set()
+for trial in range(160):
+    nlevels = 0 if trial % 20 == 0 else int(rng.integers(1, 9))
+    lengths = rng.integers(1, 16, size=nlevels).astype(np.int64)
+    lengths[rng.random(nlevels) < 0.3] = 1
+    total = int(lengths.sum())
+    budget = float(rng.choice([1.0, 37.0, 4096.0, 1e6]))
+    # Costs are byte counts (integers, the weight of the size mode); errors
+    # mix the specials in.
+    cost = rng.choice([0.0, budget, float(rng.integers(0, 2 * budget + 1))], size=total)
+    specials = [0.0, budget, budget / 3, np.inf, budget * 1e30, float(rng.uniform(0, 2 * budget))]
+    err = np.array(rng.choice(specials, size=total), dtype=np.float64)
+    for by_size in (0, 1):
+        got = plan(lib, cost, err, lengths, by_size, budget)
+        want = plan(unsanitized, cost, err, lengths, by_size, budget)
+        assert got == want, (trial, by_size, got, want)
+        runs += 1
+    seen |= {name for name, hit in (("no levels", nlevels == 0), ("one choice", 1 in lengths),
+                                     ("shift = bins", budget in err), ("inf", np.inf in err),
+                                     ("no plan", got[0] == -1)) if hit}
+assert {"no levels", "one choice", "shift = bins", "inf"} <= seen, seen
 print("OK", runs)
 """
 

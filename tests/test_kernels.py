@@ -12,10 +12,12 @@ dataset files and Huffman symbol streams stay byte-identical.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 import pytest
 
-from oracle_kernel import OracleKernel, plane_rows
+from oracle_kernel import OracleKernel, plane_rows, shard_rows
 from repro import CodecProfile, IPComp
 from repro.coders import huffman
 from repro.coders.huffman import decode_symbols, encode_symbols
@@ -77,7 +79,7 @@ def test_extract_and_assemble_match(rng, width, nbits):
     assert blocks == [REF.pack_bits(plane) for plane in ref_planes]
     rows = plane_rows(blocks, codes.size)
     for keep in (0, 1, nbits // 2, nbits):
-        (decoded,) = get_kernel().decode_planes([(rows[:keep], codes.size, nbits)], 0)
+        (decoded,) = get_kernel().decode_planes(*shard_rows([(rows[:keep], codes.size, nbits)]), 0)
         expected = REF.from_negabinary(REF.assemble_bitplanes(ref_planes[:keep], nbits))
         assert np.array_equal(decoded, expected)
     assert np.array_equal(decoded, values)
@@ -96,7 +98,7 @@ def test_extract_empty_and_invalid_nbits(rng):
     empty = [np.zeros(0, dtype=np.int64)]
     assert get_kernel().encode_planes(empty, 0) == REF.encode_planes(empty, 0) == [(1, [b""])]
     with pytest.raises(ValueError):
-        get_kernel().decode_planes([(np.zeros((4, 1), dtype=np.uint8), 3, 3)], 0)
+        get_kernel().decode_planes(np.zeros(4, dtype=np.uint8), array("q", (0, 4, 3, 3)), 0)
 
 
 @pytest.mark.parametrize("prefix_bits", [0, 1, 2, 3])
@@ -106,12 +108,12 @@ def test_predictive_coding_matches(rng, prefix_bits):
     assert encoded == REF.encode_planes([values], prefix_bits)
     ((nbits, blocks),) = encoded
     rows = plane_rows(blocks, values.size)
-    (decoded,) = get_kernel().decode_planes([(rows, values.size, nbits)], prefix_bits)
+    (decoded,) = get_kernel().decode_planes(*shard_rows([(rows, values.size, nbits)]), prefix_bits)
     assert np.array_equal(decoded, values)
     # Prefix decodability: a prefix of the planes decodes without the rest.
     assert np.array_equal(
-        get_kernel().decode_planes([(rows[:5], values.size, nbits)], prefix_bits)[0],
-        REF.decode_planes([(blocks[:5], values.size, nbits)], prefix_bits)[0],
+        get_kernel().decode_planes(*shard_rows([(rows[:5], values.size, nbits)]), prefix_bits)[0],
+        REF.decode_planes(*shard_rows([(blocks[:5], values.size, nbits)]), prefix_bits)[0],
     )
 
 
@@ -121,7 +123,7 @@ def test_predictive_invalid_prefix_bits(rng):
         with pytest.raises(ConfigurationError):
             ops.encode_planes([values], 4)
         with pytest.raises(ConfigurationError):
-            ops.decode_planes([], -1)
+            ops.decode_planes(*shard_rows([]), -1)
 
 
 # ------------------------------------------------------------------- bit pack
@@ -135,7 +137,7 @@ def test_pack_unpack_bits_match(rng, count):
     # A level of 0/1 values is one plane: its bits, packed.
     assert get_kernel().encode_planes([bits], 0) == [(1, [ref_packed])]
     rows = plane_rows([ref_packed], count)
-    assert np.array_equal(get_kernel().decode_planes([(rows, count, 1)], 0)[0], bits)
+    assert np.array_equal(get_kernel().decode_planes(*shard_rows([(rows, count, 1)]), 0)[0], bits)
 
 
 def test_scatter_code_bits_match(rng):

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import sys
 import threading
+from array import array
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oracle_kernel import OracleKernel, plane_rows
+from oracle_kernel import OracleKernel, plane_rows, shard_rows
 from repro.core.kernels import get_kernel
 from repro.core.predictive_coder import PredictiveCoder
 from repro.core.profile import CodecProfile
@@ -68,10 +69,10 @@ def test_batched_hooks_match_per_level_reference(shard, prefix_bits, with_empty_
     if with_empty_width:
         # A level the header gives no planes at all decodes to zeros.
         loaded.insert(len(loaded) // 2, (plane_rows([], 5), 5, 0))
-    want = [REFERENCE.decode_planes([level], prefix_bits)[0] for level in loaded]
+    want = [REFERENCE.decode_planes(*shard_rows([level]), prefix_bits)[0] for level in loaded]
     sweep = get_kernel()
     assert sweep.encode_planes(codes, prefix_bits) == expected
-    got = sweep.decode_planes(loaded, prefix_bits)
+    got = sweep.decode_planes(*shard_rows(loaded), prefix_bits)
     assert len(got) == len(want)
     for have, need, (rows, count, nbits) in zip(got, want, loaded):
         assert have.dtype == np.int64 and have.shape == (count,)
@@ -81,7 +82,7 @@ def test_batched_hooks_match_per_level_reference(shard, prefix_bits, with_empty_
         (plane_rows(blocks, level.size), level.size, nbits)
         for level, (nbits, blocks) in zip(codes, expected)
     ]
-    for have, level in zip(sweep.decode_planes(full, prefix_bits), codes):
+    for have, level in zip(sweep.decode_planes(*shard_rows(full), prefix_bits), codes):
         assert np.array_equal(have, level)
 
 
@@ -95,9 +96,9 @@ def test_a_single_level_is_the_batch_of_one():
         (plane_rows(blocks, level.size), level.size, nbits)
         for level, (nbits, blocks) in zip(levels, together)
     ]
-    for level, decoded in zip(levels, sweep.decode_planes(batch, 2)):
+    for level, decoded in zip(levels, sweep.decode_planes(*shard_rows(batch), 2)):
         assert np.array_equal(decoded, level)
-    assert sweep.encode_planes([], 2) == [] and sweep.decode_planes([], 2) == []
+    assert sweep.encode_planes([], 2) == [] and sweep.decode_planes(*shard_rows([]), 2) == []
 
 
 def _shard(rng: np.random.Generator, sizes, prefix_bits: int = 2):
@@ -147,13 +148,13 @@ def test_threads_decode_different_shards_on_the_shared_instance():
         levels, _, _ = _shard(rng, sizes, prefix_bits=index % 4)
         # A different plane prefix loaded per level, so the threads' keeps differ.
         levels = [(rows[: len(rows) - i % 3], count, nbits) for i, (rows, count, nbits) in enumerate(levels)]
-        serial = [code.copy() for code in sweep.decode_planes(levels, index % 4)]
+        serial = [code.copy() for code in sweep.decode_planes(*shard_rows(levels), index % 4)]
         jobs.append((levels, index % 4, serial))
     failures = []
 
     def worker(levels, prefix_bits, serial):
         for _ in range(20):
-            decoded = sweep.decode_planes(levels, prefix_bits)
+            decoded = sweep.decode_planes(*shard_rows(levels), prefix_bits)
             if not all(np.array_equal(a, b) for a, b in zip(decoded, serial)):
                 failures.append("decode diverged")
 
@@ -208,8 +209,8 @@ def _check_every_keep(codes: np.ndarray, prefix_bits: int, keeps=None) -> int:
     assert sweep.encode_planes([codes], prefix_bits) == [(nbits, blocks)]
     rows = plane_rows(blocks, codes.size)
     for keep in range(nbits + 1) if keeps is None else keeps(nbits):
-        [have] = sweep.decode_planes([(rows[:keep], codes.size, nbits)], prefix_bits)
-        [need] = REFERENCE.decode_planes([(blocks[:keep], codes.size, nbits)], prefix_bits)
+        [have] = sweep.decode_planes(*shard_rows([(rows[:keep], codes.size, nbits)]), prefix_bits)
+        [need] = REFERENCE.decode_planes(*shard_rows([(blocks[:keep], codes.size, nbits)]), prefix_bits)
         assert have.dtype == np.int64 and np.array_equal(have, need), (keep, nbits, codes.size)
     assert np.array_equal(have, codes) or keeps is not None
     return nbits
@@ -243,32 +244,41 @@ def test_chunk_edges_decode(count, prefix_bits):
 
 def test_empty_levels_and_an_empty_shard():
     sweep = get_kernel()
-    assert sweep.decode_planes([], 0) == []
-    empty = np.zeros((0, 0), dtype=np.uint8)
-    decoded = sweep.decode_planes(
-        [(empty, 0, 0), (np.zeros((0, 2), np.uint8), 9, 5), (np.zeros((3, 0), np.uint8), 0, 4)], 2
-    )
+    nothing = np.zeros(0, dtype=np.uint8)
+    assert sweep.decode_planes(nothing, array("q"), 0) == []
+    decoded = sweep.decode_planes(nothing, array("q", (0, 0, 0, 0, 0, 0, 9, 5, 0, 3, 0, 4)), 2)
     assert [d.tolist() for d in decoded] == [[], [0] * 9, []]
     assert all(d.dtype == np.int64 for d in decoded)
 
 
 def test_decode_refuses_what_the_c_cannot_read_safely():
-    """Every level is checked before the C reads a byte of it."""
+    """Every level is checked before the C reads a byte of any."""
     sweep = get_kernel()
     [(nbits, blocks)] = sweep.encode_planes([np.arange(-32, 32, dtype=np.int64)], 2)
-    rows = plane_rows(blocks, 64)
-    strided = np.zeros((nbits, 16), dtype=np.uint8)[:, ::2]
+    rows, good = shard_rows([(blocks, 64, nbits)])
+    size = rows.size
+    strided = np.zeros(2 * size, dtype=np.uint8)[::2]
     strided[...] = rows
-    for level in (
-        (strided, 64, nbits),  # the right shape, not C-contiguous
-        (rows.astype(np.int8), 64, nbits),  # not uint8
-        (rows, 64, 65),  # wider than 64 planes
-        (rows[:0], 64, -1),  # a negative width
-        (rows[:0], -8, 0),  # a negative count
-        (rows[:0], 64, 65),  # wider than 64, nothing loaded
+    for buffer, level in (
+        (strided, good),  # the right bytes, not C-contiguous
+        (rows.view(np.int8), good),  # not uint8
+        (rows.reshape(nbits, 8), good),  # not one 1-D buffer
+        (rows, (0, nbits, 64, 65)),  # wider than 64 planes
+        (rows, (0, 0, 64, -1)),  # a negative width
+        (rows, (0, 0, -8, 0)),  # a negative count
+        (rows, (0, 0, 64, 65)),  # wider than 64, nothing loaded
+        (rows, (0, nbits + 1, 64, nbits + 1)),  # one row more than the buffer holds
+        (rows, (-1, 1, 64, nbits)),  # a negative offset
+        (rows, (8, nbits, 64, nbits)),  # rows past the buffer's end
+        (rows, (size + 1, 0, 64, nbits)),  # an offset past the end
+        (rows, (0, 64, 2**62, 64)),  # rows whose byte count passes int64
     ):
         with pytest.raises(ValueError):
-            sweep.decode_planes([(rows, 64, nbits), level], 2)
+            sweep.decode_planes(buffer, good + array("q", level), 2)
+    # The table itself: int64s, four a level.
+    for table in (list(good), array("i", good), good[:-1]):
+        with pytest.raises(ValueError):
+            sweep.decode_planes(rows, table, 2)
 
 
 # ------------------------------------------------------------- hostile rows
@@ -313,9 +323,12 @@ def test_more_blocks_than_the_level_width_is_a_stream_format_error(encoded_level
 
 def test_fused_kernel_rejects_rows_it_cannot_lay_out():
     """Called directly (no coder in front), bad rows fail loudly, not silently:
-    rows of the wrong width, more rows than planes, and loose byte strings."""
+    rows a byte short, more rows than planes, and loose byte strings."""
     sweep = get_kernel()
     [(nbits, blocks)] = sweep.encode_planes([np.arange(-32, 32, dtype=np.int64)], 2)
-    for rows in (plane_rows(blocks, 64)[:, :-1], plane_rows(blocks + blocks[:1], 64), blocks):
+    short = np.frombuffer(b"".join(block[:-1] for block in blocks), dtype=np.uint8)
+    extra, surplus = shard_rows([(blocks + blocks[:1], 64, nbits)])
+    level = array("q", (0, nbits, 64, nbits))
+    for rows, table in ((short, level), (extra, surplus), (b"".join(blocks), level)):
         with pytest.raises(ValueError):
-            sweep.decode_planes([(rows, 64, nbits)], 2)
+            sweep.decode_planes(rows, table, 2)

@@ -22,7 +22,7 @@ import zlib
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
-from oracle_kernel import plane_rows
+from oracle_kernel import plane_rows, shard_rows
 
 from repro import CodecProfile, IPComp, ProgressiveRetriever
 from repro.coders import get_backend
@@ -82,7 +82,7 @@ def test_bitplane_predictive_coding_roundtrip(values, prefix):
     ((nbits, blocks),) = kernel.encode_planes([values], prefix)
     rows = plane_rows(blocks, values.size)
     for keep in range(nbits + 1):
-        (decoded,) = kernel.decode_planes([(rows[:keep], values.size, nbits)], prefix)
+        (decoded,) = kernel.decode_planes(*shard_rows([(rows[:keep], values.size, nbits)]), prefix)
         assert np.array_equal(decoded, truncate_low_planes(values, nbits - keep))
 
 

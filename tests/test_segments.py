@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from oracle_kernel import plane_rows
+from oracle_kernel import plane_rows, shard_rows
 from repro import IPComp, ProgressiveRetriever
 from repro.core.profile import CodecProfile
 from repro.core.stream import CompressedStore, IPCompStream
@@ -45,7 +45,9 @@ def _per_block_answer(blob: bytes, keep) -> np.ndarray:
         )
         for enc in levels
     }
-    codes = coder.codes_from_rows((enc, rows[enc.level]) for enc in levels)
+    codes = coder.codes_from_rows(
+        *shard_rows((rows[enc.level], enc.count, enc.nbits) for enc in levels)
+    )
     anchor = coder.decode_anchor(store.read_anchor(), retriever.header.anchor_count)
     return retriever.predictor.reconstruct(
         anchor,
