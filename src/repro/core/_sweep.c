@@ -393,9 +393,10 @@ int64_t ipc_decode_planes(const uint8_t *rows, int64_t size, const int64_t *leve
  * an entry replaced only by a smaller sum.  A shift is compared as a double
  * before it is cast, so one past int64 is merely too large.  The backtrack
  * redoes the same sums and takes the first choice from the top that
- * reproduces ``dp[r]``.  These are the numpy DP's own operations, in its
- * order, so every plan is bitwise that DP's.  The table is allocated per
- * call: plans run from many threads at once. */
+ * reproduces ``dp[r]``.  These are the operations, in their order, of the
+ * numpy DP the planner was first written as (tests/oracle_optimizer.py),
+ * so every plan is bitwise its plan.  The table is allocated per call:
+ * plans run from many threads at once. */
 
 /* ``dp[b] = min(dp[b], prev[b] + v)`` for ``b < m``, ``m`` a multiple of
  * 8, so that GCC vectorises the loop at -O2 with no scalar tail. */

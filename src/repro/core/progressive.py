@@ -118,8 +118,9 @@ class ProgressiveRetriever:
         )
         numbers = [enc.level for enc in header.levels]
         self._rows = dict(zip(numbers, zip(starts, row_bytes)))
-        # The decode's level table: (offset, keep, count, nbits) per level,
-        # its keeps refreshed from ``_current_keep`` before each decode.
+        # The decode's level table: (offset, keep, count, nbits) per level in
+        # header order — the order of ``_current_keep``'s keys, from which
+        # its keeps are refreshed before each decode.
         self._table = array(
             "q",
             chain.from_iterable(
