@@ -85,22 +85,24 @@ def test_encode_planes_hook_parity_across_kernels():
                         assert np.array_equal(decoded[0], codes)
 
 
-def test_fused_arena_reuse_does_not_leak_between_levels():
-    """Back-to-back levels of different sizes must not corrupt each other."""
+def test_back_to_back_encodes_of_different_shapes_do_not_leak():
+    """Calls of different shapes one after another each return the oracle's
+    bytes: a long wide shard, then short and narrow ones, then long again,
+    so that nothing one call leaves behind shows in the next."""
     sweep = get_kernel()
     reference = OracleKernel()
     rng = _local_rng(8)
     previous = None
-    for n in (4096, 17, 900, 4096, 1):
-        codes = rng.integers(-(2**20), 2**20, size=n, dtype=np.int64)
-        assert sweep.encode_planes([codes], 2) == reference.encode_planes([codes], 2)
+    for sizes, top, prefix_bits in (
+        ((4096,), 20, 2), ((17, 3), 50, 1), ((900, 0, 5), 4, 3), ((4096, 1), 62, 0), ((1,), 1, 2)
+    ):
+        shard = [rng.integers(-(2**top), 2**top, size=n, dtype=np.int64) for n in sizes]
+        want = [reference.encode_planes([codes], prefix_bits)[0] for codes in shard]
+        assert sweep.encode_planes(shard, prefix_bits) == want
         if previous is not None:
-            # Re-encoding the previous level still matches (scratch reuse
-            # cannot have retained stale content in the observable output).
-            assert sweep.encode_planes([previous], 2) == reference.encode_planes(
-                [previous], 2
-            )
-        previous = codes
+            # Re-encoding the previous shard still matches.
+            assert sweep.encode_planes(*previous[:2]) == previous[2]
+        previous = (shard, prefix_bits, want)
 
 
 # --------------------------------------------------------- executor

@@ -182,20 +182,30 @@ def test_threads_encode_different_shards_on_the_shared_instance():
     assert failures == []
 
 
-def test_arena_is_not_shared_across_threads():
-    kernel = get_kernel()
-    arenas = {}
+def test_threads_encoding_different_shards_get_the_serial_bytes():
+    """Each thread's shard comes out as it does alone: the encode keeps
+    nothing between calls that another thread could overwrite.  The shards
+    differ in width (up to 64 planes), in count (across the 2048-value
+    chunk) and in prefix, so that any shared scratch would show."""
+    rng = np.random.default_rng(20261019)
+    sweep = get_kernel()
+    jobs = []
+    for index, (sizes, top) in enumerate(
+        (((2049, 3, 0, 17), 63), ((4105,), 20), ((1, 1, 2048), 40), ((600, 9000), 8))
+    ):
+        codes = [rng.integers(-(2**top), 2**top, size=n, dtype=np.int64) for n in sizes]
+        prefix_bits = index % 4
+        serial = [REFERENCE.encode_planes([level], prefix_bits)[0] for level in codes]
+        jobs.append((codes, prefix_bits, serial))
+    failures = []
 
-    def grab(key):
-        arenas[key] = kernel._arena
+    def worker(codes, prefix_bits, serial):
+        for _ in range(15):
+            if sweep.encode_planes(codes, prefix_bits) != serial:
+                failures.append("encode diverged")
 
-    threads = [threading.Thread(target=grab, args=(i,)) for i in range(3)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    grab("main")
-    assert len({id(a) for a in arenas.values()}) == len(arenas)
+    _run_at_once(worker, jobs)
+    assert failures == []
 
 
 # ------------------------------------------------------------ the C's edges
