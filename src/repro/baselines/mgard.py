@@ -80,7 +80,8 @@ class MGARDCompressor(LossyCompressor):
         anchor_count = predictor.anchor_count
         output = predictor.reconstruct(
             quantizer.dequantize(symbols[:anchor_count]),
-            predictor.units(symbols[anchor_count:]),
+            symbols[anchor_count:],
+            predictor.layout,
             quantizer.bin_width,
         )
         return output.astype(meta["dtype"]).reshape(shape)

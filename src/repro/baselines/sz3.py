@@ -112,7 +112,8 @@ class SZ3Compressor(LossyCompressor):
         anchor_count = predictor.anchor_count
         output = predictor.reconstruct(
             quantizer.dequantize(symbols[:anchor_count]),
-            predictor.units(symbols[anchor_count:]),
+            symbols[anchor_count:],
+            predictor.layout,
             quantizer.bin_width,
         )
         return output.astype(meta["dtype"]).reshape(shape)

@@ -1,7 +1,8 @@
 /* The C half of IPComp's read and write paths: the interpolation sweep of
- * repro.core.interpolation (§4.1–§4.3, Fig. 3), the plane decode of
- * repro.core.kernels (§4.4) and the loading planner's DP of
- * repro.core.optimizer (§5), the latter two at the end of this file.
+ * repro.core.interpolation (§4.1–§4.3, Fig. 3), the plane decode and
+ * encode of repro.core.kernels (§4.4), the δ tables of
+ * repro.core.negabinary (§5) and the loading planner's DP of
+ * repro.core.optimizer (§5), the latter four after the sweep.
  *
  * A predictor describes its (level, dim) passes as one int64 pass table,
  * one row per pass in processing order:
@@ -187,16 +188,36 @@ static int64_t pass(const int64_t *row, int cubic, int kind, double *x, const st
     return lines * n;
 }
 
-/* Every pass of a reconstruction, in table order, in place in ``x``.  Pass
- * ``p`` adds ``+ (double)code * w`` for the int64 codes at codes[p], or
- * ``+ 0.0`` where codes[p] is NULL. */
-void ipc_reconstruct(double *x, const int64_t *table, int64_t npasses, int64_t cubic,
-                     const int64_t *const *codes, double w)
+/* The number of targets of the pass at ``row``. */
+static int64_t targets(const int64_t *row)
 {
-    for (int64_t p = 0; p < npasses; ++p, table += 5 + 2 * table[0]) {
-        const struct io io = {codes[p], NULL, w, NULL};
-        pass(table, (int)cubic, codes[p] ? ADD_CODE : ADD_ZERO, x, &io);
+    int64_t n = 1;
+    for (int64_t a = 0; a < row[0]; ++a) {
+        n *= row[5 + a];
     }
+    return n;
+}
+
+/* Every pass of a reconstruction, in table order, in place in ``x``.  Pass
+ * ``p`` adds ``+ (double)code * w`` for its targets' int64 codes at element
+ * ``offsets[p]`` of ``codes`` (``ncodes`` of them), or ``+ 0.0`` where
+ * ``offsets[p]`` is negative.  Every pass's codes are checked to lie inside
+ * ``codes`` before any pass runs; returns 0, or 1 + the first pass whose
+ * do not. */
+int64_t ipc_reconstruct(double *x, const int64_t *table, int64_t npasses, int64_t cubic,
+                        const int64_t *codes, int64_t ncodes, const int64_t *offsets, double w)
+{
+    const int64_t *row = table;
+    for (int64_t p = 0; p < npasses; ++p, row += 5 + 2 * row[0]) {
+        if (offsets[p] >= 0 && (offsets[p] > ncodes || targets(row) > ncodes - offsets[p])) {
+            return p + 1;
+        }
+    }
+    for (int64_t p = 0; p < npasses; ++p, table += 5 + 2 * table[0]) {
+        const struct io io = {offsets[p] >= 0 ? codes + offsets[p] : NULL, NULL, w, NULL};
+        pass(table, (int)cubic, offsets[p] >= 0 ? ADD_CODE : ADD_ZERO, x, &io);
+    }
+    return 0;
 }
 
 /* Every pass of a decomposition, in table order; each pass's outputs follow
@@ -372,6 +393,223 @@ int64_t ipc_decode_planes(const uint8_t *rows, int64_t size, const int64_t *leve
         decode_level(rows + levels[0], levels[2], (int)levels[3], (int)levels[1], (int)prefix,
                      next);
         next += levels[2];
+    }
+    return 0;
+}
+
+/* ------------------------------------------------------------ plane encode
+ *
+ * ``ipc_encode_planes`` is the decode's mirror, the write's plane chain for
+ * every level of a shard in one call: int64 to negabinary, values to
+ * bitplanes, XOR-prefix prediction.  A level's width is the bit length of
+ * the OR of its negabinary words (at least 1, so that a level of zeros
+ * still has a plane), and it writes that many packed rows, most significant
+ * first, in the layout the decode reads.
+ *
+ * A level is encoded CHUNK packed columns (8 * CHUNK values) at a time.
+ * Byte group ``g`` of the chunk's words is split out into ``byte[g]``; the
+ * eight bytes of column ``c`` there are one uint64 whose ``transpose8`` has
+ * in byte ``r`` bit ``8g + r`` of the column's 8 values, so a byte store
+ * each lays the column into the position-major ``plane`` rows.  Each row
+ * then XORs in the ``prefix`` rows above it (ascending, so that those are
+ * still unpredicted) and is copied out.  Like the decode, every column loop
+ * runs a multiple of 16 columns over local arrays, the tail zero-padded. */
+
+/* ``byte[v]`` = byte ``g`` of value ``v``'s negabinary word, ``n`` values,
+ * ``n`` a multiple of 16. */
+static void split(const int64_t *restrict codes, int g, int n, uint8_t *restrict byte)
+{
+    const int shift = 8 * g;
+    for (int v = 0; v < n; ++v) {
+        byte[v] = (uint8_t)((((uint64_t)codes[v] + NEGABINARY) ^ NEGABINARY) >> shift);
+    }
+}
+
+/* Column ``c`` of byte group ``g`` into rows 8g … 8g + 7 of ``plane``. */
+static void scatter(const uint8_t *restrict byte, int width, uint8_t (*restrict plane)[CHUNK])
+{
+    for (int c = 0; c < width; ++c) {
+        const uint8_t *const b = byte + 8 * c;
+        uint64_t x = (uint64_t)b[0] | (uint64_t)b[1] << 8 | (uint64_t)b[2] << 16 |
+                     (uint64_t)b[3] << 24 | (uint64_t)b[4] << 32 | (uint64_t)b[5] << 40 |
+                     (uint64_t)b[6] << 48 | (uint64_t)b[7] << 56;
+        uint64_t t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAull;
+        x ^= t ^ (t << 7);
+        t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCull;
+        x ^= t ^ (t << 14);
+        t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ull;
+        x ^= t ^ (t << 28);
+        plane[0][c] = (uint8_t)x;
+        plane[1][c] = (uint8_t)(x >> 8);
+        plane[2][c] = (uint8_t)(x >> 16);
+        plane[3][c] = (uint8_t)(x >> 24);
+        plane[4][c] = (uint8_t)(x >> 32);
+        plane[5][c] = (uint8_t)(x >> 40);
+        plane[6][c] = (uint8_t)(x >> 48);
+        plane[7][c] = (uint8_t)(x >> 56);
+    }
+}
+
+/* The bit length of the OR of ``count`` codes' negabinary words, at least 1. */
+static int level_width(const int64_t *restrict codes, int64_t count)
+{
+    const int64_t whole = count & ~(int64_t)15;
+    uint64_t any = 0;
+    for (int64_t v = 0; v < whole; ++v) {
+        any |= ((uint64_t)codes[v] + NEGABINARY) ^ NEGABINARY;
+    }
+    for (int64_t v = whole; v < count; ++v) {
+        any |= ((uint64_t)codes[v] + NEGABINARY) ^ NEGABINARY;
+    }
+    int nbits = 1;
+    while (nbits < 64 && any >> nbits) {
+        ++nbits;
+    }
+    return nbits;
+}
+
+/* One level's ``nbits`` rows of ``ceil(count / 8)`` bytes into ``out``. */
+static void encode_level(const int64_t *codes, int64_t count, int nbits, int prefix, uint8_t *out)
+{
+    const int64_t nbytes = (count + 7) / 8;
+    const int groups = (nbits + 7) / 8;
+    uint8_t plane[64][CHUNK];
+    uint8_t byte[8 * CHUNK];
+    int64_t tail[8 * CHUNK];
+    for (int64_t c0 = 0; c0 < nbytes; c0 += CHUNK) {
+        const int cols = (int)(nbytes - c0 < CHUNK ? nbytes - c0 : CHUNK);
+        const int width = (cols + 15) & ~15;
+        /* A whole chunk is read where it lies, a short one from beside. */
+        const int64_t n = count - 8 * c0;
+        const int64_t *chunk = codes + 8 * c0;
+        if (n < 8 * width) {
+            memcpy(tail, chunk, sizeof *tail * (size_t)n);
+            memset(tail + n, 0, sizeof *tail * (size_t)(8 * width - n));
+            chunk = tail;
+        }
+        for (int g = 0; g < groups; ++g) {
+            split(chunk, g, 8 * width, byte);
+            scatter(byte, width, plane + 8 * g);
+        }
+        for (int p = 0; p + 1 < nbits; ++p) {
+            for (int j = 1; j <= prefix && p + j < nbits; ++j) {
+                xor_row(plane[p], plane[p + j], width);
+            }
+        }
+        for (int p = 0; p < nbits; ++p) {
+            memcpy(out + (nbits - 1 - p) * nbytes + c0, plane[p], (size_t)cols);
+        }
+    }
+}
+
+/* Every level of a shard: level ``l`` is ``counts[l]`` int64 codes at
+ * ``codes[l]``.  Writes its width to ``nbits[l]`` and its rows after the
+ * previous level's in ``out``, which holds 64 rows of every level; returns
+ * the bytes written.  The caller checks 0 <= prefix <= 3. */
+int64_t ipc_encode_planes(const int64_t *const *codes, const int64_t *counts, int64_t nlevels,
+                          int64_t prefix, uint8_t *out, int64_t *nbits)
+{
+    int64_t size = 0;
+    for (int64_t l = 0; l < nlevels; ++l) {
+        nbits[l] = level_width(codes[l], counts[l]);
+        encode_level(codes[l], counts[l], (int)nbits[l], (int)prefix, out + size);
+        size += nbits[l] * ((counts[l] + 7) / 8);
+    }
+    return size;
+}
+
+/* ------------------------------------------------------------ δ tables
+ *
+ * ``ipc_truncation_errors`` is repro.core.negabinary's δ table of every
+ * level of a shard: entry ``d`` is the largest loss of dropping a value's
+ * ``d`` low negabinary digits.  Those digits are worth ``(k & low) - (M &
+ * low)`` on the key ``k = v + M`` (mod 2^64), ``low = 2^d - 1``, which grows
+ * with ``k & low``: the largest loss of either sign lies at the maximum or
+ * the minimum of ``k & low`` over the level.
+ *
+ * A level sweeps SPAN keys at a time, cut to the narrowest of 16, 32 or 64
+ * bits that holds its width, and for each ``d`` takes the maximum and the
+ * minimum of ``k & low`` over them.  The lanes are signed with the top bit
+ * flipped (``(k & low) ^ BIAS``, the unsigned order), so that the reduction
+ * is a signed max and min, which SSE2 has for 16-bit lanes: GCC vectorises
+ * the 16-bit sweep at -O2.  The chunk is padded to 16 keys with copies of
+ * its first. */
+
+#define SPAN 2048
+
+#define SWEEP(NAME, T, U, BIAS, LOWEST, HIGHEST)                                              \
+    static void NAME(const int64_t *codes, int64_t count, int nbits, uint64_t *top,           \
+                     uint64_t *bottom)                                                        \
+    {                                                                                         \
+        U key[SPAN];                                                                          \
+        for (int64_t i0 = 0; i0 < count; i0 += SPAN) {                                        \
+            const int m = (int)(count - i0 < SPAN ? count - i0 : SPAN);                       \
+            const int whole = m & ~15, width = (m + 15) & ~15;                                \
+            const int64_t *const v = codes + i0;                                              \
+            for (int j = 0; j < whole; ++j) {                                                 \
+                key[j] = (U)((uint64_t)v[j] + NEGABINARY);                                    \
+            }                                                                                 \
+            for (int j = whole; j < m; ++j) {                                                 \
+                key[j] = (U)((uint64_t)v[j] + NEGABINARY);                                    \
+            }                                                                                 \
+            for (int j = m; j < width; ++j) {                                                 \
+                key[j] = key[0];                                                              \
+            }                                                                                 \
+            for (int d = 1; d <= nbits; ++d) {                                                \
+                const U low = (U)(((uint64_t)2 << (d - 1)) - 1);                              \
+                T hi = LOWEST, lo = HIGHEST;                                                  \
+                for (int j = 0; j < width; ++j) {                                             \
+                    const T k = (T)((U)(key[j] & low) ^ (U)BIAS);                             \
+                    hi = k > hi ? k : hi;                                                     \
+                    lo = k < lo ? k : lo;                                                     \
+                }                                                                             \
+                const uint64_t high = (U)((U)hi ^ (U)BIAS), least = (U)((U)lo ^ (U)BIAS);     \
+                top[d] = high > top[d] ? high : top[d];                                       \
+                bottom[d] = least < bottom[d] ? least : bottom[d];                            \
+            }                                                                                 \
+        }                                                                                     \
+    }
+
+SWEEP(sweep16, int16_t, uint16_t, 0x8000u, INT16_MIN, INT16_MAX)
+SWEEP(sweep32, int32_t, uint32_t, 0x80000000u, INT32_MIN, INT32_MAX)
+SWEEP(sweep64, int64_t, uint64_t, 0x8000000000000000ull, INT64_MIN, INT64_MAX)
+
+/* Every level of a shard: level ``l`` is ``counts[l]`` int64 codes at
+ * ``codes[l]`` and ``nbits[l]`` (0 … 64) planes wide, and its table, entries
+ * ``d`` = 0 … nbits[l], follows the previous level's in ``out``; a level
+ * with no codes or no planes has a table of zeros.  Returns 0, or 1 + the
+ * first level with a loss past int64 (63 or 64 planes only). */
+int64_t ipc_truncation_errors(const int64_t *const *codes, const int64_t *counts,
+                              const int64_t *nbits, int64_t nlevels, int64_t *out)
+{
+    for (int64_t l = 0; l < nlevels; out += nbits[l] + 1, ++l) {
+        const int width = (int)nbits[l];
+        uint64_t top[65], bottom[65];
+        for (int d = 0; d <= width; ++d) {
+            top[d] = 0;
+            bottom[d] = UINT64_MAX;
+            out[d] = 0;
+        }
+        if (counts[l] == 0) {
+            continue;
+        }
+        if (width <= 16) {
+            sweep16(codes[l], counts[l], width, top, bottom);
+        } else if (width <= 32) {
+            sweep32(codes[l], counts[l], width, top, bottom);
+        } else {
+            sweep64(codes[l], counts[l], width, top, bottom);
+        }
+        for (int d = 1; d <= width; ++d) {
+            const uint64_t offset = NEGABINARY & (((uint64_t)2 << (d - 1)) - 1);
+            const uint64_t above = top[d] > offset ? top[d] - offset : 0,
+                           below = offset > bottom[d] ? offset - bottom[d] : 0,
+                           loss = above > below ? above : below;
+            if (loss > INT64_MAX) {
+                return l + 1;
+            }
+            out[d] = (int64_t)loss;
+        }
     }
     return 0;
 }

@@ -39,6 +39,7 @@ import shutil
 import stat
 import subprocess
 import sysconfig
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -55,6 +56,14 @@ STENCIL_NORMS = {"linear": 1.0, "cubic": 1.25}
 
 #: Predictors :func:`shared_predictor` keeps, least recently used out first.
 SHARED_PREDICTORS = 32
+
+#: Where each sweep unit's codes start in the one ``int64`` buffer
+#: :meth:`InterpolationPredictor.reconstruct` reads: an ``array("q")`` of
+#: one element offset per unit, in processing order (unit ``num_units``
+#: first), −1 for a unit with no codes.  A typed buffer the C reads in
+#: place.
+UnitTable = array
+_INT64 = np.dtype(np.int64)
 
 # ------------------------------------------------------------------ the sweep
 #
@@ -136,8 +145,10 @@ def _load_sweep() -> ctypes.CDLL:
             partial.unlink(missing_ok=True)
     lib = ctypes.CDLL(str(path))
     pointer, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.ipc_reconstruct.argtypes = [pointer, pointer, i64, i64, pointer, ctypes.c_double]
-    lib.ipc_reconstruct.restype = None
+    lib.ipc_reconstruct.argtypes = [
+        pointer, pointer, i64, i64, pointer, i64, pointer, ctypes.c_double
+    ]
+    lib.ipc_reconstruct.restype = i64
     lib.ipc_forward.argtypes = [pointer, pointer, pointer, i64, i64, pointer, ctypes.c_double]
     lib.ipc_forward.restype = i64
     lib.ipc_decode_planes.argtypes = [pointer, i64, pointer, i64, i64, pointer]
@@ -146,6 +157,10 @@ def _load_sweep() -> ctypes.CDLL:
         pointer, pointer, pointer, i64, i64, ctypes.c_double, i64, ctypes.c_double, pointer, pointer
     ]
     lib.ipc_plan.restype = i64
+    lib.ipc_encode_planes.argtypes = [pointer, pointer, i64, i64, pointer, pointer]
+    lib.ipc_encode_planes.restype = i64
+    lib.ipc_truncation_errors.argtypes = [pointer, pointer, pointer, i64, pointer]
+    lib.ipc_truncation_errors.restype = i64
     return lib
 
 
@@ -163,6 +178,17 @@ def _sweep() -> ctypes.CDLL:
     if _SWEEP is None:
         raise ConfigurationError(_SWEEP_MISSING)
     return _SWEEP
+
+
+#: ``addressof(_VIEW.from_buffer(a))`` is the address of a writable array
+#: ``a``, an empty one too, for a third of what numpy's ``a.ctypes.data``
+#: costs.
+_VIEW = ctypes.c_char * 0
+
+
+def _address(array: np.ndarray) -> int:
+    """The address of a C-contiguous array's first element, for the C."""
+    return ctypes.addressof(_VIEW.from_buffer(array)) if array.flags.writeable else array.ctypes.data
 
 
 @dataclass(frozen=True)
@@ -301,6 +327,12 @@ class InterpolationPredictor:
         """Theorem 1's propagation factor ``p`` for the configured method."""
         return STENCIL_NORMS[self.method]
 
+    @cached_property
+    def layout(self) -> UnitTable:
+        """The :data:`UnitTable` of :meth:`decompose`'s codes: every unit,
+        end to end, coarsest first."""
+        return array("q", [a for _, a, _ in self._spans])
+
     def units(self, flat: np.ndarray) -> Dict[int, np.ndarray]:
         """Views of ``flat`` — every pass's outputs end to end, in processing
         order — one per sweep unit, coarsest first."""
@@ -396,22 +428,35 @@ class InterpolationPredictor:
 
     # ---------------------------------------------------------- reconstruction
 
+    def unit_offsets(self, starts: Mapping[int, int]) -> UnitTable:
+        """The :data:`UnitTable` of codes laid out at ``starts[unit]`` (an
+        element offset) for each unit given; the other units have none."""
+        table = array("q", [-1]) * self.num_units
+        for unit, start in starts.items():
+            if not 1 <= unit <= self.num_units:
+                raise ConfigurationError(f"unit {unit} is not one of 1 … {self.num_units}")
+            table[self.num_units - unit] = start
+        return table
+
     def reconstruct(
         self,
         anchor_values: np.ndarray,
-        unit_codes: Mapping[int, np.ndarray],
+        codes: np.ndarray,
+        offsets: UnitTable,
         bin_width: float,
         *,
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Rebuild a field from dequantized anchor values and per-unit codes.
 
-        ``unit_codes[unit]`` must hold the ``int64`` quantization codes of
-        that sweep unit in the order :meth:`decompose` produced them; each
-        sweep adds ``code · bin_width`` to its prediction, as
-        :meth:`decompose` built ``x̂``.  A missing unit adds ``+0.0`` — what
-        all-zero codes would do to a −0.0 prediction — which is exactly the
-        semantics of not having loaded any bitplane of it.
+        ``codes`` is one C-contiguous 1-D ``int64`` array and ``offsets``
+        the :data:`UnitTable` of where each unit's codes start in it, in the
+        order :meth:`decompose` produced them (:attr:`layout` for
+        ``decompose``'s own layout, :meth:`unit_offsets` for any other).
+        Each sweep adds ``code · bin_width`` to its prediction, as
+        :meth:`decompose` built ``x̂``.  A unit without codes adds ``+0.0``
+        — what all-zero codes would do to a −0.0 prediction — which is
+        exactly the semantics of not having loaded any bitplane of it.
 
         With ``out`` — float64, C-contiguous, of the predictor's shape — the
         field is written there and ``out`` returned; it may hold anything on
@@ -430,35 +475,45 @@ class InterpolationPredictor:
             )
         else:
             xhat = out
+        if not (
+            isinstance(codes, np.ndarray)
+            and codes.dtype == _INT64
+            and codes.ndim == 1
+            and codes.flags.c_contiguous
+        ):
+            raise ConfigurationError(
+                "codes must be int64 in one C-contiguous 1-D array, got "
+                f"{getattr(codes, 'dtype', type(codes).__name__)}"
+            )
+        if not (
+            isinstance(offsets, array)
+            and offsets.typecode == "q"
+            and len(offsets) == self.num_units
+        ):
+            raise ConfigurationError(
+                f"offsets must be an array('q') of one offset for each of {self.num_units} units"
+            )
         xhat[self._anchor] = np.asarray(anchor_values, dtype=np.float64).reshape(
             self.anchor_shape
         )
-        # One C call runs every pass; pass ``i`` adds the codes at
-        # ``adds[i]``, or +0.0 where it is NULL.
-        adds = np.zeros(self.num_units, dtype=np.uintp)
-        held = []  # the arrays ``adds`` points into, alive until the call returns
-        for index, (unit, start, stop) in enumerate(self._spans):
-            codes = unit_codes.get(unit)
-            if codes is None:
-                continue
-            codes = np.asarray(codes)
-            if codes.dtype != np.int64:
-                raise ConfigurationError(f"unit {unit} codes must be int64, got {codes.dtype}")
-            codes = codes.ravel()  # C-contiguous, copied only if it was not
-            if codes.size != stop - start:
-                raise ConfigurationError(
-                    f"unit {unit} expects {stop - start} codes, got {codes.size}"
-                )
-            held.append(codes)
-            adds[index] = codes.ctypes.data
-        _sweep().ipc_reconstruct(
+        # One C call checks every unit's codes against the buffer, then runs
+        # every pass; pass ``i`` adds the codes at ``offsets[i]``, or +0.0.
+        failed = _sweep().ipc_reconstruct(
             xhat.ctypes.data,
             self._table_address,
             self.num_units,
             self._cubic,
-            adds.ctypes.data,
+            _address(codes),
+            codes.size,
+            offsets.buffer_info()[0],
             bin_width,
         )
+        if failed:
+            unit, start, stop = self._spans[failed - 1]
+            raise ConfigurationError(
+                f"unit {unit} expects {stop - start} codes from offset "
+                f"{offsets[failed - 1]}, past the {codes.size} codes given"
+            )
         return xhat
 
 

@@ -37,17 +37,14 @@ is a correctness requirement, not an optimisation.
 
 from __future__ import annotations
 
-import ctypes
-import threading
 from array import array
 from itertools import accumulate
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.interpolation import _sweep
-from repro.core.negabinary import NEGABINARY_MASK as _NEGABINARY_MASK
-from repro.core.negabinary import required_bits_from_codes as _nb_required_bits
+from repro.core.interpolation import _address, _sweep
+from repro.core.negabinary import code_table
 from repro.errors import ConfigurationError
 
 #: XOR-prediction depth of the plane chain when a profile names none: two
@@ -70,58 +67,6 @@ def check_prefix_bits(prefix_bits: int) -> None:
 #: the C reads in place: its address costs no wrapper.
 LevelTable = array
 _BYTE = np.dtype(np.uint8)
-#: ``addressof(_VIEW.from_buffer(a))`` is the address of a writable array
-#: ``a``, an empty one too, for a third of what numpy's ``a.ctypes.data``
-#: costs.
-_VIEW = ctypes.c_char * 0
-
-
-class _BufferArena:
-    """Grow-only scratch buffers of the encode, keyed by role.
-
-    The kernel reuses one arena across every level and plane it
-    encodes, so the hot path allocates only when a level is larger than any
-    level seen before.  Buffers are pure scratch: nothing returned to a
-    caller aliases an arena buffer (block bytes are materialised with
-    ``tobytes``).  :class:`PlaneKernel` keeps one arena *per thread* —
-    ``get_kernel`` returns a single process-wide instance, and two threads
-    sweeping the same buffers would silently corrupt each other's streams.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: Dict[str, np.ndarray] = {}
-
-    def take(self, key: str, shape: Tuple[int, ...], dtype=np.uint8) -> np.ndarray:
-        needed = 1
-        for extent in shape:
-            needed *= int(extent)
-        buf = self._buffers.get(key)
-        if buf is None or buf.size < needed or buf.dtype != np.dtype(dtype):
-            buf = np.empty(max(needed, 1), dtype=dtype)
-            self._buffers[key] = buf
-        return buf[:needed].reshape(shape)
-
-
-#: The three masked swaps of the 8×8 bit-block transpose (Hacker's Delight
-#: ``transpose8``): exchange the off-diagonal 1×1, 2×2 and 4×4 sub-blocks
-#: of the bit matrix a ``uint64`` holds (byte ``r``, bit ``c`` = entry
-#: ``(r, c)``) — carry-free, and its own inverse.
-_TRANSPOSE_SWAPS = (
-    (np.uint64(7), np.uint64(0x00AA00AA00AA00AA)),
-    (np.uint64(14), np.uint64(0x0000CCCC0000CCCC)),
-    (np.uint64(28), np.uint64(0x00000000F0F0F0F0)),
-)
-
-
-def _transpose_bit_blocks(blocks: np.ndarray, scratch: np.ndarray) -> None:
-    """Transpose, in place, the 8×8 bit matrix in every ``uint64`` of ``blocks``."""
-    for shift, mask in _TRANSPOSE_SWAPS:
-        np.right_shift(blocks, shift, out=scratch)
-        scratch ^= blocks
-        scratch &= mask
-        blocks ^= scratch
-        np.left_shift(scratch, shift, out=scratch)
-        blocks ^= scratch
 
 
 class PlaneKernel:
@@ -155,22 +100,6 @@ class PlaneKernel:
     operation: 0⊕0 pads stay 0).
     """
 
-    def __init__(self) -> None:
-        self._thread_state = threading.local()
-
-    @property
-    def _arena(self) -> _BufferArena:
-        # :func:`get_kernel` hands every caller the **same** instance and a
-        # write encodes two slabs concurrently on it, so arena state must be
-        # per thread: two threads sweeping the same buffers would silently
-        # corrupt each other's streams.  Nothing ``encode_planes`` returns
-        # aliases an arena buffer (block bytes are materialised with
-        # ``tobytes``).
-        arena = getattr(self._thread_state, "arena", None)
-        if arena is None:
-            arena = self._thread_state.arena = _BufferArena()
-        return arena
-
     def encode_planes(
         self, levels: Sequence[np.ndarray], prefix_bits: int
     ) -> List[Tuple[int, List[bytes]]]:
@@ -182,38 +111,32 @@ class PlaneKernel:
         bit packing; the result is one ``(nbits, blocks)`` pair per level,
         in order, with one packed byte string per plane, most significant
         first.
+
+        The whole shard is one C call (``ipc_encode_planes`` in
+        ``_sweep.c``), which reads each level's codes where they lie and
+        writes every level's rows into one buffer with room for 64 planes
+        of each.
         """
         check_prefix_bits(prefix_bits)
-        levels = [np.asarray(codes, dtype=np.int64).ravel() for codes in levels]
-        # Level i owns packed columns starts[i] … starts[i+1] of every row.
-        starts = list(accumulate(((codes.size + 7) // 8 for codes in levels), initial=0))
-        width = starts[-1]
-        arena = self._arena
-        words = arena.take("encode.words", (8 * width,), np.uint64)
-        for codes, start, stop in zip(levels, starts, starts[1:]):
-            words[8 * start : 8 * start + codes.size] = codes.view(np.uint64)
-            words[8 * start + codes.size : 8 * stop] = 0
-        # The alternating-mask negabinary map, in place; pads stay zero.
-        words += _NEGABINARY_MASK
-        words ^= _NEGABINARY_MASK
-        widths = [_nb_required_bits(words[8 * a : 8 * b]) for a, b in zip(starts, starts[1:])]
-        groups = (max(widths, default=1) + 7) // 8
-        packed = arena.take("encode.packed", (8 * groups, width))
-        blocks = arena.take("encode.blocks", (width,), np.uint64)
-        scratch = arena.take("encode.scratch", (width,), np.uint64)
-        word_bytes = words.view(np.uint8).reshape(8 * width, 8)
-        for j in range(groups):
-            np.copyto(blocks.view(np.uint8), word_bytes[:, j])
-            _transpose_bit_blocks(blocks, scratch)
-            packed[8 * j : 8 * j + 8] = blocks.view(np.uint8).reshape(width, 8).T
-        predicted = arena.take("encode.predicted", packed.shape)
-        np.copyto(predicted, packed)
-        for j in range(1, prefix_bits + 1):
-            predicted[:-j] ^= packed[j:]
-        return [
-            (nbits, [predicted[p, start:stop].tobytes() for p in range(nbits - 1, -1, -1)])
-            for nbits, start, stop in zip(widths, starts, starts[1:])
-        ]
+        held, addresses, counts = code_table(levels)
+        nbytes = [(count + 7) // 8 for count in counts]
+        rows = np.empty(64 * sum(nbytes), dtype=np.uint8)
+        widths = array("q", bytes(8 * len(counts)))
+        size = _sweep().ipc_encode_planes(
+            addresses.ctypes.data,
+            counts.buffer_info()[0],
+            len(counts),
+            prefix_bits,
+            _address(rows),
+            widths.buffer_info()[0],
+        )
+        data = rows[:size].tobytes()
+        planes = []
+        offset = 0
+        for nbits, row in zip(widths, nbytes):
+            planes.append((nbits, [data[offset + r * row : offset + (r + 1) * row] for r in range(nbits)]))
+            offset += nbits * row
+        return planes
 
     def decode_planes(
         self, rows: np.ndarray, levels: LevelTable, prefix_bits: int
@@ -226,7 +149,17 @@ class PlaneKernel:
         shard's :data:`LevelTable`, each level's ``(offset, keep, count,
         nbits)`` in it; a caller with one level passes offset 0.  Unloaded
         low planes are treated as zero.  Returns the ``int64`` quantization
-        codes of every level, in order, as views of one fresh buffer.
+        codes of every level, in order, as views of one fresh buffer
+        (:meth:`decode_shard`'s).
+        """
+        codes = self.decode_shard(rows, levels, prefix_bits)
+        counts = levels[2::4]
+        starts = accumulate(counts, initial=0)
+        return [codes[start : start + count] for start, count in zip(starts, counts)]
+
+    def decode_shard(self, rows: np.ndarray, levels: LevelTable, prefix_bits: int) -> np.ndarray:
+        """:meth:`decode_planes` as the one fresh ``int64`` buffer that holds
+        every level's codes, end to end in table order.
 
         The whole shard is one C call (``ipc_decode_planes`` in
         ``_sweep.c``), which checks that every level's rows lie inside
@@ -246,12 +179,12 @@ class PlaneKernel:
         counts = levels[2::4]
         codes = np.empty(max(sum(counts), 0), dtype=np.int64)
         failed = _sweep().ipc_decode_planes(
-            rows.ctypes.data,
+            _address(rows),
             rows.size,
             levels.buffer_info()[0],
             len(counts),
             prefix_bits,
-            ctypes.addressof(_VIEW.from_buffer(codes)),
+            _address(codes),
         )
         if failed:
             offset, keep, count, nbits = levels[4 * failed - 4 : 4 * failed]
@@ -259,8 +192,7 @@ class PlaneKernel:
                 f"level {failed - 1}: {keep} of {nbits} plane rows (0 to 64) of "
                 f"{count} values from byte {offset} are not inside {rows.size} bytes"
             )
-        starts = accumulate(counts, initial=0)
-        return [codes[start : start + count] for start, count in zip(starts, counts)]
+        return codes
 
 
 _KERNEL = PlaneKernel()

@@ -17,10 +17,13 @@ are bijections between ``int64`` and ``uint64`` and are fully vectorised.
 
 from __future__ import annotations
 
+from array import array
 from itertools import accumulate
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
+
+from repro.core.interpolation import _address, _sweep
 
 #: Alternating bit mask ``0b...10101010`` for 64-bit words.
 NEGABINARY_MASK = np.uint64(0xAAAAAAAAAAAAAAAA)
@@ -84,79 +87,58 @@ def truncation_errors(values: np.ndarray, nbits: int) -> np.ndarray:
     return truncation_error_tables([(values, nbits)])[0]
 
 
+def code_table(levels: Iterable[np.ndarray]) -> Tuple[List[np.ndarray], np.ndarray, array]:
+    """Levels of codes as the C reads them, where they lie: each level as a
+    C-contiguous ``int64`` array (the level itself when it is one, else a
+    copy; the caller keeps them alive over the call), a ``uintp`` table of
+    their addresses and an ``array("q")`` of their counts."""
+    held = [np.ascontiguousarray(codes, dtype=np.int64).ravel() for codes in levels]
+    addresses = np.array([_address(codes) for codes in held], dtype=np.uintp)
+    return held, addresses, array("q", [codes.size for codes in held])
+
+
 def truncation_error_tables(
     levels: Sequence[Tuple[np.ndarray, int]]
 ) -> List[np.ndarray]:
     """The δ tables of a shard: :func:`truncation_errors` of every
-    ``(values, nbits)`` pair, in one sweep over all of them.
+    ``(values, nbits)`` pair, in one C call over all of them.
 
     Dropping the ``d`` low digits loses exactly their value,
     ``from_negabinary(nb & low)`` with ``low = 2^d − 1``.  On the key
     ``x = nb ^ MASK`` — simply ``v + MASK`` (mod 2^64), so nothing is
     converted — that value is ``(x & low) − (MASK & low)``, *increasing* in
     the masked key: the largest loss of either sign sits at the maximum or
-    minimum of ``x & low``.
+    minimum of ``x & low``.  ``ipc_truncation_errors`` (``_sweep.c``) takes
+    them per level and plane, on keys cut to 16, 32 or 64 bits by the
+    level's width, reading each level's codes where they lie.
 
-    Every non-empty level's key goes into one array, widest level first, in
-    the narrowest unsigned dtype holding the widest level.  Plane ``d`` then
-    touches the prefix of levels at least ``d`` wide: one ``and`` (widest
-    mask first and in place; masks nest) and one ``maximum`` / ``minimum``
-    ``reduceat`` over the level starts — three NumPy calls per plane of the
-    shard, not per plane of every level.  The signs are resolved in
-    ``int64`` (or on Python ints when a level is 63 or 64 bits wide, where
-    ``int64`` could wrap).  Returns one ``int64[nbits + 1]`` table per
-    level, in order; an empty level's is all zeros.  A loss beyond
-    ``int64`` (a level 64 bits wide can have one) raises ``OverflowError``
-    naming the level's width.
+    Returns one ``int64[nbits + 1]`` table per level, in order (views of
+    one buffer); an empty level's is all zeros.  A loss beyond ``int64`` (a
+    level 63 or 64 bits wide can have one) raises ``OverflowError`` naming
+    the level's width.
     """
-    tables: List[np.ndarray] = []
-    live: List[Tuple[int, int, np.ndarray]] = []  # (nbits, index, values)
+    codes, widths = [], array("q")
     for values, nbits in levels:
         if not 0 <= nbits <= 64:
             raise ValueError(f"nbits must be in 0..64, got {nbits}")
-        v = np.asarray(values, dtype=np.int64).ravel()
-        if v.size and nbits:
-            live.append((nbits, len(tables), v))
-        tables.append(np.zeros(nbits + 1, dtype=np.int64))
-    if not live:
-        return tables
-    live.sort(key=lambda item: -item[0])  # widest first
-    width = live[0][0]
-    dtype = np.uint16 if width <= 16 else np.uint32 if width <= 32 else np.uint64
-    bounds = list(accumulate((v.size for _, _, v in live), initial=0))
-    key = np.empty(bounds[-1], dtype=dtype)
-    with np.errstate(over="ignore"):
-        for (_, _, v), start, stop in zip(live, bounds, bounds[1:]):
-            # The key of a level, cut to the working dtype on the way in.
-            np.add(v.view(np.uint64), NEGABINARY_MASK, out=key[start:stop], casting="unsafe")
-    starts = np.array(bounds[:-1], dtype=np.intp)
-    top = np.zeros((width + 1, len(live)), dtype=dtype)
-    bottom = np.zeros_like(top)
-    active = 0  # levels at least ``dropped`` wide: a prefix that grows as ``dropped`` falls
-    for dropped in range(width, 0, -1):
-        while active < len(live) and live[active][0] >= dropped:
-            active += 1
-        masked = key[: bounds[active]]
-        np.bitwise_and(masked, dtype((1 << dropped) - 1), out=masked)
-        np.maximum.reduceat(masked, starts[:active], out=top[dropped, :active])
-        np.minimum.reduceat(masked, starts[:active], out=bottom[dropped, :active])
-    mask = int(NEGABINARY_MASK)
-    offsets = [mask & ((1 << dropped) - 1) for dropped in range(width + 1)]
-    if width < 63:
-        offset = np.array(offsets, dtype=np.int64)[:, None]
-        errors = np.maximum(top.astype(np.int64) - offset, offset - bottom.astype(np.int64))
-    else:
-        offset = np.array(offsets, dtype=object)[:, None]
-        errors = np.maximum(top.astype(object) - offset, offset - bottom.astype(object))
-    for column, (nbits, index, _) in enumerate(live):
-        losses = errors[1 : nbits + 1, column]
-        if width >= 63 and max(losses) > np.iinfo(np.int64).max:
-            raise OverflowError(
-                f"a level's codes are {nbits} bits wide in negabinary, and dropping "
-                "their low planes loses more than an int64 δ table holds"
-            )
-        tables[index][1:] = losses
-    return tables
+        codes.append(values)
+        widths.append(nbits)
+    held, addresses, counts = code_table(codes)
+    tables = np.empty(sum(widths) + len(widths), dtype=np.int64)
+    failed = _sweep().ipc_truncation_errors(
+        addresses.ctypes.data,
+        counts.buffer_info()[0],
+        widths.buffer_info()[0],
+        len(widths),
+        _address(tables),
+    )
+    if failed:
+        raise OverflowError(
+            f"a level's codes are {widths[failed - 1]} bits wide in negabinary, and "
+            "dropping their low planes loses more than an int64 δ table holds"
+        )
+    starts = accumulate((nbits + 1 for nbits in widths), initial=0)
+    return [tables[start : start + nbits + 1] for start, nbits in zip(starts, widths)]
 
 
 def truncation_uncertainty(dropped: int, scheme: str = "negabinary") -> float:

@@ -296,16 +296,18 @@ class PredictiveCoder:
             )
         return row[:row_bytes]
 
-    def codes_from_rows(self, rows: np.ndarray, levels: LevelTable) -> List[np.ndarray]:
+    def codes_from_rows(self, rows: np.ndarray, levels: LevelTable) -> np.ndarray:
         """Integer codes of a shard's levels from their loaded, validated rows.
 
         ``rows`` is one ``uint8`` buffer of :meth:`decode_row` rows and
         ``levels`` each level's ``(offset, keep, count, nbits)`` in it
         (:data:`repro.core.kernels.LevelTable`); unloaded planes count as
         zero — exactly what the interpolation reconstruction is fed.  The
-        bit-level inverse chain of all levels is one kernel hook call.
+        bit-level inverse chain of all levels is one kernel call, and the
+        answer one ``int64`` buffer of every level's codes, end to end in
+        table order.
         """
-        return get_kernel().decode_planes(rows, levels, self.prefix_bits)
+        return get_kernel().decode_shard(rows, levels, self.prefix_bits)
 
     def decode_levels_codes(
         self, levels: Iterable[Tuple["LevelEncoding", Sequence[bytes]]]
@@ -315,8 +317,7 @@ class PredictiveCoder:
         Each pair is a level's metadata and its first ``len(blocks)`` plane
         blocks.  Lossless decoding dispatches per plane (the header names a
         coder for each) and every row is validated here, once
-        (:meth:`decode_row`); the rows go into one buffer for
-        :meth:`codes_from_rows`.
+        (:meth:`decode_row`); the rows go into one buffer for the kernel.
         """
         rows: List[bytes] = []
         table = array("q")
@@ -327,7 +328,9 @@ class PredictiveCoder:
             rows.extend(self.decode_row(meta, plane, b) for plane, b in enumerate(blocks))
             table.extend((offset, len(blocks), meta.count, meta.nbits))
             offset += len(blocks) * ((meta.count + 7) // 8)
-        return self.codes_from_rows(np.frombuffer(b"".join(rows), np.uint8), table)
+        return get_kernel().decode_planes(
+            np.frombuffer(b"".join(rows), np.uint8), table, self.prefix_bits
+        )
 
     def decode_level_codes(
         self,

@@ -108,6 +108,15 @@ class ProgressiveRetriever:
             self.predictor = shared_predictor(header.shape, header.method)
             self.quantizer = LinearQuantizer(header.error_bound)
             self.coder = PredictiveCoder.for_header(header, self.quantizer)
+            # Where each level's codes lie in the decode's one buffer.
+            self._units = self.predictor.unit_offsets(
+                dict(
+                    zip(
+                        (enc.level for enc in header.levels),
+                        accumulate((enc.count for enc in header.levels), initial=0),
+                    )
+                )
+            )
         except ConfigurationError as exc:
             raise StreamFormatError(f"stream header invalid: {exc}") from None
         # One buffer for the shard's packed rows; level i owns its bytes
@@ -258,10 +267,7 @@ class ProgressiveRetriever:
         # The dequantize rides the interpolation add: each sweep multiplies
         # its slice of the codes by the bin width.
         output = self.predictor.reconstruct(
-            self._anchor_values,
-            {enc.level: c for enc, c in zip(levels, codes)},
-            self.quantizer.bin_width,
-            out=out,
+            self._anchor_values, codes, self._units, self.quantizer.bin_width, out=out
         )
         self._header_charged = True
         achieved = self._current_keep

@@ -12,6 +12,8 @@ caller adds ``codes · bin_width`` (or ``0.0``) in numpy.
 
 from __future__ import annotations
 
+from array import array
+from itertools import accumulate
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -23,6 +25,17 @@ from repro.errors import ConfigurationError
 #: ``_sweep.c``'s SLACK: how far past half a bin, relative to it, a
 #: reconstructed value may land before the field is refused.
 SLACK = 2.0**-20
+
+
+def packed(
+    predictor: InterpolationPredictor, unit_codes: Mapping[int, np.ndarray]
+) -> Tuple[np.ndarray, array]:
+    """``reconstruct``'s codes and offsets from codes given per unit: the
+    units end to end in the order given, in their own dtype."""
+    parts = [np.asarray(codes).ravel() for codes in unit_codes.values()]
+    starts = accumulate((part.size for part in parts), initial=0)
+    codes = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    return codes, predictor.unit_offsets(dict(zip(unit_codes, starts)))
 
 
 class OracleSweepPredictor(InterpolationPredictor):

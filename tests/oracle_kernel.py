@@ -10,7 +10,7 @@ in ``src/`` imports it.
 Deliberately naive — per-plane shifts, per-bit packing, per-element
 base-(−2) digit expansion — so its correctness is auditable by eye.
 :meth:`OracleKernel.encode_planes` / :meth:`~OracleKernel.decode_planes`
-have the signature of the production hooks but never see more than one level
+(and :meth:`~OracleKernel.decode_shard`) have the signature of the production hooks but never see more than one level
 at a time, so a test can substitute the oracle for the production instance
 (``monkeypatch.setattr(repro.core.kernels, "_KERNEL", OracleKernel())``).
 """
@@ -221,6 +221,11 @@ class OracleKernel:
             ]
             decoded.append(self._decode_level(raw_planes, count, nbits, prefix_bits))
         return decoded
+
+    def decode_shard(self, rows: np.ndarray, levels, prefix_bits: int) -> np.ndarray:
+        """:meth:`decode_planes`' levels end to end in one ``int64`` array."""
+        decoded = self.decode_planes(rows, levels, prefix_bits)
+        return np.concatenate(decoded) if decoded else np.zeros(0, dtype=np.int64)
 
     def _encode_level(
         self, codes: np.ndarray, prefix_bits: int

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import cumsum_field, legacy_layout
-from oracle_interpolation import OracleSweepPredictor
+from oracle_interpolation import OracleSweepPredictor, packed
 from repro import ChunkedDataset, IPComp
 from repro.core.interpolation import InterpolationPredictor
 from repro.core.progressive import ProgressiveRetriever
@@ -47,17 +47,17 @@ def test_reconstruct_into_out_and_from_codes_is_bitwise_the_fresh_one(shape, met
     anchor_values = quantizer.dequantize(anchors)
     w = quantizer.bin_width
     # The codes rebuild the write's own reconstruction, bit for bit.
-    fresh = predictor.reconstruct(anchor_values, codes, w)
+    fresh = predictor.reconstruct(anchor_values, *packed(predictor, codes), w)
     assert fresh.tobytes() == xhat.tobytes()
     # ``out`` may hold anything: every point is written before it is read.
     out = np.full(shape, np.nan)
-    into = predictor.reconstruct(anchor_values, codes, w, out=out)
+    into = predictor.reconstruct(anchor_values, *packed(predictor, codes), w, out=out)
     assert into is out
     assert out.tobytes() == fresh.tobytes()
     # A unit with no codes adds +0.0, as the numpy sweep does.
     partial = {unit: c for unit, c in codes.items() if unit % 2}
     out = np.full(shape, np.nan)
-    predictor.reconstruct(anchor_values, partial, w, out=out)
+    predictor.reconstruct(anchor_values, *packed(predictor, partial), w, out=out)
     oracle = OracleSweepPredictor(shape, method)
     assert out.tobytes() == oracle.reconstruct(anchor_values, partial, w).tobytes()
 
@@ -71,7 +71,7 @@ def test_reconstruct_refuses_an_out_it_cannot_fill():
         np.empty((12, 20))[:, ::2],
     ):
         with pytest.raises(ConfigurationError, match="out must be"):
-            predictor.reconstruct(values, codes, quantizer.bin_width, out=out)
+            predictor.reconstruct(values, *packed(predictor, codes), quantizer.bin_width, out=out)
 
 
 # ------------------------------------------------------------------- engine

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 import pytest
 
+from oracle_interpolation import packed
 from repro.core.interpolation import InterpolationPredictor, STENCIL_NORMS
 from repro.core.quantizer import LinearQuantizer
 from repro.errors import ConfigurationError
@@ -35,9 +38,14 @@ def test_reconstruct_matches_decompose_output(smooth_3d, method):
     quantizer = LinearQuantizer(1e-4)
     anchors, unit_codes, reconstruction = predictor.decompose(smooth_3d, quantizer)
     rebuilt = predictor.reconstruct(
-        quantizer.dequantize(anchors), unit_codes, quantizer.bin_width
+        quantizer.dequantize(anchors), *packed(predictor, unit_codes), quantizer.bin_width
     )
     assert rebuilt.tobytes() == reconstruction.tobytes()
+    # ``decompose``'s codes are views of one buffer laid out as ``layout``.
+    buffer = unit_codes[predictor.num_units].base
+    assert predictor.reconstruct(
+        quantizer.dequantize(anchors), buffer, predictor.layout, quantizer.bin_width
+    ).tobytes() == reconstruction.tobytes()
 
 
 def test_reconstruct_is_linear(smooth_3d):
@@ -48,11 +56,11 @@ def test_reconstruct_is_linear(smooth_3d):
     anchors_dq = quantizer.dequantize(anchors)
     w = quantizer.bin_width
 
-    full = predictor.reconstruct(anchors_dq, codes, w)
-    half = predictor.reconstruct(0.5 * anchors_dq, codes, 0.5 * w)
+    full = predictor.reconstruct(anchors_dq, *packed(predictor, codes), w)
+    half = predictor.reconstruct(0.5 * anchors_dq, *packed(predictor, codes), 0.5 * w)
     assert np.allclose(full * 0.5, half, atol=1e-10)
 
-    zero = predictor.reconstruct(np.zeros_like(anchors_dq), {}, w)
+    zero = predictor.reconstruct(np.zeros_like(anchors_dq), *packed(predictor, {}), w)
     assert np.allclose(zero, 0.0)
 
 
@@ -76,7 +84,7 @@ def test_transform_is_exactly_invertible(smooth_3d):
         anchors, coeffs = predictor.transform(data)
         codes = {unit: (c * 16).astype(np.int64) for unit, c in coeffs.items()}
         assert all(np.array_equal(codes[unit] / 16, c) for unit, c in coeffs.items())
-        rebuilt = predictor.reconstruct(anchors, codes, 1 / 16)
+        rebuilt = predictor.reconstruct(anchors, *packed(predictor, codes), 1 / 16)
         assert np.array_equal(rebuilt, data)
 
 
@@ -100,7 +108,7 @@ def test_missing_level_diffs_treated_as_zero(smooth_2d):
     anchors, codes, _ = predictor.decompose(smooth_2d, quantizer)
     partial = predictor.reconstruct(
         quantizer.dequantize(anchors),
-        {predictor.num_units: codes[predictor.num_units]},
+        *packed(predictor, {predictor.num_units: codes[predictor.num_units]}),
         quantizer.bin_width,
     )
     assert partial.shape == smooth_2d.shape
@@ -115,14 +123,39 @@ def test_wrong_shape_rejected(smooth_2d):
 
 def test_wrong_diff_count_rejected(smooth_2d):
     predictor = InterpolationPredictor(smooth_2d.shape)
-    with pytest.raises(ConfigurationError):
-        predictor.reconstruct(
-            np.zeros(predictor.anchor_count), {1: np.zeros(3, dtype=np.int64)}, 1.0
-        )
+    anchors = np.zeros(predictor.anchor_count)
+    with pytest.raises(ConfigurationError, match="unit 1 expects"):
+        predictor.reconstruct(anchors, *packed(predictor, {1: np.zeros(3, dtype=np.int64)}), 1.0)
     with pytest.raises(ConfigurationError, match="must be int64"):
         predictor.reconstruct(
-            np.zeros(predictor.anchor_count), {1: np.zeros(predictor.sweep_sizes[1])}, 1.0
+            anchors, *packed(predictor, {1: np.zeros(predictor.sweep_sizes[1])}), 1.0
         )
+
+
+def test_reconstruct_refuses_codes_and_offsets_the_c_cannot_read_safely(smooth_2d):
+    """Every unit's codes are checked to lie in the buffer before any pass runs."""
+    predictor = InterpolationPredictor(smooth_2d.shape)
+    anchors = np.zeros(predictor.anchor_count)
+    n = sum(predictor.sweep_sizes.values())
+    codes = np.zeros(n, dtype=np.int64)
+    layout = predictor.layout
+    for buffer, offsets in (
+        (codes[:-1], layout),  # the finest unit one code short
+        (codes[::2], layout),  # not C-contiguous
+        (codes.reshape(1, n), layout),  # not 1-D
+        (list(codes), layout),  # not an array
+        (codes, list(layout)),  # offsets not an array('q')
+        (codes, layout[:-1]),  # one offset short
+        (codes, layout[:-1] + array("q", [n])),  # the finest unit past the end
+        (codes, array("q", [2**62]) * predictor.num_units),  # every unit far past it
+    ):
+        with pytest.raises(ConfigurationError):
+            predictor.reconstruct(anchors, buffer, offsets, 1.0)
+    # Offsets may overlap and come in any order; a negative one is no codes.
+    for offsets in (array("q", [0]) * predictor.num_units, array("q", [-5]) * predictor.num_units):
+        assert (predictor.reconstruct(anchors, codes, offsets, 1.0) == 0.0).all()
+    with pytest.raises(ConfigurationError, match="is not one of"):
+        predictor.unit_offsets({predictor.num_units + 1: 0})
 
 
 def test_invalid_configuration_rejected():

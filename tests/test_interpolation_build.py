@@ -26,7 +26,9 @@ from repro.errors import ConfigurationError
 
 predictor = InterpolationPredictor((5, 6))
 try:
-    field = predictor.reconstruct(np.ones(predictor.anchor_count), {}, 1.0)
+    field = predictor.reconstruct(
+        np.ones(predictor.anchor_count), np.zeros(0, np.int64), predictor.unit_offsets({}), 1.0
+    )
 except ConfigurationError as error:
     print("ConfigurationError:", error)
 else:

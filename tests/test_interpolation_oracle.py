@@ -16,7 +16,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 import pytest
 
-from oracle_interpolation import SLACK
+from oracle_interpolation import SLACK, packed
 from repro.core.interpolation import InterpolationPredictor
 from repro.core.quantizer import LinearQuantizer
 from repro.errors import ConfigurationError
@@ -250,7 +250,7 @@ def test_matches_the_open_mesh_oracle(shape, method, granularity):
         codes = {u: c for u, c in got[1].items() if group[u] in kept}
         diffs = {k: quantizer.dequantize(want[1][k]) for k in kept}
         assert _same_bytes(
-            new.reconstruct(anchor_values, codes, quantizer.bin_width),
+            new.reconstruct(anchor_values, *packed(new, codes), quantizer.bin_width),
             old.reconstruct(anchor_values, diffs, granularity),
         )
 
@@ -262,10 +262,12 @@ def test_negative_zero_predictions_survive_like_the_oracle(method):
     data = np.full(shape, -0.0)
     new, old = InterpolationPredictor(shape, method), OraclePredictor(shape, method)
     anchors = np.full(new.anchor_count, -0.0)
-    assert _same_bytes(new.reconstruct(anchors, {}, 1.0), old.reconstruct(anchors, {}))
+    assert _same_bytes(
+        new.reconstruct(anchors, *packed(new, {}), 1.0), old.reconstruct(anchors, {})
+    )
     zeros = {k: np.zeros(n, dtype=np.int64) for k, n in new.sweep_sizes.items()}
     assert _same_bytes(
-        new.reconstruct(anchors, zeros, 1.0),
+        new.reconstruct(anchors, *packed(new, zeros), 1.0),
         old.reconstruct(anchors, {k: np.zeros(n) for k, n in new.sweep_sizes.items()}, "sweep"),
     )
     assert _same_levels(new.transform(data)[1], old.transform(data, "sweep")[1])

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracle_interpolation import OracleSweepPredictor
+from oracle_interpolation import OracleSweepPredictor, packed
 from repro import IPComp
 from repro.core.interpolation import InterpolationPredictor
 from repro.core.quantizer import LinearQuantizer
@@ -103,7 +103,7 @@ def _check_every_path(shape, method, drop, seed, specials=True):
 
     anchor_values = quantizer.dequantize(got[0])
     # The decomposition's own codes rebuild its reconstruction exactly.
-    assert _same(new.reconstruct(anchor_values, got[1], quantizer.bin_width), got[2])
+    assert _same(new.reconstruct(anchor_values, *packed(new, got[1]), quantizer.bin_width), got[2])
     codes = {k: rng.integers(-(2**20), 2**20, size=v.size) for k, v in got[1].items()}
     level = {new.num_units - i: p.level for i, p in enumerate(new._passes)}
     groups = sorted(set(level.values()) if drop == "level" else level)
@@ -118,19 +118,20 @@ def _check_every_path(shape, method, drop, seed, specials=True):
         (anchor_values, {k: v // 16 for k, v in partial.items()}, 0.375),
     ]
     for values, unit_codes, bin_width in inputs:
-        fresh = new.reconstruct(values, unit_codes, bin_width)
+        fresh = new.reconstruct(values, *packed(new, unit_codes), bin_width)
         expected = old.reconstruct(values, unit_codes, bin_width)
         assert _same(fresh, expected)
         # ``out`` may hold anything on entry.
         out = np.full(shape, np.nan)
-        assert new.reconstruct(values, unit_codes, bin_width, out=out) is out
+        assert new.reconstruct(values, *packed(new, unit_codes), bin_width, out=out) is out
         assert _same(out, expected)
     # Codes of any other integer type are refused, not promoted.
     if codes:
         narrow = {1: codes[1].astype(np.int32)}
-        for predictor in (new, old):
-            with pytest.raises(ConfigurationError, match="must be int64"):
-                predictor.reconstruct(anchor_values, narrow, quantizer.bin_width)
+        with pytest.raises(ConfigurationError, match="must be int64"):
+            new.reconstruct(anchor_values, *packed(new, narrow), quantizer.bin_width)
+        with pytest.raises(ConfigurationError, match="must be int64"):
+            old.reconstruct(anchor_values, narrow, quantizer.bin_width)
 
 
 @st.composite

@@ -10,9 +10,12 @@ quantizer's edge cases: half-bin ties, nudged codes, codes near ±2^62, and
 the differences it refuses (±2^63 bins, ±inf, NaN).  It then runs the plane
 decode (``ipc_decode_planes``) over random shards — 64-bit levels, levels
 with no plane loaded, one value, counts around the 256-column chunk, every
-prefix — and the planner's DP (``ipc_plan``) over random flat tables —
+prefix — the planner's DP (``ipc_plan``) over random flat tables —
 shifts of exactly ``bins``, infinite ones and ones past int64, levels of one
-choice, no levels — against the unsanitized library.  Any undefined
+choice, no levels — and the plane encode and δ tables
+(``ipc_encode_planes``, ``ipc_truncation_errors``) over the generated
+shards of ``tests/test_encode_chain.py`` — every width 1–64, empty levels,
+the chunk's edge counts, every prefix — against the unsanitized library.  Any undefined
 behaviour aborts the child.  Skipped when the compiler cannot build or load
 such a library.
 """
@@ -54,7 +57,8 @@ with tempfile.TemporaryDirectory() as scratch:
     except OSError as error:
         print("SKIP cannot load a UBSan build:", error)
         sys.exit(0)
-for name in ("ipc_forward", "ipc_reconstruct", "ipc_decode_planes", "ipc_plan"):
+for name in ("ipc_forward", "ipc_reconstruct", "ipc_decode_planes", "ipc_plan",
+             "ipc_encode_planes", "ipc_truncation_errors"):
     entry, real = getattr(lib, name), getattr(interpolation._SWEEP, name)
     entry.argtypes, entry.restype = real.argtypes, real.restype
 unsanitized, interpolation._SWEEP = interpolation._SWEEP, lib
@@ -143,6 +147,44 @@ for trial in range(160):
                                      ("shift = bins", budget in err), ("inf", np.inf in err),
                                      ("no plan", got[0] == -1)) if hit}
 assert {"no levels", "one choice", "shift = bins", "inf"} <= seen, seen
+
+# The plane encode and the δ tables over generated shards: every width
+# 1–64 (63 and 64 planes overflow δ tables), empty levels, one value,
+# counts 1–17 and around the chunk, every prefix; each answer (or
+# overflow) is the unsanitized library's.
+from test_encode_chain import COUNTS, _level
+from repro.core.negabinary import truncation_error_tables
+
+def encoded(library, levels, prefix):
+    interpolation._SWEEP = library
+    try:
+        planes = kernel.encode_planes(levels, prefix)
+        try:
+            tables = truncation_error_tables([(c, nbits) for c, (nbits, _) in zip(levels, planes)])
+            tables = [t.tobytes() for t in tables]
+        except OverflowError as error:
+            tables = str(error)
+        return planes, tables
+    finally:
+        interpolation._SWEEP = lib
+
+seen = set()
+for trial in range(96):
+    prefix = trial % 4
+    levels = [
+        _level(int(rng.integers(2**32)), int(rng.choice(COUNTS)), int(rng.integers(1, 65)))
+        for _ in range(int(rng.integers(0, 6)))
+    ]
+    if trial < 8:  # one shard of every width 1–64 at one edge count
+        levels = [_level(trial * 64 + w, COUNTS[-1 - trial % 4], w) for w in range(1, 65)]
+    got, want = encoded(lib, levels, prefix), encoded(unsanitized, levels, prefix)
+    assert got == want, trial
+    runs += 1
+    seen |= {name for name, hit in (("empty", any(c.size == 0 for c in levels)),
+                                     ("overflow", isinstance(got[1], str)),
+                                     ("64 planes", any(n == 64 for n, _ in got[0])),
+                                     ("no levels", not levels)) if hit}
+assert {"empty", "overflow", "64 planes", "no levels"} <= seen, seen
 print("OK", runs)
 """
 

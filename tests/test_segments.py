@@ -10,6 +10,8 @@ still names every block it carries.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from oracle_kernel import plane_rows, shard_rows
@@ -49,9 +51,11 @@ def _per_block_answer(blob: bytes, keep) -> np.ndarray:
         *shard_rows((rows[enc.level], enc.count, enc.nbits) for enc in levels)
     )
     anchor = coder.decode_anchor(store.read_anchor(), retriever.header.anchor_count)
+    starts = accumulate((enc.count for enc in levels), initial=0)
     return retriever.predictor.reconstruct(
         anchor,
-        {enc.level: c for enc, c in zip(levels, codes)},
+        codes,
+        retriever.predictor.unit_offsets(dict(zip((enc.level for enc in levels), starts))),
         retriever.quantizer.bin_width,
     )
 
