@@ -450,13 +450,19 @@ static void scatter(const uint8_t *restrict byte, int width, uint8_t (*restrict 
     }
 }
 
-/* The bit length of the OR of ``count`` codes' negabinary words, at least 1. */
+/* The bit length of the OR of ``count`` codes' negabinary words, at least 1.
+ * Sixteen lanes of ORs, so that GCC vectorises the loop. */
 static int level_width(const int64_t *restrict codes, int64_t count)
 {
     const int64_t whole = count & ~(int64_t)15;
-    uint64_t any = 0;
-    for (int64_t v = 0; v < whole; ++v) {
-        any |= ((uint64_t)codes[v] + NEGABINARY) ^ NEGABINARY;
+    uint64_t lane[16] = {0}, any = 0;
+    for (int64_t v = 0; v < whole; v += 16) {
+        for (int i = 0; i < 16; ++i) {
+            lane[i] |= ((uint64_t)codes[v + i] + NEGABINARY) ^ NEGABINARY;
+        }
+    }
+    for (int i = 0; i < 16; ++i) {
+        any |= lane[i];
     }
     for (int64_t v = whole; v < count; ++v) {
         any |= ((uint64_t)codes[v] + NEGABINARY) ^ NEGABINARY;
@@ -527,52 +533,103 @@ int64_t ipc_encode_planes(const int64_t *const *codes, const int64_t *counts, in
  * with ``k & low``: the largest loss of either sign lies at the maximum or
  * the minimum of ``k & low`` over the level.
  *
- * A level sweeps SPAN keys at a time, cut to the narrowest of 16, 32 or 64
- * bits that holds its width, and for each ``d`` takes the maximum and the
- * minimum of ``k & low`` over them.  The lanes are signed with the top bit
- * flipped (``(k & low) ^ BIAS``, the unsigned order), so that the reduction
- * is a signed max and min, which SSE2 has for 16-bit lanes: GCC vectorises
- * the 16-bit sweep at -O2.  The chunk is padded to 16 keys with copies of
- * its first. */
+ * A level is swept SPAN keys at a time in 16-bit lanes, which SSE2 can max
+ * and min (signed): limb ``q`` holds bits 16q … 16q + 15 of every key with
+ * the top one flipped, so that the signed order is the unsigned one, and a
+ * mask below bit 15 leaves the exact bits.  The extremes of ``k & low`` are
+ * taken limb by limb from the top one ``d`` reaches: the extremes of its
+ * masked bits, then, among the keys that have them, those of the next limb
+ * down, and so on (``eq`` marks the keys still in the running, one mask for
+ * the largest and one for the smallest).  A level of up to 16 planes is one
+ * pass a plane.  GCC vectorises every pass at -O2: each runs a multiple of
+ * 16 lanes, the chunk padded with copies of its first key. */
 
 #define SPAN 2048
+#define FLIP 0x8000
 
-#define SWEEP(NAME, T, U, BIAS, LOWEST, HIGHEST)                                              \
-    static void NAME(const int64_t *codes, int64_t count, int nbits, uint64_t *top,           \
-                     uint64_t *bottom)                                                        \
-    {                                                                                         \
-        U key[SPAN];                                                                          \
-        for (int64_t i0 = 0; i0 < count; i0 += SPAN) {                                        \
-            const int m = (int)(count - i0 < SPAN ? count - i0 : SPAN);                       \
-            const int whole = m & ~15, width = (m + 15) & ~15;                                \
-            const int64_t *const v = codes + i0;                                              \
-            for (int j = 0; j < whole; ++j) {                                                 \
-                key[j] = (U)((uint64_t)v[j] + NEGABINARY);                                    \
-            }                                                                                 \
-            for (int j = whole; j < m; ++j) {                                                 \
-                key[j] = (U)((uint64_t)v[j] + NEGABINARY);                                    \
-            }                                                                                 \
-            for (int j = m; j < width; ++j) {                                                 \
-                key[j] = key[0];                                                              \
-            }                                                                                 \
-            for (int d = 1; d <= nbits; ++d) {                                                \
-                const U low = (U)(((uint64_t)2 << (d - 1)) - 1);                              \
-                T hi = LOWEST, lo = HIGHEST;                                                  \
-                for (int j = 0; j < width; ++j) {                                             \
-                    const T k = (T)((U)(key[j] & low) ^ (U)BIAS);                             \
-                    hi = k > hi ? k : hi;                                                     \
-                    lo = k < lo ? k : lo;                                                     \
-                }                                                                             \
-                const uint64_t high = (U)((U)hi ^ (U)BIAS), least = (U)((U)lo ^ (U)BIAS);     \
-                top[d] = high > top[d] ? high : top[d];                                       \
-                bottom[d] = least < bottom[d] ? least : bottom[d];                            \
-            }                                                                                 \
-        }                                                                                     \
+/* Bits ``shift`` … ``shift + 15`` of ``m`` keys into ``limb``, the top one
+ * flipped, padded to ``width`` with the first. */
+static void limbs(const int64_t *restrict v, int m, int width, int shift, int16_t *restrict limb)
+{
+    const int whole = m & ~15;
+    for (int j = 0; j < whole; j += 16) {
+        for (int i = 0; i < 16; ++i) {
+            limb[j + i] = (int16_t)(uint16_t)((((uint64_t)v[j + i] + NEGABINARY) >> shift) ^ FLIP);
+        }
     }
+    for (int j = whole; j < m; ++j) {
+        limb[j] = (int16_t)(uint16_t)((((uint64_t)v[j] + NEGABINARY) >> shift) ^ FLIP);
+    }
+    for (int j = m; j < width; ++j) {
+        limb[j] = limb[0];
+    }
+}
 
-SWEEP(sweep16, int16_t, uint16_t, 0x8000u, INT16_MIN, INT16_MAX)
-SWEEP(sweep32, int32_t, uint32_t, 0x80000000u, INT32_MIN, INT32_MAX)
-SWEEP(sweep64, int64_t, uint64_t, 0x8000000000000000ull, INT64_MIN, INT64_MAX)
+/* Of the ``m`` keys' lanes (``width`` = m rounded up to 16): narrow the
+ * keys in the running (``up`` / ``down``) to those whose ``prev & low`` is
+ * ``*high`` / ``*least``, and put the largest ``cur`` of the first and the
+ * smallest of the second in place of the two. */
+static void ties(const int16_t *restrict prev, int16_t low, const int16_t *restrict cur, int m,
+                 int16_t *restrict up, int16_t *restrict down, int16_t *high, int16_t *least)
+{
+    const int width = (m + 15) & ~15;
+    const int16_t first = *high, last = *least;
+    int16_t top = INT16_MIN, bottom = INT16_MAX;
+    for (int j = 0; j < width; ++j) {
+        /* ``cur`` where the key is in the running, else one that loses: as
+         * masks, which GCC vectorises where it does not the conditionals. */
+        const int16_t p = (int16_t)(prev[j] & low), c = cur[j];
+        const int16_t a = (int16_t)(up[j] & -(p == first)), b = (int16_t)(down[j] & -(p == last));
+        const int16_t in = (int16_t)((c & a) | (INT16_MIN & ~a)),
+                      out = (int16_t)((c & b) | (INT16_MAX & ~b));
+        up[j] = a;
+        down[j] = b;
+        top = in > top ? in : top;
+        bottom = out < bottom ? out : bottom;
+    }
+    *high = top;
+    *least = bottom;
+}
+
+/* The extremes of ``k & low`` for ``d`` = 1 … nbits (1 … 64) into ``top``
+ * / ``bottom`` (maxima, minima), which hold those of no keys yet. */
+static void sweep(const int64_t *codes, int64_t count, int nbits, uint64_t *top, uint64_t *bottom)
+{
+    int16_t limb[4][SPAN], up[SPAN], down[SPAN];
+    for (int64_t i0 = 0; i0 < count; i0 += SPAN) {
+        const int m = (int)(count - i0 < SPAN ? count - i0 : SPAN), width = (m + 15) & ~15;
+        for (int q = 0; 16 * q < nbits; ++q) {
+            limbs(codes + i0, m, width, 16 * q, limb[q]);
+        }
+        for (int d = 1; d <= nbits; ++d) {
+            /* The top limb ``d`` reaches, masked to its bits there; a mask
+             * of all 16 keeps the flipped top one. */
+            const int q = (d - 1) / 16, bits = d - 16 * q;
+            const int16_t low = bits < 16 ? (int16_t)((1 << bits) - 1) : -1;
+            const uint16_t flip = bits < 16 ? 0 : FLIP;
+            const int16_t *const head = limb[q];
+            int16_t high = INT16_MIN, least = INT16_MAX;
+            for (int j = 0; j < width; ++j) {
+                const int16_t k = (int16_t)(head[j] & low);
+                high = k > high ? k : high;
+                least = k < least ? k : least;
+            }
+            uint64_t above = (uint16_t)((uint16_t)high ^ flip),
+                     below = (uint16_t)((uint16_t)least ^ flip);
+            if (q > 0) {
+                memset(up, 0xFF, sizeof up);
+                memset(down, 0xFF, sizeof down);
+            }
+            for (int r = q - 1; r >= 0; --r) {
+                ties(limb[r + 1], r + 1 == q ? low : -1, limb[r], m, up, down, &high, &least);
+                above = above << 16 | (uint16_t)((uint16_t)high ^ FLIP);
+                below = below << 16 | (uint16_t)((uint16_t)least ^ FLIP);
+            }
+            top[d] = above > top[d] ? above : top[d];
+            bottom[d] = below < bottom[d] ? below : bottom[d];
+        }
+    }
+}
 
 /* Every level of a shard: level ``l`` is ``counts[l]`` int64 codes at
  * ``codes[l]`` and ``nbits[l]`` (0 … 64) planes wide, and its table, entries
@@ -593,13 +650,7 @@ int64_t ipc_truncation_errors(const int64_t *const *codes, const int64_t *counts
         if (counts[l] == 0) {
             continue;
         }
-        if (width <= 16) {
-            sweep16(codes[l], counts[l], width, top, bottom);
-        } else if (width <= 32) {
-            sweep32(codes[l], counts[l], width, top, bottom);
-        } else {
-            sweep64(codes[l], counts[l], width, top, bottom);
-        }
+        sweep(codes[l], counts[l], width, top, bottom);
         for (int d = 1; d <= width; ++d) {
             const uint64_t offset = NEGABINARY & (((uint64_t)2 << (d - 1)) - 1);
             const uint64_t above = top[d] > offset ? top[d] - offset : 0,
