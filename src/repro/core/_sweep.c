@@ -407,7 +407,7 @@ int64_t ipc_decode_planes(const uint8_t *rows, int64_t size, const int64_t *leve
  * first, in the layout the decode reads.
  *
  * A level is encoded CHUNK packed columns (8 * CHUNK values) at a time.
- * Byte group ``g`` of the chunk's words is split out into ``byte[g]``; the
+ * Byte group ``g`` of the chunk's words is split out into ``byte``; the
  * eight bytes of column ``c`` there are one uint64 whose ``transpose8`` has
  * in byte ``r`` bit ``8g + r`` of the column's 8 values, so a byte store
  * each lays the column into the position-major ``plane`` rows.  Each row
@@ -425,7 +425,8 @@ static void split(const int64_t *restrict codes, int g, int n, uint8_t *restrict
     }
 }
 
-/* Column ``c`` of byte group ``g`` into rows 8g … 8g + 7 of ``plane``. */
+/* Every column of one byte group, ``split`` into ``byte``, into the eight
+ * ``plane`` rows of its bits. */
 static void scatter(const uint8_t *restrict byte, int width, uint8_t (*restrict plane)[CHUNK])
 {
     for (int c = 0; c < width; ++c) {
@@ -539,8 +540,8 @@ int64_t ipc_encode_planes(const int64_t *const *codes, const int64_t *counts, in
  * mask below bit 15 leaves the exact bits.  The extremes of ``k & low`` are
  * taken limb by limb from the top one ``d`` reaches: the extremes of its
  * masked bits, then, among the keys that have them, those of the next limb
- * down, and so on (``eq`` marks the keys still in the running, one mask for
- * the largest and one for the smallest).  A level of up to 16 planes is one
+ * down, and so on (``up`` and ``down`` mask the keys still in the running
+ * for the largest and for the smallest).  A level of up to 16 planes is one
  * pass a plane.  GCC vectorises every pass at -O2: each runs a multiple of
  * 16 lanes, the chunk padded with copies of its first key. */
 

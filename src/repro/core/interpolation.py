@@ -70,8 +70,9 @@ _INT64 = np.dtype(np.int64)
 # Every pass runs in C (``_sweep.c``, next to this file), one call per shard
 # and direction.  It is compiled at import with the platform's C compiler
 # into a per-user cache and loaded with ctypes, whose calls release the GIL.
-# The same library holds the plane decode of :mod:`repro.core.kernels` and
-# the planner's DP of :mod:`repro.core.optimizer`, which load it through
+# The same library holds the plane encode and decode of
+# :mod:`repro.core.kernels`, the δ tables of :mod:`repro.core.negabinary`
+# and the planner's DP of :mod:`repro.core.optimizer`, which load it through
 # :func:`_sweep` too.
 # ``-ffp-contract=off`` keeps each multiply and add its own rounding (GCC on
 # aarch64 would fuse them into FMAs), so every answer is bitwise the numpy

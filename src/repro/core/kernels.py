@@ -1,38 +1,37 @@
-"""The plane kernel: the bit-level hot path of IPComp, one sweep per shard.
+"""The plane kernel: the bit-level hot path of IPComp, one C call per shard.
 
 The paper's coder has exactly one bit path (§4): quantization integers →
 negabinary → bitplanes → XOR prediction → per-plane packed bytes, and its
 inverse.  :class:`PlaneKernel` runs that whole chain for **every level of a
 shard** in one call (:meth:`PlaneKernel.encode_planes` /
-:meth:`PlaneKernel.decode_planes`, which take a shard's list of levels):
+:meth:`PlaneKernel.decode_planes`, which take a shard's list of levels),
+each one call into C (``ipc_encode_planes`` / ``ipc_decode_planes`` in
+``_sweep.c``, the library :mod:`repro.core.interpolation` builds and
+loads):
 
-* **encode** is numpy, one sweep in the packed byte domain over a
-  per-thread buffer arena.  The levels lie side by side in one
-  position-major matrix (row ``p`` = bit ``p`` of every value, so levels of
-  different width align at the LSB), and the sweep costs a fixed number of
-  NumPy calls per shard instead of per level — a shard is mostly small
-  levels that would each pay more for dispatch than for data.  XOR
-  prediction commutes with bit packing (pad bits are zero on both sides),
-  so it runs on the 8×-smaller packed rows.
-* **decode** is one call into C (``ipc_decode_planes`` in ``_sweep.c``, the
-  library :mod:`repro.core.interpolation` builds and loads) over the
-  shard's one row buffer and a table of each level's offset and shape: it
-  checks that every level lies inside the buffer, then walks each level in
-  chunks of packed columns with the same 8×8 bit transpose.  ctypes
-  releases the GIL for the call, and the C keeps no state between calls.
+* **encode** reads each level's codes where they lie (a table of their
+  addresses and counts), takes its width — the bit length of the OR of its
+  negabinary words — and walks it in chunks of packed columns: negabinary,
+  an 8×8 bit transpose per byte group into position-major plane rows, the
+  XOR prediction on the packed rows, and the rows copied out into one
+  buffer, from which each plane becomes its ``bytes``.
+* **decode** takes the shard's one row buffer and a table of each level's
+  offset and shape, checks that every level lies inside the buffer, then
+  walks each level in chunks with the same transpose the other way.
+
+ctypes releases the GIL for both calls, so the two slabs a write has in
+flight encode at once, and the C keeps no state between calls: the one
+instance is shared by every thread (the serving layer decodes
+``max_inflight`` requests at once, and a write encodes two slabs at once).
 
 There is one implementation and no selector: :func:`get_kernel` returns the
 one process-wide instance.  The byte-identity contract — both directions
 agree with the paper's pseudocode, bit by bit and one level at a time — is
 held by the loop oracle in ``tests/oracle_kernel.py`` (differential tests
-in ``tests/test_kernels*.py``), not by a second path in ``src/``.  Every
-plane in the package goes through it: the IPComp writer and reader, the ZFP
-baseline's coefficient planes and the Table 2 entropy study.
-
-The instance is shared by every thread (the serving layer decodes
-``max_inflight`` requests at once, and a write encodes two slabs at once),
-so the encode keeps its grow-only scratch *per thread*: per-thread scratch
-is a correctness requirement, not an optimisation.
+in ``tests/test_kernels*.py`` and ``tests/test_encode_chain.py``), not by a
+second path in ``src/``.  Every plane in the package goes through it: the
+IPComp writer and reader, the ZFP baseline's coefficient planes and the
+Table 2 entropy study.
 """
 
 from __future__ import annotations
@@ -70,25 +69,21 @@ _BYTE = np.dtype(np.uint8)
 
 
 class PlaneKernel:
-    """A shard's plane chain: a numpy encode sweep, a C decode call.
+    """A shard's plane chain, one C call each way.
 
     Negabinary conversion, bitplane extraction, XOR prediction and per-plane
     bit packing (and their inverses) compose to a **bit-matrix transpose** —
     ``n × nbits`` value-major bits to ``nbits × n`` plane-major bits — done
-    8×8 bits at a time (:func:`_transpose_bit_blocks` here, the same three
-    masked swaps in ``_sweep.c``) without ever materialising the
-    ``n × nbits`` bit matrix.
+    8×8 bits at a time (Hacker's Delight ``transpose8``, three masked swaps
+    in ``_sweep.c``) without ever materialising the ``n × nbits`` bit
+    matrix.
 
-    * **encode** — every level of the shard is padded to whole 8-value
-      blocks and laid side by side in one **position-major** arena matrix:
-      row ``p`` holds bit ``p`` of every value as packed bytes, so levels
-      of different ``nbits`` align at the least significant bit and the
-      rows above a level's width are zero.  Code byte ``j`` of a block's 8
-      values is one ``uint64`` whose transpose *is* the packed plane rows
-      ``8j … 8j + 7``.  The XOR prediction runs on the packed rows (8× less
-      data than bits); zero rows above a level's width predict nothing,
-      exactly as the per-level recurrence stops at the top plane.  A fixed
-      number of NumPy passes serves all levels at once.
+    * **encode** — per level, chunk by chunk, the C splits byte group ``g``
+      out of the values' negabinary words; the 8 bytes of a packed column
+      are one ``uint64`` whose transpose *is* that column of plane rows
+      ``8g … 8g + 7``.  The XOR prediction runs on the packed rows (8× less
+      data than bits), each row XORing the ones above it up to the level's
+      width, exactly as the per-level recurrence stops at the top plane.
     * **decode** — per level, chunk by chunk, the C lays the loaded rows
       position-major, un-predicts them top-down and pushes each byte group
       through the transpose into the values' words.
@@ -118,7 +113,7 @@ class PlaneKernel:
         of each.
         """
         check_prefix_bits(prefix_bits)
-        held, addresses, counts = code_table(levels)
+        held, addresses, counts = code_table(levels)  # ``held`` outlives the call
         nbytes = [(count + 7) // 8 for count in counts]
         rows = np.empty(64 * sum(nbytes), dtype=np.uint8)
         widths = array("q", bytes(8 * len(counts)))
@@ -134,7 +129,8 @@ class PlaneKernel:
         planes = []
         offset = 0
         for nbits, row in zip(widths, nbytes):
-            planes.append((nbits, [data[offset + r * row : offset + (r + 1) * row] for r in range(nbits)]))
+            blocks = [data[offset + r * row : offset + (r + 1) * row] for r in range(nbits)]
+            planes.append((nbits, blocks))
             offset += nbits * row
         return planes
 

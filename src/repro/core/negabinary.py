@@ -123,7 +123,7 @@ def truncation_error_tables(
             raise ValueError(f"nbits must be in 0..64, got {nbits}")
         codes.append(values)
         widths.append(nbits)
-    held, addresses, counts = code_table(codes)
+    held, addresses, counts = code_table(codes)  # ``held`` outlives the call
     tables = np.empty(sum(widths) + len(widths), dtype=np.int64)
     failed = _sweep().ipc_truncation_errors(
         addresses.ctypes.data,

@@ -25,8 +25,8 @@ Steps 1–3 (and the packing of step 4) run on the plane kernel
 :meth:`~repro.core.kernels.PlaneKernel.decode_planes`, which take all levels
 of the shard in one call (:meth:`PredictiveCoder.encode_levels` /
 :meth:`~PredictiveCoder.decode_levels_codes`; the per-level methods are the
-shard of one): the encode sweeps them together in one position-major matrix
-over a per-thread buffer arena, the decode is one C call.  Decoding is two
+shard of one): each direction is one C call that reads the levels where
+they lie and holds the GIL for none of its work.  Decoding is two
 steps: lossless decoding stays per plane (:meth:`PredictiveCoder.decode_row`,
 which validates every row), and :meth:`PredictiveCoder.codes_from_rows` is
 the kernel's decode.  The progressive retriever calls the two apart — it
@@ -36,8 +36,8 @@ refinement — so there is one plane decoder.
 Alongside the blocks the encoder records the *exact* information-loss table
 ``δy_l(b)`` — the largest value-domain error introduced at this level when the
 ``b`` least significant planes are not loaded — which is what the optimized
-data loader of §5 consumes (one order-preserving sweep over the whole
-shard, :func:`repro.core.negabinary.truncation_error_tables`).  Using exact
+data loader of §5 consumes (one C call over the whole shard,
+:func:`repro.core.negabinary.truncation_error_tables`).  Using exact
 per-level tables (instead of the worst-case negabinary uncertainty formula)
 tightens the retrieval plans noticeably on smooth fields where low planes are
 mostly zero.
@@ -217,13 +217,12 @@ class PredictiveCoder:
             (level, np.asarray(codes, dtype=np.int64).ravel()) for level, codes in levels
         ]
         # The negabinary → bitplane → XOR-predict → pack chain of every
-        # level is one kernel hook call: the whole shard is a single sweep
-        # over the kernel's buffer arena.
+        # level is one kernel hook call: one C call for the whole shard.
         planes = get_kernel().encode_planes(
             [codes for _, codes in levels], self.prefix_bits
         )
-        # Integer losses of every level and every b in one shard-wide
-        # sweep; the bin width is the only float.
+        # Integer losses of every level and every b in one C call; the bin
+        # width is the only float.
         try:
             deltas = truncation_error_tables(
                 [(codes, nbits) for (_, codes), (nbits, _) in zip(levels, planes)]

@@ -1,7 +1,7 @@
 """The loop oracle: the paper's pseudocode, one bit and one level at a time.
 
 This is the test-side half of the codec's one byte-identity contract: the
-packed-domain shard sweep of :mod:`repro.core.kernels` (and the arithmetic
+C plane chain of :mod:`repro.core.kernels` (and the arithmetic
 of :class:`~repro.core.quantizer.LinearQuantizer`, the maps of
 :mod:`repro.core.negabinary`, the Huffman coder's bit scatter) must agree
 with these loops exactly.  Nothing

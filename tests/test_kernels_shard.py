@@ -1,9 +1,8 @@
 """Shard-wide kernel hooks: one batched call ≡ the per-level loop oracle.
 
 ``PlaneKernel.encode_planes`` / ``decode_planes`` take every level of a shard
-at once: the encode lays them side by side in one position-major matrix and
-sweeps them together, the decode is one C call that walks them in chunks of
-256 packed columns.  The oracle (``tests/oracle_kernel.py``) loops over the
+at once, each one C call that walks the levels in chunks of 256 packed
+columns.  The oracle (``tests/oracle_kernel.py``) loops over the
 bit-by-bit primitives one level at a time, so the differential tests below
 feed the kernel *ragged* shards — empty levels, ``nbits == 0``, counts that
 are not a multiple of 8, a different plane prefix loaded per level, every
