@@ -109,8 +109,8 @@ def truncation_error_tables(
     converted — that value is ``(x & low) − (MASK & low)``, *increasing* in
     the masked key: the largest loss of either sign sits at the maximum or
     minimum of ``x & low``.  ``ipc_truncation_errors`` (``_sweep.c``) takes
-    them per level and plane, on keys cut to 16, 32 or 64 bits by the
-    level's width, reading each level's codes where they lie.
+    them per level and plane, in 16-bit limbs of the keys, reading each
+    level's codes where they lie.
 
     Returns one ``int64[nbits + 1]`` table per level, in order (views of
     one buffer); an empty level's is all zeros.  A loss beyond ``int64`` (a
