@@ -110,17 +110,19 @@ class PlaneKernel:
         The whole shard is one C call (``ipc_encode_planes`` in
         ``_sweep.c``), which reads each level's codes where they lie and
         writes every level's rows into one buffer with room for 64 planes
-        of each.
+        of each.  ``levels`` may be a :class:`~repro.core.negabinary.CodeTable`
+        already built for the δ tables (the write's case), which is then
+        not built again.
         """
         check_prefix_bits(prefix_bits)
-        held, addresses, counts = code_table(levels)  # ``held`` outlives the call
-        nbytes = [(count + 7) // 8 for count in counts]
+        table = code_table(levels)
+        nbytes = [(count + 7) // 8 for count in table.counts]
         rows = np.empty(64 * sum(nbytes), dtype=np.uint8)
-        widths = array("q", bytes(8 * len(counts)))
+        widths = array("q", bytes(8 * len(table)))
         size = _sweep().ipc_encode_planes(
-            addresses.ctypes.data,
-            counts.buffer_info()[0],
-            len(counts),
+            table.addresses.ctypes.data,
+            table.counts.buffer_info()[0],
+            len(table),
             prefix_bits,
             _address(rows),
             widths.buffer_info()[0],

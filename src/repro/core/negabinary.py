@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import accumulate
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -87,21 +87,52 @@ def truncation_errors(values: np.ndarray, nbits: int) -> np.ndarray:
     return truncation_error_tables([(values, nbits)])[0]
 
 
-def code_table(levels: Iterable[np.ndarray]) -> Tuple[List[np.ndarray], np.ndarray, array]:
-    """Levels of codes as the C reads them, where they lie: each level as a
-    C-contiguous ``int64`` array (the level itself when it is one, else a
-    copy; the caller keeps them alive over the call), a ``uintp`` table of
-    their addresses and an ``array("q")`` of their counts."""
-    held = [np.ascontiguousarray(codes, dtype=np.int64).ravel() for codes in levels]
-    addresses = np.array([_address(codes) for codes in held], dtype=np.uintp)
-    return held, addresses, array("q", [codes.size for codes in held])
+class CodeTable:
+    """A shard's levels of codes as the C reads them, where they lie: each
+    level as a C-contiguous ``int64`` array (the level itself when it is
+    one, else a copy; the table keeps them alive), a ``uintp`` table of
+    their addresses and an ``array("q")`` of their counts.  Iterating it
+    yields the levels, so it stands wherever a list of levels does: the
+    write builds one per shard and hands it to both of its C calls
+    (:meth:`~repro.core.kernels.PlaneKernel.encode_planes` and
+    :func:`table_truncation_errors`)."""
+
+    def __init__(self, levels: Iterable[np.ndarray]) -> None:
+        self.levels = [np.ascontiguousarray(codes, dtype=np.int64).ravel() for codes in levels]
+        self.addresses = np.array([_address(codes) for codes in self.levels], dtype=np.uintp)
+        self.counts = array("q", [codes.size for codes in self.levels])
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return iter(self.levels)
+
+    def __len__(self) -> int:
+        return len(self.levels)
+
+
+def code_table(levels: Iterable[np.ndarray]) -> CodeTable:
+    """``levels`` as a :class:`CodeTable`: the table itself when it is one."""
+    return levels if isinstance(levels, CodeTable) else CodeTable(levels)
 
 
 def truncation_error_tables(
     levels: Sequence[Tuple[np.ndarray, int]]
 ) -> List[np.ndarray]:
     """The δ tables of a shard: :func:`truncation_errors` of every
-    ``(values, nbits)`` pair, in one C call over all of them.
+    ``(values, nbits)`` pair, in one C call over all of them
+    (:func:`table_truncation_errors`)."""
+    levels = list(levels)
+    for _, nbits in levels:
+        if not 0 <= nbits <= 64:
+            raise ValueError(f"nbits must be in 0..64, got {nbits}")
+    return table_truncation_errors(
+        CodeTable(values for values, _ in levels), array("q", [nbits for _, nbits in levels])
+    )
+
+
+def table_truncation_errors(table: CodeTable, widths: array) -> List[np.ndarray]:
+    """The δ tables of a shard's :class:`CodeTable`, level ``i`` taken as
+    ``widths[i]`` planes wide (an ``array("q")`` of widths 0 … 64, such as
+    the plane encode returns), in one C call.
 
     Dropping the ``d`` low digits loses exactly their value,
     ``from_negabinary(nb & low)`` with ``low = 2^d − 1``.  On the key
@@ -113,21 +144,14 @@ def truncation_error_tables(
     level's codes where they lie.
 
     Returns one ``int64[nbits + 1]`` table per level, in order (views of
-    one buffer); an empty level's is all zeros.  A loss beyond ``int64`` (a
-    level 63 or 64 bits wide can have one) raises ``OverflowError`` naming
-    the level's width.
+    one buffer); an empty level's is all zeros.  A loss beyond ``int64``
+    (a level 63 or 64 bits wide can have one) raises ``OverflowError``
+    naming the level's width.
     """
-    codes, widths = [], array("q")
-    for values, nbits in levels:
-        if not 0 <= nbits <= 64:
-            raise ValueError(f"nbits must be in 0..64, got {nbits}")
-        codes.append(values)
-        widths.append(nbits)
-    held, addresses, counts = code_table(codes)  # ``held`` outlives the call
     tables = np.empty(sum(widths) + len(widths), dtype=np.int64)
     failed = _sweep().ipc_truncation_errors(
-        addresses.ctypes.data,
-        counts.buffer_info()[0],
+        table.addresses.ctypes.data,
+        table.counts.buffer_info()[0],
         widths.buffer_info()[0],
         len(widths),
         _address(tables),

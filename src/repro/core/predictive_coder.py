@@ -37,7 +37,8 @@ Alongside the blocks the encoder records the *exact* information-loss table
 ``δy_l(b)`` — the largest value-domain error introduced at this level when the
 ``b`` least significant planes are not loaded — which is what the optimized
 data loader of §5 consumes (one C call over the whole shard,
-:func:`repro.core.negabinary.truncation_error_tables`).  Using exact
+:func:`repro.core.negabinary.table_truncation_errors`, reading the same
+:class:`~repro.core.negabinary.CodeTable` as the plane encode).  Using exact
 per-level tables (instead of the worst-case negabinary uncertainty formula)
 tightens the retrieval plans noticeably on smooth fields where low planes are
 mostly zero.
@@ -54,7 +55,7 @@ import numpy as np
 from repro.coders.backend import Backend, RawCoder, get_backend
 from repro.coders.zlib_backend import ZlibCoder
 from repro.core.kernels import LevelTable, get_kernel
-from repro.core.negabinary import truncation_error_tables
+from repro.core.negabinary import CodeTable, table_truncation_errors
 from repro.core.profile import CodecProfile
 from repro.core.quantizer import LinearQuantizer
 from repro.errors import ConfigurationError, StreamFormatError
@@ -213,32 +214,30 @@ class PredictiveCoder:
         self, levels: Iterable[Tuple[int, np.ndarray]]
     ) -> List[LevelEncoding]:
         """Encode a shard's ``(level, quantization integers)`` pairs into plane blocks."""
-        levels = [
-            (level, np.asarray(codes, dtype=np.int64).ravel()) for level, codes in levels
-        ]
+        levels = list(levels)
+        # Every level's codes as the C reads them, built once for both calls.
+        table = CodeTable(codes for _, codes in levels)
         # The negabinary → bitplane → XOR-predict → pack chain of every
         # level is one kernel hook call: one C call for the whole shard.
-        planes = get_kernel().encode_planes(
-            [codes for _, codes in levels], self.prefix_bits
-        )
+        planes = get_kernel().encode_planes(table, self.prefix_bits)
         # Integer losses of every level and every b in one C call; the bin
         # width is the only float.
         try:
-            deltas = truncation_error_tables(
-                [(codes, nbits) for (_, codes), (nbits, _) in zip(levels, planes)]
-            )
+            deltas = table_truncation_errors(table, array("q", [nbits for nbits, _ in planes]))
         except OverflowError as error:
             raise ConfigurationError(
                 f"error bound {self.quantizer.error_bound!r} is too fine for this "
                 f"field: {error}"
             ) from None
         encodings: List[LevelEncoding] = []
-        for (level, codes), (nbits, packed_planes), delta in zip(levels, planes, deltas):
+        for (level, _), count, (nbits, packed_planes), delta in zip(
+            levels, table.counts, planes, deltas
+        ):
             chosen = negotiate_level(packed_planes)
             encodings.append(
                 LevelEncoding(
                     level=level,
-                    count=codes.size,
+                    count=count,
                     nbits=nbits,
                     plane_blocks=[block for _, block in chosen],
                     plane_coders=[name for name, _ in chosen],

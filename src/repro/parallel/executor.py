@@ -93,9 +93,9 @@ class BlockParallelCompressor:
         once slab ``k`` has been taken, so at most two slab copies and two
         streams are alive at once.  The caller takes a share rather than a
         second helper because every thread leaves its malloc arena behind
-        (≈ 8 MB on the e2e field), which the process keeps.  Each thread has
-        its own kernel arena and ``compress`` shares no mutable state, so
-        the bytes are the serial loop's.  An exception in either slab
+        (≈ 8 MB on the e2e field), which the process keeps.  The C kernel
+        keeps nothing between calls and ``compress`` shares no mutable
+        state, so the bytes are the serial loop's.  An exception in either slab
         propagates once the helper's slab has finished.
         """
 

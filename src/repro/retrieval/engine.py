@@ -29,11 +29,13 @@ it is where the path from a request to the bytes is assembled — once, in
   it; nothing is fetched for a request nobody made.  A local file has no
   stage 2: the store reads its block source directly;
 * **stage 3 (decode)** — the answer is allocated once, and each shard's
-  retriever decodes its plan in-process straight into it: a shard the ROI
+  retriever decodes its plan in-process straight into it, two shards at a
+  time: the calling thread and one ``repro-read`` thread each take the
+  next shard left, and no thread outlives the request.  A shard the ROI
   does not cut reconstructs into its own slab view of the answer, any
-  other into one float64 scratch slab per request, whose slab∩ROI is
-  copied in.  Nothing is assembled afterwards (:func:`assemble` serves
-  the serving layer's cache-mixing reads).
+  other into its thread's float64 scratch slab, whose slab∩ROI is copied
+  in.  Nothing is assembled afterwards (:func:`assemble` serves the
+  serving layer's cache-mixing reads).
 
 Every request returns one :class:`DatasetReadResult` — the type
 :class:`~repro.io.dataset.ChunkedDataset` hands its callers as it is — for
@@ -43,13 +45,15 @@ Byte accounting is **consumption-based**: each request reports the ranges
 its stores recorded (:attr:`repro.core.stream.CompressedStore.trace` — per
 block, identical on every path), never the physical prefetch I/O — so
 multiplexing changes no reported number, only wall-clock time.  Decoded
-output is bitwise-identical across serial / multiplexed reads.
+output is bitwise-identical across serial / multiplexed reads, and the
+read window changes no byte of an answer or of its ``ranges``.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -461,13 +465,14 @@ class RetrievalEngine:
             with self._prefetcher.burst():
                 for retriever, plan in zip(selected, plans):
                     retriever._prime(plan)
-        # Stage 3 decodes into the answer, allocated once.  A shard the ROI
-        # does not cut reconstructs into its own slab of it when that view
-        # is C-contiguous float64 of the stream's shape; every other one
-        # into the request's one scratch slab, whose slab∩ROI is then
-        # copied in, cast (the one copy it costs).
+        # Stage 3 decodes into the answer, allocated once, two shards at a
+        # time (:meth:`_decode`).  A shard the ROI does not cut reconstructs
+        # into its own slab of it when that view is C-contiguous float64 of
+        # the stream's shape; every other one into its thread's scratch
+        # slab, whose slab∩ROI is then copied in, cast (the one copy it
+        # costs).
         answer = np.empty(tuple(s.stop - s.start for s in roi_slices), dtype=self.dtype)
-        remaining = []
+        jobs = []
         scratch_size = 0
         for shard, retriever, plan in zip(shards, selected, plans):
             sel_out, sel_in = intersect_slab_roi(shard.slices, roi_slices)
@@ -481,40 +486,8 @@ class RetrievalEngine:
                 sel_in = None
             else:
                 scratch_size = max(scratch_size, math.prod(header.shape))
-            remaining.append((retriever, plan, view, sel_in))
-        scratch = np.empty(scratch_size, dtype=np.float64)
-        filled = 0
-        achieved = 0.0
-        while remaining:
-            index = 0
-            if self._prefetcher is not None and len(remaining) > 1:
-                # Streaming handoff: decode a shard whose primed ranges
-                # have all landed rather than blocking on plan order — the
-                # first shard still fetching overlaps with another shard's
-                # decode.  Output and accounting are order-independent.
-                index = next(
-                    (
-                        i
-                        for i, (retriever, *_slot) in enumerate(remaining)
-                        if getattr(retriever.store.source, "inflight", 0) == 0
-                    ),
-                    0,
-                )
-            retriever, plan, view, sel_in = remaining.pop(index)
-            if sel_in is None:
-                result = retriever.retrieve(plan=plan, out=view)
-            else:
-                header = retriever.header
-                slab = scratch[: math.prod(header.shape)].reshape(header.shape)
-                result = retriever.retrieve(plan=plan, out=slab)
-                piece = slab[sel_in]
-                # A stream whose dtype is not the dataset's rounds through
-                # its own first, as its fresh answer would.
-                view[...] = (
-                    piece if header.dtype == self.dtype else piece.astype(header.dtype)
-                )
-            filled += view.size
-            achieved = max(achieved, result.error_bound)
+            jobs.append((retriever, plan, view, sel_in))
+        filled, achieved = self._decode(jobs, scratch_size)
         # A second guard behind the dataset's tiling proof at open.
         if filled != answer.size:
             raise StreamFormatError(f"shards cover {filled} of the region's {answer.size} points")
@@ -536,6 +509,87 @@ class RetrievalEngine:
             shards=[s.name for s in shards],
             ranges=ranges,
         )
+
+    def _decode(self, jobs: list, scratch_size: int) -> Tuple[int, float]:
+        """Stage 3's read window: the calling thread and one ``repro-read``
+        thread each take the next shard left of ``jobs`` — ``(retriever,
+        plan, answer view, slab∩ROI or None)`` — and decode it, two shards
+        in flight; a request of one shard, or a serial remote read, starts
+        no thread.  Returns the points filled and the worst bound achieved.
+
+        Inflate, the plane decode and the sweep release the GIL, so one
+        shard's C overlaps the other's Python.  Shards are handed out one
+        at a time under a lock, not in pairs, so neither thread idles while
+        the other has a long shard.  Each thread owns its scratch slab and
+        its tallies, and every shard writes only its own slab of the
+        answer, so the answer and each store's ``trace`` are the serial
+        loop's.  After the first exception no thread takes another shard:
+        the other finishes the one it holds, the helper is joined, and the
+        first exception is raised — each retriever is left consistent.
+        """
+        lock = threading.Lock()
+        failures: List[BaseException] = []
+
+        def take():
+            with lock:
+                if failures or not jobs:
+                    return None
+                index = 0
+                if self._prefetcher is not None:
+                    # Streaming handoff: a shard whose primed ranges have
+                    # all landed first, so the first one still fetching
+                    # overlaps another's decode.
+                    index = next(
+                        (
+                            i
+                            for i, (retriever, *_job) in enumerate(jobs)
+                            if getattr(retriever.store.source, "inflight", 0) == 0
+                        ),
+                        0,
+                    )
+                return jobs.pop(index)
+
+        def work() -> Tuple[int, float]:
+            filled, achieved, scratch = 0, 0.0, None
+            while (job := take()) is not None:
+                retriever, plan, view, sel_in = job
+                try:
+                    if sel_in is None:
+                        result = retriever.retrieve(plan=plan, out=view)
+                    else:
+                        if scratch is None:
+                            scratch = np.empty(scratch_size, dtype=np.float64)
+                        header = retriever.header
+                        slab = scratch[: math.prod(header.shape)].reshape(header.shape)
+                        result = retriever.retrieve(plan=plan, out=slab)
+                        piece = slab[sel_in]
+                        # A stream whose dtype is not the dataset's rounds
+                        # through its own first, as its fresh answer would.
+                        view[...] = (
+                            piece if header.dtype == self.dtype else piece.astype(header.dtype)
+                        )
+                except BaseException as exc:
+                    with lock:
+                        failures.append(exc)
+                    break
+                filled += view.size
+                achieved = max(achieved, result.error_bound)
+            return filled, achieved
+
+        # A remote dataset read with ``prefetch=0`` is the serial oracle, one
+        # range request on the wire at a time: its shards decode in turn.
+        serial = self.prefetch == 0 and any(
+            getattr(retriever.store.source, "supports_async", False) for retriever, *_job in jobs
+        )
+        if len(jobs) < 2 or serial:
+            tallies = [work()]
+        else:
+            with ThreadPoolExecutor(1, thread_name_prefix="repro-read") as helper:
+                other = helper.submit(work)
+                tallies = [work(), other.result()]
+        if failures:
+            raise failures[0]
+        return sum(filled for filled, _ in tallies), max(bound for _, bound in tallies)
 
     # ------------------------------------------------------------------- state
 

@@ -105,8 +105,9 @@ def test_at_most_two_slabs_are_in_flight(local_rng, monkeypatch):
 
 
 def test_the_window_under_a_short_switch_interval(local_rng):
-    """The two threads share the kernel object, its per-thread arenas and
-    the field: switching every few microseconds must not move a byte."""
+    """The two threads share the kernel object and the field, and the C
+    kernel keeps nothing between calls: switching every few microseconds
+    must not move a byte."""
     field = _field(local_rng, rows=32)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
