@@ -29,13 +29,15 @@ it is where the path from a request to the bytes is assembled — once, in
   it; nothing is fetched for a request nobody made.  A local file has no
   stage 2: the store reads its block source directly;
 * **stage 3 (decode)** — the answer is allocated once, and each shard's
-  retriever decodes its plan in-process straight into it, two shards at a
-  time: the calling thread and one ``repro-read`` thread each take the
-  next shard left, and no thread outlives the request.  A shard the ROI
-  does not cut reconstructs into its own slab view of the answer, any
-  other into its thread's float64 scratch slab, whose slab∩ROI is copied
-  in.  Nothing is assembled afterwards (:func:`assemble` serves the
-  serving layer's cache-mixing reads).
+  retriever decodes its plan in-process straight into it.  A local
+  dataset's shards decode two at a time: the calling thread and one
+  ``repro-read`` thread each take the next shard left, and no thread
+  outlives the request; a remote one's decode on the calling thread, each
+  as its ranges land, overlapping the round trips of the rest.  A shard
+  the ROI does not cut reconstructs into its own slab view of the answer,
+  any other into its thread's float64 scratch slab, whose slab∩ROI is
+  copied in.  Nothing is assembled afterwards (:func:`assemble` serves
+  the serving layer's cache-mixing reads).
 
 Every request returns one :class:`DatasetReadResult` — the type
 :class:`~repro.io.dataset.ChunkedDataset` hands its callers as it is — for
@@ -514,7 +516,7 @@ class RetrievalEngine:
         """Stage 3's read window: the calling thread and one ``repro-read``
         thread each take the next shard left of ``jobs`` — ``(retriever,
         plan, answer view, slab∩ROI or None)`` — and decode it, two shards
-        in flight; a request of one shard, or a serial remote read, starts
+        in flight; a request of one shard, or of a remote dataset, starts
         no thread.  Returns the points filled and the worst bound achieved.
 
         Inflate, the plane decode and the sweep release the GIL, so one
@@ -576,12 +578,14 @@ class RetrievalEngine:
                 achieved = max(achieved, result.error_bound)
             return filled, achieved
 
-        # A remote dataset read with ``prefetch=0`` is the serial oracle, one
-        # range request on the wire at a time: its shards decode in turn.
-        serial = self.prefetch == 0 and any(
+        # A remote read decodes on the calling thread alone: its decode
+        # already overlaps the round trips of the shards after it, so a
+        # second decode thread bought it no time and cost CPU (and with
+        # ``prefetch=0`` it is the serial oracle, one request at a time).
+        remote = self._prefetcher is not None or any(
             getattr(retriever.store.source, "supports_async", False) for retriever, *_job in jobs
         )
-        if len(jobs) < 2 or serial:
+        if len(jobs) < 2 or remote:
             tallies = [work()]
         else:
             with ThreadPoolExecutor(1, thread_name_prefix="repro-read") as helper:

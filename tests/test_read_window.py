@@ -1,12 +1,13 @@
 """The read window changes nothing but the time.
 
-Every ``read`` and ``refine`` of a dataset decodes its shards two at a time —
-the calling thread one, a ``repro-read`` helper thread the next one left —
-each straight into its slab of the answer.  These tests pin what must not
+Every ``read`` and ``refine`` of a local dataset decodes its shards two at
+a time — the calling thread one, a ``repro-read`` helper thread the next
+one left — each straight into its slab of the answer.  These tests pin what must not
 move: the answer, the ``ranges`` (shard order, one entry per block),
 ``bytes_loaded`` and ``error_bound`` are those of the shards decoded one by
 one, also with the interpreter switching threads every microsecond; no
-thread outlives a request, a one-shard request starts none, and a failing
+thread outlives a request, a one-shard or remote request starts none
+(a remote decode already overlaps its round trips), and a failing
 shard raises the read's error and leaves every ``refine`` retriever
 consistent, so the repeated call finishes the job.
 """
@@ -154,6 +155,35 @@ def test_a_one_shard_request_starts_no_thread(archive, monkeypatch):
         dataset.refine()
     assert len(started) <= 2
     assert all(name.startswith("repro-read") for name in started)
+
+
+def test_a_remote_read_decodes_on_the_calling_thread(archive, monkeypatch):
+    """Its decode already overlaps the round trips: no helper, multiplexed
+    (``prefetch > 0``) or serial (``prefetch=0``), and the local bytes."""
+    from repro.io.aio import EventLoopThread
+    from repro.io.rangeserver import RangeServer
+
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread.name)
+        return start(thread)
+
+    with ChunkedDataset(archive) as dataset:
+        local = dataset.read(roi=ROIS[2])
+    try:
+        with RangeServer(archive.parent) as server:
+            monkeypatch.setattr(threading.Thread, "start", counted)
+            for prefetch in (4, 0):
+                url = server.url_for(archive.name)
+                with ChunkedDataset(url, prefetch=prefetch) as dataset:
+                    remote = dataset.read(roi=ROIS[2])
+                assert remote.data.tobytes() == local.data.tobytes()
+                assert remote.ranges == local.ranges
+    finally:
+        EventLoopThread.shared().close()  # re-created on demand
+    assert not [name for name in started if name.startswith("repro-read")]
 
 
 # --------------------------------------------------------------- failures
