@@ -254,12 +254,30 @@ class ProgressiveRetriever:
         """
         if plan is None:
             plan = self._plan(error_bound, bitrate, byte_budget)
+        return self.rebuild(plan, self.load(plan), out=out)
+
+    def load(self, plan: LoadingPlan) -> int:
+        """The first half of :meth:`retrieve`: read, inflate and keep every
+        block ``plan`` adds to what is resident (Python between short C
+        calls).  Returns the bytes the request is charged — what it read,
+        plus the header until a call completes — for :meth:`rebuild`.  A
+        load that raised midway keeps what arrived; the next finishes it."""
         self.store.reset_accounting()
         self._load(self._keep_for(plan))
-        levels = self.header.levels
         bytes_loaded = self.store.bytes_read
         if not self._header_charged:
             bytes_loaded += self.store.header_bytes
+        return bytes_loaded
+
+    def rebuild(
+        self, plan: LoadingPlan, bytes_loaded: int, *, out: Optional[np.ndarray] = None
+    ) -> RetrievalResult:
+        """The second half of :meth:`retrieve`: the answer at the resident
+        selection, from the rows alone (two C calls that release the GIL),
+        reported as the request ``plan`` that :meth:`load` charged
+        ``bytes_loaded``.  The engine's read window runs the halves of two
+        shards on two threads; ``retrieve`` is the two in turn."""
+        levels = self.header.levels
         # One decode call for the whole shard: one C call walks every level
         # of the one row buffer instead of paying a fixed cost per level.
         self._table[1::4] = array("q", self._current_keep.values())

@@ -57,7 +57,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -513,84 +513,131 @@ class RetrievalEngine:
         )
 
     def _decode(self, jobs: list, scratch_size: int) -> Tuple[int, float]:
-        """Stage 3's read window: the calling thread and one ``repro-read``
-        thread each take the next shard left of ``jobs`` — ``(retriever,
-        plan, answer view, slab∩ROI or None)`` — and decode it, two shards
-        in flight; a request of one shard, or of a remote dataset, starts
-        no thread.  Returns the points filled and the worst bound achieved.
+        """Stage 3: every shard of ``jobs`` — ``(retriever, plan, answer
+        view, slab∩ROI or None)`` — decoded into its view; returns the
+        points filled and the worst bound achieved.
 
-        Inflate, the plane decode and the sweep release the GIL, so one
-        shard's C overlaps the other's Python.  Shards are handed out one
-        at a time under a lock, not in pairs, so neither thread idles while
-        the other has a long shard.  Each thread owns its scratch slab and
-        its tallies, and every shard writes only its own slab of the
-        answer, so the answer and each store's ``trace`` are the serial
-        loop's.  After the first exception no thread takes another shard:
-        the other finishes the one it holds, the helper is joined, and the
-        first exception is raised — each retriever is left consistent.
+        A local dataset's shards go through the read window
+        (:meth:`_window`).  A request of one shard, or of a remote dataset,
+        decodes on the calling thread: a remote decode already overlaps the
+        round trips of the shards after it, and a second decode thread
+        bought it no time but cost CPU (with ``prefetch=0`` it is also the
+        serial oracle, one request on the wire at a time).
         """
-        lock = threading.Lock()
-        failures: List[BaseException] = []
 
-        def take():
-            with lock:
-                if failures or not jobs:
-                    return None
-                index = 0
-                if self._prefetcher is not None:
-                    # Streaming handoff: a shard whose primed ranges have
-                    # all landed first, so the first one still fetching
-                    # overlaps another's decode.
-                    index = next(
-                        (
-                            i
-                            for i, (retriever, *_job) in enumerate(jobs)
-                            if getattr(retriever.store.source, "inflight", 0) == 0
-                        ),
-                        0,
-                    )
-                return jobs.pop(index)
+        def place(job, scratch, decode) -> Tuple[float, Optional[np.ndarray]]:
+            # ``decode(out=…)`` — the shard's retrieve or rebuild — into its
+            # view, or into a scratch slab (made on first need) whose
+            # slab∩ROI is copied in; returns the bound and the scratch.
+            retriever, _plan, view, sel_in = job
+            if sel_in is None:
+                return decode(out=view).error_bound, scratch
+            if scratch is None:
+                scratch = np.empty(scratch_size, dtype=np.float64)
+            header = retriever.header
+            slab = scratch[: math.prod(header.shape)].reshape(header.shape)
+            bound = decode(out=slab).error_bound
+            piece = slab[sel_in]
+            # A stream whose dtype is not the dataset's rounds through its
+            # own first, as its fresh answer would.
+            view[...] = piece if header.dtype == self.dtype else piece.astype(header.dtype)
+            return bound, scratch
 
-        def work() -> Tuple[int, float]:
-            filled, achieved, scratch = 0, 0.0, None
-            while (job := take()) is not None:
-                retriever, plan, view, sel_in = job
-                try:
-                    if sel_in is None:
-                        result = retriever.retrieve(plan=plan, out=view)
-                    else:
-                        if scratch is None:
-                            scratch = np.empty(scratch_size, dtype=np.float64)
-                        header = retriever.header
-                        slab = scratch[: math.prod(header.shape)].reshape(header.shape)
-                        result = retriever.retrieve(plan=plan, out=slab)
-                        piece = slab[sel_in]
-                        # A stream whose dtype is not the dataset's rounds
-                        # through its own first, as its fresh answer would.
-                        view[...] = (
-                            piece if header.dtype == self.dtype else piece.astype(header.dtype)
-                        )
-                except BaseException as exc:
-                    with lock:
-                        failures.append(exc)
-                    break
-                filled += view.size
-                achieved = max(achieved, result.error_bound)
-            return filled, achieved
-
-        # A remote read decodes on the calling thread alone: its decode
-        # already overlaps the round trips of the shards after it, so a
-        # second decode thread bought it no time and cost CPU (and with
-        # ``prefetch=0`` it is the serial oracle, one request at a time).
         remote = self._prefetcher is not None or any(
             getattr(retriever.store.source, "supports_async", False) for retriever, *_job in jobs
         )
-        if len(jobs) < 2 or remote:
-            tallies = [work()]
-        else:
-            with ThreadPoolExecutor(1, thread_name_prefix="repro-read") as helper:
-                other = helper.submit(work)
-                tallies = [work(), other.result()]
+        if len(jobs) > 1 and not remote:
+            return self._window(jobs, place)
+        filled, achieved, scratch = 0, 0.0, None
+        while jobs:
+            index = 0
+            if self._prefetcher is not None and len(jobs) > 1:
+                # Streaming handoff: decode a shard whose primed ranges have
+                # all landed rather than blocking on plan order — the first
+                # shard still fetching overlaps another shard's decode.
+                index = next(
+                    (
+                        i
+                        for i, (retriever, *_job) in enumerate(jobs)
+                        if getattr(retriever.store.source, "inflight", 0) == 0
+                    ),
+                    0,
+                )
+            job = jobs.pop(index)
+            bound, scratch = place(job, scratch, partial(job[0].retrieve, plan=job[1]))
+            filled += job[2].size
+            achieved = max(achieved, bound)
+        return filled, achieved
+
+    @staticmethod
+    def _window(jobs: list, place) -> Tuple[int, float]:
+        """The read window: two shards in flight, on the calling thread and
+        one ``repro-read`` thread, which is joined before this returns.
+
+        Each shard is two tasks, its retriever's :meth:`load` — reads,
+        inflate and row copies, Python between short C calls — and then its
+        :meth:`rebuild` — the plane decode and the sweep, two long C calls
+        that release the GIL.  The calling thread takes the next load while
+        one is left, else the next loaded shard's rebuild; the helper the
+        next rebuild while one is ready, else the next load.  So the helper
+        spends its time in C and seldom waits for the GIL the caller's
+        Python holds: taking whole shards on both threads handed the GIL
+        over twice as often and cost more CPU.  Tasks are handed out one at
+        a time, so neither thread idles while work is left.  Each thread
+        keeps its own scratch slab and tallies, and every shard writes only
+        its own slab of the answer and its own store's ``trace``, so both
+        are the serial loop's.  After the first exception no thread takes
+        another task: the other finishes the one it holds, and the first
+        exception is raised once the helper is joined.  Every retriever is
+        left consistent — a shard loaded but not rebuilt keeps its rows —
+        so a ``refine`` that raised can be repeated.
+        """
+        ready = threading.Condition()
+        loads: List[tuple] = list(jobs)
+        loaded: List[tuple] = []  # (job, bytes its load charged), in load order
+        left = [len(jobs)]  # shards not rebuilt yet
+        failures: List[BaseException] = []
+
+        def take(loads_first: bool):
+            with ready:
+                while left[0] and not failures:
+                    if loads and (loads_first or not loaded):
+                        return loads.pop(0), None
+                    if loaded:
+                        return loaded.pop(0)
+                    ready.wait()  # the other thread is loading the last shards
+                return None
+
+        def work(loads_first: bool) -> Tuple[int, float]:
+            filled, achieved, scratch = 0, 0.0, None
+            while (task := take(loads_first)) is not None:
+                job, charged = task
+                retriever, plan, view, _sel_in = job
+                try:
+                    if charged is None:
+                        rebuild = (job, retriever.load(plan))
+                    else:
+                        rebuild = None
+                        decode = partial(retriever.rebuild, plan, charged)
+                        bound, scratch = place(job, scratch, decode)
+                        filled += view.size
+                        achieved = max(achieved, bound)
+                except BaseException as exc:
+                    with ready:
+                        failures.append(exc)
+                        ready.notify_all()
+                    break
+                with ready:
+                    if rebuild is None:
+                        left[0] -= 1
+                    else:
+                        loaded.append(rebuild)
+                    ready.notify_all()
+            return filled, achieved
+
+        with ThreadPoolExecutor(1, thread_name_prefix="repro-read") as helper:
+            theirs = helper.submit(work, False)
+            tallies = [work(True), theirs.result()]
         if failures:
             raise failures[0]
         return sum(filled for filled, _ in tallies), max(bound for _, bound in tallies)
