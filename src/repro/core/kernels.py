@@ -43,7 +43,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.core.interpolation import _address, _sweep
-from repro.core.negabinary import code_table
+from repro.core.negabinary import CodeTable
 from repro.errors import ConfigurationError
 
 #: XOR-prediction depth of the plane chain when a profile names none: two
@@ -115,7 +115,7 @@ class PlaneKernel:
         not built again.
         """
         check_prefix_bits(prefix_bits)
-        table = code_table(levels)
+        table = levels if isinstance(levels, CodeTable) else CodeTable(levels)
         nbytes = [(count + 7) // 8 for count in table.counts]
         rows = np.empty(64 * sum(nbytes), dtype=np.uint8)
         widths = array("q", bytes(8 * len(table)))

@@ -109,11 +109,6 @@ class CodeTable:
         return len(self.levels)
 
 
-def code_table(levels: Iterable[np.ndarray]) -> CodeTable:
-    """``levels`` as a :class:`CodeTable`: the table itself when it is one."""
-    return levels if isinstance(levels, CodeTable) else CodeTable(levels)
-
-
 def truncation_error_tables(
     levels: Sequence[Tuple[np.ndarray, int]]
 ) -> List[np.ndarray]:

@@ -57,7 +57,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -525,18 +525,18 @@ class RetrievalEngine:
         serial oracle, one request on the wire at a time).
         """
 
-        def place(job, scratch, decode) -> Tuple[float, Optional[np.ndarray]]:
-            # ``decode(out=…)`` — the shard's retrieve or rebuild — into its
-            # view, or into a scratch slab (made on first need) whose
-            # slab∩ROI is copied in; returns the bound and the scratch.
-            retriever, _plan, view, sel_in = job
+        def place(job, charged: int, scratch) -> Tuple[float, Optional[np.ndarray]]:
+            # The loaded shard's rebuild into its view, or into a scratch
+            # slab (made on first need) whose slab∩ROI is copied in; returns
+            # the bound it achieved and the scratch.
+            retriever, plan, view, sel_in = job
             if sel_in is None:
-                return decode(out=view).error_bound, scratch
+                return retriever.rebuild(plan, charged, out=view).error_bound, scratch
             if scratch is None:
                 scratch = np.empty(scratch_size, dtype=np.float64)
             header = retriever.header
             slab = scratch[: math.prod(header.shape)].reshape(header.shape)
-            bound = decode(out=slab).error_bound
+            bound = retriever.rebuild(plan, charged, out=slab).error_bound
             piece = slab[sel_in]
             # A stream whose dtype is not the dataset's rounds through its
             # own first, as its fresh answer would.
@@ -564,7 +564,7 @@ class RetrievalEngine:
                     0,
                 )
             job = jobs.pop(index)
-            bound, scratch = place(job, scratch, partial(job[0].retrieve, plan=job[1]))
+            bound, scratch = place(job, job[0].load(job[1]), scratch)
             filled += job[2].size
             achieved = max(achieved, bound)
         return filled, achieved
@@ -618,8 +618,7 @@ class RetrievalEngine:
                         rebuild = (job, retriever.load(plan))
                     else:
                         rebuild = None
-                        decode = partial(retriever.rebuild, plan, charged)
-                        bound, scratch = place(job, scratch, decode)
+                        bound, scratch = place(job, charged, scratch)
                         filled += view.size
                         achieved = max(achieved, bound)
                 except BaseException as exc:
