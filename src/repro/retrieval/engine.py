@@ -605,7 +605,7 @@ class RetrievalEngine:
                         return loads.pop(0), None
                     if loaded:
                         return loaded.pop(0)
-                    ready.wait()  # the other thread is loading the last shards
+                    ready.wait()  # the other thread holds the last task left
                 return None
 
         def work(loads_first: bool) -> Tuple[int, float]:
@@ -615,9 +615,9 @@ class RetrievalEngine:
                 retriever, plan, view, _sel_in = job
                 try:
                     if charged is None:
-                        rebuild = (job, retriever.load(plan))
+                        to_rebuild = (job, retriever.load(plan))
                     else:
-                        rebuild = None
+                        to_rebuild = None
                         bound, scratch = place(job, charged, scratch)
                         filled += view.size
                         achieved = max(achieved, bound)
@@ -627,10 +627,10 @@ class RetrievalEngine:
                         ready.notify_all()
                     break
                 with ready:
-                    if rebuild is None:
+                    if to_rebuild is None:
                         left[0] -= 1
                     else:
-                        loaded.append(rebuild)
+                        loaded.append(to_rebuild)
                     ready.notify_all()
             return filled, achieved
 
