@@ -10,7 +10,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="ipcomp-repro",
-    version="26.0.0",
+    version="26.1.0",
     description="IPComp progressive lossy compressor (paper reproduction)",
     package_dir={"": "src"},
     packages=find_packages("src"),

@@ -24,30 +24,24 @@ The reconstruction map from the quantization codes to the output is *linear*
 (fixed stencils, additive updates), which is the property Algorithm 2
 exploits for incremental refinement: feeding a *delta* of the codes through
 :meth:`InterpolationPredictor.reconstruct` yields the delta of the output.
+
+Every pass runs in C, one call per shard and direction (``ipc_forward``,
+``ipc_reconstruct``), through :mod:`repro.core.native`, the one place the
+library is built, loaded, declared and checked.
 """
 
 from __future__ import annotations
 
-import ctypes
-import hashlib
 import math
-import os
-import platform
-import secrets
-import shlex
-import shutil
-import stat
-import subprocess
-import sysconfig
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import native
 from repro.errors import ConfigurationError
 from repro.core.quantizer import LinearQuantizer, code_range_error, spacing_error
 
@@ -60,136 +54,19 @@ SHARED_PREDICTORS = 32
 #: Where each sweep unit's codes start in the one ``int64`` buffer
 #: :meth:`InterpolationPredictor.reconstruct` reads: an ``array("q")`` of
 #: one element offset per unit, in processing order (unit ``num_units``
-#: first), −1 for a unit with no codes.  A typed buffer the C reads in
-#: place.
+#: first), −1 for a unit with no codes.
 UnitTable = array
-_INT64 = np.dtype(np.int64)
+_INT64, _FLOAT64 = np.dtype(np.int64), np.dtype(np.float64)
 
-# ------------------------------------------------------------------ the sweep
-#
-# Every pass runs in C (``_sweep.c``, next to this file), one call per shard
-# and direction.  It is compiled at import with the platform's C compiler
-# into a per-user cache and loaded with ctypes, whose calls release the GIL.
-# The same library holds the plane encode and decode of
-# :mod:`repro.core.kernels`, the δ tables of :mod:`repro.core.negabinary`
-# and the planner's DP of :mod:`repro.core.optimizer`, which load it through
-# :func:`_sweep` too.
-# ``-ffp-contract=off`` keeps each multiply and add its own rounding (GCC on
-# aarch64 would fuse them into FMAs), so every answer is bitwise the numpy
-# sweep and quantizer the predictor was first written as.
-
-_SOURCE = Path(__file__).with_name("_sweep.c")
-_FLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
-_LIBS = ("-lm",)
 # Why ``ipc_forward`` refused a field (``_sweep.c``'s flag bits).
 _NO_CODE, _MISSED = 1, 2
-
-
-def _cache_directory() -> Path:
-    """``$XDG_CACHE_HOME/ipcomp-repro`` (else under ``~/.cache``), created
-    ``0o700``; refused unless this user owns it and no one else can write it."""
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    path = Path(base) / "ipcomp-repro"
-    path.mkdir(mode=0o700, parents=True, exist_ok=True)
-    info = path.lstat()
-    if not stat.S_ISDIR(info.st_mode) or info.st_uid != os.geteuid() or info.st_mode & 0o022:
-        raise ConfigurationError(
-            f"the C sweep's cache {path} is not a directory that "
-            "only this user can write"
-        )
-    return path
-
-
-def _private(path: Path) -> bool:
-    """A regular file this user owns and no one else can write."""
-    try:
-        info = path.lstat()
-    except FileNotFoundError:
-        return False
-    return stat.S_ISREG(info.st_mode) and info.st_uid == os.geteuid() and not info.st_mode & 0o022
-
-
-def _load_sweep() -> ctypes.CDLL:
-    """Build ``_sweep.c`` unless the cache holds it, and load it.
-
-    The library's name is a hash of the source, the compiler command, the
-    flags and the platform; a build lands under it by an atomic rename, so
-    processes building at once each load a whole library.
-    """
-    cc = shlex.split(sysconfig.get_config_var("CC") or "") or ["cc"]
-    if shutil.which(cc[0]) is None:
-        raise ConfigurationError(
-            f"the C sweep needs a C compiler: {cc[0]!r} (sysconfig's CC) "
-            "is not on PATH"
-        )
-    build = "\0".join(
-        [" ".join([*cc, *_FLAGS, *_LIBS]), sysconfig.get_platform(), platform.machine()]
-    )
-    key = hashlib.sha256(_SOURCE.read_bytes() + build.encode()).hexdigest()[:16]
-    directory = _cache_directory()
-    path = directory / f"sweep-{key}.so"
-    if not _private(path):
-        partial = directory / f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}"
-        try:
-            built = subprocess.run(
-                [*cc, *_FLAGS, "-o", str(partial), str(_SOURCE), *_LIBS],
-                capture_output=True,
-                text=True,
-            )
-            if built.returncode:
-                raise ConfigurationError(
-                    f"building the C sweep with {cc[0]!r} failed: "
-                    f"{built.stderr.strip()}"
-                )
-            os.replace(partial, path)
-        finally:
-            partial.unlink(missing_ok=True)
-    lib = ctypes.CDLL(str(path))
-    pointer, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.ipc_reconstruct.argtypes = [
-        pointer, pointer, i64, i64, pointer, i64, pointer, ctypes.c_double
-    ]
-    lib.ipc_reconstruct.restype = i64
-    lib.ipc_forward.argtypes = [pointer, pointer, pointer, i64, i64, pointer, ctypes.c_double]
-    lib.ipc_forward.restype = i64
-    lib.ipc_decode_planes.argtypes = [pointer, i64, pointer, i64, i64, pointer]
-    lib.ipc_decode_planes.restype = i64
-    lib.ipc_plan.argtypes = [
-        pointer, pointer, pointer, i64, i64, ctypes.c_double, i64, ctypes.c_double, pointer, pointer
-    ]
-    lib.ipc_plan.restype = i64
-    lib.ipc_encode_planes.argtypes = [pointer, pointer, i64, i64, pointer, pointer]
-    lib.ipc_encode_planes.restype = i64
-    lib.ipc_truncation_errors.argtypes = [pointer, pointer, pointer, i64, pointer]
-    lib.ipc_truncation_errors.restype = i64
-    return lib
-
-
-try:
-    _SWEEP: Optional[ctypes.CDLL] = _load_sweep()
-    _SWEEP_MISSING = ""
-except ConfigurationError as error:  # ``import repro`` still works
-    _SWEEP, _SWEEP_MISSING = None, str(error)
-except OSError as error:
-    _SWEEP, _SWEEP_MISSING = None, f"the C sweep could not be built or loaded: {error}"
-
-
-def _sweep() -> ctypes.CDLL:
-    """The loaded sweep; :class:`ConfigurationError` if it could not be built."""
-    if _SWEEP is None:
-        raise ConfigurationError(_SWEEP_MISSING)
-    return _SWEEP
-
-
-#: ``addressof(_VIEW.from_buffer(a))`` is the address of a writable array
-#: ``a``, an empty one too, for a third of what numpy's ``a.ctypes.data``
-#: costs.
-_VIEW = ctypes.c_char * 0
-
-
-def _address(array: np.ndarray) -> int:
-    """The address of a C-contiguous array's first element, for the C."""
-    return ctypes.addressof(_VIEW.from_buffer(array)) if array.flags.writeable else array.ctypes.data
+# What :meth:`InterpolationPredictor.reconstruct` refuses (``native.checked``).
+_NOT_OUT = (
+    "out must be a C-contiguous float64 array of shape {shape}, "
+    "got {buffer.dtype} {buffer.shape}"
+)
+_NOT_CODES = "codes must be int64 in one C-contiguous 1-D array, got {got}"
+_NOT_OFFSETS = "offsets must be an array('q') of one offset for each of {shape[0]} units"
 
 
 @dataclass(frozen=True)
@@ -263,7 +140,7 @@ class InterpolationPredictor:
         self._table = np.array([p.row for p in self._passes], dtype=np.int64).reshape(
             self.num_units, 5 + 2 * self.ndim
         )
-        self._table_address = self._table.ctypes.data
+        self._table_address = native.address(self._table)
         self._cubic = int(method == "cubic")
 
     # ------------------------------------------------------------------ setup
@@ -383,15 +260,7 @@ class InterpolationPredictor:
         anchor_codes, anchor_dequant = quantizer.roundtrip(data[self._anchor])
         xhat[self._anchor] = anchor_dequant
         codes = np.empty(self._predicted, dtype=np.int64)
-        flags = _sweep().ipc_forward(
-            data.ctypes.data,
-            xhat.ctypes.data,
-            self._table_address,
-            self.num_units,
-            self._cubic,
-            codes.ctypes.data,
-            quantizer.bin_width,
-        )
+        flags = self._forward(data, native.address(xhat), codes, quantizer.bin_width)
         if flags & _NO_CODE:
             raise code_range_error(quantizer.error_bound)
         if flags & _MISSED:
@@ -416,16 +285,21 @@ class InterpolationPredictor:
         data = self._field(data)
         anchor_values = data[self._anchor].flatten()
         coeffs = np.empty(self._predicted, dtype=np.float64)
-        _sweep().ipc_forward(
-            data.ctypes.data,
-            None,
+        self._forward(data, None, coeffs, 0.0)
+        return anchor_values, self.units(coeffs)
+
+    def _forward(self, data: np.ndarray, xhat: Optional[int], out: np.ndarray, w: float) -> int:
+        """``ipc_forward`` over every pass: :meth:`decompose` into the
+        reconstruction at address ``xhat``, :meth:`transform` without one."""
+        return native.library().ipc_forward(
+            native.address(data),
+            xhat,
             self._table_address,
             self.num_units,
             self._cubic,
-            coeffs.ctypes.data,
-            0.0,
+            native.address(out),
+            w,
         )
-        return anchor_values, self.units(coeffs)
 
     # ---------------------------------------------------------- reconstruction
 
@@ -467,47 +341,17 @@ class InterpolationPredictor:
         The map is linear in its inputs, so calling it with *delta* codes
         yields the delta of the reconstruction (Algorithm 2).
         """
-        if out is None:
-            xhat = np.empty(self.shape, dtype=np.float64)
-        elif out.dtype != np.float64 or out.shape != self.shape or not out.flags.c_contiguous:
-            raise ConfigurationError(
-                f"out must be a C-contiguous float64 array of shape {self.shape}, "
-                f"got {out.dtype} {out.shape}"
-            )
-        else:
-            xhat = out
-        if not (
-            isinstance(codes, np.ndarray)
-            and codes.dtype == _INT64
-            and codes.ndim == 1
-            and codes.flags.c_contiguous
-        ):
-            raise ConfigurationError(
-                "codes must be int64 in one C-contiguous 1-D array, got "
-                f"{getattr(codes, 'dtype', type(codes).__name__)}"
-            )
-        if not (
-            isinstance(offsets, array)
-            and offsets.typecode == "q"
-            and len(offsets) == self.num_units
-        ):
-            raise ConfigurationError(
-                f"offsets must be an array('q') of one offset for each of {self.num_units} units"
-            )
+        xhat = np.empty(self.shape, dtype=np.float64) if out is None else out
+        into = native.checked(xhat, _FLOAT64, self.shape, ConfigurationError, _NOT_OUT)
+        at = native.checked(codes, _INT64, None, ConfigurationError, _NOT_CODES)
+        table = native.checked(offsets, "q", (self.num_units, 1), ConfigurationError, _NOT_OFFSETS)
         xhat[self._anchor] = np.asarray(anchor_values, dtype=np.float64).reshape(
             self.anchor_shape
         )
         # One C call checks every unit's codes against the buffer, then runs
         # every pass; pass ``i`` adds the codes at ``offsets[i]``, or +0.0.
-        failed = _sweep().ipc_reconstruct(
-            xhat.ctypes.data,
-            self._table_address,
-            self.num_units,
-            self._cubic,
-            _address(codes),
-            codes.size,
-            offsets.buffer_info()[0],
-            bin_width,
+        failed = native.library().ipc_reconstruct(
+            into, self._table_address, self.num_units, self._cubic, at, codes.size, table, bin_width
         )
         if failed:
             unit, start, stop = self._spans[failed - 1]

@@ -6,23 +6,17 @@ inverse.  :class:`PlaneKernel` runs that whole chain for **every level of a
 shard** in one call (:meth:`PlaneKernel.encode_planes` /
 :meth:`PlaneKernel.decode_planes`, which take a shard's list of levels),
 each one call into C (``ipc_encode_planes`` / ``ipc_decode_planes`` in
-``_sweep.c``, the library :mod:`repro.core.interpolation` builds and
-loads):
+``_sweep.c``, through :mod:`repro.core.native`, the one place the library
+is built, loaded, declared and checked).  The encode reads each level's
+codes where they lie (a table of their addresses and counts); the decode
+takes the shard's one row buffer and a table of each level's offset and
+shape, and checks that every level lies inside the buffer before it reads
+any.
 
-* **encode** reads each level's codes where they lie (a table of their
-  addresses and counts), takes its width — the bit length of the OR of its
-  negabinary words — and walks it in chunks of packed columns: negabinary,
-  an 8×8 bit transpose per byte group into position-major plane rows, the
-  XOR prediction on the packed rows, and the rows copied out into one
-  buffer, from which each plane becomes its ``bytes``.
-* **decode** takes the shard's one row buffer and a table of each level's
-  offset and shape, checks that every level lies inside the buffer, then
-  walks each level in chunks with the same transpose the other way.
-
-ctypes releases the GIL for both calls, so the two slabs a write has in
-flight encode at once, and the C keeps no state between calls: the one
-instance is shared by every thread (the serving layer decodes
-``max_inflight`` requests at once, and a write encodes two slabs at once).
+The GIL is released for both calls, so the two slabs a write has in flight
+encode at once, and the C keeps no state between calls: the one instance
+is shared by every thread (the serving layer decodes ``max_inflight``
+requests at once, and a write encodes two slabs at once).
 
 There is one implementation and no selector: :func:`get_kernel` returns the
 one process-wide instance.  The byte-identity contract — both directions
@@ -42,7 +36,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.interpolation import _address, _sweep
+from repro.core import native
 from repro.core.negabinary import CodeTable
 from repro.errors import ConfigurationError
 
@@ -62,10 +56,11 @@ def check_prefix_bits(prefix_bits: int) -> None:
 #: — the level's ``keep`` loaded packed plane rows (most significant first)
 #: of ``ceil(count / 8)`` bytes each, from byte ``offset`` of the shard's one
 #: row buffer (the progressive retriever's resident rows, handed over whole,
-#: never copied row by row), its value count and its width.  A typed buffer
-#: the C reads in place: its address costs no wrapper.
+#: never copied row by row), its value count and its width.
 LevelTable = array
 _BYTE = np.dtype(np.uint8)
+_NOT_ROWS = "the plane rows are not one C-contiguous 1-D uint8 array"
+_NOT_A_TABLE = "the level table is not an array('q') of four ints per level"
 
 
 class PlaneKernel:
@@ -119,13 +114,13 @@ class PlaneKernel:
         nbytes = [(count + 7) // 8 for count in table.counts]
         rows = np.empty(64 * sum(nbytes), dtype=np.uint8)
         widths = array("q", bytes(8 * len(table)))
-        size = _sweep().ipc_encode_planes(
-            table.addresses.ctypes.data,
-            table.counts.buffer_info()[0],
+        size = native.library().ipc_encode_planes(
+            native.address(table.addresses),
+            native.address(table.counts),
             len(table),
             prefix_bits,
-            _address(rows),
-            widths.buffer_info()[0],
+            native.address(rows),
+            native.address(widths),
         )
         data = rows[:size].tobytes()
         planes = []
@@ -165,24 +160,12 @@ class PlaneKernel:
         ``ValueError``.
         """
         check_prefix_bits(prefix_bits)
-        if not (
-            isinstance(rows, np.ndarray)
-            and rows.dtype == _BYTE
-            and rows.ndim == 1
-            and rows.flags.c_contiguous
-        ):
-            raise ValueError("the plane rows are not one C-contiguous 1-D uint8 array")
-        if not (isinstance(levels, array) and levels.typecode == "q" and len(levels) % 4 == 0):
-            raise ValueError("the level table is not an array('q') of four ints per level")
+        at = native.checked(rows, _BYTE, None, ValueError, _NOT_ROWS)
+        table = native.checked(levels, "q", (-1, 4), ValueError, _NOT_A_TABLE)
         counts = levels[2::4]
         codes = np.empty(max(sum(counts), 0), dtype=np.int64)
-        failed = _sweep().ipc_decode_planes(
-            _address(rows),
-            rows.size,
-            levels.buffer_info()[0],
-            len(counts),
-            prefix_bits,
-            _address(codes),
+        failed = native.library().ipc_decode_planes(
+            at, rows.size, table, len(counts), prefix_bits, native.address(codes)
         )
         if failed:
             offset, keep, count, nbits = levels[4 * failed - 4 : 4 * failed]

@@ -13,6 +13,9 @@ The conversion uses the classic alternating-mask trick (also used by ZFP):
 
 where ``MASK = 0xAAAA...AAAA`` has ones in every odd bit position.  Both maps
 are bijections between ``int64`` and ``uint64`` and are fully vectorised.
+The write's δ tables are one C call per shard (``ipc_truncation_errors``),
+through :mod:`repro.core.native`, the one place the library is built,
+loaded, declared and checked.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.interpolation import _address, _sweep
+from repro.core import native
 
 #: Alternating bit mask ``0b...10101010`` for 64-bit words.
 NEGABINARY_MASK = np.uint64(0xAAAAAAAAAAAAAAAA)
+_NOT_WIDTHS = "widths must be an array('q') of one width for each of {shape[0]} levels"
 
 
 def to_negabinary(values: np.ndarray) -> np.ndarray:
@@ -99,7 +103,7 @@ class CodeTable:
 
     def __init__(self, levels: Iterable[np.ndarray]) -> None:
         self.levels = [np.ascontiguousarray(codes, dtype=np.int64).ravel() for codes in levels]
-        self.addresses = np.array([_address(codes) for codes in self.levels], dtype=np.uintp)
+        self.addresses = np.array([native.address(c) for c in self.levels], dtype=np.uintp)
         self.counts = array("q", [codes.size for codes in self.levels])
 
     def __iter__(self) -> Iterator[np.ndarray]:
@@ -116,9 +120,6 @@ def truncation_error_tables(
     ``(values, nbits)`` pair, in one C call over all of them
     (:func:`table_truncation_errors`)."""
     levels = list(levels)
-    for _, nbits in levels:
-        if not 0 <= nbits <= 64:
-            raise ValueError(f"nbits must be in 0..64, got {nbits}")
     return table_truncation_errors(
         CodeTable(values for values, _ in levels), array("q", [nbits for _, nbits in levels])
     )
@@ -143,13 +144,17 @@ def table_truncation_errors(table: CodeTable, widths: array) -> List[np.ndarray]
     (a level 63 or 64 bits wide can have one) raises ``OverflowError``
     naming the level's width.
     """
+    at = native.checked(widths, "q", (len(table), 1), ValueError, _NOT_WIDTHS)
+    for nbits in widths:
+        if not 0 <= nbits <= 64:
+            raise ValueError(f"nbits must be in 0..64, got {nbits}")
     tables = np.empty(sum(widths) + len(widths), dtype=np.int64)
-    failed = _sweep().ipc_truncation_errors(
-        table.addresses.ctypes.data,
-        table.counts.buffer_info()[0],
-        widths.buffer_info()[0],
+    failed = native.library().ipc_truncation_errors(
+        native.address(table.addresses),
+        native.address(table.counts),
+        at,
         len(widths),
-        _address(tables),
+        native.address(tables),
     )
     if failed:
         raise OverflowError(

@@ -16,24 +16,25 @@ next bin so discretization can never produce a plan that violates the
 constraint; the price is a marginally conservative plan, which matches the
 paper's "negligible overhead, strictly bounded" framing.
 
-The DP runs in C, one call per plan (``ipc_plan`` in ``_sweep.c``, the
-library :mod:`repro.core.interpolation` builds and loads): the fold, the
-backtrack and the plan's payload and Theorem-1 sums, for both modes with the
-two tables' roles swapped, over a table allocated per call (plans run from
-many threads at once).  It reads one flat table per shard — the cost and
-error of every keep choice of every level, concatenated in level order, plus
-the per-level lengths — which the first DP builds in a few numpy calls; a
-loader that only ever answers the stored bound (the full plan) never builds
-it.  Its plans are bitwise those of the numpy fold and of the plain loops
-kept in ``tests/oracle_optimizer.py``.  Every target must be a positive
-finite number; anything else is a :class:`~repro.errors.ConfigurationError`.
+The DP runs in C, one call per plan (``ipc_plan`` in ``_sweep.c``, through
+:mod:`repro.core.native`, the one place the library is built, loaded,
+declared and checked): the fold, the backtrack and the plan's payload and
+Theorem-1 sums, for both modes with the two tables' roles swapped, over a
+table allocated per call (plans run from many threads at once).  It reads
+one flat table per shard — the cost and error of every keep choice of every
+level, concatenated in level order, plus the per-level lengths — which the
+first DP builds in a few numpy calls; a loader that only ever answers the
+stored bound (the full plan) never builds it.  Its plans are bitwise those
+of the numpy fold and of the plain loops kept in
+``tests/oracle_optimizer.py``.  Every target must be a positive finite
+number; anything else is a :class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -42,7 +43,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.core.interpolation import _sweep
+from repro.core import native
 from repro.core.stream import StreamHeader
 from repro.core.theory import propagation_factor
 from repro.errors import ConfigurationError, RetrievalError
@@ -130,7 +131,7 @@ class OptimizedLoader:
             err,
             counts,
             {enc.level: first for enc, first in zip(levels, firsts)},
-            (cost.ctypes.data, err.ctypes.data, counts.ctypes.data),
+            (native.address(cost), native.address(err), native.address(counts)),
         )
 
     @cached_property
@@ -181,17 +182,16 @@ class OptimizedLoader:
         (``by_size``) or Σ cost subject to Σ error ≤ ``budget``; ``None``
         when no plan has a finite value.  One C call (module docstring)."""
         table = self._table
-        keep = (ctypes.c_int64 * len(table.starts))()
-        error = ctypes.c_double()
-        payload = _sweep().ipc_plan(
+        keep, error = array("q", bytes(8 * len(table.starts))), array("d", [0.0])
+        payload = native.library().ipc_plan(
             *table.addresses,
             len(keep),
             by_size,
             float(budget),
             DEFAULT_BINS,
             self.header.error_bound,
-            keep,
-            ctypes.byref(error),
+            native.address(keep),
+            native.address(error),
         )
         if payload == -2:
             raise MemoryError("no memory for the planner's DP table")
@@ -199,7 +199,7 @@ class OptimizedLoader:
             return None
         return LoadingPlan(
             keep=dict(zip(table.starts, keep)),
-            predicted_error=error.value,
+            predicted_error=error[0],
             payload_bytes=payload,
             overhead_bytes=self.overhead_bytes,
         )

@@ -20,7 +20,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PROBE = """
 import numpy as np
 import repro
-from repro.core import interpolation
+from repro.core import native
 from repro.core.interpolation import InterpolationPredictor
 from repro.errors import ConfigurationError
 
@@ -33,7 +33,7 @@ except ConfigurationError as error:
     print("ConfigurationError:", error)
 else:
     assert (field == 1.0).all()
-    print("loaded", interpolation._SWEEP._name)
+    print("loaded", native._LIB._name)
 """
 
 

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from oracle_negabinary import loop_truncation_errors
 
 from repro.core.negabinary import (
+    CodeTable,
     from_negabinary,
     required_bits_from_codes,
     to_negabinary,
     truncate_low_planes,
+    table_truncation_errors,
     truncation_error_tables,
     truncation_errors,
     truncation_uncertainty,
@@ -213,3 +217,16 @@ def test_truncation_error_tables_equal_the_loop_oracle(levels):
     for table, oracle in zip(tables, expected):
         assert table.dtype == np.int64
         assert table.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize(
+    "widths, message",
+    [([8, 8, 8], "one width for each of 1 levels"), ([200], "nbits must be in 0..64, got 200")],
+    ids=["three widths for one level", "200 planes"],
+)
+def test_table_truncation_errors_refuses_widths_the_c_cannot_read(widths, message):
+    """The C reads a code address and a count for every width, and keeps the
+    extremes of at most 64 planes: both are refused before the call."""
+    table = CodeTable([np.arange(-50, 50, dtype=np.int64)])
+    with pytest.raises(ValueError, match=message):
+        table_truncation_errors(table, array("q", widths))
