@@ -7,7 +7,8 @@ move: the answer, the ``ranges`` (shard order, one entry per block),
 ``bytes_loaded`` and ``error_bound`` are those of the shards decoded one by
 one, also with the interpreter switching threads every microsecond; no
 thread outlives a request, a one-shard or remote request starts none
-(a remote decode already overlaps its round trips), and a failing
+(a remote decode already overlaps its round trips), a remote read loads
+first a shard whose primed ranges have landed, and a failing
 shard raises the read's error and leaves every ``refine`` retriever
 consistent, so the repeated call finishes the job.
 """
@@ -184,6 +185,51 @@ def test_a_remote_read_decodes_on_the_calling_thread(archive, monkeypatch):
     finally:
         EventLoopThread.shared().close()  # re-created on demand
     assert not [name for name in started if name.startswith("repro-read")]
+
+
+def test_a_remote_read_loads_first_a_shard_whose_ranges_have_landed(archive, monkeypatch):
+    """The streaming handoff: while shard 0's primed ranges are held on the
+    wire, shard 1 is loaded first, then shard 0, then the rest in order —
+    and the answer, ``ranges`` and ``bytes_loaded`` are the local read's."""
+    from repro.io.aio import EventLoopThread
+    from repro.io.rangeserver import RangeServer
+    from repro.retrieval.engine import RetrievalEngine
+    from repro.retrieval.prefetch import PrefetchSource
+
+    towers = {}  # PrefetchSource -> its shard's name
+    loaded = []  # shard names, in load order
+    open_sources = RetrievalEngine.open_sources
+    load = ProgressiveRetriever.load
+
+    def recorded(self, names, wrap=None):
+        made = open_sources(self, names, wrap)
+        towers.update(zip(made, names))
+        return made
+
+    def recording(self, plan):
+        loaded.append(towers[self.store.source])
+        return load(self, plan)
+
+    with ChunkedDataset(archive) as dataset:
+        names = [shard.name for shard in dataset.shards]
+        local = dataset.read()
+    # Shard 0 reports a range in flight until another shard has loaded;
+    # every other shard reports its ranges landed (its reads still wait
+    # for them, so only the order can move).
+    held = property(lambda self: int(towers.get(self) == names[0] and not loaded))
+    try:
+        with RangeServer(archive.parent) as server:
+            monkeypatch.setattr(RetrievalEngine, "open_sources", recorded)
+            monkeypatch.setattr(ProgressiveRetriever, "load", recording)
+            monkeypatch.setattr(PrefetchSource, "inflight", held)
+            with ChunkedDataset(server.url_for(archive.name), prefetch=4) as dataset:
+                remote = dataset.read()
+    finally:
+        EventLoopThread.shared().close()  # re-created on demand
+    assert loaded == [names[1], names[0], *names[2:]]
+    assert remote.data.tobytes() == local.data.tobytes()
+    assert remote.ranges == local.ranges
+    assert remote.bytes_loaded == local.bytes_loaded
 
 
 # --------------------------------------------------------------- failures
