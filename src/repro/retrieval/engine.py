@@ -29,11 +29,14 @@ it is where the path from a request to the bytes is assembled — once, in
   it; nothing is fetched for a request nobody made.  A local file has no
   stage 2: the store reads its block source directly;
 * **stage 3 (decode)** — the answer is allocated once, and each shard's
-  retriever decodes its plan in-process straight into it.  A local
-  dataset's shards decode two at a time: the calling thread and one
-  ``repro-read`` thread each take the next shard left, and no thread
-  outlives the request; a remote one's decode on the calling thread, each
-  as its ranges land, overlapping the round trips of the rest.  A shard
+  retriever decodes its plan in-process straight into it, through one
+  scheduler, the read window (:meth:`RetrievalEngine._decode`): each shard
+  is a load and then a rebuild.  A local request of more than one shard
+  runs them on the calling thread and one ``repro-read`` thread, and no
+  thread outlives the request; a one-shard or remote request runs the
+  same window on the calling thread alone, each load followed by its
+  rebuild.  The next load is a shard whose primed ranges have landed, so
+  a remote decode overlaps the round trips of the rest.  A shard
   the ROI does not cut reconstructs into its own slab view of the answer,
   any other into its thread's float64 scratch slab, whose slab∩ROI is
   copied in.  Nothing is assembled afterwards (:func:`assemble` serves
@@ -467,8 +470,8 @@ class RetrievalEngine:
             with self._prefetcher.burst():
                 for retriever, plan in zip(selected, plans):
                     retriever._prime(plan)
-        # Stage 3 decodes into the answer, allocated once, two shards at a
-        # time (:meth:`_decode`).  A shard the ROI does not cut reconstructs
+        # Stage 3 decodes into the answer, allocated once, through the read
+        # window (:meth:`_decode`).  A shard the ROI does not cut reconstructs
         # into its own slab of it when that view is C-contiguous float64 of
         # the stream's shape; every other one into its thread's scratch
         # slab, whose slab∩ROI is then copied in, cast (the one copy it
@@ -513,84 +516,39 @@ class RetrievalEngine:
         )
 
     def _decode(self, jobs: list, scratch_size: int) -> Tuple[int, float]:
-        """Stage 3: every shard of ``jobs`` — ``(retriever, plan, answer
-        view, slab∩ROI or None)`` — decoded into its view; returns the
-        points filled and the worst bound achieved.
-
-        A local dataset's shards go through the read window
-        (:meth:`_window`).  A request of one shard, or of a remote dataset,
-        decodes on the calling thread: a remote decode already overlaps the
-        round trips of the shards after it, and a second decode thread
-        bought it no time but cost CPU (with ``prefetch=0`` it is also the
-        serial oracle, one request on the wire at a time).
-        """
-
-        def place(job, charged: int, scratch) -> Tuple[float, Optional[np.ndarray]]:
-            # The loaded shard's rebuild into its view, or into a scratch
-            # slab (made on first need) whose slab∩ROI is copied in; returns
-            # the bound it achieved and the scratch.
-            retriever, plan, view, sel_in = job
-            if sel_in is None:
-                return retriever.rebuild(plan, charged, out=view).error_bound, scratch
-            if scratch is None:
-                scratch = np.empty(scratch_size, dtype=np.float64)
-            header = retriever.header
-            slab = scratch[: math.prod(header.shape)].reshape(header.shape)
-            bound = retriever.rebuild(plan, charged, out=slab).error_bound
-            piece = slab[sel_in]
-            # A stream whose dtype is not the dataset's rounds through its
-            # own first, as its fresh answer would.
-            view[...] = piece if header.dtype == self.dtype else piece.astype(header.dtype)
-            return bound, scratch
-
-        remote = self._prefetcher is not None or any(
-            getattr(retriever.store.source, "supports_async", False) for retriever, *_job in jobs
-        )
-        if len(jobs) > 1 and not remote:
-            return self._window(jobs, place)
-        filled, achieved, scratch = 0, 0.0, None
-        while jobs:
-            index = 0
-            if self._prefetcher is not None and len(jobs) > 1:
-                # Streaming handoff: decode a shard whose primed ranges have
-                # all landed rather than blocking on plan order — the first
-                # shard still fetching overlaps another shard's decode.
-                index = next(
-                    (
-                        i
-                        for i, (retriever, *_job) in enumerate(jobs)
-                        if getattr(retriever.store.source, "inflight", 0) == 0
-                    ),
-                    0,
-                )
-            job = jobs.pop(index)
-            bound, scratch = place(job, job[0].load(job[1]), scratch)
-            filled += job[2].size
-            achieved = max(achieved, bound)
-        return filled, achieved
-
-    @staticmethod
-    def _window(jobs: list, place) -> Tuple[int, float]:
-        """The read window: two shards in flight, on the calling thread and
-        one ``repro-read`` thread, which is joined before this returns.
+        """Stage 3, the read window: every shard of ``jobs`` — ``(retriever,
+        plan, answer view, slab∩ROI or None)`` — decoded into its view;
+        returns the points filled and the worst bound achieved.
 
         Each shard is two tasks, its retriever's :meth:`load` — reads,
         inflate and row copies, Python between short C calls — and then its
         :meth:`rebuild` — the plane decode and the sweep, two long C calls
-        that release the GIL.  The calling thread takes the next load while
-        one is left, else the next loaded shard's rebuild; the helper the
-        next rebuild while one is ready, else the next load.  So the helper
+        that release the GIL.  A local request of more than one shard runs
+        them on the calling thread and one ``repro-read`` thread, joined
+        before this returns: the caller takes the next load while one is
+        left, else the next loaded shard's rebuild; the helper the next
+        rebuild while one is ready, else the next load.  So the helper
         spends its time in C and seldom waits for the GIL the caller's
         Python holds: taking whole shards on both threads handed the GIL
-        over twice as often and cost more CPU.  Tasks are handed out one at
-        a time, so neither thread idles while work is left.  Each thread
-        keeps its own scratch slab and tallies, and every shard writes only
-        its own slab of the answer and its own store's ``trace``, so both
-        are the serial loop's.  After the first exception no thread takes
-        another task: the other finishes the one it holds, and the first
-        exception is raised once the helper is joined.  Every retriever is
-        left consistent — a shard loaded but not rebuilt keeps its rows —
-        so a ``refine`` that raised can be repeated.
+        over twice as often and cost more CPU.  A request of one shard, or
+        of a remote dataset, runs the same loop on the calling thread alone,
+        each load followed by its rebuild: a remote decode already overlaps
+        the round trips of the shards after it, and a second decode thread
+        bought it no time but cost CPU (with ``prefetch=0`` it is also the
+        serial oracle, one request on the wire at a time).
+
+        The next load is the first shard left whose primed ranges have all
+        landed (a local source has none in flight), else the first left:
+        the first shard still fetching overlaps another shard's decode.
+        Tasks are handed out one at a time, so neither thread idles while
+        work is left.  Each thread keeps its own float64 scratch slab and
+        tallies, and every shard writes only its own slab of the answer and
+        its own store's ``trace``, so both are the shards' decoded one by
+        one.  After the first exception no thread takes another task: the
+        other finishes the one it holds, and the first exception is raised
+        once the helper is joined.  Every retriever is left consistent — a
+        shard loaded but not rebuilt keeps its rows — so a ``refine`` that
+        raised can be repeated.
         """
         ready = threading.Condition()
         loads: List[tuple] = list(jobs)
@@ -602,7 +560,12 @@ class RetrievalEngine:
             with ready:
                 while left[0] and not failures:
                     if loads and (loads_first or not loaded):
-                        return loads.pop(0), None
+                        landed = (
+                            i
+                            for i, (retriever, *_job) in enumerate(loads)
+                            if getattr(retriever.store.source, "inflight", 0) == 0
+                        )
+                        return loads.pop(next(landed, 0)), None
                     if loaded:
                         return loaded.pop(0)
                     ready.wait()  # the other thread holds the last task left
@@ -612,13 +575,28 @@ class RetrievalEngine:
             filled, achieved, scratch = 0, 0.0, None
             while (task := take(loads_first)) is not None:
                 job, charged = task
-                retriever, plan, view, _sel_in = job
+                retriever, plan, view, sel_in = job
                 try:
                     if charged is None:
                         to_rebuild = (job, retriever.load(plan))
                     else:
                         to_rebuild = None
-                        bound, scratch = place(job, charged, scratch)
+                        if sel_in is None:
+                            bound = retriever.rebuild(plan, charged, out=view).error_bound
+                        else:
+                            # Into the scratch slab (made on first need),
+                            # whose slab∩ROI is copied in; a stream whose
+                            # dtype is not the dataset's rounds through its
+                            # own first, as its fresh answer would.
+                            if scratch is None:
+                                scratch = np.empty(scratch_size, dtype=np.float64)
+                            header = retriever.header
+                            slab = scratch[: math.prod(header.shape)].reshape(header.shape)
+                            bound = retriever.rebuild(plan, charged, out=slab).error_bound
+                            piece = slab[sel_in]
+                            view[...] = (
+                                piece if header.dtype == self.dtype else piece.astype(header.dtype)
+                            )
                         filled += view.size
                         achieved = max(achieved, bound)
                 except BaseException as exc:
@@ -634,9 +612,15 @@ class RetrievalEngine:
                     ready.notify_all()
             return filled, achieved
 
-        with ThreadPoolExecutor(1, thread_name_prefix="repro-read") as helper:
-            theirs = helper.submit(work, False)
-            tallies = [work(True), theirs.result()]
+        remote = self._prefetcher is not None or any(
+            getattr(retriever.store.source, "supports_async", False) for retriever, *_job in jobs
+        )
+        if len(jobs) > 1 and not remote:
+            with ThreadPoolExecutor(1, thread_name_prefix="repro-read") as helper:
+                theirs = helper.submit(work, False)
+                tallies = [work(True), theirs.result()]
+        else:
+            tallies = [work(False)]
         if failures:
             raise failures[0]
         return sum(filled for filled, _ in tallies), max(bound for _, bound in tallies)
