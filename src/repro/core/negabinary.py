@@ -120,9 +120,17 @@ def truncation_error_tables(
     ``(values, nbits)`` pair, in one C call over all of them
     (:func:`table_truncation_errors`)."""
     levels = list(levels)
-    return table_truncation_errors(
-        CodeTable(values for values, _ in levels), array("q", [nbits for _, nbits in levels])
-    )
+    widths = _in_range([nbits for _, nbits in levels])  # before array("q") converts them
+    return table_truncation_errors(CodeTable(values for values, _ in levels), array("q", widths))
+
+
+def _in_range(widths):
+    """``widths``, once each is 0 … 64 planes: the C keeps the extremes of
+    at most 64, and ``OverflowError`` means only a loss beyond ``int64``."""
+    for nbits in widths:
+        if not 0 <= nbits <= 64:
+            raise ValueError(f"nbits must be in 0..64, got {nbits}")
+    return widths
 
 
 def table_truncation_errors(table: CodeTable, widths: array) -> List[np.ndarray]:
@@ -145,9 +153,7 @@ def table_truncation_errors(table: CodeTable, widths: array) -> List[np.ndarray]
     naming the level's width.
     """
     at = native.checked(widths, "q", (len(table), 1), ValueError, _NOT_WIDTHS)
-    for nbits in widths:
-        if not 0 <= nbits <= 64:
-            raise ValueError(f"nbits must be in 0..64, got {nbits}")
+    _in_range(widths)
     tables = np.empty(sum(widths) + len(widths), dtype=np.int64)
     failed = native.library().ipc_truncation_errors(
         native.address(table.addresses),

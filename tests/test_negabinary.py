@@ -154,10 +154,14 @@ def test_truncation_errors_leaves_its_input_alone():
     assert np.array_equal(codes, np.arange(-40, 40))
 
 
-@pytest.mark.parametrize("nbits", [-1, 65])
+@pytest.mark.parametrize("nbits", [-1, 65, 2**63, -(2**63) - 1])
 def test_truncation_errors_rejects_impossible_widths(nbits):
-    with pytest.raises(ValueError):
+    """Refused by name before anything converts it: a width beyond int64 is
+    no ``OverflowError``, which means only a loss beyond int64."""
+    with pytest.raises(ValueError, match=f"got {nbits}$"):
         truncation_errors(np.array([1]), nbits)
+    with pytest.raises(ValueError, match=f"got {nbits}$"):
+        truncation_error_tables([(np.arange(5), 2), (np.arange(5), nbits)])
 
 
 # ------------------------------- truncation_error_tables (the shard-wide sweep)
