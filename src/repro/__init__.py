@@ -38,7 +38,7 @@ from repro.core.optimizer import LoadingPlan, OptimizedLoader
 from repro.io.dataset import ChunkedDataset, DatasetReadResult
 from repro.service import RetrievalService, RetrievalTrace
 
-__version__ = "26.1.0"
+__version__ = "26.2.0"
 
 __all__ = [
     "CodecProfile",
