@@ -124,7 +124,7 @@ def truncation_error_tables(
     return table_truncation_errors(CodeTable(values for values, _ in levels), array("q", widths))
 
 
-def _in_range(widths):
+def _in_range(widths: Sequence[int]) -> Sequence[int]:
     """``widths``, once each is 0 … 64 planes: the C keeps the extremes of
     at most 64, and ``OverflowError`` means only a loss beyond ``int64``."""
     for nbits in widths:
